@@ -1,12 +1,11 @@
 """Engine-throughput micro-harness: the perf trajectory's first datapoint.
 
 Unlike the paper-artifact benchmarks one directory up, these measure the
-*simulator itself*: simulated operations per second along the legacy
-(fast-path-off), generator (fast path on) and compiled-replay engine
-paths, exactly as ``repro-clustering bench`` does.  The replay numbers
-are held to the checked-in floor in ``floor.json`` — the same file the
-CI bench smoke step uses — with a wide tolerance so the check trips on
-structural regressions (an accidentally disabled fast path, a hot-path
+*simulator itself*: simulated operations per second along the generator
+and compiled-replay engine paths, exactly as ``repro-clustering bench``
+does.  The replay numbers are held to the checked-in floor in
+``floor.json`` — the same file the CI bench smoke step uses — with a
+wide tolerance so the check trips on structural regressions (a hot-path
 allocation creeping back in), not on machine noise.
 
 Run directly::
@@ -54,15 +53,15 @@ def test_replay_throughput_floor(app, floor):
 
 
 @pytest.mark.parametrize("app", ["lu", "raytrace"])
-def test_replay_not_slower_than_legacy(app):
-    """Replay must never lose to driving the generators fast-path-off.
+def test_replay_not_slower_than_generators(app):
+    """Replay must never lose to driving the generators.
 
     One stream-invariant app and one recorded app; a generous margin
     absorbs timer noise on tiny runs while still catching the compiled
     path regressing below the interpreter it exists to beat.
     """
     result = bench_engine(app, CONFIG, KWARGS_OF[app], repeats=3)
-    assert result.replay_s <= result.legacy_s * 1.25
+    assert result.replay_s <= result.generator_s * 1.25
 
 
 def test_floor_covers_every_app(floor):
@@ -83,8 +82,7 @@ def test_floor_covers_memory_streams(floor):
 
 
 def test_floor_covers_kernel_sections(floor):
-    """The batched-replay and native-kernel A/B floors are pinned."""
+    """The native-kernel and trace-streaming A/B floors are pinned."""
     sections = {k for k in floor if ":" in k and not k.startswith("memory:")}
-    assert sections == {"batch:points_per_s", "batch:speedup",
-                        "native:points_per_s", "native:batch_speedup",
-                        "native:warm_speedup"}
+    assert sections == {"native:points_per_s", "native:warm_speedup",
+                        "trace:first_point_speedup", "trace:maxrss_ratio"}

@@ -45,7 +45,6 @@ from __future__ import annotations
 
 import time
 import traceback
-import warnings
 from concurrent.futures import Future, ProcessPoolExecutor, ThreadPoolExecutor
 from concurrent.futures import TimeoutError as _FuturesTimeout
 from concurrent.futures.process import BrokenProcessPool
@@ -59,7 +58,6 @@ from .metrics import RunResult
 from .resultcache import ResultCache
 
 if TYPE_CHECKING:  # pragma: no cover
-    from ..sim.batch.runner import BatchStats
     from ..sim.compiled import TraceCache
 
 __all__ = ["BACKENDS", "PointSpec", "PointOutcome", "SweepExecutor",
@@ -83,26 +81,17 @@ PointSpec = RunRequest
 
 
 def as_point_spec(obj: Any) -> PointSpec:
-    """Return ``obj`` as a :class:`PointSpec` (= :class:`RunRequest`).
+    """Return ``obj`` if it is a :class:`PointSpec` (= :class:`RunRequest`).
 
-    Loose ``(app, cluster, cache[, kwargs])`` tuples are still coerced
-    for now, but that spelling is deprecated: build requests explicitly
-    with :meth:`PointSpec.make` instead, which validates eagerly and
-    keeps sweep construction greppable.
+    Anything else is a ``TypeError``: build requests explicitly with
+    :meth:`PointSpec.make`, which validates eagerly and keeps sweep
+    construction greppable.
     """
     if isinstance(obj, PointSpec):
         return obj
-    if isinstance(obj, (tuple, list)) and len(obj) in (3, 4):
-        warnings.warn(
-            "passing loose (app, cluster, cache[, kwargs]) sequences as "
-            "sweep points is deprecated; build a PointSpec/RunRequest with "
-            "PointSpec.make(...)", DeprecationWarning, stacklevel=3)
-        app, cluster_size, cache_kb = obj[0], obj[1], obj[2]
-        kwargs = obj[3] if len(obj) == 4 else None
-        return PointSpec.make(app, cluster_size, cache_kb, kwargs)
     raise TypeError(
-        f"cannot interpret {obj!r} as a sweep point; expected PointSpec or "
-        f"(app, cluster_size, cache_kb[, app_kwargs])")
+        f"cannot interpret {obj!r} as a sweep point; expected a "
+        f"PointSpec/RunRequest (build one with PointSpec.make(...))")
 
 
 @dataclass
@@ -174,26 +163,6 @@ def _evaluate_timed(spec: PointSpec, base_config: MachineConfig,
     return result, time.perf_counter() - t0
 
 
-def _evaluate_group_timed(specs: Sequence[PointSpec],
-                          base_config: MachineConfig,
-                          trace_cache: "TraceCache | None" = None,
-                          observer: RunObserver | None = None):
-    """Run one batch group (the process-pool group worker function).
-
-    Returns ``(items, counters)`` where ``items`` are the per-point
-    :class:`~repro.sim.batch.runner.BatchItem`\\ s in input order and
-    ``counters`` carries the group's native/fused/fallback kernel split
-    back across the pickle boundary for the parent's :class:`BatchStats`.
-    """
-    from ..sim.batch.runner import BatchStats, run_group  # deferred: cycle
-
-    stats = BatchStats()
-    items = run_group(specs, base_config, trace_cache, observer, stats)
-    return items, {"native_points": stats.native_points,
-                   "fused_points": stats.fused_points,
-                   "fallback_points": stats.fallback_points}
-
-
 def raise_failures(outcomes: Iterable[PointOutcome]) -> None:
     """Raise :class:`SweepExecutionError` if any outcome failed."""
     failures = [o for o in outcomes if not o.ok]
@@ -243,17 +212,6 @@ class SweepExecutor:
         so the process/fork backends ignore it.  Observed runs are
         bit-identical to detached ones (the runtime parity suite pins
         this), so attaching a counter or timer never perturbs results.
-    batch:
-        Evaluate sweeps in **batched lockstep replay** mode (the CLI's
-        ``--batch``): a :class:`~repro.sim.batch.planner.BatchPlanner`
-        groups the pending points by compiled-trace key and each group
-        runs through the fused replay kernel over one shared decode of
-        its trace (:mod:`repro.sim.batch`).  Dynamic apps and lone trace
-        keys fall through to the per-point path.  Composes with the
-        process/fork backends by sharding *groups* across workers.
-        Results are byte-identical to per-point execution; only
-        wall-clock changes.  Requires ``use_compiled``.  The per-point
-        ``timeout`` is scaled by group size (a group is one dispatch).
     native:
         Replay-kernel selection (the CLI's ``--native/--no-native``):
         ``True`` forces the native C kernel (raising up front when it
@@ -271,12 +229,7 @@ class SweepExecutor:
     trace_cache: "TraceCache | None" = field(default=None, repr=False)
     use_compiled: bool = True
     observer: RunObserver | None = field(default=None, repr=False)
-    batch: bool = False
     native: bool | None = None
-    #: batch counters (groups formed, batched vs fallthrough points,
-    #: fused vs fallback replays) accumulated across every run/submit
-    batch_stats: "BatchStats" = field(default=None, init=False,  # type: ignore[assignment]
-                                      repr=False, compare=False)
     # the process pool outlives individual run() calls: worker startup
     # (interpreter + numpy import) costs ~1s, which would otherwise be
     # paid again by every figure's sweep in a multi-figure command
@@ -300,10 +253,6 @@ class SweepExecutor:
             raise ValueError("max_workers must be positive or None")
         if self.timeout is not None and self.timeout <= 0:
             raise ValueError("timeout must be positive or None")
-        if self.batch and not self.use_compiled:
-            raise ValueError(
-                "batched execution replays compiled traces; it cannot be "
-                "combined with use_compiled=False")
         if self.native is not None:
             import repro.native as _native  # deferred: keep import light
 
@@ -314,9 +263,6 @@ class SweepExecutor:
             from ..sim.compiled import TraceCache  # deferred: import cycle
 
             self.trace_cache = TraceCache()
-        from ..sim.batch.runner import BatchStats  # deferred: import cycle
-
-        self.batch_stats = BatchStats()
 
     # ------------------------------------------------------------------ API
     def run(self, specs: Iterable[Any],
@@ -361,9 +307,7 @@ class SweepExecutor:
                 duplicate_of[i] = j
 
         if unique:
-            if self.batch:
-                self._run_batched(specs, unique, base, outcomes)
-            elif self.backend == "fork":
+            if self.backend == "fork":
                 # fork-server mode: warm the trace LRU before the pool
                 # exists so the forked workers inherit it copy-on-write
                 if self._pool is None:
@@ -421,153 +365,6 @@ class SweepExecutor:
         for i in pending:
             outcomes[i] = self._evaluate_isolated(specs[i], base)
 
-    def _run_batched(self, specs: list[PointSpec], pending: list[int],
-                     base: MachineConfig,
-                     outcomes: list[PointOutcome | None]) -> None:
-        """Plan trace-key groups and dispatch them to the backend.
-
-        Groups run through :func:`~repro.sim.batch.runner.run_group` —
-        in-process under the serial backend, one pool task per group
-        under process/fork (groups shard across workers; points of one
-        group share a worker so they share the decode).  Fallthrough
-        singles take the exact per-point path they always did.
-        """
-        from ..sim.batch.planner import BatchPlanner  # deferred: cycle
-
-        plan = BatchPlanner().plan([specs[i] for i in pending], base)
-        self.batch_stats.observe_plan(plan)
-        singles = [pending[p] for p in plan.singles]
-        groups = [[pending[p] for p in g.indices] for g in plan.groups]
-
-        if self.backend in ("process", "fork"):
-            if self.backend == "fork" and self._pool is None:
-                self.preload_traces([specs[i] for i in pending], base)
-            if singles:
-                self._run_process(specs, singles, base, outcomes)
-            self._run_groups_process(specs, groups, base, outcomes)
-        else:
-            from ..sim.batch.runner import run_group  # deferred: cycle
-
-            if singles:
-                # fallthrough points get no shared decode, but the serial
-                # backend still replays them through the fused interpreter
-                # (a dynamic app's recorded trace fuses exactly like a
-                # batched one); stats=None keeps the fused/fallback
-                # counters meaning "points served from a group replay"
-                sspecs = [specs[i] for i in singles]
-                try:
-                    items = run_group(sspecs, base, self.trace_cache,
-                                      self.observer, stats=None)
-                except Exception:
-                    self._run_serial(specs, singles, base, outcomes)
-                else:
-                    for i, item in zip(singles, items):
-                        outcomes[i] = PointOutcome(
-                            specs[i], result=item.result, error=item.error,
-                            elapsed=item.elapsed)
-
-            for group in groups:
-                gspecs = [specs[i] for i in group]
-                try:
-                    items = run_group(gspecs, base, self.trace_cache,
-                                      self.observer, self.batch_stats)
-                except Exception:
-                    err = traceback.format_exc()
-                    for i in group:
-                        outcomes[i] = PointOutcome(specs[i], error=err)
-                else:
-                    for i, item in zip(group, items):
-                        outcomes[i] = PointOutcome(
-                            specs[i], result=item.result, error=item.error,
-                            elapsed=item.elapsed)
-
-    def _run_groups_process(self, specs: list[PointSpec],
-                            groups: list[list[int]], base: MachineConfig,
-                            outcomes: list[PointOutcome | None]) -> None:
-        if not groups:
-            return
-        pool = self._process_pool()
-        futures = [(group, pool.submit(_evaluate_group_timed,
-                                       [specs[i] for i in group], base,
-                                       self.trace_cache))
-                   for group in groups]
-        for group, future in futures:
-            # one group is one dispatch: the per-point budget scales
-            timeout = (None if self.timeout is None
-                       else self.timeout * len(group))
-            try:
-                items, counters = future.result(timeout=timeout)
-            except _FuturesTimeout:
-                future.cancel()
-                for i in group:
-                    outcomes[i] = PointOutcome(
-                        specs[i],
-                        error=f"batch group timed out after {timeout:g}s")
-            except Exception as exc:
-                if isinstance(exc, BrokenProcessPool):
-                    self.close()
-                err = self._exc_text(exc)
-                for i in group:
-                    outcomes[i] = PointOutcome(specs[i], error=err)
-            else:
-                self._merge_counters(counters)
-                for i, item in zip(group, items):
-                    outcomes[i] = PointOutcome(
-                        specs[i], result=item.result, error=item.error,
-                        elapsed=item.elapsed)
-
-    def submit_group(self, specs: Sequence[Any],
-                     base_config: MachineConfig | None = None
-                     ) -> "Future[list[PointOutcome]]":
-        """Dispatch one batch group; resolves to outcomes in input order.
-
-        The group-shaped sibling of :meth:`submit_one` (the service
-        daemon's ``/sweep`` batching path): the returned future always
-        resolves to one :class:`PointOutcome` per spec — a failing point
-        (or a dead worker) becomes error outcomes, never an exception on
-        the future.  Like :meth:`submit_one`, neither the result cache
-        nor ``timeout`` is consulted; the caller owns both.
-        """
-        base = base_config or MachineConfig()
-        specs = [as_point_spec(s) for s in specs]
-        out: "Future[list[PointOutcome]]" = Future()
-        try:
-            if self.backend in ("process", "fork"):
-                inner = self._process_pool().submit(
-                    _evaluate_group_timed, specs, base, self.trace_cache)
-            else:
-                inner = self._thread_pool().submit(
-                    _evaluate_group_timed, specs, base, self.trace_cache,
-                    self.observer)
-        except Exception as exc:
-            if isinstance(exc, BrokenProcessPool):
-                self.close()
-            err = self._exc_text(exc)
-            out.set_result([PointOutcome(s, error=err) for s in specs])
-            return out
-
-        def _done(f: Future) -> None:
-            try:
-                items, counters = f.result()
-            except BaseException as exc:  # noqa: BLE001 — becomes outcomes
-                if isinstance(exc, BrokenProcessPool):
-                    self.close()
-                err = self._exc_text(exc)
-                result = [PointOutcome(s, error=err) for s in specs]
-            else:
-                self._merge_counters(counters)
-                result = [PointOutcome(s, result=it.result, error=it.error,
-                                       elapsed=it.elapsed)
-                          for s, it in zip(specs, items)]
-            if not out.cancelled():
-                try:
-                    out.set_result(result)
-                except Exception:  # pragma: no cover — racing cancellation
-                    pass
-
-        inner.add_done_callback(_done)
-        return out
-
     def submit_one(self, spec: Any,
                    base_config: MachineConfig | None = None
                    ) -> "Future[PointOutcome]":
@@ -622,12 +419,6 @@ class SweepExecutor:
 
         inner.add_done_callback(_done)
         return out
-
-    def _merge_counters(self, counters: dict) -> None:
-        """Fold one group worker's kernel split into :attr:`batch_stats`."""
-        self.batch_stats.native_points += counters.get("native_points", 0)
-        self.batch_stats.fused_points += counters["fused_points"]
-        self.batch_stats.fallback_points += counters["fallback_points"]
 
     @staticmethod
     def _exc_text(exc: BaseException) -> str:
@@ -735,10 +526,8 @@ class SweepExecutor:
                 if isinstance(exc, BrokenProcessPool):
                     # a dead worker poisons the pool; reopen it next run
                     self.close()
-                outcomes[i] = PointOutcome(
-                    specs[i],
-                    error="".join(traceback.format_exception_only(
-                        type(exc), exc)).strip() or repr(exc))
+                outcomes[i] = PointOutcome(specs[i],
+                                           error=self._exc_text(exc))
             else:
                 outcomes[i] = PointOutcome(specs[i], result=result,
                                            elapsed=elapsed)

@@ -1,4 +1,6 @@
-/* Native replay kernel: C twin of repro.sim.batch.engine.replay_fused.
+/* Native replay kernel: C twin of Engine.run_compiled driving a
+ * directory-protocol CoherentMemorySystem (repro.sim.engine,
+ * repro.memory.coherence), with the memory system's transitions inlined.
  *
  * One call replays one compiled program against one (fresh) flat-latency
  * CoherentMemorySystem configuration and returns every observable side
@@ -7,22 +9,23 @@
  * per-cluster cache columns in exact LRU order, free lists, miss
  * histories, counters, allocator first touches, sync registry).  The
  * Python driver (repro.native.driver) writes the blob back into the
- * live objects, so the result is byte-identical to the pure-python
- * fused kernel — which remains the canonical reference.
+ * live objects, so the result is byte-identical to the python replay —
+ * which remains the canonical reference.
  *
- * Equivalences relied on (proved against the python kernel, pinned by
+ * Equivalences relied on (proved against the python replay, pinned by
  * tests/test_native_properties.py):
  *
  * - scheduler: a binary heap of (time, seq, pid) with a monotone seq
- *   counter pops in exactly the bucket queue's FIFO-per-time order,
- *   which is the canonical (time, seq, pid) heap order.
+ *   counter; skipping the push/pop pair for a strictly-earliest event
+ *   relabels later seq numbers monotonically, so the pop order is the
+ *   canonical (time, seq, pid) heap order.
  * - LRU: a doubly-linked list over slot numbers (head = LRU) mirrors
  *   CPython dict insertion order under the same touch discipline
  *   (pop + reinsert == unlink + push_tail); maintained untouched in
  *   infinite mode too so the exported slot_of order equals dict order.
  * - counters: busy cycles and reads/writes are counted online at op
- *   dispatch (never on a merge retry), which totals exactly the static
- *   seeding the python kernel performs up front.
+ *   dispatch (never on a merge retry), exactly where the python engine
+ *   and memory system count them.
  *
  * Directory masks are kept as a separate 64-bit word (Python packs
  * (mask << 2) | state into one unbounded int); the driver gates the
@@ -359,7 +362,7 @@ static inline void lock_dequeue(Lock *lk, int64_t *pid, int64_t *arr) {
 
 /* ------------------------------------------------------------- heap
  * (time, seq, pid) binary min-heap; seq is a monotone counter, so pop
- * order is FIFO within one time == the canonical bucket-queue order. */
+ * order is FIFO within one time == the python engine's heap order. */
 
 typedef struct {
     int64_t t, seq, pid;

@@ -95,24 +95,12 @@ class RunSession:
         Optional :class:`~repro.runtime.hooks.RunObserver`.  When
         ``None`` the pipeline takes no timestamps — detached sessions
         add zero work to the historical path.
-    replayer:
-        Optional replay engine override, ``replayer(config, app,
-        program) -> RunResult | None``.  When set, every compiled-trace
-        replay of the pipeline (trace hits *and* fresh captures) is
-        offered to it first; returning ``None`` falls back to the
-        canonical :meth:`Application.run` replay.  A replayer must be
-        result-exact — the seam exists for the batched lockstep kernel
-        (:mod:`repro.sim.batch`), which is pinned byte-identical —
-        and is never consulted on generator-path or
-        :meth:`run_detailed` executions.
     """
 
     base_config: MachineConfig | None = None
     trace_cache: "TraceCache | None" = field(default=None, repr=False)
     use_compiled: bool = True
     observer: RunObserver | None = field(default=None, repr=False)
-    replayer: "Callable[[MachineConfig, Application, CompiledProgram], RunResult | None] | None" = \
-        field(default=None, repr=False)
 
     # ------------------------------------------------------------------ API
     def run(self, request: RunRequest) -> RunResult:
@@ -185,8 +173,7 @@ class RunSession:
                      memory_factory: "Callable[[MachineConfig, Application], Any] | None" = None,
                      program: "CompiledProgram | None" = None,
                      read_hit_cycles: int = 1,
-                     max_cycles: int | None = None,
-                     heap_fast_path: bool = True) -> RunOutcome:
+                     max_cycles: int | None = None) -> RunOutcome:
         """Run with explicit memory wiring; returns the memory system.
 
         ``memory_factory(config, app)`` builds the memory system the run
@@ -229,8 +216,7 @@ class RunSession:
                                  else app.program,
                                  compiled=program is not None,
                                  read_hit_cycles=read_hit_cycles,
-                                 max_cycles=max_cycles,
-                                 heap_fast_path=heap_fast_path)
+                                 max_cycles=max_cycles)
         outcome = RunOutcome(plan, result, app, memory=memory,
                              program=program)
         return self._finish(outcome, clock)
@@ -238,18 +224,13 @@ class RunSession:
     # ------------------------------------------------------------ internals
     def _replay(self, plan: RunPlan, app: "Application",
                 program: "CompiledProgram") -> RunResult:
-        """Replay a compiled trace, honouring the :attr:`replayer` seam.
+        """Replay a compiled trace.
 
-        With no replayer installed (or when it declines), the native C
-        kernel serves the point when selected and eligible
+        The native C kernel serves the point when selected and eligible
         (:func:`~repro.sim.nativereplay.try_replay_native` — byte-
-        identical to the canonical replay), so single runs benefit from
-        the kernel exactly as ``--batch`` sweeps do.
+        identical to the canonical replay); everything else runs on
+        :meth:`Application.run`'s python replay.
         """
-        if self.replayer is not None:
-            result = self.replayer(plan.config, app, program)
-            if result is not None:
-                return result
         from ..sim.nativereplay import try_replay_native
         result = try_replay_native(plan.config, app, program)
         if result is not None:

@@ -55,6 +55,8 @@ import time
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any
 
+import repro.native as native
+
 from ..apps.registry import APP_NAMES
 from ..core.config import MachineConfig
 from ..core.executor import PointOutcome, SweepExecutor
@@ -70,17 +72,6 @@ if TYPE_CHECKING:  # pragma: no cover
 
 __all__ = ["DaemonThread", "PointExecutionError", "ServiceDaemon",
            "ServiceStats", "SweepService"]
-
-
-def _native_status() -> dict[str, Any]:
-    """The replay-kernel selection snapshot for ``/stats``.
-
-    :func:`repro.native.status` plus nothing — kept as a seam so the
-    daemon never triggers a compile while answering a stats poll.
-    """
-    import repro.native as native
-
-    return native.status()
 
 
 def _trace_cache_status() -> dict[str, Any]:
@@ -155,10 +146,6 @@ class SweepService:
         self.stats = ServiceStats()
         self.started_at = time.monotonic()
         self._inflight: dict[str, asyncio.Task] = {}
-        # keys whose flight was started by batch_prefetch and not yet
-        # claimed by their own sweep's evaluate() — the first join of
-        # such a key is the group member taking its seat, not a coalesce
-        self._batch_primary: set[str] = set()
 
     # ------------------------------------------------------------ resolution
     def resolve(self, request: "RunRequest") -> tuple[str, MachineConfig]:
@@ -201,9 +188,6 @@ class SweepService:
 
         flight = self._inflight.get(key)
         if flight is not None:
-            if key in self._batch_primary:
-                self._batch_primary.discard(key)
-                return await self._await_flight(flight, timeout)
             self.stats.coalesced += 1
             report = await self._await_flight(flight, timeout)
             return report.as_coalesced()
@@ -245,70 +229,6 @@ class SweepService:
             self.cache.put(key, outcome.result)
         return PointReport(key, outcome.result, elapsed=outcome.elapsed)
 
-    # --------------------------------------------------------------- batching
-    def batch_prefetch(self, specs: "list[RunRequest]") -> int:
-        """Start group flights for a sweep's batchable points.
-
-        With a batching executor (``repro-clustering serve --batch``),
-        the sweep's fresh points — not in flight, not cached — are
-        grouped by compiled-trace key and each group is dispatched once
-        via :meth:`SweepExecutor.submit_group`.  Every member point is
-        pre-registered in the single-flight table, so the per-point
-        evaluations that follow (this sweep's own, and any concurrent
-        ``/run`` for the same key) join the group's flight exactly like
-        coalesced duplicates do.  Returns the number of points batched;
-        a non-batching executor makes this a no-op.
-        """
-        if not getattr(self.executor, "batch", False):
-            return 0
-        fresh: list[tuple[str, "RunRequest"]] = []
-        seen: set[str] = set()
-        for spec in specs:
-            key, _config = self.resolve(spec)
-            if key in self._inflight or key in seen:
-                continue
-            if self.cache is not None and self.cache.get(key) is not None:
-                continue
-            seen.add(key)
-            fresh.append((key, spec))
-        if len(fresh) < 2:
-            return 0
-
-        from ..sim.batch.planner import BatchPlanner  # deferred: keep cheap
-
-        plan = BatchPlanner().plan([s for _, s in fresh], self.base_config)
-        self.executor.batch_stats.observe_plan(plan)
-        loop = asyncio.get_running_loop()
-        batched = 0
-        for group in plan.groups:
-            members = [fresh[p] for p in group.indices]
-            future = self.executor.submit_group([s for _, s in members],
-                                                self.base_config)
-            shared = asyncio.wrap_future(future)
-            for pos, (key, _spec) in enumerate(members):
-                flight = loop.create_task(
-                    self._execute_batched(key, pos, shared))
-                self._inflight[key] = flight
-                self._batch_primary.add(key)
-                batched += 1
-        return batched
-
-    async def _execute_batched(self, key: str, pos: int,
-                               shared: "asyncio.Future") -> PointReport:
-        try:
-            outcomes = await shared
-        finally:
-            self._inflight.pop(key, None)
-            self._batch_primary.discard(key)
-        outcome = outcomes[pos]
-        if outcome.error is not None:
-            self.stats.errors += 1
-            raise PointExecutionError(key, outcome.error)
-        self.stats.executed += 1
-        if self.cache is not None:
-            self.cache.put(key, outcome.result)
-        return PointReport(key, outcome.result, elapsed=outcome.elapsed)
-
     # --------------------------------------------------------------- reports
     def stats_dict(self) -> dict[str, Any]:
         s = self.stats
@@ -329,11 +249,7 @@ class SweepService:
             "timeouts": s.timeouts,
             "in_flight": self.in_flight,
             "result_cache": cache,
-            "batch": {
-                "enabled": bool(getattr(self.executor, "batch", False)),
-                **self.executor.batch_stats.to_dict(),
-            },
-            "native": _native_status(),
+            "native": native.status(),
             "trace_cache": _trace_cache_status(),
             "pool": {
                 "backend": self.executor.backend,
@@ -533,9 +449,6 @@ class ServiceDaemon:
         specs, timeout = decode_sweep_payload(request.json())
         for spec in specs:  # reject the whole grid before streaming any of it
             self.service.resolve(spec)
-        # batching executor: dispatch trace-key groups up front; the
-        # per-point evaluations below join their group's flight
-        self.service.batch_prefetch(specs)
 
         async def one(index: int, spec: "RunRequest") -> dict[str, Any]:
             try:
@@ -578,11 +491,11 @@ class DaemonThread:
                  backend: str = "serial", max_workers: int | None = None,
                  cache_dir: Any = None, host: str = "127.0.0.1",
                  port: int = 0, drain_deadline: float = 10.0,
-                 observer: Any = None, batch: bool = False) -> None:
+                 observer: Any = None) -> None:
         cache = None if cache_dir is None else ResultCache(cache_dir)
         self.executor = SweepExecutor(backend=backend,
                                       max_workers=max_workers,
-                                      observer=observer, batch=batch)
+                                      observer=observer)
         self.service = SweepService(self.executor, base_config=base_config,
                                     cache=cache)
         self.daemon = ServiceDaemon(self.service, host=host, port=port,

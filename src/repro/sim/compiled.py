@@ -29,10 +29,11 @@ This module provides that capture/replay layer:
   app once per process and ``--jobs`` worker processes share traces via
   disk.
 
-**Streaming traces.**  Two wire formats coexist.  The legacy ``RPROTRC1``
-encoding (zlib-compressed, CRC-protected) remains readable for migration.
-The current ``RPROTRC2`` encoding is *mmappable*: an aligned, uncompressed
-little-endian int64 section per column behind a JSON header/TOC, so
+**Streaming traces.**  Two wire formats are readable.  The legacy
+``RPROTRC1`` encoding (zlib-compressed, CRC-protected) is decode-only, for
+blobs an older release left in a store.  The current ``RPROTRC2``
+encoding is *mmappable*: an aligned, uncompressed little-endian int64
+section per column behind a JSON header/TOC, so
 :meth:`CompiledProgram.from_file` can map a
 :class:`~repro.core.resultcache.TraceStore` blob copy-on-write
 (``mmap.ACCESS_COPY``) and expose the columns as zero-copy ``memoryview``
@@ -49,10 +50,9 @@ through a bounded footprint instead of materialising everywhere.
 The in-memory LRU is governed by a **byte budget**
 (``REPRO_TRACE_LRU_BYTES``, default 256 MiB) that charges mapped programs
 a token constant — so any number of paper-scale mapped traces stay
-resident while materialised ones are evicted by size.  The historical
-entry-count knob (``REPRO_TRACE_LRU``) is still honoured when set, as a
-deprecated alias.  ``REPRO_TRACE_MMAP=0`` disables mapping (every disk
-load decodes eagerly to arrays).
+resident while materialised ones are evicted by size.
+``REPRO_TRACE_MMAP=0`` disables mapping (every disk load decodes eagerly
+to arrays).
 
 Replay is **bit-identical** to generator execution: the engine's golden
 and equivalence suites (``tests/test_golden_regression.py``,
@@ -82,11 +82,7 @@ from .program import (OP_BARRIER, OP_READ, OP_UNLOCK, OP_WORK, OP_WRITE,
 __all__ = ["CompiledProgram", "TraceCache", "TraceDecodeError",
            "compile_program", "trace_key", "clear_memory_cache",
            "memory_cache_len", "memory_cache_bytes", "trace_cache_info",
-           "ENV_TRACE_LRU", "ENV_TRACE_LRU_BYTES", "ENV_TRACE_MMAP"]
-
-#: deprecated alias: entry-count cap on the in-memory LRU (honoured when
-#: set; the byte budget below is the primary knob)
-ENV_TRACE_LRU = "REPRO_TRACE_LRU"
+           "ENV_TRACE_LRU_BYTES", "ENV_TRACE_MMAP"]
 
 #: environment variable overriding the in-memory LRU byte budget
 ENV_TRACE_LRU_BYTES = "REPRO_TRACE_LRU_BYTES"
@@ -190,8 +186,7 @@ class CompiledProgram:
     and ``memoryview`` slices over a copy-on-write file mapping for
     programs loaded via :meth:`from_file` (``mapped`` is then true); both
     spellings expose identical indexing, length, and buffer protocols, so
-    every replay path (python per-point, fused batch, native C) works on
-    either.
+    every replay path (python, native C) works on either.
 
     Instances are immutable by convention (the engine only reads them, and
     the native kernel takes ``const`` views), so one compiled program can
@@ -200,7 +195,7 @@ class CompiledProgram:
     """
 
     __slots__ = ("ops", "args", "n_processors", "line_size", "source_ops",
-                 "fused_work", "mapped", "_mm", "_runtime", "_batch")
+                 "fused_work", "mapped", "_mm", "_runtime")
 
     def __init__(self, ops: list, args: list, line_size: int,
                  source_ops: int, fused_work: bool, *,
@@ -222,10 +217,6 @@ class CompiledProgram:
         #: the mmap object keeping mapped columns alive (``None`` otherwise)
         self._mm = mapping
         self._runtime = None
-        #: batched-replay decode cache (:mod:`repro.sim.batch.columns`):
-        #: packed per-processor columns plus the static per-processor
-        #: counter totals, shared by every point of a batch group
-        self._batch = None
 
     def runtime_columns(self):
         """Indexable ``(ops, args)`` views for the per-point replay loop.
@@ -280,7 +271,7 @@ class CompiledProgram:
                 f"{kind})")
 
     # -------------------------------------------------------- serialization
-    def _header(self, crc: int, payload_offset: int | None = None) -> bytes:
+    def _header(self, crc: int, payload_offset: int) -> bytes:
         fields = {
             "n_processors": self.n_processors,
             "line_size": self.line_size,
@@ -288,35 +279,21 @@ class CompiledProgram:
             "fused_work": self.fused_work,
             "counts": [len(o) for o in self.ops],
             "itemsize": _ITEMSIZE,
-            "byteorder": "little" if payload_offset is not None
-            else sys.byteorder,
+            "byteorder": "little",
             "crc32": crc,
+            "payload_offset": payload_offset,
         }
-        if payload_offset is not None:
-            fields["payload_offset"] = payload_offset
         return json.dumps(fields, sort_keys=True).encode("utf-8")
 
-    def to_bytes(self, *, version: int = 2) -> bytes:
-        """Binary encoding; ``version=2`` (default) is the mmappable form.
+    def to_bytes(self) -> bytes:
+        """Binary encoding (``RPROTRC2``, the mmappable form).
 
-        * **v2** — magic, uint32-LE header length, JSON header, zero pad
-          to an 8-byte boundary, then the raw little-endian int64 columns
-          (per processor: ops then args).  Uncompressed and aligned so
-          :meth:`from_file` can map it and hand slices to the native
-          kernel without a copy.
-        * **v1** — the legacy zlib-compressed encoding, kept for the
-          migration round-trip suite.
+        Magic, uint32-LE header length, JSON header, zero pad to an
+        8-byte boundary, then the raw little-endian int64 columns (per
+        processor: ops then args).  Uncompressed and aligned so
+        :meth:`from_file` can map it and hand slices to the native kernel
+        without a copy.
         """
-        if version == 1:
-            # legacy writer: native byte order, zlib-compressed
-            payload = b"".join(col.tobytes()
-                               for pair in zip(self.ops, self.args)
-                               for col in pair)
-            header = self._header(zlib.crc32(payload))
-            return (_MAGIC_V1 + len(header).to_bytes(4, "little") + header
-                    + zlib.compress(payload, 1))
-        if version != 2:
-            raise ValueError(f"unknown trace format version {version}")
         payload = b"".join(_le_bytes(col)
                            for pair in zip(self.ops, self.args)
                            for col in pair)
@@ -325,7 +302,7 @@ class CompiledProgram:
         # header length, so fix-point the (rarely iterating) computation
         offset = 0
         for _ in range(4):
-            header = self._header(crc, payload_offset=offset)
+            header = self._header(crc, offset)
             want = _align8(12 + len(header))
             if want == offset:
                 break
@@ -638,17 +615,6 @@ def _byte_budget() -> int:
         return _DEFAULT_LRU_BYTES
 
 
-def _entry_capacity() -> int | None:
-    """Deprecated entry-count cap; ``None`` when unset (the default)."""
-    raw = os.environ.get(ENV_TRACE_LRU)
-    if raw is None:
-        return None
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return None
-
-
 def _mmap_enabled() -> bool:
     return os.environ.get(ENV_TRACE_MMAP, "1") != "0"
 
@@ -678,7 +644,6 @@ def trace_cache_info() -> dict[str, Any]:
         "resident_bytes": _memory_lru_bytes,
         "payload_bytes": sum(p.nbytes for p in _memory_lru.values()),
         "budget_bytes": _byte_budget(),
-        "entry_capacity": _entry_capacity(),
     }
 
 
@@ -690,8 +655,7 @@ class TraceCache:
     study, its executor, and a process-pool worker all see each other's
     compilations.  It is bounded by a **byte budget**
     (:data:`ENV_TRACE_LRU_BYTES`, default 256 MiB of
-    :attr:`~CompiledProgram.resident_nbytes`; the deprecated
-    :data:`ENV_TRACE_LRU` entry cap still applies when set).  Tier 2 is
+    :attr:`~CompiledProgram.resident_nbytes`).  Tier 2 is
     an optional :class:`~repro.core.resultcache.TraceStore` on disk, which
     is what lets separate ``--jobs`` worker processes and separate CLI
     invocations reuse traces.  Disk loads of current-format blobs are
@@ -805,10 +769,7 @@ class TraceCache:
         _memory_lru[key] = program
         _memory_lru_bytes += program.resident_nbytes
         budget = _byte_budget()
-        capacity = _entry_capacity()
-        while len(_memory_lru) > 1 and (
-                _memory_lru_bytes > budget
-                or (capacity is not None and len(_memory_lru) > capacity)):
+        while len(_memory_lru) > 1 and _memory_lru_bytes > budget:
             _, evicted = _memory_lru.popitem(last=False)
             _memory_lru_bytes -= evicted.resident_nbytes
 

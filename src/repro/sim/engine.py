@@ -105,11 +105,6 @@ class Engine:
         the load-latency profiler sweeps 1-4).
     max_cycles:
         Safety cap; exceeding it raises ``RuntimeError`` (runaway program).
-    heap_fast_path:
-        Skip the heappush/heappop round-trip when the rescheduled event is
-        strictly earlier than the heap minimum (default on; results are
-        bit-identical either way — the flag exists for the equivalence
-        tests and for benchmarking the fast path's contribution).
     stats:
         :class:`~repro.sim.stats.StatsAssembler` that turns the finished
         breakdowns + memory counters into the :class:`RunResult`.  The
@@ -121,7 +116,6 @@ class Engine:
     def __init__(self, config: MachineConfig, memory,
                  read_hit_cycles: int = 1,
                  max_cycles: int | None = None,
-                 heap_fast_path: bool = True,
                  stats: StatsAssembler | None = None) -> None:
         if read_hit_cycles < 1:
             raise ValueError("read_hit_cycles must be >= 1")
@@ -129,7 +123,6 @@ class Engine:
         self.memory = memory
         self.read_hit_cycles = read_hit_cycles
         self.max_cycles = max_cycles
-        self.heap_fast_path = heap_fast_path
         self.stats = DEFAULT_ASSEMBLER if stats is None else stats
         self.sync = SyncRegistry(config.n_processors)
 
@@ -143,7 +136,6 @@ class Engine:
         write = memory.write
         hit_cost = self.read_hit_cycles
         max_cycles = self.max_cycles
-        fast = self.heap_fast_path
         sync = self.sync
 
         nexts = [iter(program_factory(pid)).__next__ for pid in range(n)]
@@ -257,7 +249,7 @@ class Engine:
                 if not heap:
                     break
                 t, _, npid = heappop(heap)
-            elif fast and (not heap or tn < heap[0][0]):
+            elif not heap or tn < heap[0][0]:
                 t = tn  # strictly next: stay on this processor
                 continue
             else:
@@ -295,7 +287,6 @@ class Engine:
         write = memory.write
         hit_cost = self.read_hit_cycles
         max_cycles = self.max_cycles
-        fast = self.heap_fast_path
         sync = self.sync
 
         ops_of, args_of = program.runtime_columns()
@@ -400,7 +391,7 @@ class Engine:
                 if not heap:
                     break
                 t, _, npid = heappop(heap)
-            elif fast and (not heap or tn < heap[0][0]):
+            elif not heap or tn < heap[0][0]:
                 t = tn
                 continue
             else:
@@ -445,7 +436,6 @@ def execute_program(config: MachineConfig, memory, source, *,
                     compiled: bool = False,
                     read_hit_cycles: int = 1,
                     max_cycles: int | None = None,
-                    heap_fast_path: bool = True,
                     stats: StatsAssembler | None = None) -> RunResult:
     """The one canonical engine wiring: build an :class:`Engine`, run it.
 
@@ -454,12 +444,11 @@ def execute_program(config: MachineConfig, memory, source, *,
     (replay path).  Every in-tree execution — :meth:`Application.run
     <repro.apps.base.Application.run>`, the :class:`~repro.runtime.session.
     RunSession` pipeline, and everything layered above them — funnels
-    through this helper, so engine construction policy (stats assembly,
-    fast-path defaults) has exactly one home.
+    through this helper, so engine construction policy (stats assembly)
+    has exactly one home.
     """
     engine = Engine(config, memory, read_hit_cycles=read_hit_cycles,
-                    max_cycles=max_cycles, heap_fast_path=heap_fast_path,
-                    stats=stats)
+                    max_cycles=max_cycles, stats=stats)
     if compiled:
         return engine.run_compiled(source)
     return engine.run(source)

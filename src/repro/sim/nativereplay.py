@@ -2,15 +2,16 @@
 
 Bridges :mod:`repro.native` (rank 2: the C kernel, its build layer, and
 the raw driver) into the simulation layer.  :func:`replay_native` is the
-drop-in twin of :func:`repro.sim.batch.engine.replay_fused`: same
-validation, same exceptions, same byte-identical
+drop-in twin of ``execute_program(..., compiled=True)`` on a directory
+memory system: same validation, same exceptions, same byte-identical
 :class:`~repro.core.metrics.RunResult` — the kernel returns the raw end
 state, the driver writes it back into the live memory objects, and the
 canonical :class:`~repro.sim.stats.StatsAssembler` builds the result
 from those objects exactly as every other path does.
 
-:func:`native_fusible` is deliberately conservative, mirroring
-``fusible()`` and adding the kernel's own restrictions: flat latencies
+:func:`native_fusible` is deliberately conservative: an exact
+:class:`CoherentMemorySystem` (a subclass could override the hot methods
+the kernel re-implements) with fully-associative caches, flat latencies
 only (the mesh provider is stateful python), at most 64 clusters (the
 sharer mask lives in one machine word), a non-degenerate capacity, and a
 *fresh* memory system (the kernel starts from empty state; every replay
@@ -33,8 +34,8 @@ if TYPE_CHECKING:  # pragma: no cover
     from ..core.config import MachineConfig
     from .compiled import CompiledProgram
 
-__all__ = ["NATIVE_PROTOCOLS", "native_fusible", "native_kernel",
-           "replay_native", "try_replay_native"]
+__all__ = ["NATIVE_PROTOCOLS", "native_fusible", "replay_native",
+           "try_replay_native"]
 
 #: coherence protocols the C kernel implements.  Anything else degrades
 #: silently to the canonical python path (the CLI's forced ``--native``
@@ -44,22 +45,12 @@ NATIVE_PROTOCOLS = frozenset({"directory"})
 _FRESH = MissCounters()
 
 
-def native_kernel():
-    """The loaded C kernel, or ``None`` when python should run.
-
-    Thin re-export of :func:`repro.native.kernel` so sim-layer callers
-    (and the batch engine above) share one selection point.  Raises when
-    the kernel is forced on (``REPRO_NATIVE=1``) but unavailable.
-    """
-    return native.kernel()
-
-
 def native_fusible(memory) -> bool:
     """Whether the C kernel can drive this memory system exactly.
 
-    Requires everything ``fusible()`` does (exact
-    :class:`CoherentMemorySystem`, fully-associative kernel tuples) plus
-    flat latencies, ≤ 64 clusters, a usable capacity, and fresh state.
+    Requires an exact :class:`CoherentMemorySystem` with
+    fully-associative kernel tuples, flat latencies, ≤ 64 clusters, a
+    usable capacity, and fresh state.
     """
     if (type(memory) is not CoherentMemorySystem
             or memory._kernels is None
@@ -88,8 +79,7 @@ def replay_native(config: "MachineConfig", memory: CoherentMemorySystem,
                   program: "CompiledProgram", lib=None) -> RunResult:
     """Replay ``program`` against ``memory`` with the C kernel.
 
-    Byte-identical to :func:`replay_fused` (and therefore to
-    ``execute_program(..., compiled=True)``) whenever
+    Byte-identical to ``execute_program(..., compiled=True)`` whenever
     :func:`native_fusible(memory)` holds; callers gate on it.
     """
     if lib is None:
@@ -133,10 +123,9 @@ def try_replay_native(config: "MachineConfig", app,
                       program: "CompiledProgram") -> RunResult | None:
     """Per-point seam: run natively when selected and eligible, else None.
 
-    The single-run twin of the batch engine's dispatch: builds the same
-    fresh memory system ``app.run(program=...)`` would, gates on
-    :func:`native_fusible`, and leaves every ineligible case (python
-    selected, mesh latencies, non-directory protocol, mismatched
+    Builds the same fresh memory system ``app.run(program=...)`` would,
+    gates on :func:`native_fusible`, and leaves every ineligible case
+    (python selected, mesh latencies, non-directory protocol, mismatched
     program) to the canonical path — including its exact validation
     errors.
     """

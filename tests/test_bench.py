@@ -17,7 +17,7 @@ CFG = MachineConfig(n_processors=8, cluster_size=2,
 def result_with(app="lu", source_ops=1000, replay_s=0.01, **over):
     fields = dict(app=app, n_processors=8, cluster_size=2,
                   source_ops=source_ops, stored_ops=source_ops,
-                  legacy_s=0.05, generator_s=0.04, replay_s=replay_s,
+                  generator_s=0.05, replay_s=replay_s,
                   capture_s=0.01)
     fields.update(over)
     return AppBenchResult(**fields)
@@ -29,7 +29,7 @@ class TestBenchEngine:
         assert r.app == "lu" and r.n_processors == 8
         assert r.source_ops > 0
         assert r.stored_ops <= r.source_ops  # WORK fusion only shrinks
-        for t in (r.legacy_s, r.generator_s, r.replay_s, r.capture_s):
+        for t in (r.generator_s, r.replay_s, r.capture_s):
             assert t > 0
         assert r.replay_ops_per_s > 0 and r.replay_speedup > 0
 
@@ -49,8 +49,7 @@ class TestBenchSweep:
                             kwargs_of={"lu": TINY_LU})
         assert sweep.identical
         assert sweep.n_points == 2
-        for t in (sweep.legacy_s, sweep.generator_s, sweep.cold_s,
-                  sweep.warm_s):
+        for t in (sweep.generator_s, sweep.cold_s, sweep.warm_s):
             assert t > 0
         assert sweep.cold_speedup > 0 and sweep.warm_speedup > 0
 

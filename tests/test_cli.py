@@ -253,30 +253,11 @@ class TestForkServer:
         assert "fork" in capsys.readouterr().err
 
 
-class TestBatchFlag:
-    def test_batched_sweep_runs(self, capsys, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
-        assert run_cli(*BASE, "--batch", "--cluster-sizes", "1,2", "fig2",
-                       "--apps", "fft") == 0
-        assert "Figure 2 (fft)" in capsys.readouterr().out
-
-    def test_batch_refuses_no_cache(self, capsys):
-        with pytest.raises(SystemExit) as exc:
-            run_cli(*BASE, "--batch", "--no-cache",
-                    "--cluster-sizes", "1,2", "fig2", "--apps", "fft")
-        assert exc.value.code == 2
-        err = capsys.readouterr().err
-        assert "--batch" in err and "--no-cache" in err
-        assert "Traceback" not in err
-
-    def test_batch_refuses_per_point_timeout(self, capsys):
-        with pytest.raises(SystemExit) as exc:
-            run_cli(*BASE, "--batch", "--timeout", "5",
-                    "--cluster-sizes", "1,2", "fig2", "--apps", "fft")
-        assert exc.value.code == 2
-        err = capsys.readouterr().err
-        assert "--timeout" in err
-        assert "Traceback" not in err
+def test_batch_flag_is_unrecognised(capsys):
+    with pytest.raises(SystemExit) as exc:
+        run_cli(*BASE, "--batch", "fig2", "--apps", "fft")
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --batch" in capsys.readouterr().err
 
 
 class TestProtocolFlag:

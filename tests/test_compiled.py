@@ -40,9 +40,8 @@ def tiny_app(name, cfg):
     return app
 
 
-def engine_for(cfg, heap_fast_path=True):
-    return Engine(cfg, CoherentMemorySystem(cfg),
-                  heap_fast_path=heap_fast_path)
+def engine_for(cfg):
+    return Engine(cfg, CoherentMemorySystem(cfg))
 
 
 def capture(name, cfg):
@@ -60,17 +59,14 @@ def capture(name, cfg):
 @pytest.mark.parametrize("name", APP_NAMES)
 @pytest.mark.parametrize("cluster", [1, 4])
 def test_replay_bit_identical_all_apps(name, cluster):
-    """Generator and compiled replay agree byte-for-byte, fast path on/off."""
+    """Generator and compiled replay agree byte-for-byte."""
     cfg = MachineConfig(n_processors=16, cluster_size=cluster,
                         cache_kb_per_processor=4.0)
-    jsons = set()
-    for fast in (False, True):
-        app = tiny_app(name, cfg)
-        jsons.add(engine_for(cfg, fast).run(app.program).to_json())
+    app = tiny_app(name, cfg)
+    jsons = {engine_for(cfg).run(app.program).to_json()}
     program = capture(name, cfg)
-    for fast in (False, True):
-        tiny_app(name, cfg)  # placement parity: setup runs either way
-        jsons.add(engine_for(cfg, fast).run_compiled(program).to_json())
+    tiny_app(name, cfg)  # placement parity: setup runs either way
+    jsons.add(engine_for(cfg).run_compiled(program).to_json())
     assert len(jsons) == 1
 
 

@@ -32,13 +32,13 @@ class TestPointSpec:
         spec_inf = PointSpec.make("ocean", 2, None, {})
         assert spec_inf.config_for(CFG).cache_kb_per_processor is None
 
-    def test_coercion_from_tuples_is_deprecated(self):
-        with pytest.warns(DeprecationWarning, match="PointSpec.make"):
-            assert as_point_spec(("ocean", 2, 4)) == \
-                PointSpec.make("ocean", 2, 4, {})
-        with pytest.warns(DeprecationWarning, match="PointSpec.make"):
-            assert as_point_spec(["ocean", 2, None, {"n": 16}]) == \
-                PointSpec.make("ocean", 2, None, {"n": 16})
+    def test_coercion_from_tuples_is_rejected(self):
+        with pytest.raises(TypeError, match="PointSpec.make"):
+            as_point_spec(("ocean", 2, 4))
+        with pytest.raises(TypeError, match="PointSpec.make"):
+            as_point_spec(["ocean", 2, None, {"n": 16}])
+        with pytest.raises(TypeError, match="PointSpec.make"):
+            SweepExecutor().run([("ocean", 2, 4)], CFG)
 
     def test_coercion_passes_specs_through_silently(self):
         import warnings
@@ -157,6 +157,23 @@ class TestPoolLifecycle:
         assert outcome.ok
         executor.close()
         assert executor._pool is None
+
+
+class TestDedupe:
+    def test_duplicate_specs_execute_once_and_share_the_result(self):
+        spec = PointSpec.make("ocean", 2, 4.0, OCEAN_KW)
+        other = PointSpec.make("ocean", 1, 4.0, OCEAN_KW)
+        out = SweepExecutor().run([spec, other, spec], CFG)
+        assert out[2].result is out[0].result
+        assert out[2].elapsed == 0.0
+        assert out[0].elapsed > 0.0
+        assert out[1].result is not out[0].result
+
+    def test_duplicates_of_a_failing_point_share_the_error(self):
+        bad = PointSpec.make("notanapp", 1, None, {})
+        out = SweepExecutor().run([bad, bad], CFG)
+        assert not out[0].ok and not out[1].ok
+        assert out[1].error == out[0].error
 
 
 class TestResults:

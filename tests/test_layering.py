@@ -17,15 +17,8 @@ class TestRankMap:
         # the foundation modules rank below the rest of repro.core
         assert check_layering.rank_of("repro.core.config") == 0
         assert check_layering.rank_of("repro.core.metrics") == 0
-        assert check_layering.rank_of("repro.core.executor") == 7
-        assert check_layering.rank_of("repro.core") == 7
-
-    def test_batch_ranks_above_its_parent_package(self):
-        # repro.sim.batch drives runtime sessions, so it sits above
-        # repro.runtime while the rest of repro.sim stays at the sim rank
-        assert check_layering.rank_of("repro.sim.engine") == 3
-        assert check_layering.rank_of("repro.sim.batch") == 6
-        assert check_layering.rank_of("repro.sim.batch.engine") == 6
+        assert check_layering.rank_of("repro.core.executor") == 6
+        assert check_layering.rank_of("repro.core") == 6
 
     def test_native_sits_between_memory_and_sim(self):
         # the C kernel package is below sim (sim.nativereplay imports it)
@@ -41,8 +34,7 @@ class TestRankMap:
         assert rank("repro.memory.coherence") < rank("repro.sim.engine")
         assert rank("repro.sim.engine") < rank("repro.apps.base")
         assert rank("repro.apps.base") < rank("repro.runtime.session")
-        assert rank("repro.runtime.session") < rank("repro.sim.batch")
-        assert rank("repro.sim.batch") < rank("repro.core.executor")
+        assert rank("repro.runtime.session") < rank("repro.core.executor")
         assert rank("repro.core.study") < rank("repro.analysis")
         assert rank("repro.analysis") < rank("repro.cli")
 
@@ -51,7 +43,7 @@ class TestRankMap:
         # by analysis/cli; it may never be imported from below
         rank = check_layering.rank_of
         assert rank("repro.core.executor") < rank("repro.service.daemon")
-        assert rank("repro.service") == 8
+        assert rank("repro.service") == 7
         assert rank("repro.service.daemon") < rank("repro.analysis")
         assert rank("repro.service.client") < rank("repro.cli")
 
@@ -84,12 +76,12 @@ class TestInjectedViolation:
         return root
 
     def test_upward_import_is_reported(self, tmp_path, capsys):
-        # sim (rank 3) reaching into core.study (rank 7): a violation
+        # sim (rank 3) reaching into core.study (rank 6): a violation
         root = self._tree(tmp_path,
                           "from ..core.study import X\n")
         violations = check_layering.check(root)
         assert violations == [
-            "repro.sim.engine (rank 3) imports repro.core.study (rank 7)"]
+            "repro.sim.engine (rank 3) imports repro.core.study (rank 6)"]
         assert check_layering.main([str(root)]) == 1
         assert "layering violation" in capsys.readouterr().err
 

@@ -1,11 +1,14 @@
 """Property suite for the native C replay kernel.
 
-The same adversarial-program generators as ``test_batch_properties``,
-now requiring three-way agreement: the C kernel must reproduce both the
-pure-python fused kernel and the canonical engine byte-for-byte — the
-RunResult JSON *and* the full memory-system end state (slot maps in
-dict order, free lists, histories, counters, allocator placement), so a
-kernel that computed the right numbers by a different path still fails.
+Generates random (deadlock-free) parallel programs, compiles them, and
+requires the C kernel to reproduce the canonical python replay
+(``execute_program(..., compiled=True)``) byte-for-byte — the same pin
+the nine real applications carry, but over adversarial op streams:
+degenerate phases, empty processors, lock convoys, tiny caches that
+evict constantly.  Agreement covers the RunResult JSON *and* the full
+memory-system end state (slot maps in dict order, free lists, histories,
+counters, allocator placement), so a kernel that computed the right
+numbers by a different path still fails.
 
 Every test that needs the compiled kernel skips cleanly when no C
 compiler is available (or the kernel is disabled in the environment);
@@ -22,14 +25,12 @@ import repro.native as native
 from repro.core.config import MachineConfig
 from repro.memory.coherence import CoherentMemorySystem
 from repro.runtime import RunRequest, RunSession
-from repro.sim.batch import BatchedReplay, replay_fused
 from repro.sim.compiled import TraceCache, clear_memory_cache, compile_program
 from repro.sim.engine import SimulationDeadlock, execute_program
 from repro.sim.nativereplay import (native_fusible, replay_native,
                                     try_replay_native)
 from repro.sim.program import Barrier, Lock, Read, Unlock, Work, Write
 
-from test_batch_properties import _CACHES, _config, _factory_of, _programs
 from test_runtime import CFG, TINY, golden_payload
 
 try:
@@ -39,6 +40,68 @@ except RuntimeError:  # forced on but unbuildable — treat as unavailable
 
 needs_kernel = pytest.mark.skipif(
     _LIB is None, reason="native kernel unavailable (no C compiler)")
+
+# ------------------------------------------------------------ generators
+#
+# A generated program is a phase table: ``table[pid][phase]`` is a list of
+# atoms, and every processor ends every phase with the same barrier, so
+# any table is deadlock-free by construction.  Atoms are private work,
+# shared reads/writes over a small address window (to force sharing and
+# invalidation traffic), or a lock-protected critical section (locks are
+# always released by the acquirer, in order).
+
+_ADDR = st.integers(min_value=0, max_value=1023)
+_BASIC = st.one_of(
+    st.tuples(st.just("work"), st.integers(min_value=0, max_value=20)),
+    st.tuples(st.just("read"), _ADDR),
+    st.tuples(st.just("write"), _ADDR),
+)
+_ATOM = st.one_of(
+    _BASIC,
+    st.tuples(st.just("cs"), st.integers(min_value=0, max_value=2),
+              st.lists(_BASIC, max_size=4)),
+)
+
+
+@st.composite
+def _programs(draw):
+    n = draw(st.sampled_from([2, 4]))
+    phases = draw(st.integers(min_value=1, max_value=3))
+    table = [[draw(st.lists(_ATOM, max_size=10)) for _ in range(phases)]
+             for _ in range(n)]
+    return n, phases, table
+
+
+def _factory_of(phases, table):
+    def emit(atom):
+        kind, arg = atom[0], atom[1]
+        if kind == "work":
+            yield Work(arg)
+        elif kind == "read":
+            yield Read(arg)
+        elif kind == "write":
+            yield Write(arg)
+        else:  # critical section
+            yield Lock(arg)
+            for basic in atom[2]:
+                yield from emit(basic)
+            yield Unlock(arg)
+
+    def factory(pid):
+        for phase in range(phases):
+            for atom in table[pid][phase]:
+                yield from emit(atom)
+            yield Barrier(phase)
+
+    return factory
+
+
+def _config(n, cluster, cache_kb):
+    return MachineConfig(n_processors=n, cluster_size=cluster,
+                         cache_kb_per_processor=cache_kb)
+
+
+_CACHES = st.sampled_from([None, 0.0625, 0.25])  # infinite / 4 / 16 lines
 
 
 @pytest.fixture
@@ -59,7 +122,7 @@ def _snapshot(memory):
     Includes iteration order everywhere order is observable (dict
     insertion order of slot maps and histories, free-list order), so the
     native writeback must leave the objects *indistinguishable* from the
-    python kernel's, not merely equal as sets.
+    python replay's, not merely equal as sets.
     """
     alloc = memory.allocator
     return {
@@ -84,10 +147,10 @@ def _snapshot(memory):
     }
 
 
-# --------------------------------------- native == fused == canonical
+# ------------------------------------------------ native == canonical
 
 @needs_kernel
-@settings(max_examples=50, deadline=None)
+@settings(max_examples=60, deadline=None)
 @given(data=_programs(), cluster_pick=st.integers(min_value=0, max_value=2),
        cache_kb=_CACHES)
 def test_native_matches_python_kernels(data, cluster_pick, cache_kb):
@@ -97,37 +160,15 @@ def test_native_matches_python_kernels(data, cluster_pick, cache_kb):
     program = compile_program(_factory_of(phases, table), n,
                               config.line_size)
 
-    reference = execute_program(config, CoherentMemorySystem(config),
-                                program, compiled=True)
-    mem_fused = CoherentMemorySystem(config)
-    fused = replay_fused(config, mem_fused, program)
+    mem_python = CoherentMemorySystem(config)
+    reference = execute_program(config, mem_python, program, compiled=True)
 
     mem_native = CoherentMemorySystem(config)
     assert native_fusible(mem_native)
     got = replay_native(config, mem_native, program, lib=_LIB)
 
     assert got.to_json() == reference.to_json()
-    assert got.to_json() == fused.to_json()
-    assert _snapshot(mem_native) == _snapshot(mem_fused)
-
-
-@needs_kernel
-def test_batched_replay_dispatches_to_the_native_kernel(force_native):
-    def factory(pid):
-        yield Work(3)
-        yield Read(pid)
-        yield Write(pid + 64)
-        yield Barrier(0)
-
-    config = _config(4, 2, 0.0625)
-    program = compile_program(factory, 4, config.line_size)
-    reference = execute_program(config, CoherentMemorySystem(config),
-                                program, compiled=True)
-    batch = BatchedReplay(program)
-    got = batch.run(config, CoherentMemorySystem(config))
-    assert got.to_json() == reference.to_json()
-    assert batch.points_native == 1
-    assert batch.points_fused == 0
+    assert _snapshot(mem_native) == _snapshot(mem_python)
 
 
 # ------------------------------------------------ error-path parity

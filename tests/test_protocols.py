@@ -4,8 +4,8 @@ Three layers of coverage for the pluggable-protocol refactor:
 
 * the registry in :mod:`repro.memory` is the single construction seam —
   it covers every declared protocol name, rejects undeclared ones, and
-  the package-level ``SnoopyClusterMemorySystem`` alias warns about
-  bypassing it;
+  the package exports no ``SnoopyClusterMemorySystem`` that would bypass
+  it;
 * the ``"dls"`` backend is pinned against its object-per-line oracle
   (:class:`repro.memory.refmodel.RefDLSMemorySystem`) on hypothesis-
   generated access streams — outcome tags, stall cycles, counters,
@@ -96,10 +96,9 @@ class TestProtocolRegistry:
         finally:
             register_protocol("dls", original)
 
-    def test_package_level_snoopy_alias_warns(self):
-        cfg = MachineConfig(n_processors=4, cluster_size=2)
-        with pytest.warns(DeprecationWarning, match="make_memory_system"):
-            memory_pkg.SnoopyClusterMemorySystem(cfg)
+    def test_package_level_snoopy_alias_is_gone(self):
+        assert not hasattr(memory_pkg, "SnoopyClusterMemorySystem")
+        assert "SnoopyClusterMemorySystem" not in memory_pkg.__all__
 
     def test_module_level_snoopy_class_stays_silent(self):
         cfg = MachineConfig(n_processors=4, cluster_size=2)
@@ -211,16 +210,14 @@ class TestNativeGate:
         config = MachineConfig(n_processors=4, protocol="snoopy")
         assert try_replay_native(config, app=None, program=None) is None
 
-    def test_fused_kernels_decline_non_directory_memory(self):
-        from repro.sim.batch.engine import fusible
+    def test_native_gate_declines_non_directory_memory(self):
         from repro.sim.nativereplay import native_fusible
 
         cfg = MachineConfig(n_processors=4, cluster_size=2,
                             cache_kb_per_processor=4.0)
-        assert not fusible(make_memory_system(cfg.with_protocol("dls")))
-        assert not native_fusible(make_memory_system(
-            cfg.with_protocol("dls")))
-        assert not fusible(make_memory_system(cfg.with_protocol("snoopy")))
+        for proto in ("dls", "snoopy"):
+            assert not native_fusible(make_memory_system(
+                cfg.with_protocol(proto)))
 
 
 # ----------------------------------------------------- cache-key guards

@@ -8,8 +8,9 @@ from repro.apps.registry import build_app
 from repro.core.config import MachineConfig
 from repro.core.executor import PointSpec, evaluate_point
 from repro.core.resultcache import TraceStore
-from repro.sim.compiled import (ENV_TRACE_LRU, TraceCache, clear_memory_cache,
-                                compile_program, memory_cache_len, trace_key)
+from repro.sim.compiled import (ENV_TRACE_LRU_BYTES, TraceCache,
+                                clear_memory_cache, compile_program,
+                                memory_cache_len, trace_key)
 from repro.sim.program import OP_WORK
 
 
@@ -119,7 +120,9 @@ class TestTraceCache:
             assert cache.get("k") is not None
 
     def test_lru_capacity_env_override(self, monkeypatch):
-        monkeypatch.setenv(ENV_TRACE_LRU, "2")
+        # a byte budget worth exactly two tiny programs
+        monkeypatch.setenv(ENV_TRACE_LRU_BYTES,
+                           str(2 * tiny_program().resident_nbytes))
         cache = TraceCache()
         for i in range(3):
             cache.put(f"k{i}", tiny_program())
@@ -128,7 +131,8 @@ class TestTraceCache:
         assert cache.get("k2") is not None  # newest survives
 
     def test_lru_get_refreshes_recency(self, monkeypatch):
-        monkeypatch.setenv(ENV_TRACE_LRU, "2")
+        monkeypatch.setenv(ENV_TRACE_LRU_BYTES,
+                           str(2 * tiny_program().resident_nbytes))
         cache = TraceCache()
         cache.put("a", tiny_program())
         cache.put("b", tiny_program())

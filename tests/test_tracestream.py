@@ -15,6 +15,7 @@ import os
 import subprocess
 import sys
 import warnings
+import zlib
 from pathlib import Path
 
 import pytest
@@ -44,6 +45,29 @@ def make_program(columns, line_size=32):
                            source_ops=total, fused_work=False)
 
 
+def v1_bytes(program):
+    """An RPROTRC1 blob, as the removed v1 writer produced it.
+
+    Native byte order, zlib-compressed payload, no ``payload_offset``;
+    the library only *reads* this format now.
+    """
+    payload = b"".join(col.tobytes()
+                       for pair in zip(program.ops, program.args)
+                       for col in pair)
+    header = json.dumps({
+        "n_processors": program.n_processors,
+        "line_size": program.line_size,
+        "source_ops": program.source_ops,
+        "fused_work": program.fused_work,
+        "counts": [len(o) for o in program.ops],
+        "itemsize": 8,
+        "byteorder": sys.byteorder,
+        "crc32": zlib.crc32(payload),
+    }, sort_keys=True).encode("utf-8")
+    return (b"RPROTRC1" + len(header).to_bytes(4, "little") + header
+            + zlib.compress(payload, 1))
+
+
 def columns_of(program):
     """Fully boxed (ops, args) per processor, whatever the backing."""
     return [([int(v) for v in o], [int(v) for v in a])
@@ -68,7 +92,7 @@ class TestFormatRoundTrip:
     @settings(max_examples=40, deadline=None)
     def test_v1_v2_decode_equal(self, columns):
         program = make_program(columns)
-        via_v1 = CompiledProgram.from_bytes(program.to_bytes(version=1))
+        via_v1 = CompiledProgram.from_bytes(v1_bytes(program))
         via_v2 = CompiledProgram.from_bytes(program.to_bytes())
         assert columns_of(via_v1) == columns_of(via_v2) == columns
         for decoded in (via_v1, via_v2):
@@ -253,16 +277,16 @@ class TestByteBudget:
         assert info["payload_bytes"] >= program.resident_nbytes
         clear_memory_cache()
 
-    def test_legacy_entry_count_knob_still_respected(self, cfg4,
-                                                     monkeypatch):
+    def test_legacy_entry_count_knob_is_ignored(self, cfg4, monkeypatch):
         monkeypatch.setenv("REPRO_TRACE_LRU", "1")
         monkeypatch.delenv(ENV_TRACE_LRU_BYTES, raising=False)
         clear_memory_cache()
         cache = TraceCache()
-        for name, program in self._programs(cfg4).items():
+        programs = self._programs(cfg4)
+        for name, program in programs.items():
             cache.put(trace_key(name, TINY_SIZES[name], cfg4, 12345),
                       program)
-        assert trace_cache_info()["entries"] == 1
+        assert trace_cache_info()["entries"] == len(programs) > 1
         clear_memory_cache()
 
 
