@@ -52,8 +52,9 @@ from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Any, Iterable, Mapping, Sequence
 
+from ..runtime.plan import RunRequest
 from .config import MachineConfig
-from .executor import PointSpec, evaluate_point
+from .executor import evaluate_point
 
 __all__ = ["AppBenchResult", "SweepBenchResult", "MemoryBenchResult",
            "JobsBenchResult", "NativeBenchResult", "TraceBenchResult",
@@ -206,7 +207,7 @@ def bench_sweep(apps: Sequence[str], config: MachineConfig,
 
     kwargs_of = kwargs_of or {}
     cluster_sizes = list(cluster_sizes)
-    specs = [PointSpec.make(app, cs, cache_kb, dict(kwargs_of.get(app, {})))
+    specs = [RunRequest.make(app, cs, cache_kb, dict(kwargs_of.get(app, {})))
              for app in apps for cs in cluster_sizes]
 
     t0 = time.perf_counter()
@@ -391,7 +392,7 @@ def bench_jobs(apps: Sequence[str], config: MachineConfig,
 
     kwargs_of = kwargs_of or {}
     cluster_sizes = list(cluster_sizes)
-    specs = [PointSpec.make(app, cs, cache_kb, dict(kwargs_of.get(app, {})))
+    specs = [RunRequest.make(app, cs, cache_kb, dict(kwargs_of.get(app, {})))
              for app in apps for cs in cluster_sizes]
 
     with tempfile.TemporaryDirectory(prefix="repro-bench-jobs-") as tmp:
@@ -485,7 +486,7 @@ def bench_native(apps: Sequence[str], config: MachineConfig,
 
     kwargs_of = kwargs_of or {}
     cluster_sizes = list(cluster_sizes)
-    specs = [PointSpec.make(app, cs, cache_kb, dict(kwargs_of.get(app, {})))
+    specs = [RunRequest.make(app, cs, cache_kb, dict(kwargs_of.get(app, {})))
              for app in apps for cs in cluster_sizes]
 
     prev = os.environ.get("REPRO_NATIVE")
@@ -595,8 +596,8 @@ def _trace_child(payload: Mapping[str, Any]) -> dict[str, Any]:
     from ..sim.compiled import TraceCache, clear_memory_cache
     from .resultcache import TraceStore
 
-    spec = PointSpec.make(payload["app"], payload["cluster_size"],
-                          payload["cache_kb"], dict(payload["kwargs"]))
+    spec = RunRequest.make(payload["app"], payload["cluster_size"],
+                           payload["cache_kb"], dict(payload["kwargs"]))
     config = MachineConfig(n_processors=payload["n_processors"])
     store = TraceStore(payload["store_dir"])
     out: dict[str, Any] = {}

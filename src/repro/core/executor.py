@@ -3,7 +3,8 @@
 Every figure and table of the paper is a grid of *fully independent*
 simulations, so the sweep harness — not the simulator — decides wall-clock
 time.  :class:`SweepExecutor` evaluates an iterable of
-:class:`PointSpec`\\ s (``(app, cluster_size, cache_kb, app_kwargs)``) with
+:class:`~repro.runtime.plan.RunRequest`\\ s (app, cluster size, cache
+size, app kwargs) with
 a pluggable backend:
 
 * ``serial``  — in-process, point after point (the default; identical to
@@ -60,9 +61,9 @@ from .resultcache import ResultCache
 if TYPE_CHECKING:  # pragma: no cover
     from ..sim.compiled import TraceCache
 
-__all__ = ["BACKENDS", "PointSpec", "PointOutcome", "SweepExecutor",
-           "SweepExecutionError", "as_point_spec", "evaluate_point",
-           "fork_available", "raise_failures"]
+__all__ = ["BACKENDS", "PointOutcome", "SweepExecutor",
+           "SweepExecutionError", "evaluate_point", "fork_available",
+           "raise_failures"]
 
 #: the recognised execution backends
 BACKENDS = ("serial", "process", "fork")
@@ -75,23 +76,10 @@ def fork_available() -> bool:
     return "fork" in multiprocessing.get_all_start_methods()
 
 
-#: the canonical sweep-point type now lives in :mod:`repro.runtime.plan`;
-#: the historical name remains the supported spelling at this layer
-PointSpec = RunRequest
-
-
-def as_point_spec(obj: Any) -> PointSpec:
-    """Return ``obj`` if it is a :class:`PointSpec` (= :class:`RunRequest`).
-
-    Anything else is a ``TypeError``: build requests explicitly with
-    :meth:`PointSpec.make`, which validates eagerly and keeps sweep
-    construction greppable.
-    """
-    if isinstance(obj, PointSpec):
-        return obj
-    raise TypeError(
-        f"cannot interpret {obj!r} as a sweep point; expected a "
-        f"PointSpec/RunRequest (build one with PointSpec.make(...))")
+#: what ``run``/``run_one``/``submit_one`` raise for anything that is not
+#: a :class:`RunRequest` (loose tuples were never validated eagerly)
+_NOT_A_REQUEST = ("cannot interpret {!r} as a sweep point; expected a "
+                  "RunRequest (build one with RunRequest.make(...))")
 
 
 @dataclass
@@ -103,7 +91,7 @@ class PointOutcome:
     wall-clock in seconds (0.0 for cache hits).
     """
 
-    spec: PointSpec
+    spec: RunRequest
     result: RunResult | None = None
     error: str | None = None
     cached: bool = False
@@ -127,7 +115,7 @@ class SweepExecutionError(RuntimeError):
         super().__init__("\n".join(lines))
 
 
-def evaluate_point(spec: PointSpec, base_config: MachineConfig,
+def evaluate_point(spec: RunRequest, base_config: MachineConfig,
                    trace_cache: "TraceCache | None" = None,
                    use_compiled: bool = True,
                    observer: RunObserver | None = None) -> RunResult:
@@ -152,7 +140,7 @@ def evaluate_point(spec: PointSpec, base_config: MachineConfig,
     return session.run(spec)
 
 
-def _evaluate_timed(spec: PointSpec, base_config: MachineConfig,
+def _evaluate_timed(spec: RunRequest, base_config: MachineConfig,
                     trace_cache: "TraceCache | None" = None,
                     use_compiled: bool = True,
                     observer: RunObserver | None = None
@@ -265,7 +253,7 @@ class SweepExecutor:
             self.trace_cache = TraceCache()
 
     # ------------------------------------------------------------------ API
-    def run(self, specs: Iterable[Any],
+    def run(self, specs: Iterable[RunRequest],
             base_config: MachineConfig | None = None) -> list[PointOutcome]:
         """Evaluate every spec; outcomes come back in input order.
 
@@ -277,7 +265,10 @@ class SweepExecutor:
         aborting the sweep.
         """
         base = base_config or MachineConfig()
-        specs = [as_point_spec(s) for s in specs]
+        specs = list(specs)
+        for spec in specs:
+            if not isinstance(spec, RunRequest):
+                raise TypeError(_NOT_A_REQUEST.format(spec))
         outcomes: list[PointOutcome | None] = [None] * len(specs)
         keys: list[str | None] = [None] * len(specs)
 
@@ -296,7 +287,7 @@ class SweepExecutor:
         # two identical specs in one sweep (same app, geometry, kwargs,
         # network) collapse into one evaluation even with the result
         # cache off; only unique points reach the backend
-        primary_of: dict[PointSpec, int] = {}
+        primary_of: dict[RunRequest, int] = {}
         duplicate_of: dict[int, int] = {}
         unique: list[int] = []
         for i in pending:
@@ -332,11 +323,12 @@ class SweepExecutor:
                     self.cache.put(keys[i], out.result)
         return [o for o in outcomes if o is not None]
 
-    def run_one(self, spec: Any,
+    def run_one(self, spec: RunRequest,
                 base_config: MachineConfig | None = None) -> PointOutcome:
         """Evaluate a single point (always serial, still cached)."""
         base = base_config or MachineConfig()
-        spec = as_point_spec(spec)
+        if not isinstance(spec, RunRequest):
+            raise TypeError(_NOT_A_REQUEST.format(spec))
         key = None
         if self.cache is not None:
             key = self.cache.key(spec.app, spec.kwargs,
@@ -350,7 +342,7 @@ class SweepExecutor:
         return outcome
 
     # ------------------------------------------------------------- backends
-    def _evaluate_isolated(self, spec: PointSpec,
+    def _evaluate_isolated(self, spec: RunRequest,
                            base: MachineConfig) -> PointOutcome:
         try:
             result, elapsed = _evaluate_timed(spec, base, self.trace_cache,
@@ -359,13 +351,13 @@ class SweepExecutor:
             return PointOutcome(spec, error=traceback.format_exc())
         return PointOutcome(spec, result=result, elapsed=elapsed)
 
-    def _run_serial(self, specs: list[PointSpec], pending: list[int],
+    def _run_serial(self, specs: list[RunRequest], pending: list[int],
                     base: MachineConfig,
                     outcomes: list[PointOutcome | None]) -> None:
         for i in pending:
             outcomes[i] = self._evaluate_isolated(specs[i], base)
 
-    def submit_one(self, spec: Any,
+    def submit_one(self, spec: RunRequest,
                    base_config: MachineConfig | None = None
                    ) -> "Future[PointOutcome]":
         """Dispatch one point; returns a future resolving to its outcome.
@@ -384,7 +376,8 @@ class SweepExecutor:
         top of this primitive).
         """
         base = base_config or MachineConfig()
-        spec = as_point_spec(spec)
+        if not isinstance(spec, RunRequest):
+            raise TypeError(_NOT_A_REQUEST.format(spec))
         out: "Future[PointOutcome]" = Future()
         try:
             if self.backend in ("process", "fork"):
@@ -451,7 +444,7 @@ class SweepExecutor:
     def __exit__(self, *exc_info: Any) -> None:
         self.close()
 
-    def preload_traces(self, specs: Iterable[Any],
+    def preload_traces(self, specs: Iterable[RunRequest],
                        base_config: MachineConfig | None = None) -> int:
         """Warm the in-memory trace tier for ``specs`` in *this* process.
 
@@ -472,7 +465,7 @@ class SweepExecutor:
         base = base_config or MachineConfig()
         seen: set[str] = set()
         resident = 0
-        for spec in map(as_point_spec, specs):
+        for spec in specs:
             config = spec.config_for(base)
             app = build_app(spec.app, config, **spec.kwargs)
             key = trace_key(spec.app, spec.kwargs, config, app.seed,
@@ -504,7 +497,7 @@ class SweepExecutor:
                                              mp_context=mp_context)
         return self._pool
 
-    def _run_process(self, specs: list[PointSpec], pending: list[int],
+    def _run_process(self, specs: list[RunRequest], pending: list[int],
                      base: MachineConfig,
                      outcomes: list[PointOutcome | None]) -> None:
         pool = self._process_pool()

@@ -21,6 +21,9 @@ case.
 
 from __future__ import annotations
 
+from types import MappingProxyType
+from typing import Mapping
+
 from .address import DEFAULT_LINE_SIZE, DEFAULT_PAGE_SIZE, Region
 
 __all__ = ["PageAllocator"]
@@ -140,6 +143,16 @@ class PageAllocator:
     def bound_home(self, page: int) -> int | None:
         """Home of ``page`` if already bound, else ``None`` (no side effects)."""
         return self._page_home.get(page)
+
+    @property
+    def page_homes(self) -> Mapping[int, int]:
+        """Read-only live view of every page → home binding."""
+        return MappingProxyType(self._page_home)
+
+    @property
+    def next_home(self) -> int:
+        """Cluster the next first-touched page will be bound to."""
+        return self._rr_next
 
     @property
     def pages_bound(self) -> int:

@@ -69,6 +69,7 @@ __all__ = [
     "Eviction",
     "FullyAssociativeCache",
     "SetAssociativeCache",
+    "fully_associative",
     "make_cache",
 ]
 
@@ -401,15 +402,21 @@ class SetAssociativeCache:
         return [list(s) for s in self.slot_of]
 
 
-def make_cache(capacity_lines: int | None, associativity: int | None = None):
-    """Build the cache the configuration asks for.
+def fully_associative(capacity_lines: int | None,
+                      associativity: int | None) -> bool:
+    """Whether this geometry is one fully associative set.
 
-    ``associativity=None`` (the paper's setting) gives a fully associative
-    cache; an integer gives the set-associative extension.  Infinite caches
-    are necessarily fully associative.
+    ``associativity=None`` (the paper's setting) is; so is an infinite
+    cache, and so are ways that cover the whole capacity.
     """
-    if associativity is None or capacity_lines is None:
-        return FullyAssociativeCache(capacity_lines)
-    if associativity >= capacity_lines:
+    return (associativity is None or capacity_lines is None
+            or associativity >= capacity_lines)
+
+
+def make_cache(capacity_lines: int | None, associativity: int | None = None):
+    """Build the cache the configuration asks for: fully associative
+    where :func:`fully_associative` says so, else the set-associative
+    extension."""
+    if fully_associative(capacity_lines, associativity):
         return FullyAssociativeCache(capacity_lines)
     return SetAssociativeCache(capacity_lines, associativity)

@@ -140,7 +140,11 @@ def build_error() -> str | None:
 def status() -> dict:
     """Selection snapshot for observability (never triggers a compile)."""
     mode = enabled_mode()
-    loaded = _lib is not None and _lib_key == _env_key()
+    current = _lib_key == _env_key()
+    loaded = _lib is not None and current
+    # a load failure recorded for this environment means replays run on
+    # python, compiler or not
+    failed = _lib_err is not None and current
     return {
         "mode": mode,
         "available": available(),
@@ -148,6 +152,6 @@ def status() -> dict:
         "build_error": _lib_err,
         "compiler": _build.find_compiler(),
         "abi": ABI_VERSION,
-        "kernel": ("native" if mode != "off" and (loaded or available())
-                   else "python"),
+        "kernel": ("native" if mode != "off" and not failed
+                   and (loaded or available()) else "python"),
     }

@@ -32,7 +32,7 @@ __all__ = ["ABI_VERSION", "BuildError", "artifact_path", "build",
            "cache_dir", "find_compiler", "load", "source_path"]
 
 #: must match ``#define ABI`` in kernel.c; bump on any layout change
-ABI_VERSION = 1
+ABI_VERSION = 2
 
 _COMPILERS = ("cc", "gcc", "clang")
 
@@ -120,9 +120,8 @@ def build(force: bool = False) -> Path:
     return out
 
 
-def load() -> ctypes.CDLL:
-    """Build if needed, load via ctypes, and verify the ABI stamp."""
-    path = build()
+def _open(path: Path) -> ctypes.CDLL:
+    """``dlopen`` one artifact and verify its ABI stamp."""
     try:
         lib = ctypes.CDLL(str(path))
     except OSError as exc:
@@ -131,8 +130,28 @@ def load() -> ctypes.CDLL:
     lib.repro_abi.argtypes = []
     abi = lib.repro_abi()
     if abi != ABI_VERSION:
+        # unload it: the loader would otherwise answer the next dlopen
+        # of this path (the rebuilt artifact) with the stale image
+        import _ctypes
+        if hasattr(_ctypes, "dlclose"):
+            _ctypes.dlclose(lib._handle)
         raise BuildError(
             f"kernel {path} reports ABI {abi}, expected {ABI_VERSION}")
+    return lib
+
+
+def load() -> ctypes.CDLL:
+    """Build if needed, load via ctypes, and verify the ABI stamp.
+
+    A cached artifact that will not load or carries the wrong ABI stamp
+    (truncated by a crash, written by another version) is rebuilt once;
+    :class:`BuildError` is raised only if the fresh artifact fails too.
+    """
+    path = build()
+    try:
+        lib = _open(path)
+    except BuildError:
+        lib = _open(build(force=True))
     p = ctypes.POINTER(ctypes.c_int64)
     lib.repro_replay.restype = ctypes.c_int64
     lib.repro_replay.argtypes = [
@@ -143,9 +162,6 @@ def load() -> ctypes.CDLL:
         ctypes.c_int64, ctypes.c_int64,                   # l_ldr, l_rd3
         ctypes.c_int64, ctypes.c_int64,                   # lpp, rr_next
         p, p, ctypes.c_int64,                             # page_home, n_ph
-        p, p, p, p,                   # finish, breakdowns, exec_time, err
-        ctypes.POINTER(p), p,                             # blob, blob_len
+        p, p, p,                                  # breakdowns, ctr, totals
     ]
-    lib.repro_release.restype = None
-    lib.repro_release.argtypes = [p]
     return lib

@@ -2,27 +2,28 @@
  * directory-protocol CoherentMemorySystem (repro.sim.engine,
  * repro.memory.coherence), with the memory system's transitions inlined.
  *
- * One call replays one compiled program against one (fresh) flat-latency
- * CoherentMemorySystem configuration and returns every observable side
- * effect: finish times, per-processor time breakdowns, execution time,
- * and a single int64 blob holding the full end state (directory table,
- * per-cluster cache columns in exact LRU order, free lists, miss
- * histories, counters, allocator first touches, sync registry).  The
- * Python driver (repro.native.driver) writes the blob back into the
- * live objects, so the result is byte-identical to the python replay —
- * which remains the canonical reference.
+ * One call replays one compiled program on one flat-latency machine
+ * configuration, starting from empty caches, and returns the numbers a
+ * RunResult is made of into caller-allocated fixed-size arrays:
+ * per-processor time breakdowns, per-cluster miss counters, and the
+ * execution time with four protocol totals.  No memory image leaves the
+ * kernel — nothing it returns grows with cache capacity or trace length.
+ * The python replay remains the canonical reference; the results are
+ * byte-identical (pinned by tests/test_native_properties.py).
  *
- * Equivalences relied on (proved against the python replay, pinned by
- * tests/test_native_properties.py):
+ * What the spec (docs/INTERNALS.md section 2) fixes, and the kernel
+ * therefore implements rather than emulates:
  *
  * - scheduler: a binary heap of (time, seq, pid) with a monotone seq
  *   counter; skipping the push/pop pair for a strictly-earliest event
  *   relabels later seq numbers monotonically, so the pop order is the
  *   canonical (time, seq, pid) heap order.
- * - LRU: a doubly-linked list over slot numbers (head = LRU) mirrors
- *   CPython dict insertion order under the same touch discipline
- *   (pop + reinsert == unlink + push_tail); maintained untouched in
- *   infinite mode too so the exported slot_of order equals dict order.
+ * - replacement: the victim is the least recently touched resident line
+ *   of the cluster (hit, merge retry, write hit and install all touch);
+ *   a doubly-linked list over slots keeps that order.  Under infinite
+ *   capacity nothing is ever evicted, so no order is kept at all.
+ * - directory table and miss histories are plain hash maps: their
+ *   iteration order is unspecified because no result depends on it.
  * - counters: busy cycles and reads/writes are counted online at op
  *   dispatch (never on a merge retry), exactly where the python engine
  *   and memory system count them.
@@ -31,23 +32,21 @@
  * (mask << 2) | state into one unbounded int); the driver gates the
  * kernel on n_clusters <= 64.
  *
- * Statuses: 0 ok, 1 deadlock (state still exported), -2 dirty-owner
- * ValueError, -3 re-acquiring held lock, -4 releasing foreign lock,
- * -5 out of memory.  Mirrored in repro.native.driver.
+ * Statuses: 0 ok; 1 fault — deadlock, lock misuse, or a dirty-owner
+ * miss: the caller declines the point and the python replay raises the
+ * canonical error from its one home; -1 out of memory.  Outputs are
+ * meaningful only with status 0.  Mirrored in repro.native.driver.
  */
 
 #include <stdint.h>
 #include <stdlib.h>
 #include <string.h>
 
-#define ABI 1
+#define ABI 2
 
 #define ST_OK 0
-#define ST_DEADLOCK 1
-#define ST_DIRTY_OWNER (-2)
-#define ST_REACQUIRE (-3)
-#define ST_BAD_RELEASE (-4)
-#define ST_NOMEM (-5)
+#define ST_FAULT 1
+#define ST_NOMEM (-1)
 
 #define NO_LINE INT64_MIN
 #define T_INF ((int64_t)1 << 62)
@@ -211,97 +210,65 @@ static inline int map_del(Map *m, int64_t k, int64_t *v1) {
 }
 
 /* ------------------------------------------------------------- cache
- * Slab-column cache mirroring memory.cache.FullyAssociativeCache: the
- * same columns, the same free-list discipline (finite: preallocated,
- * pop order 0,1,2,...; infinite: grown in python's exact schedule),
- * plus an explicit LRU list standing in for dict insertion order. */
+ * One cluster's fully associative cache: a line -> slot map over a slab
+ * of Line records.  Freed slots (invalidations) chain through `next`;
+ * fresh slots come from a high-water mark, the slab doubling on demand,
+ * so nothing capacity-sized is allocated before it is used.  With finite
+ * capacity, resident slots also form the recency list (head = victim). */
+
+typedef struct {
+    int64_t tag, state, pending, fetcher;
+    int64_t prev, next; /* recency links; `next` chains the free slots */
+} Line;
 
 typedef struct {
     Map slot_of;
-    int64_t *state, *pending, *fetcher, *tag;
-    int64_t *lprev, *lnext; /* LRU links by slot; head = LRU victim */
-    int64_t head, tail;
-    int64_t n_slots;
-    int64_t *free_;
-    int64_t free_n, free_cap;
-    int64_t evictions, inserts;
+    Line *ln;
+    int64_t n_slots, n_used, free_head;
+    int64_t head, tail; /* recency list, finite capacity only */
 } Cache;
 
-static int cache_free_push(Cache *c, int64_t s) {
-    if (c->free_n == c->free_cap) {
-        int64_t nc = c->free_cap ? c->free_cap * 2 : 64;
-        int64_t *nf = (int64_t *)realloc(c->free_, nc * sizeof(int64_t));
-        if (!nf) return ST_NOMEM;
-        c->free_ = nf;
-        c->free_cap = nc;
+/* A slot for a new line: a freed one if any, else a fresh one. */
+static int cache_slot(Cache *c, int64_t *slot_out) {
+    if (c->free_head >= 0) {
+        *slot_out = c->free_head;
+        c->free_head = c->ln[c->free_head].next;
+        return 0;
     }
-    c->free_[c->free_n++] = s;
+    if (c->n_used == c->n_slots) {
+        int64_t nn = c->n_slots ? c->n_slots * 2 : 1024;
+        Line *p = (Line *)realloc(c->ln, nn * sizeof(Line));
+        if (!p) return ST_NOMEM;
+        c->ln = p;
+        c->n_slots = nn;
+    }
+    *slot_out = c->n_used++;
     return 0;
 }
 
-static int cache_columns_grow(Cache *c, int64_t nn) {
-    int64_t *p;
-    p = (int64_t *)realloc(c->state, nn * sizeof(int64_t));
-    if (!p) return ST_NOMEM;
-    c->state = p;
-    p = (int64_t *)realloc(c->pending, nn * sizeof(int64_t));
-    if (!p) return ST_NOMEM;
-    c->pending = p;
-    p = (int64_t *)realloc(c->fetcher, nn * sizeof(int64_t));
-    if (!p) return ST_NOMEM;
-    c->fetcher = p;
-    p = (int64_t *)realloc(c->tag, nn * sizeof(int64_t));
-    if (!p) return ST_NOMEM;
-    c->tag = p;
-    p = (int64_t *)realloc(c->lprev, nn * sizeof(int64_t));
-    if (!p) return ST_NOMEM;
-    c->lprev = p;
-    p = (int64_t *)realloc(c->lnext, nn * sizeof(int64_t));
-    if (!p) return ST_NOMEM;
-    c->lnext = p;
-    for (int64_t i = c->n_slots; i < nn; i++) {
-        c->state[i] = 0;
-        c->pending[i] = 0;
-        c->fetcher[i] = -1;
-        c->tag[i] = 0;
-    }
-    return 0;
-}
-
-/* FullyAssociativeCache._grow, verbatim schedule: add = n ? n : 1024,
- * free gains n+add-1 .. n+1 (top of stack = n+1), slot n is returned. */
-static int cache_grow(Cache *c, int64_t *slot_out) {
-    int64_t n = c->n_slots;
-    int64_t add = n ? n : 1024;
-    int rc = cache_columns_grow(c, n + add);
-    if (rc) return rc;
-    for (int64_t i = n + add - 1; i > n; i--) {
-        rc = cache_free_push(c, i);
-        if (rc) return rc;
-    }
-    c->n_slots = n + add;
-    *slot_out = n;
-    return 0;
+static inline void cache_slot_free(Cache *c, int64_t s) {
+    c->ln[s].next = c->free_head;
+    c->free_head = s;
 }
 
 static inline void lru_push_tail(Cache *c, int64_t s) {
-    c->lprev[s] = c->tail;
-    c->lnext[s] = -1;
+    c->ln[s].prev = c->tail;
+    c->ln[s].next = -1;
     if (c->tail >= 0)
-        c->lnext[c->tail] = s;
+        c->ln[c->tail].next = s;
     else
         c->head = s;
     c->tail = s;
 }
 
 static inline void lru_unlink(Cache *c, int64_t s) {
-    int64_t p = c->lprev[s], nx = c->lnext[s];
+    int64_t p = c->ln[s].prev, nx = c->ln[s].next;
     if (p >= 0)
-        c->lnext[p] = nx;
+        c->ln[p].next = nx;
     else
         c->head = nx;
     if (nx >= 0)
-        c->lprev[nx] = p;
+        c->ln[nx].prev = p;
     else
         c->tail = p;
 }
@@ -315,12 +282,12 @@ static inline void lru_touch(Cache *c, int64_t s) {
 /* -------------------------------------------------------------- sync */
 
 typedef struct {
-    int64_t id, episodes, n_wait;
+    int64_t n_wait;
     int64_t *wpid, *warr; /* capacity n, fixed */
 } Barrier;
 
 typedef struct {
-    int64_t id, holder, acq, cont;
+    int64_t holder;
     int64_t *qpid, *qarr; /* FIFO ring */
     int64_t qh, qn, qcap;
 } Lock;
@@ -405,95 +372,39 @@ static inline Ev heap_pop(Ev *h, int64_t *hn) {
     return top;
 }
 
-/* --------------------------------------------------------------- buf */
-
-typedef struct {
-    int64_t *v;
-    int64_t n, cap;
-} Buf;
-
-static int buf_push(Buf *b, int64_t x) {
-    if (b->n == b->cap) {
-        int64_t nc = b->cap ? b->cap * 2 : 256;
-        int64_t *nv = (int64_t *)realloc(b->v, nc * sizeof(int64_t));
-        if (!nv) return ST_NOMEM;
-        b->v = nv;
-        b->cap = nc;
-    }
-    b->v[b->n++] = x;
-    return 0;
-}
-
-/* Insert with python-dict ordering: log the key on a NEW insert only
- * (reassigning a present key keeps its position, exactly as a python
- * dict does).  The export section replays the log to emit entries in
- * dict iteration order — for insert-only maps a forward scan; for maps
- * with deletes (the directory), a backward scan keeping the latest
- * occurrence of each live key, then reversed, since a del + reinsert
- * moves a python-dict key to the end. */
-static int map_put_ordered(Map *m, Buf *log, int64_t k, int64_t a,
-                           int64_t b) {
-    if (!map_get(m, k, NULL, NULL) && buf_push(log, k)) return ST_NOMEM;
-    return map_put(m, k, a, b);
-}
-
 /* ---------------------------------------------------------- context */
 
-#define NCTR 11
+#define NCTR 13
 /* per-cluster counter layout (mirrored in repro.native.driver):
  * 0 reads, 1 writes, 2 read_misses, 3 write_misses, 4 upgrade_misses,
  * 5 merges, 6 merge_refetches, 7 prefetch_hits,
- * 8 cold, 9 capacity, 10 coherence (by_cause tallies) */
+ * 8 cold, 9 coherence, 10 capacity (by_cause tallies, in MissCause
+ * declaration order), indexed 8 + the cause a miss history stores,
+ * 11 evictions, 12 inserts */
 
 typedef struct {
-    int64_t n, ncl, csize, cap, lpp, rr_next;
-    int touch;
+    int64_t ncl, cap, lpp, rr_next;
+    int touch; /* finite capacity: keep recency order, evict when full */
     int64_t l_lc, l_rc, l_ldr, l_rd3;
     Cache *ca;  /* ncl */
     Map dir;    /* line -> (state, mask) */
-    Buf dir_log;   /* dir insertion log (python-dict export order) */
-    Map homes;  /* line -> home memo (per replay, as in the kernel) */
-    Map pages;  /* page -> home (allocator._page_home) */
-    Map *hist;  /* ncl: line -> cause (1 CAPACITY, 2 COHERENCE) */
-    Buf *hist_log; /* ncl: history insertion logs (insert-only maps) */
-    int64_t *ctr; /* ncl * NCTR */
-    int64_t inv_sent, repl_hints, writebacks;
-    int64_t *ft; /* first-touch log: (page, home) pairs, in order */
-    int64_t ft_n, ft_cap;
+    Map pages;  /* page -> home (the allocator's bindings + first touches) */
+    Map *hist;  /* ncl: line -> cause (1 COHERENCE, 2 CAPACITY) */
+    int64_t *ctr; /* out: ncl * NCTR */
+    int64_t inv_sent, repl_hints, writebacks, first_touch;
     int64_t *bd; /* out: 4n (cpu, load, merge, sync) */
 } Ctx;
 
-static int ft_push(Ctx *x, int64_t page, int64_t home) {
-    if (x->ft_n * 2 == x->ft_cap) {
-        int64_t nc = x->ft_cap ? x->ft_cap * 2 : 64;
-        int64_t *nf = (int64_t *)realloc(x->ft, nc * sizeof(int64_t));
-        if (!nf) return ST_NOMEM;
-        x->ft = nf;
-        x->ft_cap = nc;
-    }
-    x->ft[x->ft_n * 2] = page;
-    x->ft[x->ft_n * 2 + 1] = home;
-    x->ft_n++;
-    return 0;
-}
-
-/* Per-line home with the kernel's memo; binds the page on first touch
+/* Home cluster of a line; binds the page round-robin on first touch
  * (allocation.PageAllocator.home_of_line, verbatim semantics). */
 static int home_of(Ctx *x, int64_t line, int64_t *home_out) {
-    int64_t h;
-    if (map_get(&x->homes, line, &h, NULL)) {
-        *home_out = h;
-        return 0;
-    }
     int64_t page = fdiv(line, x->lpp);
-    if (!map_get(&x->pages, page, &h, NULL)) {
-        h = x->rr_next;
-        if (map_put(&x->pages, page, h, 0)) return ST_NOMEM;
-        x->rr_next = (h + 1) % x->ncl;
-        if (ft_push(x, page, h)) return ST_NOMEM;
+    if (!map_get(&x->pages, page, home_out, NULL)) {
+        *home_out = x->rr_next;
+        if (map_put(&x->pages, page, x->rr_next, 0)) return ST_NOMEM;
+        x->rr_next = (x->rr_next + 1) % x->ncl;
+        x->first_touch++;
     }
-    if (map_put(&x->homes, line, h, 0)) return ST_NOMEM;
-    *home_out = h;
     return 0;
 }
 
@@ -520,51 +431,41 @@ static int retire(Ctx *x, int cl, int64_t vline, int64_t vstate) {
 }
 
 /* Install `line` into cluster cl's cache (state_new 1=SHARED on a read
- * miss, 2=EXCLUSIVE on a write miss), evicting the LRU victim when the
- * cache is full — the python kernel's install block, verbatim order. */
+ * miss, 2=EXCLUSIVE on a write miss).  A full cache first evicts its
+ * least recently touched line, recycling the slot and retiring the
+ * victim at the directory. */
 static int install(Ctx *x, int cl, int64_t pid, int64_t line, int64_t ready,
                    int64_t state_new) {
     Cache *c = &x->ca[cl];
-    int64_t slot;
-    if (x->touch && (int64_t)c->slot_of.live >= x->cap) {
+    int64_t *ct = x->ctr + (size_t)cl * NCTR;
+    int64_t slot, vline = 0, vstate = 0;
+    int evict = x->touch && (int64_t)c->slot_of.live >= x->cap;
+    if (evict) {
         slot = c->head;
-        int64_t vline = c->tag[slot];
-        int64_t vstate = c->state[slot];
+        vline = c->ln[slot].tag;
+        vstate = c->ln[slot].state;
         map_del(&c->slot_of, vline, NULL);
         lru_unlink(c, slot);
-        c->evictions++;
-        c->state[slot] = state_new;
-        c->pending[slot] = ready;
-        c->fetcher[slot] = pid;
-        c->tag[slot] = line;
-        if (map_put(&c->slot_of, line, slot, 0)) return ST_NOMEM;
-        lru_push_tail(c, slot);
-        c->inserts++;
-        if (map_put_ordered(&x->hist[cl], &x->hist_log[cl], vline,
-                            1 /*CAPACITY*/, 0))
-            return ST_NOMEM;
-        int rc = retire(x, cl, vline, vstate);
-        if (rc) return rc;
-    } else {
-        if (c->free_n) {
-            slot = c->free_[--c->free_n];
-        } else {
-            int rc = cache_grow(c, &slot);
-            if (rc) return rc;
-        }
-        c->state[slot] = state_new;
-        c->pending[slot] = ready;
-        c->fetcher[slot] = pid;
-        c->tag[slot] = line;
-        if (map_put(&c->slot_of, line, slot, 0)) return ST_NOMEM;
-        lru_push_tail(c, slot);
-        c->inserts++;
+        ct[11]++; /* evictions */
+    } else if (cache_slot(c, &slot)) {
+        return ST_NOMEM;
+    }
+    Line *ln = &c->ln[slot];
+    ln->tag = line;
+    ln->state = state_new;
+    ln->pending = ready;
+    ln->fetcher = pid;
+    if (map_put(&c->slot_of, line, slot, 0)) return ST_NOMEM;
+    if (x->touch) lru_push_tail(c, slot);
+    ct[12]++; /* inserts */
+    if (evict) {
+        if (map_put(&x->hist[cl], vline, 2 /*CAPACITY*/, 0)) return ST_NOMEM;
+        return retire(x, cl, vline, vstate);
     }
     return 0;
 }
 
-/* Invalidate `line` in every cluster of `bits`, ascending cluster order
- * (lowest-bit extraction, as in the python kernel). */
+/* Invalidate `line` in every cluster of `bits`. */
 static int invalidate(Ctx *x, uint64_t bits, int64_t line) {
     while (bits) {
         int vcl = ctz64(bits);
@@ -572,10 +473,9 @@ static int invalidate(Ctx *x, uint64_t bits, int64_t line) {
         Cache *c = &x->ca[vcl];
         int64_t s2;
         if (map_del(&c->slot_of, line, &s2)) {
-            if (cache_free_push(c, s2)) return ST_NOMEM;
-            lru_unlink(c, s2);
-            if (map_put_ordered(&x->hist[vcl], &x->hist_log[vcl], line,
-                                2 /*COHERENCE*/, 0))
+            if (x->touch) lru_unlink(c, s2);
+            cache_slot_free(c, s2);
+            if (map_put(&x->hist[vcl], line, 1 /*COHERENCE*/, 0))
                 return ST_NOMEM;
         }
     }
@@ -595,22 +495,18 @@ static int read_miss(Ctx *x, int cl, int64_t pid, int64_t line, int64_t t,
     map_get(&x->dir, line, &ds, &dm);
     if (ds == 2) { /* dirty remote owner */
         int owner = ctz64((uint64_t)dm);
-        if (owner == cl) return ST_DIRTY_OWNER;
+        if (owner == cl) return ST_FAULT;
         stall = (cl == home) ? x->l_ldr
                              : (owner == home ? x->l_rc : x->l_rd3);
         /* owner keeps the data but downgrades; the reader joins */
         Cache *oc = &x->ca[owner];
         int64_t s;
-        if (map_get(&oc->slot_of, line, &s, NULL)) oc->state[s] = 1;
-        if (map_put_ordered(&x->dir, &x->dir_log, line, 1,
-                            dm | (int64_t)(1ULL << cl)))
-            return ST_NOMEM;
+        if (map_get(&oc->slot_of, line, &s, NULL)) oc->ln[s].state = 1;
     } else {
         stall = (cl == home) ? x->l_lc : x->l_rc;
-        if (map_put_ordered(&x->dir, &x->dir_log, line, 1,
-                            dm | (int64_t)(1ULL << cl)))
-            return ST_NOMEM;
     }
+    if (map_put(&x->dir, line, 1, dm | (int64_t)(1ULL << cl)))
+        return ST_NOMEM;
     rc = install(x, cl, pid, line, t + stall, 1);
     if (rc) return rc;
     int64_t *ct = x->ctr + (size_t)cl * NCTR;
@@ -633,7 +529,7 @@ static int write_miss(Ctx *x, int cl, int64_t pid, int64_t line, int64_t t) {
     map_get(&x->dir, line, &ds, &dm);
     if (ds == 2) { /* dirty remote owner */
         int owner = ctz64((uint64_t)dm);
-        if (owner == cl) return ST_DIRTY_OWNER;
+        if (owner == cl) return ST_FAULT;
         latency = (cl == home) ? x->l_ldr
                                : (owner == home ? x->l_rc : x->l_rd3);
     } else {
@@ -645,9 +541,7 @@ static int write_miss(Ctx *x, int cl, int64_t pid, int64_t line, int64_t t) {
         if (rc) return rc;
     }
     x->inv_sent += popcount64(others);
-    if (map_put_ordered(&x->dir, &x->dir_log, line, 2,
-                        (int64_t)(1ULL << cl)))
-        return ST_NOMEM;
+    if (map_put(&x->dir, line, 2, (int64_t)(1ULL << cl))) return ST_NOMEM;
     rc = install(x, cl, pid, line, t + latency, 2);
     if (rc) return rc;
     int64_t *ct = x->ctr + (size_t)cl * NCTR;
@@ -661,7 +555,7 @@ static int write_miss(Ctx *x, int cl, int64_t pid, int64_t line, int64_t t) {
 typedef struct {
     Barrier *v;
     int64_t n, cap;
-    Map ix; /* id -> index (creation order == array order) */
+    Map ix; /* id -> index */
 } Barriers;
 
 typedef struct {
@@ -685,14 +579,12 @@ static int barrier_of(Barriers *bs, int64_t id, int64_t n_procs,
         bs->cap = nc;
     }
     Barrier *b = &bs->v[bs->n];
-    b->id = id;
-    b->episodes = 0;
     b->n_wait = 0;
     b->wpid = (int64_t *)malloc(n_procs * sizeof(int64_t));
     b->warr = (int64_t *)malloc(n_procs * sizeof(int64_t));
+    bs->n++; /* owned by the registry from here: cleanup frees both */
     if (!b->wpid || !b->warr) return ST_NOMEM;
-    if (map_put(&bs->ix, id, bs->n, 0)) return ST_NOMEM;
-    bs->n++;
+    if (map_put(&bs->ix, id, bs->n - 1, 0)) return ST_NOMEM;
     *out = b;
     return 0;
 }
@@ -711,10 +603,7 @@ static int lock_of(Locks *ls, int64_t id, Lock **out) {
         ls->cap = nc;
     }
     Lock *lk = &ls->v[ls->n];
-    lk->id = id;
     lk->holder = -1;
-    lk->acq = 0;
-    lk->cont = 0;
     lk->qpid = lk->qarr = NULL;
     lk->qh = lk->qn = lk->qcap = 0;
     if (map_put(&ls->ix, id, ls->n, 0)) return ST_NOMEM;
@@ -726,8 +615,6 @@ static int lock_of(Locks *ls, int64_t id, Lock **out) {
 /* ------------------------------------------------------------ replay */
 
 EXPORT int64_t repro_abi(void) { return ABI; }
-
-EXPORT void repro_release(int64_t *blob) { free(blob); }
 
 /* Zero-copy column contract: ops[p]/args[p] may point straight into a
  * read-mostly file mapping of a v2 trace blob (driver.py hands over the
@@ -745,11 +632,11 @@ EXPORT int64_t repro_replay(
     int64_t l_lc, int64_t l_rc, int64_t l_ldr, int64_t l_rd3,
     int64_t lpp, int64_t rr_next,
     const int64_t *ph_pages, const int64_t *ph_homes, int64_t n_ph,
-    int64_t *finish,     /* out: n, -1 = never finished */
-    int64_t *bd,         /* out: 4n (cpu, load, merge, sync) */
-    int64_t *exec_time,  /* out: 1 */
-    int64_t *err,        /* out: 2 (pid / holder for lock errors) */
-    int64_t **blob_out, int64_t *blob_len_out) {
+    int64_t *bd,     /* out: 4n (cpu, load, merge, sync), zeroed */
+    int64_t *ctr,    /* out: ncl * NCTR, zeroed */
+    int64_t *totals) /* out: 5 (execution time, invalidations sent,
+                      * replacement hints, writebacks, first-touch pages) */
+{
     int64_t st = ST_OK;
     Ctx x;
     memset(&x, 0, sizeof(x));
@@ -759,18 +646,9 @@ EXPORT int64_t repro_replay(
     memset(&locks, 0, sizeof(locks));
     Ev *heap = NULL;
     int64_t hn = 0;
-    int64_t *ipos = NULL, *retry = NULL;
-    Buf blob;
-    memset(&blob, 0, sizeof(blob));
+    int64_t *ipos = NULL, *retry = NULL, *finish = NULL;
 
-    *blob_out = NULL;
-    *blob_len_out = 0;
-    err[0] = err[1] = -1;
-    *exec_time = 0;
-
-    x.n = n;
     x.ncl = ncl;
-    x.csize = csize;
     x.cap = cap;
     x.touch = cap >= 0;
     x.lpp = lpp;
@@ -780,38 +658,27 @@ EXPORT int64_t repro_replay(
     x.l_ldr = l_ldr;
     x.l_rd3 = l_rd3;
     x.bd = bd;
+    x.ctr = ctr;
 
     x.ca = (Cache *)calloc(ncl, sizeof(Cache));
     x.hist = (Map *)calloc(ncl, sizeof(Map));
-    x.hist_log = (Buf *)calloc(ncl, sizeof(Buf));
-    x.ctr = (int64_t *)calloc(ncl * NCTR, sizeof(int64_t));
     heap = (Ev *)malloc((n + 4) * sizeof(Ev));
     ipos = (int64_t *)calloc(n, sizeof(int64_t));
     retry = (int64_t *)malloc(n * sizeof(int64_t));
-    if (!x.ca || !x.hist || !x.hist_log || !x.ctr || !heap || !ipos ||
-        !retry) {
+    finish = (int64_t *)malloc(n * sizeof(int64_t));
+    if (!x.ca || !x.hist || !heap || !ipos || !retry || !finish) {
         st = ST_NOMEM;
         goto done;
     }
     if ((st = map_init(&x.dir, 1024, 1))) goto done;
-    if ((st = map_init(&x.homes, 1024, 0))) goto done;
-    if ((st = map_init(&x.pages, 64, 0))) goto done;
+    if ((st = map_init(&x.pages, (size_t)n_ph * 2, 0))) goto done;
     if ((st = map_init(&bars.ix, 16, 0))) goto done;
     if ((st = map_init(&locks.ix, 16, 0))) goto done;
     for (int64_t i = 0; i < ncl; i++) {
         Cache *c = &x.ca[i];
-        c->head = c->tail = -1;
-        if ((st = map_init(&c->slot_of, x.touch ? (size_t)cap * 2 : 1024,
-                           0)))
-            goto done;
+        c->head = c->tail = c->free_head = -1;
+        if ((st = map_init(&c->slot_of, 1024, 0))) goto done;
         if ((st = map_init(&x.hist[i], 256, 0))) goto done;
-        if (x.touch) {
-            /* finite: preallocated slab, free pops 0, 1, 2, ... */
-            if ((st = cache_columns_grow(c, cap))) goto done;
-            c->n_slots = cap;
-            for (int64_t s = cap - 1; s >= 0; s--)
-                if ((st = cache_free_push(c, s))) goto done;
-        }
     }
     for (int64_t i = 0; i < n_ph; i++)
         if ((st = map_put(&x.pages, ph_pages[i], ph_homes[i], 0))) goto done;
@@ -849,16 +716,16 @@ EXPORT int64_t repro_replay(
             int found = map_get(&c->slot_of, pending, &slot, NULL);
             if (found) {
                 if (x.touch) lru_touch(c, slot);
-                int64_t pu = c->pending[slot];
+                int64_t pu = c->ln[slot].pending;
                 if (pu > t) {
                     ct[5]++; /* merges */
                     bd[4 * pid + 2] += pu - t;
                     tn = pu;
                 } else {
-                    int64_t f = c->fetcher[slot];
+                    int64_t f = c->ln[slot].fetcher;
                     if (f != -1 && f != pid) {
                         ct[7]++; /* prefetch_hits */
-                        c->fetcher[slot] = -1;
+                        c->ln[slot].fetcher = -1;
                     }
                     pending = NO_LINE;
                     retry[pid] = NO_LINE;
@@ -871,7 +738,6 @@ EXPORT int64_t repro_replay(
                 int rc = read_miss(&x, cl, pid, pending, t, &stall);
                 if (rc) {
                     st = rc;
-                    err[0] = pid;
                     goto done;
                 }
                 pending = NO_LINE;
@@ -901,7 +767,7 @@ EXPORT int64_t repro_replay(
                     int found = map_get(&c->slot_of, arg, &slot, NULL);
                     if (found) {
                         if (x.touch) lru_touch(c, slot);
-                        int64_t pu = c->pending[slot];
+                        int64_t pu = c->ln[slot].pending;
                         if (pu > t) {
                             ct[5]++; /* merges */
                             bd[4 * pid + 2] += pu - t;
@@ -910,10 +776,10 @@ EXPORT int64_t repro_replay(
                             tn = pu;
                             break; /* no fast path: tail handles tn */
                         }
-                        int64_t f = c->fetcher[slot];
+                        int64_t f = c->ln[slot].fetcher;
                         if (f != -1 && f != pid) {
                             ct[7]++; /* prefetch_hits */
-                            c->fetcher[slot] = -1;
+                            c->ln[slot].fetcher = -1;
                         }
                         tn = t + 1;
                     } else {
@@ -921,7 +787,6 @@ EXPORT int64_t repro_replay(
                         int rc = read_miss(&x, cl, pid, arg, t, &stall);
                         if (rc) {
                             st = rc;
-                            err[0] = pid;
                             goto done;
                         }
                         tn = t + stall + 1;
@@ -936,7 +801,7 @@ EXPORT int64_t repro_replay(
                     int found = map_get(&c->slot_of, arg, &slot, NULL);
                     if (found) {
                         if (x.touch) lru_touch(c, slot);
-                        if (c->state[slot] != 2) {
+                        if (c->ln[slot].state != 2) {
                             /* upgrade: invalidate the other sharers */
                             ct[4]++;
                             int64_t ds = 0, dm = 0;
@@ -951,19 +816,18 @@ EXPORT int64_t repro_replay(
                                 }
                                 x.inv_sent += popcount64(others);
                             }
-                            if (map_put_ordered(&x.dir, &x.dir_log, arg, 2,
-                                                (int64_t)(1ULL << cl))) {
+                            if (map_put(&x.dir, arg, 2,
+                                        (int64_t)(1ULL << cl))) {
                                 st = ST_NOMEM;
                                 goto done;
                             }
-                            c->state[slot] = 2;
+                            c->ln[slot].state = 2;
                         }
                         tn = t + 1;
                     } else {
                         int rc = write_miss(&x, cl, pid, arg, t);
                         if (rc) {
                             st = rc;
-                            err[0] = pid;
                             goto done;
                         }
                         tn = t + 1;
@@ -978,7 +842,6 @@ EXPORT int64_t repro_replay(
                     b->warr[b->n_wait] = t;
                     b->n_wait++;
                     if (b->n_wait == n) {
-                        b->episodes++;
                         for (int64_t w = 0; w < b->n_wait; w++) {
                             bd[4 * b->wpid[w] + 3] += t - b->warr[w];
                             Ev e = {t, seq++, b->wpid[w]};
@@ -997,11 +860,9 @@ EXPORT int64_t repro_replay(
                     }
                     if (lk->holder == -1) {
                         lk->holder = pid;
-                        lk->acq++;
                         tn = t + 1;
                     } else if (lk->holder == pid) {
-                        st = ST_REACQUIRE;
-                        err[0] = pid;
+                        st = ST_FAULT;
                         goto done;
                     } else {
                         if (lock_enqueue(lk, pid, t)) {
@@ -1019,17 +880,13 @@ EXPORT int64_t repro_replay(
                         goto done;
                     }
                     if (lk->holder != pid) {
-                        st = ST_BAD_RELEASE;
-                        err[0] = pid;
-                        err[1] = lk->holder;
+                        st = ST_FAULT;
                         goto done;
                     }
                     if (lk->qn) {
                         int64_t np, arr;
                         lock_dequeue(lk, &np, &arr);
                         lk->holder = np;
-                        lk->acq++;
-                        lk->cont++;
                         /* enqueue order (self, then next holder) fixes
                          * the tie-break at t+1 */
                         Ev e1 = {t + 1, seq++, pid};
@@ -1079,134 +936,26 @@ EXPORT int64_t repro_replay(
 
     /* ---- wrap-up (Engine._finalize semantics) */
     if (n_running > 0) {
-        st = ST_DEADLOCK; /* state still exported; python raises */
-    } else {
+        st = ST_FAULT; /* deadlock */
+        goto done;
+    }
+    {
         int64_t mx = 0;
         for (int64_t p = 0; p < n; p++)
             if (finish[p] > mx) mx = finish[p];
-        *exec_time = mx;
         for (int64_t p = 0; p < n; p++) bd[4 * p + 3] += mx - finish[p];
-    }
-
-    /* ---- export end state (layout mirrored in repro.native.driver) */
-    {
-        int rc = 0;
-#define PUSH(v)                                                            \
-    do {                                                                   \
-        if ((rc = buf_push(&blob, (int64_t)(v)))) goto export_done;        \
-    } while (0)
-        PUSH(x.rr_next);
-        PUSH(x.ft_n);
-        for (int64_t i = 0; i < x.ft_n * 2; i++) PUSH(x.ft[i]);
-        PUSH(x.inv_sent);
-        PUSH(x.repl_hints);
-        PUSH(x.writebacks);
-        PUSH(x.dir.live);
-        /* directory in python-dict order: the log holds one entry per
-         * insert event; a deleted-then-reinserted line's latest entry
-         * wins (python moves the key to the end), so scan backwards
-         * keeping first sightings of live lines, then emit reversed. */
-        {
-            Map seen;
-            Buf ord;
-            memset(&ord, 0, sizeof(ord));
-            if ((rc = map_init(&seen, (size_t)x.dir.live * 2 + 16, 0)))
-                goto export_done;
-            for (int64_t i = x.dir_log.n - 1; i >= 0 && !rc; i--) {
-                int64_t k = x.dir_log.v[i];
-                if (!map_get(&x.dir, k, NULL, NULL)) continue;
-                if (map_get(&seen, k, NULL, NULL)) continue;
-                if ((rc = map_put(&seen, k, 0, 0))) break;
-                rc = buf_push(&ord, k);
-            }
-            for (int64_t i = ord.n - 1; i >= 0 && !rc; i--) {
-                int64_t a = 0, b = 0;
-                map_get(&x.dir, ord.v[i], &a, &b);
-                if ((rc = buf_push(&blob, ord.v[i]))) break;
-                if ((rc = buf_push(&blob, a))) break;
-                rc = buf_push(&blob, b);
-            }
-            map_free(&seen);
-            free(ord.v);
-            if (rc) goto export_done;
-        }
-        for (int64_t clx = 0; clx < ncl; clx++) {
-            Cache *c = &x.ca[clx];
-            for (int k = 0; k < NCTR; k++)
-                PUSH(x.ctr[(size_t)clx * NCTR + k]);
-            PUSH(c->evictions);
-            PUSH(c->inserts);
-            PUSH(c->n_slots);
-            PUSH(c->slot_of.live);
-            PUSH(c->free_n);
-            /* resident lines in LRU order (head = dict-first) */
-            for (int64_t s = c->head; s >= 0; s = c->lnext[s]) {
-                PUSH(c->tag[s]);
-                PUSH(s);
-                PUSH(c->state[s]);
-                PUSH(c->pending[s]);
-                PUSH(c->fetcher[s]);
-            }
-            for (int64_t i = 0; i < c->free_n; i++) PUSH(c->free_[i]);
-            PUSH(x.hist[clx].live);
-            /* insert-only map: the log lists each line exactly once, in
-             * python-dict (first-insertion) order */
-            for (int64_t i = 0; i < x.hist_log[clx].n; i++) {
-                int64_t k = x.hist_log[clx].v[i];
-                int64_t cause = 0;
-                map_get(&x.hist[clx], k, &cause, NULL);
-                PUSH(k);
-                PUSH(cause);
-            }
-        }
-        PUSH(bars.n);
-        for (int64_t i = 0; i < bars.n; i++) {
-            Barrier *b = &bars.v[i];
-            PUSH(b->id);
-            PUSH(b->episodes);
-            PUSH(b->n_wait);
-            for (int64_t w = 0; w < b->n_wait; w++) {
-                PUSH(b->wpid[w]);
-                PUSH(b->warr[w]);
-            }
-        }
-        PUSH(locks.n);
-        for (int64_t i = 0; i < locks.n; i++) {
-            Lock *lk = &locks.v[i];
-            PUSH(lk->id);
-            PUSH(lk->holder);
-            PUSH(lk->acq);
-            PUSH(lk->cont);
-            PUSH(lk->qn);
-            for (int64_t w = 0; w < lk->qn; w++) {
-                PUSH(lk->qpid[(lk->qh + w) % lk->qcap]);
-                PUSH(lk->qarr[(lk->qh + w) % lk->qcap]);
-            }
-        }
-#undef PUSH
-    export_done:
-        if (rc) {
-            st = ST_NOMEM;
-        } else {
-            *blob_out = blob.v;
-            *blob_len_out = blob.n;
-            blob.v = NULL; /* ownership passes to the caller */
-        }
+        totals[0] = mx;
+        totals[1] = x.inv_sent;
+        totals[2] = x.repl_hints;
+        totals[3] = x.writebacks;
+        totals[4] = x.first_touch;
     }
 
 done:
-    free(blob.v);
     if (x.ca) {
         for (int64_t i = 0; i < ncl; i++) {
-            Cache *c = &x.ca[i];
-            map_free(&c->slot_of);
-            free(c->state);
-            free(c->pending);
-            free(c->fetcher);
-            free(c->tag);
-            free(c->lprev);
-            free(c->lnext);
-            free(c->free_);
+            map_free(&x.ca[i].slot_of);
+            free(x.ca[i].ln);
         }
         free(x.ca);
     }
@@ -1214,34 +963,23 @@ done:
         for (int64_t i = 0; i < ncl; i++) map_free(&x.hist[i]);
         free(x.hist);
     }
-    if (x.hist_log) {
-        for (int64_t i = 0; i < ncl; i++) free(x.hist_log[i].v);
-        free(x.hist_log);
-    }
-    free(x.ctr);
-    free(x.ft);
-    free(x.dir_log.v);
     map_free(&x.dir);
-    map_free(&x.homes);
     map_free(&x.pages);
-    if (bars.v) {
-        for (int64_t i = 0; i < bars.n; i++) {
-            free(bars.v[i].wpid);
-            free(bars.v[i].warr);
-        }
-        free(bars.v);
+    for (int64_t i = 0; i < bars.n; i++) {
+        free(bars.v[i].wpid);
+        free(bars.v[i].warr);
     }
+    free(bars.v);
     map_free(&bars.ix);
-    if (locks.v) {
-        for (int64_t i = 0; i < locks.n; i++) {
-            free(locks.v[i].qpid);
-            free(locks.v[i].qarr);
-        }
-        free(locks.v);
+    for (int64_t i = 0; i < locks.n; i++) {
+        free(locks.v[i].qpid);
+        free(locks.v[i].qarr);
     }
+    free(locks.v);
     map_free(&locks.ix);
     free(heap);
     free(ipos);
     free(retry);
+    free(finish);
     return st;
 }

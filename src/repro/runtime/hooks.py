@@ -89,7 +89,7 @@ class TimingObserver(RunObserver):
         """Human-readable per-phase report (the ``--probe timing`` output)."""
         lines = []
         for name, elapsed_s, info in self.phases:
-            extras = " ".join(f"{k}={v}" for k, v in sorted(info.items()))
+            extras = " ".join(f"{k}={v}" for k, v in info.items())
             lines.append(f"  {name:<10} {elapsed_s * 1e3:10.2f} ms"
                          + (f"   {extras}" if extras else ""))
         lines.append(f"  {'total':<10} {self.total() * 1e3:10.2f} ms")

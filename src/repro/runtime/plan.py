@@ -5,9 +5,7 @@ application, at which cluster size and cache size, with which problem
 kwargs, optionally under which interconnect model.  It is frozen,
 hashable, order-insensitive in its kwargs, and cheap to pickle, so the
 same object flows untouched from grid construction through result-cache
-keying to process-pool submission.  ``repro.core.executor.PointSpec`` is
-an alias of this class: historical call sites keep working, new code
-names the runtime type.
+keying to process-pool submission.
 
 :class:`RunPlan` is a request *resolved* against a base
 :class:`~repro.core.config.MachineConfig` — the concrete machine the
@@ -116,9 +114,9 @@ class RunPlan:
                 use_compiled: bool = True) -> "RunPlan":
         """Bind ``request`` to ``base_config`` (default machine if None)."""
         # deferred import: this module must not pull in repro.core at
-        # import time — repro.core.executor aliases PointSpec to
-        # RunRequest at module level, and an eager import here would
-        # close that cycle on a partially-initialized module
+        # import time — repro.core.executor imports RunRequest from here
+        # at module level, and an eager import would close that cycle on
+        # a partially-initialized module
         from ..core.config import MachineConfig
 
         base = base_config or MachineConfig()

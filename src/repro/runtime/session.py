@@ -54,8 +54,10 @@ class RunOutcome:
     used when the session wired it explicitly (:meth:`RunSession.run_detailed`);
     the canonical pipeline lets the application own its memory system and
     leaves this ``None``.  ``program`` is the compiled trace that was
-    replayed or captured (``None`` on pure generator runs), and
-    ``from_cache`` marks traces served from the trace cache.
+    replayed or captured (``None`` on pure generator runs),
+    ``from_cache`` marks traces served from the trace cache, and
+    ``kernel`` names what replayed a compiled trace (``"native"`` or
+    ``"python"``; ``None`` when the generators were driven).
     """
 
     plan: RunPlan
@@ -64,6 +66,7 @@ class RunOutcome:
     memory: Any = None
     program: "CompiledProgram | None" = None
     from_cache: bool = False
+    kernel: str | None = None
 
     @property
     def request(self) -> RunRequest:
@@ -144,9 +147,9 @@ class RunSession:
                 obs.on_phase("trace-hit", clock.lap(),
                              {"ops": program.total_ops,
                               "mapped": program.mapped})
-            result = self._replay(plan, app, program)
+            result, kernel = self._replay(plan, app, program)
             outcome = RunOutcome(plan, result, app, program=program,
-                                 from_cache=True)
+                                 from_cache=True, kernel=kernel)
             return self._finish(outcome, clock)
         if app.stream_invariant:
             program = app.compiled_program()
@@ -156,8 +159,9 @@ class RunSession:
                 obs.on_phase("capture", clock.lap(),
                              {"ops": program.total_ops,
                               "source_ops": program.source_ops})
-            result = self._replay(plan, app, program)
-            outcome = RunOutcome(plan, result, app, program=program)
+            result, kernel = self._replay(plan, app, program)
+            outcome = RunOutcome(plan, result, app, program=program,
+                                 kernel=kernel)
             return self._finish(outcome, clock)
         # dynamic task-queue app: the stream is decided by the run itself,
         # so capture during generator execution; the capture replays
@@ -223,8 +227,8 @@ class RunSession:
 
     # ------------------------------------------------------------ internals
     def _replay(self, plan: RunPlan, app: "Application",
-                program: "CompiledProgram") -> RunResult:
-        """Replay a compiled trace.
+                program: "CompiledProgram") -> "tuple[RunResult, str]":
+        """Replay a compiled trace; returns the result and the kernel.
 
         The native C kernel serves the point when selected and eligible
         (:func:`~repro.sim.nativereplay.try_replay_native` — byte-
@@ -234,15 +238,23 @@ class RunSession:
         from ..sim.nativereplay import try_replay_native
         result = try_replay_native(plan.config, app, program)
         if result is not None:
-            return result
-        return app.run(program=program)
+            return result, "native"
+        return app.run(program=program), "python"
 
     def _finish(self, outcome: RunOutcome, clock: _Clock | None) -> RunOutcome:
         obs = self.observer
         if obs is not None:
             result = outcome.result
-            obs.on_phase("execute", clock.lap(),
-                         {"references": result.misses.references,
-                          "cycles": result.execution_time})
+            info = {"references": result.misses.references,
+                    "cycles": result.execution_time}
+            if outcome.kernel is not None:
+                info["kernel"] = outcome.kernel
+            if outcome.kernel == "python":
+                from ..sim.nativereplay import native_decline_reason
+                # an eligible machine on python means the kernel itself
+                # was switched off or could not be built
+                info["declined"] = (native_decline_reason(outcome.config)
+                                    or "native-off-or-unavailable")
+            obs.on_phase("execute", clock.lap(), info)
             obs.on_result(outcome.plan, result)
         return outcome

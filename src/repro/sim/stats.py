@@ -19,8 +19,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..core.metrics import (MissCause, NetworkStats, RunResult,
-                            TimeBreakdown)
+from ..core.metrics import (MissCause, MissCounters, NetworkStats,
+                            RunResult, TimeBreakdown)
 
 __all__ = ["RunSummary", "StatsAssembler", "DEFAULT_ASSEMBLER", "summarize"]
 
@@ -39,6 +39,18 @@ class StatsAssembler:
 
     def assemble(self, execution_time: int,
                  breakdowns: list[TimeBreakdown], memory) -> RunResult:
+        per_cluster = getattr(memory, "counters", None)
+        stats_of = getattr(memory, "network_stats", None)
+        return self.build(execution_time, breakdowns,
+                          memory.aggregate_counters(),
+                          list(per_cluster) if per_cluster else [],
+                          stats_of() if stats_of is not None else None)
+
+    def build(self, execution_time: int, breakdowns: list[TimeBreakdown],
+              misses: MissCounters, per_cluster: list[MissCounters],
+              network: NetworkStats | None) -> RunResult:
+        """The result from its parts (the native replay has no memory
+        system to read them from)."""
         n = len(breakdowns)
         mean = TimeBreakdown()
         for bd in breakdowns:
@@ -46,16 +58,13 @@ class StatsAssembler:
         if n:
             mean = TimeBreakdown(cpu=mean.cpu / n, load=mean.load / n,
                                  merge=mean.merge / n, sync=mean.sync / n)
-
-        per_cluster = getattr(memory, "counters", None)
-        stats_of = getattr(memory, "network_stats", None)
         return RunResult(
             execution_time=execution_time,
             breakdown=mean,
             per_processor=breakdowns,
-            misses=memory.aggregate_counters(),
-            per_cluster_misses=list(per_cluster) if per_cluster else [],
-            network=stats_of() if stats_of is not None else None,
+            misses=misses,
+            per_cluster_misses=per_cluster,
+            network=network,
         )
 
 

@@ -17,8 +17,9 @@ tree walks with RNG-placed bodies) — and finite/infinite caches.
 import pytest
 
 from repro.core.config import MachineConfig, NetworkConfig
-from repro.core.executor import PointSpec, SweepExecutor
+from repro.core.executor import SweepExecutor
 from repro.core.metrics import RunResult
+from repro.runtime import RunRequest
 
 CFG = MachineConfig(n_processors=8)
 
@@ -35,7 +36,7 @@ ORGS = [(1, None), (2, 1), (4, None)]
 
 
 def _specs():
-    return [PointSpec.make(app, c, kb, kw)
+    return [RunRequest.make(app, c, kb, kw)
             for app, kw in SAMPLE for c, kb in ORGS]
 
 
@@ -96,7 +97,7 @@ def test_cache_round_trip_is_byte_identical(tmp_path, serial_outcomes):
 
 def test_process_pool_width_does_not_matter():
     """1-wide and 3-wide pools see the same bytes (no shared state)."""
-    specs = [PointSpec.make("ocean", c, None, SAMPLE[0][1]) for c in (1, 2, 4)]
+    specs = [RunRequest.make("ocean", c, None, SAMPLE[0][1]) for c in (1, 2, 4)]
     narrow = SweepExecutor(backend="process", max_workers=1).run(specs, CFG)
     wide = SweepExecutor(backend="process", max_workers=3).run(specs, CFG)
     for a, b in zip(narrow, wide):
@@ -124,7 +125,7 @@ def test_mesh_latency_is_deterministic_across_backends(tmp_path):
     from repro.core.resultcache import ResultCache
 
     net = NetworkConfig(provider="mesh", background_load=0.6)
-    specs = [PointSpec.make("ocean", c, None, SAMPLE[0][1], network=net)
+    specs = [RunRequest.make("ocean", c, None, SAMPLE[0][1], network=net)
              for c in (1, 2, 4)]
     serial = SweepExecutor(backend="serial").run(specs, CFG)
     process = SweepExecutor(backend="process", max_workers=2).run(specs, CFG)

@@ -1,66 +1,54 @@
-"""SweepExecutor behaviour: spec coercion, backends, failure isolation."""
+"""SweepExecutor behaviour: request checking, backends, failure isolation."""
 
 import pytest
 
 from repro.core.config import MachineConfig
-from repro.core.executor import (BACKENDS, PointOutcome, PointSpec,
+from repro.core.executor import (BACKENDS, PointOutcome,
                                  SweepExecutionError, SweepExecutor,
-                                 as_point_spec, fork_available,
-                                 raise_failures)
+                                 fork_available, raise_failures)
 from repro.core.study import ClusteringStudy
+from repro.runtime import RunRequest
 
 CFG = MachineConfig(n_processors=8)
 OCEAN_KW = {"n": 16, "n_vcycles": 1}
 
 
-class TestPointSpec:
+class TestRunRequest:
     def test_make_sorts_kwargs(self):
-        a = PointSpec.make("ocean", 2, 4, {"b": 1, "a": 2})
-        b = PointSpec.make("ocean", 2, 4, {"a": 2, "b": 1})
+        a = RunRequest.make("ocean", 2, 4, {"b": 1, "a": 2})
+        b = RunRequest.make("ocean", 2, 4, {"a": 2, "b": 1})
         assert a == b
         assert a.kwargs == {"a": 2, "b": 1}
 
     def test_specs_are_hashable(self):
-        assert len({PointSpec.make("lu", 1, None, {"n": 32}),
-                    PointSpec.make("lu", 1, None, {"n": 32})}) == 1
+        assert len({RunRequest.make("lu", 1, None, {"n": 32}),
+                    RunRequest.make("lu", 1, None, {"n": 32})}) == 1
 
     def test_config_for_applies_cluster_and_cache(self):
-        spec = PointSpec.make("ocean", 4, 16, {})
+        spec = RunRequest.make("ocean", 4, 16, {})
         cfg = spec.config_for(CFG)
         assert cfg.cluster_size == 4
         assert cfg.cache_kb_per_processor == 16.0
-        spec_inf = PointSpec.make("ocean", 2, None, {})
+        spec_inf = RunRequest.make("ocean", 2, None, {})
         assert spec_inf.config_for(CFG).cache_kb_per_processor is None
 
     def test_coercion_from_tuples_is_rejected(self):
-        with pytest.raises(TypeError, match="PointSpec.make"):
-            as_point_spec(("ocean", 2, 4))
-        with pytest.raises(TypeError, match="PointSpec.make"):
-            as_point_spec(["ocean", 2, None, {"n": 16}])
-        with pytest.raises(TypeError, match="PointSpec.make"):
-            SweepExecutor().run([("ocean", 2, 4)], CFG)
-
-    def test_coercion_passes_specs_through_silently(self):
-        import warnings
-
-        spec = PointSpec.make("lu", 1, None, {})
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            assert as_point_spec(spec) is spec
-
-    def test_pointspec_is_the_runtime_request(self):
-        from repro.runtime import RunRequest
-
-        assert PointSpec is RunRequest
+        executor = SweepExecutor()
+        with pytest.raises(TypeError, match=r"RunRequest\.make"):
+            executor.run([("ocean", 2, 4)], CFG)
+        with pytest.raises(TypeError, match=r"RunRequest\.make"):
+            executor.run_one(["ocean", 2, None, {"n": 16}], CFG)
+        with pytest.raises(TypeError, match=r"RunRequest\.make"):
+            executor.submit_one(("ocean", 2, 4), CFG)
 
     def test_coercion_rejects_junk(self):
         with pytest.raises(TypeError, match="sweep point"):
-            as_point_spec("ocean")
-        with pytest.raises(TypeError):
-            as_point_spec(("ocean", 2))
+            SweepExecutor().run_one("ocean", CFG)
+        with pytest.raises(TypeError, match="sweep point"):
+            SweepExecutor().run([RunRequest.make("lu", 1, None), None], CFG)
 
     def test_describe_mentions_everything(self):
-        text = PointSpec.make("ocean", 4, None, {"n": 16}).describe()
+        text = RunRequest.make("ocean", 4, None, {"n": 16}).describe()
         assert "ocean" in text and "4" in text and "inf" in text \
             and "n=16" in text
 
@@ -86,17 +74,17 @@ class TestFailureIsolation:
     """One bad point must not take down the sweep."""
 
     def test_unknown_app_is_isolated_serial(self):
-        specs = [PointSpec.make("ocean", 1, None, OCEAN_KW),
-                 PointSpec.make("notanapp", 1, None, {}),
-                 PointSpec.make("ocean", 2, None, OCEAN_KW)]
+        specs = [RunRequest.make("ocean", 1, None, OCEAN_KW),
+                 RunRequest.make("notanapp", 1, None, {}),
+                 RunRequest.make("ocean", 2, None, OCEAN_KW)]
         outcomes = SweepExecutor().run(specs, CFG)
         assert [o.ok for o in outcomes] == [True, False, True]
         assert "notanapp" in outcomes[1].error
         assert outcomes[1].result is None
 
     def test_unknown_app_is_isolated_process(self):
-        specs = [PointSpec.make("ocean", 1, None, OCEAN_KW),
-                 PointSpec.make("notanapp", 1, None, {})]
+        specs = [RunRequest.make("ocean", 1, None, OCEAN_KW),
+                 RunRequest.make("notanapp", 1, None, {})]
         outcomes = SweepExecutor(backend="process", max_workers=2).run(
             specs, CFG)
         assert [o.ok for o in outcomes] == [True, False]
@@ -104,12 +92,12 @@ class TestFailureIsolation:
 
     def test_bad_kwargs_are_isolated(self):
         outcomes = SweepExecutor().run(
-            [PointSpec.make("ocean", 1, None, {"no_such_knob": 3})], CFG)
+            [RunRequest.make("ocean", 1, None, {"no_such_knob": 3})], CFG)
         assert not outcomes[0].ok
 
     def test_raise_failures_collects_all(self):
-        bad = PointOutcome(PointSpec.make("x", 1, None, {}), error="boom")
-        good = PointOutcome(PointSpec.make("y", 1, None, {}),
+        bad = PointOutcome(RunRequest.make("x", 1, None, {}), error="boom")
+        good = PointOutcome(RunRequest.make("y", 1, None, {}),
                             result=object())
         with pytest.raises(SweepExecutionError) as exc:
             raise_failures([good, bad, bad])
@@ -117,7 +105,7 @@ class TestFailureIsolation:
         assert "boom" in str(exc.value)
 
     def test_raise_failures_quiet_when_clean(self):
-        good = PointOutcome(PointSpec.make("y", 1, None, {}),
+        good = PointOutcome(RunRequest.make("y", 1, None, {}),
                             result=object())
         raise_failures([good])  # no exception
 
@@ -128,7 +116,7 @@ class TestFailureIsolation:
 
     def test_timeout_reports_error_not_crash(self):
         """A point exceeding the per-point budget becomes an error outcome."""
-        slow = PointSpec.make("ocean", 1, None, {"n": 32, "n_vcycles": 2})
+        slow = RunRequest.make("ocean", 1, None, {"n": 32, "n_vcycles": 2})
         executor = SweepExecutor(backend="process", max_workers=1,
                                  timeout=1e-4)
         outcomes = executor.run([slow], CFG)
@@ -140,10 +128,10 @@ class TestPoolLifecycle:
     def test_pool_is_reused_across_runs(self):
         with SweepExecutor(backend="process", max_workers=2) as executor:
             first = executor.run(
-                [PointSpec.make("ocean", 1, None, OCEAN_KW)], CFG)
+                [RunRequest.make("ocean", 1, None, OCEAN_KW)], CFG)
             pool = executor._pool
             second = executor.run(
-                [PointSpec.make("ocean", 2, None, OCEAN_KW)], CFG)
+                [RunRequest.make("ocean", 2, None, OCEAN_KW)], CFG)
             assert executor._pool is pool
         assert executor._pool is None  # context exit closed it
         assert first[0].ok and second[0].ok
@@ -153,7 +141,7 @@ class TestPoolLifecycle:
         executor.close()
         executor.close()
         outcome = executor.run(
-            [PointSpec.make("ocean", 1, None, OCEAN_KW)], CFG)[0]
+            [RunRequest.make("ocean", 1, None, OCEAN_KW)], CFG)[0]
         assert outcome.ok
         executor.close()
         assert executor._pool is None
@@ -161,8 +149,8 @@ class TestPoolLifecycle:
 
 class TestDedupe:
     def test_duplicate_specs_execute_once_and_share_the_result(self):
-        spec = PointSpec.make("ocean", 2, 4.0, OCEAN_KW)
-        other = PointSpec.make("ocean", 1, 4.0, OCEAN_KW)
+        spec = RunRequest.make("ocean", 2, 4.0, OCEAN_KW)
+        other = RunRequest.make("ocean", 1, 4.0, OCEAN_KW)
         out = SweepExecutor().run([spec, other, spec], CFG)
         assert out[2].result is out[0].result
         assert out[2].elapsed == 0.0
@@ -170,7 +158,7 @@ class TestDedupe:
         assert out[1].result is not out[0].result
 
     def test_duplicates_of_a_failing_point_share_the_error(self):
-        bad = PointSpec.make("notanapp", 1, None, {})
+        bad = RunRequest.make("notanapp", 1, None, {})
         out = SweepExecutor().run([bad, bad], CFG)
         assert not out[0].ok and not out[1].ok
         assert out[1].error == out[0].error
@@ -179,12 +167,12 @@ class TestDedupe:
 class TestResults:
     def test_elapsed_recorded(self):
         outcome = SweepExecutor().run(
-            [PointSpec.make("ocean", 1, None, OCEAN_KW)], CFG)[0]
+            [RunRequest.make("ocean", 1, None, OCEAN_KW)], CFG)[0]
         assert outcome.ok and outcome.elapsed > 0.0 and not outcome.cached
 
     def test_default_base_config_is_paper_machine(self):
         outcome = SweepExecutor().run_one(
-            PointSpec.make("lu", 1, None, {"n": 16, "block": 4}))
+            RunRequest.make("lu", 1, None, {"n": 16, "block": 4}))
         assert outcome.ok
         assert outcome.result.n_processors == 64
 
@@ -207,7 +195,7 @@ class TestForkBackend:
         from repro.core.resultcache import TraceStore
         from repro.sim.compiled import TraceCache, clear_memory_cache
 
-        specs = [PointSpec.make("ocean", c, None, OCEAN_KW)
+        specs = [RunRequest.make("ocean", c, None, OCEAN_KW)
                  for c in (1, 2)]
         store = TraceStore(tmp_path)
         clear_memory_cache()
@@ -227,7 +215,7 @@ class TestForkBackend:
         from repro.sim.compiled import (TraceCache, clear_memory_cache,
                                         memory_cache_len)
 
-        specs = [PointSpec.make("ocean", c, None, OCEAN_KW)
+        specs = [RunRequest.make("ocean", c, None, OCEAN_KW)
                  for c in (1, 2)]
         store = TraceStore(tmp_path)
         # populate the disk tier, then forget the in-memory one
@@ -252,7 +240,7 @@ class TestForkBackend:
         clear_memory_cache()
         executor = SweepExecutor(backend="fork", trace_cache=TraceCache())
         assert executor.preload_traces(
-            [PointSpec.make("ocean", 1, None, OCEAN_KW)], CFG) == 0
+            [RunRequest.make("ocean", 1, None, OCEAN_KW)], CFG) == 0
 
 
 def test_fork_backend_rejected_without_fork(monkeypatch):

@@ -5,10 +5,11 @@ requires the C kernel to reproduce the canonical python replay
 (``execute_program(..., compiled=True)``) byte-for-byte — the same pin
 the nine real applications carry, but over adversarial op streams:
 degenerate phases, empty processors, lock convoys, tiny caches that
-evict constantly.  Agreement covers the RunResult JSON *and* the full
-memory-system end state (slot maps in dict order, free lists, histories,
-counters, allocator placement), so a kernel that computed the right
-numbers by a different path still fails.
+evict constantly.  Agreement covers the RunResult JSON *and* every other
+number the kernel returns (per-cluster evictions/inserts, the three
+directory counters, first-touch pages), read from the python side's
+memory system, so a kernel that replaced the wrong victim or pruned the
+directory differently fails even where the miss counts happen to agree.
 
 Every test that needs the compiled kernel skips cleanly when no C
 compiler is available (or the kernel is disabled in the environment);
@@ -22,13 +23,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro.native as native
+from repro.apps import registry
+from repro.apps.base import Application
 from repro.core.config import MachineConfig
+from repro.memory.allocation import PageAllocator
 from repro.memory.coherence import CoherentMemorySystem
+from repro.native import build
+from repro.native.driver import run_native
 from repro.runtime import RunRequest, RunSession
 from repro.sim.compiled import TraceCache, clear_memory_cache, compile_program
 from repro.sim.engine import SimulationDeadlock, execute_program
-from repro.sim.nativereplay import (native_fusible, replay_native,
-                                    try_replay_native)
+from repro.sim.nativereplay import native_decline_reason, try_replay_native
 from repro.sim.program import Barrier, Lock, Read, Unlock, Work, Write
 
 from test_runtime import CFG, TINY, golden_payload
@@ -116,35 +121,9 @@ def force_native():
         os.environ["REPRO_NATIVE"] = prev
 
 
-def _snapshot(memory):
-    """The complete observable end state of a memory system.
-
-    Includes iteration order everywhere order is observable (dict
-    insertion order of slot maps and histories, free-list order), so the
-    native writeback must leave the objects *indistinguishable* from the
-    python replay's, not merely equal as sets.
-    """
-    alloc = memory.allocator
-    return {
-        "dtable": list(memory._dtable.items()),
-        "dir": (memory.directory.invalidations_sent,
-                memory.directory.replacement_hints,
-                memory.directory.writebacks),
-        "caches": [
-            (list(c.slot_of.items()), list(c.free), c.inserts, c.evictions,
-             len(c.state),
-             [(c.state[s], c.pending[s], c.fetcher[s], c.tag[s])
-              for s in c.slot_of.values()])
-            for c in memory.caches],
-        "histories": [list(h.items()) for h in memory._history],
-        "counters": [(ctr.reads, ctr.writes, ctr.read_misses,
-                      ctr.write_misses, ctr.upgrade_misses, ctr.merges,
-                      ctr.merge_refetches, ctr.prefetch_hits,
-                      dict(ctr.by_cause))
-                     for ctr in memory.counters],
-        "alloc": (list(alloc._page_home.items()), alloc._rr_next,
-                  alloc.first_touch_pages),
-    }
+def _allocator(config):
+    return PageAllocator(config.n_clusters, config.page_size,
+                         config.line_size)
 
 
 # ------------------------------------------------ native == canonical
@@ -160,36 +139,88 @@ def test_native_matches_python_kernels(data, cluster_pick, cache_kb):
     program = compile_program(_factory_of(phases, table), n,
                               config.line_size)
 
-    mem_python = CoherentMemorySystem(config)
-    reference = execute_program(config, mem_python, program, compiled=True)
+    memory = CoherentMemorySystem(config)
+    reference = execute_program(config, memory, program, compiled=True)
 
-    mem_native = CoherentMemorySystem(config)
-    assert native_fusible(mem_native)
-    got = replay_native(config, mem_native, program, lib=_LIB)
+    assert native_decline_reason(config) is None
+    allocator = _allocator(config)
+    out = run_native(_LIB, config, allocator, program)
 
-    assert got.to_json() == reference.to_json()
-    assert _snapshot(mem_native) == _snapshot(mem_python)
+    assert allocator.pages_bound == 0  # read, never written
+    assert out.execution_time == reference.execution_time
+    assert out.breakdowns == reference.per_processor
+    assert out.counters == reference.per_cluster_misses
+    assert [c.to_dict() for c in out.counters] == \
+        [c.to_dict() for c in reference.per_cluster_misses]  # key order too
+    assert out.evictions == [c.evictions for c in memory.caches]
+    assert out.inserts == [c.inserts for c in memory.caches]
+    directory = memory.directory
+    assert (out.invalidations_sent, out.replacement_hints,
+            out.writebacks) == (directory.invalidations_sent,
+                                directory.replacement_hints,
+                                directory.writebacks)
+    assert out.first_touch_pages == memory.allocator.first_touch_pages
+
+
+@needs_kernel
+def test_driver_outputs_do_not_grow_with_capacity():
+    """Nothing capacity-sized crosses the C boundary: 4 KB == 1500 KB."""
+    def factory(pid):
+        for line in range(200):
+            yield Read(64 * (pid * 200 + line))
+        yield Barrier(0)
+
+    shapes = []
+    for cache_kb in (4.0, 1500.0):
+        config = _config(4, 2, cache_kb)
+        program = compile_program(factory, 4, config.line_size)
+        out = run_native(_LIB, config, _allocator(config), program)
+        shapes.append([len(field) if isinstance(field, list) else 1
+                       for field in out])
+    assert shapes[0] == shapes[1] == [1, 4, 2, 2, 2, 1, 1, 1, 1]
 
 
 # ------------------------------------------------ error-path parity
+#
+# A kernel fault makes the native path decline, so a native-selected
+# session must raise exactly what a python-selected one does — from the
+# python replay, the one home of these errors.
+
+class _ScriptedApp(Application):
+    """A registry app whose per-processor streams a test supplies."""
+
+    name = "scripted"
+    factory = None
+
+    def setup(self):
+        pass
+
+    def program(self, pid):
+        return type(self).factory(pid)
+
+
+def _session_error(monkeypatch, factory, use_native):
+    monkeypatch.setitem(registry._CLASSES, "scripted", _ScriptedApp)
+    monkeypatch.setattr(_ScriptedApp, "factory", staticmethod(factory))
+    native.set_native(use_native)
+    session = RunSession(base_config=_config(2, 1, None))
+    with pytest.raises(Exception) as caught:
+        session.run(RunRequest.make("scripted", 1, None))
+    return caught.value
+
 
 @needs_kernel
-def test_deadlock_message_matches_canonical(force_native):
+def test_deadlock_message_matches_canonical(force_native, monkeypatch):
     def factory(pid):
         if pid == 0:
             yield Barrier(0)
         else:
             yield Work(1)
 
-    config = _config(2, 1, None)
-    program = compile_program(factory, 2, config.line_size)
-    with pytest.raises(SimulationDeadlock) as ref:
-        execute_program(config, CoherentMemorySystem(config), program,
-                        compiled=True)
-    with pytest.raises(SimulationDeadlock) as got:
-        replay_native(config, CoherentMemorySystem(config), program,
-                      lib=_LIB)
-    assert str(got.value) == str(ref.value)
+    got = _session_error(monkeypatch, factory, True)
+    ref = _session_error(monkeypatch, factory, False)
+    assert type(got) is type(ref) is SimulationDeadlock
+    assert str(got) == str(ref)
 
 
 @needs_kernel
@@ -197,16 +228,11 @@ def test_deadlock_message_matches_canonical(force_native):
     (lambda pid: iter([Unlock(0)]), RuntimeError),          # bad release
     (lambda pid: iter([Lock(0), Lock(0)]), RuntimeError),   # re-acquire
 ])
-def test_lock_errors_match_canonical(factory, exc):
-    config = _config(2, 1, None)
-    program = compile_program(factory, 2, config.line_size)
-    with pytest.raises(exc) as ref:
-        execute_program(config, CoherentMemorySystem(config), program,
-                        compiled=True)
-    with pytest.raises(exc) as got:
-        replay_native(config, CoherentMemorySystem(config), program,
-                      lib=_LIB)
-    assert str(got.value) == str(ref.value)
+def test_lock_errors_match_canonical(factory, exc, force_native, monkeypatch):
+    got = _session_error(monkeypatch, factory, True)
+    ref = _session_error(monkeypatch, factory, False)
+    assert type(got) is type(ref) is exc
+    assert str(got) == str(ref)
 
 
 # ------------------------------------------- runtime golden, native on
@@ -239,6 +265,42 @@ class TestGoldenNative:
         reference = build_app("ocean", config, **TINY["ocean"]).run(
             program=program)
         assert result.to_json() == reference.to_json()
+
+
+# -------------------------------------------------- artifact recovery
+
+@needs_kernel
+class TestStaleArtifact:
+    """A cached artifact that will not load is rebuilt once, not kept."""
+
+    @pytest.fixture
+    def artifact(self, monkeypatch, tmp_path):
+        monkeypatch.setenv("REPRO_NATIVE_CACHE", str(tmp_path))
+        monkeypatch.delenv("REPRO_NATIVE", raising=False)
+        return build.artifact_path()
+
+    def test_truncated_artifact_is_rebuilt(self, artifact):
+        artifact.write_bytes(b"\x7fELF...")
+        assert native.kernel() is not None
+        assert native.build_error() is None
+        assert artifact.stat().st_size > 1000
+
+    def test_wrong_abi_artifact_is_rebuilt(self, artifact, tmp_path):
+        import subprocess
+
+        stale = tmp_path / "stale.c"
+        stale.write_text(build.source_path().read_text().replace(
+            f"#define ABI {build.ABI_VERSION}", "#define ABI 1"))
+        subprocess.run([build.find_compiler(), "-shared", "-fPIC", "-o",
+                        str(artifact), str(stale)], check=True)
+        assert build.load().repro_abi() == build.ABI_VERSION
+
+    def test_unloadable_fresh_artifact_raises(self, artifact, monkeypatch):
+        artifact.write_bytes(b"junk")
+        monkeypatch.setattr(
+            build, "build", lambda force=False: artifact)  # rebuild no-ops
+        with pytest.raises(build.BuildError, match="cannot load"):
+            build.load()
 
 
 # ------------------------------------------------ selection semantics
@@ -286,6 +348,22 @@ class TestSelection:
         monkeypatch.setenv("REPRO_NATIVE", "1")
         with pytest.raises(RuntimeError, match="REPRO_NATIVE=1"):
             native.kernel()
+
+    def test_status_reports_python_after_a_load_failure(self, monkeypatch):
+        """A recorded failure means python runs, whatever compiler exists."""
+        monkeypatch.delenv("REPRO_NATIVE", raising=False)
+
+        def broken():
+            raise native.BuildError("file too short")
+
+        monkeypatch.setattr(native._build, "load", broken)
+        # forget any earlier load; teardown puts all three back
+        for name in ("_lib", "_lib_err", "_lib_key"):
+            monkeypatch.setattr(native, name, None)
+        assert native.kernel() is None
+        status = native.status()
+        assert status["build_error"] == "file too short"
+        assert status["kernel"] == "python"
 
     def test_status_shape(self):
         status = native.status()

@@ -211,13 +211,25 @@ class TestNativeGate:
         assert try_replay_native(config, app=None, program=None) is None
 
     def test_native_gate_declines_non_directory_memory(self):
-        from repro.sim.nativereplay import native_fusible
+        """Eligibility is a pure function of the config, with a reason."""
+        from repro.core.config import NetworkConfig
+        from repro.sim.nativereplay import native_decline_reason
 
         cfg = MachineConfig(n_processors=4, cluster_size=2,
                             cache_kb_per_processor=4.0)
+        assert native_decline_reason(cfg) is None
+        assert native_decline_reason(cfg.with_cache_kb(None)) is None
         for proto in ("dls", "snoopy"):
-            assert not native_fusible(make_memory_system(
-                cfg.with_protocol(proto)))
+            assert native_decline_reason(
+                cfg.with_protocol(proto)) == f"{proto}-protocol"
+        assert native_decline_reason(cfg.with_network(
+            NetworkConfig(provider="mesh"))) == "mesh-latency"
+        assert native_decline_reason(
+            MachineConfig(n_processors=128)) == "over-64-clusters"
+        assert native_decline_reason(
+            cfg.with_associativity(2)) == "set-associative"
+        # ways covering the whole capacity are one fully associative set
+        assert native_decline_reason(cfg.with_associativity(4096)) is None
 
 
 # ----------------------------------------------------- cache-key guards
@@ -257,14 +269,15 @@ class TestCacheKeyCollisionGuard:
 
     def test_result_cache_never_shares_entries_across_protocols(
             self, tmp_path):
-        from repro.core.executor import PointSpec, SweepExecutor
+        from repro.core.executor import SweepExecutor
+        from repro.runtime import RunRequest
 
         cache = ResultCache(tmp_path)
         executor = SweepExecutor(cache=cache)
         base = MachineConfig(n_processors=8)
-        spec_dir = PointSpec.make("ocean", 2, 4.0, TINY_OCEAN)
-        spec_dls = PointSpec.make("ocean", 2, 4.0, TINY_OCEAN,
-                                  protocol="dls")
+        spec_dir = RunRequest.make("ocean", 2, 4.0, TINY_OCEAN)
+        spec_dls = RunRequest.make("ocean", 2, 4.0, TINY_OCEAN,
+                                   protocol="dls")
 
         first = executor.run_one(spec_dir, base)
         assert cache.hits == 0 and cache.misses == 1

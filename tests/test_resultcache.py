@@ -11,11 +11,12 @@ import json
 import pytest
 
 from repro.core.config import LatencyModel, MachineConfig, NetworkConfig
-from repro.core.executor import PointSpec, SweepExecutor
+from repro.core.executor import SweepExecutor
 from repro.core.metrics import (MissCause, MissCounters, RunResult,
                                 TimeBreakdown)
 from repro.core.resultcache import (ENV_CACHE_DIR, ResultCache,
                                     default_cache_dir, point_key)
+from repro.runtime import RunRequest
 
 CFG = MachineConfig(n_processors=8)
 OCEAN_KW = {"n": 16, "n_vcycles": 1}
@@ -178,7 +179,7 @@ class TestExecutorCoupling:
     def test_hits_skip_simulation(self, tmp_path):
         cache = ResultCache(tmp_path)
         executor = SweepExecutor(cache=cache)
-        specs = [PointSpec.make("ocean", c, None, OCEAN_KW)
+        specs = [RunRequest.make("ocean", c, None, OCEAN_KW)
                  for c in (1, 2)]
         first = executor.run(specs, CFG)
         assert [o.cached for o in first] == [False, False]
@@ -190,22 +191,22 @@ class TestExecutorCoupling:
                                                   monkeypatch):
         monkeypatch.setenv(ENV_CACHE_DIR, str(tmp_path / "cachedir"))
         executor = SweepExecutor(cache=None)
-        executor.run([PointSpec.make("ocean", 1, None, OCEAN_KW)], CFG)
-        executor.run([PointSpec.make("ocean", 1, None, OCEAN_KW)], CFG)
+        executor.run([RunRequest.make("ocean", 1, None, OCEAN_KW)], CFG)
+        executor.run([RunRequest.make("ocean", 1, None, OCEAN_KW)], CFG)
         assert not (tmp_path / "cachedir").exists()
 
     def test_failed_points_are_not_cached(self, tmp_path):
         cache = ResultCache(tmp_path)
         executor = SweepExecutor(cache=cache)
-        executor.run([PointSpec.make("notanapp", 1, None, {})], CFG)
+        executor.run([RunRequest.make("notanapp", 1, None, {})], CFG)
         assert len(cache) == 0
-        again = executor.run([PointSpec.make("notanapp", 1, None, {})], CFG)
+        again = executor.run([RunRequest.make("notanapp", 1, None, {})], CFG)
         assert not again[0].ok and not again[0].cached
 
     def test_different_base_config_misses(self, tmp_path):
         cache = ResultCache(tmp_path)
         executor = SweepExecutor(cache=cache)
-        spec = PointSpec.make("ocean", 1, None, OCEAN_KW)
+        spec = RunRequest.make("ocean", 1, None, OCEAN_KW)
         executor.run([spec], CFG)
         executor.run([spec], MachineConfig(n_processors=4))
         assert cache.hits == 0 and cache.misses == 2

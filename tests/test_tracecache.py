@@ -6,8 +6,9 @@ import pytest
 
 from repro.apps.registry import build_app
 from repro.core.config import MachineConfig
-from repro.core.executor import PointSpec, evaluate_point
+from repro.core.executor import evaluate_point
 from repro.core.resultcache import TraceStore
+from repro.runtime import RunRequest
 from repro.sim.compiled import (ENV_TRACE_LRU_BYTES, TraceCache,
                                 clear_memory_cache, compile_program,
                                 memory_cache_len, trace_key)
@@ -153,7 +154,7 @@ class TestExecutorIntegration:
     def test_invariant_app_reuses_trace_across_clusters(self):
         base = MachineConfig(cache_kb_per_processor=4.0)
         cache = TraceCache()
-        specs = [PointSpec.make("lu", cs, 4.0, KWARGS) for cs in (1, 2, 4)]
+        specs = [RunRequest.make("lu", cs, 4.0, KWARGS) for cs in (1, 2, 4)]
         results = [evaluate_point(s, base, trace_cache=cache) for s in specs]
         # one compile, then hits: the second and third points reuse it
         assert cache.memory_hits == 2 and cache.misses == 1
@@ -165,8 +166,8 @@ class TestExecutorIntegration:
     def test_dynamic_app_caches_per_config(self):
         base = MachineConfig(cache_kb_per_processor=4.0)
         cache = TraceCache()
-        spec = PointSpec.make("raytrace", 2, 4.0,
-                              {"width": 8, "height": 8, "n_spheres": 8})
+        spec = RunRequest.make("raytrace", 2, 4.0,
+                               {"width": 8, "height": 8, "n_spheres": 8})
         first = evaluate_point(spec, base, trace_cache=cache)
         assert cache.misses == 1
         second = evaluate_point(spec, base, trace_cache=cache)
@@ -176,7 +177,7 @@ class TestExecutorIntegration:
     def test_disk_tier_spans_processes_conceptually(self, tmp_path):
         """A fresh process (simulated by clearing the LRU) hits the store."""
         base = MachineConfig(cache_kb_per_processor=4.0)
-        spec = PointSpec.make("lu", 2, 4.0, KWARGS)
+        spec = RunRequest.make("lu", 2, 4.0, KWARGS)
         store = TraceStore(tmp_path)
         first = evaluate_point(spec, base, trace_cache=TraceCache(store))
         clear_memory_cache()

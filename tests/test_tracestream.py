@@ -23,8 +23,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.config import MachineConfig
-from repro.core.executor import PointSpec, evaluate_point
+from repro.core.executor import evaluate_point
 from repro.core.resultcache import TraceStore
+from repro.runtime import RunRequest
 from repro.sim.compiled import (ENV_TRACE_LRU_BYTES, ENV_TRACE_MMAP,
                                 CompiledProgram, TraceCache,
                                 TraceDecodeError, clear_memory_cache,
@@ -188,7 +189,7 @@ class TestReplayIdentity:
     def test_mapped_vs_materialized(self, name, tmp_path, monkeypatch):
         cfg = MachineConfig(n_processors=4, cluster_size=2,
                             cache_kb_per_processor=4)
-        spec = PointSpec.make(name, 2, 4.0, dict(TINY_SIZES[name]))
+        spec = RunRequest.make(name, 2, 4.0, dict(TINY_SIZES[name]))
         store = TraceStore(tmp_path)
 
         monkeypatch.setenv(ENV_TRACE_MMAP, "0")
@@ -215,7 +216,7 @@ class TestReplayIdentity:
         """The first (capture) pass and a later mapped pass agree."""
         monkeypatch.setenv(ENV_TRACE_MMAP, "1")
         cfg = MachineConfig(n_processors=4, cluster_size=2)
-        spec = PointSpec.make("lu", 2, None, dict(TINY_SIZES["lu"]))
+        spec = RunRequest.make("lu", 2, None, dict(TINY_SIZES["lu"]))
         store = TraceStore(tmp_path)
         clear_memory_cache()
         first = evaluate_point(spec, cfg, trace_cache=TraceCache(store))
