@@ -57,9 +57,9 @@ PAPER_PROBLEM_SIZES: dict[str, dict[str, Any]] = {
     "volrend": {"volume_side": 64, "width": 64, "height": 64},
 }
 
-#: reduced problem sizes for ``--quick`` runs and the bench harness
-#: (~10× fewer cycles than the defaults; shared by the CLI, benchmarks,
-#: and the perf smoke tests so they all measure the same workloads)
+#: reduced problem sizes for ``--quick`` runs (~10× fewer cycles than the
+#: defaults; shared by the CLI and the benchmarks so they all measure the
+#: same workloads)
 QUICK_PROBLEM_SIZES: dict[str, dict[str, Any]] = {
     "barnes": {"n_particles": 512, "n_steps": 1},
     "fft": {"n_points": 16384},

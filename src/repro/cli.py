@@ -663,139 +663,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
     return rc
 
 
-def cmd_bench(args: argparse.Namespace) -> int:
-    """Engine throughput + sweep wall-clock benchmark (BENCH_engine.json)."""
-    import json
-    from pathlib import Path
-
-    from .core.bench import (bench_engine, bench_jobs, bench_memory,
-                             bench_native, bench_sweep, bench_trace,
-                             check_floor, write_report)
-
-    _native_selection(args)  # validate the flag pair; exits 2 when forced
-    # native but unbuildable, so the A/B below never starts half-broken
-    apps = list(args.apps or APP_NAMES)
-    config = _base_config(args)
-    kwargs_of = {a: _app_kwargs(a, args) for a in apps}
-    t0 = time.time()
-
-    print(f"# engine throughput ({config.n_processors} processors)")
-    print(f"{'app':>9} {'ops':>11} {'gen ops/s':>12} {'replay ops/s':>13} "
-          f"{'speedup':>8}")
-    rows = []
-    for a in apps:
-        r = bench_engine(a, config, kwargs_of[a], repeats=args.repeats)
-        rows.append(r)
-        print(f"{a:>9} {r.source_ops:>11,} {r.generator_ops_per_s:>12,.0f} "
-              f"{r.replay_ops_per_s:>13,.0f} {r.replay_speedup:>7.2f}x",
-              flush=True)
-
-    sweep = None
-    if not args.no_sweep:
-        sweep = bench_sweep(apps, config, args.cluster_sizes,
-                            kwargs_of=kwargs_of)
-        print(f"\n# sweep wall-clock ({sweep.n_points} points, "
-              f"clusters {args.cluster_sizes})")
-        print(f"  generator     {sweep.generator_s:>8.2f}s")
-        print(f"  compiled cold {sweep.cold_s:>8.2f}s "
-              f"({sweep.cold_speedup:.2f}x)")
-        print(f"  compiled warm {sweep.warm_s:>8.2f}s "
-              f"({sweep.warm_speedup:.2f}x)")
-        if not sweep.identical:
-            print("ERROR: execution modes produced different results",
-                  file=sys.stderr)
-            return 1
-
-    memory = None
-    if not args.no_memory:
-        memory = bench_memory()
-        print("\n# memory-system microbench (coherence layer only)")
-        for m in memory:
-            print(f"  {m.stream:>9} {m.n_ops:>9,} ops "
-                  f"{m.ops_per_s:>12,.0f} ops/s")
-
-    jobs = None
-    if args.jobs_bench:
-        jobs = bench_jobs(apps, config, args.cluster_sizes,
-                          jobs=args.jobs_bench, kwargs_of=kwargs_of)
-        print(f"\n# {jobs.jobs}-worker sweep ({jobs.n_points} points, "
-              f"pool startup included)")
-        print(f"  process backend {jobs.process_s:>8.2f}s")
-        if jobs.fork_s is None:
-            print("  fork backend    unavailable on this platform")
-        else:
-            print(f"  fork backend    {jobs.fork_s:>8.2f}s "
-                  f"({jobs.fork_speedup:.2f}x)")
-        if not jobs.identical:
-            print("ERROR: backends produced different results",
-                  file=sys.stderr)
-            return 1
-
-    native = None
-    if args.native:
-        native = bench_native(apps, config, args.cluster_sizes,
-                              kwargs_of=kwargs_of,
-                              repeats=max(3, args.repeats))
-        print(f"\n# native C kernel vs python A/B ({native.n_points} points, "
-              f"best of {native.repeats})")
-        print(f"  warm sweep  python {native.python_warm_s:>8.2f}s  "
-              f"native {native.native_warm_s:>8.2f}s "
-              f"({native.warm_speedup:.2f}x, "
-              f"{native.points_per_s:.1f} points/s)")
-        if not native.identical:
-            print("ERROR: native kernel diverged from pure-python results",
-                  file=sys.stderr)
-            return 1
-
-    trace = None
-    if args.trace:
-        from .core.scaling import scaling_problem
-        trace = bench_trace(args.trace_app, config,
-                            app_kwargs=scaling_problem(args.trace_app,
-                                                       args.trace_tier),
-                            include_native=args.native)
-        mb = trace.trace_nbytes / 1e6
-        print(f"\n# trace streaming A/B ({trace.app} {args.trace_tier} "
-              f"tier, {trace.source_ops:,} ops, {mb:.1f} MB blob, "
-              f"capture {trace.capture_s:.2f}s; fresh process per mode)")
-        print(f"  {'mode':>20} {'decode':>9} {'first point':>12} "
-              f"{'peak RSS':>10}")
-        for name, m in trace.modes.items():
-            print(f"  {name:>20} {m['decode_s']:>8.3f}s "
-                  f"{m['first_point_s']:>11.3f}s "
-                  f"{m['maxrss_kb'] / 1024:>7.0f} MB")
-        print(f"  first-point speedup {trace.first_point_speedup:.2f}x, "
-              f"peak-RSS ratio {trace.maxrss_ratio:.2f}x "
-              f"(materialized/mapped, python kernels)")
-        if not trace.identical:
-            print("ERROR: trace consumption modes produced different "
-                  "results", file=sys.stderr)
-            return 1
-
-    write_report(args.output, rows, sweep, config, memory=memory, jobs=jobs,
-                 native=native, trace=trace)
-    print(f"\nwrote {args.output}  [{time.time() - t0:.1f}s]")
-
-    if args.floor:
-        floor = json.loads(Path(args.floor).read_text(encoding="utf-8"))
-        failures = check_floor(rows, floor, args.floor_tolerance,
-                               memory=memory, native=native, trace=trace)
-        if failures:
-            for line in failures:
-                print(f"FLOOR REGRESSION: {line}", file=sys.stderr)
-            return 1
-        measured = {r.app for r in rows}
-        measured |= {f"memory:{m.stream}" for m in memory or ()}
-        if native is not None:
-            measured |= {"native:points_per_s", "native:warm_speedup"}
-        if trace is not None:
-            measured |= {"trace:first_point_speedup", "trace:maxrss_ratio"}
-        covered = sorted(set(floor) & measured)
-        print(f"floor check passed for {', '.join(covered) or 'no apps'} "
-              f"(tolerance {args.floor_tolerance:.0%})")
-    return 0
-
-
 def _add_global_options(p: argparse.ArgumentParser, *,
                         suppress: bool = False) -> None:
     """The option set shared by the driver and every subcommand.
@@ -826,8 +693,7 @@ def _add_global_options(p: argparse.ArgumentParser, *,
     p.add_argument("--native", action="store_true", default=dflt(False),
                    help="force the native C replay kernel (exit 2 when it "
                    "cannot be built; results are byte-identical to the "
-                   "pure-python replay).  In 'bench', also runs the "
-                   "native-vs-python A/B section")
+                   "pure-python replay)")
     p.add_argument("--no-native", action="store_true", default=dflt(False),
                    help="force the pure-python replay (default is "
                    "auto: native when a compiler or cached artifact exists)")
@@ -1014,43 +880,6 @@ def build_parser() -> argparse.ArgumentParser:
                     help="graceful-shutdown deadline for in-flight points "
                     "(default 10)")
     sp.set_defaults(func=cmd_serve)
-
-    sp = add_command("bench",
-                     help="engine throughput + sweep wall-clock benchmark")
-    sp.add_argument("--apps", nargs="+", choices=APP_NAMES, metavar="APP",
-                    help="applications to bench (default: all nine)")
-    sp.add_argument("--output", default="BENCH_engine.json", metavar="JSON",
-                    help="report path (default BENCH_engine.json)")
-    sp.add_argument("--repeats", type=_positive_int, default=1, metavar="N",
-                    help="timed runs per path; the fastest is kept")
-    sp.add_argument("--no-sweep", action="store_true",
-                    help="skip the end-to-end sweep timing (engine "
-                    "throughput only; much faster)")
-    sp.add_argument("--no-memory", action="store_true",
-                    help="skip the memory-system microbench")
-    sp.add_argument("--jobs-bench", type=_positive_int, default=None,
-                    metavar="N",
-                    help="also time an N-worker sweep under the process "
-                    "vs fork backends (pool startup included)")
-    sp.add_argument("--trace", action="store_true",
-                    help="also run the trace streaming A/B: materialized "
-                    "vs memory-mapped consumption of one paper-scale "
-                    "trace, fresh subprocess per mode (adds the native "
-                    "pair when --native is set)")
-    sp.add_argument("--trace-app", choices=APP_NAMES, default="lu",
-                    metavar="APP",
-                    help="application for the streaming A/B (default lu)")
-    sp.add_argument("--trace-tier", choices=("quick", "medium", "paper"),
-                    default="paper",
-                    help="problem tier for the streaming A/B trace "
-                    "(default paper — the workload the layer exists for)")
-    sp.add_argument("--floor", metavar="JSON",
-                    help="floor file mapping app -> min replay ops/s; "
-                    "exit 1 on regression (see benchmarks/perf/floor.json)")
-    sp.add_argument("--floor-tolerance", type=float, default=0.30,
-                    metavar="FRAC",
-                    help="allowed shortfall below the floor (default 0.30)")
-    sp.set_defaults(func=cmd_bench)
     return p
 
 

@@ -194,10 +194,10 @@ class TraceStore:
 
     Lives in a subdirectory of the cache root so ``ResultCache`` JSON
     entries and trace blobs never collide and can be cleared independently.
-    Decoding is the caller's business (:mod:`repro.sim.compiled` adds a
-    checksum and treats undecodable blobs as misses); this class only
-    guarantees the same robustness rules as :class:`ResultCache` — reads
-    never raise, writes are atomic, storage failures are swallowed.
+    Reading is the caller's business (:mod:`repro.sim.compiled` maps
+    :meth:`path_for`, maintains ``hits``/``misses`` and treats undecodable
+    blobs as misses); this class only guarantees the write-side rules of
+    :class:`ResultCache` — writes are atomic, storage failures are swallowed.
 
     Parameters
     ----------
@@ -221,16 +221,6 @@ class TraceStore:
     def path_for(self, key: str) -> Path:
         """On-disk location of a key's blob."""
         return self.directory / f"{key}{self.SUFFIX}"
-
-    def get_bytes(self, key: str) -> bytes | None:
-        """Stored blob for ``key``, or ``None`` (counted as a miss)."""
-        try:
-            blob = self.path_for(key).read_bytes()
-        except OSError:
-            self.misses += 1
-            return None
-        self.hits += 1
-        return blob
 
     def put_bytes(self, key: str, data: bytes) -> None:
         """Atomically persist ``data`` under ``key`` (failures swallowed)."""

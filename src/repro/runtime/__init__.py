@@ -12,8 +12,7 @@ end to end:
   :class:`~repro.core.config.MachineConfig`);
 * :mod:`repro.runtime.session` — :class:`RunSession`, which executes
   requests through the one canonical pipeline (the code path the sweep
-  executor, the CLI, the study driver, and the benchmark harness all
-  funnel through);
+  executor, the CLI and the study driver all funnel through);
 * :mod:`repro.runtime.hooks` — the :class:`RunObserver` probe protocol
   (phase transitions, per-point timing, result counters) plus the
   built-in :class:`TimingObserver` behind ``repro-clustering run --probe

@@ -54,9 +54,8 @@ class RunObserver:
 class TimingObserver(RunObserver):
     """Built-in probe: record per-phase wall-clock and phase info.
 
-    Backs ``repro-clustering run --probe timing`` and the benchmark
-    harness (which reads :meth:`elapsed` instead of wrapping the engine
-    in its own timers).  Reusable across runs via :meth:`reset`.
+    Backs ``repro-clustering run --probe timing``.  Reusable across runs
+    via :meth:`reset`.
     """
 
     def __init__(self) -> None:

@@ -1,9 +1,8 @@
 """RunSession: the one canonical pipeline from request to result.
 
 Every entry layer — the CLI, :class:`~repro.core.study.ClusteringStudy`,
-all :class:`~repro.core.executor.SweepExecutor` backends, and the
-benchmark harness — funnels through this module.  A session performs,
-in order:
+and all :class:`~repro.core.executor.SweepExecutor` backends — funnels
+through this module.  A session performs, in order:
 
 1. **resolve** — bind the :class:`~repro.runtime.plan.RunRequest` to the
    base machine config (:meth:`RunPlan.resolve`);
@@ -175,7 +174,6 @@ class RunSession:
 
     def run_detailed(self, request: RunRequest, *,
                      memory_factory: "Callable[[MachineConfig, Application], Any] | None" = None,
-                     program: "CompiledProgram | None" = None,
                      read_hit_cycles: int = 1,
                      max_cycles: int | None = None) -> RunOutcome:
         """Run with explicit memory wiring; returns the memory system.
@@ -187,13 +185,12 @@ class RunSession:
         memory with a fixed ``read_hit_cycles``.  The trace cache is never
         consulted or written — a capture under a non-standard memory
         system or latency model must not masquerade as the canonical
-        stream.  Pass ``program`` to replay an explicit compiled trace
-        instead of driving the generators.
+        stream; the run always drives the generators.
         """
         obs = self.observer
         clock = _Clock() if obs is not None else None
         plan = RunPlan.resolve(request, self.base_config,
-                               use_compiled=program is not None)
+                               use_compiled=False)
         if obs is not None:
             obs.on_phase("resolve", clock.lap(),
                          {"config": plan.config.describe()})
@@ -208,21 +205,14 @@ class RunSession:
         from ..memory import make_memory_system
         from ..sim.engine import execute_program
 
-        # memory construction belongs to the execute phase: benchmark
-        # floors time "build the memory system + run the engine" as one
-        # region, and the observer must report the same region
         if memory_factory is not None:
             memory = memory_factory(plan.config, app)
         else:
             memory = make_memory_system(plan.config, app.allocator)
-        result = execute_program(plan.config, memory,
-                                 program if program is not None
-                                 else app.program,
-                                 compiled=program is not None,
+        result = execute_program(plan.config, memory, app.program,
                                  read_hit_cycles=read_hit_cycles,
                                  max_cycles=max_cycles)
-        outcome = RunOutcome(plan, result, app, memory=memory,
-                             program=program)
+        outcome = RunOutcome(plan, result, app, memory=memory)
         return self._finish(outcome, clock)
 
     # ------------------------------------------------------------ internals

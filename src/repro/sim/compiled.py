@@ -29,9 +29,7 @@ This module provides that capture/replay layer:
   app once per process and ``--jobs`` worker processes share traces via
   disk.
 
-**Streaming traces.**  Two wire formats are readable.  The legacy
-``RPROTRC1`` encoding (zlib-compressed, CRC-protected) is decode-only, for
-blobs an older release left in a store.  The current ``RPROTRC2``
+**Streaming traces.**  One wire format is readable.  The ``RPROTRC2``
 encoding is *mmappable*: an aligned, uncompressed little-endian int64
 section per column behind a JSON header/TOC, so
 :meth:`CompiledProgram.from_file` can map a
@@ -51,8 +49,6 @@ The in-memory LRU is governed by a **byte budget**
 (``REPRO_TRACE_LRU_BYTES``, default 256 MiB) that charges mapped programs
 a token constant — so any number of paper-scale mapped traces stay
 resident while materialised ones are evicted by size.
-``REPRO_TRACE_MMAP=0`` disables mapping (every disk load decodes eagerly
-to arrays).
 
 Replay is **bit-identical** to generator execution: the engine's golden
 and equivalence suites (``tests/test_golden_regression.py``,
@@ -82,13 +78,10 @@ from .program import (OP_BARRIER, OP_READ, OP_UNLOCK, OP_WORK, OP_WRITE,
 __all__ = ["CompiledProgram", "TraceCache", "TraceDecodeError",
            "compile_program", "trace_key", "clear_memory_cache",
            "memory_cache_len", "memory_cache_bytes", "trace_cache_info",
-           "ENV_TRACE_LRU_BYTES", "ENV_TRACE_MMAP"]
+           "ENV_TRACE_LRU_BYTES"]
 
 #: environment variable overriding the in-memory LRU byte budget
 ENV_TRACE_LRU_BYTES = "REPRO_TRACE_LRU_BYTES"
-
-#: set to ``0`` to disable memory-mapped trace loads (eager array decode)
-ENV_TRACE_MMAP = "REPRO_TRACE_MMAP"
 
 # Sized so a full 9-app quick sweep (a few MB per materialised trace)
 # never evicts, while a single paper-scale materialised trace (512² LU is
@@ -102,12 +95,11 @@ _DEFAULT_LRU_BYTES = 256 * 1024 * 1024
 #: payload lives in the (evictable, shared) page cache, not the heap
 _MAPPED_RESIDENT_BYTES = 4096
 
-#: serialization magics: bump the trailing digit on any format change so
+#: serialization magic: bump the trailing digit on any format change so
 #: stale cache entries from older versions decode as misses, not garbage
-_MAGIC_V1 = b"RPROTRC1"
 _MAGIC = b"RPROTRC2"
 
-_ITEMSIZE = 8  # int64 columns, both formats
+_ITEMSIZE = 8  # int64 columns
 
 
 def _align8(n: int) -> int:
@@ -313,7 +305,7 @@ class CompiledProgram:
 
     @classmethod
     def _decode_header(cls, blob, lo: int = 0):
-        """Parse ``(header, payload_start)`` from either format's framing."""
+        """Parse ``(header, payload_start)`` from the blob's framing."""
         hlen = int.from_bytes(bytes(blob[lo + 8:lo + 12]), "little")
         if hlen <= 0 or lo + 12 + hlen > len(blob):
             raise TraceDecodeError("truncated header")
@@ -326,29 +318,21 @@ class CompiledProgram:
 
     @classmethod
     def from_bytes(cls, blob: bytes) -> "CompiledProgram":
-        """Inverse of :meth:`to_bytes` — eager decode of either format.
+        """Inverse of :meth:`to_bytes` — eager, CRC-checked decode.
 
         Raises :class:`TraceDecodeError` on any corruption: bad magic,
         truncation, malformed header, CRC mismatch, or an encoding written
         by an incompatible platform (item size / byte order).
         """
         try:
-            magic = bytes(blob[:8])
-            if magic == _MAGIC_V1:
-                header, pos = cls._decode_header(blob)
-                if header["byteorder"] != sys.byteorder:
-                    raise TraceDecodeError("foreign byte order")
-                payload = zlib.decompress(blob[pos:])
-                swap = False
-            elif magic == _MAGIC:
-                header, pos = cls._decode_header(blob)
-                offset = header["payload_offset"]
-                if offset < pos:
-                    raise TraceDecodeError("payload overlaps header")
-                payload = bytes(blob[offset:])
-                swap = sys.byteorder != "little"
-            else:
+            if bytes(blob[:8]) != _MAGIC:
                 raise TraceDecodeError("bad magic")
+            header, pos = cls._decode_header(blob)
+            offset = header["payload_offset"]
+            if offset < pos:
+                raise TraceDecodeError("payload overlaps header")
+            payload = bytes(blob[offset:])
+            swap = sys.byteorder != "little"
             counts = header["counts"]
             if zlib.crc32(payload) != header["crc32"]:
                 raise TraceDecodeError("payload CRC mismatch")
@@ -374,8 +358,8 @@ class CompiledProgram:
             raise TraceDecodeError(f"undecodable trace: {exc!r}") from exc
 
     @classmethod
-    def from_file(cls, path, *, mmap_ok: bool = True) -> "CompiledProgram":
-        """Load a stored trace, memory-mapping v2 blobs when possible.
+    def from_file(cls, path) -> "CompiledProgram":
+        """Load a stored trace by memory-mapping it.
 
         The mapping is ``ACCESS_COPY`` (private copy-on-write): writable
         from Python's side — which ``ctypes.from_buffer`` requires for the
@@ -384,16 +368,18 @@ class CompiledProgram:
         validation is **structural only** (magic, header, section bounds
         against the file size): a truncated blob fails here and degrades
         to a cache miss, while reading every payload byte to CRC it would
-        defeat lazy paging — v2 relies on the store's atomic writes, like
-        every other consumer.  Legacy v1 blobs, big-endian hosts, and
-        ``mmap_ok=False`` fall back to an eager :meth:`from_bytes` decode.
+        defeat lazy paging — the format relies on the store's atomic
+        writes, like every other consumer.  Big-endian hosts, which cannot
+        alias the columns, go through the eager :meth:`from_bytes` decode.
 
         Raises ``OSError`` if the file cannot be opened (a plain store
         miss) and :class:`TraceDecodeError` for anything wrong past that.
         """
         with open(path, "rb") as fh:
             magic = fh.read(8)
-            if magic != _MAGIC or not mmap_ok or sys.byteorder != "little":
+            if magic != _MAGIC:  # rejected without reading the payload
+                raise TraceDecodeError("bad magic")
+            if sys.byteorder != "little":
                 try:
                     return cls.from_bytes(magic + fh.read())
                 except TraceDecodeError:
@@ -615,10 +601,6 @@ def _byte_budget() -> int:
         return _DEFAULT_LRU_BYTES
 
 
-def _mmap_enabled() -> bool:
-    return os.environ.get(ENV_TRACE_MMAP, "1") != "0"
-
-
 def clear_memory_cache() -> None:
     """Drop every in-memory trace (tests and cold benchmarks use this)."""
     global _memory_lru_bytes
@@ -658,9 +640,8 @@ class TraceCache:
     :attr:`~CompiledProgram.resident_nbytes`).  Tier 2 is
     an optional :class:`~repro.core.resultcache.TraceStore` on disk, which
     is what lets separate ``--jobs`` worker processes and separate CLI
-    invocations reuse traces.  Disk loads of current-format blobs are
-    **memory-mapped** (zero-copy, ~0 resident cost; disable with
-    ``REPRO_TRACE_MMAP=0``); legacy blobs decode eagerly.
+    invocations reuse traces.  Disk loads are **memory-mapped**
+    (zero-copy, ~0 resident cost).
 
     Instances are cheap and picklable (the LRU is module state, the store
     carries only a path), so executors ship them to pool workers as-is.
@@ -673,23 +654,13 @@ class TraceCache:
         self.misses = 0
 
     def _load_disk(self, key: str, warn: bool) -> CompiledProgram | None:
-        """Map or decode the store's blob for ``key`` (``None`` on miss).
+        """Map the store's blob for ``key`` (``None`` on miss).
 
-        Maintains the store's hit/miss counters exactly like
-        ``store.get_bytes``: unreadable file ⇒ store miss; readable but
-        undecodable ⇒ store hit that this cache degrades to a miss.
+        Maintains the store's hit/miss counters: unreadable file ⇒ store
+        miss; readable but undecodable ⇒ store hit that this cache
+        degrades to a miss.
         """
         store = self.store
-        if not _mmap_enabled():
-            blob = store.get_bytes(key)
-            if blob is None:
-                return None
-            try:
-                return CompiledProgram.from_bytes(blob)
-            except TraceDecodeError as exc:
-                if warn:
-                    self._warn_corrupt(key, exc)
-                return None
         try:
             program = CompiledProgram.from_file(store.path_for(key))
         except OSError:

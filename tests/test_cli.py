@@ -260,6 +260,13 @@ def test_batch_flag_is_unrecognised(capsys):
     assert "unrecognized arguments: --batch" in capsys.readouterr().err
 
 
+def test_bench_subcommand_is_gone(capsys):
+    with pytest.raises(SystemExit) as exc:
+        run_cli(*BASE, "bench")
+    assert exc.value.code == 2
+    assert "invalid choice: 'bench'" in capsys.readouterr().err
+
+
 class TestProtocolFlag:
     def test_run_with_each_protocol(self, capsys):
         times = {}

@@ -1,12 +1,13 @@
 """Streaming traces: the mmappable v2 format, chunked replay, byte budget.
 
 The contract of the out-of-core trace layer is that *where the columns
-live is unobservable*: a program decoded eagerly from the legacy zlib v1
-format, decoded eagerly from v2 bytes, or memory-mapped and consumed
-through chunked windows must replay to byte-identical results.  These
-tests pin that contract, the corruption-degrades-to-miss behaviour the
-cache relies on, and the byte-budget LRU accounting that makes mapped
-traces ~free to keep resident.
+live is unobservable*: a program captured into arrays, decoded eagerly
+from v2 bytes, or memory-mapped and consumed through chunked windows
+must replay to byte-identical results.  These tests pin that contract,
+the corruption-degrades-to-miss behaviour the cache relies on (a blob in
+the retired ``RPROTRC1`` format is one more corruption), and the
+byte-budget LRU accounting that makes mapped traces ~free to keep
+resident.
 """
 
 import array
@@ -26,8 +27,8 @@ from repro.core.config import MachineConfig
 from repro.core.executor import evaluate_point
 from repro.core.resultcache import TraceStore
 from repro.runtime import RunRequest
-from repro.sim.compiled import (ENV_TRACE_LRU_BYTES, ENV_TRACE_MMAP,
-                                CompiledProgram, TraceCache,
+from repro.sim.compiled import (ENV_TRACE_LRU_BYTES, CompiledProgram,
+                                TraceCache,
                                 TraceDecodeError, clear_memory_cache,
                                 memory_cache_bytes, trace_cache_info,
                                 trace_key)
@@ -50,7 +51,7 @@ def v1_bytes(program):
     """An RPROTRC1 blob, as the removed v1 writer produced it.
 
     Native byte order, zlib-compressed payload, no ``payload_offset``;
-    the library only *reads* this format now.
+    the library has neither a writer nor a reader for it any more.
     """
     payload = b"".join(col.tobytes()
                        for pair in zip(program.ops, program.args)
@@ -87,21 +88,19 @@ def column_sets(draw):
 
 
 class TestFormatRoundTrip:
-    """v1 (legacy zlib) and v2 (mmappable) encode/decode equivalence."""
+    """Encode/decode equivalence of the mmappable format, eager and mapped."""
 
     @given(columns=column_sets())
     @settings(max_examples=40, deadline=None)
-    def test_v1_v2_decode_equal(self, columns):
+    def test_v2_round_trip(self, columns):
         program = make_program(columns)
-        via_v1 = CompiledProgram.from_bytes(v1_bytes(program))
-        via_v2 = CompiledProgram.from_bytes(program.to_bytes())
-        assert columns_of(via_v1) == columns_of(via_v2) == columns
-        for decoded in (via_v1, via_v2):
-            assert decoded.n_processors == program.n_processors
-            assert decoded.line_size == program.line_size
-            assert decoded.source_ops == program.source_ops
-            assert decoded.fused_work == program.fused_work
-            assert not decoded.mapped
+        decoded = CompiledProgram.from_bytes(program.to_bytes())
+        assert columns_of(decoded) == columns
+        assert decoded.n_processors == program.n_processors
+        assert decoded.line_size == program.line_size
+        assert decoded.source_ops == program.source_ops
+        assert decoded.fused_work == program.fused_work
+        assert not decoded.mapped
 
     @given(columns=column_sets())
     @settings(max_examples=20, deadline=None)
@@ -112,9 +111,6 @@ class TestFormatRoundTrip:
         mapped = CompiledProgram.from_file(path)
         assert mapped.mapped
         assert columns_of(mapped) == columns
-        eager = CompiledProgram.from_file(path, mmap_ok=False)
-        assert not eager.mapped
-        assert columns_of(eager) == columns
 
     def test_v2_blob_is_uncompressed_and_aligned(self):
         program = make_program([([1, 2, 3], [4, 5, 6])])
@@ -181,40 +177,62 @@ class TestCorruption:
         with pytest.raises(TraceDecodeError):
             CompiledProgram.from_bytes(bytes(blob))
 
+    @pytest.mark.parametrize("plant", [
+        v1_bytes,                            # retired RPROTRC1 format
+        lambda p: p.to_bytes()[:-8],         # truncated v2 payload
+    ])
+    def test_bad_blob_in_store_recaptures(self, tmp_path, plant):
+        """One warning, a recapture, the same bytes out, a v2 file after."""
+        cfg = MachineConfig(n_processors=4, cluster_size=2,
+                            cache_kb_per_processor=4)
+        spec = RunRequest.make("lu", 2, 4.0, dict(TINY_SIZES["lu"]))
+        store = TraceStore(tmp_path)
+        clear_memory_cache()
+        want = evaluate_point(spec, cfg,
+                              trace_cache=TraceCache(store)).to_json()
+        (path,) = store.directory.glob("*.trace")
+        path.write_bytes(plant(CompiledProgram.from_bytes(path.read_bytes())))
+
+        clear_memory_cache()
+        cache = TraceCache(store)
+        with pytest.warns(UserWarning,
+                          match="corrupt compiled trace") as caught:
+            got = evaluate_point(spec, cfg, trace_cache=cache)
+        assert len(caught) == 1
+        assert cache.misses == 1 and cache.disk_hits == 0
+        assert got.to_json() == want
+        assert path.read_bytes()[:8] == b"RPROTRC2"
+        clear_memory_cache()
+
 
 class TestReplayIdentity:
-    """Mapped replay is byte-identical to materialized, all nine apps."""
+    """Mapped replay is byte-identical to array-backed, all nine apps."""
 
     @pytest.mark.parametrize("name", sorted(TINY_SIZES))
-    def test_mapped_vs_materialized(self, name, tmp_path, monkeypatch):
+    def test_mapped_vs_materialized(self, name, tmp_path):
         cfg = MachineConfig(n_processors=4, cluster_size=2,
                             cache_kb_per_processor=4)
         spec = RunRequest.make(name, 2, 4.0, dict(TINY_SIZES[name]))
         store = TraceStore(tmp_path)
 
-        monkeypatch.setenv(ENV_TRACE_MMAP, "0")
-        clear_memory_cache()
-        captured = evaluate_point(spec, cfg,
-                                  trace_cache=TraceCache(store)).to_json()
+        # the capture pass replays the freshly compiled, array-backed
+        # program (plain-list runtime columns)
         clear_memory_cache()
         materialized = evaluate_point(spec, cfg,
                                       trace_cache=TraceCache(store))
+        assert trace_cache_info()["mapped_entries"] == 0
 
-        monkeypatch.setenv(ENV_TRACE_MMAP, "1")
         clear_memory_cache()
         cache = TraceCache(store)
         mapped = evaluate_point(spec, cfg, trace_cache=cache)
         assert cache.disk_hits == 1  # really served from the v2 blob
-        info = trace_cache_info()
-        assert info["mapped_entries"] == 1
+        assert trace_cache_info()["mapped_entries"] == 1
 
-        assert mapped.to_json() == materialized.to_json() == captured
+        assert mapped.to_json() == materialized.to_json()
         clear_memory_cache()
 
-    def test_capture_pass_equals_mapped_disk_pass(self, tmp_path,
-                                                  monkeypatch):
+    def test_capture_pass_equals_mapped_disk_pass(self, tmp_path):
         """The first (capture) pass and a later mapped pass agree."""
-        monkeypatch.setenv(ENV_TRACE_MMAP, "1")
         cfg = MachineConfig(n_processors=4, cluster_size=2)
         spec = RunRequest.make("lu", 2, None, dict(TINY_SIZES["lu"]))
         store = TraceStore(tmp_path)
@@ -261,9 +279,7 @@ class TestByteBudget:
         assert trace_cache_info()["entries"] == 1
         clear_memory_cache()
 
-    def test_mapped_entry_is_nearly_free(self, cfg4, tmp_path,
-                                         monkeypatch):
-        monkeypatch.setenv(ENV_TRACE_MMAP, "1")
+    def test_mapped_entry_is_nearly_free(self, cfg4, tmp_path):
         program = capture("lu", cfg4)
         store = TraceStore(tmp_path)
         key = trace_key("lu", TINY_SIZES["lu"], cfg4, 12345)
@@ -291,48 +307,54 @@ class TestByteBudget:
         clear_memory_cache()
 
 
+#: one paper-scale point against a trace store, in a process of its own
+#: (``ru_maxrss`` is a process-lifetime high-water mark); argv[1] is the
+#: store root.  The first run captures, every later run maps the blob.
+_LU512_CHILD = """
+import json, resource, sys
+from repro.core.config import MachineConfig
+from repro.core.executor import evaluate_point
+from repro.core.resultcache import TraceStore
+from repro.runtime import RunRequest
+from repro.sim.compiled import TraceCache
+
+cache = TraceCache(TraceStore(sys.argv[1]))
+spec = RunRequest.make("lu", 4, 4.0, {"n": 512, "block": 16})
+result = evaluate_point(spec, MachineConfig(n_processors=64),
+                        trace_cache=cache)
+print(json.dumps({
+    "result": result.to_json(), "disk_hits": cache.disk_hits,
+    "maxrss_kb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss}))
+"""
+
+
 @pytest.mark.medium
 class TestPaperScale:
     """Paper-scale smoke: the workload the streaming layer exists for."""
 
     def test_lu_512_mapped_replay_bounded_rss(self, tmp_path):
-        """512x512 LU replays through the mapping under a firm RSS lid.
+        """512x512 LU replays through the mapping under a firm RSS lid."""
+        env = os.environ.copy()
+        env["PYTHONPATH"] = str(Path(__file__).resolve().parent.parent / "src")
+        env["REPRO_NATIVE"] = "0"
 
-        Capture and measurement run in fresh child processes because
-        ``ru_maxrss`` is a process-lifetime high-water mark; the mapped
-        child must stay under an absolute ceiling *and* under the
-        materialized child's peak.
-        """
-        payload = {"app": "lu", "cluster_size": 4, "cache_kb": 4.0,
-                   "kwargs": {"n": 512, "block": 16}, "n_processors": 64,
-                   "store_dir": str(tmp_path), "mode": "capture"}
-
-        def child(payload, mmap_flag):
-            env = os.environ.copy()
-            env["PYTHONPATH"] = str(
-                Path(__file__).resolve().parent.parent / "src")
-            env["REPRO_TRACE_MMAP"] = mmap_flag
-            env["REPRO_NATIVE"] = "0"
+        def child():
             proc = subprocess.run(
-                [sys.executable, "-m", "repro.core.bench", "--trace-child",
-                 json.dumps(payload)],
+                [sys.executable, "-c", _LU512_CHILD, str(tmp_path)],
                 capture_output=True, text=True, env=env, check=True)
             return json.loads(proc.stdout)
 
-        captured = child(payload, "1")
+        captured = child()
+        assert captured["disk_hits"] == 0
         blob = next(Path(tmp_path, "traces").glob("*.trace"))
         assert blob.stat().st_size > 20e6  # genuinely paper-scale
 
-        payload = dict(payload, mode="measure", blob=str(blob))
-        mapped = child(payload, "1")
-        materialized = child(payload, "0")
-
-        assert mapped["result"] == materialized["result"] \
-            == captured["result"]
+        mapped = child()
+        assert mapped["disk_hits"] == 1
+        assert mapped["result"] == captured["result"]
         # the mapped child never boxes the whole trace: firm absolute
         # ceiling (the trace alone is ~46 MB; boxing it costs hundreds)
         assert mapped["maxrss_kb"] < 250 * 1024
-        assert mapped["maxrss_kb"] < materialized["maxrss_kb"]
 
 
 def test_module_hygiene():

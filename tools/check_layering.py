@@ -10,7 +10,7 @@ pipeline"):
           -> sim
             -> apps
               -> runtime
-                -> core (sweep machinery: executor, study, bench, ...)
+                -> core (sweep machinery: executor, study, ...)
                   -> service (the sweep daemon)
                     -> analysis
                       -> cli
