@@ -54,8 +54,7 @@ from .core.config import (PAPER_CACHE_SIZES_KB, PAPER_CLUSTER_SIZES,
                           PAPER_NETWORK_LOADS, PROTOCOLS, MachineConfig)
 from .core.contention import (PAPER_TABLE5, ExpansionTable,
                               LoadLatencyProfiler, SharedCacheCostModel)
-from .core.executor import (SweepExecutionError, SweepExecutor,
-                            fork_available)
+from .core.executor import SweepExecutionError, SweepExecutor
 from .core.resultcache import ResultCache, TraceStore
 from .core.study import ClusteringStudy, cache_label
 from .core.workingset import knee_of, working_set_curve
@@ -86,12 +85,12 @@ def _base_config(args: argparse.Namespace) -> MachineConfig:
                          protocol=getattr(args, "protocol", "directory"))
 
 
-def _native_selection(args: argparse.Namespace) -> bool | None:
-    """Resolve ``--native/--no-native`` into a kernel selection.
+def _select_native(args: argparse.Namespace) -> None:
+    """Apply ``--native/--no-native`` to the process-wide kernel selection.
 
     Exits 2 on a contradictory pair, and on ``--native`` when the C
     kernel cannot be built — a forced selection must fail up front, not
-    degrade mid-sweep.  Returns ``True``/``False``/``None`` (auto).
+    degrade mid-sweep.  With neither flag the auto-detection stands.
     """
     import os
 
@@ -124,36 +123,26 @@ def _native_selection(args: argparse.Namespace) -> bool | None:
                 os.environ["REPRO_NATIVE"] = prev
             print(f"repro-clustering: --native: {exc}", file=sys.stderr)
             raise SystemExit(2)
-        return True
-    if args.no_native:
-        return False
-    return None
+    elif args.no_native:
+        native.set_native(False)
 
 
 def _executor(args: argparse.Namespace) -> SweepExecutor:
     """One executor per invocation, built from the global flags."""
     executor = getattr(args, "_executor", None)
     if executor is None:
+        _select_native(args)
         cache = None if args.no_cache else ResultCache(args.cache_dir)
         # compiled traces: always at least the in-process LRU; the disk
         # tier (shared with --jobs workers and later invocations) follows
         # the result cache's location and --no-cache switch
         store = None if args.no_cache else TraceStore(args.cache_dir)
         jobs = args.jobs or 1
-        backend = "serial"
-        if jobs > 1:
-            backend = "fork" if args.fork_server else "process"
-        if args.fork_server and not fork_available():
-            print("repro-clustering: --fork-server needs the 'fork' start "
-                  "method, which this platform does not provide",
-                  file=sys.stderr)
-            raise SystemExit(2)
         executor = SweepExecutor(
-            backend=backend,
+            backend="process" if jobs > 1 else "serial",
             max_workers=jobs if jobs > 1 else None,
             timeout=args.timeout, cache=cache,
-            trace_cache=TraceCache(store),
-            native=_native_selection(args))
+            trace_cache=TraceCache(store))
         args._executor = executor
     return executor
 
@@ -477,17 +466,8 @@ def cmd_network(args: argparse.Namespace) -> int:
 
 def cmd_scaling(args: argparse.Namespace) -> int:
     """The §4 pushout study: processor-count scaling, clustered vs not."""
-    import repro.native as native
-
-    from .core.scaling import (SCALING_TIERS, compare_shapes,
-                               scaling_processor_counts, scaling_study)
-
-    selection = _native_selection(args)
-    if selection is not None:
-        native.set_native(selection)
-    result_cache = None if args.no_cache else ResultCache(args.cache_dir)
-    store = None if args.no_cache else TraceStore(args.cache_dir)
-    trace_cache = TraceCache(store)
+    from .core.scaling import (compare_shapes, scaling_processor_counts,
+                               scaling_study)
 
     counts = tuple(args.counts) if args.counts else None
     for c in (counts or scaling_processor_counts(args.tier)):
@@ -496,6 +476,7 @@ def cmd_scaling(args: argparse.Namespace) -> int:
                   f"not divide processor count {c}", file=sys.stderr)
             return 2
 
+    executor = _executor(args)
     rendered: list[str] = []
     studies: list[dict[str, Any]] = []
     status = 0
@@ -504,8 +485,7 @@ def cmd_scaling(args: argparse.Namespace) -> int:
                               cache_kb=args.cache,
                               processor_counts=counts,
                               marginal_threshold=args.threshold,
-                              trace_cache=trace_cache,
-                              result_cache=result_cache)
+                              executor=executor)
         studies.append(study)
         text = render_scaling(study)
         rendered.append(text)
@@ -518,8 +498,7 @@ def cmd_scaling(args: argparse.Namespace) -> int:
                                   cache_kb=args.cache,
                                   processor_counts=counts,
                                   marginal_threshold=args.threshold,
-                                  trace_cache=trace_cache,
-                                  result_cache=result_cache)
+                                  executor=executor)
             studies.append(other)
             shape = compare_shapes(study["speedups_clustered"],
                                    other["speedups_clustered"])
@@ -546,11 +525,6 @@ def cmd_scaling(args: argparse.Namespace) -> int:
         with open(args.json, "w", encoding="utf-8") as fh:
             _json.dump(studies, fh, indent=2, sort_keys=True)
         print(f"study data written to {args.json}")
-    if result_cache is not None:
-        print(f"[result cache: {result_cache.stats()} — "
-              f"{result_cache.directory}]", file=sys.stderr)
-    if trace_cache.hits or trace_cache.misses:
-        print(f"[trace cache: {trace_cache.stats()}]", file=sys.stderr)
     return status
 
 
@@ -686,10 +660,6 @@ def _add_global_options(p: argparse.ArgumentParser, *,
     p.add_argument("--jobs", type=_positive_int, default=dflt(1), metavar="N",
                    help="evaluate sweep points in N worker processes "
                    "(default 1 = serial; results are identical either way)")
-    p.add_argument("--fork-server", action="store_true", default=dflt(False),
-                   help="with --jobs N: fork-server mode — preload compiled "
-                   "traces in the parent, fork workers that inherit them "
-                   "copy-on-write (POSIX only; exits 2 elsewhere)")
     p.add_argument("--native", action="store_true", default=dflt(False),
                    help="force the native C replay kernel (exit 2 when it "
                    "cannot be built; results are byte-identical to the "

@@ -18,7 +18,6 @@ __all__ = [
     "bank_conflict_probability", "banks_for_cluster", "conflict_table",
     "PAPER_TABLE5",
     "working_set_curve", "knee_of", "overlap_benefit", "WorkingSetCurve",
-    "residency_profile", "occupancy_skew",
     "ScalingCurve", "ScalingPoint", "scaling_curve", "effective_processors",
     "pushout",
 ]
@@ -31,6 +30,5 @@ from .resultcache import ResultCache, TraceStore
 from .scaling import (ScalingCurve, ScalingPoint, effective_processors,
                       pushout, scaling_curve)
 from .study import ClusteringStudy, SweepPoint, cache_label, normalize_sweep
-from .workingset import (WorkingSetCurve, knee_of, occupancy_skew,
-                         overlap_benefit, residency_profile,
+from .workingset import (WorkingSetCurve, knee_of, overlap_benefit,
                          working_set_curve)

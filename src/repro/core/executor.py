@@ -10,14 +10,10 @@ a pluggable backend:
 * ``serial``  — in-process, point after point (the default; identical to
   the historical behaviour of :class:`~repro.core.study.ClusteringStudy`);
 * ``process`` — fan-out over a ``concurrent.futures.ProcessPoolExecutor``
-  with ``max_workers`` control and a per-point ``timeout``;
-* ``fork``    — the process backend in **fork-server mode** (Linux/POSIX
-  only): the pool is created with the ``multiprocessing`` *fork* start
-  method after the parent has preloaded every disk-resident compiled
-  trace — decoded programs **and** their materialised replay columns —
-  into the process-wide LRU, so workers inherit warm state copy-on-write
-  instead of each re-reading and re-decompressing the on-disk
-  :class:`~repro.core.resultcache.TraceStore` per point.
+  with ``max_workers`` control and a per-point ``timeout``.  Workers map
+  compiled traces from the shared on-disk
+  :class:`~repro.core.resultcache.TraceStore` themselves; every process
+  mapping a blob shares its page-cache pages.
 
 Guarantees:
 
@@ -30,10 +26,11 @@ Guarantees:
   raise :class:`SweepExecutionError` via :func:`raise_failures`.
 * **Transparent memoization** — with a
   :class:`~repro.core.resultcache.ResultCache` attached, finished points
-  are served from disk and fresh points are written back, keyed by content
-  hash of (version, app, kwargs, full machine config).
+  are served from disk and fresh points are written back **as each one
+  completes** (an interrupted sweep keeps every point that finished),
+  keyed by content hash of (version, app, kwargs, full machine config).
 * **Trace reuse** — points are evaluated through the compiled-trace layer
-  (:mod:`repro.sim.compiled`) by default: the app's reference stream is
+  (:mod:`repro.sim.compiled`): the app's reference stream is
   captured once per (app, kwargs, seed, processor-count/line-size) and
   replayed at every other point of the grid — cluster size, cache size,
   and network model do not invalidate it.  Replay is bit-identical to
@@ -50,10 +47,12 @@ from concurrent.futures import Future, ProcessPoolExecutor, ThreadPoolExecutor
 from concurrent.futures import TimeoutError as _FuturesTimeout
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Iterable, Sequence
+from typing import (TYPE_CHECKING, Any, Callable, Iterable, Iterator,
+                    Sequence)
 
 from ..runtime.hooks import RunObserver
 from ..runtime.plan import RunRequest
+from ..runtime.session import RunSession
 from .config import MachineConfig
 from .metrics import RunResult
 from .resultcache import ResultCache
@@ -62,18 +61,10 @@ if TYPE_CHECKING:  # pragma: no cover
     from ..sim.compiled import TraceCache
 
 __all__ = ["BACKENDS", "PointOutcome", "SweepExecutor",
-           "SweepExecutionError", "evaluate_point", "fork_available",
-           "raise_failures"]
+           "SweepExecutionError", "raise_failures"]
 
 #: the recognised execution backends
-BACKENDS = ("serial", "process", "fork")
-
-
-def fork_available() -> bool:
-    """Whether the ``fork`` backend can run on this platform."""
-    import multiprocessing
-
-    return "fork" in multiprocessing.get_all_start_methods()
+BACKENDS = ("serial", "process")
 
 
 #: what ``run``/``run_one``/``submit_one`` raise for anything that is not
@@ -115,39 +106,17 @@ class SweepExecutionError(RuntimeError):
         super().__init__("\n".join(lines))
 
 
-def evaluate_point(spec: RunRequest, base_config: MachineConfig,
-                   trace_cache: "TraceCache | None" = None,
-                   use_compiled: bool = True,
-                   observer: RunObserver | None = None) -> RunResult:
-    """Run one point to completion (the process-pool worker function).
-
-    Builds a fresh application instance so every configuration solves the
-    identical, deterministically-seeded problem.  With ``use_compiled``
-    (the default) the reference stream is captured into a
-    :class:`~repro.sim.compiled.CompiledProgram` and replayed — served from
-    ``trace_cache`` when one is attached, so grid neighbours sharing the
-    same stream skip generation entirely.  Setup always runs: data
-    placement depends on cluster geometry even though the stream does not.
-
-    This is a thin wrapper over the canonical
-    :class:`~repro.runtime.session.RunSession` pipeline; it exists so the
-    process-pool workers have a picklable module-level entry point.
-    """
-    from ..runtime.session import RunSession  # deferred: avoids import cycle
-
-    session = RunSession(base_config=base_config, trace_cache=trace_cache,
-                         use_compiled=use_compiled, observer=observer)
-    return session.run(spec)
-
-
 def _evaluate_timed(spec: RunRequest, base_config: MachineConfig,
                     trace_cache: "TraceCache | None" = None,
-                    use_compiled: bool = True,
                     observer: RunObserver | None = None
                     ) -> tuple[RunResult, float]:
+    """One point through :class:`RunSession`, timed.
+
+    Module-level so the process pool can pickle it by import path.
+    """
     t0 = time.perf_counter()
-    result = evaluate_point(spec, base_config, trace_cache, use_compiled,
-                            observer)
+    result = RunSession(base_config, trace_cache,
+                        observer=observer).run(spec)
     return result, time.perf_counter() - t0
 
 
@@ -165,13 +134,11 @@ class SweepExecutor:
     Parameters
     ----------
     backend:
-        ``"serial"`` (default), ``"process"``, or ``"fork"`` (the process
-        backend in fork-server mode — POSIX only; the first ``run`` call
-        preloads disk-resident traces in the parent, then forks workers
-        that inherit them copy-on-write).
+        ``"serial"`` (default) or ``"process"``.
     max_workers:
         Process-pool width; ``None`` lets the pool pick (CPU count).
-        Ignored by the serial backend.
+        Under the serial backend it is the width of
+        :meth:`submit_one`'s thread pool (``None`` = 1).
     timeout:
         Per-point wall-clock limit in seconds.  Enforced by the process
         backend (a late point becomes an error outcome, the rest of the
@@ -186,28 +153,20 @@ class SweepExecutor:
         ``None`` (the default) builds an LRU-only cache — traces are
         reused within the process but not persisted; pass a
         :class:`~repro.core.resultcache.TraceStore`-backed cache to share
-        across processes and invocations.  Ignored when ``use_compiled``
-        is off.
-    use_compiled:
-        Evaluate points by compiled-trace replay (default).  Off = drive
-        the generators directly on every point, the historical behaviour
-        (bit-identical, only slower).
+        across processes and invocations.
     observer:
         Optional :class:`~repro.runtime.hooks.RunObserver` attached to
         every in-process evaluation (serial backend and
         :meth:`submit_one`'s thread path).  Worker *processes* never see
         it — hook state could not come back across the pickle boundary —
-        so the process/fork backends ignore it.  Observed runs are
+        so the process backend ignores it.  Observed runs are
         bit-identical to detached ones (the runtime parity suite pins
         this), so attaching a counter or timer never perturbs results.
-    native:
-        Replay-kernel selection (the CLI's ``--native/--no-native``):
-        ``True`` forces the native C kernel (raising up front when it
-        cannot be built), ``False`` forces pure python, ``None`` (the
-        default) leaves the process-wide auto-detection — native when a
-        compiler or cached artifact exists — untouched.  The selection
-        is written to the ``REPRO_NATIVE`` environment variable so
-        process/fork workers inherit it.  Byte-identical either way.
+
+    The replay kernel is not an executor setting: select it process-wide
+    with :func:`repro.native.set_native` (the CLI's
+    ``--native/--no-native``), which pool workers inherit through the
+    ``REPRO_NATIVE`` environment variable.
     """
 
     backend: str = "serial"
@@ -215,17 +174,16 @@ class SweepExecutor:
     timeout: float | None = None
     cache: ResultCache | None = field(default=None, repr=False)
     trace_cache: "TraceCache | None" = field(default=None, repr=False)
-    use_compiled: bool = True
     observer: RunObserver | None = field(default=None, repr=False)
-    native: bool | None = None
     # the process pool outlives individual run() calls: worker startup
     # (interpreter + numpy import) costs ~1s, which would otherwise be
     # paid again by every figure's sweep in a multi-figure command
     _pool: ProcessPoolExecutor | None = field(default=None, init=False,
                                               repr=False, compare=False)
     # lazily-created thread pool backing submit_one() under the serial
-    # backend: the simulator is pure python (GIL-bound), so threads add
-    # no parallelism — they exist to give callers a non-blocking handle
+    # backend.  It gives callers a non-blocking handle; python replay is
+    # GIL-bound, but ctypes releases the GIL for the whole repro_replay
+    # call, so native points can overlap on a pool wider than 1
     _threads: ThreadPoolExecutor | None = field(default=None, init=False,
                                                 repr=False, compare=False)
 
@@ -233,21 +191,11 @@ class SweepExecutor:
         if self.backend not in BACKENDS:
             raise ValueError(
                 f"unknown backend {self.backend!r}; choose from {BACKENDS}")
-        if self.backend == "fork" and not fork_available():
-            raise ValueError(
-                "the fork backend needs the 'fork' start method, which this "
-                "platform does not provide; use backend='process'")
         if self.max_workers is not None and self.max_workers < 1:
             raise ValueError("max_workers must be positive or None")
         if self.timeout is not None and self.timeout <= 0:
             raise ValueError("timeout must be positive or None")
-        if self.native is not None:
-            import repro.native as _native  # deferred: keep import light
-
-            _native.set_native(self.native)
-            if self.native:
-                _native.kernel()  # force-on must fail here, not mid-sweep
-        if self.use_compiled and self.trace_cache is None:
+        if self.trace_cache is None:
             from ..sim.compiled import TraceCache  # deferred: import cycle
 
             self.trace_cache = TraceCache()
@@ -258,21 +206,45 @@ class SweepExecutor:
         """Evaluate every spec; outcomes come back in input order.
 
         Cache hits are resolved up front; only misses are dispatched to the
-        backend.  Identical pending specs are evaluated once — the first
-        occurrence runs, the duplicates share its :class:`RunResult`
+        backend, and each fresh result is written back as soon as its
+        point completes.  Identical pending specs are evaluated once — the
+        first occurrence runs, the duplicates share its :class:`RunResult`
         object (``elapsed`` 0.0).  A point that raises (or times out
         under the process backend) produces an error outcome instead of
         aborting the sweep.
         """
+        evaluate = (self._each_pooled if self.backend == "process"
+                    else self._each_serial)
+        return self._memoized(list(specs), base_config, evaluate)
+
+    def run_one(self, spec: RunRequest,
+                base_config: MachineConfig | None = None) -> PointOutcome:
+        """Evaluate a single point (always in-process, still cached)."""
+        return self._memoized([spec], base_config, self._each_serial)[0]
+
+    def _memoized(self, specs: list[RunRequest],
+                  base_config: MachineConfig | None,
+                  evaluate: Callable[..., Iterator[tuple[int, PointOutcome]]]
+                  ) -> list[PointOutcome]:
+        """validate → cache-get → dedupe → evaluate → put, in input order.
+
+        ``evaluate(specs, indices, base)`` yields ``(index, outcome)`` as
+        each point finishes; the result cache is written inside that
+        loop, so whatever finished before an interrupt stays cached.
+        """
         base = base_config or MachineConfig()
-        specs = list(specs)
         for spec in specs:
             if not isinstance(spec, RunRequest):
                 raise TypeError(_NOT_A_REQUEST.format(spec))
         outcomes: list[PointOutcome | None] = [None] * len(specs)
-        keys: list[str | None] = [None] * len(specs)
-
-        pending: list[int] = []
+        keys: dict[int, str] = {}
+        # dedupe before submission: RunRequest is frozen and hashable, so
+        # two identical specs in one sweep (same app, geometry, kwargs,
+        # network) collapse into one evaluation even with the result
+        # cache off; only unique points reach the backend
+        primary_of: dict[RunRequest, int] = {}
+        duplicate_of: dict[int, int] = {}
+        unique: list[int] = []
         for i, spec in enumerate(specs):
             if self.cache is not None:
                 keys[i] = self.cache.key(spec.app, spec.kwargs,
@@ -281,81 +253,62 @@ class SweepExecutor:
                 if hit is not None:
                     outcomes[i] = PointOutcome(spec, result=hit, cached=True)
                     continue
-            pending.append(i)
-
-        # dedupe before submission: RunRequest is frozen and hashable, so
-        # two identical specs in one sweep (same app, geometry, kwargs,
-        # network) collapse into one evaluation even with the result
-        # cache off; only unique points reach the backend
-        primary_of: dict[RunRequest, int] = {}
-        duplicate_of: dict[int, int] = {}
-        unique: list[int] = []
-        for i in pending:
-            j = primary_of.setdefault(specs[i], i)
+            j = primary_of.setdefault(spec, i)
             if j == i:
                 unique.append(i)
             else:
                 duplicate_of[i] = j
 
-        if unique:
-            if self.backend == "fork":
-                # fork-server mode: warm the trace LRU before the pool
-                # exists so the forked workers inherit it copy-on-write
-                if self._pool is None:
-                    self.preload_traces([specs[i] for i in unique], base)
-                self._run_process(specs, unique, base, outcomes)
-            elif self.backend == "process":
-                self._run_process(specs, unique, base, outcomes)
-            else:
-                self._run_serial(specs, unique, base, outcomes)
+        for i, outcome in evaluate(specs, unique, base):
+            outcomes[i] = outcome
+            if self.cache is not None and outcome.result is not None:
+                self.cache.put(keys[i], outcome.result)
 
         for i, j in duplicate_of.items():
             src = outcomes[j]
-            if src is not None:
-                outcomes[i] = PointOutcome(specs[i], result=src.result,
-                                           error=src.error, cached=src.cached,
-                                           elapsed=0.0)
-
-        if self.cache is not None:
-            for i in unique:
-                out = outcomes[i]
-                if out is not None and out.ok and out.result is not None:
-                    self.cache.put(keys[i], out.result)
-        return [o for o in outcomes if o is not None]
-
-    def run_one(self, spec: RunRequest,
-                base_config: MachineConfig | None = None) -> PointOutcome:
-        """Evaluate a single point (always serial, still cached)."""
-        base = base_config or MachineConfig()
-        if not isinstance(spec, RunRequest):
-            raise TypeError(_NOT_A_REQUEST.format(spec))
-        key = None
-        if self.cache is not None:
-            key = self.cache.key(spec.app, spec.kwargs,
-                                 spec.config_for(base))
-            hit = self.cache.get(key)
-            if hit is not None:
-                return PointOutcome(spec, result=hit, cached=True)
-        outcome = self._evaluate_isolated(spec, base)
-        if key is not None and outcome.ok and outcome.result is not None:
-            self.cache.put(key, outcome.result)
-        return outcome
+            outcomes[i] = PointOutcome(specs[i], result=src.result,
+                                       error=src.error)
+        return outcomes
 
     # ------------------------------------------------------------- backends
-    def _evaluate_isolated(self, spec: RunRequest,
-                           base: MachineConfig) -> PointOutcome:
-        try:
-            result, elapsed = _evaluate_timed(spec, base, self.trace_cache,
-                                              self.use_compiled, self.observer)
-        except Exception:
-            return PointOutcome(spec, error=traceback.format_exc())
-        return PointOutcome(spec, result=result, elapsed=elapsed)
+    def _each_serial(self, specs: list[RunRequest], indices: list[int],
+                     base: MachineConfig
+                     ) -> Iterator[tuple[int, PointOutcome]]:
+        for i in indices:
+            try:
+                result, elapsed = _evaluate_timed(
+                    specs[i], base, self.trace_cache, self.observer)
+            except Exception:
+                yield i, PointOutcome(specs[i], error=traceback.format_exc())
+            else:
+                yield i, PointOutcome(specs[i], result=result,
+                                      elapsed=elapsed)
 
-    def _run_serial(self, specs: list[RunRequest], pending: list[int],
-                    base: MachineConfig,
-                    outcomes: list[PointOutcome | None]) -> None:
-        for i in pending:
-            outcomes[i] = self._evaluate_isolated(specs[i], base)
+    def _each_pooled(self, specs: list[RunRequest], indices: list[int],
+                     base: MachineConfig
+                     ) -> Iterator[tuple[int, PointOutcome]]:
+        pool = self._process_pool()
+        # the TraceCache pickles cheaply (the LRU is module state, the
+        # store carries only a path); each worker re-hydrates its own
+        # in-memory tier and shares compilations with siblings via disk
+        futures = {i: pool.submit(_evaluate_timed, specs[i], base,
+                                  self.trace_cache)
+                   for i in indices}
+        for i, future in futures.items():
+            try:
+                result, elapsed = future.result(timeout=self.timeout)
+            except _FuturesTimeout:
+                future.cancel()
+                yield i, PointOutcome(
+                    specs[i], error=f"timed out after {self.timeout:g}s")
+            except Exception as exc:
+                if isinstance(exc, BrokenProcessPool):
+                    # a dead worker poisons the pool; reopen it next run
+                    self.close()
+                yield i, PointOutcome(specs[i], error=self._exc_text(exc))
+            else:
+                yield i, PointOutcome(specs[i], result=result,
+                                      elapsed=elapsed)
 
     def submit_one(self, spec: RunRequest,
                    base_config: MachineConfig | None = None
@@ -365,8 +318,8 @@ class SweepExecutor:
         The async-friendly single-point API (the sweep-service daemon's
         execution path): the returned :class:`concurrent.futures.Future`
         always resolves to a :class:`PointOutcome` — evaluation failures
-        become error outcomes, never exceptions on the future.  Process
-        and fork backends submit to the shared worker pool; the serial
+        become error outcomes, never exceptions on the future.  The
+        process backend submits to the shared worker pool; the serial
         backend runs on a lazily-created thread (same process, so an
         attached :attr:`observer` hears the run).
 
@@ -380,14 +333,13 @@ class SweepExecutor:
             raise TypeError(_NOT_A_REQUEST.format(spec))
         out: "Future[PointOutcome]" = Future()
         try:
-            if self.backend in ("process", "fork"):
+            if self.backend == "process":
                 inner = self._process_pool().submit(
-                    _evaluate_timed, spec, base, self.trace_cache,
-                    self.use_compiled)
+                    _evaluate_timed, spec, base, self.trace_cache)
             else:
                 inner = self._thread_pool().submit(
                     _evaluate_timed, spec, base, self.trace_cache,
-                    self.use_compiled, self.observer)
+                    self.observer)
         except Exception as exc:  # e.g. submitting to an already-broken pool
             if isinstance(exc, BrokenProcessPool):
                 self.close()
@@ -444,41 +396,6 @@ class SweepExecutor:
     def __exit__(self, *exc_info: Any) -> None:
         self.close()
 
-    def preload_traces(self, specs: Iterable[RunRequest],
-                       base_config: MachineConfig | None = None) -> int:
-        """Warm the in-memory trace tier for ``specs`` in *this* process.
-
-        Fork-server preparation: resolves each spec's trace key, pulls
-        every disk-resident compiled program into the process-wide LRU
-        (:meth:`TraceCache.preload` — no hit/miss accounting) and
-        materialises its replay columns, so a pool forked afterwards
-        inherits ready-to-replay traces copy-on-write.  Traces that are
-        neither in memory nor on disk are left for the workers to compile
-        on demand — preloading never generates streams.  Returns the
-        number of programs made resident.
-        """
-        if not self.use_compiled or self.trace_cache is None:
-            return 0
-        from ..apps.registry import build_app  # deferred: import cycle
-        from ..sim.compiled import trace_key  # deferred: import cycle
-
-        base = base_config or MachineConfig()
-        seen: set[str] = set()
-        resident = 0
-        for spec in specs:
-            config = spec.config_for(base)
-            app = build_app(spec.app, config, **spec.kwargs)
-            key = trace_key(spec.app, spec.kwargs, config, app.seed,
-                            stream_invariant=app.stream_invariant)
-            if key in seen:
-                continue
-            seen.add(key)
-            program = self.trace_cache.preload(key)
-            if program is not None:
-                program.runtime_columns()
-                resident += 1
-        return resident
-
     def _thread_pool(self) -> ThreadPoolExecutor:
         if self._threads is None:
             self._threads = ThreadPoolExecutor(
@@ -488,39 +405,5 @@ class SweepExecutor:
 
     def _process_pool(self) -> ProcessPoolExecutor:
         if self._pool is None:
-            mp_context = None
-            if self.backend == "fork":
-                import multiprocessing
-
-                mp_context = multiprocessing.get_context("fork")
-            self._pool = ProcessPoolExecutor(max_workers=self.max_workers,
-                                             mp_context=mp_context)
+            self._pool = ProcessPoolExecutor(max_workers=self.max_workers)
         return self._pool
-
-    def _run_process(self, specs: list[RunRequest], pending: list[int],
-                     base: MachineConfig,
-                     outcomes: list[PointOutcome | None]) -> None:
-        pool = self._process_pool()
-        # the TraceCache pickles cheaply (the LRU is module state, the
-        # store carries only a path); each worker re-hydrates its own
-        # in-memory tier and shares compilations with siblings via disk
-        futures = {i: pool.submit(_evaluate_timed, specs[i], base,
-                                  self.trace_cache, self.use_compiled)
-                   for i in pending}
-        for i, future in futures.items():
-            try:
-                result, elapsed = future.result(timeout=self.timeout)
-            except _FuturesTimeout:
-                future.cancel()
-                outcomes[i] = PointOutcome(
-                    specs[i],
-                    error=f"timed out after {self.timeout:g}s")
-            except Exception as exc:
-                if isinstance(exc, BrokenProcessPool):
-                    # a dead worker poisons the pool; reopen it next run
-                    self.close()
-                outcomes[i] = PointOutcome(specs[i],
-                                           error=self._exc_text(exc))
-            else:
-                outcomes[i] = PointOutcome(specs[i], result=result,
-                                           elapsed=elapsed)

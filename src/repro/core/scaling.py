@@ -17,12 +17,11 @@ processor count with and without clustering and compare
 If the paper's claim holds, the clustered machine's speedup curve rolls
 over later — its effective processor count is ≥ the unclustered one.
 
-Every point runs through the canonical
-:class:`~repro.runtime.session.RunSession` pipeline, so scaling curves get
-compiled-trace replay, the shared trace cache (one capture per processor
-count serves the clustered *and* unclustered curve of a stream-invariant
-app), memory-mapped paper-scale traces, the native C kernel when selected,
-and optional :class:`~repro.core.resultcache.ResultCache` memoization —
+Every point runs through a :class:`~repro.core.executor.SweepExecutor`,
+so scaling curves get compiled-trace replay, the shared trace cache (one
+capture per processor count serves the clustered *and* unclustered curve
+of a stream-invariant app), memory-mapped paper-scale traces, the native
+C kernel when selected, result-cache memoization and ``--jobs`` fan-out —
 exactly like every other entry layer.
 
 :func:`scaling_study` packages the sweep into the repo's three problem
@@ -37,17 +36,13 @@ how well a cheap tier's speedup-curve *shape* tracks an expensive one's
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Mapping, Sequence
+from typing import Any, Mapping, Sequence
 
 from ..apps.registry import (APP_NAMES, PAPER_PROBLEM_SIZES,
                              QUICK_PROBLEM_SIZES)
 from ..runtime.plan import RunRequest
-from ..runtime.session import RunSession
 from .config import MachineConfig
-
-if TYPE_CHECKING:  # pragma: no cover
-    from ..sim.compiled import TraceCache
-    from .resultcache import ResultCache
+from .executor import SweepExecutor, raise_failures
 
 __all__ = ["ScalingPoint", "ScalingCurve", "scaling_curve",
            "effective_processors", "pushout", "scaling_study",
@@ -141,23 +136,26 @@ class ScalingCurve:
                 for p in sorted(self.points, key=lambda p: p.n_processors)}
 
 
-def _run_point(request: RunRequest, n_processors: int,
-               trace_cache: "TraceCache | None",
-               result_cache: "ResultCache | None") -> int:
-    """One scaling point through the canonical pipeline; returns T(P)."""
-    session = RunSession(base_config=MachineConfig(n_processors=n_processors),
-                         trace_cache=trace_cache)
-    plan = session.resolve(request)
-    key = None
-    if result_cache is not None:
-        key = result_cache.key(request.app, request.kwargs, plan.config)
-        cached = result_cache.get(key)
-        if cached is not None:
-            return cached.execution_time
-    result = session.run_plan(plan).result
-    if result_cache is not None:
-        result_cache.put(key, result)
-    return result.execution_time
+def _curves(app: str, processor_counts: Sequence[int],
+            cluster_sizes: Sequence[int], cache_kb: float | None,
+            app_kwargs: dict[str, Any] | None,
+            executor: SweepExecutor | None) -> list[ScalingCurve]:
+    """One T(P) curve per cluster size; each P is one executor sweep."""
+    if executor is None:
+        executor = SweepExecutor()
+    specs = [RunRequest.make(app, c, cache_kb, app_kwargs)
+             for c in cluster_sizes]
+    curves = [ScalingCurve(app, c) for c in cluster_sizes]
+    for n in processor_counts:
+        for c in cluster_sizes:
+            if n % c:
+                raise ValueError(f"cluster size {c} does not divide P={n}")
+        outcomes = executor.run(specs, MachineConfig(n_processors=n))
+        raise_failures(outcomes)
+        for curve, outcome in zip(curves, outcomes):
+            curve.points.append(
+                ScalingPoint(n, outcome.result.execution_time))
+    return curves
 
 
 def scaling_curve(app: str, processor_counts: Sequence[int],
@@ -165,34 +163,21 @@ def scaling_curve(app: str, processor_counts: Sequence[int],
                   cache_kb: float | None = None,
                   app_kwargs: dict[str, Any] | None = None,
                   seed: int = 12345, *,
-                  trace_cache: "TraceCache | None" = None,
-                  result_cache: "ResultCache | None" = None) -> ScalingCurve:
+                  executor: SweepExecutor | None = None) -> ScalingCurve:
     """Measure T(P) for a fixed problem at one cluster size.
 
     ``cluster_size`` must divide every entry of ``processor_counts``.
     The same seed builds the identical problem at every point.  Points
-    run through :class:`~repro.runtime.session.RunSession`; pass a
-    ``trace_cache`` to share compiled streams with other curves of the
-    same study (a stream-invariant app captures once per processor count
-    and replays at every cluster size) and a ``result_cache`` to memoize
-    finished points across invocations.
+    run through ``executor`` (default: a serial, uncached
+    :class:`~repro.core.executor.SweepExecutor`); pass one to share its
+    trace cache with other curves of the same study, memoize finished
+    points in its result cache, or fan out over worker processes.
     """
     kwargs = dict(app_kwargs or {})
     if seed != _DEFAULT_SEED:
         kwargs["seed"] = seed
-    if trace_cache is None:
-        from ..sim.compiled import TraceCache
-        trace_cache = TraceCache()
-    request = RunRequest.make(app, cluster_size, cache_kb, kwargs)
-    curve = ScalingCurve(app, cluster_size)
-    for n in processor_counts:
-        if n % cluster_size:
-            raise ValueError(
-                f"cluster size {cluster_size} does not divide P={n}")
-        curve.points.append(
-            ScalingPoint(n, _run_point(request, n, trace_cache,
-                                       result_cache)))
-    return curve
+    return _curves(app, processor_counts, [cluster_size], cache_kb, kwargs,
+                   executor)[0]
 
 
 def effective_processors(curve: ScalingCurve,
@@ -219,24 +204,17 @@ def pushout(app: str, processor_counts: Sequence[int], cluster_size: int,
             cache_kb: float | None = None,
             app_kwargs: dict[str, Any] | None = None,
             marginal_threshold: float = 1.15, *,
-            trace_cache: "TraceCache | None" = None,
-            result_cache: "ResultCache | None" = None,
-            ) -> dict[str, Any]:
+            executor: SweepExecutor | None = None) -> dict[str, Any]:
     """The §4 claim, quantified: unclustered vs clustered scaling.
 
     Returns both curves' speedups and effective processor counts.  The
-    two curves share one trace cache, so each processor count of a
-    stream-invariant app is captured once and replayed clustered.
+    flat and the clustered point of each processor count go to
+    ``executor`` as one sweep, so they share one trace cache (each
+    processor count of a stream-invariant app is captured once and
+    replayed clustered) and run side by side under ``--jobs``.
     """
-    if trace_cache is None:
-        from ..sim.compiled import TraceCache
-        trace_cache = TraceCache()
-    flat = scaling_curve(app, processor_counts, 1, cache_kb, app_kwargs,
-                         trace_cache=trace_cache, result_cache=result_cache)
-    clustered = scaling_curve(app, processor_counts, cluster_size,
-                              cache_kb, app_kwargs,
-                              trace_cache=trace_cache,
-                              result_cache=result_cache)
+    flat, clustered = _curves(app, processor_counts, [1, cluster_size],
+                              cache_kb, app_kwargs, executor)
     return {
         "app": app,
         "cluster_size": cluster_size,
@@ -254,9 +232,7 @@ def scaling_study(app: str, tier: str = "quick", cluster_size: int = 4,
                   cache_kb: float | None = None,
                   processor_counts: Sequence[int] | None = None,
                   marginal_threshold: float = 1.15, *,
-                  trace_cache: "TraceCache | None" = None,
-                  result_cache: "ResultCache | None" = None,
-                  ) -> dict[str, Any]:
+                  executor: SweepExecutor | None = None) -> dict[str, Any]:
     """The full §4 pushout study for one app at one problem tier.
 
     A :func:`pushout` run at the tier's preset problem size and
@@ -267,8 +243,7 @@ def scaling_study(app: str, tier: str = "quick", cluster_size: int = 4,
         else scaling_processor_counts(tier)
     problem = scaling_problem(app, tier)
     study = pushout(app, counts, cluster_size, cache_kb, problem,
-                    marginal_threshold, trace_cache=trace_cache,
-                    result_cache=result_cache)
+                    marginal_threshold, executor=executor)
     study["tier"] = tier
     study["problem"] = problem
     study["cache_kb"] = cache_kb

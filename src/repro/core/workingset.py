@@ -26,8 +26,7 @@ from .executor import SweepExecutor
 from .study import CacheKey, ClusteringStudy
 
 __all__ = ["WorkingSetPoint", "WorkingSetCurve", "working_set_curve",
-           "knee_of", "overlap_benefit", "residency_profile",
-           "occupancy_skew", "DEFAULT_WS_SIZES_KB"]
+           "knee_of", "overlap_benefit", "DEFAULT_WS_SIZES_KB"]
 
 #: log-spaced per-processor cache sizes probed by default (KB; None = inf)
 DEFAULT_WS_SIZES_KB: tuple[CacheKey, ...] = (1, 2, 4, 8, 16, 32, 64, None)
@@ -116,50 +115,6 @@ def knee_of(curve: WorkingSetCurve, tolerance: float = 0.10) -> CacheKey:
         if p.miss_rate <= ceiling:
             return p.cache_kb
     return None
-
-
-def residency_profile(app: str, cache_kb: float,
-                      associativity: int | None = None,
-                      cluster_size: int = 1,
-                      base_config: MachineConfig | None = None,
-                      app_kwargs: dict[str, Any] | None = None,
-                      ) -> list[list[list[int]]]:
-    """End-of-run cache residency, per cluster and per set.
-
-    Runs the application once and snapshots every cluster cache via
-    ``resident_lines_by_set()`` — ``result[cluster][set_index]`` is that
-    set's resident lines in LRU → MRU order (a fully associative cache
-    reports one pseudo-set).  Feed per-cluster snapshots to
-    :func:`occupancy_skew` to quantify conflict pressure under the
-    set-associative extension: capacity pressure fills sets evenly, while
-    address-conflict pressure piles lines into few sets.
-    """
-    from ..runtime import RunRequest, RunSession
-
-    # associativity is a machine knob RunRequest does not carry, so it
-    # goes into the session's base config; cluster/cache resolve per-point
-    base = (base_config or MachineConfig()).with_associativity(associativity)
-    session = RunSession(base_config=base)
-    outcome = session.run_detailed(
-        RunRequest.make(app, cluster_size, cache_kb, app_kwargs))
-    return [cache.resident_lines_by_set()
-            for cache in outcome.memory.caches]
-
-
-def occupancy_skew(by_set: Sequence[Sequence[int]]) -> float:
-    """Max-to-mean set occupancy of one cache snapshot (1.0 = balanced).
-
-    Values well above 1.0 mean a few sets carry most of the residency —
-    the destructive-interference signature the paper's §7 names as future
-    work.  An empty cache (or a snapshot with no resident lines) skews 0.
-    """
-    if not by_set:
-        return 0.0
-    sizes = [len(s) for s in by_set]
-    total = sum(sizes)
-    if total == 0:
-        return 0.0
-    return max(sizes) / (total / len(sizes))
 
 
 def overlap_benefit(app: str, cache_kb: float,

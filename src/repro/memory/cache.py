@@ -42,9 +42,8 @@ Nothing is allocated per access: a hit is one dict probe (plus the LRU
 touch), a miss reuses the victim's slot or pops the free list, and an
 invalidation pushes the slot back.  The columns are machine-word arrays, so
 a 64-cluster simulation's cache state is a handful of flat buffers instead
-of tens of thousands of heap objects — cheaper to touch, cheaper for the
-fork-server sweep workers to inherit copy-on-write, and invisible to the
-garbage collector's cycle detector.
+of tens of thousands of heap objects — cheaper to touch and invisible to
+the garbage collector's cycle detector.
 
 LRU comes from the *slot index dict*, not from the columns: CPython dicts
 iterate in insertion order, so deleting + reinserting a line's slot mapping
@@ -251,16 +250,6 @@ class FullyAssociativeCache:
         """
         return list(self.slot_of)
 
-    def resident_lines_by_set(self) -> list[list[int]]:
-        """Residency grouped by set: one pseudo-set holding every line.
-
-        A fully associative cache *is* a single set; this mirrors
-        :meth:`SetAssociativeCache.resident_lines_by_set` so residency
-        analyses can treat both cache kinds uniformly.  Within-set order
-        follows :meth:`resident_lines` (LRU → MRU when finite).
-        """
-        return [list(self.slot_of)]
-
 
 class SetAssociativeCache:
     """Set-associative LRU cache (extension E-X1: destructive interference).
@@ -382,24 +371,12 @@ class SetAssociativeCache:
         The order is **set-concatenation order** — set 0's lines (LRU →
         MRU within the set), then set 1's, and so on — *not* a global LRU
         ordering: sets age independently, so no global recency order
-        exists.  Use :meth:`resident_lines_by_set` when set boundaries
-        matter (e.g. measuring per-set conflict pressure).
+        exists.
         """
         out: list[int] = []
         for s in self.slot_of:
             out.extend(s)
         return out
-
-    def resident_lines_by_set(self) -> list[list[int]]:
-        """Residency grouped by set, LRU → MRU within each set.
-
-        ``result[i]`` lists set ``i``'s resident lines in recency order
-        (dict order is LRU order, exactly as in the fully associative
-        cache).  This is the primitive behind per-set occupancy analyses:
-        a skewed occupancy distribution at equal total residency is the
-        signature of conflict (not capacity) pressure.
-        """
-        return [list(s) for s in self.slot_of]
 
 
 def fully_associative(capacity_lines: int | None,

@@ -116,9 +116,6 @@ class RefFullyAssociativeCache:
     def resident_lines(self) -> list[int]:
         return list(self._lines)
 
-    def resident_lines_by_set(self) -> list[list[int]]:
-        return [list(self._lines)]
-
     def state_of(self, line: int) -> int | None:
         entry = self._lines.get(line)
         return None if entry is None else entry.state
@@ -205,9 +202,6 @@ class RefSetAssociativeCache:
         for s in self._sets:
             out.extend(s)
         return out
-
-    def resident_lines_by_set(self) -> list[list[int]]:
-        return [list(s) for s in self._sets]
 
     def state_of(self, line: int) -> int | None:
         entry = self._set_for(line).get(line)

@@ -10,11 +10,11 @@ on a directory memory system) byte-for-byte.  This module decides
   forces (raising if no kernel can be built), unset/``auto`` uses the
   kernel when a compiler or cached artifact is available and falls back
   to pure python otherwise.  Because the knob is an environment
-  variable, worker processes (fork, fork-server, spawn) inherit the
-  parent's selection automatically.
-* :func:`set_native` — programmatic switch (used by
-  ``SweepExecutor(native=...)`` and the ``--native/--no-native`` CLI
-  flags); it writes ``REPRO_NATIVE`` so children agree with the parent.
+  variable, worker processes inherit the parent's selection
+  automatically, whatever the pool's start method.
+* :func:`set_native` — programmatic switch (used by the
+  ``--native/--no-native`` CLI flags); it writes ``REPRO_NATIVE`` so
+  children agree with the parent.
 
 The python replay remains canonical; everything here degrades
 gracefully to them (missing compiler, failed build, forced off).
@@ -61,8 +61,7 @@ def set_native(flag: bool | None) -> None:
 
     ``True`` forces native, ``False`` forces pure python, ``None``
     restores auto-detection.  Writes ``REPRO_NATIVE`` so every worker
-    process spawned afterwards — fork, fork-server, or spawn — sees the
-    same selection as the parent.
+    process started afterwards sees the same selection as the parent.
     """
     if flag is None:
         os.environ.pop("REPRO_NATIVE", None)

@@ -9,9 +9,8 @@ keying to process-pool submission.
 
 :class:`RunPlan` is a request *resolved* against a base
 :class:`~repro.core.config.MachineConfig` — the concrete machine the
-point will run on, plus the execution policy (compiled-trace replay or
-direct generator drive).  :class:`~repro.runtime.session.RunSession`
-consumes plans; everything above it consumes requests.
+point will run on.  :class:`~repro.runtime.session.RunSession` consumes
+plans; everything above it consumes requests.
 """
 
 from __future__ import annotations
@@ -85,11 +84,6 @@ class RunRequest:
         return (f"{self.app} @ {self.cluster_size}/cluster, cache {cache}"
                 f"{net}{proto} ({kw})")
 
-    def resolve(self, base_config: MachineConfig | None = None,
-                use_compiled: bool = True) -> "RunPlan":
-        """Shorthand for :meth:`RunPlan.resolve` on this request."""
-        return RunPlan.resolve(self, base_config, use_compiled=use_compiled)
-
 
 @dataclass(frozen=True)
 class RunPlan:
@@ -97,21 +91,15 @@ class RunPlan:
 
     ``config`` is fully resolved — cluster count, cache sizing, and any
     per-point network override already applied — so the session never
-    re-derives machine parameters.  ``use_compiled`` selects the
-    execution policy: compiled-trace replay (the default; bit-identical
-    to generator execution and much faster across a grid) or direct
-    generator drive (required when the run substitutes a non-standard
-    memory system whose captures must not enter the shared trace cache).
+    re-derives machine parameters.
     """
 
     request: RunRequest
     config: MachineConfig
-    use_compiled: bool = True
 
     @classmethod
     def resolve(cls, request: RunRequest,
-                base_config: MachineConfig | None = None,
-                use_compiled: bool = True) -> "RunPlan":
+                base_config: MachineConfig | None = None) -> "RunPlan":
         """Bind ``request`` to ``base_config`` (default machine if None)."""
         # deferred import: this module must not pull in repro.core at
         # import time — repro.core.executor imports RunRequest from here
@@ -120,5 +108,4 @@ class RunPlan:
         from ..core.config import MachineConfig
 
         base = base_config or MachineConfig()
-        return cls(request=request, config=request.config_for(base),
-                   use_compiled=use_compiled)
+        return cls(request=request, config=request.config_for(base))

@@ -11,21 +11,19 @@ through this module.  A session performs, in order:
 3. **trace acquisition** — look the compiled reference stream up in the
    trace cache (``trace-hit``) or capture it (``capture``), honouring
    :attr:`~repro.apps.base.Application.stream_invariant`;
-4. **execute** — drive the engine (replay or generator) and assemble the
-   :class:`~repro.core.metrics.RunResult`.
+4. **execute** — replay the trace (native kernel or python engine) and
+   assemble the :class:`~repro.core.metrics.RunResult`.
 
-The operation sequence is byte-for-byte the historical
-``evaluate_point`` pipeline; attaching a
-:class:`~repro.runtime.hooks.RunObserver` adds timestamps and phase
-events around the same calls without reordering them, so observed and
-unobserved runs are bit-identical (pinned by ``tests/test_runtime.py``).
+Attaching a :class:`~repro.runtime.hooks.RunObserver` adds timestamps
+and phase events around the same calls without reordering them, so
+observed and unobserved runs are bit-identical (pinned by
+``tests/test_runtime.py``).
 
 :meth:`RunSession.run_detailed` is the explicit-wiring variant for
 tools that need the memory system afterwards (reference tracing,
-working-set residency, snoopy-vs-directory comparison, load-latency
-calibration): it accepts a ``memory_factory`` and always drives the
-generator path, keeping non-standard memory systems out of the shared
-trace cache.
+snoopy-vs-directory comparison, load-latency calibration): it accepts a
+``memory_factory`` and always drives the generator path, keeping
+non-standard memory systems out of the shared trace cache.
 """
 
 from __future__ import annotations
@@ -90,9 +88,6 @@ class RunSession:
         Optional :class:`~repro.sim.compiled.TraceCache`; compiled
         streams are served from and written back to it.  ``None`` makes
         every run capture its own stream.
-    use_compiled:
-        Execute by compiled-trace replay (default) or drive the
-        generators directly on every run (bit-identical, slower).
     observer:
         Optional :class:`~repro.runtime.hooks.RunObserver`.  When
         ``None`` the pipeline takes no timestamps — detached sessions
@@ -101,18 +96,13 @@ class RunSession:
 
     base_config: MachineConfig | None = None
     trace_cache: "TraceCache | None" = field(default=None, repr=False)
-    use_compiled: bool = True
     observer: RunObserver | None = field(default=None, repr=False)
 
     # ------------------------------------------------------------------ API
     def run(self, request: RunRequest) -> RunResult:
         """Run one request; the result-only view of :meth:`run_plan`."""
-        return self.run_plan(self.resolve(request)).result
-
-    def resolve(self, request: RunRequest) -> RunPlan:
-        """Bind a request to this session's base machine config."""
-        return RunPlan.resolve(request, self.base_config,
-                               use_compiled=self.use_compiled)
+        return self.run_plan(
+            RunPlan.resolve(request, self.base_config)).result
 
     def run_plan(self, plan: RunPlan) -> RunOutcome:
         """Execute a resolved plan through the canonical pipeline."""
@@ -129,11 +119,6 @@ class RunSession:
         app.ensure_setup()
         if obs is not None:
             obs.on_phase("build", clock.lap(), {"app": request.app})
-
-        if not plan.use_compiled:
-            result = app.run()
-            outcome = RunOutcome(plan, result, app)
-            return self._finish(outcome, clock)
 
         from ..sim.compiled import trace_key  # deferred: avoids import cycle
 
@@ -189,8 +174,7 @@ class RunSession:
         """
         obs = self.observer
         clock = _Clock() if obs is not None else None
-        plan = RunPlan.resolve(request, self.base_config,
-                               use_compiled=False)
+        plan = RunPlan.resolve(request, self.base_config)
         if obs is not None:
             obs.on_phase("resolve", clock.lap(),
                          {"config": plan.config.describe()})

@@ -1,7 +1,7 @@
 """The sweep service: a persistent HTTP+JSON simulation daemon.
 
 This package turns the repo's warm-state machinery (compiled-trace LRU,
-fork-server worker pools, content-hash result cache) into a long-lived,
+worker pools, content-hash result cache) into a long-lived,
 addressable service — ``repro-clustering serve`` — with single-flight
 coalescing of identical in-flight requests.  See ``docs/SERVICE.md`` for
 endpoints, wire format, and semantics.
@@ -13,10 +13,10 @@ Layout:
 * :mod:`~repro.service.daemon` — :class:`SweepService` (single-flight
   core), :class:`ServiceDaemon` (server), :class:`DaemonThread`
   (background-thread host for tests and embedding);
-* :mod:`~repro.service.client` — blocking and async clients.
+* :mod:`~repro.service.client` — the blocking client.
 """
 
-from .client import AsyncServiceClient, ServiceClient, ServiceError
+from .client import ServiceClient, ServiceError
 from .daemon import (DaemonThread, PointExecutionError, ServiceDaemon,
                      ServiceStats, SweepService)
 from .protocol import (PROTOCOL_VERSION, PointReport, ProtocolError,
@@ -26,7 +26,6 @@ from .protocol import (PROTOCOL_VERSION, PointReport, ProtocolError,
 
 __all__ = [
     "PROTOCOL_VERSION",
-    "AsyncServiceClient",
     "DaemonThread",
     "PointExecutionError",
     "PointReport",

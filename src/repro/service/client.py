@@ -1,4 +1,4 @@
-"""Clients for the sweep service daemon: blocking and asyncio flavours.
+"""The blocking client for the sweep service daemon.
 
 :class:`ServiceClient` is the synchronous driver built on stdlib
 :mod:`http.client` — what tools, tests, and CI smoke steps use::
@@ -10,10 +10,7 @@
     for line in client.iter_sweep(grid):        # completion order
         print(line["index"], line.get("error"))
 
-:class:`AsyncServiceClient` is the asyncio twin (one connection per
-call, no shared state) for callers already inside an event loop.
-
-Both raise :class:`ServiceError` on any non-2xx response; the exception
+It raises :class:`ServiceError` on any non-2xx response; the exception
 carries the HTTP status and the daemon's structured ``{"error": ...}``
 body, so callers can branch on ``err.kind`` (``"bad-request"``,
 ``"execution-error"``, ``"timeout"``, …) instead of parsing prose.
@@ -21,19 +18,16 @@ body, so callers can branch on ``err.kind`` (``"bad-request"``,
 
 from __future__ import annotations
 
-import asyncio
 import http.client
 import json
-import socket
 import time
-from typing import Any, AsyncIterator, Iterable, Iterator
+from typing import Any, Iterable, Iterator
 
 from ..runtime.plan import RunRequest
-from .http import format_request, iter_chunks, read_response
 from .protocol import (PointReport, encode_point_payload,
                        encode_sweep_payload)
 
-__all__ = ["AsyncServiceClient", "ServiceClient", "ServiceError"]
+__all__ = ["ServiceClient", "ServiceError"]
 
 
 class ServiceError(RuntimeError):
@@ -208,89 +202,3 @@ class ServiceClient:
         raise TimeoutError(
             f"daemon at {self.host}:{self.port} not ready after "
             f"{deadline_s:g}s: {last}")
-
-
-class AsyncServiceClient:
-    """Asyncio client: one short-lived connection per call."""
-
-    def __init__(self, host: str = "127.0.0.1", port: int = 8642) -> None:
-        self.host = host
-        self.port = port
-
-    async def _open(self) -> tuple[asyncio.StreamReader,
-                                   asyncio.StreamWriter]:
-        return await asyncio.open_connection(self.host, self.port)
-
-    async def _request(self, method: str, path: str,
-                       obj: Any = None) -> Any:
-        body = b""
-        if obj is not None:
-            body = json.dumps(obj, sort_keys=True,
-                              separators=(",", ":")).encode("utf-8")
-        reader, writer = await self._open()
-        try:
-            writer.write(format_request(method, path,
-                                        f"{self.host}:{self.port}",
-                                        body, close=True))
-            await writer.drain()
-            response = await read_response(reader)
-            payload = response.json() if response.body else {}
-            return _check(response.status, payload)
-        finally:
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionError, socket.error):
-                pass
-
-    # ------------------------------------------------------------- endpoints
-    async def healthz(self) -> dict[str, Any]:
-        return await self._request("GET", "/healthz")
-
-    async def stats(self) -> dict[str, Any]:
-        return await self._request("GET", "/stats")
-
-    async def resolve(self, request: RunRequest) -> dict[str, Any]:
-        return await self._request("POST", "/resolve",
-                                   encode_point_payload(request))
-
-    async def run_point(self, request: RunRequest,
-                        timeout: float | None = None) -> PointReport:
-        payload = await self._request(
-            "POST", "/run", encode_point_payload(request, timeout))
-        return PointReport.from_dict(payload)
-
-    async def iter_sweep(self, requests: Iterable[RunRequest],
-                         timeout: float | None = None
-                         ) -> AsyncIterator[dict[str, Any]]:
-        body = json.dumps(encode_sweep_payload(list(requests), timeout),
-                          sort_keys=True,
-                          separators=(",", ":")).encode("utf-8")
-        reader, writer = await self._open()
-        try:
-            writer.write(format_request("POST", "/sweep",
-                                        f"{self.host}:{self.port}",
-                                        body, close=False))
-            await writer.drain()
-            response = await read_response(reader)
-            if not 200 <= response.status < 300:
-                raise ServiceError(response.status,
-                                   response.json() if response.body else {})
-            buffer = b""
-            async for chunk in iter_chunks(reader):
-                buffer += chunk
-                while b"\n" in buffer:
-                    line, buffer = buffer.split(b"\n", 1)
-                    if line.strip():
-                        yield json.loads(line.decode("utf-8"))
-            if buffer.strip():
-                yield json.loads(buffer.decode("utf-8"))
-        finally:
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionError, socket.error):
-                pass
-
-    async def shutdown(self) -> dict[str, Any]:
-        return await self._request("POST", "/shutdown")

@@ -1,8 +1,8 @@
 """The sweep service daemon: a long-lived simulation server.
 
 ``repro-clustering serve`` turns the repo's warm-state machinery — the
-process-wide compiled-trace LRU, the fork-server worker pool, the
-content-hash result cache — from per-invocation optimizations into a
+process-wide compiled-trace LRU, the worker pool, the content-hash
+result cache — from per-invocation optimizations into a
 shared, persistent service.  Two classes split the work:
 
 :class:`SweepService`
@@ -126,8 +126,8 @@ class SweepService:
     ----------
     executor:
         The :class:`SweepExecutor` evaluations are dispatched to.  Its
-        backend decides the daemon's shape: ``fork``/``process`` for a
-        warm worker pool, ``serial`` for in-process (thread) execution.
+        backend decides the daemon's shape: ``process`` for a warm
+        worker pool, ``serial`` for in-process (thread) execution.
         The executor's own result cache is ignored — the service owns
         memoization so it composes with single-flight.
     base_config:

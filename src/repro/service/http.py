@@ -2,15 +2,14 @@
 
 The sweep service speaks plain HTTP+JSON with zero third-party
 dependencies, so this module implements exactly the subset the daemon
-and the async client need and nothing more:
+needs and nothing more:
 
 * request parsing (request line, headers, ``Content-Length`` bodies)
   with hard size limits — an oversized or malformed request raises
   :class:`HTTPParseError` and becomes a 400, never a hung connection;
 * fixed-length JSON responses (``Content-Length``) and chunked
   streaming responses (``Transfer-Encoding: chunked``) for the
-  JSON-lines sweep stream;
-* response parsing for the async client, including chunk de-framing.
+  JSON-lines sweep stream.
 
 Connections are HTTP/1.1 keep-alive by default; a handler (or the
 client) closes by sending ``Connection: close``.  Anything fancier —
@@ -23,11 +22,10 @@ from __future__ import annotations
 import asyncio
 import json
 from dataclasses import dataclass, field
-from typing import Any, AsyncIterator, Mapping
+from typing import Any, Mapping
 
-__all__ = ["HTTPParseError", "HTTPRequest", "HTTPResponse", "JSONLineWriter",
-           "REASONS", "format_request", "iter_chunks", "read_request",
-           "read_response", "response_bytes", "send_json"]
+__all__ = ["HTTPParseError", "HTTPRequest", "JSONLineWriter", "REASONS",
+           "read_request", "response_bytes", "send_json"]
 
 #: request-line + one header line limit (bytes)
 MAX_LINE = 8192
@@ -66,32 +64,6 @@ class HTTPRequest:
     @property
     def wants_close(self) -> bool:
         return self.headers.get("connection", "").lower() == "close"
-
-
-@dataclass
-class HTTPResponse:
-    """One parsed response (client side).
-
-    ``body`` is ``None`` while a chunked payload is still on the wire —
-    drain it with :func:`iter_chunks`.
-    """
-
-    status: int
-    headers: dict[str, str]
-    body: bytes | None = None
-
-    @property
-    def chunked(self) -> bool:
-        return (self.headers.get("transfer-encoding", "").lower()
-                == "chunked")
-
-    def json(self) -> Any:
-        if self.body is None:
-            raise HTTPParseError("chunked response has no eager body")
-        try:
-            return json.loads(self.body.decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-            raise HTTPParseError(f"body is not valid JSON: {exc}") from exc
 
 
 # ------------------------------------------------------------------ parsing
@@ -151,54 +123,6 @@ async def read_request(reader: asyncio.StreamReader) -> HTTPRequest | None:
     return HTTPRequest(method.upper(), path, query, headers, body)
 
 
-async def read_response(reader: asyncio.StreamReader) -> HTTPResponse:
-    """Parse a status line + headers (+ body unless chunked)."""
-    line = await reader.readline()
-    if not line:
-        raise HTTPParseError("connection closed before status line")
-    parts = line.decode("latin-1").split(None, 2)
-    if len(parts) < 2 or not parts[0].startswith("HTTP/1."):
-        raise HTTPParseError(f"malformed status line {line!r}")
-    try:
-        status = int(parts[1])
-    except ValueError:
-        raise HTTPParseError(f"malformed status {parts[1]!r}") from None
-    headers = await _read_headers(reader)
-    response = HTTPResponse(status, headers)
-    if not response.chunked:
-        length = _body_length(headers)
-        try:
-            response.body = (await reader.readexactly(length)
-                             if length else b"")
-        except asyncio.IncompleteReadError as exc:
-            raise HTTPParseError("connection closed inside body") from exc
-    return response
-
-
-async def iter_chunks(reader: asyncio.StreamReader) -> AsyncIterator[bytes]:
-    """Yield the payload of each chunk until the terminating 0-chunk."""
-    while True:
-        line = await reader.readline()
-        if not line:
-            raise HTTPParseError("connection closed inside chunked body")
-        try:
-            size = int(line.strip().split(b";")[0], 16)
-        except ValueError:
-            raise HTTPParseError(f"bad chunk size {line!r}") from None
-        if size > MAX_BODY:
-            raise HTTPParseError("oversized chunk")
-        try:
-            data = await reader.readexactly(size)
-            trailer = await reader.readexactly(2)
-        except asyncio.IncompleteReadError as exc:
-            raise HTTPParseError("connection closed inside chunk") from exc
-        if trailer != b"\r\n":
-            raise HTTPParseError("missing chunk terminator")
-        if size == 0:
-            return
-        yield data
-
-
 # ------------------------------------------------------------------ writing
 def _head(status: int, headers: list[tuple[str, str]]) -> bytes:
     reason = REASONS.get(status, "Unknown")
@@ -219,20 +143,6 @@ def send_json(writer: asyncio.StreamWriter, status: int, obj: Any) -> None:
     body = json.dumps(obj, sort_keys=True,
                       separators=(",", ":")).encode("utf-8")
     writer.write(response_bytes(status, body))
-
-
-def format_request(method: str, path: str, host: str,
-                   body: bytes = b"", close: bool = False) -> bytes:
-    """A complete client request as one buffer (client side)."""
-    headers = [("Host", host), ("Accept", "application/json")]
-    if body:
-        headers += [("Content-Type", "application/json"),
-                    ("Content-Length", str(len(body)))]
-    if close:
-        headers.append(("Connection", "close"))
-    lines = [f"{method} {path} HTTP/1.1"]
-    lines += [f"{name}: {value}" for name, value in headers]
-    return ("\r\n".join(lines) + "\r\n\r\n").encode("latin-1") + body
 
 
 @dataclass

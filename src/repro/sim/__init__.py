@@ -7,7 +7,7 @@ from .engine import (Engine, PerfectMemory, SimulationDeadlock,
 from .program import (OP_BARRIER, OP_LOCK, OP_READ, OP_UNLOCK, OP_WORK,
                       OP_WRITE, Barrier, Lock, Op, Program, ProgramFactory,
                       Read, Unlock, Work, Write)
-from .stats import RunSummary, StatsAssembler, summarize
+from .stats import RunSummary, summarize
 from .trace import ReferenceTrace, TraceRecord, TracingMemory, replay
 from .sync import BarrierState, LockState, SyncRegistry
 
@@ -20,6 +20,6 @@ __all__ = [
     "OP_WORK", "OP_READ", "OP_WRITE", "OP_BARRIER", "OP_LOCK", "OP_UNLOCK",
     "Op", "Program", "ProgramFactory",
     "BarrierState", "LockState", "SyncRegistry",
-    "RunSummary", "StatsAssembler", "summarize",
+    "RunSummary", "summarize",
     "ReferenceTrace", "TraceRecord", "TracingMemory", "replay",
 ]

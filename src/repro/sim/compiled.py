@@ -37,7 +37,7 @@ section per column behind a JSON header/TOC, so
 (``mmap.ACCESS_COPY``) and expose the columns as zero-copy ``memoryview``
 slices over the page cache.  A mapped program costs ~0 resident bytes
 until touched, its pages are shared between every process mapping the
-same blob (fork-server workers, the sweep daemon, parallel CLI runs), and
+same blob (``--jobs`` workers, the sweep daemon, parallel CLI runs), and
 the native kernel (:mod:`repro.native`) replays it by passing the mapped
 column addresses straight into C — no decode, no packing copy.  The pure
 python replay loop reads mapped programs through a chunked window
@@ -653,7 +653,7 @@ class TraceCache:
         self.disk_hits = 0
         self.misses = 0
 
-    def _load_disk(self, key: str, warn: bool) -> CompiledProgram | None:
+    def _load_disk(self, key: str) -> CompiledProgram | None:
         """Map the store's blob for ``key`` (``None`` on miss).
 
         Maintains the store's hit/miss counters: unreadable file ⇒ store
@@ -668,8 +668,7 @@ class TraceCache:
             return None
         except TraceDecodeError as exc:
             store.hits += 1
-            if warn:
-                self._warn_corrupt(key, exc)
+            self._warn_corrupt(key, exc)
             return None
         store.hits += 1
         return program
@@ -691,39 +690,13 @@ class TraceCache:
             self.memory_hits += 1
             return program
         if self.store is not None:
-            program = self._load_disk(key, warn=True)
+            program = self._load_disk(key)
             if program is not None:
                 self._remember(key, program)
                 self.disk_hits += 1
                 return program
         self.misses += 1
         return None
-
-    def preload(self, key: str) -> CompiledProgram | None:
-        """Make ``key`` resident in the in-memory LRU, without stats.
-
-        Fork-server warmup: the sweep parent calls this for every disk-
-        resident trace *before* the worker pool forks, so workers inherit
-        the programs copy-on-write instead of each re-reading the
-        :class:`~repro.core.resultcache.TraceStore` per point (mapped
-        programs share their column pages outright — parent and every
-        worker map the same page-cache pages).  Unlike :meth:`get` it
-        never touches this cache's hit/miss counters (warmup is not
-        demand traffic) and a corrupt disk entry is silently left for the
-        demand path to report.  Returns the resident program, or ``None``
-        when the trace is neither in memory nor on disk.
-        """
-        program = _memory_lru.get(key)
-        if program is not None:
-            _memory_lru.move_to_end(key)
-            return program
-        if self.store is None:
-            return None
-        program = self._load_disk(key, warn=False)
-        if program is None:
-            return None
-        self._remember(key, program)
-        return program
 
     def put(self, key: str, program: CompiledProgram) -> None:
         """Install ``program`` in both tiers (disk failures are swallowed)."""

@@ -61,7 +61,7 @@ from ..core.metrics import MissCounters, RunResult, TimeBreakdown
 from ..memory.coherence import READ_HIT, READ_MERGE
 from .program import (OP_BARRIER, OP_LOCK, OP_READ, OP_UNLOCK, OP_WORK,
                       OP_WRITE, ProgramFactory)
-from .stats import DEFAULT_ASSEMBLER, StatsAssembler
+from .stats import assemble
 from .sync import SyncRegistry
 
 __all__ = ["Engine", "PerfectMemory", "SimulationDeadlock",
@@ -105,25 +105,17 @@ class Engine:
         the load-latency profiler sweeps 1-4).
     max_cycles:
         Safety cap; exceeding it raises ``RuntimeError`` (runaway program).
-    stats:
-        :class:`~repro.sim.stats.StatsAssembler` that turns the finished
-        breakdowns + memory counters into the :class:`RunResult`.  The
-        shared default reproduces the historical assembly exactly; the
-        seam exists for probes, not for the hot loop (assembly runs once
-        per run).
     """
 
     def __init__(self, config: MachineConfig, memory,
                  read_hit_cycles: int = 1,
-                 max_cycles: int | None = None,
-                 stats: StatsAssembler | None = None) -> None:
+                 max_cycles: int | None = None) -> None:
         if read_hit_cycles < 1:
             raise ValueError("read_hit_cycles must be >= 1")
         self.config = config
         self.memory = memory
         self.read_hit_cycles = read_hit_cycles
         self.max_cycles = max_cycles
-        self.stats = DEFAULT_ASSEMBLER if stats is None else stats
         self.sync = SyncRegistry(config.n_processors)
 
     # ------------------------------------------------------- generator path
@@ -429,14 +421,13 @@ class Engine:
             assert fin is not None
             breakdowns[pid].sync += execution_time - fin
 
-        return self.stats.assemble(execution_time, breakdowns, self.memory)
+        return assemble(execution_time, breakdowns, self.memory)
 
 
 def execute_program(config: MachineConfig, memory, source, *,
                     compiled: bool = False,
                     read_hit_cycles: int = 1,
-                    max_cycles: int | None = None,
-                    stats: StatsAssembler | None = None) -> RunResult:
+                    max_cycles: int | None = None) -> RunResult:
     """The one canonical engine wiring: build an :class:`Engine`, run it.
 
     ``source`` is a program factory (generator path) or, with
@@ -444,11 +435,10 @@ def execute_program(config: MachineConfig, memory, source, *,
     (replay path).  Every in-tree execution — :meth:`Application.run
     <repro.apps.base.Application.run>`, the :class:`~repro.runtime.session.
     RunSession` pipeline, and everything layered above them — funnels
-    through this helper, so engine construction policy (stats assembly)
-    has exactly one home.
+    through this helper, so engine construction has exactly one home.
     """
     engine = Engine(config, memory, read_hit_cycles=read_hit_cycles,
-                    max_cycles=max_cycles, stats=stats)
+                    max_cycles=max_cycles)
     if compiled:
         return engine.run_compiled(source)
     return engine.run(source)

@@ -5,8 +5,8 @@ the raw driver) into the simulation layer.  :func:`try_replay_native` is
 the per-point seam: when the kernel is selected and the machine is
 eligible it returns the same byte-identical
 :class:`~repro.core.metrics.RunResult` ``app.run(program=...)`` would —
-the kernel returns the numbers a result is made of and the canonical
-:class:`~repro.sim.stats.StatsAssembler` builds the result from them —
+the kernel returns the numbers a result is made of and
+:func:`repro.sim.stats.build` makes the result from them —
 and otherwise ``None``, leaving the point (and every error it may
 raise) to the canonical python replay.
 
@@ -24,7 +24,7 @@ import repro.native as native
 from ..core.metrics import MissCounters, RunResult
 from ..memory.cache import fully_associative
 from ..native.driver import run_native
-from .stats import DEFAULT_ASSEMBLER
+from .stats import build
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..core.config import MachineConfig
@@ -83,5 +83,5 @@ def try_replay_native(config: "MachineConfig", app,
     total = MissCounters()
     for ctr in out.counters:
         ctr.merged_into(total)
-    return DEFAULT_ASSEMBLER.build(out.execution_time, out.breakdowns,
-                                   total, out.counters, None)
+    return build(out.execution_time, out.breakdowns, total, out.counters,
+                 None)

@@ -2,14 +2,13 @@
 
 Two halves:
 
-* :class:`StatsAssembler` — the pluggable seam between the engine's event
+* :func:`assemble` / :func:`build` — the step between the engine's event
   loop and :class:`~repro.core.metrics.RunResult`.  The engine finishes a
   run with per-processor time breakdowns and a memory system; everything
   after that — the mean breakdown, the aggregated miss counters, the
-  optional per-cluster and network sections — is *stats assembly*, and it
-  lives here rather than inline in the hot-loop module so probes and
-  future backends can substitute their own assembly without touching the
-  bit-identity-critical engine core.
+  optional per-cluster and network sections — is *stats assembly*, kept
+  out of the hot-loop module.  :func:`build` makes the result from its
+  parts, which is all the native replay (no memory system) has.
 * :class:`RunSummary` / :func:`summarize` — turn raw counters into the
   quantities the paper talks about (miss rates, component fractions) for
   CLI output, examples, and tests.
@@ -22,54 +21,44 @@ from dataclasses import dataclass
 from ..core.metrics import (MissCause, MissCounters, NetworkStats,
                             RunResult, TimeBreakdown)
 
-__all__ = ["RunSummary", "StatsAssembler", "DEFAULT_ASSEMBLER", "summarize"]
+__all__ = ["RunSummary", "assemble", "build", "summarize"]
 
 
-class StatsAssembler:
-    """Assemble the canonical :class:`RunResult` from a finished run.
+def assemble(execution_time: int, breakdowns: list[TimeBreakdown],
+             memory) -> RunResult:
+    """The canonical :class:`RunResult` of a finished engine run.
 
-    The default instance reproduces the engine's historical inline
-    assembly byte-for-byte: mean breakdown over processors, aggregated
-    miss counters, per-cluster counters when the memory system exposes
-    ``counters``, and network stats when it exposes ``network_stats``.
-    Subclass and pass to :class:`~repro.sim.engine.Engine` (or
-    :func:`~repro.sim.engine.execute_program`) to attach different
-    accounting; the engine's event loop never changes.
+    Mean breakdown over processors, aggregated miss counters, per-cluster
+    counters when the memory system exposes ``counters``, and network
+    stats when it exposes ``network_stats``.
     """
-
-    def assemble(self, execution_time: int,
-                 breakdowns: list[TimeBreakdown], memory) -> RunResult:
-        per_cluster = getattr(memory, "counters", None)
-        stats_of = getattr(memory, "network_stats", None)
-        return self.build(execution_time, breakdowns,
-                          memory.aggregate_counters(),
-                          list(per_cluster) if per_cluster else [],
-                          stats_of() if stats_of is not None else None)
-
-    def build(self, execution_time: int, breakdowns: list[TimeBreakdown],
-              misses: MissCounters, per_cluster: list[MissCounters],
-              network: NetworkStats | None) -> RunResult:
-        """The result from its parts (the native replay has no memory
-        system to read them from)."""
-        n = len(breakdowns)
-        mean = TimeBreakdown()
-        for bd in breakdowns:
-            mean.add(bd)
-        if n:
-            mean = TimeBreakdown(cpu=mean.cpu / n, load=mean.load / n,
-                                 merge=mean.merge / n, sync=mean.sync / n)
-        return RunResult(
-            execution_time=execution_time,
-            breakdown=mean,
-            per_processor=breakdowns,
-            misses=misses,
-            per_cluster_misses=per_cluster,
-            network=network,
-        )
+    per_cluster = getattr(memory, "counters", None)
+    stats_of = getattr(memory, "network_stats", None)
+    return build(execution_time, breakdowns, memory.aggregate_counters(),
+                 list(per_cluster) if per_cluster else [],
+                 stats_of() if stats_of is not None else None)
 
 
-#: shared zero-state default; the engine uses it when no assembler is given
-DEFAULT_ASSEMBLER = StatsAssembler()
+def build(execution_time: int, breakdowns: list[TimeBreakdown],
+          misses: MissCounters, per_cluster: list[MissCounters],
+          network: NetworkStats | None) -> RunResult:
+    """The result from its parts (the native replay has no memory
+    system to read them from)."""
+    n = len(breakdowns)
+    mean = TimeBreakdown()
+    for bd in breakdowns:
+        mean.add(bd)
+    if n:
+        mean = TimeBreakdown(cpu=mean.cpu / n, load=mean.load / n,
+                             merge=mean.merge / n, sync=mean.sync / n)
+    return RunResult(
+        execution_time=execution_time,
+        breakdown=mean,
+        per_processor=breakdowns,
+        misses=misses,
+        per_cluster_misses=per_cluster,
+        network=network,
+    )
 
 
 @dataclass(frozen=True)

@@ -65,7 +65,7 @@ def serve_daemon(tmp_path_factory):
 
     Teardown stops the daemon and asserts that no executor worker
     process outlived it (trivially true for the serial backend, and the
-    check keeps honest any future fixture switch to process/fork).
+    check keeps honest any future fixture switch to the process backend).
     """
     from repro.service import DaemonThread
 

@@ -232,25 +232,13 @@ class TestCapacityFigureCommands:
 
 
 class TestForkServer:
-    def test_fork_server_sweep_runs(self, capsys):
-        from repro.core.executor import fork_available
-
-        if not fork_available():
-            pytest.skip("no fork start method")
-        assert run_cli(*BASE, "--jobs", "2", "--fork-server", "--no-cache",
-                       "--cluster-sizes", "1,2", "fig2",
-                       "--apps", "radix") == 0
-        assert "Figure 2 (radix)" in capsys.readouterr().out
-
-    def test_fork_server_rejected_without_fork(self, monkeypatch, capsys):
-        import repro.cli as climod
-
-        monkeypatch.setattr(climod, "fork_available", lambda: False)
+    def test_fork_server_flag_is_gone(self, capsys):
         with pytest.raises(SystemExit) as exc:
             run_cli(*BASE, "--jobs", "2", "--fork-server", "--no-cache",
                     "--cluster-sizes", "1,2", "fig2", "--apps", "radix")
         assert exc.value.code == 2
-        assert "fork" in capsys.readouterr().err
+        assert ("unrecognized arguments: --fork-server"
+                in capsys.readouterr().err)
 
 
 def test_batch_flag_is_unrecognised(capsys):

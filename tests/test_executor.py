@@ -5,7 +5,7 @@ import pytest
 from repro.core.config import MachineConfig
 from repro.core.executor import (BACKENDS, PointOutcome,
                                  SweepExecutionError, SweepExecutor,
-                                 fork_available, raise_failures)
+                                 raise_failures)
 from repro.core.study import ClusteringStudy
 from repro.runtime import RunRequest
 
@@ -55,11 +55,12 @@ class TestRunRequest:
 
 class TestConstruction:
     def test_backends_constant(self):
-        assert set(BACKENDS) == {"serial", "process", "fork"}
+        assert BACKENDS == ("serial", "process")
 
     def test_unknown_backend_rejected(self):
-        with pytest.raises(ValueError, match="backend"):
-            SweepExecutor(backend="threads")
+        for name in ("threads", "fork"):
+            with pytest.raises(ValueError, match="backend"):
+                SweepExecutor(backend=name)
 
     def test_bad_max_workers_rejected(self):
         with pytest.raises(ValueError, match="max_workers"):
@@ -187,9 +188,9 @@ class TestResults:
         assert capacity[(1, 2)].cache_kb == 1
 
 
-@pytest.mark.skipif(not fork_available(), reason="no fork start method")
 class TestForkBackend:
-    """Fork-server mode: preload in the parent, inherit copy-on-write."""
+    """Pool workers (forked wherever that is the default start method)
+    map their traces from the shared TraceStore themselves."""
 
     def test_fork_matches_serial(self, tmp_path):
         from repro.core.resultcache import TraceStore
@@ -204,49 +205,8 @@ class TestForkBackend:
         want = [o.result.to_json() for o in serial.run(specs, CFG)]
 
         clear_memory_cache()
-        with SweepExecutor(backend="fork", max_workers=2,
+        with SweepExecutor(backend="process", max_workers=2,
                            trace_cache=TraceCache(store)) as executor:
             outcomes = executor.run(specs, CFG)
         raise_failures(outcomes)
         assert [o.result.to_json() for o in outcomes] == want
-
-    def test_preload_pulls_disk_traces_into_memory(self, tmp_path):
-        from repro.core.resultcache import TraceStore
-        from repro.sim.compiled import (TraceCache, clear_memory_cache,
-                                        memory_cache_len)
-
-        specs = [RunRequest.make("ocean", c, None, OCEAN_KW)
-                 for c in (1, 2)]
-        store = TraceStore(tmp_path)
-        # populate the disk tier, then forget the in-memory one
-        clear_memory_cache()
-        SweepExecutor(backend="serial",
-                      trace_cache=TraceCache(store)).run(specs, CFG)
-        clear_memory_cache()
-        assert memory_cache_len() == 0
-
-        executor = SweepExecutor(backend="fork",
-                                 trace_cache=TraceCache(store))
-        # ocean is stream-invariant: both cluster sizes share one trace
-        assert executor.preload_traces(specs, CFG) == 1
-        assert memory_cache_len() == 1
-        # preload is warmup, not demand traffic: counters untouched
-        assert executor.trace_cache.hits == 0
-        assert executor.trace_cache.misses == 0
-
-    def test_preload_without_disk_tier_is_a_noop(self):
-        from repro.sim.compiled import TraceCache, clear_memory_cache
-
-        clear_memory_cache()
-        executor = SweepExecutor(backend="fork", trace_cache=TraceCache())
-        assert executor.preload_traces(
-            [RunRequest.make("ocean", 1, None, OCEAN_KW)], CFG) == 0
-
-
-def test_fork_backend_rejected_without_fork(monkeypatch):
-    import multiprocessing
-
-    monkeypatch.setattr(multiprocessing, "get_all_start_methods",
-                        lambda: ["spawn"])
-    with pytest.raises(ValueError, match="fork"):
-        SweepExecutor(backend="fork")

@@ -203,6 +203,29 @@ class TestExecutorCoupling:
         again = executor.run([RunRequest.make("notanapp", 1, None, {})], CFG)
         assert not again[0].ok and not again[0].cached
 
+    def test_interrupted_sweep_keeps_finished_points(self, tmp_path):
+        """Results are written as each point completes, so Ctrl-C late in
+        a grid loses only the point that was running."""
+        from repro.runtime import RunObserver
+
+        class InterruptOnSecond(RunObserver):
+            seen = 0
+
+            def on_result(self, plan, result):
+                self.seen += 1
+                if self.seen == 2:
+                    raise KeyboardInterrupt
+
+        specs = [RunRequest.make("ocean", c, None, OCEAN_KW)
+                 for c in (1, 2, 4)]
+        executor = SweepExecutor(cache=ResultCache(tmp_path),
+                                 observer=InterruptOnSecond())
+        with pytest.raises(KeyboardInterrupt):
+            executor.run(specs, CFG)
+        fresh = SweepExecutor(cache=ResultCache(tmp_path))
+        assert fresh.run_one(specs[0], CFG).cached
+        assert not fresh.run_one(specs[1], CFG).cached
+
     def test_different_base_config_misses(self, tmp_path):
         cache = ResultCache(tmp_path)
         executor = SweepExecutor(cache=cache)

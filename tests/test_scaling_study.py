@@ -3,8 +3,8 @@
 ``test_export_scaling.py`` pins the long-standing public surface
 (curves, ``effective_processors``, ``pushout``).  This file covers what
 the study layer added on top: tier presets for every application,
-routing through the canonical RunSession pipeline (trace-cache sharing
-between the clustered and unclustered curves), ``scaling_study`` /
+routing through a SweepExecutor (trace-cache sharing between the
+clustered and unclustered curves, result-cache memoization, ``--jobs``), ``scaling_study`` /
 ``compare_shapes``, the rendered figures, and the ``scaling``
 subcommand's exit-code contract.
 """
@@ -16,6 +16,7 @@ import pytest
 from repro.analysis.figures import render_scaling, render_shape_comparison
 from repro.apps.registry import APP_NAMES
 from repro.cli import main
+from repro.core.executor import SweepExecutor
 from repro.core.resultcache import ResultCache
 from repro.core.scaling import (MEDIUM_PROBLEM_SIZES, SCALING_TIERS,
                                 compare_shapes, pushout, scaling_curve,
@@ -69,7 +70,8 @@ class TestPipelineRouting:
         """Both pushout curves replay one capture per processor count."""
         clear_memory_cache()
         cache = TraceCache()
-        pushout("lu", COUNTS, 2, None, TINY, trace_cache=cache)
+        pushout("lu", COUNTS, 2, None, TINY,
+                executor=SweepExecutor(trace_cache=cache))
         # 2 counts x 2 curves = 4 lookups; the clustered curve's two are
         # hits because lu's trace key is cluster-size-independent
         assert cache.misses == len(COUNTS)
@@ -78,10 +80,11 @@ class TestPipelineRouting:
 
     def test_result_cache_memoizes_points(self, tmp_path):
         cache = ResultCache(tmp_path)
+        executor = SweepExecutor(cache=cache, trace_cache=TraceCache())
         first = scaling_curve("lu", COUNTS, 1, app_kwargs=TINY,
-                              result_cache=cache)
+                              executor=executor)
         again = scaling_curve("lu", COUNTS, 1, app_kwargs=TINY,
-                              result_cache=cache)
+                              executor=executor)
         assert [p.execution_time for p in first.points] \
             == [p.execution_time for p in again.points]
         assert cache.hits == len(COUNTS)
@@ -155,6 +158,17 @@ class TestScalingCLI:
         assert payload[0]["app"] == "lu"
         assert payload[0]["speedups_clustered"] \
             == {str(k): v for k, v in study["speedups_clustered"].items()}
+
+    def test_jobs_and_result_cache_reproduce_the_serial_output(self, capsys):
+        argv = ["scaling", "lu", "--counts", "8,16"]
+        assert main(["--no-cache", *argv]) == 0
+        serial = capsys.readouterr().out
+        assert main(["--jobs", "2", *argv]) == 0
+        assert capsys.readouterr().out == serial
+        assert main(argv) == 0
+        cached = capsys.readouterr()
+        assert cached.out == serial
+        assert "4 hits, 0 misses" in cached.err
 
     def test_indivisible_counts_exit_2(self, capsys):
         rc = main(["scaling", "lu", "--counts", "4,10", "--no-cache"])

@@ -6,9 +6,8 @@ import pytest
 
 from repro.apps.registry import build_app
 from repro.core.config import MachineConfig
-from repro.core.executor import evaluate_point
 from repro.core.resultcache import TraceStore
-from repro.runtime import RunRequest
+from repro.runtime import RunRequest, RunSession
 from repro.sim.compiled import (ENV_TRACE_LRU_BYTES, TraceCache,
                                 clear_memory_cache, compile_program,
                                 memory_cache_len, trace_key)
@@ -155,12 +154,13 @@ class TestExecutorIntegration:
         base = MachineConfig(cache_kb_per_processor=4.0)
         cache = TraceCache()
         specs = [RunRequest.make("lu", cs, 4.0, KWARGS) for cs in (1, 2, 4)]
-        results = [evaluate_point(s, base, trace_cache=cache) for s in specs]
+        results = [RunSession(base, cache).run(s) for s in specs]
         # one compile, then hits: the second and third points reuse it
         assert cache.memory_hits == 2 and cache.misses == 1
         # and every mode agrees with the uncached generator path
         for spec, result in zip(specs, results):
-            want = evaluate_point(spec, base, use_compiled=False)
+            want = build_app(spec.app, spec.config_for(base),
+                             **spec.kwargs).run()
             assert result.to_json() == want.to_json()
 
     def test_dynamic_app_caches_per_config(self):
@@ -168,9 +168,9 @@ class TestExecutorIntegration:
         cache = TraceCache()
         spec = RunRequest.make("raytrace", 2, 4.0,
                                {"width": 8, "height": 8, "n_spheres": 8})
-        first = evaluate_point(spec, base, trace_cache=cache)
+        first = RunSession(base, cache).run(spec)
         assert cache.misses == 1
-        second = evaluate_point(spec, base, trace_cache=cache)
+        second = RunSession(base, cache).run(spec)
         assert cache.memory_hits == 1
         assert first.to_json() == second.to_json()
 
@@ -179,9 +179,9 @@ class TestExecutorIntegration:
         base = MachineConfig(cache_kb_per_processor=4.0)
         spec = RunRequest.make("lu", 2, 4.0, KWARGS)
         store = TraceStore(tmp_path)
-        first = evaluate_point(spec, base, trace_cache=TraceCache(store))
+        first = RunSession(base, TraceCache(store)).run(spec)
         clear_memory_cache()
         cache = TraceCache(TraceStore(tmp_path))
-        second = evaluate_point(spec, base, trace_cache=cache)
+        second = RunSession(base, cache).run(spec)
         assert cache.disk_hits == 1
         assert first.to_json() == second.to_json()

@@ -24,9 +24,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.config import MachineConfig
-from repro.core.executor import evaluate_point
 from repro.core.resultcache import TraceStore
-from repro.runtime import RunRequest
+from repro.runtime import RunRequest, RunSession
 from repro.sim.compiled import (ENV_TRACE_LRU_BYTES, CompiledProgram,
                                 TraceCache,
                                 TraceDecodeError, clear_memory_cache,
@@ -188,8 +187,7 @@ class TestCorruption:
         spec = RunRequest.make("lu", 2, 4.0, dict(TINY_SIZES["lu"]))
         store = TraceStore(tmp_path)
         clear_memory_cache()
-        want = evaluate_point(spec, cfg,
-                              trace_cache=TraceCache(store)).to_json()
+        want = RunSession(cfg, TraceCache(store)).run(spec).to_json()
         (path,) = store.directory.glob("*.trace")
         path.write_bytes(plant(CompiledProgram.from_bytes(path.read_bytes())))
 
@@ -197,7 +195,7 @@ class TestCorruption:
         cache = TraceCache(store)
         with pytest.warns(UserWarning,
                           match="corrupt compiled trace") as caught:
-            got = evaluate_point(spec, cfg, trace_cache=cache)
+            got = RunSession(cfg, cache).run(spec)
         assert len(caught) == 1
         assert cache.misses == 1 and cache.disk_hits == 0
         assert got.to_json() == want
@@ -218,13 +216,12 @@ class TestReplayIdentity:
         # the capture pass replays the freshly compiled, array-backed
         # program (plain-list runtime columns)
         clear_memory_cache()
-        materialized = evaluate_point(spec, cfg,
-                                      trace_cache=TraceCache(store))
+        materialized = RunSession(cfg, TraceCache(store)).run(spec)
         assert trace_cache_info()["mapped_entries"] == 0
 
         clear_memory_cache()
         cache = TraceCache(store)
-        mapped = evaluate_point(spec, cfg, trace_cache=cache)
+        mapped = RunSession(cfg, cache).run(spec)
         assert cache.disk_hits == 1  # really served from the v2 blob
         assert trace_cache_info()["mapped_entries"] == 1
 
@@ -237,9 +234,9 @@ class TestReplayIdentity:
         spec = RunRequest.make("lu", 2, None, dict(TINY_SIZES["lu"]))
         store = TraceStore(tmp_path)
         clear_memory_cache()
-        first = evaluate_point(spec, cfg, trace_cache=TraceCache(store))
+        first = RunSession(cfg, TraceCache(store)).run(spec)
         clear_memory_cache()
-        second = evaluate_point(spec, cfg, trace_cache=TraceCache(store))
+        second = RunSession(cfg, TraceCache(store)).run(spec)
         assert first.to_json() == second.to_json()
         clear_memory_cache()
 
@@ -313,15 +310,13 @@ class TestByteBudget:
 _LU512_CHILD = """
 import json, resource, sys
 from repro.core.config import MachineConfig
-from repro.core.executor import evaluate_point
 from repro.core.resultcache import TraceStore
-from repro.runtime import RunRequest
+from repro.runtime import RunRequest, RunSession
 from repro.sim.compiled import TraceCache
 
 cache = TraceCache(TraceStore(sys.argv[1]))
 spec = RunRequest.make("lu", 4, 4.0, {"n": 512, "block": 16})
-result = evaluate_point(spec, MachineConfig(n_processors=64),
-                        trace_cache=cache)
+result = RunSession(MachineConfig(n_processors=64), cache).run(spec)
 print(json.dumps({
     "result": result.to_json(), "disk_hits": cache.disk_hits,
     "maxrss_kb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss}))
