@@ -855,12 +855,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
+    clean = False
     try:
         rc = args.func(args)
+        clean = True
     except SweepExecutionError as exc:
         print(f"repro-clustering: {exc}", file=sys.stderr)
         rc = 1
-    executor = getattr(args, "_executor", None)
+    finally:
+        # join the --jobs workers after a clean run; after a failed point
+        # or Ctrl-C one may still be busy, so only drop the queue
+        executor = getattr(args, "_executor", None)
+        if executor is not None:
+            executor.close(wait=clean)
     if executor is not None and executor.cache is not None:
         cache = executor.cache
         print(f"[result cache: {cache.stats()} — {cache.directory}]",

@@ -381,13 +381,21 @@ class SweepExecutor:
         """PIDs of the pool's worker processes (empty for serial/thread)."""
         return [p.pid for p in self.worker_processes() if p.pid is not None]
 
-    def close(self) -> None:
-        """Shut down the worker pools (idempotent; a later run reopens them)."""
+    def close(self, wait: bool = False) -> None:
+        """Shut down the worker pools (idempotent; a later run reopens them).
+
+        Queued work is always dropped.  ``wait=True`` also joins the
+        workers — what a process about to exit wants after a clean run,
+        since a pool still tearing down while the interpreter finalizes
+        prints ``Exception ignored … Bad file descriptor``; the default
+        returns at once, for error and Ctrl-C paths where a worker may
+        be stuck in a point.
+        """
         if self._pool is not None:
-            self._pool.shutdown(wait=False, cancel_futures=True)
+            self._pool.shutdown(wait=wait, cancel_futures=True)
             self._pool = None
         if self._threads is not None:
-            self._threads.shutdown(wait=False, cancel_futures=True)
+            self._threads.shutdown(wait=wait, cancel_futures=True)
             self._threads = None
 
     def __enter__(self) -> "SweepExecutor":

@@ -10,7 +10,8 @@ time breakdowns, per-cluster counters, and five totals.
 system is constructed or mutated, and the application's allocator is
 only read (its page bindings seed the kernel's first-touch placement).
 
-A kernel *fault* status (deadlock, lock misuse, dirty-owner miss) makes
+A kernel *fault* status (deadlock, lock misuse, dirty-owner miss, or an
+operand capture would have refused: unknown opcode, negative WORK) makes
 :func:`run_native` return ``None``: the caller declines the point and
 the canonical python replay raises the canonical error.
 """

@@ -11,19 +11,22 @@
  * The python replay remains the canonical reference; the results are
  * byte-identical (pinned by tests/test_native_properties.py).
  *
- * What the spec (docs/INTERNALS.md section 2) fixes, and the kernel
- * therefore implements rather than emulates:
+ * What the spec (docs/INTERNALS.md sections 2 and 4) fixes, and the
+ * kernel therefore implements rather than emulates:
  *
- * - scheduler: a binary heap of (time, seq, pid) with a monotone seq
- *   counter; skipping the push/pop pair for a strictly-earliest event
- *   relabels later seq numbers monotonically, so the pop order is the
- *   canonical (time, seq, pid) heap order.
+ * - scheduler: events run in (time, push order) — ties are FIFO.  Python
+ *   spells that as a heap of (time, seq, pid) with a monotone seq; here
+ *   it is a calendar queue (below) with no seq at all.  Skipping the
+ *   push/pop pair for a strictly-earliest event changes no other
+ *   event's relative order.
  * - replacement: the victim is the least recently touched resident line
  *   of the cluster (hit, merge retry, write hit and install all touch);
  *   a doubly-linked list over slots keeps that order.  Under infinite
  *   capacity nothing is ever evicted, so no order is kept at all.
- * - directory table and miss histories are plain hash maps: their
- *   iteration order is unspecified because no result depends on it.
+ * - a line's directory entry, per-cluster miss history and home cluster
+ *   are one record, found through one hash map, so a miss probes once;
+ *   the table's iteration order is unspecified because no result
+ *   depends on it.
  * - counters: busy cycles and reads/writes are counted online at op
  *   dispatch (never on a merge retry), exactly where the python engine
  *   and memory system count them.
@@ -32,10 +35,12 @@
  * (mask << 2) | state into one unbounded int); the driver gates the
  * kernel on n_clusters <= 64.
  *
- * Statuses: 0 ok; 1 fault — deadlock, lock misuse, or a dirty-owner
- * miss: the caller declines the point and the python replay raises the
- * canonical error from its one home; -1 out of memory.  Outputs are
- * meaningful only with status 0.  Mirrored in repro.native.driver.
+ * Statuses: 0 ok; 1 fault — deadlock, lock misuse, a dirty-owner miss,
+ * or an operand the trace validator would have refused (unknown opcode,
+ * negative WORK; mapped trace payloads are not checksummed): the caller
+ * declines the point and the python replay raises the canonical error
+ * from its one home; -1 out of memory.  Outputs are meaningful only
+ * with status 0.  Mirrored in repro.native.driver.
  */
 
 #include <stdint.h>
@@ -50,6 +55,7 @@
 
 #define NO_LINE INT64_MIN
 #define T_INF ((int64_t)1 << 62)
+#define PF_AHEAD 32 /* trace prefetch distance in ops: four cache lines */
 
 #if defined(_WIN32)
 #define EXPORT __declspec(dllexport)
@@ -69,41 +75,35 @@ static inline int64_t fdiv(int64_t a, int64_t b) {
 
 /* ---------------------------------------------------------------- map
  * Open-addressing int64 hash map, linear probe, tombstone deletion,
- * power-of-two capacity, Fibonacci hashing.  v2 is optional (directory
- * entries store (state, mask); everything else stores one value). */
+ * power-of-two capacity, Fibonacci hashing. */
 
 typedef struct {
     int64_t *key;
-    int64_t *v1;
-    int64_t *v2;
+    int64_t *val;
     uint8_t *st; /* 0 empty, 1 used, 2 tombstone */
     size_t cap;
     size_t live;
     size_t fill; /* used + tombstones */
-    int two;
 } Map;
 
-static int map_init(Map *m, size_t cap0, int two) {
+static int map_init(Map *m, size_t cap0) {
     size_t c = 16;
     while (c < cap0) c <<= 1;
     m->key = (int64_t *)malloc(c * sizeof(int64_t));
-    m->v1 = (int64_t *)malloc(c * sizeof(int64_t));
-    m->v2 = two ? (int64_t *)malloc(c * sizeof(int64_t)) : NULL;
+    m->val = (int64_t *)malloc(c * sizeof(int64_t));
     m->st = (uint8_t *)calloc(c, 1);
     m->cap = c;
     m->live = 0;
     m->fill = 0;
-    m->two = two;
-    if (!m->key || !m->v1 || (two && !m->v2) || !m->st) return ST_NOMEM;
+    if (!m->key || !m->val || !m->st) return ST_NOMEM;
     return 0;
 }
 
 static void map_free(Map *m) {
     free(m->key);
-    free(m->v1);
-    free(m->v2);
+    free(m->val);
     free(m->st);
-    m->key = m->v1 = m->v2 = NULL;
+    m->key = m->val = NULL;
     m->st = NULL;
 }
 
@@ -113,40 +113,36 @@ static inline size_t map_ix(const Map *m, int64_t k) {
     return (size_t)h & (m->cap - 1);
 }
 
-static inline int map_get(const Map *m, int64_t k, int64_t *v1, int64_t *v2) {
+static inline int map_get(const Map *m, int64_t k, int64_t *v) {
     size_t i = map_ix(m, k);
     for (;;) {
         uint8_t s = m->st[i];
         if (s == 0) return 0;
         if (s == 1 && m->key[i] == k) {
-            if (v1) *v1 = m->v1[i];
-            if (v2) *v2 = m->v2[i];
+            *v = m->val[i];
             return 1;
         }
         i = (i + 1) & (m->cap - 1);
     }
 }
 
-static int map_put(Map *m, int64_t k, int64_t a, int64_t b);
+static int map_put(Map *m, int64_t k, int64_t v);
 
 static int map_rehash(Map *m, size_t want) {
     size_t c = 16;
     while (c < want) c <<= 1;
-    int64_t *ok = m->key, *o1 = m->v1, *o2 = m->v2;
+    int64_t *ok = m->key, *ov = m->val;
     uint8_t *os = m->st;
     size_t ocap = m->cap;
     m->key = (int64_t *)malloc(c * sizeof(int64_t));
-    m->v1 = (int64_t *)malloc(c * sizeof(int64_t));
-    m->v2 = m->two ? (int64_t *)malloc(c * sizeof(int64_t)) : NULL;
+    m->val = (int64_t *)malloc(c * sizeof(int64_t));
     m->st = (uint8_t *)calloc(c, 1);
-    if (!m->key || !m->v1 || (m->two && !m->v2) || !m->st) {
+    if (!m->key || !m->val || !m->st) {
         free(m->key);
-        free(m->v1);
-        free(m->v2);
+        free(m->val);
         free(m->st);
         m->key = ok;
-        m->v1 = o1;
-        m->v2 = o2;
+        m->val = ov;
         m->st = os;
         return ST_NOMEM;
     }
@@ -154,15 +150,14 @@ static int map_rehash(Map *m, size_t want) {
     m->live = 0;
     m->fill = 0;
     for (size_t i = 0; i < ocap; i++)
-        if (os[i] == 1) map_put(m, ok[i], o1[i], m->two ? o2[i] : 0);
+        if (os[i] == 1) map_put(m, ok[i], ov[i]);
     free(ok);
-    free(o1);
-    free(o2);
+    free(ov);
     free(os);
     return 0;
 }
 
-static int map_put(Map *m, int64_t k, int64_t a, int64_t b) {
+static int map_put(Map *m, int64_t k, int64_t v) {
     if ((m->fill + 1) * 8 >= m->cap * 5) {
         if (map_rehash(m, (m->live + 1) * 4)) return ST_NOMEM;
     }
@@ -174,8 +169,7 @@ static int map_put(Map *m, int64_t k, int64_t a, int64_t b) {
         if (s == 2) {
             if (tomb == (size_t)-1) tomb = i;
         } else if (m->key[i] == k) {
-            m->v1[i] = a;
-            if (m->two) m->v2[i] = b;
+            m->val[i] = v;
             return 0;
         }
         i = (i + 1) & (m->cap - 1);
@@ -187,20 +181,19 @@ static int map_put(Map *m, int64_t k, int64_t a, int64_t b) {
     }
     m->st[i] = 1;
     m->key[i] = k;
-    m->v1[i] = a;
-    if (m->two) m->v2[i] = b;
+    m->val[i] = v;
     m->live++;
     return 0;
 }
 
-/* Delete k; returns 1 (v1 filled) when present, 0 otherwise. */
-static inline int map_del(Map *m, int64_t k, int64_t *v1) {
+/* Delete k; returns 1 (*v filled, if given) when present, 0 otherwise. */
+static inline int map_del(Map *m, int64_t k, int64_t *v) {
     size_t i = map_ix(m, k);
     for (;;) {
         uint8_t s = m->st[i];
         if (s == 0) return 0;
         if (s == 1 && m->key[i] == k) {
-            if (v1) *v1 = m->v1[i];
+            if (v) *v = m->val[i];
             m->st[i] = 2;
             m->live--;
             return 1;
@@ -218,6 +211,7 @@ static inline int map_del(Map *m, int64_t k, int64_t *v1) {
 
 typedef struct {
     int64_t tag, state, pending, fetcher;
+    int64_t rec;        /* index of the line's record (Ctx.rec) */
     int64_t prev, next; /* recency links; `next` chains the free slots */
 } Line;
 
@@ -327,49 +321,106 @@ static inline void lock_dequeue(Lock *lk, int64_t *pid, int64_t *arr) {
     lk->qn--;
 }
 
-/* ------------------------------------------------------------- heap
- * (time, seq, pid) binary min-heap; seq is a monotone counter, so pop
- * order is FIFO within one time == the python engine's heap order. */
+/* ------------------------------------------------------------ queue
+ * Calendar queue: pops events in (time, push order).  A processor has at
+ * most one queued event, so a bucket is an intrusive FIFO threaded through
+ * next[pid].  Bucket T & (W-1) of the ring holds the events due at T for
+ * now <= T < now + W, where `now` is the time of the last pop (monotone:
+ * nothing is ever pushed before it); an occupancy bitmap finds the
+ * earliest one.  The rare event due W or more cycles out waits in `far`,
+ * kept sorted.  On a time tie between the two the far event runs first:
+ * it was pushed under an earlier `now`, hence before the ring event.
+ *
+ * W is sized by a count, not a guess: at 4096, 0.5% of the pushes of
+ * 512x512 LU on 64 processors are far (docs/EXECUTION.md "Measuring"). */
+
+#define W 4096 /* ring span in cycles; a power of two */
 
 typedef struct {
-    int64_t t, seq, pid;
+    int64_t t, pid;
 } Ev;
 
-static inline int ev_lt(Ev a, Ev b) {
-    return a.t < b.t || (a.t == b.t && a.seq < b.seq);
+typedef struct {
+    int64_t now, n_ring, n_far;
+    uint64_t occ[W / 64];     /* bit b set: bucket b is non-empty */
+    int32_t head[W], tail[W]; /* meaningful only under a set bit */
+    int32_t *next;            /* n */
+    Ev *far; /* n; latest first, and among equal times latest push first */
+} Queue;
+
+static void q_free(Queue *q) {
+    if (!q) return;
+    free(q->next);
+    free(q->far);
+    free(q);
 }
 
-static inline void heap_push(Ev *h, int64_t *hn, Ev e) {
-    int64_t i = (*hn)++;
-    h[i] = e;
-    while (i > 0) {
-        int64_t par = (i - 1) >> 1;
-        if (!ev_lt(h[i], h[par])) break;
-        Ev tmp = h[i];
-        h[i] = h[par];
-        h[par] = tmp;
-        i = par;
+static Queue *q_new(int64_t n) {
+    Queue *q = (Queue *)calloc(1, sizeof(Queue));
+    if (!q) return NULL;
+    q->next = (int32_t *)malloc(n * sizeof(int32_t));
+    q->far = (Ev *)malloc(n * sizeof(Ev));
+    if (!q->next || !q->far) {
+        q_free(q);
+        return NULL;
     }
+    return q;
 }
 
-static inline Ev heap_pop(Ev *h, int64_t *hn) {
-    Ev top = h[0];
-    int64_t n = --(*hn);
-    if (n > 0) {
-        h[0] = h[n];
-        int64_t i = 0;
-        for (;;) {
-            int64_t l = 2 * i + 1, r = l + 1, m = i;
-            if (l < n && ev_lt(h[l], h[m])) m = l;
-            if (r < n && ev_lt(h[r], h[m])) m = r;
-            if (m == i) break;
-            Ev tmp = h[i];
-            h[i] = h[m];
-            h[m] = tmp;
-            i = m;
-        }
+static inline void q_push(Queue *q, int64_t t, int64_t pid) {
+    if (t - q->now >= W) {
+        int64_t i = q->n_far++;
+        for (; i > 0 && q->far[i - 1].t <= t; i--) q->far[i] = q->far[i - 1];
+        q->far[i] = (Ev){t, pid};
+        return;
     }
-    return top;
+    size_t b = (size_t)t & (W - 1);
+    uint64_t bit = 1ULL << (b & 63);
+    if (q->occ[b >> 6] & bit) {
+        q->next[q->tail[b]] = (int32_t)pid;
+    } else {
+        q->occ[b >> 6] |= bit;
+        q->head[b] = (int32_t)pid;
+    }
+    q->tail[b] = (int32_t)pid;
+    q->n_ring++;
+}
+
+/* Earliest time in the ring; T_INF when it is empty. */
+static inline int64_t ring_min(const Queue *q) {
+    if (!q->n_ring) return T_INF;
+    size_t b = (size_t)q->now & (W - 1), w = b >> 6;
+    uint64_t m = q->occ[w] & (~0ULL << (b & 63));
+    while (!m) { /* wraps back to the low bits of the first word */
+        w = (w + 1) & (W / 64 - 1);
+        m = q->occ[w];
+    }
+    return q->now + (int64_t)(((w << 6 | (size_t)ctz64(m)) - b) & (W - 1));
+}
+
+/* Earliest queued time; T_INF when nothing is queued. */
+static inline int64_t q_min(const Queue *q) {
+    int64_t tr = ring_min(q);
+    int64_t tf = q->n_far ? q->far[q->n_far - 1].t : T_INF;
+    return tf < tr ? tf : tr;
+}
+
+static inline Ev q_pop(Queue *q) {
+    int64_t tr = ring_min(q);
+    Ev e;
+    if (q->n_far && q->far[q->n_far - 1].t <= tr) {
+        e = q->far[--q->n_far];
+    } else {
+        size_t b = (size_t)tr & (W - 1);
+        e = (Ev){tr, q->head[b]};
+        if (q->head[b] == q->tail[b])
+            q->occ[b >> 6] &= ~(1ULL << (b & 63));
+        else
+            q->head[b] = q->next[e.pid];
+        q->n_ring--;
+    }
+    q->now = e.t;
+    return e;
 }
 
 /* ---------------------------------------------------------- context */
@@ -379,17 +430,36 @@ static inline Ev heap_pop(Ev *h, int64_t *hn) {
  * 0 reads, 1 writes, 2 read_misses, 3 write_misses, 4 upgrade_misses,
  * 5 merges, 6 merge_refetches, 7 prefetch_hits,
  * 8 cold, 9 coherence, 10 capacity (by_cause tallies, in MissCause
- * declaration order), indexed 8 + the cause a miss history stores,
+ * declaration order), indexed 8 + rec_cause(),
  * 11 evictions, 12 inserts */
+
+/* Everything the machine knows about one line outside the caches: its
+ * directory entry, why each cluster last lost it, and where it lives.
+ * A line is "in the directory" iff mask != 0 (state is then 1 SHARED or
+ * 2 EXCLUSIVE, else 0).  lost_coh / lost_cap have at most one of a
+ * cluster's two bits set — the latest loss wins; neither means the
+ * cluster's next miss on the line is cold. */
+typedef struct {
+    uint64_t mask, lost_coh, lost_cap;
+    int32_t state;
+    int32_t home; /* bound with the record, at the line's first miss */
+} Rec;
+
+/* by_cause index of cluster bit `me`'s next miss: 0 cold, 1 coherence,
+ * 2 capacity (MissCause declaration order). */
+static inline int rec_cause(const Rec *r, uint64_t me) {
+    return r->lost_coh & me ? 1 : r->lost_cap & me ? 2 : 0;
+}
 
 typedef struct {
     int64_t ncl, cap, lpp, rr_next;
     int touch; /* finite capacity: keep recency order, evict when full */
     int64_t l_lc, l_rc, l_ldr, l_rd3;
     Cache *ca;  /* ncl */
-    Map dir;    /* line -> (state, mask) */
+    Map rec_of; /* line -> index into rec */
+    Rec *rec;   /* one per line ever missed on; grows, never shrinks */
+    int64_t n_rec, cap_rec;
     Map pages;  /* page -> home (the allocator's bindings + first touches) */
-    Map *hist;  /* ncl: line -> cause (1 COHERENCE, 2 CAPACITY) */
     int64_t *ctr; /* out: ncl * NCTR */
     int64_t inv_sent, repl_hints, writebacks, first_touch;
     int64_t *bd; /* out: 4n (cpu, load, merge, sync) */
@@ -397,56 +467,74 @@ typedef struct {
 
 /* Home cluster of a line; binds the page round-robin on first touch
  * (allocation.PageAllocator.home_of_line, verbatim semantics). */
-static int home_of(Ctx *x, int64_t line, int64_t *home_out) {
-    int64_t page = fdiv(line, x->lpp);
-    if (!map_get(&x->pages, page, home_out, NULL)) {
-        *home_out = x->rr_next;
-        if (map_put(&x->pages, page, x->rr_next, 0)) return ST_NOMEM;
+static int home_of(Ctx *x, int64_t line, int32_t *home_out) {
+    int64_t page = fdiv(line, x->lpp), home;
+    if (!map_get(&x->pages, page, &home)) {
+        home = x->rr_next;
+        if (map_put(&x->pages, page, home)) return ST_NOMEM;
         x->rr_next = (x->rr_next + 1) % x->ncl;
         x->first_touch++;
+    }
+    *home_out = (int32_t)home;
+    return 0;
+}
+
+/* Index of the record of a line that just missed, created (and its page
+ * bound) at the line's first miss anywhere; creation may move the slab. */
+static int rec_at_miss(Ctx *x, int64_t line, int64_t *ri_out) {
+    if (!map_get(&x->rec_of, line, ri_out)) {
+        if (x->n_rec == x->cap_rec) {
+            int64_t nc = x->cap_rec ? x->cap_rec * 2 : 1024;
+            Rec *p = (Rec *)realloc(x->rec, nc * sizeof(Rec));
+            if (!p) return ST_NOMEM;
+            x->rec = p;
+            x->cap_rec = nc;
+        }
+        Rec *r = &x->rec[x->n_rec];
+        memset(r, 0, sizeof(Rec));
+        if (home_of(x, line, &r->home)) return ST_NOMEM;
+        if (map_put(&x->rec_of, line, x->n_rec)) return ST_NOMEM;
+        *ri_out = x->n_rec++;
     }
     return 0;
 }
 
 /* Victim retirement: replacement hint for SHARED, writeback for a line
- * this cluster holds EXCLUSIVE (exact packed comparison, as in python). */
-static int retire(Ctx *x, int cl, int64_t vline, int64_t vstate) {
-    int64_t ds, dm;
-    if (!map_get(&x->dir, vline, &ds, &dm)) return 0;
+ * this cluster holds EXCLUSIVE (exact comparison, as in python).  A line
+ * the directory no longer lists counts nothing. */
+static void retire(Ctx *x, uint64_t me, Rec *v, int64_t vstate) {
+    if (!v->mask) return;
     if (vstate == 2) { /* EXCLUSIVE */
-        if (ds == 2 && dm == (int64_t)(1ULL << cl)) {
-            map_del(&x->dir, vline, NULL);
-            x->writebacks++;
-        }
+        if (v->state != 2 || v->mask != me) return;
+        v->mask = 0;
+        x->writebacks++;
     } else {
-        dm &= (int64_t)~(1ULL << cl);
+        v->mask &= ~me;
         x->repl_hints++;
-        if (dm) {
-            if (map_put(&x->dir, vline, ds, dm)) return ST_NOMEM;
-        } else {
-            map_del(&x->dir, vline, NULL);
-        }
     }
-    return 0;
+    if (!v->mask) v->state = 0;
 }
 
-/* Install `line` into cluster cl's cache (state_new 1=SHARED on a read
- * miss, 2=EXCLUSIVE on a write miss).  A full cache first evicts its
- * least recently touched line, recycling the slot and retiring the
- * victim at the directory. */
-static int install(Ctx *x, int cl, int64_t pid, int64_t line, int64_t ready,
-                   int64_t state_new) {
+/* Install `line` (record ri) into cluster cl's cache (state_new 1=SHARED
+ * on a read miss, 2=EXCLUSIVE on a write miss).  A full cache first
+ * evicts its least recently touched line, recycling the slot and
+ * retiring the victim at the directory. */
+static int install(Ctx *x, int cl, int64_t pid, int64_t line, int64_t ri,
+                   int64_t ready, int64_t state_new) {
     Cache *c = &x->ca[cl];
     int64_t *ct = x->ctr + (size_t)cl * NCTR;
-    int64_t slot, vline = 0, vstate = 0;
-    int evict = x->touch && (int64_t)c->slot_of.live >= x->cap;
-    if (evict) {
+    int64_t slot;
+    if (x->touch && (int64_t)c->slot_of.live >= x->cap) {
         slot = c->head;
-        vline = c->ln[slot].tag;
-        vstate = c->ln[slot].state;
-        map_del(&c->slot_of, vline, NULL);
+        Line *vl = &c->ln[slot];
+        Rec *v = &x->rec[vl->rec];
+        uint64_t me = 1ULL << cl;
+        map_del(&c->slot_of, vl->tag, NULL);
         lru_unlink(c, slot);
         ct[11]++; /* evictions */
+        v->lost_cap |= me;
+        v->lost_coh &= ~me;
+        retire(x, me, v, vl->state);
     } else if (cache_slot(c, &slot)) {
         return ST_NOMEM;
     }
@@ -455,31 +543,41 @@ static int install(Ctx *x, int cl, int64_t pid, int64_t line, int64_t ready,
     ln->state = state_new;
     ln->pending = ready;
     ln->fetcher = pid;
-    if (map_put(&c->slot_of, line, slot, 0)) return ST_NOMEM;
+    ln->rec = ri;
+    if (map_put(&c->slot_of, line, slot)) return ST_NOMEM;
     if (x->touch) lru_push_tail(c, slot);
     ct[12]++; /* inserts */
-    if (evict) {
-        if (map_put(&x->hist[cl], vline, 2 /*CAPACITY*/, 0)) return ST_NOMEM;
-        return retire(x, cl, vline, vstate);
-    }
     return 0;
 }
 
-/* Invalidate `line` in every cluster of `bits`. */
-static int invalidate(Ctx *x, uint64_t bits, int64_t line) {
+/* Invalidate line (record r) in every other sharer of cluster bit `me`;
+ * invalidations_sent counts the whole mask, resident or not, exactly as
+ * the python kernel does. */
+static void invalidate_others(Ctx *x, Rec *r, uint64_t me, int64_t line) {
+    uint64_t bits = r->mask & ~me;
+    x->inv_sent += popcount64(bits);
     while (bits) {
         int vcl = ctz64(bits);
-        bits &= bits - 1;
+        uint64_t bit = bits & -bits;
+        bits ^= bit;
         Cache *c = &x->ca[vcl];
-        int64_t s2;
-        if (map_del(&c->slot_of, line, &s2)) {
-            if (x->touch) lru_unlink(c, s2);
-            cache_slot_free(c, s2);
-            if (map_put(&x->hist[vcl], line, 1 /*COHERENCE*/, 0))
-                return ST_NOMEM;
+        int64_t s;
+        if (map_del(&c->slot_of, line, &s)) {
+            if (x->touch) lru_unlink(c, s);
+            cache_slot_free(c, s);
+            r->lost_coh |= bit;
+            r->lost_cap &= ~bit;
         }
     }
-    return 0;
+}
+
+/* Miss latency for cluster cl on record r (Table 1), given the directory
+ * entry before the transaction; -1 = cl is itself the dirty owner. */
+static inline int64_t miss_latency(const Ctx *x, const Rec *r, int cl) {
+    if (r->state != 2) return cl == r->home ? x->l_lc : x->l_rc;
+    int owner = ctz64(r->mask);
+    if (owner == cl) return -1;
+    return cl == r->home ? x->l_ldr : owner == r->home ? x->l_rc : x->l_rd3;
 }
 
 /* Full read miss (fresh miss and invalidated-while-pending refetch):
@@ -487,27 +585,22 @@ static int invalidate(Ctx *x, uint64_t bits, int64_t line) {
  * SHARED install, counters, load stall. */
 static int read_miss(Ctx *x, int cl, int64_t pid, int64_t line, int64_t t,
                      int64_t *stall_out) {
-    int64_t cause = 0, home, stall;
-    map_get(&x->hist[cl], line, &cause, NULL);
-    int rc = home_of(x, line, &home);
+    int64_t ri, s;
+    int rc = rec_at_miss(x, line, &ri);
     if (rc) return rc;
-    int64_t ds = 0, dm = 0;
-    map_get(&x->dir, line, &ds, &dm);
-    if (ds == 2) { /* dirty remote owner */
-        int owner = ctz64((uint64_t)dm);
-        if (owner == cl) return ST_FAULT;
-        stall = (cl == home) ? x->l_ldr
-                             : (owner == home ? x->l_rc : x->l_rd3);
-        /* owner keeps the data but downgrades; the reader joins */
-        Cache *oc = &x->ca[owner];
-        int64_t s;
-        if (map_get(&oc->slot_of, line, &s, NULL)) oc->ln[s].state = 1;
-    } else {
-        stall = (cl == home) ? x->l_lc : x->l_rc;
+    Rec *r = &x->rec[ri];
+    uint64_t me = 1ULL << cl;
+    int cause = rec_cause(r, me);
+    int64_t stall = miss_latency(x, r, cl);
+    if (stall < 0) return ST_FAULT;
+    if (r->state == 2) {
+        /* the owner keeps the data but downgrades; the reader joins */
+        Cache *oc = &x->ca[ctz64(r->mask)];
+        if (map_get(&oc->slot_of, line, &s)) oc->ln[s].state = 1;
     }
-    if (map_put(&x->dir, line, 1, dm | (int64_t)(1ULL << cl)))
-        return ST_NOMEM;
-    rc = install(x, cl, pid, line, t + stall, 1);
+    r->state = 1;
+    r->mask |= me;
+    rc = install(x, cl, pid, line, ri, t + stall, 1);
     if (rc) return rc;
     int64_t *ct = x->ctr + (size_t)cl * NCTR;
     ct[2]++;            /* read_misses */
@@ -518,31 +611,20 @@ static int read_miss(Ctx *x, int cl, int64_t pid, int64_t line, int64_t t,
 }
 
 /* Write miss: fetch exclusive (latency hidden, line left pending),
- * invalidating every other sharer; invalidations_sent counts the whole
- * `others` mask unconditionally, exactly as the python kernel does. */
+ * invalidating every other sharer. */
 static int write_miss(Ctx *x, int cl, int64_t pid, int64_t line, int64_t t) {
-    int64_t cause = 0, home, latency;
-    map_get(&x->hist[cl], line, &cause, NULL);
-    int rc = home_of(x, line, &home);
+    int64_t ri;
+    int rc = rec_at_miss(x, line, &ri);
     if (rc) return rc;
-    int64_t ds = 0, dm = 0;
-    map_get(&x->dir, line, &ds, &dm);
-    if (ds == 2) { /* dirty remote owner */
-        int owner = ctz64((uint64_t)dm);
-        if (owner == cl) return ST_FAULT;
-        latency = (cl == home) ? x->l_ldr
-                               : (owner == home ? x->l_rc : x->l_rd3);
-    } else {
-        latency = (cl == home) ? x->l_lc : x->l_rc;
-    }
-    uint64_t others = (uint64_t)dm & ~(1ULL << cl);
-    if (others) {
-        rc = invalidate(x, others, line);
-        if (rc) return rc;
-    }
-    x->inv_sent += popcount64(others);
-    if (map_put(&x->dir, line, 2, (int64_t)(1ULL << cl))) return ST_NOMEM;
-    rc = install(x, cl, pid, line, t + latency, 2);
+    Rec *r = &x->rec[ri];
+    uint64_t me = 1ULL << cl;
+    int cause = rec_cause(r, me);
+    int64_t latency = miss_latency(x, r, cl);
+    if (latency < 0) return ST_FAULT;
+    invalidate_others(x, r, me, line);
+    r->state = 2;
+    r->mask = me;
+    rc = install(x, cl, pid, line, ri, t + latency, 2);
     if (rc) return rc;
     int64_t *ct = x->ctr + (size_t)cl * NCTR;
     ct[3]++;         /* write_misses */
@@ -567,7 +649,7 @@ typedef struct {
 static int barrier_of(Barriers *bs, int64_t id, int64_t n_procs,
                       Barrier **out) {
     int64_t i;
-    if (map_get(&bs->ix, id, &i, NULL)) {
+    if (map_get(&bs->ix, id, &i)) {
         *out = &bs->v[i];
         return 0;
     }
@@ -584,14 +666,14 @@ static int barrier_of(Barriers *bs, int64_t id, int64_t n_procs,
     b->warr = (int64_t *)malloc(n_procs * sizeof(int64_t));
     bs->n++; /* owned by the registry from here: cleanup frees both */
     if (!b->wpid || !b->warr) return ST_NOMEM;
-    if (map_put(&bs->ix, id, bs->n - 1, 0)) return ST_NOMEM;
+    if (map_put(&bs->ix, id, bs->n - 1)) return ST_NOMEM;
     *out = b;
     return 0;
 }
 
 static int lock_of(Locks *ls, int64_t id, Lock **out) {
     int64_t i;
-    if (map_get(&ls->ix, id, &i, NULL)) {
+    if (map_get(&ls->ix, id, &i)) {
         *out = &ls->v[i];
         return 0;
     }
@@ -606,7 +688,7 @@ static int lock_of(Locks *ls, int64_t id, Lock **out) {
     lk->holder = -1;
     lk->qpid = lk->qarr = NULL;
     lk->qh = lk->qn = lk->qcap = 0;
-    if (map_put(&ls->ix, id, ls->n, 0)) return ST_NOMEM;
+    if (map_put(&ls->ix, id, ls->n)) return ST_NOMEM;
     ls->n++;
     *out = lk;
     return 0;
@@ -624,7 +706,9 @@ EXPORT int64_t repro_abi(void) { return ABI; }
  * streaming-trace layer is built on — and must tolerate ops[p] == NULL
  * when lens[p] == 0 (an empty column has no buffer to address).  Access
  * is sequential per processor, which the mapping layer advertises to the
- * OS via MADV_SEQUENTIAL. */
+ * OS via MADV_SEQUENTIAL and the replay loop to the CPU by prefetching
+ * (loads only).  A mapped payload carries no checksum, so operands are
+ * not trusted: what capture would have refused is a fault here. */
 EXPORT int64_t repro_replay(
     int64_t n, int64_t ncl, int64_t csize,
     const int64_t **ops, const int64_t **args, const int64_t *lens,
@@ -644,8 +728,7 @@ EXPORT int64_t repro_replay(
     memset(&bars, 0, sizeof(bars));
     Locks locks;
     memset(&locks, 0, sizeof(locks));
-    Ev *heap = NULL;
-    int64_t hn = 0;
+    Queue *q = NULL;
     int64_t *ipos = NULL, *retry = NULL, *finish = NULL;
 
     x.ncl = ncl;
@@ -660,48 +743,45 @@ EXPORT int64_t repro_replay(
     x.bd = bd;
     x.ctr = ctr;
 
+    /* the queue's ring cannot hold an event before `now`, which is where
+     * a negative latency (like a negative WORK) would put one; and it
+     * links processors by 32-bit pid */
+    if (l_lc < 0 || l_rc < 0 || l_ldr < 0 || l_rd3 < 0 || n > INT32_MAX)
+        return ST_FAULT;
+
     x.ca = (Cache *)calloc(ncl, sizeof(Cache));
-    x.hist = (Map *)calloc(ncl, sizeof(Map));
-    heap = (Ev *)malloc((n + 4) * sizeof(Ev));
+    q = q_new(n);
     ipos = (int64_t *)calloc(n, sizeof(int64_t));
     retry = (int64_t *)malloc(n * sizeof(int64_t));
     finish = (int64_t *)malloc(n * sizeof(int64_t));
-    if (!x.ca || !x.hist || !heap || !ipos || !retry || !finish) {
+    if (!x.ca || !q || !ipos || !retry || !finish) {
         st = ST_NOMEM;
         goto done;
     }
-    if ((st = map_init(&x.dir, 1024, 1))) goto done;
-    if ((st = map_init(&x.pages, (size_t)n_ph * 2, 0))) goto done;
-    if ((st = map_init(&bars.ix, 16, 0))) goto done;
-    if ((st = map_init(&locks.ix, 16, 0))) goto done;
+    if ((st = map_init(&x.rec_of, 1024))) goto done;
+    if ((st = map_init(&x.pages, (size_t)n_ph * 2))) goto done;
+    if ((st = map_init(&bars.ix, 16))) goto done;
+    if ((st = map_init(&locks.ix, 16))) goto done;
     for (int64_t i = 0; i < ncl; i++) {
         Cache *c = &x.ca[i];
         c->head = c->tail = c->free_head = -1;
-        if ((st = map_init(&c->slot_of, 1024, 0))) goto done;
-        if ((st = map_init(&x.hist[i], 256, 0))) goto done;
+        if ((st = map_init(&c->slot_of, 1024))) goto done;
     }
     for (int64_t i = 0; i < n_ph; i++)
-        if ((st = map_put(&x.pages, ph_pages[i], ph_homes[i], 0))) goto done;
+        if ((st = map_put(&x.pages, ph_pages[i], ph_homes[i]))) goto done;
     for (int64_t p = 0; p < n; p++) {
         finish[p] = -1;
         retry[p] = NO_LINE;
     }
 
-    /* initial events: every processor at time 0, pid order == seq order */
-    {
-        int64_t seq0 = 0;
-        for (int64_t p = 0; p < n; p++) {
-            Ev e = {0, seq0++, p};
-            heap_push(heap, &hn, e);
-        }
-    }
-    int64_t seq = n;
+    /* initial events: every processor at time 0, in pid order */
+    for (int64_t p = 0; p < n; p++) q_push(q, 0, p);
     int64_t n_running = n;
 
-    Ev e0 = heap_pop(heap, &hn);
+    Ev e0 = q_pop(q);
     int64_t t = e0.t;
     int64_t pid = e0.pid;
-    int64_t hz = hn ? heap[0].t : T_INF;
+    int64_t hz = q_min(q);
     int cl = (int)(pid / csize);
     int64_t *ct = x.ctr + (size_t)cl * NCTR;
     int64_t pending = retry[pid];
@@ -713,7 +793,7 @@ EXPORT int64_t repro_replay(
             /* ---- retry of a merged read at its fill time */
             Cache *c = &x.ca[cl];
             int64_t slot;
-            int found = map_get(&c->slot_of, pending, &slot, NULL);
+            int found = map_get(&c->slot_of, pending, &slot);
             if (found) {
                 if (x.touch) lru_touch(c, slot);
                 int64_t pu = c->ln[slot].pending;
@@ -757,6 +837,13 @@ EXPORT int64_t repro_replay(
                     finished = 1;
                     break;
                 }
+                /* n processors x 2 columns are more sequential streams
+                 * than a hardware prefetcher follows: ask once per cache
+                 * line (a prefetch past the column's end is harmless) */
+                if ((ip & 7) == 0) {
+                    __builtin_prefetch(po + ip + PF_AHEAD);
+                    __builtin_prefetch(pa + ip + PF_AHEAD);
+                }
                 int64_t op = po[ip];
                 int64_t arg = pa[ip];
                 ip++;
@@ -764,7 +851,7 @@ EXPORT int64_t repro_replay(
                     bd[4 * pid] += 1;
                     ct[0]++;
                     int64_t slot;
-                    int found = map_get(&c->slot_of, arg, &slot, NULL);
+                    int found = map_get(&c->slot_of, arg, &slot);
                     if (found) {
                         if (x.touch) lru_touch(c, slot);
                         int64_t pu = c->ln[slot].pending;
@@ -792,35 +879,27 @@ EXPORT int64_t repro_replay(
                         tn = t + stall + 1;
                     }
                 } else if (op == 0) { /* WORK */
+                    if (arg < 0) {
+                        st = ST_FAULT;
+                        goto done;
+                    }
                     bd[4 * pid] += arg;
                     tn = t + arg;
                 } else if (op == 2) { /* WRITE (never stalls) */
                     bd[4 * pid] += 1;
                     ct[1]++;
                     int64_t slot;
-                    int found = map_get(&c->slot_of, arg, &slot, NULL);
+                    int found = map_get(&c->slot_of, arg, &slot);
                     if (found) {
                         if (x.touch) lru_touch(c, slot);
                         if (c->ln[slot].state != 2) {
                             /* upgrade: invalidate the other sharers */
                             ct[4]++;
-                            int64_t ds = 0, dm = 0;
-                            map_get(&x.dir, arg, &ds, &dm);
-                            uint64_t others =
-                                (uint64_t)dm & ~(1ULL << cl);
-                            if (others) {
-                                int rc = invalidate(&x, others, arg);
-                                if (rc) {
-                                    st = rc;
-                                    goto done;
-                                }
-                                x.inv_sent += popcount64(others);
-                            }
-                            if (map_put(&x.dir, arg, 2,
-                                        (int64_t)(1ULL << cl))) {
-                                st = ST_NOMEM;
-                                goto done;
-                            }
+                            Rec *r = &x.rec[c->ln[slot].rec];
+                            uint64_t me = 1ULL << cl;
+                            invalidate_others(&x, r, me, arg);
+                            r->state = 2;
+                            r->mask = me;
                             c->ln[slot].state = 2;
                         }
                         tn = t + 1;
@@ -844,8 +923,7 @@ EXPORT int64_t repro_replay(
                     if (b->n_wait == n) {
                         for (int64_t w = 0; w < b->n_wait; w++) {
                             bd[4 * b->wpid[w] + 3] += t - b->warr[w];
-                            Ev e = {t, seq++, b->wpid[w]};
-                            heap_push(heap, &hn, e);
+                            q_push(q, t, b->wpid[w]);
                         }
                         b->n_wait = 0;
                     }
@@ -872,7 +950,7 @@ EXPORT int64_t repro_replay(
                         noevent = 1;
                         break;
                     }
-                } else { /* UNLOCK */
+                } else if (op == 5) { /* UNLOCK */
                     bd[4 * pid] += 1;
                     Lock *lk;
                     if (lock_of(&locks, arg, &lk)) {
@@ -887,18 +965,19 @@ EXPORT int64_t repro_replay(
                         int64_t np, arr;
                         lock_dequeue(lk, &np, &arr);
                         lk->holder = np;
-                        /* enqueue order (self, then next holder) fixes
+                        /* push order (self, then next holder) fixes
                          * the tie-break at t+1 */
-                        Ev e1 = {t + 1, seq++, pid};
-                        heap_push(heap, &hn, e1);
+                        q_push(q, t + 1, pid);
                         bd[4 * np + 3] += t - arr;
-                        Ev e2 = {t + 1, seq++, np};
-                        heap_push(heap, &hn, e2);
+                        q_push(q, t + 1, np);
                         noevent = 1;
                         break;
                     }
                     lk->holder = -1;
                     tn = t + 1;
+                } else { /* no such opcode */
+                    st = ST_FAULT;
+                    goto done;
                 }
                 /* ---- fast path: strictly next, stay on this processor */
                 if (tn < hz) {
@@ -917,18 +996,17 @@ EXPORT int64_t repro_replay(
 
         /* ---- scheduling tail */
         if (noevent) {
-            if (hn == 0) break;
+            if (q->n_ring + q->n_far == 0) break;
         } else if (tn < hz) { /* retry arm / fresh merge only */
             t = tn;
             continue;
         } else {
-            Ev e = {tn, seq++, pid};
-            heap_push(heap, &hn, e);
+            q_push(q, tn, pid);
         }
-        Ev nx = heap_pop(heap, &hn);
+        Ev nx = q_pop(q);
         t = nx.t;
         pid = nx.pid;
-        hz = hn ? heap[0].t : T_INF;
+        hz = q_min(q);
         cl = (int)(pid / csize);
         ct = x.ctr + (size_t)cl * NCTR;
         pending = retry[pid];
@@ -959,11 +1037,8 @@ done:
         }
         free(x.ca);
     }
-    if (x.hist) {
-        for (int64_t i = 0; i < ncl; i++) map_free(&x.hist[i]);
-        free(x.hist);
-    }
-    map_free(&x.dir);
+    map_free(&x.rec_of);
+    free(x.rec);
     map_free(&x.pages);
     for (int64_t i = 0; i < bars.n; i++) {
         free(bars.v[i].wpid);
@@ -977,7 +1052,7 @@ done:
     }
     free(locks.v);
     map_free(&locks.ix);
-    free(heap);
+    q_free(q);
     free(ipos);
     free(retry);
     free(finish);

@@ -64,9 +64,9 @@ def try_replay_native(config: "MachineConfig", app,
 
     Every case that is not a clean native run — python selected, an
     ineligible machine, a program captured for another machine, a
-    kernel fault (deadlock, lock misuse) — returns ``None`` so the
-    canonical path runs the point and raises its own exact errors; the
-    application's allocator is left untouched for it.
+    kernel fault (deadlock, lock misuse, bad operand) — returns ``None``
+    so the canonical path runs the point and raises its own exact
+    errors; the application's allocator is left untouched for it.
     """
     if native_decline_reason(config) is not None:
         return None

@@ -17,6 +17,8 @@ the selection-semantics tests run everywhere, compiler or not.
 """
 
 import os
+import re
+from array import array
 
 import pytest
 from hypothesis import given, settings
@@ -26,15 +28,18 @@ import repro.native as native
 from repro.apps import registry
 from repro.apps.base import Application
 from repro.core.config import MachineConfig
+from repro.core.metrics import MissCause
 from repro.memory.allocation import PageAllocator
 from repro.memory.coherence import CoherentMemorySystem
 from repro.native import build
 from repro.native.driver import run_native
 from repro.runtime import RunRequest, RunSession
-from repro.sim.compiled import TraceCache, clear_memory_cache, compile_program
+from repro.sim.compiled import (CompiledProgram, TraceCache,
+                                clear_memory_cache, compile_program)
 from repro.sim.engine import SimulationDeadlock, execute_program
 from repro.sim.nativereplay import native_decline_reason, try_replay_native
-from repro.sim.program import Barrier, Lock, Read, Unlock, Work, Write
+from repro.sim.program import (OP_LOCK, OP_WORK, Barrier, Lock, Read, Unlock,
+                               Work, Write)
 
 from test_runtime import CFG, TINY, golden_payload
 
@@ -55,9 +60,20 @@ needs_kernel = pytest.mark.skipif(
 # invalidation traffic), or a lock-protected critical section (locks are
 # always released by the acquirer, in order).
 
+#: span of the kernel's calendar-queue ring (``#define W`` in kernel.c):
+#: an event due W or more cycles after the last pop takes the far path
+_W = int(re.search(r"^#define W (\d+)", build.source_path().read_text(),
+                   re.M).group(1))
+
 _ADDR = st.integers(min_value=0, max_value=1023)
+# mostly short work (21 draws in 25), so processors stay entangled; the
+# four long ones put an event just inside the ring, just outside it, and
+# two laps out
+_LONG = (_W - 1, _W, _W + 1, 2 * _W + 3)
+_WORK = st.integers(min_value=0, max_value=20 + len(_LONG)).map(
+    lambda k: k if k <= 20 else _LONG[k - 21])
 _BASIC = st.one_of(
-    st.tuples(st.just("work"), st.integers(min_value=0, max_value=20)),
+    st.tuples(st.just("work"), _WORK),
     st.tuples(st.just("read"), _ADDR),
     st.tuples(st.just("write"), _ADDR),
 )
@@ -70,7 +86,7 @@ _ATOM = st.one_of(
 
 @st.composite
 def _programs(draw):
-    n = draw(st.sampled_from([2, 4]))
+    n = draw(st.sampled_from([2, 4, 8, 16]))
     phases = draw(st.integers(min_value=1, max_value=3))
     table = [[draw(st.lists(_ATOM, max_size=10)) for _ in range(phases)]
              for _ in range(n)]
@@ -106,7 +122,7 @@ def _config(n, cluster, cache_kb):
                          cache_kb_per_processor=cache_kb)
 
 
-_CACHES = st.sampled_from([None, 0.0625, 0.25])  # infinite / 4 / 16 lines
+_CACHES = st.sampled_from([None, 0.0625, 0.25])  # infinite, 1, 4 lines/processor
 
 
 @pytest.fixture
@@ -128,17 +144,14 @@ def _allocator(config):
 
 # ------------------------------------------------ native == canonical
 
-@needs_kernel
-@settings(max_examples=60, deadline=None)
-@given(data=_programs(), cluster_pick=st.integers(min_value=0, max_value=2),
-       cache_kb=_CACHES)
-def test_native_matches_python_kernels(data, cluster_pick, cache_kb):
-    n, phases, table = data
-    cluster = [1, 2, n][cluster_pick]
-    config = _config(n, cluster, cache_kb)
-    program = compile_program(_factory_of(phases, table), n,
-                              config.line_size)
+def _assert_native_matches_python(config, factory):
+    """Replay ``factory`` both ways; every number must agree.
 
+    Returns the native output, for a directed case to check what the
+    scenario was built to show.
+    """
+    program = compile_program(factory, config.n_processors,
+                              config.line_size)
     memory = CoherentMemorySystem(config)
     reference = execute_program(config, memory, program, compiled=True)
 
@@ -160,6 +173,158 @@ def test_native_matches_python_kernels(data, cluster_pick, cache_kb):
                                 directory.replacement_hints,
                                 directory.writebacks)
     assert out.first_touch_pages == memory.allocator.first_touch_pages
+    return out
+
+
+@needs_kernel
+@settings(max_examples=60, deadline=None)
+@given(data=_programs(), cluster_pick=st.integers(min_value=0, max_value=2),
+       cache_kb=_CACHES)
+def test_native_matches_python_kernels(data, cluster_pick, cache_kb):
+    n, phases, table = data
+    cluster = [1, 2, n][cluster_pick]
+    _assert_native_matches_python(_config(n, cluster, cache_kb),
+                                  _factory_of(phases, table))
+
+
+# ----------------------------------------------------- directed cases
+#
+# Scenarios the fuzzer reaches only by luck, each built so that the
+# scheduling or classification decision under test shows in the result.
+# Table-1 latencies: a clean miss stalls 30 cycles at home, and a read
+# occupies the cycle after its stall.
+
+def _scripted(*streams):
+    """A program factory over literal per-processor op lists."""
+    return lambda pid: iter(streams[pid])
+
+
+_X, _Y = 0, 64  # two lines of one page
+
+
+@needs_kernel
+def test_far_event_runs_before_a_ring_event_of_the_same_cycle():
+    """Both due at W+10; the one queued first (far) must fetch.
+
+    P0 queues its event at time 0, W+10 cycles out: far.  P1 queues one
+    for the same cycle at time 31, W-21 cycles out: ring.  (P2 exists so
+    that P1 is *queued* at 31 — an event the kernel pops, which is what
+    moves the ring's base — rather than running ahead alone.)  Push
+    order says P0 runs first: it misses on X and fetches, and P1 merges.
+    """
+    due = _W + 10
+    out = _assert_native_matches_python(_config(4, 4, None), _scripted(
+        [Work(due), Read(_X)],
+        [Read(_Y), Work(due - 31), Read(_X)],
+        [Work(20)],
+        []))
+    p0, p1 = out.breakdowns[:2]
+    assert (p0.load, p0.merge) == (30, 0)
+    assert (p1.load, p1.merge) == (30, 30)  # its own miss on Y, then X
+    assert out.execution_time == due + 31
+
+
+@needs_kernel
+def test_far_events_of_one_cycle_run_in_push_order():
+    """Two events queued W+10 cycles out at time 0 are both far; the far
+    array must hand them back first-pushed first: P0 fetches, P1 merges."""
+    out = _assert_native_matches_python(_config(2, 2, None), _scripted(
+        [Work(_W + 10), Read(_X)],
+        [Work(_W + 10), Read(_X)]))
+    p0, p1 = out.breakdowns
+    assert (p0.load, p0.merge) == (30, 0)
+    assert (p1.load, p1.merge) == (0, 30)
+
+
+@needs_kernel
+def test_zero_work_chains_and_release_into_the_current_cycle():
+    """WORK(0) re-queues at the current cycle behind what is already due,
+    and the last arrival at a barrier releases everyone into that cycle."""
+    def stream(pid):
+        ops = []
+        for phase in range(3):
+            for k in range(4):
+                ops += [Work(0), Read(64 * ((pid + k) % 6)), Work(0),
+                        Write(64 * ((pid * k) % 6))]
+            ops += [Work(0), Barrier(phase), Work(0)]
+        return ops
+
+    for cluster, cache_kb in ((1, None), (2, 0.0625), (4, 0.25)):
+        _assert_native_matches_python(
+            _config(4, cluster, cache_kb),
+            _scripted(*[stream(pid) for pid in range(4)]))
+
+
+@needs_kernel
+@pytest.mark.parametrize("laps", [1, 2])
+def test_lock_handoff_across_a_ring_wrap(laps):
+    """UNLOCK at laps*W - 1 hands off at laps*W: bucket 0, behind the
+    scan position.  Push order (releaser, then next holder) decides who
+    fetches X there and who merges."""
+    at = laps * _W - 1
+    out = _assert_native_matches_python(_config(2, 2, None), _scripted(
+        [Lock(0), Work(at - 1), Unlock(0), Read(_X)],
+        [Work(5), Lock(0), Read(_X), Unlock(0)]))
+    p0, p1 = out.breakdowns
+    assert (p0.load, p0.merge) == (30, 0)
+    assert (p1.load, p1.merge) == (0, 30)
+    assert p1.sync == at - 5  # blocked from 5 until the release at `at`
+
+
+@needs_kernel
+def test_one_line_cold_capacity_coherence_capacity():
+    """The latest loss decides a miss's cause, per cluster.
+
+    4-line caches, one processor per cluster.  Cluster 0 loses X to an
+    eviction, then to cluster 1's write, then to an eviction again;
+    cluster 2 holds X all along and only ever loses it to the write.
+    """
+    def spill(base):  # four fresh lines: pushes everything else out
+        return [Read(64 * (base + k)) for k in range(4)]
+
+    out = _assert_native_matches_python(_config(4, 1, 0.25), _scripted(
+        [Read(_X), *spill(10), Read(_X), Barrier(0), Barrier(1),
+         Read(_X), *spill(20), Read(_X), Barrier(2)],
+        [Barrier(0), Write(_X), Barrier(1), Barrier(2)],
+        [Read(_X), Barrier(0), Barrier(1), Read(_X), Barrier(2)],
+        [Barrier(0), Barrier(1), Barrier(2)]))
+    cold, coherence, capacity = MissCause
+    assert [c.by_cause for c in out.counters] == [
+        {cold: 9, coherence: 1, capacity: 2},
+        {cold: 1, coherence: 0, capacity: 0},
+        {cold: 1, coherence: 1, capacity: 0},
+        {cold: 0, coherence: 0, capacity: 0}]
+
+
+@needs_kernel
+def test_a_written_back_line_leaves_the_directory():
+    """1-line cache: the write's victim is a dirty line, so evicting it
+    is a writeback that empties the sharer set; the entry's EXCLUSIVE
+    state must go with it, or the re-read would price a dirty owner."""
+    out = _assert_native_matches_python(_config(2, 1, 0.0625), _scripted(
+        [Write(_X), Read(_Y), Read(_X)], []))
+    assert out.writebacks == 1 and out.replacement_hints == 1
+    assert out.breakdowns[0].load == 60  # two clean misses at home
+
+
+# ------------------------------------------------ operands are checked
+#
+# compile_program refuses these at capture, but a mapped trace's payload
+# carries no checksum: the kernel is the only check between a flipped bit
+# and its queue.  It must fault — the point is declined and the python
+# replay decides — not read a bad opcode as UNLOCK or file an event
+# before the ring's base.
+
+@needs_kernel
+@pytest.mark.parametrize("opcode,arg", [(9, 0), (OP_WORK, -5)])
+def test_kernel_faults_on_a_bad_operand(opcode, arg, force_native):
+    # after LOCK(0), so that opcode 9 read as UNLOCK(0) would be legal
+    config = _config(2, 1, None)
+    program = CompiledProgram(
+        [array("q", [OP_LOCK, opcode]), array("q")],
+        [array("q", [0, arg]), array("q")],
+        config.line_size, source_ops=2, fused_work=True)
+    assert try_replay_native(config, _ScriptedApp(config), program) is None
 
 
 @needs_kernel
