@@ -42,7 +42,7 @@ from ..core.metrics import RunResult
 from ..memory import make_memory_system
 from ..memory.address import AddressSpace, Region
 from ..memory.allocation import PageAllocator
-from ..sim.engine import execute_program
+from ..sim.engine import Engine
 from ..sim.program import Op
 
 __all__ = ["Application", "PhaseBarriers", "proc_grid_shape"]
@@ -131,7 +131,7 @@ class Application(ABC):
             self.setup()
             self._setup_done = True
 
-    def compiled_program(self, fuse_work: bool = True) -> "CompiledProgram":
+    def compiled_program(self) -> "CompiledProgram":
         """Capture this application's operation streams once, for replay.
 
         Drains :meth:`program` for every processor into a
@@ -154,12 +154,9 @@ class Application(ABC):
                 f"(stream_invariant=False); capture with run_recorded()")
         self.ensure_setup()
         return compile_program(self.program, self.config.n_processors,
-                               self.config.line_size, fuse_work=fuse_work)
+                               self.config.line_size)
 
-    def run_recorded(self, read_hit_cycles: int = 1,
-                     max_cycles: int | None = None,
-                     fuse_work: bool = True,
-                     ) -> "tuple[RunResult, CompiledProgram]":
+    def run_recorded(self) -> "tuple[RunResult, CompiledProgram]":
         """Generator-path run that also captures the executed streams.
 
         Works for every application — including the dynamic task-queue
@@ -175,16 +172,11 @@ class Application(ABC):
         self.ensure_setup()
         memory = make_memory_system(self.config, self.allocator)
         recorder = ProgramRecorder(self.program, self.config.n_processors,
-                                   self.config.line_size,
-                                   fuse_work=fuse_work)
-        result = execute_program(self.config, memory, recorder.factory,
-                                 read_hit_cycles=read_hit_cycles,
-                                 max_cycles=max_cycles)
+                                   self.config.line_size)
+        result = Engine(self.config, memory).run(recorder.factory)
         return result, recorder.finish()
 
-    def run(self, read_hit_cycles: int = 1,
-            max_cycles: int | None = None,
-            program: "CompiledProgram | None" = None) -> RunResult:
+    def run(self, program: "CompiledProgram | None" = None) -> RunResult:
         """Simulate this application on ``self.config`` and return the result.
 
         With ``program`` (a :class:`~repro.sim.compiled.CompiledProgram`,
@@ -196,12 +188,10 @@ class Application(ABC):
         """
         self.ensure_setup()
         memory = make_memory_system(self.config, self.allocator)
-        return execute_program(self.config, memory,
-                               program if program is not None
-                               else self.program,
-                               compiled=program is not None,
-                               read_hit_cycles=read_hit_cycles,
-                               max_cycles=max_cycles)
+        engine = Engine(self.config, memory)
+        if program is not None:
+            return engine.run_compiled(program)
+        return engine.run(self.program)
 
     # ---------------------------------------------------------- rng helpers
     def rng(self, *stream: int) -> np.random.Generator:

@@ -39,7 +39,7 @@ __all__ = [
     "NOT_CACHED", "DIR_SHARED", "DIR_EXCLUSIVE", "SHARER_SHIFT", "Directory",
     "READ_HIT", "READ_MERGE", "READ_MISS", "CoherentMemorySystem",
     "DLSMemorySystem",
-    "PROTOCOL_REGISTRY", "make_memory_system", "register_protocol",
+    "PROTOCOL_REGISTRY", "make_memory_system",
 ]
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -56,21 +56,6 @@ PROTOCOL_REGISTRY: "dict[str, MemoryFactory]" = {
 
 assert set(PROTOCOL_REGISTRY) == set(PROTOCOLS), \
     "protocol registry out of sync with repro.core.config.PROTOCOLS"
-
-
-def register_protocol(name: str, factory: "MemoryFactory") -> None:
-    """Install (or replace) a protocol factory under ``name``.
-
-    The name must already be declared in
-    :data:`repro.core.config.PROTOCOLS` — configs validate against that
-    tuple, so a factory registered under an undeclared name could never
-    be selected.  The hook exists for experiments that substitute an
-    instrumented or variant backend for a declared protocol.
-    """
-    if name not in PROTOCOLS:
-        raise ValueError(f"protocol {name!r} is not declared in "
-                         f"repro.core.config.PROTOCOLS {PROTOCOLS}")
-    PROTOCOL_REGISTRY[name] = factory
 
 
 def make_memory_system(config: MachineConfig,

@@ -164,11 +164,11 @@ class CoherentMemorySystem:
         ``is_retry`` suppresses double-counting of the reference when the
         engine re-issues a merged read.
 
-        The miss path inlines the classify / directory-transaction /
-        install / retire sequence: it runs once per miss — the dominant
-        per-op cost of a whole simulation — and the ~8 Python frames it
-        saves are worth the longer method body.  The state transitions are
-        the same as the method-per-step form, in the same order.
+        The miss path inlines the classify / directory-transaction
+        sequence: it runs once per miss — the dominant per-op cost of a
+        whole simulation — and the Python frames it saves are worth the
+        longer method body.  Installing the line and retiring its victim
+        is :meth:`_install`, shared with :meth:`write`.
         """
         shift = self._cluster_shift
         cluster = (processor >> shift if shift is not None
@@ -196,7 +196,6 @@ class CoherentMemorySystem:
                     kern[3][slot] = -1
                 return _HIT
         else:
-            kern = None
             cache = self.caches[cluster]
             slot = cache.lookup(line)
             if slot >= 0:
@@ -214,8 +213,7 @@ class CoherentMemorySystem:
             ctr.merge_refetches += 1
 
         # ---- read miss: classify, directory transaction, SHARED install
-        history = self._history[cluster]
-        cause = history.get(line, _COLD)
+        cause = self._history[cluster].get(line, _COLD)
         page_home = self._page_home.get(line // self._lines_per_page)
         home = (page_home if page_home is not None
                 else self.allocator.home_of_line(line))
@@ -253,53 +251,7 @@ class CoherentMemorySystem:
                 latency = self.latency.miss_cycles(cluster, home, None, now)
                 result = (READ_MISS, latency)
             dtable[line] = (packed & -4) | (4 << cluster) | DIR_SHARED
-        if kern is not None:
-            cache = self.caches[cluster]
-            state_col = kern[1]
-            cap = self._capacity_lines
-            if cap is not None and len(slot_of) >= cap:
-                vline = next(iter(slot_of))
-                slot = slot_of.pop(vline)
-                vstate = state_col[slot]
-                cache.evictions += 1
-                # recycle the victim's slot for the incoming line
-                state_col[slot] = SHARED
-                kern[2][slot] = now + latency
-                kern[3][slot] = processor
-                cache.tag[slot] = line
-                slot_of[line] = slot
-                cache.inserts += 1
-                # retire the victim (the body of _retire_inline, saved a
-                # call on what is the common case of every capacity miss)
-                history[vline] = _CAPACITY
-                if vstate == EXCLUSIVE:
-                    if dtable.get(vline, 0) == (4 << cluster) | DIR_EXCLUSIVE:
-                        del dtable[vline]
-                        self.directory.writebacks += 1
-                else:
-                    vpacked = dtable.get(vline)
-                    if vpacked is not None:
-                        vpacked &= ~(4 << cluster)
-                        self.directory.replacement_hints += 1
-                        if vpacked >> 2:
-                            dtable[vline] = vpacked
-                        else:
-                            del dtable[vline]
-            else:
-                free = kern[4]
-                slot = free.pop() if free else cache._grow()
-                state_col[slot] = SHARED
-                kern[2][slot] = now + latency
-                kern[3][slot] = processor
-                cache.tag[slot] = line
-                slot_of[line] = slot
-                cache.inserts += 1
-        else:
-            victim = self.caches[cluster].insert(line, SHARED, now + latency,
-                                                 processor)
-            if victim is not None:
-                self._retire_inline(cluster, victim.line, victim.state,
-                                    history, dtable)
+        self._install(cluster, line, SHARED, now + latency, processor)
         ctr.read_misses += 1
         ctr.by_cause[cause] += 1
         return result
@@ -340,7 +292,6 @@ class CoherentMemorySystem:
                 state_col[slot] = EXCLUSIVE
                 return
         else:
-            kern = None
             cache = self.caches[cluster]
             slot = cache.lookup(line)
             if slot >= 0:
@@ -356,8 +307,7 @@ class CoherentMemorySystem:
                 return
 
         # ---- WRITE miss: fetch exclusive; latency hidden, line pending.
-        history = self._history[cluster]
-        cause = history.get(line, _COLD)
+        cause = self._history[cluster].get(line, _COLD)
         page_home = self._page_home.get(line // self._lines_per_page)
         home = (page_home if page_home is not None
                 else self.allocator.home_of_line(line))
@@ -387,57 +337,52 @@ class CoherentMemorySystem:
             self._invalidate_bits(line, others)
         directory.invalidations_sent += others.bit_count()
         dtable[line] = (4 << cluster) | DIR_EXCLUSIVE
-        if kern is not None:
-            cache = self.caches[cluster]
+        self._install(cluster, line, EXCLUSIVE, now + latency, processor)
+        ctr.write_misses += 1
+        ctr.by_cause[cause] += 1
+
+    # -------------------------------------------------- miss-path helpers
+    def _install(self, cluster: int, line: int, state: int,
+                 pending_until: int, fetcher: int) -> None:
+        """Install ``line`` in ``cluster``'s cache, retiring any victim.
+
+        An evicted victim's slot is recycled for the incoming line; the
+        eviction writes CAPACITY into the cluster's history and notifies
+        the directory (write-back for EXCLUSIVE, replacement hint for
+        SHARED).
+        """
+        kernels = self._kernels
+        if kernels is not None:
+            kern = kernels[cluster]
+            slot_of = kern[0]
             state_col = kern[1]
+            cache = self.caches[cluster]
             cap = self._capacity_lines
             if cap is not None and len(slot_of) >= cap:
                 vline = next(iter(slot_of))
                 slot = slot_of.pop(vline)
                 vstate = state_col[slot]
                 cache.evictions += 1
-                state_col[slot] = EXCLUSIVE
-                kern[2][slot] = now + latency
-                kern[3][slot] = processor
-                cache.tag[slot] = line
-                slot_of[line] = slot
-                cache.inserts += 1
-                history[vline] = _CAPACITY
-                if vstate == EXCLUSIVE:
-                    if dtable.get(vline, 0) == (4 << cluster) | DIR_EXCLUSIVE:
-                        del dtable[vline]
-                        self.directory.writebacks += 1
-                else:
-                    vpacked = dtable.get(vline)
-                    if vpacked is not None:
-                        vpacked &= ~(4 << cluster)
-                        self.directory.replacement_hints += 1
-                        if vpacked >> 2:
-                            dtable[vline] = vpacked
-                        else:
-                            del dtable[vline]
             else:
+                vline = None
                 free = kern[4]
                 slot = free.pop() if free else cache._grow()
-                state_col[slot] = EXCLUSIVE
-                kern[2][slot] = now + latency
-                kern[3][slot] = processor
-                cache.tag[slot] = line
-                slot_of[line] = slot
-                cache.inserts += 1
+            state_col[slot] = state
+            kern[2][slot] = pending_until
+            kern[3][slot] = fetcher
+            cache.tag[slot] = line
+            slot_of[line] = slot
+            cache.inserts += 1
+            if vline is None:
+                return
         else:
-            victim = cache.insert(line, EXCLUSIVE, now + latency, processor)
-            if victim is not None:
-                self._retire_inline(cluster, victim.line, victim.state,
-                                    history, dtable)
-        ctr.write_misses += 1
-        ctr.by_cause[cause] += 1
-
-    # -------------------------------------------------- miss-path helpers
-    def _retire_inline(self, cluster: int, vline: int, vstate: int,
-                       history: dict, dtable: dict) -> None:
-        """Directory bookkeeping for an evicted line (uncommon subpath)."""
-        history[vline] = _CAPACITY
+            victim = self.caches[cluster].insert(line, state, pending_until,
+                                                 fetcher)
+            if victim is None:
+                return
+            vline, vstate = victim
+        self._history[cluster][vline] = _CAPACITY
+        dtable = self._dtable
         if vstate == EXCLUSIVE:
             # writeback: data returns home, line NOT_CACHED (pruned)
             if dtable.get(vline, 0) == (4 << cluster) | DIR_EXCLUSIVE:

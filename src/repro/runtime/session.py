@@ -108,59 +108,48 @@ class RunSession:
         """Execute a resolved plan through the canonical pipeline."""
         obs = self.observer
         clock = _Clock() if obs is not None else None
-        if obs is not None:
-            obs.on_phase("resolve", clock.lap(),
-                         {"config": plan.config.describe()})
-
-        from ..apps.registry import build_app  # deferred: avoids import cycle
-
-        request = plan.request
-        app = build_app(request.app, plan.config, **request.kwargs)
-        app.ensure_setup()
-        if obs is not None:
-            obs.on_phase("build", clock.lap(), {"app": request.app})
+        app = self._build(plan, clock)
 
         from ..sim.compiled import trace_key  # deferred: avoids import cycle
 
+        request = plan.request
         key = trace_key(request.app, request.kwargs, plan.config, app.seed,
                         stream_invariant=app.stream_invariant)
+        # acquire the program: cache hit | static capture | recording run
         cache = self.trace_cache
         program = cache.get(key) if cache is not None else None
-        if program is not None:
+        from_cache = program is not None
+        result = kernel = None
+        if from_cache:
             if obs is not None:
                 obs.on_phase("trace-hit", clock.lap(),
                              {"ops": program.total_ops,
                               "mapped": program.mapped})
-            result, kernel = self._replay(plan, app, program)
-            outcome = RunOutcome(plan, result, app, program=program,
-                                 from_cache=True, kernel=kernel)
-            return self._finish(outcome, clock)
-        if app.stream_invariant:
-            program = app.compiled_program()
+        else:
+            if app.stream_invariant:
+                program = app.compiled_program()
+            else:
+                # dynamic task-queue app: the stream is decided by the run
+                # itself, so capture during generator execution; the capture
+                # replays bit-identically at this exact configuration only
+                # (the trace key covers the full config)
+                result, program = app.run_recorded()
             if cache is not None:
                 cache.put(key, program)
-            if obs is not None:
+            if obs is not None and result is None:
                 obs.on_phase("capture", clock.lap(),
                              {"ops": program.total_ops,
                               "source_ops": program.source_ops})
+        # replay it, unless the recording run was already the execution
+        if result is None:
             result, kernel = self._replay(plan, app, program)
-            outcome = RunOutcome(plan, result, app, program=program,
-                                 kernel=kernel)
-            return self._finish(outcome, clock)
-        # dynamic task-queue app: the stream is decided by the run itself,
-        # so capture during generator execution; the capture replays
-        # bit-identically at this exact configuration only (the trace key
-        # covers the full config)
-        result, program = app.run_recorded()
-        if cache is not None:
-            cache.put(key, program)
-        outcome = RunOutcome(plan, result, app, program=program)
-        return self._finish(outcome, clock)
+        return self._finish(RunOutcome(plan, result, app, program=program,
+                                       from_cache=from_cache, kernel=kernel),
+                            clock)
 
     def run_detailed(self, request: RunRequest, *,
                      memory_factory: "Callable[[MachineConfig, Application], Any] | None" = None,
-                     read_hit_cycles: int = 1,
-                     max_cycles: int | None = None) -> RunOutcome:
+                     read_hit_cycles: int = 1) -> RunOutcome:
         """Run with explicit memory wiring; returns the memory system.
 
         ``memory_factory(config, app)`` builds the memory system the run
@@ -172,34 +161,39 @@ class RunSession:
         system or latency model must not masquerade as the canonical
         stream; the run always drives the generators.
         """
-        obs = self.observer
-        clock = _Clock() if obs is not None else None
+        clock = _Clock() if self.observer is not None else None
         plan = RunPlan.resolve(request, self.base_config)
+        app = self._build(plan, clock)
+
+        from ..memory import make_memory_system
+        from ..sim.engine import Engine
+
+        if memory_factory is not None:
+            memory = memory_factory(plan.config, app)
+        else:
+            memory = make_memory_system(plan.config, app.allocator)
+        result = Engine(plan.config, memory,
+                        read_hit_cycles=read_hit_cycles).run(app.program)
+        outcome = RunOutcome(plan, result, app, memory=memory)
+        return self._finish(outcome, clock)
+
+    # ------------------------------------------------------------ internals
+    def _build(self, plan: RunPlan, clock: _Clock | None) -> "Application":
+        """Construct and set up the plan's application (resolve + build)."""
+        obs = self.observer
         if obs is not None:
             obs.on_phase("resolve", clock.lap(),
                          {"config": plan.config.describe()})
 
         from ..apps.registry import build_app  # deferred: avoids import cycle
 
+        request = plan.request
         app = build_app(request.app, plan.config, **request.kwargs)
         app.ensure_setup()
         if obs is not None:
             obs.on_phase("build", clock.lap(), {"app": request.app})
+        return app
 
-        from ..memory import make_memory_system
-        from ..sim.engine import execute_program
-
-        if memory_factory is not None:
-            memory = memory_factory(plan.config, app)
-        else:
-            memory = make_memory_system(plan.config, app.allocator)
-        result = execute_program(plan.config, memory, app.program,
-                                 read_hit_cycles=read_hit_cycles,
-                                 max_cycles=max_cycles)
-        outcome = RunOutcome(plan, result, app, memory=memory)
-        return self._finish(outcome, clock)
-
-    # ------------------------------------------------------------ internals
     def _replay(self, plan: RunPlan, app: "Application",
                 program: "CompiledProgram") -> "tuple[RunResult, str]":
         """Replay a compiled trace; returns the result and the kernel.

@@ -2,8 +2,7 @@
 
 from .compiled import (CompiledProgram, ProgramRecorder, TraceCache,
                        TraceDecodeError, compile_program, trace_key)
-from .engine import (Engine, PerfectMemory, SimulationDeadlock,
-                     execute_program, run_program)
+from .engine import Engine, PerfectMemory, SimulationDeadlock, run_program
 from .program import (OP_BARRIER, OP_LOCK, OP_READ, OP_UNLOCK, OP_WORK,
                       OP_WRITE, Barrier, Lock, Op, Program, ProgramFactory,
                       Read, Unlock, Work, Write)
@@ -12,8 +11,7 @@ from .trace import ReferenceTrace, TraceRecord, TracingMemory, replay
 from .sync import BarrierState, LockState, SyncRegistry
 
 __all__ = [
-    "Engine", "PerfectMemory", "SimulationDeadlock", "execute_program",
-    "run_program",
+    "Engine", "PerfectMemory", "SimulationDeadlock", "run_program",
     "CompiledProgram", "ProgramRecorder", "TraceCache", "TraceDecodeError",
     "compile_program", "trace_key",
     "Work", "Read", "Write", "Barrier", "Lock", "Unlock",

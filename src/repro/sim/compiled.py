@@ -16,9 +16,8 @@ This module provides that capture/replay layer:
 
 * :class:`CompiledProgram` — per-processor flat parallel ``array('q')``
   opcode/arg arrays.  READ/WRITE operands are pre-divided by the line size
-  (the engine's per-op ``arg // line_size`` disappears) and consecutive
-  WORK ops are fused at compile time, so replay is index bumping with zero
-  per-op allocation;
+  and consecutive WORK ops are fused at compile time; the engine replays
+  a program by iterating its columns, the native kernel by address;
 * :func:`compile_program` — drain a generator-based program factory once
   into a :class:`CompiledProgram`;
 * :func:`trace_key` — content hash identifying one compiled trace
@@ -39,11 +38,11 @@ slices over the page cache.  A mapped program costs ~0 resident bytes
 until touched, its pages are shared between every process mapping the
 same blob (``--jobs`` workers, the sweep daemon, parallel CLI runs), and
 the native kernel (:mod:`repro.native`) replays it by passing the mapped
-column addresses straight into C — no decode, no packing copy.  The pure
-python replay loop reads mapped programs through a chunked window
-(:class:`_ChunkedColumn`) so it never holds more than a few thousand
-boxed ints per column; paper-scale traces (512² LU ≈ 45 MB) stream
-through a bounded footprint instead of materialising everywhere.
+column addresses straight into C — no decode, no packing copy.  The
+python engine iterates the mapped columns directly (``zip`` over two
+``memoryview`` columns boxes one op at a time), so paper-scale traces
+(512² LU ≈ 45 MB) stream through a bounded footprint instead of
+materialising everywhere.
 
 The in-memory LRU is governed by a **byte budget**
 (``REPRO_TRACE_LRU_BYTES``, default 256 MiB) that charges mapped programs
@@ -91,8 +90,8 @@ ENV_TRACE_LRU_BYTES = "REPRO_TRACE_LRU_BYTES"
 _DEFAULT_LRU_BYTES = 256 * 1024 * 1024
 
 #: accounting charge for a mapped program: its python-side footprint is a
-#: handful of memoryview objects plus one chunked-window cache; the column
-#: payload lives in the (evictable, shared) page cache, not the heap
+#: handful of memoryview objects; the column payload lives in the
+#: (evictable, shared) page cache, not the heap
 _MAPPED_RESIDENT_BYTES = 4096
 
 #: serialization magic: bump the trailing digit on any format change so
@@ -108,54 +107,6 @@ def _align8(n: int) -> int:
 
 class TraceDecodeError(ValueError):
     """A serialized compiled trace is corrupt, truncated, or incompatible."""
-
-
-class _ChunkedColumn:
-    """A lazy plain-int window over one mapped int64 column.
-
-    The per-point replay loop indexes each processor's column with a
-    monotonically non-decreasing cursor and calls ``len()`` once — nothing
-    else — so a single cached chunk of boxed ints per column is enough to
-    serve it.  Out-of-window accesses re-box the surrounding aligned chunk
-    (``tolist`` on a memoryview slice, one C pass), keeping the python
-    replay of a mapped program at a bounded footprint:
-    ``2 columns × n_processors × _CHUNK`` boxed ints, independent of trace
-    size.
-    """
-
-    __slots__ = ("_mv", "_n", "_chunk", "_base")
-
-    #: window size in entries; 4096 keeps a 64-processor replay under
-    #: ~0.5M resident boxed ints while re-boxing rarely enough to stay
-    #: within a few percent of full-list replay throughput
-    _CHUNK = 4096
-
-    def __init__(self, mv: memoryview) -> None:
-        self._mv = mv
-        self._n = len(mv)
-        self._chunk: list[int] = []
-        self._base = 0
-
-    def __len__(self) -> int:
-        return self._n
-
-    def __getitem__(self, i: int) -> int:
-        off = i - self._base
-        chunk = self._chunk
-        if 0 <= off < len(chunk):
-            return chunk[off]
-        if not 0 <= i < self._n:
-            raise IndexError("column index out of range")
-        base = i - (i % self._CHUNK)
-        self._base = base
-        chunk = self._chunk = self._mv[base:base + self._CHUNK].tolist()
-        return chunk[i - base]
-
-    def __iter__(self):
-        mv = self._mv
-        step = self._CHUNK
-        for base in range(0, self._n, step):
-            yield from mv[base:base + step].tolist()
 
 
 def _le_bytes(col) -> bytes:
@@ -211,27 +162,23 @@ class CompiledProgram:
         self._runtime = None
 
     def runtime_columns(self):
-        """Indexable ``(ops, args)`` views for the per-point replay loop.
+        """``(ops, args)`` column lists for the python engine to iterate.
 
-        ``array('q')`` is the compact storage/wire format, but indexing it
-        boxes a fresh int per access; replay indexes every operand once per
-        replay, so the engine uses list columns where each int is boxed
-        once.  Built lazily on first replay and cached — the arrays remain
-        the canonical (serialized, hashed) representation.
-
-        For **mapped** programs the views are :class:`_ChunkedColumn`
-        windows instead of full lists: same indexing contract, bounded
-        boxed-int footprint regardless of trace size.
+        ``array('q')`` is the compact storage/wire format, but reading it
+        boxes a fresh int per access; a sweep replays every operand once
+        per point, so materialised programs get list columns where each
+        int is boxed once — built lazily on first replay and cached, the
+        arrays remaining the canonical (serialized, hashed)
+        representation.  A **mapped** program returns its ``memoryview``
+        columns as they are: iterating them boxes one op at a time, so the
+        footprint stays bounded regardless of trace size.
         """
+        if self.mapped:
+            return self.ops, self.args
         rt = self._runtime
         if rt is None:
-            if self.mapped:
-                rt = ([_ChunkedColumn(o) for o in self.ops],
-                      [_ChunkedColumn(a) for a in self.args])
-            else:
-                rt = ([list(o) for o in self.ops],
-                      [list(a) for a in self.args])
-            self._runtime = rt
+            rt = self._runtime = ([list(o) for o in self.ops],
+                                  [list(a) for a in self.args])
         return rt
 
     # ----------------------------------------------------------------- size
@@ -419,18 +366,17 @@ class CompiledProgram:
 
 
 def compile_program(program_factory: ProgramFactory, n_processors: int,
-                    line_size: int, fuse_work: bool = True,
-                    ) -> CompiledProgram:
+                    line_size: int) -> CompiledProgram:
     """Drain every processor's generator once into a :class:`CompiledProgram`.
 
     * READ/WRITE byte addresses become line numbers (``arg // line_size``),
       hoisting the division out of the replay loop entirely;
-    * with ``fuse_work`` (the default), a run of consecutive WORK ops
-      collapses into one WORK carrying the summed cycles — SPMD emission
-      helpers pad spans with WORK, so fusion typically removes 10-30% of
-      stored ops;
-    * operand validation (negative WORK, unknown opcode) happens here, at
-      compile time, so the replay loop never re-checks it.
+    * a run of consecutive WORK ops collapses into one WORK carrying the
+      summed cycles — SPMD emission helpers pad spans with WORK, so fusion
+      typically removes 10-30% of stored ops;
+    * operands are validated (negative WORK, unknown opcode) as they are
+      stored; the replay loop checks them again, because a stored trace
+      may come back from disk.
 
     The drain is **barrier-phased**, mirroring the engine's interleaving at
     the granularity that matters: several applications (Radix's parallel
@@ -466,7 +412,7 @@ def compile_program(program_factory: ProgramFactory, n_processors: int,
                 if opcode == OP_WORK:
                     if arg < 0:
                         raise ValueError(f"negative WORK cycles: {arg}")
-                    if fuse_work and was_work:
+                    if was_work:
                         args[-1] += arg
                         continue
                     was_work = True
@@ -484,7 +430,7 @@ def compile_program(program_factory: ProgramFactory, n_processors: int,
             prev_was_work[pid] = was_work
         running = still_running
     return CompiledProgram(all_ops, all_args, line_size, source_ops,
-                           fuse_work)
+                           fused_work=True)
 
 
 class ProgramRecorder:
@@ -509,7 +455,7 @@ class ProgramRecorder:
     """
 
     def __init__(self, program_factory: ProgramFactory, n_processors: int,
-                 line_size: int, fuse_work: bool = True) -> None:
+                 line_size: int) -> None:
         if n_processors <= 0:
             raise ValueError("n_processors must be positive")
         if line_size <= 0:
@@ -517,7 +463,6 @@ class ProgramRecorder:
         self._factory = program_factory
         self.n_processors = n_processors
         self.line_size = line_size
-        self.fuse_work = fuse_work
         self._ops = [array("q") for _ in range(n_processors)]
         self._args = [array("q") for _ in range(n_processors)]
         self._source_ops = 0
@@ -526,14 +471,13 @@ class ProgramRecorder:
         """The recording wrapper around ``program_factory(pid)``."""
         ops = self._ops[pid]
         args = self._args[pid]
-        fuse = self.fuse_work
         line_size = self.line_size
         was_work = False
         for op in self._factory(pid):
             opcode, arg = op
             self._source_ops += 1
             if opcode == OP_WORK:
-                if fuse and was_work:
+                if was_work:
                     args[-1] += arg
                     yield op
                     continue
@@ -551,7 +495,7 @@ class ProgramRecorder:
     def finish(self) -> CompiledProgram:
         """The capture as a :class:`CompiledProgram` (call after the run)."""
         return CompiledProgram(self._ops, self._args, self.line_size,
-                               self._source_ops, self.fuse_work)
+                               self._source_ops, fused_work=True)
 
 
 # --------------------------------------------------------------------- keys

@@ -33,18 +33,23 @@ engine in turn promises the memory system monotonically non-decreasing
 ``now`` values per processor — the ordering the pending/merge bookkeeping
 in those columns relies on.
 
-Execution paths and the heap-lean fast path
--------------------------------------------
+One loop, two sources
+---------------------
 
-Programs run either from generators (:meth:`Engine.run`, the historical
-path) or from a pre-compiled flat-array capture
-(:meth:`Engine.run_compiled` on a :class:`~repro.sim.compiled.
-CompiledProgram`), which eliminates the per-op generator resumption and
-tuple unpack.  Both paths share a *heap fast path*: when the processor's
-next event lands **strictly earlier** than the current heap minimum (or
-the heap is empty), that event would necessarily be popped next, so the
+There is exactly one scheduling loop, :meth:`Engine._loop`, and it pulls
+each processor's next ``(opcode, arg)`` from an iterator.  Programs come
+either from generators (:meth:`Engine.run`) or from a stored flat-array
+capture (:meth:`Engine.run_compiled` on a :class:`~repro.sim.compiled.
+CompiledProgram`, whose columns are zipped into the same kind of
+iterator); nothing selects between interpreters because there is only
+one, so operand validation (negative WORK, unknown opcode) holds for
+stored traces exactly as it does for generators.
+
+The loop has a *heap fast path*: when the processor's next event lands
+**strictly earlier** than the current heap minimum (or the heap is
+empty), that event would necessarily be popped next, so the
 heappush/heappop round-trip is skipped and the processor simply continues.
-This is bit-identical to the historical engine: skipping an adjacent
+This is bit-identical to pushing every event: skipping an adjacent
 push/pop pair removes one sequence number from the global counter, which
 relabels all later sequence numbers monotonically — the relative order of
 every remaining event, including ties, is unchanged.  (An event *equal* to
@@ -64,8 +69,7 @@ from .program import (OP_BARRIER, OP_LOCK, OP_READ, OP_UNLOCK, OP_WORK,
 from .stats import assemble
 from .sync import SyncRegistry
 
-__all__ = ["Engine", "PerfectMemory", "SimulationDeadlock",
-           "execute_program", "run_program"]
+__all__ = ["Engine", "PerfectMemory", "SimulationDeadlock", "run_program"]
 
 
 class SimulationDeadlock(RuntimeError):
@@ -118,11 +122,43 @@ class Engine:
         self.max_cycles = max_cycles
         self.sync = SyncRegistry(config.n_processors)
 
-    # ------------------------------------------------------- generator path
+    # ------------------------------------------------------- entry points
     def run(self, program_factory: ProgramFactory) -> RunResult:
         """Execute ``program_factory(pid)`` on every processor to completion."""
+        return self._loop([iter(program_factory(pid)).__next__
+                           for pid in range(self.config.n_processors)],
+                          self.config.line_size)
+
+    def run_compiled(self, program) -> RunResult:
+        """Replay a :class:`~repro.sim.compiled.CompiledProgram`.
+
+        Bit-identical to :meth:`run` on the program the capture was
+        compiled from.  A stored trace is just another iterator of ops:
+        each processor's columns are zipped into the same ``(opcode, arg)``
+        stream a generator would yield, and because stored READ/WRITE
+        operands are already line numbers the loop divides them by 1.
+        """
         n = self.config.n_processors
-        line_size = self.config.line_size
+        if program.n_processors != n:
+            raise ValueError(
+                f"compiled program has {program.n_processors} processors, "
+                f"machine has {n}")
+        if program.line_size != self.config.line_size:
+            raise ValueError(
+                f"compiled program captured at line size "
+                f"{program.line_size}, machine uses {self.config.line_size}")
+        return self._loop([zip(o, a).__next__
+                           for o, a in zip(*program.runtime_columns())], 1)
+
+    # ------------------------------------------------------- the event loop
+    def _loop(self, nexts: list, line_size: int) -> RunResult:
+        """Interleave one ``(opcode, arg)`` source per processor to completion.
+
+        ``nexts[pid]()`` returns processor ``pid``'s next op or raises
+        ``StopIteration``; a READ/WRITE operand divided by ``line_size``
+        is the line number (1 when the source already stores lines).
+        """
+        n = self.config.n_processors
         memory = self.memory
         read = memory.read
         write = memory.write
@@ -130,7 +166,6 @@ class Engine:
         max_cycles = self.max_cycles
         sync = self.sync
 
-        nexts = [iter(program_factory(pid)).__next__ for pid in range(n)]
         breakdowns = [TimeBreakdown() for _ in range(n)]
         retry_line: list[int | None] = [None] * n
         finish: list[int | None] = [None] * n
@@ -256,152 +291,6 @@ class Engine:
 
         return self._finalize(breakdowns, finish, n_running)
 
-    # -------------------------------------------------------- compiled path
-    def run_compiled(self, program) -> RunResult:
-        """Replay a :class:`~repro.sim.compiled.CompiledProgram`.
-
-        Bit-identical to :meth:`run` on the program the capture was
-        compiled from; the per-op generator resumption, tuple unpack, and
-        ``arg // line_size`` all disappear (READ/WRITE operands are
-        pre-divided line numbers).
-        """
-        n = self.config.n_processors
-        if program.n_processors != n:
-            raise ValueError(
-                f"compiled program has {program.n_processors} processors, "
-                f"machine has {n}")
-        if program.line_size != self.config.line_size:
-            raise ValueError(
-                f"compiled program captured at line size "
-                f"{program.line_size}, machine uses {self.config.line_size}")
-        memory = self.memory
-        read = memory.read
-        write = memory.write
-        hit_cost = self.read_hit_cycles
-        max_cycles = self.max_cycles
-        sync = self.sync
-
-        ops_of, args_of = program.runtime_columns()
-        n_ops_of = [len(o) for o in ops_of]
-        ip = [0] * n  # per-processor instruction pointer
-        breakdowns = [TimeBreakdown() for _ in range(n)]
-        retry_line: list[int | None] = [None] * n
-        finish: list[int | None] = [None] * n
-        limit = max_cycles if max_cycles is not None else 1 << 62
-
-        heap: list[tuple[int, int, int]] = [(0, pid, pid) for pid in range(n)]
-        seq = n
-        n_running = n
-
-        # Same flat heappushpop loop as :meth:`run` (see the comment there);
-        # here a processor's resumable state is (instruction pointer, pending
-        # retry line), both kept in locals and stored back only on a switch.
-        t, _, pid = heappop(heap)
-        bd = breakdowns[pid]
-        ops = ops_of[pid]
-        args = args_of[pid]
-        i = ip[pid]
-        n_ops = n_ops_of[pid]
-        pending = retry_line[pid]
-        while True:
-            if t > limit:
-                raise RuntimeError(
-                    f"simulation exceeded max_cycles={max_cycles} "
-                    f"(processor {pid} at t={t})")
-
-            if pending is not None:
-                outcome, stall = read(pid, pending, t, True)
-                if outcome == READ_MERGE:
-                    bd.merge += stall
-                    tn = t + stall
-                elif outcome == READ_HIT:
-                    pending = None
-                    bd.cpu += hit_cost
-                    tn = t + hit_cost
-                else:
-                    pending = None
-                    bd.load += stall
-                    bd.cpu += hit_cost
-                    tn = t + stall + hit_cost
-            elif i == n_ops:
-                finish[pid] = t
-                n_running -= 1
-                tn = None
-            else:
-                opcode = ops[i]
-                arg = args[i]
-                i += 1
-                if opcode == OP_READ:
-                    outcome, stall = read(pid, arg, t, False)
-                    if outcome == READ_HIT:
-                        bd.cpu += hit_cost
-                        tn = t + hit_cost
-                    elif outcome == READ_MERGE:
-                        bd.merge += stall
-                        pending = arg
-                        tn = t + stall
-                    else:
-                        bd.load += stall
-                        bd.cpu += hit_cost
-                        tn = t + stall + hit_cost
-                elif opcode == OP_WORK:
-                    bd.cpu += arg
-                    tn = t + arg
-                elif opcode == OP_WRITE:
-                    write(pid, arg, t)
-                    bd.cpu += 1
-                    tn = t + 1
-                elif opcode == OP_BARRIER:
-                    releases = sync.barrier(arg).arrive(pid, t)
-                    if releases is not None:
-                        for rpid, wait in releases:
-                            breakdowns[rpid].sync += wait
-                            heappush(heap, (t, seq, rpid)); seq += 1
-                    tn = None
-                elif opcode == OP_LOCK:
-                    if sync.lock(arg).acquire(pid, t):
-                        bd.cpu += 1
-                        tn = t + 1
-                    else:
-                        tn = None
-                else:  # OP_UNLOCK (compile validated every opcode)
-                    handoff = sync.lock(arg).release(pid, t)
-                    bd.cpu += 1
-                    if handoff is None:
-                        tn = t + 1
-                    else:
-                        heappush(heap, (t + 1, seq, pid)); seq += 1
-                        next_pid, wait = handoff
-                        nbd = breakdowns[next_pid]
-                        nbd.sync += wait
-                        nbd.cpu += 1
-                        heappush(heap, (t + 1, seq, next_pid)); seq += 1
-                        tn = None
-
-            # ---- scheduling tail
-            if tn is None:  # blocked or finished
-                if not heap:
-                    break
-                t, _, npid = heappop(heap)
-            elif not heap or tn < heap[0][0]:
-                t = tn
-                continue
-            else:
-                t, _, npid = heappushpop(heap, (tn, seq, pid)); seq += 1
-                if npid == pid:
-                    continue
-            ip[pid] = i
-            retry_line[pid] = pending
-            pid = npid
-            bd = breakdowns[pid]
-            ops = ops_of[pid]
-            args = args_of[pid]
-            i = ip[pid]
-            n_ops = n_ops_of[pid]
-            pending = retry_line[pid]
-
-        return self._finalize(breakdowns, finish, n_running)
-
     # ------------------------------------------------------------ wrap-up
     def _finalize(self, breakdowns: list[TimeBreakdown],
                   finish: list[int | None], n_running: int) -> RunResult:
@@ -424,26 +313,6 @@ class Engine:
         return assemble(execution_time, breakdowns, self.memory)
 
 
-def execute_program(config: MachineConfig, memory, source, *,
-                    compiled: bool = False,
-                    read_hit_cycles: int = 1,
-                    max_cycles: int | None = None) -> RunResult:
-    """The one canonical engine wiring: build an :class:`Engine`, run it.
-
-    ``source`` is a program factory (generator path) or, with
-    ``compiled=True``, a :class:`~repro.sim.compiled.CompiledProgram`
-    (replay path).  Every in-tree execution — :meth:`Application.run
-    <repro.apps.base.Application.run>`, the :class:`~repro.runtime.session.
-    RunSession` pipeline, and everything layered above them — funnels
-    through this helper, so engine construction has exactly one home.
-    """
-    engine = Engine(config, memory, read_hit_cycles=read_hit_cycles,
-                    max_cycles=max_cycles)
-    if compiled:
-        return engine.run_compiled(source)
-    return engine.run(source)
-
-
 def run_program(config: MachineConfig, program_factory: ProgramFactory,
                 memory=None, read_hit_cycles: int = 1,
                 max_cycles: int | None = None) -> RunResult:
@@ -451,6 +320,5 @@ def run_program(config: MachineConfig, program_factory: ProgramFactory,
     if memory is None:
         from ..memory.coherence import CoherentMemorySystem
         memory = CoherentMemorySystem(config)
-    return execute_program(config, memory, program_factory,
-                           read_hit_cycles=read_hit_cycles,
-                           max_cycles=max_cycles)
+    return Engine(config, memory, read_hit_cycles=read_hit_cycles,
+                  max_cycles=max_cycles).run(program_factory)

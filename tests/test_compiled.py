@@ -2,9 +2,8 @@
 
 The acceptance property of the compiled path is **bit-identity**: replaying
 a captured program must produce byte-identical canonical ``RunResult`` JSON
-to driving the generators, with the heap fast path on or off, at every
-cluster size.  The equivalence classes here enforce that for all nine
-applications.
+to driving the generators, at every cluster size.  The equivalence
+classes here enforce that for all nine applications.
 """
 
 import pytest
@@ -94,6 +93,20 @@ def test_stream_invariant_capture_reusable_across_clusters():
         assert got == want
 
 
+@pytest.mark.parametrize("name",
+                         [n for n in APP_NAMES if n not in DYNAMIC_APPS])
+@pytest.mark.parametrize("cluster", [1, 4])
+def test_capture_routes_agree(name, cluster):
+    """Recording an engine run and draining the generators store the same
+    bytes — what a ``stream_invariant = True`` declaration promises."""
+    cfg = MachineConfig(n_processors=16, cluster_size=cluster,
+                        cache_kb_per_processor=4.0)
+    assert tiny_app(name, cfg).stream_invariant
+    recorded = tiny_app(name, cfg).run_recorded()[1]
+    drained = tiny_app(name, cfg).compiled_program()
+    assert recorded.to_bytes() == drained.to_bytes()
+
+
 @pytest.mark.parametrize("name", DYNAMIC_APPS)
 def test_dynamic_apps_refuse_static_drain(name):
     cfg = MachineConfig(n_processors=8, cluster_size=2)
@@ -141,22 +154,14 @@ def test_work_fusion_collapses_runs():
     assert program.fused_work
 
 
-def test_fusion_can_be_disabled():
-    program = compile_program(synthetic_factory, 1, 64, fuse_work=False)
-    assert list(program.ops[0]).count(OP_WORK) == 4
-    assert not program.fused_work
-
-
 def test_fused_replay_still_bit_identical():
     cfg = MachineConfig(n_processors=4, cluster_size=2,
                         cache_kb_per_processor=4.0)
     app = tiny_app("ocean", cfg)
     want = engine_for(cfg).run(app.program).to_json()
-    for fuse in (False, True):
-        app = tiny_app("ocean", cfg)
-        program = app.compiled_program(fuse_work=fuse)
-        got = engine_for(cfg).run_compiled(program).to_json()
-        assert got == want
+    program = tiny_app("ocean", cfg).compiled_program()
+    assert program.fused_work and program.total_ops < program.source_ops
+    assert engine_for(cfg).run_compiled(program).to_json() == want
 
 
 def test_runtime_columns_cached_and_equal_to_arrays():

@@ -2,7 +2,7 @@
 
 Generates random (deadlock-free) parallel programs, compiles them, and
 requires the C kernel to reproduce the canonical python replay
-(``execute_program(..., compiled=True)``) byte-for-byte — the same pin
+(``Engine.run_compiled``) byte-for-byte — the same pin
 the nine real applications carry, but over adversarial op streams:
 degenerate phases, empty processors, lock convoys, tiny caches that
 evict constantly.  Agreement covers the RunResult JSON *and* every other
@@ -29,17 +29,19 @@ from repro.apps import registry
 from repro.apps.base import Application
 from repro.core.config import MachineConfig
 from repro.core.metrics import MissCause
+from repro.core.resultcache import TraceStore
 from repro.memory.allocation import PageAllocator
 from repro.memory.coherence import CoherentMemorySystem
 from repro.native import build
 from repro.native.driver import run_native
-from repro.runtime import RunRequest, RunSession
+from repro.runtime import RunPlan, RunRequest, RunSession
 from repro.sim.compiled import (CompiledProgram, TraceCache,
-                                clear_memory_cache, compile_program)
-from repro.sim.engine import SimulationDeadlock, execute_program
+                                clear_memory_cache, compile_program,
+                                trace_key)
+from repro.sim.engine import Engine, SimulationDeadlock
 from repro.sim.nativereplay import native_decline_reason, try_replay_native
-from repro.sim.program import (OP_LOCK, OP_WORK, Barrier, Lock, Read, Unlock,
-                               Work, Write)
+from repro.sim.program import (OP_LOCK, OP_READ, OP_WORK, Barrier, Lock,
+                               Read, Unlock, Work, Write)
 
 from test_runtime import CFG, TINY, golden_payload
 
@@ -153,7 +155,7 @@ def _assert_native_matches_python(config, factory):
     program = compile_program(factory, config.n_processors,
                               config.line_size)
     memory = CoherentMemorySystem(config)
-    reference = execute_program(config, memory, program, compiled=True)
+    reference = Engine(config, memory).run_compiled(program)
 
     assert native_decline_reason(config) is None
     allocator = _allocator(config)
@@ -325,6 +327,56 @@ def test_kernel_faults_on_a_bad_operand(opcode, arg, force_native):
         [array("q", [0, arg]), array("q")],
         config.line_size, source_ops=2, fused_work=True)
     assert try_replay_native(config, _ScriptedApp(config), program) is None
+
+
+# What "python decides" means: the engine's one loop checks a stored
+# operand exactly as it checks a generated one, so a bad trace is an
+# error — not a clock that ran backwards (negative WORK) or an opcode
+# taken for UNLOCK.
+
+_BAD_STREAMS = [
+    ([OP_WORK, OP_WORK, OP_READ], [10, -7, 3], "negative WORK cycles: -7"),
+    ([OP_WORK, 9, OP_WORK], [5, 1, 5], "unknown opcode 9"),
+]
+
+
+def _bad_program(config, ops, args):
+    """Processor 0 runs the bad stream, processor 1 is ``[WORK 5]``."""
+    return CompiledProgram(
+        [array("q", ops), array("q", [OP_WORK])],
+        [array("q", args), array("q", [5])],
+        config.line_size, source_ops=len(ops) + 1, fused_work=True)
+
+
+@pytest.mark.parametrize("ops,args,message", _BAD_STREAMS)
+def test_python_replay_rejects_a_bad_operand(ops, args, message):
+    config = _config(2, 1, None)
+    with pytest.raises(ValueError, match=message):
+        Engine(config, CoherentMemorySystem(config)).run_compiled(
+            _bad_program(config, ops, args))
+
+
+@needs_kernel
+@pytest.mark.parametrize("ops,args,message", _BAD_STREAMS)
+def test_session_raises_on_a_bad_stored_operand(ops, args, message, tmp_path,
+                                                force_native, monkeypatch):
+    """A damaged trace in the store: the kernel declines, python raises —
+    the session never returns a RunResult for it."""
+    monkeypatch.setitem(registry._CLASSES, "scripted", _ScriptedApp)
+    config = _config(2, 1, None)
+    plan = RunPlan.resolve(RunRequest.make("scripted", 1, None), config)
+    program = _bad_program(plan.config, ops, args)
+    app = _ScriptedApp(plan.config)
+    assert try_replay_native(plan.config, app, program) is None
+    store = TraceStore(tmp_path)
+    store.put_bytes(trace_key("scripted", {}, plan.config, app.seed),
+                    program.to_bytes())
+    clear_memory_cache()
+    session = RunSession(base_config=config, trace_cache=TraceCache(store))
+    with pytest.raises(ValueError, match=message):
+        session.run_plan(plan)
+    assert session.trace_cache.disk_hits == 1  # it was the stored trace
+    clear_memory_cache()
 
 
 @needs_kernel

@@ -30,8 +30,7 @@ from repro.core.config import PROTOCOLS, MachineConfig
 from repro.core.metrics import MissCause
 from repro.core.resultcache import ResultCache, point_key
 from repro.memory import (CoherentMemorySystem, DLSMemorySystem,
-                          PROTOCOL_REGISTRY, make_memory_system,
-                          register_protocol)
+                          PROTOCOL_REGISTRY, make_memory_system)
 from repro.memory.allocation import PageAllocator
 from repro.memory.refmodel import RefDLSMemorySystem
 from repro.memory.snoopy import SnoopyClusterMemorySystem
@@ -78,23 +77,6 @@ class TestProtocolRegistry:
         for proto, cls in expected.items():
             cfg = MachineConfig(n_processors=4, protocol=proto)
             assert type(make_memory_system(cfg)) is cls
-
-    def test_register_protocol_rejects_undeclared_names(self):
-        with pytest.raises(ValueError, match="not declared"):
-            register_protocol("token-ring", CoherentMemorySystem)
-
-    def test_register_protocol_substitutes_declared_backend(self):
-        original = PROTOCOL_REGISTRY["dls"]
-
-        class Instrumented(DLSMemorySystem):
-            pass
-
-        try:
-            register_protocol("dls", Instrumented)
-            cfg = MachineConfig(n_processors=4, protocol="dls")
-            assert type(make_memory_system(cfg)) is Instrumented
-        finally:
-            register_protocol("dls", original)
 
     def test_package_level_snoopy_alias_is_gone(self):
         assert not hasattr(memory_pkg, "SnoopyClusterMemorySystem")

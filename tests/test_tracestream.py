@@ -1,8 +1,8 @@
-"""Streaming traces: the mmappable v2 format, chunked replay, byte budget.
+"""Streaming traces: the mmappable v2 format, streamed replay, byte budget.
 
 The contract of the out-of-core trace layer is that *where the columns
 live is unobservable*: a program captured into arrays, decoded eagerly
-from v2 bytes, or memory-mapped and consumed through chunked windows
+from v2 bytes, or memory-mapped and streamed column by column
 must replay to byte-identical results.  These tests pin that contract,
 the corruption-degrades-to-miss behaviour the cache relies on (a blob in
 the retired ``RPROTRC1`` format is one more corruption), and the
@@ -25,12 +25,15 @@ from hypothesis import strategies as st
 
 from repro.core.config import MachineConfig
 from repro.core.resultcache import TraceStore
+from repro.memory.coherence import CoherentMemorySystem
 from repro.runtime import RunRequest, RunSession
 from repro.sim.compiled import (ENV_TRACE_LRU_BYTES, CompiledProgram,
                                 TraceCache,
                                 TraceDecodeError, clear_memory_cache,
                                 memory_cache_bytes, trace_cache_info,
                                 trace_key)
+from repro.sim.engine import Engine
+from repro.sim.program import OP_READ, OP_WORK, OP_WRITE
 
 from test_compiled import TINY_SIZES, capture
 
@@ -122,19 +125,23 @@ class TestFormatRoundTrip:
         assert blob.endswith(payload.tobytes())
         assert (len(blob) - 6 * 8) % 8 == 0
 
-    def test_chunked_windows_match_boxed(self, tmp_path):
-        n = 10_000  # several 4096-entry chunks per column
-        vals = list(range(n))
-        program = make_program([(vals, vals[::-1])])
+    def test_mapped_replay_matches_materialised(self, tmp_path):
+        """A mapped trace streams through the python engine to the same
+        result as its in-memory twin (10,000 ops on one processor)."""
+        n = 10_000
+        ops = [OP_READ if i % 3 else OP_WRITE for i in range(n)]
+        args = [(i * 7) % 611 for i in range(n)]
+        cfg = MachineConfig(n_processors=2, cluster_size=1,
+                            cache_kb_per_processor=4.0)
+        twin = make_program([(ops, args), ([OP_WORK], [5])], cfg.line_size)
         path = tmp_path / "t.trace"
-        path.write_bytes(program.to_bytes())
+        path.write_bytes(twin.to_bytes())
         mapped = CompiledProgram.from_file(path)
-        ops_cols, args_cols = mapped.runtime_columns()
-        assert len(ops_cols[0]) == n
-        assert list(ops_cols[0]) == vals
-        assert list(args_cols[0]) == vals[::-1]
-        assert [ops_cols[0][i] for i in (0, 4095, 4096, n - 1)] == \
-            [0, 4095, 4096, n - 1]
+        assert mapped.mapped and mapped.total_ops == n + 1
+        results = {Engine(cfg, CoherentMemorySystem(cfg))
+                   .run_compiled(program).to_json()
+                   for program in (twin, mapped)}
+        assert len(results) == 1
 
 
 class TestCorruption:
