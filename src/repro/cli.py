@@ -96,20 +96,9 @@ def _select_native(args: argparse.Namespace) -> None:
 
     import repro.native as native
 
-    from .sim.nativereplay import NATIVE_PROTOCOLS
-
     if args.native and args.no_native:
         print("repro-clustering: --native and --no-native are mutually "
               "exclusive", file=sys.stderr)
-        raise SystemExit(2)
-    protocol = getattr(args, "protocol", "directory")
-    if args.native and protocol not in NATIVE_PROTOCOLS:
-        # a forced kernel selection must refuse an unimplemented
-        # protocol up front, not silently run the python path
-        print(f"repro-clustering: --native: the C kernel implements "
-              f"{', '.join(sorted(NATIVE_PROTOCOLS))} only, not "
-              f"'{protocol}'; drop --native (auto selection degrades "
-              f"to the python engine)", file=sys.stderr)
         raise SystemExit(2)
     if args.native:
         prev = os.environ.get("REPRO_NATIVE")
@@ -683,9 +672,9 @@ def _add_global_options(p: argparse.ArgumentParser, *,
     p.add_argument("--protocol", choices=PROTOCOLS,
                    default=dflt("directory"),
                    help="coherence protocol backend (default directory — "
-                   "the paper's full-bit-vector directory; 'snoopy' and "
-                   "'dls' run on the python engine, so forcing --native "
-                   "with them exits 2)")
+                   "the paper's full-bit-vector directory; 'snoopy' is "
+                   "the paper's shared-main-memory cluster, 'dls' a "
+                   "directoryless shared LLC)")
     p.add_argument("--cache-sizes", type=_cache_list,
                    default=dflt(list(PAPER_CACHE_SIZES_KB)), metavar="KB,...",
                    help="comma-separated per-processor cache sizes in KB "

@@ -336,6 +336,16 @@ class MachineConfig:
         lines = int(total_bytes // self.line_size)
         return max(lines, 1)
 
+    @property
+    def processor_cache_lines(self) -> int | None:
+        """One processor's share of the cache in lines (``None`` =
+        infinite): the capacity of each per-processor cache of the
+        snoopy organisation, which has no shared cluster cache."""
+        if self.cache_kb_per_processor is None:
+            return None
+        return max(int(self.cache_kb_per_processor * 1024
+                       // self.line_size), 1)
+
     def cluster_of(self, processor: int) -> int:
         """Cluster that processor ``processor`` belongs to.
 

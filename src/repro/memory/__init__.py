@@ -3,8 +3,8 @@ full-bit-vector directory, and the pluggable coherence-protocol backends.
 
 Cache and directory state is slab-allocated (flat ``array('q')`` columns,
 packed-int directory entries); the object-per-line reference
-implementations live on in :mod:`repro.memory.refmodel` for the property
-test suite.
+implementations the property suite compares them against are a test
+oracle and live in ``tests/refmodel.py``.
 
 Protocol registry
 -----------------

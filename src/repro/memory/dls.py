@@ -32,7 +32,7 @@ it through the protocol registry (``MachineConfig.protocol = "dls"``).
 Like the other backends it runs on the slab cache columns via kernel
 tuples — no per-line objects on the hot path — and interns the flat
 Table-1 transition tuples.  The object-per-line oracle it is pinned
-against lives in :class:`repro.memory.refmodel.RefDLSMemorySystem`.
+against is ``RefDLSMemorySystem`` in ``tests/refmodel.py``.
 """
 
 from __future__ import annotations

@@ -87,10 +87,8 @@ class SnoopyClusterMemorySystem:
             raise ValueError("allocator cluster count mismatch")
         self.directory = Directory(config.n_clusters)
         self.latency = make_latency_provider(config)
-        per_proc_lines = (None if config.cache_kb_per_processor is None
-                          else max(int(config.cache_kb_per_processor * 1024
-                                       // config.line_size), 1))
-        self.caches = [make_cache(per_proc_lines, config.associativity)
+        self.caches = [make_cache(config.processor_cache_lines,
+                                  config.associativity)
                        for _ in range(config.n_processors)]
         self.counters = [MissCounters() for _ in range(config.n_clusters)]
         self.snoop_penalty = snoop_penalty

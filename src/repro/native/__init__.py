@@ -3,7 +3,8 @@
 ``repro.native`` owns the optional C column interpreter
 (:mod:`kernel.c <repro.native.build>`) that twins the python compiled
 replay (:meth:`Engine.run_compiled <repro.sim.engine.Engine.run_compiled>`
-on a directory memory system) byte-for-byte.  This module decides
+on any of the three memory systems, under either latency provider)
+byte-for-byte.  This module decides
 *whether* it runs:
 
 * ``REPRO_NATIVE`` env var — ``0``/``off`` disables, ``1``/``on``

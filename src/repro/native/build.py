@@ -4,10 +4,11 @@ Compiles ``kernel.c`` with whatever C compiler the host offers (``cc`` /
 ``gcc`` / ``clang``, or an explicit ``REPRO_NATIVE_CC`` override) into a
 shared object loaded via :mod:`ctypes` — no new dependencies, no
 setuptools.  Artifacts live in an on-disk cache keyed by the source
-hash, ABI version, and compiler, so one compile serves every process
-and every later invocation; a source or ABI change produces a new key
-and a fresh build.  The compile writes to a temp file and publishes
-with ``os.replace`` so concurrent builders race benignly.
+hash, ABI version, compiler, and :data:`CFLAGS`, so one compile serves
+every process and every later invocation; a source, ABI or flag change
+produces a new key and a fresh build.  The compile writes to a temp
+file and publishes with ``os.replace`` so concurrent builders race
+benignly.
 
 Environment knobs:
 
@@ -28,11 +29,28 @@ import subprocess
 import tempfile
 from pathlib import Path
 
-__all__ = ["ABI_VERSION", "BuildError", "artifact_path", "build",
+__all__ = ["ABI_VERSION", "BuildError", "CFLAGS", "artifact_path", "build",
            "cache_dir", "find_compiler", "load", "source_path"]
 
 #: must match ``#define ABI`` in kernel.c; bump on any layout change
-ABI_VERSION = 2
+ABI_VERSION = 3
+
+#: the one list of compile flags (CI's sanitizer build and the verify
+#: skill print it rather than repeat it).
+#:
+#: ``-O1``, not ``-O2``: the compile is paid by the first run after every
+#: checkout (it is most of ``cli_fig2_cold``'s ``setup_s``), its cost
+#: grows with the code generated, and the kernel is bound by its cache
+#: misses, not by its instruction stream — gcc 12 builds this file in
+#: under two thirds of the ``-O2`` time and replays 512x512 LU and the
+#: quick grid exactly as fast (docs/EXECUTION.md "Measuring").
+#:
+#: ``-ffp-contract=off`` is part of the result contract, not an
+#: optimisation choice: mesh pricing sums doubles in python's operation
+#: order, and a compiler free to fuse ``a * b + c`` (gcc on aarch64 does,
+#: by default) would differ from python in the last bit.  No ``-lm``:
+#: the kernel rounds by hand.
+CFLAGS = ("-O1", "-shared", "-fPIC", "-ffp-contract=off")
 
 _COMPILERS = ("cc", "gcc", "clang")
 
@@ -76,7 +94,8 @@ def cache_dir() -> Path:
 def _source_key(compiler: str) -> str:
     h = hashlib.sha256()
     h.update(source_path().read_bytes())
-    h.update(f"|abi={ABI_VERSION}|cc={os.path.basename(compiler)}".encode())
+    h.update(f"|abi={ABI_VERSION}|cc={os.path.basename(compiler)}"
+             f"|{' '.join(CFLAGS)}".encode())
     return h.hexdigest()[:16]
 
 
@@ -106,8 +125,7 @@ def build(force: bool = False) -> Path:
     out.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(suffix=".so", dir=str(out.parent))
     os.close(fd)
-    cmd = [compiler, "-O2", "-shared", "-fPIC", "-o", tmp,
-           str(source_path())]
+    cmd = [compiler, *CFLAGS, "-o", tmp, str(source_path())]
     try:
         proc = subprocess.run(cmd, capture_output=True, text=True)
         if proc.returncode != 0:
@@ -152,16 +170,19 @@ def load() -> ctypes.CDLL:
         lib = _open(path)
     except BuildError:
         lib = _open(build(force=True))
-    p = ctypes.POINTER(ctypes.c_int64)
-    lib.repro_replay.restype = ctypes.c_int64
+    i64 = ctypes.c_int64
+    p = ctypes.POINTER(i64)
+    lib.repro_replay.restype = i64
     lib.repro_replay.argtypes = [
-        ctypes.c_int64, ctypes.c_int64, ctypes.c_int64,   # n, ncl, csize
-        ctypes.POINTER(p), ctypes.POINTER(p), p,          # ops, args, lens
-        ctypes.c_int64,                                   # cap
-        ctypes.c_int64, ctypes.c_int64,                   # l_lc, l_rc
-        ctypes.c_int64, ctypes.c_int64,                   # l_ldr, l_rd3
-        ctypes.c_int64, ctypes.c_int64,                   # lpp, rr_next
-        p, p, ctypes.c_int64,                             # page_home, n_ph
-        p, p, p,                                  # breakdowns, ctr, totals
+        i64, i64, i64,                              # n, ncl, csize
+        ctypes.POINTER(p), ctypes.POINTER(p), p,    # ops, args, lens
+        i64, i64,                                   # proto, cap
+        i64, i64,                                   # snoop_penalty, c2c
+        i64, i64, i64, i64,                         # l_lc, l_rc, l_ldr, l_rd3
+        ctypes.c_void_p,                            # mesh (driver._Mesh)
+        i64, i64,                                   # lpp, rr_next
+        p, p, i64,                                  # page_home, n_ph
+        p, p, p, p,                                 # bd, ctr, cio, totals
+        ctypes.POINTER(ctypes.c_double),            # peak
     ]
     return lib

@@ -1,15 +1,27 @@
-/* Native replay kernel: C twin of Engine.run_compiled driving a
- * directory-protocol CoherentMemorySystem (repro.sim.engine,
- * repro.memory.coherence), with the memory system's transitions inlined.
+/* Native replay kernel: C twin of Engine.run_compiled (repro.sim.engine)
+ * driving any of the three memory systems of repro.memory — directory
+ * (coherence.py), snoopy (snoopy.py), DLS (dls.py) — with misses priced
+ * by Table 1 or by the mesh model (repro.network).
  *
- * One call replays one compiled program on one flat-latency machine
- * configuration, starting from empty caches, and returns the numbers a
- * RunResult is made of into caller-allocated fixed-size arrays:
- * per-processor time breakdowns, per-cluster miss counters, and the
- * execution time with four protocol totals.  No memory image leaves the
- * kernel — nothing it returns grows with cache capacity or trace length.
- * The python replay remains the canonical reference; the results are
- * byte-identical (pinned by tests/test_native_properties.py).
+ * One call replays one compiled program on one machine configuration,
+ * starting from empty caches and a cold network, and returns the numbers
+ * a RunResult is made of into caller-allocated fixed-size arrays:
+ * per-processor time breakdowns, per-cluster miss counters, per-cache
+ * evictions/inserts, and the execution time with the protocol and
+ * network totals.  No memory image leaves the kernel — nothing it
+ * returns grows with cache capacity or trace length.  The python replay
+ * remains the canonical reference; the results are byte-identical
+ * (pinned by tests/test_native_properties.py and
+ * tests/golden/protocol_matrix.json).
+ *
+ * One design, not three kernels: there is one event loop, one queue, one
+ * sync registry and one set of Map/Cache/Rec primitives.  The memory
+ * system is two functions, read and write, with three back ends — the
+ * directory's inlined into the loop (its hit path is the hot path of
+ * every default run), snoopy's and DLS's out of line behind mem_read /
+ * mem_write — and every miss of every back end is priced by price(),
+ * which has two: the four Table 1 constants, or mesh_price() walking
+ * the route tables python built.  3 + 2 pieces give the 3 x 2 matrix.
  *
  * What the spec (docs/INTERNALS.md sections 2 and 4) fixes, and the
  * kernel therefore implements rather than emulates:
@@ -32,8 +44,14 @@
  *   and memory system count them.
  *
  * Directory masks are kept as a separate 64-bit word (Python packs
- * (mask << 2) | state into one unbounded int); the driver gates the
- * kernel on n_clusters <= 64.
+ * (mask << 2) | state into one unbounded int), and so is the per-cache
+ * miss history; the driver gates the kernel on n_clusters <= 64, and on
+ * n_processors <= 64 under snoopy, whose caches are per processor.
+ *
+ * Floats (mesh pricing only) are a contract: latency, utilisation, M/D/1
+ * wait and the running delay are doubles evaluated in python's operation
+ * order, rounded half-to-even as python's round() does; the build passes
+ * -ffp-contract=off so no a*b+c is fused (repro.native.build.CFLAGS).
  *
  * Statuses: 0 ok; 1 fault — deadlock, lock misuse, a dirty-owner miss,
  * or an operand the trace validator would have refused (unknown opcode,
@@ -47,7 +65,7 @@
 #include <stdlib.h>
 #include <string.h>
 
-#define ABI 2
+#define ABI 3
 
 #define ST_OK 0
 #define ST_FAULT 1
@@ -62,6 +80,16 @@
 #else
 #define EXPORT __attribute__((visibility("default")))
 #endif
+
+/* What goes into the loop is said, not left to the optimiser: the
+ * loop's speed follows its size (registers spilt around code that
+ * rarely runs), so the directory's read and write are always inlined
+ * into it, and their probe, the miss paths and everything only another
+ * protocol or provider reaches never are.  Measured on 512x512 LU and
+ * the quick grid, gcc 12: with the choice left to -O1 or -O2 the loop
+ * ran 4-5% slower than with these attributes, at either level. */
+#define NOINLINE __attribute__((noinline))
+#define ALWAYS_INLINE static inline __attribute__((always_inline))
 
 static inline int ctz64(uint64_t v) { return __builtin_ctzll(v); }
 static inline int popcount64(uint64_t v) { return __builtin_popcountll(v); }
@@ -203,10 +231,12 @@ static inline int map_del(Map *m, int64_t k, int64_t *v) {
 }
 
 /* ------------------------------------------------------------- cache
- * One cluster's fully associative cache: a line -> slot map over a slab
- * of Line records.  Freed slots (invalidations) chain through `next`;
- * fresh slots come from a high-water mark, the slab doubling on demand,
- * so nothing capacity-sized is allocated before it is used.  With finite
+ * One fully associative cache — a cluster's shared cache (directory), a
+ * cluster's LLC slice (DLS) or a processor's own cache (snoopy): a
+ * line -> slot map over a slab of Line records.  Freed slots
+ * (invalidations) chain through `next`; fresh slots come from a
+ * high-water mark, the slab doubling on demand, so nothing
+ * capacity-sized is allocated before it is used.  With finite
  * capacity, resident slots also form the recency list (head = victim). */
 
 typedef struct {
@@ -220,6 +250,7 @@ typedef struct {
     Line *ln;
     int64_t n_slots, n_used, free_head;
     int64_t head, tail; /* recency list, finite capacity only */
+    int64_t evictions, inserts;
 } Cache;
 
 /* A slot for a new line: a freed one if any, else a fresh one. */
@@ -425,45 +456,159 @@ static inline Ev q_pop(Queue *q) {
 
 /* ---------------------------------------------------------- context */
 
-#define NCTR 13
+enum { P_DIRECTORY = 0, P_SNOOPY = 1, P_DLS = 2 }; /* driver._PROTOCOLS */
+
+#define NCTR 11
 /* per-cluster counter layout (mirrored in repro.native.driver):
  * 0 reads, 1 writes, 2 read_misses, 3 write_misses, 4 upgrade_misses,
  * 5 merges, 6 merge_refetches, 7 prefetch_hits,
  * 8 cold, 9 coherence, 10 capacity (by_cause tallies, in MissCause
- * declaration order), indexed 8 + rec_cause(),
- * 11 evictions, 12 inserts */
+ * declaration order), indexed 8 + rec_cause() */
 
 /* Everything the machine knows about one line outside the caches: its
- * directory entry, why each cluster last lost it, and where it lives.
- * A line is "in the directory" iff mask != 0 (state is then 1 SHARED or
- * 2 EXCLUSIVE, else 0).  lost_coh / lost_cap have at most one of a
- * cluster's two bits set — the latest loss wins; neither means the
- * cluster's next miss on the line is cold. */
+ * inter-cluster directory entry, why each cache last lost it, and where
+ * it lives.  mask/state are per cluster — a line is "in the directory"
+ * iff mask != 0 (state is then 1 SHARED or 2 EXCLUSIVE, else 0) — and
+ * DLS, which has no directory, leaves them 0.  lost_coh / lost_cap are
+ * per *cache* (cluster; processor under snoopy) and have at most one of
+ * a cache's two bits set — the latest loss wins; neither means the
+ * cache's next miss on the line is cold. */
 typedef struct {
     uint64_t mask, lost_coh, lost_cap;
     int32_t state;
-    int32_t home; /* bound with the record, at the line's first miss */
+    int32_t home; /* -1 until a miss that goes to the home binds it */
 } Rec;
 
-/* by_cause index of cluster bit `me`'s next miss: 0 cold, 1 coherence,
+/* by_cause index of cache bit `me`'s next miss: 0 cold, 1 coherence,
  * 2 capacity (MissCause declaration order). */
 static inline int rec_cause(const Rec *r, uint64_t me) {
     return r->lost_coh & me ? 1 : r->lost_cap & me ? 2 : 0;
 }
 
+/* What python hands over for mesh pricing (driver._Mesh, field for
+ * field): the routes and calibrated base costs its topology and latency
+ * code computed, and the contention model's knobs.  The kernel walks
+ * the tables; it knows no topology. */
 typedef struct {
-    int64_t ncl, cap, lpp, rr_next;
+    int64_t hop;         /* cycles per hop, and a link's service time */
+    int64_t dir_service; /* home directory occupancy per transaction */
+    int64_t n_links;
+    int64_t contention;  /* 0: zero-load hop model, nothing queues */
+    int64_t warmup;      /* floor of the utilisation denominator */
+    double background;   /* utilisation added to every resource */
+    double cap;          /* utilisation ceiling */
+    /* leg a -> b crosses route_link[route_off[a * ncl + b] ..
+     * route_off[a * ncl + b + 1]), in order */
+    const int64_t *route_off, *route_link;
+    const double *base3; /* ncl * ncl: three-leg base cost by
+                          * (requester, home) */
+} Mesh;
+
+typedef struct {
+    int proto;
+    int64_t ncl, csize, nca, cap, lpp, rr_next;
     int touch; /* finite capacity: keep recency order, evict when full */
     int64_t l_lc, l_rc, l_ldr, l_rd3;
-    Cache *ca;  /* ncl */
+    int64_t snoop_penalty, c2c; /* snoopy: bus cost of leaving the
+                                 * cluster, cache-to-cache transfer */
+    const Mesh *mesh;               /* NULL: Table 1 */
+    int64_t *link_busy, *dir_busy;  /* contention: cycles occupied */
+    int64_t net[5]; /* messages, hops, link busy, directory busy, queue
+                     * delay (NetworkStats field order) */
+    double peak;    /* peak link utilisation */
+    Cache *ca;  /* nca: one per cluster, or per processor under snoopy */
     Map rec_of; /* line -> index into rec */
     Rec *rec;   /* one per line ever missed on; grows, never shrinks */
     int64_t n_rec, cap_rec;
     Map pages;  /* page -> home (the allocator's bindings + first touches) */
     int64_t *ctr; /* out: ncl * NCTR */
     int64_t inv_sent, repl_hints, writebacks, first_touch;
-    int64_t *bd; /* out: 4n (cpu, load, merge, sync) */
 } Ctx;
+
+/* ---------------------------------------------------------- pricing */
+
+/* python's round(): to nearest, ties to even.  Exact for |v| < 2^52,
+ * with no call into libm and no dependence on the rounding mode. */
+static inline int64_t round_even(double v) {
+    int64_t f = (int64_t)v;
+    if ((double)f > v) f--;   /* floor */
+    double d = v - (double)f; /* exact, 0 <= d < 1 */
+    return f + (d > 0.5 || (d == 0.5 && (f & 1)));
+}
+
+/* MeshLatency.miss_cycles and ContentionModel.transaction_delay in one
+ * pass, every float operation in python's order.  The shapes whose
+ * route the two endpoints determine are calibrated to their Table 1
+ * value (`flat`) exactly; only the three-leg dirty shape keeps its
+ * geography (base3 + actual hops). */
+static NOINLINE int64_t mesh_price(Ctx *x, int req, int home, int owner,
+                                   int64_t now) {
+    const Mesh *m = x->mesh;
+    const int64_t *off = m->route_off;
+    int64_t leg[3], flat = x->l_rc, hops = 0;
+    int n_leg = 2;
+    if (owner < 0 || owner == home) {
+        if (req == home) {
+            n_leg = 0;
+            flat = x->l_lc;
+        } else {
+            leg[0] = req * x->ncl + home;
+            leg[1] = home * x->ncl + req;
+        }
+    } else if (req == home) {
+        leg[0] = req * x->ncl + owner;
+        leg[1] = owner * x->ncl + req;
+        flat = x->l_ldr;
+    } else {
+        n_leg = 3;
+        leg[0] = req * x->ncl + home;
+        leg[1] = home * x->ncl + owner;
+        leg[2] = owner * x->ncl + req;
+    }
+    for (int i = 0; i < n_leg; i++) hops += off[leg[i] + 1] - off[leg[i]];
+    double latency = n_leg == 3
+        ? m->base3[leg[0]] + (double)(m->hop * hops) : (double)flat;
+    x->net[0]++;
+    x->net[1] += hops;
+    int64_t cycles = round_even(latency);
+    if (m->contention) {
+        double elapsed = (double)(now > m->warmup ? now : m->warmup);
+        double delay = 0.0, rho;
+        for (int i = 0; i < n_leg; i++)
+            for (int64_t k = off[leg[i]]; k < off[leg[i] + 1]; k++) {
+                int64_t link = m->route_link[k];
+                rho = (double)x->link_busy[link] / elapsed + m->background;
+                if (!(rho < m->cap)) rho = m->cap;
+                delay += rho * (double)m->hop / (2.0 * (1.0 - rho));
+                x->link_busy[link] += m->hop;
+                x->net[2] += m->hop;
+                if (rho > x->peak) x->peak = rho;
+            }
+        rho = (double)x->dir_busy[home] / elapsed + m->background;
+        if (!(rho < m->cap)) rho = m->cap;
+        delay += rho * (double)m->dir_service / (2.0 * (1.0 - rho));
+        x->dir_busy[home] += m->dir_service;
+        x->net[3] += m->dir_service;
+        int64_t delayed = round_even(latency + delay);
+        x->net[4] += delayed - cycles;
+        cycles = delayed;
+    }
+    return cycles >= 1 ? cycles : 1;
+}
+
+/* Cycles until the data of a miss arrives: cluster `req` misses at time
+ * `now` on a line homed at `home` and dirty in cluster `owner`'s cache
+ * (-1: the home supplies it).  Every miss of every protocol is priced
+ * here, by Table 1 or by the mesh; -1 = `req` is itself the owner. */
+static inline int64_t price(Ctx *x, int req, int home, int owner,
+                            int64_t now) {
+    if (owner == req) return -1;
+    if (x->mesh) return mesh_price(x, req, home, owner, now);
+    if (owner < 0) return req == home ? x->l_lc : x->l_rc;
+    return req == home ? x->l_ldr : owner == home ? x->l_rc : x->l_rd3;
+}
+
+/* ----------------------------------------------------- shared state */
 
 /* Home cluster of a line; binds the page round-robin on first touch
  * (allocation.PageAllocator.home_of_line, verbatim semantics). */
@@ -479,8 +624,8 @@ static int home_of(Ctx *x, int64_t line, int32_t *home_out) {
     return 0;
 }
 
-/* Index of the record of a line that just missed, created (and its page
- * bound) at the line's first miss anywhere; creation may move the slab. */
+/* Index of the record of a line that just missed, created at the line's
+ * first miss anywhere; creation may move the slab. */
 static int rec_at_miss(Ctx *x, int64_t line, int64_t *ri_out) {
     if (!map_get(&x->rec_of, line, ri_out)) {
         if (x->n_rec == x->cap_rec) {
@@ -492,17 +637,52 @@ static int rec_at_miss(Ctx *x, int64_t line, int64_t *ri_out) {
         }
         Rec *r = &x->rec[x->n_rec];
         memset(r, 0, sizeof(Rec));
-        if (home_of(x, line, &r->home)) return ST_NOMEM;
+        r->home = -1;
         if (map_put(&x->rec_of, line, x->n_rec)) return ST_NOMEM;
         *ri_out = x->n_rec++;
     }
     return 0;
 }
 
-/* Victim retirement: replacement hint for SHARED, writeback for a line
- * this cluster holds EXCLUSIVE (exact comparison, as in python).  A line
- * the directory no longer lists counts nothing. */
-static void retire(Ctx *x, uint64_t me, Rec *v, int64_t vstate) {
+/* Bind the record's home, if no earlier miss has.  The back ends call
+ * this exactly where python calls home_of_line — the directory
+ * protocol on every miss, snoopy only on a miss that goes to the home
+ * node, not on a cache-to-cache transfer or an upgrade — because the
+ * order of first touches decides which cluster a page lands on. */
+static inline int rec_home(Ctx *x, Rec *r, int64_t line) {
+    return r->home < 0 ? home_of(x, line, &r->home) : 0;
+}
+
+/* Snoop cluster cl's bus: the first processor other than `exclude`
+ * whose cache holds `line` (*slot_out its slot), or -1.  A snoop does
+ * not touch recency. */
+static int64_t snoop(const Ctx *x, int64_t line, int cl, int64_t exclude,
+                     int64_t *slot_out) {
+    for (int64_t q = cl * x->csize; q < (cl + 1) * x->csize; q++)
+        if (q != exclude && map_get(&x->ca[q].slot_of, line, slot_out))
+            return q;
+    return -1;
+}
+
+/* Victim retirement, for cache ci's victim `vline` (record v).  Under
+ * the directory protocol and snoopy the inter-cluster directory hears of
+ * it: a replacement hint for SHARED, a writeback for a line the cluster
+ * holds EXCLUSIVE (exact comparison, as in python); a line the
+ * directory no longer lists counts nothing.  Snoopy says nothing while
+ * a cluster-mate still holds the line — the cluster still caches it.
+ * DLS has no directory to tell: a dirty victim is a writeback. */
+static void retire(Ctx *x, int ci, Rec *v, int64_t vline, int64_t vstate) {
+    int cl = ci;
+    if (x->proto == P_DLS) {
+        x->writebacks += vstate == 2;
+        return;
+    }
+    if (x->proto == P_SNOOPY) {
+        int64_t s;
+        cl = (int)(ci / x->csize);
+        if (snoop(x, vline, cl, ci, &s) >= 0) return;
+    }
+    uint64_t me = 1ULL << cl;
     if (!v->mask) return;
     if (vstate == 2) { /* EXCLUSIVE */
         if (v->state != 2 || v->mask != me) return;
@@ -515,26 +695,24 @@ static void retire(Ctx *x, uint64_t me, Rec *v, int64_t vstate) {
     if (!v->mask) v->state = 0;
 }
 
-/* Install `line` (record ri) into cluster cl's cache (state_new 1=SHARED
- * on a read miss, 2=EXCLUSIVE on a write miss).  A full cache first
- * evicts its least recently touched line, recycling the slot and
- * retiring the victim at the directory. */
-static int install(Ctx *x, int cl, int64_t pid, int64_t line, int64_t ri,
+/* Install `line` (record ri) into cache ci (state_new 1=SHARED,
+ * 2=EXCLUSIVE).  A full cache first evicts its least recently touched
+ * line, recycling the slot and retiring the victim. */
+static int install(Ctx *x, int ci, int64_t fetcher, int64_t line, int64_t ri,
                    int64_t ready, int64_t state_new) {
-    Cache *c = &x->ca[cl];
-    int64_t *ct = x->ctr + (size_t)cl * NCTR;
+    Cache *c = &x->ca[ci];
     int64_t slot;
     if (x->touch && (int64_t)c->slot_of.live >= x->cap) {
         slot = c->head;
         Line *vl = &c->ln[slot];
         Rec *v = &x->rec[vl->rec];
-        uint64_t me = 1ULL << cl;
+        uint64_t me = 1ULL << ci;
         map_del(&c->slot_of, vl->tag, NULL);
         lru_unlink(c, slot);
-        ct[11]++; /* evictions */
+        c->evictions++;
         v->lost_cap |= me;
         v->lost_coh &= ~me;
-        retire(x, me, v, vl->state);
+        retire(x, ci, v, vl->tag, vl->state);
     } else if (cache_slot(c, &slot)) {
         return ST_NOMEM;
     }
@@ -542,13 +720,78 @@ static int install(Ctx *x, int cl, int64_t pid, int64_t line, int64_t ri,
     ln->tag = line;
     ln->state = state_new;
     ln->pending = ready;
-    ln->fetcher = pid;
+    ln->fetcher = fetcher;
     ln->rec = ri;
     if (map_put(&c->slot_of, line, slot)) return ST_NOMEM;
     if (x->touch) lru_push_tail(c, slot);
-    ct[12]++; /* inserts */
+    c->inserts++;
     return 0;
 }
+
+/* Invalidate `line` (record r) in cache ci, if it is resident there. */
+static inline void drop(Ctx *x, int ci, int64_t line, Rec *r) {
+    Cache *c = &x->ca[ci];
+    int64_t s;
+    if (map_del(&c->slot_of, line, &s)) {
+        uint64_t bit = 1ULL << ci;
+        if (x->touch) lru_unlink(c, s);
+        cache_slot_free(c, s);
+        r->lost_coh |= bit;
+        r->lost_cap &= ~bit;
+    }
+}
+
+/* ------------------------------------------------ the memory interface
+ * What the loop asks of a memory system is what the engine asks of a
+ * python one — two functions, each with three back ends:
+ *
+ *   read(x, pid, cl, line, t, is_retry, &out)  as python's read(): hit;
+ *     merge, with the time the outstanding fill returns (the loop
+ *     retries the read then, is_retry set); or miss, with the stall
+ *     (the line is then installed, pending);
+ *   write(x, pid, cl, line, t)  never stalls.
+ *
+ * Both return ST_* and count every miss counter themselves; the loop
+ * counts reads, writes and time.  The directory's pair (dir_read,
+ * dir_write) is inlined into the loop — it is the path of every default
+ * run — with its misses out of line; the other two protocols' sit out
+ * of line altogether, behind mem_read / mem_write. */
+
+enum { R_HIT = 0, R_MERGE = 1, R_MISS = 2 }; /* coherence.READ_* */
+
+typedef struct {
+    int kind;
+    int64_t v; /* R_MERGE: pending-until time; R_MISS: stall cycles */
+} Read;
+
+/* A read's probe of the cache it may hit in: the cluster's (directory),
+ * the processor's (snoopy), the local slice (DLS).  Touches recency;
+ * 1 = resident, and *out says hit or merge; 0 = absent.  A hit on a
+ * line another processor fetched is a prefetch hit, once (snoopy lines
+ * carry no fetcher: nobody fetches into somebody else's cache). */
+static NOINLINE int probe_read(Ctx *x, Cache *c, int64_t pid, int64_t line,
+                               int64_t t, int64_t *ct, Read *out) {
+    int64_t slot;
+    if (!map_get(&c->slot_of, line, &slot)) return 0;
+    if (x->touch) lru_touch(c, slot);
+    Line *ln = &c->ln[slot];
+    if (ln->pending > t) {
+        ct[5]++; /* merges */
+        out->kind = R_MERGE;
+        out->v = ln->pending;
+        return 1;
+    }
+    if (ln->fetcher != -1 && ln->fetcher != pid) {
+        ct[7]++; /* prefetch_hits */
+        ln->fetcher = -1;
+    }
+    out->kind = R_HIT;
+    return 1;
+}
+
+/* ------------------------------------------ back end 1 of 3: directory
+ * (coherence.py).  One shared cache per cluster, full-bit-vector
+ * directory with replacement hints between the clusters. */
 
 /* Invalidate line (record r) in every other sharer of cluster bit `me`;
  * invalidations_sent counts the whole mask, resident or not, exactly as
@@ -556,46 +799,27 @@ static int install(Ctx *x, int cl, int64_t pid, int64_t line, int64_t ri,
 static void invalidate_others(Ctx *x, Rec *r, uint64_t me, int64_t line) {
     uint64_t bits = r->mask & ~me;
     x->inv_sent += popcount64(bits);
-    while (bits) {
-        int vcl = ctz64(bits);
-        uint64_t bit = bits & -bits;
-        bits ^= bit;
-        Cache *c = &x->ca[vcl];
-        int64_t s;
-        if (map_del(&c->slot_of, line, &s)) {
-            if (x->touch) lru_unlink(c, s);
-            cache_slot_free(c, s);
-            r->lost_coh |= bit;
-            r->lost_cap &= ~bit;
-        }
-    }
-}
-
-/* Miss latency for cluster cl on record r (Table 1), given the directory
- * entry before the transaction; -1 = cl is itself the dirty owner. */
-static inline int64_t miss_latency(const Ctx *x, const Rec *r, int cl) {
-    if (r->state != 2) return cl == r->home ? x->l_lc : x->l_rc;
-    int owner = ctz64(r->mask);
-    if (owner == cl) return -1;
-    return cl == r->home ? x->l_ldr : owner == r->home ? x->l_rc : x->l_rd3;
+    for (; bits; bits &= bits - 1) drop(x, ctz64(bits), line, r);
 }
 
 /* Full read miss (fresh miss and invalidated-while-pending refetch):
  * classify, directory transaction (owner downgrade on dirty-remote),
- * SHARED install, counters, load stall. */
-static int read_miss(Ctx *x, int cl, int64_t pid, int64_t line, int64_t t,
-                     int64_t *stall_out) {
+ * SHARED install, counters. */
+static NOINLINE int read_miss(Ctx *x, int cl, int64_t pid, int64_t line,
+                              int64_t t, int64_t *stall_out) {
     int64_t ri, s;
     int rc = rec_at_miss(x, line, &ri);
     if (rc) return rc;
     Rec *r = &x->rec[ri];
+    if (rec_home(x, r, line)) return ST_NOMEM;
     uint64_t me = 1ULL << cl;
     int cause = rec_cause(r, me);
-    int64_t stall = miss_latency(x, r, cl);
+    int owner = r->state == 2 ? ctz64(r->mask) : -1;
+    int64_t stall = price(x, cl, r->home, owner, t);
     if (stall < 0) return ST_FAULT;
-    if (r->state == 2) {
+    if (owner >= 0) {
         /* the owner keeps the data but downgrades; the reader joins */
-        Cache *oc = &x->ca[ctz64(r->mask)];
+        Cache *oc = &x->ca[owner];
         if (map_get(&oc->slot_of, line, &s)) oc->ln[s].state = 1;
     }
     r->state = 1;
@@ -605,21 +829,23 @@ static int read_miss(Ctx *x, int cl, int64_t pid, int64_t line, int64_t t,
     int64_t *ct = x->ctr + (size_t)cl * NCTR;
     ct[2]++;            /* read_misses */
     ct[8 + cause]++;    /* by_cause */
-    x->bd[4 * pid + 1] += stall; /* load */
     *stall_out = stall;
     return 0;
 }
 
 /* Write miss: fetch exclusive (latency hidden, line left pending),
  * invalidating every other sharer. */
-static int write_miss(Ctx *x, int cl, int64_t pid, int64_t line, int64_t t) {
+static NOINLINE int write_miss(Ctx *x, int cl, int64_t pid, int64_t line,
+                               int64_t t) {
     int64_t ri;
     int rc = rec_at_miss(x, line, &ri);
     if (rc) return rc;
     Rec *r = &x->rec[ri];
+    if (rec_home(x, r, line)) return ST_NOMEM;
     uint64_t me = 1ULL << cl;
     int cause = rec_cause(r, me);
-    int64_t latency = miss_latency(x, r, cl);
+    int64_t latency = price(x, cl, r->home,
+                            r->state == 2 ? ctz64(r->mask) : -1, t);
     if (latency < 0) return ST_FAULT;
     invalidate_others(x, r, me, line);
     r->state = 2;
@@ -630,6 +856,214 @@ static int write_miss(Ctx *x, int cl, int64_t pid, int64_t line, int64_t t) {
     ct[3]++;         /* write_misses */
     ct[8 + cause]++; /* by_cause */
     return 0;
+}
+
+ALWAYS_INLINE int dir_read(Ctx *x, int64_t pid, int cl, int64_t line,
+                           int64_t t, int is_retry, Read *out) {
+    int64_t *ct = x->ctr + (size_t)cl * NCTR;
+    if (probe_read(x, &x->ca[cl], pid, line, t, ct, out)) return 0;
+    ct[6] += is_retry; /* merge_refetches: invalidated while pending */
+    out->kind = R_MISS;
+    return read_miss(x, cl, pid, line, t, &out->v);
+}
+
+ALWAYS_INLINE int dir_write(Ctx *x, int64_t pid, int cl, int64_t line,
+                            int64_t t) {
+    Cache *c = &x->ca[cl];
+    int64_t slot;
+    if (!map_get(&c->slot_of, line, &slot))
+        return write_miss(x, cl, pid, line, t);
+    if (x->touch) lru_touch(c, slot);
+    if (c->ln[slot].state != 2) {
+        /* upgrade: invalidate the other sharers */
+        Rec *r = &x->rec[c->ln[slot].rec];
+        uint64_t me = 1ULL << cl;
+        x->ctr[(size_t)cl * NCTR + 4]++;
+        invalidate_others(x, r, me, line);
+        r->state = 2;
+        r->mask = me;
+        c->ln[slot].state = 2;
+    }
+    return 0;
+}
+
+/* ---------------------------------------------- back end 2 of 3: snoopy
+ * (snoopy.py).  One cache per processor; cluster-mates snoop each other
+ * over a bus — a miss a mate can serve is a cache-to-cache transfer and
+ * never reaches the inter-cluster directory, which tracks clusters. */
+
+/* Invalidate `line` in every cache of cluster cl but `except`'s. */
+static void drop_cluster(Ctx *x, int cl, int64_t except, int64_t line,
+                         Rec *r) {
+    for (int64_t q = cl * x->csize; q < (cl + 1) * x->csize; q++)
+        if (q != except) drop(x, (int)q, line, r);
+}
+
+static int snoopy_read(Ctx *x, int64_t pid, int cl, int64_t line, int64_t t,
+                       int is_retry, Read *out) {
+    int64_t *ct = x->ctr + (size_t)cl * NCTR;
+    int64_t ri, hslot, latency;
+    if (probe_read(x, &x->ca[pid], pid, line, t, ct, out)) return 0;
+    ct[6] += is_retry; /* merge_refetches */
+    if (rec_at_miss(x, line, &ri)) return ST_NOMEM;
+    Rec *r = &x->rec[ri];
+    int cause = rec_cause(r, 1ULL << pid);
+    int64_t holder = snoop(x, line, cl, pid, &hslot);
+    if (holder >= 0) {
+        /* cache-to-cache: an EXCLUSIVE holder downgrades; the directory
+         * already lists this cluster, and no page is bound */
+        Line *h = &x->ca[holder].ln[hslot];
+        if (h->state == 2) h->state = 1;
+        latency = x->c2c;
+    } else {
+        uint64_t me = 1ULL << cl;
+        int owner = r->state == 2 && r->mask != me ? ctz64(r->mask) : -1;
+        if (rec_home(x, r, line)) return ST_NOMEM;
+        latency = price(x, cl, r->home, owner, t);
+        if (latency < 0) return ST_FAULT;
+        if (owner >= 0) /* whichever processor of the owner holds it dirty */
+            for (int64_t q = owner * x->csize; q < (owner + 1) * x->csize;
+                 q++)
+                if (map_get(&x->ca[q].slot_of, line, &hslot)
+                        && x->ca[q].ln[hslot].state == 2)
+                    x->ca[q].ln[hslot].state = 1;
+        r->state = 1;
+        r->mask |= me;
+        latency += x->snoop_penalty;
+    }
+    if (install(x, (int)pid, -1, line, ri, t + latency, 1)) return ST_NOMEM;
+    ct[2]++;         /* read_misses */
+    ct[8 + cause]++; /* by_cause */
+    out->kind = R_MISS;
+    out->v = latency;
+    return 0;
+}
+
+static int snoopy_write(Ctx *x, int64_t pid, int cl, int64_t line,
+                        int64_t t) {
+    Cache *c = &x->ca[pid];
+    int64_t *ct = x->ctr + (size_t)cl * NCTR;
+    int64_t slot, ri = -1;
+    int found = map_get(&c->slot_of, line, &slot);
+    if (found) {
+        if (x->touch) lru_touch(c, slot);
+        if (c->ln[slot].state == 2) return 0;
+        ct[4]++; /* upgrade_misses */
+        ri = c->ln[slot].rec;
+    } else {
+        if (rec_at_miss(x, line, &ri)) return ST_NOMEM;
+        ct[3]++; /* write_misses */
+        ct[8 + rec_cause(&x->rec[ri], 1ULL << pid)]++;
+    }
+    /* invalidate every other copy: cluster-mates over the bus, other
+     * clusters through the directory */
+    Rec *r = &x->rec[ri];
+    uint64_t me = 1ULL << cl, bits = r->mask & ~me;
+    drop_cluster(x, cl, pid, line, r);
+    x->inv_sent += popcount64(bits);
+    for (; bits; bits &= bits - 1) drop_cluster(x, ctz64(bits), -1, line, r);
+    r->state = 2;
+    r->mask = me;
+    if (found) {
+        c->ln[slot].state = 2; /* an upgrade binds no page */
+        return 0;
+    }
+    /* priced clean whatever the directory said: the copies are gone */
+    if (rec_home(x, r, line)) return ST_NOMEM;
+    int64_t latency = price(x, cl, r->home, -1, t) + x->snoop_penalty;
+    return install(x, (int)pid, -1, line, ri, t + latency, 2);
+}
+
+/* ------------------------------------------------- back end 3 of 3: DLS
+ * (dls.py).  One LLC slice per cluster, and a line may be cached only in
+ * the slice of its home — so there are no sharers, no invalidations and
+ * no upgrades, and the home is looked up on every access.  A local
+ * access is hit / merge / local fill; a remote one is a network
+ * transaction to the home slice every time, classified COLD the first
+ * time and COHERENCE ever after (lost_coh of the *requesting* cluster).
+ * Misses are counted on the requesting cluster, evictions and inserts
+ * on the slice that owns the slot. */
+
+static int dls_read(Ctx *x, int64_t pid, int cl, int64_t line, int64_t t,
+                    int is_retry, Read *out) {
+    int64_t *ct = x->ctr + (size_t)cl * NCTR;
+    int64_t slot, ri, stall;
+    int32_t home;
+    if (home_of(x, line, &home)) return ST_NOMEM;
+    Cache *c = &x->ca[home];
+    uint64_t me = 1ULL << cl;
+    if (home == cl) {
+        if (probe_read(x, c, pid, line, t, ct, out)) return 0;
+        ct[6] += is_retry; /* merge_refetches: evicted while pending */
+    }
+    if (rec_at_miss(x, line, &ri)) return ST_NOMEM;
+    Rec *r = &x->rec[ri];
+    int cause = rec_cause(r, me);
+    if (home == cl) {
+        stall = price(x, cl, home, -1, t);
+        if (install(x, home, pid, line, ri, t + stall, 1)) return ST_NOMEM;
+    } else {
+        r->lost_coh |= me;
+        if (map_get(&c->slot_of, line, &slot)) {
+            /* the home slice serves it; a request that finds the home
+             * fill in flight queues behind it — remote reads never
+             * merge */
+            if (x->touch) lru_touch(c, slot);
+            int64_t queue = c->ln[slot].pending - t;
+            stall = price(x, cl, home, -1, t) + (queue > 0 ? queue : 0);
+        } else {
+            /* the home slice misses too: memory fill at home, priced
+             * first, then the network leg; the line installs at home on
+             * the way through */
+            int64_t fill = price(x, home, home, -1, t);
+            stall = price(x, cl, home, -1, t) + fill;
+            if (install(x, home, pid, line, ri, t + fill, 1))
+                return ST_NOMEM;
+        }
+    }
+    ct[2]++;         /* read_misses */
+    ct[8 + cause]++; /* by_cause */
+    out->kind = R_MISS;
+    out->v = stall;
+    return 0;
+}
+
+static int dls_write(Ctx *x, int64_t pid, int cl, int64_t line, int64_t t) {
+    int64_t *ct = x->ctr + (size_t)cl * NCTR;
+    int64_t slot, ri;
+    int32_t home;
+    if (home_of(x, line, &home)) return ST_NOMEM;
+    Cache *c = &x->ca[home];
+    int found = map_get(&c->slot_of, line, &slot);
+    if (found) {
+        if (x->touch) lru_touch(c, slot);
+        c->ln[slot].state = 2; /* dirty at home: local, or write-through */
+    }
+    if (found && home == cl) return 0;
+    /* a miss: the line is not in the local slice, or it is remote */
+    if (rec_at_miss(x, line, &ri)) return ST_NOMEM;
+    Rec *r = &x->rec[ri];
+    uint64_t me = 1ULL << cl;
+    ct[3]++;                    /* write_misses */
+    ct[8 + rec_cause(r, me)]++; /* by_cause */
+    if (home != cl) r->lost_coh |= me;
+    if (found) return 0;
+    /* write-allocate at the home slice: memory fill at home */
+    return install(x, home, pid, line, ri,
+                   t + price(x, home, home, -1, t), 2);
+}
+
+static NOINLINE int mem_read(Ctx *x, int64_t pid, int cl, int64_t line,
+                             int64_t t, int is_retry, Read *out) {
+    return x->proto == P_SNOOPY
+        ? snoopy_read(x, pid, cl, line, t, is_retry, out)
+        : dls_read(x, pid, cl, line, t, is_retry, out);
+}
+
+static NOINLINE int mem_write(Ctx *x, int64_t pid, int cl, int64_t line,
+                              int64_t t) {
+    return x->proto == P_SNOOPY ? snoopy_write(x, pid, cl, line, t)
+                                : dls_write(x, pid, cl, line, t);
 }
 
 /* ---------------------------------------------------------- registry */
@@ -712,14 +1146,22 @@ EXPORT int64_t repro_abi(void) { return ABI; }
 EXPORT int64_t repro_replay(
     int64_t n, int64_t ncl, int64_t csize,
     const int64_t **ops, const int64_t **args, const int64_t *lens,
-    int64_t cap, /* capacity lines per cluster cache; -1 = infinite */
+    int64_t proto, /* P_DIRECTORY, P_SNOOPY or P_DLS */
+    int64_t cap,   /* capacity in lines of each of the protocol's caches
+                    * (per cluster; per processor under snoopy);
+                    * -1 = infinite */
+    int64_t snoop_penalty, int64_t c2c, /* snoopy bus costs */
     int64_t l_lc, int64_t l_rc, int64_t l_ldr, int64_t l_rd3,
+    const Mesh *mesh, /* NULL: price misses by Table 1 alone */
     int64_t lpp, int64_t rr_next,
     const int64_t *ph_pages, const int64_t *ph_homes, int64_t n_ph,
     int64_t *bd,     /* out: 4n (cpu, load, merge, sync), zeroed */
     int64_t *ctr,    /* out: ncl * NCTR, zeroed */
-    int64_t *totals) /* out: 5 (execution time, invalidations sent,
-                      * replacement hints, writebacks, first-touch pages) */
+    int64_t *cio,    /* out: 2 per cache (evictions, inserts) */
+    int64_t *totals, /* out: 10 (execution time, invalidations sent,
+                      * replacement hints, writebacks, first-touch pages,
+                      * then Ctx.net: the five NetworkStats integers) */
+    double *peak)    /* out: 1 (NetworkStats.peak_link_utilization) */
 {
     int64_t st = ST_OK;
     Ctx x;
@@ -730,8 +1172,17 @@ EXPORT int64_t repro_replay(
     memset(&locks, 0, sizeof(locks));
     Queue *q = NULL;
     int64_t *ipos = NULL, *retry = NULL, *finish = NULL;
+    /* the loop's one protocol test: the directory back end is inlined
+     * below, the other two sit behind mem_read / mem_write */
+    const int directory = proto == P_DIRECTORY;
 
+    x.proto = (int)proto;
     x.ncl = ncl;
+    x.csize = csize;
+    x.nca = proto == P_SNOOPY ? n : ncl;
+    x.snoop_penalty = snoop_penalty;
+    x.c2c = c2c;
+    x.mesh = mesh;
     x.cap = cap;
     x.touch = cap >= 0;
     x.lpp = lpp;
@@ -740,16 +1191,26 @@ EXPORT int64_t repro_replay(
     x.l_rc = l_rc;
     x.l_ldr = l_ldr;
     x.l_rd3 = l_rd3;
-    x.bd = bd;
     x.ctr = ctr;
 
     /* the queue's ring cannot hold an event before `now`, which is where
-     * a negative latency (like a negative WORK) would put one; and it
-     * links processors by 32-bit pid */
-    if (l_lc < 0 || l_rc < 0 || l_ldr < 0 || l_rd3 < 0 || n > INT32_MAX)
+     * a negative latency (like a negative WORK) would put one, and it
+     * links processors by 32-bit pid; a cache is one bit of a 64-bit
+     * mask */
+    if (l_lc < 0 || l_rc < 0 || l_ldr < 0 || l_rd3 < 0 || snoop_penalty < 0
+            || c2c < 0 || n > INT32_MAX || x.nca > 64 || proto < P_DIRECTORY
+            || proto > P_DLS)
         return ST_FAULT;
 
-    x.ca = (Cache *)calloc(ncl, sizeof(Cache));
+    x.ca = (Cache *)calloc(x.nca, sizeof(Cache));
+    if (mesh && mesh->contention) {
+        x.link_busy = (int64_t *)calloc(mesh->n_links, sizeof(int64_t));
+        x.dir_busy = (int64_t *)calloc(ncl, sizeof(int64_t));
+        if (!x.link_busy || !x.dir_busy) {
+            st = ST_NOMEM;
+            goto done;
+        }
+    }
     q = q_new(n);
     ipos = (int64_t *)calloc(n, sizeof(int64_t));
     retry = (int64_t *)malloc(n * sizeof(int64_t));
@@ -762,7 +1223,7 @@ EXPORT int64_t repro_replay(
     if ((st = map_init(&x.pages, (size_t)n_ph * 2))) goto done;
     if ((st = map_init(&bars.ix, 16))) goto done;
     if ((st = map_init(&locks.ix, 16))) goto done;
-    for (int64_t i = 0; i < ncl; i++) {
+    for (int64_t i = 0; i < x.nca; i++) {
         Cache *c = &x.ca[i];
         c->head = c->tail = c->free_head = -1;
         if ((st = map_init(&c->slot_of, 1024))) goto done;
@@ -791,38 +1252,24 @@ EXPORT int64_t repro_replay(
         int noevent = 0;
         if (pending != NO_LINE) {
             /* ---- retry of a merged read at its fill time */
-            Cache *c = &x.ca[cl];
-            int64_t slot;
-            int found = map_get(&c->slot_of, pending, &slot);
-            if (found) {
-                if (x.touch) lru_touch(c, slot);
-                int64_t pu = c->ln[slot].pending;
-                if (pu > t) {
-                    ct[5]++; /* merges */
-                    bd[4 * pid + 2] += pu - t;
-                    tn = pu;
-                } else {
-                    int64_t f = c->ln[slot].fetcher;
-                    if (f != -1 && f != pid) {
-                        ct[7]++; /* prefetch_hits */
-                        c->ln[slot].fetcher = -1;
-                    }
-                    pending = NO_LINE;
-                    retry[pid] = NO_LINE;
-                    tn = t + 1;
-                }
+            Read rd;
+            int rc = directory ? dir_read(&x, pid, cl, pending, t, 1, &rd)
+                               : mem_read(&x, pid, cl, pending, t, 1, &rd);
+            if (rc) {
+                st = rc;
+                goto done;
+            }
+            if (rd.kind == R_MERGE) {
+                bd[4 * pid + 2] += rd.v - t;
+                tn = rd.v;
             } else {
-                /* invalidated while pending: refetch (fresh read miss) */
-                ct[6]++; /* merge_refetches */
-                int64_t stall;
-                int rc = read_miss(&x, cl, pid, pending, t, &stall);
-                if (rc) {
-                    st = rc;
-                    goto done;
-                }
                 pending = NO_LINE;
                 retry[pid] = NO_LINE;
-                tn = t + stall + 1;
+                tn = t + 1;
+                if (rd.kind == R_MISS) { /* gone while pending: refetched */
+                    bd[4 * pid + 1] += rd.v;
+                    tn += rd.v;
+                }
             }
         } else {
             /* ---- run ops while strictly ahead of every queued event */
@@ -830,7 +1277,6 @@ EXPORT int64_t repro_replay(
             const int64_t *pa = args[pid];
             int64_t ip = ipos[pid];
             const int64_t iplen = lens[pid];
-            Cache *c = &x.ca[cl];
             int finished = 0;
             for (;;) {
                 if (ip >= iplen) {
@@ -850,33 +1296,25 @@ EXPORT int64_t repro_replay(
                 if (op == 1) { /* READ */
                     bd[4 * pid] += 1;
                     ct[0]++;
-                    int64_t slot;
-                    int found = map_get(&c->slot_of, arg, &slot);
-                    if (found) {
-                        if (x.touch) lru_touch(c, slot);
-                        int64_t pu = c->ln[slot].pending;
-                        if (pu > t) {
-                            ct[5]++; /* merges */
-                            bd[4 * pid + 2] += pu - t;
-                            pending = arg;
-                            retry[pid] = arg;
-                            tn = pu;
-                            break; /* no fast path: tail handles tn */
-                        }
-                        int64_t f = c->ln[slot].fetcher;
-                        if (f != -1 && f != pid) {
-                            ct[7]++; /* prefetch_hits */
-                            c->ln[slot].fetcher = -1;
-                        }
-                        tn = t + 1;
-                    } else {
-                        int64_t stall;
-                        int rc = read_miss(&x, cl, pid, arg, t, &stall);
-                        if (rc) {
-                            st = rc;
-                            goto done;
-                        }
-                        tn = t + stall + 1;
+                    Read rd;
+                    int rc = directory
+                        ? dir_read(&x, pid, cl, arg, t, 0, &rd)
+                        : mem_read(&x, pid, cl, arg, t, 0, &rd);
+                    if (rc) {
+                        st = rc;
+                        goto done;
+                    }
+                    if (rd.kind == R_MERGE) {
+                        bd[4 * pid + 2] += rd.v - t;
+                        pending = arg;
+                        retry[pid] = arg;
+                        tn = rd.v;
+                        break; /* no fast path: tail handles tn */
+                    }
+                    tn = t + 1;
+                    if (rd.kind == R_MISS) {
+                        bd[4 * pid + 1] += rd.v;
+                        tn += rd.v;
                     }
                 } else if (op == 0) { /* WORK */
                     if (arg < 0) {
@@ -888,29 +1326,13 @@ EXPORT int64_t repro_replay(
                 } else if (op == 2) { /* WRITE (never stalls) */
                     bd[4 * pid] += 1;
                     ct[1]++;
-                    int64_t slot;
-                    int found = map_get(&c->slot_of, arg, &slot);
-                    if (found) {
-                        if (x.touch) lru_touch(c, slot);
-                        if (c->ln[slot].state != 2) {
-                            /* upgrade: invalidate the other sharers */
-                            ct[4]++;
-                            Rec *r = &x.rec[c->ln[slot].rec];
-                            uint64_t me = 1ULL << cl;
-                            invalidate_others(&x, r, me, arg);
-                            r->state = 2;
-                            r->mask = me;
-                            c->ln[slot].state = 2;
-                        }
-                        tn = t + 1;
-                    } else {
-                        int rc = write_miss(&x, cl, pid, arg, t);
-                        if (rc) {
-                            st = rc;
-                            goto done;
-                        }
-                        tn = t + 1;
+                    int rc = directory ? dir_write(&x, pid, cl, arg, t)
+                                       : mem_write(&x, pid, cl, arg, t);
+                    if (rc) {
+                        st = rc;
+                        goto done;
                     }
+                    tn = t + 1;
                 } else if (op == 3) { /* BARRIER */
                     Barrier *b;
                     if (barrier_of(&bars, arg, n, &b)) {
@@ -1027,16 +1449,24 @@ EXPORT int64_t repro_replay(
         totals[2] = x.repl_hints;
         totals[3] = x.writebacks;
         totals[4] = x.first_touch;
+        memcpy(totals + 5, x.net, sizeof(x.net));
+        *peak = x.peak;
+        for (int64_t i = 0; i < x.nca; i++) {
+            cio[2 * i] = x.ca[i].evictions;
+            cio[2 * i + 1] = x.ca[i].inserts;
+        }
     }
 
 done:
     if (x.ca) {
-        for (int64_t i = 0; i < ncl; i++) {
+        for (int64_t i = 0; i < x.nca; i++) {
             map_free(&x.ca[i].slot_of);
             free(x.ca[i].ln);
         }
         free(x.ca);
     }
+    free(x.link_busy);
+    free(x.dir_busy);
     map_free(&x.rec_of);
     free(x.rec);
     map_free(&x.pages);

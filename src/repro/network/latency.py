@@ -152,6 +152,16 @@ class MeshLatency:
         direct = self.topology.hops(requester, home)
         return (rs[home] + rs[requester] - 2.0 * direct) / (n - 2)
 
+    def three_leg_base(self, requester: int, home: int) -> float:
+        """Base cost of the dirty-third-party shape for one (requester,
+        home) pair: Table 1 minus the hop cost of the mean route, so that
+        the mean over owners lands on Table 1.  The one home of this
+        float expression — the native driver tabulates it per pair."""
+        return (self.table.remote_dirty_third_party
+                - self.hop_cycles * (self.topology.hops(requester, home)
+                                     + self._mean_forward_hops(requester,
+                                                               home)))
+
     # ------------------------------------------------------------------- API
     def hit_cycles(self, cluster_size: int) -> int:
         return self.table.hit_cycles(cluster_size)
@@ -178,9 +188,7 @@ class MeshLatency:
         else:
             links = (route(requester, home) + route(home, dirty_owner)
                      + route(dirty_owner, requester))
-            base = (table.remote_dirty_third_party
-                    - hop * (self.topology.hops(requester, home)
-                             + self._mean_forward_hops(requester, home)))
+            base = self.three_leg_base(requester, home)
         hops = len(links)
         latency = base + self.hop_cycles * hops
         stats = self._stats

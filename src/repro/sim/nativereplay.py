@@ -23,37 +23,33 @@ from typing import TYPE_CHECKING
 import repro.native as native
 from ..core.metrics import MissCounters, RunResult
 from ..memory.cache import fully_associative
-from ..native.driver import run_native
+from ..native.driver import cache_lines, run_native
 from .stats import build
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..core.config import MachineConfig
     from .compiled import CompiledProgram
 
-__all__ = ["NATIVE_PROTOCOLS", "native_decline_reason", "try_replay_native"]
-
-#: coherence protocols the C kernel implements.  Anything else degrades
-#: to the canonical python path (the CLI's forced ``--native``
-#: additionally refuses the combination up front, exit 2).
-NATIVE_PROTOCOLS = frozenset({"directory"})
+__all__ = ["native_decline_reason", "try_replay_native"]
 
 
 def native_decline_reason(config: "MachineConfig") -> str | None:
     """Why the C kernel cannot run this machine (``None``: it can).
 
-    The kernel implements the directory protocol over fully associative
-    caches with the flat Table-1 latencies (the mesh provider is
-    stateful python) and keeps each sharer mask in one machine word.
-    Capacity needs no check: ``cluster_cache_lines`` is at least 1.
+    The kernel implements every protocol and both latency providers,
+    over fully associative caches, and keeps one bit per cache in a
+    machine word: the sharer mask has a bit per cluster, the miss
+    history a bit per cache — per processor under snoopy.  Geometry is
+    judged on the capacity the protocol's caches really have
+    (:func:`~repro.native.driver.cache_lines`): ways that cover a
+    snoopy processor cache need not cover a shared cluster cache.
+    Capacity itself needs no check: it is at least 1 line.
     """
-    if config.protocol not in NATIVE_PROTOCOLS:
-        return f"{config.protocol}-protocol"
-    if config.network.provider != "table":
-        return f"{config.network.provider}-latency"
     if config.n_clusters > 64:
         return "over-64-clusters"
-    if not fully_associative(config.cluster_cache_lines,
-                             config.associativity):
+    if config.protocol == "snoopy" and config.n_processors > 64:
+        return "over-64-processors"
+    if not fully_associative(cache_lines(config), config.associativity):
         return "set-associative"
     return None
 
@@ -84,4 +80,4 @@ def try_replay_native(config: "MachineConfig", app,
     for ctr in out.counters:
         ctr.merged_into(total)
     return build(out.execution_time, out.breakdowns, total, out.counters,
-                 None)
+                 out.network)

@@ -9,7 +9,8 @@ order) and the same transition semantics as the flat-array versions in
 They exist so the hypothesis property suite (``tests/test_memcore_properties
 .py``) can drive both implementations with identical random access streams
 and require identical observable behaviour — victim choice, states, pending
-times, counters.  They are **not** used on any simulation path.
+times, counters.  They live beside the tests because nothing in ``src/``
+imports them: they are a test oracle, not part of the simulator.
 
 The one intended divergence: :class:`RefDirectory` keeps a (dead)
 ``NOT_CACHED`` entry for every line ever cached, while the production
@@ -21,8 +22,9 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .cache import EXCLUSIVE, SHARED
-from .directory import DIR_EXCLUSIVE, DIR_SHARED, NOT_CACHED
+from repro.memory.cache import EXCLUSIVE, SHARED
+from repro.memory.directory import (DIR_EXCLUSIVE, DIR_SHARED,
+                                    NOT_CACHED)
 
 __all__ = ["LineEntry", "RefEviction", "RefFullyAssociativeCache",
            "RefSetAssociativeCache", "DirEntry", "RefDirectory",

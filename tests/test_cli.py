@@ -9,6 +9,8 @@ import pytest
 
 from repro import cli
 
+from test_native_properties import needs_kernel
+
 TINY = {
     "lu": dict(n=32, block=8),
     "fft": dict(n_points=256),
@@ -306,20 +308,27 @@ class TestProtocolFlag:
         assert exc.value.code == 2
         assert "invalid choice" in capsys.readouterr().err
 
-    def test_forced_native_with_dls_exits_2(self, capsys):
-        with pytest.raises(SystemExit) as exc:
-            run_cli(*BASE, "--native", "--protocol", "dls", "run", "fft")
-        assert exc.value.code == 2
-        err = capsys.readouterr().err
-        assert "--native" in err and "dls" in err
-        assert "Traceback" not in err
+    @needs_kernel
+    @pytest.mark.parametrize("proto", ["snoopy", "dls"])
+    def test_forced_native_runs_every_protocol_natively(self, proto, capsys,
+                                                        monkeypatch):
+        """``--native`` has no protocol left to refuse: the point runs,
+        on the C kernel, and prints what the python replay prints."""
+        # the flags write REPRO_NATIVE; have the teardown put it back
+        monkeypatch.setenv("REPRO_NATIVE", "")
+        argv = (*BASE, "--protocol", proto, "run", "fft", "--clusters", "2",
+                "--probe", "timing")
+        assert run_cli("--native", *argv) == 0
+        forced = capsys.readouterr().out
+        assert "kernel=native" in forced and "declined=" not in forced
+        assert run_cli("--no-native", *argv) == 0
+        python = capsys.readouterr().out
+        assert "kernel=python declined=native-off-or-unavailable" in python
 
-    def test_forced_native_with_snoopy_exits_2(self, capsys):
-        with pytest.raises(SystemExit) as exc:
-            run_cli(*BASE, "--native", "--protocol", "snoopy",
-                    "--cluster-sizes", "1,2", "fig2", "--apps", "fft")
-        assert exc.value.code == 2
-        assert "--native" in capsys.readouterr().err
+        def summary(out):  # between the timed header and the timed probe
+            return out.split("# probe")[0].splitlines()[1:]
+
+        assert summary(forced) == summary(python) != []
 
 
 class TestStudyCommand:

@@ -2,7 +2,7 @@
 
 Drives the slab/flat-array implementations (:mod:`repro.memory.cache`,
 :mod:`repro.memory.directory`) and the retained object-per-line reference
-implementations (:mod:`repro.memory.refmodel`) with identical random
+implementations (``tests/refmodel.py``) with identical random
 streams, and requires identical observable behaviour: victim choice, LRU
 order, states, pending times, fetcher metadata, and protocol counters.
 
@@ -18,8 +18,9 @@ from hypothesis import strategies as st
 from repro.memory.cache import (EXCLUSIVE, SHARED, FullyAssociativeCache,
                                 SetAssociativeCache)
 from repro.memory.directory import DIR_EXCLUSIVE, Directory
-from repro.memory.refmodel import (RefDirectory, RefFullyAssociativeCache,
-                                   RefSetAssociativeCache)
+
+from refmodel import (RefDirectory, RefFullyAssociativeCache,
+                      RefSetAssociativeCache)
 
 # ---------------------------------------------------------------- caches
 

@@ -5,11 +5,15 @@ requires the C kernel to reproduce the canonical python replay
 (``Engine.run_compiled``) byte-for-byte — the same pin
 the nine real applications carry, but over adversarial op streams:
 degenerate phases, empty processors, lock convoys, tiny caches that
-evict constantly.  Agreement covers the RunResult JSON *and* every other
-number the kernel returns (per-cluster evictions/inserts, the three
-directory counters, first-touch pages), read from the python side's
-memory system, so a kernel that replaced the wrong victim or pruned the
-directory differently fails even where the miss counts happen to agree.
+evict constantly — under every protocol (directory, snoopy, dls) and
+every latency provider (Table 1, mesh and crossbar with contention).
+Agreement covers the RunResult JSON *and* every other number the kernel
+returns (per-cache evictions/inserts, the directory's three counters or
+DLS's write-backs, first-touch pages, the network counters field by
+field), read from the python side's memory system, so a kernel that
+replaced the wrong victim, pruned the directory differently or summed a
+queueing delay in another order fails even where the miss counts happen
+to agree.
 
 Every test that needs the compiled kernel skips cleanly when no C
 compiler is available (or the kernel is disabled in the environment);
@@ -27,9 +31,11 @@ from hypothesis import strategies as st
 import repro.native as native
 from repro.apps import registry
 from repro.apps.base import Application
-from repro.core.config import MachineConfig
+from repro.core.config import (PROTOCOLS, LatencyModel, MachineConfig,
+                               NetworkConfig)
 from repro.core.metrics import MissCause
 from repro.core.resultcache import TraceStore
+from repro.memory import make_memory_system
 from repro.memory.allocation import PageAllocator
 from repro.memory.coherence import CoherentMemorySystem
 from repro.native import build
@@ -40,6 +46,7 @@ from repro.sim.compiled import (CompiledProgram, TraceCache,
                                 trace_key)
 from repro.sim.engine import Engine, SimulationDeadlock
 from repro.sim.nativereplay import native_decline_reason, try_replay_native
+from repro.sim.stats import build as build_result
 from repro.sim.program import (OP_LOCK, OP_READ, OP_WORK, Barrier, Lock,
                                Read, Unlock, Work, Write)
 
@@ -119,12 +126,21 @@ def _factory_of(phases, table):
     return factory
 
 
-def _config(n, cluster, cache_kb):
+def _config(n, cluster, cache_kb, protocol="directory", network=None):
     return MachineConfig(n_processors=n, cluster_size=cluster,
-                         cache_kb_per_processor=cache_kb)
+                         cache_kb_per_processor=cache_kb, protocol=protocol,
+                         network=network or NetworkConfig())
 
 
 _CACHES = st.sampled_from([None, 0.0625, 0.25])  # infinite, 1, 4 lines/processor
+
+#: the latency providers: Table 1, and the hop-priced model over both
+#: topologies with queueing on, idle and under background load
+_NETWORKS = st.sampled_from(
+    [None]
+    + [NetworkConfig(provider="mesh", topology=topology,
+                     background_load=load)
+       for topology in ("mesh", "crossbar") for load in (0.0, 0.3)])
 
 
 @pytest.fixture
@@ -154,7 +170,7 @@ def _assert_native_matches_python(config, factory):
     """
     program = compile_program(factory, config.n_processors,
                               config.line_size)
-    memory = CoherentMemorySystem(config)
+    memory = make_memory_system(config, _allocator(config))
     reference = Engine(config, memory).run_compiled(program)
 
     assert native_decline_reason(config) is None
@@ -167,26 +183,41 @@ def _assert_native_matches_python(config, factory):
     assert out.counters == reference.per_cluster_misses
     assert [c.to_dict() for c in out.counters] == \
         [c.to_dict() for c in reference.per_cluster_misses]  # key order too
+    # one entry per cache: per cluster, per processor under snoopy
     assert out.evictions == [c.evictions for c in memory.caches]
     assert out.inserts == [c.inserts for c in memory.caches]
-    directory = memory.directory
-    assert (out.invalidations_sent, out.replacement_hints,
-            out.writebacks) == (directory.invalidations_sent,
-                                directory.replacement_hints,
-                                directory.writebacks)
+    if config.protocol == "dls":  # no directory: dirty victims only
+        assert (out.invalidations_sent, out.replacement_hints,
+                out.writebacks) == (0, 0, memory.writebacks)
+    else:
+        directory = memory.directory
+        assert (out.invalidations_sent, out.replacement_hints,
+                out.writebacks) == (directory.invalidations_sent,
+                                    directory.replacement_hints,
+                                    directory.writebacks)
     assert out.first_touch_pages == memory.allocator.first_touch_pages
+    # field by field, the float with == : it is the same double or it
+    # is a different sum
+    assert out.network == reference.network
+    total = memory.aggregate_counters()
+    assert build_result(out.execution_time, out.breakdowns, total,
+                        out.counters, out.network).to_json() \
+        == reference.to_json()
     return out
 
 
 @needs_kernel
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=150, deadline=None)
 @given(data=_programs(), cluster_pick=st.integers(min_value=0, max_value=2),
-       cache_kb=_CACHES)
-def test_native_matches_python_kernels(data, cluster_pick, cache_kb):
+       cache_kb=_CACHES, protocol=st.sampled_from(PROTOCOLS),
+       network=_NETWORKS)
+def test_native_matches_python_kernels(data, cluster_pick, cache_kb,
+                                       protocol, network):
     n, phases, table = data
     cluster = [1, 2, n][cluster_pick]
-    _assert_native_matches_python(_config(n, cluster, cache_kb),
-                                  _factory_of(phases, table))
+    _assert_native_matches_python(
+        _config(n, cluster, cache_kb, protocol, network),
+        _factory_of(phases, table))
 
 
 # ----------------------------------------------------- directed cases
@@ -309,6 +340,99 @@ def test_a_written_back_line_leaves_the_directory():
     assert out.breakdowns[0].load == 60  # two clean misses at home
 
 
+# ------------------------------------- directed cases, per back end
+#
+# Snoopy (one cache per processor, 6 bus cycles on every miss that
+# leaves the cluster, 10 for a cache-to-cache transfer), DLS (lines live
+# only in their home slice) and mesh pricing (doubles, rounded as python
+# rounds), each where a kernel that got the arithmetic right and the
+# side effects wrong would show.
+
+@needs_kernel
+def test_snoopy_cache_to_cache_transfer_binds_no_page():
+    """P1's miss on X is served by cluster-mate P0 in 10 cycles, without
+    a directory transaction and without touching page placement: X's
+    page was bound by P0's miss, and the next first touch — Z, from the
+    other cluster — gets the round-robin home python gives it, cluster 1,
+    hence a local fill (30 + 6) and not a remote one (100 + 6)."""
+    config = _config(4, 2, None, "snoopy")
+    z = config.page_size  # first line of the next page
+    out = _assert_native_matches_python(config, _scripted(
+        [Read(_X)],
+        [Work(50), Read(_X)],
+        [Work(100), Read(z)],
+        []))
+    assert [bd.load for bd in out.breakdowns] == [36, 10, 36, 0]
+    assert out.first_touch_pages == 2
+
+
+@needs_kernel
+@pytest.mark.parametrize("p1_evicts_too,hints", [(False, 0), (True, 1)])
+def test_snoopy_victim_a_cluster_mate_still_holds_sends_no_hint(
+        p1_evicts_too, hints):
+    """One-line caches.  P0 evicts X while P1 still holds it: the
+    cluster still caches the line, the directory hears nothing.  Only
+    when P1 evicts it too does the (one) replacement hint go out."""
+    w = 128
+    out = _assert_native_matches_python(
+        _config(2, 2, 0.0625, "snoopy"), _scripted(
+            [Read(_X), Work(100), Read(_Y)],
+            [Work(50), Read(_X)]
+            + ([Work(200), Read(w)] if p1_evicts_too else [])))
+    assert out.evictions == [1, int(p1_evicts_too)]
+    assert (out.replacement_hints, out.writebacks) == (hints, 0)
+
+
+@needs_kernel
+def test_dls_remote_read_of_a_pending_home_line_queues_and_never_merges():
+    """X is homed at cluster 0, whose own fill returns at 30.  Cluster
+    1's read at 10 finds the home line pending: it queues behind the
+    fill (20 cycles) on top of the remote transaction (100) in one
+    stall, charged to load — a remote read is never a merge."""
+    out = _assert_native_matches_python(_config(2, 1, None, "dls"), _scripted(
+        [Read(_X)],
+        [Work(10), Read(_X)]))
+    p1 = out.breakdowns[1]
+    assert (p1.load, p1.merge) == (120, 0)
+    assert [c.merges for c in out.counters] == [0, 0]
+    assert out.execution_time == 10 + 120 + 1
+
+
+@needs_kernel
+def test_dls_remote_homed_line_is_cold_then_coherence():
+    """A cluster never caches a remote-homed line, so it misses on it
+    every time: COLD on first touch, COHERENCE ever after — reads and
+    write-throughs alike."""
+    out = _assert_native_matches_python(_config(2, 1, None, "dls"), _scripted(
+        [Read(_X)],
+        [Work(10), Read(_X), Read(_X), Write(_X)]))
+    cold, coherence, capacity = MissCause
+    assert [c.by_cause for c in out.counters] == [
+        {cold: 1, coherence: 0, capacity: 0},
+        {cold: 1, coherence: 2, capacity: 0}]
+    assert out.breakdowns[1].load == 120 + 100  # the second read: no queue
+
+
+@needs_kernel
+@pytest.mark.parametrize("local_clean,stall", [(30, 30), (31, 32)])
+def test_mesh_latency_plus_delay_on_a_half_rounds_to_even(local_clean,
+                                                           stall):
+    """Background load 0.5 on an idle directory with unit occupancy is
+    an M/D/1 wait of exactly 0.5; a local fill crosses no link, so
+    ``latency + delay`` is ``local_clean + 0.5``.  python's ``round``
+    takes a tie to the even neighbour: 30.5 -> 30 and 31.5 -> 32, where
+    C's ``round()`` would say 31 and 32."""
+    config = MachineConfig(
+        n_processors=2, cluster_size=1,
+        latency=LatencyModel(local_clean=local_clean),
+        network=NetworkConfig(provider="mesh", background_load=0.5,
+                              directory_cycles=1))
+    out = _assert_native_matches_python(config, _scripted([Read(_X)], []))
+    assert out.breakdowns[0].load == stall
+    assert out.network.queue_delay_cycles == stall - local_clean
+    assert out.network.peak_link_utilization == 0.0  # no link crossed
+
+
 # ------------------------------------------------ operands are checked
 #
 # compile_program refuses these at capture, but a mapped trace's payload
@@ -394,7 +518,7 @@ def test_driver_outputs_do_not_grow_with_capacity():
         out = run_native(_LIB, config, _allocator(config), program)
         shapes.append([len(field) if isinstance(field, list) else 1
                        for field in out])
-    assert shapes[0] == shapes[1] == [1, 4, 2, 2, 2, 1, 1, 1, 1]
+    assert shapes[0] == shapes[1] == [1, 4, 2, 2, 2, 1, 1, 1, 1, 1]
 
 
 # ------------------------------------------------ error-path parity

@@ -1,16 +1,21 @@
-"""Protocol-seam tests: registry, DLS oracle parity, cache-key guards.
+"""Protocol-seam tests: registry, DLS oracle parity, the native gate, the
+protocol matrix, cache-key guards.
 
-Three layers of coverage for the pluggable-protocol refactor:
+Layers of coverage for the pluggable-protocol refactor:
 
 * the registry in :mod:`repro.memory` is the single construction seam —
   it covers every declared protocol name, rejects undeclared ones, and
   the package exports no ``SnoopyClusterMemorySystem`` that would bypass
   it;
 * the ``"dls"`` backend is pinned against its object-per-line oracle
-  (:class:`repro.memory.refmodel.RefDLSMemorySystem`) on hypothesis-
+  (``RefDLSMemorySystem`` in ``tests/refmodel.py``) on hypothesis-
   generated access streams — outcome tags, stall cycles, counters,
   classification, write-backs, slice contents, and LRU victim choice
   must agree step for step;
+* the native gate names exactly three decline reasons, and the
+  216-point protocol x provider x geometry matrix pinned in
+  ``tests/golden/protocol_matrix.json`` holds with the C kernel forced
+  on and forced off;
 * cache-key collision guards: two runs differing only in ``protocol``
   must produce distinct ``point_key``\\ s, never share a result-cache
   entry, and (for the timing-dynamic apps) never share a compiled-trace
@@ -18,23 +23,30 @@ Three layers of coverage for the pluggable-protocol refactor:
   protocols by design, because the reference stream is protocol-free.
 """
 
+import hashlib
+import json
 import random
 import warnings
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro.memory as memory_pkg
-from repro.core.config import PROTOCOLS, MachineConfig
+from repro.core.config import PROTOCOLS, MachineConfig, NetworkConfig
 from repro.core.metrics import MissCause
 from repro.core.resultcache import ResultCache, point_key
 from repro.memory import (CoherentMemorySystem, DLSMemorySystem,
                           PROTOCOL_REGISTRY, make_memory_system)
 from repro.memory.allocation import PageAllocator
-from repro.memory.refmodel import RefDLSMemorySystem
 from repro.memory.snoopy import SnoopyClusterMemorySystem
-from repro.sim.compiled import trace_key
+from repro.runtime import RunPlan, RunRequest, RunSession
+from repro.sim.compiled import TraceCache, clear_memory_cache, trace_key
+
+from refmodel import RefDLSMemorySystem
+from test_native_properties import needs_kernel
+from test_runtime import TINY
 
 # ---------------------------------------------------------------- config
 
@@ -180,38 +192,142 @@ def test_dls_invariant_every_resident_line_is_home(seeded=11):
 
 
 class TestNativeGate:
-    def test_try_replay_native_declines_non_directory_protocols(self):
-        from repro.sim.nativereplay import NATIVE_PROTOCOLS, try_replay_native
+    def test_every_protocol_and_provider_is_eligible(self):
+        """The kernel implements the whole protocol x provider matrix;
+        nothing is left for a protocol allow-list to refuse."""
+        import repro.sim.nativereplay as nativereplay
+        from repro.sim.nativereplay import native_decline_reason
 
-        assert NATIVE_PROTOCOLS == frozenset({"directory"})
-        config = MachineConfig(n_processors=4, protocol="dls")
-        # the protocol gate precedes every other check, so the dummies
-        # must never be touched — a non-None return or an attribute
-        # error would mean the gate moved
-        assert try_replay_native(config, app=None, program=None) is None
-        config = MachineConfig(n_processors=4, protocol="snoopy")
-        assert try_replay_native(config, app=None, program=None) is None
+        assert not hasattr(nativereplay, "NATIVE_PROTOCOLS")
+        cfg = MachineConfig(n_processors=4, cluster_size=2,
+                            cache_kb_per_processor=4.0)
+        for proto in PROTOCOLS:
+            for cache_kb in (4.0, None):
+                for network in (NetworkConfig(),
+                                NetworkConfig(provider="mesh"),
+                                NetworkConfig(provider="mesh",
+                                              topology="crossbar")):
+                    assert native_decline_reason(
+                        cfg.with_protocol(proto).with_cache_kb(cache_kb)
+                        .with_network(network)) is None
 
-    def test_native_gate_declines_non_directory_memory(self):
+    def test_decline_reasons_are_exactly_three(self):
         """Eligibility is a pure function of the config, with a reason."""
-        from repro.core.config import NetworkConfig
         from repro.sim.nativereplay import native_decline_reason
 
         cfg = MachineConfig(n_processors=4, cluster_size=2,
                             cache_kb_per_processor=4.0)
-        assert native_decline_reason(cfg) is None
-        assert native_decline_reason(cfg.with_cache_kb(None)) is None
-        for proto in ("dls", "snoopy"):
-            assert native_decline_reason(
-                cfg.with_protocol(proto)) == f"{proto}-protocol"
-        assert native_decline_reason(cfg.with_network(
-            NetworkConfig(provider="mesh"))) == "mesh-latency"
+        # one bit per cache in a machine word: clusters always ...
+        for proto in PROTOCOLS:
+            assert native_decline_reason(MachineConfig(
+                n_processors=128, protocol=proto)) == "over-64-clusters"
+        # ... and processors where the caches are per processor
+        wide = MachineConfig(n_processors=128, cluster_size=8)
+        assert native_decline_reason(wide) is None
+        assert native_decline_reason(wide.with_protocol("dls")) is None
         assert native_decline_reason(
-            MachineConfig(n_processors=128)) == "over-64-clusters"
+            wide.with_protocol("snoopy")) == "over-64-processors"
+        assert native_decline_reason(MachineConfig(
+            n_processors=64, cluster_size=8, protocol="snoopy")) is None
         assert native_decline_reason(
             cfg.with_associativity(2)) == "set-associative"
         # ways covering the whole capacity are one fully associative set
         assert native_decline_reason(cfg.with_associativity(4096)) is None
+
+    def test_geometry_is_judged_on_the_caches_the_protocol_has(self):
+        """4 KB/processor at 4/cluster: 256 lines in the shared cache (or
+        DLS slice), 64 in each snoopy processor cache.  64 ways are four
+        sets of the former and one fully associative set of the latter."""
+        from repro.sim.nativereplay import native_decline_reason
+
+        cfg = MachineConfig(n_processors=16, cluster_size=4,
+                            cache_kb_per_processor=4.0, associativity=64)
+        assert native_decline_reason(cfg) == "set-associative"
+        assert native_decline_reason(
+            cfg.with_protocol("dls")) == "set-associative"
+        assert native_decline_reason(cfg.with_protocol("snoopy")) is None
+        assert native_decline_reason(cfg.with_protocol("snoopy")
+                                     .with_associativity(32)) \
+            == "set-associative"
+
+
+# ------------------------------------------------------ protocol matrix
+
+MATRIX = Path(__file__).parent / "golden" / "protocol_matrix.json"
+MATRIX_APPS = ("lu", "fft", "ocean", "fmm", "radix", "mp3d")
+#: column -> (cache KB per processor, ways)
+MATRIX_GEOMETRIES = {"4k": (4.0, None), "inf": (None, None),
+                     "4k-2way": (4.0, 2)}
+MATRIX_PROVIDERS = {"table": None, "mesh": NetworkConfig(provider="mesh")}
+
+
+def run_matrix() -> tuple[dict[str, str], dict[str, str]]:
+    """Every matrix point through ``RunSession``: the sha256 of its
+    ``to_json()`` and the kernel that served it, by
+    ``protocol/provider/geometry/app/cN``.
+
+    {directory, snoopy, dls} x {table, mesh} x {4 KB, infinite, 4 KB
+    2-way} x the six stream-invariant apps at ``TINY`` sizes x cluster
+    sizes {1, 4} on 16 processors.
+    """
+    shas, kernels = {}, {}
+    clear_memory_cache()
+    traces = TraceCache()  # streams depend on none of the four axes
+    for geometry, (cache_kb, ways) in MATRIX_GEOMETRIES.items():
+        base = MachineConfig(n_processors=16, associativity=ways)
+        session = RunSession(base_config=base, trace_cache=traces)
+        for protocol in PROTOCOLS:
+            for provider, network in MATRIX_PROVIDERS.items():
+                for app in MATRIX_APPS:
+                    for c in (1, 4):
+                        outcome = session.run_plan(RunPlan.resolve(
+                            RunRequest.make(app, c, cache_kb, TINY[app],
+                                            network=network,
+                                            protocol=protocol), base))
+                        key = f"{protocol}/{provider}/{geometry}/{app}/c{c}"
+                        shas[key] = hashlib.sha256(
+                            outcome.result.to_json().encode()).hexdigest()
+                        kernels[key] = outcome.kernel
+    clear_memory_cache()
+    return shas, kernels
+
+
+class TestProtocolMatrix:
+    """``tests/golden/protocol_matrix.json`` is the wall the C kernel's
+    snoopy, DLS and mesh back ends were built against: 216 shas written
+    by the python path (``REPRO_NATIVE=0``) at the commit *before*
+    ``kernel.c`` learned any of them (``json.dump(run_matrix()[0], f,
+    indent=0, sort_keys=True)`` regenerates it — from python, never
+    from the kernel under test)."""
+
+    @pytest.fixture(scope="class")
+    def golden(self):
+        return json.loads(MATRIX.read_text(encoding="utf-8"))
+
+    def test_matrix_covers_every_axis(self, golden):
+        assert len(golden) == 3 * 2 * 3 * 6 * 2
+        axes = [set(column) for column in zip(*(k.split("/")
+                                                for k in golden))]
+        assert axes == [set(PROTOCOLS), set(MATRIX_PROVIDERS),
+                        set(MATRIX_GEOMETRIES), set(MATRIX_APPS),
+                        {"c1", "c4"}]
+
+    def test_python_path_holds_the_matrix(self, golden, monkeypatch):
+        monkeypatch.setenv("REPRO_NATIVE", "0")
+        shas, kernels = run_matrix()
+        assert set(kernels.values()) == {"python"}
+        assert [k for k in golden if shas[k] != golden[k]] == []
+
+    @needs_kernel
+    def test_kernel_holds_the_matrix(self, golden, monkeypatch):
+        """Forced on, the kernel serves every fully associative point
+        byte for byte; the set-associative column is declined and takes
+        the python path unchanged."""
+        monkeypatch.setenv("REPRO_NATIVE", "1")
+        shas, kernels = run_matrix()
+        assert [k for k in golden if shas[k] != golden[k]] == []
+        assert {k for k, kernel in kernels.items() if kernel == "python"} \
+            == {k for k in golden if "/4k-2way/" in k}
 
 
 # ----------------------------------------------------- cache-key guards
