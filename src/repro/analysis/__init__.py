@@ -8,8 +8,6 @@ from .figures import (Bar, BarGroup, FigureData, contention_slowdown,
                       figure_from_protocol_sweep, render_ascii,
                       render_rows, render_scaling,
                       render_shape_comparison, render_slowdown)
-from .golden import (compare_figures, load_figure, max_deviation,
-                     parse_cost_table, parse_rows)
 from .missclass import (MissBreakdownRow, merge_anatomy, miss_breakdown,
                         render_miss_breakdown)
 from .tables import (render_comparison, render_cost_table,
@@ -29,6 +27,4 @@ __all__ = [
     "render_comparison", "render_protocol_comparison",
     "figure_to_records", "figure_to_csv", "figure_to_json",
     "sweep_to_records", "sweep_to_csv",
-    "parse_rows", "load_figure", "parse_cost_table", "compare_figures",
-    "max_deviation",
 ]

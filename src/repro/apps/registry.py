@@ -1,9 +1,9 @@
 """Application registry: names → factories, plus the paper's problem sizes.
 
-``build_app`` is the single entry point the study driver, CLI, examples and
-benchmarks use.  Default problem sizes are scaled so a full cluster sweep
-finishes in minutes on a laptop; ``paper_scale=True`` selects the sizes of
-the paper's Table 2 where the simulation cost allows it (noted per app).
+``build_app`` is the single entry point the study driver, CLI and examples
+use.  Default problem sizes are scaled so a full cluster sweep finishes in
+minutes on a laptop; :data:`PAPER_PROBLEM_SIZES` holds the sizes of the
+paper's Table 2 where the simulation cost allows it (noted per app).
 """
 
 from __future__ import annotations
@@ -58,8 +58,8 @@ PAPER_PROBLEM_SIZES: dict[str, dict[str, Any]] = {
 }
 
 #: reduced problem sizes for ``--quick`` runs (~10× fewer cycles than the
-#: defaults; shared by the CLI and the benchmarks so they all measure the
-#: same workloads)
+#: defaults); the one quick table — the CLI, the ``scaling`` study's quick
+#: tier and ``benchmarks/e2e`` all read it
 QUICK_PROBLEM_SIZES: dict[str, dict[str, Any]] = {
     "barnes": {"n_particles": 512, "n_steps": 1},
     "fft": {"n_points": 16384},
@@ -83,19 +83,12 @@ def app_class(name: str) -> type[Application]:
         ) from None
 
 
-def build_app(name: str, config: MachineConfig, *,
-              paper_scale: bool = False, **overrides: Any) -> Application:
-    """Instantiate application ``name`` for ``config``.
-
-    ``paper_scale=True`` starts from the paper's Table 2 problem size;
-    explicit ``overrides`` win over both defaults and paper sizes.
-    """
-    cls = app_class(name)
-    kwargs: dict[str, Any] = {}
-    if paper_scale:
-        kwargs.update(PAPER_PROBLEM_SIZES.get(name, {}))
-    kwargs.update(overrides)
-    return cls(config, **kwargs)
+def build_app(name: str, config: MachineConfig,
+              **overrides: Any) -> Application:
+    """Instantiate application ``name`` for ``config``; ``overrides`` are
+    constructor arguments (``**PAPER_PROBLEM_SIZES[name]`` for the
+    paper's Table 2 size)."""
+    return app_class(name)(config, **overrides)
 
 
 Factory = Callable[[MachineConfig], Application]

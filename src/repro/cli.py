@@ -10,6 +10,7 @@ Examples::
     repro-clustering table5 --measure
     repro-clustering table6 --quick
     repro-clustering workingset barnes
+    repro-clustering ablation associativity
     repro-clustering network ocean --quick --loads 0,0.5,0.8
 
 ``--quick`` shrinks problem sizes (~10× fewer cycles) for sanity runs;
@@ -43,29 +44,28 @@ from .analysis import (contention_slowdown, figure_from_capacity_sweep,
                        figure_from_cluster_sweep,
                        figure_from_contention_sweep,
                        figure_from_protocol_sweep, merge_anatomy,
-                       miss_breakdown, render_ascii, render_cost_table,
-                       render_miss_breakdown, render_protocol_comparison,
-                       render_rows, render_scaling,
+                       miss_breakdown, render_ascii, render_comparison,
+                       render_cost_table, render_miss_breakdown,
+                       render_protocol_comparison, render_rows, render_scaling,
                        render_shape_comparison, render_slowdown,
                        render_table1, render_table4, render_table5)
 from .apps.registry import (APP_NAMES, PAPER_PROBLEM_SIZES,
-                            QUICK_PROBLEM_SIZES)
+                            QUICK_PROBLEM_SIZES, build_app)
 from .core.config import (PAPER_CACHE_SIZES_KB, PAPER_CLUSTER_SIZES,
                           PAPER_NETWORK_LOADS, PROTOCOLS, MachineConfig)
-from .core.contention import (PAPER_TABLE5, ExpansionTable,
-                              LoadLatencyProfiler, SharedCacheCostModel)
+from .core.contention import (PAPER_TABLE5, PAPER_TABLE6, PAPER_TABLE7,
+                              ExpansionTable, LoadLatencyProfiler,
+                              SharedCacheCostModel)
 from .core.executor import SweepExecutionError, SweepExecutor
 from .core.resultcache import ResultCache, TraceStore
 from .core.study import ClusteringStudy, cache_label
-from .core.workingset import knee_of, working_set_curve
+from .core.workingset import knee_of, overlap_benefit, working_set_curve
 from .runtime import RunRequest, RunSession, TimingObserver
 from .service import ServiceDaemon, SweepService
 from .sim.compiled import TraceCache
 from .sim.stats import summarize
 
-__all__ = ["main", "QUICK_PROBLEM_SIZES"]
-# QUICK_PROBLEM_SIZES now lives in apps.registry (imported above and
-# re-exported here for existing callers)
+__all__ = ["main"]
 
 #: figure number -> application of the paper's finite-capacity figures
 CAPACITY_FIGURES = {4: "raytrace", 5: "mp3d", 6: "barnes", 7: "fmm",
@@ -252,7 +252,9 @@ def cmd_fig2(args: argparse.Namespace) -> int:
 
 def cmd_fig3(args: argparse.Namespace) -> int:
     kwargs = _app_kwargs("ocean", args)
-    kwargs.setdefault("n", 64)  # the paper's "smaller 66-by-66 grid"
+    # the paper's "smaller 66-by-66 grid" against Figure 2's 130-by-130:
+    # half the side of the grid this tier's Figure 2 runs
+    kwargs["n"] = build_app("ocean", _base_config(args), **kwargs).n // 2
     study = ClusteringStudy("ocean", _base_config(args), kwargs,
                             executor=_executor(args))
     sizes = list(args.cluster_sizes) + [args.processors]  # 'inf' bar
@@ -307,32 +309,35 @@ def cmd_table5(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cost_rows(apps: list[str], cache_kb: float | None,
-               args: argparse.Namespace):
+def _cost_table(title: str, paper: dict[str, tuple[float, ...]],
+                cache_kb: float | None, args: argparse.Namespace) -> int:
+    """Tables 6/7: a measured row per application of the paper's table,
+    then the paper's values side by side for the cluster sizes it has."""
     model = SharedCacheCostModel()
-    rows = []
-    for app in apps:
-        rows.append(model.evaluate(app, cache_kb, _base_config(args),
-                                   args.cluster_sizes,
-                                   _app_kwargs(app, args),
-                                   executor=_executor(args)))
-    return rows
+    rows = [model.evaluate(app, cache_kb, _base_config(args),
+                           args.cluster_sizes, _app_kwargs(app, args),
+                           executor=_executor(args)) for app in paper]
+    print(render_cost_table(rows, title))
+    cols = [c for c in sorted(args.cluster_sizes) if c in PAPER_CLUSTER_SIZES]
+    print()
+    print(render_comparison(
+        "Paper vs measured", [f"{c}-way" for c in cols],
+        {app: [row[PAPER_CLUSTER_SIZES.index(c)] for c in cols]
+         for app, row in paper.items()},
+        {r.app: [r.relative_time[c] for c in cols] for r in rows}))
+    return 0
 
 
 def cmd_table6(args: argparse.Namespace) -> int:
-    rows = _cost_rows(["barnes", "radix", "volrend", "mp3d"], 4.0, args)
-    print(render_cost_table(
-        rows, "Table 6: Relative Execution Time of Clustering with 4KB "
-        "Caches (shared-cache costs included)"))
-    return 0
+    return _cost_table(
+        "Table 6: Relative Execution Time of Clustering with 4KB Caches "
+        "(shared-cache costs included)", PAPER_TABLE6, 4.0, args)
 
 
 def cmd_table7(args: argparse.Namespace) -> int:
-    rows = _cost_rows(["ocean", "lu"], None, args)
-    print(render_cost_table(
-        rows, "Table 7: Relative Execution Time of Clustering with "
-        "Infinite Caches (shared-cache costs included)"))
-    return 0
+    return _cost_table(
+        "Table 7: Relative Execution Time of Clustering with Infinite "
+        "Caches (shared-cache costs included)", PAPER_TABLE7, None, args)
 
 
 def cmd_workingset(args: argparse.Namespace) -> int:
@@ -349,6 +354,38 @@ def cmd_workingset(args: argparse.Namespace) -> int:
         print(f"{label:>8}  miss rate {rate:8.4f}  capacity misses {cap:>10,}")
     knee = knee_of(curve)
     print(f"knee: {'beyond probed sizes' if knee is None else f'{knee:g} KB'}")
+    # working-set overlap, the quantity Figures 4-8 turn on, at a cache
+    # below every application's working set
+    lo, hi = min(args.cluster_sizes), max(args.cluster_sizes)
+    overlap = overlap_benefit(args.app, 1.0, (lo, hi), _base_config(args),
+                              _app_kwargs(args.app, args), _executor(args))
+    print(f"capacity misses at {hi}-way / {lo}-way (per-proc 1 KB): "
+          f"{overlap[hi]:.2f}")
+    return 0
+
+
+#: E-X1's grid: the paper simulates fully associative caches and names
+#: limited associativity as the open question (§7)
+ABLATION_APPS = ("barnes", "ocean", "lu")
+ABLATION_ASSOCS = ((1, "1-way"), (4, "4-way"), (None, "full"))
+
+
+def cmd_ablation(args: argparse.Namespace) -> int:
+    """Destructive interference: how much of the clustering benefit at
+    4 KB/processor survives direct-mapped and 4-way shared caches."""
+    lo, hi = min(args.cluster_sizes), max(args.cluster_sizes)
+    print("Ablation: associativity vs clustering benefit (4 KB/processor)")
+    print(f"{'app':>8} {'assoc':>8} {f'T({lo}p)':>12} {f'T({hi}p)':>12} "
+          f"{f'{hi}p/{lo}p':>7}")
+    for app in ABLATION_APPS:
+        for assoc, label in ABLATION_ASSOCS:
+            study = ClusteringStudy(
+                app, _base_config(args).with_associativity(assoc),
+                _app_kwargs(app, args), executor=_executor(args))
+            sweep = study.cluster_sweep(4.0, (lo, hi))
+            t_lo, t_hi = sweep[lo].execution_time, sweep[hi].execution_time
+            print(f"{app:>8} {label:>8} {t_lo:>12,} {t_hi:>12,} "
+                  f"{t_hi / t_lo:7.3f}")
     return 0
 
 
@@ -738,6 +775,11 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("app", choices=APP_NAMES)
     sp.add_argument("--clusters", type=_positive_int, default=1)
     sp.set_defaults(func=cmd_workingset)
+
+    sp = add_command("ablation", help="E-X1: clustering benefit at "
+                     "direct-mapped / 4-way / fully associative caches")
+    sp.add_argument("study", choices=["associativity"])
+    sp.set_defaults(func=cmd_ablation)
 
     sp = add_command("network",
                         help="interconnect contention sensitivity "

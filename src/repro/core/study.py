@@ -172,10 +172,8 @@ class ClusteringStudy:
         registry seam (:func:`repro.memory.make_memory_system`), so the
         same compiled trace drives a full-bit-vector directory machine,
         a snoopy-bus cluster machine, and a directoryless shared-LLC
-        machine over identical workloads.  Points under non-directory
-        protocols run on the canonical python engine (the native kernel
-        implements the directory protocol only) — correctness is
-        unaffected, only speed.
+        machine over identical workloads (the native kernel implements
+        all three).
 
         Returns ``{(protocol, cluster_size): point}``;
         :func:`repro.analysis.figures.figure_from_protocol_sweep`

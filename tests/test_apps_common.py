@@ -41,7 +41,7 @@ class TestRegistry:
 
     def test_build_app_paper_scale_overridable(self):
         cfg = MachineConfig(n_processors=64)
-        app = build_app("lu", cfg, paper_scale=True, n=64)
+        app = build_app("lu", cfg, **{**PAPER_PROBLEM_SIZES["lu"], "n": 64})
         assert app.n == 64
         assert app.block == 16  # from the paper preset
 

@@ -84,6 +84,23 @@ class TestFigures:
         assert run_cli(*BASE, "--cluster-sizes", "1,2", "fig3") == 0
         assert "Figure 3" in capsys.readouterr().out
 
+    def test_fig3_is_a_smaller_problem_than_fig2_ocean(self, monkeypatch):
+        """Figure 3 halves the tier's Ocean grid at every tier — `--quick
+        fig3` used to run the very grid `--quick fig2 --apps ocean` runs."""
+        refs = []
+        render = cli.figure_from_cluster_sweep
+
+        def spy(title, sweep):
+            refs.append(sweep[1].result.misses.references)
+            return render(title, sweep)
+
+        monkeypatch.setattr(cli, "figure_from_cluster_sweep", spy)
+        assert run_cli(*BASE, "--cluster-sizes", "1,2", "fig3") == 0
+        assert run_cli(*BASE, "--cluster-sizes", "1,2",
+                       "fig2", "--apps", "ocean") == 0
+        fig3_refs, fig2_refs = refs
+        assert 0 < fig3_refs < fig2_refs
+
     def test_fig4_capacity(self, capsys):
         assert run_cli(*BASE, "--cluster-sizes", "1,2",
                        "--cache-sizes", "1,inf", "fig4") == 0
@@ -114,6 +131,12 @@ class TestTables:
         assert run_cli(*BASE, "--cluster-sizes", "1,2", "table6") == 0
         out = capsys.readouterr().out
         assert "barnes" in out and "mp3d" in out
+        # ... then the paper's rows side by side, for the sizes it has
+        block = out.split("Paper vs measured\n")[1].splitlines()
+        assert block[0].split() == ["row", "1-way", "2-way"]
+        assert block[2].split() == ["barnes", "paper", "1.00", "0.99"]
+        assert block[3].split()[:2] == ["measured", "1.00"]
+        assert len(block) == 2 + 2 * 4
 
     def test_table7(self, capsys):
         assert run_cli(*BASE, "--cluster-sizes", "1,2", "table7") == 0
@@ -127,6 +150,24 @@ class TestAnalysis:
                        "workingset", "fmm") == 0
         out = capsys.readouterr().out
         assert "miss rate" in out and "knee" in out
+        # the overlap line: capacity misses, largest vs smallest cluster
+        last = out.splitlines()[-1]
+        assert last.startswith(
+            "capacity misses at 8-way / 1-way (per-proc 1 KB): ")
+        assert 0.0 <= float(last.rsplit(" ", 1)[1]) <= 1.5
+
+    def test_ablation_associativity(self, capsys):
+        assert run_cli(*BASE, "ablation", "associativity") == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0].startswith("Ablation: associativity")
+        assert lines[1].split() == ["app", "assoc", "T(1p)", "T(8p)", "8p/1p"]
+        rows = [ln.split() for ln in lines[2:]]
+        assert [(r[0], r[1]) for r in rows] == [
+            (app, assoc) for app in ("barnes", "ocean", "lu")
+            for assoc in ("1-way", "4-way", "full")]
+        for _, _, t1, t8, ratio in rows:
+            t1, t8 = (int(t.replace(",", "")) for t in (t1, t8))
+            assert float(ratio) == pytest.approx(t8 / t1, abs=5e-4)
 
     def test_merge_anatomy(self, capsys):
         assert run_cli(*BASE, "--cluster-sizes", "1,2",

@@ -1,5 +1,6 @@
 """Tests for the §6 shared-cache cost model (Tables 4-7 machinery)."""
 
+import numpy as np
 import pytest
 
 from repro.core.config import MachineConfig
@@ -17,6 +18,18 @@ class TestTable4:
         assert bank_conflict_probability(2, 8) == pytest.approx(0.125)
         assert bank_conflict_probability(4, 16) == pytest.approx(0.176, abs=5e-4)
         assert bank_conflict_probability(8, 32) == pytest.approx(0.199, abs=5e-4)
+
+    def test_monte_carlo_agrees_with_closed_form(self):
+        """The physical process behind the closed form: every processor
+        picks a bank at random each cycle, and processor 0's reference
+        collides when a cluster mate picked the same one."""
+        rng = np.random.default_rng(7)
+        for n in (2, 4, 8):
+            m = banks_for_cluster(n)
+            picks = rng.integers(0, m, size=(200_000, n))
+            empirical = (picks[:, 1:] == picks[:, :1]).any(axis=1).mean()
+            assert empirical == pytest.approx(
+                bank_conflict_probability(n, m), abs=0.01)
 
     def test_default_banks_are_4n(self):
         assert banks_for_cluster(2) == 8
@@ -76,6 +89,20 @@ class TestLoadLatencyProfiler:
         assert t.factors[0] == 1.0
         assert t.factors[1] > 1.0
         assert t.factors[3] >= t.factors[2] >= t.factors[1]
+
+    @pytest.mark.parametrize("app, kwargs", [
+        ("barnes", {"n_particles": 64, "n_steps": 1}),
+        ("lu", {"n": 32, "block": 8}),
+        ("ocean", {"n": 16, "n_vcycles": 1}),
+        ("volrend", {"volume_side": 8, "width": 8, "height": 8, "block": 2}),
+        ("mp3d", {"n_particles": 64, "n_steps": 1})])
+    def test_every_table5_app_slows_monotonically(self, app, kwargs):
+        """Extra load latency can only slow a run down (the measured half
+        of Table 5; radix is the test above)."""
+        f = LoadLatencyProfiler(MachineConfig(n_processors=4),
+                                kwargs).measure(app).factors
+        assert f[0] == 1.0
+        assert f[3] >= f[2] >= f[1] >= 1.0
 
 
 class TestCostModel:

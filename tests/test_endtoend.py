@@ -55,6 +55,15 @@ class TestFigure2Shapes:
         (cluster mates touch the diagonal block at the same time)."""
         norm = normalize_sweep(lu_sweep)
         assert norm[2]["merge"] > norm[1]["merge"]
+        assert norm[2]["load"] < norm[1]["load"]
+
+    def test_radix_merge_replaces_load(self):
+        """Paper §4: Radix's shared histograms show the same late-prefetch
+        signature — merge time appears as load time falls."""
+        study = ClusteringStudy("radix", CFG16, {"n_keys": 8192, "radix": 64})
+        norm = normalize_sweep(study.cluster_sweep(None, (1, 2)))
+        assert norm[2]["merge"] > norm[1]["merge"]
+        assert norm[2]["load"] < norm[1]["load"]
 
     def test_fft_benefit_bounded_by_topology(self):
         """FFT all-to-all: clustering removes at most (C−1)/(P−1) of the
@@ -112,6 +121,19 @@ class TestFinitecapacityShapes:
         # fraction (they drop a little from shared diagonal blocks)
         assert cap_clust > 0.4 * cap_solo
 
+    @pytest.mark.parametrize("app, kwargs", [
+        ("barnes", {"n_particles": 512, "n_steps": 1}),
+        ("ocean", {"n": 32, "n_vcycles": 2})])
+    def test_limited_associativity_only_adds_misses(self, app, kwargs):
+        """E-X1 (paper §7): a direct-mapped shared cache suffers
+        destructive interference between cluster mates — it can cost the
+        8-way cluster time against the fully associative cache the paper
+        simulates, never buy it any."""
+        t8 = {assoc: ClusteringStudy(app, CFG16.with_associativity(assoc),
+                                     kwargs).run_point(8, 1.0).execution_time
+              for assoc in (1, None)}
+        assert t8[1] >= 0.98 * t8[None]
+
 
 class TestSection6Shapes:
     def test_infinite_cache_clustering_hurts_lu(self):
@@ -124,12 +146,15 @@ class TestSection6Shapes:
         assert res.cost_factor[4] > res.cost_factor[2] > 1.0
 
     def test_small_cache_working_set_offsets_costs(self):
-        """Table 6: at 4 KB caches the overlap benefit can offset the
-        shared-cache cost for working-set apps (volrend-class)."""
+        """Table 6: at small caches the overlap benefit more than pays
+        the shared-cache cost for the working-set apps — the 8-way entry
+        ends below 1.0 with the costs charged (barnes and radix are the
+        two rows EXPERIMENTS.md's third conclusion rests on)."""
         model = SharedCacheCostModel()
-        res = model.evaluate("barnes", 1.0, CFG16, (1, 8),
-                             app_kwargs={"n_particles": 512, "n_steps": 1})
-        assert res.relative_time[8] < 1.1
+        for app, kwargs in (("barnes", {"n_particles": 512, "n_steps": 1}),
+                            ("radix", {"n_keys": 8192, "radix": 64})):
+            res = model.evaluate(app, 1.0, CFG16, (1, 8), app_kwargs=kwargs)
+            assert res.relative_time[8] < 1.0, app
 
 
 class TestFigure3Shape:
@@ -139,8 +164,9 @@ class TestFigure3Shape:
         big = ClusteringStudy("ocean", CFG16, {"n": 64, "n_vcycles": 2})
         small = ClusteringStudy("ocean", CFG16, {"n": 32, "n_vcycles": 2})
         t_big = totals(big.cluster_sweep(None, (1, 4)))
-        t_small = totals(small.cluster_sweep(None, (1, 4)))
+        t_small = totals(small.cluster_sweep(None, (1, 4, 8)))
         assert (100 - t_small[4]) > (100 - t_big[4]) - 2.0
+        assert t_small[8] < t_small[4] < 100.0
 
 
 class TestRenderPipeline:

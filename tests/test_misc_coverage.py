@@ -28,9 +28,9 @@ class TestRegistryPresets:
     def test_paper_scale_constructs(self):
         """Paper-scale apps must at least construct and set up."""
         cfg = MachineConfig(n_processors=64)
-        app = build_app("lu", cfg, paper_scale=True)
+        app = build_app("lu", cfg, **PAPER_PROBLEM_SIZES["lu"])
         assert app.n == 512
-        app = build_app("fft", cfg, paper_scale=True)
+        app = build_app("fft", cfg, **PAPER_PROBLEM_SIZES["fft"])
         assert app.n_points == 65536
 
 

@@ -139,6 +139,8 @@ class TestEngineIntegration:
         res = Engine(cfg, mem).run(app.program)
         assert res.execution_time > 0
         assert res.misses.references > 0
+        # E-X2: the paper's §2 cache-to-cache sharing opportunities exist
+        assert mem.c2c_transfers > 0
 
     def test_counter_aggregation(self):
         mem = make_system()
