@@ -53,8 +53,11 @@ def run_app(name: str, config: MachineConfig, **app_kwargs):
 
     ``app_kwargs`` override the application's default (scaled-down) problem
     size; see :mod:`repro.apps.registry` for the knobs of each application.
+    The run takes the canonical pipeline (:class:`repro.runtime.RunSession`:
+    capture the stream, then replay it on the C kernel when there is one),
+    like every figure.
     """
-    from .apps.registry import build_app
+    from .runtime import RunRequest, RunSession
 
-    app = build_app(name, config, **app_kwargs)
-    return app.run()
+    return RunSession(config).run(RunRequest.make(
+        name, config.cluster_size, config.cache_kb_per_processor, app_kwargs))

@@ -35,11 +35,6 @@ class MissBreakdownRow:
     upgrades: int
     prefetch_hits: int
 
-    @property
-    def communication_fraction(self) -> float:
-        """Coherence misses as a fraction of all misses."""
-        return self.coherence / self.misses if self.misses else 0.0
-
 
 def miss_breakdown(sweep: Mapping[int, SweepPoint]) -> list[MissBreakdownRow]:
     """One row per cluster size of a cluster sweep."""

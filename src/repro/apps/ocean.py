@@ -114,9 +114,6 @@ class OceanApp(Application):
                 f"processor grid")
 
     # ------------------------------------------------------------- geometry
-    def proc_at(self, pi: int, pj: int) -> int:
-        return pi * self.pc + pj
-
     def proc_coords(self, pid: int) -> tuple[int, int]:
         return divmod(pid, self.pc)
 

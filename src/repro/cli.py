@@ -417,7 +417,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
 
 def cmd_trace(args: argparse.Namespace) -> int:
     """Record a reference trace and report its statistics."""
-    from .memory.coherence import CoherentMemorySystem
+    from .memory import make_memory_system
     from .sim.trace import TracingMemory
 
     session = RunSession(base_config=_base_config(args))
@@ -426,7 +426,7 @@ def cmd_trace(args: argparse.Namespace) -> int:
     outcome = session.run_detailed(
         request,
         memory_factory=lambda cfg, app: TracingMemory(
-            CoherentMemorySystem(cfg, app.allocator)))
+            make_memory_system(cfg, app.allocator)))
     config = outcome.config
     trace = outcome.memory.trace()
     summary = trace.summary()
@@ -511,7 +511,7 @@ def cmd_scaling(args: argparse.Namespace) -> int:
                               cache_kb=args.cache,
                               processor_counts=counts,
                               marginal_threshold=args.threshold,
-                              executor=executor)
+                              executor=executor, protocol=args.protocol)
         studies.append(study)
         text = render_scaling(study)
         rendered.append(text)
@@ -524,7 +524,7 @@ def cmd_scaling(args: argparse.Namespace) -> int:
                                   cache_kb=args.cache,
                                   processor_counts=counts,
                                   marginal_threshold=args.threshold,
-                                  executor=executor)
+                                  executor=executor, protocol=args.protocol)
             studies.append(other)
             shape = compare_shapes(study["speedups_clustered"],
                                    other["speedups_clustered"])
@@ -886,6 +886,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
+    if args.quick and args.paper_scale:
+        print("repro-clustering: --quick and --paper-scale are mutually "
+              "exclusive", file=sys.stderr)
+        return 2
     clean = False
     try:
         rc = args.func(args)

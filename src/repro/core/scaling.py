@@ -114,10 +114,6 @@ class ScalingPoint:
     n_processors: int
     execution_time: int
 
-    def speedup_over(self, base: "ScalingPoint") -> float:
-        """Wall-clock speedup of this point relative to ``base``."""
-        return base.execution_time / self.execution_time
-
 
 @dataclass
 class ScalingCurve:
@@ -139,11 +135,12 @@ class ScalingCurve:
 def _curves(app: str, processor_counts: Sequence[int],
             cluster_sizes: Sequence[int], cache_kb: float | None,
             app_kwargs: dict[str, Any] | None,
-            executor: SweepExecutor | None) -> list[ScalingCurve]:
+            executor: SweepExecutor | None,
+            protocol: str | None = None) -> list[ScalingCurve]:
     """One T(P) curve per cluster size; each P is one executor sweep."""
     if executor is None:
         executor = SweepExecutor()
-    specs = [RunRequest.make(app, c, cache_kb, app_kwargs)
+    specs = [RunRequest.make(app, c, cache_kb, app_kwargs, protocol=protocol)
              for c in cluster_sizes]
     curves = [ScalingCurve(app, c) for c in cluster_sizes]
     for n in processor_counts:
@@ -204,7 +201,8 @@ def pushout(app: str, processor_counts: Sequence[int], cluster_size: int,
             cache_kb: float | None = None,
             app_kwargs: dict[str, Any] | None = None,
             marginal_threshold: float = 1.15, *,
-            executor: SweepExecutor | None = None) -> dict[str, Any]:
+            executor: SweepExecutor | None = None,
+            protocol: str | None = None) -> dict[str, Any]:
     """The §4 claim, quantified: unclustered vs clustered scaling.
 
     Returns both curves' speedups and effective processor counts.  The
@@ -212,9 +210,11 @@ def pushout(app: str, processor_counts: Sequence[int], cluster_size: int,
     ``executor`` as one sweep, so they share one trace cache (each
     processor count of a stream-invariant app is captured once and
     replayed clustered) and run side by side under ``--jobs``.
+    ``protocol`` selects the coherence back end of every point (``None``:
+    the default directory protocol).
     """
     flat, clustered = _curves(app, processor_counts, [1, cluster_size],
-                              cache_kb, app_kwargs, executor)
+                              cache_kb, app_kwargs, executor, protocol)
     return {
         "app": app,
         "cluster_size": cluster_size,
@@ -232,18 +232,20 @@ def scaling_study(app: str, tier: str = "quick", cluster_size: int = 4,
                   cache_kb: float | None = None,
                   processor_counts: Sequence[int] | None = None,
                   marginal_threshold: float = 1.15, *,
-                  executor: SweepExecutor | None = None) -> dict[str, Any]:
+                  executor: SweepExecutor | None = None,
+                  protocol: str | None = None) -> dict[str, Any]:
     """The full §4 pushout study for one app at one problem tier.
 
     A :func:`pushout` run at the tier's preset problem size and
     processor-count grid, annotated with the tier metadata the CLI and
-    figure layer report.  ``processor_counts`` overrides the preset grid.
+    figure layer report.  ``processor_counts`` overrides the preset grid;
+    ``protocol`` is :func:`pushout`'s.
     """
     counts = tuple(processor_counts) if processor_counts \
         else scaling_processor_counts(tier)
     problem = scaling_problem(app, tier)
     study = pushout(app, counts, cluster_size, cache_kb, problem,
-                    marginal_threshold, executor=executor)
+                    marginal_threshold, executor=executor, protocol=protocol)
     study["tier"] = tier
     study["problem"] = problem
     study["cache_kb"] = cache_kb

@@ -1,8 +1,9 @@
 """Memory-system substrate: address space, page placement, cluster caches,
 full-bit-vector directory, and the pluggable coherence-protocol backends.
 
-Cache and directory state is slab-allocated (flat ``array('q')`` columns,
-packed-int directory entries); the object-per-line reference
+Cache and directory state is slab-allocated (one :class:`Cache` of
+``n_sets`` × ``ways`` lines over flat ``array('q')`` columns, packed-int
+directory entries); the object-per-line reference
 implementations the property suite compares them against are a test
 oracle and live in ``tests/refmodel.py``.
 
@@ -22,10 +23,9 @@ from typing import TYPE_CHECKING, Callable
 from ..core.config import PROTOCOLS, MachineConfig
 from .address import AddressSpace, Region, line_of, page_of
 from .allocation import PageAllocator
-from .cache import (EXCLUSIVE, SHARED, Eviction, FullyAssociativeCache,
-                    SetAssociativeCache, make_cache)
+from .cache import EXCLUSIVE, SHARED, Cache, Eviction
 from .coherence import (READ_HIT, READ_MERGE, READ_MISS,
-                        CoherentMemorySystem)
+                        CoherentMemorySystem, MemorySystem)
 from .directory import (DIR_EXCLUSIVE, DIR_SHARED, NOT_CACHED, SHARER_SHIFT,
                         Directory)
 from .dls import DLSMemorySystem
@@ -34,16 +34,16 @@ from .snoopy import SnoopyClusterMemorySystem as _SnoopyClusterMemorySystem
 __all__ = [
     "AddressSpace", "Region", "line_of", "page_of",
     "PageAllocator",
-    "SHARED", "EXCLUSIVE", "Eviction",
-    "FullyAssociativeCache", "SetAssociativeCache", "make_cache",
+    "SHARED", "EXCLUSIVE", "Eviction", "Cache",
     "NOT_CACHED", "DIR_SHARED", "DIR_EXCLUSIVE", "SHARER_SHIFT", "Directory",
-    "READ_HIT", "READ_MERGE", "READ_MISS", "CoherentMemorySystem",
-    "DLSMemorySystem",
+    "READ_HIT", "READ_MERGE", "READ_MISS", "MemorySystem",
+    "CoherentMemorySystem", "DLSMemorySystem",
     "PROTOCOL_REGISTRY", "make_memory_system",
 ]
 
 if TYPE_CHECKING:  # pragma: no cover
-    MemoryFactory = Callable[[MachineConfig, PageAllocator | None], object]
+    MemoryFactory = Callable[[MachineConfig, PageAllocator | None],
+                             MemorySystem]
 
 #: protocol name -> ``factory(config, allocator) -> memory system``.
 #: Covers every name in :data:`repro.core.config.PROTOCOLS`; the config
@@ -59,15 +59,16 @@ assert set(PROTOCOL_REGISTRY) == set(PROTOCOLS), \
 
 
 def make_memory_system(config: MachineConfig,
-                       allocator: PageAllocator | None = None):
+                       allocator: PageAllocator | None = None) -> MemorySystem:
     """Build the memory system ``config.protocol`` selects.
 
     The single construction seam every execution layer uses: the default
     ``"directory"`` protocol returns the historical
     :class:`CoherentMemorySystem` (bit-identical results), any other
-    name returns its registered backend.  All backends share the hot
-    duck interface (``read``/``write``/``cluster_of``/``counters``/
-    ``aggregate_counters``/``network_stats``).
+    name returns its registered backend.  Every backend is a
+    :class:`MemorySystem` (``cluster_of``/``counters``/
+    ``aggregate_counters``/``network_stats``/``check_invariants``) with
+    its own hot ``read``/``write``.
     """
     factory = PROTOCOL_REGISTRY.get(config.protocol)
     if factory is None:  # pragma: no cover - config validation precedes

@@ -157,8 +157,3 @@ class AddressSpace:
             if region.contains(addr):
                 return region
         return None
-
-    @property
-    def bytes_allocated(self) -> int:
-        """Total bytes handed out so far (including alignment padding)."""
-        return self._next - align_up(self.base, self.page_size)

@@ -5,14 +5,15 @@ round robin basis.  Some application programs explicitly place data when such
 placement improves performance.  All stack references are allocated
 locally."*
 
-:class:`PageAllocator` implements exactly that:
+:class:`PageAllocator` implements the first two:
 
 * the first reference to a page binds it to a home cluster, cycling
   round-robin over clusters;
 * an application may *explicitly place* a page (or a whole region) at a
-  chosen cluster before any reference touches it, overriding round-robin;
-* per-processor stack segments are pre-bound to the owning processor's
-  cluster.
+  chosen cluster before any reference touches it, overriding round-robin.
+
+Stack references never reach it: the applications count private and
+stack traffic as compute time (:mod:`repro.apps.base`).
 
 Home lookup is on the critical path of every miss, so the hot method
 :meth:`PageAllocator.home_of_line` does a single dict probe in the common
@@ -110,35 +111,6 @@ class PageAllocator:
         """Explicitly place an entire :class:`~repro.memory.address.Region`."""
         self.place_range(region.base, region.size, cluster)
 
-    def place_region_blocked(self, region: Region, n_partitions: int) -> None:
-        """Distribute a region over clusters in ``n_partitions`` equal blocks.
-
-        Partition ``i`` goes to cluster ``i % n_clusters``.  This is the
-        idiom the SPLASH codes use for "each processor's partition lives in
-        its local memory"; with clustering, partitions of co-clustered
-        processors land at the same home.
-        """
-        if n_partitions <= 0:
-            raise ValueError("n_partitions must be positive")
-        chunk = region.size // n_partitions
-        if chunk == 0:
-            # Degenerate: region smaller than partition count; place whole
-            # region at cluster 0 rather than emitting zero-size placements.
-            self.place_region(region, 0)
-            return
-        for i in range(n_partitions):
-            start = region.base + i * chunk
-            size = chunk if i < n_partitions - 1 else region.end - start
-            self.place_range(start, size, i % self.n_clusters)
-
-    def make_stack(self, processor: int, cluster: int, base: int, size: int) -> None:
-        """Bind a processor's stack segment to its own cluster.
-
-        The paper: "All stack references are allocated locally."  The
-        ``processor`` argument is accepted for traceability only.
-        """
-        self.place_range(base, size, cluster)
-
     # ---------------------------------------------------------------- query
     def bound_home(self, page: int) -> int | None:
         """Home of ``page`` if already bound, else ``None`` (no side effects)."""
@@ -153,18 +125,6 @@ class PageAllocator:
     def next_home(self) -> int:
         """Cluster the next first-touched page will be bound to."""
         return self._rr_next
-
-    @property
-    def pages_bound(self) -> int:
-        """Total number of pages with an assigned home."""
-        return len(self._page_home)
-
-    def home_histogram(self) -> list[int]:
-        """Number of pages homed at each cluster (index = cluster id)."""
-        hist = [0] * self.n_clusters
-        for home in self._page_home.values():
-            hist[home] += 1
-        return hist
 
     def _check_cluster(self, cluster: int) -> None:
         if not (0 <= cluster < self.n_clusters):

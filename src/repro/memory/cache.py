@@ -1,10 +1,11 @@
-"""Cluster caches: fully associative LRU (the paper's model) and a
-set-associative variant (the paper's stated future work on destructive
-interference under limited associativity).
+"""The cluster cache: ``n_sets`` LRU sets of ``ways`` lines over one slab.
 
 Paper §3.1: *"the caches that are simulated are fully associative caches with
 an LRU replacement policy ... we do not want to include the effect of
-conflict misses that are due to limited associativity."*
+conflict misses that are due to limited associativity."*  That is the
+default geometry — **one set** holding the whole capacity — and the paper's
+stated future work (§7, destructive interference under limited
+associativity, our E-X1) is the same class with more, smaller sets.
 
 A cache holds *lines* (line numbers, not byte addresses).  Each resident line
 carries
@@ -17,15 +18,16 @@ carries
 State layout — slab columns, not per-line objects
 -------------------------------------------------
 Per-line metadata lives in preallocated flat **columns** indexed by a slot
-number::
+number, shared by every set; a line maps to set ``line % n_sets``, and set
+``i`` owns the slots ``[i * ways, (i + 1) * ways)``::
 
-    slot_of : dict line -> slot          (residency + LRU order)
+    sets[i] : dict line -> slot          (residency + LRU order of set i)
+    free[i] : list[int]   recycled slot numbers of set i
     state   : array('q')  per-slot coherence state (SHARED/EXCLUSIVE)
     pending : list[int]   per-slot fill-return timestamp ("pending until")
     fetcher : list[int]   per-slot fetching processor (-1 once the
                           prefetch benefit has been counted)
     tag     : array('q')  per-slot line number (reverse map / debugging)
-    free    : list[int]   recycled slot numbers
 
 The two values read on *every hit* — the pending timestamp and the fetcher
 id — live in **plain lists indexed directly by the slot**, for two reasons.
@@ -39,22 +41,24 @@ state/tag columns keep the machine-word ``array('q')`` layout (their values
 are small or read only on misses).
 
 Nothing is allocated per access: a hit is one dict probe (plus the LRU
-touch), a miss reuses the victim's slot or pops the free list, and an
+touch), a miss reuses the victim's slot or pops the set's free list, and an
 invalidation pushes the slot back.  The columns are machine-word arrays, so
 a 64-cluster simulation's cache state is a handful of flat buffers instead
 of tens of thousands of heap objects — cheaper to touch and invisible to
 the garbage collector's cycle detector.
 
-LRU comes from the *slot index dict*, not from the columns: CPython dicts
+LRU comes from the *set's index dict*, not from the columns: CPython dicts
 iterate in insertion order, so deleting + reinserting a line's slot mapping
-on every touch makes the first key the least recently used.  This gives
-O(1) lookup, touch and eviction with no auxiliary list and — crucially —
-the exact same victim sequence as the previous per-line-object
-implementation (the contract for bit-identical simulation results).
+on every touch makes the first key the least recently used of its set.
+This gives O(1) lookup, touch and eviction with no auxiliary list and —
+crucially — the exact same victim sequence as the object-per-line oracle
+in ``tests/refmodel.py`` (the contract for bit-identical simulation
+results).
 
-Infinite caches (``capacity_lines is None``) never evict; the paper uses them
-to isolate cold and coherence misses.  Their columns grow geometrically and
-are extended **in place** so references bound before growth stay valid.
+Infinite caches (``capacity_lines is None``, ``ways is None``) are one set
+that never evicts; the paper uses them to isolate cold and coherence misses.
+Their columns grow geometrically and are extended **in place** so references
+bound before growth stay valid.
 """
 
 from __future__ import annotations
@@ -66,18 +70,14 @@ __all__ = [
     "SHARED",
     "EXCLUSIVE",
     "Eviction",
-    "FullyAssociativeCache",
-    "SetAssociativeCache",
+    "Cache",
     "fully_associative",
-    "make_cache",
 ]
 
 #: Coherence state: line readable, possibly cached by other clusters too.
 SHARED = 1
 #: Coherence state: line writable, this cluster is the sole owner.
 EXCLUSIVE = 2
-
-_STATE_NAMES = {SHARED: "SHARED", EXCLUSIVE: "EXCLUSIVE"}
 
 #: initial column length for caches that start empty (infinite caches)
 _INITIAL_SLOTS = 1024
@@ -96,289 +96,6 @@ class Eviction(NamedTuple):
     state: int
 
 
-class FullyAssociativeCache:
-    """Fully associative LRU cache over whole lines, slab-allocated.
-
-    Parameters
-    ----------
-    capacity_lines:
-        Number of lines the cache holds, or ``None`` for an infinite cache.
-
-    The per-line columns (``state``/``meta``/``tag``) and the ``slot_of``
-    index are public on purpose: the coherence layer binds them once per
-    cluster and runs its hot path as plain dict/array operations.  All
-    invariants (slot lifecycle, LRU order) are maintained by the methods
-    here; external writers must only mutate *values* of live slots, never
-    the slot lifecycle itself.
-    """
-
-    __slots__ = ("capacity_lines", "slot_of", "state", "pending", "fetcher",
-                 "tag", "free", "evictions", "inserts")
-
-    def __init__(self, capacity_lines: int | None) -> None:
-        if capacity_lines is not None and capacity_lines <= 0:
-            raise ValueError(
-                f"capacity_lines must be positive or None, got {capacity_lines}"
-            )
-        self.capacity_lines = capacity_lines
-        #: line -> slot; dict order is LRU order (finite caches only)
-        self.slot_of: dict[int, int] = {}
-        n = capacity_lines if capacity_lines is not None else 0
-        zeros = bytes(8 * n)
-        self.state = array("q", zeros)
-        self.pending = [0] * n
-        self.fetcher = [-1] * n
-        self.tag = array("q", zeros)
-        #: recycled slots, popped LIFO (finite caches are preallocated)
-        self.free: list[int] = list(range(n - 1, -1, -1))
-        #: lifetime counters, used by tests and the working-set profiler
-        self.evictions = 0
-        self.inserts = 0
-
-    def _grow(self) -> int:
-        """Extend all columns in place; returns a fresh slot.
-
-        Every column is extended **in place** (``frombytes``/``extend``
-        mutate the existing buffers), so column references bound by the
-        coherence kernel before growth remain valid.
-        """
-        n = len(self.state)
-        add = n if n else _INITIAL_SLOTS
-        zeros = bytes(8 * add)
-        self.state.frombytes(zeros)
-        self.pending.extend([0] * add)
-        self.fetcher.extend([-1] * add)
-        self.tag.frombytes(zeros)
-        free = self.free
-        free.extend(range(n + add - 1, n, -1))
-        return n
-
-    # ------------------------------------------------------------------ hot
-    def lookup(self, line: int) -> int:
-        """Slot of ``line`` (refreshing its LRU position) or ``-1``."""
-        slot = self.slot_of.get(line, -1)
-        if slot >= 0 and self.capacity_lines is not None:
-            # Move to MRU position: delete + reinsert keeps dict order = LRU.
-            del self.slot_of[line]
-            self.slot_of[line] = slot
-        return slot
-
-    def peek(self, line: int) -> int:
-        """Slot of ``line`` without touching LRU order, or ``-1``."""
-        return self.slot_of.get(line, -1)
-
-    def insert(self, line: int, state: int, pending_until: int = 0,
-               fetcher: int = -1) -> Eviction | None:
-        """Install ``line``; return the victim eviction if one was needed.
-
-        The line being inserted must not already be resident (the protocol
-        layer upgrades in place via the slot returned by :meth:`lookup`
-        instead of re-inserting).  An evicted victim's slot is reused
-        directly for the incoming line — no free-list round trip.
-        """
-        slot_of = self.slot_of
-        if line in slot_of:
-            raise ValueError(f"line {line:#x} already resident")
-        victim: Eviction | None = None
-        cap = self.capacity_lines
-        if cap is not None and len(slot_of) >= cap:
-            victim_line = next(iter(slot_of))
-            slot = slot_of.pop(victim_line)
-            victim = Eviction(victim_line, self.state[slot])
-            self.evictions += 1
-        else:
-            free = self.free
-            slot = free.pop() if free else self._grow()
-        self.state[slot] = state
-        self.pending[slot] = pending_until
-        self.fetcher[slot] = fetcher
-        self.tag[slot] = line
-        slot_of[line] = slot
-        self.inserts += 1
-        return victim
-
-    def invalidate(self, line: int) -> bool:
-        """Drop ``line`` (even if pending).  True if it was resident."""
-        slot = self.slot_of.pop(line, -1)
-        if slot < 0:
-            return False
-        self.free.append(slot)
-        return True
-
-    def downgrade(self, line: int) -> None:
-        """EXCLUSIVE → SHARED in place (remote read to a dirty line)."""
-        slot = self.slot_of.get(line, -1)
-        if slot < 0:
-            raise KeyError(f"line {line:#x} not resident; cannot downgrade")
-        self.state[slot] = SHARED
-
-    # ---------------------------------------------------------------- query
-    def __len__(self) -> int:
-        return len(self.slot_of)
-
-    def __contains__(self, line: int) -> bool:
-        return line in self.slot_of
-
-    @property
-    def is_infinite(self) -> bool:
-        """Whether this cache never evicts."""
-        return self.capacity_lines is None
-
-    def state_of(self, line: int) -> int | None:
-        """Coherence state of ``line`` or ``None`` if absent (no LRU touch)."""
-        slot = self.slot_of.get(line, -1)
-        return None if slot < 0 else self.state[slot]
-
-    def pending_until_of(self, line: int) -> int | None:
-        """Fill-return time of ``line`` or ``None`` if absent (no LRU touch)."""
-        slot = self.slot_of.get(line, -1)
-        return None if slot < 0 else self.pending[slot]
-
-    def fetcher_of(self, line: int) -> int | None:
-        """Fetching processor of ``line`` or ``None`` if absent."""
-        slot = self.slot_of.get(line, -1)
-        return None if slot < 0 else self.fetcher[slot]
-
-    def resident_lines(self) -> list[int]:
-        """All resident line numbers.
-
-        For a *finite* cache the order is LRU → MRU (dict order is LRU
-        order; see the module docstring).  An infinite cache never reorders
-        on touch — :meth:`lookup` skips the delete/reinsert because no
-        eviction can ever consult the order — so there the order is simply
-        insertion order.
-        """
-        return list(self.slot_of)
-
-
-class SetAssociativeCache:
-    """Set-associative LRU cache (extension E-X1: destructive interference).
-
-    The paper's §7 names "the destructive interference due to limited
-    associativity" as follow-on work; this class lets the same protocol
-    engine run with realistic associativity.  Sets are indexed by
-    ``line % n_sets``; set ``i`` owns the slot range
-    ``[i * associativity, (i + 1) * associativity)`` of one shared slab, and
-    each set's LRU order is its index dict's insertion order (exactly as in
-    the fully associative cache).
-
-    The public surface mirrors :class:`FullyAssociativeCache` so the
-    coherence engine is agnostic to which is plugged in.
-    """
-
-    __slots__ = ("capacity_lines", "associativity", "n_sets", "slot_of",
-                 "state", "pending", "fetcher", "tag", "_set_free",
-                 "evictions", "inserts")
-
-    def __init__(self, capacity_lines: int, associativity: int) -> None:
-        if capacity_lines <= 0:
-            raise ValueError("capacity_lines must be positive")
-        if associativity <= 0:
-            raise ValueError("associativity must be positive")
-        if capacity_lines % associativity != 0:
-            raise ValueError(
-                f"capacity {capacity_lines} not divisible by "
-                f"associativity {associativity}"
-            )
-        self.capacity_lines = capacity_lines
-        self.associativity = associativity
-        self.n_sets = capacity_lines // associativity
-        zeros = bytes(8 * capacity_lines)
-        self.state = array("q", zeros)
-        self.pending = [0] * capacity_lines
-        self.fetcher = [-1] * capacity_lines
-        self.tag = array("q", zeros)
-        #: per-set line -> slot index dicts; dict order is the set's LRU order
-        self.slot_of: list[dict[int, int]] = [dict() for _ in range(self.n_sets)]
-        self._set_free: list[list[int]] = [
-            list(range((i + 1) * associativity - 1, i * associativity - 1, -1))
-            for i in range(self.n_sets)]
-        self.evictions = 0
-        self.inserts = 0
-
-    def lookup(self, line: int) -> int:
-        s = self.slot_of[line % self.n_sets]
-        slot = s.get(line, -1)
-        if slot >= 0:
-            del s[line]
-            s[line] = slot
-        return slot
-
-    def peek(self, line: int) -> int:
-        return self.slot_of[line % self.n_sets].get(line, -1)
-
-    def insert(self, line: int, state: int, pending_until: int = 0,
-               fetcher: int = -1) -> Eviction | None:
-        idx = line % self.n_sets
-        s = self.slot_of[idx]
-        if line in s:
-            raise ValueError(f"line {line:#x} already resident")
-        victim: Eviction | None = None
-        if len(s) >= self.associativity:
-            victim_line = next(iter(s))
-            slot = s.pop(victim_line)
-            victim = Eviction(victim_line, self.state[slot])
-            self.evictions += 1
-        else:
-            slot = self._set_free[idx].pop()
-        self.state[slot] = state
-        self.pending[slot] = pending_until
-        self.fetcher[slot] = fetcher
-        self.tag[slot] = line
-        s[line] = slot
-        self.inserts += 1
-        return victim
-
-    def invalidate(self, line: int) -> bool:
-        idx = line % self.n_sets
-        slot = self.slot_of[idx].pop(line, -1)
-        if slot < 0:
-            return False
-        self._set_free[idx].append(slot)
-        return True
-
-    def downgrade(self, line: int) -> None:
-        slot = self.slot_of[line % self.n_sets].get(line, -1)
-        if slot < 0:
-            raise KeyError(f"line {line:#x} not resident; cannot downgrade")
-        self.state[slot] = SHARED
-
-    def __len__(self) -> int:
-        return sum(len(s) for s in self.slot_of)
-
-    def __contains__(self, line: int) -> bool:
-        return line in self.slot_of[line % self.n_sets]
-
-    @property
-    def is_infinite(self) -> bool:
-        return False
-
-    def state_of(self, line: int) -> int | None:
-        slot = self.slot_of[line % self.n_sets].get(line, -1)
-        return None if slot < 0 else self.state[slot]
-
-    def pending_until_of(self, line: int) -> int | None:
-        slot = self.slot_of[line % self.n_sets].get(line, -1)
-        return None if slot < 0 else self.pending[slot]
-
-    def fetcher_of(self, line: int) -> int | None:
-        slot = self.slot_of[line % self.n_sets].get(line, -1)
-        return None if slot < 0 else self.fetcher[slot]
-
-    def resident_lines(self) -> list[int]:
-        """All resident line numbers, set by set.
-
-        The order is **set-concatenation order** — set 0's lines (LRU →
-        MRU within the set), then set 1's, and so on — *not* a global LRU
-        ordering: sets age independently, so no global recency order
-        exists.
-        """
-        out: list[int] = []
-        for s in self.slot_of:
-            out.extend(s)
-        return out
-
-
 def fully_associative(capacity_lines: int | None,
                       associativity: int | None) -> bool:
     """Whether this geometry is one fully associative set.
@@ -390,10 +107,200 @@ def fully_associative(capacity_lines: int | None,
             or associativity >= capacity_lines)
 
 
-def make_cache(capacity_lines: int | None, associativity: int | None = None):
-    """Build the cache the configuration asks for: fully associative
-    where :func:`fully_associative` says so, else the set-associative
-    extension."""
-    if fully_associative(capacity_lines, associativity):
-        return FullyAssociativeCache(capacity_lines)
-    return SetAssociativeCache(capacity_lines, associativity)
+class Cache:
+    """LRU cache over whole lines: ``n_sets`` sets of ``ways`` lines.
+
+    Parameters
+    ----------
+    capacity_lines:
+        Number of lines the cache holds, or ``None`` for an infinite cache.
+    associativity:
+        Lines per set.  ``None`` (the paper's model), an infinite capacity,
+        or ways covering the whole capacity give one fully associative set
+        (:func:`fully_associative`); otherwise it must divide the capacity.
+
+    The per-slot columns and the per-set ``sets``/``free`` lists are public
+    on purpose: the protocol back ends bind them once per cache as *kernel
+    tuples* (:meth:`kernels`) and run their hot paths as plain dict/array
+    operations.  All invariants (slot lifecycle, LRU order) are maintained
+    by the methods here; external writers must keep them the same way —
+    a slot leaves ``sets[i]`` only into ``free[i]`` or straight to the
+    line that evicted it.
+    """
+
+    __slots__ = ("capacity_lines", "ways", "n_sets", "sets", "free", "state",
+                 "pending", "fetcher", "tag", "evictions", "inserts")
+
+    def __init__(self, capacity_lines: int | None,
+                 associativity: int | None = None) -> None:
+        if capacity_lines is not None and capacity_lines <= 0:
+            raise ValueError(
+                f"capacity_lines must be positive or None, got {capacity_lines}"
+            )
+        if associativity is not None and associativity <= 0:
+            raise ValueError("associativity must be positive")
+        if fully_associative(capacity_lines, associativity):
+            ways = capacity_lines
+        elif capacity_lines % associativity != 0:
+            raise ValueError(
+                f"capacity {capacity_lines} not divisible by "
+                f"associativity {associativity}"
+            )
+        else:
+            ways = associativity
+        self.capacity_lines = capacity_lines
+        #: lines per set; ``None`` for the single set of an infinite cache
+        self.ways = ways
+        n = capacity_lines if capacity_lines is not None else 0
+        self.n_sets = n // ways if ways else 1
+        #: per-set line -> slot; dict order is the set's LRU order
+        self.sets: list[dict[int, int]] = [{} for _ in range(self.n_sets)]
+        #: per-set recycled slots, popped LIFO (finite caches are preallocated)
+        self.free: list[list[int]] = [
+            list(range((i + 1) * ways - 1, i * ways - 1, -1)) if ways else []
+            for i in range(self.n_sets)]
+        zeros = bytes(8 * n)
+        self.state = array("q", zeros)
+        self.pending = [0] * n
+        self.fetcher = [-1] * n
+        self.tag = array("q", zeros)
+        #: lifetime counters, used by tests and the working-set profiler
+        self.evictions = 0
+        self.inserts = 0
+
+    def kernels(self) -> list[tuple]:
+        """One ``(slot_of, state, pending, fetcher, free)`` tuple per set:
+        the set's index dict and free list beside the shared columns."""
+        return [(slot_of, self.state, self.pending, self.fetcher, free)
+                for slot_of, free in zip(self.sets, self.free)]
+
+    def _grow(self) -> int:
+        """Extend all columns in place; returns a fresh slot.
+
+        Only the single set of an infinite cache ever runs out of free
+        slots.  Every column is extended **in place** (``frombytes``/
+        ``extend`` mutate the existing buffers), so column references bound
+        through :meth:`kernels` before growth remain valid.
+        """
+        n = len(self.state)
+        add = n if n else _INITIAL_SLOTS
+        zeros = bytes(8 * add)
+        self.state.frombytes(zeros)
+        self.pending.extend([0] * add)
+        self.fetcher.extend([-1] * add)
+        self.tag.frombytes(zeros)
+        self.free[0].extend(range(n + add - 1, n, -1))
+        return n
+
+    # ------------------------------------------------------------------ hot
+    def lookup(self, line: int) -> int:
+        """Slot of ``line`` (refreshing its LRU position) or ``-1``."""
+        slot_of = self.sets[line % self.n_sets]
+        slot = slot_of.get(line, -1)
+        if slot >= 0 and self.ways is not None:
+            # Move to MRU position: delete + reinsert keeps dict order = LRU.
+            del slot_of[line]
+            slot_of[line] = slot
+        return slot
+
+    def peek(self, line: int) -> int:
+        """Slot of ``line`` without touching LRU order, or ``-1``."""
+        return self.sets[line % self.n_sets].get(line, -1)
+
+    def insert(self, line: int, state: int, pending_until: int = 0,
+               fetcher: int = -1) -> Eviction | None:
+        """Install ``line``; return the victim eviction if one was needed.
+
+        The line being inserted must not already be resident (the protocol
+        layer upgrades in place via the slot returned by :meth:`lookup`
+        instead of re-inserting).  A full set evicts its least recently
+        used line, whose slot is reused directly for the incoming line —
+        no free-list round trip.
+        """
+        index = line % self.n_sets
+        slot_of = self.sets[index]
+        if line in slot_of:
+            raise ValueError(f"line {line:#x} already resident")
+        victim: Eviction | None = None
+        ways = self.ways
+        if ways is not None and len(slot_of) >= ways:
+            victim_line = next(iter(slot_of))
+            slot = slot_of.pop(victim_line)
+            victim = Eviction(victim_line, self.state[slot])
+            self.evictions += 1
+        else:
+            free = self.free[index]
+            slot = free.pop() if free else self._grow()
+        self.state[slot] = state
+        self.pending[slot] = pending_until
+        self.fetcher[slot] = fetcher
+        self.tag[slot] = line
+        slot_of[line] = slot
+        self.inserts += 1
+        return victim
+
+    def invalidate(self, line: int) -> bool:
+        """Drop ``line`` (even if pending).  True if it was resident."""
+        index = line % self.n_sets
+        slot = self.sets[index].pop(line, -1)
+        if slot < 0:
+            return False
+        self.free[index].append(slot)
+        return True
+
+    def downgrade(self, line: int) -> None:
+        """EXCLUSIVE → SHARED in place (remote read to a dirty line)."""
+        slot = self.peek(line)
+        if slot < 0:
+            raise KeyError(f"line {line:#x} not resident; cannot downgrade")
+        self.state[slot] = SHARED
+
+    # ---------------------------------------------------------------- query
+    def __len__(self) -> int:
+        return sum(map(len, self.sets))
+
+    def __contains__(self, line: int) -> bool:
+        return line in self.sets[line % self.n_sets]
+
+    @property
+    def is_infinite(self) -> bool:
+        """Whether this cache never evicts."""
+        return self.capacity_lines is None
+
+    def state_of(self, line: int) -> int | None:
+        """Coherence state of ``line`` or ``None`` if absent (no LRU touch)."""
+        slot = self.peek(line)
+        return None if slot < 0 else self.state[slot]
+
+    def pending_until_of(self, line: int) -> int | None:
+        """Fill-return time of ``line`` or ``None`` if absent (no LRU touch)."""
+        slot = self.peek(line)
+        return None if slot < 0 else self.pending[slot]
+
+    def fetcher_of(self, line: int) -> int | None:
+        """Fetching processor of ``line`` or ``None`` if absent."""
+        slot = self.peek(line)
+        return None if slot < 0 else self.fetcher[slot]
+
+    def resident_lines(self) -> list[int]:
+        """All resident line numbers, set by set.
+
+        Within a *finite* set the order is LRU → MRU (dict order is LRU
+        order; see the module docstring); sets age independently, so across
+        sets this is concatenation order, not a global recency order.  An
+        infinite cache never reorders on touch — no eviction can ever
+        consult the order — so there it is simply insertion order.
+        """
+        return [line for slot_of in self.sets for line in slot_of]
+
+    def check_slots(self, name: str = "cache") -> None:
+        """Raise unless every set's slots balance: each slot of the set's
+        range is mapped by exactly one resident line or on its free list
+        (so no set can hold more than ``ways`` lines)."""
+        per_set = len(self.state) // self.n_sets
+        for index, (slot_of, free) in enumerate(zip(self.sets, self.free)):
+            slots = sorted([*slot_of.values(), *free])
+            if slots != list(range(index * per_set, (index + 1) * per_set)):
+                raise AssertionError(
+                    f"{name} set {index} slot leak: {len(slot_of)} mapped + "
+                    f"{len(free)} free != its {per_set} slots")

@@ -29,11 +29,14 @@ The two hot entry points, :meth:`CoherentMemorySystem.read` and
 divides byte addresses by the line size once) and run against **flat
 state**, allocating nothing per access:
 
-* each cluster's cache is bound once as a *kernel tuple*
-  ``(slot_of, state, pending, fetcher, free)`` — the slab columns of
-  :class:`~repro.memory.cache.FullyAssociativeCache` — so a hit is a dict
-  probe plus two array indexings and a miss recycles the victim's slot in
-  place;
+* each cluster's cache is bound once as *kernel tuples*
+  ``(slot_of, state, pending, fetcher, free)`` — one per set of
+  :class:`~repro.memory.cache.Cache`, the set's index dict and free list
+  beside the shared slab columns — so a hit is a dict probe plus two array
+  indexings and a miss recycles the victim's slot in place.  The paper's
+  fully associative cache is one set and binds its tuple directly; a
+  set-associative cache selects the tuple with ``line % n_sets``, the one
+  place an operation looks at the geometry;
 * the directory is its packed-int table (``dict line -> (mask << 2) |
   state``), so directory transitions are single int ops and the sole-owner
   writeback test is one comparison;
@@ -44,8 +47,12 @@ state**, allocating nothing per access:
   increments one counter, not three.
 
 A hop-based provider (MeshLatency) is stateful — contention queues,
-counters — so it keeps the ``miss_cycles`` call and per-miss tuple; the
-set-associative cache extension likewise keeps polymorphic cache calls.
+counters — so it keeps the ``miss_cycles`` call and per-miss tuple.
+
+:class:`MemorySystem` holds what the three protocol back ends (this one,
+:mod:`~repro.memory.snoopy`, :mod:`~repro.memory.dls`) share outside their
+hot methods: construction, the processor → cluster mapping, the counters
+and the cache-slot half of ``check_invariants``.
 """
 
 from __future__ import annotations
@@ -54,10 +61,11 @@ from ..core.config import MachineConfig
 from ..core.metrics import MissCause, MissCounters, NetworkStats
 from ..network.latency import TableLatency, make_latency_provider
 from .allocation import PageAllocator
-from .cache import EXCLUSIVE, SHARED, FullyAssociativeCache, make_cache
+from .cache import EXCLUSIVE, SHARED, Cache
 from .directory import DIR_EXCLUSIVE, DIR_SHARED, NOT_CACHED, Directory
 
-__all__ = ["READ_HIT", "READ_MERGE", "READ_MISS", "CoherentMemorySystem"]
+__all__ = ["READ_HIT", "READ_MERGE", "READ_MISS", "MemorySystem",
+           "CoherentMemorySystem"]
 
 #: read() outcome tags (plain ints for speed on the hot path)
 READ_HIT = 0
@@ -79,20 +87,17 @@ _COHERENCE = MissCause.COHERENCE
 _HIT = (READ_HIT, 0)
 
 
-class CoherentMemorySystem:
-    """One coherent memory system: cluster caches + directory + allocator.
+class MemorySystem:
+    """What every protocol back end is built from and answers.
 
-    Parameters
-    ----------
-    config:
-        Machine organisation (cluster geometry, cache sizing, latencies).
-    allocator:
-        Page-home policy; a fresh first-touch round-robin allocator is built
-        if not supplied (applications that place data pass their own).
+    ``cache_lines`` is the capacity of each of the ``n_caches`` caches (one
+    per cluster, or per processor under snoopy); ``allocator`` is the
+    page-home policy — a fresh first-touch round-robin allocator is built
+    if not supplied (applications that place data pass their own).
     """
 
-    def __init__(self, config: MachineConfig,
-                 allocator: PageAllocator | None = None) -> None:
+    def __init__(self, config: MachineConfig, allocator: PageAllocator | None,
+                 n_caches: int, cache_lines: int | None) -> None:
         self.config = config
         self.allocator = allocator if allocator is not None else PageAllocator(
             config.n_clusters, config.page_size, config.line_size)
@@ -100,23 +105,75 @@ class CoherentMemorySystem:
             raise ValueError(
                 f"allocator built for {self.allocator.n_clusters} clusters, "
                 f"machine has {config.n_clusters}")
-        self.directory = Directory(config.n_clusters)
         # miss pricing goes through a pluggable provider; the default
         # flat-table provider is bit-identical to config.latency
         self.latency = make_latency_provider(config)
-        capacity = config.cluster_cache_lines
-        self.caches = [make_cache(capacity, config.associativity)
-                       for _ in range(config.n_clusters)]
+        self._flat = isinstance(self.latency, TableLatency)
+        self.caches = [Cache(cache_lines, config.associativity)
+                       for _ in range(n_caches)]
         self.counters = [MissCounters() for _ in range(config.n_clusters)]
+        self._cluster_shift = config.cluster_shift
+        # live views of allocator page bindings for the in-line home lookup
+        # (first touch of a page still goes through the allocator)
+        self._page_home = self.allocator._page_home
+        self._lines_per_page = self.allocator._lines_per_page
+        # The hot paths run on each cache's kernel tuples as plain
+        # dict/array ops, with no method call and no per-line object.  One
+        # fully associative set (the paper's model) is bound as the tuple
+        # itself, so only n_sets != 1 pays the ``line % n_sets`` selection.
+        self._n_sets = self.caches[0].n_sets
+        self._ways = self.caches[0].ways
+        self._kernels = [c.kernels() if self._n_sets != 1 else c.kernels()[0]
+                         for c in self.caches]
+
+    def cluster_of(self, processor: int) -> int:
+        """Cluster id for a processor (shift when cluster size is a power of 2)."""
+        if self._cluster_shift is not None:
+            return processor >> self._cluster_shift
+        return processor // self.config.cluster_size
+
+    def aggregate_counters(self) -> MissCounters:
+        """Miss counters summed over all clusters."""
+        total = MissCounters()
+        for ctr in self.counters:
+            ctr.merged_into(total)
+        return total
+
+    def network_stats(self) -> NetworkStats | None:
+        """Interconnect counters (``None`` under the flat-table provider)."""
+        return self.latency.stats()
+
+    def check_invariants(self) -> None:
+        """Raise unless every cache's slot accounting balances, set by
+        set (:meth:`Cache.check_slots`); back ends add their protocol's
+        own cross-checks."""
+        for index, cache in enumerate(self.caches):
+            cache.check_slots(f"cache {index}")
+
+
+class CoherentMemorySystem(MemorySystem):
+    """One coherent memory system: cluster caches + directory + allocator.
+
+    Parameters
+    ----------
+    config:
+        Machine organisation (cluster geometry, cache sizing, latencies).
+    allocator:
+        Page-home policy (see :class:`MemorySystem`).
+    """
+
+    def __init__(self, config: MachineConfig,
+                 allocator: PageAllocator | None = None) -> None:
+        super().__init__(config, allocator, config.n_clusters,
+                         config.cluster_cache_lines)
+        self.directory = Directory(config.n_clusters)
         # Per-cluster line history for cold/coherence/capacity classification
         # (see the module-level comment above _COLD for the encoding).
         self._history: list[dict[int, MissCause]] = [dict() for _ in range(config.n_clusters)]
-        self._cluster_shift = config.cluster_shift
         # --- hot-path precomputation ----------------------------------
         # The flat Table-1 latencies are inlined on the miss path (the
         # dominant per-op cost of a simulation) and their (READ_MISS,
         # latency) transition tuples are interned up front.
-        self._flat = isinstance(self.latency, TableLatency)
         model = config.latency
         self._local_clean = model.local_clean
         self._remote_clean = model.remote_clean
@@ -126,31 +183,10 @@ class CoherentMemorySystem:
         self._t_remote_clean = (READ_MISS, model.remote_clean)
         self._t_local_dirty = (READ_MISS, model.local_dirty_remote)
         self._t_remote_dirty_3p = (READ_MISS, model.remote_dirty_third_party)
-        # live views of allocator page bindings for the in-line home lookup
-        # (first touch of a page still goes through the allocator)
-        self._page_home = self.allocator._page_home
-        self._lines_per_page = self.allocator._lines_per_page
-        # Fully associative caches (the paper's model) expose their slab
-        # columns; binding them as per-cluster kernel tuples lets the hot
-        # path run as plain dict/array ops with no method call and no
-        # per-line object.  The set-associative extension keeps the
-        # polymorphic calls.
-        self._kernels = (
-            [(c.slot_of, c.state, c.pending, c.fetcher, c.free)
-             for c in self.caches]
-            if all(type(c) is FullyAssociativeCache for c in self.caches)
-            else None)
-        self._capacity_lines = capacity
         # the directory's packed table, bound once for in-line transitions
         self._dtable = self.directory.packed
 
     # ------------------------------------------------------------------ hot
-    def cluster_of(self, processor: int) -> int:
-        """Cluster id for a processor (shift when cluster size is a power of 2)."""
-        if self._cluster_shift is not None:
-            return processor >> self._cluster_shift
-        return processor // self.config.cluster_size
-
     def read(self, processor: int, line: int, now: int,
              is_retry: bool = False) -> tuple[int, int]:
         """Process a read by ``processor`` to ``line`` at time ``now``.
@@ -176,38 +212,25 @@ class CoherentMemorySystem:
         ctr = self.counters[cluster]
         if not is_retry:
             ctr.reads += 1
-        kernels = self._kernels
-        if kernels is not None:
-            kern = kernels[cluster]
-            slot_of = kern[0]
-            slot = slot_of.get(line, -1)
-            if slot >= 0:
-                if self._capacity_lines is not None:
-                    # LRU touch: delete + reinsert keeps dict order = LRU
-                    del slot_of[line]
-                    slot_of[line] = slot
-                pending_until = kern[2][slot]
-                if pending_until > now:
-                    ctr.merges += 1
-                    return READ_MERGE, pending_until - now
-                fetcher = kern[3][slot]
-                if fetcher != -1 and fetcher != processor:
-                    ctr.prefetch_hits += 1
-                    kern[3][slot] = -1
-                return _HIT
-        else:
-            cache = self.caches[cluster]
-            slot = cache.lookup(line)
-            if slot >= 0:
-                pending_until = cache.pending[slot]
-                if pending_until > now:
-                    ctr.merges += 1
-                    return READ_MERGE, pending_until - now
-                fetcher = cache.fetcher[slot]
-                if fetcher != -1 and fetcher != processor:
-                    ctr.prefetch_hits += 1
-                    cache.fetcher[slot] = -1
-                return _HIT
+        kern = self._kernels[cluster]
+        if self._n_sets != 1:
+            kern = kern[line % self._n_sets]
+        slot_of = kern[0]
+        slot = slot_of.get(line, -1)
+        if slot >= 0:
+            if self._ways is not None:
+                # LRU touch: delete + reinsert keeps dict order = LRU
+                del slot_of[line]
+                slot_of[line] = slot
+            pending_until = kern[2][slot]
+            if pending_until > now:
+                ctr.merges += 1
+                return READ_MERGE, pending_until - now
+            fetcher = kern[3][slot]
+            if fetcher != -1 and fetcher != processor:
+                ctr.prefetch_hits += 1
+                kern[3][slot] = -1
+            return _HIT
         if is_retry:
             # Line was invalidated while we were merged on its fill.
             ctr.merge_refetches += 1
@@ -236,11 +259,10 @@ class CoherentMemorySystem:
                 latency = self.latency.miss_cycles(cluster, home, owner, now)
                 result = (READ_MISS, latency)
             # Owner keeps the data but downgrades; reader joins the sharers.
-            if kernels is not None:
-                ok = kernels[owner]
-                ok[1][ok[0][line]] = SHARED
-            else:
-                self.caches[owner].downgrade(line)
+            ok = self._kernels[owner]
+            if self._n_sets != 1:
+                ok = ok[line % self._n_sets]
+            ok[1][ok[0][line]] = SHARED
             dtable[line] = (packed & -4) | (4 << cluster) | DIR_SHARED
         else:
             if self._flat:
@@ -251,7 +273,7 @@ class CoherentMemorySystem:
                 latency = self.latency.miss_cycles(cluster, home, None, now)
                 result = (READ_MISS, latency)
             dtable[line] = (packed & -4) | (4 << cluster) | DIR_SHARED
-        self._install(cluster, line, SHARED, now + latency, processor)
+        self._install(cluster, kern, line, SHARED, now + latency, processor)
         ctr.read_misses += 1
         ctr.by_cause[cause] += 1
         return result
@@ -270,41 +292,27 @@ class CoherentMemorySystem:
         ctr.writes += 1
         directory = self.directory
         dtable = self._dtable
-        kernels = self._kernels
-        if kernels is not None:
-            kern = kernels[cluster]
-            slot_of = kern[0]
-            slot = slot_of.get(line, -1)
-            if slot >= 0:
-                if self._capacity_lines is not None:
-                    del slot_of[line]
-                    slot_of[line] = slot
-                state_col = kern[1]
-                if state_col[slot] == EXCLUSIVE:
-                    return
-                # UPGRADE: present but SHARED -> invalidate other sharers.
-                ctr.upgrade_misses += 1
-                others = (dtable.get(line, 0) >> 2) & ~(1 << cluster)
-                if others:
-                    self._invalidate_bits(line, others)
-                    directory.invalidations_sent += others.bit_count()
-                dtable[line] = (4 << cluster) | DIR_EXCLUSIVE
-                state_col[slot] = EXCLUSIVE
+        kern = self._kernels[cluster]
+        if self._n_sets != 1:
+            kern = kern[line % self._n_sets]
+        slot_of = kern[0]
+        slot = slot_of.get(line, -1)
+        if slot >= 0:
+            if self._ways is not None:
+                del slot_of[line]
+                slot_of[line] = slot
+            state_col = kern[1]
+            if state_col[slot] == EXCLUSIVE:
                 return
-        else:
-            cache = self.caches[cluster]
-            slot = cache.lookup(line)
-            if slot >= 0:
-                if cache.state[slot] == EXCLUSIVE:
-                    return
-                ctr.upgrade_misses += 1
-                others = (dtable.get(line, 0) >> 2) & ~(1 << cluster)
-                if others:
-                    self._invalidate_bits(line, others)
-                    directory.invalidations_sent += others.bit_count()
-                dtable[line] = (4 << cluster) | DIR_EXCLUSIVE
-                cache.state[slot] = EXCLUSIVE
-                return
+            # UPGRADE: present but SHARED -> invalidate other sharers.
+            ctr.upgrade_misses += 1
+            others = (dtable.get(line, 0) >> 2) & ~(1 << cluster)
+            if others:
+                self._invalidate_bits(line, others)
+                directory.invalidations_sent += others.bit_count()
+            dtable[line] = (4 << cluster) | DIR_EXCLUSIVE
+            state_col[slot] = EXCLUSIVE
+            return
 
         # ---- WRITE miss: fetch exclusive; latency hidden, line pending.
         cause = self._history[cluster].get(line, _COLD)
@@ -337,50 +345,42 @@ class CoherentMemorySystem:
             self._invalidate_bits(line, others)
         directory.invalidations_sent += others.bit_count()
         dtable[line] = (4 << cluster) | DIR_EXCLUSIVE
-        self._install(cluster, line, EXCLUSIVE, now + latency, processor)
+        self._install(cluster, kern, line, EXCLUSIVE, now + latency, processor)
         ctr.write_misses += 1
         ctr.by_cause[cause] += 1
 
     # -------------------------------------------------- miss-path helpers
-    def _install(self, cluster: int, line: int, state: int,
+    def _install(self, cluster: int, kern: tuple, line: int, state: int,
                  pending_until: int, fetcher: int) -> None:
-        """Install ``line`` in ``cluster``'s cache, retiring any victim.
+        """Install ``line`` in its set ``kern`` of ``cluster``'s cache,
+        retiring any victim.
 
         An evicted victim's slot is recycled for the incoming line; the
         eviction writes CAPACITY into the cluster's history and notifies
         the directory (write-back for EXCLUSIVE, replacement hint for
         SHARED).
         """
-        kernels = self._kernels
-        if kernels is not None:
-            kern = kernels[cluster]
-            slot_of = kern[0]
-            state_col = kern[1]
-            cache = self.caches[cluster]
-            cap = self._capacity_lines
-            if cap is not None and len(slot_of) >= cap:
-                vline = next(iter(slot_of))
-                slot = slot_of.pop(vline)
-                vstate = state_col[slot]
-                cache.evictions += 1
-            else:
-                vline = None
-                free = kern[4]
-                slot = free.pop() if free else cache._grow()
-            state_col[slot] = state
-            kern[2][slot] = pending_until
-            kern[3][slot] = fetcher
-            cache.tag[slot] = line
-            slot_of[line] = slot
-            cache.inserts += 1
-            if vline is None:
-                return
+        slot_of = kern[0]
+        state_col = kern[1]
+        cache = self.caches[cluster]
+        ways = self._ways
+        if ways is not None and len(slot_of) >= ways:
+            vline = next(iter(slot_of))
+            slot = slot_of.pop(vline)
+            vstate = state_col[slot]
+            cache.evictions += 1
         else:
-            victim = self.caches[cluster].insert(line, state, pending_until,
-                                                 fetcher)
-            if victim is None:
-                return
-            vline, vstate = victim
+            vline = None
+            free = kern[4]
+            slot = free.pop() if free else cache._grow()
+        state_col[slot] = state
+        kern[2][slot] = pending_until
+        kern[3][slot] = fetcher
+        cache.tag[slot] = line
+        slot_of[line] = slot
+        cache.inserts += 1
+        if vline is None:
+            return
         self._history[cluster][vline] = _CAPACITY
         dtable = self._dtable
         if vstate == EXCLUSIVE:
@@ -412,37 +412,20 @@ class CoherentMemorySystem:
         """
         history = self._history
         kernels = self._kernels
-        if kernels is not None:
-            while bits:
-                low = bits & -bits
-                bits ^= low
-                cluster = low.bit_length() - 1
-                kern = kernels[cluster]
-                slot = kern[0].pop(line, -1)
-                if slot >= 0:
-                    kern[4].append(slot)
-                    history[cluster][line] = _COHERENCE
-        else:
-            caches = self.caches
-            while bits:
-                low = bits & -bits
-                bits ^= low
-                cluster = low.bit_length() - 1
-                if caches[cluster].invalidate(line):
-                    history[cluster][line] = _COHERENCE
+        n_sets = self._n_sets
+        while bits:
+            low = bits & -bits
+            bits ^= low
+            cluster = low.bit_length() - 1
+            kern = kernels[cluster]
+            if n_sets != 1:
+                kern = kern[line % n_sets]
+            slot = kern[0].pop(line, -1)
+            if slot >= 0:
+                kern[4].append(slot)
+                history[cluster][line] = _COHERENCE
 
     # ---------------------------------------------------------------- query
-    def aggregate_counters(self) -> MissCounters:
-        """Miss counters summed over all clusters."""
-        total = MissCounters()
-        for ctr in self.counters:
-            ctr.merged_into(total)
-        return total
-
-    def network_stats(self) -> NetworkStats | None:
-        """Interconnect counters (``None`` under the flat-table provider)."""
-        return self.latency.stats()
-
     def check_invariants(self) -> None:
         """Cross-check cache and directory state; raises on inconsistency.
 
@@ -455,8 +438,8 @@ class CoherentMemorySystem:
         * a line SHARED at the directory is SHARED in every cache whose bit
           is set (hints guarantee no stale bits);
         * a line without an entry is nowhere;
-        * no cache exceeds its capacity, and slab slot accounting balances
-          (every slot is either mapped by one line or on the free list).
+        * no set of any cache exceeds its ways, and slab slot accounting
+          balances (:meth:`MemorySystem.check_invariants`).
         """
         directory = self.directory
         seen = set()
@@ -489,18 +472,9 @@ class CoherentMemorySystem:
                             f"line {line:#x} EXCL owned by {owner} "
                             f"but cached at {cluster}")
         for cluster, cache in enumerate(self.caches):
-            if cache.capacity_lines is not None and len(cache) > cache.capacity_lines:
-                raise AssertionError(
-                    f"cache {cluster} over capacity: {len(cache)} > "
-                    f"{cache.capacity_lines}")
             for line in cache.resident_lines():
                 if line not in seen:
                     raise AssertionError(
                         f"line {line:#x} cached at {cluster} but pruned "
                         f"from the directory")
-            if type(cache) is FullyAssociativeCache:
-                if len(cache.slot_of) + len(cache.free) != len(cache.state):
-                    raise AssertionError(
-                        f"cache {cluster} slot leak: {len(cache.slot_of)} "
-                        f"mapped + {len(cache.free)} free != "
-                        f"{len(cache.state)} slots")
+        super().check_invariants()

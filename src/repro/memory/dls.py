@@ -38,11 +38,10 @@ against is ``RefDLSMemorySystem`` in ``tests/refmodel.py``.
 from __future__ import annotations
 
 from ..core.config import MachineConfig
-from ..core.metrics import MissCause, MissCounters, NetworkStats
-from ..network.latency import TableLatency, make_latency_provider
+from ..core.metrics import MissCause
 from .allocation import PageAllocator
-from .cache import EXCLUSIVE, SHARED, FullyAssociativeCache, make_cache
-from .coherence import READ_HIT, READ_MERGE, READ_MISS
+from .cache import EXCLUSIVE, SHARED
+from .coherence import READ_HIT, READ_MERGE, READ_MISS, MemorySystem
 
 __all__ = ["DLSMemorySystem"]
 
@@ -54,7 +53,7 @@ _COHERENCE = MissCause.COHERENCE
 _HIT = (READ_HIT, 0)
 
 
-class DLSMemorySystem:
+class DLSMemorySystem(MemorySystem):
     """Directoryless shared last-level cache: one slice per cluster.
 
     Parameters
@@ -70,18 +69,8 @@ class DLSMemorySystem:
 
     def __init__(self, config: MachineConfig,
                  allocator: PageAllocator | None = None) -> None:
-        self.config = config
-        self.allocator = allocator if allocator is not None else PageAllocator(
-            config.n_clusters, config.page_size, config.line_size)
-        if self.allocator.n_clusters != config.n_clusters:
-            raise ValueError(
-                f"allocator built for {self.allocator.n_clusters} clusters, "
-                f"machine has {config.n_clusters}")
-        self.latency = make_latency_provider(config)
-        capacity = config.cluster_cache_lines
-        self.caches = [make_cache(capacity, config.associativity)
-                       for _ in range(config.n_clusters)]
-        self.counters = [MissCounters() for _ in range(config.n_clusters)]
+        super().__init__(config, allocator, config.n_clusters,
+                         config.cluster_cache_lines)
         #: dirty home-slice evictions (the protocol's only write-back
         #: traffic; there is no directory to count them)
         self.writebacks = 0
@@ -91,9 +80,7 @@ class DLSMemorySystem:
         # The two line sets are disjoint per cluster, so one dict serves.
         self._history: list[dict[int, MissCause]] = [
             dict() for _ in range(config.n_clusters)]
-        self._cluster_shift = config.cluster_shift
         # --- hot-path precomputation (mirrors coherence.py) -----------
-        self._flat = isinstance(self.latency, TableLatency)
         model = config.latency
         self._local_clean = model.local_clean
         self._remote_clean = model.remote_clean
@@ -101,22 +88,8 @@ class DLSMemorySystem:
         self._t_remote = (READ_MISS, model.remote_clean)
         self._t_remote_fill = (READ_MISS,
                                model.remote_clean + model.local_clean)
-        self._page_home = self.allocator._page_home
-        self._lines_per_page = self.allocator._lines_per_page
-        self._kernels = (
-            [(c.slot_of, c.state, c.pending, c.fetcher, c.free)
-             for c in self.caches]
-            if all(type(c) is FullyAssociativeCache for c in self.caches)
-            else None)
-        self._capacity_lines = capacity
 
     # ------------------------------------------------------------------ hot
-    def cluster_of(self, processor: int) -> int:
-        """Cluster id for a processor (shift when cluster size is a power of 2)."""
-        if self._cluster_shift is not None:
-            return processor >> self._cluster_shift
-        return processor // self.config.cluster_size
-
     def read(self, processor: int, line: int, now: int,
              is_retry: bool = False) -> tuple[int, int]:
         """Process a read by ``processor`` to ``line`` at time ``now``.
@@ -137,42 +110,30 @@ class DLSMemorySystem:
         page_home = self._page_home.get(line // self._lines_per_page)
         home = (page_home if page_home is not None
                 else self.allocator.home_of_line(line))
-        kernels = self._kernels
+        # a line lives only in its home slice, so that is the one set probed
+        kern = self._kernels[home]
+        if self._n_sets != 1:
+            kern = kern[line % self._n_sets]
+        slot_of = kern[0]
+        slot = slot_of.get(line, -1)
+        if slot >= 0 and self._ways is not None:
+            # LRU touch: delete + reinsert keeps dict order = LRU
+            del slot_of[line]
+            slot_of[line] = slot
         history = self._history[cluster]
 
         if home == cluster:
             # ---- local slice: hit / merge / local fill
-            if kernels is not None:
-                kern = kernels[cluster]
-                slot_of = kern[0]
-                slot = slot_of.get(line, -1)
-                if slot >= 0:
-                    if self._capacity_lines is not None:
-                        del slot_of[line]
-                        slot_of[line] = slot
-                    pending_until = kern[2][slot]
-                    if pending_until > now:
-                        ctr.merges += 1
-                        return READ_MERGE, pending_until - now
-                    fetcher = kern[3][slot]
-                    if fetcher != -1 and fetcher != processor:
-                        ctr.prefetch_hits += 1
-                        kern[3][slot] = -1
-                    return _HIT
-            else:
-                kern = None
-                cache = self.caches[cluster]
-                slot = cache.lookup(line)
-                if slot >= 0:
-                    pending_until = cache.pending[slot]
-                    if pending_until > now:
-                        ctr.merges += 1
-                        return READ_MERGE, pending_until - now
-                    fetcher = cache.fetcher[slot]
-                    if fetcher != -1 and fetcher != processor:
-                        ctr.prefetch_hits += 1
-                        cache.fetcher[slot] = -1
-                    return _HIT
+            if slot >= 0:
+                pending_until = kern[2][slot]
+                if pending_until > now:
+                    ctr.merges += 1
+                    return READ_MERGE, pending_until - now
+                fetcher = kern[3][slot]
+                if fetcher != -1 and fetcher != processor:
+                    ctr.prefetch_hits += 1
+                    kern[3][slot] = -1
+                return _HIT
             if is_retry:
                 # pending line was evicted before the merged reader
                 # retried; it pays a fresh (capacity) miss
@@ -184,7 +145,8 @@ class DLSMemorySystem:
             else:
                 latency = self.latency.miss_cycles(cluster, home, None, now)
                 result = (READ_MISS, latency)
-            self._install(cluster, line, SHARED, now + latency, processor)
+            self._install(cluster, kern, line, SHARED, now + latency,
+                          processor)
             ctr.read_misses += 1
             ctr.by_cause[cause] += 1
             return result
@@ -192,20 +154,9 @@ class DLSMemorySystem:
         # ---- remote home: network transaction to the home slice
         cause = history.get(line, _COLD)
         history[line] = _COHERENCE
-        if kernels is not None:
-            hkern = kernels[home]
-            hslot_of = hkern[0]
-            hslot = hslot_of.get(line, -1)
-        else:
-            hslot = self.caches[home].lookup(line)
-        if hslot >= 0:
-            # home slice serves the line (touch its LRU position)
-            if kernels is not None and self._capacity_lines is not None:
-                del hslot_of[line]
-                hslot_of[line] = hslot
-            pending_until = (hkern[2][hslot] if kernels is not None
-                             else self.caches[home].pending[hslot])
-            queue = pending_until - now
+        if slot >= 0:
+            # home slice serves the line
+            queue = kern[2][slot] - now
             if self._flat:
                 if queue > 0:
                     result = (READ_MISS, self._remote_clean + queue)
@@ -225,7 +176,7 @@ class DLSMemorySystem:
                 result = (READ_MISS,
                           self.latency.miss_cycles(cluster, home, None, now)
                           + fill)
-            self._install(home, line, SHARED, now + fill, processor)
+            self._install(home, kern, line, SHARED, now + fill, processor)
         ctr.read_misses += 1
         ctr.by_cause[cause] += 1
         return result
@@ -247,121 +198,70 @@ class DLSMemorySystem:
         page_home = self._page_home.get(line // self._lines_per_page)
         home = (page_home if page_home is not None
                 else self.allocator.home_of_line(line))
-        kernels = self._kernels
-        history = self._history[cluster]
-
-        if home == cluster:
-            if kernels is not None:
-                kern = kernels[cluster]
-                slot_of = kern[0]
-                slot = slot_of.get(line, -1)
-                if slot >= 0:
-                    if self._capacity_lines is not None:
-                        del slot_of[line]
-                        slot_of[line] = slot
-                    kern[1][slot] = EXCLUSIVE
-                    return
-            else:
-                cache = self.caches[cluster]
-                slot = cache.lookup(line)
-                if slot >= 0:
-                    cache.state[slot] = EXCLUSIVE
-                    return
-            cause = history.get(line, _COLD)
-            latency = (self._local_clean if self._flat
-                       else self.latency.miss_cycles(cluster, home, None, now))
-            self._install(cluster, line, EXCLUSIVE, now + latency, processor)
+        kern = self._kernels[home]
+        if self._n_sets != 1:
+            kern = kern[line % self._n_sets]
+        slot_of = kern[0]
+        slot = slot_of.get(line, -1)
+        remote = home != cluster
+        if remote or slot < 0:
+            # a miss: the write leaves the cluster, or allocates locally
+            history = self._history[cluster]
             ctr.write_misses += 1
-            ctr.by_cause[cause] += 1
+            ctr.by_cause[history.get(line, _COLD)] += 1
+            if remote:
+                history[line] = _COHERENCE
+        if slot >= 0:
+            if self._ways is not None:
+                del slot_of[line]
+                slot_of[line] = slot
+            kern[1][slot] = EXCLUSIVE
             return
-
-        # ---- remote home: write-through to the home slice
-        cause = history.get(line, _COLD)
-        history[line] = _COHERENCE
-        ctr.write_misses += 1
-        ctr.by_cause[cause] += 1
-        if kernels is not None:
-            hkern = kernels[home]
-            hslot_of = hkern[0]
-            hslot = hslot_of.get(line, -1)
-            if hslot >= 0:
-                if self._capacity_lines is not None:
-                    del hslot_of[line]
-                    hslot_of[line] = hslot
-                hkern[1][hslot] = EXCLUSIVE
-                return
-        else:
-            cache = self.caches[home]
-            hslot = cache.lookup(line)
-            if hslot >= 0:
-                cache.state[hslot] = EXCLUSIVE
-                return
         # write-allocate at the home slice (memory fill at home)
         fill = (self._local_clean if self._flat
                 else self.latency.miss_cycles(home, home, None, now))
-        self._install(home, line, EXCLUSIVE, now + fill, processor)
+        self._install(home, kern, line, EXCLUSIVE, now + fill, processor)
 
     # ------------------------------------------------------------- internals
-    def _install(self, cluster: int, line: int, state: int,
+    def _install(self, cluster: int, kern: tuple, line: int, state: int,
                  pending_until: int, fetcher: int) -> None:
-        """Install ``line`` in ``cluster``'s slice, retiring any victim.
+        """Install ``line`` in its set ``kern`` of ``cluster``'s slice,
+        retiring any victim.
 
         Slices only ever hold lines homed at their cluster, so victim
         bookkeeping is purely local: the eviction writes CAPACITY into
         this cluster's history and a dirty victim counts a write-back.
         """
-        kernels = self._kernels
-        if kernels is not None:
-            kern = kernels[cluster]
-            slot_of = kern[0]
-            state_col = kern[1]
-            cache = self.caches[cluster]
-            cap = self._capacity_lines
-            if cap is not None and len(slot_of) >= cap:
-                vline = next(iter(slot_of))
-                slot = slot_of.pop(vline)
-                vstate = state_col[slot]
-                cache.evictions += 1
-                self._history[cluster][vline] = _CAPACITY
-                if vstate == EXCLUSIVE:
-                    self.writebacks += 1
-            else:
-                free = kern[4]
-                slot = free.pop() if free else cache._grow()
-            state_col[slot] = state
-            kern[2][slot] = pending_until
-            kern[3][slot] = fetcher
-            cache.tag[slot] = line
-            slot_of[line] = slot
-            cache.inserts += 1
+        slot_of = kern[0]
+        state_col = kern[1]
+        cache = self.caches[cluster]
+        ways = self._ways
+        if ways is not None and len(slot_of) >= ways:
+            vline = next(iter(slot_of))
+            slot = slot_of.pop(vline)
+            cache.evictions += 1
+            self._history[cluster][vline] = _CAPACITY
+            if state_col[slot] == EXCLUSIVE:
+                self.writebacks += 1
         else:
-            victim = self.caches[cluster].insert(line, state, pending_until,
-                                                 fetcher)
-            if victim is not None:
-                self._history[cluster][victim.line] = _CAPACITY
-                if victim.state == EXCLUSIVE:
-                    self.writebacks += 1
+            free = kern[4]
+            slot = free.pop() if free else cache._grow()
+        state_col[slot] = state
+        kern[2][slot] = pending_until
+        kern[3][slot] = fetcher
+        cache.tag[slot] = line
+        slot_of[line] = slot
+        cache.inserts += 1
 
     # ---------------------------------------------------------------- query
-    def aggregate_counters(self) -> MissCounters:
-        """Miss counters summed over all clusters."""
-        total = MissCounters()
-        for ctr in self.counters:
-            ctr.merged_into(total)
-        return total
-
-    def network_stats(self) -> NetworkStats | None:
-        """Interconnect counters (``None`` under the flat-table provider)."""
-        return self.latency.stats()
-
     def check_invariants(self) -> None:
         """Cross-check slice contents; raises on inconsistency.
 
         * every resident line lives in the slice of its home cluster
           (the protocol's defining invariant — a violation means two
           copies could exist);
-        * no slice exceeds its capacity, and slab slot accounting
-          balances (every slot mapped by one line or on the free list).
+        * no set of any slice exceeds its ways, and slab slot accounting
+          balances (:meth:`MemorySystem.check_invariants`).
         """
         for cluster, cache in enumerate(self.caches):
             for line in cache.resident_lines():
@@ -370,14 +270,4 @@ class DLSMemorySystem:
                     raise AssertionError(
                         f"line {line:#x} homed at {home} is cached in "
                         f"slice {cluster}")
-            if (cache.capacity_lines is not None
-                    and len(cache) > cache.capacity_lines):
-                raise AssertionError(
-                    f"slice {cluster} over capacity: {len(cache)} > "
-                    f"{cache.capacity_lines}")
-            if type(cache) is FullyAssociativeCache:
-                if len(cache.slot_of) + len(cache.free) != len(cache.state):
-                    raise AssertionError(
-                        f"slice {cluster} slot leak: {len(cache.slot_of)} "
-                        f"mapped + {len(cache.free)} free != "
-                        f"{len(cache.state)} slots")
+        super().check_invariants()

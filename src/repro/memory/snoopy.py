@@ -35,11 +35,10 @@ cache-to-cache transition tuple.
 from __future__ import annotations
 
 from ..core.config import MachineConfig
-from ..core.metrics import MissCause, MissCounters, NetworkStats
-from ..network.latency import make_latency_provider
+from ..core.metrics import MissCause
 from .allocation import PageAllocator
-from .cache import EXCLUSIVE, SHARED, Eviction, make_cache
-from .coherence import READ_HIT, READ_MERGE, READ_MISS
+from .cache import EXCLUSIVE, SHARED, Eviction
+from .coherence import READ_HIT, READ_MERGE, READ_MISS, MemorySystem
 from .directory import DIR_EXCLUSIVE, Directory
 
 __all__ = ["SnoopyClusterMemorySystem", "DEFAULT_SNOOP_PENALTY",
@@ -61,7 +60,7 @@ _INVALIDATED = 2
 _HIT = (READ_HIT, 0)
 
 
-class SnoopyClusterMemorySystem:
+class SnoopyClusterMemorySystem(MemorySystem):
     """Per-processor caches + intra-cluster snooping + inter-cluster
     directory.
 
@@ -80,52 +79,30 @@ class SnoopyClusterMemorySystem:
                  allocator: PageAllocator | None = None,
                  snoop_penalty: int = DEFAULT_SNOOP_PENALTY,
                  c2c_latency: int = DEFAULT_C2C_LATENCY) -> None:
-        self.config = config
-        self.allocator = allocator if allocator is not None else PageAllocator(
-            config.n_clusters, config.page_size, config.line_size)
-        if self.allocator.n_clusters != config.n_clusters:
-            raise ValueError("allocator cluster count mismatch")
+        super().__init__(config, allocator, config.n_processors,
+                         config.processor_cache_lines)
         self.directory = Directory(config.n_clusters)
-        self.latency = make_latency_provider(config)
-        self.caches = [make_cache(config.processor_cache_lines,
-                                  config.associativity)
-                       for _ in range(config.n_processors)]
-        self.counters = [MissCounters() for _ in range(config.n_clusters)]
         self.snoop_penalty = snoop_penalty
         self.c2c_latency = c2c_latency
         self.c2c_transfers = 0
         self._history: list[dict[int, int]] = [dict()
                                                for _ in range(config.n_processors)]
-        self._cluster_shift = config.cluster_shift
         # each cluster's processor ids, computed once — _snoop walks this
         # on every miss, and range objects are reusable
         self._procs = [config.processors_of(c)
                        for c in range(config.n_clusters)]
         self._t_c2c = (READ_MISS, c2c_latency)
-        # residency probes during snooping are plain dict-membership tests
-        # when every cache is fully associative (the usual organisation)
-        from .cache import FullyAssociativeCache
-        self._slot_maps = ([c.slot_of for c in self.caches]
-                           if all(type(c) is FullyAssociativeCache
-                                  for c in self.caches) else None)
+        # every processor's sets, so a snoop's residency probes are plain
+        # dict-membership tests
+        self._sets = [c.sets for c in self.caches]
 
     # ------------------------------------------------------------------ hot
-    def cluster_of(self, processor: int) -> int:
-        if self._cluster_shift is not None:
-            return processor >> self._cluster_shift
-        return processor // self.config.cluster_size
-
     def _snoop(self, line: int, cluster: int, exclude: int) -> int | None:
         """Find a cluster-mate (≠ exclude) holding ``line``; returns its id."""
-        slot_maps = self._slot_maps
-        if slot_maps is not None:
-            for q in self._procs[cluster]:
-                if q != exclude and line in slot_maps[q]:
-                    return q
-            return None
-        caches = self.caches
+        sets = self._sets
+        index = line % self._n_sets
         for q in self._procs[cluster]:
-            if q != exclude and caches[q].peek(line) >= 0:
+            if q != exclude and line in sets[q][index]:
                 return q
         return None
 
@@ -257,16 +234,6 @@ class SnoopyClusterMemorySystem:
         return MissCause.CAPACITY
 
     # ---------------------------------------------------------------- query
-    def aggregate_counters(self) -> MissCounters:
-        total = MissCounters()
-        for ctr in self.counters:
-            ctr.merged_into(total)
-        return total
-
-    def network_stats(self) -> NetworkStats | None:
-        """Interconnect counters (``None`` under the flat-table provider)."""
-        return self.latency.stats()
-
     def check_invariants(self) -> None:
         """Cross-check processor caches against the directory.
 
@@ -276,8 +243,9 @@ class SnoopyClusterMemorySystem:
         * A cluster without its sharer bit set caches the line nowhere.
         * A sharer cluster holds at least one copy (hints fire only when
           the whole cluster drops the line).
+        * Every processor cache's slot accounting balances
+          (:meth:`MemorySystem.check_invariants`).
         """
-        from .directory import DIR_EXCLUSIVE as _EXCL
         directory = self.directory
         for line in directory.lines():
             state = directory.state_of(line)
@@ -296,7 +264,7 @@ class SnoopyClusterMemorySystem:
                     raise AssertionError(
                         f"line {line:#x}: sharer bit set for cluster "
                         f"{cluster} but no processor caches it")
-                if state == _EXCL:
+                if state == DIR_EXCLUSIVE:
                     if cluster != directory.owner_of(line):
                         raise AssertionError(
                             f"line {line:#x}: cached outside owner cluster")
@@ -307,3 +275,4 @@ class SnoopyClusterMemorySystem:
                     raise AssertionError(
                         f"line {line:#x}: EXCLUSIVE copy under a SHARED "
                         f"directory state")
+        super().check_invariants()

@@ -64,6 +64,7 @@ import json
 import mmap
 import os
 import sys
+import threading
 import warnings
 import zlib
 from array import array
@@ -535,6 +536,9 @@ def trace_key(app: str, app_kwargs: Mapping[str, Any], config: Any,
 
 _memory_lru: OrderedDict[str, CompiledProgram] = OrderedDict()
 _memory_lru_bytes = 0
+#: guards every read-modify-write of the two names above: the serial
+#: backend and the daemon run points on threads that share this LRU
+_memory_lru_lock = threading.Lock()
 
 
 def _byte_budget() -> int:
@@ -548,8 +552,9 @@ def _byte_budget() -> int:
 def clear_memory_cache() -> None:
     """Drop every in-memory trace (tests and cold benchmarks use this)."""
     global _memory_lru_bytes
-    _memory_lru.clear()
-    _memory_lru_bytes = 0
+    with _memory_lru_lock:
+        _memory_lru.clear()
+        _memory_lru_bytes = 0
 
 
 def memory_cache_len() -> int:
@@ -564,11 +569,14 @@ def memory_cache_bytes() -> int:
 
 def trace_cache_info() -> dict[str, Any]:
     """Process-wide trace-LRU accounting (daemon ``/stats``, diagnostics)."""
+    with _memory_lru_lock:
+        programs = list(_memory_lru.values())
+        resident = _memory_lru_bytes
     return {
-        "entries": len(_memory_lru),
-        "mapped_entries": sum(1 for p in _memory_lru.values() if p.mapped),
-        "resident_bytes": _memory_lru_bytes,
-        "payload_bytes": sum(p.nbytes for p in _memory_lru.values()),
+        "entries": len(programs),
+        "mapped_entries": sum(1 for p in programs if p.mapped),
+        "resident_bytes": resident,
+        "payload_bytes": sum(p.nbytes for p in programs),
         "budget_bytes": _byte_budget(),
     }
 
@@ -585,7 +593,9 @@ class TraceCache:
     an optional :class:`~repro.core.resultcache.TraceStore` on disk, which
     is what lets separate ``--jobs`` worker processes and separate CLI
     invocations reuse traces.  Disk loads are **memory-mapped**
-    (zero-copy, ~0 resident cost).
+    (zero-copy, ~0 resident cost).  Tier 1 is shared by threads too (the
+    serial backend's and the daemon's workers), so one module lock guards
+    its order and its byte count.
 
     Instances are cheap and picklable (the LRU is module state, the store
     carries only a path), so executors ship them to pool workers as-is.
@@ -628,11 +638,12 @@ class TraceCache:
         A corrupt disk entry degrades to a miss with a ``UserWarning``; the
         caller recompiles and :meth:`put` overwrites the bad entry.
         """
-        program = _memory_lru.get(key)
-        if program is not None:
-            _memory_lru.move_to_end(key)
-            self.memory_hits += 1
-            return program
+        with _memory_lru_lock:
+            program = _memory_lru.get(key)
+            if program is not None:
+                _memory_lru.move_to_end(key)
+                self.memory_hits += 1
+                return program
         if self.store is not None:
             program = self._load_disk(key)
             if program is not None:
@@ -651,15 +662,16 @@ class TraceCache:
     @staticmethod
     def _remember(key: str, program: CompiledProgram) -> None:
         global _memory_lru_bytes
-        old = _memory_lru.pop(key, None)
-        if old is not None:
-            _memory_lru_bytes -= old.resident_nbytes
-        _memory_lru[key] = program
-        _memory_lru_bytes += program.resident_nbytes
         budget = _byte_budget()
-        while len(_memory_lru) > 1 and _memory_lru_bytes > budget:
-            _, evicted = _memory_lru.popitem(last=False)
-            _memory_lru_bytes -= evicted.resident_nbytes
+        with _memory_lru_lock:
+            old = _memory_lru.pop(key, None)
+            if old is not None:
+                _memory_lru_bytes -= old.resident_nbytes
+            _memory_lru[key] = program
+            _memory_lru_bytes += program.resident_nbytes
+            while len(_memory_lru) > 1 and _memory_lru_bytes > budget:
+                _, evicted = _memory_lru.popitem(last=False)
+                _memory_lru_bytes -= evicted.resident_nbytes
 
     # ------------------------------------------------------------- plumbing
     @property

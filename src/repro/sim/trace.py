@@ -53,10 +53,6 @@ class TraceRecord:
     kind: int          # KIND_READ or KIND_WRITE
     line: int
 
-    @property
-    def is_read(self) -> bool:
-        return self.kind == KIND_READ
-
 
 @dataclass
 class ReferenceTrace:

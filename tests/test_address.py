@@ -121,12 +121,6 @@ class TestAddressSpace:
         with pytest.raises(ValueError):
             AddressSpace(page_size=100, line_size=64)
 
-    def test_bytes_allocated_grows(self):
-        sp = AddressSpace()
-        assert sp.bytes_allocated == 0
-        sp.allocate("a", 1)
-        assert sp.bytes_allocated == sp.page_size
-
     def test_regions_sorted_by_base(self):
         sp = AddressSpace()
         sp.allocate("z", 1)

@@ -74,32 +74,13 @@ class TestExplicitPlacement:
     def test_place_range_empty(self):
         al = PageAllocator(n_clusters=2)
         al.place_range(0, 0, 1)
-        assert al.pages_bound == 0
+        assert not al.page_homes
 
     def test_place_region(self):
         al = PageAllocator(n_clusters=2)
         r = Region("r", base=8192, size=4096)
         al.place_region(r, 1)
         assert al.home_of_line(8192 // 64) == 1
-
-    def test_place_region_blocked_cycles_clusters(self):
-        al = PageAllocator(n_clusters=2)
-        r = Region("r", base=0, size=4096 * 4)
-        al.place_region_blocked(r, 4)
-        homes = [al.bound_home(p) for p in range(4)]
-        assert homes == [0, 1, 0, 1]
-
-    def test_place_region_blocked_degenerate(self):
-        al = PageAllocator(n_clusters=2)
-        r = Region("r", base=0, size=4096)
-        al.place_region_blocked(r, 100)  # partitions smaller than a page
-        assert al.bound_home(0) == 0
-
-    def test_make_stack_local(self):
-        al = PageAllocator(n_clusters=4)
-        al.make_stack(processor=5, cluster=2, base=10 * 4096, size=8192)
-        assert al.home_of_line(10 * LINES_PER_PAGE) == 2
-        assert al.home_of_line(11 * LINES_PER_PAGE) == 2
 
     def test_invalid_cluster_rejected(self):
         al = PageAllocator(n_clusters=2)
@@ -113,13 +94,13 @@ class TestQueries:
     def test_bound_home_no_side_effect(self):
         al = PageAllocator(n_clusters=2)
         assert al.bound_home(0) is None
-        assert al.pages_bound == 0
+        assert not al.page_homes
 
     def test_home_histogram(self):
         al = PageAllocator(n_clusters=3)
         for p in range(6):
             al.home_of_line(p * LINES_PER_PAGE)
-        assert al.home_histogram() == [2, 2, 2]
+        assert sorted(al.page_homes.values()) == [0, 0, 1, 1, 2, 2]
 
     def test_constructor_validation(self):
         with pytest.raises(ValueError):

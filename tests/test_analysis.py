@@ -107,8 +107,3 @@ class TestMissAnalysis:
         for c, row in anatomy.items():
             assert row["load_plus_merge"] == pytest.approx(
                 row["load"] + row["merge"])
-
-    def test_communication_fraction(self, sweep):
-        rows = miss_breakdown(sweep)
-        for r in rows:
-            assert 0.0 <= r.communication_fraction <= 1.0

@@ -80,7 +80,7 @@ class TestContract:
         from repro.sim.program import OP_READ, OP_WRITE
         app = tiny_app(name)
         app.ensure_setup()
-        hi = app.space.bytes_allocated + app.space.page_size
+        hi = max(r.end for r in app.space.regions()) + app.space.page_size
         checked = 0
         for op, arg in app.program(0):
             if op in (OP_READ, OP_WRITE):

@@ -223,6 +223,16 @@ class TestParser:
             assert exc.value.code == 2
         assert "Traceback" not in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [
+        ["--quick", "--paper-scale", "run", "lu"],
+        ["--paper-scale", "run", "lu", "--quick"],
+    ], ids=["before", "split"])
+    def test_contradictory_tiers_exit_2(self, argv, capsys):
+        """``--quick --paper-scale`` used to run paper scale silently."""
+        assert run_cli(*argv) == 2
+        captured = capsys.readouterr()
+        assert "mutually exclusive" in captured.err and captured.out == ""
+
     def test_bad_network_load_rejected(self, capsys):
         with pytest.raises(SystemExit) as exc:
             run_cli(*BASE, "network", "ocean", "--loads", "0,1.5")
@@ -334,6 +344,16 @@ class TestProtocolFlag:
             times[proto] = out
         # dls pays mandatory remote traffic, so its summary must differ
         assert times["dls"] != times["directory"]
+
+    def test_trace_records_under_the_selected_protocol(self, capsys):
+        durations = {}
+        for proto in ("directory", "dls"):
+            assert run_cli(*BASE, "--protocol", proto, "trace", "fft",
+                           "--clusters", "2") == 0
+            out = capsys.readouterr().out
+            durations[proto] = next(line for line in out.splitlines()
+                                    if "duration" in line)
+        assert durations["dls"] != durations["directory"]
 
     def test_default_protocol_output_is_unchanged(self, capsys):
         # spelling out the default must be byte-identical to omitting it

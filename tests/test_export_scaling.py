@@ -79,10 +79,6 @@ class TestScalingCurve:
         assert s[4] == 1.0
         assert s[8] == pytest.approx(1000 / 600)
 
-    def test_speedup_over(self):
-        a, b = ScalingPoint(4, 1000), ScalingPoint(8, 500)
-        assert b.speedup_over(a) == 2.0
-
     def test_effective_processors_rollover(self):
         # 4->8 gives 1.67x (effective), 8->16 gives 1.09x (not)
         c = ScalingCurve("x", 1, [ScalingPoint(4, 1000),

@@ -12,11 +12,13 @@ shared-cache organisation, so both memory systems must produce the same
 simulation result.
 """
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.memory.cache import (EXCLUSIVE, SHARED, FullyAssociativeCache,
-                                SetAssociativeCache)
+from repro.core.config import PROTOCOLS, MachineConfig
+from repro.memory import make_memory_system
+from repro.memory.cache import EXCLUSIVE, SHARED, Cache
 from repro.memory.directory import DIR_EXCLUSIVE, Directory
 
 from refmodel import (RefDirectory, RefFullyAssociativeCache,
@@ -74,14 +76,19 @@ def _drive(flat, ref, ops):
             assert flat.fetcher_of(resident) == entry.fetcher
         assert flat.evictions == ref.evictions
         assert flat.inserts == ref.inserts
+        flat.check_slots()
 
 
 @settings(max_examples=200, deadline=None)
 @given(capacity=st.one_of(st.none(), st.integers(min_value=1, max_value=12)),
+       surplus_ways=st.one_of(st.none(), st.integers(min_value=0, max_value=3)),
        ops=st.lists(_cache_op, max_size=60))
-def test_fully_associative_matches_reference(capacity, ops):
-    _drive(FullyAssociativeCache(capacity), RefFullyAssociativeCache(capacity),
-           ops)
+def test_fully_associative_matches_reference(capacity, surplus_ways, ops):
+    """One set: no associativity, or ways that cover the whole capacity."""
+    ways = None if surplus_ways is None else (capacity or 1) + surplus_ways
+    flat = Cache(capacity, ways)
+    assert flat.n_sets == 1
+    _drive(flat, RefFullyAssociativeCache(capacity), ops)
 
 
 @settings(max_examples=200, deadline=None)
@@ -89,14 +96,14 @@ def test_fully_associative_matches_reference(capacity, ops):
        ops=st.lists(_cache_op, max_size=60))
 def test_set_associative_matches_reference(shape, ops):
     capacity, assoc = shape
-    _drive(SetAssociativeCache(capacity, assoc),
-           RefSetAssociativeCache(capacity, assoc), ops)
+    _drive(Cache(capacity, assoc), RefSetAssociativeCache(capacity, assoc),
+           ops)
 
 
 @settings(max_examples=100, deadline=None)
 @given(ops=st.lists(_cache_op, max_size=200))
 def test_infinite_cache_matches_reference(ops):
-    _drive(FullyAssociativeCache(None), RefFullyAssociativeCache(None), ops)
+    _drive(Cache(None), RefFullyAssociativeCache(None), ops)
 
 
 # ------------------------------------------------------------- directory
@@ -174,6 +181,44 @@ def test_directory_prunes_dead_entries():
     assert len(d) == 0
 
 
+# ------------------------------------ slot accounting, protocol × geometry
+
+def _machine(protocol, associativity):
+    # 8 lines per processor: 40 lines over 2-processor clusters conflict
+    return make_memory_system(MachineConfig(
+        n_processors=8, cluster_size=2, cache_kb_per_processor=0.5,
+        associativity=associativity, protocol=protocol))
+
+
+@pytest.mark.parametrize("associativity", [None, 2, 1],
+                         ids=["full", "2-way", "direct-mapped"])
+@pytest.mark.parametrize("protocol", PROTOCOLS)
+@settings(max_examples=25, deadline=None)
+@given(accesses=st.lists(st.tuples(st.integers(0, 7), _LINES, st.booleans()),
+                         min_size=1, max_size=250))
+def test_invariants_hold_on_every_geometry(protocol, associativity, accesses):
+    mem = _machine(protocol, associativity)
+    for step, (proc, line, is_write) in enumerate(accesses):
+        if is_write:
+            mem.write(proc, line, 200 * step)
+        else:
+            mem.read(proc, line, 200 * step)
+    mem.check_invariants()
+    assert mem.aggregate_counters().references == len(accesses)
+
+
+@pytest.mark.parametrize("protocol", PROTOCOLS)
+def test_check_invariants_catches_a_leaked_slot_in_a_two_way_cache(protocol):
+    mem = _machine(protocol, 2)
+    for proc in range(8):
+        mem.read(proc, proc, 0)
+    mem.check_invariants()
+    leaky = next(free for free in mem.caches[0].free if free)
+    leaky.pop()
+    with pytest.raises(AssertionError, match="cache 0 set .* slot leak"):
+        mem.check_invariants()
+
+
 # ------------------------- snoopy vs directory, single-processor clusters
 
 def test_snoopy_matches_directory_at_cluster_size_one():
@@ -181,7 +226,6 @@ def test_snoopy_matches_directory_at_cluster_size_one():
     snoop: the snoopy organisation degenerates to the shared-cache one,
     and both memory systems must simulate identically."""
     from repro.apps.registry import build_app
-    from repro.core.config import MachineConfig
     from repro.memory.coherence import CoherentMemorySystem
     from repro.memory.snoopy import SnoopyClusterMemorySystem
     from repro.sim.engine import Engine

@@ -177,7 +177,7 @@ def _assert_native_matches_python(config, factory):
     allocator = _allocator(config)
     out = run_native(_LIB, config, allocator, program)
 
-    assert allocator.pages_bound == 0  # read, never written
+    assert not allocator.page_homes  # read, never written
     assert out.execution_time == reference.execution_time
     assert out.breakdowns == reference.per_processor
     assert out.counters == reference.per_cluster_misses

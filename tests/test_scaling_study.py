@@ -159,6 +159,22 @@ class TestScalingCLI:
         assert payload[0]["speedups_clustered"] \
             == {str(k): v for k, v in study["speedups_clustered"].items()}
 
+    def test_protocol_flag_reaches_every_point(self, tmp_path, capsys):
+        argv = ["scaling", "lu", "--counts", "4,8", "--clusters", "2",
+                "--no-cache", "--json"]
+        speedups = {}
+        for proto in ("directory", "dls"):
+            out = tmp_path / f"{proto}.json"
+            assert main(["--protocol", proto, *argv, str(out)]) in (0, 1)
+            payload = json.loads(out.read_text(encoding="utf-8"))
+            speedups[proto] = (payload[0]["speedups_unclustered"],
+                               payload[0]["speedups_clustered"])
+        assert speedups["dls"] != speedups["directory"]
+        study = scaling_study("lu", "quick", cluster_size=2,
+                              processor_counts=(4, 8), protocol="dls")
+        assert speedups["dls"][1] \
+            == {str(k): v for k, v in study["speedups_clustered"].items()}
+
     def test_jobs_and_result_cache_reproduce_the_serial_output(self, capsys):
         argv = ["scaling", "lu", "--counts", "8,16"]
         assert main(["--no-cache", *argv]) == 0

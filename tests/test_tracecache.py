@@ -1,5 +1,7 @@
 """Trace keys and the two-tier (memory LRU + disk) compiled-trace cache."""
 
+import sys
+import threading
 import warnings
 
 import pytest
@@ -10,8 +12,9 @@ from repro.core.resultcache import TraceStore
 from repro.runtime import RunRequest, RunSession
 from repro.sim.compiled import (ENV_TRACE_LRU_BYTES, TraceCache,
                                 clear_memory_cache, compile_program,
-                                memory_cache_len, trace_key)
-from repro.sim.program import OP_WORK
+                                memory_cache_bytes, memory_cache_len,
+                                trace_cache_info, trace_key)
+from repro.sim.program import OP_READ, OP_WORK
 
 
 @pytest.fixture(autouse=True)
@@ -145,6 +148,50 @@ class TestTraceCache:
         cache = TraceCache()
         cache.get("missing")
         assert "1 misses" in cache.stats()
+
+    def test_byte_accounting_survives_threads(self, monkeypatch):
+        """The serial backend and the daemon evaluate points on threads
+        that share the LRU: a lost update of its byte count would either
+        evict too early forever or overrun the budget."""
+        monkeypatch.setenv(ENV_TRACE_LRU_BYTES, "200000")
+
+        def program_of(n_ops):
+            return compile_program(
+                lambda pid: ((OP_WORK, i + 1) if i % 2 else (OP_READ, 64 * i)
+                             for i in range(n_ops)), 2, 64)
+        programs = [program_of(100 * (k + 1)) for k in range(23)]
+        assert len({p.resident_nbytes for p in programs}) == len(programs)
+        failures = []
+
+        def hammer(seed):
+            cache = TraceCache()
+            try:
+                for i in range(4000):
+                    k = (seed * 7 + i * 5) % len(programs)
+                    if i % 3:
+                        cache.put(f"k{k}", programs[k])
+                    else:
+                        cache.get(f"k{k}")
+            except Exception as exc:  # noqa: BLE001 - reported below
+                failures.append(exc)
+
+        threads = [threading.Thread(target=hammer, args=(seed,))
+                   for seed in range(8)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert failures == []
+        info = trace_cache_info()
+        # nothing here is mapped, so payload bytes are the resident bytes
+        assert memory_cache_bytes() == info["resident_bytes"] \
+            == info["payload_bytes"] <= 200000
 
 
 # ----------------------------------------------------------- executor usage
