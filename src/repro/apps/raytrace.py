@@ -3,10 +3,9 @@ analog; the paper ran the "Balls4" scene).
 
 Paper characterization (Tables 2-3): read-only, unstructured communication;
 a *large* working set (rays reflect, so a processor's rays wander over much
-of the scene); pixel plane partitioned like Ocean's grid with processors
-writing only their own pixels; scene data read-only and distributed
-randomly; an octree imposed on the scene for efficiency, whose top levels
-everybody shares.  Figure 2: ≤10% gain even at 8-way clustering (prefetching
+of the scene); pixel plane partitioned like Ocean's grid; scene data
+read-only and distributed randomly; an octree imposed on the scene for
+efficiency, whose top levels everybody shares.  Figure 2: ≤10% gain even at 8-way clustering (prefetching
 of cold scene data); Figure 4: working-set overlap keeps helping even at
 32 KB caches because the working set is large.
 
@@ -14,8 +13,18 @@ Implementation: reflective spheres in the unit cube, an octree built over
 them (subdivide while a node holds more than a few spheres), orthographic
 camera, Lambertian shading plus specular reflection up to ``max_depth``
 bounces.  Rays traverse the shared octree (node reads), test spheres
-(sphere-record reads) and write only their own pixel tile.  All
+(sphere-record reads) and write the pixel they were cast for.  All
 intersection math is real and the rendered image is deterministic.
+
+The pixel plane is *not* statically partitioned here: :meth:`program` is a
+lock-protected global queue of ``queue_tile``-square tiles (SPLASH
+RAYTRACE's task queues — static tiles idle the processors whose tiles miss
+the scene), any processor may render any tile, and :meth:`setup`
+interleaves the pixel pages because no tile has a natural owner.  Which
+tile a processor takes next is decided by the order the simulated machine
+grants that lock, and it is the only thing simulated time decides — the
+references a tile emits are a pure function of the tile — so the queue
+alone makes the app ``stream_invariant = False``.
 """
 
 from __future__ import annotations

@@ -3,8 +3,8 @@ rendered a human head from a CT scan).
 
 Paper characterization (Tables 2-3): read-only, quite unstructured
 communication; a *quite small* O(∛n) working set — unlike Raytrace, rays do
-not reflect, so each processor's rays stay inside the slab of volume behind
-its pixel tile.  Figure 2: benefits from clustering slightly larger than
+not reflect, so the rays of a pixel tile stay inside the slab of volume
+behind it.  Figure 2: benefits from clustering slightly larger than
 Barnes/FMM but under 10%; Figure 8: strong working-set overlap benefit
 around the 16 KB cache size.
 
@@ -13,9 +13,18 @@ skull, brain) — voxelized onto an n³ density grid.  A min/max octree is
 imposed on the volume ("both applications impose an octree ... for
 efficiency which is shared"): rays march front-to-back with early ray
 termination, skipping blocks whose octree node reports only transparent
-voxels.  Each processor renders its own pixel tile (tiled like Ocean's
-grid) and writes only its own pixels; the volume and octree pages are
-interleaved across clusters.
+voxels.  The volume and octree pages are interleaved across clusters.
+
+No processor owns a part of the image: :meth:`program` is a lock-protected
+global queue of ``queue_tile``-square tiles (SPLASH VOLREND steals tasks —
+a static partition idles the processors whose tiles miss the head), any
+processor may render any tile, and :meth:`setup` interleaves the pixel
+pages (laid out tile-contiguously, like Ocean's grid) because tile
+ownership is dynamic.  Which tile a processor takes next is decided by the
+order the simulated machine grants that lock, and it is the only thing
+simulated time decides — a tile's rays, samples and pixel writes are a pure
+function of the tile — so the queue alone makes the app
+``stream_invariant = False``.
 
 The tests check the render against a brute-force march (octree skipping
 must not change the image) and basic anatomy (head opaque, corners empty).

@@ -695,8 +695,9 @@ def _add_global_options(p: argparse.ArgumentParser, *,
                    "auto: native when a compiler or cached artifact exists)")
     p.add_argument("--timeout", type=_positive_float, default=dflt(None),
                    metavar="SECS",
-                   help="per-point wall-clock limit (process backend only); "
-                   "a late point reports an error, the sweep continues")
+                   help="per-point wall-clock limit; needs --jobs N (N > 1), "
+                   "the serial backend cannot abandon a point; a late "
+                   "point reports an error, the sweep continues")
     p.add_argument("--no-cache", action="store_true", default=dflt(False),
                    help="bypass the persistent result cache entirely "
                    "(neither read nor write)")
@@ -884,11 +885,24 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+def _ignored_flag(args: argparse.Namespace) -> str | None:
+    """Why this flag combination would silently change nothing, if it would."""
+    if args.quick and args.paper_scale:
+        return "--quick and --paper-scale are mutually exclusive"
+    if args.func is cmd_scaling and (args.quick or args.paper_scale):
+        return ("scaling sizes its problems with --tier, not "
+                "--quick/--paper-scale")
+    if args.timeout is not None and args.jobs == 1:
+        return ("--timeout needs --jobs N (N > 1): the serial backend "
+                "cannot abandon a point")
+    return None
+
+
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    if args.quick and args.paper_scale:
-        print("repro-clustering: --quick and --paper-scale are mutually "
-              "exclusive", file=sys.stderr)
+    problem = _ignored_flag(args)
+    if problem:
+        print(f"repro-clustering: {problem}", file=sys.stderr)
         return 2
     clean = False
     try:

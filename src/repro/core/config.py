@@ -92,7 +92,8 @@ class LatencyModel:
             raise ValueError(f"no hit latency tabulated at or below {cluster_size}")
         return best
 
-    def miss_cycles(self, requester: int, home: int, dirty_owner: int | None) -> int:
+    def miss_cycles(self, requester: int, home: int, dirty_owner: int | None,
+                    now: int = 0) -> int:
         """Latency of a miss serviced by the directory protocol.
 
         Parameters
@@ -104,6 +105,10 @@ class LatencyModel:
         dirty_owner:
             Cluster holding the line EXCLUSIVE, or ``None`` when the
             directory can supply the data itself (NOT_CACHED / SHARED).
+        now:
+            Issue time; ignored (a flat table has no state).  Taking it
+            makes this rule itself the flat latency provider's
+            ``miss_cycles``, with no wrapping frame per miss.
         """
         if dirty_owner is None:
             return self.local_clean if requester == home else self.remote_clean
@@ -313,19 +318,6 @@ class MachineConfig:
     def n_clusters(self) -> int:
         """Number of clusters (= directory/memory nodes) in the machine."""
         return self.n_processors // self.cluster_size
-
-    @property
-    def cluster_shift(self) -> int | None:
-        """Right-shift turning a processor id into its cluster id, or ``None``.
-
-        Defined only when ``cluster_size`` is a power of two (every paper
-        configuration); the memory systems use it to replace the per-access
-        division in ``cluster_of`` with a shift.
-        """
-        size = self.cluster_size
-        if size & (size - 1) == 0:
-            return size.bit_length() - 1
-        return None
 
     @property
     def cluster_cache_lines(self) -> int | None:

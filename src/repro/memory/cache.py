@@ -119,13 +119,15 @@ class Cache:
         or ways covering the whole capacity give one fully associative set
         (:func:`fully_associative`); otherwise it must divide the capacity.
 
-    The per-slot columns and the per-set ``sets``/``free`` lists are public
-    on purpose: the protocol back ends bind them once per cache as *kernel
-    tuples* (:meth:`kernels`) and run their hot paths as plain dict/array
-    operations.  All invariants (slot lifecycle, LRU order) are maintained
-    by the methods here; external writers must keep them the same way —
-    a slot leaves ``sets[i]`` only into ``free[i]`` or straight to the
-    line that evicted it.
+    The per-slot columns and the per-set ``sets`` dicts are public on
+    purpose: the protocol back ends bind them once per cache as *kernel
+    tuples* (:meth:`kernels`) and run their **hit** paths as plain
+    dict/array operations.  The slot lifecycle — a slot leaves ``sets[i]``
+    only into ``free[i]`` or straight to the line that evicted it — is
+    kept by the methods here alone; the only external writers are those
+    hit paths: the LRU touch (delete + reinsert of a resident line's own
+    mapping), ``fetcher`` (the prefetch benefit is counted once) and
+    ``state`` on a write hit.
     """
 
     __slots__ = ("capacity_lines", "ways", "n_sets", "sets", "free", "state",
@@ -169,10 +171,10 @@ class Cache:
         self.inserts = 0
 
     def kernels(self) -> list[tuple]:
-        """One ``(slot_of, state, pending, fetcher, free)`` tuple per set:
-        the set's index dict and free list beside the shared columns."""
-        return [(slot_of, self.state, self.pending, self.fetcher, free)
-                for slot_of, free in zip(self.sets, self.free)]
+        """One ``(slot_of, state, pending, fetcher)`` tuple per set: the
+        set's index dict beside the shared columns a hit reads."""
+        return [(slot_of, self.state, self.pending, self.fetcher)
+                for slot_of in self.sets]
 
     def _grow(self) -> int:
         """Extend all columns in place; returns a fresh slot.

@@ -22,44 +22,43 @@ The protocol operates at *cluster* granularity: all processors behind one
 shared cache are a single coherence participant, which is exactly the
 mechanism by which clustering obviates communication.
 
-Hot-path layout
----------------
+Hits inline, misses through the API
+-----------------------------------
 The two hot entry points, :meth:`CoherentMemorySystem.read` and
 :meth:`CoherentMemorySystem.write`, take line numbers (the simulation engine
-divides byte addresses by the line size once) and run against **flat
-state**, allocating nothing per access:
+divides byte addresses by the line size once).  They make the split
+``kernel.c`` makes:
 
-* each cluster's cache is bound once as *kernel tuples*
-  ``(slot_of, state, pending, fetcher, free)`` — one per set of
-  :class:`~repro.memory.cache.Cache`, the set's index dict and free list
-  beside the shared slab columns — so a hit is a dict probe plus two array
-  indexings and a miss recycles the victim's slot in place.  The paper's
-  fully associative cache is one set and binds its tuple directly; a
-  set-associative cache selects the tuple with ``line % n_sets``, the one
-  place an operation looks at the geometry;
-* the directory is its packed-int table (``dict line -> (mask << 2) |
-  state``), so directory transitions are single int ops and the sole-owner
-  writeback test is one comparison;
-* the four flat Table-1 miss latencies return **interned** ``(READ_MISS,
-  latency)`` transition tuples instead of allocating a fresh pair per miss;
+* what runs on **every reference** is inline on the set's *kernel tuple*
+  ``(slot_of, state, pending, fetcher)`` — the set's index dict beside the
+  shared slab columns of :class:`~repro.memory.cache.Cache`, bound once per
+  cache — so a hit is a dict probe plus two list indexings and allocates
+  nothing.  The paper's fully associative cache is one set and binds its
+  tuple directly; a set-associative cache selects the tuple with
+  ``line % n_sets``, the one place an operation looks at the geometry;
+* what runs only on a **miss, upgrade or eviction** is a call into the one
+  tested implementation of that step: :meth:`Cache.insert` /
+  ``invalidate`` / ``downgrade`` for the slab, the five
+  :class:`~repro.memory.directory.Directory` transitions for the packed
+  table, and ``price(requester, home, owner, now)`` — the latency
+  provider's ``miss_cycles`` (Table 1, or the stateful mesh) — for the
+  stall.  A miss *reads* the line's packed directory entry once (state,
+  owner and sharers decode from that int) and never writes one;
 * ``hits`` and ``references`` are *derived* on
   :class:`~repro.core.metrics.MissCounters` (see there), so the hit path
   increments one counter, not three.
 
-A hop-based provider (MeshLatency) is stateful — contention queues,
-counters — so it keeps the ``miss_cycles`` call and per-miss tuple.
-
 :class:`MemorySystem` holds what the three protocol back ends (this one,
 :mod:`~repro.memory.snoopy`, :mod:`~repro.memory.dls`) share outside their
-hot methods: construction, the processor → cluster mapping, the counters
-and the cache-slot half of ``check_invariants``.
+hot methods: construction, the processor → cluster mapping, ``price``, the
+counters and the cache-slot half of ``check_invariants``.
 """
 
 from __future__ import annotations
 
 from ..core.config import MachineConfig
 from ..core.metrics import MissCause, MissCounters, NetworkStats
-from ..network.latency import TableLatency, make_latency_provider
+from ..network.latency import make_latency_provider
 from .allocation import PageAllocator
 from .cache import EXCLUSIVE, SHARED, Cache
 from .directory import DIR_EXCLUSIVE, DIR_SHARED, NOT_CACHED, Directory
@@ -108,16 +107,18 @@ class MemorySystem:
         # miss pricing goes through a pluggable provider; the default
         # flat-table provider is bit-identical to config.latency
         self.latency = make_latency_provider(config)
-        self._flat = isinstance(self.latency, TableLatency)
+        #: ``price(requester, home, owner, now)`` -> stall cycles of a miss
+        self._price = self.latency.miss_cycles
         self.caches = [Cache(cache_lines, config.associativity)
                        for _ in range(n_caches)]
         self.counters = [MissCounters() for _ in range(config.n_clusters)]
-        self._cluster_shift = config.cluster_shift
+        self._cluster_of = [p // config.cluster_size
+                            for p in range(config.n_processors)]
         # live views of allocator page bindings for the in-line home lookup
         # (first touch of a page still goes through the allocator)
         self._page_home = self.allocator._page_home
         self._lines_per_page = self.allocator._lines_per_page
-        # The hot paths run on each cache's kernel tuples as plain
+        # The hit paths run on each cache's kernel tuples as plain
         # dict/array ops, with no method call and no per-line object.  One
         # fully associative set (the paper's model) is bound as the tuple
         # itself, so only n_sets != 1 pays the ``line % n_sets`` selection.
@@ -127,10 +128,8 @@ class MemorySystem:
                          for c in self.caches]
 
     def cluster_of(self, processor: int) -> int:
-        """Cluster id for a processor (shift when cluster size is a power of 2)."""
-        if self._cluster_shift is not None:
-            return processor >> self._cluster_shift
-        return processor // self.config.cluster_size
+        """Cluster id for a processor."""
+        return self._cluster_of[processor]
 
     def aggregate_counters(self) -> MissCounters:
         """Miss counters summed over all clusters."""
@@ -170,21 +169,6 @@ class CoherentMemorySystem(MemorySystem):
         # Per-cluster line history for cold/coherence/capacity classification
         # (see the module-level comment above _COLD for the encoding).
         self._history: list[dict[int, MissCause]] = [dict() for _ in range(config.n_clusters)]
-        # --- hot-path precomputation ----------------------------------
-        # The flat Table-1 latencies are inlined on the miss path (the
-        # dominant per-op cost of a simulation) and their (READ_MISS,
-        # latency) transition tuples are interned up front.
-        model = config.latency
-        self._local_clean = model.local_clean
-        self._remote_clean = model.remote_clean
-        self._local_dirty_remote = model.local_dirty_remote
-        self._remote_dirty_3p = model.remote_dirty_third_party
-        self._t_local_clean = (READ_MISS, model.local_clean)
-        self._t_remote_clean = (READ_MISS, model.remote_clean)
-        self._t_local_dirty = (READ_MISS, model.local_dirty_remote)
-        self._t_remote_dirty_3p = (READ_MISS, model.remote_dirty_third_party)
-        # the directory's packed table, bound once for in-line transitions
-        self._dtable = self.directory.packed
 
     # ------------------------------------------------------------------ hot
     def read(self, processor: int, line: int, now: int,
@@ -199,16 +183,8 @@ class CoherentMemorySystem(MemorySystem):
 
         ``is_retry`` suppresses double-counting of the reference when the
         engine re-issues a merged read.
-
-        The miss path inlines the classify / directory-transaction
-        sequence: it runs once per miss — the dominant per-op cost of a
-        whole simulation — and the Python frames it saves are worth the
-        longer method body.  Installing the line and retiring its victim
-        is :meth:`_install`, shared with :meth:`write`.
         """
-        shift = self._cluster_shift
-        cluster = (processor >> shift if shift is not None
-                   else processor // self.config.cluster_size)
+        cluster = self._cluster_of[processor]
         ctr = self.counters[cluster]
         if not is_retry:
             ctr.reads += 1
@@ -240,58 +216,31 @@ class CoherentMemorySystem(MemorySystem):
         page_home = self._page_home.get(line // self._lines_per_page)
         home = (page_home if page_home is not None
                 else self.allocator.home_of_line(line))
-        dtable = self._dtable
-        packed = dtable.get(line, 0)
-        if packed & 3 == DIR_EXCLUSIVE:
-            owner = packed.bit_length() - 3
-            if self._flat:
-                if owner == cluster:
-                    raise ValueError(
-                        "requesting cluster cannot be the dirty owner on a miss")
-                if cluster == home:
-                    result = self._t_local_dirty
-                elif owner == home:
-                    result = self._t_remote_clean
-                else:
-                    result = self._t_remote_dirty_3p
-                latency = result[1]
-            else:
-                latency = self.latency.miss_cycles(cluster, home, owner, now)
-                result = (READ_MISS, latency)
-            # Owner keeps the data but downgrades; reader joins the sharers.
-            ok = self._kernels[owner]
-            if self._n_sets != 1:
-                ok = ok[line % self._n_sets]
-            ok[1][ok[0][line]] = SHARED
-            dtable[line] = (packed & -4) | (4 << cluster) | DIR_SHARED
+        directory = self.directory
+        # the one read of the packed entry (encoding: directory.py)
+        packed = directory.packed.get(line, 0)
+        owner = packed.bit_length() - 3 if packed & 3 == DIR_EXCLUSIVE else None
+        latency = self._price(cluster, home, owner, now)
+        if owner is None:
+            directory.record_read_fill(line, cluster)
         else:
-            if self._flat:
-                result = (self._t_local_clean if cluster == home
-                          else self._t_remote_clean)
-                latency = result[1]
-            else:
-                latency = self.latency.miss_cycles(cluster, home, None, now)
-                result = (READ_MISS, latency)
-            dtable[line] = (packed & -4) | (4 << cluster) | DIR_SHARED
-        self._install(cluster, kern, line, SHARED, now + latency, processor)
+            # Owner keeps the data but downgrades; reader joins the sharers.
+            self.caches[owner].downgrade(line)
+            directory.downgrade_owner(line, cluster)
+        self._install(cluster, line, SHARED, now + latency, processor)
         ctr.read_misses += 1
         ctr.by_cause[cause] += 1
-        return result
+        return READ_MISS, latency
 
     def write(self, processor: int, line: int, now: int) -> None:
         """Process a write by ``processor`` to ``line`` at time ``now``.
 
         Writes never stall (store buffer + relaxed consistency); they update
         protocol state, classify the miss, and leave missing lines pending.
-        Like :meth:`read`, the miss and upgrade paths are inlined.
         """
-        shift = self._cluster_shift
-        cluster = (processor >> shift if shift is not None
-                   else processor // self.config.cluster_size)
+        cluster = self._cluster_of[processor]
         ctr = self.counters[cluster]
         ctr.writes += 1
-        directory = self.directory
-        dtable = self._dtable
         kern = self._kernels[cluster]
         if self._n_sets != 1:
             kern = kern[line % self._n_sets]
@@ -306,11 +255,12 @@ class CoherentMemorySystem(MemorySystem):
                 return
             # UPGRADE: present but SHARED -> invalidate other sharers.
             ctr.upgrade_misses += 1
-            others = (dtable.get(line, 0) >> 2) & ~(1 << cluster)
+            directory = self.directory
+            # sharer mask minus this cluster (packed encoding: directory.py)
+            others = (directory.packed.get(line, 0) >> 2) & ~(1 << cluster)
             if others:
                 self._invalidate_bits(line, others)
-                directory.invalidations_sent += others.bit_count()
-            dtable[line] = (4 << cluster) | DIR_EXCLUSIVE
+            directory.record_exclusive(line, cluster)
             state_col[slot] = EXCLUSIVE
             return
 
@@ -319,86 +269,37 @@ class CoherentMemorySystem(MemorySystem):
         page_home = self._page_home.get(line // self._lines_per_page)
         home = (page_home if page_home is not None
                 else self.allocator.home_of_line(line))
-        packed = dtable.get(line, 0)
-        if packed & 3 == DIR_EXCLUSIVE:
-            owner = packed.bit_length() - 3
-            if self._flat:
-                if owner == cluster:
-                    raise ValueError(
-                        "requesting cluster cannot be the dirty owner on a miss")
-                if cluster == home:
-                    latency = self._local_dirty_remote
-                elif owner == home:
-                    latency = self._remote_clean
-                else:
-                    latency = self._remote_dirty_3p
-            else:
-                latency = self.latency.miss_cycles(cluster, home, owner, now)
-        else:
-            if self._flat:
-                latency = (self._local_clean if cluster == home
-                           else self._remote_clean)
-            else:
-                latency = self.latency.miss_cycles(cluster, home, None, now)
+        directory = self.directory
+        packed = directory.packed.get(line, 0)
+        owner = packed.bit_length() - 3 if packed & 3 == DIR_EXCLUSIVE else None
+        latency = self._price(cluster, home, owner, now)
         others = (packed >> 2) & ~(1 << cluster)
         if others:
             self._invalidate_bits(line, others)
-        directory.invalidations_sent += others.bit_count()
-        dtable[line] = (4 << cluster) | DIR_EXCLUSIVE
-        self._install(cluster, kern, line, EXCLUSIVE, now + latency, processor)
+        directory.record_exclusive(line, cluster)
+        self._install(cluster, line, EXCLUSIVE, now + latency, processor)
         ctr.write_misses += 1
         ctr.by_cause[cause] += 1
 
     # -------------------------------------------------- miss-path helpers
-    def _install(self, cluster: int, kern: tuple, line: int, state: int,
+    def _install(self, cluster: int, line: int, state: int,
                  pending_until: int, fetcher: int) -> None:
-        """Install ``line`` in its set ``kern`` of ``cluster``'s cache,
-        retiring any victim.
+        """Install ``line`` in ``cluster``'s cache, retiring any victim.
 
-        An evicted victim's slot is recycled for the incoming line; the
-        eviction writes CAPACITY into the cluster's history and notifies
-        the directory (write-back for EXCLUSIVE, replacement hint for
-        SHARED).
+        The eviction writes CAPACITY into the cluster's history and
+        notifies the directory: a write-back for EXCLUSIVE, and for SHARED
+        a replacement hint, so the directory never sends a useless
+        invalidation later.
         """
-        slot_of = kern[0]
-        state_col = kern[1]
-        cache = self.caches[cluster]
-        ways = self._ways
-        if ways is not None and len(slot_of) >= ways:
-            vline = next(iter(slot_of))
-            slot = slot_of.pop(vline)
-            vstate = state_col[slot]
-            cache.evictions += 1
-        else:
-            vline = None
-            free = kern[4]
-            slot = free.pop() if free else cache._grow()
-        state_col[slot] = state
-        kern[2][slot] = pending_until
-        kern[3][slot] = fetcher
-        cache.tag[slot] = line
-        slot_of[line] = slot
-        cache.inserts += 1
-        if vline is None:
+        victim = self.caches[cluster].insert(line, state, pending_until,
+                                             fetcher)
+        if victim is None:
             return
-        self._history[cluster][vline] = _CAPACITY
-        dtable = self._dtable
-        if vstate == EXCLUSIVE:
-            # writeback: data returns home, line NOT_CACHED (pruned)
-            if dtable.get(vline, 0) == (4 << cluster) | DIR_EXCLUSIVE:
-                del dtable[vline]
-                self.directory.writebacks += 1
+        self._history[cluster][victim.line] = _CAPACITY
+        if victim.state == EXCLUSIVE:
+            self.directory.writeback(victim.line, cluster)
         else:
-            # replacement hint: clear the sharer bit so the directory never
-            # sends a useless invalidation later; prune when the mask empties
-            vpacked = dtable.get(vline)
-            if vpacked is not None:
-                vpacked &= ~(4 << cluster)
-                self.directory.replacement_hints += 1
-                if vpacked >> 2:
-                    dtable[vline] = vpacked
-                else:
-                    del dtable[vline]
+            self.directory.replacement_hint(victim.line, cluster)
 
     def _invalidate_bits(self, line: int, bits: int) -> None:
         """Instantaneously invalidate the cached copies named by ``bits``.
@@ -410,20 +311,12 @@ class CoherentMemorySystem(MemorySystem):
         order, same as the old shift-scan) so a write to a line shared by
         few of many clusters doesn't walk every bit position.
         """
-        history = self._history
-        kernels = self._kernels
-        n_sets = self._n_sets
         while bits:
             low = bits & -bits
             bits ^= low
             cluster = low.bit_length() - 1
-            kern = kernels[cluster]
-            if n_sets != 1:
-                kern = kern[line % n_sets]
-            slot = kern[0].pop(line, -1)
-            if slot >= 0:
-                kern[4].append(slot)
-                history[cluster][line] = _COHERENCE
+            if self.caches[cluster].invalidate(line):
+                self._history[cluster][line] = _COHERENCE
 
     # ---------------------------------------------------------------- query
     def check_invariants(self) -> None:

@@ -56,10 +56,11 @@ class Directory:
     """Map from line number to packed entry int; absent means NOT_CACHED.
 
     The table (``packed``) is a plain ``dict[int, int]`` and is public on
-    purpose: the coherence layer's miss path reads and writes entries as
-    single dict/int operations.  All multi-step transitions live here;
-    bookkeeping counters track protocol traffic that the analysis layer
-    reports (invalidations sent, replacement hints received, writebacks).
+    purpose: the coherence layer's miss path reads an entry once and
+    decodes state, owner and sharers from the int.  Every transition —
+    every write to the table — lives here, and nowhere else; bookkeeping
+    counters track protocol traffic that the analysis layer reports
+    (invalidations sent, replacement hints received, writebacks).
     """
 
     __slots__ = ("n_clusters", "packed", "invalidations_sent",

@@ -29,10 +29,12 @@ The class exposes the same hot interface as
 ``network_stats`` / ``check_invariants``), so the engine, the stats
 assembler, and the study driver accept it interchangeably; runs select
 it through the protocol registry (``MachineConfig.protocol = "dls"``).
-Like the other backends it runs on the slab cache columns via kernel
-tuples — no per-line objects on the hot path — and interns the flat
-Table-1 transition tuples.  The object-per-line oracle it is pinned
-against is ``RefDLSMemorySystem`` in ``tests/refmodel.py``.
+Like the directory back end it probes, touches and accounts hits inline
+on the slab's kernel tuples — no per-line objects, no call per local hit —
+and goes through :meth:`Cache.insert` and ``price`` for everything else
+(see :mod:`~repro.memory.coherence`, "Hits inline, misses through the
+API").  The object-per-line oracle it is pinned against is
+``RefDLSMemorySystem`` in ``tests/refmodel.py``.
 """
 
 from __future__ import annotations
@@ -80,14 +82,6 @@ class DLSMemorySystem(MemorySystem):
         # The two line sets are disjoint per cluster, so one dict serves.
         self._history: list[dict[int, MissCause]] = [
             dict() for _ in range(config.n_clusters)]
-        # --- hot-path precomputation (mirrors coherence.py) -----------
-        model = config.latency
-        self._local_clean = model.local_clean
-        self._remote_clean = model.remote_clean
-        self._t_local = (READ_MISS, model.local_clean)
-        self._t_remote = (READ_MISS, model.remote_clean)
-        self._t_remote_fill = (READ_MISS,
-                               model.remote_clean + model.local_clean)
 
     # ------------------------------------------------------------------ hot
     def read(self, processor: int, line: int, now: int,
@@ -101,9 +95,7 @@ class DLSMemorySystem(MemorySystem):
         flight queues behind it (the wait is folded into the returned
         stall), so the engine's retry machinery is local-only.
         """
-        shift = self._cluster_shift
-        cluster = (processor >> shift if shift is not None
-                   else processor // self.config.cluster_size)
+        cluster = self._cluster_of[processor]
         ctr = self.counters[cluster]
         if not is_retry:
             ctr.reads += 1
@@ -139,47 +131,27 @@ class DLSMemorySystem(MemorySystem):
                 # retried; it pays a fresh (capacity) miss
                 ctr.merge_refetches += 1
             cause = history.get(line, _COLD)
-            if self._flat:
-                result = self._t_local
-                latency = self._local_clean
-            else:
-                latency = self.latency.miss_cycles(cluster, home, None, now)
-                result = (READ_MISS, latency)
-            self._install(cluster, kern, line, SHARED, now + latency,
-                          processor)
+            latency = self._price(cluster, home, None, now)
+            self._install(cluster, line, SHARED, now + latency, processor)
             ctr.read_misses += 1
             ctr.by_cause[cause] += 1
-            return result
+            return READ_MISS, latency
 
-        # ---- remote home: network transaction to the home slice
+        # ---- remote home: network transaction to the home slice, plus
+        # whatever the request waits for there
         cause = history.get(line, _COLD)
         history[line] = _COHERENCE
         if slot >= 0:
-            # home slice serves the line
-            queue = kern[2][slot] - now
-            if self._flat:
-                if queue > 0:
-                    result = (READ_MISS, self._remote_clean + queue)
-                else:
-                    result = self._t_remote
-            else:
-                latency = self.latency.miss_cycles(cluster, home, None, now)
-                result = (READ_MISS, latency + max(queue, 0))
+            # home slice serves the line (queued behind a fill in flight)
+            wait = max(kern[2][slot] - now, 0)
         else:
             # home slice misses too: memory fill at home, then forward;
             # the line installs in the home slice on the way through
-            if self._flat:
-                fill = self._local_clean
-                result = self._t_remote_fill
-            else:
-                fill = self.latency.miss_cycles(home, home, None, now)
-                result = (READ_MISS,
-                          self.latency.miss_cycles(cluster, home, None, now)
-                          + fill)
-            self._install(home, kern, line, SHARED, now + fill, processor)
+            wait = self._price(home, home, None, now)
+            self._install(home, line, SHARED, now + wait, processor)
         ctr.read_misses += 1
         ctr.by_cause[cause] += 1
-        return result
+        return READ_MISS, self._price(cluster, home, None, now) + wait
 
     def write(self, processor: int, line: int, now: int) -> None:
         """Process a write by ``processor`` to ``line`` at time ``now``.
@@ -190,9 +162,7 @@ class DLSMemorySystem(MemorySystem):
         miss because it leaves the cluster.  With a single cached copy
         there is nothing to invalidate, so there are no upgrade misses.
         """
-        shift = self._cluster_shift
-        cluster = (processor >> shift if shift is not None
-                   else processor // self.config.cluster_size)
+        cluster = self._cluster_of[processor]
         ctr = self.counters[cluster]
         ctr.writes += 1
         page_home = self._page_home.get(line // self._lines_per_page)
@@ -218,40 +188,24 @@ class DLSMemorySystem(MemorySystem):
             kern[1][slot] = EXCLUSIVE
             return
         # write-allocate at the home slice (memory fill at home)
-        fill = (self._local_clean if self._flat
-                else self.latency.miss_cycles(home, home, None, now))
-        self._install(home, kern, line, EXCLUSIVE, now + fill, processor)
+        fill = self._price(home, home, None, now)
+        self._install(home, line, EXCLUSIVE, now + fill, processor)
 
     # ------------------------------------------------------------- internals
-    def _install(self, cluster: int, kern: tuple, line: int, state: int,
+    def _install(self, cluster: int, line: int, state: int,
                  pending_until: int, fetcher: int) -> None:
-        """Install ``line`` in its set ``kern`` of ``cluster``'s slice,
-        retiring any victim.
+        """Install ``line`` in ``cluster``'s slice, retiring any victim.
 
         Slices only ever hold lines homed at their cluster, so victim
         bookkeeping is purely local: the eviction writes CAPACITY into
         this cluster's history and a dirty victim counts a write-back.
         """
-        slot_of = kern[0]
-        state_col = kern[1]
-        cache = self.caches[cluster]
-        ways = self._ways
-        if ways is not None and len(slot_of) >= ways:
-            vline = next(iter(slot_of))
-            slot = slot_of.pop(vline)
-            cache.evictions += 1
-            self._history[cluster][vline] = _CAPACITY
-            if state_col[slot] == EXCLUSIVE:
+        victim = self.caches[cluster].insert(line, state, pending_until,
+                                             fetcher)
+        if victim is not None:
+            self._history[cluster][victim.line] = _CAPACITY
+            if victim.state == EXCLUSIVE:
                 self.writebacks += 1
-        else:
-            free = kern[4]
-            slot = free.pop() if free else cache._grow()
-        state_col[slot] = state
-        kern[2][slot] = pending_until
-        kern[3][slot] = fetcher
-        cache.tag[slot] = line
-        slot_of[line] = slot
-        cache.inserts += 1
 
     # ---------------------------------------------------------------- query
     def check_invariants(self) -> None:

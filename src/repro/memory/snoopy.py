@@ -27,9 +27,8 @@ The class exposes the same hot interface as
 accept either interchangeably.  Like the shared-cache system it runs on the
 slab cache columns (slot-indexed state, no per-line objects), derives
 ``hits``/``references`` on :class:`~repro.core.metrics.MissCounters`
-instead of incrementing them, precomputes each cluster's processor range
-once (``_snoop`` walks the bus on every miss), and interns the
-cache-to-cache transition tuple.
+instead of incrementing them, and precomputes each cluster's processor
+range once (``_snoop`` walks the bus on every miss).
 """
 
 from __future__ import annotations
@@ -91,7 +90,6 @@ class SnoopyClusterMemorySystem(MemorySystem):
         # on every miss, and range objects are reusable
         self._procs = [config.processors_of(c)
                        for c in range(config.n_clusters)]
-        self._t_c2c = (READ_MISS, c2c_latency)
         # every processor's sets, so a snoop's residency probes are plain
         # dict-membership tests
         self._sets = [c.sets for c in self.caches]
@@ -110,9 +108,7 @@ class SnoopyClusterMemorySystem(MemorySystem):
              is_retry: bool = False) -> tuple[int, int]:
         """Read with snooping: own-cache hit, cache-to-cache transfer, or
         directory transaction (+ bus penalty)."""
-        shift = self._cluster_shift
-        cluster = (processor >> shift if shift is not None
-                   else processor // self.config.cluster_size)
+        cluster = self._cluster_of[processor]
         ctr = self.counters[cluster]
         if not is_retry:
             ctr.reads += 1
@@ -130,13 +126,8 @@ class SnoopyClusterMemorySystem(MemorySystem):
         # Snoop the cluster bus first: cache-to-cache sharing opportunity.
         holder = self._snoop(line, cluster, processor)
         if holder is not None:
-            holder_cache = self.caches[holder]
-            hslot = holder_cache.peek(line)
-            assert hslot >= 0
-            if holder_cache.state[hslot] == EXCLUSIVE:
-                holder_cache.state[hslot] = SHARED  # intra-cluster downgrade
-            result = self._t_c2c
-            latency = result[1]
+            self.caches[holder].downgrade(line)  # intra-cluster downgrade
+            latency = self.c2c_latency
             self.c2c_transfers += 1
             # directory already lists this cluster; no global transaction
         else:
@@ -145,24 +136,21 @@ class SnoopyClusterMemorySystem(MemorySystem):
             if (directory.state_of(line) == DIR_EXCLUSIVE
                     and not directory.only_sharer_is(line, cluster)):
                 owner = directory.owner_of(line)
-                latency = self.latency.miss_cycles(cluster, home, owner, now)
+                latency = self._price(cluster, home, owner, now)
                 self._downgrade_cluster(owner, line)
                 directory.downgrade_owner(line, cluster)
             else:
-                latency = self.latency.miss_cycles(cluster, home, None, now)
+                latency = self._price(cluster, home, None, now)
                 directory.record_read_fill(line, cluster)
             latency += self.snoop_penalty
-            result = (READ_MISS, latency)
         self._install(processor, line, SHARED, now + latency)
         ctr.read_misses += 1
         ctr.by_cause[cause] += 1
-        return result
+        return READ_MISS, latency
 
     def write(self, processor: int, line: int, now: int) -> None:
         """Write: invalidate every other copy (bus upstream + directory)."""
-        shift = self._cluster_shift
-        cluster = (processor >> shift if shift is not None
-                   else processor // self.config.cluster_size)
+        cluster = self._cluster_of[processor]
         ctr = self.counters[cluster]
         ctr.writes += 1
         cache = self.caches[processor]
@@ -185,7 +173,7 @@ class SnoopyClusterMemorySystem(MemorySystem):
             cache.state[slot] = EXCLUSIVE
         else:
             home = self.allocator.home_of_line(line)
-            latency = self.latency.miss_cycles(cluster, home, None, now) \
+            latency = self._price(cluster, home, None, now) \
                 + self.snoop_penalty
             self._install(processor, line, EXCLUSIVE, now + latency)
 
@@ -210,10 +198,8 @@ class SnoopyClusterMemorySystem(MemorySystem):
 
     def _downgrade_cluster(self, cluster: int, line: int) -> None:
         for q in self._procs[cluster]:
-            cache = self.caches[q]
-            slot = cache.peek(line)
-            if slot >= 0 and cache.state[slot] == EXCLUSIVE:
-                cache.state[slot] = SHARED
+            if line in self.caches[q]:
+                self.caches[q].downgrade(line)
 
     def _invalidate_other_clusters(self, line: int, keeper: int) -> None:
         bits = self.directory.sharer_mask(line) & ~(1 << keeper)

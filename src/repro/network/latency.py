@@ -83,21 +83,17 @@ class LatencyProvider(Protocol):
 
 
 class TableLatency:
-    """The paper's flat Table 1 latencies (delegates to ``LatencyModel``).
+    """The paper's flat Table 1 latencies: ``LatencyModel``'s own rules.
 
-    Bit-identical to the historical direct calls — same values, same
-    ``ValueError`` on a requester that owns the line it misses on.
+    ``hit_cycles`` and ``miss_cycles`` *are* the model's bound methods, not
+    wrappers around them — a miss is priced in one python call — so the
+    values and the ``ValueError`` on a requester that owns the line it
+    misses on are the model's by construction.
     """
 
     def __init__(self, model: LatencyModel) -> None:
-        self.model = model
-
-    def hit_cycles(self, cluster_size: int) -> int:
-        return self.model.hit_cycles(cluster_size)
-
-    def miss_cycles(self, requester: int, home: int,
-                    dirty_owner: int | None, now: int = 0) -> int:
-        return self.model.miss_cycles(requester, home, dirty_owner)
+        self.hit_cycles = model.hit_cycles
+        self.miss_cycles = model.miss_cycles
 
     def stats(self) -> NetworkStats | None:
         return None

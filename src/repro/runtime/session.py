@@ -217,6 +217,12 @@ class RunSession:
                     "cycles": result.execution_time}
             if outcome.kernel is not None:
                 info["kernel"] = outcome.kernel
+            elif outcome.program is not None:
+                # a dynamic app's recording run was the execution: the
+                # generators on the python engine, captured as they ran
+                # (there is no separate ``capture`` phase to say so)
+                info.update(recorded=True, ops=outcome.program.total_ops,
+                            source_ops=outcome.program.source_ops)
             if outcome.kernel == "python":
                 from ..sim.nativereplay import native_decline_reason
                 # an eligible machine on python means the kernel itself

@@ -299,7 +299,7 @@ class TestEveryGeometry:
         for index, kern in enumerate(kernels):
             assert kern[0] is cache.sets[index]
             assert kern[1] is cache.state and kern[2] is cache.pending
-            assert kern[3] is cache.fetcher and kern[4] is cache.free[index]
+            assert kern[3] is cache.fetcher and len(kern) == 4
 
     def test_miss_then_hit(self, cache):
         assert cache.lookup(5) == -1 and 5 not in cache

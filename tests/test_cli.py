@@ -233,6 +233,38 @@ class TestParser:
         captured = capsys.readouterr()
         assert "mutually exclusive" in captured.err and captured.out == ""
 
+    @pytest.mark.parametrize("argv", [
+        ["--timeout", "5", "run", "ocean"],
+        ["run", "ocean", "--timeout", "5"],
+        ["--jobs", "1", "fig2", "--apps", "ocean", "--timeout", "5"],
+    ], ids=["before", "after", "jobs-one"])
+    def test_timeout_without_a_pool_exits_2(self, argv, capsys):
+        """The serial backend cannot abandon a point: ``--timeout`` without
+        ``--jobs N`` used to be accepted and ignored."""
+        assert run_cli(*BASE, *argv) == 2
+        captured = capsys.readouterr()
+        assert "--jobs N" in captured.err and captured.out == ""
+        assert len(captured.err.splitlines()) == 1
+
+    def test_timeout_with_a_pool_is_accepted(self):
+        args = cli.build_parser().parse_args(
+            ["--jobs", "2", "run", "ocean", "--timeout", "5"])
+        assert cli._ignored_flag(args) is None
+
+    @pytest.mark.parametrize("argv", [
+        ["--quick", "scaling", "lu"],
+        ["scaling", "lu", "--quick"],
+        ["--paper-scale", "scaling", "raytrace"],
+        ["scaling", "raytrace", "--paper-scale"],
+    ], ids=["quick-before", "quick-after", "paper-before", "paper-after"])
+    def test_tier_flags_on_scaling_exit_2(self, argv, capsys):
+        """``--paper-scale scaling raytrace`` used to run the quick tier:
+        ``scaling`` sizes its problems with ``--tier`` only."""
+        assert run_cli(*argv) == 2
+        captured = capsys.readouterr()
+        assert "--tier" in captured.err and captured.out == ""
+        assert len(captured.err.splitlines()) == 1
+
     def test_bad_network_load_rejected(self, capsys):
         with pytest.raises(SystemExit) as exc:
             run_cli(*BASE, "network", "ocean", "--loads", "0,1.5")

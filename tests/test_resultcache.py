@@ -7,6 +7,8 @@ simulation input and the corrupt-entry-is-a-miss contract.
 """
 
 import json
+import sys
+import threading
 
 import pytest
 
@@ -150,6 +152,47 @@ class TestGetPut:
         cache = ResultCache(tmp_path)
         cache.put("k" * 64, tiny_result())
         assert [p.suffix for p in tmp_path.iterdir()] == [".json"]
+
+    def test_two_writers_racing_one_key_never_tear_it(self, tmp_path):
+        """``--jobs`` workers and the daemon can finish the same point at
+        once: a reader must see one writer's whole entry or none — never
+        a blend — and the race leaves one file behind."""
+        first, second = tiny_result(), tiny_result()
+        second.execution_time = 456
+        valid = {first.to_json(), second.to_json()}
+        assert len(valid) == 2
+        key = "r" * 64
+        failures = []
+
+        def hammer(seed):
+            cache = ResultCache(tmp_path)   # one per writer, as processes have
+            mine = second if seed % 2 else first
+            try:
+                for _ in range(500):
+                    cache.put(key, mine)
+                    # after its own put a writer can never miss: the
+                    # entry is replaced whole, not rewritten in place
+                    got = cache.get(key)
+                    if got is None or got.to_json() not in valid:
+                        failures.append(got and got.to_json())
+            except Exception as exc:  # noqa: BLE001 - reported below
+                failures.append(exc)
+
+        threads = [threading.Thread(target=hammer, args=(seed,))
+                   for seed in range(8)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert failures == []
+        assert [p.name for p in tmp_path.iterdir()] == [f"{key}.json"]
+        assert ResultCache(tmp_path).get(key).to_json() in valid
 
     def test_clear_and_len(self, tmp_path):
         cache = ResultCache(tmp_path)

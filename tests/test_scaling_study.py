@@ -186,6 +186,18 @@ class TestScalingCLI:
         assert cached.out == serial
         assert "4 hits, 0 misses" in cached.err
 
+    def test_global_tier_flags_exit_2_and_tier_still_selects(self, capsys):
+        """``--quick``/``--paper-scale`` never reached ``scaling`` (it has
+        ``--tier``); they are refused, not ignored."""
+        argv = ["scaling", "lu", "--counts", "4,8", "--clusters", "2",
+                "--no-cache"]
+        for flag in ("--quick", "--paper-scale"):
+            assert main([flag, *argv]) == 2
+            captured = capsys.readouterr()
+            assert "--tier" in captured.err and captured.out == ""
+        assert main([*argv, "--tier", "quick"]) in (0, 1)
+        assert "lu" in capsys.readouterr().out
+
     def test_indivisible_counts_exit_2(self, capsys):
         rc = main(["scaling", "lu", "--counts", "4,10", "--no-cache"])
         assert rc == 2
