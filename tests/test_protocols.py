@@ -13,7 +13,7 @@ Layers of coverage for the pluggable-protocol refactor:
   classification, write-backs, slice contents, and LRU victim choice
   must agree step for step;
 * the native gate names exactly three decline reasons, and the
-  216-point protocol x provider x geometry matrix pinned in
+  288-point protocol x provider x geometry matrix pinned in
   ``tests/golden/protocol_matrix.json`` holds with the C kernel forced
   on and forced off;
 * cache-key collision guards: two runs differing only in ``protocol``
@@ -254,7 +254,8 @@ class TestNativeGate:
 # ------------------------------------------------------ protocol matrix
 
 MATRIX = Path(__file__).parent / "golden" / "protocol_matrix.json"
-MATRIX_APPS = ("lu", "fft", "ocean", "fmm", "radix", "mp3d")
+MATRIX_APPS = ("lu", "fft", "ocean", "fmm", "radix", "mp3d",
+               "raytrace", "volrend")
 #: column -> (cache KB per processor, ways)
 MATRIX_GEOMETRIES = {"4k": (4.0, None), "inf": (None, None),
                      "4k-2way": (4.0, 2)}
@@ -267,8 +268,8 @@ def run_matrix() -> tuple[dict[str, str], dict[str, str]]:
     ``protocol/provider/geometry/app/cN``.
 
     {directory, snoopy, dls} x {table, mesh} x {4 KB, infinite, 4 KB
-    2-way} x the six stream-invariant apps at ``TINY`` sizes x cluster
-    sizes {1, 4} on 16 processors.
+    2-way} x the six static apps and the two tile-queue apps at
+    ``TINY`` sizes x cluster sizes {1, 4} on 16 processors.
     """
     shas, kernels = {}, {}
     clear_memory_cache()
@@ -298,14 +299,18 @@ class TestProtocolMatrix:
     by the python path (``REPRO_NATIVE=0``) at the commit *before*
     ``kernel.c`` learned any of them (``json.dump(run_matrix()[0], f,
     indent=0, sort_keys=True)`` regenerates it — from python, never
-    from the kernel under test)."""
+    from the kernel under test).  The 72 raytrace and volrend shas were
+    written the same way at the commit before either app had a trace
+    that outlives one machine: each is ``Engine.run(app.program)`` on
+    the python memory system, the generators taking their tiles from
+    the lock-protected python counter."""
 
     @pytest.fixture(scope="class")
     def golden(self):
         return json.loads(MATRIX.read_text(encoding="utf-8"))
 
     def test_matrix_covers_every_axis(self, golden):
-        assert len(golden) == 3 * 2 * 3 * 6 * 2
+        assert len(golden) == 3 * 2 * 3 * 8 * 2
         axes = [set(column) for column in zip(*(k.split("/")
                                                 for k in golden))]
         assert axes == [set(PROTOCOLS), set(MATRIX_PROVIDERS),
@@ -315,7 +320,8 @@ class TestProtocolMatrix:
     def test_python_path_holds_the_matrix(self, golden, monkeypatch):
         monkeypatch.setenv("REPRO_NATIVE", "0")
         shas, kernels = run_matrix()
-        assert set(kernels.values()) == {"python"}
+        # None: a recorded run (raytrace, volrend) was its own execution
+        assert set(kernels.values()) == {"python", None}
         assert [k for k in golden if shas[k] != golden[k]] == []
 
     @needs_kernel
@@ -327,7 +333,8 @@ class TestProtocolMatrix:
         shas, kernels = run_matrix()
         assert [k for k in golden if shas[k] != golden[k]] == []
         assert {k for k, kernel in kernels.items() if kernel == "python"} \
-            == {k for k in golden if "/4k-2way/" in k}
+            == {k for k in golden if "/4k-2way/" in k
+                and kernels[k] is not None}
 
 
 # ----------------------------------------------------- cache-key guards
