@@ -78,7 +78,9 @@ class BarnesApp(Application):
     """
 
     name = "barnes"
-    # dynamic task queue: streams depend on simulated lock order
+    # the one recorded app: ``_insert(b)`` reads the tree as the other
+    # processors have left it, so the build-phase streams depend on
+    # simulated time
     stream_invariant = False
 
     def __init__(self, config: MachineConfig, n_particles: int = 2048,

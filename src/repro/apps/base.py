@@ -43,9 +43,10 @@ from ..memory import make_memory_system
 from ..memory.address import AddressSpace, Region
 from ..memory.allocation import PageAllocator
 from ..sim.engine import Engine
-from ..sim.program import Op
+from ..sim.program import Barrier, Lock, Op, Read, Task, Unlock, Write
 
-__all__ = ["Application", "PhaseBarriers", "proc_grid_shape"]
+__all__ = ["Application", "PhaseBarriers", "TileQueueApplication",
+           "proc_grid_shape"]
 
 
 class PhaseBarriers:
@@ -98,14 +99,15 @@ class Application(ABC):
     #: short registry name, set by subclasses
     name: str = "base"
 
-    #: whether the reference streams depend only on the machine's
+    #: whether one capture (:meth:`compiled_program`) replays on every
+    #: machine sharing this config's
     #: :meth:`~repro.core.config.MachineConfig.trace_signature` (processor
-    #: count, line/page size).  The dynamic task-queue codes (Barnes,
-    #: Raytrace, Volrend) set this False: a lock-protected Python-side
-    #: counter decides which task each processor grabs, so their streams
-    #: depend on simulated timing — capture requires
+    #: count, line/page size).  Barnes sets this False: its processors
+    #: insert bodies into a tree the others are building, so what each
+    #: reads depends on simulated timing — capture requires
     #: :meth:`run_recorded`, and a capture is only valid for the exact
-    #: machine configuration that produced it.
+    #: machine configuration that produced it.  (The tile-queue codes are
+    #: invariant at task granularity: :class:`TileQueueApplication`.)
     stream_invariant: bool = True
 
     def __init__(self, config: MachineConfig, seed: int = 12345) -> None:
@@ -141,10 +143,9 @@ class Application(ABC):
         :meth:`~repro.core.config.MachineConfig.trace_signature` — cluster
         size, cache sizing, and the network model may all differ.
 
-        Only available when :attr:`stream_invariant` holds; the dynamic
-        task-queue applications must capture with :meth:`run_recorded`
-        instead (their streams depend on simulated timing, which a static
-        drain cannot know).
+        Only available when :attr:`stream_invariant` holds; Barnes must
+        capture with :meth:`run_recorded` instead (its streams depend on
+        simulated timing, which a static drain cannot know).
         """
         from ..sim.compiled import compile_program
 
@@ -159,8 +160,8 @@ class Application(ABC):
     def run_recorded(self) -> "tuple[RunResult, CompiledProgram]":
         """Generator-path run that also captures the executed streams.
 
-        Works for every application — including the dynamic task-queue
-        codes — because the capture *is* the executed interleaving.
+        Works for every application — Barnes is the one that needs it —
+        because the capture *is* the executed interleaving.
         Replaying the returned program on an identically-configured
         machine is bit-identical to the returned result; for
         :attr:`stream_invariant` apps the capture is additionally valid
@@ -295,3 +296,118 @@ class Application(ABC):
     def describe(self) -> str:
         """One-line description used by the CLI and experiment logs."""
         return f"{self.name} on {self.config.describe()}"
+
+
+class TileQueueApplication(Application):
+    """An image-plane code whose processors take tiles from one queue.
+
+    Raytrace and Volrend render a ``width`` x ``height`` image in
+    ``queue_tile``-square tiles handed out by a lock-protected global
+    counter (SPLASH's task queues and task stealing: a static partition
+    idles the processors whose tiles miss the scene).  Which tile a
+    processor takes next is decided by the order the simulated machine
+    grants that lock — and it is the *only* thing simulated time decides:
+    the references a tile emits, :meth:`tile_ops`, are a pure function of
+    the tile.  So the app is stream-invariant at task granularity:
+
+    * :meth:`program` is the code as a processor runs it — take a tile
+      under the lock, render it, repeat — with the counter in python;
+    * :meth:`compiled_program` captures the same thing once, with no
+      engine and no memory system, as a seven-op per-processor frame
+      whose ``TASK 0`` stands where the python counter was, plus one
+      sub-stream per tile (:func:`~repro.sim.program.Task`).  The take
+      happens at the same event either way, so the trace replays
+      bit-identically on every cluster size, cache, protocol and network.
+
+    Subclasses allocate ``rqueue`` (the queue head) and ``rpixels`` in
+    :meth:`setup` and implement :meth:`tile_ops`, which fills ``image``.
+    """
+
+    def __init__(self, config: MachineConfig, width: int, height: int,
+                 queue_tile: int, seed: int) -> None:
+        super().__init__(config, seed)
+        self.pr, self.pc = proc_grid_shape(config.n_processors)
+        if height % self.pr or width % self.pc:
+            raise ValueError(
+                f"image {width}x{height} must tile over the {self.pr}x"
+                f"{self.pc} processor grid")
+        if height % queue_tile or width % queue_tile:
+            raise ValueError("queue_tile must divide the image dimensions")
+        self.width, self.height = width, height
+        self.tile_h, self.tile_w = height // self.pr, width // self.pc
+        self.queue_tile = queue_tile
+        self.n_tiles = (height // queue_tile) * (width // queue_tile)
+        self.image = np.zeros((height, width))
+        self._next_tile = 0
+
+    @abstractmethod
+    def tile_ops(self, tile: int) -> Iterator[Op]:
+        """Render tile ``tile`` into ``image``, yielding its references."""
+
+    def begin_render(self) -> None:
+        """Reset what one rendering of the image accumulates."""
+        self._next_tile = 0
+        self.image.fill(0.0)
+
+    def tile_pixels(self, tile: int) -> Iterator[tuple[int, int]]:
+        """``(py, px)`` of every pixel of a tile, row by row."""
+        qt = self.queue_tile
+        ty, tx = divmod(tile, self.width // qt)
+        for py in range(ty * qt, (ty + 1) * qt):
+            for px in range(tx * qt, (tx + 1) * qt):
+                yield py, px
+
+    def _pixel_elem(self, py: int, px: int) -> int:
+        """Tile-contiguous pixel layout ([proc][local row][local col]),
+        like Ocean's grid."""
+        pi, li = divmod(py, self.tile_h)
+        pj, lj = divmod(px, self.tile_w)
+        return ((pi * self.pc + pj) * self.tile_h + li) * self.tile_w + lj
+
+    def program(self, pid: int) -> Iterator[Op]:
+        """Render via the dynamic tile queue."""
+        bar = PhaseBarriers()
+        self.begin_render()  # runs in every program before any grab
+        qaddr = self.rqueue.element(0)
+        yield Barrier(bar())
+        while True:
+            yield Lock(0)
+            yield Read(qaddr)
+            tile = self._next_tile
+            self._next_tile += 1
+            yield Write(qaddr)
+            yield Unlock(0)
+            if tile >= self.n_tiles:
+                break
+            yield from self.tile_ops(tile)
+        yield Barrier(bar())
+
+    def compiled_program(self) -> "CompiledProgram":
+        """Capture :meth:`program` once, for every machine (see the class).
+
+        The frame is :meth:`program` up to its first take; a task is what
+        runs from one take to the next — the rest of the grab that took
+        it, the tile, and the next grab up to *its* take — so replay
+        executes exactly the ops the generators would have.
+        """
+        from ..sim.compiled import compile_program
+
+        self.ensure_setup()
+        self.begin_render()
+        qaddr = self.rqueue.element(0)
+
+        def frame(pid: int) -> Iterator[Op]:
+            bar = PhaseBarriers()
+            return iter((Barrier(bar()), Lock(0), Read(qaddr), Task(0),
+                         Write(qaddr), Unlock(0), Barrier(bar())))
+
+        def task(tile: int) -> Iterator[Op]:
+            yield Write(qaddr)
+            yield Unlock(0)
+            yield from self.tile_ops(tile)
+            yield Lock(0)
+            yield Read(qaddr)
+
+        return compile_program(
+            frame, self.config.n_processors, self.config.line_size,
+            tasks=[[task(tile) for tile in range(self.n_tiles)]])

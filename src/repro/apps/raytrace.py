@@ -16,15 +16,16 @@ bounces.  Rays traverse the shared octree (node reads), test spheres
 (sphere-record reads) and write the pixel they were cast for.  All
 intersection math is real and the rendered image is deterministic.
 
-The pixel plane is *not* statically partitioned here: :meth:`program` is a
+The pixel plane is *not* statically partitioned here: the program is a
 lock-protected global queue of ``queue_tile``-square tiles (SPLASH
 RAYTRACE's task queues — static tiles idle the processors whose tiles miss
 the scene), any processor may render any tile, and :meth:`setup`
 interleaves the pixel pages because no tile has a natural owner.  Which
 tile a processor takes next is decided by the order the simulated machine
 grants that lock, and it is the only thing simulated time decides — the
-references a tile emits are a pure function of the tile — so the queue
-alone makes the app ``stream_invariant = False``.
+references a tile emits (:meth:`RaytraceApp.tile_ops`) are a pure function
+of the tile — so the app is captured once, tile by tile, and the queue is
+replayed as a ``TASK`` op (:class:`~repro.apps.base.TileQueueApplication`).
 """
 
 from __future__ import annotations
@@ -34,8 +35,8 @@ from typing import Iterator
 import numpy as np
 
 from ..core.config import MachineConfig
-from ..sim.program import Barrier, Lock, Op, Read, Unlock, Work, Write
-from .base import Application, PhaseBarriers, proc_grid_shape
+from ..sim.program import Op, Read, Work, Write
+from .base import TileQueueApplication
 
 __all__ = ["RaytraceApp"]
 
@@ -57,7 +58,7 @@ class _Node:
         self.spheres: list[int] = []
 
 
-class RaytraceApp(Application):
+class RaytraceApp(TileQueueApplication):
     """Recursive sphere ray tracer.
 
     Parameters
@@ -75,25 +76,12 @@ class RaytraceApp(Application):
     """
 
     name = "raytrace"
-    # dynamic task queue: streams depend on simulated lock order
-    stream_invariant = False
 
     def __init__(self, config: MachineConfig, width: int = 96,
                  height: int = 96, n_spheres: int = 160, max_depth: int = 3,
                  leaf_spheres: int = 4, max_tree_depth: int = 6,
                  queue_tile: int = 4, seed: int = 12345) -> None:
-        super().__init__(config, seed)
-        self.pr, self.pc = proc_grid_shape(config.n_processors)
-        if height % self.pr or width % self.pc:
-            raise ValueError(
-                f"image {width}x{height} must tile over the {self.pr}x"
-                f"{self.pc} processor grid")
-        if height % queue_tile or width % queue_tile:
-            raise ValueError("queue_tile must divide the image dimensions")
-        self.queue_tile = queue_tile
-        self._next_tile = 0
-        self.width, self.height = width, height
-        self.tile_h, self.tile_w = height // self.pr, width // self.pc
+        super().__init__(config, width, height, queue_tile, seed)
         self.n_spheres = n_spheres
         self.max_depth = max_depth
         self.leaf_spheres = leaf_spheres
@@ -101,7 +89,7 @@ class RaytraceApp(Application):
         self.centers = np.empty((n_spheres, 3))
         self.radii = np.empty(n_spheres)
         self.reflect = np.empty(n_spheres)
-        self.image = np.zeros((height, width))
+        #: primary rays of the latest rendering (reset by ``begin_render``)
         self.rays_cast = 0
         self.rays_hit = 0
         self.nodes: list[_Node] = []
@@ -226,54 +214,33 @@ class RaytraceApp(Application):
         return min(shade, 1.0)
 
     # ------------------------------------------------------------- program
-    def _pixel_elem(self, py: int, px: int) -> int:
-        """Tile-contiguous pixel layout ([proc][local row][local col])."""
-        pi, li = divmod(py, self.tile_h)
-        pj, lj = divmod(px, self.tile_w)
-        return ((pi * self.pc + pj) * self.tile_h + li) * self.tile_w + lj
+    def begin_render(self) -> None:
+        super().begin_render()
+        self.rays_cast = 0
+        self.rays_hit = 0
 
-    def program(self, pid: int) -> Iterator[Op]:
-        """Render via a dynamic tile queue (SPLASH RAYTRACE load-balances
-        with distributed task queues; static tiles would leave the
-        processors whose tiles miss the scene idle at the barrier)."""
-        bar = PhaseBarriers()
-        self._next_tile = 0  # reset runs in every program before any grab
-        qt = self.queue_tile
-        tiles_x = self.width // qt
-        n_tiles = (self.height // qt) * tiles_x
+    def tile_ops(self, tile: int) -> Iterator[Op]:
+        """Cast the tile's primary rays; one read per node or sphere a ray
+        (or its reflections) visits, one write per pixel."""
         node_addr = self.rnodes.element
         sph_addr = self.rspheres.element
         pix_addr = self.rpixels.element
-        qaddr = self.rqueue.element(0)
-        yield Barrier(bar())
-        while True:
-            yield Lock(0)
-            yield Read(qaddr)
-            tile = self._next_tile
-            self._next_tile += 1
-            yield Write(qaddr)
-            yield Unlock(0)
-            if tile >= n_tiles:
-                break
-            ty, tx = divmod(tile, tiles_x)
-            for py in range(ty * qt, (ty + 1) * qt):
-                for px in range(tx * qt, (tx + 1) * qt):
-                    orig = np.array([(px + 0.5) / self.width,
-                                     (py + 0.5) / self.height, -0.5])
-                    direction = np.array([0.0, 0.0, 1.0])
-                    visits: list[tuple[str, int]] = []
-                    shade = self._trace(orig, direction, 0, visits)
-                    self.image[py, px] = shade
-                    self.rays_cast += 1
-                    if shade > 0.05:
-                        self.rays_hit += 1
-                    for kind, idx in visits:
-                        if kind == "node":
-                            yield Read(node_addr(idx * _NODE_DOUBLES))
-                            yield Work(20)
-                        else:
-                            yield Read(sph_addr(idx * _SPHERE_DOUBLES))
-                            yield Work(45)
-                    yield Work(60)  # shading (normal, dot products, clamp)
-                    yield Write(pix_addr(self._pixel_elem(py, px)))
-        yield Barrier(bar())
+        direction = np.array([0.0, 0.0, 1.0])
+        for py, px in self.tile_pixels(tile):
+            orig = np.array([(px + 0.5) / self.width,
+                             (py + 0.5) / self.height, -0.5])
+            visits: list[tuple[str, int]] = []
+            shade = self._trace(orig, direction, 0, visits)
+            self.image[py, px] = shade
+            self.rays_cast += 1
+            if shade > 0.05:
+                self.rays_hit += 1
+            for kind, idx in visits:
+                if kind == "node":
+                    yield Read(node_addr(idx * _NODE_DOUBLES))
+                    yield Work(20)
+                else:
+                    yield Read(sph_addr(idx * _SPHERE_DOUBLES))
+                    yield Work(45)
+            yield Work(60)  # shading (normal, dot products, clamp)
+            yield Write(pix_addr(self._pixel_elem(py, px)))

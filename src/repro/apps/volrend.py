@@ -15,16 +15,17 @@ efficiency which is shared"): rays march front-to-back with early ray
 termination, skipping blocks whose octree node reports only transparent
 voxels.  The volume and octree pages are interleaved across clusters.
 
-No processor owns a part of the image: :meth:`program` is a lock-protected
+No processor owns a part of the image: the program is a lock-protected
 global queue of ``queue_tile``-square tiles (SPLASH VOLREND steals tasks —
 a static partition idles the processors whose tiles miss the head), any
 processor may render any tile, and :meth:`setup` interleaves the pixel
 pages (laid out tile-contiguously, like Ocean's grid) because tile
 ownership is dynamic.  Which tile a processor takes next is decided by the
 order the simulated machine grants that lock, and it is the only thing
-simulated time decides — a tile's rays, samples and pixel writes are a pure
-function of the tile — so the queue alone makes the app
-``stream_invariant = False``.
+simulated time decides — a tile's rays, samples and pixel writes
+(:meth:`VolrendApp.tile_ops`) are a pure function of the tile — so the app
+is captured once, tile by tile, and the queue is replayed as a ``TASK`` op
+(:class:`~repro.apps.base.TileQueueApplication`).
 
 The tests check the render against a brute-force march (octree skipping
 must not change the image) and basic anatomy (head opaque, corners empty).
@@ -37,15 +38,15 @@ from typing import Iterator
 import numpy as np
 
 from ..core.config import MachineConfig
-from ..sim.program import Barrier, Lock, Op, Read, Unlock, Work, Write
-from .base import Application, PhaseBarriers, proc_grid_shape
+from ..sim.program import Op, Read, Work, Write
+from .base import TileQueueApplication
 
 __all__ = ["VolrendApp"]
 
 _NODE_DOUBLES = 8  # (min, max, child info) — one line per octree node
 
 
-class VolrendApp(Application):
+class VolrendApp(TileQueueApplication):
     """Front-to-back volume ray caster with min/max octree skipping.
 
     Parameters
@@ -60,32 +61,20 @@ class VolrendApp(Application):
     """
 
     name = "volrend"
-    # dynamic task queue: streams depend on simulated lock order
-    stream_invariant = False
 
     def __init__(self, config: MachineConfig, volume_side: int = 128,
                  width: int = 64, height: int = 64, block: int = 4,
                  density_threshold: float = 0.05,
                  opacity_cutoff: float = 0.95, queue_tile: int = 4,
                  seed: int = 12345) -> None:
-        super().__init__(config, seed)
-        self.pr, self.pc = proc_grid_shape(config.n_processors)
-        if height % self.pr or width % self.pc:
-            raise ValueError("image must tile over the processor grid")
+        super().__init__(config, width, height, queue_tile, seed)
         if volume_side % block:
             raise ValueError("block must divide volume_side")
-        if height % queue_tile or width % queue_tile:
-            raise ValueError("queue_tile must divide the image dimensions")
-        self.queue_tile = queue_tile
-        self._next_tile = 0
         self.nv = volume_side
-        self.width, self.height = width, height
-        self.tile_h, self.tile_w = height // self.pr, width // self.pc
         self.block = block
         self.threshold = density_threshold
         self.cutoff = opacity_cutoff
         self.volume = np.zeros((self.nv, self.nv, self.nv))
-        self.image = np.zeros((height, width))
         # min/max octree levels: level 0 = leaf blocks, upwards by 2×
         self.minmax: list[np.ndarray] = []
 
@@ -196,46 +185,21 @@ class VolrendApp(Application):
         return intensity, trace
 
     # ------------------------------------------------------------- program
-    def _pixel_elem(self, py: int, px: int) -> int:
-        pi, li = divmod(py, self.tile_h)
-        pj, lj = divmod(px, self.tile_w)
-        return ((pi * self.pc + pj) * self.tile_h + li) * self.tile_w + lj
-
-    def program(self, pid: int) -> Iterator[Op]:
-        """Render via a dynamic tile queue (SPLASH VOLREND load-balances
-        with task stealing; a static partition leaves the processors whose
-        tiles miss the head idle)."""
-        bar = PhaseBarriers()
-        self._next_tile = 0  # reset runs in every program before any grab
-        qt = self.queue_tile
-        tiles_x = self.width // qt
-        n_tiles = (self.height // qt) * tiles_x
+    def tile_ops(self, tile: int) -> Iterator[Op]:
+        """March the tile's rays; one read per octree test and per voxel
+        column sampled, one write per pixel."""
         vox_addr = self.rvolume.element
         node_addr = self.rnodes.element
         pix_addr = self.rpixels.element
-        qaddr = self.rqueue.element(0)
-        yield Barrier(bar())
-        while True:
-            yield Lock(0)
-            yield Read(qaddr)
-            tile = self._next_tile
-            self._next_tile += 1
-            yield Write(qaddr)
-            yield Unlock(0)
-            if tile >= n_tiles:
-                break
-            ty, tx = divmod(tile, tiles_x)
-            for py in range(ty * qt, (ty + 1) * qt):
-                for px in range(tx * qt, (tx + 1) * qt):
-                    intensity, visits = self.march(px, py)
-                    self.image[py, px] = intensity
-                    for kind, idx in visits:
-                        if kind == "node":
-                            yield Read(node_addr(idx * _NODE_DOUBLES))
-                            yield Work(12)
-                        else:
-                            yield Read(vox_addr(idx))
-                            yield Work(8)
-                    yield Work(30)
-                    yield Write(pix_addr(self._pixel_elem(py, px)))
-        yield Barrier(bar())
+        for py, px in self.tile_pixels(tile):
+            intensity, visits = self.march(px, py)
+            self.image[py, px] = intensity
+            for kind, idx in visits:
+                if kind == "node":
+                    yield Read(node_addr(idx * _NODE_DOUBLES))
+                    yield Work(12)
+                else:
+                    yield Read(vox_addr(idx))
+                    yield Work(8)
+            yield Work(30)
+            yield Write(pix_addr(self._pixel_elem(py, px)))

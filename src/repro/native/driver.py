@@ -20,7 +20,8 @@ topology, cluster count, hop cost and latency table — a cache-size or
 load sweep builds them once), so the kernel re-implements no topology.
 
 A kernel *fault* status (deadlock, lock misuse, dirty-owner miss, or an
-operand capture would have refused: unknown opcode, negative WORK) makes
+operand capture would have refused: unknown opcode, negative WORK, a
+``TASK`` without a queue or inside a task) makes
 :func:`run_native` return ``None``: the caller declines the point and
 the canonical python replay raises the canonical error.
 """
@@ -168,6 +169,11 @@ def run_native(lib, config: "MachineConfig", allocator: "PageAllocator",
     args_arr = (_P64 * n)(*[_column_pointer(c, _P64) for c in args_cols])
     lens = (_c64 * n)(*[len(c) for c in ops_cols])
 
+    # the task table; each queue's take counter starts at its first task
+    t_off, q_end = program.task_offsets()
+    n_queues = len(q_end)
+    q_next = (_c64 * max(1, n_queues))(0, *q_end[:-1])
+
     ph = allocator.page_homes
     pages = (_c64 * max(1, len(ph)))(*ph.keys())
     homes = (_c64 * max(1, len(ph)))(*ph.values())
@@ -192,6 +198,10 @@ def run_native(lib, config: "MachineConfig", allocator: "PageAllocator",
     st = lib.repro_replay(
         n, ncl, config.cluster_size,
         ops_arr, args_arr, lens,
+        _column_pointer(program.task_ops, _P64),
+        _column_pointer(program.task_args, _P64),
+        (_c64 * len(t_off))(*t_off), q_next,
+        (_c64 * max(1, n_queues))(*q_end), n_queues,
         _PROTOCOLS[config.protocol], -1 if cap is None else cap,
         DEFAULT_SNOOP_PENALTY, DEFAULT_C2C_LATENCY,
         latency.local_clean, latency.remote_clean,

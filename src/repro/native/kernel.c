@@ -42,6 +42,13 @@
  * - counters: busy cycles and reads/writes are counted online at op
  *   dispatch (never on a merge retry), exactly where the python engine
  *   and memory system count them.
+ * - TASK q (opcode 6, INTERNALS section 4) is the queue grab of a
+ *   task-queue code: at the event where the processor wants its next op,
+ *   take the next index of queue q's counter; if a task remains, run its
+ *   sub-stream out of the task columns and come back to the same TASK,
+ *   else fall through.  It is an arm of the one dispatch and costs no
+ *   time; a TASK inside a task, an unknown queue, or a queue nobody
+ *   drained is a fault.
  *
  * Directory masks are kept as a separate 64-bit word (Python packs
  * (mask << 2) | state into one unbounded int), and so is the per-cache
@@ -55,7 +62,8 @@
  *
  * Statuses: 0 ok; 1 fault — deadlock, lock misuse, a dirty-owner miss,
  * or an operand the trace validator would have refused (unknown opcode,
- * negative WORK; mapped trace payloads are not checksummed): the caller
+ * negative WORK, a misplaced TASK; mapped trace payloads are not
+ * checksummed): the caller
  * declines the point and the python replay raises the canonical error
  * from its one home; -1 out of memory.  Outputs are meaningful only
  * with status 0.  Mirrored in repro.native.driver.
@@ -65,7 +73,7 @@
 #include <stdlib.h>
 #include <string.h>
 
-#define ABI 3
+#define ABI 4
 
 #define ST_OK 0
 #define ST_FAULT 1
@@ -1132,8 +1140,17 @@ static int lock_of(Locks *ls, int64_t id, Lock **out) {
 
 EXPORT int64_t repro_abi(void) { return ABI; }
 
+/* Where a processor is in its trace: the column pair it is reading (its
+ * own, or one task's slice of the task columns), how far, and — inside a
+ * task — the index in its own columns of the TASK op to come back to. */
+typedef struct {
+    const int64_t *o, *a;
+    int64_t ip, len;
+    int64_t ret; /* -1: not in a task */
+} Stream;
+
 /* Zero-copy column contract: ops[p]/args[p] may point straight into a
- * read-mostly file mapping of a v2 trace blob (driver.py hands over the
+ * read-mostly file mapping of a trace blob (driver.py hands over the
  * mmap'd addresses; 8-byte aligned, little-endian int64, lens[p] entries).
  * The kernel must only ever READ them — a store would dirty private
  * copy-on-write pages and forfeit the shared-page-cache economics the
@@ -1146,6 +1163,13 @@ EXPORT int64_t repro_abi(void) { return ABI; }
 EXPORT int64_t repro_replay(
     int64_t n, int64_t ncl, int64_t csize,
     const int64_t **ops, const int64_t **args, const int64_t *lens,
+    /* the task table: task k of the program is entries
+     * [t_off[k], t_off[k + 1]) of the t_ops/t_args columns (same
+     * contract as ops/args), and queue q hands out tasks
+     * q_next[q] .. q_end[q] - 1 in order — q_next is the counter TASK
+     * advances, set to the queue's first task by the caller */
+    const int64_t *t_ops, const int64_t *t_args, const int64_t *t_off,
+    int64_t *q_next, const int64_t *q_end, int64_t n_queues,
     int64_t proto, /* P_DIRECTORY, P_SNOOPY or P_DLS */
     int64_t cap,   /* capacity in lines of each of the protocol's caches
                     * (per cluster; per processor under snoopy);
@@ -1171,7 +1195,8 @@ EXPORT int64_t repro_replay(
     Locks locks;
     memset(&locks, 0, sizeof(locks));
     Queue *q = NULL;
-    int64_t *ipos = NULL, *retry = NULL, *finish = NULL;
+    Stream *strm = NULL;
+    int64_t *retry = NULL, *finish = NULL;
     /* the loop's one protocol test: the directory back end is inlined
      * below, the other two sit behind mem_read / mem_write */
     const int directory = proto == P_DIRECTORY;
@@ -1212,10 +1237,10 @@ EXPORT int64_t repro_replay(
         }
     }
     q = q_new(n);
-    ipos = (int64_t *)calloc(n, sizeof(int64_t));
+    strm = (Stream *)malloc(n * sizeof(Stream));
     retry = (int64_t *)malloc(n * sizeof(int64_t));
     finish = (int64_t *)malloc(n * sizeof(int64_t));
-    if (!x.ca || !q || !ipos || !retry || !finish) {
+    if (!x.ca || !q || !strm || !retry || !finish) {
         st = ST_NOMEM;
         goto done;
     }
@@ -1231,6 +1256,7 @@ EXPORT int64_t repro_replay(
     for (int64_t i = 0; i < n_ph; i++)
         if ((st = map_put(&x.pages, ph_pages[i], ph_homes[i]))) goto done;
     for (int64_t p = 0; p < n; p++) {
+        strm[p] = (Stream){ops[p], args[p], 0, lens[p], -1};
         finish[p] = -1;
         retry[p] = NO_LINE;
     }
@@ -1273,15 +1299,25 @@ EXPORT int64_t repro_replay(
             }
         } else {
             /* ---- run ops while strictly ahead of every queued event */
-            const int64_t *po = ops[pid];
-            const int64_t *pa = args[pid];
-            int64_t ip = ipos[pid];
-            const int64_t iplen = lens[pid];
+            Stream *s = &strm[pid];
+            const int64_t *po = s->o;
+            const int64_t *pa = s->a;
+            int64_t ip = s->ip;
+            int64_t iplen = s->len;
             int finished = 0;
             for (;;) {
                 if (ip >= iplen) {
-                    finished = 1;
-                    break;
+                    if (s->ret < 0) {
+                        finished = 1;
+                        break;
+                    }
+                    /* end of a task: back to the TASK that took it */
+                    po = s->o = ops[pid];
+                    pa = s->a = args[pid];
+                    iplen = s->len = lens[pid];
+                    ip = s->ret;
+                    s->ret = -1;
+                    continue;
                 }
                 /* n processors x 2 columns are more sequential streams
                  * than a hardware prefetcher follows: ask once per cache
@@ -1397,6 +1433,20 @@ EXPORT int64_t repro_replay(
                     }
                     lk->holder = -1;
                     tn = t + 1;
+                } else if (op == 6) { /* TASK: no cycle, no event */
+                    if (s->ret >= 0 || arg < 0 || arg >= n_queues) {
+                        st = ST_FAULT;
+                        goto done;
+                    }
+                    if (q_next[arg] < q_end[arg]) {
+                        const int64_t k = q_next[arg]++;
+                        s->ret = ip - 1;
+                        po = s->o = t_ops + t_off[k];
+                        pa = s->a = t_args + t_off[k];
+                        iplen = s->len = t_off[k + 1] - t_off[k];
+                        ip = 0;
+                    } /* else the queue is empty: fall through */
+                    continue;
                 } else { /* no such opcode */
                     st = ST_FAULT;
                     goto done;
@@ -1408,7 +1458,7 @@ EXPORT int64_t repro_replay(
                 }
                 break;
             }
-            ipos[pid] = ip;
+            s->ip = ip;
             if (finished) {
                 finish[pid] = t;
                 n_running--;
@@ -1439,6 +1489,11 @@ EXPORT int64_t repro_replay(
         st = ST_FAULT; /* deadlock */
         goto done;
     }
+    for (int64_t i = 0; i < n_queues; i++)
+        if (q_next[i] != q_end[i]) {
+            st = ST_FAULT; /* tasks no TASK op ever took */
+            goto done;
+        }
     {
         int64_t mx = 0;
         for (int64_t p = 0; p < n; p++)
@@ -1483,7 +1538,7 @@ done:
     free(locks.v);
     map_free(&locks.ix);
     q_free(q);
-    free(ipos);
+    free(strm);
     free(retry);
     free(finish);
     return st;

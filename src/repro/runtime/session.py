@@ -115,7 +115,7 @@ class RunSession:
         request = plan.request
         key = trace_key(request.app, request.kwargs, plan.config, app.seed,
                         stream_invariant=app.stream_invariant)
-        # acquire the program: cache hit | static capture | recording run
+        # acquire the program: cache hit | capture | recording run
         cache = self.trace_cache
         program = cache.get(key) if cache is not None else None
         from_cache = program is not None
@@ -129,17 +129,18 @@ class RunSession:
             if app.stream_invariant:
                 program = app.compiled_program()
             else:
-                # dynamic task-queue app: the stream is decided by the run
-                # itself, so capture during generator execution; the capture
-                # replays bit-identically at this exact configuration only
-                # (the trace key covers the full config)
+                # barnes: the stream is decided by the run itself, so
+                # capture during generator execution; the capture replays
+                # bit-identically at this exact configuration only (the
+                # trace key covers the full config)
                 result, program = app.run_recorded()
             if cache is not None:
                 cache.put(key, program)
             if obs is not None and result is None:
                 obs.on_phase("capture", clock.lap(),
                              {"ops": program.total_ops,
-                              "source_ops": program.source_ops})
+                              "source_ops": program.source_ops,
+                              "tasks": sum(map(len, program.task_lens))})
         # replay it, unless the recording run was already the execution
         if result is None:
             result, kernel = self._replay(plan, app, program)
@@ -218,9 +219,9 @@ class RunSession:
             if outcome.kernel is not None:
                 info["kernel"] = outcome.kernel
             elif outcome.program is not None:
-                # a dynamic app's recording run was the execution: the
-                # generators on the python engine, captured as they ran
-                # (there is no separate ``capture`` phase to say so)
+                # barnes' recording run was the execution: the generators
+                # on the python engine, captured as they ran (there is no
+                # separate ``capture`` phase to say so)
                 info.update(recorded=True, ops=outcome.program.total_ops,
                             source_ops=outcome.program.source_ops)
             if outcome.kernel == "python":

@@ -15,11 +15,12 @@ therefore capture each app's program once and replay it everywhere.
 This module provides that capture/replay layer:
 
 * :class:`CompiledProgram` — per-processor flat parallel ``array('q')``
-  opcode/arg arrays.  READ/WRITE operands are pre-divided by the line size
-  and consecutive WORK ops are fused at compile time; the engine replays
-  a program by iterating its columns, the native kernel by address;
-* :func:`compile_program` — drain a generator-based program factory once
-  into a :class:`CompiledProgram`;
+  opcode/arg arrays, plus a **task table** for the task-queue codes.
+  READ/WRITE operands are pre-divided by the line size and consecutive
+  WORK ops are fused at compile time; the engine replays a program by
+  iterating its columns, the native kernel by address;
+* :func:`compile_program` — drain a generator-based program factory (and
+  the bodies of its task queues) once into a :class:`CompiledProgram`;
 * :func:`trace_key` — content hash identifying one compiled trace
   (version, app, kwargs, seed, stream-relevant machine fields);
 * :class:`TraceCache` — process-wide in-memory LRU of compiled programs
@@ -28,9 +29,22 @@ This module provides that capture/replay layer:
   app once per process and ``--jobs`` worker processes share traces via
   disk.
 
-**Streaming traces.**  One wire format is readable.  The ``RPROTRC2``
+**Task queues.**  What simulated time decides in a task-queue code
+(Raytrace, Volrend) is one integer per grab — which task the processor
+that holds the queue lock takes next — while the references a task emits
+are a pure function of the task.  A capture therefore stores each task's
+sub-stream once and a ``TASK q`` op (:func:`~repro.sim.program.Task`) in
+the per-processor frame where the grab was; replay takes the next index
+of a per-replay counter there, runs that sub-stream and returns to the
+same ``TASK`` until the queue is empty.  The counter is taken at the
+event where the generator would have been resumed, and the lock around
+it serialises the takes, so take order *is* lock-grant order in either
+interpreter and the trace is as machine-independent as a static app's.
+
+**Streaming traces.**  One wire format is readable.  The ``RPROTRC3``
 encoding is *mmappable*: an aligned, uncompressed little-endian int64
-section per column behind a JSON header/TOC, so
+section per column (and one pair for the task table) behind a JSON
+header/TOC, so
 :meth:`CompiledProgram.from_file` can map a
 :class:`~repro.core.resultcache.TraceStore` blob copy-on-write
 (``mmap.ACCESS_COPY``) and expose the columns as zero-copy ``memoryview``
@@ -72,8 +86,8 @@ from collections import OrderedDict
 from typing import Any, Mapping
 
 from ..core.resultcache import TraceStore
-from .program import (OP_BARRIER, OP_READ, OP_UNLOCK, OP_WORK, OP_WRITE,
-                      ProgramFactory)
+from .program import (OP_BARRIER, OP_READ, OP_TASK, OP_UNLOCK, OP_WORK,
+                      OP_WRITE, ProgramFactory)
 
 __all__ = ["CompiledProgram", "TraceCache", "TraceDecodeError",
            "compile_program", "trace_key", "clear_memory_cache",
@@ -97,7 +111,7 @@ _MAPPED_RESIDENT_BYTES = 4096
 
 #: serialization magic: bump the trailing digit on any format change so
 #: stale cache entries from older versions decode as misses, not garbage
-_MAGIC = b"RPROTRC2"
+_MAGIC = b"RPROTRC3"
 
 _ITEMSIZE = 8  # int64 columns
 
@@ -132,17 +146,24 @@ class CompiledProgram:
     spellings expose identical indexing, length, and buffer protocols, so
     every replay path (python, native C) works on either.
 
+    A program whose columns hold ``TASK q`` ops carries the **task
+    table** they index: ``task_ops`` / ``task_args`` are one more column
+    pair holding every task's sub-stream back to back, queue after queue,
+    and ``task_lens[q][t]`` is the length of task ``t`` of queue ``q``.
+    A static program's table is empty.
+
     Instances are immutable by convention (the engine only reads them, and
     the native kernel takes ``const`` views), so one compiled program can
     be replayed concurrently by any number of engines and shared through
     :class:`TraceCache`.
     """
 
-    __slots__ = ("ops", "args", "n_processors", "line_size", "source_ops",
-                 "fused_work", "mapped", "_mm", "_runtime")
+    __slots__ = ("ops", "args", "task_ops", "task_args", "task_lens",
+                 "n_processors", "line_size", "source_ops", "fused_work",
+                 "mapped", "_mm", "_runtime")
 
     def __init__(self, ops: list, args: list, line_size: int,
-                 source_ops: int, fused_work: bool, *,
+                 source_ops: int, fused_work: bool, *, tasks=None,
                  mapped: bool = False, mapping=None) -> None:
         if len(ops) != len(args):
             raise ValueError("ops/args column counts differ")
@@ -151,6 +172,13 @@ class CompiledProgram:
                 raise ValueError("ops/args columns have unequal lengths")
         self.ops = ops
         self.args = args
+        #: ``(task_ops, task_args, task_lens)``; see the class docstring
+        self.task_ops, self.task_args, self.task_lens = (
+            tasks if tasks is not None else (array("q"), array("q"), []))
+        lens = [n for queue in self.task_lens for n in queue]
+        if not (len(self.task_ops) == len(self.task_args) == sum(lens)) \
+                or not all(isinstance(n, int) and n >= 0 for n in lens):
+            raise ValueError("task table does not cover its columns")
         self.n_processors = len(ops)
         self.line_size = line_size
         #: operation count before WORK fusion (what a generator would yield)
@@ -174,25 +202,78 @@ class CompiledProgram:
         columns as they are: iterating them boxes one op at a time, so the
         footprint stays bounded regardless of trace size.
         """
+        return self._boxed()[:2]
+
+    def _boxed(self):
+        """:meth:`runtime_columns` plus the task column pair, same rule."""
         if self.mapped:
-            return self.ops, self.args
+            return self.ops, self.args, self.task_ops, self.task_args
         rt = self._runtime
         if rt is None:
             rt = self._runtime = ([list(o) for o in self.ops],
-                                  [list(a) for a in self.args])
+                                  [list(a) for a in self.args],
+                                  list(self.task_ops), list(self.task_args))
         return rt
+
+    def task_offsets(self) -> tuple[list[int], list[int]]:
+        """The task table as both interpreters index it.
+
+        ``(offsets, queue_end)``: numbering tasks across queues in table
+        order, task ``k`` is entries ``[offsets[k], offsets[k + 1])`` of
+        the task columns, and queue ``q`` hands out tasks
+        ``queue_end[q - 1]`` (0 for the first queue) up to
+        ``queue_end[q]``.
+        """
+        offsets, queue_end = [0], []
+        for queue in self.task_lens:
+            for n in queue:
+                offsets.append(offsets[-1] + n)
+            queue_end.append(len(offsets) - 1)
+        return offsets, queue_end
+
+    def streams(self) -> list:
+        """One ``__next__`` per processor: what :meth:`Engine._loop
+        <repro.sim.engine.Engine._loop>` pulls a replay's ops from.
+
+        A static program's are ``zip`` over its column pairs.  A task
+        program's are generators that expand every ``TASK`` in place
+        (:func:`_expand_tasks`) around one take counter per queue, fresh
+        for this replay and shared by all of them, so the loop never
+        meets opcode 6.  A queue no column dispatches would never be
+        drained; the kernel finds that out at the end of its run, here
+        it is refused before the start.
+        """
+        ops, args, task_ops, task_args = self._boxed()
+        if not self.task_lens:
+            return [zip(o, a).__next__ for o, a in zip(ops, args)]
+        dispatched = {a for col, acol in zip(ops, args)
+                      for o, a in zip(col, acol) if o == OP_TASK}
+        for q, queue in enumerate(self.task_lens):
+            if queue and q not in dispatched:
+                raise ValueError(f"TASK {q}: {len(queue)} tasks in the "
+                                 f"table and no TASK op to take them")
+        offsets, queue_end = self.task_offsets()
+        taken = [0, *queue_end[:-1]]
+        return [_expand_tasks(zip(o, a), task_ops, task_args, offsets,
+                              queue_end, taken).__next__
+                for o, a in zip(ops, args)]
 
     # ----------------------------------------------------------------- size
     @property
     def total_ops(self) -> int:
-        """Stored (post-fusion) operations across all processors."""
-        return sum(len(o) for o in self.ops)
+        """Operations one replay executes, across all processors: the
+        stored (post-fusion) ops of every column and of every task once,
+        ``TASK`` dispatches themselves not counted."""
+        total = sum(len(o) for o in self.ops)
+        if self.task_lens:
+            total += len(self.task_ops) - sum(o.tolist().count(OP_TASK)
+                                              for o in self.ops)
+        return total
 
     @property
     def nbytes(self) -> int:
         """Payload size of the flat columns (mapped or materialised)."""
-        return sum(o.itemsize * len(o) + a.itemsize * len(a)
-                   for o, a in zip(self.ops, self.args))
+        return sum(col.itemsize * len(col) for col in self._sections())
 
     @property
     def resident_nbytes(self) -> int:
@@ -211,6 +292,14 @@ class CompiledProgram:
                 f"{kind})")
 
     # -------------------------------------------------------- serialization
+    def _sections(self):
+        """Every column in payload order: per processor ops then args,
+        then the task pair."""
+        for pair in zip(self.ops, self.args):
+            yield from pair
+        yield self.task_ops
+        yield self.task_args
+
     def _header(self, crc: int, payload_offset: int) -> bytes:
         fields = {
             "n_processors": self.n_processors,
@@ -218,6 +307,7 @@ class CompiledProgram:
             "source_ops": self.source_ops,
             "fused_work": self.fused_work,
             "counts": [len(o) for o in self.ops],
+            "tasks": self.task_lens,
             "itemsize": _ITEMSIZE,
             "byteorder": "little",
             "crc32": crc,
@@ -226,17 +316,17 @@ class CompiledProgram:
         return json.dumps(fields, sort_keys=True).encode("utf-8")
 
     def to_bytes(self) -> bytes:
-        """Binary encoding (``RPROTRC2``, the mmappable form).
+        """Binary encoding (``RPROTRC3``, the mmappable form).
 
         Magic, uint32-LE header length, JSON header, zero pad to an
         8-byte boundary, then the raw little-endian int64 columns (per
-        processor: ops then args).  Uncompressed and aligned so
+        processor: ops then args; then the task table's ops and args —
+        the header's ``tasks`` says where each task lies in them, so the
+        table travels inside the blob).  Uncompressed and aligned so
         :meth:`from_file` can map it and hand slices to the native kernel
         without a copy.
         """
-        payload = b"".join(_le_bytes(col)
-                           for pair in zip(self.ops, self.args)
-                           for col in pair)
+        payload = b"".join(_le_bytes(col) for col in self._sections())
         crc = zlib.crc32(payload)
         # the header records its own payload offset; offset depends on
         # header length, so fix-point the (rarely iterating) computation
@@ -264,6 +354,40 @@ class CompiledProgram:
                 f"item size {header['itemsize']} != native")
         return header, lo + 12 + hlen
 
+    @staticmethod
+    def _payload_items(header) -> int:
+        """int64 entries the header's sections (ops + args) add up to.
+
+        Sections lie back to back in header order, so a length that is
+        negative is the only way one could reach outside the payload;
+        their sum is then checked against the blob by the caller.
+        """
+        lens = header["counts"] + [n for queue in header["tasks"]
+                                   for n in queue]
+        if any(n < 0 for n in lens):
+            raise TraceDecodeError("negative section length")
+        return 2 * sum(lens)
+
+    @classmethod
+    def _from_sections(cls, header, column, offset: int, **backing):
+        """The program whose columns are ``column(offset, nbytes)`` slices
+        of a payload laid out as :meth:`_sections` writes it."""
+        def take(n: int):
+            nonlocal offset
+            col = column(offset, n * _ITEMSIZE)
+            offset += n * _ITEMSIZE
+            return col
+
+        ops, args = [], []
+        for count in header["counts"]:
+            ops.append(take(count))
+            args.append(take(count))
+        n_task = sum(map(sum, header["tasks"]))
+        return cls(ops, args, header["line_size"], header["source_ops"],
+                   header["fused_work"],
+                   tasks=(take(n_task), take(n_task), header["tasks"]),
+                   **backing)
+
     @classmethod
     def from_bytes(cls, blob: bytes) -> "CompiledProgram":
         """Inverse of :meth:`to_bytes` — eager, CRC-checked decode.
@@ -280,26 +404,18 @@ class CompiledProgram:
             if offset < pos:
                 raise TraceDecodeError("payload overlaps header")
             payload = bytes(blob[offset:])
-            swap = sys.byteorder != "little"
-            counts = header["counts"]
             if zlib.crc32(payload) != header["crc32"]:
                 raise TraceDecodeError("payload CRC mismatch")
-            if len(payload) != 2 * _ITEMSIZE * sum(counts):
+            if len(payload) != _ITEMSIZE * cls._payload_items(header):
                 raise TraceDecodeError("payload length mismatch")
-            ops: list[array] = []
-            args: list[array] = []
-            offset = 0
-            for count in counts:
-                nb = count * _ITEMSIZE
-                for out in (ops, args):
-                    col = array("q")
-                    col.frombytes(payload[offset:offset + nb])
-                    if swap:
-                        col.byteswap()
-                    out.append(col)
-                    offset += nb
-            return cls(ops, args, header["line_size"],
-                       header["source_ops"], header["fused_work"])
+
+            def column(lo: int, nbytes: int) -> array:
+                col = array("q")
+                col.frombytes(payload[lo:lo + nbytes])
+                if sys.byteorder != "little":
+                    col.byteswap()
+                return col
+            return cls._from_sections(header, column, 0)
         except TraceDecodeError:
             raise
         except Exception as exc:  # truncated/garbled in any other way
@@ -314,7 +430,8 @@ class CompiledProgram:
         zero-copy native hand-off — while the file itself is never
         modified and clean pages remain shared page-cache memory.  Map
         validation is **structural only** (magic, header, section bounds
-        against the file size): a truncated blob fails here and degrades
+        — columns and task table alike — against the file size): a
+        truncated blob fails here and degrades
         to a cache miss, while reading every payload byte to CRC it would
         defeat lazy paging — the format relies on the store's atomic
         writes, like every other consumer.  Big-endian hosts, which cannot
@@ -341,33 +458,96 @@ class CompiledProgram:
                 raise TraceDecodeError(f"unmappable trace: {exc!r}") from exc
         try:
             header, pos = cls._decode_header(mm)
-            counts = header["counts"]
             if header["byteorder"] != "little":
                 raise TraceDecodeError("foreign byte order")
             offset = header["payload_offset"]
-            need = offset + 2 * _ITEMSIZE * sum(counts)
+            need = offset + _ITEMSIZE * cls._payload_items(header)
             if offset < pos or offset % _ITEMSIZE or need != len(mm):
                 raise TraceDecodeError("payload length mismatch")
             if hasattr(mm, "madvise"):  # replay touches columns in order
                 mm.madvise(mmap.MADV_SEQUENTIAL)
             view = memoryview(mm)
-            ops: list[memoryview] = []
-            args: list[memoryview] = []
-            for count in counts:
-                nb = count * _ITEMSIZE
-                for out in (ops, args):
-                    out.append(view[offset:offset + nb].cast("q"))
-                    offset += nb
-            return cls(ops, args, header["line_size"], header["source_ops"],
-                       header["fused_work"], mapped=True, mapping=mm)
+            return cls._from_sections(
+                header, lambda lo, nbytes: view[lo:lo + nbytes].cast("q"),
+                offset, mapped=True, mapping=mm)
         except TraceDecodeError:
             raise
         except Exception as exc:
             raise TraceDecodeError(f"undecodable trace: {exc!r}") from exc
 
 
+def _expand_tasks(frame, task_ops, task_args, offsets, queue_end, taken):
+    """``frame``'s ops with every ``TASK q`` expanded where it stands.
+
+    The python half of ``TASK``'s semantics (``kernel.c`` has the other):
+    a generator is resumed at the event where its processor wants its
+    next op, and that is where the take happens — ``taken[q]`` is read
+    and advanced, the task's sub-stream is yielded op by op, and control
+    returns to the same ``TASK`` until queue ``q`` is empty.  Every
+    processor's generator shares ``taken``, as the app's generators
+    shared one python counter.  A task body is a leaf: a ``TASK`` inside
+    one is refused when the task is taken.
+    """
+    for op in frame:
+        if op[0] != OP_TASK:
+            yield op
+            continue
+        q = op[1]
+        if not 0 <= q < len(queue_end):
+            raise ValueError(f"TASK {q}: no such queue "
+                             f"(the program has {len(queue_end)})")
+        while taken[q] < queue_end[q]:
+            k = taken[q]
+            taken[q] = k + 1
+            body = task_ops[offsets[k]:offsets[k + 1]]
+            if OP_TASK in body:
+                raise ValueError(f"TASK inside a task body (task {k})")
+            yield from zip(body, task_args[offsets[k]:offsets[k + 1]])
+
+
+def _drain(gen, ops: array, args: array, line_size: int, was_work: bool,
+           n_queues: int, phased: bool) -> tuple[int, bool, bool]:
+    """Append ``gen``'s ops to a column pair as a trace stores them.
+
+    Stops after a BARRIER when ``phased`` (else only at exhaustion).
+    ``n_queues`` bounds the operand of a ``TASK``; a task body passes
+    -1, which refuses them all.  Returns ``(source ops consumed, whether the
+    last stored op is a WORK, whether a BARRIER stopped the drain)``.
+    """
+    append_op = ops.append
+    append_arg = args.append
+    n = 0
+    for opcode, arg in gen:
+        n += 1
+        if opcode == OP_WORK:
+            if arg < 0:
+                raise ValueError(f"negative WORK cycles: {arg}")
+            if was_work:
+                args[-1] += arg
+                continue
+            was_work = True
+        else:
+            was_work = False
+            if opcode == OP_READ or opcode == OP_WRITE:
+                arg //= line_size
+            elif not 0 <= opcode <= OP_UNLOCK:
+                if opcode != OP_TASK:
+                    raise ValueError(f"unknown opcode {opcode}")
+                if not 0 <= arg < n_queues:
+                    raise ValueError(
+                        f"TASK {arg} inside a task body" if n_queues < 0
+                        else f"TASK {arg}: no such queue (the program "
+                             f"has {n_queues})")
+                n -= 1  # a dispatch, not an op a generator yields
+        append_op(opcode)
+        append_arg(arg)
+        if opcode == OP_BARRIER and phased:
+            return n, was_work, True
+    return n, was_work, False
+
+
 def compile_program(program_factory: ProgramFactory, n_processors: int,
-                    line_size: int) -> CompiledProgram:
+                    line_size: int, tasks=()) -> CompiledProgram:
     """Drain every processor's generator once into a :class:`CompiledProgram`.
 
     * READ/WRITE byte addresses become line numbers (``arg // line_size``),
@@ -378,6 +558,13 @@ def compile_program(program_factory: ProgramFactory, n_processors: int,
     * operands are validated (negative WORK, unknown opcode) as they are
       stored; the replay loop checks them again, because a stored trace
       may come back from disk.
+
+    ``tasks`` is the program's task queues: ``tasks[q]`` an iterable of
+    op iterables, one per task of queue ``q`` in take order, which the
+    factory's generators dispatch with ``Task(q)`` ops where a
+    lock-protected python counter would have handed them out.  Each body
+    is drained once, after the per-processor streams, into the program's
+    task table.
 
     The drain is **barrier-phased**, mirroring the engine's interleaving at
     the granularity that matters: several applications (Radix's parallel
@@ -403,46 +590,37 @@ def compile_program(program_factory: ProgramFactory, n_processors: int,
     while running:
         still_running = []
         for pid in running:
-            ops = all_ops[pid]
-            args = all_args[pid]
-            append_op = ops.append
-            append_arg = args.append
-            was_work = prev_was_work[pid]
-            for opcode, arg in gens[pid]:
-                source_ops += 1
-                if opcode == OP_WORK:
-                    if arg < 0:
-                        raise ValueError(f"negative WORK cycles: {arg}")
-                    if was_work:
-                        args[-1] += arg
-                        continue
-                    was_work = True
-                else:
-                    was_work = False
-                    if opcode == OP_READ or opcode == OP_WRITE:
-                        arg //= line_size
-                    elif not 0 <= opcode <= OP_UNLOCK:
-                        raise ValueError(f"unknown opcode {opcode}")
-                append_op(opcode)
-                append_arg(arg)
-                if opcode == OP_BARRIER:
-                    still_running.append(pid)
-                    break
-            prev_was_work[pid] = was_work
+            n, prev_was_work[pid], at_barrier = _drain(
+                gens[pid], all_ops[pid], all_args[pid], line_size,
+                prev_was_work[pid], len(tasks), phased=True)
+            source_ops += n
+            if at_barrier:
+                still_running.append(pid)
         running = still_running
+    task_ops, task_args, task_lens = array("q"), array("q"), []
+    for queue in tasks:
+        lens = []
+        for body in queue:
+            before = len(task_ops)
+            source_ops += _drain(body, task_ops, task_args, line_size,
+                                 False, -1, phased=False)[0]
+            lens.append(len(task_ops) - before)
+        task_lens.append(lens)
     return CompiledProgram(all_ops, all_args, line_size, source_ops,
-                           fused_work=True)
+                           fused_work=True,
+                           tasks=(task_ops, task_args, task_lens))
 
 
 class ProgramRecorder:
     """Capture a program's streams *while* an engine executes them.
 
     The barrier-phased drain of :func:`compile_program` is correct only for
-    applications whose streams are independent of intra-phase timing.  The
-    dynamic task-queue codes (Barnes, Raytrace, Volrend) violate that: a
-    lock-protected Python-side counter decides which task each processor
-    grabs, so the streams depend on simulated lock-acquisition order —
-    something only a real engine run knows.  For those, wrap the factory::
+    applications whose streams are independent of intra-phase timing (or
+    depend on it through a task queue alone, which a ``TASK`` op carries).
+    Barnes violates that: its processors insert bodies into one tree under
+    per-cell locks, so what each reads is the tree as the others have left
+    it — something only a real engine run knows.  For it, wrap the
+    factory::
 
         recorder = ProgramRecorder(app.program, n, line_size)
         result = engine.run(recorder.factory)
@@ -513,10 +691,10 @@ def trace_key(app: str, app_kwargs: Mapping[str, Any], config: Any,
     deliberately **absent** — that is what lets a clustering sweep reuse
     one trace across its whole grid.
 
-    With ``stream_invariant=False`` (the dynamic task-queue applications,
-    whose executed streams depend on simulated timing) the key instead
-    covers the **complete** machine configuration: such a capture is only
-    replayable at the exact configuration that recorded it.
+    With ``stream_invariant=False`` (Barnes, whose executed streams
+    depend on simulated timing) the key instead covers the **complete**
+    machine configuration: such a capture is only replayable at the exact
+    configuration that recorded it.
     """
     if version is None:
         from .._version import __version__ as version

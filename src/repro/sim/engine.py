@@ -135,8 +135,11 @@ class Engine:
         Bit-identical to :meth:`run` on the program the capture was
         compiled from.  A stored trace is just another iterator of ops:
         each processor's columns are zipped into the same ``(opcode, arg)``
-        stream a generator would yield, and because stored READ/WRITE
-        operands are already line numbers the loop divides them by 1.
+        stream a generator would yield (``TASK`` ops expanded on the way —
+        :meth:`CompiledProgram.streams
+        <repro.sim.compiled.CompiledProgram.streams>`), and because stored
+        READ/WRITE operands are already line numbers the loop divides
+        them by 1.
         """
         n = self.config.n_processors
         if program.n_processors != n:
@@ -147,8 +150,7 @@ class Engine:
             raise ValueError(
                 f"compiled program captured at line size "
                 f"{program.line_size}, machine uses {self.config.line_size}")
-        return self._loop([zip(o, a).__next__
-                           for o, a in zip(*program.runtime_columns())], 1)
+        return self._loop(program.streams(), 1)
 
     # ------------------------------------------------------- the event loop
     def _loop(self, nexts: list, line_size: int) -> RunResult:

@@ -27,8 +27,8 @@ from __future__ import annotations
 from typing import Callable, Iterator
 
 __all__ = ["OP_WORK", "OP_READ", "OP_WRITE", "OP_BARRIER", "OP_LOCK",
-           "OP_UNLOCK", "Work", "Read", "Write", "Barrier", "Lock", "Unlock",
-           "Op", "Program", "ProgramFactory"]
+           "OP_UNLOCK", "OP_TASK", "Work", "Read", "Write", "Barrier", "Lock",
+           "Unlock", "Task", "Op", "Program", "ProgramFactory"]
 
 OP_WORK = 0
 OP_READ = 1
@@ -36,6 +36,8 @@ OP_WRITE = 2
 OP_BARRIER = 3
 OP_LOCK = 4
 OP_UNLOCK = 5
+#: trace-only: take the next task of a shared queue (see :func:`Task`)
+OP_TASK = 6
 
 #: An operation: (opcode, operand).
 Op = tuple[int, int]
@@ -73,3 +75,19 @@ def Lock(lock_id: int) -> Op:
 def Unlock(lock_id: int) -> Op:
     """Release lock ``lock_id`` (must be held by the issuing processor)."""
     return (OP_UNLOCK, lock_id)
+
+
+def Task(queue_id: int) -> Op:
+    """Take the next task of shared queue ``queue_id`` and run it.
+
+    The one op a generator never yields to the engine: it stands, in a
+    captured trace, for the python statement a task-queue code executes
+    between two yields — ``task = self._next; self._next += 1``.  At the
+    event where the generator would have been resumed, the interpreter
+    takes the queue's next index; if a task remains it runs that task's
+    stored sub-stream and comes back to the same ``TASK``, else it falls
+    through.  It costs no simulated time and is not counted as an op
+    (:mod:`repro.sim.compiled` expands it before the engine sees it;
+    ``kernel.c`` dispatches it).
+    """
+    return (OP_TASK, queue_id)

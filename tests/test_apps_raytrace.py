@@ -72,6 +72,20 @@ class TestRendering:
         assert app.rays_hit > 0
         assert app.rays_hit < app.rays_cast
 
+    def test_counts_and_image_are_per_rendering(self, cfg):
+        """One primary ray per pixel, however often the instance renders
+        and whichever way: a recording run, a generator run, or the
+        engine-free drain of ``compiled_program()``."""
+        app = RaytraceApp(cfg, width=16, height=16, n_spheres=8)
+        app.run_recorded()
+        first = (app.rays_cast, app.rays_hit, app.image.copy())
+        assert first[0] == 16 * 16
+        for render in (app.run, app.compiled_program):
+            app.image[:] = -1.0
+            render()
+            assert (app.rays_cast, app.rays_hit) == first[:2]
+            assert np.array_equal(app.image, first[2])
+
     def test_shading_bounded(self, cfg):
         app = RaytraceApp(cfg, width=16, height=16, n_spheres=8)
         app.run()

@@ -61,6 +61,16 @@ class TestRendering:
         assert app.image[h // 2, w // 2] > 0.1
         assert app.image[0, 0] == 0.0
 
+    def test_drain_renders_the_image_the_run_does(self, cfg):
+        """``compiled_program()`` marches every tile once with no engine;
+        the image is the one a simulated run leaves behind."""
+        app = VolrendApp(cfg, volume_side=16, width=8, height=8)
+        app.run()
+        want = app.image.copy()
+        app.image[:] = -1.0
+        app.compiled_program()
+        assert np.array_equal(app.image, want)
+
     def test_image_deterministic_across_clustering(self):
         imgs = []
         for cluster in (1, 4):

@@ -58,6 +58,24 @@ class TestRun:
         for phase in ("resolve", "build", "execute", "total"):
             assert phase in out
 
+    def test_cold_tile_queue_point_is_captured_then_replayed(self, capsys):
+        """A cold raytrace point reports ``capture`` (with its task
+        count), then ``execute`` on a replay kernel — the phases of a
+        static app, where it used to be one recording run."""
+        import re
+
+        assert run_cli(*BASE, "run", "raytrace", "--clusters", "2",
+                       "--cache", "4", "--probe", "timing",
+                       "--no-cache") == 0
+        probe = capsys.readouterr().out.split("probe: timing")[1]
+        phases = re.findall(r"^  (\S+) +[\d.]+ ms", probe, re.M)
+        assert phases == ["resolve", "build", "capture", "execute", "total"]
+        # an 8x8 image in 4x4 tiles
+        assert re.search(r"capture .* ops=\d+ source_ops=\d+ tasks=4$",
+                         probe, re.M)
+        assert re.search(r"execute .* kernel=(native|python)", probe)
+        assert "recorded=True" not in probe
+
     def test_run_probe_identical_result(self, capsys):
         assert run_cli(*BASE, "run", "ocean", "--clusters", "2",
                        "--cache", "4", "--no-cache") == 0

@@ -30,7 +30,10 @@ TINY_SIZES = {
     "mp3d": dict(n_particles=64, n_steps=1),
 }
 
-DYNAMIC_APPS = ("barnes", "raytrace", "volrend")
+#: captured by a recording run, once per machine
+RECORDED_APPS = ("barnes",)
+#: captured once as a frame plus a task table (``TASK`` ops)
+TASK_APPS = ("raytrace", "volrend")
 
 
 def tiny_app(name, cfg):
@@ -94,7 +97,8 @@ def test_stream_invariant_capture_reusable_across_clusters():
 
 
 @pytest.mark.parametrize("name",
-                         [n for n in APP_NAMES if n not in DYNAMIC_APPS])
+                         [n for n in APP_NAMES
+                          if n not in RECORDED_APPS + TASK_APPS])
 @pytest.mark.parametrize("cluster", [1, 4])
 def test_capture_routes_agree(name, cluster):
     """Recording an engine run and draining the generators store the same
@@ -107,13 +111,61 @@ def test_capture_routes_agree(name, cluster):
     assert recorded.to_bytes() == drained.to_bytes()
 
 
-@pytest.mark.parametrize("name", DYNAMIC_APPS)
+@pytest.mark.parametrize("name", RECORDED_APPS)
 def test_dynamic_apps_refuse_static_drain(name):
     cfg = MachineConfig(n_processors=8, cluster_size=2)
     app = tiny_app(name, cfg)
     assert not app.stream_invariant
     with pytest.raises(ValueError, match="run_recorded"):
         app.compiled_program()
+
+
+@pytest.mark.parametrize("name", TASK_APPS)
+def test_one_task_trace_serves_every_machine(name):
+    """A tile-queue app is drained once, with no engine and no memory
+    system, and that one trace replays byte for byte what the generators
+    do — taking tiles from the python counter in whatever order the
+    machine at hand grants the lock — on every organisation."""
+    from repro.core.config import NetworkConfig
+    from repro.memory import make_memory_system
+
+    program = tiny_app(name, MachineConfig(n_processors=16)).compiled_program()
+    for cluster, cache_kb, protocol, provider in [
+            (1, None, "directory", "table"), (4, 4.0, "directory", "mesh"),
+            (8, 4.0, "snoopy", "table"), (2, 16.0, "dls", "mesh")]:
+        cfg = MachineConfig(n_processors=16, cluster_size=cluster,
+                            cache_kb_per_processor=cache_kb,
+                            protocol=protocol,
+                            network=NetworkConfig(provider=provider))
+        results = []
+        for run in (lambda e, a: e.run(a.program),
+                    lambda e, a: e.run_compiled(program)):
+            app = tiny_app(name, cfg)
+            engine = Engine(cfg, make_memory_system(cfg, app.allocator))
+            results.append(run(engine, app).to_json())
+        assert results[0] == results[1], (cluster, cache_kb, protocol)
+
+
+@pytest.mark.parametrize("name", TASK_APPS)
+def test_task_trace_counts_the_ops_a_run_executes(name):
+    """``total_ops`` / ``source_ops`` of a task program are what one
+    replay executes and what the generators yield: the numbers a
+    recording run's flat capture reports, ``TASK`` dispatches not
+    counted."""
+    from repro.sim.program import OP_TASK
+
+    cfg = MachineConfig(n_processors=8, cluster_size=2,
+                        cache_kb_per_processor=4.0)
+    recorded = tiny_app(name, cfg).run_recorded()[1]
+    drained = tiny_app(name, cfg).compiled_program()
+    assert not recorded.task_lens and len(drained.task_lens[0]) == 4
+    assert drained.total_ops == recorded.total_ops
+    assert drained.source_ops == recorded.source_ops
+    for ops in drained.ops:
+        assert list(ops) == [OP_BARRIER, OP_LOCK, OP_READ, OP_TASK,
+                             OP_WRITE, OP_UNLOCK, OP_BARRIER]
+    # two int64 columns: 7 frame ops on each of 8 processors + the table
+    assert drained.nbytes == 16 * (7 * 8 + len(drained.task_ops))
 
 
 def test_run_recorded_result_matches_replay():
@@ -162,6 +214,27 @@ def test_fused_replay_still_bit_identical():
     program = tiny_app("ocean", cfg).compiled_program()
     assert program.fused_work and program.total_ops < program.source_ops
     assert engine_for(cfg).run_compiled(program).to_json() == want
+
+
+def test_compile_stores_task_bodies_and_refuses_misplaced_tasks():
+    from repro.sim.program import Read, Task, Work
+
+    def frame(pid):
+        return iter([Work(1), Task(0), Work(2)])
+
+    bodies = [[Work(3), Work(4), Read(128)], [], [Work(5)]]
+    program = compile_program(frame, 2, 64, tasks=[bodies])
+    assert program.task_lens == [[2, 0, 1]]      # WORK fused per body only
+    assert list(program.task_ops) == [OP_WORK, OP_READ, OP_WORK]
+    assert list(program.task_args) == [7, 2, 5]
+    assert program.source_ops == 2 * 2 + 4       # TASK is not a yielded op
+    assert program.total_ops == 2 * 2 + 3
+    with pytest.raises(ValueError, match="TASK 1: no such queue"):
+        compile_program(lambda pid: iter([Task(1)]), 2, 64, tasks=[bodies])
+    with pytest.raises(ValueError, match="TASK 0: no such queue"):
+        compile_program(frame, 2, 64)
+    with pytest.raises(ValueError, match="TASK 0 inside a task body"):
+        compile_program(frame, 2, 64, tasks=[[[Work(1), Task(0)]]])
 
 
 def test_runtime_columns_cached_and_equal_to_arrays():

@@ -47,8 +47,9 @@ from repro.sim.compiled import (CompiledProgram, TraceCache,
 from repro.sim.engine import Engine, SimulationDeadlock
 from repro.sim.nativereplay import native_decline_reason, try_replay_native
 from repro.sim.stats import build as build_result
-from repro.sim.program import (OP_LOCK, OP_READ, OP_WORK, Barrier, Lock,
-                               Read, Unlock, Work, Write)
+from repro.sim.program import (OP_LOCK, OP_READ, OP_TASK, OP_UNLOCK,
+                               OP_WORK, Barrier, Lock, Read, Task, Unlock,
+                               Work, Write)
 
 from test_runtime import CFG, TINY, golden_payload
 
@@ -67,7 +68,10 @@ needs_kernel = pytest.mark.skipif(
 # any table is deadlock-free by construction.  Atoms are private work,
 # shared reads/writes over a small address window (to force sharing and
 # invalidation traffic), or a lock-protected critical section (locks are
-# always released by the acquirer, in order).
+# always released by the acquirer, in order), or a ``TASK`` on one of the
+# program's task queues — whose bodies are lists of the other atoms, so
+# they block, miss and contend like any stream, and whichever processor
+# is first to a ``TASK`` at each event takes the queue's next body.
 
 #: span of the kernel's calendar-queue ring (``#define W`` in kernel.c):
 #: an event due W or more cycles after the last pop takes the far path
@@ -86,44 +90,62 @@ _BASIC = st.one_of(
     st.tuples(st.just("read"), _ADDR),
     st.tuples(st.just("write"), _ADDR),
 )
-_ATOM = st.one_of(
-    _BASIC,
-    st.tuples(st.just("cs"), st.integers(min_value=0, max_value=2),
-              st.lists(_BASIC, max_size=4)),
-)
+_CS = st.tuples(st.just("cs"), st.integers(min_value=0, max_value=2),
+                st.lists(_BASIC, max_size=4))
+_ATOM = st.one_of(_BASIC, _CS)
+_N_QUEUES = 2
+_TAKE = st.tuples(st.just("take"),
+                  st.integers(min_value=0, max_value=_N_QUEUES - 1))
 
 
 @st.composite
 def _programs(draw):
     n = draw(st.sampled_from([2, 4, 8, 16]))
     phases = draw(st.integers(min_value=1, max_value=3))
-    table = [[draw(st.lists(_ATOM, max_size=10)) for _ in range(phases)]
+    # half the programs carry two task queues (either may be empty), and
+    # every processor then ends its last phase draining both
+    queues = draw(st.one_of(st.just([]), st.lists(
+        st.lists(st.lists(_ATOM, max_size=6), max_size=6),
+        min_size=_N_QUEUES, max_size=_N_QUEUES)))
+    atom = st.one_of(_ATOM, _TAKE) if queues else _ATOM
+    table = [[draw(st.lists(atom, max_size=10)) for _ in range(phases)]
              for _ in range(n)]
-    return n, phases, table
+    for row in table:
+        row[-1] += [("take", q) for q in range(len(queues))]
+    return n, phases, table, queues
+
+
+def _emit(atom):
+    kind, arg = atom[0], atom[1]
+    if kind == "work":
+        yield Work(arg)
+    elif kind == "read":
+        yield Read(arg)
+    elif kind == "write":
+        yield Write(arg)
+    elif kind == "take":
+        yield Task(arg)
+    else:  # critical section
+        yield Lock(arg)
+        for basic in atom[2]:
+            yield from _emit(basic)
+        yield Unlock(arg)
 
 
 def _factory_of(phases, table):
-    def emit(atom):
-        kind, arg = atom[0], atom[1]
-        if kind == "work":
-            yield Work(arg)
-        elif kind == "read":
-            yield Read(arg)
-        elif kind == "write":
-            yield Write(arg)
-        else:  # critical section
-            yield Lock(arg)
-            for basic in atom[2]:
-                yield from emit(basic)
-            yield Unlock(arg)
-
     def factory(pid):
         for phase in range(phases):
             for atom in table[pid][phase]:
-                yield from emit(atom)
+                yield from _emit(atom)
             yield Barrier(phase)
 
     return factory
+
+
+def _tasks_of(queues):
+    """``compile_program``'s ``tasks``: a body is its atoms, emitted."""
+    return [[[op for atom in body for op in _emit(atom)] for body in queue]
+            for queue in queues]
 
 
 def _config(n, cluster, cache_kb, protocol="directory", network=None):
@@ -162,14 +184,14 @@ def _allocator(config):
 
 # ------------------------------------------------ native == canonical
 
-def _assert_native_matches_python(config, factory):
+def _assert_native_matches_python(config, factory, tasks=()):
     """Replay ``factory`` both ways; every number must agree.
 
     Returns the native output, for a directed case to check what the
     scenario was built to show.
     """
     program = compile_program(factory, config.n_processors,
-                              config.line_size)
+                              config.line_size, tasks)
     memory = make_memory_system(config, _allocator(config))
     reference = Engine(config, memory).run_compiled(program)
 
@@ -213,11 +235,11 @@ def _assert_native_matches_python(config, factory):
        network=_NETWORKS)
 def test_native_matches_python_kernels(data, cluster_pick, cache_kb,
                                        protocol, network):
-    n, phases, table = data
+    n, phases, table, queues = data
     cluster = [1, 2, n][cluster_pick]
     _assert_native_matches_python(
         _config(n, cluster, cache_kb, protocol, network),
-        _factory_of(phases, table))
+        _factory_of(phases, table), _tasks_of(queues))
 
 
 # ----------------------------------------------------- directed cases
@@ -501,6 +523,65 @@ def test_session_raises_on_a_bad_stored_operand(ops, args, message, tmp_path,
         session.run_plan(plan)
     assert session.trace_cache.disk_hits == 1  # it was the stored trace
     clear_memory_cache()
+
+
+# The same for ``TASK``: capture refuses each of these, both interpreters
+# must.  ``frame`` is processor 0's column, ``queues`` the task table
+# (per queue, a list of bodies); processor 1 is ``[WORK 5]``.
+
+_BODY = ([OP_WORK, OP_READ], [3, 7])
+_BAD_TASKS = [
+    # queue id out of range, either side
+    (([OP_TASK, OP_TASK], [0, 1]), [[_BODY]], "TASK 1: no such queue"),
+    (([OP_TASK, OP_TASK], [0, -1]), [[_BODY]], "TASK -1: no such queue"),
+    # a task body is a leaf
+    (([OP_TASK], [0]), [[_BODY, ([OP_WORK, OP_TASK], [3, 0])]],
+     r"TASK inside a task body \(task 1\)"),
+    # a table nobody dispatches (queue 1 here), and a dispatch with no
+    # table: without one, 6 is not an opcode of the program
+    (([OP_TASK], [0]), [[_BODY], [_BODY]], "TASK 1: 1 tasks in the table"),
+    (([OP_WORK, OP_TASK], [2, 0]), [], "unknown opcode 6"),
+]
+
+
+def _task_program(config, frame, queues):
+    bodies = [body for queue in queues for body in queue]
+    return CompiledProgram(
+        [array("q", frame[0]), array("q", [OP_WORK])],
+        [array("q", frame[1]), array("q", [5])],
+        config.line_size, source_ops=1, fused_work=True,
+        tasks=(array("q", [op for ops, _ in bodies for op in ops]),
+               array("q", [arg for _, args in bodies for arg in args]),
+               [[len(ops) for ops, _ in queue] for queue in queues]))
+
+
+@pytest.mark.parametrize("frame,queues,message", _BAD_TASKS)
+def test_python_replay_rejects_a_bad_task(frame, queues, message):
+    config = _config(2, 1, None)
+    with pytest.raises(ValueError, match=message):
+        Engine(config, CoherentMemorySystem(config)).run_compiled(
+            _task_program(config, frame, queues))
+
+
+@needs_kernel
+@pytest.mark.parametrize("frame,queues,message", _BAD_TASKS)
+def test_kernel_faults_on_a_bad_task(frame, queues, message, force_native):
+    config = _config(2, 1, None)
+    program = _task_program(config, frame, queues)
+    assert try_replay_native(config, _ScriptedApp(config), program) is None
+
+
+@needs_kernel
+def test_a_well_formed_task_program_is_served(force_native):
+    """The control for the two tests above: same shapes, nothing wrong —
+    including a task of no ops and a queue of no tasks."""
+    config = _config(2, 1, None)
+    program = _task_program(config, ([OP_TASK, OP_TASK, OP_WORK], [0, 1, 2]),
+                            [[_BODY, ([], []), _BODY], []])
+    assert program.total_ops == 1 + 2 * 2 + 1
+    got = try_replay_native(config, _ScriptedApp(config), program)
+    want = Engine(config, CoherentMemorySystem(config)).run_compiled(program)
+    assert got.to_json() == want.to_json()
 
 
 @needs_kernel

@@ -290,6 +290,8 @@ def run_matrix() -> tuple[dict[str, str], dict[str, str]]:
                             outcome.result.to_json().encode()).hexdigest()
                         kernels[key] = outcome.kernel
     clear_memory_cache()
+    # one capture per app served all 36 of its points
+    assert (traces.misses, traces.hits) == (8, 280)
     return shas, kernels
 
 
@@ -303,7 +305,8 @@ class TestProtocolMatrix:
     written the same way at the commit before either app had a trace
     that outlives one machine: each is ``Engine.run(app.program)`` on
     the python memory system, the generators taking their tiles from
-    the lock-protected python counter."""
+    the lock-protected python counter; they now come from one ``TASK``
+    trace per app, shared by all 36 of its points."""
 
     @pytest.fixture(scope="class")
     def golden(self):
@@ -320,8 +323,7 @@ class TestProtocolMatrix:
     def test_python_path_holds_the_matrix(self, golden, monkeypatch):
         monkeypatch.setenv("REPRO_NATIVE", "0")
         shas, kernels = run_matrix()
-        # None: a recorded run (raytrace, volrend) was its own execution
-        assert set(kernels.values()) == {"python", None}
+        assert set(kernels.values()) == {"python"}
         assert [k for k in golden if shas[k] != golden[k]] == []
 
     @needs_kernel
@@ -333,8 +335,7 @@ class TestProtocolMatrix:
         shas, kernels = run_matrix()
         assert [k for k in golden if shas[k] != golden[k]] == []
         assert {k for k, kernel in kernels.items() if kernel == "python"} \
-            == {k for k in golden if "/4k-2way/" in k
-                and kernels[k] is not None}
+            == {k for k in golden if "/4k-2way/" in k}
 
 
 # ----------------------------------------------------- cache-key guards

@@ -1,12 +1,12 @@
-"""Streaming traces: the mmappable v2 format, streamed replay, byte budget.
+"""Streaming traces: the mmappable format, streamed replay, byte budget.
 
 The contract of the out-of-core trace layer is that *where the columns
 live is unobservable*: a program captured into arrays, decoded eagerly
-from v2 bytes, or memory-mapped and streamed column by column
+from ``RPROTRC3`` bytes, or memory-mapped and streamed column by column
 must replay to byte-identical results.  These tests pin that contract,
 the corruption-degrades-to-miss behaviour the cache relies on (a blob in
-the retired ``RPROTRC1`` format is one more corruption), and the
-byte-budget LRU accounting that makes mapped traces ~free to keep
+the retired ``RPROTRC1`` or ``RPROTRC2`` format is one more corruption),
+and the byte-budget LRU accounting that makes mapped traces ~free to keep
 resident.
 """
 
@@ -33,7 +33,7 @@ from repro.sim.compiled import (ENV_TRACE_LRU_BYTES, CompiledProgram,
                                 memory_cache_bytes, trace_cache_info,
                                 trace_key)
 from repro.sim.engine import Engine
-from repro.sim.program import OP_READ, OP_WORK, OP_WRITE
+from repro.sim.program import OP_READ, OP_TASK, OP_WORK, OP_WRITE
 
 from test_compiled import TINY_SIZES, capture
 
@@ -70,6 +70,33 @@ def v1_bytes(program):
     }, sort_keys=True).encode("utf-8")
     return (b"RPROTRC1" + len(header).to_bytes(4, "little") + header
             + zlib.compress(payload, 1))
+
+
+def make_task_program(line_size=32):
+    """Two processors that drain one queue of two 2-op tasks."""
+    q = array.array
+    return CompiledProgram(
+        [q("q", [OP_TASK, OP_WORK]), q("q", [OP_TASK])],
+        [q("q", [0, 4]), q("q", [0])], line_size, source_ops=5,
+        fused_work=True,
+        tasks=(q("q", [OP_READ, OP_WORK, OP_WRITE, OP_WORK]),
+               q("q", [7, 3, 9, 2]), [[2, 2]]))
+
+
+#: ``CompiledProgram([[1, 2], [0]], [[3, 4], [5]], 32, source_ops=3,
+#: fused_work=False).to_bytes()`` as the last RPROTRC2 writer (the commit
+#: before ``TASK``) produced it: no ``tasks`` in the header
+V2_BLOB = (
+    b'RPROTRC2\xae\x00\x00\x00{"byteorder": "little", "counts": [2, 1], '
+    b'"crc32": 2721637634, "fused_work": false, "itemsize": 8, '
+    b'"line_size": 32, "n_processors": 2, "payload_offset": 192, '
+    b'"source_ops": 3}\x00\x00\x00\x00\x00\x00'
+    + b"".join(v.to_bytes(8, "little") for v in (1, 2, 3, 4, 0, 5)))
+
+
+def v2_bytes(program):
+    """A well-formed blob of the previous format (whatever the program)."""
+    return V2_BLOB
 
 
 def columns_of(program):
@@ -117,13 +144,36 @@ class TestFormatRoundTrip:
     def test_v2_blob_is_uncompressed_and_aligned(self):
         program = make_program([([1, 2, 3], [4, 5, 6])])
         blob = program.to_bytes()
-        assert blob[:8] == b"RPROTRC2"
-        # payload: 2 columns x 3 int64 at an 8-aligned offset
+        assert blob[:8] == b"RPROTRC3"
+        # payload: 2 columns x 3 int64 at an 8-aligned offset (a static
+        # program's task sections are empty)
         payload = array.array("q", [1, 2, 3, 4, 5, 6])
         if sys.byteorder == "big":
             payload.byteswap()
         assert blob.endswith(payload.tobytes())
         assert (len(blob) - 6 * 8) % 8 == 0
+
+    def test_task_table_round_trips(self, tmp_path):
+        """The task table travels inside the blob, eager and mapped, and
+        a replay cannot tell which backing it came from."""
+        cfg = MachineConfig(n_processors=2, cluster_size=1)
+        program = make_task_program(cfg.line_size)
+        blob = program.to_bytes()
+        path = tmp_path / "t.trace"
+        path.write_bytes(blob)
+        results = set()
+        for twin in (program, CompiledProgram.from_bytes(blob),
+                     CompiledProgram.from_file(path)):
+            assert columns_of(twin) == columns_of(program)
+            assert (list(twin.task_ops), list(twin.task_args),
+                    twin.task_lens) == ([OP_READ, OP_WORK, OP_WRITE, OP_WORK],
+                                        [7, 3, 9, 2], [[2, 2]])
+            assert twin.to_bytes() == blob
+            # 3 frame ops of which 2 dispatch, 4 task ops; 8 bytes x 2 each
+            assert (twin.total_ops, twin.nbytes) == (5, 7 * 16)
+            results.add(Engine(cfg, CoherentMemorySystem(cfg))
+                        .run_compiled(twin).to_json())
+        assert twin.mapped and len(results) == 1
 
     def test_mapped_replay_matches_materialised(self, tmp_path):
         """A mapped trace streams through the python engine to the same
@@ -168,6 +218,45 @@ class TestCorruption:
             assert cache.get("deadbeef") is None
         assert cache.misses == 1
 
+    @pytest.mark.parametrize("damage", [
+        {"tasks": [[2, 10 ** 6]]},           # a task overruns the blob
+        {"tasks": [[-2, 6]]},                # ... or starts before its queue
+        {"tasks": [[2, 2], [8]]},            # a queue the payload lacks
+        {"tasks": [[2.0, 2.0]]},             # lengths that are not ints
+        {"tasks": [4]},                      # not a table at all
+        {"tasks": None},
+        {"payload_offset": 16},              # sections overlap the header
+        {"payload_offset": 10 ** 9},
+        {"counts": [1, -1], "tasks": [[3, 3]]},
+    ])
+    def test_hostile_task_table_is_a_miss_never_a_sigbus(self, tmp_path,
+                                                         damage):
+        """``from_file`` checks every section the header promises against
+        the mapping before slicing it: a header that lies is a decode
+        error, hence a cache miss with the usual warning."""
+        program = make_task_program()
+        blob = program.to_bytes()
+        hlen = int.from_bytes(blob[8:12], "little")
+        header = json.loads(blob[12:12 + hlen])
+        payload = blob[header["payload_offset"]:]
+        head = json.dumps({**header, **damage}, sort_keys=True).encode()
+        head += b" " * (-(12 + len(head)) % 8)   # keep the payload aligned
+        if "payload_offset" not in damage:
+            head = head.replace(
+                b'"payload_offset": %d' % header["payload_offset"],
+                b'"payload_offset": %d' % (12 + len(head)))
+        bad = blob[:8] + len(head).to_bytes(4, "little") + head + payload
+
+        path = tmp_path / "t.trace"
+        path.write_bytes(bad)
+        with pytest.raises(TraceDecodeError):
+            CompiledProgram.from_file(path)
+        with pytest.raises(TraceDecodeError):
+            CompiledProgram.from_bytes(bad)
+        cache = TraceCache(self._store_with_blob(tmp_path, bad))
+        with pytest.warns(UserWarning, match="corrupt compiled trace"):
+            assert cache.get("deadbeef") is None
+
     def test_every_truncation_fails_structurally(self, tmp_path):
         blob = make_program([([7, 8, 9], [1, 2, 3])]).to_bytes()
         path = tmp_path / "t.trace"
@@ -185,10 +274,12 @@ class TestCorruption:
 
     @pytest.mark.parametrize("plant", [
         v1_bytes,                            # retired RPROTRC1 format
-        lambda p: p.to_bytes()[:-8],         # truncated v2 payload
+        v2_bytes,                            # retired RPROTRC2 format
+        lambda p: p.to_bytes()[:-8],         # truncated payload
     ])
     def test_bad_blob_in_store_recaptures(self, tmp_path, plant):
-        """One warning, a recapture, the same bytes out, a v2 file after."""
+        """One warning, a recapture, the same bytes out, and the file
+        overwritten in today's format."""
         cfg = MachineConfig(n_processors=4, cluster_size=2,
                             cache_kb_per_processor=4)
         spec = RunRequest.make("lu", 2, 4.0, dict(TINY_SIZES["lu"]))
@@ -206,7 +297,7 @@ class TestCorruption:
         assert len(caught) == 1
         assert cache.misses == 1 and cache.disk_hits == 0
         assert got.to_json() == want
-        assert path.read_bytes()[:8] == b"RPROTRC2"
+        assert path.read_bytes()[:8] == b"RPROTRC3"
         clear_memory_cache()
 
 
@@ -229,7 +320,7 @@ class TestReplayIdentity:
         clear_memory_cache()
         cache = TraceCache(store)
         mapped = RunSession(cfg, cache).run(spec)
-        assert cache.disk_hits == 1  # really served from the v2 blob
+        assert cache.disk_hits == 1  # really served from the stored blob
         assert trace_cache_info()["mapped_entries"] == 1
 
         assert mapped.to_json() == materialized.to_json()
