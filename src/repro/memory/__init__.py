@@ -1,11 +1,10 @@
 """Memory-system substrate: address space, page placement, cluster caches,
 full-bit-vector directory, and the pluggable coherence-protocol backends.
 
-Cache and directory state is slab-allocated (one :class:`Cache` of
-``n_sets`` × ``ways`` lines over flat ``array('q')`` columns, packed-int
-directory entries); the object-per-line reference
-implementations the property suite compares them against are a test
-oracle and live in ``tests/refmodel.py``.
+Cache state is one :class:`Cache` of ``n_sets`` × ``ways`` lines with one
+record per resident line, and directory entries are packed ints; the
+object-per-entry directory and the DLS protocol the property suites compare
+against are a test oracle and live in ``tests/refmodel.py``.
 
 Protocol registry
 -----------------

@@ -29,16 +29,15 @@ The two hot entry points, :meth:`CoherentMemorySystem.read` and
 divides byte addresses by the line size once).  They make the split
 ``kernel.c`` makes:
 
-* what runs on **every reference** is inline on the set's *kernel tuple*
-  ``(slot_of, state, pending, fetcher)`` — the set's index dict beside the
-  shared slab columns of :class:`~repro.memory.cache.Cache`, bound once per
-  cache — so a hit is a dict probe plus two list indexings and allocates
-  nothing.  The paper's fully associative cache is one set and binds its
-  tuple directly; a set-associative cache selects the tuple with
-  ``line % n_sets``, the one place an operation looks at the geometry;
+* what runs on **every reference** is inline on the set's dict of
+  :class:`~repro.memory.cache.Line` records, bound once per cache, so a hit
+  is a dict probe plus two record attribute reads and allocates nothing.
+  The paper's fully associative cache is one set and binds its dict
+  directly; a set-associative cache selects the dict with ``line %
+  n_sets``, the one place an operation looks at the geometry;
 * what runs only on a **miss, upgrade or eviction** is a call into the one
   tested implementation of that step: :meth:`Cache.insert` /
-  ``invalidate`` / ``downgrade`` for the slab, the five
+  ``invalidate`` / ``downgrade`` for the cache, the five
   :class:`~repro.memory.directory.Directory` transitions for the packed
   table, and ``price(requester, home, owner, now)`` — the latency
   provider's ``miss_cycles`` (Table 1, or the stateful mesh) — for the
@@ -51,7 +50,7 @@ divides byte addresses by the line size once).  They make the split
 :class:`MemorySystem` holds what the three protocol back ends (this one,
 :mod:`~repro.memory.snoopy`, :mod:`~repro.memory.dls`) share outside their
 hot methods: construction, the processor → cluster mapping, ``price``, the
-counters and the cache-slot half of ``check_invariants``.
+counters and the cache-geometry half of ``check_invariants``.
 """
 
 from __future__ import annotations
@@ -118,14 +117,14 @@ class MemorySystem:
         # (first touch of a page still goes through the allocator)
         self._page_home = self.allocator._page_home
         self._lines_per_page = self.allocator._lines_per_page
-        # The hit paths run on each cache's kernel tuples as plain
-        # dict/array ops, with no method call and no per-line object.  One
-        # fully associative set (the paper's model) is bound as the tuple
-        # itself, so only n_sets != 1 pays the ``line % n_sets`` selection.
+        # The hit paths run on each cache's set dicts as plain dict probes
+        # and record attribute accesses, with no method call.  One fully
+        # associative set (the paper's model) is bound as the dict itself,
+        # so only n_sets != 1 pays the ``line % n_sets`` selection.
         self._n_sets = self.caches[0].n_sets
         self._ways = self.caches[0].ways
-        self._kernels = [c.kernels() if self._n_sets != 1 else c.kernels()[0]
-                         for c in self.caches]
+        self._lines = [c.sets if self._n_sets != 1 else c.sets[0]
+                       for c in self.caches]
 
     def cluster_of(self, processor: int) -> int:
         """Cluster id for a processor."""
@@ -143,11 +142,11 @@ class MemorySystem:
         return self.latency.stats()
 
     def check_invariants(self) -> None:
-        """Raise unless every cache's slot accounting balances, set by
-        set (:meth:`Cache.check_slots`); back ends add their protocol's
-        own cross-checks."""
+        """Raise unless every set of every cache holds at most ``ways``
+        lines, all of them its own (:meth:`Cache.check_sets`); back ends
+        add their protocol's own cross-checks after this one."""
         for index, cache in enumerate(self.caches):
-            cache.check_slots(f"cache {index}")
+            cache.check_sets(f"cache {index}")
 
 
 class CoherentMemorySystem(MemorySystem):
@@ -188,24 +187,23 @@ class CoherentMemorySystem(MemorySystem):
         ctr = self.counters[cluster]
         if not is_retry:
             ctr.reads += 1
-        kern = self._kernels[cluster]
+        lines = self._lines[cluster]
         if self._n_sets != 1:
-            kern = kern[line % self._n_sets]
-        slot_of = kern[0]
-        slot = slot_of.get(line, -1)
-        if slot >= 0:
+            lines = lines[line % self._n_sets]
+        record = lines.get(line)
+        if record is not None:
             if self._ways is not None:
                 # LRU touch: delete + reinsert keeps dict order = LRU
-                del slot_of[line]
-                slot_of[line] = slot
-            pending_until = kern[2][slot]
+                del lines[line]
+                lines[line] = record
+            pending_until = record.pending_until
             if pending_until > now:
                 ctr.merges += 1
                 return READ_MERGE, pending_until - now
-            fetcher = kern[3][slot]
+            fetcher = record.fetcher
             if fetcher != -1 and fetcher != processor:
                 ctr.prefetch_hits += 1
-                kern[3][slot] = -1
+                record.fetcher = -1
             return _HIT
         if is_retry:
             # Line was invalidated while we were merged on its fill.
@@ -241,17 +239,15 @@ class CoherentMemorySystem(MemorySystem):
         cluster = self._cluster_of[processor]
         ctr = self.counters[cluster]
         ctr.writes += 1
-        kern = self._kernels[cluster]
+        lines = self._lines[cluster]
         if self._n_sets != 1:
-            kern = kern[line % self._n_sets]
-        slot_of = kern[0]
-        slot = slot_of.get(line, -1)
-        if slot >= 0:
+            lines = lines[line % self._n_sets]
+        record = lines.get(line)
+        if record is not None:
             if self._ways is not None:
-                del slot_of[line]
-                slot_of[line] = slot
-            state_col = kern[1]
-            if state_col[slot] == EXCLUSIVE:
+                del lines[line]
+                lines[line] = record
+            if record.state == EXCLUSIVE:
                 return
             # UPGRADE: present but SHARED -> invalidate other sharers.
             ctr.upgrade_misses += 1
@@ -261,7 +257,7 @@ class CoherentMemorySystem(MemorySystem):
             if others:
                 self._invalidate_bits(line, others)
             directory.record_exclusive(line, cluster)
-            state_col[slot] = EXCLUSIVE
+            record.state = EXCLUSIVE
             return
 
         # ---- WRITE miss: fetch exclusive; latency hidden, line pending.
@@ -324,16 +320,17 @@ class CoherentMemorySystem(MemorySystem):
 
         Used by tests and (cheaply) by long-running debug builds:
 
+        * first, no set of any cache exceeds its ways or holds another
+          set's line (:meth:`MemorySystem.check_invariants`);
         * every live directory entry has a non-empty sharer mask (pruning
           means NOT_CACHED entries simply do not exist);
         * a line EXCLUSIVE at the directory is EXCLUSIVE in exactly the
           owner's cache and nowhere else;
         * a line SHARED at the directory is SHARED in every cache whose bit
           is set (hints guarantee no stale bits);
-        * a line without an entry is nowhere;
-        * no set of any cache exceeds its ways, and slab slot accounting
-          balances (:meth:`MemorySystem.check_invariants`).
+        * a line without an entry is nowhere.
         """
+        super().check_invariants()
         directory = self.directory
         seen = set()
         for line in directory.lines():
@@ -370,4 +367,3 @@ class CoherentMemorySystem(MemorySystem):
                     raise AssertionError(
                         f"line {line:#x} cached at {cluster} but pruned "
                         f"from the directory")
-        super().check_invariants()

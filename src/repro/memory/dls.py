@@ -30,11 +30,12 @@ The class exposes the same hot interface as
 assembler, and the study driver accept it interchangeably; runs select
 it through the protocol registry (``MachineConfig.protocol = "dls"``).
 Like the directory back end it probes, touches and accounts hits inline
-on the slab's kernel tuples — no per-line objects, no call per local hit —
+on the home slice's set dict of line records — no call per local hit —
 and goes through :meth:`Cache.insert` and ``price`` for everything else
 (see :mod:`~repro.memory.coherence`, "Hits inline, misses through the
-API").  The object-per-line oracle it is pinned against is
-``RefDLSMemorySystem`` in ``tests/refmodel.py``.
+API").  The oracle it is pinned against is ``RefDLSMemorySystem`` in
+``tests/refmodel.py``: the same protocol written out plainly over the
+same :class:`~repro.memory.cache.Cache`.
 """
 
 from __future__ import annotations
@@ -103,28 +104,27 @@ class DLSMemorySystem(MemorySystem):
         home = (page_home if page_home is not None
                 else self.allocator.home_of_line(line))
         # a line lives only in its home slice, so that is the one set probed
-        kern = self._kernels[home]
+        lines = self._lines[home]
         if self._n_sets != 1:
-            kern = kern[line % self._n_sets]
-        slot_of = kern[0]
-        slot = slot_of.get(line, -1)
-        if slot >= 0 and self._ways is not None:
+            lines = lines[line % self._n_sets]
+        record = lines.get(line)
+        if record is not None and self._ways is not None:
             # LRU touch: delete + reinsert keeps dict order = LRU
-            del slot_of[line]
-            slot_of[line] = slot
+            del lines[line]
+            lines[line] = record
         history = self._history[cluster]
 
         if home == cluster:
             # ---- local slice: hit / merge / local fill
-            if slot >= 0:
-                pending_until = kern[2][slot]
+            if record is not None:
+                pending_until = record.pending_until
                 if pending_until > now:
                     ctr.merges += 1
                     return READ_MERGE, pending_until - now
-                fetcher = kern[3][slot]
+                fetcher = record.fetcher
                 if fetcher != -1 and fetcher != processor:
                     ctr.prefetch_hits += 1
-                    kern[3][slot] = -1
+                    record.fetcher = -1
                 return _HIT
             if is_retry:
                 # pending line was evicted before the merged reader
@@ -141,9 +141,9 @@ class DLSMemorySystem(MemorySystem):
         # whatever the request waits for there
         cause = history.get(line, _COLD)
         history[line] = _COHERENCE
-        if slot >= 0:
+        if record is not None:
             # home slice serves the line (queued behind a fill in flight)
-            wait = max(kern[2][slot] - now, 0)
+            wait = max(record.pending_until - now, 0)
         else:
             # home slice misses too: memory fill at home, then forward;
             # the line installs in the home slice on the way through
@@ -168,24 +168,23 @@ class DLSMemorySystem(MemorySystem):
         page_home = self._page_home.get(line // self._lines_per_page)
         home = (page_home if page_home is not None
                 else self.allocator.home_of_line(line))
-        kern = self._kernels[home]
+        lines = self._lines[home]
         if self._n_sets != 1:
-            kern = kern[line % self._n_sets]
-        slot_of = kern[0]
-        slot = slot_of.get(line, -1)
+            lines = lines[line % self._n_sets]
+        record = lines.get(line)
         remote = home != cluster
-        if remote or slot < 0:
+        if remote or record is None:
             # a miss: the write leaves the cluster, or allocates locally
             history = self._history[cluster]
             ctr.write_misses += 1
             ctr.by_cause[history.get(line, _COLD)] += 1
             if remote:
                 history[line] = _COHERENCE
-        if slot >= 0:
+        if record is not None:
             if self._ways is not None:
-                del slot_of[line]
-                slot_of[line] = slot
-            kern[1][slot] = EXCLUSIVE
+                del lines[line]
+                lines[line] = record
+            record.state = EXCLUSIVE
             return
         # write-allocate at the home slice (memory fill at home)
         fill = self._price(home, home, None, now)
@@ -211,12 +210,13 @@ class DLSMemorySystem(MemorySystem):
     def check_invariants(self) -> None:
         """Cross-check slice contents; raises on inconsistency.
 
+        * first, no set of any slice exceeds its ways or holds another
+          set's line (:meth:`MemorySystem.check_invariants`);
         * every resident line lives in the slice of its home cluster
           (the protocol's defining invariant — a violation means two
-          copies could exist);
-        * no set of any slice exceeds its ways, and slab slot accounting
-          balances (:meth:`MemorySystem.check_invariants`).
+          copies could exist).
         """
+        super().check_invariants()
         for cluster, cache in enumerate(self.caches):
             for line in cache.resident_lines():
                 home = self.allocator.home_of_line(line)
@@ -224,4 +224,3 @@ class DLSMemorySystem(MemorySystem):
                     raise AssertionError(
                         f"line {line:#x} homed at {home} is cached in "
                         f"slice {cluster}")
-        super().check_invariants()

@@ -24,8 +24,8 @@ processor's cached copy makes the cluster a sharer).
 The class exposes the same hot interface as
 :class:`~repro.memory.coherence.CoherentMemorySystem` (``read``/``write``/
 ``aggregate_counters``/``counters``), so the engine and the study driver
-accept either interchangeably.  Like the shared-cache system it runs on the
-slab cache columns (slot-indexed state, no per-line objects), derives
+accept either interchangeably.  Like the shared-cache system it reads
+and writes the cache's line records in place on a hit, derives
 ``hits``/``references`` on :class:`~repro.core.metrics.MissCounters`
 instead of incrementing them, and precomputes each cluster's processor
 range once (``_snoop`` walks the bus on every miss).
@@ -112,10 +112,9 @@ class SnoopyClusterMemorySystem(MemorySystem):
         ctr = self.counters[cluster]
         if not is_retry:
             ctr.reads += 1
-        cache = self.caches[processor]
-        slot = cache.lookup(line)
-        if slot >= 0:
-            pending_until = cache.pending[slot]
+        record = self.caches[processor].lookup(line)
+        if record is not None:
+            pending_until = record.pending_until
             if pending_until > now:
                 ctr.merges += 1
                 return READ_MERGE, pending_until - now
@@ -153,11 +152,10 @@ class SnoopyClusterMemorySystem(MemorySystem):
         cluster = self._cluster_of[processor]
         ctr = self.counters[cluster]
         ctr.writes += 1
-        cache = self.caches[processor]
-        slot = cache.lookup(line)
-        if slot >= 0 and cache.state[slot] == EXCLUSIVE:
+        record = self.caches[processor].lookup(line)
+        if record is not None and record.state == EXCLUSIVE:
             return
-        if slot >= 0:
+        if record is not None:
             ctr.upgrade_misses += 1
         else:
             ctr.write_misses += 1
@@ -169,8 +167,8 @@ class SnoopyClusterMemorySystem(MemorySystem):
                 self._history[q][line] = _INVALIDATED
         self._invalidate_other_clusters(line, cluster)
         self.directory.record_exclusive(line, cluster)
-        if slot >= 0:
-            cache.state[slot] = EXCLUSIVE
+        if record is not None:
+            record.state = EXCLUSIVE
         else:
             home = self.allocator.home_of_line(line)
             latency = self._price(cluster, home, None, now) \
@@ -223,15 +221,16 @@ class SnoopyClusterMemorySystem(MemorySystem):
     def check_invariants(self) -> None:
         """Cross-check processor caches against the directory.
 
+        * First, no set of any processor cache exceeds its ways or holds
+          another set's line (:meth:`MemorySystem.check_invariants`).
         * A line EXCLUSIVE at the directory is cached only inside the owner
           cluster, and at most one processor holds it EXCLUSIVE; no copy of
           it exists in any other cluster.
         * A cluster without its sharer bit set caches the line nowhere.
         * A sharer cluster holds at least one copy (hints fire only when
           the whole cluster drops the line).
-        * Every processor cache's slot accounting balances
-          (:meth:`MemorySystem.check_invariants`).
         """
+        super().check_invariants()
         directory = self.directory
         for line in directory.lines():
             state = directory.state_of(line)
@@ -261,4 +260,3 @@ class SnoopyClusterMemorySystem(MemorySystem):
                     raise AssertionError(
                         f"line {line:#x}: EXCLUSIVE copy under a SHARED "
                         f"directory state")
-        super().check_invariants()

@@ -32,8 +32,9 @@
  *   push/pop pair for a strictly-earliest event changes no other
  *   event's relative order.
  * - replacement: the victim is the least recently touched resident line
- *   of the cluster (hit, merge retry, write hit and install all touch);
- *   a doubly-linked list over slots keeps that order.  Under infinite
+ *   of the cluster (hit, merge retry, write hit and install all touch) —
+ *   the order repro.memory.cache.Cache keeps as its set dict's insertion
+ *   order; here a doubly-linked list over slots keeps it.  Under infinite
  *   capacity nothing is ever evicted, so no order is kept at all.
  * - a line's directory entry, per-cluster miss history and home cluster
  *   are one record, found through one hash map, so a miss probes once;
@@ -245,7 +246,10 @@ static inline int map_del(Map *m, int64_t k, int64_t *v) {
  * (invalidations) chain through `next`; fresh slots come from a
  * high-water mark, the slab doubling on demand, so nothing
  * capacity-sized is allocated before it is used.  With finite
- * capacity, resident slots also form the recency list (head = victim). */
+ * capacity, resident slots also form the recency list (head = victim).
+ * Python keeps one heap record per line instead (memory/cache.py); in C
+ * the slab is the cheap form — fixed-size contiguous records, int64
+ * links, one realloc per doubling and no allocator call per miss. */
 
 typedef struct {
     int64_t tag, state, pending, fetcher;

@@ -27,11 +27,10 @@ and ``write(processor, line, now)`` — normally
 :class:`PerfectMemory` for load-latency profiling.  Both methods are bound
 once per run and called once per READ/WRITE op, which makes them the
 engine's hottest downstream calls; the memory layer keeps them allocation-
-free on hits by storing all per-line state in slab columns
-(see :mod:`repro.memory.cache`) rather than per-line heap objects.  The
-engine in turn promises the memory system monotonically non-decreasing
-``now`` values per processor — the ordering the pending/merge bookkeeping
-in those columns relies on.
+free on hits by reading and writing each resident line's record in place
+(see :mod:`repro.memory.cache`).  The engine in turn promises the memory
+system monotonically non-decreasing ``now`` values per processor — the
+ordering the pending/merge bookkeeping in those records relies on.
 
 One loop, two sources
 ---------------------

@@ -1,217 +1,29 @@
-"""Reference (object-per-line) memory-state models for property testing.
+"""Reference models the property suites check production code against.
 
-These are the pre-kernelization implementations of the cache and directory
-state stores, retained verbatim in behaviour: one heap object per resident
-line / per directory entry, with the same LRU discipline (dict insertion
-order) and the same transition semantics as the flat-array versions in
-:mod:`repro.memory.cache` and :mod:`repro.memory.directory`.
+* :class:`RefDirectory` — the pre-kernelization directory, one
+  :class:`DirEntry` object per line, with the same transition semantics as
+  the packed-int :class:`repro.memory.directory.Directory`.  The one
+  intended divergence: it keeps a (dead) ``NOT_CACHED`` entry for every
+  line ever cached, while the production directory prunes them, so
+  ``tests/test_memcore_properties.py`` checks that the production table
+  equals the reference's *live* entries exactly.
+* :class:`RefDLSMemorySystem` — the ``"dls"`` protocol written out plainly
+  over the production :class:`repro.memory.cache.Cache`, which
+  ``tests/test_protocols.py`` drives beside
+  :class:`repro.memory.dls.DLSMemorySystem` step for step.
 
-They exist so the hypothesis property suite (``tests/test_memcore_properties
-.py``) can drive both implementations with identical random access streams
-and require identical observable behaviour — victim choice, states, pending
-times, counters.  They live beside the tests because nothing in ``src/``
-imports them: they are a test oracle, not part of the simulator.
-
-The one intended divergence: :class:`RefDirectory` keeps a (dead)
-``NOT_CACHED`` entry for every line ever cached, while the production
-directory prunes them.  The property suite checks that the production
-table equals the reference's *live* entries exactly.
+They live beside the tests because nothing in ``src/`` imports them: they
+are a test oracle, not part of the simulator.  (The cache itself is checked
+against a per-set LRU list model in ``tests/test_memcore_properties.py``.)
 """
 
 from __future__ import annotations
 
-from typing import NamedTuple
-
-from repro.memory.cache import EXCLUSIVE, SHARED
+from repro.memory.cache import EXCLUSIVE, SHARED, Cache
 from repro.memory.directory import (DIR_EXCLUSIVE, DIR_SHARED,
                                     NOT_CACHED)
 
-__all__ = ["LineEntry", "RefEviction", "RefFullyAssociativeCache",
-           "RefSetAssociativeCache", "DirEntry", "RefDirectory",
-           "RefDLSMemorySystem"]
-
-
-class LineEntry:
-    """Mutable per-line cache metadata (reference implementation).
-
-    ``fetcher`` records which processor's miss brought the line in; the
-    protocol layer uses it to count *cluster prefetch hits*.  It is set to
-    ``-1`` once counted.
-    """
-
-    __slots__ = ("state", "pending_until", "fetcher")
-
-    def __init__(self, state: int, pending_until: int = 0,
-                 fetcher: int = -1) -> None:
-        self.state = state
-        self.pending_until = pending_until
-        self.fetcher = fetcher
-
-    def is_pending(self, now: int) -> bool:
-        return self.pending_until > now
-
-
-class RefEviction(NamedTuple):
-    line: int
-    state: int
-
-
-class RefFullyAssociativeCache:
-    """Fully associative LRU cache over per-line objects (reference)."""
-
-    __slots__ = ("capacity_lines", "_lines", "evictions", "inserts")
-
-    def __init__(self, capacity_lines: int | None) -> None:
-        if capacity_lines is not None and capacity_lines <= 0:
-            raise ValueError(
-                f"capacity_lines must be positive or None, got {capacity_lines}"
-            )
-        self.capacity_lines = capacity_lines
-        self._lines: dict[int, LineEntry] = {}
-        self.evictions = 0
-        self.inserts = 0
-
-    def lookup(self, line: int) -> LineEntry | None:
-        entry = self._lines.get(line)
-        if entry is not None and self.capacity_lines is not None:
-            del self._lines[line]
-            self._lines[line] = entry
-        return entry
-
-    def peek(self, line: int) -> LineEntry | None:
-        return self._lines.get(line)
-
-    def insert(self, line: int, state: int, pending_until: int = 0,
-               fetcher: int = -1) -> RefEviction | None:
-        if line in self._lines:
-            raise ValueError(f"line {line:#x} already resident")
-        victim: RefEviction | None = None
-        if (self.capacity_lines is not None
-                and len(self._lines) >= self.capacity_lines):
-            victim_line = next(iter(self._lines))
-            victim_entry = self._lines.pop(victim_line)
-            victim = RefEviction(victim_line, victim_entry.state)
-            self.evictions += 1
-        self._lines[line] = LineEntry(state, pending_until, fetcher)
-        self.inserts += 1
-        return victim
-
-    def invalidate(self, line: int) -> bool:
-        return self._lines.pop(line, None) is not None
-
-    def downgrade(self, line: int) -> None:
-        entry = self._lines.get(line)
-        if entry is None:
-            raise KeyError(f"line {line:#x} not resident; cannot downgrade")
-        entry.state = SHARED
-
-    def __len__(self) -> int:
-        return len(self._lines)
-
-    def __contains__(self, line: int) -> bool:
-        return line in self._lines
-
-    @property
-    def is_infinite(self) -> bool:
-        return self.capacity_lines is None
-
-    def resident_lines(self) -> list[int]:
-        return list(self._lines)
-
-    def state_of(self, line: int) -> int | None:
-        entry = self._lines.get(line)
-        return None if entry is None else entry.state
-
-    def pending_until_of(self, line: int) -> int | None:
-        entry = self._lines.get(line)
-        return None if entry is None else entry.pending_until
-
-
-class RefSetAssociativeCache:
-    """Set-associative LRU cache over per-line objects (reference)."""
-
-    __slots__ = ("capacity_lines", "associativity", "n_sets", "_sets",
-                 "evictions", "inserts")
-
-    def __init__(self, capacity_lines: int, associativity: int) -> None:
-        if capacity_lines <= 0:
-            raise ValueError("capacity_lines must be positive")
-        if associativity <= 0:
-            raise ValueError("associativity must be positive")
-        if capacity_lines % associativity != 0:
-            raise ValueError(
-                f"capacity {capacity_lines} not divisible by "
-                f"associativity {associativity}"
-            )
-        self.capacity_lines = capacity_lines
-        self.associativity = associativity
-        self.n_sets = capacity_lines // associativity
-        self._sets: list[dict[int, LineEntry]] = [dict()
-                                                  for _ in range(self.n_sets)]
-        self.evictions = 0
-        self.inserts = 0
-
-    def _set_for(self, line: int) -> dict[int, LineEntry]:
-        return self._sets[line % self.n_sets]
-
-    def lookup(self, line: int) -> LineEntry | None:
-        s = self._set_for(line)
-        entry = s.get(line)
-        if entry is not None:
-            del s[line]
-            s[line] = entry
-        return entry
-
-    def peek(self, line: int) -> LineEntry | None:
-        return self._set_for(line).get(line)
-
-    def insert(self, line: int, state: int, pending_until: int = 0,
-               fetcher: int = -1) -> RefEviction | None:
-        s = self._set_for(line)
-        if line in s:
-            raise ValueError(f"line {line:#x} already resident")
-        victim: RefEviction | None = None
-        if len(s) >= self.associativity:
-            victim_line = next(iter(s))
-            victim_entry = s.pop(victim_line)
-            victim = RefEviction(victim_line, victim_entry.state)
-            self.evictions += 1
-        s[line] = LineEntry(state, pending_until, fetcher)
-        self.inserts += 1
-        return victim
-
-    def invalidate(self, line: int) -> bool:
-        return self._set_for(line).pop(line, None) is not None
-
-    def downgrade(self, line: int) -> None:
-        entry = self._set_for(line).get(line)
-        if entry is None:
-            raise KeyError(f"line {line:#x} not resident; cannot downgrade")
-        entry.state = SHARED
-
-    def __len__(self) -> int:
-        return sum(len(s) for s in self._sets)
-
-    def __contains__(self, line: int) -> bool:
-        return line in self._set_for(line)
-
-    @property
-    def is_infinite(self) -> bool:
-        return False
-
-    def resident_lines(self) -> list[int]:
-        out: list[int] = []
-        for s in self._sets:
-            out.extend(s)
-        return out
-
-    def state_of(self, line: int) -> int | None:
-        entry = self._set_for(line).get(line)
-        return None if entry is None else entry.state
-
-    def pending_until_of(self, line: int) -> int | None:
-        entry = self._set_for(line).get(line)
-        return None if entry is None else entry.pending_until
+__all__ = ["DirEntry", "RefDirectory", "RefDLSMemorySystem"]
 
 
 class DirEntry:
@@ -335,11 +147,12 @@ class RefDirectory:
 
 
 class RefDLSMemorySystem:
-    """Object-per-line oracle for the ``"dls"`` protocol backend.
+    """Plainly written oracle for the ``"dls"`` protocol backend.
 
     The reference twin of :class:`repro.memory.dls.DLSMemorySystem`: one
-    :class:`RefFullyAssociativeCache` slice per cluster (home lines
-    only), per-cluster miss counters kept as plain dicts, and the same
+    fully associative :class:`~repro.memory.cache.Cache` slice per cluster
+    (home lines only) driven through its methods, per-cluster miss
+    counters kept as plain dicts, and the same
     observable contract — ``read`` / ``write`` outcomes and stalls,
     classification, prefetch-hit consumption, write-back counts, and
     victim choice.  The hypothesis suite drives both implementations
@@ -355,7 +168,7 @@ class RefDLSMemorySystem:
         self.allocator = allocator
         self.local_clean = config.latency.local_clean
         self.remote_clean = config.latency.remote_clean
-        self.slices = [RefFullyAssociativeCache(config.cluster_cache_lines)
+        self.slices = [Cache(config.cluster_cache_lines)
                        for _ in range(config.n_clusters)]
         self.counters = [dict(reads=0, writes=0, read_misses=0,
                               write_misses=0, merges=0, merge_refetches=0,
@@ -390,7 +203,7 @@ class RefDLSMemorySystem:
         if home == cluster:
             entry = self.slices[cluster].lookup(line)
             if entry is not None:
-                if entry.is_pending(now):
+                if entry.pending_until > now:
                     ctr["merges"] += 1
                     return 1, entry.pending_until - now  # READ_MERGE
                 if entry.fetcher != -1 and entry.fetcher != processor:

@@ -1,5 +1,5 @@
-"""Unit tests for the slab-allocated cluster cache: ``n_sets`` sets of
-``ways`` lines behind a slot-based API over flat array('q') columns.
+"""Unit tests for the cluster cache: ``n_sets`` sets of ``ways`` lines,
+one :class:`~repro.memory.cache.Line` record per resident line.
 
 :class:`TestEveryGeometry` holds what every geometry shares; the classes
 before it pin the paper's fully associative cache at small fixed sizes and
@@ -13,11 +13,11 @@ from repro.memory.cache import EXCLUSIVE, SHARED, Cache
 class TestFullyAssociativeBasics:
     def test_miss_then_hit(self):
         c = Cache(4)
-        assert c.lookup(1) == -1
+        assert c.lookup(1) is None
         c.insert(1, SHARED)
-        slot = c.lookup(1)
-        assert slot >= 0
-        assert c.state[slot] == SHARED
+        record = c.lookup(1)
+        assert record is not None
+        assert record.state == SHARED
 
     def test_capacity_enforced(self):
         c = Cache(2)
@@ -88,87 +88,65 @@ class TestFullyAssociativeBasics:
 
 
 class TestSlabColumns:
-    """The flat-column state layout specifics."""
-
-    def test_finite_columns_preallocated(self):
-        c = Cache(8)
-        assert len(c.state) == 8
-        assert len(c.pending) == 8
-        assert len(c.fetcher) == 8
-        assert len(c.tag) == 8
-        assert c.free == [[7, 6, 5, 4, 3, 2, 1, 0]]
-
-    def test_tag_column_names_resident_line(self):
-        c = Cache(4)
-        c.insert(42, SHARED)
-        slot = c.peek(42)
-        assert c.tag[slot] == 42
+    """What the record layout promises the protocol back ends."""
 
     def test_fetcher_cell(self):
         c = Cache(4)
         c.insert(1, SHARED, fetcher=7)
-        slot = c.peek(1)
-        assert c.fetcher_of(1) == 7
-        assert c.fetcher[slot] == 7
-        c.fetcher[slot] = -1  # protocol layer marks the prefetch counted
-        assert c.fetcher_of(1) == -1
+        record = c.peek(1)
+        assert record.fetcher == 7
+        record.fetcher = -1  # protocol layer marks the prefetch counted
+        assert c.peek(1).fetcher == -1
 
     def test_invalidate_recycles_slot(self):
         c = Cache(2)
         c.insert(1, SHARED)
-        slot = c.peek(1)
-        c.invalidate(1)
-        assert slot in c.free[0]
         c.insert(2, SHARED)
-        c.insert(3, SHARED)
-        assert len(c) == 2  # recycled slot reused, no overflow
+        c.invalidate(1)
+        assert c.insert(3, SHARED) is None  # the freed way takes it
+        assert len(c) == 2 and c.evictions == 0
 
     def test_eviction_reuses_victim_slot(self):
         c = Cache(1)
-        c.insert(1, SHARED)
-        slot = c.peek(1)
-        c.insert(2, EXCLUSIVE)
-        assert c.peek(2) == slot
+        c.insert(1, SHARED, pending_until=5, fetcher=2)
+        record = c.peek(1)
+        c.insert(2, EXCLUSIVE, pending_until=9)
+        assert c.peek(2) is record
+        assert (record.state, record.pending_until, record.fetcher) == \
+            (EXCLUSIVE, 9, -1)
 
     def test_slot_accounting_balances(self):
         c = Cache(4)
+        invalidated = 0
         for line in range(10):
             c.insert(line, SHARED)
             if line % 3 == 0:
-                c.invalidate(line)
-        c.check_slots()
+                invalidated += c.invalidate(line)
+        # every inserted line is resident, evicted or invalidated
+        assert len(c) == c.inserts - c.evictions - invalidated == 3
+        c.check_sets()
 
     def test_infinite_growth_preserves_column_identity(self):
         c = Cache(None)
-        state_col = c.state  # bound before any growth, like the kernel does
-        pending_col = c.pending
-        fetcher_col = c.fetcher
-        for line in range(5000):  # forces several in-place extensions
+        lines = c.sets[0]  # bound before any insert, like the back ends do
+        for line in range(5000):
             c.insert(line, SHARED, pending_until=line)
-        assert state_col is c.state
-        assert pending_col is c.pending
-        assert fetcher_col is c.fetcher
-        assert pending_col[c.peek(4999)] == 4999
-
-    def test_pending_until_of(self):
-        c = Cache(4)
-        c.insert(1, SHARED, pending_until=50)
-        assert c.pending_until_of(1) == 50
-        assert c.pending_until_of(9) is None
+        assert lines is c.sets[0] and len(lines) == 5000
+        assert lines[4999].pending_until == 4999
 
 
 class TestPending:
     def test_pending_until_future(self):
         c = Cache(4)
         c.insert(1, SHARED, pending_until=50)
-        assert c.pending[c.lookup(1)] > 10
-        assert not c.pending[c.lookup(1)] > 50
-        assert not c.pending[c.lookup(1)] > 51
+        assert c.lookup(1).pending_until > 10
+        assert not c.lookup(1).pending_until > 50
+        assert not c.lookup(1).pending_until > 51
 
     def test_default_not_pending(self):
         c = Cache(4)
         c.insert(1, SHARED)
-        assert not c.pending[c.lookup(1)] > 0
+        assert not c.lookup(1).pending_until > 0
 
 
 class TestInfiniteCache:
@@ -177,7 +155,7 @@ class TestInfiniteCache:
         for line in range(10_000):
             assert c.insert(line, SHARED) is None
         assert len(c) == 10_000
-        assert c.is_infinite
+        assert (c.capacity_lines, c.ways, c.n_sets) == (None, None, 1)
 
     def test_rejects_zero_capacity(self):
         with pytest.raises(ValueError):
@@ -219,19 +197,18 @@ class TestSetAssociative:
 
     def test_slots_stay_within_owning_set(self):
         c = Cache(4, 2)
-        c.insert(0, SHARED)   # set 0 owns slots 0..1
-        c.insert(1, SHARED)   # set 1 owns slots 2..3
-        assert c.peek(0) in (0, 1)
-        assert c.peek(1) in (2, 3)
+        c.insert(0, SHARED)   # set 0 holds even lines
+        c.insert(1, SHARED)   # set 1 holds odd lines
+        assert list(c.sets[0]) == [0] and list(c.sets[1]) == [1]
 
     def test_shared_api_surface(self):
         c = Cache(4, 2)
         c.insert(0, EXCLUSIVE)
         c.downgrade(0)
         assert c.state_of(0) == SHARED
-        assert c.peek(0) >= 0
+        assert c.peek(0) is not None
         assert c.invalidate(0)
-        assert not c.is_infinite
+        assert c.peek(0) is None
 
     def test_resident_lines(self):
         c = Cache(4, 2)
@@ -288,36 +265,27 @@ class TestEveryGeometry:
     direct-mapped cache and an infinite one."""
 
     def test_shape(self, cache):
-        slots = cache.capacity_lines or 0
-        assert cache.n_sets * (cache.ways or 0) == slots
-        for column in (cache.state, cache.pending, cache.fetcher, cache.tag):
-            assert len(column) == slots
-        assert len(cache.sets) == len(cache.free) == cache.n_sets
-        assert cache.is_infinite == (cache.capacity_lines is None)
-        kernels = cache.kernels()
-        assert len(kernels) == cache.n_sets
-        for index, kern in enumerate(kernels):
-            assert kern[0] is cache.sets[index]
-            assert kern[1] is cache.state and kern[2] is cache.pending
-            assert kern[3] is cache.fetcher and len(kern) == 4
+        assert cache.n_sets * (cache.ways or 0) == (cache.capacity_lines or 0)
+        assert (cache.ways is None) == (cache.capacity_lines is None)
+        assert cache.sets == [{}] * cache.n_sets
+        assert len(cache) == 0 and cache.resident_lines() == []
 
     def test_miss_then_hit(self, cache):
-        assert cache.lookup(5) == -1 and 5 not in cache
+        assert cache.lookup(5) is None and 5 not in cache
         assert cache.insert(5, SHARED, pending_until=50, fetcher=3) is None
-        slot = cache.lookup(5)
-        assert slot >= 0 and slot == cache.peek(5) and 5 in cache
-        assert cache.tag[slot] == 5
-        assert (cache.state[slot], cache.pending[slot],
-                cache.fetcher[slot]) == (SHARED, 50, 3)
-        assert (cache.state_of(5), cache.pending_until_of(5),
-                cache.fetcher_of(5)) == (SHARED, 50, 3)
-        assert cache.state_of(6) is None and cache.fetcher_of(6) is None
+        record = cache.lookup(5)
+        assert record is cache.peek(5) and 5 in cache
+        assert record is cache.sets[5 % cache.n_sets][5]
+        assert (record.state, record.pending_until,
+                record.fetcher) == (SHARED, 50, 3)
+        assert cache.state_of(5) == SHARED
+        assert cache.state_of(6) is None and cache.peek(6) is None
         with pytest.raises(ValueError):
             cache.insert(5, EXCLUSIVE)
 
     def test_full_set_evicts_its_lru_line(self, cache):
-        if cache.is_infinite:
-            for line in range(3000):  # past the initial slab: grows in place
+        if cache.ways is None:
+            for line in range(3000):
                 assert cache.insert(line, SHARED) is None
             assert len(cache) == 3000 and cache.evictions == 0
             return
@@ -347,31 +315,31 @@ class TestEveryGeometry:
             cache.insert(line, SHARED)
             if line % 3 == 0:
                 cache.invalidate(line)
-        for line in cache.resident_lines():
-            index = line % cache.n_sets
-            assert cache.peek(line) in cache.sets[index].values()
-            if cache.ways is not None:
-                assert cache.peek(line) // cache.ways == index
-        cache.check_slots()
+        for index, lines in enumerate(cache.sets):
+            assert all(line % cache.n_sets == index for line in lines)
+            assert cache.ways is None or len(lines) <= cache.ways
+        cache.check_sets()
 
     def test_invalidate_recycles_the_slot_into_its_set(self, cache):
-        cache.insert(3, SHARED, pending_until=100)  # pending lines go too
-        slot = cache.peek(3)
-        assert cache.invalidate(3) is True
-        assert cache.invalidate(3) is False
-        assert 3 not in cache and len(cache) == 0
-        assert cache.free[3 % cache.n_sets][-1] == slot
-        cache.insert(3 + cache.n_sets, SHARED)
-        assert cache.peek(3 + cache.n_sets) == slot
+        lines = conflicting(cache, cache.ways or 2)
+        for line in lines:
+            cache.insert(line, SHARED, pending_until=100)
+        assert cache.invalidate(lines[0]) is True  # pending lines go too
+        assert cache.invalidate(lines[0]) is False
+        assert lines[0] not in cache and len(cache) == len(lines) - 1
+        newcomer = 1 + len(lines) * cache.n_sets  # same set, now with room
+        assert cache.insert(newcomer, SHARED) is None
+        assert cache.resident_lines() == [*lines[1:], newcomer]
+        assert cache.evictions == 0
 
     @only((8, None), (8, 8), (8, 2), (8, 1))
     def test_eviction_reuses_the_victims_slot(self, cache):
         lines = conflicting(cache, cache.ways + 1)
         for line in lines[:-1]:
             cache.insert(line, SHARED)
-        slot = cache.peek(lines[0])
+        record = cache.peek(lines[0])
         assert cache.insert(lines[-1], SHARED).line == lines[0]
-        assert cache.peek(lines[-1]) == slot
+        assert cache.peek(lines[-1]) is record
 
     def test_downgrade(self, cache):
         cache.insert(1, EXCLUSIVE)
@@ -385,17 +353,26 @@ class TestEveryGeometry:
             cache.insert(line, SHARED)
         assert sorted(cache.resident_lines()) == [0, 1, 2, 5]
         assert cache.resident_lines() == [
-            line for slot_of in cache.sets for line in slot_of]
+            line for lines in cache.sets for line in lines]
         assert len(cache) == 4
 
-    def test_check_slots_catches_a_leaked_slot(self, cache):
-        cache.insert(1, SHARED)
-        cache.check_slots()
-        slot = cache.sets[1 % cache.n_sets].pop(1)  # dropped, never freed
-        with pytest.raises(AssertionError, match="slot leak"):
-            cache.check_slots()
-        cache.free[1 % cache.n_sets].append(slot)
-        cache.check_slots()
+    def test_check_sets_catches_an_overfull_or_misplaced_set(self, cache):
+        lines = conflicting(cache, (cache.ways or 64) + 1)
+        for line in lines[:-1]:
+            cache.insert(line, SHARED)
+        cache.check_sets()
+        own = cache.sets[1 % cache.n_sets]
+        own[lines[-1]] = own[lines[0]]  # one past the ways, behind insert
+        if cache.ways is None:
+            cache.check_sets()  # an infinite set has no bound
+        else:
+            with pytest.raises(AssertionError, match="over its"):
+                cache.check_sets()
+        del own[lines[-1]]
+        if cache.n_sets > 1:
+            cache.sets[0][lines[0]] = own.pop(lines[0])  # odd line, set 0
+            with pytest.raises(AssertionError, match="holds line 0x1 of"):
+                cache.check_sets()
 
     def test_rejects_bad_geometry(self):
         for capacity, associativity in ((0, None), (-1, None), (8, 0),

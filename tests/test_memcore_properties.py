@@ -1,10 +1,11 @@
-"""Property suite for the kernelized memory core.
+"""Property suite for the memory core.
 
-Drives the slab/flat-array implementations (:mod:`repro.memory.cache`,
-:mod:`repro.memory.directory`) and the retained object-per-line reference
-implementations (``tests/refmodel.py``) with identical random
-streams, and requires identical observable behaviour: victim choice, LRU
-order, states, pending times, fetcher metadata, and protocol counters.
+Drives :class:`~repro.memory.cache.Cache` beside a per-set LRU list model
+written below, and the packed-int :class:`~repro.memory.directory.Directory`
+beside the object-per-entry ``RefDirectory`` of ``tests/refmodel.py``, with
+identical random streams, and requires identical observable behaviour:
+victim choice, LRU order, states, pending times, fetcher metadata, and
+counters.
 
 Also holds the snoopy-vs-directory single-cluster equivalence check: with
 one processor per cluster and a free bus, the snoopy organisation *is* the
@@ -18,11 +19,10 @@ from hypothesis import strategies as st
 
 from repro.core.config import PROTOCOLS, MachineConfig
 from repro.memory import make_memory_system
-from repro.memory.cache import EXCLUSIVE, SHARED, Cache
+from repro.memory.cache import EXCLUSIVE, SHARED, Cache, fully_associative
 from repro.memory.directory import DIR_EXCLUSIVE, Directory
 
-from refmodel import (RefDirectory, RefFullyAssociativeCache,
-                      RefSetAssociativeCache)
+from refmodel import RefDirectory
 
 # ---------------------------------------------------------------- caches
 
@@ -40,43 +40,74 @@ _cache_op = st.one_of(
 )
 
 
-def _drive(flat, ref, ops):
-    """Apply ``ops`` to both caches, asserting identical observables."""
+class _ListLRU:
+    """Per-set LRU spelled out as lists: each set holds ``[line, state,
+    pending_until, fetcher]`` entries from least to most recently used."""
+
+    def __init__(self, capacity, associativity):
+        one_set = fully_associative(capacity, associativity)
+        self.ways = capacity if one_set else associativity
+        self.sets = [[] for _ in range(1 if one_set else capacity // self.ways)]
+        self.evictions = self.inserts = 0
+
+    def find(self, line, touch=False):
+        entries = self.sets[line % len(self.sets)]
+        for entry in entries:
+            if entry[0] == line:
+                if touch and self.ways is not None:
+                    entries.remove(entry)
+                    entries.append(entry)
+                return entry
+        return None
+
+    def insert(self, line, state, pending_until, fetcher):
+        entries = self.sets[line % len(self.sets)]
+        victim = None
+        if self.ways is not None and len(entries) == self.ways:
+            victim = tuple(entries.pop(0)[:2])
+            self.evictions += 1
+        entries.append([line, state, pending_until, fetcher])
+        self.inserts += 1
+        return victim
+
+
+def _drive(cache, model, ops):
+    """Apply ``ops`` to the cache and the model, asserting identical
+    observables after every step."""
     for op in ops:
         kind, line = op[0], op[1]
+        entry = model.find(line, touch=kind == "lookup")
         if kind == "insert":
             _, _, state, pending, fetcher = op
-            if line in ref:
-                continue  # double insert raises in both; not interesting
-            victim = flat.insert(line, state, pending, fetcher)
-            ref_victim = ref.insert(line, state, pending, fetcher)
+            if entry is not None:
+                continue  # double insert raises; not interesting
+            victim = cache.insert(line, state, pending, fetcher)
             assert (None if victim is None else tuple(victim)) == \
-                (None if ref_victim is None else tuple(ref_victim))
-        elif kind == "lookup":
-            slot = flat.lookup(line)
-            entry = ref.lookup(line)
-            assert (slot >= 0) == (entry is not None)
-        elif kind == "peek":
-            assert (flat.peek(line) >= 0) == (ref.peek(line) is not None)
+                model.insert(line, state, pending, fetcher)
+        elif kind in ("lookup", "peek"):
+            record = getattr(cache, kind)(line)
+            assert (record is None) == (entry is None)
         elif kind == "invalidate":
-            assert flat.invalidate(line) == ref.invalidate(line)
+            assert cache.invalidate(line) == (entry is not None)
+            if entry is not None:
+                model.sets[line % len(model.sets)].remove(entry)
         elif kind == "downgrade":
-            if line not in ref:
-                continue  # raises KeyError in both
-            flat.downgrade(line)
-            ref.downgrade(line)
+            if entry is None:
+                continue  # raises KeyError
+            cache.downgrade(line)
+            entry[1] = SHARED
         # full state equivalence after every step: same resident lines in
-        # the same (LRU) order, same per-line metadata, same counters
-        assert flat.resident_lines() == ref.resident_lines()
-        assert len(flat) == len(ref)
-        for resident in ref.resident_lines():
-            entry = ref.peek(resident)
-            assert flat.state_of(resident) == entry.state
-            assert flat.pending_until_of(resident) == entry.pending_until
-            assert flat.fetcher_of(resident) == entry.fetcher
-        assert flat.evictions == ref.evictions
-        assert flat.inserts == ref.inserts
-        flat.check_slots()
+        # the same (LRU) order, same per-line records, same counters
+        entries = [entry for lines in model.sets for entry in lines]
+        assert cache.resident_lines() == [entry[0] for entry in entries]
+        assert len(cache) == len(entries)
+        for resident, *fields in entries:
+            record = cache.peek(resident)
+            assert [record.state, record.pending_until, record.fetcher] == \
+                fields
+        assert (cache.evictions, cache.inserts) == \
+            (model.evictions, model.inserts)
+        cache.check_sets()
 
 
 @settings(max_examples=200, deadline=None)
@@ -86,9 +117,9 @@ def _drive(flat, ref, ops):
 def test_fully_associative_matches_reference(capacity, surplus_ways, ops):
     """One set: no associativity, or ways that cover the whole capacity."""
     ways = None if surplus_ways is None else (capacity or 1) + surplus_ways
-    flat = Cache(capacity, ways)
-    assert flat.n_sets == 1
-    _drive(flat, RefFullyAssociativeCache(capacity), ops)
+    cache = Cache(capacity, ways)
+    assert cache.n_sets == 1
+    _drive(cache, _ListLRU(capacity, ways), ops)
 
 
 @settings(max_examples=200, deadline=None)
@@ -96,14 +127,13 @@ def test_fully_associative_matches_reference(capacity, surplus_ways, ops):
        ops=st.lists(_cache_op, max_size=60))
 def test_set_associative_matches_reference(shape, ops):
     capacity, assoc = shape
-    _drive(Cache(capacity, assoc), RefSetAssociativeCache(capacity, assoc),
-           ops)
+    _drive(Cache(capacity, assoc), _ListLRU(capacity, assoc), ops)
 
 
 @settings(max_examples=100, deadline=None)
 @given(ops=st.lists(_cache_op, max_size=200))
 def test_infinite_cache_matches_reference(ops):
-    _drive(Cache(None), RefFullyAssociativeCache(None), ops)
+    _drive(Cache(None), _ListLRU(None, None), ops)
 
 
 # ------------------------------------------------------------- directory
@@ -181,7 +211,7 @@ def test_directory_prunes_dead_entries():
     assert len(d) == 0
 
 
-# ------------------------------------ slot accounting, protocol × geometry
+# ---------------------------------- set placement, protocol × geometry
 
 def _machine(protocol, associativity):
     # 8 lines per processor: 40 lines over 2-processor clusters conflict
@@ -213,9 +243,11 @@ def test_check_invariants_catches_a_leaked_slot_in_a_two_way_cache(protocol):
     for proc in range(8):
         mem.read(proc, proc, 0)
     mem.check_invariants()
-    leaky = next(free for free in mem.caches[0].free if free)
-    leaky.pop()
-    with pytest.raises(AssertionError, match="cache 0 set .* slot leak"):
+    sets = mem.caches[0].sets
+    line = mem.caches[0].resident_lines()[0]
+    # move the line's record into the next set, behind the cache's back
+    sets[(line + 1) % len(sets)][line] = sets[line % len(sets)].pop(line)
+    with pytest.raises(AssertionError, match="cache 0 set .* holds line"):
         mem.check_invariants()
 
 

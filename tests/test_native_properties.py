@@ -233,8 +233,8 @@ def _assert_native_matches_python(config, factory, tasks=()):
 @given(data=_programs(), cluster_pick=st.integers(min_value=0, max_value=2),
        cache_kb=_CACHES, protocol=st.sampled_from(PROTOCOLS),
        network=_NETWORKS)
-def test_native_matches_python_kernels(data, cluster_pick, cache_kb,
-                                       protocol, network):
+def test_native_matches_python_replay(data, cluster_pick, cache_kb,
+                                      protocol, network):
     n, phases, table, queues = data
     cluster = [1, 2, n][cluster_pick]
     _assert_native_matches_python(

@@ -22,7 +22,7 @@ from repro.sim.program import Barrier, Read, Work, Write
 def test_cache_never_exceeds_capacity(capacity, lines):
     c = Cache(capacity)
     for line in lines:
-        if c.lookup(line) < 0:
+        if c.lookup(line) is None:
             c.insert(line, SHARED)
         assert len(c) <= capacity
 
@@ -34,7 +34,7 @@ def test_lru_evicts_least_recently_touched(capacity, lines):
     c = Cache(capacity)
     recency: list[int] = []  # LRU .. MRU
     for line in lines:
-        if c.lookup(line) >= 0:
+        if c.lookup(line) is not None:
             recency.remove(line)
             recency.append(line)
             continue
@@ -49,7 +49,7 @@ def test_lru_evicts_least_recently_touched(capacity, lines):
 def test_infinite_cache_retains_everything(lines):
     c = Cache(None)
     for line in lines:
-        if c.lookup(line) < 0:
+        if c.lookup(line) is None:
             c.insert(line, EXCLUSIVE)
     assert set(c.resident_lines()) == set(lines)
 
