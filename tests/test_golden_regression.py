@@ -9,11 +9,15 @@ Two layers of protection against drift from future refactors:
 * the quick fixtures under ``tests/golden/`` (seconds to regenerate) are
   **re-simulated here** and compared byte for byte.  The simulator is
   deterministic, so any difference is a real behaviour change, not noise.
+  ``quick_probes.json`` pins the commands that run on a memory system the
+  caller holds (``--quick table5 --measure``, ``compare``, ``trace``).
 
 To intentionally re-record the quick fixtures after a behaviour-changing
 (and justified) change, use the recipe in ``docs/EXECUTION.md``.
 """
 
+import hashlib
+import json
 import re
 from pathlib import Path
 
@@ -21,8 +25,10 @@ import pytest
 
 from repro.analysis import (figure_from_capacity_sweep,
                             figure_from_cluster_sweep, render_rows)
-from repro.apps.registry import APP_NAMES
+from repro import cli
+from repro.apps.registry import APP_NAMES, QUICK_PROBLEM_SIZES
 from repro.core.config import MachineConfig
+from repro.core.contention import PAPER_TABLE5, LoadLatencyProfiler
 from repro.core.study import ClusteringStudy
 
 RESULTS = Path(__file__).parent.parent / "benchmarks" / "results"
@@ -93,3 +99,28 @@ def test_golden_capacity_sweep():
     sweep = study.capacity_sweep((1, None), (1, 2))
     fresh = figure_from_capacity_sweep(title_of(path), sweep)
     assert render_rows(fresh) + "\n" == path.read_text()
+
+
+PROBES = json.loads((GOLDEN / "quick_probes.json").read_text())
+
+
+@pytest.mark.parametrize("app", sorted(PAPER_TABLE5))
+def test_golden_table5_measured(app):
+    """``--quick table5 --measure``'s factors, exactly."""
+    profiler = LoadLatencyProfiler(MachineConfig(),
+                                   dict(QUICK_PROBLEM_SIZES.get(app, {})))
+    assert list(profiler.measure(app).factors) == \
+        PROBES["table5_measure"][app]
+
+
+def test_golden_compare_stdout(capsys):
+    assert cli.main(["--quick", "compare", "mp3d", "--clusters", "4",
+                     "--cache", "4"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == \
+        PROBES["compare_mp3d_sha256"]
+
+
+def test_golden_trace_summary(capsys):
+    assert cli.main(["--quick", "trace", "radix"]) == 0
+    assert capsys.readouterr().out.splitlines() == PROBES["trace_radix"]
