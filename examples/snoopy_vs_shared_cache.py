@@ -13,7 +13,6 @@ Run:  python examples/snoopy_vs_shared_cache.py
 from repro.apps.registry import build_app
 from repro.core import MachineConfig
 from repro.memory.snoopy import SnoopyClusterMemorySystem
-from repro.sim.engine import Engine
 from repro.sim.stats import summarize
 
 APP_KWARGS = {"n_particles": 8000, "n_steps": 2}
@@ -31,9 +30,8 @@ def main() -> None:
 
     print("=== snoopy shared-memory cluster (same budget) ===")
     app = build_app("mp3d", config, **APP_KWARGS)
-    app.ensure_setup()
     mem = SnoopyClusterMemorySystem(config, app.allocator)
-    snoopy = Engine(config, mem).run(app.program)
+    snoopy = app.run(memory=mem)
     print(summarize(snoopy).format())
     print(f"cache-to-cache transfers: {mem.c2c_transfers:,}")
     print()

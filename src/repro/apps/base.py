@@ -177,7 +177,8 @@ class Application(ABC):
         result = Engine(self.config, memory).run(recorder.factory)
         return result, recorder.finish()
 
-    def run(self, program: "CompiledProgram | None" = None) -> RunResult:
+    def run(self, program: "CompiledProgram | None" = None,
+            memory=None) -> RunResult:
         """Simulate this application on ``self.config`` and return the result.
 
         With ``program`` (a :class:`~repro.sim.compiled.CompiledProgram`,
@@ -186,9 +187,17 @@ class Application(ABC):
         bit-identical, much faster.  Setup still runs either way: data
         *placement* depends on cluster geometry even though the operation
         streams do not.
+
+        ``memory`` is a memory system the caller keeps to read afterwards
+        (a :class:`~repro.sim.trace.TracingMemory`, a snoopy back end for
+        its cache-to-cache count, a
+        :class:`~repro.sim.engine.PerfectMemory`); by default the one
+        ``self.config.protocol`` selects is built over this app's
+        allocator.
         """
         self.ensure_setup()
-        memory = make_memory_system(self.config, self.allocator)
+        if memory is None:
+            memory = make_memory_system(self.config, self.allocator)
         engine = Engine(self.config, memory)
         if program is not None:
             return engine.run_compiled(program)

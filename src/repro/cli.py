@@ -60,7 +60,7 @@ from .core.executor import SweepExecutionError, SweepExecutor
 from .core.resultcache import ResultCache, TraceStore
 from .core.study import ClusteringStudy, cache_label
 from .core.workingset import knee_of, overlap_benefit, working_set_curve
-from .runtime import RunRequest, RunSession, TimingObserver
+from .runtime import RunPlan, RunRequest, RunSession, TimingObserver
 from .service import ServiceDaemon, SweepService
 from .sim.compiled import TraceCache
 from .sim.stats import summarize
@@ -389,27 +389,32 @@ def cmd_ablation(args: argparse.Namespace) -> int:
     return 0
 
 
+def _point(app: str, args: argparse.Namespace) -> RunPlan:
+    """The single point a ``compare``/``trace`` invocation names."""
+    request = RunRequest.make(app, args.clusters, args.cache,
+                              _app_kwargs(app, args))
+    return RunPlan.resolve(request, _base_config(args))
+
+
 def cmd_compare(args: argparse.Namespace) -> int:
     """Shared-cache vs snoopy shared-memory cluster, same budget."""
     from .memory import make_memory_system
 
-    session = RunSession(base_config=_base_config(args))
-    request = RunRequest.make(args.app, args.clusters, args.cache,
-                              _app_kwargs(args.app, args))
-
-    outcome = session.run_detailed(request)
-    shared = outcome.result
-    print(f"# shared-cache cluster: {outcome.config.describe()}")
+    plan = _point(args.app, args)
+    session = RunSession(trace_cache=_executor(args).trace_cache)
+    shared = session.run_plan(plan).result
+    print(f"# shared-cache cluster: {plan.config.describe()}")
     print(summarize(shared).format())
 
-    outcome = session.run_detailed(
-        request,
-        memory_factory=lambda cfg, app: make_memory_system(
-            cfg.with_protocol("snoopy"), app.allocator))
-    snoopy = outcome.result
+    # the kernel counts no cache-to-cache transfers: the snoopy half runs
+    # on a python memory system kept here to read them
+    app = build_app(args.app, plan.config, **plan.request.kwargs)
+    memory = make_memory_system(plan.config.with_protocol("snoopy"),
+                                app.allocator)
+    snoopy = app.run(memory=memory)
     print("\n# snoopy shared-memory cluster (same budget)")
     print(summarize(snoopy).format())
-    print(f"cache-to-cache transfers: {outcome.memory.c2c_transfers:,}")
+    print(f"cache-to-cache transfers: {memory.c2c_transfers:,}")
     ratio = snoopy.execution_time / max(shared.execution_time, 1)
     print(f"\nsnoopy / shared-cache execution time: {ratio:.3f}")
     return 0
@@ -420,24 +425,19 @@ def cmd_trace(args: argparse.Namespace) -> int:
     from .memory import make_memory_system
     from .sim.trace import TracingMemory
 
-    session = RunSession(base_config=_base_config(args))
-    request = RunRequest.make(args.app, args.clusters, args.cache,
-                              _app_kwargs(args.app, args))
-    outcome = session.run_detailed(
-        request,
-        memory_factory=lambda cfg, app: TracingMemory(
-            make_memory_system(cfg, app.allocator)))
-    config = outcome.config
-    trace = outcome.memory.trace()
-    summary = trace.summary()
+    plan = _point(args.app, args)
+    config = plan.config
+    app = build_app(args.app, config, **plan.request.kwargs)
+    memory = TracingMemory(make_memory_system(config, app.allocator))
+    app.run(memory=memory)
+    trace = memory.trace()
     print(f"# trace of {args.app} on {config.describe()}")
-    for key, value in summary.items():
+    for key, value in trace.summary().items():
         print(f"  {key:>15}: {value:,}")
     print(f"  {'footprint':>15}: {trace.footprint_bytes(config.line_size):,}"
           f" bytes")
     if args.output:
-        trace.save(args.output)
-        print(f"saved to {args.output}")
+        print(f"saved to {trace.save(args.output)}")
     return 0
 
 
@@ -886,7 +886,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _ignored_flag(args: argparse.Namespace) -> str | None:
-    """Why this flag combination would silently change nothing, if it would."""
+    """Why this flag combination would silently change nothing (or
+    contradict itself), if it would."""
     if args.quick and args.paper_scale:
         return "--quick and --paper-scale are mutually exclusive"
     if args.func is cmd_scaling and (args.quick or args.paper_scale):
@@ -895,6 +896,10 @@ def _ignored_flag(args: argparse.Namespace) -> str | None:
     if args.timeout is not None and args.jobs == 1:
         return ("--timeout needs --jobs N (N > 1): the serial backend "
                 "cannot abandon a point")
+    if args.func is cmd_compare and args.protocol == "snoopy":
+        return ("compare runs the snoopy cluster against --protocol's "
+                "shared-cache cluster; --protocol snoopy would compare "
+                "snoopy with itself")
     return None
 
 

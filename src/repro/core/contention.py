@@ -32,7 +32,7 @@ Our reproduction of Table 5 is two-fold: the paper's Pixie-measured factors
 ship as :data:`PAPER_TABLE5` calibrated constants (we cannot re-run MIPS
 basic-block scheduling), and :class:`LoadLatencyProfiler` performs the
 analogous measurement on our own engine — re-running an application with
-every read charged 1-4 cycles against a perfect memory — for the
+every read taking 1-4 cycles on a perfect memory — for the
 measured-on-this-substrate variant (engine loads have no delay-slot
 scheduling, so these factors are upper bounds; see DESIGN.md).
 """
@@ -156,7 +156,7 @@ class LoadLatencyProfiler:
     """Measure Table-5-style expansion factors on our own engine.
 
     Runs the application on a 1-processor-per-cluster machine against a
-    perfect memory (every reference hits), charging each read 1-4 cycles,
+    :class:`~repro.sim.engine.PerfectMemory` whose reads take 1-4 cycles,
     and reports T(L)/T(1).  This plays Pixie's role for our substrate.
     """
 
@@ -164,17 +164,20 @@ class LoadLatencyProfiler:
     app_kwargs: dict[str, Any] = field(default_factory=dict)
 
     def measure(self, app: str) -> ExpansionTable:
-        from ..runtime import RunRequest, RunSession
+        from ..apps.registry import build_app
 
-        session = RunSession(base_config=self.base_config)
-        request = RunRequest.make(
-            app, 1, self.base_config.cache_kb_per_processor, self.app_kwargs)
+        config = self.base_config.with_clusters(1)
+        built = build_app(app, config, **self.app_kwargs)
+        # a stream-invariant app is captured once and replayed at every
+        # latency; barnes drives its generators, which consume app state,
+        # so each latency after the first runs on a fresh app
+        program = built.compiled_program() if built.stream_invariant else None
         times = []
         for latency in (1, 2, 3, 4):
-            outcome = session.run_detailed(
-                request, memory_factory=lambda cfg, a: PerfectMemory(),
-                read_hit_cycles=latency)
-            times.append(outcome.result.execution_time)
+            if program is None and latency > 1:
+                built = build_app(app, config, **self.app_kwargs)
+            times.append(built.run(program, PerfectMemory(latency))
+                         .execution_time)
         base = times[0]
         if base <= 0:
             raise RuntimeError(f"application {app!r} executed no cycles")

@@ -19,17 +19,17 @@ and phase events around the same calls without reordering them, so
 observed and unobserved runs are bit-identical (pinned by
 ``tests/test_runtime.py``).
 
-:meth:`RunSession.run_detailed` is the explicit-wiring variant for
-tools that need the memory system afterwards (reference tracing,
-snoopy-vs-directory comparison, load-latency calibration): it accepts a
-``memory_factory`` and always drives the generator path, keeping
-non-standard memory systems out of the shared trace cache.
+A tool that needs the memory system afterwards (reference tracing, the
+snoopy cache-to-cache count, load-latency calibration) builds its own
+and hands it to :meth:`Application.run <repro.apps.base.Application.run>`
+— the one entry for a caller-held memory system; nothing it runs enters
+the trace cache.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Callable
+from typing import TYPE_CHECKING
 
 from .hooks import RunObserver, _Clock
 from .plan import RunPlan, RunRequest
@@ -47,21 +47,17 @@ __all__ = ["RunOutcome", "RunSession"]
 class RunOutcome:
     """Everything a finished pipeline pass produced.
 
-    ``result`` is always set.  ``memory`` is the memory system the run
-    used when the session wired it explicitly (:meth:`RunSession.run_detailed`);
-    the canonical pipeline lets the application own its memory system and
-    leaves this ``None``.  ``program`` is the compiled trace that was
-    replayed or captured (``None`` on pure generator runs),
-    ``from_cache`` marks traces served from the trace cache, and
-    ``kernel`` names what replayed a compiled trace (``"native"`` or
-    ``"python"``; ``None`` when the generators were driven).
+    ``result`` is always set.  ``program`` is the compiled trace that
+    was replayed or captured, ``from_cache`` marks traces served from the
+    trace cache, and ``kernel`` names what replayed a compiled trace
+    (``"native"`` or ``"python"``; ``None`` when barnes' recording run
+    was the execution).
     """
 
     plan: RunPlan
     result: RunResult
     app: "Application"
-    memory: Any = None
-    program: "CompiledProgram | None" = None
+    program: "CompiledProgram"
     from_cache: bool = False
     kernel: str | None = None
 
@@ -144,39 +140,8 @@ class RunSession:
         # replay it, unless the recording run was already the execution
         if result is None:
             result, kernel = self._replay(plan, app, program)
-        return self._finish(RunOutcome(plan, result, app, program=program,
-                                       from_cache=from_cache, kernel=kernel),
-                            clock)
-
-    def run_detailed(self, request: RunRequest, *,
-                     memory_factory: "Callable[[MachineConfig, Application], Any] | None" = None,
-                     read_hit_cycles: int = 1) -> RunOutcome:
-        """Run with explicit memory wiring; returns the memory system.
-
-        ``memory_factory(config, app)`` builds the memory system the run
-        uses (default: whatever backend ``config.protocol`` selects via
-        :func:`~repro.memory.make_memory_system`), so probes
-        can substitute tracing wrappers, snoopy protocols, or a perfect
-        memory with a fixed ``read_hit_cycles``.  The trace cache is never
-        consulted or written — a capture under a non-standard memory
-        system or latency model must not masquerade as the canonical
-        stream; the run always drives the generators.
-        """
-        clock = _Clock() if self.observer is not None else None
-        plan = RunPlan.resolve(request, self.base_config)
-        app = self._build(plan, clock)
-
-        from ..memory import make_memory_system
-        from ..sim.engine import Engine
-
-        if memory_factory is not None:
-            memory = memory_factory(plan.config, app)
-        else:
-            memory = make_memory_system(plan.config, app.allocator)
-        result = Engine(plan.config, memory,
-                        read_hit_cycles=read_hit_cycles).run(app.program)
-        outcome = RunOutcome(plan, result, app, memory=memory)
-        return self._finish(outcome, clock)
+        return self._finish(RunOutcome(plan, result, app, program,
+                                       from_cache, kernel), clock)
 
     # ------------------------------------------------------------ internals
     def _build(self, plan: RunPlan, clock: _Clock | None) -> "Application":
@@ -218,7 +183,7 @@ class RunSession:
                     "cycles": result.execution_time}
             if outcome.kernel is not None:
                 info["kernel"] = outcome.kernel
-            elif outcome.program is not None:
+            else:
                 # barnes' recording run was the execution: the generators
                 # on the python engine, captured as they ran (there is no
                 # separate ``capture`` phase to say so)

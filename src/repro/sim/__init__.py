@@ -7,7 +7,7 @@ from .program import (OP_BARRIER, OP_LOCK, OP_READ, OP_UNLOCK, OP_WORK,
                       OP_WRITE, Barrier, Lock, Op, Program, ProgramFactory,
                       Read, Unlock, Work, Write)
 from .stats import RunSummary, summarize
-from .trace import ReferenceTrace, TraceRecord, TracingMemory, replay
+from .trace import ReferenceTrace, TracingMemory
 from .sync import BarrierState, LockState, SyncRegistry
 
 __all__ = [
@@ -19,5 +19,5 @@ __all__ = [
     "Op", "Program", "ProgramFactory",
     "BarrierState", "LockState", "SyncRegistry",
     "RunSummary", "summarize",
-    "ReferenceTrace", "TraceRecord", "TracingMemory", "replay",
+    "ReferenceTrace", "TracingMemory",
 ]

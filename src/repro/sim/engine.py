@@ -9,9 +9,12 @@ Timing rules (paper §3.1):
 
 * WORK(c) advances the processor clock by ``c`` CPU-busy cycles.
 * A READ that hits costs one CPU cycle (the engine simulates single-cycle
-  hits; cluster-size-dependent hit time enters via the §6 estimator).
+  hits, as ``kernel.c`` does; cluster-size-dependent hit time enters via
+  the §6 estimator).
 * A READ that misses stalls the processor for the Table-1 latency (charged
-  to *load*), then completes as a hit.
+  to *load*), then completes as a hit.  A longer load latency is a
+  memory system's answer, not an engine knob: :class:`PerfectMemory`
+  reports ``load_cycles - 1`` cycles of load-use stall on every read.
 * A READ to a pending line stalls until the outstanding fill returns
   (charged to *merge*) and is then **retried**: if the line was invalidated
   while pending the retry takes a fresh miss (paper §2).
@@ -62,7 +65,7 @@ from heapq import heappop, heappush, heappushpop
 
 from ..core.config import MachineConfig
 from ..core.metrics import MissCounters, RunResult, TimeBreakdown
-from ..memory.coherence import READ_HIT, READ_MERGE
+from ..memory.coherence import READ_HIT, READ_MERGE, READ_MISS
 from .program import (OP_BARRIER, OP_LOCK, OP_READ, OP_UNLOCK, OP_WORK,
                       OP_WRITE, ProgramFactory)
 from .stats import assemble
@@ -76,16 +79,24 @@ class SimulationDeadlock(RuntimeError):
 
 
 class PerfectMemory:
-    """A memory system in which every reference hits.
+    """A memory system in which every reference is resident.
 
     Used by the load-latency profiler (paper §6 / Table 5), where memory
     behaviour must be excluded so that only the load delay slot matters —
-    the role Pixie played for the authors.
+    the role Pixie played for the authors.  Every read takes
+    ``load_cycles``: at 1 it is a plain hit, above that the extra cycles
+    come back as a load-use stall (charged to *load*) before the hit.
     """
+
+    def __init__(self, load_cycles: int = 1) -> None:
+        if load_cycles < 1:
+            raise ValueError("load_cycles must be >= 1")
+        self._read = ((READ_HIT, 0) if load_cycles == 1
+                      else (READ_MISS, load_cycles - 1))
 
     def read(self, processor: int, line: int, now: int,
              is_retry: bool = False) -> tuple[int, int]:
-        return READ_HIT, 0
+        return self._read
 
     def write(self, processor: int, line: int, now: int) -> None:
         return None
@@ -103,21 +114,14 @@ class Engine:
         Machine organisation; supplies processor count and line size.
     memory:
         Coherent memory system (or :class:`PerfectMemory`).
-    read_hit_cycles:
-        CPU cycles charged per read *hit* (default 1, the paper's setting;
-        the load-latency profiler sweeps 1-4).
     max_cycles:
         Safety cap; exceeding it raises ``RuntimeError`` (runaway program).
     """
 
     def __init__(self, config: MachineConfig, memory,
-                 read_hit_cycles: int = 1,
                  max_cycles: int | None = None) -> None:
-        if read_hit_cycles < 1:
-            raise ValueError("read_hit_cycles must be >= 1")
         self.config = config
         self.memory = memory
-        self.read_hit_cycles = read_hit_cycles
         self.max_cycles = max_cycles
         self.sync = SyncRegistry(config.n_processors)
 
@@ -163,7 +167,6 @@ class Engine:
         memory = self.memory
         read = memory.read
         write = memory.write
-        hit_cost = self.read_hit_cycles
         max_cycles = self.max_cycles
         sync = self.sync
 
@@ -201,13 +204,13 @@ class Engine:
                     tn = t + stall
                 elif outcome == READ_HIT:
                     pending = None
-                    bd.cpu += hit_cost
-                    tn = t + hit_cost
+                    bd.cpu += 1
+                    tn = t + 1
                 else:  # fresh miss after mid-flight invalidation
                     pending = None
                     bd.load += stall
-                    bd.cpu += hit_cost
-                    tn = t + stall + hit_cost
+                    bd.cpu += 1
+                    tn = t + stall + 1
             else:
                 try:
                     opcode, arg = nxt()
@@ -222,16 +225,16 @@ class Engine:
                         line = arg // line_size
                         outcome, stall = read(pid, line, t, False)
                         if outcome == READ_HIT:
-                            bd.cpu += hit_cost
-                            tn = t + hit_cost
+                            bd.cpu += 1
+                            tn = t + 1
                         elif outcome == READ_MERGE:
                             bd.merge += stall
                             pending = line
                             tn = t + stall
                         else:
                             bd.load += stall
-                            bd.cpu += hit_cost
-                            tn = t + stall + hit_cost
+                            bd.cpu += 1
+                            tn = t + stall + 1
                     elif opcode == OP_WORK:
                         if arg < 0:
                             raise ValueError(f"negative WORK cycles: {arg}")
@@ -315,11 +318,9 @@ class Engine:
 
 
 def run_program(config: MachineConfig, program_factory: ProgramFactory,
-                memory=None, read_hit_cycles: int = 1,
-                max_cycles: int | None = None) -> RunResult:
+                memory=None, max_cycles: int | None = None) -> RunResult:
     """Convenience wrapper: build the memory system and run one simulation."""
     if memory is None:
         from ..memory.coherence import CoherentMemorySystem
         memory = CoherentMemorySystem(config)
-    return Engine(config, memory, read_hit_cycles=read_hit_cycles,
-                  max_cycles=max_cycles).run(program_factory)
+    return Engine(config, memory, max_cycles=max_cycles).run(program_factory)

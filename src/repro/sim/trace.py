@@ -1,35 +1,25 @@
-"""Reference-trace capture and replay.
+"""Reference-trace capture.
 
 The paper's methodology is execution-driven simulation, but the community
-standard it sits in is *trace-driven* cache simulation: capture the global
-interleaved reference stream once, then replay it against as many memory-
-system configurations as you like.  This module provides both halves:
+standard it sits in is *trace-driven* cache simulation, whose raw material
+is the global interleaved reference stream.  This module records it:
 
 * :class:`TracingMemory` — wraps any memory system and records every
-  reference it services: ``(time, processor, kind, line, outcome)``;
+  reference it services: ``(time, processor, kind, line)``;
 * :class:`ReferenceTrace` — the recorded stream, with save/load (a compact
-  binary numpy format) and summary statistics;
-* :func:`replay` — drive a fresh memory system with a recorded trace,
-  preserving the original issue times (the classic trace-driven
-  approximation: the interleaving is frozen, so timing feedback from the
-  new configuration does not reorder references).
-
-Trace-driven replay is an *approximation* the execution-driven engine does
-not make — replaying a 1-cluster trace against an 8-cluster machine keeps
-the 1-cluster interleaving.  The paper notes its results are "possibly
-timing dependent" in exactly this way; the test suite quantifies the gap on
-small runs (it is small, because barriers pin the phase structure).
+  binary numpy format) and summary statistics.
 
 Not to be confused with :mod:`repro.sim.compiled`: a
 :class:`ReferenceTrace` is a *memory-level* record (post-engine, timing
-frozen, approximate across configurations), while a
-:class:`~repro.sim.compiled.CompiledProgram` is a *program-level* capture
-of the op stream fed to the engine — replaying one re-runs the full
-timing simulation and is bit-identical to generator execution.
+frozen), while a :class:`~repro.sim.compiled.CompiledProgram` is a
+*program-level* capture of the op stream fed to the engine — replaying
+one re-runs the full timing simulation and is bit-identical to generator
+execution, which is how every what-if on another machine is run.
 """
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -37,21 +27,11 @@ import numpy as np
 
 from ..core.metrics import MissCounters
 
-__all__ = ["TraceRecord", "ReferenceTrace", "TracingMemory", "replay"]
+__all__ = ["ReferenceTrace", "TracingMemory"]
 
 #: record kinds
 KIND_READ = 0
 KIND_WRITE = 1
-
-
-@dataclass(frozen=True)
-class TraceRecord:
-    """One reference in the global interleaved stream."""
-
-    time: int
-    processor: int
-    kind: int          # KIND_READ or KIND_WRITE
-    line: int
 
 
 @dataclass
@@ -66,15 +46,19 @@ class ReferenceTrace:
     def __len__(self) -> int:
         return len(self.times)
 
-    def __getitem__(self, i: int) -> TraceRecord:
-        return TraceRecord(int(self.times[i]), int(self.processors[i]),
-                           int(self.kinds[i]), int(self.lines[i]))
-
     # ------------------------------------------------------------- storage
-    def save(self, path: str | Path) -> None:
-        """Write the trace to ``path`` (numpy .npz, compressed)."""
+    def save(self, path: str | Path) -> str:
+        """Write the trace as a compressed ``.npz``; returns the path written.
+
+        numpy appends ``.npz`` to a path that lacks it, so the returned
+        path is the one to report and to :meth:`load` from.
+        """
+        path = os.fspath(path)
+        if not path.endswith(".npz"):
+            path += ".npz"
         np.savez_compressed(path, times=self.times, processors=self.processors,
                             kinds=self.kinds, lines=self.lines)
+        return path
 
     @classmethod
     def load(cls, path: str | Path) -> "ReferenceTrace":
@@ -107,7 +91,7 @@ class ReferenceTrace:
 class TracingMemory:
     """Memory-system wrapper that records every reference it forwards.
 
-    Drop-in for the engine: ``Engine(cfg, TracingMemory(inner)).run(...)``.
+    Drop-in for the engine: ``app.run(memory=TracingMemory(inner))``.
     """
 
     def __init__(self, inner) -> None:
@@ -148,24 +132,3 @@ class TracingMemory:
             kinds=np.asarray(self._kinds, np.int8),
             lines=np.asarray(self._lines, np.int64),
         )
-
-
-def replay(trace: ReferenceTrace, memory) -> MissCounters:
-    """Drive ``memory`` with a recorded trace at its original issue times.
-
-    Classic trace-driven simulation: references keep their recorded order
-    and timestamps; stalls in the new configuration do not reorder the
-    stream.  Returns the aggregate miss counters of the replay.
-    """
-    read = memory.read
-    write = memory.write
-    times = trace.times
-    procs = trace.processors
-    kinds = trace.kinds
-    lines = trace.lines
-    for i in range(len(trace)):
-        if kinds[i] == KIND_READ:
-            read(int(procs[i]), int(lines[i]), int(times[i]))
-        else:
-            write(int(procs[i]), int(lines[i]), int(times[i]))
-    return memory.aggregate_counters()

@@ -326,6 +326,21 @@ class TestCompareAndTrace:
         from repro.sim.trace import ReferenceTrace
         assert len(ReferenceTrace.load(out_file)) > 0
 
+    def test_trace_save_prints_the_path_written(self, capsys, tmp_path):
+        """numpy appends ``.npz`` to a bare path; the CLI names that file."""
+        assert run_cli(*BASE, "trace", "radix", "--output",
+                       str(tmp_path / "t")) == 0
+        saved = capsys.readouterr().out.splitlines()[-1]
+        assert saved == f"saved to {tmp_path / 't.npz'}"
+        assert (tmp_path / "t.npz").exists()
+
+    def test_compare_refuses_snoopy_against_itself(self, capsys):
+        assert run_cli(*BASE, "--protocol", "snoopy", "compare",
+                       "ocean") == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "snoopy with itself" in captured.err
+
 
 class TestCapacityFigureCommands:
     def test_fig5_mp3d(self, capsys):

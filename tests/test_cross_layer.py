@@ -1,5 +1,5 @@
-"""Cross-layer integration tests: trace replay across organisations,
-snoopy-vs-shared-cache comparisons, and prefetch accounting end to end."""
+"""Cross-layer integration tests: snoopy-vs-shared-cache comparisons and
+prefetch accounting end to end."""
 
 import pytest
 
@@ -9,7 +9,6 @@ from repro.core.metrics import MissCause
 from repro.memory.coherence import CoherentMemorySystem
 from repro.memory.snoopy import SnoopyClusterMemorySystem
 from repro.sim.engine import Engine
-from repro.sim.trace import TracingMemory, replay
 
 
 def run_app_on(memory_cls, app_name, config, **kwargs):
@@ -58,48 +57,6 @@ class TestOrganisationComparison:
         _, mem = run_app_on(SnoopyClusterMemorySystem, "barnes", cfg,
                             n_particles=256, n_steps=1)
         assert mem.c2c_transfers > 0
-
-
-class TestTraceAcrossOrganisations:
-    def test_trace_from_shared_replays_on_snoopy(self):
-        """A trace recorded on the shared-cache machine drives the snoopy
-        organisation (classic trace-driven what-if)."""
-        cfg = MachineConfig(n_processors=8, cluster_size=2,
-                            cache_kb_per_processor=4)
-        app = build_app("radix", cfg, n_keys=512, radix=16, n_digits=1)
-        app.ensure_setup()
-        tm = TracingMemory(CoherentMemorySystem(cfg, app.allocator))
-        Engine(cfg, tm).run(app.program)
-
-        fresh = build_app("radix", cfg, n_keys=512, radix=16, n_digits=1)
-        fresh.ensure_setup()
-        snoopy = SnoopyClusterMemorySystem(cfg, fresh.allocator)
-        counters = replay(tm.trace(), snoopy)
-        assert counters.references == len(tm.trace())
-        snoopy.check_invariants()
-
-    def test_replay_cluster_size_what_if(self):
-        """Replay one trace against several cluster sizes: misses must not
-        increase with larger shared caches (infinite capacity, more
-        sharing captured)."""
-        base = MachineConfig(n_processors=8, cluster_size=1)
-        app = build_app("ocean", base, n=16, n_vcycles=1)
-        app.ensure_setup()
-        tm = TracingMemory(CoherentMemorySystem(base, app.allocator))
-        Engine(base, tm).run(app.program)
-        trace = tm.trace()
-
-        misses = {}
-        for cluster in (1, 2, 4, 8):
-            cfg = MachineConfig(n_processors=8, cluster_size=cluster)
-            fresh = build_app("ocean", cfg, n=16, n_vcycles=1)
-            fresh.ensure_setup()
-            counters = replay(trace, CoherentMemorySystem(cfg,
-                                                          fresh.allocator))
-            misses[cluster] = counters.misses
-        assert misses[2] <= misses[1]
-        assert misses[4] <= misses[2]
-        assert misses[8] <= misses[4]
 
 
 class TestPrefetchAccounting:

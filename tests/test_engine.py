@@ -52,10 +52,16 @@ class TestBasicTiming:
         res = run(cfg(2), lambda pid: [])
         assert res.execution_time == 0
 
-    def test_read_hit_cycles_parameter(self):
+    def test_perfect_memory_load_cycles(self):
+        """Load latency lives in the memory: each read takes 3 cycles, the
+        hit's 1 plus a load-use stall of 2."""
         res = run(cfg(1), lambda pid: [Read(0), Read(0), Read(0)],
-                  memory=PerfectMemory(), read_hit_cycles=3)
+                  memory=PerfectMemory(load_cycles=3))
         assert res.execution_time == 9
+        assert res.per_processor[0].load == 6
+        assert res.per_processor[0].cpu == 3
+        with pytest.raises(ValueError, match="load_cycles"):
+            PerfectMemory(load_cycles=0)
 
     def test_max_cycles_guard(self):
         with pytest.raises(RuntimeError, match="max_cycles"):
