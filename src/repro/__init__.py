@@ -26,16 +26,14 @@ Quickstart::
     print(result.breakdown.fractions())
 """
 
+from importlib import import_module
+
+from ._version import __version__
 from .core.config import (PAPER_CACHE_SIZES_KB, PAPER_CLUSTER_SIZES,
                           PAPER_NETWORK_LOADS, LatencyModel, MachineConfig,
                           NetworkConfig)
 from .core.metrics import (MissCause, MissCounters, MissKind, NetworkStats,
                            RunResult, TimeBreakdown)
-from .memory.coherence import CoherentMemorySystem
-from .sim.engine import Engine, PerfectMemory, run_program
-from .sim.program import Barrier, Lock, Read, Unlock, Work, Write
-from .sim.stats import summarize
-from ._version import __version__
 
 __all__ = [
     "MachineConfig", "LatencyModel", "NetworkConfig",
@@ -46,6 +44,31 @@ __all__ = [
     "Work", "Read", "Write", "Barrier", "Lock", "Unlock",
     "summarize", "run_app", "__version__",
 ]
+
+#: lazily re-exported name -> defining submodule: the simulator (and the
+#: numpy it needs) loads on first use, so a cache-served command never
+#: pays for it
+_LAZY = {
+    "CoherentMemorySystem": ".memory.coherence",
+    "Engine": ".sim.engine", "PerfectMemory": ".sim.engine",
+    "run_program": ".sim.engine",
+    "Work": ".sim.program", "Read": ".sim.program", "Write": ".sim.program",
+    "Barrier": ".sim.program", "Lock": ".sim.program",
+    "Unlock": ".sim.program",
+    "summarize": ".sim.stats",
+}
+
+
+def __getattr__(name: str):
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(import_module(_LAZY[name], __name__),
+                                      name)
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__))
 
 
 def run_app(name: str, config: MachineConfig, **app_kwargs):

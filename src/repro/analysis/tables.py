@@ -9,10 +9,9 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Iterable, Mapping
 
 from ..core.config import PAPER_CLUSTER_SIZES, LatencyModel
-from ..core.contention import (ClusteredCostResult, ExpansionTable,
-                               conflict_table)
 
 if TYPE_CHECKING:  # pragma: no cover
+    from ..core.contention import ClusteredCostResult, ExpansionTable
     from ..core.study import SweepPoint
 
 __all__ = ["render_table1", "render_table4", "render_table5",
@@ -43,6 +42,10 @@ def render_table1(latency: LatencyModel | None = None) -> str:
 
 def render_table4(cluster_sizes: Iterable[int] = PAPER_CLUSTER_SIZES) -> str:
     """Table 4: probabilities of bank conflict."""
+    # deferred: the cost model reaches the simulator, which no other
+    # renderer needs
+    from ..core.contention import conflict_table
+
     lines = ["Table 4: Probabilities of Bank Conflict",
              f"{'Processors (n)':>14} {'Banks (m)':>10} {'P(collision)':>13}",
              "-" * 40]

@@ -1,16 +1,10 @@
-"""The nine-application workload suite (SPLASH-style, really computing)."""
+"""The nine-application workload suite (SPLASH-style, really computing).
 
-from .barnes import BarnesApp
-from .base import Application, PhaseBarriers, proc_grid_shape
-from .fft import FFTApp
-from .fmm import FMMApp
-from .lu import LUApp
-from .mp3d import MP3DApp
-from .ocean import OceanApp
-from .radix import RadixApp
-from .raytrace import RaytraceApp
-from .registry import APP_NAMES, PAPER_PROBLEM_SIZES, app_class, build_app
-from .volrend import VolrendApp
+A lazy facade: each name imports its submodule on first access, so the
+registry's names and size tables load without numpy or any app.
+"""
+
+from importlib import import_module
 
 __all__ = [
     "Application", "PhaseBarriers", "proc_grid_shape",
@@ -18,3 +12,27 @@ __all__ = [
     "RadixApp", "RaytraceApp", "VolrendApp",
     "APP_NAMES", "PAPER_PROBLEM_SIZES", "app_class", "build_app",
 ]
+
+#: lazily re-exported name -> defining submodule
+_LAZY = {
+    "Application": ".base", "PhaseBarriers": ".base",
+    "proc_grid_shape": ".base",
+    "BarnesApp": ".barnes", "FFTApp": ".fft", "FMMApp": ".fmm",
+    "LUApp": ".lu", "MP3DApp": ".mp3d", "OceanApp": ".ocean",
+    "RadixApp": ".radix", "RaytraceApp": ".raytrace",
+    "VolrendApp": ".volrend",
+    "APP_NAMES": ".registry", "PAPER_PROBLEM_SIZES": ".registry",
+    "app_class": ".registry", "build_app": ".registry",
+}
+
+
+def __getattr__(name: str):
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(import_module(_LAZY[name], __name__),
+                                      name)
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__))

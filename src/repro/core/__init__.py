@@ -1,6 +1,13 @@
 """Core of the clustering study: machine configuration, metrics, sweeps,
 parallel execution with result caching, contention cost model, and
-working-set profiling."""
+working-set profiling.
+
+Only ``config`` and ``metrics`` load with the package; every other name
+resolves its submodule on first access (``contention`` reaches the
+simulator and numpy, which a cache-served sweep never needs).
+"""
+
+from importlib import import_module
 
 from .config import (PAPER_CACHE_SIZES_KB, PAPER_CLUSTER_SIZES, LatencyModel,
                      MachineConfig)
@@ -22,13 +29,33 @@ __all__ = [
     "pushout",
 ]
 
-from .contention import (PAPER_TABLE5, ExpansionTable, LoadLatencyProfiler,
-                         SharedCacheCostModel, bank_conflict_probability,
-                         banks_for_cluster, conflict_table)
-from .executor import PointOutcome, SweepExecutionError, SweepExecutor
-from .resultcache import ResultCache, TraceStore
-from .scaling import (ScalingCurve, ScalingPoint, effective_processors,
-                      pushout, scaling_curve)
-from .study import ClusteringStudy, SweepPoint, cache_label, normalize_sweep
-from .workingset import (WorkingSetCurve, knee_of, overlap_benefit,
-                         working_set_curve)
+#: lazily re-exported name -> defining submodule
+_LAZY = {
+    "ClusteringStudy": ".study", "SweepPoint": ".study",
+    "normalize_sweep": ".study", "cache_label": ".study",
+    "SweepExecutor": ".executor", "PointOutcome": ".executor",
+    "SweepExecutionError": ".executor",
+    "ResultCache": ".resultcache", "TraceStore": ".resultcache",
+    "SharedCacheCostModel": ".contention",
+    "LoadLatencyProfiler": ".contention", "ExpansionTable": ".contention",
+    "bank_conflict_probability": ".contention",
+    "banks_for_cluster": ".contention", "conflict_table": ".contention",
+    "PAPER_TABLE5": ".contention",
+    "working_set_curve": ".workingset", "knee_of": ".workingset",
+    "overlap_benefit": ".workingset", "WorkingSetCurve": ".workingset",
+    "ScalingCurve": ".scaling", "ScalingPoint": ".scaling",
+    "scaling_curve": ".scaling", "effective_processors": ".scaling",
+    "pushout": ".scaling",
+}
+
+
+def __getattr__(name: str):
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(import_module(_LAZY[name], __name__),
+                                      name)
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__))

@@ -175,9 +175,10 @@ class SweepExecutor:
     cache: ResultCache | None = field(default=None, repr=False)
     trace_cache: "TraceCache | None" = field(default=None, repr=False)
     observer: RunObserver | None = field(default=None, repr=False)
-    # the process pool outlives individual run() calls: worker startup
-    # (interpreter + numpy import) costs ~1s, which would otherwise be
-    # paid again by every figure's sweep in a multi-figure command
+    # the process pool outlives individual run() calls: a worker's start
+    # (interpreter, then the simulator and numpy on its first point)
+    # would otherwise be paid again by every figure's sweep in a
+    # multi-figure command
     _pool: ProcessPoolExecutor | None = field(default=None, init=False,
                                               repr=False, compare=False)
     # lazily-created thread pool backing submit_one() under the serial

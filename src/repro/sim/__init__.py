@@ -1,14 +1,11 @@
-"""Event-driven multiprocessor execution engine and program vocabulary."""
+"""Event-driven multiprocessor execution engine and program vocabulary.
 
-from .compiled import (CompiledProgram, ProgramRecorder, TraceCache,
-                       TraceDecodeError, compile_program, trace_key)
-from .engine import Engine, PerfectMemory, SimulationDeadlock, run_program
-from .program import (OP_BARRIER, OP_LOCK, OP_READ, OP_UNLOCK, OP_WORK,
-                      OP_WRITE, Barrier, Lock, Op, Program, ProgramFactory,
-                      Read, Unlock, Work, Write)
-from .stats import RunSummary, summarize
-from .trace import ReferenceTrace, TracingMemory
-from .sync import BarrierState, LockState, SyncRegistry
+A lazy facade: each name imports its submodule on first access, so
+``repro.sim.compiled`` can load without the engine, and neither needs
+the numpy that ``trace`` imports.
+"""
+
+from importlib import import_module
 
 __all__ = [
     "Engine", "PerfectMemory", "SimulationDeadlock", "run_program",
@@ -21,3 +18,31 @@ __all__ = [
     "RunSummary", "summarize",
     "ReferenceTrace", "TracingMemory",
 ]
+
+#: lazily re-exported name -> defining submodule
+_LAZY = {
+    "Engine": ".engine", "PerfectMemory": ".engine",
+    "SimulationDeadlock": ".engine", "run_program": ".engine",
+    "CompiledProgram": ".compiled", "ProgramRecorder": ".compiled",
+    "TraceCache": ".compiled", "TraceDecodeError": ".compiled",
+    "compile_program": ".compiled", "trace_key": ".compiled",
+    **{name: ".program" for name in (
+        "Work", "Read", "Write", "Barrier", "Lock", "Unlock",
+        "OP_WORK", "OP_READ", "OP_WRITE", "OP_BARRIER", "OP_LOCK",
+        "OP_UNLOCK", "Op", "Program", "ProgramFactory")},
+    "BarrierState": ".sync", "LockState": ".sync", "SyncRegistry": ".sync",
+    "RunSummary": ".stats", "summarize": ".stats",
+    "ReferenceTrace": ".trace", "TracingMemory": ".trace",
+}
+
+
+def __getattr__(name: str):
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(import_module(_LAZY[name], __name__),
+                                      name)
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__))

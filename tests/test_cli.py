@@ -105,14 +105,16 @@ class TestFigures:
     def test_fig3_is_a_smaller_problem_than_fig2_ocean(self, monkeypatch):
         """Figure 3 halves the tier's Ocean grid at every tier — `--quick
         fig3` used to run the very grid `--quick fig2 --apps ocean` runs."""
+        from repro.cli import figures
+
         refs = []
-        render = cli.figure_from_cluster_sweep
+        render = figures.figure_from_cluster_sweep
 
         def spy(title, sweep):
             refs.append(sweep[1].result.misses.references)
             return render(title, sweep)
 
-        monkeypatch.setattr(cli, "figure_from_cluster_sweep", spy)
+        monkeypatch.setattr(figures, "figure_from_cluster_sweep", spy)
         assert run_cli(*BASE, "--cluster-sizes", "1,2", "fig3") == 0
         assert run_cli(*BASE, "--cluster-sizes", "1,2",
                        "fig2", "--apps", "ocean") == 0
@@ -281,6 +283,36 @@ class TestParser:
         assert run_cli(*argv) == 2
         captured = capsys.readouterr()
         assert "--tier" in captured.err and captured.out == ""
+        assert len(captured.err.splitlines()) == 1
+
+    @pytest.mark.parametrize("argv, flag", [
+        (["--ascii", "table6"], "--ascii"),
+        (["--ascii", "workingset", "lu"], "--ascii"),
+        (["fig2", "--apps", "lu", "--cache-sizes", "4"], "--cache-sizes"),
+        (["--cache-sizes", "4,inf", "network"], "--cache-sizes"),
+        (["--cluster-sizes", "1,2", "run", "lu"], "--cluster-sizes"),
+        (["--cluster-sizes", "1,2", "table5"], "--cluster-sizes"),
+        (["scaling", "lu", "--cluster-sizes", "1,2"], "--cluster-sizes"),
+        (["--ascii", "--cluster-sizes", "1,2", "network"], None),
+        (["--cache-sizes", "4,inf", "workingset", "lu"], None),
+        (["--cache-sizes", "4,inf", "fig6"], None),
+        (["--cluster-sizes", "1,2", "table7"], None),
+        (["--cluster-sizes", "1,2,4,8", "run", "lu"], None),
+    ])
+    def test_unread_sweep_shape_flags_exit_2(self, argv, flag, capsys):
+        """``--quick --ascii table6`` used to print no chart and exit 0,
+        and ``--cache-sizes 4 fig2`` to run infinite caches silently: a
+        non-default sweep-shape flag is refused where nothing reads it
+        (repeating a default value is harmless)."""
+        argv = ["--processors", "8", *argv]
+        problem = cli._ignored_flag(cli.build_parser().parse_args(argv))
+        if flag is None:
+            assert problem is None
+            return
+        assert problem.startswith(f"{flag} changes nothing for")
+        assert run_cli(*argv) == 2
+        captured = capsys.readouterr()
+        assert flag in captured.err and captured.out == ""
         assert len(captured.err.splitlines()) == 1
 
     def test_bad_network_load_rejected(self, capsys):
@@ -498,3 +530,53 @@ class TestStudyCommand:
     def test_study_bad_server_spec_exits_2(self, capsys):
         assert run_cli(*BASE, "study", "fft", "--server", "nowhere") == 2
         assert "--server" in capsys.readouterr().err
+
+
+#: what a result-cache hit must not import: the simulator, the C kernel's
+#: driver, the daemon, the cost model and every application
+HIT_PATH_FORBIDDEN = ("numpy", "repro.sim.engine", "repro.memory",
+                      "repro.native", "repro.service",
+                      "repro.core.contention")
+SHOW_MODULES = ("import json, sys\n"
+                "from repro import cli\n"
+                "rc = cli.main(sys.argv[1:])\n"
+                "print(json.dumps(sorted(sys.modules)), file=sys.stderr)\n"
+                "raise SystemExit(rc)\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ["fig2", "--apps", "lu"],
+    ["--cache-sizes", "4,inf", "fig4"],
+], ids=["fig2", "fig4"])
+def test_cache_hit_imports_no_simulator(argv, tmp_path):
+    """A figure served from the result cache imports only what it runs.
+
+    Fill the cache with one CLI run, then repeat the command in a fresh
+    interpreter: every point hits, stdout is the same figure, and
+    neither numpy nor the simulator was ever imported.  ``fig3`` is
+    exempt: it builds an ocean app to size its grid.
+    """
+    import json
+
+    env = os.environ.copy()
+    env["PYTHONPATH"] = str(Path(__file__).resolve().parent.parent / "src")
+    env["REPRO_CACHE_DIR"] = str(tmp_path / "cache")
+    argv = ["--processors", "8", "--quick", "--cluster-sizes", "1,2", *argv]
+    fill = subprocess.run([sys.executable, "-m", "repro.cli", *argv],
+                          capture_output=True, text=True, env=env)
+    assert fill.returncode == 0, fill.stderr
+    hit = subprocess.run([sys.executable, "-c", SHOW_MODULES, *argv],
+                         capture_output=True, text=True, env=env)
+    assert hit.returncode == 0, hit.stderr
+    assert "hits, 0 misses" in hit.stderr
+
+    def figure(stdout):
+        return [line for line in stdout.splitlines()
+                if not line.startswith("[")]
+
+    assert figure(hit.stdout) == figure(fill.stdout)
+    loaded = [m for m in json.loads(hit.stderr.splitlines()[-1])
+              if m.split(".")[0] == "numpy"
+              or m.startswith(HIT_PATH_FORBIDDEN)
+              or (m.startswith("repro.apps.") and m != "repro.apps.registry")]
+    assert loaded == []

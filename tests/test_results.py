@@ -53,7 +53,9 @@ def test_manifest_commands_parse():
     parser = cli.build_parser()
     for commands in MANIFEST.values():
         for argv in commands:
-            assert parser.parse_args(argv).func
+            args = parser.parse_args(argv)
+            assert cli._command(args)
+            assert cli._ignored_flag(args) is None, argv
 
 
 def run_tool(directory, *argv):

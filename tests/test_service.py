@@ -143,10 +143,10 @@ class TestSweepStreaming:
 
 class TestServeCLI:
     def test_parser_accepts_serve(self):
-        from repro.cli import build_parser
+        from repro.cli import _command, build_parser
 
         args = build_parser().parse_args(["serve"])
-        assert args.func.__name__ == "cmd_serve"
+        assert _command(args).__name__ == "cmd_serve"
         assert args.port == 8642 and args.host == "127.0.0.1"
         assert args.drain == pytest.approx(10.0)
 
