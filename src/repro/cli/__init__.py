@@ -53,7 +53,6 @@ from ..core.config import (PAPER_CACHE_SIZES_KB, PAPER_CLUSTER_SIZES,
 from ..core.executor import SweepExecutionError, SweepExecutor
 from ..core.resultcache import ResultCache, TraceStore
 from ..core.study import ClusteringStudy
-from ..sim.compiled import TraceCache
 
 __all__ = ["main"]
 
@@ -114,16 +113,16 @@ def _executor(args: argparse.Namespace) -> SweepExecutor:
     if executor is None:
         _select_native(args)
         cache = None if args.no_cache else ResultCache(args.cache_dir)
-        # compiled traces: always at least the in-process LRU; the disk
-        # tier (shared with --jobs workers and later invocations) follows
-        # the result cache's location and --no-cache switch
+        # compiled traces: always at least the in-process LRU, built at
+        # the first result-cache miss; the disk tier (shared with --jobs
+        # workers and later invocations) follows the result cache's
+        # location and --no-cache switch
         store = None if args.no_cache else TraceStore(args.cache_dir)
         jobs = args.jobs or 1
         executor = SweepExecutor(
             backend="process" if jobs > 1 else "serial",
             max_workers=jobs if jobs > 1 else None,
-            timeout=args.timeout, cache=cache,
-            trace_cache=TraceCache(store))
+            timeout=args.timeout, cache=cache, trace_store=store)
         args._executor = executor
     return executor
 

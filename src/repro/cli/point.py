@@ -23,7 +23,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         # nothing) but still share the invocation's trace cache
         observer = TimingObserver()
         session = RunSession(base_config=_base_config(args),
-                             trace_cache=_executor(args).trace_cache,
+                             trace_cache=_executor(args).traces(),
                              observer=observer)
         request = RunRequest.make(args.app, args.clusters, args.cache,
                                   _app_kwargs(args.app, args))
@@ -53,7 +53,7 @@ def _point(app: str, args: argparse.Namespace) -> RunPlan:
 def cmd_compare(args: argparse.Namespace) -> int:
     """Shared-cache vs snoopy shared-memory cluster, same budget."""
     plan = _point(args.app, args)
-    session = RunSession(trace_cache=_executor(args).trace_cache)
+    session = RunSession(trace_cache=_executor(args).traces())
     shared = session.run_plan(plan).result
     print(f"# shared-cache cluster: {plan.config.describe()}")
     print(summarize(shared).format())

@@ -43,9 +43,10 @@ from __future__ import annotations
 
 import time
 import traceback
-from concurrent.futures import Future, ProcessPoolExecutor, ThreadPoolExecutor
+# BrokenExecutor, not concurrent.futures.process's BrokenProcessPool: that
+# module (~12 ms) is imported only when a process pool is opened
+from concurrent.futures import BrokenExecutor, Future, ThreadPoolExecutor
 from concurrent.futures import TimeoutError as _FuturesTimeout
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from typing import (TYPE_CHECKING, Any, Callable, Iterable, Iterator,
                     Sequence)
@@ -55,9 +56,11 @@ from ..runtime.plan import RunRequest
 from ..runtime.session import RunSession
 from .config import MachineConfig
 from .metrics import RunResult
-from .resultcache import ResultCache
+from .resultcache import ResultCache, TraceStore
 
 if TYPE_CHECKING:  # pragma: no cover
+    from concurrent.futures import ProcessPoolExecutor
+
     from ..sim.compiled import TraceCache
 
 __all__ = ["BACKENDS", "PointOutcome", "SweepExecutor",
@@ -150,10 +153,14 @@ class SweepExecutor:
         writes (the CLI's ``--no-cache``).
     trace_cache:
         Compiled-trace cache (:class:`~repro.sim.compiled.TraceCache`).
-        ``None`` (the default) builds an LRU-only cache — traces are
-        reused within the process but not persisted; pass a
-        :class:`~repro.core.resultcache.TraceStore`-backed cache to share
-        across processes and invocations.
+        ``None`` (the default) builds one over ``trace_store`` when the
+        first point is evaluated (:meth:`traces`), so a sweep the result
+        cache serves whole never imports the trace layer.
+    trace_store:
+        Disk tier of that built cache: ``None`` keeps traces in the
+        process-wide LRU only; a :class:`TraceStore` shares them across
+        processes and invocations.  Ignored when ``trace_cache`` is
+        given.
     observer:
         Optional :class:`~repro.runtime.hooks.RunObserver` attached to
         every in-process evaluation (serial backend and
@@ -174,6 +181,7 @@ class SweepExecutor:
     timeout: float | None = None
     cache: ResultCache | None = field(default=None, repr=False)
     trace_cache: "TraceCache | None" = field(default=None, repr=False)
+    trace_store: TraceStore | None = field(default=None, repr=False)
     observer: RunObserver | None = field(default=None, repr=False)
     # the process pool outlives individual run() calls: a worker's start
     # (interpreter, then the simulator and numpy on its first point)
@@ -196,10 +204,15 @@ class SweepExecutor:
             raise ValueError("max_workers must be positive or None")
         if self.timeout is not None and self.timeout <= 0:
             raise ValueError("timeout must be positive or None")
-        if self.trace_cache is None:
-            from ..sim.compiled import TraceCache  # deferred: import cycle
 
-            self.trace_cache = TraceCache()
+    def traces(self) -> "TraceCache":
+        """The compiled-trace cache points run with, built on first use."""
+        if self.trace_cache is None:
+            # deferred: an import cycle, and a result-cache hit needs none
+            from ..sim.compiled import TraceCache
+
+            self.trace_cache = TraceCache(self.trace_store)
+        return self.trace_cache
 
     # ------------------------------------------------------------------ API
     def run(self, specs: Iterable[RunRequest],
@@ -278,7 +291,7 @@ class SweepExecutor:
         for i in indices:
             try:
                 result, elapsed = _evaluate_timed(
-                    specs[i], base, self.trace_cache, self.observer)
+                    specs[i], base, self.traces(), self.observer)
             except Exception:
                 yield i, PointOutcome(specs[i], error=traceback.format_exc())
             else:
@@ -288,12 +301,14 @@ class SweepExecutor:
     def _each_pooled(self, specs: list[RunRequest], indices: list[int],
                      base: MachineConfig
                      ) -> Iterator[tuple[int, PointOutcome]]:
+        if not indices:  # the result cache served every point: no pool
+            return
         pool = self._process_pool()
         # the TraceCache pickles cheaply (the LRU is module state, the
         # store carries only a path); each worker re-hydrates its own
         # in-memory tier and shares compilations with siblings via disk
-        futures = {i: pool.submit(_evaluate_timed, specs[i], base,
-                                  self.trace_cache)
+        traces = self.traces()
+        futures = {i: pool.submit(_evaluate_timed, specs[i], base, traces)
                    for i in indices}
         for i, future in futures.items():
             try:
@@ -303,7 +318,7 @@ class SweepExecutor:
                 yield i, PointOutcome(
                     specs[i], error=f"timed out after {self.timeout:g}s")
             except Exception as exc:
-                if isinstance(exc, BrokenProcessPool):
+                if isinstance(exc, BrokenExecutor):
                     # a dead worker poisons the pool; reopen it next run
                     self.close()
                 yield i, PointOutcome(specs[i], error=self._exc_text(exc))
@@ -336,13 +351,13 @@ class SweepExecutor:
         try:
             if self.backend == "process":
                 inner = self._process_pool().submit(
-                    _evaluate_timed, spec, base, self.trace_cache)
+                    _evaluate_timed, spec, base, self.traces())
             else:
                 inner = self._thread_pool().submit(
-                    _evaluate_timed, spec, base, self.trace_cache,
+                    _evaluate_timed, spec, base, self.traces(),
                     self.observer)
         except Exception as exc:  # e.g. submitting to an already-broken pool
-            if isinstance(exc, BrokenProcessPool):
+            if isinstance(exc, BrokenExecutor):
                 self.close()
             out.set_result(PointOutcome(spec, error=self._exc_text(exc)))
             return out
@@ -351,7 +366,7 @@ class SweepExecutor:
             try:
                 result, elapsed = f.result()
             except BaseException as exc:  # noqa: BLE001 — becomes an outcome
-                if isinstance(exc, BrokenProcessPool):
+                if isinstance(exc, BrokenExecutor):
                     # a dead worker poisons the pool; reopen it next submit
                     self.close()
                 outcome = PointOutcome(spec, error=self._exc_text(exc))
@@ -412,7 +427,9 @@ class SweepExecutor:
                 thread_name_prefix="repro-point")
         return self._threads
 
-    def _process_pool(self) -> ProcessPoolExecutor:
+    def _process_pool(self) -> "ProcessPoolExecutor":
         if self._pool is None:
+            from concurrent.futures import ProcessPoolExecutor
+
             self._pool = ProcessPoolExecutor(max_workers=self.max_workers)
         return self._pool

@@ -15,7 +15,7 @@
  * tests/golden/protocol_matrix.json).
  *
  * One design, not three kernels: there is one event loop, one queue, one
- * sync registry and one set of Map/Cache/Rec primitives.  The memory
+ * sync registry and one set of Table/Cache/Rec primitives.  The memory
  * system is two functions, read and write, with three back ends — the
  * directory's inlined into the loop (its hit path is the hot path of
  * every default run), snoopy's and DLS's out of line behind mem_read /
@@ -37,9 +37,9 @@
  *   order; here a doubly-linked list over slots keeps it.  Under infinite
  *   capacity nothing is ever evicted, so no order is kept at all.
  * - a line's directory entry, per-cluster miss history and home cluster
- *   are one record, found through one hash map, so a miss probes once;
- *   the table's iteration order is unspecified because no result
- *   depends on it.
+ *   are one record, found through one direct-indexed line -> record
+ *   table, so a miss looks up once; no result depends on the order
+ *   records are created in.
  * - counters: busy cycles and reads/writes are counted online at op
  *   dispatch (never on a merge retry), exactly where the python engine
  *   and memory system count them.
@@ -62,12 +62,14 @@
  * -ffp-contract=off so no a*b+c is fused (repro.native.build.CFLAGS).
  *
  * Statuses: 0 ok; 1 fault — deadlock, lock misuse, a dirty-owner miss,
- * or an operand the trace validator would have refused (unknown opcode,
+ * an operand the trace validator would have refused (unknown opcode,
  * negative WORK, a misplaced TASK; mapped trace payloads are not
- * checksummed): the caller
- * declines the point and the python replay raises the canonical error
- * from its one home; -1 out of memory.  Outputs are meaningful only
- * with status 0.  Mirrored in repro.native.driver.
+ * checksummed), or a READ or WRITE line outside [0, 2^32), which no
+ * table below holds: the caller declines the point and the python
+ * replay decides — it raises the canonical error from its one home, or
+ * (for such a line, which it takes as any int) runs the point; -1 out of
+ * memory.  Outputs are meaningful only with status 0.  Mirrored in
+ * repro.native.driver.
  */
 
 #include <stdint.h>
@@ -103,24 +105,17 @@
 static inline int ctz64(uint64_t v) { return __builtin_ctzll(v); }
 static inline int popcount64(uint64_t v) { return __builtin_popcountll(v); }
 
-/* Floor division matching Python's // for a positive divisor. */
-static inline int64_t fdiv(int64_t a, int64_t b) {
-    int64_t q = a / b;
-    if ((a % b) != 0 && a < 0) q--;
-    return q;
-}
-
 /* ---------------------------------------------------------------- map
- * Open-addressing int64 hash map, linear probe, tombstone deletion,
+ * Open-addressing int64 hash map for the sync registries, whose ids are
+ * arbitrary: insert-only (nothing is ever deleted), linear probe,
  * power-of-two capacity, Fibonacci hashing. */
 
 typedef struct {
     int64_t *key;
     int64_t *val;
-    uint8_t *st; /* 0 empty, 1 used, 2 tombstone */
+    uint8_t *used;
     size_t cap;
     size_t live;
-    size_t fill; /* used + tombstones */
 } Map;
 
 static int map_init(Map *m, size_t cap0) {
@@ -128,20 +123,19 @@ static int map_init(Map *m, size_t cap0) {
     while (c < cap0) c <<= 1;
     m->key = (int64_t *)malloc(c * sizeof(int64_t));
     m->val = (int64_t *)malloc(c * sizeof(int64_t));
-    m->st = (uint8_t *)calloc(c, 1);
+    m->used = (uint8_t *)calloc(c, 1);
     m->cap = c;
     m->live = 0;
-    m->fill = 0;
-    if (!m->key || !m->val || !m->st) return ST_NOMEM;
+    if (!m->key || !m->val || !m->used) return ST_NOMEM;
     return 0;
 }
 
 static void map_free(Map *m) {
     free(m->key);
     free(m->val);
-    free(m->st);
+    free(m->used);
     m->key = m->val = NULL;
-    m->st = NULL;
+    m->used = NULL;
 }
 
 static inline size_t map_ix(const Map *m, int64_t k) {
@@ -151,16 +145,12 @@ static inline size_t map_ix(const Map *m, int64_t k) {
 }
 
 static inline int map_get(const Map *m, int64_t k, int64_t *v) {
-    size_t i = map_ix(m, k);
-    for (;;) {
-        uint8_t s = m->st[i];
-        if (s == 0) return 0;
-        if (s == 1 && m->key[i] == k) {
+    for (size_t i = map_ix(m, k); m->used[i]; i = (i + 1) & (m->cap - 1))
+        if (m->key[i] == k) {
             *v = m->val[i];
             return 1;
         }
-        i = (i + 1) & (m->cap - 1);
-    }
+    return 0;
 }
 
 static int map_put(Map *m, int64_t k, int64_t v);
@@ -169,80 +159,112 @@ static int map_rehash(Map *m, size_t want) {
     size_t c = 16;
     while (c < want) c <<= 1;
     int64_t *ok = m->key, *ov = m->val;
-    uint8_t *os = m->st;
+    uint8_t *ou = m->used;
     size_t ocap = m->cap;
     m->key = (int64_t *)malloc(c * sizeof(int64_t));
     m->val = (int64_t *)malloc(c * sizeof(int64_t));
-    m->st = (uint8_t *)calloc(c, 1);
-    if (!m->key || !m->val || !m->st) {
+    m->used = (uint8_t *)calloc(c, 1);
+    if (!m->key || !m->val || !m->used) {
         free(m->key);
         free(m->val);
-        free(m->st);
+        free(m->used);
         m->key = ok;
         m->val = ov;
-        m->st = os;
+        m->used = ou;
         return ST_NOMEM;
     }
     m->cap = c;
     m->live = 0;
-    m->fill = 0;
     for (size_t i = 0; i < ocap; i++)
-        if (os[i] == 1) map_put(m, ok[i], ov[i]);
+        if (ou[i]) map_put(m, ok[i], ov[i]);
     free(ok);
     free(ov);
-    free(os);
+    free(ou);
     return 0;
 }
 
 static int map_put(Map *m, int64_t k, int64_t v) {
-    if ((m->fill + 1) * 8 >= m->cap * 5) {
+    if ((m->live + 1) * 8 >= m->cap * 5) {
         if (map_rehash(m, (m->live + 1) * 4)) return ST_NOMEM;
     }
     size_t i = map_ix(m, k);
-    size_t tomb = (size_t)-1;
-    for (;;) {
-        uint8_t s = m->st[i];
-        if (s == 0) break;
-        if (s == 2) {
-            if (tomb == (size_t)-1) tomb = i;
-        } else if (m->key[i] == k) {
+    for (; m->used[i]; i = (i + 1) & (m->cap - 1))
+        if (m->key[i] == k) {
             m->val[i] = v;
             return 0;
         }
-        i = (i + 1) & (m->cap - 1);
-    }
-    if (tomb != (size_t)-1) {
-        i = tomb;
-    } else {
-        m->fill++;
-    }
-    m->st[i] = 1;
+    m->used[i] = 1;
     m->key[i] = k;
     m->val[i] = v;
     m->live++;
     return 0;
 }
 
-/* Delete k; returns 1 (*v filled, if given) when present, 0 otherwise. */
-static inline int map_del(Map *m, int64_t k, int64_t *v) {
-    size_t i = map_ix(m, k);
-    for (;;) {
-        uint8_t s = m->st[i];
-        if (s == 0) return 0;
-        if (s == 1 && m->key[i] == k) {
-            if (v) *v = m->val[i];
-            m->st[i] = 2;
-            m->live--;
-            return 1;
-        }
-        i = (i + 1) & (m->cap - 1);
+/* -------------------------------------------------------------- table
+ * Direct-indexed int32 table over keys in [0, 2^32) for the per-line
+ * state on the hot path: each cache's line -> slot, and line -> record
+ * and page -> home.  Lines are dense — the address space is a bump
+ * allocation from 0 — so a lookup is a shift and two loads (the chunk's
+ * directory word, then the entry), with no hash and no probe sequence.
+ * The directory grows to cover
+ * the highest chunk put; a chunk of TAB_CHUNK entries (16 KB) is
+ * allocated at its first put, and until then its word points at the
+ * shared read-only tab_none.  -1 means absent.  Keys outside [0, 2^32)
+ * never reach a table — the loop faults such a READ or WRITE line, and
+ * the page bindings skip such a page — so one hostile operand costs at
+ * most an 8 MB directory (2^20 words) and one chunk in each table it is
+ * put in: its cache, the record table and the page table. */
+
+#define TAB_SHIFT 12
+#define TAB_CHUNK (1 << TAB_SHIFT)
+
+static const int32_t tab_none[TAB_CHUNK] = {[0 ... TAB_CHUNK - 1] = -1};
+
+typedef struct {
+    int32_t **dir;
+    int64_t n; /* directory words */
+} Table;
+
+static inline int32_t tab_get(const Table *t, int64_t k) {
+    uint64_t c = (uint64_t)k >> TAB_SHIFT;
+    return c < (uint64_t)t->n ? t->dir[c][k & (TAB_CHUNK - 1)] : -1;
+}
+
+/* Set key k (0 <= k < 2^32) to v.  -1 clears it, which never allocates
+ * for a key that is present. */
+static int tab_put(Table *t, int64_t k, int32_t v) {
+    int64_t c = k >> TAB_SHIFT;
+    if ((uint64_t)k >> 32) return ST_FAULT; /* callers check first */
+    if (c >= t->n) {
+        int64_t nn = t->n ? t->n : 16;
+        while (nn <= c) nn *= 2;
+        int32_t **d = (int32_t **)realloc(t->dir, nn * sizeof(int32_t *));
+        if (!d) return ST_NOMEM;
+        for (int64_t i = t->n; i < nn; i++) d[i] = (int32_t *)tab_none;
+        t->dir = d;
+        t->n = nn;
     }
+    if (t->dir[c] == tab_none) {
+        int32_t *p = (int32_t *)malloc(sizeof(tab_none));
+        if (!p) return ST_NOMEM;
+        memcpy(p, tab_none, sizeof(tab_none));
+        t->dir[c] = p;
+    }
+    t->dir[c][k & (TAB_CHUNK - 1)] = v;
+    return 0;
+}
+
+static void tab_free(Table *t) {
+    for (int64_t i = 0; i < t->n; i++)
+        if (t->dir[i] != tab_none) free(t->dir[i]);
+    free(t->dir);
 }
 
 /* ------------------------------------------------------------- cache
  * One fully associative cache — a cluster's shared cache (directory), a
  * cluster's LLC slice (DLS) or a processor's own cache (snoopy): a
- * line -> slot map over a slab of Line records.  Freed slots
+ * line -> slot table over a slab of Line records, and a count of the
+ * resident lines.  Freed slots
  * (invalidations) chain through `next`; fresh slots come from a
  * high-water mark, the slab doubling on demand, so nothing
  * capacity-sized is allocated before it is used.  With finite
@@ -258,9 +280,9 @@ typedef struct {
 } Line;
 
 typedef struct {
-    Map slot_of;
+    Table slot_of;
     Line *ln;
-    int64_t n_slots, n_used, free_head;
+    int64_t n_slots, n_used, free_head, live;
     int64_t head, tail; /* recency list, finite capacity only */
     int64_t evictions, inserts;
 } Cache;
@@ -274,6 +296,7 @@ static int cache_slot(Cache *c, int64_t *slot_out) {
     }
     if (c->n_used == c->n_slots) {
         int64_t nn = c->n_slots ? c->n_slots * 2 : 1024;
+        if (nn > INT32_MAX) return ST_NOMEM; /* slot_of holds int32 */
         Line *p = (Line *)realloc(c->ln, nn * sizeof(Line));
         if (!p) return ST_NOMEM;
         c->ln = p;
@@ -529,10 +552,10 @@ typedef struct {
                      * delay (NetworkStats field order) */
     double peak;    /* peak link utilisation */
     Cache *ca;  /* nca: one per cluster, or per processor under snoopy */
-    Map rec_of; /* line -> index into rec */
-    Rec *rec;   /* one per line ever missed on; grows, never shrinks */
+    Table rec_of; /* line -> index into rec */
+    Rec *rec;     /* one per line ever missed on; grows, never shrinks */
     int64_t n_rec, cap_rec;
-    Map pages;  /* page -> home (the allocator's bindings + first touches) */
+    Table pages;  /* page -> home (the allocator's bindings + first touches) */
     int64_t *ctr; /* out: ncl * NCTR */
     int64_t inv_sent, repl_hints, writebacks, first_touch;
 } Ctx;
@@ -625,23 +648,26 @@ static inline int64_t price(Ctx *x, int req, int home, int owner,
 /* Home cluster of a line; binds the page round-robin on first touch
  * (allocation.PageAllocator.home_of_line, verbatim semantics). */
 static int home_of(Ctx *x, int64_t line, int32_t *home_out) {
-    int64_t page = fdiv(line, x->lpp), home;
-    if (!map_get(&x->pages, page, &home)) {
-        home = x->rr_next;
-        if (map_put(&x->pages, page, home)) return ST_NOMEM;
+    int64_t page = line / x->lpp; /* line >= 0: python's // */
+    int32_t home = tab_get(&x->pages, page);
+    if (home < 0) {
+        home = (int32_t)x->rr_next;
+        if (tab_put(&x->pages, page, home)) return ST_NOMEM;
         x->rr_next = (x->rr_next + 1) % x->ncl;
         x->first_touch++;
     }
-    *home_out = (int32_t)home;
+    *home_out = home;
     return 0;
 }
 
 /* Index of the record of a line that just missed, created at the line's
  * first miss anywhere; creation may move the slab. */
 static int rec_at_miss(Ctx *x, int64_t line, int64_t *ri_out) {
-    if (!map_get(&x->rec_of, line, ri_out)) {
+    *ri_out = tab_get(&x->rec_of, line);
+    if (*ri_out < 0) {
         if (x->n_rec == x->cap_rec) {
             int64_t nc = x->cap_rec ? x->cap_rec * 2 : 1024;
+            if (nc > INT32_MAX) return ST_NOMEM; /* rec_of holds int32 */
             Rec *p = (Rec *)realloc(x->rec, nc * sizeof(Rec));
             if (!p) return ST_NOMEM;
             x->rec = p;
@@ -650,7 +676,7 @@ static int rec_at_miss(Ctx *x, int64_t line, int64_t *ri_out) {
         Rec *r = &x->rec[x->n_rec];
         memset(r, 0, sizeof(Rec));
         r->home = -1;
-        if (map_put(&x->rec_of, line, x->n_rec)) return ST_NOMEM;
+        if (tab_put(&x->rec_of, line, (int32_t)x->n_rec)) return ST_NOMEM;
         *ri_out = x->n_rec++;
     }
     return 0;
@@ -671,7 +697,8 @@ static inline int rec_home(Ctx *x, Rec *r, int64_t line) {
 static int64_t snoop(const Ctx *x, int64_t line, int cl, int64_t exclude,
                      int64_t *slot_out) {
     for (int64_t q = cl * x->csize; q < (cl + 1) * x->csize; q++)
-        if (q != exclude && map_get(&x->ca[q].slot_of, line, slot_out))
+        if (q != exclude
+                && (*slot_out = tab_get(&x->ca[q].slot_of, line)) >= 0)
             return q;
     return -1;
 }
@@ -714,12 +741,12 @@ static int install(Ctx *x, int ci, int64_t fetcher, int64_t line, int64_t ri,
                    int64_t ready, int64_t state_new) {
     Cache *c = &x->ca[ci];
     int64_t slot;
-    if (x->touch && (int64_t)c->slot_of.live >= x->cap) {
+    if (x->touch && c->live >= x->cap) {
         slot = c->head;
         Line *vl = &c->ln[slot];
         Rec *v = &x->rec[vl->rec];
         uint64_t me = 1ULL << ci;
-        map_del(&c->slot_of, vl->tag, NULL);
+        tab_put(&c->slot_of, vl->tag, -1);
         lru_unlink(c, slot);
         c->evictions++;
         v->lost_cap |= me;
@@ -727,6 +754,8 @@ static int install(Ctx *x, int ci, int64_t fetcher, int64_t line, int64_t ri,
         retire(x, ci, v, vl->tag, vl->state);
     } else if (cache_slot(c, &slot)) {
         return ST_NOMEM;
+    } else {
+        c->live++;
     }
     Line *ln = &c->ln[slot];
     ln->tag = line;
@@ -734,7 +763,7 @@ static int install(Ctx *x, int ci, int64_t fetcher, int64_t line, int64_t ri,
     ln->pending = ready;
     ln->fetcher = fetcher;
     ln->rec = ri;
-    if (map_put(&c->slot_of, line, slot)) return ST_NOMEM;
+    if (tab_put(&c->slot_of, line, (int32_t)slot)) return ST_NOMEM;
     if (x->touch) lru_push_tail(c, slot);
     c->inserts++;
     return 0;
@@ -743,9 +772,11 @@ static int install(Ctx *x, int ci, int64_t fetcher, int64_t line, int64_t ri,
 /* Invalidate `line` (record r) in cache ci, if it is resident there. */
 static inline void drop(Ctx *x, int ci, int64_t line, Rec *r) {
     Cache *c = &x->ca[ci];
-    int64_t s;
-    if (map_del(&c->slot_of, line, &s)) {
+    int64_t s = tab_get(&c->slot_of, line);
+    if (s >= 0) {
         uint64_t bit = 1ULL << ci;
+        tab_put(&c->slot_of, line, -1);
+        c->live--;
         if (x->touch) lru_unlink(c, s);
         cache_slot_free(c, s);
         r->lost_coh |= bit;
@@ -783,8 +814,8 @@ typedef struct {
  * carry no fetcher: nobody fetches into somebody else's cache). */
 static NOINLINE int probe_read(Ctx *x, Cache *c, int64_t pid, int64_t line,
                                int64_t t, int64_t *ct, Read *out) {
-    int64_t slot;
-    if (!map_get(&c->slot_of, line, &slot)) return 0;
+    int64_t slot = tab_get(&c->slot_of, line);
+    if (slot < 0) return 0;
     if (x->touch) lru_touch(c, slot);
     Line *ln = &c->ln[slot];
     if (ln->pending > t) {
@@ -819,7 +850,7 @@ static void invalidate_others(Ctx *x, Rec *r, uint64_t me, int64_t line) {
  * SHARED install, counters. */
 static NOINLINE int read_miss(Ctx *x, int cl, int64_t pid, int64_t line,
                               int64_t t, int64_t *stall_out) {
-    int64_t ri, s;
+    int64_t ri;
     int rc = rec_at_miss(x, line, &ri);
     if (rc) return rc;
     Rec *r = &x->rec[ri];
@@ -832,7 +863,8 @@ static NOINLINE int read_miss(Ctx *x, int cl, int64_t pid, int64_t line,
     if (owner >= 0) {
         /* the owner keeps the data but downgrades; the reader joins */
         Cache *oc = &x->ca[owner];
-        if (map_get(&oc->slot_of, line, &s)) oc->ln[s].state = 1;
+        int64_t s = tab_get(&oc->slot_of, line);
+        if (s >= 0) oc->ln[s].state = 1;
     }
     r->state = 1;
     r->mask |= me;
@@ -882,9 +914,8 @@ ALWAYS_INLINE int dir_read(Ctx *x, int64_t pid, int cl, int64_t line,
 ALWAYS_INLINE int dir_write(Ctx *x, int64_t pid, int cl, int64_t line,
                             int64_t t) {
     Cache *c = &x->ca[cl];
-    int64_t slot;
-    if (!map_get(&c->slot_of, line, &slot))
-        return write_miss(x, cl, pid, line, t);
+    int64_t slot = tab_get(&c->slot_of, line);
+    if (slot < 0) return write_miss(x, cl, pid, line, t);
     if (x->touch) lru_touch(c, slot);
     if (c->ln[slot].state != 2) {
         /* upgrade: invalidate the other sharers */
@@ -936,7 +967,7 @@ static int snoopy_read(Ctx *x, int64_t pid, int cl, int64_t line, int64_t t,
         if (owner >= 0) /* whichever processor of the owner holds it dirty */
             for (int64_t q = owner * x->csize; q < (owner + 1) * x->csize;
                  q++)
-                if (map_get(&x->ca[q].slot_of, line, &hslot)
+                if ((hslot = tab_get(&x->ca[q].slot_of, line)) >= 0
                         && x->ca[q].ln[hslot].state == 2)
                     x->ca[q].ln[hslot].state = 1;
         r->state = 1;
@@ -955,8 +986,8 @@ static int snoopy_write(Ctx *x, int64_t pid, int cl, int64_t line,
                         int64_t t) {
     Cache *c = &x->ca[pid];
     int64_t *ct = x->ctr + (size_t)cl * NCTR;
-    int64_t slot, ri = -1;
-    int found = map_get(&c->slot_of, line, &slot);
+    int64_t slot = tab_get(&c->slot_of, line), ri = -1;
+    int found = slot >= 0;
     if (found) {
         if (x->touch) lru_touch(c, slot);
         if (c->ln[slot].state == 2) return 0;
@@ -1016,7 +1047,7 @@ static int dls_read(Ctx *x, int64_t pid, int cl, int64_t line, int64_t t,
         if (install(x, home, pid, line, ri, t + stall, 1)) return ST_NOMEM;
     } else {
         r->lost_coh |= me;
-        if (map_get(&c->slot_of, line, &slot)) {
+        if ((slot = tab_get(&c->slot_of, line)) >= 0) {
             /* the home slice serves it; a request that finds the home
              * fill in flight queues behind it — remote reads never
              * merge */
@@ -1042,11 +1073,11 @@ static int dls_read(Ctx *x, int64_t pid, int cl, int64_t line, int64_t t,
 
 static int dls_write(Ctx *x, int64_t pid, int cl, int64_t line, int64_t t) {
     int64_t *ct = x->ctr + (size_t)cl * NCTR;
-    int64_t slot, ri;
     int32_t home;
     if (home_of(x, line, &home)) return ST_NOMEM;
     Cache *c = &x->ca[home];
-    int found = map_get(&c->slot_of, line, &slot);
+    int64_t slot = tab_get(&c->slot_of, line), ri;
+    int found = slot >= 0;
     if (found) {
         if (x->touch) lru_touch(c, slot);
         c->ln[slot].state = 2; /* dirty at home: local, or write-through */
@@ -1225,10 +1256,10 @@ EXPORT int64_t repro_replay(
     /* the queue's ring cannot hold an event before `now`, which is where
      * a negative latency (like a negative WORK) would put one, and it
      * links processors by 32-bit pid; a cache is one bit of a 64-bit
-     * mask */
+     * mask; a page holds at least one line */
     if (l_lc < 0 || l_rc < 0 || l_ldr < 0 || l_rd3 < 0 || snoop_penalty < 0
             || c2c < 0 || n > INT32_MAX || x.nca > 64 || proto < P_DIRECTORY
-            || proto > P_DLS)
+            || proto > P_DLS || lpp < 1)
         return ST_FAULT;
 
     x.ca = (Cache *)calloc(x.nca, sizeof(Cache));
@@ -1248,17 +1279,14 @@ EXPORT int64_t repro_replay(
         st = ST_NOMEM;
         goto done;
     }
-    if ((st = map_init(&x.rec_of, 1024))) goto done;
-    if ((st = map_init(&x.pages, (size_t)n_ph * 2))) goto done;
     if ((st = map_init(&bars.ix, 16))) goto done;
     if ((st = map_init(&locks.ix, 16))) goto done;
-    for (int64_t i = 0; i < x.nca; i++) {
-        Cache *c = &x.ca[i];
-        c->head = c->tail = c->free_head = -1;
-        if ((st = map_init(&c->slot_of, 1024))) goto done;
-    }
-    for (int64_t i = 0; i < n_ph; i++)
-        if ((st = map_put(&x.pages, ph_pages[i], ph_homes[i]))) goto done;
+    for (int64_t i = 0; i < x.nca; i++)
+        x.ca[i].head = x.ca[i].tail = x.ca[i].free_head = -1;
+    for (int64_t i = 0; i < n_ph; i++) /* no line reaches a page >= 2^32 */
+        if (!((uint64_t)ph_pages[i] >> 32)
+                && (st = tab_put(&x.pages, ph_pages[i], (int32_t)ph_homes[i])))
+            goto done;
     for (int64_t p = 0; p < n; p++) {
         strm[p] = (Stream){ops[p], args[p], 0, lens[p], -1};
         finish[p] = -1;
@@ -1334,6 +1362,10 @@ EXPORT int64_t repro_replay(
                 int64_t arg = pa[ip];
                 ip++;
                 if (op == 1) { /* READ */
+                    if ((uint64_t)arg >> 32) { /* no table holds the line */
+                        st = ST_FAULT;
+                        goto done;
+                    }
                     bd[4 * pid] += 1;
                     ct[0]++;
                     Read rd;
@@ -1364,6 +1396,10 @@ EXPORT int64_t repro_replay(
                     bd[4 * pid] += arg;
                     tn = t + arg;
                 } else if (op == 2) { /* WRITE (never stalls) */
+                    if ((uint64_t)arg >> 32) {
+                        st = ST_FAULT;
+                        goto done;
+                    }
                     bd[4 * pid] += 1;
                     ct[1]++;
                     int rc = directory ? dir_write(&x, pid, cl, arg, t)
@@ -1519,16 +1555,16 @@ EXPORT int64_t repro_replay(
 done:
     if (x.ca) {
         for (int64_t i = 0; i < x.nca; i++) {
-            map_free(&x.ca[i].slot_of);
+            tab_free(&x.ca[i].slot_of);
             free(x.ca[i].ln);
         }
         free(x.ca);
     }
     free(x.link_busy);
     free(x.dir_busy);
-    map_free(&x.rec_of);
+    tab_free(&x.rec_of);
     free(x.rec);
-    map_free(&x.pages);
+    tab_free(&x.pages);
     for (int64_t i = 0; i < bars.n; i++) {
         free(bars.v[i].wpid);
         free(bars.v[i].warr);

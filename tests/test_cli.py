@@ -532,11 +532,12 @@ class TestStudyCommand:
         assert "--server" in capsys.readouterr().err
 
 
-#: what a result-cache hit must not import: the simulator, the C kernel's
-#: driver, the daemon, the cost model and every application
-HIT_PATH_FORBIDDEN = ("numpy", "repro.sim.engine", "repro.memory",
-                      "repro.native", "repro.service",
-                      "repro.core.contention")
+#: what a result-cache hit must not import: the simulator, the trace
+#: layer, the C kernel's driver, the daemon, the cost model, the process
+#: pool and every application
+HIT_PATH_FORBIDDEN = ("numpy", "repro.sim.engine", "repro.sim.compiled",
+                      "repro.memory", "repro.native", "repro.service",
+                      "repro.core.contention", "concurrent.futures.process")
 SHOW_MODULES = ("import json, sys\n"
                 "from repro import cli\n"
                 "rc = cli.main(sys.argv[1:])\n"

@@ -48,8 +48,8 @@ from repro.sim.engine import Engine, SimulationDeadlock
 from repro.sim.nativereplay import native_decline_reason, try_replay_native
 from repro.sim.stats import build as build_result
 from repro.sim.program import (OP_LOCK, OP_READ, OP_TASK, OP_UNLOCK,
-                               OP_WORK, Barrier, Lock, Read, Task, Unlock,
-                               Work, Write)
+                               OP_WORK, OP_WRITE, Barrier, Lock, Read, Task,
+                               Unlock, Work, Write)
 
 from test_runtime import CFG, TINY, golden_payload
 
@@ -455,6 +455,31 @@ def test_mesh_latency_plus_delay_on_a_half_rounds_to_even(local_clean,
     assert out.network.peak_link_utilization == 0.0  # no link crossed
 
 
+@needs_kernel
+@pytest.mark.parametrize("protocol", PROTOCOLS)
+@pytest.mark.parametrize("network", [None, NetworkConfig(provider="mesh")],
+                         ids=["table1", "mesh"])
+def test_lines_on_table_chunk_edges(protocol, network):
+    """Lines on both sides of the kernel's 4096-entry table chunks, and
+    two far apart, through 2-line caches: evictions and invalidations
+    clear table entries, and later installs set them again."""
+    edges = [0, 4095, 4096, 8191, 8192, 2**31]
+    # two lines per cache: per cluster of two, or per processor (snoopy)
+    config = _config(4, 2, 0.125 if protocol == "snoopy" else 0.0625,
+                     protocol, network)
+
+    def factory(pid):
+        for phase in range(3):
+            shift = pid + phase
+            for k, line in enumerate(edges[shift:] + edges[:shift]):
+                op = Write if (k + shift) % 3 == 0 else Read
+                yield op(line * config.line_size)
+            yield Barrier(phase)
+
+    out = _assert_native_matches_python(config, factory)
+    assert min(out.evictions) > 0
+
+
 # ------------------------------------------------ operands are checked
 #
 # compile_program refuses these at capture, but a mapped trace's payload
@@ -463,16 +488,36 @@ def test_mesh_latency_plus_delay_on_a_half_rounds_to_even(local_clean,
 # replay decides — not read a bad opcode as UNLOCK or file an event
 # before the ring's base.
 
+#: lines outside [0, 2^32), which no table of the kernel holds: python's
+#: replay takes any line, so only the kernel declines these
+_FAR_LINES = [(OP_READ, -1), (OP_WRITE, 2**32)]
+
+
 @needs_kernel
-@pytest.mark.parametrize("opcode,arg", [(9, 0), (OP_WORK, -5)])
+@pytest.mark.parametrize("opcode,arg", [(9, 0), (OP_WORK, -5), *_FAR_LINES])
 def test_kernel_faults_on_a_bad_operand(opcode, arg, force_native):
-    # after LOCK(0), so that opcode 9 read as UNLOCK(0) would be legal
+    # after LOCK(0), so that opcode 9 read as UNLOCK(0) would be legal; a
+    # far line is a fault, not a MemoryError
     config = _config(2, 1, None)
     program = CompiledProgram(
         [array("q", [OP_LOCK, opcode]), array("q")],
         [array("q", [0, arg]), array("q")],
         config.line_size, source_ops=2, fused_work=True)
     assert try_replay_native(config, _ScriptedApp(config), program) is None
+
+
+@needs_kernel
+@pytest.mark.parametrize("opcode,line", _FAR_LINES)
+def test_a_declined_far_line_keeps_pythons_answer(opcode, line, force_native,
+                                                  monkeypatch):
+    """The session behind the decline runs the point on python, and
+    answers what ``REPRO_NATIVE=0`` answers."""
+    line_size = _config(2, 1, None).line_size
+    factory = _scripted([(OP_LOCK, 0), (opcode, line * line_size)], [])
+    got = _scripted_run(monkeypatch, factory, True)
+    ref = _scripted_run(monkeypatch, factory, False)
+    assert got.kernel == ref.kernel == "python"
+    assert got.result.to_json() == ref.result.to_json()
 
 
 # What "python decides" means: the engine's one loop checks a stored
@@ -621,13 +666,20 @@ class _ScriptedApp(Application):
         return type(self).factory(pid)
 
 
-def _session_error(monkeypatch, factory, use_native):
+def _scripted_run(monkeypatch, factory, use_native):
+    """``factory`` run as the registry app on 2 processors, one cluster
+    each, by a fresh session with the kernel selected or not."""
     monkeypatch.setitem(registry._CLASSES, "scripted", _ScriptedApp)
     monkeypatch.setattr(_ScriptedApp, "factory", staticmethod(factory))
     native.set_native(use_native)
-    session = RunSession(base_config=_config(2, 1, None))
+    config = _config(2, 1, None)
+    return RunSession(base_config=config).run_plan(
+        RunPlan.resolve(RunRequest.make("scripted", 1, None), config))
+
+
+def _session_error(monkeypatch, factory, use_native):
     with pytest.raises(Exception) as caught:
-        session.run(RunRequest.make("scripted", 1, None))
+        _scripted_run(monkeypatch, factory, use_native)
     return caught.value
 
 
