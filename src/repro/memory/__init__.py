@@ -2,9 +2,11 @@
 full-bit-vector directory, and the pluggable coherence-protocol backends.
 
 Cache state is one :class:`Cache` of ``n_sets`` × ``ways`` lines with one
-record per resident line, and directory entries are packed ints; the
-object-per-entry directory and the DLS protocol the property suites compare
-against are a test oracle and live in ``tests/refmodel.py``.
+record per resident line, and everything known about a line outside the
+caches — directory entry, miss history, home — is one :class:`LineRecord`
+per line ever missed on; the object-per-entry directory and the DLS
+protocol the property suites compare against are a test oracle and live
+in ``tests/refmodel.py``.
 
 Protocol registry
 -----------------
@@ -25,8 +27,8 @@ from .allocation import PageAllocator
 from .cache import EXCLUSIVE, SHARED, Cache, Eviction
 from .coherence import (READ_HIT, READ_MERGE, READ_MISS,
                         CoherentMemorySystem, MemorySystem)
-from .directory import (DIR_EXCLUSIVE, DIR_SHARED, NOT_CACHED, SHARER_SHIFT,
-                        Directory)
+from .directory import (DIR_EXCLUSIVE, DIR_SHARED, NOT_CACHED, Directory,
+                        LineRecord)
 from .dls import DLSMemorySystem
 from .snoopy import SnoopyClusterMemorySystem as _SnoopyClusterMemorySystem
 
@@ -34,7 +36,7 @@ __all__ = [
     "AddressSpace", "Region", "line_of", "page_of",
     "PageAllocator",
     "SHARED", "EXCLUSIVE", "Eviction", "Cache",
-    "NOT_CACHED", "DIR_SHARED", "DIR_EXCLUSIVE", "SHARER_SHIFT", "Directory",
+    "NOT_CACHED", "DIR_SHARED", "DIR_EXCLUSIVE", "Directory", "LineRecord",
     "READ_HIT", "READ_MERGE", "READ_MISS", "MemorySystem",
     "CoherentMemorySystem", "DLSMemorySystem",
     "PROTOCOL_REGISTRY", "make_memory_system",

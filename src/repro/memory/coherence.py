@@ -38,29 +38,34 @@ divides byte addresses by the line size once).  They make the split
 * what runs only on a **miss, upgrade or eviction** is a call into the one
   tested implementation of that step: :meth:`Cache.insert` /
   ``invalidate`` / ``downgrade`` for the cache, the five
-  :class:`~repro.memory.directory.Directory` transitions for the packed
-  table, and ``price(requester, home, owner, now)`` — the latency
+  :class:`~repro.memory.directory.Directory` transitions for the line's
+  directory entry, and ``price(requester, home, owner, now)`` — the latency
   provider's ``miss_cycles`` (Table 1, or the stateful mesh) — for the
-  stall.  A miss *reads* the line's packed directory entry once (state,
-  owner and sharers decode from that int) and never writes one;
+  stall.  A miss probes the memory system's record dict once: the line's
+  :class:`~repro.memory.directory.LineRecord` holds its directory entry,
+  why each cluster last lost it and its home, as ``kernel.c``'s ``Rec``
+  does.  The back end writes the two history masks itself and never the
+  entry;
 * ``hits`` and ``references`` are *derived* on
   :class:`~repro.core.metrics.MissCounters` (see there), so the hit path
   increments one counter, not three.
 
 :class:`MemorySystem` holds what the three protocol back ends (this one,
 :mod:`~repro.memory.snoopy`, :mod:`~repro.memory.dls`) share outside their
-hot methods: construction, the processor → cluster mapping, ``price``, the
-counters and the cache-geometry half of ``check_invariants``.
+hot methods: construction, the record dict, the processor → cluster
+mapping, ``price``, the counters and the cache-geometry and home half of
+``check_invariants``.
 """
 
 from __future__ import annotations
 
 from ..core.config import MachineConfig
-from ..core.metrics import MissCause, MissCounters, NetworkStats
+from ..core.metrics import MissCounters, NetworkStats
 from ..network.latency import make_latency_provider
 from .allocation import PageAllocator
 from .cache import EXCLUSIVE, SHARED, Cache
-from .directory import DIR_EXCLUSIVE, DIR_SHARED, NOT_CACHED, Directory
+from .directory import (DIR_EXCLUSIVE, NOT_CACHED, Directory, LineRecord,
+                        miss_cause, new_record)
 
 __all__ = ["READ_HIT", "READ_MERGE", "READ_MISS", "MemorySystem",
            "CoherentMemorySystem"]
@@ -69,16 +74,6 @@ __all__ = ["READ_HIT", "READ_MERGE", "READ_MISS", "MemorySystem",
 READ_HIT = 0
 READ_MERGE = 1
 READ_MISS = 2
-
-# Per-cluster line history for cold/coherence/capacity classification.  The
-# history dict stores, for each line a cluster has ever lost, the MissCause a
-# future miss on that line will carry: evictions write CAPACITY, invalidations
-# write COHERENCE, and a line never seen classifies COLD via the dict-get
-# default.  (Installs need no history write: a resident line cannot miss, and
-# every way of losing a line — eviction or invalidation — records its cause.)
-_COLD = MissCause.COLD
-_CAPACITY = MissCause.CAPACITY
-_COHERENCE = MissCause.COHERENCE
 
 #: preallocated hit result — read() returns this once per hit, the single
 #: most common outcome of a simulation, and callers only ever unpack it
@@ -113,10 +108,9 @@ class MemorySystem:
         self.counters = [MissCounters() for _ in range(config.n_clusters)]
         self._cluster_of = [p // config.cluster_size
                             for p in range(config.n_processors)]
-        # live views of allocator page bindings for the in-line home lookup
-        # (first touch of a page still goes through the allocator)
-        self._page_home = self.allocator._page_home
-        self._lines_per_page = self.allocator._lines_per_page
+        #: line -> LineRecord, one per line ever missed on (directory.py);
+        #: a back end with a directory hands this same dict to it
+        self.records: dict[int, LineRecord] = {}
         # The hit paths run on each cache's set dicts as plain dict probes
         # and record attribute accesses, with no method call.  One fully
         # associative set (the paper's model) is bound as the dict itself,
@@ -143,10 +137,24 @@ class MemorySystem:
 
     def check_invariants(self) -> None:
         """Raise unless every set of every cache holds at most ``ways``
-        lines, all of them its own (:meth:`Cache.check_sets`); back ends
-        add their protocol's own cross-checks after this one."""
+        lines, all of them its own (:meth:`Cache.check_sets`), and every
+        line record has at most one loss per cache (the latest) and a
+        home, if bound, that is its page's home at the allocator; back
+        ends add their protocol's own cross-checks after this one."""
         for index, cache in enumerate(self.caches):
             cache.check_sets(f"cache {index}")
+        page_homes = self.allocator.page_homes
+        lines_per_page = self.allocator.page_size // self.allocator.line_size
+        for line, record in self.records.items():
+            if record.lost_coh & record.lost_cap:
+                raise AssertionError(
+                    f"line {line:#x} lost to coherence and to capacity at "
+                    f"once, caches {record.lost_coh & record.lost_cap:#x}")
+            page_home = page_homes.get(line // lines_per_page)
+            if record.home != -1 and record.home != page_home:
+                raise AssertionError(
+                    f"line {line:#x} records home {record.home}, its page "
+                    f"is homed at {page_home}")
 
 
 class CoherentMemorySystem(MemorySystem):
@@ -165,9 +173,7 @@ class CoherentMemorySystem(MemorySystem):
         super().__init__(config, allocator, config.n_clusters,
                          config.cluster_cache_lines)
         self.directory = Directory(config.n_clusters)
-        # Per-cluster line history for cold/coherence/capacity classification
-        # (see the module-level comment above _COLD for the encoding).
-        self._history: list[dict[int, MissCause]] = [dict() for _ in range(config.n_clusters)]
+        self.directory.records = self.records
 
     # ------------------------------------------------------------------ hot
     def read(self, processor: int, line: int, now: int,
@@ -209,22 +215,21 @@ class CoherentMemorySystem(MemorySystem):
             # Line was invalidated while we were merged on its fill.
             ctr.merge_refetches += 1
 
-        # ---- read miss: classify, directory transaction, SHARED install
-        cause = self._history[cluster].get(line, _COLD)
-        page_home = self._page_home.get(line // self._lines_per_page)
-        home = (page_home if page_home is not None
-                else self.allocator.home_of_line(line))
-        directory = self.directory
-        # the one read of the packed entry (encoding: directory.py)
-        packed = directory.packed.get(line, 0)
-        owner = packed.bit_length() - 3 if packed & 3 == DIR_EXCLUSIVE else None
-        latency = self._price(cluster, home, owner, now)
+        # ---- read miss: classify, directory transaction, SHARED install;
+        # entry, cause and home come from one probe of the record dict
+        records = self.records
+        rec = records.get(line) or new_record(
+            records, line, self.allocator.home_of_line(line))
+        cause = miss_cause(rec, 1 << cluster)
+        owner = (rec.mask.bit_length() - 1 if rec.dir_state == DIR_EXCLUSIVE
+                 else None)
+        latency = self._price(cluster, rec.home, owner, now)
         if owner is None:
-            directory.record_read_fill(line, cluster)
+            self.directory.record_read_fill(rec, cluster)
         else:
             # Owner keeps the data but downgrades; reader joins the sharers.
             self.caches[owner].downgrade(line)
-            directory.downgrade_owner(line, cluster)
+            self.directory.downgrade_owner(rec, cluster)
         self._install(cluster, line, SHARED, now + latency, processor)
         ctr.read_misses += 1
         ctr.by_cause[cause] += 1
@@ -251,28 +256,26 @@ class CoherentMemorySystem(MemorySystem):
                 return
             # UPGRADE: present but SHARED -> invalidate other sharers.
             ctr.upgrade_misses += 1
-            directory = self.directory
-            # sharer mask minus this cluster (packed encoding: directory.py)
-            others = (directory.packed.get(line, 0) >> 2) & ~(1 << cluster)
+            rec = self.records[line]
+            others = rec.mask & ~(1 << cluster)
             if others:
-                self._invalidate_bits(line, others)
-            directory.record_exclusive(line, cluster)
+                self._invalidate_bits(line, rec, others)
+            self.directory.record_exclusive(rec, cluster)
             record.state = EXCLUSIVE
             return
 
         # ---- WRITE miss: fetch exclusive; latency hidden, line pending.
-        cause = self._history[cluster].get(line, _COLD)
-        page_home = self._page_home.get(line // self._lines_per_page)
-        home = (page_home if page_home is not None
-                else self.allocator.home_of_line(line))
-        directory = self.directory
-        packed = directory.packed.get(line, 0)
-        owner = packed.bit_length() - 3 if packed & 3 == DIR_EXCLUSIVE else None
-        latency = self._price(cluster, home, owner, now)
-        others = (packed >> 2) & ~(1 << cluster)
+        records = self.records
+        rec = records.get(line) or new_record(
+            records, line, self.allocator.home_of_line(line))
+        cause = miss_cause(rec, 1 << cluster)
+        owner = (rec.mask.bit_length() - 1 if rec.dir_state == DIR_EXCLUSIVE
+                 else None)
+        latency = self._price(cluster, rec.home, owner, now)
+        others = rec.mask & ~(1 << cluster)
         if others:
-            self._invalidate_bits(line, others)
-        directory.record_exclusive(line, cluster)
+            self._invalidate_bits(line, rec, others)
+        self.directory.record_exclusive(rec, cluster)
         self._install(cluster, line, EXCLUSIVE, now + latency, processor)
         ctr.write_misses += 1
         ctr.by_cause[cause] += 1
@@ -282,22 +285,25 @@ class CoherentMemorySystem(MemorySystem):
                  pending_until: int, fetcher: int) -> None:
         """Install ``line`` in ``cluster``'s cache, retiring any victim.
 
-        The eviction writes CAPACITY into the cluster's history and
-        notifies the directory: a write-back for EXCLUSIVE, and for SHARED
-        a replacement hint, so the directory never sends a useless
-        invalidation later.
+        The eviction marks the victim lost to capacity in the cluster's
+        history and notifies the directory: a write-back for EXCLUSIVE,
+        and for SHARED a replacement hint, so the directory never sends a
+        useless invalidation later.
         """
         victim = self.caches[cluster].insert(line, state, pending_until,
                                              fetcher)
         if victim is None:
             return
-        self._history[cluster][victim.line] = _CAPACITY
+        rec = self.records[victim.line]
+        bit = 1 << cluster
+        rec.lost_cap |= bit
+        rec.lost_coh &= ~bit
         if victim.state == EXCLUSIVE:
-            self.directory.writeback(victim.line, cluster)
+            self.directory.writeback(rec, cluster)
         else:
-            self.directory.replacement_hint(victim.line, cluster)
+            self.directory.replacement_hint(rec, cluster)
 
-    def _invalidate_bits(self, line: int, bits: int) -> None:
+    def _invalidate_bits(self, line: int, rec: LineRecord, bits: int) -> None:
         """Instantaneously invalidate the cached copies named by ``bits``.
 
         Pending lines are invalidated too (paper §3.1); a reader merged on
@@ -310,9 +316,9 @@ class CoherentMemorySystem(MemorySystem):
         while bits:
             low = bits & -bits
             bits ^= low
-            cluster = low.bit_length() - 1
-            if self.caches[cluster].invalidate(line):
-                self._history[cluster][line] = _COHERENCE
+            if self.caches[low.bit_length() - 1].invalidate(line):
+                rec.lost_coh |= low
+                rec.lost_cap &= ~low
 
     # ---------------------------------------------------------------- query
     def check_invariants(self) -> None:
@@ -322,48 +328,29 @@ class CoherentMemorySystem(MemorySystem):
 
         * first, no set of any cache exceeds its ways or holds another
           set's line (:meth:`MemorySystem.check_invariants`);
-        * every live directory entry has a non-empty sharer mask (pruning
-          means NOT_CACHED entries simply do not exist);
-        * a line EXCLUSIVE at the directory is EXCLUSIVE in exactly the
-          owner's cache and nowhere else;
-        * a line SHARED at the directory is SHARED in every cache whose bit
-          is set (hints guarantee no stale bits);
-        * a line without an entry is nowhere.
+        * a record is NOT_CACHED exactly when its sharer mask is empty, and
+          EXCLUSIVE only with one sharer, the owner;
+        * every cache whose bit is set holds the line in the directory's
+          state (hints guarantee no stale bits), and no other cache holds
+          it — so a line not in the directory is nowhere.
         """
         super().check_invariants()
-        directory = self.directory
-        seen = set()
-        for line in directory.lines():
-            seen.add(line)
-            state = directory.state_of(line)
-            if state == NOT_CACHED or directory.sharer_mask(line) == 0:
-                raise AssertionError(
-                    f"line {line:#x} has a live entry with no sharers "
-                    f"(pruning failed)")
+        for line, rec in self.records.items():
+            mask, state = rec.mask, rec.dir_state
+            if ((state == NOT_CACHED) != (mask == 0) or state ==
+                    DIR_EXCLUSIVE and mask & (mask - 1)):
+                raise AssertionError(f"line {line:#x} is {state} at the "
+                                     f"directory with sharers {mask:#x}")
+            held = EXCLUSIVE if state == DIR_EXCLUSIVE else SHARED
             for cluster, cache in enumerate(self.caches):
                 cstate = cache.state_of(line)
-                if state == DIR_SHARED:
-                    if directory.is_sharer(line, cluster) and cstate != SHARED:
-                        raise AssertionError(
-                            f"line {line:#x} SHARED at dir, cluster {cluster} "
-                            f"bit set, cache state {cstate}")
-                    if not directory.is_sharer(line, cluster) and cstate is not None:
-                        raise AssertionError(
-                            f"line {line:#x} cached at {cluster} without "
-                            f"a sharer bit")
-                else:  # DIR_EXCLUSIVE
-                    owner = directory.owner_of(line)
-                    if cluster == owner and cstate != EXCLUSIVE:
-                        raise AssertionError(
-                            f"line {line:#x} EXCL at dir, owner {cluster} "
-                            f"cache state {cstate}")
-                    if cluster != owner and cstate is not None:
-                        raise AssertionError(
-                            f"line {line:#x} EXCL owned by {owner} "
-                            f"but cached at {cluster}")
+                if cstate != (held if mask >> cluster & 1 else None):
+                    raise AssertionError(
+                        f"line {line:#x} is {state} at the directory with "
+                        f"sharers {mask:#x}, cluster {cluster} holds it "
+                        f"in state {cstate}")
         for cluster, cache in enumerate(self.caches):
             for line in cache.resident_lines():
-                if line not in seen:
+                if line not in self.records:
                     raise AssertionError(
-                        f"line {line:#x} cached at {cluster} but pruned "
-                        f"from the directory")
+                        f"line {line:#x} cached at {cluster} with no record")

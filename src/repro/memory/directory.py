@@ -1,4 +1,4 @@
-"""Full-bit-vector directory with replacement hints, packed-int storage.
+"""Full-bit-vector directory with replacement hints, over per-line records.
 
 Paper §3.1: *"The directory is implemented as a full bit vector with
 replacement hints."* and *"The directory supports three cache states for a
@@ -6,37 +6,40 @@ line, NOT CACHED, EXCLUSIVE, and SHARED."*
 
 Physically the directory is distributed — each cluster holds the entries for
 the lines whose home it is (the :class:`~repro.memory.allocation.PageAllocator`
-decides homes).  Logically it is a single map from line number to a packed
-entry; the protocol layer computes the home separately to assign network
-latencies, so nothing is lost by the centralised representation.
+decides homes).  Logically it is the ``mask``/``dir_state`` half of one map
+from line number to :class:`LineRecord`; a miss finds the home in the same
+record, so nothing is lost by the centralised representation.
 
-Packed entry encoding
----------------------
-One Python int per line holds the whole entry::
+Line records
+------------
+Everything the machine knows about a line *outside* the caches is one
+``__slots__`` record, field for field ``kernel.c``'s ``Rec``::
 
-    packed = (sharer_mask << 2) | state        # state in the low 2 bits
-    bit (cluster + 2)  set  ⇔  cluster shares the line
+    mask       bit c set  ⇔  cluster c shares the line
+    dir_state  NOT_CACHED / DIR_SHARED / DIR_EXCLUSIVE
+    lost_coh   bit i set  ⇔  cache i last lost the line to an invalidation
+    lost_cap   bit i set  ⇔  cache i last lost the line to an eviction
+    home       home cluster; -1 until a miss that goes to the home binds it
 
-so the common transitions are single int operations: *add sharer* is
-``packed | (4 << cluster) ...``, *sole-owner writeback eligibility* is the
-one comparison ``packed == (4 << cluster) | DIR_EXCLUSIVE``, and the owner
-of an EXCLUSIVE line is ``packed.bit_length() - 3``.  Sharer bits count
-*clusters* (not processors): in a shared-cache cluster the processors
-behind one cache are indistinguishable to the directory, which is precisely
-the coherence benefit of clustering.
-
-An **absent** table entry encodes NOT_CACHED with no sharers, and every
-transition that empties the sharer mask deletes the entry (*pruning*).
-Long runs therefore stop accumulating dead per-line state — the previous
-implementation kept a ``DirEntry`` object forever for every line ever
-cached, which both leaked memory on streaming access patterns and made
-``lines()``/``len()`` over-report dead lines.
+A memory system keeps one record per line ever missed on, in one dict
+(``records``), and never deletes one.  A line is *in the directory* iff its
+``mask`` is non-zero; a transition that empties the mask resets
+``dir_state`` to NOT_CACHED.  Sharer bits count *clusters* (not processors):
+in a shared-cache cluster the processors behind one cache are
+indistinguishable to the directory, which is precisely the coherence
+benefit of clustering.  The two history masks count *caches* — one per
+cluster, or per processor under snoopy — and a loss sets the cache's bit in
+one and clears it in the other, so the latest loss wins and neither bit
+means the cache's next miss on the line is cold (:func:`miss_cause`).
+DLS has no directory and leaves ``mask`` empty.
 """
 
 from __future__ import annotations
 
-__all__ = ["NOT_CACHED", "DIR_SHARED", "DIR_EXCLUSIVE", "SHARER_SHIFT",
-           "Directory"]
+from ..core.metrics import MissCause
+
+__all__ = ["NOT_CACHED", "DIR_SHARED", "DIR_EXCLUSIVE", "LineRecord",
+           "new_record", "miss_cause", "Directory"]
 
 #: No cluster caches the line.
 NOT_CACHED = 0
@@ -45,143 +48,149 @@ DIR_SHARED = 1
 #: Exactly one cluster owns the line with write permission.
 DIR_EXCLUSIVE = 2
 
-#: bit position of cluster 0's sharer bit in a packed entry
-SHARER_SHIFT = 2
+_COLD = MissCause.COLD
+_CAPACITY = MissCause.CAPACITY
+_COHERENCE = MissCause.COHERENCE
 
-_STATE_NAMES = {NOT_CACHED: "NOT_CACHED", DIR_SHARED: "SHARED",
-                DIR_EXCLUSIVE: "EXCLUSIVE"}
+
+class LineRecord:
+    """One line's record (see the module docstring); only
+    :func:`new_record` creates one.  No ``__init__``, as for
+    :class:`~repro.memory.cache.Line`: a call to it would be a python
+    frame on every line's first miss."""
+
+    __slots__ = ("mask", "dir_state", "lost_coh", "lost_cap", "home")
+
+
+def new_record(records: dict[int, LineRecord], line: int,
+               home: int = -1) -> LineRecord:
+    """Create ``line``'s record in ``records`` at its first miss: cached
+    nowhere, cold in every cache, homed at ``home`` (``-1``: not bound)."""
+    record = records[line] = LineRecord()
+    record.mask = record.dir_state = record.lost_coh = record.lost_cap = 0
+    record.home = home
+    return record
+
+
+def miss_cause(record: LineRecord, bit: int) -> MissCause:
+    """Cause of a miss on ``record``'s line by the cache whose history bit
+    is ``bit``: the cause of that cache's latest loss of it, or cold."""
+    return (_COHERENCE if record.lost_coh & bit
+            else _CAPACITY if record.lost_cap & bit else _COLD)
+
+
+#: the record every line without one reads as (never stored, never written)
+_ABSENT = new_record({}, -1)
 
 
 class Directory:
-    """Map from line number to packed entry int; absent means NOT_CACHED.
+    """The directory half of a record dict; NOT_CACHED unless ``mask != 0``.
 
-    The table (``packed``) is a plain ``dict[int, int]`` and is public on
-    purpose: the coherence layer's miss path reads an entry once and
-    decodes state, owner and sharers from the int.  Every transition —
-    every write to the table — lives here, and nowhere else; bookkeeping
-    counters track protocol traffic that the analysis layer reports
-    (invalidations sent, replacement hints received, writebacks).
+    ``records`` is the memory system's line → :class:`LineRecord` dict (a
+    directory built alone starts its own).  The five transitions take the
+    line's record and are its only writers of ``mask`` and ``dir_state``;
+    the line-keyed queries read them for inspection.
+    Bookkeeping counters track protocol traffic that the analysis layer
+    reports (invalidations sent, replacement hints received, writebacks).
     """
 
-    __slots__ = ("n_clusters", "packed", "invalidations_sent",
+    __slots__ = ("n_clusters", "records", "invalidations_sent",
                  "replacement_hints", "writebacks")
 
     def __init__(self, n_clusters: int) -> None:
         if n_clusters <= 0:
             raise ValueError(f"n_clusters must be positive, got {n_clusters}")
         self.n_clusters = n_clusters
-        #: line -> (sharer_mask << 2) | state; pruned when the mask empties
-        self.packed: dict[int, int] = {}
+        self.records: dict[int, LineRecord] = {}
         self.invalidations_sent = 0
         self.replacement_hints = 0
         self.writebacks = 0
 
-    # -- accessors over the packed encoding ---------------------------------
+    def entry(self, line: int) -> LineRecord:
+        """``line``'s record, created unbound at its first request."""
+        return self.records.get(line) or new_record(self.records, line)
+
+    # -- line-keyed queries --------------------------------------------------
     def state_of(self, line: int) -> int:
-        """Directory state of ``line`` (NOT_CACHED when the entry is pruned)."""
-        return self.packed.get(line, 0) & 3
+        """Directory state of ``line`` (NOT_CACHED when nobody shares it)."""
+        return self.records.get(line, _ABSENT).dir_state
 
     def sharer_mask(self, line: int) -> int:
         """Cluster bit-mask of sharers (bit ``c`` set ⇔ cluster ``c`` shares)."""
-        return self.packed.get(line, 0) >> SHARER_SHIFT
+        return self.records.get(line, _ABSENT).mask
 
     def is_sharer(self, line: int, cluster: int) -> bool:
-        return bool(self.packed.get(line, 0) >> (cluster + SHARER_SHIFT) & 1)
-
-    def only_sharer_is(self, line: int, cluster: int) -> bool:
-        return self.packed.get(line, 0) >> SHARER_SHIFT == 1 << cluster
+        return bool(self.sharer_mask(line) >> cluster & 1)
 
     def sharer_list(self, line: int) -> list[int]:
         """Cluster ids with their bit set, ascending."""
-        out = []
-        bits = self.packed.get(line, 0) >> SHARER_SHIFT
-        while bits:
-            low = bits & -bits
-            bits ^= low
-            out.append(low.bit_length() - 1)
-        return out
+        mask = self.sharer_mask(line)
+        return [c for c in range(mask.bit_length()) if mask >> c & 1]
 
     def owner_of(self, line: int) -> int:
         """Owning cluster; only meaningful when the state is DIR_EXCLUSIVE."""
-        packed = self.packed.get(line, 0)
-        if packed & 3 != DIR_EXCLUSIVE:
+        record = self.records.get(line, _ABSENT)
+        if record.dir_state != DIR_EXCLUSIVE:
             raise ValueError("owner undefined unless directory state is EXCLUSIVE")
-        return packed.bit_length() - 1 - SHARER_SHIFT
+        return record.mask.bit_length() - 1
 
     # -- transitions driven by the protocol layer ---------------------------
-    def record_read_fill(self, line: int, cluster: int) -> None:
+    def record_read_fill(self, record: LineRecord, cluster: int) -> None:
         """A read fill completed: cluster now shares the line."""
-        table = self.packed
-        table[line] = (table.get(line, 0) & -4) | (4 << cluster) | DIR_SHARED
+        record.mask |= 1 << cluster
+        record.dir_state = DIR_SHARED
 
-    def record_exclusive(self, line: int, cluster: int) -> int:
-        """Grant exclusive ownership of ``line`` to ``cluster``.
+    def record_exclusive(self, record: LineRecord, cluster: int) -> int:
+        """Grant exclusive ownership of the line to ``cluster``.
 
         Returns the number of *other* clusters that had to be invalidated
         (the paper's invalidation count; invalidations are instantaneous).
         """
-        table = self.packed
-        others = (table.get(line, 0) >> SHARER_SHIFT) & ~(1 << cluster)
-        n_inval = others.bit_count()
+        bit = 1 << cluster
+        n_inval = (record.mask & ~bit).bit_count()
         self.invalidations_sent += n_inval
-        table[line] = (4 << cluster) | DIR_EXCLUSIVE
+        record.mask = bit
+        record.dir_state = DIR_EXCLUSIVE
         return n_inval
 
-    def replacement_hint(self, line: int, cluster: int) -> None:
+    def replacement_hint(self, record: LineRecord, cluster: int) -> None:
         """A SHARED line was evicted from ``cluster``'s cache.
 
         The full-bit-vector-with-hints directory clears the sharer bit so it
         never sends a useless invalidation later.  If the last sharer
-        leaves, the entry is pruned — NOT_CACHED with no sharers is the
-        encoding of absence.
+        leaves, the line is NOT_CACHED; a line nobody shares hears nothing.
         """
-        table = self.packed
-        packed = table.get(line)
-        if packed is None:
+        if not record.mask:
             return
-        packed &= ~(4 << cluster)
+        record.mask &= ~(1 << cluster)
         self.replacement_hints += 1
-        if packed >> SHARER_SHIFT == 0:
-            del table[line]
-        else:
-            table[line] = packed
+        if not record.mask:
+            record.dir_state = NOT_CACHED
 
-    def writeback(self, line: int, cluster: int) -> None:
+    def writeback(self, record: LineRecord, cluster: int) -> None:
         """An EXCLUSIVE line was evicted: data returns home, line NOT_CACHED.
 
-        Only the sole owner's eviction writes back; the whole eligibility
-        check is one comparison against the packed sole-owner pattern.
+        Only the sole owner's eviction writes back.
         """
-        table = self.packed
-        if table.get(line) == (4 << cluster) | DIR_EXCLUSIVE:
-            del table[line]
+        if record.dir_state == DIR_EXCLUSIVE and record.mask == 1 << cluster:
+            record.mask = 0
+            record.dir_state = NOT_CACHED
             self.writebacks += 1
 
-    def downgrade_owner(self, line: int, reader: int) -> None:
+    def downgrade_owner(self, record: LineRecord, reader: int) -> None:
         """Remote read hit a dirty line: owner downgrades, reader joins.
 
         Resulting state is DIR_SHARED with {old owner, reader} as sharers.
         """
-        table = self.packed
-        packed = table.get(line, 0)
-        if packed & 3 != DIR_EXCLUSIVE:
-            raise ValueError(f"line {line:#x} not exclusive at directory")
-        table[line] = (packed & -4) | (4 << reader) | DIR_SHARED
+        if record.dir_state != DIR_EXCLUSIVE:
+            raise ValueError("line not exclusive at directory")
+        record.mask |= 1 << reader
+        record.dir_state = DIR_SHARED
 
     # -- inspection ----------------------------------------------------------
     def __len__(self) -> int:
-        return len(self.packed)
+        return len(self.lines())
 
     def lines(self) -> list[int]:
-        """All lines with a live (non-pruned) directory entry.
-
-        Every returned line has at least one sharer bit set: entries whose
-        mask empties are deleted on the spot, so — unlike the previous
-        object-per-line directory — this never reports dead lines.
-        """
-        return list(self.packed)
-
-    def describe(self, line: int) -> str:  # pragma: no cover - debug aid
-        packed = self.packed.get(line, 0)
-        return (f"DirEntry({_STATE_NAMES[packed & 3]}, "
-                f"sharers={self.sharer_list(line)})")
+        """All lines in the directory: every one has a sharer bit set."""
+        return [line for line, record in self.records.items() if record.mask]

@@ -23,6 +23,12 @@ invalidations, because no line ever has two cached copies:
   COHERENCE (steady-state communication), and home-slice evictions
   classify CAPACITY exactly like the shared-cache protocol.
 
+Each line has the same :class:`~repro.memory.directory.LineRecord` as
+under the directory protocol, with an empty sharer mask: its history bits
+are per cluster — ``lost_cap`` set by a home-slice eviction, ``lost_coh``
+by every remote access — and its ``home`` is bound at the line's first
+access, which is always a miss.
+
 The class exposes the same hot interface as
 :class:`~repro.memory.coherence.CoherentMemorySystem` (``read`` /
 ``write`` / ``cluster_of`` / ``counters`` / ``aggregate_counters`` /
@@ -41,16 +47,12 @@ same :class:`~repro.memory.cache.Cache`.
 from __future__ import annotations
 
 from ..core.config import MachineConfig
-from ..core.metrics import MissCause
 from .allocation import PageAllocator
 from .cache import EXCLUSIVE, SHARED
 from .coherence import READ_HIT, READ_MERGE, READ_MISS, MemorySystem
+from .directory import miss_cause, new_record
 
 __all__ = ["DLSMemorySystem"]
-
-_COLD = MissCause.COLD
-_CAPACITY = MissCause.CAPACITY
-_COHERENCE = MissCause.COHERENCE
 
 #: preallocated hit result (see coherence._HIT)
 _HIT = (READ_HIT, 0)
@@ -77,12 +79,6 @@ class DLSMemorySystem(MemorySystem):
         #: dirty home-slice evictions (the protocol's only write-back
         #: traffic; there is no directory to count them)
         self.writebacks = 0
-        # Per-cluster classification history.  For lines homed at the
-        # cluster it records CAPACITY on slice eviction; for remote-homed
-        # lines it records COHERENCE after the cluster's first touch.
-        # The two line sets are disjoint per cluster, so one dict serves.
-        self._history: list[dict[int, MissCause]] = [
-            dict() for _ in range(config.n_clusters)]
 
     # ------------------------------------------------------------------ hot
     def read(self, processor: int, line: int, now: int,
@@ -100,9 +96,12 @@ class DLSMemorySystem(MemorySystem):
         ctr = self.counters[cluster]
         if not is_retry:
             ctr.reads += 1
-        page_home = self._page_home.get(line // self._lines_per_page)
-        home = (page_home if page_home is not None
-                else self.allocator.home_of_line(line))
+        # every access needs the home; a line's first access is its first
+        # miss, which makes its record and binds the home
+        records = self.records
+        rec = records.get(line) or new_record(
+            records, line, self.allocator.home_of_line(line))
+        home = rec.home
         # a line lives only in its home slice, so that is the one set probed
         lines = self._lines[home]
         if self._n_sets != 1:
@@ -112,7 +111,6 @@ class DLSMemorySystem(MemorySystem):
             # LRU touch: delete + reinsert keeps dict order = LRU
             del lines[line]
             lines[line] = record
-        history = self._history[cluster]
 
         if home == cluster:
             # ---- local slice: hit / merge / local fill
@@ -130,7 +128,7 @@ class DLSMemorySystem(MemorySystem):
                 # pending line was evicted before the merged reader
                 # retried; it pays a fresh (capacity) miss
                 ctr.merge_refetches += 1
-            cause = history.get(line, _COLD)
+            cause = miss_cause(rec, 1 << cluster)
             latency = self._price(cluster, home, None, now)
             self._install(cluster, line, SHARED, now + latency, processor)
             ctr.read_misses += 1
@@ -139,8 +137,8 @@ class DLSMemorySystem(MemorySystem):
 
         # ---- remote home: network transaction to the home slice, plus
         # whatever the request waits for there
-        cause = history.get(line, _COLD)
-        history[line] = _COHERENCE
+        cause = miss_cause(rec, 1 << cluster)
+        rec.lost_coh |= 1 << cluster
         if record is not None:
             # home slice serves the line (queued behind a fill in flight)
             wait = max(record.pending_until - now, 0)
@@ -165,9 +163,10 @@ class DLSMemorySystem(MemorySystem):
         cluster = self._cluster_of[processor]
         ctr = self.counters[cluster]
         ctr.writes += 1
-        page_home = self._page_home.get(line // self._lines_per_page)
-        home = (page_home if page_home is not None
-                else self.allocator.home_of_line(line))
+        records = self.records
+        rec = records.get(line) or new_record(
+            records, line, self.allocator.home_of_line(line))
+        home = rec.home
         lines = self._lines[home]
         if self._n_sets != 1:
             lines = lines[line % self._n_sets]
@@ -175,11 +174,10 @@ class DLSMemorySystem(MemorySystem):
         remote = home != cluster
         if remote or record is None:
             # a miss: the write leaves the cluster, or allocates locally
-            history = self._history[cluster]
             ctr.write_misses += 1
-            ctr.by_cause[history.get(line, _COLD)] += 1
+            ctr.by_cause[miss_cause(rec, 1 << cluster)] += 1
             if remote:
-                history[line] = _COHERENCE
+                rec.lost_coh |= 1 << cluster
         if record is not None:
             if self._ways is not None:
                 del lines[line]
@@ -196,13 +194,15 @@ class DLSMemorySystem(MemorySystem):
         """Install ``line`` in ``cluster``'s slice, retiring any victim.
 
         Slices only ever hold lines homed at their cluster, so victim
-        bookkeeping is purely local: the eviction writes CAPACITY into
+        bookkeeping is purely local: the victim is lost to capacity in
         this cluster's history and a dirty victim counts a write-back.
         """
         victim = self.caches[cluster].insert(line, state, pending_until,
                                              fetcher)
         if victim is not None:
-            self._history[cluster][victim.line] = _CAPACITY
+            rec = self.records[victim.line]
+            rec.lost_cap |= 1 << cluster
+            rec.lost_coh &= ~(1 << cluster)
             if victim.state == EXCLUSIVE:
                 self.writebacks += 1
 
@@ -212,14 +212,14 @@ class DLSMemorySystem(MemorySystem):
 
         * first, no set of any slice exceeds its ways or holds another
           set's line (:meth:`MemorySystem.check_invariants`);
-        * every resident line lives in the slice of its home cluster
-          (the protocol's defining invariant — a violation means two
-          copies could exist).
+        * every resident line lives in the slice of its record's home
+          cluster (the protocol's defining invariant — a violation means
+          two copies could exist).
         """
         super().check_invariants()
         for cluster, cache in enumerate(self.caches):
             for line in cache.resident_lines():
-                home = self.allocator.home_of_line(line)
+                home = self.records[line].home
                 if home != cluster:
                     raise AssertionError(
                         f"line {line:#x} homed at {home} is cached in "

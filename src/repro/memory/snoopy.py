@@ -19,7 +19,13 @@ differences the paper calls out, all modelled here:
 Intra-cluster coherence is write-invalidate over the snoopy bus; inter-
 cluster coherence uses the same full-bit-vector directory as the shared-
 cache system (the directory tracks *clusters*; within a cluster any
-processor's cached copy makes the cluster a sharer).
+processor's cached copy makes the cluster a sharer).  Each line has one
+:class:`~repro.memory.directory.LineRecord`, as in the shared-cache system,
+but its two history masks have a bit per *processor* cache while the
+sharer mask stays per cluster.  Its ``home`` is bound only by a miss that
+goes to the home node — a read miss no cluster-mate serves, or a write
+miss — never by a cache-to-cache transfer or an upgrade, because the order
+of first touches decides which cluster a page lands on.
 
 The class exposes the same hot interface as
 :class:`~repro.memory.coherence.CoherentMemorySystem` (``read``/``write``/
@@ -34,11 +40,11 @@ range once (``_snoop`` walks the bus on every miss).
 from __future__ import annotations
 
 from ..core.config import MachineConfig
-from ..core.metrics import MissCause
 from .allocation import PageAllocator
-from .cache import EXCLUSIVE, SHARED, Eviction
+from .cache import EXCLUSIVE, SHARED
 from .coherence import READ_HIT, READ_MERGE, READ_MISS, MemorySystem
-from .directory import DIR_EXCLUSIVE, Directory
+from .directory import (DIR_EXCLUSIVE, NOT_CACHED, Directory, LineRecord,
+                        miss_cause)
 
 __all__ = ["SnoopyClusterMemorySystem", "DEFAULT_SNOOP_PENALTY",
            "DEFAULT_C2C_LATENCY"]
@@ -50,10 +56,6 @@ DEFAULT_SNOOP_PENALTY = 6
 #: latency of an intra-cluster cache-to-cache transfer (bus + SRAM array);
 #: far cheaper than the 30-cycle local-memory access, let alone remote.
 DEFAULT_C2C_LATENCY = 10
-
-_RESIDENT = 0
-_EVICTED = 1
-_INVALIDATED = 2
 
 #: preallocated hit result (see coherence._HIT)
 _HIT = (READ_HIT, 0)
@@ -81,11 +83,10 @@ class SnoopyClusterMemorySystem(MemorySystem):
         super().__init__(config, allocator, config.n_processors,
                          config.processor_cache_lines)
         self.directory = Directory(config.n_clusters)
+        self.directory.records = self.records
         self.snoop_penalty = snoop_penalty
         self.c2c_latency = c2c_latency
         self.c2c_transfers = 0
-        self._history: list[dict[int, int]] = [dict()
-                                               for _ in range(config.n_processors)]
         # each cluster's processor ids, computed once — _snoop walks this
         # on every miss, and range objects are reusable
         self._procs = [config.processors_of(c)
@@ -121,7 +122,9 @@ class SnoopyClusterMemorySystem(MemorySystem):
             return _HIT
         if is_retry:
             ctr.merge_refetches += 1
-        cause = self._classify(processor, line)
+        directory = self.directory
+        rec = directory.entry(line)
+        cause = miss_cause(rec, 1 << processor)
         # Snoop the cluster bus first: cache-to-cache sharing opportunity.
         holder = self._snoop(line, cluster, processor)
         if holder is not None:
@@ -129,18 +132,18 @@ class SnoopyClusterMemorySystem(MemorySystem):
             latency = self.c2c_latency
             self.c2c_transfers += 1
             # directory already lists this cluster; no global transaction
+            # and no page bound
         else:
-            home = self.allocator.home_of_line(line)
-            directory = self.directory
-            if (directory.state_of(line) == DIR_EXCLUSIVE
-                    and not directory.only_sharer_is(line, cluster)):
-                owner = directory.owner_of(line)
-                latency = self._price(cluster, home, owner, now)
+            if rec.home == -1:
+                rec.home = self.allocator.home_of_line(line)
+            if rec.dir_state == DIR_EXCLUSIVE and rec.mask != 1 << cluster:
+                owner = rec.mask.bit_length() - 1
+                latency = self._price(cluster, rec.home, owner, now)
                 self._downgrade_cluster(owner, line)
-                directory.downgrade_owner(line, cluster)
+                directory.downgrade_owner(rec, cluster)
             else:
-                latency = self._price(cluster, home, None, now)
-                directory.record_read_fill(line, cluster)
+                latency = self._price(cluster, rec.home, None, now)
+                directory.record_read_fill(rec, cluster)
             latency += self.snoop_penalty
         self._install(processor, line, SHARED, now + latency)
         ctr.read_misses += 1
@@ -155,67 +158,63 @@ class SnoopyClusterMemorySystem(MemorySystem):
         record = self.caches[processor].lookup(line)
         if record is not None and record.state == EXCLUSIVE:
             return
+        rec = self.directory.entry(line)
         if record is not None:
             ctr.upgrade_misses += 1
         else:
             ctr.write_misses += 1
-            ctr.by_cause[self._classify(processor, line)] += 1
+            ctr.by_cause[miss_cause(rec, 1 << processor)] += 1
         # invalidate cluster-mates (bus) and other clusters (directory)
-        caches = self.caches
-        for q in self._procs[cluster]:
-            if q != processor and caches[q].invalidate(line):
-                self._history[q][line] = _INVALIDATED
-        self._invalidate_other_clusters(line, cluster)
-        self.directory.record_exclusive(line, cluster)
+        self._invalidate(line, rec, self._procs[cluster], processor)
+        bits = rec.mask & ~(1 << cluster)
+        while bits:
+            low = bits & -bits
+            bits ^= low
+            self._invalidate(line, rec, self._procs[low.bit_length() - 1])
+        self.directory.record_exclusive(rec, cluster)
         if record is not None:
-            record.state = EXCLUSIVE
-        else:
-            home = self.allocator.home_of_line(line)
-            latency = self._price(cluster, home, None, now) \
-                + self.snoop_penalty
-            self._install(processor, line, EXCLUSIVE, now + latency)
+            record.state = EXCLUSIVE  # an upgrade binds no page
+            return
+        # priced clean whatever the directory said: the copies are gone
+        if rec.home == -1:
+            rec.home = self.allocator.home_of_line(line)
+        latency = self._price(cluster, rec.home, None, now) + self.snoop_penalty
+        self._install(processor, line, EXCLUSIVE, now + latency)
 
     # ------------------------------------------------------------- internals
     def _install(self, processor: int, line: int, state: int,
                  pending_until: int) -> None:
+        """Install ``line`` in ``processor``'s cache.  A victim is lost to
+        capacity in that cache's history; the directory hears of it (hint
+        or writeback) only if no cluster-mate still holds the line."""
         victim = self.caches[processor].insert(line, state, pending_until)
-        self._history[processor][line] = _RESIDENT
-        if victim is not None:
-            self._retire(processor, victim)
-
-    def _retire(self, processor: int, victim: Eviction) -> None:
-        """Eviction: hint/writeback only if no cluster-mate still holds it."""
-        self._history[processor][victim.line] = _EVICTED
-        cluster = self.cluster_of(processor)
+        if victim is None:
+            return
+        rec = self.records[victim.line]
+        bit = 1 << processor
+        rec.lost_cap |= bit
+        rec.lost_coh &= ~bit
+        cluster = self._cluster_of[processor]
         if self._snoop(victim.line, cluster, processor) is not None:
             return  # cluster still caches the line; sharer bit stays
         if victim.state == EXCLUSIVE:
-            self.directory.writeback(victim.line, cluster)
+            self.directory.writeback(rec, cluster)
         else:
-            self.directory.replacement_hint(victim.line, cluster)
+            self.directory.replacement_hint(rec, cluster)
 
     def _downgrade_cluster(self, cluster: int, line: int) -> None:
         for q in self._procs[cluster]:
             if line in self.caches[q]:
                 self.caches[q].downgrade(line)
 
-    def _invalidate_other_clusters(self, line: int, keeper: int) -> None:
-        bits = self.directory.sharer_mask(line) & ~(1 << keeper)
-        while bits:
-            low = bits & -bits
-            bits ^= low
-            cluster = low.bit_length() - 1
-            for q in self._procs[cluster]:
-                if self.caches[q].invalidate(line):
-                    self._history[q][line] = _INVALIDATED
-
-    def _classify(self, processor: int, line: int) -> MissCause:
-        mark = self._history[processor].get(line)
-        if mark is None:
-            return MissCause.COLD
-        if mark == _INVALIDATED:
-            return MissCause.COHERENCE
-        return MissCause.CAPACITY
+    def _invalidate(self, line: int, rec: LineRecord, procs: range,
+                    keeper: int = -1) -> None:
+        """Invalidate ``line`` in every cache of ``procs`` but ``keeper``'s;
+        each copy dropped is lost to coherence in that cache's history."""
+        for q in procs:
+            if q != keeper and self.caches[q].invalidate(line):
+                rec.lost_coh |= 1 << q
+                rec.lost_cap &= ~(1 << q)
 
     # ---------------------------------------------------------------- query
     def check_invariants(self) -> None:
@@ -223,40 +222,28 @@ class SnoopyClusterMemorySystem(MemorySystem):
 
         * First, no set of any processor cache exceeds its ways or holds
           another set's line (:meth:`MemorySystem.check_invariants`).
-        * A line EXCLUSIVE at the directory is cached only inside the owner
-          cluster, and at most one processor holds it EXCLUSIVE; no copy of
-          it exists in any other cluster.
-        * A cluster without its sharer bit set caches the line nowhere.
-        * A sharer cluster holds at least one copy (hints fire only when
-          the whole cluster drops the line).
+        * A record is NOT_CACHED exactly when its sharer mask is empty, and
+          EXCLUSIVE only with one sharer cluster, the owner.
+        * A cluster holds at least one copy iff its sharer bit is set
+          (hints fire only when the whole cluster drops the line).
+        * At most one processor holds the line EXCLUSIVE, and none unless
+          the directory says EXCLUSIVE.
         """
         super().check_invariants()
-        directory = self.directory
-        for line in directory.lines():
-            state = directory.state_of(line)
-            for cluster in range(self.config.n_clusters):
-                holders = [q for q in self._procs[cluster]
-                           if self.caches[q].state_of(line) is not None]
-                excl = [q for q in self._procs[cluster]
-                        if self.caches[q].state_of(line) == EXCLUSIVE]
-                if not directory.is_sharer(line, cluster):
-                    if holders:
-                        raise AssertionError(
-                            f"line {line:#x}: cluster {cluster} caches it "
-                            f"without a sharer bit (procs {holders})")
-                    continue
-                if not holders:
+        for line, rec in self.records.items():
+            mask, state = rec.mask, rec.dir_state
+            if ((state == NOT_CACHED) != (mask == 0) or state ==
+                    DIR_EXCLUSIVE and mask & (mask - 1)):
+                raise AssertionError(f"line {line:#x} is {state} at the "
+                                     f"directory with sharers {mask:#x}")
+            for cluster, procs in enumerate(self._procs):
+                held = [self.caches[q].state_of(line) for q in procs
+                        if line in self.caches[q]]
+                if bool(held) != bool(mask >> cluster & 1):
                     raise AssertionError(
-                        f"line {line:#x}: sharer bit set for cluster "
-                        f"{cluster} but no processor caches it")
-                if state == DIR_EXCLUSIVE:
-                    if cluster != directory.owner_of(line):
-                        raise AssertionError(
-                            f"line {line:#x}: cached outside owner cluster")
-                    if len(excl) > 1:
-                        raise AssertionError(
-                            f"line {line:#x}: {len(excl)} EXCLUSIVE copies")
-                elif excl:
+                        f"line {line:#x}: sharers {mask:#x}, but cluster "
+                        f"{cluster} holds {len(held)} copies")
+                if held.count(EXCLUSIVE) > (state == DIR_EXCLUSIVE):
                     raise AssertionError(
-                        f"line {line:#x}: EXCLUSIVE copy under a SHARED "
-                        f"directory state")
+                        f"line {line:#x}: {held.count(EXCLUSIVE)} EXCLUSIVE "
+                        f"copies under directory state {state}")

@@ -67,10 +67,20 @@ class HTTPRequest:
 
 
 # ------------------------------------------------------------------ parsing
+async def _readline(reader: asyncio.StreamReader) -> bytes:
+    """One line; a line past the reader's own buffer limit (64 KiB by
+    default), for which ``readline`` raises a bare ``ValueError``, is an
+    :class:`HTTPParseError` like any other oversized line."""
+    try:
+        return await reader.readline()
+    except (ConnectionError, ValueError) as exc:
+        raise HTTPParseError(str(exc)) from exc
+
+
 async def _read_headers(reader: asyncio.StreamReader) -> dict[str, str]:
     headers: dict[str, str] = {}
     while True:
-        line = await reader.readline()
+        line = await _readline(reader)
         if line in (b"\r\n", b"\n"):
             return headers
         if not line:
@@ -101,10 +111,7 @@ def _body_length(headers: Mapping[str, str]) -> int:
 
 async def read_request(reader: asyncio.StreamReader) -> HTTPRequest | None:
     """Parse one request; ``None`` on clean EOF before the request line."""
-    try:
-        line = await reader.readline()
-    except (ConnectionError, asyncio.LimitOverrunError) as exc:
-        raise HTTPParseError(str(exc)) from exc
+    line = await _readline(reader)
     if not line:
         return None
     if len(line) > MAX_LINE:

@@ -1,12 +1,11 @@
 """Reference models the property suites check production code against.
 
 * :class:`RefDirectory` — the pre-kernelization directory, one
-  :class:`DirEntry` object per line, with the same transition semantics as
-  the packed-int :class:`repro.memory.directory.Directory`.  The one
-  intended divergence: it keeps a (dead) ``NOT_CACHED`` entry for every
-  line ever cached, while the production directory prunes them, so
-  ``tests/test_memcore_properties.py`` checks that the production table
-  equals the reference's *live* entries exactly.
+  :class:`DirEntry` object per line, keyed by line, with the same
+  transition semantics as :class:`repro.memory.directory.Directory` over
+  line records.  ``tests/test_memcore_properties.py`` checks that the
+  production directory's lines equal the reference's *live* entries
+  (those with a sharer bit) exactly.
 * :class:`RefDLSMemorySystem` — the ``"dls"`` protocol written out plainly
   over the production :class:`repro.memory.cache.Cache`, which
   ``tests/test_protocols.py`` drives beside
@@ -41,9 +40,6 @@ class DirEntry:
     def remove_sharer(self, cluster: int) -> None:
         self.sharers &= ~(1 << cluster)
 
-    def is_sharer(self, cluster: int) -> bool:
-        return bool(self.sharers >> cluster & 1)
-
     def only_sharer_is(self, cluster: int) -> bool:
         return self.sharers == 1 << cluster
 
@@ -68,10 +64,8 @@ class DirEntry:
 class RefDirectory:
     """Map from line number to :class:`DirEntry`, created on demand.
 
-    Unlike the production directory this keeps dead (NOT_CACHED, empty
-    mask) entries forever — the unbounded-growth behaviour the packed
-    directory's pruning fixes.  :meth:`live_lines` exposes the pruned view
-    for cross-checking.
+    Dead (NOT_CACHED, empty mask) entries stay; :meth:`live_lines` is the
+    view the production directory's ``lines()`` must equal.
     """
 
     __slots__ = ("n_clusters", "_entries", "invalidations_sent",
@@ -135,14 +129,8 @@ class RefDirectory:
         e.state = DIR_SHARED
         e.add_sharer(reader)
 
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def lines(self) -> list[int]:
-        return list(self._entries)
-
     def live_lines(self) -> list[int]:
-        """Lines with at least one sharer bit — what pruning would keep."""
+        """Lines with at least one sharer bit."""
         return [line for line, e in self._entries.items() if e.sharers]
 
 

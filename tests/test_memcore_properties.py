@@ -1,7 +1,7 @@
 """Property suite for the memory core.
 
 Drives :class:`~repro.memory.cache.Cache` beside a per-set LRU list model
-written below, and the packed-int :class:`~repro.memory.directory.Directory`
+written below, and the record-based :class:`~repro.memory.directory.Directory`
 beside the object-per-entry ``RefDirectory`` of ``tests/refmodel.py``, with
 identical random streams, and requires identical observable behaviour:
 victim choice, LRU order, states, pending times, fetcher metadata, and
@@ -152,36 +152,37 @@ _dir_op = st.one_of(
 @settings(max_examples=200, deadline=None)
 @given(ops=st.lists(_dir_op, max_size=80))
 def test_packed_directory_matches_reference(ops):
-    """The packed-int directory equals the reference's *live* entries.
+    """The record-based directory equals the reference's *live* entries.
 
-    The reference keeps dead (NOT_CACHED, empty-mask) entries forever;
-    the production table prunes them — so the comparison runs against
-    ``live_lines()``, and ``hint`` ops are only sent for genuine sharers
-    (as the protocol layer does: a replacement hint comes from a cluster
-    that held the line).
+    Both keep an entry for every line ever touched; a line is in the
+    production directory only while its sharer mask is non-zero — so the
+    comparison runs against ``live_lines()``, and ``hint`` ops are only
+    sent for genuine sharers (as the protocol layer does: a replacement
+    hint comes from a cluster that held the line).
     """
     flat = Directory(8)
     ref = RefDirectory(8)
     for kind, line, cluster in ops:
         entry = ref.peek(line)
+        record = flat.entry(line)
         if kind == "read_fill":
-            flat.record_read_fill(line, cluster)
+            flat.record_read_fill(record, cluster)
             ref.record_read_fill(line, cluster)
         elif kind == "exclusive":
-            assert flat.record_exclusive(line, cluster) == \
+            assert flat.record_exclusive(record, cluster) == \
                 ref.record_exclusive(line, cluster)
         elif kind == "hint":
             if entry is None or not entry.sharers:
                 continue  # dead line: no cache can be evicting it
-            flat.replacement_hint(line, cluster)
+            flat.replacement_hint(record, cluster)
             ref.replacement_hint(line, cluster)
         elif kind == "writeback":
-            flat.writeback(line, cluster)
+            flat.writeback(record, cluster)
             ref.writeback(line, cluster)
         elif kind == "downgrade":
             if entry is None or entry.state != DIR_EXCLUSIVE:
                 continue  # raises in both
-            flat.downgrade_owner(line, cluster)
+            flat.downgrade_owner(record, cluster)
             ref.downgrade_owner(line, cluster)
         # live-view equivalence after every step
         assert sorted(flat.lines()) == sorted(ref.live_lines())
@@ -198,16 +199,16 @@ def test_packed_directory_matches_reference(ops):
 
 
 def test_directory_prunes_dead_entries():
-    """Streaming eviction traffic must not grow the table (satellite fix)."""
+    """Streaming eviction traffic leaves no line in the directory."""
     d = Directory(4)
     for line in range(1000):
-        d.record_read_fill(line, 0)
-        d.replacement_hint(line, 0)
+        d.record_read_fill(d.entry(line), 0)
+        d.replacement_hint(d.entry(line), 0)
     assert len(d) == 0
     assert d.lines() == []
     for line in range(1000):
-        d.record_exclusive(line, 1)
-        d.writeback(line, 1)
+        d.record_exclusive(d.entry(line), 1)
+        d.writeback(d.entry(line), 1)
     assert len(d) == 0
 
 
@@ -248,6 +249,79 @@ def test_check_invariants_catches_a_leaked_slot_in_a_two_way_cache(protocol):
     # move the line's record into the next set, behind the cache's back
     sets[(line + 1) % len(sets)][line] = sets[line % len(sets)].pop(line)
     with pytest.raises(AssertionError, match="cache 0 set .* holds line"):
+        mem.check_invariants()
+
+
+# ------------------------------------- line records: history and home
+
+_X, _Y = 0, 1  # two lines of one page
+
+
+def _one_line_caches(protocol):
+    """Two processors with one-line caches: one per cluster, or (snoopy)
+    cluster-mates snooping each other."""
+    return make_memory_system(MachineConfig(
+        n_processors=2, cluster_size=2 if protocol == "snoopy" else 1,
+        cache_kb_per_processor=0.0625, protocol=protocol))
+
+
+@pytest.mark.parametrize("protocol", PROTOCOLS)
+def test_the_latest_loss_decides_a_miss_cause(protocol):
+    """P0 misses on X cold, loses it to an eviction (capacity), then to
+    P1's write or, under DLS, where nothing is invalidated, leaves P1 to
+    miss on its remote-homed X cold and then coherence; a last eviction
+    makes P0's next miss capacity again, so the eviction must clear the
+    coherence loss it follows."""
+    mem = _one_line_caches(protocol)
+    # (processor, line, is_write); the middle two steps are P1's write
+    # and P0's miss after it, or under DLS P1's two remote reads
+    middle = ([(1, _X, False), (1, _X, False)] if protocol == "dls"
+              else [(1, _X, True), (0, _X, False)])
+    script = [(0, _X, False), (0, _Y, False), (0, _X, False), *middle,
+              (0, _Y, False), (0, _X, False)]
+    causes = []
+    for step, (proc, line, is_write) in enumerate(script):
+        before = mem.aggregate_counters().by_cause
+        if is_write:
+            mem.write(proc, line, 1000 * step)
+        else:
+            mem.read(proc, line, 1000 * step)
+        after = mem.aggregate_counters().by_cause
+        causes += [cause.value for cause in after
+                   if after[cause] != before[cause]]
+        mem.check_invariants()
+    assert causes == ["cold", "cold", "capacity", "cold", "coherence",
+                      "capacity", "capacity"]
+
+
+def test_snoopy_binds_a_page_at_its_first_home_going_miss():
+    """P1's first miss, on X, is a cache-to-cache transfer from P0; its
+    second, on Y of a fresh page, goes to the home node and binds that
+    page — the next round-robin home, cluster 1.  P2's first touch of a
+    third page then lands on cluster 0, as in ``kernel.c``."""
+    mem = make_memory_system(MachineConfig(n_processors=4, cluster_size=2,
+                                           protocol="snoopy"))
+    lines_per_page = mem.config.page_size // mem.config.line_size
+    y, z = lines_per_page, 2 * lines_per_page
+    assert mem.read(0, _X, 0)[1] == 30 + 6
+    assert mem.read(1, _X, 100) == (2, 10)  # READ_MISS, cache to cache
+    assert dict(mem.allocator.page_homes) == {0: 0}
+    assert mem.read(1, y, 200)[1] == 100 + 6
+    assert mem.read(2, z, 300)[1] == 100 + 6
+    assert dict(mem.allocator.page_homes) == {0: 0, 1: 1, 2: 0}
+    assert [mem.records[line].home for line in (_X, y, z)] == [0, 1, 0]
+    mem.check_invariants()
+
+
+@pytest.mark.parametrize("protocol", PROTOCOLS)
+def test_check_invariants_catches_a_record_home_off_its_page(protocol):
+    mem = _machine(protocol, None)
+    for proc in range(8):
+        mem.read(proc, proc, 0)
+    mem.check_invariants()
+    record = mem.records[0]
+    record.home = (record.home + 1) % mem.config.n_clusters
+    with pytest.raises(AssertionError, match="records home"):
         mem.check_invariants()
 
 

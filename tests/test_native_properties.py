@@ -389,6 +389,23 @@ def test_snoopy_cache_to_cache_transfer_binds_no_page():
 
 
 @needs_kernel
+def test_snoopy_page_binds_at_the_first_home_going_miss_after_a_transfer():
+    """P1's first miss, on X, is served by cluster-mate P0; its next, on
+    a line of a fresh page, binds that page to the next round-robin home,
+    cluster 1 — a remote fill (100 + 6) — and P2's first touch of a third
+    page lands on cluster 0, in both interpreters."""
+    config = _config(4, 2, None, "snoopy")
+    page = config.page_size
+    out = _assert_native_matches_python(config, _scripted(
+        [Read(_X)],
+        [Work(50), Read(_X), Read(page)],
+        [Work(300), Read(2 * page)],
+        []))
+    assert [bd.load for bd in out.breakdowns] == [36, 10 + 106, 106, 0]
+    assert out.first_touch_pages == 3
+
+
+@needs_kernel
 @pytest.mark.parametrize("p1_evicts_too,hints", [(False, 0), (True, 1)])
 def test_snoopy_victim_a_cluster_mate_still_holds_sends_no_hint(
         p1_evicts_too, hints):

@@ -12,6 +12,7 @@ Malformed payloads must come back as HTTP 400 with a structured
 
 import http.client
 import json
+import socket
 
 import pytest
 from hypothesis import given, settings
@@ -221,3 +222,26 @@ class TestWireTripsThroughTheDaemon:
             assert payload["error"]["type"] == "method-not-allowed"
         finally:
             conn.close()
+
+    @pytest.mark.parametrize("head", [
+        b"GET /" + b"a" * 70_000 + b" HTTP/1.1\r\n\r\n",
+        b"GET /healthz HTTP/1.1\r\nX-Big: " + b"a" * 70_000 + b"\r\n\r\n",
+    ], ids=["request-line", "header-line"])
+    def test_a_line_past_the_stream_limit_is_a_400(self, serve_daemon, head):
+        # 70 KB is past asyncio's 64 KiB StreamReader limit, where
+        # readline() raises a bare ValueError instead of returning the line
+        reply = b""
+        with socket.create_connection((serve_daemon.host, serve_daemon.port),
+                                      timeout=30) as sock:
+            sock.sendall(head)
+            try:
+                while chunk := sock.recv(65536):
+                    reply += chunk
+            except ConnectionResetError:
+                pass  # closed with part of our request unread: fine
+        status, _, rest = reply.partition(b"\r\n")
+        assert status == b"HTTP/1.1 400 Bad Request", reply[:200]
+        body = json.loads(rest.partition(b"\r\n\r\n")[2])
+        assert body["error"]["type"] == "bad-request"
+        with serve_daemon.client() as client:
+            assert client.healthz()["status"] == "ok"
