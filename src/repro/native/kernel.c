@@ -15,7 +15,7 @@
  * tests/golden/protocol_matrix.json).
  *
  * One design, not three kernels: there is one event loop, one queue, one
- * sync registry and one set of Table/Cache/Rec primitives.  The memory
+ * sync object type and one set of Table/Cache/Rec primitives.  The memory
  * system is two functions, read and write, with three back ends — the
  * directory's inlined into the loop (its hit path is the hot path of
  * every default run), snoopy's and DLS's out of line behind mem_read /
@@ -64,12 +64,12 @@
  * Statuses: 0 ok; 1 fault — deadlock, lock misuse, a dirty-owner miss,
  * an operand the trace validator would have refused (unknown opcode,
  * negative WORK, a misplaced TASK; mapped trace payloads are not
- * checksummed), or a READ or WRITE line outside [0, 2^32), which no
- * table below holds: the caller declines the point and the python
- * replay decides — it raises the canonical error from its one home, or
- * (for such a line, which it takes as any int) runs the point; -1 out of
- * memory.  Outputs are meaningful only with status 0.  Mirrored in
- * repro.native.driver.
+ * checksummed), or a READ or WRITE line or a BARRIER, LOCK or UNLOCK
+ * id outside [0, 2^32), which no table below holds: the caller declines
+ * the point and the python replay decides — it raises the canonical
+ * error from its one home, or (for such a line or id, which it takes as
+ * any int) runs the point; -1 out of memory.  Outputs are meaningful
+ * only with status 0.  Mirrored in repro.native.driver.
  */
 
 #include <stdint.h>
@@ -105,115 +105,22 @@
 static inline int ctz64(uint64_t v) { return __builtin_ctzll(v); }
 static inline int popcount64(uint64_t v) { return __builtin_popcountll(v); }
 
-/* ---------------------------------------------------------------- map
- * Open-addressing int64 hash map for the sync registries, whose ids are
- * arbitrary: insert-only (nothing is ever deleted), linear probe,
- * power-of-two capacity, Fibonacci hashing. */
-
-typedef struct {
-    int64_t *key;
-    int64_t *val;
-    uint8_t *used;
-    size_t cap;
-    size_t live;
-} Map;
-
-static int map_init(Map *m, size_t cap0) {
-    size_t c = 16;
-    while (c < cap0) c <<= 1;
-    m->key = (int64_t *)malloc(c * sizeof(int64_t));
-    m->val = (int64_t *)malloc(c * sizeof(int64_t));
-    m->used = (uint8_t *)calloc(c, 1);
-    m->cap = c;
-    m->live = 0;
-    if (!m->key || !m->val || !m->used) return ST_NOMEM;
-    return 0;
-}
-
-static void map_free(Map *m) {
-    free(m->key);
-    free(m->val);
-    free(m->used);
-    m->key = m->val = NULL;
-    m->used = NULL;
-}
-
-static inline size_t map_ix(const Map *m, int64_t k) {
-    uint64_t h = (uint64_t)k * 0x9E3779B97F4A7C15ULL;
-    h ^= h >> 32;
-    return (size_t)h & (m->cap - 1);
-}
-
-static inline int map_get(const Map *m, int64_t k, int64_t *v) {
-    for (size_t i = map_ix(m, k); m->used[i]; i = (i + 1) & (m->cap - 1))
-        if (m->key[i] == k) {
-            *v = m->val[i];
-            return 1;
-        }
-    return 0;
-}
-
-static int map_put(Map *m, int64_t k, int64_t v);
-
-static int map_rehash(Map *m, size_t want) {
-    size_t c = 16;
-    while (c < want) c <<= 1;
-    int64_t *ok = m->key, *ov = m->val;
-    uint8_t *ou = m->used;
-    size_t ocap = m->cap;
-    m->key = (int64_t *)malloc(c * sizeof(int64_t));
-    m->val = (int64_t *)malloc(c * sizeof(int64_t));
-    m->used = (uint8_t *)calloc(c, 1);
-    if (!m->key || !m->val || !m->used) {
-        free(m->key);
-        free(m->val);
-        free(m->used);
-        m->key = ok;
-        m->val = ov;
-        m->used = ou;
-        return ST_NOMEM;
-    }
-    m->cap = c;
-    m->live = 0;
-    for (size_t i = 0; i < ocap; i++)
-        if (ou[i]) map_put(m, ok[i], ov[i]);
-    free(ok);
-    free(ov);
-    free(ou);
-    return 0;
-}
-
-static int map_put(Map *m, int64_t k, int64_t v) {
-    if ((m->live + 1) * 8 >= m->cap * 5) {
-        if (map_rehash(m, (m->live + 1) * 4)) return ST_NOMEM;
-    }
-    size_t i = map_ix(m, k);
-    for (; m->used[i]; i = (i + 1) & (m->cap - 1))
-        if (m->key[i] == k) {
-            m->val[i] = v;
-            return 0;
-        }
-    m->used[i] = 1;
-    m->key[i] = k;
-    m->val[i] = v;
-    m->live++;
-    return 0;
-}
-
 /* -------------------------------------------------------------- table
- * Direct-indexed int32 table over keys in [0, 2^32) for the per-line
- * state on the hot path: each cache's line -> slot, and line -> record
- * and page -> home.  Lines are dense — the address space is a bump
- * allocation from 0 — so a lookup is a shift and two loads (the chunk's
- * directory word, then the entry), with no hash and no probe sequence.
- * The directory grows to cover
+ * Direct-indexed int32 table over keys in [0, 2^32), the kernel's one
+ * index: each cache's line -> slot, line -> record, page -> home, and
+ * the two sync registries' id -> object.  Lines are dense — the address
+ * space is a bump allocation from 0 — and so are the ids the apps give
+ * barriers (phases from 0) and locks (0, cell numbers), so a lookup is a
+ * shift and two loads (the chunk's directory word, then the entry), with
+ * no hash and no probe sequence.  The directory grows to cover
  * the highest chunk put; a chunk of TAB_CHUNK entries (16 KB) is
  * allocated at its first put, and until then its word points at the
  * shared read-only tab_none.  -1 means absent.  Keys outside [0, 2^32)
- * never reach a table — the loop faults such a READ or WRITE line, and
- * the page bindings skip such a page — so one hostile operand costs at
- * most an 8 MB directory (2^20 words) and one chunk in each table it is
- * put in: its cache, the record table and the page table. */
+ * never reach a table — the loop faults such a READ or WRITE line or
+ * sync id, and the page bindings skip such a page — so one hostile
+ * operand costs at most an 8 MB directory (2^20 words) and one chunk in
+ * each table it is put in: its cache, the record table and the page
+ * table, or its registry. */
 
 #define TAB_SHIFT 12
 #define TAB_CHUNK (1 << TAB_SHIFT)
@@ -339,52 +246,62 @@ static inline void lru_touch(Cache *c, int64_t s) {
     lru_push_tail(c, s);
 }
 
-/* -------------------------------------------------------------- sync */
+/* -------------------------------------------------------------- sync
+ * A barrier and a lock are one object (sim/sync.py is the reference):
+ * v is, for a barrier, the number of processors waiting at it, and for a
+ * lock its holder, -1 when free.  A blocked processor waits on exactly
+ * one object, so its wait entry is its own: every object's waiters are
+ * a FIFO from head, chained through the per-processor arrays link
+ * (next waiter, -1 after the last) and since (arrival time) — arrival
+ * order, which python's list and deque keep, and which a barrier
+ * release and a lock handoff follow.  tail is meaningful only while
+ * head >= 0.  Each registry (barrier ids, lock ids) is an array of
+ * objects found through a Table; nothing is allocated per object or
+ * per waiter. */
 
 typedef struct {
-    int64_t n_wait;
-    int64_t *wpid, *warr; /* capacity n, fixed */
-} Barrier;
+    int64_t v;
+    int32_t head, tail;
+} Sync;
 
 typedef struct {
-    int64_t holder;
-    int64_t *qpid, *qarr; /* FIFO ring */
-    int64_t qh, qn, qcap;
-} Lock;
+    Sync *v;
+    int64_t n, cap;
+    Table ix; /* id -> index into v */
+} Syncs;
 
-static int lock_enqueue(Lock *lk, int64_t pid, int64_t t) {
-    if (lk->qn == lk->qcap) {
-        int64_t nc = lk->qcap ? lk->qcap * 2 : 4;
-        int64_t *np = (int64_t *)malloc(nc * sizeof(int64_t));
-        int64_t *na = (int64_t *)malloc(nc * sizeof(int64_t));
-        if (!np || !na) {
-            free(np);
-            free(na);
-            return ST_NOMEM;
+/* The object of `id`, created with v = v0 at its first use; creation
+ * may move the array.  An id no table holds is a fault. */
+static int sync_of(Syncs *r, int64_t id, int64_t v0, Sync **out) {
+    if ((uint64_t)id >> 32) return ST_FAULT;
+    int32_t i = tab_get(&r->ix, id);
+    if (i < 0) {
+        if (r->n == r->cap) {
+            int64_t nc = r->cap ? r->cap * 2 : 16;
+            if (nc > INT32_MAX) return ST_NOMEM; /* ix holds int32 */
+            Sync *p = (Sync *)realloc(r->v, nc * sizeof(Sync));
+            if (!p) return ST_NOMEM;
+            r->v = p;
+            r->cap = nc;
         }
-        for (int64_t i = 0; i < lk->qn; i++) {
-            np[i] = lk->qpid[(lk->qh + i) % (lk->qcap ? lk->qcap : 1)];
-            na[i] = lk->qarr[(lk->qh + i) % (lk->qcap ? lk->qcap : 1)];
-        }
-        free(lk->qpid);
-        free(lk->qarr);
-        lk->qpid = np;
-        lk->qarr = na;
-        lk->qh = 0;
-        lk->qcap = nc;
+        i = (int32_t)r->n;
+        if (tab_put(&r->ix, id, i)) return ST_NOMEM;
+        r->v[r->n++] = (Sync){v0, -1, -1};
     }
-    int64_t i = (lk->qh + lk->qn) % lk->qcap;
-    lk->qpid[i] = pid;
-    lk->qarr[i] = t;
-    lk->qn++;
+    *out = &r->v[i];
     return 0;
 }
 
-static inline void lock_dequeue(Lock *lk, int64_t *pid, int64_t *arr) {
-    *pid = lk->qpid[lk->qh];
-    *arr = lk->qarr[lk->qh];
-    lk->qh = (lk->qh + 1) % lk->qcap;
-    lk->qn--;
+/* Processor p, arriving at t, joins the end of s's waiters. */
+static inline void sync_wait(Sync *s, int32_t *link, int64_t *since,
+                             int64_t p, int64_t t) {
+    link[p] = -1;
+    since[p] = t;
+    if (s->head >= 0)
+        link[s->tail] = (int32_t)p;
+    else
+        s->head = (int32_t)p;
+    s->tail = (int32_t)p;
 }
 
 /* ------------------------------------------------------------ queue
@@ -1109,68 +1026,6 @@ static NOINLINE int mem_write(Ctx *x, int64_t pid, int cl, int64_t line,
                                 : dls_write(x, pid, cl, line, t);
 }
 
-/* ---------------------------------------------------------- registry */
-
-typedef struct {
-    Barrier *v;
-    int64_t n, cap;
-    Map ix; /* id -> index */
-} Barriers;
-
-typedef struct {
-    Lock *v;
-    int64_t n, cap;
-    Map ix;
-} Locks;
-
-static int barrier_of(Barriers *bs, int64_t id, int64_t n_procs,
-                      Barrier **out) {
-    int64_t i;
-    if (map_get(&bs->ix, id, &i)) {
-        *out = &bs->v[i];
-        return 0;
-    }
-    if (bs->n == bs->cap) {
-        int64_t nc = bs->cap ? bs->cap * 2 : 8;
-        Barrier *nv = (Barrier *)realloc(bs->v, nc * sizeof(Barrier));
-        if (!nv) return ST_NOMEM;
-        bs->v = nv;
-        bs->cap = nc;
-    }
-    Barrier *b = &bs->v[bs->n];
-    b->n_wait = 0;
-    b->wpid = (int64_t *)malloc(n_procs * sizeof(int64_t));
-    b->warr = (int64_t *)malloc(n_procs * sizeof(int64_t));
-    bs->n++; /* owned by the registry from here: cleanup frees both */
-    if (!b->wpid || !b->warr) return ST_NOMEM;
-    if (map_put(&bs->ix, id, bs->n - 1)) return ST_NOMEM;
-    *out = b;
-    return 0;
-}
-
-static int lock_of(Locks *ls, int64_t id, Lock **out) {
-    int64_t i;
-    if (map_get(&ls->ix, id, &i)) {
-        *out = &ls->v[i];
-        return 0;
-    }
-    if (ls->n == ls->cap) {
-        int64_t nc = ls->cap ? ls->cap * 2 : 8;
-        Lock *nv = (Lock *)realloc(ls->v, nc * sizeof(Lock));
-        if (!nv) return ST_NOMEM;
-        ls->v = nv;
-        ls->cap = nc;
-    }
-    Lock *lk = &ls->v[ls->n];
-    lk->holder = -1;
-    lk->qpid = lk->qarr = NULL;
-    lk->qh = lk->qn = lk->qcap = 0;
-    if (map_put(&ls->ix, id, ls->n)) return ST_NOMEM;
-    ls->n++;
-    *out = lk;
-    return 0;
-}
-
 /* ------------------------------------------------------------ replay */
 
 EXPORT int64_t repro_abi(void) { return ABI; }
@@ -1225,13 +1080,11 @@ EXPORT int64_t repro_replay(
     int64_t st = ST_OK;
     Ctx x;
     memset(&x, 0, sizeof(x));
-    Barriers bars;
-    memset(&bars, 0, sizeof(bars));
-    Locks locks;
-    memset(&locks, 0, sizeof(locks));
+    Syncs bars = {0}, locks = {0};
     Queue *q = NULL;
     Stream *strm = NULL;
-    int64_t *retry = NULL, *finish = NULL;
+    int64_t *retry = NULL, *finish = NULL, *since = NULL;
+    int32_t *link = NULL;
     /* the loop's one protocol test: the directory back end is inlined
      * below, the other two sit behind mem_read / mem_write */
     const int directory = proto == P_DIRECTORY;
@@ -1275,12 +1128,12 @@ EXPORT int64_t repro_replay(
     strm = (Stream *)malloc(n * sizeof(Stream));
     retry = (int64_t *)malloc(n * sizeof(int64_t));
     finish = (int64_t *)malloc(n * sizeof(int64_t));
-    if (!x.ca || !q || !strm || !retry || !finish) {
+    link = (int32_t *)malloc(n * sizeof(int32_t));
+    since = (int64_t *)malloc(n * sizeof(int64_t));
+    if (!x.ca || !q || !strm || !retry || !finish || !link || !since) {
         st = ST_NOMEM;
         goto done;
     }
-    if ((st = map_init(&bars.ix, 16))) goto done;
-    if ((st = map_init(&locks.ix, 16))) goto done;
     for (int64_t i = 0; i < x.nca; i++)
         x.ca[i].head = x.ca[i].tail = x.ca[i].free_head = -1;
     for (int64_t i = 0; i < n_ph; i++) /* no line reaches a page >= 2^32 */
@@ -1410,68 +1263,54 @@ EXPORT int64_t repro_replay(
                     }
                     tn = t + 1;
                 } else if (op == 3) { /* BARRIER */
-                    Barrier *b;
-                    if (barrier_of(&bars, arg, n, &b)) {
-                        st = ST_NOMEM;
-                        goto done;
-                    }
-                    b->wpid[b->n_wait] = pid;
-                    b->warr[b->n_wait] = t;
-                    b->n_wait++;
-                    if (b->n_wait == n) {
-                        for (int64_t w = 0; w < b->n_wait; w++) {
-                            bd[4 * b->wpid[w] + 3] += t - b->warr[w];
-                            q_push(q, t, b->wpid[w]);
+                    Sync *b;
+                    if ((st = sync_of(&bars, arg, 0, &b))) goto done;
+                    sync_wait(b, link, since, pid, t);
+                    if (++b->v == n) { /* the last arrival releases all */
+                        for (int64_t w = b->head; w >= 0; w = link[w]) {
+                            bd[4 * w + 3] += t - since[w];
+                            q_push(q, t, w);
                         }
-                        b->n_wait = 0;
+                        b->v = 0;
+                        b->head = -1;
                     }
                     noevent = 1;
                     break;
                 } else if (op == 4) { /* LOCK */
                     bd[4 * pid] += 1;
-                    Lock *lk;
-                    if (lock_of(&locks, arg, &lk)) {
-                        st = ST_NOMEM;
-                        goto done;
-                    }
-                    if (lk->holder == -1) {
-                        lk->holder = pid;
+                    Sync *lk;
+                    if ((st = sync_of(&locks, arg, -1, &lk))) goto done;
+                    if (lk->v == -1) {
+                        lk->v = pid;
                         tn = t + 1;
-                    } else if (lk->holder == pid) {
+                    } else if (lk->v == pid) {
                         st = ST_FAULT;
                         goto done;
                     } else {
-                        if (lock_enqueue(lk, pid, t)) {
-                            st = ST_NOMEM;
-                            goto done;
-                        }
+                        sync_wait(lk, link, since, pid, t);
                         noevent = 1;
                         break;
                     }
                 } else if (op == 5) { /* UNLOCK */
                     bd[4 * pid] += 1;
-                    Lock *lk;
-                    if (lock_of(&locks, arg, &lk)) {
-                        st = ST_NOMEM;
-                        goto done;
-                    }
-                    if (lk->holder != pid) {
+                    Sync *lk;
+                    if ((st = sync_of(&locks, arg, -1, &lk))) goto done;
+                    if (lk->v != pid) {
                         st = ST_FAULT;
                         goto done;
                     }
-                    if (lk->qn) {
-                        int64_t np, arr;
-                        lock_dequeue(lk, &np, &arr);
-                        lk->holder = np;
+                    lk->v = lk->head; /* the first waiter, or -1: free */
+                    if (lk->head >= 0) {
+                        int64_t np = lk->head;
+                        lk->head = link[np];
                         /* push order (self, then next holder) fixes
                          * the tie-break at t+1 */
                         q_push(q, t + 1, pid);
-                        bd[4 * np + 3] += t - arr;
+                        bd[4 * np + 3] += t - since[np];
                         q_push(q, t + 1, np);
                         noevent = 1;
                         break;
                     }
-                    lk->holder = -1;
                     tn = t + 1;
                 } else if (op == 6) { /* TASK: no cycle, no event */
                     if (s->ret >= 0 || arg < 0 || arg >= n_queues) {
@@ -1565,21 +1404,15 @@ done:
     tab_free(&x.rec_of);
     free(x.rec);
     tab_free(&x.pages);
-    for (int64_t i = 0; i < bars.n; i++) {
-        free(bars.v[i].wpid);
-        free(bars.v[i].warr);
-    }
     free(bars.v);
-    map_free(&bars.ix);
-    for (int64_t i = 0; i < locks.n; i++) {
-        free(locks.v[i].qpid);
-        free(locks.v[i].qarr);
-    }
+    tab_free(&bars.ix);
     free(locks.v);
-    map_free(&locks.ix);
+    tab_free(&locks.ix);
     q_free(q);
     free(strm);
     free(retry);
     free(finish);
+    free(link);
+    free(since);
     return st;
 }

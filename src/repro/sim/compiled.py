@@ -60,8 +60,9 @@ materialising everywhere.
 
 The in-memory LRU is governed by a **byte budget**
 (``REPRO_TRACE_LRU_BYTES``, default 256 MiB) that charges mapped programs
-a token constant — so any number of paper-scale mapped traces stay
-resident while materialised ones are evicted by size.
+a token constant — so paper-scale mapped traces stay resident while
+materialised ones are evicted by size — and by a fixed count of mapped
+programs, because each mapping holds a file descriptor.
 
 Replay is **bit-identical** to generator execution: the engine's golden
 and equivalence suites (``tests/test_golden_regression.py``,
@@ -100,14 +101,19 @@ ENV_TRACE_LRU_BYTES = "REPRO_TRACE_LRU_BYTES"
 # Sized so a full 9-app quick sweep (a few MB per materialised trace)
 # never evicts, while a single paper-scale materialised trace (512² LU is
 # ~45 MB of columns) still fits several times over.  Mapped traces are
-# charged _MAPPED_RESIDENT_BYTES each, so at paper scale the budget is
-# effectively an entry bound of ~64k mapped traces — i.e. unlimited.
+# charged _MAPPED_RESIDENT_BYTES each, so the budget alone would admit
+# ~64k of them.
 _DEFAULT_LRU_BYTES = 256 * 1024 * 1024
 
 #: accounting charge for a mapped program: its python-side footprint is a
 #: handful of memoryview objects; the column payload lives in the
 #: (evictable, shared) page cache, not the heap
 _MAPPED_RESIDENT_BYTES = 4096
+
+#: the most mapped programs the LRU holds, least recently used evicted
+#: first: CPython's mmap keeps a duplicate of the file's descriptor for
+#: the mapping's life, and Linux's default soft limit is 1024 of them
+_MAX_MAPPED = 128
 
 #: serialization magic: bump the trailing digit on any format change so
 #: stale cache entries from older versions decode as misses, not garbage
@@ -437,8 +443,10 @@ class CompiledProgram:
         writes, like every other consumer.  Big-endian hosts, which cannot
         alias the columns, go through the eager :meth:`from_bytes` decode.
 
-        Raises ``OSError`` if the file cannot be opened (a plain store
-        miss) and :class:`TraceDecodeError` for anything wrong past that.
+        Raises ``OSError`` if the file cannot be opened or mapped (a
+        plain store miss: out of descriptors or address space says
+        nothing about the blob) and :class:`TraceDecodeError` for anything
+        wrong with its bytes.
         """
         with open(path, "rb") as fh:
             magic = fh.read(8)
@@ -454,7 +462,7 @@ class CompiledProgram:
                         f"unreadable trace file: {exc!r}") from exc
             try:
                 mm = mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_COPY)
-            except (OSError, ValueError) as exc:  # empty or unmappable
+            except ValueError as exc:  # an empty file
                 raise TraceDecodeError(f"unmappable trace: {exc!r}") from exc
         try:
             header, pos = cls._decode_header(mm)
@@ -714,7 +722,8 @@ def trace_key(app: str, app_kwargs: Mapping[str, Any], config: Any,
 
 _memory_lru: OrderedDict[str, CompiledProgram] = OrderedDict()
 _memory_lru_bytes = 0
-#: guards every read-modify-write of the two names above: the serial
+_memory_lru_mapped = 0
+#: guards every read-modify-write of the three names above: the serial
 #: backend and the daemon run points on threads that share this LRU
 _memory_lru_lock = threading.Lock()
 
@@ -729,10 +738,10 @@ def _byte_budget() -> int:
 
 def clear_memory_cache() -> None:
     """Drop every in-memory trace (tests and cold benchmarks use this)."""
-    global _memory_lru_bytes
+    global _memory_lru_bytes, _memory_lru_mapped
     with _memory_lru_lock:
         _memory_lru.clear()
-        _memory_lru_bytes = 0
+        _memory_lru_bytes = _memory_lru_mapped = 0
 
 
 def memory_cache_len() -> int:
@@ -767,7 +776,8 @@ class TraceCache:
     study, its executor, and a process-pool worker all see each other's
     compilations.  It is bounded by a **byte budget**
     (:data:`ENV_TRACE_LRU_BYTES`, default 256 MiB of
-    :attr:`~CompiledProgram.resident_nbytes`).  Tier 2 is
+    :attr:`~CompiledProgram.resident_nbytes`) and holds at most
+    ``_MAX_MAPPED`` mapped programs, one file descriptor each.  Tier 2 is
     an optional :class:`~repro.core.resultcache.TraceStore` on disk, which
     is what lets separate ``--jobs`` worker processes and separate CLI
     invocations reuse traces.  Disk loads are **memory-mapped**
@@ -788,9 +798,9 @@ class TraceCache:
     def _load_disk(self, key: str) -> CompiledProgram | None:
         """Map the store's blob for ``key`` (``None`` on miss).
 
-        Maintains the store's hit/miss counters: unreadable file ⇒ store
-        miss; readable but undecodable ⇒ store hit that this cache
-        degrades to a miss.
+        Maintains the store's hit/miss counters: a file that cannot be
+        opened or mapped ⇒ store miss; readable but undecodable ⇒ store
+        hit that this cache degrades to a miss.
         """
         store = self.store
         try:
@@ -839,17 +849,24 @@ class TraceCache:
 
     @staticmethod
     def _remember(key: str, program: CompiledProgram) -> None:
-        global _memory_lru_bytes
+        global _memory_lru_bytes, _memory_lru_mapped
         budget = _byte_budget()
         with _memory_lru_lock:
             old = _memory_lru.pop(key, None)
             if old is not None:
                 _memory_lru_bytes -= old.resident_nbytes
+                _memory_lru_mapped -= old.mapped
             _memory_lru[key] = program
             _memory_lru_bytes += program.resident_nbytes
+            _memory_lru_mapped += program.mapped
             while len(_memory_lru) > 1 and _memory_lru_bytes > budget:
                 _, evicted = _memory_lru.popitem(last=False)
                 _memory_lru_bytes -= evicted.resident_nbytes
+                _memory_lru_mapped -= evicted.mapped
+            if _memory_lru_mapped > _MAX_MAPPED:  # one over: the oldest goes
+                oldest = next(k for k, p in _memory_lru.items() if p.mapped)
+                _memory_lru_bytes -= _memory_lru.pop(oldest).resident_nbytes
+                _memory_lru_mapped -= 1
 
     # ------------------------------------------------------------- plumbing
     @property

@@ -114,15 +114,11 @@ class Engine:
         Machine organisation; supplies processor count and line size.
     memory:
         Coherent memory system (or :class:`PerfectMemory`).
-    max_cycles:
-        Safety cap; exceeding it raises ``RuntimeError`` (runaway program).
     """
 
-    def __init__(self, config: MachineConfig, memory,
-                 max_cycles: int | None = None) -> None:
+    def __init__(self, config: MachineConfig, memory) -> None:
         self.config = config
         self.memory = memory
-        self.max_cycles = max_cycles
         self.sync = SyncRegistry(config.n_processors)
 
     # ------------------------------------------------------- entry points
@@ -167,15 +163,11 @@ class Engine:
         memory = self.memory
         read = memory.read
         write = memory.write
-        max_cycles = self.max_cycles
         sync = self.sync
 
         breakdowns = [TimeBreakdown() for _ in range(n)]
         retry_line: list[int | None] = [None] * n
         finish: list[int | None] = [None] * n
-        # sentinel keeps the per-op guard to one int compare; 2**62 cycles
-        # is beyond any simulation, so "no limit" and "huge limit" coincide
-        limit = max_cycles if max_cycles is not None else 1 << 62
 
         # list of (time, seq, pid) is already a valid heap here (all zeros)
         heap: list[tuple[int, int, int]] = [(0, pid, pid) for pid in range(n)]
@@ -192,11 +184,6 @@ class Engine:
         nxt = nexts[pid]
         pending = retry_line[pid]
         while True:
-            if t > limit:
-                raise RuntimeError(
-                    f"simulation exceeded max_cycles={max_cycles} "
-                    f"(processor {pid} at t={t})")
-
             if pending is not None:
                 outcome, stall = read(pid, pending, t, True)
                 if outcome == READ_MERGE:
@@ -318,9 +305,9 @@ class Engine:
 
 
 def run_program(config: MachineConfig, program_factory: ProgramFactory,
-                memory=None, max_cycles: int | None = None) -> RunResult:
+                memory=None) -> RunResult:
     """Convenience wrapper: build the memory system and run one simulation."""
     if memory is None:
         from ..memory.coherence import CoherentMemorySystem
         memory = CoherentMemorySystem(config)
-    return Engine(config, memory, max_cycles=max_cycles).run(program_factory)
+    return Engine(config, memory).run(program_factory)

@@ -26,14 +26,13 @@ class BarrierState:
     barrier resets for its next episode.
     """
 
-    __slots__ = ("n_participants", "_waiting", "episodes")
+    __slots__ = ("n_participants", "_waiting")
 
     def __init__(self, n_participants: int) -> None:
         if n_participants <= 0:
             raise ValueError("n_participants must be positive")
         self.n_participants = n_participants
         self._waiting: list[tuple[int, int]] = []  # (processor, arrival time)
-        self.episodes = 0
 
     def arrive(self, processor: int, now: int) -> list[tuple[int, int]] | None:
         """Register arrival; return releases if this arrival completes it.
@@ -47,7 +46,6 @@ class BarrierState:
             return None
         releases = [(pid, now - arrived) for pid, arrived in self._waiting]
         self._waiting.clear()
-        self.episodes += 1
         return releases
 
     @property
@@ -58,19 +56,16 @@ class BarrierState:
 class LockState:
     """One FIFO lock."""
 
-    __slots__ = ("holder", "_queue", "acquisitions", "contended_acquisitions")
+    __slots__ = ("holder", "_queue")
 
     def __init__(self) -> None:
         self.holder: int | None = None
         self._queue: deque[tuple[int, int]] = deque()  # (processor, arrival)
-        self.acquisitions = 0
-        self.contended_acquisitions = 0
 
     def acquire(self, processor: int, now: int) -> bool:
         """Try to take the lock; True if acquired, False if queued."""
         if self.holder is None:
             self.holder = processor
-            self.acquisitions += 1
             return True
         if self.holder == processor:
             raise RuntimeError(f"processor {processor} re-acquiring held lock")
@@ -85,8 +80,6 @@ class LockState:
         if self._queue:
             next_pid, arrived = self._queue.popleft()
             self.holder = next_pid
-            self.acquisitions += 1
-            self.contended_acquisitions += 1
             return next_pid, now - arrived
         self.holder = None
         return None

@@ -63,10 +63,6 @@ class TestBasicTiming:
         with pytest.raises(ValueError, match="load_cycles"):
             PerfectMemory(load_cycles=0)
 
-    def test_max_cycles_guard(self):
-        with pytest.raises(RuntimeError, match="max_cycles"):
-            run(cfg(1), lambda pid: [Work(10**9)], max_cycles=1000)
-
 
 class TestAccountingInvariant:
     def test_components_sum_to_execution_time(self):

@@ -47,9 +47,9 @@ from repro.sim.compiled import (CompiledProgram, TraceCache,
 from repro.sim.engine import Engine, SimulationDeadlock
 from repro.sim.nativereplay import native_decline_reason, try_replay_native
 from repro.sim.stats import build as build_result
-from repro.sim.program import (OP_LOCK, OP_READ, OP_TASK, OP_UNLOCK,
-                               OP_WORK, OP_WRITE, Barrier, Lock, Read, Task,
-                               Unlock, Work, Write)
+from repro.sim.program import (OP_BARRIER, OP_LOCK, OP_READ, OP_TASK,
+                               OP_UNLOCK, OP_WORK, OP_WRITE, Barrier, Lock,
+                               Read, Task, Unlock, Work, Write)
 
 from test_runtime import CFG, TINY, golden_payload
 
@@ -90,7 +90,9 @@ _BASIC = st.one_of(
     st.tuples(st.just("read"), _ADDR),
     st.tuples(st.just("write"), _ADDR),
 )
-_CS = st.tuples(st.just("cs"), st.integers(min_value=0, max_value=2),
+# lock ids: three that collide often, and two on either side of the
+# kernel's first registry table chunk
+_CS = st.tuples(st.just("cs"), st.sampled_from([0, 1, 2, 4095, 4096]),
                 st.lists(_BASIC, max_size=4))
 _ATOM = st.one_of(_BASIC, _CS)
 _N_QUEUES = 2
@@ -497,6 +499,30 @@ def test_lines_on_table_chunk_edges(protocol, network):
     assert min(out.evictions) > 0
 
 
+@needs_kernel
+@pytest.mark.parametrize("protocol", PROTOCOLS)
+def test_sync_ids_on_table_chunk_edges(protocol):
+    """Barrier and lock ids on both sides of the registries' 4096-entry
+    table chunks, and one far out.  Every phase, all processors contend
+    for one lock, arriving in an order that is not pid order, so the
+    handoffs follow the wait list; then they meet at that phase's
+    barrier."""
+    ids = [4095, 4096, 8191, 2**31]
+    config = _config(4, 2, None, protocol)
+
+    def factory(pid):
+        for phase, sid in enumerate(ids):
+            yield Work(7 * ((3 * pid + phase) % 4))
+            yield Lock(sid)
+            yield Read(_X)
+            yield Write(_X)
+            yield Unlock(sid)
+            yield Barrier(sid)
+
+    out = _assert_native_matches_python(config, factory)
+    assert min(bd.sync for bd in out.breakdowns) > 0
+
+
 # ------------------------------------------------ operands are checked
 #
 # compile_program refuses these at capture, but a mapped trace's payload
@@ -505,16 +531,18 @@ def test_lines_on_table_chunk_edges(protocol, network):
 # replay decides — not read a bad opcode as UNLOCK or file an event
 # before the ring's base.
 
-#: lines outside [0, 2^32), which no table of the kernel holds: python's
-#: replay takes any line, so only the kernel declines these
+#: lines and sync ids outside [0, 2^32), which no table of the kernel
+#: holds: python's replay takes any int, so only the kernel declines these
 _FAR_LINES = [(OP_READ, -1), (OP_WRITE, 2**32)]
+_FAR_IDS = [(OP_BARRIER, -1), (OP_LOCK, 2**32), (OP_UNLOCK, -1)]
 
 
 @needs_kernel
-@pytest.mark.parametrize("opcode,arg", [(9, 0), (OP_WORK, -5), *_FAR_LINES])
+@pytest.mark.parametrize("opcode,arg",
+                         [(9, 0), (OP_WORK, -5), *_FAR_LINES, *_FAR_IDS])
 def test_kernel_faults_on_a_bad_operand(opcode, arg, force_native):
     # after LOCK(0), so that opcode 9 read as UNLOCK(0) would be legal; a
-    # far line is a fault, not a MemoryError
+    # far line or id is a fault, not a MemoryError
     config = _config(2, 1, None)
     program = CompiledProgram(
         [array("q", [OP_LOCK, opcode]), array("q")],
@@ -524,17 +552,19 @@ def test_kernel_faults_on_a_bad_operand(opcode, arg, force_native):
 
 
 @needs_kernel
-@pytest.mark.parametrize("opcode,line", _FAR_LINES)
-def test_a_declined_far_line_keeps_pythons_answer(opcode, line, force_native,
+@pytest.mark.parametrize("opcode,arg", [*_FAR_LINES, *_FAR_IDS])
+def test_a_declined_far_line_keeps_pythons_answer(opcode, arg, force_native,
                                                   monkeypatch):
     """The session behind the decline runs the point on python, and
-    answers what ``REPRO_NATIVE=0`` answers."""
-    line_size = _config(2, 1, None).line_size
-    factory = _scripted([(OP_LOCK, 0), (opcode, line * line_size)], [])
-    got = _scripted_run(monkeypatch, factory, True)
-    ref = _scripted_run(monkeypatch, factory, False)
-    assert got.kernel == ref.kernel == "python"
-    assert got.result.to_json() == ref.result.to_json()
+    answers what ``REPRO_NATIVE=0`` answers: a result (a far line, a far
+    lock taken) or python's error (a barrier one processor never reaches,
+    an unlock of a lock nobody holds) — never a ``MemoryError``."""
+    if opcode in (OP_READ, OP_WRITE):
+        arg *= _config(2, 1, None).line_size
+    factory = _scripted([(OP_LOCK, 0), (opcode, arg)], [])
+    got = _session_answer(monkeypatch, factory, True)
+    assert got == _session_answer(monkeypatch, factory, False)
+    assert got[0] in ("python", SimulationDeadlock, RuntimeError)
 
 
 # What "python decides" means: the engine's one loop checks a stored
@@ -692,6 +722,15 @@ def _scripted_run(monkeypatch, factory, use_native):
     config = _config(2, 1, None)
     return RunSession(base_config=config).run_plan(
         RunPlan.resolve(RunRequest.make("scripted", 1, None), config))
+
+
+def _session_answer(monkeypatch, factory, use_native):
+    """The kernel and result JSON of a scripted run, or its error."""
+    try:
+        outcome = _scripted_run(monkeypatch, factory, use_native)
+    except Exception as exc:  # compared with the other selection's
+        return type(exc), str(exc)
+    return outcome.kernel, outcome.result.to_json()
 
 
 def _session_error(monkeypatch, factory, use_native):

@@ -17,11 +17,9 @@ class TestBarrier:
         b = BarrierState(2)
         b.arrive(0, 0)
         b.arrive(1, 5)
-        assert b.episodes == 1
         assert b.arrive(0, 10) is None
         releases = b.arrive(1, 12)
         assert dict(releases) == {0: 2, 1: 0}
-        assert b.episodes == 2
 
     def test_single_participant_trivial(self):
         b = BarrierState(1)
@@ -42,7 +40,6 @@ class TestLock:
         lk = LockState()
         assert lk.acquire(0, 0) is True
         assert lk.holder == 0
-        assert lk.acquisitions == 1
 
     def test_contended_queueing_fifo(self):
         lk = LockState()
@@ -55,13 +52,6 @@ class TestLock:
         assert (pid, wait) == (2, 23)
         assert lk.release(2, 40) is None
         assert lk.holder is None
-
-    def test_contended_counter(self):
-        lk = LockState()
-        lk.acquire(0, 0)
-        lk.acquire(1, 0)
-        lk.release(0, 10)
-        assert lk.contended_acquisitions == 1
 
     def test_reacquire_while_held_raises(self):
         lk = LockState()

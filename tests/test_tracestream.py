@@ -12,6 +12,7 @@ resident.
 
 import array
 import json
+import mmap
 import os
 import subprocess
 import sys
@@ -400,6 +401,69 @@ class TestByteBudget:
                       program)
         assert trace_cache_info()["entries"] == len(programs) > 1
         clear_memory_cache()
+
+
+#: 400 distinct stored traces loaded, and dropped, by a process allowed
+#: 256 file descriptors; argv[1] is the store root.  Each mapping holds a
+#: descriptor for as long as the LRU holds its program.
+_FD_CHILD = """
+import resource, sys, warnings
+from array import array
+from repro.core.config import MachineConfig
+from repro.core.resultcache import ResultCache, TraceStore
+from repro.sim.compiled import CompiledProgram, TraceCache
+from repro.sim.engine import Engine, PerfectMemory
+from repro.sim.program import Work
+
+resource.setrlimit(resource.RLIMIT_NOFILE,
+                   (256, resource.getrlimit(resource.RLIMIT_NOFILE)[1]))
+store = TraceStore(sys.argv[1])
+keys = [f"{k:064x}" for k in range(400)]
+for k, key in enumerate(keys):
+    store.put_bytes(key, CompiledProgram(
+        [array("q", [0])], [array("q", [k])], 32, source_ops=1,
+        fused_work=True).to_bytes())
+config = MachineConfig(n_processors=1, cluster_size=1)
+result = Engine(config, PerfectMemory()).run(lambda pid: [Work(1)])
+cache = TraceCache(store)
+with warnings.catch_warnings(record=True) as caught:
+    warnings.simplefilter("always")
+    loaded = sum(cache.get(key) is not None for key in keys)
+results = ResultCache(sys.argv[1])
+results.put("point", result)
+landed = results.get("point")
+print(loaded, len(caught), store.misses,
+      landed is not None and landed.to_json() == result.to_json())
+"""
+
+
+@pytest.mark.skipif(sys.platform == "win32", reason="POSIX rlimits")
+def test_mapped_traces_never_exhaust_file_descriptors(tmp_path):
+    """Far more stored traces than descriptors: every load maps (a store
+    hit, so nothing would be recaptured or rewritten), none is taken for
+    corrupt, and the process can still write a result afterwards."""
+    env = {**os.environ,
+           "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")}
+    proc = subprocess.run([sys.executable, "-c", _FD_CHILD, str(tmp_path)],
+                          capture_output=True, text=True, env=env, check=True)
+    assert proc.stdout.split() == ["400", "0", "0", "True"]
+
+
+def test_an_unmappable_trace_is_a_plain_store_miss(tmp_path, monkeypatch):
+    """An ``OSError`` from ``mmap`` (out of descriptors, say) says nothing
+    about the blob: a store miss, with no corruption warning."""
+    store = TraceStore(tmp_path)
+    store.put_bytes("deadbeef", make_program([([1, 2], [3, 4])]).to_bytes())
+
+    def refuse(*args, **kwargs):
+        raise OSError(24, "Too many open files")
+
+    monkeypatch.setattr(mmap, "mmap", refuse)
+    cache = TraceCache(store)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cache.get("deadbeef") is None
+    assert (store.misses, store.hits, cache.misses) == (1, 0, 1)
 
 
 #: one paper-scale point against a trace store, in a process of its own
