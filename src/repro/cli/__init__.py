@@ -41,6 +41,7 @@ simulator.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from importlib import import_module
@@ -145,9 +146,10 @@ def _cache_arg(value: str) -> float | None:
     except ValueError:
         raise argparse.ArgumentTypeError(
             f"expected a cache size in KB or 'inf', got {value!r}")
-    if kb <= 0:
+    if not 0 < kb < math.inf:
         raise argparse.ArgumentTypeError(
-            f"cache size must be > 0 KB (or 'inf'), got {value}")
+            f"cache size must be a finite number > 0 KB (or 'inf'), "
+            f"got {value}")
     return kb
 
 

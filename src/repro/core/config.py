@@ -18,6 +18,7 @@ Everything the rest of the library needs to know about the machine lives in
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, fields, replace
 from typing import Mapping
 
@@ -306,8 +307,10 @@ class MachineConfig:
                 f"cluster_size {self.cluster_size} does not divide "
                 f"n_processors {self.n_processors}"
             )
-        if self.cache_kb_per_processor is not None and self.cache_kb_per_processor <= 0:
-            raise ValueError("cache_kb_per_processor must be positive or None")
+        if self.cache_kb_per_processor is not None \
+                and not 0 < self.cache_kb_per_processor < math.inf:
+            raise ValueError("cache_kb_per_processor must be positive and "
+                             "finite, or None")
         if self.line_size <= 0 or self.page_size % self.line_size != 0:
             raise ValueError("page_size must be a positive multiple of line_size")
         if self.associativity is not None and self.associativity <= 0:

@@ -2,8 +2,8 @@
 
 The kernel (:mod:`repro.native.build` compiles ``kernel.c``) runs the
 entire replay — engine loop, memory-system transitions of any of the
-three protocols, Table-1 or mesh miss pricing — in a single call over
-zero-copy views of the program's ``array('q')`` opcode/operand columns,
+three protocols, Table-1 or mesh miss pricing — in a single call that
+reads the program's opcode/operand columns in place, in its one buffer,
 and fills caller-allocated arrays whose sizes depend only on the
 processor and cluster counts: per-processor time breakdowns,
 per-cluster counters, per-cache evictions/inserts, and ten totals plus
@@ -91,26 +91,6 @@ def cache_lines(config: "MachineConfig") -> int | None:
     return config.cluster_cache_lines
 
 
-def _column_pointer(col, ptype):
-    """``int64*`` over a program column without copying its payload.
-
-    ``array('q')`` columns expose their buffer address directly; mapped
-    programs carry ``memoryview`` slices over a copy-on-write file
-    mapping, which ``ctypes.from_buffer`` turns into the same flat
-    pointer — the kernel then reads the page cache in place (the mapping
-    is ``ACCESS_COPY``, so the writability ``from_buffer`` demands never
-    reaches the file; the kernel itself treats the columns as ``const``).
-    An empty column has no buffer to take an address of — the kernel
-    never dereferences a processor whose length is 0, so NULL is exact.
-    """
-    if len(col) == 0:
-        return ctypes.cast(None, ptype)
-    if hasattr(col, "buffer_info"):  # array('q')
-        return ctypes.cast(col.buffer_info()[0], ptype)
-    return ctypes.cast(ctypes.addressof(ctypes.c_char.from_buffer(col)),
-                       ptype)
-
-
 #: (topology, n_clusters, hop cycles, latency table) -> the tables of
 #: :func:`_mesh_tables`; a handful of entries per process
 _TABLES: dict = {}
@@ -161,13 +141,15 @@ def run_native(lib, config: "MachineConfig", allocator: "PageAllocator",
     ncl = config.n_clusters
     n_caches = n if config.protocol == "snoopy" else ncl
 
-    # zero-copy column views; keep the arrays (or the mmap behind a
-    # mapped program's memoryviews) referenced for the call
-    ops_cols = program.ops
-    args_cols = program.args
-    ops_arr = (_P64 * n)(*[_column_pointer(c, _P64) for c in ops_cols])
-    args_arr = (_P64 * n)(*[_column_pointer(c, _P64) for c in args_cols])
-    lens = (_c64 * n)(*[len(c) for c in ops_cols])
+    # zero-copy: the kernel reads the program's one buffer in place, at
+    # its base address plus each section's offset (ops/args per
+    # processor, then the task pair).  A mapped buffer is ACCESS_COPY, so
+    # the writability from_buffer demands never reaches the file.
+    base = ctypes.addressof(ctypes.c_char.from_buffer(program.buffer))
+    ptrs = [ctypes.cast(base + off, _P64) for off in program.section_offsets]
+    ops_arr = (_P64 * n)(*ptrs[0:2 * n:2])
+    args_arr = (_P64 * n)(*ptrs[1:2 * n:2])
+    lens = (_c64 * n)(*map(len, program.ops))
 
     # the task table; each queue's take counter starts at its first task
     t_off, q_end = program.task_offsets()
@@ -198,8 +180,7 @@ def run_native(lib, config: "MachineConfig", allocator: "PageAllocator",
     st = lib.repro_replay(
         n, ncl, config.cluster_size,
         ops_arr, args_arr, lens,
-        _column_pointer(program.task_ops, _P64),
-        _column_pointer(program.task_args, _P64),
+        ptrs[-2], ptrs[-1],
         (_c64 * len(t_off))(*t_off), q_next,
         (_c64 * max(1, n_queues))(*q_end), n_queues,
         _PROTOCOLS[config.protocol], -1 if cap is None else cap,

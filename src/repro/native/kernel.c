@@ -1039,13 +1039,13 @@ typedef struct {
     int64_t ret; /* -1: not in a task */
 } Stream;
 
-/* Zero-copy column contract: ops[p]/args[p] may point straight into a
- * read-mostly file mapping of a trace blob (driver.py hands over the
- * mmap'd addresses; 8-byte aligned, little-endian int64, lens[p] entries).
- * The kernel must only ever READ them — a store would dirty private
- * copy-on-write pages and forfeit the shared-page-cache economics the
- * streaming-trace layer is built on — and must tolerate ops[p] == NULL
- * when lens[p] == 0 (an empty column has no buffer to address).  Access
+/* Zero-copy column contract: every column points into the program's one
+ * buffer, laid out as its trace blob and often a read-mostly file mapping
+ * of it (driver.py adds section offsets to the buffer's base address;
+ * 8-byte aligned, host-order int64, lens[p] entries).  The kernel must
+ * only ever READ them — a store would dirty private copy-on-write pages
+ * and forfeit the shared-page-cache economics the streaming-trace layer
+ * is built on — and never dereference a column with lens[p] == 0.  Access
  * is sequential per processor, which the mapping layer advertises to the
  * OS via MADV_SEQUENTIAL and the replay loop to the CPU by prefetching
  * (loads only).  A mapped payload carries no checksum, so operands are

@@ -74,21 +74,6 @@ __all__ = ["DaemonThread", "PointExecutionError", "ServiceDaemon",
            "ServiceStats", "SweepService"]
 
 
-def _trace_cache_status() -> dict[str, Any]:
-    """The process-wide trace-LRU accounting for ``/stats``.
-
-    Byte-budget occupancy of the in-memory compiled-trace tier
-    (:func:`repro.sim.compiled.trace_cache_info`): live entries, how many
-    are memory-mapped (charged ≈ 0 resident bytes), resident vs payload
-    bytes, and the configured budget — the numbers an operator needs to
-    tell "the daemon is holding traces" from "the traces are mapped and
-    the page cache is holding them".
-    """
-    from ..sim.compiled import trace_cache_info
-
-    return trace_cache_info()
-
-
 class PointExecutionError(RuntimeError):
     """A point failed to execute; carries the client-safe summary.
 
@@ -231,6 +216,8 @@ class SweepService:
 
     # --------------------------------------------------------------- reports
     def stats_dict(self) -> dict[str, Any]:
+        from ..sim.compiled import trace_cache_info
+
         s = self.stats
         cache = None
         if self.cache is not None:
@@ -250,7 +237,7 @@ class SweepService:
             "in_flight": self.in_flight,
             "result_cache": cache,
             "native": native.status(),
-            "trace_cache": _trace_cache_status(),
+            "trace_cache": trace_cache_info(),
             "pool": {
                 "backend": self.executor.backend,
                 "max_workers": self.executor.max_workers,
@@ -360,7 +347,8 @@ class ServiceDaemon:
                 try:
                     request = await read_request(reader)
                 except HTTPParseError as exc:
-                    send_json(writer, 400, error_body("bad-request", str(exc)))
+                    send_json(writer, exc.status,
+                              error_body(exc.kind, str(exc)))
                     await writer.drain()
                     break
                 if request is None:

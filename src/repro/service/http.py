@@ -5,8 +5,10 @@ dependencies, so this module implements exactly the subset the daemon
 needs and nothing more:
 
 * request parsing (request line, headers, ``Content-Length`` bodies)
-  with hard size limits — an oversized or malformed request raises
-  :class:`HTTPParseError` and becomes a 400, never a hung connection;
+  with hard size limits — a malformed request raises
+  :class:`HTTPParseError` and becomes a 400, a declared body past
+  :data:`MAX_BODY` a 413 (:class:`PayloadTooLarge`), never a hung
+  connection;
 * fixed-length JSON responses (``Content-Length``) and chunked
   streaming responses (``Transfer-Encoding: chunked``) for the
   JSON-lines sweep stream.
@@ -24,8 +26,9 @@ import json
 from dataclasses import dataclass, field
 from typing import Any, Mapping
 
-__all__ = ["HTTPParseError", "HTTPRequest", "JSONLineWriter", "REASONS",
-           "read_request", "response_bytes", "send_json"]
+__all__ = ["HTTPParseError", "HTTPRequest", "JSONLineWriter",
+           "PayloadTooLarge", "REASONS", "read_request", "response_bytes",
+           "send_json"]
 
 #: request-line + one header line limit (bytes)
 MAX_LINE = 8192
@@ -42,6 +45,15 @@ REASONS = {200: "OK", 202: "Accepted", 400: "Bad Request", 404: "Not Found",
 
 class HTTPParseError(ValueError):
     """The peer sent something that is not the HTTP we speak."""
+
+    #: the response status and error ``type`` the daemon answers with
+    status, kind = 400, "bad-request"
+
+
+class PayloadTooLarge(HTTPParseError):
+    """A ``Content-Length`` past :data:`MAX_BODY`; the body is never read."""
+
+    status, kind = 413, "payload-too-large"
 
 
 @dataclass
@@ -104,8 +116,8 @@ def _body_length(headers: Mapping[str, str]) -> int:
     if length < 0:
         raise HTTPParseError("negative Content-Length")
     if length > MAX_BODY:
-        raise HTTPParseError(f"body of {length} bytes exceeds the "
-                             f"{MAX_BODY}-byte limit")
+        raise PayloadTooLarge(f"body of {length} bytes exceeds the "
+                              f"{MAX_BODY}-byte limit")
     return length
 
 

@@ -32,6 +32,7 @@ Errors travel as ``{"error": {"type": ..., "message": ...}}`` (see
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import Any, Mapping
 
@@ -104,9 +105,9 @@ def decode_run_request(obj: Any) -> RunRequest:
         if isinstance(cache_kb, bool) or not isinstance(cache_kb,
                                                         (int, float)):
             raise ProtocolError("'cache_kb' must be a number or null")
-        if not cache_kb > 0:
-            raise ProtocolError("'cache_kb' must be positive (null = "
-                                "infinite caches)")
+        if not 0 < cache_kb < math.inf:
+            raise ProtocolError("'cache_kb' must be positive and finite "
+                                "(null = infinite caches)")
 
     kwargs = obj.get("app_kwargs") or {}
     if not isinstance(kwargs, Mapping):

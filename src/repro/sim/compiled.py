@@ -1,4 +1,4 @@
-"""Compiled-trace execution: flat-array program capture and reuse.
+"""Compiled-trace execution: a captured program is one self-describing buffer.
 
 The execution engine historically pulled one ``(opcode, arg)`` tuple per
 simulated operation out of a per-processor Python generator.  Each pull is a
@@ -14,11 +14,12 @@ therefore capture each app's program once and replay it everywhere.
 
 This module provides that capture/replay layer:
 
-* :class:`CompiledProgram` — per-processor flat parallel ``array('q')``
-  opcode/arg arrays, plus a **task table** for the task-queue codes.
+* :class:`CompiledProgram` — one buffer laid out as the program's
+  ``RPROTRC3`` blob: per-processor int64 opcode/arg columns, plus a
+  **task table** for the task-queue codes, behind a JSON header.
   READ/WRITE operands are pre-divided by the line size and consecutive
   WORK ops are fused at compile time; the engine replays a program by
-  iterating its columns, the native kernel by address;
+  iterating its ``memoryview`` columns, the native kernel by address;
 * :func:`compile_program` — drain a generator-based program factory (and
   the bodies of its task queues) once into a :class:`CompiledProgram`;
 * :func:`trace_key` — content hash identifying one compiled trace
@@ -41,28 +42,29 @@ event where the generator would have been resumed, and the lock around
 it serialises the takes, so take order *is* lock-grant order in either
 interpreter and the trace is as machine-independent as a static app's.
 
-**Streaming traces.**  One wire format is readable.  The ``RPROTRC3``
-encoding is *mmappable*: an aligned, uncompressed little-endian int64
-section per column (and one pair for the task table) behind a JSON
-header/TOC, so
-:meth:`CompiledProgram.from_file` can map a
-:class:`~repro.core.resultcache.TraceStore` blob copy-on-write
-(``mmap.ACCESS_COPY``) and expose the columns as zero-copy ``memoryview``
-slices over the page cache.  A mapped program costs ~0 resident bytes
-until touched, its pages are shared between every process mapping the
-same blob (``--jobs`` workers, the sweep daemon, parallel CLI runs), and
-the native kernel (:mod:`repro.native`) replays it by passing the mapped
-column addresses straight into C — no decode, no packing copy.  The
-python engine iterates the mapped columns directly (``zip`` over two
-``memoryview`` columns boxes one op at a time), so paper-scale traces
-(512² LU ≈ 45 MB) stream through a bounded footprint instead of
-materialising everywhere.
+**One layout, in memory and on disk.**  ``RPROTRC3`` is an aligned,
+uncompressed int64 section per column (and one pair for the task table)
+behind a JSON header that declares the item size and byte order (the
+host's).  A capture packs its drained columns into a ``bytearray`` in
+exactly that layout, once; :meth:`TraceCache.put` writes that buffer to
+the :class:`~repro.core.resultcache.TraceStore` as it is, and
+:meth:`CompiledProgram.from_file` maps a stored blob copy-on-write
+(``mmap.ACCESS_COPY``) as the buffer of a program that is otherwise the
+same object.  A mapped program costs ~0 resident bytes until touched,
+its pages are shared between every process mapping the same blob
+(``--jobs`` workers, the sweep daemon, parallel CLI runs), and the
+native kernel (:mod:`repro.native`) replays any program by its buffer's
+address — no decode, no copy.  The python engine iterates the columns
+(``zip`` over two ``memoryview`` columns boxes one op at a time), so
+paper-scale traces (512² LU ≈ 45 MB) stream through a bounded
+footprint.  A blob written on a host of the other byte order fails to
+decode, like any corrupt blob.
 
-The in-memory LRU is governed by a **byte budget**
-(``REPRO_TRACE_LRU_BYTES``, default 256 MiB) that charges mapped programs
-a token constant — so paper-scale mapped traces stay resident while
-materialised ones are evicted by size — and by a fixed count of mapped
-programs, because each mapping holds a file descriptor.
+The in-memory LRU is governed by a **byte budget** (``_LRU_BYTES``,
+256 MiB) that charges mapped programs a token constant — so paper-scale
+mapped traces stay resident while in-memory ones are evicted by size —
+and by a fixed count of mapped programs, because each mapping holds a
+file descriptor.
 
 Replay is **bit-identical** to generator execution: the engine's golden
 and equivalence suites (``tests/test_golden_regression.py``,
@@ -77,7 +79,6 @@ from __future__ import annotations
 import hashlib
 import json
 import mmap
-import os
 import sys
 import threading
 import warnings
@@ -92,18 +93,14 @@ from .program import (OP_BARRIER, OP_READ, OP_TASK, OP_UNLOCK, OP_WORK,
 
 __all__ = ["CompiledProgram", "TraceCache", "TraceDecodeError",
            "compile_program", "trace_key", "clear_memory_cache",
-           "memory_cache_len", "memory_cache_bytes", "trace_cache_info",
-           "ENV_TRACE_LRU_BYTES"]
+           "trace_cache_info"]
 
-#: environment variable overriding the in-memory LRU byte budget
-ENV_TRACE_LRU_BYTES = "REPRO_TRACE_LRU_BYTES"
-
-# Sized so a full 9-app quick sweep (a few MB per materialised trace)
-# never evicts, while a single paper-scale materialised trace (512² LU is
-# ~45 MB of columns) still fits several times over.  Mapped traces are
-# charged _MAPPED_RESIDENT_BYTES each, so the budget alone would admit
-# ~64k of them.
-_DEFAULT_LRU_BYTES = 256 * 1024 * 1024
+# The in-memory LRU's byte budget.  Sized so a full 9-app quick sweep (a
+# few MB per in-memory trace) never evicts, while a single paper-scale
+# in-memory trace (512² LU is ~45 MB of columns) still fits several times
+# over.  Mapped traces are charged _MAPPED_RESIDENT_BYTES each, so the
+# budget alone would admit ~64k of them.
+_LRU_BYTES = 256 * 1024 * 1024
 
 #: accounting charge for a mapped program: its python-side footprint is a
 #: handful of memoryview objects; the column payload lives in the
@@ -130,27 +127,24 @@ class TraceDecodeError(ValueError):
     """A serialized compiled trace is corrupt, truncated, or incompatible."""
 
 
-def _le_bytes(col) -> bytes:
-    """Column payload as little-endian int64 bytes (host-order aware)."""
-    if sys.byteorder == "little":
-        return col.tobytes()
-    swapped = array("q", col)
-    swapped.byteswap()
-    return swapped.tobytes()
-
-
 class CompiledProgram:
-    """The flat-array form of one program across all processors.
+    """One program across all processors, as one ``RPROTRC3`` buffer.
 
-    ``ops[pid]`` / ``args[pid]`` are parallel int64 columns: entry ``i``
-    is the ``i``-th operation of processor ``pid``.  Opcodes are the
+    ``buffer`` is the whole blob: magic, uint32-LE header length, JSON
+    header, zero pad to 8 bytes, then int64 sections back to back in host
+    byte order — per processor ``ops`` then ``args``, then the task
+    table's ``task_ops`` and ``task_args``.  ``section_offsets`` are
+    their byte offsets in the buffer, in that order.  Every column is a
+    ``memoryview.cast('q')`` slice of the buffer, whichever way the
+    program was made: packed from drained columns (the constructor),
+    copied from a blob (:meth:`from_bytes`) or mapped from a file
+    (:meth:`from_file`, ``mapped`` is then true).
+
+    ``ops[pid]`` / ``args[pid]`` are parallel columns: entry ``i`` is the
+    ``i``-th operation of processor ``pid``.  Opcodes are the
     :mod:`repro.sim.program` constants; READ/WRITE args are **line
     numbers** (already divided by ``line_size``), all other args are
-    verbatim.  Columns are ``array('q')`` for compiled/decoded programs
-    and ``memoryview`` slices over a copy-on-write file mapping for
-    programs loaded via :meth:`from_file` (``mapped`` is then true); both
-    spellings expose identical indexing, length, and buffer protocols, so
-    every replay path (python, native C) works on either.
+    verbatim.
 
     A program whose columns hold ``TASK q`` ops carries the **task
     table** they index: ``task_ops`` / ``task_args`` are one more column
@@ -159,67 +153,75 @@ class CompiledProgram:
     A static program's table is empty.
 
     Instances are immutable by convention (the engine only reads them, and
-    the native kernel takes ``const`` views), so one compiled program can
-    be replayed concurrently by any number of engines and shared through
-    :class:`TraceCache`.
+    the native kernel takes ``const`` pointers), so one compiled program
+    can be replayed concurrently by any number of engines and shared
+    through :class:`TraceCache`.
     """
 
-    __slots__ = ("ops", "args", "task_ops", "task_args", "task_lens",
-                 "n_processors", "line_size", "source_ops", "fused_work",
-                 "mapped", "_mm", "_runtime")
+    __slots__ = ("buffer", "section_offsets", "mapped", "n_processors",
+                 "line_size", "source_ops", "task_lens", "ops", "args",
+                 "task_ops", "task_args")
 
     def __init__(self, ops: list, args: list, line_size: int,
-                 source_ops: int, fused_work: bool, *, tasks=None,
-                 mapped: bool = False, mapping=None) -> None:
+                 source_ops: int, *, tasks=None) -> None:
+        """Pack int64 columns (``array('q')``, say) into a new buffer.
+
+        ``tasks`` is ``(task_ops, task_args, task_lens)``, see above;
+        ``source_ops`` is the operation count before WORK fusion (what a
+        generator would yield).  The payload's CRC is computed here, once.
+        """
+        task_ops, task_args, task_lens = (
+            tasks if tasks is not None else (array("q"), array("q"), []))
         if len(ops) != len(args):
             raise ValueError("ops/args column counts differ")
-        for o, a in zip(ops, args):
-            if len(o) != len(a):
-                raise ValueError("ops/args columns have unequal lengths")
-        self.ops = ops
-        self.args = args
-        #: ``(task_ops, task_args, task_lens)``; see the class docstring
-        self.task_ops, self.task_args, self.task_lens = (
-            tasks if tasks is not None else (array("q"), array("q"), []))
-        lens = [n for queue in self.task_lens for n in queue]
-        if not (len(self.task_ops) == len(self.task_args) == sum(lens)) \
+        if any(len(o) != len(a) for o, a in zip(ops, args)):
+            raise ValueError("ops/args columns have unequal lengths")
+        lens = [n for queue in task_lens for n in queue]
+        if not (len(task_ops) == len(task_args) == sum(lens)) \
                 or not all(isinstance(n, int) and n >= 0 for n in lens):
             raise ValueError("task table does not cover its columns")
-        self.n_processors = len(ops)
-        self.line_size = line_size
-        #: operation count before WORK fusion (what a generator would yield)
-        self.source_ops = source_ops
-        self.fused_work = fused_work
-        #: columns are memoryview slices over a file mapping (zero-copy)
+        sections = [col for pair in zip(ops, args) for col in pair]
+        sections += (task_ops, task_args)
+        crc = 0
+        for col in sections:
+            crc = zlib.crc32(col, crc)
+        header = {"n_processors": len(ops), "line_size": line_size,
+                  "source_ops": source_ops, "counts": [len(o) for o in ops],
+                  "tasks": task_lens, "itemsize": _ITEMSIZE,
+                  "byteorder": sys.byteorder, "crc32": crc,
+                  "payload_offset": 0}
+        # the header records its own payload offset, which depends on the
+        # header's length: fix-point it (at most a step or two)
+        while True:
+            text = json.dumps(header, sort_keys=True).encode("utf-8")
+            offset = _align8(12 + len(text))
+            if offset == header["payload_offset"]:
+                break
+            header["payload_offset"] = offset
+        buf = bytearray(_MAGIC + len(text).to_bytes(4, "little") + text)
+        buf += bytes(offset - len(buf))
+        for col in sections:
+            buf += col
+        self._attach(buf, header, mapped=False)
+
+    def _attach(self, buf, header, mapped: bool) -> None:
+        """Become the program over ``buf``, whose ``header`` is valid."""
+        self.buffer = buf
         self.mapped = mapped
-        #: the mmap object keeping mapped columns alive (``None`` otherwise)
-        self._mm = mapping
-        self._runtime = None
-
-    def runtime_columns(self):
-        """``(ops, args)`` column lists for the python engine to iterate.
-
-        ``array('q')`` is the compact storage/wire format, but reading it
-        boxes a fresh int per access; a sweep replays every operand once
-        per point, so materialised programs get list columns where each
-        int is boxed once — built lazily on first replay and cached, the
-        arrays remaining the canonical (serialized, hashed)
-        representation.  A **mapped** program returns its ``memoryview``
-        columns as they are: iterating them boxes one op at a time, so the
-        footprint stays bounded regardless of trace size.
-        """
-        return self._boxed()[:2]
-
-    def _boxed(self):
-        """:meth:`runtime_columns` plus the task column pair, same rule."""
-        if self.mapped:
-            return self.ops, self.args, self.task_ops, self.task_args
-        rt = self._runtime
-        if rt is None:
-            rt = self._runtime = ([list(o) for o in self.ops],
-                                  [list(a) for a in self.args],
-                                  list(self.task_ops), list(self.task_args))
-        return rt
+        self.n_processors = len(header["counts"])
+        self.line_size = header["line_size"]
+        self.source_ops = header["source_ops"]
+        self.task_lens = header["tasks"]
+        n_task = sum(map(sum, self.task_lens))
+        view = memoryview(buf)
+        pos = header["payload_offset"]
+        self.section_offsets, sections = [], []
+        for n in [n for c in header["counts"] for n in (c, c)] + [n_task] * 2:
+            self.section_offsets.append(pos)
+            sections.append(view[pos:pos + n * _ITEMSIZE].cast("q"))
+            pos += n * _ITEMSIZE
+        self.ops, self.args = sections[:-2:2], sections[1:-2:2]
+        self.task_ops, self.task_args = sections[-2:]
 
     def task_offsets(self) -> tuple[list[int], list[int]]:
         """The task table as both interpreters index it.
@@ -249,7 +251,7 @@ class CompiledProgram:
         drained; the kernel finds that out at the end of its run, here
         it is refused before the start.
         """
-        ops, args, task_ops, task_args = self._boxed()
+        ops, args = self.ops, self.args
         if not self.task_lens:
             return [zip(o, a).__next__ for o, a in zip(ops, args)]
         dispatched = {a for col, acol in zip(ops, args)
@@ -260,8 +262,8 @@ class CompiledProgram:
                                  f"table and no TASK op to take them")
         offsets, queue_end = self.task_offsets()
         taken = [0, *queue_end[:-1]]
-        return [_expand_tasks(zip(o, a), task_ops, task_args, offsets,
-                              queue_end, taken).__next__
+        return [_expand_tasks(zip(o, a), self.task_ops, self.task_args,
+                              offsets, queue_end, taken).__next__
                 for o, a in zip(ops, args)]
 
     # ----------------------------------------------------------------- size
@@ -278,170 +280,90 @@ class CompiledProgram:
 
     @property
     def nbytes(self) -> int:
-        """Payload size of the flat columns (mapped or materialised)."""
-        return sum(col.itemsize * len(col) for col in self._sections())
+        """Payload size: the buffer past its header (mapped or not)."""
+        return len(self.buffer) - self.section_offsets[0]
 
     @property
     def resident_nbytes(self) -> int:
         """What this program charges against the in-memory LRU budget.
 
-        Materialised columns live on the heap and cost their full payload;
-        mapped columns live in the shared, evictable page cache and cost a
-        token constant.
+        A buffer on the heap costs its full payload; a mapped one lives in
+        the shared, evictable page cache and costs a token constant.
         """
         return _MAPPED_RESIDENT_BYTES if self.mapped else self.nbytes
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
-        kind = "mapped" if self.mapped else "materialised"
+        kind = "mapped" if self.mapped else "in memory"
         return (f"CompiledProgram({self.n_processors} processors, "
                 f"{self.total_ops:,} ops, line_size={self.line_size}, "
                 f"{kind})")
 
     # -------------------------------------------------------- serialization
-    def _sections(self):
-        """Every column in payload order: per processor ops then args,
-        then the task pair."""
-        for pair in zip(self.ops, self.args):
-            yield from pair
-        yield self.task_ops
-        yield self.task_args
-
-    def _header(self, crc: int, payload_offset: int) -> bytes:
-        fields = {
-            "n_processors": self.n_processors,
-            "line_size": self.line_size,
-            "source_ops": self.source_ops,
-            "fused_work": self.fused_work,
-            "counts": [len(o) for o in self.ops],
-            "tasks": self.task_lens,
-            "itemsize": _ITEMSIZE,
-            "byteorder": "little",
-            "crc32": crc,
-            "payload_offset": payload_offset,
-        }
-        return json.dumps(fields, sort_keys=True).encode("utf-8")
-
-    def to_bytes(self) -> bytes:
-        """Binary encoding (``RPROTRC3``, the mmappable form).
-
-        Magic, uint32-LE header length, JSON header, zero pad to an
-        8-byte boundary, then the raw little-endian int64 columns (per
-        processor: ops then args; then the task table's ops and args —
-        the header's ``tasks`` says where each task lies in them, so the
-        table travels inside the blob).  Uncompressed and aligned so
-        :meth:`from_file` can map it and hand slices to the native kernel
-        without a copy.
-        """
-        payload = b"".join(_le_bytes(col) for col in self._sections())
-        crc = zlib.crc32(payload)
-        # the header records its own payload offset; offset depends on
-        # header length, so fix-point the (rarely iterating) computation
-        offset = 0
-        for _ in range(4):
-            header = self._header(crc, offset)
-            want = _align8(12 + len(header))
-            if want == offset:
-                break
-            offset = want
-        pad = b"\0" * (offset - 12 - len(header))
-        return (_MAGIC + len(header).to_bytes(4, "little") + header + pad
-                + payload)
-
     @classmethod
-    def _decode_header(cls, blob, lo: int = 0):
-        """Parse ``(header, payload_start)`` from the blob's framing."""
-        hlen = int.from_bytes(bytes(blob[lo + 8:lo + 12]), "little")
-        if hlen <= 0 or lo + 12 + hlen > len(blob):
-            raise TraceDecodeError("truncated header")
-        header = json.loads(bytes(blob[lo + 12:lo + 12 + hlen])
-                            .decode("utf-8"))
-        if header["itemsize"] != _ITEMSIZE:
-            raise TraceDecodeError(
-                f"item size {header['itemsize']} != native")
-        return header, lo + 12 + hlen
+    def _adopt(cls, buf, *, mapped: bool = False,
+               check_crc: bool = False) -> "CompiledProgram":
+        """The program over ``buf``, a whole ``RPROTRC3`` blob.
 
-    @staticmethod
-    def _payload_items(header) -> int:
-        """int64 entries the header's sections (ops + args) add up to.
-
-        Sections lie back to back in header order, so a length that is
-        negative is the only way one could reach outside the payload;
-        their sum is then checked against the blob by the caller.
-        """
-        lens = header["counts"] + [n for queue in header["tasks"]
-                                   for n in queue]
-        if any(n < 0 for n in lens):
-            raise TraceDecodeError("negative section length")
-        return 2 * sum(lens)
-
-    @classmethod
-    def _from_sections(cls, header, column, offset: int, **backing):
-        """The program whose columns are ``column(offset, nbytes)`` slices
-        of a payload laid out as :meth:`_sections` writes it."""
-        def take(n: int):
-            nonlocal offset
-            col = column(offset, n * _ITEMSIZE)
-            offset += n * _ITEMSIZE
-            return col
-
-        ops, args = [], []
-        for count in header["counts"]:
-            ops.append(take(count))
-            args.append(take(count))
-        n_task = sum(map(sum, header["tasks"]))
-        return cls(ops, args, header["line_size"], header["source_ops"],
-                   header["fused_work"],
-                   tasks=(take(n_task), take(n_task), header["tasks"]),
-                   **backing)
-
-    @classmethod
-    def from_bytes(cls, blob: bytes) -> "CompiledProgram":
-        """Inverse of :meth:`to_bytes` — eager, CRC-checked decode.
-
-        Raises :class:`TraceDecodeError` on any corruption: bad magic,
-        truncation, malformed header, CRC mismatch, or an encoding written
-        by an incompatible platform (item size / byte order).
+        The one validator of stored bytes: magic, header, item size and
+        byte order (the host's), and every section the header promises —
+        columns and task table alike — against ``len(buf)``, so a header
+        that lies is a :class:`TraceDecodeError`, never a read past the
+        buffer.  Sections lie back to back in header order, so a negative
+        length is the only way one could reach outside the payload.  The
+        payload's CRC is read only with ``check_crc``.
         """
         try:
-            if bytes(blob[:8]) != _MAGIC:
+            if bytes(buf[:8]) != _MAGIC:
                 raise TraceDecodeError("bad magic")
-            header, pos = cls._decode_header(blob)
+            hlen = int.from_bytes(buf[8:12], "little")
+            if hlen <= 0 or 12 + hlen > len(buf):
+                raise TraceDecodeError("truncated header")
+            header = json.loads(bytes(buf[12:12 + hlen]).decode("utf-8"))
+            if (header["itemsize"], header["byteorder"]) \
+                    != (_ITEMSIZE, sys.byteorder):
+                raise TraceDecodeError("foreign item size or byte order")
+            lens = header["counts"] + [n for queue in header["tasks"]
+                                       for n in queue]
+            if not all(isinstance(n, int) and n >= 0 for n in lens):
+                raise TraceDecodeError("bad section length")
             offset = header["payload_offset"]
-            if offset < pos:
-                raise TraceDecodeError("payload overlaps header")
-            payload = bytes(blob[offset:])
-            if zlib.crc32(payload) != header["crc32"]:
-                raise TraceDecodeError("payload CRC mismatch")
-            if len(payload) != _ITEMSIZE * cls._payload_items(header):
+            if (offset < 12 + hlen or offset % _ITEMSIZE
+                    or offset + 2 * _ITEMSIZE * sum(lens) != len(buf)):
                 raise TraceDecodeError("payload length mismatch")
-
-            def column(lo: int, nbytes: int) -> array:
-                col = array("q")
-                col.frombytes(payload[lo:lo + nbytes])
-                if sys.byteorder != "little":
-                    col.byteswap()
-                return col
-            return cls._from_sections(header, column, 0)
+            if check_crc and (zlib.crc32(memoryview(buf)[offset:])
+                              != header["crc32"]):
+                raise TraceDecodeError("payload CRC mismatch")
+            program = cls.__new__(cls)
+            program._attach(buf, header, mapped)
+            return program
         except TraceDecodeError:
             raise
         except Exception as exc:  # truncated/garbled in any other way
             raise TraceDecodeError(f"undecodable trace: {exc!r}") from exc
 
     @classmethod
+    def from_bytes(cls, blob) -> "CompiledProgram":
+        """The program over a copy of ``blob`` — eager, CRC-checked.
+
+        Raises :class:`TraceDecodeError` on any corruption: bad magic,
+        truncation, malformed header, CRC mismatch, or an encoding written
+        by an incompatible platform (item size / byte order).
+        """
+        return cls._adopt(bytearray(blob), check_crc=True)
+
+    @classmethod
     def from_file(cls, path) -> "CompiledProgram":
-        """Load a stored trace by memory-mapping it.
+        """The program over a memory mapping of a stored blob.
 
         The mapping is ``ACCESS_COPY`` (private copy-on-write): writable
         from Python's side — which ``ctypes.from_buffer`` requires for the
         zero-copy native hand-off — while the file itself is never
         modified and clean pages remain shared page-cache memory.  Map
-        validation is **structural only** (magic, header, section bounds
-        — columns and task table alike — against the file size): a
-        truncated blob fails here and degrades
-        to a cache miss, while reading every payload byte to CRC it would
-        defeat lazy paging — the format relies on the store's atomic
-        writes, like every other consumer.  Big-endian hosts, which cannot
-        alias the columns, go through the eager :meth:`from_bytes` decode.
+        validation is **structural only** (:meth:`_adopt` without the
+        CRC): a truncated blob fails here and degrades to a cache miss,
+        while reading every payload byte to CRC it would defeat lazy
+        paging — the format relies on the store's atomic writes, like
+        every other consumer.
 
         Raises ``OSError`` if the file cannot be opened or mapped (a
         plain store miss: out of descriptors or address space says
@@ -449,39 +371,14 @@ class CompiledProgram:
         wrong with its bytes.
         """
         with open(path, "rb") as fh:
-            magic = fh.read(8)
-            if magic != _MAGIC:  # rejected without reading the payload
+            # rejected without mapping: another format, or an empty file
+            if fh.read(8) != _MAGIC:
                 raise TraceDecodeError("bad magic")
-            if sys.byteorder != "little":
-                try:
-                    return cls.from_bytes(magic + fh.read())
-                except TraceDecodeError:
-                    raise
-                except Exception as exc:
-                    raise TraceDecodeError(
-                        f"unreadable trace file: {exc!r}") from exc
-            try:
-                mm = mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_COPY)
-            except ValueError as exc:  # an empty file
-                raise TraceDecodeError(f"unmappable trace: {exc!r}") from exc
-        try:
-            header, pos = cls._decode_header(mm)
-            if header["byteorder"] != "little":
-                raise TraceDecodeError("foreign byte order")
-            offset = header["payload_offset"]
-            need = offset + _ITEMSIZE * cls._payload_items(header)
-            if offset < pos or offset % _ITEMSIZE or need != len(mm):
-                raise TraceDecodeError("payload length mismatch")
-            if hasattr(mm, "madvise"):  # replay touches columns in order
-                mm.madvise(mmap.MADV_SEQUENTIAL)
-            view = memoryview(mm)
-            return cls._from_sections(
-                header, lambda lo, nbytes: view[lo:lo + nbytes].cast("q"),
-                offset, mapped=True, mapping=mm)
-        except TraceDecodeError:
-            raise
-        except Exception as exc:
-            raise TraceDecodeError(f"undecodable trace: {exc!r}") from exc
+            mm = mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_COPY)
+        program = cls._adopt(mm, mapped=True)
+        if hasattr(mm, "madvise"):  # replay touches columns in order
+            mm.madvise(mmap.MADV_SEQUENTIAL)
+        return program
 
 
 def _expand_tasks(frame, task_ops, task_args, offsets, queue_end, taken):
@@ -615,7 +512,6 @@ def compile_program(program_factory: ProgramFactory, n_processors: int,
             lens.append(len(task_ops) - before)
         task_lens.append(lens)
     return CompiledProgram(all_ops, all_args, line_size, source_ops,
-                           fused_work=True,
                            tasks=(task_ops, task_args, task_lens))
 
 
@@ -682,7 +578,7 @@ class ProgramRecorder:
     def finish(self) -> CompiledProgram:
         """The capture as a :class:`CompiledProgram` (call after the run)."""
         return CompiledProgram(self._ops, self._args, self.line_size,
-                               self._source_ops, fused_work=True)
+                               self._source_ops)
 
 
 # --------------------------------------------------------------------- keys
@@ -728,14 +624,6 @@ _memory_lru_mapped = 0
 _memory_lru_lock = threading.Lock()
 
 
-def _byte_budget() -> int:
-    try:
-        return max(1, int(os.environ.get(ENV_TRACE_LRU_BYTES,
-                                         _DEFAULT_LRU_BYTES)))
-    except ValueError:
-        return _DEFAULT_LRU_BYTES
-
-
 def clear_memory_cache() -> None:
     """Drop every in-memory trace (tests and cold benchmarks use this)."""
     global _memory_lru_bytes, _memory_lru_mapped
@@ -744,18 +632,10 @@ def clear_memory_cache() -> None:
         _memory_lru_bytes = _memory_lru_mapped = 0
 
 
-def memory_cache_len() -> int:
-    """Number of traces currently held by the in-memory LRU."""
-    return len(_memory_lru)
-
-
-def memory_cache_bytes() -> int:
-    """Resident bytes charged against the LRU budget (mapped ≈ 0)."""
-    return _memory_lru_bytes
-
-
 def trace_cache_info() -> dict[str, Any]:
-    """Process-wide trace-LRU accounting (daemon ``/stats``, diagnostics)."""
+    """Process-wide trace-LRU accounting, the daemon's ``/stats`` →
+    ``trace_cache``: live entries, how many are mapped (charged ≈ 0
+    resident bytes), resident vs payload bytes, and the budget."""
     with _memory_lru_lock:
         programs = list(_memory_lru.values())
         resident = _memory_lru_bytes
@@ -764,7 +644,7 @@ def trace_cache_info() -> dict[str, Any]:
         "mapped_entries": sum(1 for p in programs if p.mapped),
         "resident_bytes": resident,
         "payload_bytes": sum(p.nbytes for p in programs),
-        "budget_bytes": _byte_budget(),
+        "budget_bytes": _LRU_BYTES,
     }
 
 
@@ -774,9 +654,8 @@ class TraceCache:
     Tier 1 is a **process-wide** LRU of live :class:`CompiledProgram`
     objects — shared by every ``TraceCache`` instance in the process, so a
     study, its executor, and a process-pool worker all see each other's
-    compilations.  It is bounded by a **byte budget**
-    (:data:`ENV_TRACE_LRU_BYTES`, default 256 MiB of
-    :attr:`~CompiledProgram.resident_nbytes`) and holds at most
+    compilations.  It is bounded by a **byte budget** (``_LRU_BYTES``,
+    256 MiB of :attr:`~CompiledProgram.resident_nbytes`) and holds at most
     ``_MAX_MAPPED`` mapped programs, one file descriptor each.  Tier 2 is
     an optional :class:`~repro.core.resultcache.TraceStore` on disk, which
     is what lets separate ``--jobs`` worker processes and separate CLI
@@ -842,15 +721,15 @@ class TraceCache:
         return None
 
     def put(self, key: str, program: CompiledProgram) -> None:
-        """Install ``program`` in both tiers (disk failures are swallowed)."""
+        """Install ``program`` in both tiers (disk failures are swallowed);
+        the store writes the program's buffer as it is."""
         self._remember(key, program)
         if self.store is not None:
-            self.store.put_bytes(key, program.to_bytes())
+            self.store.put_bytes(key, program.buffer)
 
     @staticmethod
     def _remember(key: str, program: CompiledProgram) -> None:
         global _memory_lru_bytes, _memory_lru_mapped
-        budget = _byte_budget()
         with _memory_lru_lock:
             old = _memory_lru.pop(key, None)
             if old is not None:
@@ -859,7 +738,7 @@ class TraceCache:
             _memory_lru[key] = program
             _memory_lru_bytes += program.resident_nbytes
             _memory_lru_mapped += program.mapped
-            while len(_memory_lru) > 1 and _memory_lru_bytes > budget:
+            while len(_memory_lru) > 1 and _memory_lru_bytes > _LRU_BYTES:
                 _, evicted = _memory_lru.popitem(last=False)
                 _memory_lru_bytes -= evicted.resident_nbytes
                 _memory_lru_mapped -= evicted.mapped

@@ -219,11 +219,15 @@ class TestParser:
         ["run", "ocean", "--cache", "0"],
         ["run", "ocean", "--cache", "-16"],
         ["run", "ocean", "--cache", "huge"],
+        ["run", "lu", "--cache", "nan"],
+        ["run", "lu", "--cache", "infinity"],
+        ["--cache-sizes", "4,nan", "fig4"],
     ], ids=["jobs-zero", "jobs-negative", "timeout-zero",
             "timeout-negative", "processors-zero", "cluster-sizes-zero",
             "cluster-sizes-negative", "cluster-sizes-empty",
             "cache-sizes-zero", "cache-sizes-negative", "clusters-zero",
-            "cache-zero", "cache-negative", "cache-garbage"])
+            "cache-zero", "cache-negative", "cache-garbage", "cache-nan",
+            "cache-infinity", "cache-sizes-nan"])
     def test_nonpositive_resources_rejected(self, argv, capsys):
         """Bad sweep sizes and resources die with a one-line parser error
         (exit code 2), not a traceback from deep inside the executor."""

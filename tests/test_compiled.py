@@ -108,7 +108,7 @@ def test_capture_routes_agree(name, cluster):
     assert tiny_app(name, cfg).stream_invariant
     recorded = tiny_app(name, cfg).run_recorded()[1]
     drained = tiny_app(name, cfg).compiled_program()
-    assert recorded.to_bytes() == drained.to_bytes()
+    assert recorded.buffer == drained.buffer
 
 
 @pytest.mark.parametrize("name", RECORDED_APPS)
@@ -203,7 +203,6 @@ def test_work_fusion_collapses_runs():
     assert args[1] == 200 // 64          # pre-divided line number
     assert args[3] == 130 // 64
     assert program.source_ops == 2 * 9   # pre-fusion count preserved
-    assert program.fused_work
 
 
 def test_fused_replay_still_bit_identical():
@@ -212,7 +211,7 @@ def test_fused_replay_still_bit_identical():
     app = tiny_app("ocean", cfg)
     want = engine_for(cfg).run(app.program).to_json()
     program = tiny_app("ocean", cfg).compiled_program()
-    assert program.fused_work and program.total_ops < program.source_ops
+    assert program.total_ops < program.source_ops
     assert engine_for(cfg).run_compiled(program).to_json() == want
 
 
@@ -237,13 +236,24 @@ def test_compile_stores_task_bodies_and_refuses_misplaced_tasks():
         compile_program(frame, 2, 64, tasks=[[[Work(1), Task(0)]]])
 
 
-def test_runtime_columns_cached_and_equal_to_arrays():
-    program = compile_program(synthetic_factory, 2, 64)
-    ops1, args1 = program.runtime_columns()
-    ops2, args2 = program.runtime_columns()
-    assert ops1 is ops2 and args1 is args2  # built once
-    assert ops1 == [list(o) for o in program.ops]
-    assert args1 == [list(a) for a in program.args]
+def test_every_column_is_a_view_over_one_buffer(tmp_path):
+    """Compiled, recorded, decoded or mapped, a program is one buffer in
+    its blob's layout, and every column is an int64 ``memoryview`` of it:
+    there is no second representation to keep in step."""
+    cfg = MachineConfig(n_processors=8, cluster_size=2)
+    compiled = tiny_app("raytrace", cfg).compiled_program()
+    path = tmp_path / "t.trace"
+    path.write_bytes(compiled.buffer)
+    programs = [compiled, tiny_app("lu", cfg).run_recorded()[1],
+                CompiledProgram.from_bytes(compiled.buffer),
+                CompiledProgram.from_file(path)]
+    for program in programs:
+        columns = [*program.ops, *program.args, program.task_ops,
+                   program.task_args]
+        assert all(isinstance(col, memoryview) and col.format == "q"
+                   and col.obj is program.buffer for col in columns)
+    assert [p.mapped for p in programs] == [False, False, False, True]
+    assert bytes(programs[3].buffer) == programs[2].buffer == compiled.buffer
 
 
 def test_engine_rejects_mismatched_program():
@@ -260,11 +270,10 @@ def test_engine_rejects_mismatched_program():
 
 def test_round_trip_preserves_everything():
     program = compile_program(synthetic_factory, 3, 64)
-    clone = CompiledProgram.from_bytes(program.to_bytes())
+    clone = CompiledProgram.from_bytes(program.buffer)
     assert clone.n_processors == program.n_processors
     assert clone.line_size == program.line_size
     assert clone.source_ops == program.source_ops
-    assert clone.fused_work == program.fused_work
     assert [list(o) for o in clone.ops] == [list(o) for o in program.ops]
     assert [list(a) for a in clone.args] == [list(a) for a in program.args]
 
@@ -277,7 +286,7 @@ def test_round_trip_preserves_everything():
     lambda b: b"",                           # empty
 ])
 def test_corrupt_blobs_raise_decode_error(mutilate):
-    blob = compile_program(synthetic_factory, 2, 64).to_bytes()
+    blob = bytes(compile_program(synthetic_factory, 2, 64).buffer)
     with pytest.raises(TraceDecodeError):
         CompiledProgram.from_bytes(mutilate(blob))
 
@@ -285,6 +294,6 @@ def test_corrupt_blobs_raise_decode_error(mutilate):
 def test_column_validation():
     from array import array
     with pytest.raises(ValueError, match="column counts"):
-        CompiledProgram([array("q")], [], 64, 0, True)
+        CompiledProgram([array("q")], [], 64, 0)
     with pytest.raises(ValueError, match="unequal lengths"):
-        CompiledProgram([array("q", [1])], [array("q")], 64, 0, True)
+        CompiledProgram([array("q", [1])], [array("q")], 64, 0)

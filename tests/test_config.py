@@ -116,6 +116,13 @@ class TestMachineConfig:
         with pytest.raises(ValueError):
             MachineConfig(associativity=0)
 
+    @pytest.mark.parametrize("kb", [float("nan"), float("inf"), -float("inf")])
+    def test_a_non_finite_cache_size_is_refused(self, kb):
+        """NaN compares false with everything, so it passed a ``<= 0``
+        check and only failed later, converting the capacity to lines."""
+        with pytest.raises(ValueError, match="positive and finite"):
+            MachineConfig(cache_kb_per_processor=kb)
+
     def test_describe_mentions_shape(self):
         s = MachineConfig(cluster_size=4, cache_kb_per_processor=4).describe()
         assert "64p" in s and "4/cluster" in s and "4KB" in s

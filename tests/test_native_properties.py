@@ -547,7 +547,7 @@ def test_kernel_faults_on_a_bad_operand(opcode, arg, force_native):
     program = CompiledProgram(
         [array("q", [OP_LOCK, opcode]), array("q")],
         [array("q", [0, arg]), array("q")],
-        config.line_size, source_ops=2, fused_work=True)
+        config.line_size, source_ops=2)
     assert try_replay_native(config, _ScriptedApp(config), program) is None
 
 
@@ -583,7 +583,7 @@ def _bad_program(config, ops, args):
     return CompiledProgram(
         [array("q", ops), array("q", [OP_WORK])],
         [array("q", args), array("q", [5])],
-        config.line_size, source_ops=len(ops) + 1, fused_work=True)
+        config.line_size, source_ops=len(ops) + 1)
 
 
 @pytest.mark.parametrize("ops,args,message", _BAD_STREAMS)
@@ -608,7 +608,7 @@ def test_session_raises_on_a_bad_stored_operand(ops, args, message, tmp_path,
     assert try_replay_native(plan.config, app, program) is None
     store = TraceStore(tmp_path)
     store.put_bytes(trace_key("scripted", {}, plan.config, app.seed),
-                    program.to_bytes())
+                    program.buffer)
     clear_memory_cache()
     session = RunSession(base_config=config, trace_cache=TraceCache(store))
     with pytest.raises(ValueError, match=message):
@@ -641,7 +641,7 @@ def _task_program(config, frame, queues):
     return CompiledProgram(
         [array("q", frame[0]), array("q", [OP_WORK])],
         [array("q", frame[1]), array("q", [5])],
-        config.line_size, source_ops=1, fused_work=True,
+        config.line_size, source_ops=1,
         tasks=(array("q", [op for ops, _ in bodies for op in ops]),
                array("q", [arg for _, args in bodies for arg in args]),
                [[len(ops) for ops, _ in queue] for queue in queues]))

@@ -6,8 +6,9 @@ Two layers of round-trip coverage: pure in-process codec inverses
 daemon's ``/resolve`` endpoint — client encoding, HTTP framing, server
 decoding, and re-encoding all have to agree.
 
-Malformed payloads must come back as HTTP 400 with a structured
-``{"error": ...}`` body and never leak a traceback.
+Malformed payloads must come back as HTTP 400 (a body past the size
+limit as 413) with a structured ``{"error": ...}`` body and never leak a
+traceback.
 """
 
 import http.client
@@ -22,6 +23,7 @@ from repro.apps.registry import APP_NAMES
 from repro.core.config import PROTOCOLS, NetworkConfig
 from repro.core.metrics import RunResult
 from repro.runtime import RunRequest
+from repro.service.http import MAX_BODY
 from repro.service.protocol import (PointReport, ProtocolError,
                                     decode_point_payload,
                                     decode_run_request,
@@ -130,6 +132,16 @@ class TestStrictValidation:
             decode_run_request(payload)
         assert needle in str(excinfo.value)
 
+    @pytest.mark.parametrize("number", ["Infinity", "-Infinity", "NaN",
+                                        "1e999"])
+    def test_a_non_finite_cache_size_is_refused(self, number):
+        """Python's JSON decoder reads these as floats; no cache has
+        such a size."""
+        payload = json.loads('{"app": "lu", "cache_kb": %s}' % number)
+        with pytest.raises(ProtocolError, match="'cache_kb' must be "
+                                                "positive and finite"):
+            decode_run_request(payload)
+
     @pytest.mark.parametrize("payload,needle", [
         ([], "JSON object"),
         ({}, "missing 'request'"),
@@ -187,6 +199,7 @@ class TestWireTripsThroughTheDaemon:
         {"requests": "all of them"},
         {"request": {"app": "not-an-app"}},
         {"request": {"app": "lu", "cluster_size": 3}},  # 3 ∤ 8 processors
+        {"request": {"app": "lu", "cache_kb": float("inf")}},  # Infinity
     ])
     def test_semantically_bad_payloads_are_400s(self, serve_daemon, payload):
         with serve_daemon.client() as client:
@@ -243,5 +256,25 @@ class TestWireTripsThroughTheDaemon:
         assert status == b"HTTP/1.1 400 Bad Request", reply[:200]
         body = json.loads(rest.partition(b"\r\n\r\n")[2])
         assert body["error"]["type"] == "bad-request"
+        with serve_daemon.client() as client:
+            assert client.healthz()["status"] == "ok"
+
+    def test_an_oversized_body_is_a_413_answered_unread(self, serve_daemon):
+        """A ``Content-Length`` past the limit is answered at once, from
+        the headers alone: the body is never sent here, and the reply
+        still comes."""
+        head = (f"POST /run HTTP/1.1\r\nContent-Type: application/json\r\n"
+                f"Content-Length: {MAX_BODY + 1}\r\n\r\n").encode("latin-1")
+        reply = b""
+        with socket.create_connection((serve_daemon.host, serve_daemon.port),
+                                      timeout=30) as sock:
+            sock.sendall(head)
+            while chunk := sock.recv(65536):
+                reply += chunk
+        status, _, rest = reply.partition(b"\r\n")
+        assert status == b"HTTP/1.1 413 Payload Too Large", reply[:200]
+        body = json.loads(rest.partition(b"\r\n\r\n")[2])
+        assert body["error"]["type"] == "payload-too-large"
+        assert str(MAX_BODY) in body["error"]["message"]
         with serve_daemon.client() as client:
             assert client.healthz()["status"] == "ok"

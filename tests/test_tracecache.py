@@ -14,10 +14,9 @@ from repro.core.config import (PAPER_CACHE_SIZES_KB, PAPER_CLUSTER_SIZES,
 from repro.core.executor import SweepExecutor, raise_failures
 from repro.core.resultcache import TraceStore
 from repro.runtime import RunRequest, RunSession
-from repro.sim.compiled import (ENV_TRACE_LRU_BYTES, TraceCache,
-                                clear_memory_cache, compile_program,
-                                memory_cache_bytes, memory_cache_len,
-                                trace_cache_info, trace_key)
+from repro.sim import compiled
+from repro.sim.compiled import (TraceCache, clear_memory_cache,
+                                compile_program, trace_cache_info, trace_key)
 from repro.sim.program import OP_READ, OP_WORK
 
 
@@ -126,20 +125,20 @@ class TestTraceCache:
             warnings.simplefilter("error")
             assert cache.get("k") is not None
 
-    def test_lru_capacity_env_override(self, monkeypatch):
+    def test_lru_byte_budget_evicts_oldest(self, monkeypatch):
         # a byte budget worth exactly two tiny programs
-        monkeypatch.setenv(ENV_TRACE_LRU_BYTES,
-                           str(2 * tiny_program().resident_nbytes))
+        monkeypatch.setattr(compiled, "_LRU_BYTES",
+                            2 * tiny_program().resident_nbytes)
         cache = TraceCache()
         for i in range(3):
             cache.put(f"k{i}", tiny_program())
-        assert memory_cache_len() == 2
+        assert trace_cache_info()["entries"] == 2
         assert cache.get("k0") is None      # evicted (oldest)
         assert cache.get("k2") is not None  # newest survives
 
     def test_lru_get_refreshes_recency(self, monkeypatch):
-        monkeypatch.setenv(ENV_TRACE_LRU_BYTES,
-                           str(2 * tiny_program().resident_nbytes))
+        monkeypatch.setattr(compiled, "_LRU_BYTES",
+                            2 * tiny_program().resident_nbytes)
         cache = TraceCache()
         cache.put("a", tiny_program())
         cache.put("b", tiny_program())
@@ -157,7 +156,7 @@ class TestTraceCache:
         """The serial backend and the daemon evaluate points on threads
         that share the LRU: a lost update of its byte count would either
         evict too early forever or overrun the budget."""
-        monkeypatch.setenv(ENV_TRACE_LRU_BYTES, "200000")
+        monkeypatch.setattr(compiled, "_LRU_BYTES", 200000)
 
         def program_of(n_ops):
             return compile_program(
@@ -194,8 +193,7 @@ class TestTraceCache:
         assert failures == []
         info = trace_cache_info()
         # nothing here is mapped, so payload bytes are the resident bytes
-        assert memory_cache_bytes() == info["resident_bytes"] \
-            == info["payload_bytes"] <= 200000
+        assert info["resident_bytes"] == info["payload_bytes"] <= 200000
 
 
 # ----------------------------------------------------------- executor usage

@@ -1,7 +1,7 @@
 """Streaming traces: the mmappable format, streamed replay, byte budget.
 
 The contract of the out-of-core trace layer is that *where the columns
-live is unobservable*: a program captured into arrays, decoded eagerly
+live is unobservable*: a program packed from a capture, decoded eagerly
 from ``RPROTRC3`` bytes, or memory-mapped and streamed column by column
 must replay to byte-identical results.  These tests pin that contract,
 the corruption-degrades-to-miss behaviour the cache relies on (a blob in
@@ -28,11 +28,10 @@ from repro.core.config import MachineConfig
 from repro.core.resultcache import TraceStore
 from repro.memory.coherence import CoherentMemorySystem
 from repro.runtime import RunRequest, RunSession
-from repro.sim.compiled import (ENV_TRACE_LRU_BYTES, CompiledProgram,
-                                TraceCache,
+from repro.sim import compiled
+from repro.sim.compiled import (CompiledProgram, TraceCache,
                                 TraceDecodeError, clear_memory_cache,
-                                memory_cache_bytes, trace_cache_info,
-                                trace_key)
+                                trace_cache_info, trace_key)
 from repro.sim.engine import Engine
 from repro.sim.program import OP_READ, OP_TASK, OP_WORK, OP_WRITE
 
@@ -46,8 +45,7 @@ def make_program(columns, line_size=32):
     ops = [array.array("q", c[0]) for c in columns]
     args = [array.array("q", c[1]) for c in columns]
     total = sum(len(c) for c in ops)
-    return CompiledProgram(ops, args, line_size,
-                           source_ops=total, fused_work=False)
+    return CompiledProgram(ops, args, line_size, source_ops=total)
 
 
 def v1_bytes(program):
@@ -63,7 +61,6 @@ def v1_bytes(program):
         "n_processors": program.n_processors,
         "line_size": program.line_size,
         "source_ops": program.source_ops,
-        "fused_work": program.fused_work,
         "counts": [len(o) for o in program.ops],
         "itemsize": 8,
         "byteorder": sys.byteorder,
@@ -79,14 +76,13 @@ def make_task_program(line_size=32):
     return CompiledProgram(
         [q("q", [OP_TASK, OP_WORK]), q("q", [OP_TASK])],
         [q("q", [0, 4]), q("q", [0])], line_size, source_ops=5,
-        fused_work=True,
         tasks=(q("q", [OP_READ, OP_WORK, OP_WRITE, OP_WORK]),
                q("q", [7, 3, 9, 2]), [[2, 2]]))
 
 
-#: ``CompiledProgram([[1, 2], [0]], [[3, 4], [5]], 32, source_ops=3,
-#: fused_work=False).to_bytes()`` as the last RPROTRC2 writer (the commit
-#: before ``TASK``) produced it: no ``tasks`` in the header
+#: the program of ops ``[[1, 2], [0]]``, args ``[[3, 4], [5]]``, line size
+#: 32 and 3 source ops, as the last RPROTRC2 writer (the commit before
+#: ``TASK``) encoded it: no ``tasks`` in the header
 V2_BLOB = (
     b'RPROTRC2\xae\x00\x00\x00{"byteorder": "little", "counts": [2, 1], '
     b'"crc32": 2721637634, "fused_work": false, "itemsize": 8, '
@@ -103,7 +99,7 @@ def v2_bytes(program):
 def columns_of(program):
     """Fully boxed (ops, args) per processor, whatever the backing."""
     return [([int(v) for v in o], [int(v) for v in a])
-            for o, a in zip(*program.runtime_columns())]
+            for o, a in zip(program.ops, program.args)]
 
 
 @st.composite
@@ -124,12 +120,11 @@ class TestFormatRoundTrip:
     @settings(max_examples=40, deadline=None)
     def test_v2_round_trip(self, columns):
         program = make_program(columns)
-        decoded = CompiledProgram.from_bytes(program.to_bytes())
+        decoded = CompiledProgram.from_bytes(program.buffer)
         assert columns_of(decoded) == columns
         assert decoded.n_processors == program.n_processors
         assert decoded.line_size == program.line_size
         assert decoded.source_ops == program.source_ops
-        assert decoded.fused_work == program.fused_work
         assert not decoded.mapped
 
     @given(columns=column_sets())
@@ -137,21 +132,18 @@ class TestFormatRoundTrip:
     def test_mapped_file_decode_equal(self, columns, tmp_path_factory):
         program = make_program(columns)
         path = tmp_path_factory.mktemp("blob") / "t.trace"
-        path.write_bytes(program.to_bytes())
+        path.write_bytes(program.buffer)
         mapped = CompiledProgram.from_file(path)
         assert mapped.mapped
         assert columns_of(mapped) == columns
 
     def test_v2_blob_is_uncompressed_and_aligned(self):
         program = make_program([([1, 2, 3], [4, 5, 6])])
-        blob = program.to_bytes()
+        blob = bytes(program.buffer)
         assert blob[:8] == b"RPROTRC3"
-        # payload: 2 columns x 3 int64 at an 8-aligned offset (a static
-        # program's task sections are empty)
-        payload = array.array("q", [1, 2, 3, 4, 5, 6])
-        if sys.byteorder == "big":
-            payload.byteswap()
-        assert blob.endswith(payload.tobytes())
+        # payload: 2 columns x 3 int64 in host order at an 8-aligned
+        # offset (a static program's task sections are empty)
+        assert blob.endswith(array.array("q", [1, 2, 3, 4, 5, 6]).tobytes())
         assert (len(blob) - 6 * 8) % 8 == 0
 
     def test_task_table_round_trips(self, tmp_path):
@@ -159,7 +151,7 @@ class TestFormatRoundTrip:
         a replay cannot tell which backing it came from."""
         cfg = MachineConfig(n_processors=2, cluster_size=1)
         program = make_task_program(cfg.line_size)
-        blob = program.to_bytes()
+        blob = bytes(program.buffer)
         path = tmp_path / "t.trace"
         path.write_bytes(blob)
         results = set()
@@ -169,7 +161,7 @@ class TestFormatRoundTrip:
             assert (list(twin.task_ops), list(twin.task_args),
                     twin.task_lens) == ([OP_READ, OP_WORK, OP_WRITE, OP_WORK],
                                         [7, 3, 9, 2], [[2, 2]])
-            assert twin.to_bytes() == blob
+            assert bytes(twin.buffer) == blob
             # 3 frame ops of which 2 dispatch, 4 task ops; 8 bytes x 2 each
             assert (twin.total_ops, twin.nbytes) == (5, 7 * 16)
             results.add(Engine(cfg, CoherentMemorySystem(cfg))
@@ -186,7 +178,7 @@ class TestFormatRoundTrip:
                             cache_kb_per_processor=4.0)
         twin = make_program([(ops, args), ([OP_WORK], [5])], cfg.line_size)
         path = tmp_path / "t.trace"
-        path.write_bytes(twin.to_bytes())
+        path.write_bytes(twin.buffer)
         mapped = CompiledProgram.from_file(path)
         assert mapped.mapped and mapped.total_ops == n + 1
         results = {Engine(cfg, CoherentMemorySystem(cfg))
@@ -212,7 +204,7 @@ class TestCorruption:
     ])
     def test_mapped_corruption_is_a_miss_with_warning(self, tmp_path,
                                                       mutilate):
-        good = make_program([([1, 2], [3, 4])]).to_bytes()
+        good = bytes(make_program([([1, 2], [3, 4])]).buffer)
         store = self._store_with_blob(tmp_path, mutilate(good))
         cache = TraceCache(store)
         with pytest.warns(UserWarning, match="corrupt compiled trace"):
@@ -229,14 +221,17 @@ class TestCorruption:
         {"payload_offset": 16},              # sections overlap the header
         {"payload_offset": 10 ** 9},
         {"counts": [1, -1], "tasks": [[3, 3]]},
+        # written on a host of the other byte order: the payload is in
+        # the writer's order, so it is refused, not swapped
+        {"byteorder": "big" if sys.byteorder == "little" else "little"},
+        {"itemsize": 4},
     ])
     def test_hostile_task_table_is_a_miss_never_a_sigbus(self, tmp_path,
                                                          damage):
         """``from_file`` checks every section the header promises against
         the mapping before slicing it: a header that lies is a decode
         error, hence a cache miss with the usual warning."""
-        program = make_task_program()
-        blob = program.to_bytes()
+        blob = bytes(make_task_program().buffer)
         hlen = int.from_bytes(blob[8:12], "little")
         header = json.loads(blob[12:12 + hlen])
         payload = blob[header["payload_offset"]:]
@@ -259,7 +254,7 @@ class TestCorruption:
             assert cache.get("deadbeef") is None
 
     def test_every_truncation_fails_structurally(self, tmp_path):
-        blob = make_program([([7, 8, 9], [1, 2, 3])]).to_bytes()
+        blob = bytes(make_program([([7, 8, 9], [1, 2, 3])]).buffer)
         path = tmp_path / "t.trace"
         for cut in range(len(blob)):
             path.write_bytes(blob[:cut])
@@ -267,7 +262,7 @@ class TestCorruption:
                 CompiledProgram.from_file(path)
 
     def test_flipped_payload_bit_caught_eagerly(self):
-        blob = bytearray(make_program([([1, 2], [3, 4])]).to_bytes())
+        blob = bytearray(make_program([([1, 2], [3, 4])]).buffer)
         blob[-1] ^= 0x40
         # the eager decoder reads every byte, so the CRC must catch it
         with pytest.raises(TraceDecodeError):
@@ -276,7 +271,7 @@ class TestCorruption:
     @pytest.mark.parametrize("plant", [
         v1_bytes,                            # retired RPROTRC1 format
         v2_bytes,                            # retired RPROTRC2 format
-        lambda p: p.to_bytes()[:-8],         # truncated payload
+        lambda p: bytes(p.buffer)[:-8],      # truncated payload
     ])
     def test_bad_blob_in_store_recaptures(self, tmp_path, plant):
         """One warning, a recapture, the same bytes out, and the file
@@ -303,7 +298,7 @@ class TestCorruption:
 
 
 class TestReplayIdentity:
-    """Mapped replay is byte-identical to array-backed, all nine apps."""
+    """Mapped replay is byte-identical to in-memory, all nine apps."""
 
     @pytest.mark.parametrize("name", sorted(TINY_SIZES))
     def test_mapped_vs_materialized(self, name, tmp_path):
@@ -312,8 +307,7 @@ class TestReplayIdentity:
         spec = RunRequest.make(name, 2, 4.0, dict(TINY_SIZES[name]))
         store = TraceStore(tmp_path)
 
-        # the capture pass replays the freshly compiled, array-backed
-        # program (plain-list runtime columns)
+        # the capture pass replays the freshly packed, in-memory program
         clear_memory_cache()
         materialized = RunSession(cfg, TraceCache(store)).run(spec)
         assert trace_cache_info()["mapped_entries"] == 0
@@ -353,7 +347,7 @@ class TestByteBudget:
         assert all(v > 0 for v in nbytes.values())
         # a budget that fits exactly one of the two programs
         budget = max(nbytes.values())
-        monkeypatch.setenv(ENV_TRACE_LRU_BYTES, str(budget))
+        monkeypatch.setattr(compiled, "_LRU_BYTES", budget)
         clear_memory_cache()
         cache = TraceCache()
         for name, program in programs.items():
@@ -361,12 +355,11 @@ class TestByteBudget:
                       program)
         info = trace_cache_info()
         assert info["entries"] == 1  # the first program was evicted
-        assert info["budget_bytes"] == budget
-        assert memory_cache_bytes() <= budget
+        assert info["budget_bytes"] == budget >= info["resident_bytes"]
         clear_memory_cache()
 
     def test_overbudget_single_entry_survives(self, cfg4, monkeypatch):
-        monkeypatch.setenv(ENV_TRACE_LRU_BYTES, "1")
+        monkeypatch.setattr(compiled, "_LRU_BYTES", 1)
         clear_memory_cache()
         cache = TraceCache()
         program = capture("lu", cfg4)
@@ -379,7 +372,7 @@ class TestByteBudget:
         program = capture("lu", cfg4)
         store = TraceStore(tmp_path)
         key = trace_key("lu", TINY_SIZES["lu"], cfg4, 12345)
-        store.put_bytes(key, program.to_bytes())
+        store.put_bytes(key, program.buffer)
         clear_memory_cache()
         cache = TraceCache(store)
         mapped = cache.get(key)
@@ -391,8 +384,10 @@ class TestByteBudget:
         clear_memory_cache()
 
     def test_legacy_entry_count_knob_is_ignored(self, cfg4, monkeypatch):
+        """Neither retired knob, the entry count or the byte budget's
+        environment override, reaches the LRU."""
         monkeypatch.setenv("REPRO_TRACE_LRU", "1")
-        monkeypatch.delenv(ENV_TRACE_LRU_BYTES, raising=False)
+        monkeypatch.setenv("REPRO_TRACE_LRU_BYTES", "1")
         clear_memory_cache()
         cache = TraceCache()
         programs = self._programs(cfg4)
@@ -421,8 +416,7 @@ store = TraceStore(sys.argv[1])
 keys = [f"{k:064x}" for k in range(400)]
 for k, key in enumerate(keys):
     store.put_bytes(key, CompiledProgram(
-        [array("q", [0])], [array("q", [k])], 32, source_ops=1,
-        fused_work=True).to_bytes())
+        [array("q", [0])], [array("q", [k])], 32, source_ops=1).buffer)
 config = MachineConfig(n_processors=1, cluster_size=1)
 result = Engine(config, PerfectMemory()).run(lambda pid: [Work(1)])
 cache = TraceCache(store)
@@ -453,7 +447,7 @@ def test_an_unmappable_trace_is_a_plain_store_miss(tmp_path, monkeypatch):
     """An ``OSError`` from ``mmap`` (out of descriptors, say) says nothing
     about the blob: a store miss, with no corruption warning."""
     store = TraceStore(tmp_path)
-    store.put_bytes("deadbeef", make_program([([1, 2], [3, 4])]).to_bytes())
+    store.put_bytes("deadbeef", make_program([([1, 2], [3, 4])]).buffer)
 
     def refuse(*args, **kwargs):
         raise OSError(24, "Too many open files")
@@ -490,7 +484,8 @@ class TestPaperScale:
     """Paper-scale smoke: the workload the streaming layer exists for."""
 
     def test_lu_512_mapped_replay_bounded_rss(self, tmp_path):
-        """512x512 LU replays through the mapping under a firm RSS lid."""
+        """512x512 LU is captured and replays through the mapping, each
+        under a firm RSS lid."""
         env = os.environ.copy()
         env["PYTHONPATH"] = str(Path(__file__).resolve().parent.parent / "src")
         env["REPRO_NATIVE"] = "0"
@@ -505,6 +500,10 @@ class TestPaperScale:
         assert captured["disk_hits"] == 0
         blob = next(Path(tmp_path, "traces").glob("*.trace"))
         assert blob.stat().st_size > 20e6  # genuinely paper-scale
+        # the capturing child holds the drained columns and the one
+        # buffer they are packed into, which the store writes as it is:
+        # no encoded copy of the ~46 MB trace beside them
+        assert captured["maxrss_kb"] < 160 * 1024
 
         mapped = child()
         assert mapped["disk_hits"] == 1
