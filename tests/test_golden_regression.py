@@ -124,3 +124,36 @@ def test_golden_compare_stdout(capsys):
 def test_golden_trace_summary(capsys):
     assert cli.main(["--quick", "trace", "radix"]) == 0
     assert capsys.readouterr().out.splitlines() == PROBES["trace_radix"]
+
+
+# ------------------------------------------------ multi-step N-body physics
+
+#: every tier-1 barnes/fmm point runs one step, so no other test sees the
+#: forces feed back into positions; these run two
+NBODY_CASES = {"barnes": {"n_particles": 256, "n_steps": 2},
+               "fmm": {"n_particles": 256, "levels": 3, "n_steps": 2}}
+NBODY = json.loads((GOLDEN / "nbody_steps.json").read_text())
+
+
+def nbody_digest(case: str) -> dict[str, str]:
+    """``{"result": sha256 of RunResult.to_json(), "state": sha256 of the
+    final pos then vel bytes}`` for a case ``"<app>/c<cluster>/<cache>"``."""
+    from repro.apps.registry import build_app
+
+    app, cluster, cache = case.split("/")
+    cfg = MachineConfig(n_processors=16, cluster_size=int(cluster[1:]),
+                        cache_kb_per_processor=(None if cache == "inf"
+                                                else float(cache[:-2])))
+    run = build_app(app, cfg, **NBODY_CASES[app])
+    result = run.run()
+    return {"result": hashlib.sha256(result.to_json().encode()).hexdigest(),
+            "state": hashlib.sha256(run.pos.tobytes()
+                                    + run.vel.tobytes()).hexdigest()}
+
+
+@pytest.mark.parametrize("case", sorted(NBODY))
+def test_golden_nbody_two_steps(case):
+    """Barnes and FMM after two steps: step 0's forces move the bodies
+    step 1 builds its tree and lists from, so one ulp of force drift
+    changes these bytes."""
+    assert nbody_digest(case) == NBODY[case]
