@@ -7,8 +7,9 @@ needs and nothing more:
 * request parsing (request line, headers, ``Content-Length`` bodies)
   with hard size limits — a malformed request raises
   :class:`HTTPParseError` and becomes a 400, a declared body past
-  :data:`MAX_BODY` a 413 (:class:`PayloadTooLarge`), never a hung
-  connection;
+  :data:`MAX_BODY` a 413 (:class:`PayloadTooLarge`), headers or a body
+  still arriving :data:`REQUEST_DEADLINE` seconds after the request line
+  a 408 (:class:`RequestTimeout`), never a hung connection;
 * fixed-length JSON responses (``Content-Length``) and chunked
   streaming responses (``Transfer-Encoding: chunked``) for the
   JSON-lines sweep stream.
@@ -27,8 +28,8 @@ from dataclasses import dataclass, field
 from typing import Any, Mapping
 
 __all__ = ["HTTPParseError", "HTTPRequest", "JSONLineWriter",
-           "PayloadTooLarge", "REASONS", "read_request", "response_bytes",
-           "send_json"]
+           "PayloadTooLarge", "REASONS", "RequestTimeout", "read_request",
+           "response_bytes", "send_json"]
 
 #: request-line + one header line limit (bytes)
 MAX_LINE = 8192
@@ -36,6 +37,11 @@ MAX_LINE = 8192
 MAX_HEADERS = 100
 #: request body limit (bytes) — a sweep of thousands of points fits easily
 MAX_BODY = 8 * 1024 * 1024
+#: seconds a request's headers and body may take once its request line has
+#: arrived (a peer trickling bytes cannot hold a connection open); the
+#: idle wait for the next request line on a keep-alive connection is not
+#: timed
+REQUEST_DEADLINE = 30.0
 
 REASONS = {200: "OK", 202: "Accepted", 400: "Bad Request", 404: "Not Found",
            405: "Method Not Allowed", 408: "Request Timeout",
@@ -54,6 +60,13 @@ class PayloadTooLarge(HTTPParseError):
     """A ``Content-Length`` past :data:`MAX_BODY`; the body is never read."""
 
     status, kind = 413, "payload-too-large"
+
+
+class RequestTimeout(HTTPParseError):
+    """Headers or body incomplete :data:`REQUEST_DEADLINE` seconds after
+    the request line."""
+
+    status, kind = 408, "request-timeout"
 
 
 @dataclass
@@ -121,8 +134,23 @@ def _body_length(headers: Mapping[str, str]) -> int:
     return length
 
 
+async def _read_rest(reader: asyncio.StreamReader) -> tuple[dict[str, str],
+                                                             bytes]:
+    headers = await _read_headers(reader)
+    length = _body_length(headers)
+    try:
+        return headers, (await reader.readexactly(length) if length else b"")
+    except asyncio.IncompleteReadError as exc:
+        raise HTTPParseError("connection closed inside body") from exc
+
+
 async def read_request(reader: asyncio.StreamReader) -> HTTPRequest | None:
-    """Parse one request; ``None`` on clean EOF before the request line."""
+    """Parse one request; ``None`` on clean EOF before the request line.
+
+    The request line may take as long as it likes (an idle keep-alive
+    connection); the headers and body must then arrive within
+    :data:`REQUEST_DEADLINE` seconds, or :class:`RequestTimeout`.
+    """
     line = await _readline(reader)
     if not line:
         return None
@@ -132,12 +160,12 @@ async def read_request(reader: asyncio.StreamReader) -> HTTPRequest | None:
     if len(parts) != 3 or not parts[2].startswith("HTTP/1."):
         raise HTTPParseError(f"malformed request line {line!r}")
     method, target, _version = parts
-    headers = await _read_headers(reader)
-    length = _body_length(headers)
     try:
-        body = await reader.readexactly(length) if length else b""
-    except asyncio.IncompleteReadError as exc:
-        raise HTTPParseError("connection closed inside body") from exc
+        headers, body = await asyncio.wait_for(_read_rest(reader),
+                                               REQUEST_DEADLINE)
+    except asyncio.TimeoutError:
+        raise RequestTimeout(f"request incomplete {REQUEST_DEADLINE:g} s "
+                             f"after its request line") from None
     path, _, query = target.partition("?")
     return HTTPRequest(method.upper(), path, query, headers, body)
 

@@ -127,3 +127,68 @@ class TestSharing:
         res = app.run()
         assert res.misses.by_cause[MissCause.CAPACITY] < \
             0.05 * max(res.misses.misses, 1)
+
+
+# ------------------------------------------------ the batched field passes
+
+
+def scalar_fields(app, p):
+    """The per-pair far and near fields the batch replaced: their sum, the
+    boxes read and the partner bodies read."""
+    g, (ti, tj), pp = 1 << app.levels, app.leaf_of(p), app.pos[p]
+    far, near, boxes, partners = np.zeros(2), np.zeros(2), [], []
+
+    def pull(acc, m, d):
+        r2 = float(d @ d) + app.eps2
+        acc += m * d / (r2 * np.sqrt(r2))
+    i, j = ti, tj
+    for level in range(app.levels, 1, -1):
+        for ci, cj in app.interaction_list(level, i, j):
+            bid = app.box_id(level, ci, cj)
+            boxes.append(bid)
+            if app.moments[bid, 2] > 0.0:
+                pull(far, app.moments[bid, 2], app.moments[bid, :2] - pp)
+        i, j = i // 2, j // 2
+    for ni in (ti - 1, ti, ti + 1):
+        for nj in (tj - 1, tj, tj + 1):
+            if 0 <= ni < g and 0 <= nj < g:
+                for q in app.box_particles[ni * g + nj]:
+                    if q != p:
+                        partners.append(q)
+                        pull(near, app.mass[q], app.pos[q] - pp)
+    return far + near, boxes, partners
+
+
+class TestBatchedFields:
+    @pytest.mark.parametrize("levels", [2, 3, 4])
+    @pytest.mark.parametrize("shape", ["uniform", "clustered"])
+    def test_same_bits_and_lists_as_the_scalar_fields(self, cfg, shape,
+                                                       levels):
+        """Every body's acceleration bytes, box list and partner list
+        equal the per-pair passes'; the clustered set leaves boxes empty,
+        so massless interaction boxes are read but pull nothing."""
+        app = FMMApp(cfg, n_particles=200, levels=levels, n_steps=1)
+        app.ensure_setup()
+        rng = np.random.default_rng(levels)
+        if shape == "uniform":
+            app.pos[:] = rng.uniform(0.0, 1.0, (app.n, 2))
+        else:
+            app.pos[:] = np.clip(0.3 + 0.05 * rng.standard_normal((app.n, 2)),
+                                 0.0, 1.0)
+        app._ensure_bins(0)
+        g = 1 << levels
+        for i in range(g):
+            for j in range(g):
+                app._leaf_moment(i, j)
+        for level in range(levels - 1, -1, -1):
+            for i in range(1 << level):
+                for j in range(1 << level):
+                    app._internal_moment(level, i, j)
+        app._ensure_fields(0)
+        for p in range(app.n):
+            acc, boxes, partners = scalar_fields(app, p)
+            i, j = app.leaf_of(p)
+            lboxes, lbodies = app.leaf_lists[i * g + j]
+            assert app.acc[p].tobytes() == acc.tobytes(), p
+            assert lboxes == boxes
+            assert [q for q in lbodies if q != p] == partners
