@@ -75,14 +75,14 @@ class Cache:
     ``associativity`` the lines per set, which must divide the capacity
     unless the geometry is :func:`fully_associative` (one set).
 
-    The per-set dicts ``sets`` are public on purpose: the protocol back
-    ends bind them once per cache and run their **hit** paths as plain
-    dict probes and record attribute writes — the LRU touch (delete +
-    reinsert of a resident line's own record), ``fetcher`` (the prefetch
-    benefit is counted once) and ``state`` on a write hit.  Lines enter and
-    leave a set only through :meth:`insert` and :meth:`invalidate`; a record
-    from a lookup is not used after an insert into the same set, which may
-    hand it to another line.
+    Only this class picks a set (``line % n_sets``) or touches LRU order.
+    The protocol back ends reach a resident line through :meth:`lookup`
+    on every reference and write the record it returns in place on a
+    hit: ``fetcher`` (the prefetch benefit is counted once) and ``state``
+    on a write hit.  Lines enter and leave a set only through
+    :meth:`insert` and :meth:`invalidate`; a record from a lookup is not
+    used after an insert into the same set, which may hand it to another
+    line.
     """
 
     __slots__ = ("capacity_lines", "ways", "n_sets", "sets", "evictions",

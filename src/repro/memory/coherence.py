@@ -22,21 +22,19 @@ The protocol operates at *cluster* granularity: all processors behind one
 shared cache are a single coherence participant, which is exactly the
 mechanism by which clustering obviates communication.
 
-Hits inline, misses through the API
------------------------------------
+Every reference through ``Cache``, misses through the API
+---------------------------------------------------------
 The two hot entry points, :meth:`CoherentMemorySystem.read` and
 :meth:`CoherentMemorySystem.write`, take line numbers (the simulation engine
-divides byte addresses by the line size once).  They make the split
-``kernel.c`` makes:
+divides byte addresses by the line size once).  Each step has one
+implementation, the one ``kernel.c`` mirrors:
 
-* what runs on **every reference** is inline on the set's dict of
-  :class:`~repro.memory.cache.Line` records, bound once per cache, so a hit
-  is a dict probe plus two record attribute reads and allocates nothing.
-  The paper's fully associative cache is one set and binds its dict
-  directly; a set-associative cache selects the dict with ``line %
-  n_sets``, the one place an operation looks at the geometry;
-* what runs only on a **miss, upgrade or eviction** is a call into the one
-  tested implementation of that step: :meth:`Cache.insert` /
+* **every reference** probes its cluster's cache through
+  :meth:`Cache.lookup <repro.memory.cache.Cache.lookup>`, which picks the
+  set and refreshes LRU order; a hit then reads the
+  :class:`~repro.memory.cache.Line` record it returns and writes its
+  ``fetcher`` or ``state`` in place, and allocates nothing;
+* a **miss, upgrade or eviction** goes through :meth:`Cache.insert` /
   ``invalidate`` / ``downgrade`` for the cache, the five
   :class:`~repro.memory.directory.Directory` transitions for the line's
   directory entry, and ``price(requester, home, owner, now)`` — the latency
@@ -52,9 +50,9 @@ divides byte addresses by the line size once).  They make the split
 
 :class:`MemorySystem` holds what the three protocol back ends (this one,
 :mod:`~repro.memory.snoopy`, :mod:`~repro.memory.dls`) share outside their
-hot methods: construction, the record dict, the processor → cluster
-mapping, ``price``, the counters and the cache-geometry and home half of
-``check_invariants``.
+hot methods: construction, the caches, the record dict, the processor →
+cluster mapping, ``price``, the counters and the cache-geometry and home
+half of ``check_invariants``.
 """
 
 from __future__ import annotations
@@ -111,14 +109,6 @@ class MemorySystem:
         #: line -> LineRecord, one per line ever missed on (directory.py);
         #: a back end with a directory hands this same dict to it
         self.records: dict[int, LineRecord] = {}
-        # The hit paths run on each cache's set dicts as plain dict probes
-        # and record attribute accesses, with no method call.  One fully
-        # associative set (the paper's model) is bound as the dict itself,
-        # so only n_sets != 1 pays the ``line % n_sets`` selection.
-        self._n_sets = self.caches[0].n_sets
-        self._ways = self.caches[0].ways
-        self._lines = [c.sets if self._n_sets != 1 else c.sets[0]
-                       for c in self.caches]
 
     def cluster_of(self, processor: int) -> int:
         """Cluster id for a processor."""
@@ -193,15 +183,8 @@ class CoherentMemorySystem(MemorySystem):
         ctr = self.counters[cluster]
         if not is_retry:
             ctr.reads += 1
-        lines = self._lines[cluster]
-        if self._n_sets != 1:
-            lines = lines[line % self._n_sets]
-        record = lines.get(line)
+        record = self.caches[cluster].lookup(line)
         if record is not None:
-            if self._ways is not None:
-                # LRU touch: delete + reinsert keeps dict order = LRU
-                del lines[line]
-                lines[line] = record
             pending_until = record.pending_until
             if pending_until > now:
                 ctr.merges += 1
@@ -244,14 +227,8 @@ class CoherentMemorySystem(MemorySystem):
         cluster = self._cluster_of[processor]
         ctr = self.counters[cluster]
         ctr.writes += 1
-        lines = self._lines[cluster]
-        if self._n_sets != 1:
-            lines = lines[line % self._n_sets]
-        record = lines.get(line)
+        record = self.caches[cluster].lookup(line)
         if record is not None:
-            if self._ways is not None:
-                del lines[line]
-                lines[line] = record
             if record.state == EXCLUSIVE:
                 return
             # UPGRADE: present but SHARED -> invalidate other sharers.

@@ -35,13 +35,13 @@ The class exposes the same hot interface as
 ``network_stats`` / ``check_invariants``), so the engine, the stats
 assembler, and the study driver accept it interchangeably; runs select
 it through the protocol registry (``MachineConfig.protocol = "dls"``).
-Like the directory back end it probes, touches and accounts hits inline
-on the home slice's set dict of line records — no call per local hit —
-and goes through :meth:`Cache.insert` and ``price`` for everything else
-(see :mod:`~repro.memory.coherence`, "Hits inline, misses through the
-API").  The oracle it is pinned against is ``RefDLSMemorySystem`` in
-``tests/refmodel.py``: the same protocol written out plainly over the
-same :class:`~repro.memory.cache.Cache`.
+Like the directory back end it reaches the home slice's line record
+only through :meth:`Cache.lookup`, on every access, and goes through
+:meth:`Cache.insert` and ``price`` for everything else (see
+:mod:`~repro.memory.coherence`, "Every reference through ``Cache``,
+misses through the API").  The oracle it is pinned against is
+``RefDLSMemorySystem`` in ``tests/refmodel.py``: the same protocol
+written out plainly over the same :class:`~repro.memory.cache.Cache`.
 """
 
 from __future__ import annotations
@@ -102,15 +102,8 @@ class DLSMemorySystem(MemorySystem):
         rec = records.get(line) or new_record(
             records, line, self.allocator.home_of_line(line))
         home = rec.home
-        # a line lives only in its home slice, so that is the one set probed
-        lines = self._lines[home]
-        if self._n_sets != 1:
-            lines = lines[line % self._n_sets]
-        record = lines.get(line)
-        if record is not None and self._ways is not None:
-            # LRU touch: delete + reinsert keeps dict order = LRU
-            del lines[line]
-            lines[line] = record
+        # a line lives only in its home slice, so that is the one probed
+        record = self.caches[home].lookup(line)
 
         if home == cluster:
             # ---- local slice: hit / merge / local fill
@@ -167,10 +160,7 @@ class DLSMemorySystem(MemorySystem):
         rec = records.get(line) or new_record(
             records, line, self.allocator.home_of_line(line))
         home = rec.home
-        lines = self._lines[home]
-        if self._n_sets != 1:
-            lines = lines[line % self._n_sets]
-        record = lines.get(line)
+        record = self.caches[home].lookup(line)
         remote = home != cluster
         if remote or record is None:
             # a miss: the write leaves the cluster, or allocates locally
@@ -179,9 +169,6 @@ class DLSMemorySystem(MemorySystem):
             if remote:
                 rec.lost_coh |= 1 << cluster
         if record is not None:
-            if self._ways is not None:
-                del lines[line]
-                lines[line] = record
             record.state = EXCLUSIVE
             return
         # write-allocate at the home slice (memory fill at home)

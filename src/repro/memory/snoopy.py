@@ -30,11 +30,13 @@ of first touches decides which cluster a page lands on.
 The class exposes the same hot interface as
 :class:`~repro.memory.coherence.CoherentMemorySystem` (``read``/``write``/
 ``aggregate_counters``/``counters``), so the engine and the study driver
-accept either interchangeably.  Like the shared-cache system it reads
-and writes the cache's line records in place on a hit, derives
-``hits``/``references`` on :class:`~repro.core.metrics.MissCounters`
-instead of incrementing them, and precomputes each cluster's processor
-range once (``_snoop`` walks the bus on every miss).
+accept either interchangeably.  Like the shared-cache system it reaches
+a resident line only through :class:`~repro.memory.cache.Cache`
+(``lookup`` on a reference, ``line in cache`` on a snoop), writes the
+record it gets back in place on a hit, derives ``hits``/``references``
+on :class:`~repro.core.metrics.MissCounters` instead of incrementing
+them, and precomputes each cluster's processor range once (``_snoop``
+walks the bus on every miss).
 """
 
 from __future__ import annotations
@@ -91,17 +93,13 @@ class SnoopyClusterMemorySystem(MemorySystem):
         # on every miss, and range objects are reusable
         self._procs = [config.processors_of(c)
                        for c in range(config.n_clusters)]
-        # every processor's sets, so a snoop's residency probes are plain
-        # dict-membership tests
-        self._sets = [c.sets for c in self.caches]
 
     # ------------------------------------------------------------------ hot
     def _snoop(self, line: int, cluster: int, exclude: int) -> int | None:
         """Find a cluster-mate (≠ exclude) holding ``line``; returns its id."""
-        sets = self._sets
-        index = line % self._n_sets
+        caches = self.caches
         for q in self._procs[cluster]:
-            if q != exclude and line in sets[q][index]:
+            if q != exclude and line in caches[q]:
                 return q
         return None
 

@@ -455,8 +455,9 @@ def compile_program(program_factory: ProgramFactory, n_processors: int,
                     line_size: int, tasks=()) -> CompiledProgram:
     """Drain every processor's generator once into a :class:`CompiledProgram`.
 
-    * READ/WRITE byte addresses become line numbers (``arg // line_size``),
-      hoisting the division out of the replay loop entirely;
+    * READ/WRITE byte addresses become line numbers (divided by
+      ``line_size`` here, once), hoisting the division out of the replay
+      loop entirely;
     * a run of consecutive WORK ops collapses into one WORK carrying the
       summed cycles — SPMD emission helpers pad spans with WORK, so fusion
       typically removes 10-30% of stored ops;
@@ -531,10 +532,13 @@ class ProgramRecorder:
         program = recorder.finish()
 
     ``factory`` is a drop-in :data:`~repro.sim.program.ProgramFactory` that
-    transparently appends every yielded op (with the same line-division and
-    WORK fusion as :func:`compile_program`) before handing it to the
-    engine, so the capture is the *executed* interleaving by construction
-    and replaying it on an identically-configured machine is bit-identical.
+    appends every yielded ``(opcode, arg)`` as it is to a raw column pair
+    of its processor before handing it to the engine, so the capture is
+    the *executed* interleaving by construction.  :meth:`finish` stores
+    each raw pair through :func:`_drain`, the one rule
+    :func:`compile_program` stores by (line division, WORK fusion), and
+    replaying the result on an identically-configured machine is
+    bit-identical.
     """
 
     def __init__(self, program_factory: ProgramFactory, n_processors: int,
@@ -546,39 +550,32 @@ class ProgramRecorder:
         self._factory = program_factory
         self.n_processors = n_processors
         self.line_size = line_size
-        self._ops = [array("q") for _ in range(n_processors)]
-        self._args = [array("q") for _ in range(n_processors)]
-        self._source_ops = 0
+        self._raw_ops = [array("q") for _ in range(n_processors)]
+        self._raw_args = [array("q") for _ in range(n_processors)]
 
     def factory(self, pid: int):
         """The recording wrapper around ``program_factory(pid)``."""
-        ops = self._ops[pid]
-        args = self._args[pid]
-        line_size = self.line_size
-        was_work = False
+        append_op = self._raw_ops[pid].append
+        append_arg = self._raw_args[pid].append
         for op in self._factory(pid):
-            opcode, arg = op
-            self._source_ops += 1
-            if opcode == OP_WORK:
-                if was_work:
-                    args[-1] += arg
-                    yield op
-                    continue
-                was_work = True
-                ops.append(opcode)
-                args.append(arg)
-            else:
-                was_work = False
-                ops.append(opcode)
-                args.append(arg // line_size
-                            if opcode == OP_READ or opcode == OP_WRITE
-                            else arg)
+            append_op(op[0])
+            append_arg(op[1])
             yield op
 
     def finish(self) -> CompiledProgram:
-        """The capture as a :class:`CompiledProgram` (call after the run)."""
-        return CompiledProgram(self._ops, self._args, self.line_size,
-                               self._source_ops)
+        """The capture as a :class:`CompiledProgram` (call after the run).
+
+        Each raw pair is popped, so it is freed as soon as it is drained
+        and the raw columns are gone before the program packs its
+        buffer."""
+        ops = [array("q") for _ in range(self.n_processors)]
+        args = [array("q") for _ in range(self.n_processors)]
+        source_ops = 0
+        for o, a in zip(ops, args):
+            source_ops += _drain(
+                zip(self._raw_ops.pop(0), self._raw_args.pop(0)), o, a,
+                self.line_size, False, 0, phased=False)[0]
+        return CompiledProgram(ops, args, self.line_size, source_ops)
 
 
 # --------------------------------------------------------------------- keys

@@ -47,16 +47,16 @@ iterator); nothing selects between interpreters because there is only
 one, so operand validation (negative WORK, unknown opcode) holds for
 stored traces exactly as it does for generators.
 
-The loop has a *heap fast path*: when the processor's next event lands
-**strictly earlier** than the current heap minimum (or the heap is
-empty), that event would necessarily be popped next, so the
-heappush/heappop round-trip is skipped and the processor simply continues.
-This is bit-identical to pushing every event: skipping an adjacent
-push/pop pair removes one sequence number from the global counter, which
-relabels all later sequence numbers monotonically — the relative order of
-every remaining event, including ties, is unchanged.  (An event *equal* to
-the heap minimum must still go through the heap: the incumbent was pushed
-earlier, holds the smaller sequence number, and wins the tie.)
+The loop's scheduling tail is one ``heappushpop`` of the processor's next
+event.  When that event lands **strictly earlier** than the heap minimum
+(or the heap is empty), ``heappushpop`` hands it straight back without
+touching the heap, so the processor simply continues; the sequence number
+it spent relabels all later sequence numbers monotonically, so the
+relative order of every remaining event, including ties, is the order a
+push of every event gives.  (An event *equal* to the heap minimum loses
+the tie to the incumbent, which was pushed earlier and holds the smaller
+sequence number.)  ``kernel.c`` keeps its own fast path for the same
+case.
 """
 
 from __future__ import annotations
@@ -175,10 +175,10 @@ class Engine:
         n_running = n
 
         # Single flat loop: one iteration processes one operation.  The
-        # reschedule tail fuses the historical heappush + outer heappop into
-        # one heappushpop (same returned minimum, same tie-breaks, half the
-        # sift work); ``tn = None`` marks a blocked/finished processor whose
-        # next event comes solely from the heap.
+        # reschedule tail is one heappushpop (the push of this processor's
+        # next event and the pop of the minimum, fused); ``tn = None``
+        # marks a blocked/finished processor whose next event comes solely
+        # from the heap.
         t, _, pid = heappop(heap)
         bd = breakdowns[pid]
         nxt = nexts[pid]
@@ -267,9 +267,6 @@ class Engine:
                 if not heap:
                     break
                 t, _, npid = heappop(heap)
-            elif not heap or tn < heap[0][0]:
-                t = tn  # strictly next: stay on this processor
-                continue
             else:
                 t, _, npid = heappushpop(heap, (tn, seq, pid)); seq += 1
                 if npid == pid:

@@ -128,7 +128,7 @@ class TestSlabColumns:
 
     def test_infinite_growth_preserves_column_identity(self):
         c = Cache(None)
-        lines = c.sets[0]  # bound before any insert, like the back ends do
+        lines = c.sets[0]  # bound before any insert
         for line in range(5000):
             c.insert(line, SHARED, pending_until=line)
         assert lines is c.sets[0] and len(lines) == 5000
