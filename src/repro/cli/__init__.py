@@ -427,14 +427,22 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
-#: sweep-shape flag -> (its default, the commands that read it); a
-#: non-default value on any other command would change nothing
-_SHAPE_FLAGS: dict[str, tuple[Any, tuple[str, ...]]] = {
+#: the commands that evaluate a grid through the executor's pool: only
+#: they read --jobs and --timeout (run, compare and trace evaluate one
+#: point in-process, and serve takes each request's own timeout)
+_POOLED = ("fig2", "fig3", *_CAPACITY, "table6", "table7", "workingset",
+           "ablation", "network", "merge", "study", "scaling")
+
+#: flag -> (its default, the commands that read it); a non-default value
+#: on any other command would change nothing
+_FLAG_READERS: dict[str, tuple[Any, tuple[str, ...]]] = {
     "--ascii": (False, ("fig2", "fig3", *_CAPACITY, "network", "study")),
     "--cache-sizes": (list(PAPER_CACHE_SIZES_KB), (*_CAPACITY, "workingset")),
     "--cluster-sizes": (list(PAPER_CLUSTER_SIZES), (
         "fig2", "fig3", *_CAPACITY, "table6", "table7", "workingset",
         "ablation", "network", "merge", "study")),
+    "--jobs": (1, (*_POOLED, "serve")),
+    "--timeout": (None, _POOLED),
 }
 
 
@@ -446,18 +454,18 @@ def _ignored_flag(args: argparse.Namespace) -> str | None:
     if args.command == "scaling" and (args.quick or args.paper_scale):
         return ("scaling sizes its problems with --tier, not "
                 "--quick/--paper-scale")
-    if args.timeout is not None and args.jobs == 1:
-        return ("--timeout needs --jobs N (N > 1): the serial backend "
-                "cannot abandon a point")
     if args.command == "compare" and args.protocol == "snoopy":
         return ("compare runs the snoopy cluster against --protocol's "
                 "shared-cache cluster; --protocol snoopy would compare "
                 "snoopy with itself")
-    for flag, (default, readers) in _SHAPE_FLAGS.items():
+    for flag, (default, readers) in _FLAG_READERS.items():
         value = getattr(args, flag[2:].replace("-", "_"))
         if args.command not in readers and value != default:
             return (f"{flag} changes nothing for {args.command}; only "
                     f"{', '.join(readers)} read it")
+    if args.timeout is not None and args.jobs == 1:
+        return ("--timeout needs --jobs N (N > 1): the serial backend "
+                "cannot abandon a point")
     return None
 
 

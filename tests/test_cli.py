@@ -258,8 +258,8 @@ class TestParser:
         assert "mutually exclusive" in captured.err and captured.out == ""
 
     @pytest.mark.parametrize("argv", [
-        ["--timeout", "5", "run", "ocean"],
-        ["run", "ocean", "--timeout", "5"],
+        ["--timeout", "5", "fig2", "--apps", "ocean"],
+        ["fig2", "--apps", "ocean", "--timeout", "5"],
         ["--jobs", "1", "fig2", "--apps", "ocean", "--timeout", "5"],
     ], ids=["before", "after", "jobs-one"])
     def test_timeout_without_a_pool_exits_2(self, argv, capsys):
@@ -272,7 +272,7 @@ class TestParser:
 
     def test_timeout_with_a_pool_is_accepted(self):
         args = cli.build_parser().parse_args(
-            ["--jobs", "2", "run", "ocean", "--timeout", "5"])
+            ["--jobs", "2", "fig2", "--apps", "ocean", "--timeout", "5"])
         assert cli._ignored_flag(args) is None
 
     @pytest.mark.parametrize("argv", [
@@ -302,12 +302,26 @@ class TestParser:
         (["--cache-sizes", "4,inf", "fig6"], None),
         (["--cluster-sizes", "1,2", "table7"], None),
         (["--cluster-sizes", "1,2,4,8", "run", "lu"], None),
+        (["--jobs", "2", "run", "lu"], "--jobs"),
+        (["--jobs", "2", "run", "lu", "--timeout", "5"], "--jobs"),
+        (["--timeout", "5", "run", "lu"], "--timeout"),
+        (["compare", "lu", "--jobs", "2"], "--jobs"),
+        (["--jobs", "2", "trace", "lu"], "--jobs"),
+        (["--jobs", "2", "table1"], "--jobs"),
+        (["--jobs", "2", "table4"], "--jobs"),
+        (["--jobs", "2", "table5", "--measure"], "--jobs"),
+        (["--jobs", "2", "--timeout", "5", "serve"], "--timeout"),
+        (["--jobs", "1", "run", "lu"], None),
+        (["--jobs", "2", "serve"], None),
+        (["--jobs", "2", "--timeout", "5", "scaling", "lu"], None),
+        (["--jobs", "2", "--timeout", "5", "table6"], None),
     ])
     def test_unread_sweep_shape_flags_exit_2(self, argv, flag, capsys):
         """``--quick --ascii table6`` used to print no chart and exit 0,
-        and ``--cache-sizes 4 fig2`` to run infinite caches silently: a
-        non-default sweep-shape flag is refused where nothing reads it
-        (repeating a default value is harmless)."""
+        ``--cache-sizes 4 fig2`` to run infinite caches silently, and
+        ``--jobs 2 --timeout 5 run`` to evaluate its one point in-process
+        without a deadline: a non-default flag is refused where nothing
+        reads it (repeating a default value is harmless)."""
         argv = ["--processors", "8", *argv]
         problem = cli._ignored_flag(cli.build_parser().parse_args(argv))
         if flag is None:
