@@ -32,13 +32,13 @@ from ._version import __version__
 from .core.config import (PAPER_CACHE_SIZES_KB, PAPER_CLUSTER_SIZES,
                           PAPER_NETWORK_LOADS, LatencyModel, MachineConfig,
                           NetworkConfig)
-from .core.metrics import (MissCause, MissCounters, MissKind, NetworkStats,
-                           RunResult, TimeBreakdown)
+from .core.metrics import (MissCause, MissCounters, NetworkStats, RunResult,
+                           TimeBreakdown)
 
 __all__ = [
     "MachineConfig", "LatencyModel", "NetworkConfig",
     "PAPER_CLUSTER_SIZES", "PAPER_CACHE_SIZES_KB", "PAPER_NETWORK_LOADS",
-    "MissKind", "MissCause", "MissCounters", "NetworkStats",
+    "MissCause", "MissCounters", "NetworkStats",
     "TimeBreakdown", "RunResult",
     "CoherentMemorySystem", "Engine", "PerfectMemory", "run_program",
     "Work", "Read", "Write", "Barrier", "Lock", "Unlock",

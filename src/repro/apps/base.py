@@ -43,7 +43,8 @@ from ..memory import make_memory_system
 from ..memory.address import AddressSpace, Region
 from ..memory.allocation import PageAllocator
 from ..sim.engine import Engine
-from ..sim.program import Barrier, Lock, Op, Read, Task, Unlock, Write
+from ..sim.program import (OP_READ, OP_WRITE, Barrier, Lock, Op, Read, Task,
+                           Unlock, Write)
 
 __all__ = ["Application", "PhaseBarriers", "TileQueueApplication",
            "proc_grid_shape", "softened_pull"]
@@ -256,27 +257,20 @@ class Application(ABC):
         coherence-equivalent to per-element emission while costing ~8×
         fewer engine events for dense sweeps.
         """
-        if count <= 0:
-            return
-        line_size = self.config.line_size
-        esz = region.element_size
-        addr = region.element(start)
-        end = addr + count * esz
-        line = addr // line_size
-        last_line = (end - 1) // line_size
-        while line <= last_line:
-            lo = max(addr, line * line_size)
-            hi = min(end, (line + 1) * line_size)
-            n_elems = (hi - lo) // esz
-            yield (1, lo)  # OP_READ
-            if n_elems > 1:
-                yield (0, n_elems - 1)  # OP_WORK for the guaranteed hits
-            line += 1
+        return self._span(OP_READ, region, start, count)
 
     def write_span(self, region: Region, start: int, count: int) -> Iterator[Op]:
         """Emit writes covering elements ``[start, start+count)``; one
         ``Write`` per line plus ``Work`` for the rest (same argument as
         :meth:`read_span`; writes never stall)."""
+        return self._span(OP_WRITE, region, start, count)
+
+    def _span(self, opcode: int, region: Region, start: int,
+              count: int) -> Iterator[Op]:
+        """The one span emitter: ``opcode`` at the first element of each
+        line of ``[start, start+count)``, then ``Work`` for the rest.  The
+        public methods return it rather than ``yield from`` it, so a span
+        costs its caller no extra generator frame per op."""
         if count <= 0:
             return
         line_size = self.config.line_size
@@ -289,9 +283,9 @@ class Application(ABC):
             lo = max(addr, line * line_size)
             hi = min(end, (line + 1) * line_size)
             n_elems = (hi - lo) // esz
-            yield (2, lo)  # OP_WRITE
+            yield (opcode, lo)
             if n_elems > 1:
-                yield (0, n_elems - 1)
+                yield (0, n_elems - 1)  # OP_WORK: the guaranteed hits
             line += 1
 
     def place_interleaved(self, region: Region) -> None:

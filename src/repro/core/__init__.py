@@ -11,13 +11,12 @@ from importlib import import_module
 
 from .config import (PAPER_CACHE_SIZES_KB, PAPER_CLUSTER_SIZES, LatencyModel,
                      MachineConfig)
-from .metrics import (MissCause, MissCounters, MissKind, RunResult,
-                      TimeBreakdown)
+from .metrics import MissCause, MissCounters, RunResult, TimeBreakdown
 
 __all__ = [
     "MachineConfig", "LatencyModel",
     "PAPER_CLUSTER_SIZES", "PAPER_CACHE_SIZES_KB",
-    "MissKind", "MissCause", "MissCounters", "TimeBreakdown", "RunResult",
+    "MissCause", "MissCounters", "TimeBreakdown", "RunResult",
     "ClusteringStudy", "SweepPoint", "normalize_sweep", "cache_label",
     "SweepExecutor", "PointOutcome", "SweepExecutionError",
     "ResultCache", "TraceStore",

@@ -22,8 +22,8 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Any, Mapping
 
-__all__ = ["MissKind", "MissCause", "MissCounters", "NetworkStats",
-           "TimeBreakdown", "RunResult"]
+__all__ = ["MissCause", "MissCounters", "NetworkStats", "TimeBreakdown",
+           "RunResult"]
 
 
 def _num(value: Any) -> int | float:
@@ -38,20 +38,6 @@ def _num(value: Any) -> int | float:
     return value
 
 
-class MissKind(Enum):
-    """Protocol-level miss taxonomy (paper §3.1)."""
-
-    READ = "read"        #: read access, line absent — the only stalling miss
-    WRITE = "write"      #: write access, line absent
-    UPGRADE = "upgrade"  #: write access, line present but SHARED
-    MERGE = "merge"      #: read to a line with an outstanding fill
-
-    # members are singletons compared by identity, so the id-based C-level
-    # hash is consistent with equality and avoids Enum.__hash__'s Python
-    # frame on every by-kind dict access
-    __hash__ = object.__hash__
-
-
 class MissCause(Enum):
     """Cause-level miss taxonomy used in the paper's analysis (§2)."""
 
@@ -59,7 +45,9 @@ class MissCause(Enum):
     COHERENCE = "coherence"  #: line previously invalidated out of the cluster
     CAPACITY = "capacity"    #: line previously replaced (finite caches only)
 
-    # hot: ``by_cause[cause] += 1`` runs once per miss — see MissKind
+    # hot: ``by_cause[cause] += 1`` runs once per miss.  Members are
+    # singletons compared by identity, so the id-based C-level hash is
+    # consistent with equality and avoids Enum.__hash__'s Python frame
     __hash__ = object.__hash__
 
 
