@@ -9,9 +9,10 @@ by a SHA-256 content hash of exactly those inputs.
 
 :class:`TraceStore` is the binary sibling used by the compiled-trace layer
 (:mod:`repro.sim.compiled`): an opaque content-addressed blob store living
-in a ``traces/`` subdirectory of the same cache root, with the same
-location resolution, atomic writes, and corruption-degrades-to-miss
-robustness rules.
+in a ``traces/`` subdirectory of the same cache root.  Both are one
+``_Store`` — location resolution, a key's path by suffix, the atomic put,
+membership, counting, clearing and the hit/miss summary are written once —
+so they share the corruption-degrades-to-miss robustness rules.
 
 Location resolution (first match wins):
 
@@ -59,26 +60,6 @@ def default_cache_dir() -> Path:
     return Path(env if env else _DEFAULT_DIR).expanduser()
 
 
-def _atomic_write(directory: Path, path: Path, data: bytes) -> None:
-    """Atomically persist ``data`` at ``path`` (temp file + ``os.replace``).
-
-    Storage failures (read-only filesystem, disk full) are swallowed: a
-    cache that cannot write behaves like a cache that forgets.
-    """
-    try:
-        directory.mkdir(parents=True, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "wb") as fh:
-                fh.write(data)
-            os.replace(tmp, path)
-        finally:
-            if os.path.exists(tmp):
-                os.unlink(tmp)
-    except OSError:
-        pass
-
-
 def _package_version() -> str:
     from .._version import __version__
 
@@ -104,14 +85,16 @@ def point_key(app: str, app_kwargs: Mapping[str, Any],
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
-class ResultCache:
-    """Content-addressed store of :class:`RunResult` JSON files.
+class _Store:
+    """A content-addressed directory of files named ``<key><SUFFIX>``.
 
     Parameters
     ----------
     directory:
-        Storage root; ``None`` resolves via :func:`default_cache_dir`.
+        Cache **root**; ``None`` resolves via :func:`default_cache_dir`.
     """
+
+    SUFFIX = ""
 
     def __init__(self, directory: str | Path | None = None) -> None:
         self.directory = (Path(directory).expanduser() if directory
@@ -119,17 +102,70 @@ class ResultCache:
         self.hits = 0
         self.misses = 0
 
-    # ----------------------------------------------------------------- keys
+    def path_for(self, key: str) -> Path:
+        """On-disk location of a key's entry."""
+        return self.directory / f"{key}{self.SUFFIX}"
+
+    def put_bytes(self, key: str, data: bytes) -> None:
+        """Atomically persist ``data`` under ``key`` (temp file +
+        ``os.replace``), so a killed run cannot leave a truncated entry.
+
+        Storage failures (read-only filesystem, disk full) are swallowed:
+        a cache that cannot write behaves like a cache that forgets.
+        """
+        try:
+            self.directory.mkdir(parents=True, exist_ok=True)
+            fd, tmp = tempfile.mkstemp(dir=self.directory, suffix=".tmp")
+            try:
+                with os.fdopen(fd, "wb") as fh:
+                    fh.write(data)
+                os.replace(tmp, self.path_for(key))
+            finally:
+                if os.path.exists(tmp):
+                    os.unlink(tmp)
+        except OSError:
+            pass
+
+    def __contains__(self, key: str) -> bool:
+        return self.path_for(key).is_file()
+
+    def __len__(self) -> int:
+        try:
+            return sum(1 for _ in self.directory.glob(f"*{self.SUFFIX}"))
+        except OSError:
+            return 0
+
+    def clear(self) -> int:
+        """Delete every entry; returns the number removed."""
+        removed = 0
+        for path in self.directory.glob(f"*{self.SUFFIX}"):
+            try:
+                path.unlink()
+                removed += 1
+            except OSError:
+                pass
+        return removed
+
+    def stats(self) -> str:
+        """``'N hits, M misses'`` summary for logs."""
+        return f"{self.hits} hits, {self.misses} misses"
+
+    def __repr__(self) -> str:  # pragma: no cover
+        return (f"{type(self).__name__}({str(self.directory)!r}, "
+                f"hits={self.hits}, misses={self.misses})")
+
+
+class ResultCache(_Store):
+    """Content-addressed store of :class:`RunResult` JSON files under the
+    cache root."""
+
+    SUFFIX = ".json"
+
     def key(self, app: str, app_kwargs: Mapping[str, Any],
             config: MachineConfig) -> str:
         """Cache key for one (app, kwargs, machine) point."""
         return point_key(app, app_kwargs, config)
 
-    def path_for(self, key: str) -> Path:
-        """On-disk location of a key's entry."""
-        return self.directory / f"{key}.json"
-
-    # -------------------------------------------------------------- get/put
     def get(self, key: str) -> RunResult | None:
         """Stored result for ``key``, or ``None`` (counted as a miss).
 
@@ -149,107 +185,24 @@ class ResultCache:
         return result
 
     def put(self, key: str, result: RunResult) -> None:
-        """Atomically persist ``result`` under ``key``.
-
-        Storage failures (read-only filesystem, disk full) are swallowed:
-        a cache that cannot write behaves like a cache that forgets.
-        """
-        payload = {"key": key, "result": result.to_dict()}
-        text = json.dumps(payload, sort_keys=True)
-        _atomic_write(self.directory, self.path_for(key),
-                      text.encode("utf-8"))
-
-    # ------------------------------------------------------------- plumbing
-    def __contains__(self, key: str) -> bool:
-        return self.path_for(key).is_file()
-
-    def __len__(self) -> int:
-        try:
-            return sum(1 for _ in self.directory.glob("*.json"))
-        except OSError:
-            return 0
-
-    def clear(self) -> int:
-        """Delete every entry; returns the number removed."""
-        removed = 0
-        for path in self.directory.glob("*.json"):
-            try:
-                path.unlink()
-                removed += 1
-            except OSError:
-                pass
-        return removed
-
-    def stats(self) -> str:
-        """``'N hits, M misses'`` summary for logs."""
-        return f"{self.hits} hits, {self.misses} misses"
-
-    def __repr__(self) -> str:  # pragma: no cover
-        return (f"ResultCache({str(self.directory)!r}, hits={self.hits}, "
-                f"misses={self.misses})")
+        """Atomically persist ``result`` under ``key`` (failures
+        swallowed, see :meth:`put_bytes`)."""
+        text = json.dumps({"key": key, "result": result.to_dict()},
+                          sort_keys=True)
+        self.put_bytes(key, text.encode("utf-8"))
 
 
-class TraceStore:
+class TraceStore(_Store):
     """Content-addressed store of opaque binary blobs (compiled traces).
 
-    Lives in a subdirectory of the cache root so ``ResultCache`` JSON
-    entries and trace blobs never collide and can be cleared independently.
-    Reading is the caller's business (:mod:`repro.sim.compiled` maps
-    :meth:`path_for`, maintains ``hits``/``misses`` and treats undecodable
-    blobs as misses); this class only guarantees the write-side rules of
-    :class:`ResultCache` — writes are atomic, storage failures are swallowed.
-
-    Parameters
-    ----------
-    directory:
-        Cache **root**; ``None`` resolves via :func:`default_cache_dir`.
-        Blobs live under ``<root>/<subdir>/``.
-    subdir:
-        Subdirectory name (default ``"traces"``).
+    Lives in ``<root>/traces/`` so ``ResultCache`` JSON entries and trace
+    blobs never collide and can be cleared independently.  Reading is the
+    caller's business (:mod:`repro.sim.compiled` maps :meth:`path_for`,
+    maintains ``hits``/``misses`` and treats undecodable blobs as misses).
     """
 
     SUFFIX = ".trace"
 
-    def __init__(self, directory: str | Path | None = None,
-                 subdir: str = "traces") -> None:
-        root = (Path(directory).expanduser() if directory
-                else default_cache_dir())
-        self.directory = root / subdir
-        self.hits = 0
-        self.misses = 0
-
-    def path_for(self, key: str) -> Path:
-        """On-disk location of a key's blob."""
-        return self.directory / f"{key}{self.SUFFIX}"
-
-    def put_bytes(self, key: str, data: bytes) -> None:
-        """Atomically persist ``data`` under ``key`` (failures swallowed)."""
-        _atomic_write(self.directory, self.path_for(key), data)
-
-    def __contains__(self, key: str) -> bool:
-        return self.path_for(key).is_file()
-
-    def __len__(self) -> int:
-        try:
-            return sum(1 for _ in self.directory.glob(f"*{self.SUFFIX}"))
-        except OSError:
-            return 0
-
-    def clear(self) -> int:
-        """Delete every blob; returns the number removed."""
-        removed = 0
-        for path in self.directory.glob(f"*{self.SUFFIX}"):
-            try:
-                path.unlink()
-                removed += 1
-            except OSError:
-                pass
-        return removed
-
-    def stats(self) -> str:
-        """``'N hits, M misses'`` summary for logs."""
-        return f"{self.hits} hits, {self.misses} misses"
-
-    def __repr__(self) -> str:  # pragma: no cover
-        return (f"TraceStore({str(self.directory)!r}, hits={self.hits}, "
-                f"misses={self.misses})")
+    def __init__(self, directory: str | Path | None = None) -> None:
+        super().__init__(directory)
+        self.directory = self.directory / "traces"

@@ -16,7 +16,7 @@ value of its set's dict, carrying
   line returns.  A read that finds the line pending is the paper's **merge
   miss** and stalls until that time, and
 * ``fetcher``: the processor whose miss brought the line in, ``-1`` once
-  the protocol layer has counted the cluster prefetch hit it gave.
+  :meth:`Cache.probe_read` has counted the cluster prefetch hit it gave.
 
 LRU is the set dict's insertion order: CPython dicts iterate in insertion
 order, so deleting + reinserting a line on every touch makes the first key
@@ -34,13 +34,22 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-__all__ = ["SHARED", "EXCLUSIVE", "Eviction", "Line", "Cache",
-           "fully_associative"]
+__all__ = ["SHARED", "EXCLUSIVE", "READ_HIT", "READ_MERGE", "READ_MISS",
+           "Eviction", "Line", "Cache", "fully_associative"]
 
 #: Coherence state: line readable, possibly cached by other clusters too.
 SHARED = 1
 #: Coherence state: line writable, this cluster is the sole owner.
 EXCLUSIVE = 2
+
+#: a back end's read() outcome tags (plain ints for speed on the hot path)
+READ_HIT = 0
+READ_MERGE = 1
+READ_MISS = 2
+
+#: the one preallocated hit result, the most common outcome of a
+#: simulation: :meth:`Cache.probe_read` returns it and callers unpack it
+_HIT = (READ_HIT, 0)
 
 
 class Eviction(NamedTuple):
@@ -76,10 +85,10 @@ class Cache:
     unless the geometry is :func:`fully_associative` (one set).
 
     Only this class picks a set (``line % n_sets``) or touches LRU order.
-    The protocol back ends reach a resident line through :meth:`lookup`
-    on every reference and write the record it returns in place on a
-    hit: ``fetcher`` (the prefetch benefit is counted once) and ``state``
-    on a write hit.  Lines enter and leave a set only through
+    The protocol back ends probe a read through :meth:`probe_read`, which
+    decides hit, merge or absent, and a write (or a DLS remote read)
+    through :meth:`lookup`, writing ``state`` in place on an upgrade.
+    Lines enter and leave a set only through
     :meth:`insert` and :meth:`invalidate`; a record from a lookup is not
     used after an insert into the same set, which may hand it to another
     line.
@@ -113,6 +122,30 @@ class Cache:
         self.inserts = 0
 
     # ------------------------------------------------------------------ hot
+    def probe_read(self, line: int, processor: int, now: int,
+                   ctr) -> tuple[int, int] | None:
+        """A read's probe, ``kernel.c``'s ``probe_read``: ``None`` for an
+        absent line, else refresh its LRU position and return
+        ``(READ_MERGE, stall)`` while its fill is pending (counting
+        ``ctr.merges``) or the hit, counting ``ctr.prefetch_hits`` once
+        if another processor fetched it."""
+        lines = self.sets[line % self.n_sets]
+        record = lines.get(line)
+        if record is None:
+            return None
+        if self.ways is not None:
+            del lines[line]  # delete + reinsert: dict order stays LRU order
+            lines[line] = record
+        pending_until = record.pending_until
+        if pending_until > now:
+            ctr.merges += 1
+            return READ_MERGE, pending_until - now
+        fetcher = record.fetcher
+        if fetcher != -1 and fetcher != processor:
+            ctr.prefetch_hits += 1
+            record.fetcher = -1
+        return _HIT
+
     def lookup(self, line: int) -> Line | None:
         """Record of ``line`` (refreshing its LRU position) or ``None``."""
         lines = self.sets[line % self.n_sets]

@@ -26,33 +26,33 @@ Every reference through ``Cache``, misses through the API
 ---------------------------------------------------------
 The two hot entry points, :meth:`CoherentMemorySystem.read` and
 :meth:`CoherentMemorySystem.write`, take line numbers (the simulation engine
-divides byte addresses by the line size once).  Each step has one
-implementation, the one ``kernel.c`` mirrors:
+divides byte addresses by the line size once).  Each step is written once,
+shared by the three back ends and named after its ``kernel.c`` twin:
 
-* **every reference** probes its cluster's cache through
-  :meth:`Cache.lookup <repro.memory.cache.Cache.lookup>`, which picks the
-  set and refreshes LRU order; a hit then reads the
-  :class:`~repro.memory.cache.Line` record it returns and writes its
-  ``fetcher`` or ``state`` in place, and allocates nothing;
-* a **miss, upgrade or eviction** goes through :meth:`Cache.insert` /
-  ``invalidate`` / ``downgrade`` for the cache, the five
-  :class:`~repro.memory.directory.Directory` transitions for the line's
-  directory entry, and ``price(requester, home, owner, now)`` — the latency
-  provider's ``miss_cycles`` (Table 1, or the stateful mesh) — for the
-  stall.  A miss probes the memory system's record dict once: the line's
-  :class:`~repro.memory.directory.LineRecord` holds its directory entry,
-  why each cluster last lost it and its home, as ``kernel.c``'s ``Rec``
-  does.  The back end writes the two history masks itself and never the
-  entry;
+* a **read** probes its cache with :meth:`Cache.probe_read
+  <repro.memory.cache.Cache.probe_read>` (hit, merge or absent); a write
+  probes with ``Cache.lookup`` and upgrades the record in place;
+* a **miss** finds the line's :class:`~repro.memory.directory.LineRecord`
+  (directory entry, why each cache last lost the line, home — ``kernel.c``'s
+  ``Rec``) with :func:`~repro.memory.directory.rec_at_miss`, binds its home
+  with :meth:`MemorySystem._rec_home`, is priced by ``price(requester,
+  home, owner, now)`` — the latency provider's ``miss_cycles`` — and fills
+  through :meth:`MemorySystem._install`, which loses any victim to
+  capacity and retires it through the back end's ``_retire``;
+* an **invalidation** loses each copy to coherence through
+  :meth:`MemorySystem._drop`; only the five
+  :class:`~repro.memory.directory.Directory` transitions write a record's
+  directory entry;
 * ``hits`` and ``references`` are *derived* on
-  :class:`~repro.core.metrics.MissCounters` (see there), so the hit path
-  increments one counter, not three.
+  :class:`~repro.core.metrics.MissCounters`, so a hit increments one
+  counter.
 
 :class:`MemorySystem` holds what the three protocol back ends (this one,
-:mod:`~repro.memory.snoopy`, :mod:`~repro.memory.dls`) share outside their
-hot methods: construction, the caches, the record dict, the processor →
+:mod:`~repro.memory.snoopy`, :mod:`~repro.memory.dls`) share: those
+steps, construction, the caches, the record dict, the processor →
 cluster mapping, ``price``, the counters and the cache-geometry and home
-half of ``check_invariants``.
+half of ``check_invariants``.  Each back end keeps only its own
+protocol's transitions.
 """
 
 from __future__ import annotations
@@ -61,21 +61,12 @@ from ..core.config import MachineConfig
 from ..core.metrics import MissCounters, NetworkStats
 from ..network.latency import make_latency_provider
 from .allocation import PageAllocator
-from .cache import EXCLUSIVE, SHARED, Cache
-from .directory import (DIR_EXCLUSIVE, NOT_CACHED, Directory, LineRecord,
-                        miss_cause, new_record)
+from .cache import EXCLUSIVE, READ_HIT, READ_MERGE, READ_MISS, SHARED, Cache
+from .directory import (DIR_EXCLUSIVE, Directory, LineRecord, miss_cause,
+                        rec_at_miss)
 
 __all__ = ["READ_HIT", "READ_MERGE", "READ_MISS", "MemorySystem",
            "CoherentMemorySystem"]
-
-#: read() outcome tags (plain ints for speed on the hot path)
-READ_HIT = 0
-READ_MERGE = 1
-READ_MISS = 2
-
-#: preallocated hit result — read() returns this once per hit, the single
-#: most common outcome of a simulation, and callers only ever unpack it
-_HIT = (READ_HIT, 0)
 
 
 class MemorySystem:
@@ -124,6 +115,48 @@ class MemorySystem:
     def network_stats(self) -> NetworkStats | None:
         """Interconnect counters (``None`` under the flat-table provider)."""
         return self.latency.stats()
+
+    # ------------------------------------------------ the shared miss steps
+    def _rec_home(self, rec: LineRecord, line: int) -> int:
+        """``rec``'s home, bound now if no earlier miss has
+        (``kernel.c``'s ``rec_home``).  A back end calls this exactly
+        where its protocol's miss goes to the home node, because the
+        order of first touches decides which cluster a page lands on."""
+        if rec.home == -1:
+            rec.home = self.allocator.home_of_line(line)
+        return rec.home
+
+    def _install(self, ci: int, line: int, state: int, pending_until: int,
+                 fetcher: int = -1) -> None:
+        """Install ``line`` in cache ``ci`` (``kernel.c``'s ``install``).
+        A victim is lost to capacity in that cache's history and retired
+        through :meth:`_retire`."""
+        victim = self.caches[ci].insert(line, state, pending_until, fetcher)
+        if victim is not None:
+            rec = self.records[victim.line]
+            bit = 1 << ci
+            rec.lost_cap |= bit
+            rec.lost_coh &= ~bit
+            self._retire(ci, rec, victim.line, victim.state)
+
+    def _retire(self, ci: int, rec: LineRecord, line: int,
+                state: int) -> None:
+        """Tell the directory cache ``ci`` evicted ``line`` (``kernel.c``'s
+        ``retire``): a writeback for EXCLUSIVE, else a replacement hint, so
+        the directory never sends a useless invalidation later."""
+        if state == EXCLUSIVE:
+            self.directory.writeback(rec, ci)
+        else:
+            self.directory.replacement_hint(rec, ci)
+
+    def _drop(self, ci: int, line: int, rec: LineRecord) -> None:
+        """Invalidate ``line`` in cache ``ci`` if it is resident, pending
+        or not (paper §3.1), losing it to coherence in that cache's
+        history (``kernel.c``'s ``drop``)."""
+        if self.caches[ci].invalidate(line):
+            bit = 1 << ci
+            rec.lost_coh |= bit
+            rec.lost_cap &= ~bit
 
     def check_invariants(self) -> None:
         """Raise unless every set of every cache holds at most ``ways``
@@ -183,30 +216,19 @@ class CoherentMemorySystem(MemorySystem):
         ctr = self.counters[cluster]
         if not is_retry:
             ctr.reads += 1
-        record = self.caches[cluster].lookup(line)
-        if record is not None:
-            pending_until = record.pending_until
-            if pending_until > now:
-                ctr.merges += 1
-                return READ_MERGE, pending_until - now
-            fetcher = record.fetcher
-            if fetcher != -1 and fetcher != processor:
-                ctr.prefetch_hits += 1
-                record.fetcher = -1
-            return _HIT
+        hit = self.caches[cluster].probe_read(line, processor, now, ctr)
+        if hit is not None:
+            return hit
         if is_retry:
             # Line was invalidated while we were merged on its fill.
             ctr.merge_refetches += 1
 
-        # ---- read miss: classify, directory transaction, SHARED install;
-        # entry, cause and home come from one probe of the record dict
-        records = self.records
-        rec = records.get(line) or new_record(
-            records, line, self.allocator.home_of_line(line))
+        # ---- read miss: classify, directory transaction, SHARED install
+        rec = rec_at_miss(self.records, line)
         cause = miss_cause(rec, 1 << cluster)
         owner = (rec.mask.bit_length() - 1 if rec.dir_state == DIR_EXCLUSIVE
                  else None)
-        latency = self._price(cluster, rec.home, owner, now)
+        latency = self._price(cluster, self._rec_home(rec, line), owner, now)
         if owner is None:
             self.directory.record_read_fill(rec, cluster)
         else:
@@ -234,68 +256,25 @@ class CoherentMemorySystem(MemorySystem):
             # UPGRADE: present but SHARED -> invalidate other sharers.
             ctr.upgrade_misses += 1
             rec = self.records[line]
-            others = rec.mask & ~(1 << cluster)
-            if others:
-                self._invalidate_bits(line, rec, others)
-            self.directory.record_exclusive(rec, cluster)
-            record.state = EXCLUSIVE
-            return
-
-        # ---- WRITE miss: fetch exclusive; latency hidden, line pending.
-        records = self.records
-        rec = records.get(line) or new_record(
-            records, line, self.allocator.home_of_line(line))
-        cause = miss_cause(rec, 1 << cluster)
-        owner = (rec.mask.bit_length() - 1 if rec.dir_state == DIR_EXCLUSIVE
-                 else None)
-        latency = self._price(cluster, rec.home, owner, now)
-        others = rec.mask & ~(1 << cluster)
-        if others:
-            self._invalidate_bits(line, rec, others)
-        self.directory.record_exclusive(rec, cluster)
-        self._install(cluster, line, EXCLUSIVE, now + latency, processor)
-        ctr.write_misses += 1
-        ctr.by_cause[cause] += 1
-
-    # -------------------------------------------------- miss-path helpers
-    def _install(self, cluster: int, line: int, state: int,
-                 pending_until: int, fetcher: int) -> None:
-        """Install ``line`` in ``cluster``'s cache, retiring any victim.
-
-        The eviction marks the victim lost to capacity in the cluster's
-        history and notifies the directory: a write-back for EXCLUSIVE,
-        and for SHARED a replacement hint, so the directory never sends a
-        useless invalidation later.
-        """
-        victim = self.caches[cluster].insert(line, state, pending_until,
-                                             fetcher)
-        if victim is None:
-            return
-        rec = self.records[victim.line]
-        bit = 1 << cluster
-        rec.lost_cap |= bit
-        rec.lost_coh &= ~bit
-        if victim.state == EXCLUSIVE:
-            self.directory.writeback(rec, cluster)
         else:
-            self.directory.replacement_hint(rec, cluster)
-
-    def _invalidate_bits(self, line: int, rec: LineRecord, bits: int) -> None:
-        """Instantaneously invalidate the cached copies named by ``bits``.
-
-        Pending lines are invalidated too (paper §3.1); a reader merged on
-        such a line re-fetches when it retries.
-
-        Iterates set bits via lowest-bit extraction (ascending cluster
-        order, same as the old shift-scan) so a write to a line shared by
-        few of many clusters doesn't walk every bit position.
-        """
-        while bits:
+            # WRITE miss: fetch exclusive; latency hidden, line pending.
+            rec = rec_at_miss(self.records, line)
+            ctr.write_misses += 1
+            ctr.by_cause[miss_cause(rec, 1 << cluster)] += 1
+            owner = (rec.mask.bit_length() - 1
+                     if rec.dir_state == DIR_EXCLUSIVE else None)
+            latency = self._price(cluster, self._rec_home(rec, line), owner,
+                                  now)
+        bits = rec.mask & ~(1 << cluster)
+        while bits:  # lowest set bit first: ascending cluster order
             low = bits & -bits
             bits ^= low
-            if self.caches[low.bit_length() - 1].invalidate(line):
-                rec.lost_coh |= low
-                rec.lost_cap &= ~low
+            self._drop(low.bit_length() - 1, line, rec)
+        self.directory.record_exclusive(rec, cluster)
+        if record is not None:
+            record.state = EXCLUSIVE
+            return
+        self._install(cluster, line, EXCLUSIVE, now + latency, processor)
 
     # ---------------------------------------------------------------- query
     def check_invariants(self) -> None:
@@ -306,18 +285,16 @@ class CoherentMemorySystem(MemorySystem):
         * first, no set of any cache exceeds its ways or holds another
           set's line (:meth:`MemorySystem.check_invariants`);
         * a record is NOT_CACHED exactly when its sharer mask is empty, and
-          EXCLUSIVE only with one sharer, the owner;
+          EXCLUSIVE only with one sharer, the owner
+          (:meth:`Directory.check_invariants`);
         * every cache whose bit is set holds the line in the directory's
           state (hints guarantee no stale bits), and no other cache holds
           it — so a line not in the directory is nowhere.
         """
         super().check_invariants()
+        self.directory.check_invariants()
         for line, rec in self.records.items():
             mask, state = rec.mask, rec.dir_state
-            if ((state == NOT_CACHED) != (mask == 0) or state ==
-                    DIR_EXCLUSIVE and mask & (mask - 1)):
-                raise AssertionError(f"line {line:#x} is {state} at the "
-                                     f"directory with sharers {mask:#x}")
             held = EXCLUSIVE if state == DIR_EXCLUSIVE else SHARED
             for cluster, cache in enumerate(self.caches):
                 cstate = cache.state_of(line)

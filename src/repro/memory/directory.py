@@ -39,7 +39,7 @@ from __future__ import annotations
 from ..core.metrics import MissCause
 
 __all__ = ["NOT_CACHED", "DIR_SHARED", "DIR_EXCLUSIVE", "LineRecord",
-           "new_record", "miss_cause", "Directory"]
+           "rec_at_miss", "miss_cause", "Directory"]
 
 #: No cluster caches the line.
 NOT_CACHED = 0
@@ -55,20 +55,22 @@ _COHERENCE = MissCause.COHERENCE
 
 class LineRecord:
     """One line's record (see the module docstring); only
-    :func:`new_record` creates one.  No ``__init__``, as for
+    :func:`rec_at_miss` creates one.  No ``__init__``, as for
     :class:`~repro.memory.cache.Line`: a call to it would be a python
     frame on every line's first miss."""
 
     __slots__ = ("mask", "dir_state", "lost_coh", "lost_cap", "home")
 
 
-def new_record(records: dict[int, LineRecord], line: int,
-               home: int = -1) -> LineRecord:
-    """Create ``line``'s record in ``records`` at its first miss: cached
-    nowhere, cold in every cache, homed at ``home`` (``-1``: not bound)."""
-    record = records[line] = LineRecord()
-    record.mask = record.dir_state = record.lost_coh = record.lost_cap = 0
-    record.home = home
+def rec_at_miss(records: dict[int, LineRecord], line: int) -> LineRecord:
+    """``line``'s record in ``records``, ``kernel.c``'s ``rec_at_miss``:
+    created at the line's first miss cached nowhere, cold in every cache
+    and with its home not yet bound (``-1``)."""
+    record = records.get(line)
+    if record is None:
+        record = records[line] = LineRecord()
+        record.mask = record.dir_state = record.lost_coh = record.lost_cap = 0
+        record.home = -1
     return record
 
 
@@ -80,7 +82,7 @@ def miss_cause(record: LineRecord, bit: int) -> MissCause:
 
 
 #: the record every line without one reads as (never stored, never written)
-_ABSENT = new_record({}, -1)
+_ABSENT = rec_at_miss({}, -1)
 
 
 class Directory:
@@ -108,7 +110,7 @@ class Directory:
 
     def entry(self, line: int) -> LineRecord:
         """``line``'s record, created unbound at its first request."""
-        return self.records.get(line) or new_record(self.records, line)
+        return rec_at_miss(self.records, line)
 
     # -- line-keyed queries --------------------------------------------------
     def state_of(self, line: int) -> int:
@@ -188,6 +190,16 @@ class Directory:
         record.dir_state = DIR_SHARED
 
     # -- inspection ----------------------------------------------------------
+    def check_invariants(self) -> None:
+        """Raise unless every record is NOT_CACHED exactly when its sharer
+        mask is empty, and EXCLUSIVE only with one sharer, the owner."""
+        for line, record in self.records.items():
+            mask, state = record.mask, record.dir_state
+            if ((state == NOT_CACHED) != (mask == 0) or state ==
+                    DIR_EXCLUSIVE and mask & (mask - 1)):
+                raise AssertionError(f"line {line:#x} is {state} at the "
+                                     f"directory with sharers {mask:#x}")
+
     def __len__(self) -> int:
         return len(self.lines())
 

@@ -35,11 +35,11 @@ The class exposes the same hot interface as
 ``network_stats`` / ``check_invariants``), so the engine, the stats
 assembler, and the study driver accept it interchangeably; runs select
 it through the protocol registry (``MachineConfig.protocol = "dls"``).
-Like the directory back end it reaches the home slice's line record
-only through :meth:`Cache.lookup`, on every access, and goes through
-:meth:`Cache.insert` and ``price`` for everything else (see
-:mod:`~repro.memory.coherence`, "Every reference through ``Cache``,
-misses through the API").  The oracle it is pinned against is
+It shares the directory back end's steps (:mod:`~repro.memory.coherence`):
+a local read probes the local slice with ``Cache.probe_read``, every
+access finds the record with ``rec_at_miss`` and the home with
+``_rec_home``, and a fill goes through ``_install``, whose ``_retire``
+only counts a dirty victim's writeback.  The oracle it is pinned against is
 ``RefDLSMemorySystem`` in ``tests/refmodel.py``: the same protocol
 written out plainly over the same :class:`~repro.memory.cache.Cache`.
 """
@@ -48,14 +48,11 @@ from __future__ import annotations
 
 from ..core.config import MachineConfig
 from .allocation import PageAllocator
-from .cache import EXCLUSIVE, SHARED
-from .coherence import READ_HIT, READ_MERGE, READ_MISS, MemorySystem
-from .directory import miss_cause, new_record
+from .cache import EXCLUSIVE, READ_MISS, SHARED
+from .coherence import MemorySystem
+from .directory import LineRecord, miss_cause, rec_at_miss
 
 __all__ = ["DLSMemorySystem"]
-
-#: preallocated hit result (see coherence._HIT)
-_HIT = (READ_HIT, 0)
 
 
 class DLSMemorySystem(MemorySystem):
@@ -98,25 +95,16 @@ class DLSMemorySystem(MemorySystem):
             ctr.reads += 1
         # every access needs the home; a line's first access is its first
         # miss, which makes its record and binds the home
-        records = self.records
-        rec = records.get(line) or new_record(
-            records, line, self.allocator.home_of_line(line))
-        home = rec.home
+        rec = rec_at_miss(self.records, line)
+        home = self._rec_home(rec, line)
         # a line lives only in its home slice, so that is the one probed
-        record = self.caches[home].lookup(line)
+        cache = self.caches[home]
 
         if home == cluster:
             # ---- local slice: hit / merge / local fill
-            if record is not None:
-                pending_until = record.pending_until
-                if pending_until > now:
-                    ctr.merges += 1
-                    return READ_MERGE, pending_until - now
-                fetcher = record.fetcher
-                if fetcher != -1 and fetcher != processor:
-                    ctr.prefetch_hits += 1
-                    record.fetcher = -1
-                return _HIT
+            hit = cache.probe_read(line, processor, now, ctr)
+            if hit is not None:
+                return hit
             if is_retry:
                 # pending line was evicted before the merged reader
                 # retried; it pays a fresh (capacity) miss
@@ -132,6 +120,7 @@ class DLSMemorySystem(MemorySystem):
         # whatever the request waits for there
         cause = miss_cause(rec, 1 << cluster)
         rec.lost_coh |= 1 << cluster
+        record = cache.lookup(line)
         if record is not None:
             # home slice serves the line (queued behind a fill in flight)
             wait = max(record.pending_until - now, 0)
@@ -156,10 +145,8 @@ class DLSMemorySystem(MemorySystem):
         cluster = self._cluster_of[processor]
         ctr = self.counters[cluster]
         ctr.writes += 1
-        records = self.records
-        rec = records.get(line) or new_record(
-            records, line, self.allocator.home_of_line(line))
-        home = rec.home
+        rec = rec_at_miss(self.records, line)
+        home = self._rec_home(rec, line)
         record = self.caches[home].lookup(line)
         remote = home != cluster
         if remote or record is None:
@@ -176,22 +163,12 @@ class DLSMemorySystem(MemorySystem):
         self._install(home, line, EXCLUSIVE, now + fill, processor)
 
     # ------------------------------------------------------------- internals
-    def _install(self, cluster: int, line: int, state: int,
-                 pending_until: int, fetcher: int) -> None:
-        """Install ``line`` in ``cluster``'s slice, retiring any victim.
-
-        Slices only ever hold lines homed at their cluster, so victim
-        bookkeeping is purely local: the victim is lost to capacity in
-        this cluster's history and a dirty victim counts a write-back.
-        """
-        victim = self.caches[cluster].insert(line, state, pending_until,
-                                             fetcher)
-        if victim is not None:
-            rec = self.records[victim.line]
-            rec.lost_cap |= 1 << cluster
-            rec.lost_coh &= ~(1 << cluster)
-            if victim.state == EXCLUSIVE:
-                self.writebacks += 1
+    def _retire(self, ci: int, rec: LineRecord, line: int,
+                state: int) -> None:
+        """Slices only ever hold lines homed at their cluster, so there is
+        no directory to tell: a dirty victim counts a write-back."""
+        if state == EXCLUSIVE:
+            self.writebacks += 1
 
     # ---------------------------------------------------------------- query
     def check_invariants(self) -> None:

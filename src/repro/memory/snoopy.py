@@ -30,23 +30,24 @@ of first touches decides which cluster a page lands on.
 The class exposes the same hot interface as
 :class:`~repro.memory.coherence.CoherentMemorySystem` (``read``/``write``/
 ``aggregate_counters``/``counters``), so the engine and the study driver
-accept either interchangeably.  Like the shared-cache system it reaches
-a resident line only through :class:`~repro.memory.cache.Cache`
-(``lookup`` on a reference, ``line in cache`` on a snoop), writes the
-record it gets back in place on a hit, derives ``hits``/``references``
-on :class:`~repro.core.metrics.MissCounters` instead of incrementing
-them, and precomputes each cluster's processor range once (``_snoop``
-walks the bus on every miss).
+accept either interchangeably.  It shares that system's steps
+(:mod:`~repro.memory.coherence`): ``Cache.probe_read`` — a snoopy line
+never carries a fetcher, since nobody fetches into somebody else's cache
+— ``rec_at_miss``, ``_rec_home``, ``_install`` and ``_drop``.  Only its
+``_retire`` differs: the directory hears of an eviction only if no
+cluster-mate still holds the line.  ``line in cache`` is a snoop, and
+each cluster's processor range is computed once (``_snoop`` walks the
+bus on every miss).
 """
 
 from __future__ import annotations
 
 from ..core.config import MachineConfig
 from .allocation import PageAllocator
-from .cache import EXCLUSIVE, SHARED
-from .coherence import READ_HIT, READ_MERGE, READ_MISS, MemorySystem
-from .directory import (DIR_EXCLUSIVE, NOT_CACHED, Directory, LineRecord,
-                        miss_cause)
+from .cache import EXCLUSIVE, READ_MISS, SHARED
+from .coherence import MemorySystem
+from .directory import (DIR_EXCLUSIVE, Directory, LineRecord, miss_cause,
+                        rec_at_miss)
 
 __all__ = ["SnoopyClusterMemorySystem", "DEFAULT_SNOOP_PENALTY",
            "DEFAULT_C2C_LATENCY"]
@@ -58,9 +59,6 @@ DEFAULT_SNOOP_PENALTY = 6
 #: latency of an intra-cluster cache-to-cache transfer (bus + SRAM array);
 #: far cheaper than the 30-cycle local-memory access, let alone remote.
 DEFAULT_C2C_LATENCY = 10
-
-#: preallocated hit result (see coherence._HIT)
-_HIT = (READ_HIT, 0)
 
 
 class SnoopyClusterMemorySystem(MemorySystem):
@@ -74,20 +72,20 @@ class SnoopyClusterMemorySystem(MemorySystem):
         *processor* cache (there is no shared cache in this organisation).
     allocator:
         Page-home policy, as for the shared-cache system.
-    snoop_penalty, c2c_latency:
-        Bus cost knobs (see module docstring).
+
+    The bus costs are the attributes ``snoop_penalty`` and ``c2c_latency``
+    (see the module docstring), set to the module defaults, which are
+    the ones the C kernel prices with.
     """
 
     def __init__(self, config: MachineConfig,
-                 allocator: PageAllocator | None = None,
-                 snoop_penalty: int = DEFAULT_SNOOP_PENALTY,
-                 c2c_latency: int = DEFAULT_C2C_LATENCY) -> None:
+                 allocator: PageAllocator | None = None) -> None:
         super().__init__(config, allocator, config.n_processors,
                          config.processor_cache_lines)
         self.directory = Directory(config.n_clusters)
         self.directory.records = self.records
-        self.snoop_penalty = snoop_penalty
-        self.c2c_latency = c2c_latency
+        self.snoop_penalty = DEFAULT_SNOOP_PENALTY
+        self.c2c_latency = DEFAULT_C2C_LATENCY
         self.c2c_transfers = 0
         # each cluster's processor ids, computed once — _snoop walks this
         # on every miss, and range objects are reusable
@@ -111,17 +109,12 @@ class SnoopyClusterMemorySystem(MemorySystem):
         ctr = self.counters[cluster]
         if not is_retry:
             ctr.reads += 1
-        record = self.caches[processor].lookup(line)
-        if record is not None:
-            pending_until = record.pending_until
-            if pending_until > now:
-                ctr.merges += 1
-                return READ_MERGE, pending_until - now
-            return _HIT
+        hit = self.caches[processor].probe_read(line, processor, now, ctr)
+        if hit is not None:
+            return hit
         if is_retry:
             ctr.merge_refetches += 1
-        directory = self.directory
-        rec = directory.entry(line)
+        rec = rec_at_miss(self.records, line)
         cause = miss_cause(rec, 1 << processor)
         # Snoop the cluster bus first: cache-to-cache sharing opportunity.
         holder = self._snoop(line, cluster, processor)
@@ -132,16 +125,15 @@ class SnoopyClusterMemorySystem(MemorySystem):
             # directory already lists this cluster; no global transaction
             # and no page bound
         else:
-            if rec.home == -1:
-                rec.home = self.allocator.home_of_line(line)
+            home = self._rec_home(rec, line)
             if rec.dir_state == DIR_EXCLUSIVE and rec.mask != 1 << cluster:
                 owner = rec.mask.bit_length() - 1
-                latency = self._price(cluster, rec.home, owner, now)
+                latency = self._price(cluster, home, owner, now)
                 self._downgrade_cluster(owner, line)
-                directory.downgrade_owner(rec, cluster)
+                self.directory.downgrade_owner(rec, cluster)
             else:
-                latency = self._price(cluster, rec.home, None, now)
-                directory.record_read_fill(rec, cluster)
+                latency = self._price(cluster, home, None, now)
+                self.directory.record_read_fill(rec, cluster)
             latency += self.snoop_penalty
         self._install(processor, line, SHARED, now + latency)
         ctr.read_misses += 1
@@ -156,63 +148,49 @@ class SnoopyClusterMemorySystem(MemorySystem):
         record = self.caches[processor].lookup(line)
         if record is not None and record.state == EXCLUSIVE:
             return
-        rec = self.directory.entry(line)
+        rec = rec_at_miss(self.records, line)
         if record is not None:
             ctr.upgrade_misses += 1
         else:
             ctr.write_misses += 1
             ctr.by_cause[miss_cause(rec, 1 << processor)] += 1
         # invalidate cluster-mates (bus) and other clusters (directory)
-        self._invalidate(line, rec, self._procs[cluster], processor)
+        self._drop_cluster(cluster, processor, line, rec)
         bits = rec.mask & ~(1 << cluster)
         while bits:
             low = bits & -bits
             bits ^= low
-            self._invalidate(line, rec, self._procs[low.bit_length() - 1])
+            self._drop_cluster(low.bit_length() - 1, -1, line, rec)
         self.directory.record_exclusive(rec, cluster)
         if record is not None:
             record.state = EXCLUSIVE  # an upgrade binds no page
             return
         # priced clean whatever the directory said: the copies are gone
-        if rec.home == -1:
-            rec.home = self.allocator.home_of_line(line)
-        latency = self._price(cluster, rec.home, None, now) + self.snoop_penalty
+        latency = (self._price(cluster, self._rec_home(rec, line), None, now)
+                   + self.snoop_penalty)
         self._install(processor, line, EXCLUSIVE, now + latency)
 
     # ------------------------------------------------------------- internals
-    def _install(self, processor: int, line: int, state: int,
-                 pending_until: int) -> None:
-        """Install ``line`` in ``processor``'s cache.  A victim is lost to
-        capacity in that cache's history; the directory hears of it (hint
-        or writeback) only if no cluster-mate still holds the line."""
-        victim = self.caches[processor].insert(line, state, pending_until)
-        if victim is None:
-            return
-        rec = self.records[victim.line]
-        bit = 1 << processor
-        rec.lost_cap |= bit
-        rec.lost_coh &= ~bit
-        cluster = self._cluster_of[processor]
-        if self._snoop(victim.line, cluster, processor) is not None:
-            return  # cluster still caches the line; sharer bit stays
-        if victim.state == EXCLUSIVE:
-            self.directory.writeback(rec, cluster)
-        else:
-            self.directory.replacement_hint(rec, cluster)
+    def _retire(self, ci: int, rec: LineRecord, line: int,
+                state: int) -> None:
+        """Processor ``ci`` evicted ``line``: the directory hears of it
+        (hint or writeback) only if no cluster-mate still holds it."""
+        cluster = self._cluster_of[ci]
+        if self._snoop(line, cluster, ci) is None:
+            super()._retire(cluster, rec, line, state)
 
     def _downgrade_cluster(self, cluster: int, line: int) -> None:
         for q in self._procs[cluster]:
             if line in self.caches[q]:
                 self.caches[q].downgrade(line)
 
-    def _invalidate(self, line: int, rec: LineRecord, procs: range,
-                    keeper: int = -1) -> None:
-        """Invalidate ``line`` in every cache of ``procs`` but ``keeper``'s;
-        each copy dropped is lost to coherence in that cache's history."""
-        for q in procs:
-            if q != keeper and self.caches[q].invalidate(line):
-                rec.lost_coh |= 1 << q
-                rec.lost_cap &= ~(1 << q)
+    def _drop_cluster(self, cluster: int, keeper: int, line: int,
+                      rec: LineRecord) -> None:
+        """Invalidate ``line`` in every cache of ``cluster`` but
+        ``keeper``'s (``kernel.c``'s ``drop_cluster``)."""
+        for q in self._procs[cluster]:
+            if q != keeper:
+                self._drop(q, line, rec)
 
     # ---------------------------------------------------------------- query
     def check_invariants(self) -> None:
@@ -221,19 +199,17 @@ class SnoopyClusterMemorySystem(MemorySystem):
         * First, no set of any processor cache exceeds its ways or holds
           another set's line (:meth:`MemorySystem.check_invariants`).
         * A record is NOT_CACHED exactly when its sharer mask is empty, and
-          EXCLUSIVE only with one sharer cluster, the owner.
+          EXCLUSIVE only with one sharer cluster, the owner
+          (:meth:`Directory.check_invariants`).
         * A cluster holds at least one copy iff its sharer bit is set
           (hints fire only when the whole cluster drops the line).
         * At most one processor holds the line EXCLUSIVE, and none unless
           the directory says EXCLUSIVE.
         """
         super().check_invariants()
+        self.directory.check_invariants()
         for line, rec in self.records.items():
             mask, state = rec.mask, rec.dir_state
-            if ((state == NOT_CACHED) != (mask == 0) or state ==
-                    DIR_EXCLUSIVE and mask & (mask - 1)):
-                raise AssertionError(f"line {line:#x} is {state} at the "
-                                     f"directory with sharers {mask:#x}")
             for cluster, procs in enumerate(self._procs):
                 held = [self.caches[q].state_of(line) for q in procs
                         if line in self.caches[q]]

@@ -31,12 +31,15 @@ __all__ = ["ServiceClient", "ServiceError"]
 
 
 class ServiceError(RuntimeError):
-    """A non-2xx daemon response, with its structured error body."""
+    """A non-2xx or malformed daemon response, with its structured error
+    body; an ``error`` that is not an object is a ``malformed-response``."""
 
     def __init__(self, status: int, payload: Any) -> None:
         self.status = status
         self.payload = payload if isinstance(payload, dict) else {}
         error = self.payload.get("error", {})
+        if not isinstance(error, dict):
+            error = {"type": "malformed-response", "message": str(error)}
         self.kind = error.get("type", "unknown")
         self.message = error.get("message", str(payload))
         super().__init__(f"HTTP {status} [{self.kind}]: {self.message}")
@@ -46,6 +49,11 @@ def _check(status: int, payload: Any) -> Any:
     if not 200 <= status < 300:
         raise ServiceError(status, payload)
     return payload
+
+
+def _malformed(status: int, message: str) -> ServiceError:
+    return ServiceError(status, {"error": {"type": "malformed-response",
+                                           "message": message}})
 
 
 class ServiceClient:
@@ -152,8 +160,16 @@ class ServiceClient:
             # exactly the daemon's newline-delimited JSON stream
             for line in response:
                 line = line.strip()
-                if line:
-                    yield json.loads(line.decode("utf-8"))
+                if not line:
+                    continue
+                try:
+                    obj = json.loads(line.decode("utf-8"))
+                except (UnicodeDecodeError, json.JSONDecodeError):
+                    obj = None
+                if not isinstance(obj, dict):
+                    raise _malformed(response.status,
+                                     line[:200].decode("latin-1"))
+                yield obj
         finally:
             # the daemon closes the connection after a sweep stream
             self.close()
@@ -171,7 +187,12 @@ class ServiceClient:
         for line in self.iter_sweep(requests, timeout):
             if "error" in line:
                 raise ServiceError(500, {"error": line["error"]})
-            reports[line["index"]] = PointReport.from_dict(line)
+            index = line.get("index")
+            if (type(index) is not int  # a bool is not an index
+                    or not 0 <= index < len(reports)):
+                raise _malformed(500, f"stream line with index {index!r} "
+                                      f"for {len(reports)} point(s)")
+            reports[index] = PointReport.from_dict(line)
         missing = [i for i, r in enumerate(reports) if r is None]
         if missing:
             raise ServiceError(500, {"error": {

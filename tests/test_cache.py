@@ -7,7 +7,9 @@ the set-specific cases."""
 
 import pytest
 
-from repro.memory.cache import EXCLUSIVE, SHARED, Cache
+from repro.core.metrics import MissCounters
+from repro.memory.cache import (EXCLUSIVE, READ_HIT, READ_MERGE, SHARED,
+                                Cache)
 
 
 class TestFullyAssociativeBasics:
@@ -147,6 +149,41 @@ class TestPending:
         c = Cache(4)
         c.insert(1, SHARED)
         assert not c.lookup(1).pending_until > 0
+
+
+class TestProbeRead:
+    """``Cache.probe_read``, the one hit / merge / prefetch rule of every
+    protocol back end."""
+
+    def test_absent_line_is_none_and_keeps_lru_order(self):
+        c = Cache(2)
+        c.insert(1, SHARED)
+        c.insert(2, SHARED)
+        ctr = MissCounters()
+        assert c.probe_read(3, 0, 0, ctr) is None
+        assert ctr == MissCounters()
+        assert c.insert(3, SHARED).line == 1  # 1 is still the LRU line
+
+    def test_pending_line_is_a_merge_counted_once_and_refreshed(self):
+        c = Cache(2)
+        c.insert(1, SHARED, pending_until=50, fetcher=0)
+        c.insert(2, SHARED)
+        ctr = MissCounters()
+        assert c.probe_read(1, 1, 10, ctr) == (READ_MERGE, 40)
+        assert (ctr.merges, ctr.prefetch_hits) == (1, 0)
+        assert c.peek(1).fetcher == 0  # a merge is not a prefetch hit
+        assert c.insert(3, SHARED).line == 2  # 1 became MRU
+
+    def test_prefetched_line_is_one_prefetch_hit_then_plain_hits(self):
+        c = Cache(4)
+        c.insert(1, SHARED, pending_until=5, fetcher=0)
+        ctr = MissCounters()
+        assert c.probe_read(1, 0, 5, ctr) == (READ_HIT, 0)  # its fetcher
+        assert ctr.prefetch_hits == 0
+        assert c.probe_read(1, 1, 5, ctr) == (READ_HIT, 0)
+        assert ctr.prefetch_hits == 1 and c.peek(1).fetcher == -1
+        assert c.probe_read(1, 2, 6, ctr) == (READ_HIT, 0)
+        assert (ctr.prefetch_hits, ctr.merges) == (1, 0)
 
 
 class TestInfiniteCache:

@@ -346,8 +346,8 @@ def test_snoopy_matches_directory_at_cluster_size_one():
 
     app = build_app("lu", config, n=32)
     app.ensure_setup()
-    snoopy_mem = SnoopyClusterMemorySystem(config, app.allocator,
-                                           snoop_penalty=0)
+    snoopy_mem = SnoopyClusterMemorySystem(config, app.allocator)
+    snoopy_mem.snoop_penalty = 0
     snoopy = Engine(config, snoopy_mem).run(app.program)
 
     assert snoopy_mem.c2c_transfers == 0

@@ -188,6 +188,33 @@ def test_dls_invariant_every_resident_line_is_home(seeded=11):
     assert agg.upgrade_misses == 0
 
 
+def test_snoopy_lines_never_carry_a_fetcher(monkeypatch):
+    """A snoopy miss fills only the missing processor's own cache, so no
+    line ever carries another processor's fetch — the invariant that lets
+    snoopy share ``Cache.probe_read`` and its prefetch-hit rule."""
+    from repro.apps.registry import build_app
+    from repro.memory.cache import Cache
+    from repro.sim.engine import Engine
+
+    fetchers = set()
+    insert = Cache.insert
+
+    def spy(self, line, state, pending_until=0, fetcher=-1):
+        fetchers.add(fetcher)
+        return insert(self, line, state, pending_until, fetcher)
+
+    monkeypatch.setattr(Cache, "insert", spy)
+    config = MachineConfig(n_processors=8, cluster_size=4,
+                           cache_kb_per_processor=1.0, protocol="snoopy")
+    app = build_app("ocean", config, n=32, n_vcycles=1)
+    app.ensure_setup()
+    mem = SnoopyClusterMemorySystem(config, app.allocator)
+    Engine(config, mem).run(app.program)
+    agg = mem.aggregate_counters()
+    assert agg.hits and agg.merges and mem.c2c_transfers
+    assert fetchers == {-1} and agg.prefetch_hits == 0
+
+
 # ------------------------------------------------------------ native gate
 
 

@@ -318,3 +318,66 @@ class TestWireTripsThroughTheDaemon:
                 time.sleep(0.5)  # idle past the deadline, same connection
         finally:
             conn.close()
+
+
+class TestClientRejectsMalformedResponses:
+    """A daemon answer the client cannot trust is a ``ServiceError`` of kind
+    ``malformed-response``, never a bare python error or a silently
+    misplaced report."""
+
+    @staticmethod
+    def _report_line(index):
+        from repro.core.metrics import MissCounters, TimeBreakdown
+
+        breakdown = TimeBreakdown(cpu=1)
+        result = RunResult(execution_time=1, breakdown=breakdown,
+                           per_processor=[breakdown], misses=MissCounters(),
+                           per_cluster_misses=[MissCounters()])
+        line = PointReport("k" * 64, result).to_dict()
+        if index is not None:
+            line["index"] = index
+        return line
+
+    @staticmethod
+    def _stream(monkeypatch, lines):
+        """A client whose sweep stream is ``lines`` (bytes, one per line)."""
+        from repro.service.client import ServiceClient
+
+        class Response:
+            status = 200
+
+            def __iter__(self):
+                return iter(lines)
+
+        client = ServiceClient(port=1)
+        monkeypatch.setattr(client, "_raw", lambda *args: Response())
+        return client
+
+    def test_an_error_that_is_not_an_object(self):
+        from repro.service.client import ServiceError
+
+        err = ServiceError(500, {"error": "boom"})
+        assert err.kind == "malformed-response" and err.message == "boom"
+
+    @pytest.mark.parametrize("index", [-1, 2, 7, None, True, "0", 0.0])
+    def test_run_sweep_refuses_an_index_outside_the_grid(self, monkeypatch,
+                                                         index):
+        from repro.service.client import ServiceError
+
+        good = json.dumps(self._report_line(0)).encode()
+        bad = json.dumps(self._report_line(index)).encode()
+        client = self._stream(monkeypatch, [good + b"\n", bad + b"\n"])
+        grid = [RunRequest.make("lu", 1, 4.0), RunRequest.make("lu", 2, 4.0)]
+        with pytest.raises(ServiceError) as info:
+            client.run_sweep(grid)
+        assert info.value.kind == "malformed-response"
+
+    @pytest.mark.parametrize("line", [b"{not json", b"[0, 1]", b"\xff\xfe"])
+    def test_iter_sweep_refuses_a_line_that_is_not_an_object(
+            self, monkeypatch, line):
+        from repro.service.client import ServiceError
+
+        client = self._stream(monkeypatch, [line + b"\n"])
+        with pytest.raises(ServiceError) as info:
+            list(client.iter_sweep([RunRequest.make("lu", 1, 4.0)]))
+        assert info.value.kind == "malformed-response"
