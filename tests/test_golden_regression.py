@@ -23,8 +23,12 @@ from pathlib import Path
 
 import pytest
 
-from repro.analysis import (figure_from_capacity_sweep,
-                            figure_from_cluster_sweep, render_rows)
+from repro.analysis import (contention_slowdown, figure_from_capacity_sweep,
+                            figure_from_cluster_sweep,
+                            figure_from_contention_sweep,
+                            figure_from_protocol_sweep, render_ascii,
+                            render_protocol_comparison, render_rows,
+                            render_slowdown)
 from repro import cli
 from repro.apps.registry import APP_NAMES, QUICK_PROBLEM_SIZES
 from repro.core.config import MachineConfig
@@ -99,6 +103,34 @@ def test_golden_capacity_sweep():
     sweep = study.capacity_sweep((1, None), (1, 2))
     fresh = figure_from_capacity_sweep(title_of(path), sweep)
     assert render_rows(fresh) + "\n" == path.read_text()
+
+
+def contention_text(title: str) -> str:
+    """Quick ocean's 0 / 0.6 mesh-load grid: bars, chart and slowdowns."""
+    study = ClusteringStudy("ocean", CFG, dict(QUICK_PROBLEM_SIZES["ocean"]))
+    sweep = study.contention_sweep((0.0, 0.6), (1, 2, 4))
+    fig = figure_from_contention_sweep(title, sweep)
+    return "\n".join([render_rows(fig), render_ascii(fig), render_slowdown(
+        contention_slowdown(sweep), "slowdown vs zero load")]) + "\n"
+
+
+def protocol_text(title: str) -> str:
+    """Quick ocean's directory / snoopy / dls grid: bars, chart, table."""
+    study = ClusteringStudy("ocean", CFG, dict(QUICK_PROBLEM_SIZES["ocean"]))
+    sweep = study.protocol_sweep(("directory", "snoopy", "dls"), (1, 2, 4))
+    fig = figure_from_protocol_sweep(title, sweep)
+    return "\n".join([render_rows(fig), render_ascii(fig),
+                      render_protocol_comparison(sweep)]) + "\n"
+
+
+@pytest.mark.parametrize("name, render", [
+    ("contention_ocean", contention_text),
+    ("protocol_ocean", protocol_text),
+])
+def test_golden_grouped_figures(name, render):
+    """The per-load and the one-global-baseline figures, byte for byte."""
+    path = GOLDEN / f"{name}.txt"
+    assert render(title_of(path)) == path.read_text()
 
 
 PROBES = json.loads((GOLDEN / "quick_probes.json").read_text())
