@@ -40,7 +40,8 @@ import numpy as np
 
 from ..core.config import MachineConfig
 from ..sim.program import Barrier, Lock, Op, Read, Unlock, Work, Write
-from .base import Application, PhaseBarriers, softened_pull
+from .base import (Application, PhaseBarriers, direct_acceleration,
+                   softened_pull)
 
 __all__ = ["BarnesApp"]
 
@@ -315,14 +316,7 @@ class BarnesApp(Application):
         return (acc, np.concatenate(kinds)[order], np.concatenate(idxs)[order],
                 np.bincount(who, minlength=hi - lo))
 
-    def direct_acceleration(self, body: int) -> np.ndarray:
-        """O(n) reference acceleration for tests."""
-        d = self.pos - self.pos[body]
-        r2 = np.einsum("ij,ij->i", d, d) + self.eps2
-        r2[body] = 1.0
-        w = self.mass / (r2 * np.sqrt(r2))
-        w[body] = 0.0
-        return (w[:, None] * d).sum(axis=0)
+    direct_acceleration = direct_acceleration
 
     # ------------------------------------------------------------- program
     def _cell_line0(self, ci: int) -> int:

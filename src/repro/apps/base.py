@@ -30,7 +30,7 @@ Conventions shared by all applications:
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import TYPE_CHECKING, Iterator
+from typing import TYPE_CHECKING, Any, Iterator
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..sim.compiled import CompiledProgram
@@ -47,7 +47,7 @@ from ..sim.program import (OP_READ, OP_WRITE, Barrier, Lock, Op, Read, Task,
                            Unlock, Write)
 
 __all__ = ["Application", "PhaseBarriers", "TileQueueApplication",
-           "proc_grid_shape", "softened_pull"]
+           "direct_acceleration", "proc_grid_shape", "softened_pull"]
 
 
 def softened_pull(m: np.ndarray | float, d: np.ndarray,
@@ -64,6 +64,18 @@ def softened_pull(m: np.ndarray | float, d: np.ndarray,
     """
     r2 = np.matmul(d[:, None, :], d[:, :, None])[:, 0, 0] + eps2
     return r2, np.reshape(m, (-1, 1)) * d / (r2 * np.sqrt(r2))[:, None]
+
+
+def direct_acceleration(app: Any, body: int) -> np.ndarray:
+    """O(n) reference acceleration of ``body`` from ``app``'s ``pos``,
+    ``mass`` and ``eps2``: the tests' check on Barnes' and FMM's force
+    phases, which bind it as their ``direct_acceleration`` method."""
+    d = app.pos - app.pos[body]
+    r2 = np.einsum("ij,ij->i", d, d) + app.eps2
+    r2[body] = 1.0
+    w = app.mass / (r2 * np.sqrt(r2))
+    w[body] = 0.0
+    return (w[:, None] * d).sum(axis=0)
 
 
 class PhaseBarriers:

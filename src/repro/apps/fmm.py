@@ -40,7 +40,8 @@ import numpy as np
 
 from ..core.config import MachineConfig
 from ..sim.program import Barrier, Op, Read, Work, Write
-from .base import Application, PhaseBarriers, softened_pull
+from .base import (Application, PhaseBarriers, direct_acceleration,
+                   softened_pull)
 
 __all__ = ["FMMApp"]
 
@@ -254,14 +255,7 @@ class FMMApp(Application):
         _, pull = softened_pull(src_mass[k], src_pos[k] - pos[who], self.eps2)
         np.add.at(acc, targets[who], pull)
 
-    def direct_acceleration(self, body: int) -> np.ndarray:
-        """O(n) reference acceleration for tests."""
-        d = self.pos - self.pos[body]
-        r2 = np.einsum("ij,ij->i", d, d) + self.eps2
-        r2[body] = 1.0
-        w = self.mass / (r2 * np.sqrt(r2))
-        w[body] = 0.0
-        return (w[:, None] * d).sum(axis=0)
+    direct_acceleration = direct_acceleration
 
     # ------------------------------------------------------------- program
     def _box_addr(self, bid: int) -> int:

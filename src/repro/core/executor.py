@@ -48,6 +48,7 @@ import traceback
 from concurrent.futures import BrokenExecutor, Future, ThreadPoolExecutor
 from concurrent.futures import TimeoutError as _FuturesTimeout
 from dataclasses import dataclass, field
+from functools import partial
 from typing import (TYPE_CHECKING, Any, Callable, Iterable, Iterator,
                     Sequence)
 
@@ -70,7 +71,7 @@ __all__ = ["BACKENDS", "PointOutcome", "SweepExecutor",
 BACKENDS = ("serial", "process")
 
 
-#: what ``run``/``run_one``/``submit_one`` raise for anything that is not
+#: what ``run``/``submit_one`` raise for anything that is not
 #: a :class:`RunRequest` (loose tuples were never validated eagerly)
 _NOT_A_REQUEST = ("cannot interpret {!r} as a sweep point; expected a "
                   "RunRequest (build one with RunRequest.make(...))")
@@ -80,9 +81,12 @@ _NOT_A_REQUEST = ("cannot interpret {!r} as a sweep point; expected a "
 class PointOutcome:
     """What happened to one dispatched point.
 
-    Exactly one of ``result`` / ``error`` is set.  ``cached`` marks results
-    served from the persistent cache; ``elapsed`` is the evaluation
-    wall-clock in seconds (0.0 for cache hits).
+    Exactly one of ``result`` / ``error`` is set; ``error`` is the full
+    traceback (a pool worker's own traceback included) or
+    ``timed out after …``, and its last line is the summary callers
+    show.  ``cached`` marks results served from the persistent cache;
+    ``elapsed`` is the evaluation wall-clock in seconds (0.0 for cache
+    hits).
     """
 
     spec: RunRequest
@@ -151,16 +155,14 @@ class SweepExecutor:
     cache:
         Optional :class:`ResultCache`.  ``None`` disables both reads and
         writes (the CLI's ``--no-cache``).
-    trace_cache:
-        Compiled-trace cache (:class:`~repro.sim.compiled.TraceCache`).
-        ``None`` (the default) builds one over ``trace_store`` when the
-        first point is evaluated (:meth:`traces`), so a sweep the result
-        cache serves whole never imports the trace layer.
     trace_store:
-        Disk tier of that built cache: ``None`` keeps traces in the
-        process-wide LRU only; a :class:`TraceStore` shares them across
-        processes and invocations.  Ignored when ``trace_cache`` is
-        given.
+        Disk tier of the compiled-trace cache: ``None`` keeps traces in
+        the process-wide LRU only; a :class:`TraceStore` shares them
+        across processes and invocations.  The
+        :class:`~repro.sim.compiled.TraceCache` over it is built when
+        the first point is evaluated (:meth:`traces`) and read back as
+        :attr:`trace_cache` (``None`` until then), so a sweep the result
+        cache serves whole never imports the trace layer.
     observer:
         Optional :class:`~repro.runtime.hooks.RunObserver` attached to
         every in-process evaluation (serial backend and
@@ -180,9 +182,10 @@ class SweepExecutor:
     max_workers: int | None = None
     timeout: float | None = None
     cache: ResultCache | None = field(default=None, repr=False)
-    trace_cache: "TraceCache | None" = field(default=None, repr=False)
     trace_store: TraceStore | None = field(default=None, repr=False)
     observer: RunObserver | None = field(default=None, repr=False)
+    trace_cache: "TraceCache | None" = field(default=None, init=False,
+                                             repr=False, compare=False)
     # the process pool outlives individual run() calls: a worker's start
     # (interpreter, then the simulator and numpy on its first point)
     # would otherwise be paid again by every figure's sweep in a
@@ -225,27 +228,16 @@ class SweepExecutor:
         first occurrence runs, the duplicates share its :class:`RunResult`
         object (``elapsed`` 0.0).  A point that raises (or times out
         under the process backend) produces an error outcome instead of
-        aborting the sweep.
+        aborting the sweep, and so does a point whose machine the base
+        config cannot hold, result cache or not.  One point is
+        ``run([spec], base)[0]``.
+
+        validate → cache-get → dedupe → evaluate → put: the backend
+        yields ``(index, outcome)`` as each point finishes, and the
+        result cache is written inside that loop, so whatever finished
+        before an interrupt stays cached.
         """
-        evaluate = (self._each_pooled if self.backend == "process"
-                    else self._each_serial)
-        return self._memoized(list(specs), base_config, evaluate)
-
-    def run_one(self, spec: RunRequest,
-                base_config: MachineConfig | None = None) -> PointOutcome:
-        """Evaluate a single point (always in-process, still cached)."""
-        return self._memoized([spec], base_config, self._each_serial)[0]
-
-    def _memoized(self, specs: list[RunRequest],
-                  base_config: MachineConfig | None,
-                  evaluate: Callable[..., Iterator[tuple[int, PointOutcome]]]
-                  ) -> list[PointOutcome]:
-        """validate → cache-get → dedupe → evaluate → put, in input order.
-
-        ``evaluate(specs, indices, base)`` yields ``(index, outcome)`` as
-        each point finishes; the result cache is written inside that
-        loop, so whatever finished before an interrupt stays cached.
-        """
+        specs = list(specs)
         base = base_config or MachineConfig()
         for spec in specs:
             if not isinstance(spec, RunRequest):
@@ -261,21 +253,28 @@ class SweepExecutor:
         unique: list[int] = []
         for i, spec in enumerate(specs):
             if self.cache is not None:
-                keys[i] = self.cache.key(spec.app, spec.kwargs,
-                                         spec.config_for(base))
-                hit = self.cache.get(keys[i])
-                if hit is not None:
-                    outcomes[i] = PointOutcome(spec, result=hit, cached=True)
-                    continue
+                try:
+                    keys[i] = self.cache.key(spec.app, spec.kwargs,
+                                             spec.config_for(base))
+                except ValueError:
+                    pass  # no such machine: evaluating it records the error
+                else:
+                    hit = self.cache.get(keys[i])
+                    if hit is not None:
+                        outcomes[i] = PointOutcome(spec, result=hit,
+                                                   cached=True)
+                        continue
             j = primary_of.setdefault(spec, i)
             if j == i:
                 unique.append(i)
             else:
                 duplicate_of[i] = j
 
+        evaluate = (self._each_pooled if self.backend == "process"
+                    else self._each_serial)
         for i, outcome in evaluate(specs, unique, base):
             outcomes[i] = outcome
-            if self.cache is not None and outcome.result is not None:
+            if i in keys and outcome.result is not None:
                 self.cache.put(keys[i], outcome.result)
 
         for i, j in duplicate_of.items():
@@ -289,14 +288,9 @@ class SweepExecutor:
                      base: MachineConfig
                      ) -> Iterator[tuple[int, PointOutcome]]:
         for i in indices:
-            try:
-                result, elapsed = _evaluate_timed(
-                    specs[i], base, self.traces(), self.observer)
-            except Exception:
-                yield i, PointOutcome(specs[i], error=traceback.format_exc())
-            else:
-                yield i, PointOutcome(specs[i], result=result,
-                                      elapsed=elapsed)
+            yield i, self._outcome(specs[i], partial(
+                _evaluate_timed, specs[i], base, self.traces(),
+                self.observer))
 
     def _each_pooled(self, specs: list[RunRequest], indices: list[int],
                      base: MachineConfig
@@ -311,20 +305,34 @@ class SweepExecutor:
         futures = {i: pool.submit(_evaluate_timed, specs[i], base, traces)
                    for i in indices}
         for i, future in futures.items():
-            try:
-                result, elapsed = future.result(timeout=self.timeout)
-            except _FuturesTimeout:
-                future.cancel()
-                yield i, PointOutcome(
-                    specs[i], error=f"timed out after {self.timeout:g}s")
-            except Exception as exc:
-                if isinstance(exc, BrokenExecutor):
-                    # a dead worker poisons the pool; reopen it next run
-                    self.close()
-                yield i, PointOutcome(specs[i], error=self._exc_text(exc))
+            outcome = self._outcome(specs[i],
+                                    partial(future.result, self.timeout))
+            future.cancel()  # drops a late point's queued work; else no-op
+            yield i, outcome
+
+    def _outcome(self, spec: RunRequest,
+                 evaluate: Callable[[], tuple[RunResult, float]]
+                 ) -> PointOutcome:
+        """The one rule turning an evaluation into ``spec``'s outcome.
+
+        ``evaluate`` returns ``(result, elapsed)`` or raises: a futures
+        timeout under a ``timeout`` is ``timed out after …``; any other
+        exception is its full traceback, a pool worker's own arriving as
+        the exception's ``__cause__``.  A :class:`BrokenExecutor` (a
+        dead worker) also closes the pools, so the next call reopens
+        them.
+        """
+        try:
+            result, elapsed = evaluate()
+        except Exception as exc:
+            if isinstance(exc, BrokenExecutor):
+                self.close()
+            if isinstance(exc, _FuturesTimeout) and self.timeout is not None:
+                error = f"timed out after {self.timeout:g}s"
             else:
-                yield i, PointOutcome(specs[i], result=result,
-                                      elapsed=elapsed)
+                error = "".join(traceback.format_exception(exc))
+            return PointOutcome(spec, error=error)
+        return PointOutcome(spec, result=result, elapsed=elapsed)
 
     def submit_one(self, spec: RunRequest,
                    base_config: MachineConfig | None = None
@@ -339,8 +347,8 @@ class SweepExecutor:
         backend runs on a lazily-created thread (same process, so an
         attached :attr:`observer` hears the run).
 
-        Unlike :meth:`run_one`, neither the result cache nor the
-        per-point ``timeout`` is consulted: the caller owns memoization,
+        Unlike :meth:`run`, neither the result cache nor the per-point
+        ``timeout`` is consulted: the caller owns memoization,
         coalescing, and deadlines (the daemon implements all three on
         top of this primitive).
         """
@@ -357,21 +365,11 @@ class SweepExecutor:
                     _evaluate_timed, spec, base, self.traces(),
                     self.observer)
         except Exception as exc:  # e.g. submitting to an already-broken pool
-            if isinstance(exc, BrokenExecutor):
-                self.close()
-            out.set_result(PointOutcome(spec, error=self._exc_text(exc)))
-            return out
+            inner = Future()
+            inner.set_exception(exc)
 
         def _done(f: Future) -> None:
-            try:
-                result, elapsed = f.result()
-            except BaseException as exc:  # noqa: BLE001 — becomes an outcome
-                if isinstance(exc, BrokenExecutor):
-                    # a dead worker poisons the pool; reopen it next submit
-                    self.close()
-                outcome = PointOutcome(spec, error=self._exc_text(exc))
-            else:
-                outcome = PointOutcome(spec, result=result, elapsed=elapsed)
+            outcome = self._outcome(spec, f.result)
             if not out.cancelled():
                 try:
                     out.set_result(outcome)
@@ -380,11 +378,6 @@ class SweepExecutor:
 
         inner.add_done_callback(_done)
         return out
-
-    @staticmethod
-    def _exc_text(exc: BaseException) -> str:
-        return ("".join(traceback.format_exception_only(type(exc), exc))
-                .strip() or repr(exc))
 
     def worker_processes(self) -> list:
         """The pool's live worker processes (empty for serial/thread)."""

@@ -303,8 +303,9 @@ class Engine:
 
 def run_program(config: MachineConfig, program_factory: ProgramFactory,
                 memory=None) -> RunResult:
-    """Convenience wrapper: build the memory system and run one simulation."""
+    """Convenience wrapper: build ``config.protocol``'s memory system and
+    run one simulation."""
     if memory is None:
-        from ..memory.coherence import CoherentMemorySystem
-        memory = CoherentMemorySystem(config)
+        from ..memory import make_memory_system
+        memory = make_memory_system(config)
     return Engine(config, memory).run(program_factory)

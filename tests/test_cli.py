@@ -333,6 +333,43 @@ class TestParser:
         assert flag in captured.err and captured.out == ""
         assert len(captured.err.splitlines()) == 1
 
+    @pytest.mark.parametrize("argv, words", [
+        *[(["--cluster-sizes", "1,3", *cmd], "--cluster-sizes 3 does not")
+          for cmd in (["fig2", "--apps", "lu"], ["fig3"], ["fig4"], ["fig5"],
+                      ["fig6"], ["fig7"], ["fig8"], ["table6"], ["table7"],
+                      ["workingset", "lu"], ["ablation", "associativity"],
+                      ["network"], ["merge", "lu"], ["study"])],
+        *[([*cmd, "--clusters", "3"], "--clusters 3 does not divide")
+          for cmd in (["run", "lu"], ["compare", "lu"], ["trace", "lu"],
+                      ["workingset", "lu"])],
+        *[(["--cluster-sizes", "2,4", *cmd], "must include 1")
+          for cmd in (["fig2", "--apps", "lu"], ["fig3"], ["fig4"], ["fig5"],
+                      ["fig6"], ["fig7"], ["fig8"], ["network"], ["study"])],
+        (["--processors", "6", "fig2", "--apps", "lu"],
+         "--cluster-sizes 4 does not divide --processors 6"),
+    ])
+    def test_unusable_grid_exits_2(self, argv, words, capsys):
+        """``fig2 --cluster-sizes 1,3`` used to die in a traceback (or,
+        with ``--no-cache``, exit 1 after simulating), ``run lu --clusters
+        3`` in a traceback, and ``fig2 --cluster-sizes 2,4`` to simulate
+        the grid before failing to find the 1p bar: a grid no machine can
+        run, or a figure without its baseline, is refused up front."""
+        argv = ["--quick", *argv]
+        problem = cli._ignored_flag(cli.build_parser().parse_args(argv))
+        assert problem is not None and words in problem
+        assert run_cli(*argv) == 2
+        captured = capsys.readouterr()
+        assert words in captured.err and captured.out == ""
+        assert len(captured.err.splitlines()) == 1
+
+    def test_scaling_checks_clusters_against_its_counts(self, capsys):
+        assert cli._ignored_flag(cli.build_parser().parse_args(
+            ["--processors", "6", "scaling", "lu", "--clusters", "4"])) \
+            is None
+        assert run_cli("scaling", "lu", "--clusters", "3",
+                       "--counts", "8,16") == 2
+        assert "does not divide" in capsys.readouterr().err
+
     def test_bad_network_load_rejected(self, capsys):
         with pytest.raises(SystemExit) as exc:
             run_cli(*BASE, "network", "ocean", "--loads", "0,1.5")

@@ -106,7 +106,7 @@ def test_process_pool_width_does_not_matter():
 
 def test_run_one_matches_batch(serial_outcomes):
     spec = _specs()[0]
-    one = SweepExecutor().run_one(spec, CFG)
+    one = SweepExecutor().run([spec], CFG)[0]
     assert one.ok
     assert one.result.to_json() == serial_outcomes[0].result.to_json()
 

@@ -43,6 +43,8 @@ from repro.memory.allocation import PageAllocator
 from repro.memory.snoopy import SnoopyClusterMemorySystem
 from repro.runtime import RunPlan, RunRequest, RunSession
 from repro.sim.compiled import TraceCache, clear_memory_cache, trace_key
+from repro.sim.engine import Engine, run_program
+from repro.sim.program import Read, Write
 
 from refmodel import RefDLSMemorySystem
 from test_native_properties import needs_kernel
@@ -89,6 +91,23 @@ class TestProtocolRegistry:
         for proto, cls in expected.items():
             cfg = MachineConfig(n_processors=4, protocol=proto)
             assert type(make_memory_system(cfg)) is cls
+
+    def test_run_program_runs_the_configured_protocol(self):
+        """``run_program`` used to run the directory protocol whatever
+        ``config.protocol`` said."""
+        def program(pid):
+            lines = [Read(64 * line) for line in range(16)]
+            return iter([*lines, Write(64 * pid), *lines])
+
+        times = {}
+        for proto in PROTOCOLS:
+            cfg = MachineConfig(n_processors=8, cluster_size=2,
+                                protocol=proto)
+            result = run_program(cfg, program)
+            want = Engine(cfg, make_memory_system(cfg)).run(program)
+            assert result.to_json() == want.to_json()
+            times[proto] = result.execution_time
+        assert times["snoopy"] != times["directory"] != times["dls"]
 
     def test_package_level_snoopy_alias_is_gone(self):
         assert not hasattr(memory_pkg, "SnoopyClusterMemorySystem")
@@ -412,16 +431,16 @@ class TestCacheKeyCollisionGuard:
         spec_dls = RunRequest.make("ocean", 2, 4.0, TINY_OCEAN,
                                    protocol="dls")
 
-        first = executor.run_one(spec_dir, base)
+        first = executor.run([spec_dir], base)[0]
         assert cache.hits == 0 and cache.misses == 1
-        crossed = executor.run_one(spec_dls, base)
+        crossed = executor.run([spec_dls], base)[0]
         # differing only in protocol: must miss, must execute, and must
         # produce a different result (DLS pays mandatory remote traffic)
         assert cache.hits == 0 and cache.misses == 2
         assert (crossed.result.execution_time
                 != first.result.execution_time)
 
-        again = executor.run_one(spec_dls, base)
+        again = executor.run([spec_dls], base)[0]
         assert cache.hits == 1  # the honest hit: identical protocol
         assert again.result.to_json() == crossed.result.to_json()
 

@@ -266,8 +266,8 @@ class TestExecutorCoupling:
         with pytest.raises(KeyboardInterrupt):
             executor.run(specs, CFG)
         fresh = SweepExecutor(cache=ResultCache(tmp_path))
-        assert fresh.run_one(specs[0], CFG).cached
-        assert not fresh.run_one(specs[1], CFG).cached
+        assert fresh.run([specs[0]], CFG)[0].cached
+        assert not fresh.run([specs[1]], CFG)[0].cached
 
     def test_different_base_config_misses(self, tmp_path):
         cache = ResultCache(tmp_path)

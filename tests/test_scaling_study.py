@@ -22,7 +22,7 @@ from repro.core.scaling import (MEDIUM_PROBLEM_SIZES, SCALING_TIERS,
                                 compare_shapes, pushout, scaling_curve,
                                 scaling_problem, scaling_processor_counts,
                                 scaling_study)
-from repro.sim.compiled import TraceCache, clear_memory_cache
+from repro.sim.compiled import clear_memory_cache
 
 TINY = {"n": 32, "block": 8}
 COUNTS = (4, 8)
@@ -69,9 +69,9 @@ class TestPipelineRouting:
     def test_curves_share_the_trace_cache(self):
         """Both pushout curves replay one capture per processor count."""
         clear_memory_cache()
-        cache = TraceCache()
-        pushout("lu", COUNTS, 2, None, TINY,
-                executor=SweepExecutor(trace_cache=cache))
+        executor = SweepExecutor()
+        pushout("lu", COUNTS, 2, None, TINY, executor=executor)
+        cache = executor.trace_cache
         # 2 counts x 2 curves = 4 lookups; the clustered curve's two are
         # hits because lu's trace key is cluster-size-independent
         assert cache.misses == len(COUNTS)
@@ -80,7 +80,7 @@ class TestPipelineRouting:
 
     def test_result_cache_memoizes_points(self, tmp_path):
         cache = ResultCache(tmp_path)
-        executor = SweepExecutor(cache=cache, trace_cache=TraceCache())
+        executor = SweepExecutor(cache=cache)
         first = scaling_curve("lu", COUNTS, 1, app_kwargs=TINY,
                               executor=executor)
         again = scaling_curve("lu", COUNTS, 1, app_kwargs=TINY,
@@ -91,7 +91,7 @@ class TestPipelineRouting:
 
     def test_seed_changes_the_problem_not_the_api(self):
         a = scaling_curve("lu", COUNTS, 1, app_kwargs=TINY)
-        b = scaling_curve("lu", COUNTS, 1, app_kwargs=TINY, seed=99)
+        b = scaling_curve("lu", COUNTS, 1, app_kwargs={**TINY, "seed": 99})
         assert [p.n_processors for p in a.points] \
             == [p.n_processors for p in b.points]
 

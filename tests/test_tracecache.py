@@ -292,8 +292,7 @@ class TestCaptureCount:
 
         clear_memory_cache()
         with SweepExecutor(backend="process", max_workers=2,
-                           trace_cache=TraceCache(TraceStore(tmp_path))
-                           ) as pool:
+                           trace_store=TraceStore(tmp_path)) as pool:
             outcomes = pool.run(specs)
         raise_failures(outcomes)
         assert [o.result.to_json() for o in outcomes] == serial
