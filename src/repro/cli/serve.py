@@ -5,24 +5,17 @@ from __future__ import annotations
 import argparse
 import sys
 
-from ..service import ServiceDaemon, SweepService
+from ..service import ServiceDaemon
 from . import _base_config, _executor
 
 
 def cmd_serve(args: argparse.Namespace) -> int:
     """Run the long-lived sweep service daemon (see docs/SERVICE.md)."""
-    executor = _executor(args)
-    # the service layer owns memoization (the cache must compose with
-    # single-flight coalescing), so the executor's own cache hook is
-    # detached and handed to the service instead
-    cache = executor.cache
-    executor.cache = None
-    service = SweepService(executor, base_config=_base_config(args),
-                           cache=cache)
-    daemon = ServiceDaemon(service, host=args.host, port=args.port,
+    daemon = ServiceDaemon(_executor(args), _base_config(args),
+                           host=args.host, port=args.port,
                            drain_deadline=args.drain)
     rc = daemon.run_blocking(announce=True)
-    stats = service.stats_dict()
+    stats = daemon.stats_dict()
     print(f"repro-clustering serve: stopped after {stats['uptime_s']:.1f}s — "
           f"{stats['points']} points ({stats['executed']} executed, "
           f"{stats['cache_hits']} cache hits, {stats['coalesced']} "

@@ -57,7 +57,7 @@ from ..runtime.plan import RunRequest
 from ..runtime.session import RunSession
 from .config import MachineConfig
 from .metrics import RunResult
-from .resultcache import ResultCache, TraceStore
+from .resultcache import ResultCache, TraceStore, point_key
 
 if TYPE_CHECKING:  # pragma: no cover
     from concurrent.futures import ProcessPoolExecutor
@@ -218,21 +218,41 @@ class SweepExecutor:
         return self.trace_cache
 
     # ------------------------------------------------------------------ API
+    def key(self, spec: RunRequest, base: MachineConfig) -> "str | RunRequest":
+        """``spec``'s point key: its result-cache key, or ``spec`` itself
+        when no machine can hold it (evaluating it records the error)."""
+        try:
+            return point_key(spec.app, spec.kwargs, spec.config_for(base))
+        except ValueError:
+            return spec
+
+    def cached(self, key: "str | RunRequest") -> RunResult | None:
+        """The one result-cache read: ``key``'s stored result, or ``None``
+        (no cache, a miss, or a point no machine can hold)."""
+        if self.cache is None or not isinstance(key, str):
+            return None
+        return self.cache.get(key)
+
+    def store(self, key: str, result: RunResult) -> None:
+        """The one result-cache write (a no-op without a cache)."""
+        if self.cache is not None:
+            self.cache.put(key, result)
+
     def run(self, specs: Iterable[RunRequest],
             base_config: MachineConfig | None = None) -> list[PointOutcome]:
         """Evaluate every spec; outcomes come back in input order.
 
         Cache hits are resolved up front; only misses are dispatched to the
         backend, and each fresh result is written back as soon as its
-        point completes.  Identical pending specs are evaluated once — the
-        first occurrence runs, the duplicates share its :class:`RunResult`
-        object (``elapsed`` 0.0).  A point that raises (or times out
-        under the process backend) produces an error outcome instead of
-        aborting the sweep, and so does a point whose machine the base
-        config cannot hold, result cache or not.  One point is
-        ``run([spec], base)[0]``.
+        point completes.  Pending specs with one point :meth:`key` are
+        evaluated once — the first occurrence runs, the duplicates share
+        its :class:`RunResult` object (``elapsed`` 0.0).  A point that
+        raises (or times out under the process backend) produces an
+        error outcome instead of aborting the sweep, and so does a point
+        whose machine the base config cannot hold, result cache or not.
+        One point is ``run([spec], base)[0]``.
 
-        validate → cache-get → dedupe → evaluate → put: the backend
+        validate → key → cache-get → dedupe → evaluate → put: the backend
         yields ``(index, outcome)`` as each point finishes, and the
         result cache is written inside that loop, so whatever finished
         before an interrupt stays cached.
@@ -242,29 +262,20 @@ class SweepExecutor:
         for spec in specs:
             if not isinstance(spec, RunRequest):
                 raise TypeError(_NOT_A_REQUEST.format(spec))
+        keys = [self.key(spec, base) for spec in specs]
         outcomes: list[PointOutcome | None] = [None] * len(specs)
-        keys: dict[int, str] = {}
-        # dedupe before submission: RunRequest is frozen and hashable, so
-        # two identical specs in one sweep (same app, geometry, kwargs,
-        # network) collapse into one evaluation even with the result
-        # cache off; only unique points reach the backend
-        primary_of: dict[RunRequest, int] = {}
+        # dedupe before submission: specs with one key (same app, kwargs
+        # and machine, however spelled) are one evaluation, result cache
+        # on or off; only unique points reach the backend
+        primary_of: dict[str | RunRequest, int] = {}
         duplicate_of: dict[int, int] = {}
         unique: list[int] = []
-        for i, spec in enumerate(specs):
-            if self.cache is not None:
-                try:
-                    keys[i] = self.cache.key(spec.app, spec.kwargs,
-                                             spec.config_for(base))
-                except ValueError:
-                    pass  # no such machine: evaluating it records the error
-                else:
-                    hit = self.cache.get(keys[i])
-                    if hit is not None:
-                        outcomes[i] = PointOutcome(spec, result=hit,
-                                                   cached=True)
-                        continue
-            j = primary_of.setdefault(spec, i)
+        for i, key in enumerate(keys):
+            hit = self.cached(key)
+            if hit is not None:
+                outcomes[i] = PointOutcome(specs[i], result=hit, cached=True)
+                continue
+            j = primary_of.setdefault(key, i)
             if j == i:
                 unique.append(i)
             else:
@@ -274,8 +285,8 @@ class SweepExecutor:
                     else self._each_serial)
         for i, outcome in evaluate(specs, unique, base):
             outcomes[i] = outcome
-            if i in keys and outcome.result is not None:
-                self.cache.put(keys[i], outcome.result)
+            if outcome.result is not None:  # so its key is a str
+                self.store(keys[i], outcome.result)
 
         for i, j in duplicate_of.items():
             src = outcomes[j]
@@ -348,9 +359,10 @@ class SweepExecutor:
         attached :attr:`observer` hears the run).
 
         Unlike :meth:`run`, neither the result cache nor the per-point
-        ``timeout`` is consulted: the caller owns memoization,
-        coalescing, and deadlines (the daemon implements all three on
-        top of this primitive).
+        ``timeout`` is applied: the caller reads (:meth:`cached`) and
+        writes (:meth:`store`) the cache, coalesces, and keeps deadlines
+        (the daemon does all of it on top of this primitive, writing on
+        its event-loop thread in the step that ends the flight).
         """
         base = base_config or MachineConfig()
         if not isinstance(spec, RunRequest):

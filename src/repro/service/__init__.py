@@ -10,15 +10,15 @@ Layout:
 
 * :mod:`~repro.service.protocol` — JSON wire codecs and validation;
 * :mod:`~repro.service.http` — the minimal asyncio HTTP/1.1 layer;
-* :mod:`~repro.service.daemon` — :class:`SweepService` (single-flight
-  core), :class:`ServiceDaemon` (server), :class:`DaemonThread`
-  (background-thread host for tests and embedding);
+* :mod:`~repro.service.daemon` — :class:`ServiceDaemon` (single-flight
+  server over the executor that owns the result cache) and
+  :class:`DaemonThread` (background-thread host for tests and embedding);
 * :mod:`~repro.service.client` — the blocking client.
 """
 
 from .client import ServiceClient, ServiceError
 from .daemon import (DaemonThread, PointExecutionError, ServiceDaemon,
-                     ServiceStats, SweepService)
+                     ServiceStats)
 from .protocol import (PROTOCOL_VERSION, PointReport, ProtocolError,
                        decode_point_payload, decode_run_request,
                        decode_sweep_payload, encode_point_payload,
@@ -34,7 +34,6 @@ __all__ = [
     "ServiceDaemon",
     "ServiceError",
     "ServiceStats",
-    "SweepService",
     "decode_point_payload",
     "decode_run_request",
     "decode_sweep_payload",

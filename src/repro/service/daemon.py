@@ -3,29 +3,26 @@
 ``repro-clustering serve`` turns the repo's warm-state machinery — the
 process-wide compiled-trace LRU, the worker pool, the content-hash
 result cache — from per-invocation optimizations into a
-shared, persistent service.  Two classes split the work:
+shared, persistent service.
 
-:class:`SweepService`
-    The transport-free core.  It owns the :class:`~repro.core.executor.
-    SweepExecutor`, the optional :class:`~repro.core.resultcache.
-    ResultCache`, and the **single-flight table**: a map from content-hash
-    point key (:func:`~repro.core.resultcache.point_key` — the exact key
-    the result cache uses) to the in-flight :class:`asyncio.Task`
-    computing that point.  N concurrent identical requests find the same
-    task and await it together — one simulation, N answers — and the
-    finished result lands in the result cache so request N+1 is a disk
-    hit.  Execution itself goes through
-    :meth:`SweepExecutor.submit_one`, whose worker path is the canonical
-    :class:`~repro.runtime.session.RunSession` pipeline; the daemon adds
-    no second way to run a simulation.
-
-:class:`ServiceDaemon`
-    The asyncio HTTP front end (see :mod:`repro.service.http`): routing,
-    keep-alive connections, the JSON-lines sweep stream, per-request
-    timeouts (``asyncio.wait_for`` around a *shielded* flight, so one
-    impatient client never cancels a computation other clients share),
-    and graceful shutdown that stops accepting, drains in-flight points
-    up to a deadline, then cancels stragglers and closes the pools.
+:class:`ServiceDaemon` is the asyncio HTTP front end (see
+:mod:`repro.service.http`) over one :class:`~repro.core.executor.
+SweepExecutor`: routing, keep-alive connections, the JSON-lines sweep
+stream, and the **single-flight table** — point key
+(:meth:`SweepExecutor.key`) → the :class:`asyncio.Task` computing it,
+so N concurrent identical requests share one simulation.  The executor
+alone reads and writes the result cache: the daemon calls
+:meth:`SweepExecutor.cached` after its in-flight check and
+:meth:`SweepExecutor.store` in the loop step that ends a flight, and
+runs points through :meth:`SweepExecutor.submit_one` (the canonical
+:class:`~repro.runtime.session.RunSession` pipeline).  Per-request
+timeouts are ``asyncio.wait_for`` around a *shielded* flight, so one
+impatient client never cancels a computation others share; graceful
+shutdown stops accepting, drains in-flight points up to a deadline,
+then cancels stragglers and closes the pools.
+:meth:`ServiceDaemon.serve` is the one coroutine that hosts it, under
+:func:`asyncio.run` for both :meth:`~ServiceDaemon.run_blocking` (the
+CLI) and :class:`DaemonThread`.
 
 Endpoints (wire format in ``docs/SERVICE.md``):
 
@@ -50,19 +47,21 @@ the executor reopening its pool on the next request.
 from __future__ import annotations
 
 import asyncio
+import functools
+import inspect
 import threading
 import time
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Any, Callable
 
 import repro.native as native
 
-from ..apps.registry import APP_NAMES
+from ..apps.registry import APP_NAMES, app_class
 from ..core.config import MachineConfig
 from ..core.executor import PointOutcome, SweepExecutor
-from ..core.resultcache import ResultCache, point_key
+from ..core.resultcache import ResultCache
 from .http import (HTTPParseError, HTTPRequest, JSONLineWriter, read_request,
-                   response_bytes, send_json)
+                   send_json)
 from .protocol import (PROTOCOL_VERSION, PointReport, ProtocolError,
                        decode_point_payload, decode_sweep_payload,
                        encode_run_request, error_body)
@@ -71,7 +70,7 @@ if TYPE_CHECKING:  # pragma: no cover
     from ..runtime.plan import RunRequest
 
 __all__ = ["DaemonThread", "PointExecutionError", "ServiceDaemon",
-           "ServiceStats", "SweepService"]
+           "ServiceStats"]
 
 
 class PointExecutionError(RuntimeError):
@@ -104,40 +103,50 @@ class ServiceStats:
     timeouts: int = 0      # per-request deadlines that expired
 
 
-class SweepService:
-    """Transport-free service core: single-flight memoized evaluation.
+@functools.cache  # a refusal raises TypeError: only accepted sets are kept
+def _bind_kwargs(app: str, names: tuple[str, ...]) -> None:
+    inspect.signature(app_class(app)).bind(None, **dict.fromkeys(names))
+
+
+class ServiceDaemon:
+    """The sweep service: single-flight evaluation behind asyncio HTTP.
 
     Parameters
     ----------
     executor:
-        The :class:`SweepExecutor` evaluations are dispatched to.  Its
-        backend decides the daemon's shape: ``process`` for a warm
-        worker pool, ``serial`` for in-process (thread) execution.
-        The executor's own result cache is ignored — the service owns
-        memoization so it composes with single-flight.
+        The :class:`SweepExecutor` evaluations are dispatched to, and
+        the owner of the result cache (``executor.cache``; ``None``
+        disables memoization).  Its backend decides the daemon's shape:
+        ``process`` for a warm worker pool, ``serial`` for in-process
+        (thread) execution.
     base_config:
         Machine template every request resolves against.
-    cache:
-        Optional persistent :class:`ResultCache`.  ``None`` disables
-        memoization (every distinct request executes).
     """
 
     def __init__(self, executor: SweepExecutor,
                  base_config: MachineConfig | None = None,
-                 cache: ResultCache | None = None) -> None:
+                 host: str = "127.0.0.1", port: int = 0,
+                 drain_deadline: float = 10.0) -> None:
         self.executor = executor
         self.base_config = base_config or MachineConfig()
-        self.cache = cache
+        self.host = host
+        self.port = port
+        self.drain_deadline = drain_deadline
         self.stats = ServiceStats()
         self.started_at = time.monotonic()
         self._inflight: dict[str, asyncio.Task] = {}
+        self._server: asyncio.AbstractServer | None = None
+        self._stopped = asyncio.Event()
+        self._stopping = False
+        self._shutdown_task: asyncio.Task | None = None
 
     # ------------------------------------------------------------ resolution
-    def resolve(self, request: "RunRequest") -> tuple[str, MachineConfig]:
-        """Validate + bind a request; returns (point key, concrete config).
+    def resolve(self, request: "RunRequest") -> str:
+        """Validate a request; returns its :meth:`SweepExecutor.key`.
 
         Raises :class:`ProtocolError` for anything the daemon can reject
-        before spending a worker on it: unknown applications and
+        before spending a worker on it: unknown applications, keyword
+        arguments the application's constructor does not take, and
         machine shapes the base config cannot take (e.g. a cluster size
         that does not divide the processor count).
         """
@@ -146,10 +155,16 @@ class SweepService:
                 f"unknown application {request.app!r}; expected one of "
                 f"{', '.join(APP_NAMES)}")
         try:
-            config = request.config_for(self.base_config)
-        except ValueError as exc:
-            raise ProtocolError(str(exc)) from exc
-        return point_key(request.app, request.kwargs, config), config
+            _bind_kwargs(request.app, tuple(request.kwargs))
+        except TypeError as exc:
+            raise ProtocolError(f"{request.app}: {exc}") from exc
+        key = self.executor.key(request, self.base_config)
+        if not isinstance(key, str):  # no machine can hold it: say why
+            try:
+                request.config_for(self.base_config)
+            except ValueError as exc:
+                raise ProtocolError(str(exc)) from exc
+        return key
 
     # ------------------------------------------------------------ evaluation
     @property
@@ -158,7 +173,7 @@ class SweepService:
 
     async def evaluate(self, request: "RunRequest",
                        timeout: float | None = None) -> PointReport:
-        """Evaluate one point: cache → single-flight → execute.
+        """Evaluate one point: single-flight → cache → execute.
 
         The order is the whole contract: an identical in-flight
         execution is joined *before* the cache is consulted (the flight
@@ -169,7 +184,7 @@ class SweepService:
         submit the same key.
         """
         self.stats.points += 1
-        key, _config = self.resolve(request)
+        key = self.resolve(request)
 
         flight = self._inflight.get(key)
         if flight is not None:
@@ -177,11 +192,10 @@ class SweepService:
             report = await self._await_flight(flight, timeout)
             return report.as_coalesced()
 
-        if self.cache is not None:
-            hit = self.cache.get(key)
-            if hit is not None:
-                self.stats.cache_hits += 1
-                return PointReport(key, hit, cached=True)
+        hit = self.executor.cached(key)
+        if hit is not None:
+            self.stats.cache_hits += 1
+            return PointReport(key, hit, cached=True)
 
         flight = asyncio.get_running_loop().create_task(
             self._execute(key, request))
@@ -210,8 +224,9 @@ class SweepService:
             self.stats.errors += 1
             raise PointExecutionError(key, outcome.error)
         self.stats.executed += 1
-        if self.cache is not None:
-            self.cache.put(key, outcome.result)
+        # on the loop, in the step that ends the flight: a duplicate
+        # either joins the flight or hits the cache
+        self.executor.store(key, outcome.result)
         return PointReport(key, outcome.result, elapsed=outcome.elapsed)
 
     # --------------------------------------------------------------- reports
@@ -219,10 +234,10 @@ class SweepService:
         from ..sim.compiled import trace_cache_info
 
         s = self.stats
-        cache = None
-        if self.cache is not None:
-            cache = {"hits": self.cache.hits, "misses": self.cache.misses,
-                     "directory": str(self.cache.directory)}
+        cache = self.executor.cache
+        if cache is not None:
+            cache = {"hits": cache.hits, "misses": cache.misses,
+                     "directory": str(cache.directory)}
         return {
             "uptime_s": round(time.monotonic() - self.started_at, 3),
             "requests": s.requests,
@@ -246,69 +261,35 @@ class SweepService:
             },
         }
 
-    async def drain(self, deadline: float | None) -> int:
-        """Wait for in-flight points (up to ``deadline`` seconds).
-
-        Returns how many flights were still pending at the deadline and
-        got cancelled — 0 is the graceful outcome.
-        """
-        pending = [t for t in self._inflight.values() if not t.done()]
-        if pending:
-            await asyncio.wait(pending, timeout=deadline)
-        stragglers = [t for t in self._inflight.values() if not t.done()]
-        for task in stragglers:
-            task.cancel()
-        return len(stragglers)
-
-    def close(self) -> None:
-        """Shut the executor's worker pools down (idempotent)."""
-        self.executor.close()
-
-
-class ServiceDaemon:
-    """Asyncio HTTP front end around a :class:`SweepService`."""
-
-    def __init__(self, service: SweepService, host: str = "127.0.0.1",
-                 port: int = 0, drain_deadline: float = 10.0) -> None:
-        self.service = service
-        self.host = host
-        self.port = port
-        self.drain_deadline = drain_deadline
-        self._server: asyncio.AbstractServer | None = None
-        self._stopped: asyncio.Event | None = None
-        self._stopping = False
-        self._shutdown_task: asyncio.Task | None = None
-
     # ------------------------------------------------------------- lifecycle
-    async def start(self) -> tuple[str, int]:
-        """Bind and start serving; returns (host, actual port)."""
-        self._stopped = asyncio.Event()
-        self._stopping = False
+    async def serve(self, started: Callable[[], None] = lambda: None
+                    ) -> None:
+        """Bind, call ``started()`` on the loop, and serve until
+        :meth:`stop` has drained (``POST /shutdown`` or a caller)."""
         self._server = await asyncio.start_server(self._handle, self.host,
                                                   self.port)
         self.port = self._server.sockets[0].getsockname()[1]
-        return self.host, self.port
+        started()
+        await self._stopped.wait()
 
     async def stop(self, drain_deadline: float | None = None) -> None:
-        """Graceful shutdown: stop accepting, drain, cancel, close pools."""
+        """Graceful shutdown: stop accepting, wait for in-flight points
+        (up to the drain deadline), cancel stragglers, close the pools."""
         if self._stopping:
-            if self._stopped is not None:
-                await self._stopped.wait()
+            await self._stopped.wait()
             return
         self._stopping = True
         if self._server is not None:
             self._server.close()
             await self._server.wait_closed()
-        deadline = (self.drain_deadline if drain_deadline is None
-                    else drain_deadline)
-        await self.service.drain(deadline)
-        self.service.close()
-        if self._stopped is not None:
-            self._stopped.set()
-
-    async def wait_stopped(self) -> None:
-        if self._stopped is not None:
-            await self._stopped.wait()
+        pending = [t for t in self._inflight.values() if not t.done()]
+        if pending:
+            await asyncio.wait(pending, timeout=self.drain_deadline
+                               if drain_deadline is None else drain_deadline)
+        for task in self._inflight.values():
+            task.cancel()
+        self.executor.close()
+        self._stopped.set()
 
     def run_blocking(self, announce: bool = False) -> int:
         """Serve until SIGINT/SIGTERM or ``POST /shutdown`` (CLI entry)."""
@@ -316,28 +297,30 @@ class ServiceDaemon:
         import signal
         import sys
 
-        async def _main() -> None:
-            host, port = await self.start()
+        def started() -> None:
             if announce:
                 print(f"repro-clustering serve: listening on "
-                      f"http://{host}:{port} "
-                      f"(backend={self.service.executor.backend}, "
+                      f"http://{self.host}:{self.port} "
+                      f"(backend={self.executor.backend}, "
                       # `is not None`: an empty ResultCache is falsy (len 0)
                       f"cache="
-                      f"{'on' if self.service.cache is not None else 'off'})",
+                      f"{'on' if self.executor.cache is not None else 'off'})",
                       file=sys.stderr)
-            loop = asyncio.get_running_loop()
             for sig in (signal.SIGINT, signal.SIGTERM):
                 with contextlib.suppress(NotImplementedError):
-                    loop.add_signal_handler(
-                        sig, lambda: loop.create_task(self.stop()))
-            await self.wait_stopped()
+                    asyncio.get_running_loop().add_signal_handler(
+                        sig, self._stop_soon)
 
         try:
-            asyncio.run(_main())
+            asyncio.run(self.serve(started))
         except KeyboardInterrupt:  # platforms without signal handlers
             pass
         return 0
+
+    def _stop_soon(self) -> None:
+        # kept: the loop holds tasks weakly, and /shutdown's connection ends
+        self._shutdown_task = asyncio.get_running_loop().create_task(
+            self.stop())
 
     # ------------------------------------------------------------ connection
     async def _handle(self, reader: asyncio.StreamReader,
@@ -353,7 +336,7 @@ class ServiceDaemon:
                     break
                 if request is None:
                     break
-                self.service.stats.requests += 1
+                self.stats.requests += 1
                 close_after = await self._dispatch(request, writer)
                 await writer.drain()
                 if close_after or request.wants_close:
@@ -376,9 +359,9 @@ class ServiceDaemon:
             if route == ("GET", "/healthz"):
                 send_json(writer, 200, {
                     "status": "ok", "protocol": PROTOCOL_VERSION,
-                    "in_flight": self.service.in_flight})
+                    "in_flight": self.in_flight})
             elif route == ("GET", "/stats"):
-                send_json(writer, 200, self.service.stats_dict())
+                send_json(writer, 200, self.stats_dict())
             elif route == ("POST", "/resolve"):
                 self._handle_resolve(request, writer)
             elif route == ("POST", "/run"):
@@ -387,11 +370,8 @@ class ServiceDaemon:
                 return await self._handle_sweep(request, writer)
             elif route == ("POST", "/shutdown"):
                 send_json(writer, 200, {
-                    "ok": True, "draining": self.service.in_flight})
-                # respond first, then stop: the task keeps a reference so
-                # the shutdown survives this connection closing
-                self._shutdown_task = asyncio.get_running_loop().create_task(
-                    self.stop())
+                    "ok": True, "draining": self.in_flight})
+                self._stop_soon()  # respond first, then stop
                 return True
             elif request.path in ("/healthz", "/stats", "/resolve", "/run",
                                   "/sweep", "/shutdown"):
@@ -421,26 +401,27 @@ class ServiceDaemon:
     def _handle_resolve(self, request: HTTPRequest,
                         writer: asyncio.StreamWriter) -> None:
         spec, _timeout = decode_point_payload(request.json())
-        key, config = self.service.resolve(spec)
+        key = self.resolve(spec)
         send_json(writer, 200, {"key": key,
                                 "request": encode_run_request(spec),
-                                "config": config.to_dict()})
+                                "config": spec.config_for(
+                                    self.base_config).to_dict()})
 
     async def _handle_run(self, request: HTTPRequest,
                           writer: asyncio.StreamWriter) -> None:
         spec, timeout = decode_point_payload(request.json())
-        report = await self.service.evaluate(spec, timeout=timeout)
+        report = await self.evaluate(spec, timeout=timeout)
         send_json(writer, 200, report.to_dict())
 
     async def _handle_sweep(self, request: HTTPRequest,
                             writer: asyncio.StreamWriter) -> bool:
         specs, timeout = decode_sweep_payload(request.json())
         for spec in specs:  # reject the whole grid before streaming any of it
-            self.service.resolve(spec)
+            self.resolve(spec)
 
         async def one(index: int, spec: "RunRequest") -> dict[str, Any]:
             try:
-                report = await self.service.evaluate(spec, timeout=timeout)
+                report = await self.evaluate(spec, timeout=timeout)
             except PointExecutionError as exc:
                 return {"index": index,
                         **error_body("execution-error", exc.message)}
@@ -468,11 +449,13 @@ class ServiceDaemon:
 class DaemonThread:
     """A daemon hosted on a background thread (tests, fixtures, embedding).
 
-    Owns the full stack: builds the executor (and, with ``cache_dir``, a
-    persistent result cache), runs an event loop on a dedicated thread,
-    and tears everything down — drain, pool shutdown, loop close — in
-    :meth:`stop`.  The ``serve_daemon`` pytest fixture wraps one of
-    these so the whole service suite shares a single warm daemon.
+    Owns the full stack: builds the executor (with a persistent result
+    cache when ``cache_dir`` is given) and the :class:`ServiceDaemon`,
+    runs :meth:`ServiceDaemon.serve` under :func:`asyncio.run` on a
+    dedicated thread, and tears everything down — drain, pool shutdown,
+    loop close — in :meth:`stop`.  The ``serve_daemon`` pytest fixture
+    wraps one of these so the whole service suite shares a single warm
+    daemon.
     """
 
     def __init__(self, *, base_config: MachineConfig | None = None,
@@ -480,18 +463,15 @@ class DaemonThread:
                  cache_dir: Any = None, host: str = "127.0.0.1",
                  port: int = 0, drain_deadline: float = 10.0,
                  observer: Any = None) -> None:
-        cache = None if cache_dir is None else ResultCache(cache_dir)
-        self.executor = SweepExecutor(backend=backend,
-                                      max_workers=max_workers,
-                                      observer=observer)
-        self.service = SweepService(self.executor, base_config=base_config,
-                                    cache=cache)
-        self.daemon = ServiceDaemon(self.service, host=host, port=port,
-                                    drain_deadline=drain_deadline)
+        self.executor = SweepExecutor(
+            backend=backend, max_workers=max_workers, observer=observer,
+            cache=None if cache_dir is None else ResultCache(cache_dir))
+        self.daemon = ServiceDaemon(self.executor, base_config, host=host,
+                                    port=port, drain_deadline=drain_deadline)
         self._loop: asyncio.AbstractEventLoop | None = None
         self._thread: threading.Thread | None = None
         self._ready = threading.Event()
-        self._startup_error: BaseException | None = None
+        self._startup_error: Exception | None = None
 
     # ------------------------------------------------------------- lifecycle
     def start(self, timeout: float = 30.0) -> "DaemonThread":
@@ -506,38 +486,26 @@ class DaemonThread:
         return self
 
     def _run(self) -> None:
-        loop = asyncio.new_event_loop()
-        asyncio.set_event_loop(loop)
-        self._loop = loop
-        try:
-            loop.run_until_complete(self.daemon.start())
-        except BaseException as exc:  # noqa: BLE001 — surfaced in start()
-            self._startup_error = exc
+        def started() -> None:
+            self._loop = asyncio.get_running_loop()
             self._ready.set()
-            loop.close()
-            return
-        self._ready.set()
+
         try:
-            loop.run_forever()
+            asyncio.run(self.daemon.serve(started))
+        except Exception as exc:  # e.g. the port is taken: start() raises
+            self._startup_error = exc
         finally:
-            pending = asyncio.all_tasks(loop)
-            for task in pending:
-                task.cancel()
-            if pending:
-                loop.run_until_complete(
-                    asyncio.gather(*pending, return_exceptions=True))
-            loop.run_until_complete(loop.shutdown_asyncgens())
-            loop.close()
+            self._ready.set()
 
     def stop(self, drain_deadline: float | None = None,
              timeout: float = 30.0) -> None:
-        if self._loop is None or self._thread is None:
+        if self._thread is None:
             return
-        if self._thread.is_alive():
-            future = asyncio.run_coroutine_threadsafe(
-                self.daemon.stop(drain_deadline), self._loop)
-            future.result(timeout)
-            self._loop.call_soon_threadsafe(self._loop.stop)
+        # a daemon already stopping (POST /shutdown) ends serve() itself
+        if (self._loop is not None and self._thread.is_alive()
+                and not self.daemon._stopping):
+            asyncio.run_coroutine_threadsafe(
+                self.daemon.stop(drain_deadline), self._loop).result(timeout)
         self._thread.join(timeout)
         if self._thread.is_alive():  # pragma: no cover — hung teardown
             raise RuntimeError("service daemon thread did not stop")

@@ -8,6 +8,7 @@ from repro.core.executor import (BACKENDS, PointOutcome,
                                  raise_failures)
 from repro.core.study import ClusteringStudy
 from repro.runtime import RunRequest
+from repro.runtime.hooks import RunObserver
 
 CFG = MachineConfig(n_processors=8)
 OCEAN_KW = {"n": 16, "n_vcycles": 1}
@@ -185,6 +186,26 @@ class TestDedupe:
         assert out[2].elapsed == 0.0
         assert out[0].elapsed > 0.0
         assert out[1].result is not out[0].result
+
+    def test_one_point_key_is_one_evaluation(self):
+        """Two spellings of one machine (the default protocol left
+        implicit, then named) are one point: evaluated once."""
+
+        class Count(RunObserver):
+            evaluations = 0
+
+            def on_result(self, plan, result):
+                self.evaluations += 1
+
+        lu = {"n": 32, "block": 8}
+        implicit = RunRequest.make("lu", 2, 4.0, lu)
+        named = RunRequest.make("lu", 2, 4.0, lu, protocol="directory")
+        assert implicit != named
+        count = Count()
+        out = SweepExecutor(observer=count).run([implicit, named], CFG)
+        assert count.evaluations == 1
+        assert out[1].result is out[0].result
+        assert out[1].elapsed == 0.0 and out[1].spec is named
 
     def test_duplicates_of_a_failing_point_share_the_error(self):
         bad = RunRequest.make("notanapp", 1, None, {})

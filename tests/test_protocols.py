@@ -447,15 +447,18 @@ class TestCacheKeyCollisionGuard:
     def test_daemon_stats_stay_honest_across_protocols(self, serve_daemon):
         from repro.runtime import RunRequest
 
-        stats0 = serve_daemon.service.stats_dict()
+        # a problem no other test runs on the session daemon, whose result
+        # cache would otherwise already hold the directory point
+        ocean = dict(TINY_OCEAN, seed=7)
+        stats0 = serve_daemon.daemon.stats_dict()
         with serve_daemon.client() as client:
             r_dir = client.run_point(
-                RunRequest.make("ocean", 2, 4.0, TINY_OCEAN))
+                RunRequest.make("ocean", 2, 4.0, ocean))
             r_dls = client.run_point(
-                RunRequest.make("ocean", 2, 4.0, TINY_OCEAN,
+                RunRequest.make("ocean", 2, 4.0, ocean,
                                 protocol="dls"))
             r_dls_again = client.run_point(
-                RunRequest.make("ocean", 2, 4.0, TINY_OCEAN,
+                RunRequest.make("ocean", 2, 4.0, ocean,
                                 protocol="dls"))
         assert r_dir.key != r_dls.key
         assert r_dls_again.key == r_dls.key
@@ -463,7 +466,7 @@ class TestCacheKeyCollisionGuard:
         assert r_dls_again.cached  # the honest hit
         assert (r_dls.result.execution_time
                 != r_dir.result.execution_time)
-        stats = serve_daemon.service.stats_dict()
+        stats = serve_daemon.daemon.stats_dict()
         assert stats["executed"] >= stats0["executed"] + 2
         assert stats["cache_hits"] >= stats0["cache_hits"] + 1
 

@@ -15,6 +15,7 @@ enough to serve the next request from a reopened pool.
 
 import os
 import signal
+import socket
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -110,6 +111,45 @@ class TestSingleFlight:
             assert first.cached is False and second.cached is True
             assert second.coalesced is False
         finally:
+            daemon.stop()
+
+
+    def test_one_sweep_listing_each_key_twice_coalesces_each_pair(
+            self, tmp_path):
+        # what the serve_mix benchmark checks: the second listing of a
+        # fresh key joins the first one's flight, it never reads the cache
+        observer = GatedCountingObserver()
+        daemon = DaemonThread(base_config=CFG, observer=observer,
+                              cache_dir=tmp_path / "cache").start()
+        try:
+            fresh = [RunRequest.make("lu", 2, 4.0, LU),
+                     RunRequest.make("fft", 4, 8.0, FFT)]
+            with daemon.client() as client:
+                stats0 = client.stats()
+                reports = client.run_sweep(fresh + fresh)
+                stats = client.stats()
+            for first, second in zip(reports[:2], reports[2:]):
+                assert first.key == second.key
+                pair = sorted((r.coalesced, r.cached) for r in (first, second))
+                assert pair == [(False, False), (True, False)]
+            deltas = {k: stats[k] - stats0[k]
+                      for k in ("executed", "coalesced", "cache_hits")}
+            assert deltas == {"executed": 2, "coalesced": 2, "cache_hits": 0}
+            assert observer.executions == 2
+        finally:
+            daemon.stop()
+
+
+class TestDaemonThreadLifecycle:
+    def test_a_bound_port_fails_start_and_stop_still_returns(self):
+        with socket.socket() as taken:
+            taken.bind(("127.0.0.1", 0))
+            taken.listen()
+            daemon = DaemonThread(base_config=CFG,
+                                  port=taken.getsockname()[1])
+            with pytest.raises(RuntimeError) as excinfo:
+                daemon.start()
+            assert isinstance(excinfo.value.__cause__, OSError)
             daemon.stop()
 
 

@@ -12,6 +12,7 @@ traceback.
 """
 
 import http.client
+import inspect
 import json
 import socket
 import time
@@ -20,7 +21,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.apps.registry import APP_NAMES
+from repro.apps.registry import APP_NAMES, app_class
 from repro.core.config import PROTOCOLS, NetworkConfig
 from repro.core.metrics import RunResult
 from repro.runtime import RunRequest
@@ -61,6 +62,17 @@ requests = st.builds(
         kwargs_values, max_size=4),
     network=networks,
     protocol=st.one_of(st.none(), st.sampled_from(PROTOCOLS)))
+
+
+def _with_constructor_kwargs(request: RunRequest):
+    """``request`` with kwargs its app's constructor takes (any values):
+    the daemon refuses a name the constructor does not take."""
+    names = list(inspect.signature(app_class(request.app)).parameters)[1:]
+    return st.dictionaries(st.sampled_from(names), kwargs_values,
+                           max_size=4).map(lambda kw: RunRequest.make(
+                               request.app, request.cluster_size,
+                               request.cache_kb, kw, request.network,
+                               request.protocol))
 
 
 class TestCodecRoundTrip:
@@ -168,8 +180,8 @@ class TestStrictValidation:
 
 
 class TestWireTripsThroughTheDaemon:
-    @given(request=requests.filter(
-        lambda r: 8 % r.cluster_size == 0))  # fixture daemon has 8 procs
+    @given(request=requests.filter(  # fixture daemon has 8 procs
+        lambda r: 8 % r.cluster_size == 0).flatmap(_with_constructor_kwargs))
     @settings(max_examples=25, deadline=None)
     def test_resolve_round_trips_client_to_server_and_back(
             self, serve_daemon, request):
@@ -202,25 +214,29 @@ class TestWireTripsThroughTheDaemon:
         {"request": {"app": "not-an-app"}},
         {"request": {"app": "lu", "cluster_size": 3}},  # 3 ∤ 8 processors
         {"request": {"app": "lu", "cache_kb": float("inf")}},  # Infinity
+        # a kwarg LUApp.__init__ does not take: refused before it runs
+        {"request": {"app": "lu", "app_kwargs": {"n": 32, "block": 8,
+                                                 "bogus": 1}}},
     ])
     def test_semantically_bad_payloads_are_400s(self, serve_daemon, payload):
+        paths = ["/sweep"] if "requests" in payload else ["/run", "/resolve"]
         with serve_daemon.client() as client:
-            conn = http.client.HTTPConnection(serve_daemon.host,
-                                              serve_daemon.port, timeout=30)
-            try:
-                path = "/sweep" if "requests" in payload else "/run"
-                conn.request("POST", path,
-                             body=json.dumps(payload).encode("utf-8"),
-                             headers={"Content-Type": "application/json"})
-                response = conn.getresponse()
-                body = response.read().decode("utf-8")
-            finally:
-                conn.close()
-            assert response.status == 400, body
-            assert json.loads(body)["error"]["type"] == "bad-request"
-            assert "Traceback" not in body
-            # a bad request never poisons the daemon
-            assert client.healthz()["status"] == "ok"
+            for path in paths:
+                conn = http.client.HTTPConnection(
+                    serve_daemon.host, serve_daemon.port, timeout=30)
+                try:
+                    conn.request("POST", path,
+                                 body=json.dumps(payload).encode("utf-8"),
+                                 headers={"Content-Type": "application/json"})
+                    response = conn.getresponse()
+                    body = response.read().decode("utf-8")
+                finally:
+                    conn.close()
+                assert response.status == 400, (path, body)
+                assert json.loads(body)["error"]["type"] == "bad-request"
+                assert "Traceback" not in body
+                # a bad request never poisons the daemon
+                assert client.healthz()["status"] == "ok"
 
     def test_unknown_path_is_404_and_wrong_method_is_405(self, serve_daemon):
         conn = http.client.HTTPConnection(serve_daemon.host,
