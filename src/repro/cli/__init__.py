@@ -54,6 +54,7 @@ from ..core.config import (PAPER_CACHE_SIZES_KB, PAPER_CLUSTER_SIZES,
 from ..core.executor import SweepExecutionError, SweepExecutor
 from ..core.resultcache import ResultCache, TraceStore
 from ..core.study import ClusteringStudy
+from ..runtime.hooks import TimingObserver
 
 __all__ = ["main"]
 
@@ -113,7 +114,9 @@ def _executor(args: argparse.Namespace) -> SweepExecutor:
     executor = getattr(args, "_executor", None)
     if executor is None:
         _select_native(args)
-        cache = None if args.no_cache else ResultCache(args.cache_dir)
+        # a --probe run bypasses the result cache: a hit would time nothing
+        probe = getattr(args, "probe", None)
+        cache = None if args.no_cache or probe else ResultCache(args.cache_dir)
         # compiled traces: always at least the in-process LRU, built at
         # the first result-cache miss; the disk tier (shared with --jobs
         # workers and later invocations) follows the result cache's
@@ -123,7 +126,8 @@ def _executor(args: argparse.Namespace) -> SweepExecutor:
         executor = SweepExecutor(
             backend="process" if jobs > 1 else "serial",
             max_workers=jobs if jobs > 1 else None,
-            timeout=args.timeout, cache=cache, trace_store=store)
+            timeout=args.timeout, cache=cache, trace_store=store,
+            observer=TimingObserver() if probe else None)
         args._executor = executor
     return executor
 

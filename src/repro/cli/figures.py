@@ -215,6 +215,17 @@ def cmd_study(args: argparse.Namespace) -> int:
                     for p in protocols for c in args.cluster_sizes]
         client = ServiceClient(host or "127.0.0.1", port)
         try:
+            # one /resolve round trip, nothing simulated: the daemon's
+            # base machine must be the one this command would run
+            first = requests[0][2]
+            here = first.config_for(_base_config(args)).to_dict()
+            there = client.resolve(first)["config"]
+            field = next((f for f in here if here[f] != there.get(f)), None)
+            if field is not None:
+                print(f"repro-clustering: study --server runs another "
+                      f"machine — {field}: daemon {there.get(field)}, here "
+                      f"{here[field]}", file=sys.stderr)
+                return 2
             reports = client.run_sweep([r for _, _, r in requests])
         except (ServiceError, OSError) as exc:
             print(f"repro-clustering: study --server: {exc}",

@@ -1,6 +1,7 @@
-"""Single-point commands: ``run``, ``compare`` and ``trace``.  They print
-run summaries and drive python memory systems, so they load the
-simulator whatever the cache holds."""
+"""Single-point commands: ``run``, ``compare`` and ``trace``.  ``run`` and
+``compare``'s shared-cache half evaluate through the study like every
+sweep; ``compare``'s snoopy half and ``trace`` drive python memory
+systems, so these commands load the simulator whatever the cache holds."""
 
 from __future__ import annotations
 
@@ -9,7 +10,7 @@ import time
 
 from ..apps.registry import build_app
 from ..memory import make_memory_system
-from ..runtime import RunPlan, RunRequest, RunSession, TimingObserver
+from ..runtime import RunPlan, RunRequest
 from ..sim.stats import summarize
 from ..sim.trace import TracingMemory
 from . import _app_kwargs, _base_config, _executor, _study
@@ -18,28 +19,13 @@ from . import _app_kwargs, _base_config, _executor, _study
 def cmd_run(args: argparse.Namespace) -> int:
     config = _base_config(args).with_clusters(args.clusters).with_cache_kb(
         args.cache)
-    if args.probe == "timing":
-        # probe runs bypass the result cache (a cache hit would time
-        # nothing) but still share the invocation's trace cache
-        observer = TimingObserver()
-        session = RunSession(base_config=_base_config(args),
-                             trace_cache=_executor(args).traces(),
-                             observer=observer)
-        request = RunRequest.make(args.app, args.clusters, args.cache,
-                                  _app_kwargs(args.app, args))
-        t0 = time.time()
-        result = session.run(request)
-        print(f"# {args.app} on {config.describe()}"
-              f"  [{time.time() - t0:.1f}s]")
-        print(summarize(result).format())
-        print("# probe: timing (pipeline phases)")
-        print(observer.format())
-        return 0
-    study = _study(args.app, args)
     t0 = time.time()
-    point = study.run_point(args.clusters, args.cache)
+    point = _study(args.app, args).run_point(args.clusters, args.cache)
     print(f"# {args.app} on {config.describe()}  [{time.time() - t0:.1f}s]")
     print(summarize(point.result).format())
+    if args.probe:  # _executor attached the observer and left out the cache
+        print(f"# probe: {args.probe} (pipeline phases)")
+        print(_executor(args).observer.format())
     return 0
 
 
@@ -53,8 +39,7 @@ def _point(app: str, args: argparse.Namespace) -> RunPlan:
 def cmd_compare(args: argparse.Namespace) -> int:
     """Shared-cache vs snoopy shared-memory cluster, same budget."""
     plan = _point(args.app, args)
-    session = RunSession(trace_cache=_executor(args).traces())
-    shared = session.run_plan(plan).result
+    shared = _study(args.app, args).run_point(args.clusters, args.cache).result
     print(f"# shared-cache cluster: {plan.config.describe()}")
     print(summarize(shared).format())
 

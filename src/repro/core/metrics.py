@@ -254,20 +254,6 @@ class TimeBreakdown:
         self.merge += other.merge
         self.sync += other.sync
 
-    def scaled(self, factor: float) -> "TimeBreakdown":
-        """Breakdown with every component multiplied by ``factor``.
-
-        Used by the §6 shared-cache cost estimator; components become
-        floats conceptually but are kept as rounded ints to preserve the
-        sum-to-total invariant approximately.
-        """
-        return TimeBreakdown(
-            cpu=round(self.cpu * factor),
-            load=round(self.load * factor),
-            merge=round(self.merge * factor),
-            sync=round(self.sync * factor),
-        )
-
     def fractions(self) -> dict[str, float]:
         """Each component as a fraction of the total (zeros if empty)."""
         t = self.total

@@ -161,11 +161,6 @@ class ResultCache(_Store):
 
     SUFFIX = ".json"
 
-    def key(self, app: str, app_kwargs: Mapping[str, Any],
-            config: MachineConfig) -> str:
-        """Cache key for one (app, kwargs, machine) point."""
-        return point_key(app, app_kwargs, config)
-
     def get(self, key: str) -> RunResult | None:
         """Stored result for ``key``, or ``None`` (counted as a miss).
 

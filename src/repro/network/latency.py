@@ -71,9 +71,6 @@ __all__ = ["LatencyProvider", "MeshLatency", "TableLatency",
 class LatencyProvider(Protocol):
     """What the memory systems need from a latency model."""
 
-    def hit_cycles(self, cluster_size: int) -> int:
-        """Shared-cache hit time (Table 1 rows 1-3; used by the §6 model)."""
-
     def miss_cycles(self, requester: int, home: int,
                     dirty_owner: int | None, now: int = 0) -> int:
         """Stall cycles of a miss issued at simulated time ``now``."""
@@ -85,14 +82,13 @@ class LatencyProvider(Protocol):
 class TableLatency:
     """The paper's flat Table 1 latencies: ``LatencyModel``'s own rules.
 
-    ``hit_cycles`` and ``miss_cycles`` *are* the model's bound methods, not
-    wrappers around them — a miss is priced in one python call — so the
-    values and the ``ValueError`` on a requester that owns the line it
-    misses on are the model's by construction.
+    ``miss_cycles`` *is* the model's bound method, not a wrapper around
+    it — a miss is priced in one python call — so the values and the
+    ``ValueError`` on a requester that owns the line it misses on are the
+    model's by construction.
     """
 
     def __init__(self, model: LatencyModel) -> None:
-        self.hit_cycles = model.hit_cycles
         self.miss_cycles = model.miss_cycles
 
     def stats(self) -> NetworkStats | None:
@@ -159,9 +155,6 @@ class MeshLatency:
                                                                home)))
 
     # ------------------------------------------------------------------- API
-    def hit_cycles(self, cluster_size: int) -> int:
-        return self.table.hit_cycles(cluster_size)
-
     def miss_cycles(self, requester: int, home: int,
                     dirty_owner: int | None, now: int = 0) -> int:
         if dirty_owner == requester and dirty_owner is not None:

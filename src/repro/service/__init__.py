@@ -12,7 +12,8 @@ Layout:
 * :mod:`~repro.service.http` — the minimal asyncio HTTP/1.1 layer;
 * :mod:`~repro.service.daemon` — :class:`ServiceDaemon` (single-flight
   server over the executor that owns the result cache) and
-  :class:`DaemonThread` (background-thread host for tests and embedding);
+  :class:`DaemonThread` (``DaemonThread(daemon)``: hosts a built daemon
+  on a background thread, for tests and embedding);
 * :mod:`~repro.service.client` — the blocking client.
 """
 

@@ -59,7 +59,6 @@ import repro.native as native
 from ..apps.registry import APP_NAMES, app_class
 from ..core.config import MachineConfig
 from ..core.executor import PointOutcome, SweepExecutor
-from ..core.resultcache import ResultCache
 from .http import (HTTPParseError, HTTPRequest, JSONLineWriter, read_request,
                    send_json)
 from .protocol import (PROTOCOL_VERSION, PointReport, ProtocolError,
@@ -447,27 +446,19 @@ class ServiceDaemon:
 
 
 class DaemonThread:
-    """A daemon hosted on a background thread (tests, fixtures, embedding).
+    """Hosts a built :class:`ServiceDaemon` on a background thread (tests,
+    fixtures, embedding).
 
-    Owns the full stack: builds the executor (with a persistent result
-    cache when ``cache_dir`` is given) and the :class:`ServiceDaemon`,
-    runs :meth:`ServiceDaemon.serve` under :func:`asyncio.run` on a
+    Runs :meth:`ServiceDaemon.serve` under :func:`asyncio.run` on a
     dedicated thread, and tears everything down — drain, pool shutdown,
-    loop close — in :meth:`stop`.  The ``serve_daemon`` pytest fixture
-    wraps one of these so the whole service suite shares a single warm
-    daemon.
+    loop close — in :meth:`stop`.  The caller builds the daemon the way
+    ``cmd_serve`` does, executor first; the ``serve_daemon`` pytest
+    fixture wraps one of these so the whole service suite shares a
+    single warm daemon.
     """
 
-    def __init__(self, *, base_config: MachineConfig | None = None,
-                 backend: str = "serial", max_workers: int | None = None,
-                 cache_dir: Any = None, host: str = "127.0.0.1",
-                 port: int = 0, drain_deadline: float = 10.0,
-                 observer: Any = None) -> None:
-        self.executor = SweepExecutor(
-            backend=backend, max_workers=max_workers, observer=observer,
-            cache=None if cache_dir is None else ResultCache(cache_dir))
-        self.daemon = ServiceDaemon(self.executor, base_config, host=host,
-                                    port=port, drain_deadline=drain_deadline)
+    def __init__(self, daemon: ServiceDaemon) -> None:
+        self.daemon = daemon
         self._loop: asyncio.AbstractEventLoop | None = None
         self._thread: threading.Thread | None = None
         self._ready = threading.Event()
@@ -521,13 +512,9 @@ class DaemonThread:
     def host(self) -> str:
         return self.daemon.host
 
-    @property
-    def base_url(self) -> str:
-        return f"http://{self.host}:{self.port}"
-
     def worker_processes(self) -> list:
         """Live pool worker processes (for leak checks in teardown)."""
-        return self.executor.worker_processes()
+        return self.daemon.executor.worker_processes()
 
     def client(self, **kwargs: Any):
         """A blocking :class:`~repro.service.client.ServiceClient`."""

@@ -58,20 +58,25 @@ def serve_daemon(tmp_path_factory):
 
     Session-scoped so the tests don't each pay daemon startup: the
     daemon runs on a background thread with an ephemeral port, a
-    session-private persistent result cache, and the in-process (serial)
-    execution backend — same-process execution is what lets the parity
-    tests compare daemon-served results against direct
+    session-private result cache and trace store in one directory (as
+    ``serve`` has), and the in-process (serial) execution backend —
+    same-process execution is what lets the parity tests compare
+    daemon-served results against direct
     :class:`~repro.runtime.session.RunSession` runs byte for byte.
 
     Teardown stops the daemon and asserts that no executor worker
     process outlived it (trivially true for the serial backend, and the
     check keeps honest any future fixture switch to the process backend).
     """
-    from repro.service import DaemonThread
+    from repro.core.executor import SweepExecutor
+    from repro.core.resultcache import ResultCache, TraceStore
+    from repro.service import DaemonThread, ServiceDaemon
 
-    daemon = DaemonThread(
-        base_config=MachineConfig(n_processors=8),
-        cache_dir=tmp_path_factory.mktemp("service-result-cache"))
+    cache_dir = tmp_path_factory.mktemp("service-result-cache")
+    daemon = DaemonThread(ServiceDaemon(
+        SweepExecutor(cache=ResultCache(cache_dir),
+                      trace_store=TraceStore(cache_dir)),
+        MachineConfig(n_processors=8)))
     daemon.start()
     yield daemon
     workers = daemon.worker_processes()

@@ -89,6 +89,19 @@ class TestRun:
         plain_summary = plain.split("\n", 1)[1]
         assert plain_summary in probed
 
+    def test_run_timing_probe_skips_the_result_cache(self, capsys):
+        # a cache hit would time nothing, so the probe's executor has none
+        assert run_cli(*BASE, "run", "lu", "--probe", "timing") == 0
+        assert "[result cache:" not in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", [["run", "lu", "--probe", "timing"],
+                                         ["compare", "lu"]])
+    def test_a_failing_point_exits_1(self, command, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "QUICK_PROBLEM_SIZES",
+                            {"lu": dict(n=33, block=8)})
+        assert run_cli(*BASE, *command) == 1
+        assert "1 sweep point(s) failed" in capsys.readouterr().err
+
 
 class TestFigures:
     def test_fig2_subset(self, capsys):
@@ -400,6 +413,16 @@ class TestCompareAndTrace:
         assert "snoopy" in out
         assert "cache-to-cache transfers" in out
 
+    def test_compare_repeat_reads_the_result_cache(self, capsys, tmp_path):
+        argv = (*BASE, "--cache-dir", str(tmp_path), "compare", "lu")
+        assert run_cli(*argv) == 0
+        first = capsys.readouterr()
+        assert "[result cache: 0 hits, 1 misses" in first.err
+        assert run_cli(*argv) == 0
+        second = capsys.readouterr()
+        assert "[result cache: 1 hits, 0 misses" in second.err
+        assert second.out == first.out
+
     def test_trace_stats(self, capsys):
         assert run_cli(*BASE, "trace", "radix") == 0
         out = capsys.readouterr().out
@@ -580,7 +603,19 @@ class TestStudyCommand:
                        "--protocols", "directory,dls", "--server",
                        f"127.0.0.1:{serve_daemon.port}") == 0
         served = capsys.readouterr().out
-        assert served == local
+        # the last line carries wall-clock time ([N.Ns]), and the served
+        # run adds a /resolve round trip, so compare every line above it
+        assert served.splitlines()[:-1] == local.splitlines()[:-1] != []
+        assert served.splitlines()[-1].startswith("[")
+
+    def test_study_server_refuses_another_machine(self, capsys,
+                                                  serve_daemon):
+        assert run_cli("--processors", "16", "--quick", "--cluster-sizes",
+                       "1,2", "study", "fft", "--protocols", "directory",
+                       "--server", f"127.0.0.1:{serve_daemon.port}") == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "n_processors: daemon 8, here 16" in captured.err
 
     def test_study_bad_server_spec_exits_2(self, capsys):
         assert run_cli(*BASE, "study", "fft", "--server", "nowhere") == 2

@@ -74,11 +74,6 @@ class TestTimeBreakdown:
         a.add(TimeBreakdown(cpu=10, load=20, merge=30, sync=40))
         assert (a.cpu, a.load, a.merge, a.sync) == (11, 22, 33, 44)
 
-    def test_scaled(self):
-        bd = TimeBreakdown(cpu=100, load=50, merge=0, sync=50).scaled(1.1)
-        assert bd.cpu == 110
-        assert bd.total == 220
-
     def test_fractions_sum_to_one(self):
         bd = TimeBreakdown(cpu=10, load=20, merge=5, sync=15)
         fr = bd.fractions()

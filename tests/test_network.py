@@ -129,11 +129,6 @@ class TestTableLatency:
         with pytest.raises(ValueError):
             TableLatency(LatencyModel()).miss_cycles(1, 0, 1)
 
-    def test_hit_cycles_delegates(self):
-        provider = TableLatency(LatencyModel())
-        assert [provider.hit_cycles(c) for c in (1, 2, 4, 8, 64)] == \
-            [1, 2, 3, 3, 3]
-
     def test_no_stats(self):
         assert TableLatency(LatencyModel()).stats() is None
 
@@ -228,10 +223,6 @@ class TestMeshCalibration:
                 for r in range(16) for h in range(16) if h != r
                 for o in range(16) if o not in (r, h)]
         assert min(lows) >= 1
-
-    def test_hit_cycles_delegates_to_table(self):
-        provider = mesh_provider(n_processors=8)
-        assert provider.hit_cycles(4) == LatencyModel().hit_cycles(4)
 
     def test_stats_accumulate(self):
         provider = mesh_provider(n_processors=16, contention=False)

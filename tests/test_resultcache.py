@@ -118,7 +118,7 @@ class TestGetPut:
     def test_round_trip(self, tmp_path):
         cache = ResultCache(tmp_path)
         result = tiny_result()
-        key = cache.key("ocean", OCEAN_KW, CFG)
+        key = point_key("ocean", OCEAN_KW, CFG)
         assert cache.get(key) is None  # cold
         cache.put(key, result)
         assert key in cache
@@ -140,7 +140,7 @@ class TestGetPut:
     def test_corrupt_entry_is_miss_then_rewritten(self, tmp_path, damage):
         cache = ResultCache(tmp_path)
         result = tiny_result()
-        key = cache.key("ocean", OCEAN_KW, CFG)
+        key = point_key("ocean", OCEAN_KW, CFG)
         cache.put(key, result)
         path = cache.path_for(key)
         path.write_text(damage(path.read_text()))

@@ -23,9 +23,11 @@ from concurrent.futures import ThreadPoolExecutor
 import pytest
 
 from repro.core.config import MachineConfig
+from repro.core.executor import SweepExecutor
+from repro.core.resultcache import ResultCache
 from repro.runtime import RunRequest
 from repro.runtime.hooks import RunObserver
-from repro.service import DaemonThread, ServiceClient, ServiceError
+from repro.service import DaemonThread, ServiceDaemon, ServiceError
 
 CFG = MachineConfig(n_processors=8)
 LU = dict(n=32, block=8)
@@ -65,8 +67,9 @@ class TestSingleFlight:
 
     def test_n_concurrent_identical_requests_execute_once(self, tmp_path):
         observer = GatedCountingObserver(gated=True)
-        daemon = DaemonThread(base_config=CFG, observer=observer,
-                              cache_dir=tmp_path / "cache").start()
+        daemon = DaemonThread(ServiceDaemon(SweepExecutor(
+            cache=ResultCache(tmp_path / "cache"), observer=observer),
+            CFG)).start()
         try:
             request = RunRequest.make("lu", 2, 4.0, LU)
             poll_client = daemon.client()
@@ -100,8 +103,9 @@ class TestSingleFlight:
     def test_request_after_completion_hits_the_cache_not_a_flight(
             self, tmp_path):
         observer = GatedCountingObserver()
-        daemon = DaemonThread(base_config=CFG, observer=observer,
-                              cache_dir=tmp_path / "cache").start()
+        daemon = DaemonThread(ServiceDaemon(SweepExecutor(
+            cache=ResultCache(tmp_path / "cache"), observer=observer),
+            CFG)).start()
         try:
             request = RunRequest.make("fft", 2, 4.0, FFT)
             with daemon.client() as client:
@@ -119,8 +123,9 @@ class TestSingleFlight:
         # what the serve_mix benchmark checks: the second listing of a
         # fresh key joins the first one's flight, it never reads the cache
         observer = GatedCountingObserver()
-        daemon = DaemonThread(base_config=CFG, observer=observer,
-                              cache_dir=tmp_path / "cache").start()
+        daemon = DaemonThread(ServiceDaemon(SweepExecutor(
+            cache=ResultCache(tmp_path / "cache"), observer=observer),
+            CFG)).start()
         try:
             fresh = [RunRequest.make("lu", 2, 4.0, LU),
                      RunRequest.make("fft", 4, 8.0, FFT)]
@@ -145,8 +150,8 @@ class TestDaemonThreadLifecycle:
         with socket.socket() as taken:
             taken.bind(("127.0.0.1", 0))
             taken.listen()
-            daemon = DaemonThread(base_config=CFG,
-                                  port=taken.getsockname()[1])
+            daemon = DaemonThread(ServiceDaemon(
+                SweepExecutor(), CFG, port=taken.getsockname()[1]))
             with pytest.raises(RuntimeError) as excinfo:
                 daemon.start()
             assert isinstance(excinfo.value.__cause__, OSError)
@@ -157,8 +162,9 @@ class TestPerRequestTimeout:
     def test_deadline_expiry_is_a_504_and_the_flight_survives(
             self, tmp_path):
         observer = GatedCountingObserver(gated=True)
-        daemon = DaemonThread(base_config=CFG, observer=observer,
-                              cache_dir=tmp_path / "cache").start()
+        daemon = DaemonThread(ServiceDaemon(SweepExecutor(
+            cache=ResultCache(tmp_path / "cache"), observer=observer),
+            CFG)).start()
         try:
             request = RunRequest.make("lu", 1, 4.0, LU)
             with daemon.client() as client:
@@ -185,8 +191,8 @@ class TestPerRequestTimeout:
 class TestWorkerFaultInjection:
     def test_killed_worker_yields_structured_error_and_daemon_survives(
             self):
-        daemon = DaemonThread(base_config=CFG, backend="process",
-                              max_workers=1).start()
+        daemon = DaemonThread(ServiceDaemon(
+            SweepExecutor(backend="process", max_workers=1), CFG)).start()
         try:
             with daemon.client() as client:
                 # warm the pool so there is a worker to murder
@@ -220,8 +226,8 @@ class TestWorkerFaultInjection:
             assert_no_leaked_workers(workers)
 
     def test_drained_shutdown_leaves_no_workers(self):
-        daemon = DaemonThread(base_config=CFG, backend="process",
-                              max_workers=1).start()
+        daemon = DaemonThread(ServiceDaemon(
+            SweepExecutor(backend="process", max_workers=1), CFG)).start()
         with daemon.client() as client:
             client.run_point(RunRequest.make("fft", 1, 4.0, FFT))
         workers = daemon.worker_processes()
