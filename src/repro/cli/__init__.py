@@ -20,7 +20,7 @@ paper-format numeric tables plus an ASCII rendering of the figures.
 Execution control (see ``docs/EXECUTION.md``):
 
 * ``--jobs N`` fans the sweep grid out over ``N`` worker processes
-  (results are byte-identical to the serial run — the simulator is
+  (results are byte-identical to the in-process run — the simulator is
   deterministic);
 * ``--native`` forces the native C replay kernel (exit 2 when it cannot
   be built), ``--no-native`` forces the pure-python replay; with
@@ -122,11 +122,9 @@ def _executor(args: argparse.Namespace) -> SweepExecutor:
         # workers and later invocations) follows the result cache's
         # location and --no-cache switch
         store = None if args.no_cache else TraceStore(args.cache_dir)
-        jobs = args.jobs or 1
         executor = SweepExecutor(
-            backend="process" if jobs > 1 else "serial",
-            max_workers=jobs if jobs > 1 else None,
-            timeout=args.timeout, cache=cache, trace_store=store,
+            jobs=args.jobs, timeout=args.timeout, cache=cache,
+            trace_store=store,
             observer=TimingObserver() if probe else None)
         args._executor = executor
     return executor
@@ -238,7 +236,8 @@ def _add_global_options(p: argparse.ArgumentParser, *,
                    help="also draw ASCII bar charts")
     p.add_argument("--jobs", type=_positive_int, default=dflt(1), metavar="N",
                    help="evaluate sweep points in N worker processes "
-                   "(default 1 = serial; results are identical either way)")
+                   "(default 1 = in-process; results are identical either "
+                   "way)")
     p.add_argument("--native", action="store_true", default=dflt(False),
                    help="force the native C replay kernel (exit 2 when it "
                    "cannot be built; results are byte-identical to the "
@@ -249,8 +248,8 @@ def _add_global_options(p: argparse.ArgumentParser, *,
     p.add_argument("--timeout", type=_positive_float, default=dflt(None),
                    metavar="SECS",
                    help="per-point wall-clock limit; needs --jobs N (N > 1), "
-                   "the serial backend cannot abandon a point; a late "
-                   "point reports an error, the sweep continues")
+                   "since a point running in-process cannot be abandoned; "
+                   "a late point reports an error, the sweep continues")
     p.add_argument("--no-cache", action="store_true", default=dflt(False),
                    help="bypass the persistent result cache entirely "
                    "(neither read nor write)")
@@ -472,8 +471,8 @@ def _ignored_flag(args: argparse.Namespace) -> str | None:
             return (f"{flag} changes nothing for {args.command}; only "
                     f"{', '.join(readers)} read it")
     if args.timeout is not None and args.jobs == 1:
-        return ("--timeout needs --jobs N (N > 1): the serial backend "
-                "cannot abandon a point")
+        return ("--timeout needs --jobs N (N > 1): a point running "
+                "in-process cannot be abandoned")
     sizes = {"--cluster-sizes": args.cluster_sizes
              if args.command in _FLAG_READERS["--cluster-sizes"][1] else []}
     if args.command != "scaling":  # which checks --clusters against --counts

@@ -19,7 +19,7 @@ from ..analysis import (contention_slowdown, figure_from_capacity_sweep,
                         miss_breakdown, render_ascii, render_miss_breakdown,
                         render_protocol_comparison, render_rows,
                         render_slowdown)
-from ..apps.registry import APP_NAMES, build_app
+from ..apps.registry import APP_NAMES, PAPER_PROBLEM_SIZES
 from ..core.config import PROTOCOLS
 from ..core.study import ClusteringStudy, cache_label
 from ..core.workingset import knee_of, overlap_benefit, working_set_curve
@@ -47,8 +47,9 @@ def cmd_fig2(args: argparse.Namespace) -> int:
 def cmd_fig3(args: argparse.Namespace) -> int:
     kwargs = _app_kwargs("ocean", args)
     # the paper's "smaller 66-by-66 grid" against Figure 2's 130-by-130:
-    # half the side of the grid this tier's Figure 2 runs
-    kwargs["n"] = build_app("ocean", _base_config(args), **kwargs).n // 2
+    # half the side of the grid this tier's Figure 2 runs (ocean's
+    # default n is the paper's; tests/test_cli.py pins the two equal)
+    kwargs["n"] = kwargs.get("n", PAPER_PROBLEM_SIZES["ocean"]["n"]) // 2
     study = ClusteringStudy("ocean", _base_config(args), kwargs,
                             executor=_executor(args))
     sizes = list(args.cluster_sizes) + [args.processors]  # 'inf' bar

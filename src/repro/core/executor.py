@@ -1,24 +1,23 @@
-"""Sweep execution engine: serial or multi-process, with result caching.
+"""Sweep execution engine: in-process or over a worker pool, with caching.
 
 Every figure and table of the paper is a grid of *fully independent*
 simulations, so the sweep harness — not the simulator — decides wall-clock
 time.  :class:`SweepExecutor` evaluates an iterable of
 :class:`~repro.runtime.plan.RunRequest`\\ s (app, cluster size, cache
-size, app kwargs) with
-a pluggable backend:
+size, app kwargs); its one execution setting is ``jobs``, how many
+points run at once:
 
-* ``serial``  — in-process, point after point (the default; identical to
+* ``jobs=1`` — in-process, point after point (the default; identical to
   the historical behaviour of :class:`~repro.core.study.ClusteringStudy`);
-* ``process`` — fan-out over a ``concurrent.futures.ProcessPoolExecutor``
-  with ``max_workers`` control and a per-point ``timeout``.  Workers map
-  compiled traces from the shared on-disk
-  :class:`~repro.core.resultcache.TraceStore` themselves; every process
-  mapping a blob shares its page-cache pages.
+* ``jobs=N`` (N > 1) — fan-out over a pool of N worker processes with a
+  per-point ``timeout``.  Workers map compiled traces from the shared
+  on-disk :class:`~repro.core.resultcache.TraceStore` themselves; every
+  process mapping a blob shares its page-cache pages.
 
 Guarantees:
 
-* **Determinism** — the simulator is seeded and side-effect free, so both
-  backends produce byte-identical :class:`RunResult`\\ s for the same spec
+* **Determinism** — the simulator is seeded and side-effect free, so every
+  ``jobs`` produces byte-identical :class:`RunResult`\\ s for the same spec
   (covered by ``tests/test_determinism.py``).
 * **Failure isolation** — one diverging or crashing point yields a
   :class:`PointOutcome` carrying the error; the other points of the sweep
@@ -36,7 +35,7 @@ Guarantees:
   and network model do not invalidate it.  Replay is bit-identical to
   generator execution.  The in-memory tier is process-wide; attach a
   :class:`~repro.core.resultcache.TraceStore`-backed cache to share traces
-  across ``--jobs`` worker processes and CLI invocations via disk.
+  across ``jobs`` worker processes and CLI invocations via disk.
 """
 
 from __future__ import annotations
@@ -45,7 +44,8 @@ import time
 import traceback
 # BrokenExecutor, not concurrent.futures.process's BrokenProcessPool: that
 # module (~12 ms) is imported only when a process pool is opened
-from concurrent.futures import BrokenExecutor, Future, ThreadPoolExecutor
+from concurrent.futures import (BrokenExecutor, Executor, Future,
+                                ThreadPoolExecutor)
 from concurrent.futures import TimeoutError as _FuturesTimeout
 from dataclasses import dataclass, field
 from functools import partial
@@ -60,16 +60,10 @@ from .metrics import RunResult
 from .resultcache import ResultCache, TraceStore, point_key
 
 if TYPE_CHECKING:  # pragma: no cover
-    from concurrent.futures import ProcessPoolExecutor
-
     from ..sim.compiled import TraceCache
 
-__all__ = ["BACKENDS", "PointOutcome", "SweepExecutor",
-           "SweepExecutionError", "raise_failures"]
-
-#: the recognised execution backends
-BACKENDS = ("serial", "process")
-
+__all__ = ["PointOutcome", "SweepExecutor", "SweepExecutionError",
+           "raise_failures"]
 
 #: what ``run``/``submit_one`` raise for anything that is not
 #: a :class:`RunRequest` (loose tuples were never validated eagerly)
@@ -136,22 +130,22 @@ def raise_failures(outcomes: Iterable[PointOutcome]) -> None:
 
 @dataclass
 class SweepExecutor:
-    """Evaluates sweep points with a configurable backend and cache.
+    """Evaluates sweep points, ``jobs`` at a time, through a result cache.
 
     Parameters
     ----------
-    backend:
-        ``"serial"`` (default) or ``"process"``.
-    max_workers:
-        Process-pool width; ``None`` lets the pool pick (CPU count).
-        Under the serial backend it is the width of
-        :meth:`submit_one`'s thread pool (``None`` = 1).
+    jobs:
+        How many points run at once.  ``1`` (default) evaluates
+        :meth:`run`'s points inline in the caller, so Ctrl-C stops a
+        running point, and :meth:`submit_one`'s on one background
+        thread.  ``N > 1`` opens one pool of ``N`` worker processes
+        that both use.
     timeout:
-        Per-point wall-clock limit in seconds.  Enforced by the process
-        backend (a late point becomes an error outcome, the rest of the
+        Per-point wall-clock limit in seconds, enforced when ``jobs >
+        1`` (a late point becomes an error outcome, the rest of the
         sweep survives; its worker finishes the stale computation in the
-        background).  The serial backend cannot preempt a running
-        simulation and ignores it.
+        background).  An in-process point cannot be preempted, so
+        ``jobs=1`` ignores it.
     cache:
         Optional :class:`ResultCache`.  ``None`` disables both reads and
         writes (the CLI's ``--no-cache``).
@@ -165,12 +159,12 @@ class SweepExecutor:
         cache serves whole never imports the trace layer.
     observer:
         Optional :class:`~repro.runtime.hooks.RunObserver` attached to
-        every in-process evaluation (serial backend and
-        :meth:`submit_one`'s thread path).  Worker *processes* never see
-        it — hook state could not come back across the pickle boundary —
-        so the process backend ignores it.  Observed runs are
-        bit-identical to detached ones (the runtime parity suite pins
-        this), so attaching a counter or timer never perturbs results.
+        every in-process evaluation (``jobs=1``, :meth:`submit_one`'s
+        thread included).  Worker *processes* never see it — hook state
+        could not come back across the pickle boundary — so ``jobs > 1``
+        ignores it.  Observed runs are bit-identical to detached ones
+        (the runtime parity suite pins this), so attaching a counter or
+        timer never perturbs results.
 
     The replay kernel is not an executor setting: select it process-wide
     with :func:`repro.native.set_native` (the CLI's
@@ -178,33 +172,24 @@ class SweepExecutor:
     ``REPRO_NATIVE`` environment variable.
     """
 
-    backend: str = "serial"
-    max_workers: int | None = None
+    jobs: int = 1
     timeout: float | None = None
     cache: ResultCache | None = field(default=None, repr=False)
     trace_store: TraceStore | None = field(default=None, repr=False)
     observer: RunObserver | None = field(default=None, repr=False)
     trace_cache: "TraceCache | None" = field(default=None, init=False,
                                              repr=False, compare=False)
-    # the process pool outlives individual run() calls: a worker's start
-    # (interpreter, then the simulator and numpy on its first point)
-    # would otherwise be paid again by every figure's sweep in a
-    # multi-figure command
-    _pool: ProcessPoolExecutor | None = field(default=None, init=False,
-                                              repr=False, compare=False)
-    # lazily-created thread pool backing submit_one() under the serial
-    # backend.  It gives callers a non-blocking handle; python replay is
-    # GIL-bound, but ctypes releases the GIL for the whole repro_replay
-    # call, so native points can overlap on a pool wider than 1
-    _threads: ThreadPoolExecutor | None = field(default=None, init=False,
-                                                repr=False, compare=False)
+    # the one pool (_open_pool): jobs worker processes, or at jobs=1 the
+    # thread submit_one's points run on.  It outlives individual run()
+    # calls: a worker's start (interpreter, then the simulator and numpy
+    # on its first point) would otherwise be paid again by every
+    # figure's sweep in a multi-figure command
+    _pool: Executor | None = field(default=None, init=False, repr=False,
+                                   compare=False)
 
     def __post_init__(self) -> None:
-        if self.backend not in BACKENDS:
-            raise ValueError(
-                f"unknown backend {self.backend!r}; choose from {BACKENDS}")
-        if self.max_workers is not None and self.max_workers < 1:
-            raise ValueError("max_workers must be positive or None")
+        if self.jobs < 1:
+            raise ValueError("jobs must be positive")
         if self.timeout is not None and self.timeout <= 0:
             raise ValueError("timeout must be positive or None")
 
@@ -242,17 +227,16 @@ class SweepExecutor:
             base_config: MachineConfig | None = None) -> list[PointOutcome]:
         """Evaluate every spec; outcomes come back in input order.
 
-        Cache hits are resolved up front; only misses are dispatched to the
-        backend, and each fresh result is written back as soon as its
+        Cache hits are resolved up front; only misses are evaluated, and each fresh result is written back as soon as its
         point completes.  Pending specs with one point :meth:`key` are
         evaluated once — the first occurrence runs, the duplicates share
         its :class:`RunResult` object (``elapsed`` 0.0).  A point that
-        raises (or times out under the process backend) produces an
+        raises (or times out when ``jobs > 1``) produces an
         error outcome instead of aborting the sweep, and so does a point
         whose machine the base config cannot hold, result cache or not.
         One point is ``run([spec], base)[0]``.
 
-        validate → key → cache-get → dedupe → evaluate → put: the backend
+        validate → key → cache-get → dedupe → evaluate → put: evaluation
         yields ``(index, outcome)`` as each point finishes, and the
         result cache is written inside that loop, so whatever finished
         before an interrupt stays cached.
@@ -266,7 +250,7 @@ class SweepExecutor:
         outcomes: list[PointOutcome | None] = [None] * len(specs)
         # dedupe before submission: specs with one key (same app, kwargs
         # and machine, however spelled) are one evaluation, result cache
-        # on or off; only unique points reach the backend
+        # on or off; only unique points are evaluated
         primary_of: dict[str | RunRequest, int] = {}
         duplicate_of: dict[int, int] = {}
         unique: list[int] = []
@@ -281,8 +265,7 @@ class SweepExecutor:
             else:
                 duplicate_of[i] = j
 
-        evaluate = (self._each_pooled if self.backend == "process"
-                    else self._each_serial)
+        evaluate = self._each_pooled if self.jobs > 1 else self._each_serial
         for i, outcome in evaluate(specs, unique, base):
             outcomes[i] = outcome
             if outcome.result is not None:  # so its key is a str
@@ -294,7 +277,7 @@ class SweepExecutor:
                                        error=src.error)
         return outcomes
 
-    # ------------------------------------------------------------- backends
+    # ------------------------------------------------------------ evaluation
     def _each_serial(self, specs: list[RunRequest], indices: list[int],
                      base: MachineConfig
                      ) -> Iterator[tuple[int, PointOutcome]]:
@@ -308,7 +291,7 @@ class SweepExecutor:
                      ) -> Iterator[tuple[int, PointOutcome]]:
         if not indices:  # the result cache served every point: no pool
             return
-        pool = self._process_pool()
+        pool = self._open_pool()
         # the TraceCache pickles cheaply (the LRU is module state, the
         # store carries only a path); each worker re-hydrates its own
         # in-memory tier and shares compilations with siblings via disk
@@ -330,8 +313,7 @@ class SweepExecutor:
         timeout under a ``timeout`` is ``timed out after …``; any other
         exception is its full traceback, a pool worker's own arriving as
         the exception's ``__cause__``.  A :class:`BrokenExecutor` (a
-        dead worker) also closes the pools, so the next call reopens
-        them.
+        dead worker) also closes the pool, so the next call reopens it.
         """
         try:
             result, elapsed = evaluate()
@@ -353,10 +335,10 @@ class SweepExecutor:
         The async-friendly single-point API (the sweep-service daemon's
         execution path): the returned :class:`concurrent.futures.Future`
         always resolves to a :class:`PointOutcome` — evaluation failures
-        become error outcomes, never exceptions on the future.  The
-        process backend submits to the shared worker pool; the serial
-        backend runs on a lazily-created thread (same process, so an
-        attached :attr:`observer` hears the run).
+        become error outcomes, never exceptions on the future.  It runs
+        on the executor's one pool: ``jobs`` worker processes, or at
+        ``jobs=1`` one thread (same process, so an attached
+        :attr:`observer` hears the run).
 
         Unlike :meth:`run`, neither the result cache nor the per-point
         ``timeout`` is applied: the caller reads (:meth:`cached`) and
@@ -369,13 +351,9 @@ class SweepExecutor:
             raise TypeError(_NOT_A_REQUEST.format(spec))
         out: "Future[PointOutcome]" = Future()
         try:
-            if self.backend == "process":
-                inner = self._process_pool().submit(
-                    _evaluate_timed, spec, base, self.traces())
-            else:
-                inner = self._thread_pool().submit(
-                    _evaluate_timed, spec, base, self.traces(),
-                    self.observer)
+            inner = self._open_pool().submit(
+                _evaluate_timed, spec, base, self.traces(),
+                self.observer if self.jobs == 1 else None)
         except Exception as exc:  # e.g. submitting to an already-broken pool
             inner = Future()
             inner.set_exception(exc)
@@ -392,18 +370,14 @@ class SweepExecutor:
         return out
 
     def worker_processes(self) -> list:
-        """The pool's live worker processes (empty for serial/thread)."""
+        """The pool's live worker processes (empty at ``jobs=1``)."""
         pool = self._pool
         if pool is None:
             return []
         return list(getattr(pool, "_processes", {}).values())
 
-    def worker_pids(self) -> list[int]:
-        """PIDs of the pool's worker processes (empty for serial/thread)."""
-        return [p.pid for p in self.worker_processes() if p.pid is not None]
-
     def close(self, wait: bool = False) -> None:
-        """Shut down the worker pools (idempotent; a later run reopens them).
+        """Shut down the pool (idempotent; a later call reopens it).
 
         Queued work is always dropped.  ``wait=True`` also joins the
         workers — what a process about to exit wants after a clean run,
@@ -415,9 +389,6 @@ class SweepExecutor:
         if self._pool is not None:
             self._pool.shutdown(wait=wait, cancel_futures=True)
             self._pool = None
-        if self._threads is not None:
-            self._threads.shutdown(wait=wait, cancel_futures=True)
-            self._threads = None
 
     def __enter__(self) -> "SweepExecutor":
         return self
@@ -425,16 +396,13 @@ class SweepExecutor:
     def __exit__(self, *exc_info: Any) -> None:
         self.close()
 
-    def _thread_pool(self) -> ThreadPoolExecutor:
-        if self._threads is None:
-            self._threads = ThreadPoolExecutor(
-                max_workers=self.max_workers or 1,
-                thread_name_prefix="repro-point")
-        return self._threads
-
-    def _process_pool(self) -> "ProcessPoolExecutor":
+    def _open_pool(self) -> Executor:
         if self._pool is None:
-            from concurrent.futures import ProcessPoolExecutor
+            if self.jobs == 1:
+                self._pool = ThreadPoolExecutor(
+                    1, thread_name_prefix="repro-point")
+            else:
+                from concurrent.futures import ProcessPoolExecutor
 
-            self._pool = ProcessPoolExecutor(max_workers=self.max_workers)
+                self._pool = ProcessPoolExecutor(self.jobs)
         return self._pool

@@ -164,7 +164,7 @@ def scaling_curve(app: str, processor_counts: Sequence[int],
     ``cluster_size`` must divide every entry of ``processor_counts``.
     The same seed (``app_kwargs["seed"]``, else the app's default)
     builds the identical problem at every point.  Points
-    run through ``executor`` (default: a serial, uncached
+    run through ``executor`` (default: an in-process, uncached
     :class:`~repro.core.executor.SweepExecutor`); pass one to share its
     trace cache with other curves of the same study, memoize finished
     points in its result cache, or fan out over worker processes.

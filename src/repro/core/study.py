@@ -17,9 +17,9 @@ identical problem.
 
 Execution is delegated to a :class:`~repro.core.executor.SweepExecutor`:
 attach one to parallelize a sweep over processes and/or reuse finished
-points from the persistent result cache.  Without one, a default serial,
-uncached executor reproduces the historical behaviour exactly.  Either
-way, points share compiled traces (:mod:`repro.sim.compiled`): an app's
+points from the persistent result cache.  Without one, a default
+in-process, uncached executor reproduces the historical behaviour
+exactly.  Either way, points share compiled traces (:mod:`repro.sim.compiled`): an app's
 reference stream is captured once and replayed at every other point of
 the sweep, which is where most of a sweep's wall-clock used to go.
 Each individual point is ultimately evaluated by the canonical runtime
@@ -78,9 +78,9 @@ class ClusteringStudy:
         Problem-size overrides forwarded to the application constructor.
     executor:
         Evaluation engine for the sweep points.  ``None`` means a fresh
-        serial, uncached :class:`SweepExecutor` — the original in-process
-        behaviour.  A ``process``-backend executor fans the grid out over
-        cores; an attached result cache memoizes finished points.  Failed
+        uncached :class:`SweepExecutor` at ``jobs=1`` — the original
+        in-process behaviour.  An executor with ``jobs > 1`` fans the grid
+        out over worker processes; an attached result cache memoizes finished points.  Failed
         points raise :class:`~repro.core.executor.SweepExecutionError`.
     """
 

@@ -59,7 +59,7 @@ from __future__ import annotations
 
 from ..core.config import MachineConfig
 from ..core.metrics import MissCounters, NetworkStats
-from ..network.latency import make_latency_provider
+from ..network.latency import MeshLatency
 from .allocation import PageAllocator
 from .cache import EXCLUSIVE, READ_HIT, READ_MERGE, READ_MISS, SHARED, Cache
 from .directory import (DIR_EXCLUSIVE, Directory, LineRecord, miss_cause,
@@ -87,11 +87,11 @@ class MemorySystem:
             raise ValueError(
                 f"allocator built for {self.allocator.n_clusters} clusters, "
                 f"machine has {config.n_clusters}")
-        # miss pricing goes through a pluggable provider; the default
-        # flat-table provider is bit-identical to config.latency
-        self.latency = make_latency_provider(config)
+        #: the mesh latency provider, or ``None`` under the flat table
+        self.mesh = (MeshLatency(config) if config.network.provider == "mesh"
+                     else None)
         #: ``price(requester, home, owner, now)`` -> stall cycles of a miss
-        self._price = self.latency.miss_cycles
+        self._price = (self.mesh or config.latency).miss_cycles
         self.caches = [Cache(cache_lines, config.associativity)
                        for _ in range(n_caches)]
         self.counters = [MissCounters() for _ in range(config.n_clusters)]
@@ -114,7 +114,7 @@ class MemorySystem:
 
     def network_stats(self) -> NetworkStats | None:
         """Interconnect counters (``None`` under the flat-table provider)."""
-        return self.latency.stats()
+        return self.mesh.stats() if self.mesh is not None else None
 
     # ------------------------------------------------ the shared miss steps
     def _rec_home(self, rec: LineRecord, line: int) -> int:

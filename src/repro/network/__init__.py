@@ -6,10 +6,9 @@ turns that flat table into one provider among several:
 
 * :mod:`repro.network.topology` — 2D mesh and ideal crossbar geometries:
   cluster id -> coordinates, hop counts, and routed links;
-* :mod:`repro.network.latency` — the :class:`LatencyProvider` protocol
-  with :class:`TableLatency` (bit-identical Table 1) and
-  :class:`MeshLatency` (per-hop wire + router cycles, directory occupancy,
-  Table-1-calibrated base costs);
+* :mod:`repro.network.latency` — :class:`MeshLatency` (per-hop wire +
+  router cycles, directory occupancy, Table-1-calibrated base costs); the
+  flat-table provider is :class:`~repro.core.config.LatencyModel` itself;
 * :mod:`repro.network.contention` — per-link and per-directory M/D/1
   queueing driven by the simulated miss stream plus a synthetic
   background load.
@@ -22,13 +21,11 @@ contention-sensitivity sweep with
 """
 
 from .contention import ContentionModel
-from .latency import (LatencyProvider, MeshLatency, TableLatency,
-                      make_latency_provider)
+from .latency import MeshLatency
 from .topology import CrossbarTopology, MeshTopology, make_topology
 
 __all__ = [
     "ContentionModel",
     "CrossbarTopology", "MeshTopology", "make_topology",
-    "LatencyProvider", "TableLatency", "MeshLatency",
-    "make_latency_provider",
+    "MeshLatency",
 ]

@@ -1,16 +1,15 @@
-"""Pluggable miss-latency providers: flat Table 1 or hop-based mesh.
+"""The hop-based mesh miss-latency provider.
 
-Both memory systems (:mod:`repro.memory.coherence`,
-:mod:`repro.memory.snoopy`) price directory transactions through a
-:class:`LatencyProvider` built by :func:`make_latency_provider`:
+The memory systems (:class:`repro.memory.coherence.MemorySystem`) price a
+miss with one ``miss_cycles(requester, home, dirty_owner, now)`` call:
 
-* :class:`TableLatency` wraps the paper's :class:`~repro.core.config.
-  LatencyModel` verbatim — the default, bit-identical to charging
-  ``config.latency.miss_cycles(...)`` directly;
-* :class:`MeshLatency` prices the same four transaction shapes over a real
-  topology: per-hop wire + router cycles along the routed legs, directory
-  occupancy at the home node, and (optionally) M/D/1 queueing delay from
-  the :class:`~repro.network.contention.ContentionModel`.
+* the default flat-table provider is the paper's
+  :class:`~repro.core.config.LatencyModel` itself;
+* :class:`MeshLatency` (``network.provider == "mesh"``) prices the same
+  four transaction shapes over a real topology: per-hop wire + router
+  cycles along the routed legs, directory occupancy at the home node,
+  and (optionally) M/D/1 queueing delay from the
+  :class:`~repro.network.contention.ContentionModel`.
 
 Table-1 calibration
 -------------------
@@ -51,48 +50,18 @@ remote, dirty third party   req->home, home->owner,        150
 ==========================  =============================  ==============
 
 A line dirty in the *home's own* cache is served by home, i.e. priced as
-remote-clean — the same equivalence :class:`LatencyModel` applies.
+remote-clean — the same equivalence
+:class:`~repro.core.config.LatencyModel` applies.
 """
 
 from __future__ import annotations
 
-from typing import Protocol, runtime_checkable
-
-from ..core.config import LatencyModel, MachineConfig
+from ..core.config import MachineConfig
 from ..core.metrics import NetworkStats
 from .contention import ContentionModel
 from .topology import make_topology
 
-__all__ = ["LatencyProvider", "MeshLatency", "TableLatency",
-           "make_latency_provider"]
-
-
-@runtime_checkable
-class LatencyProvider(Protocol):
-    """What the memory systems need from a latency model."""
-
-    def miss_cycles(self, requester: int, home: int,
-                    dirty_owner: int | None, now: int = 0) -> int:
-        """Stall cycles of a miss issued at simulated time ``now``."""
-
-    def stats(self) -> NetworkStats | None:
-        """Accumulated interconnect counters (``None`` if not modelled)."""
-
-
-class TableLatency:
-    """The paper's flat Table 1 latencies: ``LatencyModel``'s own rules.
-
-    ``miss_cycles`` *is* the model's bound method, not a wrapper around
-    it — a miss is priced in one python call — so the values and the
-    ``ValueError`` on a requester that owns the line it misses on are the
-    model's by construction.
-    """
-
-    def __init__(self, model: LatencyModel) -> None:
-        self.miss_cycles = model.miss_cycles
-
-    def stats(self) -> NetworkStats | None:
-        return None
+__all__ = ["MeshLatency"]
 
 
 class MeshLatency:
@@ -191,12 +160,5 @@ class MeshLatency:
             cycles = delayed
         return cycles if cycles >= 1 else 1
 
-    def stats(self) -> NetworkStats | None:
+    def stats(self) -> NetworkStats:
         return self._stats
-
-
-def make_latency_provider(config: MachineConfig) -> LatencyProvider:
-    """Build the provider selected by ``config.network.provider``."""
-    if config.network.provider == "mesh":
-        return MeshLatency(config)
-    return TableLatency(config.latency)

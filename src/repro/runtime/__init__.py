@@ -20,9 +20,9 @@ end to end:
   and emits no events — the fast path is unchanged.
 
 Layering: ``runtime`` sits above ``apps``/``sim``/``memory``/``network``
-and below ``core`` (the sweep/caching machinery), so every backend —
-serial, process pool, the daemon's thread path — composes the same
-pipeline instead of re-wiring engines by hand.
+and below ``core`` (the sweep/caching machinery), so every evaluation —
+in-process, in a pool worker, on the daemon's point thread — composes
+the same pipeline instead of re-wiring engines by hand.
 """
 
 from .hooks import RunObserver, TimingObserver

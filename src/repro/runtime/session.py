@@ -1,7 +1,7 @@
 """RunSession: the one canonical pipeline from request to result.
 
 Every entry layer — the CLI, :class:`~repro.core.study.ClusteringStudy`,
-and all :class:`~repro.core.executor.SweepExecutor` backends — funnels
+and :class:`~repro.core.executor.SweepExecutor` at every ``jobs`` — funnels
 through this module.  A session performs, in order:
 
 1. **resolve** — bind the :class:`~repro.runtime.plan.RunRequest` to the

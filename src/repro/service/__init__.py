@@ -1,7 +1,7 @@
 """The sweep service: a persistent HTTP+JSON simulation daemon.
 
 This package turns the repo's warm-state machinery (compiled-trace LRU,
-worker pools, content-hash result cache) into a long-lived,
+worker pool, content-hash result cache) into a long-lived,
 addressable service — ``repro-clustering serve`` — with single-flight
 coalescing of identical in-flight requests.  See ``docs/SERVICE.md`` for
 endpoints, wire format, and semantics.

@@ -19,7 +19,7 @@ runs points through :meth:`SweepExecutor.submit_one` (the canonical
 timeouts are ``asyncio.wait_for`` around a *shielded* flight, so one
 impatient client never cancels a computation others share; graceful
 shutdown stops accepting, drains in-flight points up to a deadline,
-then cancels stragglers and closes the pools.
+then cancels stragglers and closes the pool.
 :meth:`ServiceDaemon.serve` is the one coroutine that hosts it, under
 :func:`asyncio.run` for both :meth:`~ServiceDaemon.run_blocking` (the
 CLI) and :class:`DaemonThread`.
@@ -115,9 +115,9 @@ class ServiceDaemon:
     executor:
         The :class:`SweepExecutor` evaluations are dispatched to, and
         the owner of the result cache (``executor.cache``; ``None``
-        disables memoization).  Its backend decides the daemon's shape:
-        ``process`` for a warm worker pool, ``serial`` for in-process
-        (thread) execution.
+        disables memoization).  Its ``jobs`` decides the daemon's shape:
+        ``jobs > 1`` for a warm pool of worker processes, ``1`` for
+        in-process execution on one thread.
     base_config:
         Machine template every request resolves against.
     """
@@ -237,6 +237,7 @@ class ServiceDaemon:
         if cache is not None:
             cache = {"hits": cache.hits, "misses": cache.misses,
                      "directory": str(cache.directory)}
+        workers = [p.pid for p in self.executor.worker_processes()]
         return {
             "uptime_s": round(time.monotonic() - self.started_at, 3),
             "requests": s.requests,
@@ -253,10 +254,9 @@ class ServiceDaemon:
             "native": native.status(),
             "trace_cache": trace_cache_info(),
             "pool": {
-                "backend": self.executor.backend,
-                "max_workers": self.executor.max_workers,
-                "warm": bool(self.executor.worker_pids()),
-                "workers": self.executor.worker_pids(),
+                "jobs": self.executor.jobs,
+                "warm": bool(workers),
+                "workers": workers,
             },
         }
 
@@ -273,7 +273,7 @@ class ServiceDaemon:
 
     async def stop(self, drain_deadline: float | None = None) -> None:
         """Graceful shutdown: stop accepting, wait for in-flight points
-        (up to the drain deadline), cancel stragglers, close the pools."""
+        (up to the drain deadline), cancel stragglers, close the pool."""
         if self._stopping:
             await self._stopped.wait()
             return
@@ -300,7 +300,7 @@ class ServiceDaemon:
             if announce:
                 print(f"repro-clustering serve: listening on "
                       f"http://{self.host}:{self.port} "
-                      f"(backend={self.executor.backend}, "
+                      f"(jobs={self.executor.jobs}, "
                       # `is not None`: an empty ResultCache is falsy (len 0)
                       f"cache="
                       f"{'on' if self.executor.cache is not None else 'off'})",

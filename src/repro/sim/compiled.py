@@ -616,8 +616,8 @@ def trace_key(app: str, app_kwargs: Mapping[str, Any], config: Any,
 _memory_lru: OrderedDict[str, CompiledProgram] = OrderedDict()
 _memory_lru_bytes = 0
 _memory_lru_mapped = 0
-#: guards every read-modify-write of the three names above: the serial
-#: backend and the daemon run points on threads that share this LRU
+#: guards every read-modify-write of the three names above: an
+#: in-process daemon runs points on a thread that shares this LRU
 _memory_lru_lock = threading.Lock()
 
 
@@ -657,9 +657,9 @@ class TraceCache:
     an optional :class:`~repro.core.resultcache.TraceStore` on disk, which
     is what lets separate ``--jobs`` worker processes and separate CLI
     invocations reuse traces.  Disk loads are **memory-mapped**
-    (zero-copy, ~0 resident cost).  Tier 1 is shared by threads too (the
-    serial backend's and the daemon's workers), so one module lock guards
-    its order and its byte count.
+    (zero-copy, ~0 resident cost).  Tier 1 is shared by threads too (an
+    in-process daemon's point thread beside its host's own runs), so one
+    module lock guards its order and its byte count.
 
     Instances are cheap and picklable (the LRU is module state, the store
     carries only a path), so executors ship them to pool workers as-is.

@@ -59,14 +59,14 @@ def serve_daemon(tmp_path_factory):
     Session-scoped so the tests don't each pay daemon startup: the
     daemon runs on a background thread with an ephemeral port, a
     session-private result cache and trace store in one directory (as
-    ``serve`` has), and the in-process (serial) execution backend —
+    ``serve`` has), and in-process execution (``jobs=1``) —
     same-process execution is what lets the parity tests compare
     daemon-served results against direct
     :class:`~repro.runtime.session.RunSession` runs byte for byte.
 
     Teardown stops the daemon and asserts that no executor worker
-    process outlived it (trivially true for the serial backend, and the
-    check keeps honest any future fixture switch to the process backend).
+    process outlived it (trivially true at ``jobs=1``, and the check
+    keeps honest any future fixture switch to a worker pool).
     """
     from repro.core.executor import SweepExecutor
     from repro.core.resultcache import ResultCache, TraceStore

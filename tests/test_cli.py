@@ -134,6 +134,17 @@ class TestFigures:
         fig3_refs, fig2_refs = refs
         assert 0 < fig3_refs < fig2_refs
 
+    def test_fig3_default_grid_is_oceans_default(self):
+        """``fig3`` sizes the default tier's half grid from the paper's
+        ocean ``n`` without building the app, so the two must agree."""
+        import inspect
+
+        from repro.apps.ocean import OceanApp
+        from repro.apps.registry import PAPER_PROBLEM_SIZES
+
+        default = inspect.signature(OceanApp).parameters["n"].default
+        assert default == PAPER_PROBLEM_SIZES["ocean"]["n"]
+
     def test_fig4_capacity(self, capsys):
         assert run_cli(*BASE, "--cluster-sizes", "1,2",
                        "--cache-sizes", "1,inf", "fig4") == 0
@@ -276,8 +287,8 @@ class TestParser:
         ["--jobs", "1", "fig2", "--apps", "ocean", "--timeout", "5"],
     ], ids=["before", "after", "jobs-one"])
     def test_timeout_without_a_pool_exits_2(self, argv, capsys):
-        """The serial backend cannot abandon a point: ``--timeout`` without
-        ``--jobs N`` used to be accepted and ignored."""
+        """A point running in-process cannot be abandoned: ``--timeout``
+        without ``--jobs N`` used to be accepted and ignored."""
         assert run_cli(*BASE, *argv) == 2
         captured = capsys.readouterr()
         assert "--jobs N" in captured.err and captured.out == ""
@@ -638,14 +649,14 @@ SHOW_MODULES = ("import json, sys\n"
 @pytest.mark.parametrize("argv", [
     ["fig2", "--apps", "lu"],
     ["--cache-sizes", "4,inf", "fig4"],
-], ids=["fig2", "fig4"])
+    ["fig3"],
+], ids=["fig2", "fig4", "fig3"])
 def test_cache_hit_imports_no_simulator(argv, tmp_path):
     """A figure served from the result cache imports only what it runs.
 
     Fill the cache with one CLI run, then repeat the command in a fresh
     interpreter: every point hits, stdout is the same figure, and
-    neither numpy nor the simulator was ever imported.  ``fig3`` is
-    exempt: it builds an ocean app to size its grid.
+    neither numpy nor the simulator was ever imported.
     """
     import json
 

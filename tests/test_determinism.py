@@ -2,9 +2,10 @@
 
 The whole value of a parallel + cached sweep harness rests on one property:
 for a given (app, kwargs, machine config) the simulator produces *the same
-bytes* every time, in every backend.  These tests pin that down:
+bytes* every time, at every ``jobs``.  These tests pin that down:
 
-* serial vs process backends → byte-identical canonical JSON;
+* in-process (``jobs=1``) vs a worker pool (``jobs=2``) → byte-identical
+  canonical JSON;
 * two consecutive runs of the same point → byte-identical;
 * a cache round-trip (store → load) → byte-identical (the ``==`` of the
   dataclasses and the JSON encoding agree).
@@ -42,21 +43,20 @@ def _specs():
 
 @pytest.fixture(scope="module")
 def serial_outcomes():
-    outcomes = SweepExecutor(backend="serial").run(_specs(), CFG)
+    outcomes = SweepExecutor().run(_specs(), CFG)
     assert all(o.ok for o in outcomes)
     return outcomes
 
 
 @pytest.fixture(scope="module")
 def process_outcomes():
-    outcomes = SweepExecutor(backend="process", max_workers=2).run(
-        _specs(), CFG)
+    outcomes = SweepExecutor(jobs=2).run(_specs(), CFG)
     assert all(o.ok for o in outcomes)
     return outcomes
 
 
 def test_backends_agree_byte_for_byte(serial_outcomes, process_outcomes):
-    """serial and process backends produce byte-identical RunResults."""
+    """In-process and pooled runs produce byte-identical RunResults."""
     for s, p in zip(serial_outcomes, process_outcomes):
         assert s.spec == p.spec
         assert s.result.to_json() == p.result.to_json(), \
@@ -71,7 +71,7 @@ def test_backends_agree_structurally(serial_outcomes, process_outcomes):
 
 def test_consecutive_runs_identical(serial_outcomes):
     """Re-running the very same points reproduces the same bytes."""
-    again = SweepExecutor(backend="serial").run(_specs(), CFG)
+    again = SweepExecutor().run(_specs(), CFG)
     for first, second in zip(serial_outcomes, again):
         assert first.result.to_json() == second.result.to_json(), \
             f"rerun diverged on {first.spec.describe()}"
@@ -96,10 +96,10 @@ def test_cache_round_trip_is_byte_identical(tmp_path, serial_outcomes):
 
 
 def test_process_pool_width_does_not_matter():
-    """1-wide and 3-wide pools see the same bytes (no shared state)."""
+    """2-wide and 3-wide pools see the same bytes (no shared state)."""
     specs = [RunRequest.make("ocean", c, None, SAMPLE[0][1]) for c in (1, 2, 4)]
-    narrow = SweepExecutor(backend="process", max_workers=1).run(specs, CFG)
-    wide = SweepExecutor(backend="process", max_workers=3).run(specs, CFG)
+    narrow = SweepExecutor(jobs=2).run(specs, CFG)
+    wide = SweepExecutor(jobs=3).run(specs, CFG)
     for a, b in zip(narrow, wide):
         assert a.result.to_json() == b.result.to_json()
 
@@ -127,8 +127,8 @@ def test_mesh_latency_is_deterministic_across_backends(tmp_path):
     net = NetworkConfig(provider="mesh", background_load=0.6)
     specs = [RunRequest.make("ocean", c, None, SAMPLE[0][1], network=net)
              for c in (1, 2, 4)]
-    serial = SweepExecutor(backend="serial").run(specs, CFG)
-    process = SweepExecutor(backend="process", max_workers=2).run(specs, CFG)
+    serial = SweepExecutor().run(specs, CFG)
+    process = SweepExecutor(jobs=2).run(specs, CFG)
     cache = ResultCache(tmp_path)
     SweepExecutor(cache=cache).run(specs, CFG)
     cached = SweepExecutor(cache=cache).run(specs, CFG)

@@ -1,17 +1,25 @@
-"""SweepExecutor behaviour: request checking, backends, failure isolation."""
+"""SweepExecutor behaviour: request checking, the pool, failure isolation."""
 
 import pytest
 
 from repro.core.config import MachineConfig
-from repro.core.executor import (BACKENDS, PointOutcome,
-                                 SweepExecutionError, SweepExecutor,
-                                 raise_failures)
+from repro.core.executor import (PointOutcome, SweepExecutionError,
+                                 SweepExecutor, raise_failures)
 from repro.core.study import ClusteringStudy
 from repro.runtime import RunRequest
 from repro.runtime.hooks import RunObserver
 
 CFG = MachineConfig(n_processors=8)
 OCEAN_KW = {"n": 16, "n_vcycles": 1}
+
+
+class Count(RunObserver):
+    """Counts the points evaluated in this process."""
+
+    evaluations = 0
+
+    def on_result(self, plan, result):
+        self.evaluations += 1
 
 
 class TestRunRequest:
@@ -55,17 +63,9 @@ class TestRunRequest:
 
 
 class TestConstruction:
-    def test_backends_constant(self):
-        assert BACKENDS == ("serial", "process")
-
-    def test_unknown_backend_rejected(self):
-        for name in ("threads", "fork"):
-            with pytest.raises(ValueError, match="backend"):
-                SweepExecutor(backend=name)
-
-    def test_bad_max_workers_rejected(self):
-        with pytest.raises(ValueError, match="max_workers"):
-            SweepExecutor(max_workers=0)
+    def test_bad_jobs_rejected(self):
+        with pytest.raises(ValueError, match="jobs"):
+            SweepExecutor(jobs=0)
 
     def test_bad_timeout_rejected(self):
         with pytest.raises(ValueError, match="timeout"):
@@ -87,8 +87,7 @@ class TestFailureIsolation:
     def test_unknown_app_is_isolated_process(self):
         specs = [RunRequest.make("ocean", 1, None, OCEAN_KW),
                  RunRequest.make("notanapp", 1, None, {})]
-        outcomes = SweepExecutor(backend="process", max_workers=2).run(
-            specs, CFG)
+        outcomes = SweepExecutor(jobs=2).run(specs, CFG)
         assert [o.ok for o in outcomes] == [True, False]
         assert "notanapp" in outcomes[1].error
         # the full traceback, the worker's own frames included
@@ -147,8 +146,7 @@ class TestFailureIsolation:
     def test_timeout_reports_error_not_crash(self):
         """A point exceeding the per-point budget becomes an error outcome."""
         slow = RunRequest.make("ocean", 1, None, {"n": 32, "n_vcycles": 2})
-        executor = SweepExecutor(backend="process", max_workers=1,
-                                 timeout=1e-4)
+        executor = SweepExecutor(jobs=2, timeout=1e-4)
         outcomes = executor.run([slow], CFG)
         assert not outcomes[0].ok
         assert "timed out" in outcomes[0].error
@@ -156,7 +154,7 @@ class TestFailureIsolation:
 
 class TestPoolLifecycle:
     def test_pool_is_reused_across_runs(self):
-        with SweepExecutor(backend="process", max_workers=2) as executor:
+        with SweepExecutor(jobs=2) as executor:
             first = executor.run(
                 [RunRequest.make("ocean", 1, None, OCEAN_KW)], CFG)
             pool = executor._pool
@@ -167,7 +165,7 @@ class TestPoolLifecycle:
         assert first[0].ok and second[0].ok
 
     def test_close_is_idempotent_and_pool_reopens(self):
-        executor = SweepExecutor(backend="process", max_workers=1)
+        executor = SweepExecutor(jobs=2)
         executor.close()
         executor.close()
         outcome = executor.run(
@@ -175,6 +173,29 @@ class TestPoolLifecycle:
         assert outcome.ok
         executor.close()
         assert executor._pool is None
+
+    def test_submit_one_and_run_share_the_one_pool(self):
+        spec = RunRequest.make("ocean", 1, None, OCEAN_KW)
+        with SweepExecutor(jobs=2) as executor:
+            assert executor.submit_one(spec, CFG).result(timeout=120).ok
+            pool = executor._pool
+            assert pool is not None and executor.worker_processes()
+            assert executor.run(
+                [RunRequest.make("ocean", 2, None, OCEAN_KW)], CFG)[0].ok
+            assert executor._pool is pool
+
+    def test_one_job_runs_inline_and_submits_to_one_thread(self):
+        count = Count()
+        with SweepExecutor(observer=count) as executor:
+            assert executor.run(
+                [RunRequest.make("ocean", 1, None, OCEAN_KW)], CFG)[0].ok
+            assert executor._pool is None
+            assert executor.submit_one(
+                RunRequest.make("ocean", 2, None, OCEAN_KW),
+                CFG).result(timeout=120).ok
+            assert executor._pool._max_workers == 1
+            assert executor.worker_processes() == []
+        assert count.evaluations == 2
 
 
 class TestDedupe:
@@ -190,13 +211,6 @@ class TestDedupe:
     def test_one_point_key_is_one_evaluation(self):
         """Two spellings of one machine (the default protocol left
         implicit, then named) are one point: evaluated once."""
-
-        class Count(RunObserver):
-            evaluations = 0
-
-            def on_result(self, plan, result):
-                self.evaluations += 1
-
         lu = {"n": 32, "block": 8}
         implicit = RunRequest.make("lu", 2, 4.0, lu)
         named = RunRequest.make("lu", 2, 4.0, lu, protocol="directory")
@@ -249,12 +263,11 @@ class TestForkBackend:
                  for c in (1, 2)]
         store = TraceStore(tmp_path)
         clear_memory_cache()
-        serial = SweepExecutor(backend="serial", trace_store=store)
+        serial = SweepExecutor(trace_store=store)
         want = [o.result.to_json() for o in serial.run(specs, CFG)]
 
         clear_memory_cache()
-        with SweepExecutor(backend="process", max_workers=2,
-                           trace_store=store) as executor:
+        with SweepExecutor(jobs=2, trace_store=store) as executor:
             outcomes = executor.run(specs, CFG)
         raise_failures(outcomes)
         assert [o.result.to_json() for o in outcomes] == want

@@ -2,8 +2,8 @@
 
 The load-bearing guarantees:
 
-* :class:`TableLatency` is bit-identical to calling the Table 1 model
-  directly (golden fixtures must not move under the default provider);
+* the default flat-table provider is the Table 1 model itself (golden
+  fixtures must not move under it) and records no network counters;
 * :class:`MeshLatency` is Table-1 calibrated — the *mean* zero-load
   latency of every transaction shape equals the Table 1 row for every
   requesting node — and an unloaded mesh run lands within 2% of the
@@ -22,9 +22,9 @@ import pytest
 from repro.core.config import (LatencyModel, MachineConfig, NetworkConfig)
 from repro.core.metrics import NetworkStats, RunResult
 from repro.core.study import ClusteringStudy
+from repro.memory import make_memory_system
 from repro.network.contention import (UTILIZATION_CAP, ContentionModel)
-from repro.network.latency import (MeshLatency, TableLatency,
-                                   make_latency_provider)
+from repro.network.latency import MeshLatency
 from repro.network.topology import (CrossbarTopology, MeshTopology,
                                     make_topology, mesh_dims)
 from repro.runtime import RunRequest
@@ -116,25 +116,13 @@ def test_make_topology():
 
 
 class TestTableLatency:
-    def test_bit_identical_to_model(self):
-        model = LatencyModel()
-        provider = TableLatency(model)
-        for requester in range(4):
-            for home in range(4):
-                for owner in [None] + [o for o in range(4) if o != requester]:
-                    assert (provider.miss_cycles(requester, home, owner, 17)
-                            == model.miss_cycles(requester, home, owner))
-
     def test_same_error_contract(self):
         with pytest.raises(ValueError):
-            TableLatency(LatencyModel()).miss_cycles(1, 0, 1)
+            LatencyModel().miss_cycles(1, 0, 1)
 
     def test_no_stats(self):
-        assert TableLatency(LatencyModel()).stats() is None
-
-    def test_default_provider_is_table(self):
-        provider = make_latency_provider(MachineConfig(n_processors=8))
-        assert isinstance(provider, TableLatency)
+        memory = make_memory_system(MachineConfig(n_processors=8))
+        assert memory.network_stats() is None
 
 
 # ------------------------------------------------------------- MeshLatency

@@ -51,7 +51,7 @@ class TestHealthAndStats:
                       "in_flight", "result_cache", "pool", "uptime_s"):
             assert field in stats, f"/stats missing {field}"
         assert "batch" not in stats
-        assert stats["pool"]["backend"] == "serial"
+        assert stats["pool"]["jobs"] == 1
         assert stats["result_cache"] is not None  # fixture attaches a cache
 
 

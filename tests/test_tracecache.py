@@ -153,8 +153,8 @@ class TestTraceCache:
         assert "1 misses" in cache.stats()
 
     def test_byte_accounting_survives_threads(self, monkeypatch):
-        """The serial backend and the daemon evaluate points on threads
-        that share the LRU: a lost update of its byte count would either
+        """An in-process daemon evaluates points on a thread that shares
+        the LRU with its host's own runs: a lost update of its byte count would either
         evict too early forever or overrun the budget."""
         monkeypatch.setattr(compiled, "_LRU_BYTES", 200000)
 
@@ -291,7 +291,7 @@ class TestCaptureCount:
         assert len(list(store.directory.glob("*.trace"))) == 1
 
         clear_memory_cache()
-        with SweepExecutor(backend="process", max_workers=2,
+        with SweepExecutor(jobs=2,
                            trace_store=TraceStore(tmp_path)) as pool:
             outcomes = pool.run(specs)
         raise_failures(outcomes)
