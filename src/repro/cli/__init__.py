@@ -135,6 +135,20 @@ def _study(app: str, args: argparse.Namespace) -> ClusteringStudy:
                            executor=_executor(args))
 
 
+def _app_name(value: str) -> str:
+    """One application name, checked as an argparse ``type=``.
+
+    A ``nargs="*"`` positional takes this rather than ``choices``:
+    Python 3.11's argparse checks a list default against ``choices`` as
+    one value, so ``scaling`` with no APP would be refused.
+    """
+    if value not in APP_NAMES:
+        raise argparse.ArgumentTypeError(
+            f"invalid choice: {value!r} (choose from "
+            f"{', '.join(map(repr, APP_NAMES))})")
+    return value
+
+
 def _cache_arg(value: str) -> float | None:
     """Parse one cache size: positive KB or ``'inf'``/``'none'``.
 
@@ -347,7 +361,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = add_command("scaling", "scaling",
                      help="§4 pushout study: processor-count scaling, "
                      "clustered vs unclustered, with tier presets")
-    sp.add_argument("apps", nargs="*", choices=APP_NAMES, metavar="APP",
+    sp.add_argument("apps", nargs="*", type=_app_name, metavar="APP",
                     default=["raytrace"],
                     help="applications to study (default raytrace, the "
                     "clearest quick-scale pushout)")

@@ -394,6 +394,18 @@ class TestParser:
                        "--counts", "8,16") == 2
         assert "does not divide" in capsys.readouterr().err
 
+    def test_scaling_with_no_app_studies_raytrace(self, capsys):
+        """The documented default APP runs (Python 3.11's argparse used to
+        check the list default against ``choices`` and exit 2); a name
+        that is no app is still a one-line usage error."""
+        assert run_cli("--no-cache", "scaling", "--counts", "4,8",
+                       "--clusters", "2") == 0
+        assert capsys.readouterr().out.startswith("# raytrace: ")
+        with pytest.raises(SystemExit) as exc:
+            run_cli("scaling", "lu", "nosuchapp")
+        assert exc.value.code == 2
+        assert "invalid choice: 'nosuchapp'" in capsys.readouterr().err
+
     def test_bad_network_load_rejected(self, capsys):
         with pytest.raises(SystemExit) as exc:
             run_cli(*BASE, "network", "ocean", "--loads", "0,1.5")
