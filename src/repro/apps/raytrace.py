@@ -44,6 +44,9 @@ _SPHERE_DOUBLES = 8   # center(3) + radius + reflectivity + pad = one line
 _NODE_DOUBLES = 8     # one line per octree node (bounds/children metadata)
 
 _LIGHT = np.array([0.40824829, 0.40824829, -0.81649658])  # normalized
+#: child ``o`` of an octree node sits at center + half/2 * _OCTANTS[o]
+_OCTANTS = np.array([[1 if o & 4 else -1, 1 if o & 2 else -1,
+                      1 if o & 1 else -1] for o in range(8)], dtype=float)
 
 
 class _Node:
@@ -124,15 +127,17 @@ class RaytraceApp(TileQueueApplication):
         if len(node.spheres) <= self.leaf_spheres or depth >= self.max_tree_depth:
             return
         node.children = []
+        half = node.half / 2
+        # the eight children's centers, and per child a mask over the
+        # parent's spheres (in their order): does the sphere overlap the
+        # child's AABB (conservative center-distance test)?
+        centers = node.center + _OCTANTS * node.half / 2
+        spheres = np.asarray(node.spheres, dtype=np.intp)
+        inside = np.all(np.abs(self.centers[spheres] - centers[:, None])
+                        <= (half + self.radii[spheres])[:, None], axis=2)
         for o in range(8):
-            off = np.array([1 if o & 4 else -1, 1 if o & 2 else -1,
-                            1 if o & 1 else -1], dtype=float)
-            child = _Node(node.center + off * node.half / 2, node.half / 2)
-            # sphere overlaps child AABB (conservative center-distance test)
-            for s in node.spheres:
-                d = np.abs(self.centers[s] - child.center)
-                if np.all(d <= child.half + self.radii[s]):
-                    child.spheres.append(s)
+            child = _Node(centers[o], half)
+            child.spheres = spheres[inside[o]].tolist()
             self._node_index[id(child)] = len(self.nodes)
             self.nodes.append(child)
             node.children.append(child)

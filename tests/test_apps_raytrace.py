@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.apps.raytrace import RaytraceApp
+from repro.apps.raytrace import RaytraceApp, _Node
 from repro.core.config import MachineConfig
 
 
@@ -39,6 +39,46 @@ class TestGeometry:
             if node.children is None:
                 in_leaves.update(node.spheres)
         assert in_leaves == set(range(16))
+
+    @pytest.mark.parametrize("n_spheres", [16, 32, 160])
+    def test_octree_equals_the_scalar_rule(self, cfg, n_spheres):
+        """The vectorised build makes exactly the nodes of the one-sphere-
+        at-a-time rule: same centers, sizes, sphere lists and tree."""
+        def subdivide(app, node, depth, out):
+            if (len(node.spheres) <= app.leaf_spheres
+                    or depth >= app.max_tree_depth):
+                return
+            node.children = []
+            for o in range(8):
+                off = np.array([1 if o & 4 else -1, 1 if o & 2 else -1,
+                                1 if o & 1 else -1], dtype=float)
+                child = _Node(node.center + off * node.half / 2,
+                              node.half / 2)
+                for s in node.spheres:
+                    d = np.abs(app.centers[s] - child.center)
+                    if np.all(d <= child.half + app.radii[s]):
+                        child.spheres.append(s)
+                out.append(child)
+                node.children.append(child)
+            node.spheres = []
+            for child in node.children:
+                subdivide(app, child, depth + 1, out)
+
+        def shape(nodes):
+            index = {id(n): i for i, n in enumerate(nodes)}
+            return [(n.center.tolist(), n.half, n.spheres,
+                     None if n.children is None
+                     else [index[id(c)] for c in n.children])
+                    for n in nodes]
+
+        app = RaytraceApp(cfg, width=4, height=4, n_spheres=n_spheres)
+        app.ensure_setup()
+        root = _Node(np.full(3, 0.5), 0.5)
+        root.spheres = list(range(n_spheres))
+        want = [root]
+        subdivide(app, root, 0, want)
+        assert len(want) > 1
+        assert shape(app.nodes) == shape(want)
 
     def test_octree_root_is_unit_cube(self, cfg):
         app = RaytraceApp(cfg, width=4, height=4, n_spheres=4)
