@@ -33,7 +33,7 @@ __all__ = ["ABI_VERSION", "BuildError", "CFLAGS", "artifact_path", "build",
            "cache_dir", "find_compiler", "load", "source_path"]
 
 #: must match ``#define ABI`` in kernel.c; bump on any layout change
-ABI_VERSION = 4
+ABI_VERSION = 5
 
 #: the one list of compile flags (CI's sanitizer build and the verify
 #: skill print it rather than repeat it).
@@ -175,8 +175,8 @@ def load() -> ctypes.CDLL:
     lib.repro_replay.restype = i64
     lib.repro_replay.argtypes = [
         i64, i64, i64,                              # n, ncl, csize
-        ctypes.POINTER(p), ctypes.POINTER(p), p,    # ops, args, lens
-        p, p, p,                                    # t_ops, t_args, t_off
+        ctypes.POINTER(p), p,                       # words, lens
+        p, p,                                       # t_words, t_off
         p, p, i64,                                  # q_next, q_end, n_queues
         i64, i64,                                   # proto, cap
         i64, i64,                                   # snoop_penalty, c2c

@@ -3,7 +3,7 @@
 The kernel (:mod:`repro.native.build` compiles ``kernel.c``) runs the
 entire replay — engine loop, memory-system transitions of any of the
 three protocols, Table-1 or mesh miss pricing — in a single call that
-reads the program's opcode/operand columns in place, in its one buffer,
+reads the program's word columns in place, in its one buffer,
 and fills caller-allocated arrays whose sizes depend only on the
 processor and cluster counts: per-processor time breakdowns,
 per-cluster counters, per-cache evictions/inserts, and ten totals plus
@@ -142,14 +142,13 @@ def run_native(lib, config: "MachineConfig", allocator: "PageAllocator",
     n_caches = n if config.protocol == "snoopy" else ncl
 
     # zero-copy: the kernel reads the program's one buffer in place, at
-    # its base address plus each section's offset (ops/args per
-    # processor, then the task pair).  A mapped buffer is ACCESS_COPY, so
-    # the writability from_buffer demands never reaches the file.
+    # its base address plus each section's offset (one word column per
+    # processor, then the task column).  A mapped buffer is ACCESS_COPY,
+    # so the writability from_buffer demands never reaches the file.
     base = ctypes.addressof(ctypes.c_char.from_buffer(program.buffer))
     ptrs = [ctypes.cast(base + off, _P64) for off in program.section_offsets]
-    ops_arr = (_P64 * n)(*ptrs[0:2 * n:2])
-    args_arr = (_P64 * n)(*ptrs[1:2 * n:2])
-    lens = (_c64 * n)(*map(len, program.ops))
+    words = (_P64 * n)(*ptrs[:n])
+    lens = (_c64 * n)(*map(len, program.words))
 
     # the task table; each queue's take counter starts at its first task
     t_off, q_end = program.task_offsets()
@@ -179,9 +178,8 @@ def run_native(lib, config: "MachineConfig", allocator: "PageAllocator",
 
     st = lib.repro_replay(
         n, ncl, config.cluster_size,
-        ops_arr, args_arr, lens,
-        ptrs[-2], ptrs[-1],
-        (_c64 * len(t_off))(*t_off), q_next,
+        words, lens,
+        ptrs[-1], (_c64 * len(t_off))(*t_off), q_next,
         (_c64 * max(1, n_queues))(*q_end), n_queues,
         _PROTOCOLS[config.protocol], -1 if cap is None else cap,
         DEFAULT_SNOOP_PENALTY, DEFAULT_C2C_LATENCY,

@@ -4,6 +4,8 @@
  * by Table 1 or by the mesh model (repro.network).
  *
  * One call replays one compiled program on one machine configuration,
+ * reading its trace in place (RPROTRC4: one int64 word per op,
+ * arg << 3 | opcode, repro.sim.compiled),
  * starting from empty caches and a cold network, and returns the numbers
  * a RunResult is made of into caller-allocated fixed-size arrays:
  * per-processor time breakdowns, per-cluster miss counters, per-cache
@@ -46,7 +48,7 @@
  * - TASK q (opcode 6, INTERNALS section 4) is the queue grab of a
  *   task-queue code: at the event where the processor wants its next op,
  *   take the next index of queue q's counter; if a task remains, run its
- *   sub-stream out of the task columns and come back to the same TASK,
+ *   sub-stream out of the task column and come back to the same TASK,
  *   else fall through.  It is an arm of the one dispatch and costs no
  *   time; a TASK inside a task, an unknown queue, or a queue nobody
  *   drained is a fault.
@@ -76,7 +78,7 @@
 #include <stdlib.h>
 #include <string.h>
 
-#define ABI 4
+#define ABI 5
 
 #define ST_OK 0
 #define ST_FAULT 1
@@ -1030,35 +1032,37 @@ static NOINLINE int mem_write(Ctx *x, int64_t pid, int cl, int64_t line,
 
 EXPORT int64_t repro_abi(void) { return ABI; }
 
-/* Where a processor is in its trace: the column pair it is reading (its
- * own, or one task's slice of the task columns), how far, and — inside a
- * task — the index in its own columns of the TASK op to come back to. */
+/* Where a processor is in its trace: the word column it is reading (its
+ * own, or one task's slice of the task column), how far, and — inside a
+ * task — the index in its own column of the TASK op to come back to. */
 typedef struct {
-    const int64_t *o, *a;
+    const int64_t *w;
     int64_t ip, len;
     int64_t ret; /* -1: not in a task */
 } Stream;
 
 /* Zero-copy column contract: every column points into the program's one
- * buffer, laid out as its trace blob and often a read-mostly file mapping
- * of it (driver.py adds section offsets to the buffer's base address;
- * 8-byte aligned, host-order int64, lens[p] entries).  The kernel must
- * only ever READ them — a store would dirty private copy-on-write pages
- * and forfeit the shared-page-cache economics the streaming-trace layer
- * is built on — and never dereference a column with lens[p] == 0.  Access
+ * buffer, laid out as its trace blob (RPROTRC4) and often a read-mostly
+ * file mapping of it (driver.py adds section offsets to the buffer's base
+ * address; 8-byte aligned, host-order int64, lens[p] entries).  One word
+ * is one op: opcode = w & 7, arg = w >> 3 (arithmetic: args may be
+ * negative).  The kernel must only ever READ them — a store would dirty
+ * private copy-on-write pages and forfeit the shared-page-cache
+ * economics the streaming-trace layer is built on — and never
+ * dereference a column with lens[p] == 0.  Access
  * is sequential per processor, which the mapping layer advertises to the
  * OS via MADV_SEQUENTIAL and the replay loop to the CPU by prefetching
  * (loads only).  A mapped payload carries no checksum, so operands are
  * not trusted: what capture would have refused is a fault here. */
 EXPORT int64_t repro_replay(
     int64_t n, int64_t ncl, int64_t csize,
-    const int64_t **ops, const int64_t **args, const int64_t *lens,
+    const int64_t **words, const int64_t *lens,
     /* the task table: task k of the program is entries
-     * [t_off[k], t_off[k + 1]) of the t_ops/t_args columns (same
-     * contract as ops/args), and queue q hands out tasks
+     * [t_off[k], t_off[k + 1]) of the t_words column (same contract
+     * as words), and queue q hands out tasks
      * q_next[q] .. q_end[q] - 1 in order — q_next is the counter TASK
      * advances, set to the queue's first task by the caller */
-    const int64_t *t_ops, const int64_t *t_args, const int64_t *t_off,
+    const int64_t *t_words, const int64_t *t_off,
     int64_t *q_next, const int64_t *q_end, int64_t n_queues,
     int64_t proto, /* P_DIRECTORY, P_SNOOPY or P_DLS */
     int64_t cap,   /* capacity in lines of each of the protocol's caches
@@ -1141,7 +1145,7 @@ EXPORT int64_t repro_replay(
                 && (st = tab_put(&x.pages, ph_pages[i], (int32_t)ph_homes[i])))
             goto done;
     for (int64_t p = 0; p < n; p++) {
-        strm[p] = (Stream){ops[p], args[p], 0, lens[p], -1};
+        strm[p] = (Stream){words[p], 0, lens[p], -1};
         finish[p] = -1;
         retry[p] = NO_LINE;
     }
@@ -1185,8 +1189,7 @@ EXPORT int64_t repro_replay(
         } else {
             /* ---- run ops while strictly ahead of every queued event */
             Stream *s = &strm[pid];
-            const int64_t *po = s->o;
-            const int64_t *pa = s->a;
+            const int64_t *pw = s->w;
             int64_t ip = s->ip;
             int64_t iplen = s->len;
             int finished = 0;
@@ -1197,23 +1200,18 @@ EXPORT int64_t repro_replay(
                         break;
                     }
                     /* end of a task: back to the TASK that took it */
-                    po = s->o = ops[pid];
-                    pa = s->a = args[pid];
+                    pw = s->w = words[pid];
                     iplen = s->len = lens[pid];
                     ip = s->ret;
                     s->ret = -1;
                     continue;
                 }
-                /* n processors x 2 columns are more sequential streams
-                 * than a hardware prefetcher follows: ask once per cache
-                 * line (a prefetch past the column's end is harmless) */
-                if ((ip & 7) == 0) {
-                    __builtin_prefetch(po + ip + PF_AHEAD);
-                    __builtin_prefetch(pa + ip + PF_AHEAD);
-                }
-                int64_t op = po[ip];
-                int64_t arg = pa[ip];
-                ip++;
+                /* n processors' columns are more sequential streams than
+                 * a hardware prefetcher follows: ask once per cache line
+                 * (a prefetch past the column's end is harmless) */
+                if ((ip & 7) == 0) __builtin_prefetch(pw + ip + PF_AHEAD);
+                const int64_t word = pw[ip++];
+                const int64_t op = word & 7, arg = word >> 3;
                 if (op == 1) { /* READ */
                     if ((uint64_t)arg >> 32) { /* no table holds the line */
                         st = ST_FAULT;
@@ -1320,8 +1318,7 @@ EXPORT int64_t repro_replay(
                     if (q_next[arg] < q_end[arg]) {
                         const int64_t k = q_next[arg]++;
                         s->ret = ip - 1;
-                        po = s->o = t_ops + t_off[k];
-                        pa = s->a = t_args + t_off[k];
+                        pw = s->w = t_words + t_off[k];
                         iplen = s->len = t_off[k + 1] - t_off[k];
                         ip = 0;
                     } /* else the queue is empty: fall through */

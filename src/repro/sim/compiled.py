@@ -15,11 +15,14 @@ therefore capture each app's program once and replay it everywhere.
 This module provides that capture/replay layer:
 
 * :class:`CompiledProgram` — one buffer laid out as the program's
-  ``RPROTRC3`` blob: per-processor int64 opcode/arg columns, plus a
-  **task table** for the task-queue codes, behind a JSON header.
-  READ/WRITE operands are pre-divided by the line size and consecutive
-  WORK ops are fused at compile time; the engine replays a program by
-  iterating its ``memoryview`` columns, the native kernel by address;
+  ``RPROTRC4`` blob: one int64 **word per op** per processor, plus a
+  **task table** for the task-queue codes, behind a JSON header.  A
+  word is ``arg << 3 | opcode``, so ``word & 7`` is the opcode and
+  ``word >> 3`` (arithmetic) the operand, for any operand in
+  ``[-2**60, 2**60)``.  READ/WRITE operands are pre-divided by the line
+  size and consecutive WORK ops are fused at compile time; the engine
+  replays a program by decoding its ``memoryview`` columns, the native
+  kernel by address;
 * :func:`compile_program` — drain a generator-based program factory (and
   the bodies of its task queues) once into a :class:`CompiledProgram`;
 * :func:`trace_key` — content hash identifying one compiled trace
@@ -42,10 +45,10 @@ event where the generator would have been resumed, and the lock around
 it serialises the takes, so take order *is* lock-grant order in either
 interpreter and the trace is as machine-independent as a static app's.
 
-**One layout, in memory and on disk.**  ``RPROTRC3`` is an aligned,
-uncompressed int64 section per column (and one pair for the task table)
-behind a JSON header that declares the item size and byte order (the
-host's).  A capture packs its drained columns into a ``bytearray`` in
+**One layout, in memory and on disk.**  ``RPROTRC4`` is an aligned,
+uncompressed int64 section of words per processor (and one for the task
+table) behind a JSON header that declares the item size and byte order (the
+host's).  A capture packs its drained words into a ``bytearray`` in
 exactly that layout, once; :meth:`TraceCache.put` writes that buffer to
 the :class:`~repro.core.resultcache.TraceStore` as it is, and
 :meth:`CompiledProgram.from_file` maps a stored blob copy-on-write
@@ -54,11 +57,13 @@ same object.  A mapped program costs ~0 resident bytes until touched,
 its pages are shared between every process mapping the same blob
 (``--jobs`` workers, the sweep daemon, parallel CLI runs), and the
 native kernel (:mod:`repro.native`) replays any program by its buffer's
-address — no decode, no copy.  The python engine iterates the columns
-(``zip`` over two ``memoryview`` columns boxes one op at a time), so
-paper-scale traces (512² LU ≈ 45 MB) stream through a bounded
-footprint.  A blob written on a host of the other byte order fails to
-decode, like any corrupt blob.
+address — no copy.  The python engine decodes each column with
+C-level ``map`` calls (``zip`` of the opcode and operand maps boxes one
+op at a time), so paper-scale traces (512² LU ≈ 22 MB) stream through a
+bounded footprint.  A blob written on a host of the other byte order
+fails to decode, like any corrupt blob; one whose magic is a retired
+``RPROTRC`` version is a plain store miss, overwritten by the
+recapture.
 
 The in-memory LRU is governed by a **byte budget** (``_LRU_BYTES``,
 256 MiB) that charges mapped programs a token constant — so paper-scale
@@ -85,19 +90,21 @@ import warnings
 import zlib
 from array import array
 from collections import OrderedDict
+from itertools import repeat
+from operator import and_, countOf, rshift
 from typing import Any, Mapping
 
 from ..core.resultcache import TraceStore
 from .program import (OP_BARRIER, OP_READ, OP_TASK, OP_UNLOCK, OP_WORK,
                       OP_WRITE, ProgramFactory)
 
-__all__ = ["CompiledProgram", "TraceCache", "TraceDecodeError",
-           "compile_program", "trace_key", "clear_memory_cache",
-           "trace_cache_info"]
+__all__ = ["CompiledProgram", "RetiredTraceFormat", "TraceCache",
+           "TraceDecodeError", "compile_program", "decode", "opcodes",
+           "trace_key", "clear_memory_cache", "trace_cache_info"]
 
 # The in-memory LRU's byte budget.  Sized so a full 9-app quick sweep (a
 # few MB per in-memory trace) never evicts, while a single paper-scale
-# in-memory trace (512² LU is ~45 MB of columns) still fits several times
+# in-memory trace (512² LU is ~22 MB of words) still fits several times
 # over.  Mapped traces are charged _MAPPED_RESIDENT_BYTES each, so the
 # budget alone would admit ~64k of them.
 _LRU_BYTES = 256 * 1024 * 1024
@@ -112,11 +119,16 @@ _MAPPED_RESIDENT_BYTES = 4096
 #: the mapping's life, and Linux's default soft limit is 1024 of them
 _MAX_MAPPED = 128
 
-#: serialization magic: bump the trailing digit on any format change so
-#: stale cache entries from older versions decode as misses, not garbage
-_MAGIC = b"RPROTRC3"
+#: serialization magic: bump the trailing digit on any format change; a
+#: blob with a retired version's magic is a store miss, not a corruption
+_MAGIC = b"RPROTRC4"
+_RETIRED = (b"RPROTRC1", b"RPROTRC2", b"RPROTRC3")
 
-_ITEMSIZE = 8  # int64 columns
+_ITEMSIZE = 8  # int64 words
+
+#: a word is ``arg << _OP_BITS | opcode``; operands span [-2**60, 2**60)
+_OP_BITS = 3
+_OP_MASK = (1 << _OP_BITS) - 1
 
 
 def _align8(n: int) -> int:
@@ -127,30 +139,44 @@ class TraceDecodeError(ValueError):
     """A serialized compiled trace is corrupt, truncated, or incompatible."""
 
 
+class RetiredTraceFormat(TraceDecodeError):
+    """A blob in a retired ``RPROTRC`` layout: stale, not corrupt."""
+
+
+def opcodes(col):
+    """The opcodes of a word column, one at a time, at C speed."""
+    return map(and_, col, repeat(_OP_MASK))
+
+
+def decode(col):
+    """A word column as ``(opcode, arg)`` pairs — the engine's op stream."""
+    return zip(opcodes(col), map(rshift, col, repeat(_OP_BITS)))
+
+
 class CompiledProgram:
-    """One program across all processors, as one ``RPROTRC3`` buffer.
+    """One program across all processors, as one ``RPROTRC4`` buffer.
 
     ``buffer`` is the whole blob: magic, uint32-LE header length, JSON
     header, zero pad to 8 bytes, then int64 sections back to back in host
-    byte order — per processor ``ops`` then ``args``, then the task
-    table's ``task_ops`` and ``task_args``.  ``section_offsets`` are
-    their byte offsets in the buffer, in that order.  Every column is a
-    ``memoryview.cast('q')`` slice of the buffer, whichever way the
-    program was made: packed from drained columns (the constructor),
-    copied from a blob (:meth:`from_bytes`) or mapped from a file
-    (:meth:`from_file`, ``mapped`` is then true).
+    byte order — one ``words`` section per processor, then the task
+    table's ``task_words``.  ``section_offsets`` are their byte offsets
+    in the buffer, in that order.  Every column is a ``memoryview.cast
+    ('q')`` slice of the buffer, whichever way the program was made:
+    packed from drained columns (the constructor), copied from a blob
+    (:meth:`from_bytes`) or mapped from a file (:meth:`from_file`,
+    ``mapped`` is then true).
 
-    ``ops[pid]`` / ``args[pid]`` are parallel columns: entry ``i`` is the
-    ``i``-th operation of processor ``pid``.  Opcodes are the
-    :mod:`repro.sim.program` constants; READ/WRITE args are **line
-    numbers** (already divided by ``line_size``), all other args are
-    verbatim.
+    Word ``i`` of ``words[pid]`` is the ``i``-th operation of processor
+    ``pid``, ``arg << 3 | opcode`` (:func:`decode` splits it).  Opcodes
+    are the :mod:`repro.sim.program` constants; READ/WRITE args are
+    **line numbers** (already divided by ``line_size``), all other args
+    are verbatim.
 
     A program whose columns hold ``TASK q`` ops carries the **task
-    table** they index: ``task_ops`` / ``task_args`` are one more column
-    pair holding every task's sub-stream back to back, queue after queue,
-    and ``task_lens[q][t]`` is the length of task ``t`` of queue ``q``.
-    A static program's table is empty.
+    table** they index: ``task_words`` is one more column holding every
+    task's sub-stream back to back, queue after queue, and
+    ``task_lens[q][t]`` is the length of task ``t`` of queue ``q``.  A
+    static program's table is empty.
 
     Instances are immutable by convention (the engine only reads them, and
     the native kernel takes ``const`` pointers), so one compiled program
@@ -159,34 +185,29 @@ class CompiledProgram:
     """
 
     __slots__ = ("buffer", "section_offsets", "mapped", "n_processors",
-                 "line_size", "source_ops", "task_lens", "ops", "args",
-                 "task_ops", "task_args")
+                 "line_size", "source_ops", "task_lens", "words",
+                 "task_words")
 
-    def __init__(self, ops: list, args: list, line_size: int,
-                 source_ops: int, *, tasks=None) -> None:
-        """Pack int64 columns (``array('q')``, say) into a new buffer.
+    def __init__(self, words: list, line_size: int, source_ops: int, *,
+                 tasks=None) -> None:
+        """Pack int64 word columns (``array('q')``, say) into a new buffer.
 
-        ``tasks`` is ``(task_ops, task_args, task_lens)``, see above;
+        ``tasks`` is ``(task_words, task_lens)``, see above;
         ``source_ops`` is the operation count before WORK fusion (what a
         generator would yield).  The payload's CRC is computed here, once.
         """
-        task_ops, task_args, task_lens = (
-            tasks if tasks is not None else (array("q"), array("q"), []))
-        if len(ops) != len(args):
-            raise ValueError("ops/args column counts differ")
-        if any(len(o) != len(a) for o, a in zip(ops, args)):
-            raise ValueError("ops/args columns have unequal lengths")
+        task_words, task_lens = (tasks if tasks is not None
+                                 else (array("q"), []))
         lens = [n for queue in task_lens for n in queue]
-        if not (len(task_ops) == len(task_args) == sum(lens)) \
+        if len(task_words) != sum(lens) \
                 or not all(isinstance(n, int) and n >= 0 for n in lens):
-            raise ValueError("task table does not cover its columns")
-        sections = [col for pair in zip(ops, args) for col in pair]
-        sections += (task_ops, task_args)
+            raise ValueError("task table does not cover its column")
+        sections = [*words, task_words]
         crc = 0
         for col in sections:
             crc = zlib.crc32(col, crc)
-        header = {"n_processors": len(ops), "line_size": line_size,
-                  "source_ops": source_ops, "counts": [len(o) for o in ops],
+        header = {"n_processors": len(words), "line_size": line_size,
+                  "source_ops": source_ops, "counts": [len(w) for w in words],
                   "tasks": task_lens, "itemsize": _ITEMSIZE,
                   "byteorder": sys.byteorder, "crc32": crc,
                   "payload_offset": 0}
@@ -198,10 +219,13 @@ class CompiledProgram:
             if offset == header["payload_offset"]:
                 break
             header["payload_offset"] = offset
-        buf = bytearray(_MAGIC + len(text).to_bytes(4, "little") + text)
-        buf += bytes(offset - len(buf))
+        # allocated once at its final size: no growth, no slack
+        buf = bytearray(offset + _ITEMSIZE * sum(map(len, sections)))
+        buf[:12 + len(text)] = _MAGIC + len(text).to_bytes(4, "little") + text
         for col in sections:
-            buf += col
+            end = offset + _ITEMSIZE * len(col)
+            buf[offset:end] = col
+            offset = end
         self._attach(buf, header, mapped=False)
 
     def _attach(self, buf, header, mapped: bool) -> None:
@@ -212,23 +236,21 @@ class CompiledProgram:
         self.line_size = header["line_size"]
         self.source_ops = header["source_ops"]
         self.task_lens = header["tasks"]
-        n_task = sum(map(sum, self.task_lens))
         view = memoryview(buf)
         pos = header["payload_offset"]
         self.section_offsets, sections = [], []
-        for n in [n for c in header["counts"] for n in (c, c)] + [n_task] * 2:
+        for n in [*header["counts"], sum(map(sum, self.task_lens))]:
             self.section_offsets.append(pos)
             sections.append(view[pos:pos + n * _ITEMSIZE].cast("q"))
             pos += n * _ITEMSIZE
-        self.ops, self.args = sections[:-2:2], sections[1:-2:2]
-        self.task_ops, self.task_args = sections[-2:]
+        self.words, self.task_words = sections[:-1], sections[-1]
 
     def task_offsets(self) -> tuple[list[int], list[int]]:
         """The task table as both interpreters index it.
 
         ``(offsets, queue_end)``: numbering tasks across queues in table
         order, task ``k`` is entries ``[offsets[k], offsets[k + 1])`` of
-        the task columns, and queue ``q`` hands out tasks
+        the task column, and queue ``q`` hands out tasks
         ``queue_end[q - 1]`` (0 for the first queue) up to
         ``queue_end[q]``.
         """
@@ -243,7 +265,7 @@ class CompiledProgram:
         """One ``__next__`` per processor: what :meth:`Engine._loop
         <repro.sim.engine.Engine._loop>` pulls a replay's ops from.
 
-        A static program's are ``zip`` over its column pairs.  A task
+        A static program's are :func:`decode` of its columns.  A task
         program's are generators that expand every ``TASK`` in place
         (:func:`_expand_tasks`) around one take counter per queue, fresh
         for this replay and shared by all of them, so the loop never
@@ -251,20 +273,19 @@ class CompiledProgram:
         drained; the kernel finds that out at the end of its run, here
         it is refused before the start.
         """
-        ops, args = self.ops, self.args
         if not self.task_lens:
-            return [zip(o, a).__next__ for o, a in zip(ops, args)]
-        dispatched = {a for col, acol in zip(ops, args)
-                      for o, a in zip(col, acol) if o == OP_TASK}
+            return [decode(w).__next__ for w in self.words]
+        dispatched = {a for w in self.words for o, a in decode(w)
+                      if o == OP_TASK}
         for q, queue in enumerate(self.task_lens):
             if queue and q not in dispatched:
                 raise ValueError(f"TASK {q}: {len(queue)} tasks in the "
                                  f"table and no TASK op to take them")
         offsets, queue_end = self.task_offsets()
         taken = [0, *queue_end[:-1]]
-        return [_expand_tasks(zip(o, a), self.task_ops, self.task_args,
-                              offsets, queue_end, taken).__next__
-                for o, a in zip(ops, args)]
+        return [_expand_tasks(decode(w), self.task_words, offsets,
+                              queue_end, taken).__next__
+                for w in self.words]
 
     # ----------------------------------------------------------------- size
     @property
@@ -272,10 +293,10 @@ class CompiledProgram:
         """Operations one replay executes, across all processors: the
         stored (post-fusion) ops of every column and of every task once,
         ``TASK`` dispatches themselves not counted."""
-        total = sum(len(o) for o in self.ops)
+        total = sum(map(len, self.words))
         if self.task_lens:
-            total += len(self.task_ops) - sum(o.tolist().count(OP_TASK)
-                                              for o in self.ops)
+            total += len(self.task_words) - sum(
+                countOf(opcodes(w), OP_TASK) for w in self.words)
         return total
 
     @property
@@ -302,7 +323,7 @@ class CompiledProgram:
     @classmethod
     def _adopt(cls, buf, *, mapped: bool = False,
                check_crc: bool = False) -> "CompiledProgram":
-        """The program over ``buf``, a whole ``RPROTRC3`` blob.
+        """The program over ``buf``, a whole ``RPROTRC4`` blob.
 
         The one validator of stored bytes: magic, header, item size and
         byte order (the host's), and every section the header promises —
@@ -310,11 +331,11 @@ class CompiledProgram:
         that lies is a :class:`TraceDecodeError`, never a read past the
         buffer.  Sections lie back to back in header order, so a negative
         length is the only way one could reach outside the payload.  The
-        payload's CRC is read only with ``check_crc``.
+        payload's CRC is read only with ``check_crc``.  A retired
+        version's magic is a :class:`RetiredTraceFormat`.
         """
         try:
-            if bytes(buf[:8]) != _MAGIC:
-                raise TraceDecodeError("bad magic")
+            _check_magic(bytes(buf[:8]))
             hlen = int.from_bytes(buf[8:12], "little")
             if hlen <= 0 or 12 + hlen > len(buf):
                 raise TraceDecodeError("truncated header")
@@ -328,7 +349,7 @@ class CompiledProgram:
                 raise TraceDecodeError("bad section length")
             offset = header["payload_offset"]
             if (offset < 12 + hlen or offset % _ITEMSIZE
-                    or offset + 2 * _ITEMSIZE * sum(lens) != len(buf)):
+                    or offset + _ITEMSIZE * sum(lens) != len(buf)):
                 raise TraceDecodeError("payload length mismatch")
             if check_crc and (zlib.crc32(memoryview(buf)[offset:])
                               != header["crc32"]):
@@ -372,8 +393,7 @@ class CompiledProgram:
         """
         with open(path, "rb") as fh:
             # rejected without mapping: another format, or an empty file
-            if fh.read(8) != _MAGIC:
-                raise TraceDecodeError("bad magic")
+            _check_magic(fh.read(8))
             mm = mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_COPY)
         program = cls._adopt(mm, mapped=True)
         if hasattr(mm, "madvise"):  # replay touches columns in order
@@ -381,7 +401,14 @@ class CompiledProgram:
         return program
 
 
-def _expand_tasks(frame, task_ops, task_args, offsets, queue_end, taken):
+def _check_magic(magic: bytes) -> None:
+    if magic != _MAGIC:
+        if magic in _RETIRED:
+            raise RetiredTraceFormat(f"retired format {magic.decode()}")
+        raise TraceDecodeError("bad magic")
+
+
+def _expand_tasks(frame, task_words, offsets, queue_end, taken):
     """``frame``'s ops with every ``TASK q`` expanded where it stands.
 
     The python half of ``TASK``'s semantics (``kernel.c`` has the other):
@@ -404,23 +431,35 @@ def _expand_tasks(frame, task_ops, task_args, offsets, queue_end, taken):
         while taken[q] < queue_end[q]:
             k = taken[q]
             taken[q] = k + 1
-            body = task_ops[offsets[k]:offsets[k + 1]]
-            if OP_TASK in body:
+            body = task_words[offsets[k]:offsets[k + 1]]
+            if OP_TASK in opcodes(body):
                 raise ValueError(f"TASK inside a task body (task {k})")
-            yield from zip(body, task_args[offsets[k]:offsets[k + 1]])
+            yield from decode(body)
 
 
-def _drain(gen, ops: array, args: array, line_size: int, was_work: bool,
+_OP_NAMES = ("WORK", "READ", "WRITE", "BARRIER", "LOCK", "UNLOCK")
+
+
+def _out_of_range(opcode: int, arg: int) -> ValueError:
+    return ValueError(f"{_OP_NAMES[opcode]} {arg}: operand outside "
+                      f"[-2**60, 2**60), which a trace word cannot hold")
+
+
+def _drain(gen, words: array, line_size: int, was_work: bool,
            n_queues: int, phased: bool) -> tuple[int, bool, bool]:
-    """Append ``gen``'s ops to a column pair as a trace stores them.
+    """Append ``gen``'s ops to a word column as a trace stores them.
 
     Stops after a BARRIER when ``phased`` (else only at exhaustion).
     ``n_queues`` bounds the operand of a ``TASK``; a task body passes
-    -1, which refuses them all.  Returns ``(source ops consumed, whether the
-    last stored op is a WORK, whether a BARRIER stopped the drain)``.
+    -1, which refuses them all.  An operand (or a fused WORK total) that
+    one word cannot hold is a ``ValueError``: ``array('q')`` refuses the
+    word, and the word fits exactly when the operand is in range.  That
+    needs python ``int`` operands, which every app yields: a numpy
+    integer's shift would wrap instead.
+    Returns ``(source ops consumed, whether the last stored op is a
+    WORK, whether a BARRIER stopped the drain)``.
     """
-    append_op = ops.append
-    append_arg = args.append
+    append = words.append
     n = 0
     for opcode, arg in gen:
         n += 1
@@ -428,7 +467,11 @@ def _drain(gen, ops: array, args: array, line_size: int, was_work: bool,
             if arg < 0:
                 raise ValueError(f"negative WORK cycles: {arg}")
             if was_work:
-                args[-1] += arg
+                try:
+                    words[-1] += arg << _OP_BITS
+                except OverflowError:
+                    raise _out_of_range(
+                        opcode, (words[-1] >> _OP_BITS) + arg) from None
                 continue
             was_work = True
         else:
@@ -444,8 +487,10 @@ def _drain(gen, ops: array, args: array, line_size: int, was_work: bool,
                         else f"TASK {arg}: no such queue (the program "
                              f"has {n_queues})")
                 n -= 1  # a dispatch, not an op a generator yields
-        append_op(opcode)
-        append_arg(arg)
+        try:
+            append(arg << _OP_BITS | opcode)
+        except OverflowError:
+            raise _out_of_range(opcode, arg) from None
         if opcode == OP_BARRIER and phased:
             return n, was_work, True
     return n, was_work, False
@@ -461,9 +506,10 @@ def compile_program(program_factory: ProgramFactory, n_processors: int,
     * a run of consecutive WORK ops collapses into one WORK carrying the
       summed cycles — SPMD emission helpers pad spans with WORK, so fusion
       typically removes 10-30% of stored ops;
-    * operands are validated (negative WORK, unknown opcode) as they are
-      stored; the replay loop checks them again, because a stored trace
-      may come back from disk.
+    * each op is stored as one word, ``arg << 3 | opcode``;
+    * operands are validated (negative WORK, unknown opcode, an operand
+      outside ``[-2**60, 2**60)``) as they are stored; the replay loop
+      checks them again, because a stored trace may come back from disk.
 
     ``tasks`` is the program's task queues: ``tasks[q]`` an iterable of
     op iterables, one per task of queue ``q`` in take order, which the
@@ -487,8 +533,7 @@ def compile_program(program_factory: ProgramFactory, n_processors: int,
         raise ValueError("n_processors must be positive")
     if line_size <= 0:
         raise ValueError("line_size must be positive")
-    all_ops = [array("q") for _ in range(n_processors)]
-    all_args = [array("q") for _ in range(n_processors)]
+    all_words = [array("q") for _ in range(n_processors)]
     gens = [iter(program_factory(pid)) for pid in range(n_processors)]
     prev_was_work = [False] * n_processors
     source_ops = 0
@@ -497,23 +542,23 @@ def compile_program(program_factory: ProgramFactory, n_processors: int,
         still_running = []
         for pid in running:
             n, prev_was_work[pid], at_barrier = _drain(
-                gens[pid], all_ops[pid], all_args[pid], line_size,
-                prev_was_work[pid], len(tasks), phased=True)
+                gens[pid], all_words[pid], line_size, prev_was_work[pid],
+                len(tasks), phased=True)
             source_ops += n
             if at_barrier:
                 still_running.append(pid)
         running = still_running
-    task_ops, task_args, task_lens = array("q"), array("q"), []
+    task_words, task_lens = array("q"), []
     for queue in tasks:
         lens = []
         for body in queue:
-            before = len(task_ops)
-            source_ops += _drain(body, task_ops, task_args, line_size,
-                                 False, -1, phased=False)[0]
-            lens.append(len(task_ops) - before)
+            before = len(task_words)
+            source_ops += _drain(body, task_words, line_size, False, -1,
+                                 phased=False)[0]
+            lens.append(len(task_words) - before)
         task_lens.append(lens)
-    return CompiledProgram(all_ops, all_args, line_size, source_ops,
-                           tasks=(task_ops, task_args, task_lens))
+    return CompiledProgram(all_words, line_size, source_ops,
+                           tasks=(task_words, task_lens))
 
 
 class ProgramRecorder:
@@ -536,9 +581,9 @@ class ProgramRecorder:
     of its processor before handing it to the engine, so the capture is
     the *executed* interleaving by construction.  :meth:`finish` stores
     each raw pair through :func:`_drain`, the one rule
-    :func:`compile_program` stores by (line division, WORK fusion), and
-    replaying the result on an identically-configured machine is
-    bit-identical.
+    :func:`compile_program` stores by (line division, WORK fusion, one
+    word per op), and replaying the result on an identically-configured
+    machine is bit-identical.
     """
 
     def __init__(self, program_factory: ProgramFactory, n_processors: int,
@@ -568,14 +613,13 @@ class ProgramRecorder:
         Each raw pair is popped, so it is freed as soon as it is drained
         and the raw columns are gone before the program packs its
         buffer."""
-        ops = [array("q") for _ in range(self.n_processors)]
-        args = [array("q") for _ in range(self.n_processors)]
+        words = [array("q") for _ in range(self.n_processors)]
         source_ops = 0
-        for o, a in zip(ops, args):
+        for w in words:
             source_ops += _drain(
-                zip(self._raw_ops.pop(0), self._raw_args.pop(0)), o, a,
+                zip(self._raw_ops.pop(0), self._raw_args.pop(0)), w,
                 self.line_size, False, 0, phased=False)[0]
-        return CompiledProgram(ops, args, self.line_size, source_ops)
+        return CompiledProgram(words, self.line_size, source_ops)
 
 
 # --------------------------------------------------------------------- keys
@@ -675,13 +719,14 @@ class TraceCache:
         """Map the store's blob for ``key`` (``None`` on miss).
 
         Maintains the store's hit/miss counters: a file that cannot be
-        opened or mapped ⇒ store miss; readable but undecodable ⇒ store
-        hit that this cache degrades to a miss.
+        opened or mapped, or a blob in a retired format (stale, left by an
+        older version; :meth:`put` overwrites it) ⇒ store miss; readable
+        but undecodable ⇒ store hit that this cache degrades to a miss.
         """
         store = self.store
         try:
             program = CompiledProgram.from_file(store.path_for(key))
-        except OSError:
+        except (OSError, RetiredTraceFormat):
             store.misses += 1
             return None
         except TraceDecodeError as exc:
@@ -699,8 +744,9 @@ class TraceCache:
     def get(self, key: str) -> CompiledProgram | None:
         """The cached program for ``key``, or ``None`` (counted as a miss).
 
-        A corrupt disk entry degrades to a miss with a ``UserWarning``; the
-        caller recompiles and :meth:`put` overwrites the bad entry.
+        A corrupt disk entry degrades to a miss with a ``UserWarning``, a
+        retired-format one silently; the caller recompiles and :meth:`put`
+        overwrites the entry.
         """
         with _memory_lru_lock:
             program = _memory_lru.get(key)

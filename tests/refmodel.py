@@ -10,6 +10,9 @@
   over the production :class:`repro.memory.cache.Cache`, which
   ``tests/test_protocols.py`` drives beside
   :class:`repro.memory.dls.DLSMemorySystem` step for step.
+* :func:`words` — a trace's word column from parallel opcode and operand
+  lists, as ``docs/INTERNALS.md`` §4 defines a word, so the trace suites
+  build programs without the capture's own encoder.
 
 They live beside the tests because nothing in ``src/`` imports them: they
 are a test oracle, not part of the simulator.  (The cache itself is checked
@@ -18,11 +21,19 @@ against a per-set LRU list model in ``tests/test_memcore_properties.py``.)
 
 from __future__ import annotations
 
+from array import array
+
 from repro.memory.cache import EXCLUSIVE, SHARED, Cache
 from repro.memory.directory import (DIR_EXCLUSIVE, DIR_SHARED,
                                     NOT_CACHED)
 
-__all__ = ["DirEntry", "RefDirectory", "RefDLSMemorySystem"]
+__all__ = ["DirEntry", "RefDirectory", "RefDLSMemorySystem", "words"]
+
+
+def words(ops, args) -> array:
+    """One int64 word per op: ``arg << 3 | opcode`` (opcode in 0..7)."""
+    assert len(ops) == len(args) and all(0 <= op <= 7 for op in ops)
+    return array("q", [arg << 3 | op for op, arg in zip(ops, args)])
 
 
 class DirEntry:

@@ -12,7 +12,8 @@ from repro.apps.registry import APP_NAMES, build_app
 from repro.core.config import MachineConfig
 from repro.memory.coherence import CoherentMemorySystem
 from repro.sim.compiled import (CompiledProgram, ProgramRecorder,
-                                TraceDecodeError, compile_program)
+                                TraceDecodeError, compile_program, decode,
+                                opcodes)
 from repro.sim.engine import Engine
 from repro.sim.program import (OP_BARRIER, OP_LOCK, OP_READ, OP_UNLOCK,
                                OP_WORK, OP_WRITE)
@@ -161,11 +162,12 @@ def test_task_trace_counts_the_ops_a_run_executes(name):
     assert not recorded.task_lens and len(drained.task_lens[0]) == 4
     assert drained.total_ops == recorded.total_ops
     assert drained.source_ops == recorded.source_ops
-    for ops in drained.ops:
-        assert list(ops) == [OP_BARRIER, OP_LOCK, OP_READ, OP_TASK,
-                             OP_WRITE, OP_UNLOCK, OP_BARRIER]
-    # two int64 columns: 7 frame ops on each of 8 processors + the table
-    assert drained.nbytes == 16 * (7 * 8 + len(drained.task_ops))
+    for words in drained.words:
+        assert list(opcodes(words)) == [OP_BARRIER, OP_LOCK, OP_READ,
+                                        OP_TASK, OP_WRITE, OP_UNLOCK,
+                                        OP_BARRIER]
+    # one int64 word per op: 7 frame ops on each of 8 processors + the table
+    assert drained.nbytes == 8 * (7 * 8 + len(drained.task_words))
 
 
 def test_run_recorded_result_matches_replay():
@@ -195,14 +197,35 @@ def synthetic_factory(pid):
 
 def test_work_fusion_collapses_runs():
     program = compile_program(synthetic_factory, 2, 64)
-    ops = list(program.ops[0])
-    args = list(program.args[0])
-    assert ops == [OP_WORK, OP_READ, OP_WORK, OP_WRITE, OP_BARRIER,
-                   OP_LOCK, OP_UNLOCK]
+    ops, args = zip(*decode(program.words[0]))
+    assert ops == (OP_WORK, OP_READ, OP_WORK, OP_WRITE, OP_BARRIER,
+                   OP_LOCK, OP_UNLOCK)
     assert args[0] == 5 + 7 + 3          # fused run
     assert args[1] == 200 // 64          # pre-divided line number
     assert args[3] == 130 // 64
     assert program.source_ops == 2 * 9   # pre-fusion count preserved
+
+
+@pytest.mark.parametrize("ops,message", [
+    ([(OP_LOCK, 2 ** 60)], r"LOCK 1152921504606846976: operand outside"),
+    ([(OP_BARRIER, -2 ** 60 - 1)], r"BARRIER -1152921504606846977: "),
+    ([(OP_READ, 2 ** 60)], r"READ 1152921504606846976: "),  # line size 1
+    # a fused WORK run whose total, not any one op, is too big
+    ([(OP_WORK, 2 ** 60 - 1), (OP_WORK, 1)], r"WORK 1152921504606846976: "),
+])
+def test_out_of_range_operand_refused_at_capture(ops, message):
+    """An operand one word cannot hold is a ValueError naming the op, from
+    the drain and from a recording alike; the range's own ends are kept."""
+    with pytest.raises(ValueError, match=message):
+        compile_program(lambda pid: iter(ops), 1, 1)
+    recorder = ProgramRecorder(lambda pid: iter(ops), 1, 1)
+    list(recorder.factory(0))
+    with pytest.raises(ValueError, match=message):
+        recorder.finish()
+    edges = [(OP_LOCK, 2 ** 60 - 1), (OP_BARRIER, -2 ** 60),
+             (OP_WORK, 2 ** 60 - 2), (OP_WORK, 1)]
+    program = compile_program(lambda pid: iter(edges), 1, 1)
+    assert list(decode(program.words[0])) == [*edges[:2], (OP_WORK, 2 ** 60 - 1)]
 
 
 def test_fused_replay_still_bit_identical():
@@ -224,8 +247,8 @@ def test_compile_stores_task_bodies_and_refuses_misplaced_tasks():
     bodies = [[Work(3), Work(4), Read(128)], [], [Work(5)]]
     program = compile_program(frame, 2, 64, tasks=[bodies])
     assert program.task_lens == [[2, 0, 1]]      # WORK fused per body only
-    assert list(program.task_ops) == [OP_WORK, OP_READ, OP_WORK]
-    assert list(program.task_args) == [7, 2, 5]
+    assert list(decode(program.task_words)) == [(OP_WORK, 7), (OP_READ, 2),
+                                                (OP_WORK, 5)]
     assert program.source_ops == 2 * 2 + 4       # TASK is not a yielded op
     assert program.total_ops == 2 * 2 + 3
     with pytest.raises(ValueError, match="TASK 1: no such queue"):
@@ -248,8 +271,7 @@ def test_every_column_is_a_view_over_one_buffer(tmp_path):
                 CompiledProgram.from_bytes(compiled.buffer),
                 CompiledProgram.from_file(path)]
     for program in programs:
-        columns = [*program.ops, *program.args, program.task_ops,
-                   program.task_args]
+        columns = [*program.words, program.task_words]
         assert all(isinstance(col, memoryview) and col.format == "q"
                    and col.obj is program.buffer for col in columns)
     assert [p.mapped for p in programs] == [False, False, False, True]
@@ -274,8 +296,7 @@ def test_round_trip_preserves_everything():
     assert clone.n_processors == program.n_processors
     assert clone.line_size == program.line_size
     assert clone.source_ops == program.source_ops
-    assert [list(o) for o in clone.ops] == [list(o) for o in program.ops]
-    assert [list(a) for a in clone.args] == [list(a) for a in program.args]
+    assert [list(w) for w in clone.words] == [list(w) for w in program.words]
 
 
 @pytest.mark.parametrize("mutilate", [
@@ -293,7 +314,7 @@ def test_corrupt_blobs_raise_decode_error(mutilate):
 
 def test_column_validation():
     from array import array
-    with pytest.raises(ValueError, match="column counts"):
-        CompiledProgram([array("q")], [], 64, 0)
-    with pytest.raises(ValueError, match="unequal lengths"):
-        CompiledProgram([array("q", [1])], [array("q")], 64, 0)
+    with pytest.raises(ValueError, match="does not cover its column"):
+        CompiledProgram([array("q")], 64, 0, tasks=(array("q"), [[1]]))
+    with pytest.raises(ValueError, match="does not cover its column"):
+        CompiledProgram([array("q")], 64, 0, tasks=(array("q", [8]), [[-1, 2]]))

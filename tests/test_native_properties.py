@@ -42,7 +42,7 @@ from repro.native import build
 from repro.native.driver import run_native
 from repro.runtime import RunPlan, RunRequest, RunSession
 from repro.sim.compiled import (CompiledProgram, TraceCache,
-                                clear_memory_cache, compile_program,
+                                clear_memory_cache, compile_program, decode,
                                 trace_key)
 from repro.sim.engine import Engine, SimulationDeadlock
 from repro.sim.nativereplay import native_decline_reason, try_replay_native
@@ -51,6 +51,7 @@ from repro.sim.program import (OP_BARRIER, OP_LOCK, OP_READ, OP_TASK,
                                OP_UNLOCK, OP_WORK, OP_WRITE, Barrier, Lock,
                                Read, Task, Unlock, Work, Write)
 
+from refmodel import words
 from test_runtime import CFG, TINY, golden_payload
 
 try:
@@ -529,7 +530,8 @@ def test_sync_ids_on_table_chunk_edges(protocol):
 # carries no checksum: the kernel is the only check between a flipped bit
 # and its queue.  It must fault — the point is declined and the python
 # replay decides — not read a bad opcode as UNLOCK or file an event
-# before the ring's base.
+# before the ring's base.  Opcode 7 is the one a word can hold and no op
+# has.
 
 #: lines and sync ids outside [0, 2^32), which no table of the kernel
 #: holds: python's replay takes any int, so only the kernel declines these
@@ -539,14 +541,13 @@ _FAR_IDS = [(OP_BARRIER, -1), (OP_LOCK, 2**32), (OP_UNLOCK, -1)]
 
 @needs_kernel
 @pytest.mark.parametrize("opcode,arg",
-                         [(9, 0), (OP_WORK, -5), *_FAR_LINES, *_FAR_IDS])
+                         [(7, 0), (OP_WORK, -5), *_FAR_LINES, *_FAR_IDS])
 def test_kernel_faults_on_a_bad_operand(opcode, arg, force_native):
-    # after LOCK(0), so that opcode 9 read as UNLOCK(0) would be legal; a
+    # after LOCK(0), so that opcode 7 read as UNLOCK(0) would be legal; a
     # far line or id is a fault, not a MemoryError
     config = _config(2, 1, None)
     program = CompiledProgram(
-        [array("q", [OP_LOCK, opcode]), array("q")],
-        [array("q", [0, arg]), array("q")],
+        [words([OP_LOCK, opcode], [0, arg]), array("q")],
         config.line_size, source_ops=2)
     assert try_replay_native(config, _ScriptedApp(config), program) is None
 
@@ -567,6 +568,23 @@ def test_a_declined_far_line_keeps_pythons_answer(opcode, arg, force_native,
     assert got[0] in ("python", SimulationDeadlock, RuntimeError)
 
 
+@needs_kernel
+def test_a_negative_read_line_decodes_alike(force_native, monkeypatch):
+    """A READ of line -1 is one word with its sign in the operand: python
+    decodes it back to ``(READ, -1)`` and runs it, the kernel decodes it
+    to a line no table holds and declines, and the session answers what
+    ``REPRO_NATIVE=0`` answers."""
+    config = _config(2, 1, None)
+    factory = _scripted([(OP_READ, -config.line_size), (OP_WORK, 2)],
+                        [(OP_WORK, 1)])
+    program = compile_program(factory, 2, config.line_size)
+    assert list(decode(program.words[0])) == [(OP_READ, -1), (OP_WORK, 2)]
+    assert try_replay_native(config, _ScriptedApp(config), program) is None
+    got = _session_answer(monkeypatch, factory, True)
+    assert got == _session_answer(monkeypatch, factory, False)
+    assert got[0] == "python"
+
+
 # What "python decides" means: the engine's one loop checks a stored
 # operand exactly as it checks a generated one, so a bad trace is an
 # error — not a clock that ran backwards (negative WORK) or an opcode
@@ -574,15 +592,14 @@ def test_a_declined_far_line_keeps_pythons_answer(opcode, arg, force_native,
 
 _BAD_STREAMS = [
     ([OP_WORK, OP_WORK, OP_READ], [10, -7, 3], "negative WORK cycles: -7"),
-    ([OP_WORK, 9, OP_WORK], [5, 1, 5], "unknown opcode 9"),
+    ([OP_WORK, 7, OP_WORK], [5, 1, 5], "unknown opcode 7"),
 ]
 
 
 def _bad_program(config, ops, args):
     """Processor 0 runs the bad stream, processor 1 is ``[WORK 5]``."""
     return CompiledProgram(
-        [array("q", ops), array("q", [OP_WORK])],
-        [array("q", args), array("q", [5])],
+        [words(ops, args), words([OP_WORK], [5])],
         config.line_size, source_ops=len(ops) + 1)
 
 
@@ -639,11 +656,10 @@ _BAD_TASKS = [
 def _task_program(config, frame, queues):
     bodies = [body for queue in queues for body in queue]
     return CompiledProgram(
-        [array("q", frame[0]), array("q", [OP_WORK])],
-        [array("q", frame[1]), array("q", [5])],
+        [words(*frame), words([OP_WORK], [5])],
         config.line_size, source_ops=1,
-        tasks=(array("q", [op for ops, _ in bodies for op in ops]),
-               array("q", [arg for _, args in bodies for arg in args]),
+        tasks=(words([op for ops, _ in bodies for op in ops],
+                     [arg for _, args in bodies for arg in args]),
                [[len(ops) for ops, _ in queue] for queue in queues]))
 
 

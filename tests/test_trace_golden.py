@@ -7,7 +7,8 @@ of every processor's opcode and operand column and of the task table
 streams depend on simulated timing, is recorded by ``run_recorded`` at
 that one configuration.  A column is hashed as little-endian int64, so
 the pin says nothing about how a trace stores its ops — only which ops
-a capture stores.
+a capture stores: each column here is decoded out of the capture's
+words.
 
 To re-record after an intentional change to what an app emits::
 
@@ -24,6 +25,7 @@ import pytest
 
 from repro.apps.registry import APP_NAMES, QUICK_PROBLEM_SIZES, build_app
 from repro.core.config import MachineConfig
+from repro.sim.compiled import decode
 
 GOLDEN = Path(__file__).parent / "golden" / "trace_columns.json"
 
@@ -36,11 +38,17 @@ def capture(app: str):
     return built.run_recorded()[1]
 
 
+def split(col) -> tuple:
+    """A word column as its ``(opcodes, operands)`` pair."""
+    pairs = list(decode(col))
+    return [op for op, _ in pairs], [arg for _, arg in pairs]
+
+
 def columns(program):
     """``(ops, args, task_ops, task_args)``: per-processor column lists,
     then the task table's two columns, as int sequences."""
-    return (list(program.ops), list(program.args), program.task_ops,
-            program.task_args)
+    ops, args = zip(*map(split, program.words))
+    return (ops, args, *split(program.task_words))
 
 
 def _sha(col) -> str:

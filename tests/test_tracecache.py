@@ -108,7 +108,7 @@ class TestTraceCache:
         fresh = TraceCache(TraceStore(tmp_path))
         got = fresh.get("k")
         assert got is not None and fresh.disk_hits == 1
-        assert [list(o) for o in got.ops] == [list(o) for o in tiny_program().ops]
+        assert [list(w) for w in got.words] == [list(w) for w in tiny_program().words]
 
     def test_corrupt_disk_entry_warns_and_misses(self, tmp_path):
         store = TraceStore(tmp_path)

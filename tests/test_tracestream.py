@@ -2,12 +2,12 @@
 
 The contract of the out-of-core trace layer is that *where the columns
 live is unobservable*: a program packed from a capture, decoded eagerly
-from ``RPROTRC3`` bytes, or memory-mapped and streamed column by column
+from ``RPROTRC4`` bytes, or memory-mapped and streamed column by column
 must replay to byte-identical results.  These tests pin that contract,
 the corruption-degrades-to-miss behaviour the cache relies on (a blob in
-the retired ``RPROTRC1`` or ``RPROTRC2`` format is one more corruption),
-and the byte-budget LRU accounting that makes mapped traces ~free to keep
-resident.
+a retired ``RPROTRC1``-``3`` format is a silent miss, a damaged one a
+miss with a warning), and the byte-budget LRU accounting that makes
+mapped traces ~free to keep resident.
 """
 
 import array
@@ -30,22 +30,32 @@ from repro.memory.coherence import CoherentMemorySystem
 from repro.runtime import RunRequest, RunSession
 from repro.sim import compiled
 from repro.sim.compiled import (CompiledProgram, TraceCache,
-                                TraceDecodeError, clear_memory_cache,
+                                TraceDecodeError, clear_memory_cache, decode,
                                 trace_cache_info, trace_key)
 from repro.sim.engine import Engine
 from repro.sim.program import OP_READ, OP_TASK, OP_WORK, OP_WRITE
 
+from refmodel import words
 from test_compiled import TINY_SIZES, capture
+from test_native_properties import needs_kernel
 
-INT64 = st.integers(-(2 ** 63), 2 ** 63 - 1)
+#: what one trace word holds: any opcode field, any 61-bit operand
+OPCODE = st.integers(0, 7)
+OPERAND = st.integers(-(2 ** 60), 2 ** 60 - 1)
 
 
 def make_program(columns, line_size=32):
     """A CompiledProgram over explicit per-processor (ops, args) columns."""
-    ops = [array.array("q", c[0]) for c in columns]
-    args = [array.array("q", c[1]) for c in columns]
-    total = sum(len(c) for c in ops)
-    return CompiledProgram(ops, args, line_size, source_ops=total)
+    total = sum(len(c[0]) for c in columns)
+    return CompiledProgram([words(*c) for c in columns], line_size,
+                           source_ops=total)
+
+
+def _pairs(program):
+    """Per processor, its ``(ops, args)`` as two int64 arrays."""
+    return [tuple(array.array("q", col) for col in zip(*decode(w)))
+            or (array.array("q"), array.array("q"))
+            for w in program.words]
 
 
 def v1_bytes(program):
@@ -54,14 +64,13 @@ def v1_bytes(program):
     Native byte order, zlib-compressed payload, no ``payload_offset``;
     the library has neither a writer nor a reader for it any more.
     """
-    payload = b"".join(col.tobytes()
-                       for pair in zip(program.ops, program.args)
-                       for col in pair)
+    pairs = _pairs(program)
+    payload = b"".join(col.tobytes() for pair in pairs for col in pair)
     header = json.dumps({
         "n_processors": program.n_processors,
         "line_size": program.line_size,
         "source_ops": program.source_ops,
-        "counts": [len(o) for o in program.ops],
+        "counts": [len(o) for o, _ in pairs],
         "itemsize": 8,
         "byteorder": sys.byteorder,
         "crc32": zlib.crc32(payload),
@@ -72,12 +81,11 @@ def v1_bytes(program):
 
 def make_task_program(line_size=32):
     """Two processors that drain one queue of two 2-op tasks."""
-    q = array.array
     return CompiledProgram(
-        [q("q", [OP_TASK, OP_WORK]), q("q", [OP_TASK])],
-        [q("q", [0, 4]), q("q", [0])], line_size, source_ops=5,
-        tasks=(q("q", [OP_READ, OP_WORK, OP_WRITE, OP_WORK]),
-               q("q", [7, 3, 9, 2]), [[2, 2]]))
+        [words([OP_TASK, OP_WORK], [0, 4]), words([OP_TASK], [0])],
+        line_size, source_ops=5,
+        tasks=(words([OP_READ, OP_WORK, OP_WRITE, OP_WORK], [7, 3, 9, 2]),
+               [[2, 2]]))
 
 
 #: the program of ops ``[[1, 2], [0]]``, args ``[[3, 4], [5]]``, line size
@@ -92,14 +100,43 @@ V2_BLOB = (
 
 
 def v2_bytes(program):
-    """A well-formed blob of the previous format (whatever the program)."""
+    """A well-formed blob of an RPROTRC2 writer (whatever the program)."""
     return V2_BLOB
+
+
+def v3_bytes(program):
+    """An RPROTRC3 blob, as the last two-column writer laid it out: per
+    processor an ``ops`` then an ``args`` section, then the task table's
+    ``task_ops`` and ``task_args``, behind the same header keys."""
+    sections = [col for pair in _pairs(program) for col in pair]
+    sections += [array.array("q", col) for col in
+                 zip(*decode(program.task_words))] or [array.array("q")] * 2
+    payload = b"".join(col.tobytes() for col in sections)
+    header = {"n_processors": program.n_processors,
+              "line_size": program.line_size,
+              "source_ops": program.source_ops,
+              "counts": [len(w) for w in program.words],
+              "tasks": program.task_lens, "itemsize": 8,
+              "byteorder": sys.byteorder, "crc32": zlib.crc32(payload),
+              "payload_offset": 0}
+    while True:
+        text = json.dumps(header, sort_keys=True).encode("utf-8")
+        offset = (12 + len(text) + 7) & ~7
+        if offset == header["payload_offset"]:
+            break
+        header["payload_offset"] = offset
+    head = b"RPROTRC3" + len(text).to_bytes(4, "little") + text
+    return head + bytes(offset - len(head)) + payload
+
+
+#: what each retired writer made; the store takes these for a miss
+RETIRED = (v1_bytes, v2_bytes, v3_bytes)
 
 
 def columns_of(program):
     """Fully boxed (ops, args) per processor, whatever the backing."""
-    return [([int(v) for v in o], [int(v) for v in a])
-            for o, a in zip(program.ops, program.args)]
+    return [([op for op, _ in decode(w)], [arg for _, arg in decode(w)])
+            for w in program.words]
 
 
 @st.composite
@@ -108,8 +145,8 @@ def column_sets(draw):
     cols = []
     for _ in range(n_proc):
         n = draw(st.integers(0, 40))
-        cols.append((draw(st.lists(INT64, min_size=n, max_size=n)),
-                     draw(st.lists(INT64, min_size=n, max_size=n))))
+        cols.append((draw(st.lists(OPCODE, min_size=n, max_size=n)),
+                     draw(st.lists(OPERAND, min_size=n, max_size=n))))
     return cols
 
 
@@ -128,6 +165,16 @@ class TestFormatRoundTrip:
         assert not decoded.mapped
 
     @given(columns=column_sets())
+    @settings(max_examples=60, deadline=None)
+    def test_any_op_round_trips_through_streams(self, columns):
+        """Any opcode field with any operand in [-2**60, 2**60) is what
+        the python replay pulls back out, eager or decoded from bytes."""
+        program = make_program(columns)
+        for twin in (program, CompiledProgram.from_bytes(program.buffer)):
+            pulled = [list(iter(nxt, None)) for nxt in twin.streams()]
+            assert pulled == [list(zip(*c)) for c in columns]
+
+    @given(columns=column_sets())
     @settings(max_examples=20, deadline=None)
     def test_mapped_file_decode_equal(self, columns, tmp_path_factory):
         program = make_program(columns)
@@ -138,13 +185,13 @@ class TestFormatRoundTrip:
         assert columns_of(mapped) == columns
 
     def test_v2_blob_is_uncompressed_and_aligned(self):
-        program = make_program([([1, 2, 3], [4, 5, 6])])
+        program = make_program([([1, 2, 3], [4, -5, 6])])
         blob = bytes(program.buffer)
-        assert blob[:8] == b"RPROTRC3"
-        # payload: 2 columns x 3 int64 in host order at an 8-aligned
-        # offset (a static program's task sections are empty)
-        assert blob.endswith(array.array("q", [1, 2, 3, 4, 5, 6]).tobytes())
-        assert (len(blob) - 6 * 8) % 8 == 0
+        assert blob[:8] == b"RPROTRC4"
+        # payload: 3 words (arg << 3 | opcode) in host-order int64 at an
+        # 8-aligned offset (a static program's task section is empty)
+        assert blob.endswith(array.array("q", [33, -38, 51]).tobytes())
+        assert (len(blob) - 3 * 8) % 8 == 0
 
     def test_task_table_round_trips(self, tmp_path):
         """The task table travels inside the blob, eager and mapped, and
@@ -158,12 +205,12 @@ class TestFormatRoundTrip:
         for twin in (program, CompiledProgram.from_bytes(blob),
                      CompiledProgram.from_file(path)):
             assert columns_of(twin) == columns_of(program)
-            assert (list(twin.task_ops), list(twin.task_args),
-                    twin.task_lens) == ([OP_READ, OP_WORK, OP_WRITE, OP_WORK],
-                                        [7, 3, 9, 2], [[2, 2]])
+            assert (list(decode(twin.task_words)), twin.task_lens) == (
+                [(OP_READ, 7), (OP_WORK, 3), (OP_WRITE, 9), (OP_WORK, 2)],
+                [[2, 2]])
             assert bytes(twin.buffer) == blob
-            # 3 frame ops of which 2 dispatch, 4 task ops; 8 bytes x 2 each
-            assert (twin.total_ops, twin.nbytes) == (5, 7 * 16)
+            # 3 frame ops of which 2 dispatch, 4 task ops; one word each
+            assert (twin.total_ops, twin.nbytes) == (5, 7 * 8)
             results.add(Engine(cfg, CoherentMemorySystem(cfg))
                         .run_compiled(twin).to_json())
         assert twin.mapped and len(results) == 1
@@ -254,7 +301,7 @@ class TestCorruption:
             assert cache.get("deadbeef") is None
 
     def test_every_truncation_fails_structurally(self, tmp_path):
-        blob = bytes(make_program([([7, 8, 9], [1, 2, 3])]).buffer)
+        blob = bytes(make_program([([0, 1, 2], [7, 8, 9])]).buffer)
         path = tmp_path / "t.trace"
         for cut in range(len(blob)):
             path.write_bytes(blob[:cut])
@@ -271,11 +318,13 @@ class TestCorruption:
     @pytest.mark.parametrize("plant", [
         v1_bytes,                            # retired RPROTRC1 format
         v2_bytes,                            # retired RPROTRC2 format
+        v3_bytes,                            # retired RPROTRC3 format
         lambda p: bytes(p.buffer)[:-8],      # truncated payload
     ])
     def test_bad_blob_in_store_recaptures(self, tmp_path, plant):
-        """One warning, a recapture, the same bytes out, and the file
-        overwritten in today's format."""
+        """A recapture, the same bytes out, and the file overwritten in
+        today's format.  A damaged blob is a store hit that warns once; a
+        retired format's is stale, not corrupt: a silent store miss."""
         cfg = MachineConfig(n_processors=4, cluster_size=2,
                             cache_kb_per_processor=4)
         spec = RunRequest.make("lu", 2, 4.0, dict(TINY_SIZES["lu"]))
@@ -286,14 +335,18 @@ class TestCorruption:
         path.write_bytes(plant(CompiledProgram.from_bytes(path.read_bytes())))
 
         clear_memory_cache()
+        store.hits = store.misses = 0
         cache = TraceCache(store)
-        with pytest.warns(UserWarning,
-                          match="corrupt compiled trace") as caught:
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
             got = RunSession(cfg, cache).run(spec)
-        assert len(caught) == 1
+        retired = plant in RETIRED
+        assert [str(w.message).split(" ")[:3] for w in caught] == (
+            [] if retired else [["discarding", "corrupt", "compiled"]])
+        assert (store.hits, store.misses) == ((0, 1) if retired else (1, 0))
         assert cache.misses == 1 and cache.disk_hits == 0
         assert got.to_json() == want
-        assert path.read_bytes()[:8] == b"RPROTRC3"
+        assert path.read_bytes()[:8] == b"RPROTRC4"
         clear_memory_cache()
 
 
@@ -416,7 +469,7 @@ store = TraceStore(sys.argv[1])
 keys = [f"{k:064x}" for k in range(400)]
 for k, key in enumerate(keys):
     store.put_bytes(key, CompiledProgram(
-        [array("q", [0])], [array("q", [k])], 32, source_ops=1).buffer)
+        [array("q", [k << 3])], 32, source_ops=1).buffer)  # WORK k
 config = MachineConfig(n_processors=1, cluster_size=1)
 result = Engine(config, PerfectMemory()).run(lambda pid: [Work(1)])
 cache = TraceCache(store)
@@ -483,12 +536,15 @@ print(json.dumps({
 class TestPaperScale:
     """Paper-scale smoke: the workload the streaming layer exists for."""
 
-    def test_lu_512_mapped_replay_bounded_rss(self, tmp_path):
+    @pytest.mark.parametrize("native", [
+        "0", pytest.param("1", marks=needs_kernel)], ids=["python", "native"])
+    def test_lu_512_mapped_replay_bounded_rss(self, tmp_path, native):
         """512x512 LU is captured and replays through the mapping, each
-        under a firm RSS lid."""
+        under a firm RSS lid, on either replay path (the native one is
+        what ``benchmarks/e2e``'s ``lu512_paper`` measures)."""
         env = os.environ.copy()
         env["PYTHONPATH"] = str(Path(__file__).resolve().parent.parent / "src")
-        env["REPRO_NATIVE"] = "0"
+        env["REPRO_NATIVE"] = native
 
         def child():
             proc = subprocess.run(
@@ -499,17 +555,18 @@ class TestPaperScale:
         captured = child()
         assert captured["disk_hits"] == 0
         blob = next(Path(tmp_path, "traces").glob("*.trace"))
-        assert blob.stat().st_size > 20e6  # genuinely paper-scale
-        # the capturing child holds the drained columns and the one
-        # buffer they are packed into, which the store writes as it is:
-        # no encoded copy of the ~46 MB trace beside them
-        assert captured["maxrss_kb"] < 160 * 1024
+        # genuinely paper-scale, at one int64 word per op (~23 MB)
+        assert 20e6 < blob.stat().st_size < 24e6
+        # the capturing child holds the drained words and the one buffer
+        # they are packed into, which the store writes as it is: ~88 MB
+        # measured on either path (it was ~142 MB at two words per op)
+        assert captured["maxrss_kb"] < 100 * 1024
 
         mapped = child()
         assert mapped["disk_hits"] == 1
         assert mapped["result"] == captured["result"]
         # the mapped child never boxes the whole trace: firm absolute
-        # ceiling (the trace alone is ~46 MB; boxing it costs hundreds)
+        # ceiling (the trace alone is ~23 MB; boxing it costs hundreds)
         assert mapped["maxrss_kb"] < 250 * 1024
 
 
