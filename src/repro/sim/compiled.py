@@ -120,9 +120,9 @@ _MAPPED_RESIDENT_BYTES = 4096
 _MAX_MAPPED = 128
 
 #: serialization magic: bump the trailing digit on any format change; a
-#: blob with a retired version's magic is a store miss, not a corruption
+#: blob whose digit is lower (a retired version) is a store miss, not a
+#: corruption
 _MAGIC = b"RPROTRC4"
-_RETIRED = (b"RPROTRC1", b"RPROTRC2", b"RPROTRC3")
 
 _ITEMSIZE = 8  # int64 words
 
@@ -403,7 +403,8 @@ class CompiledProgram:
 
 def _check_magic(magic: bytes) -> None:
     if magic != _MAGIC:
-        if magic in _RETIRED:
+        if (magic[:7] == _MAGIC[:7] and magic[7:].isdigit()
+                and magic[7:] < _MAGIC[7:]):
             raise RetiredTraceFormat(f"retired format {magic.decode()}")
         raise TraceDecodeError("bad magic")
 
