@@ -11,6 +11,7 @@ mapped traces ~free to keep resident.
 """
 
 import array
+import hashlib
 import json
 import mmap
 import os
@@ -531,6 +532,11 @@ print(json.dumps({
     "maxrss_kb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss}))
 """
 
+#: sha256 of the whole 512x512 LU ``RPROTRC4`` blob, header included, on a
+#: little-endian host: a faster capture must store exactly these bytes
+_LU512_SHA256 = \
+    "12a33e428917aa0bdd87b54dfb154753c5737e064100d812a606ad9efce35395"
+
 
 @pytest.mark.medium
 class TestPaperScale:
@@ -557,6 +563,9 @@ class TestPaperScale:
         blob = next(Path(tmp_path, "traces").glob("*.trace"))
         # genuinely paper-scale, at one int64 word per op (~23 MB)
         assert 20e6 < blob.stat().st_size < 24e6
+        if sys.byteorder == "little":
+            assert hashlib.sha256(blob.read_bytes()).hexdigest() \
+                == _LU512_SHA256
         # the capturing child holds the drained words and the one buffer
         # they are packed into, which the store writes as it is: ~88 MB
         # measured on either path (it was ~142 MB at two words per op)
