@@ -30,7 +30,7 @@ Conventions shared by all applications:
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import TYPE_CHECKING, Any, Iterator
+from typing import TYPE_CHECKING, Any, Iterable, Iterator
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..sim.compiled import CompiledProgram
@@ -43,8 +43,8 @@ from ..memory import make_memory_system
 from ..memory.address import AddressSpace, Region
 from ..memory.allocation import PageAllocator
 from ..sim.engine import Engine
-from ..sim.program import (OP_READ, OP_WRITE, Barrier, Lock, Op, Read, Task,
-                           Unlock, Write)
+from ..sim.program import (OP_READ, OP_SPAN, OP_WRITE, Barrier, Lock, Op,
+                           Read, Task, Unlock, Write)
 
 __all__ = ["Application", "PhaseBarriers", "TileQueueApplication",
            "direct_acceleration", "proc_grid_shape", "softened_pull"]
@@ -110,6 +110,21 @@ def proc_grid_shape(n_processors: int) -> tuple[int, int]:
     return rows, n_processors // rows
 
 
+def _span_ops(opcode: int, addr: int, end: int, esz: int, line_size: int,
+              line: int, last_line: int) -> Iterator[Op]:
+    """The ops of the span of bytes ``[addr, end)`` (see
+    :meth:`Application._span`): per line, ``opcode`` at its first byte
+    in the span, then ``Work`` for the span's other elements in it."""
+    while line <= last_line:
+        lo = max(addr, line * line_size)
+        hi = min(end, (line + 1) * line_size)
+        n_elems = (hi - lo) // esz
+        yield (opcode, lo)
+        if n_elems > 1:
+            yield (0, n_elems - 1)  # OP_WORK: the guaranteed hits
+        line += 1
+
+
 class Application(ABC):
     """Base class for the nine workloads.
 
@@ -138,6 +153,10 @@ class Application(ABC):
     #: machine configuration that produced it.  (The tile-queue codes are
     #: invariant at task granularity: :class:`TileQueueApplication`.)
     stream_invariant: bool = True
+
+    #: true only while :meth:`_capture` drains :meth:`program`: a span is
+    #: then one ``OP_SPAN`` item for the drain, never per-op tuples
+    _span_items: bool = False
 
     def __init__(self, config: MachineConfig, seed: int = 12345) -> None:
         self.config = config
@@ -176,15 +195,27 @@ class Application(ABC):
         capture with :meth:`run_recorded` instead (its streams depend on
         simulated timing, which a static drain cannot know).
         """
-        from ..sim.compiled import compile_program
-
         if not self.stream_invariant:
             raise ValueError(
                 f"{self.name} streams depend on simulated timing "
                 f"(stream_invariant=False); capture with run_recorded()")
         self.ensure_setup()
-        return compile_program(self.program, self.config.n_processors,
-                               self.config.line_size)
+        return self._capture(self.program)
+
+    def _capture(self, factory, tasks=()) -> "CompiledProgram":
+        """:func:`~repro.sim.compiled.compile_program` of ``factory`` on
+        this app's machine, with every span drained as one item; the
+        spans of any other run (:meth:`run`, :meth:`run_recorded`, a
+        caller's own drain) are per-op tuples again afterwards, whether
+        the capture returned or raised."""
+        from ..sim.compiled import compile_program
+
+        self._span_items = True
+        try:
+            return compile_program(factory, self.config.n_processors,
+                                   self.config.line_size, tasks=tasks)
+        finally:
+            self._span_items = False
 
     def run_recorded(self) -> "tuple[RunResult, CompiledProgram]":
         """Generator-path run that also captures the executed streams.
@@ -259,7 +290,7 @@ class Application(ABC):
             self.allocator.place_range(start, size, cluster)
 
     # ------------------------------------------------------ emission helpers
-    def read_span(self, region: Region, start: int, count: int) -> Iterator[Op]:
+    def read_span(self, region: Region, start: int, count: int) -> Iterable[Op]:
         """Emit reads covering elements ``[start, start+count)`` of a region.
 
         One ``Read`` is emitted per cache line touched plus ``Work`` cycles
@@ -271,34 +302,44 @@ class Application(ABC):
         """
         return self._span(OP_READ, region, start, count)
 
-    def write_span(self, region: Region, start: int, count: int) -> Iterator[Op]:
+    def write_span(self, region: Region, start: int, count: int) -> Iterable[Op]:
         """Emit writes covering elements ``[start, start+count)``; one
         ``Write`` per line plus ``Work`` for the rest (same argument as
         :meth:`read_span`; writes never stall)."""
         return self._span(OP_WRITE, region, start, count)
 
     def _span(self, opcode: int, region: Region, start: int,
-              count: int) -> Iterator[Op]:
+              count: int) -> Iterable[Op]:
         """The one span emitter: ``opcode`` at the first element of each
         line of ``[start, start+count)``, then ``Work`` for the rest.  The
         public methods return it rather than ``yield from`` it, so a span
-        costs its caller no extra generator frame per op."""
+        costs its caller no extra generator frame per op.
+
+        The span's geometry is computed here, once: its first and last
+        lines, and the element counts of its first line, of a full line
+        and of its last line.  While :meth:`_capture` drains, the span is
+        the one item ``(OP_SPAN, (opcode, first line, line count, first,
+        full, last))``, from which the drain stores exactly the words of
+        the per-op tuples at C speed; at any other time it is those
+        tuples (:func:`_span_ops`), so the engine only ever sees ops."""
         if count <= 0:
-            return
+            return ()
         line_size = self.config.line_size
         esz = region.element_size
         addr = region.element(start)
         end = addr + count * esz
         line = addr // line_size
         last_line = (end - 1) // line_size
-        while line <= last_line:
-            lo = max(addr, line * line_size)
-            hi = min(end, (line + 1) * line_size)
-            n_elems = (hi - lo) // esz
-            yield (opcode, lo)
-            if n_elems > 1:
-                yield (0, n_elems - 1)  # OP_WORK: the guaranteed hits
-            line += 1
+        if not self._span_items:
+            return _span_ops(opcode, addr, end, esz, line_size, line,
+                             last_line)
+        if last_line == line:
+            n_first = n_last = count
+        else:
+            n_first = ((line + 1) * line_size - addr) // esz
+            n_last = (end - last_line * line_size) // esz
+        return ((OP_SPAN, (opcode, line, last_line - line + 1, n_first,
+                           line_size // esz, n_last)),)
 
     def place_interleaved(self, region: Region) -> None:
         """Place a region's pages round-robin across clusters.
@@ -421,8 +462,6 @@ class TileQueueApplication(Application):
         it, the tile, and the next grab up to *its* take — so replay
         executes exactly the ops the generators would have.
         """
-        from ..sim.compiled import compile_program
-
         self.ensure_setup()
         self.begin_render()
         qaddr = self.rqueue.element(0)
@@ -439,6 +478,5 @@ class TileQueueApplication(Application):
             yield Lock(0)
             yield Read(qaddr)
 
-        return compile_program(
-            frame, self.config.n_processors, self.config.line_size,
-            tasks=[[task(tile) for tile in range(self.n_tiles)]])
+        return self._capture(
+            frame, tasks=[[task(tile) for tile in range(self.n_tiles)]])

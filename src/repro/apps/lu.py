@@ -140,8 +140,16 @@ class LUApp(Application):
         diag_flops = (4 * b * b * b) // 3
         solve_flops = 2 * b * b * b
         update_flops = 4 * b * b * b
+        # the block rows and columns of pid's blocks (owner_of's scatter)
+        r0, c0 = divmod(pid, self.proc_cols)
+        my_rows = range(r0, nb, self.proc_rows)
+        my_cols = range(c0, nb, self.proc_cols)
 
         for k in range(nb):
+            # pid's block rows and columns past k, in increasing order
+            rows = my_rows[(k - r0) // my_rows.step + 1:]
+            cols = my_cols[(k - c0) // my_cols.step + 1:]
+
             # Phase 1: diagonal factorization by its owner.
             if self.owner_of(k, k) == pid:
                 self._factor_diag(self._view(k, k))
@@ -151,15 +159,15 @@ class LUApp(Application):
             yield Barrier(bar())
 
             # Phase 2: perimeter row and column updates.
-            for bj in range(k + 1, nb):
-                if self.owner_of(k, bj) == pid:
+            if k % self.proc_rows == r0:
+                for bj in cols:
                     self._solve_row(self._view(k, k), self._view(k, bj))
                     yield from self._touch_block(k, k, write=False)
                     yield from self._touch_block(k, bj, write=False)
                     yield Work(solve_flops)
                     yield from self._touch_block(k, bj, write=True)
-            for bi in range(k + 1, nb):
-                if self.owner_of(bi, k) == pid:
+            if k % self.proc_cols == c0:
+                for bi in rows:
                     self._solve_col(self._view(k, k), self._view(bi, k))
                     yield from self._touch_block(k, k, write=False)
                     yield from self._touch_block(bi, k, write=False)
@@ -168,10 +176,8 @@ class LUApp(Application):
             yield Barrier(bar())
 
             # Phase 3: interior updates A[I,J] -= A[I,k] @ A[k,J].
-            for bi in range(k + 1, nb):
-                for bj in range(k + 1, nb):
-                    if self.owner_of(bi, bj) != pid:
-                        continue
+            for bi in rows:
+                for bj in cols:
                     self._view(bi, bj)[...] -= self._view(bi, k) @ self._view(k, bj)
                     yield from self._touch_block(bi, k, write=False)
                     yield from self._touch_block(k, bj, write=False)

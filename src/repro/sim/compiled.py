@@ -24,7 +24,12 @@ This module provides that capture/replay layer:
   replays a program by decoding its ``memoryview`` columns, the native
   kernel by address;
 * :func:`compile_program` — drain a generator-based program factory (and
-  the bodies of its task queues) once into a :class:`CompiledProgram`;
+  the bodies of its task queues) once into a :class:`CompiledProgram`.
+  While an app is captured, each of its ``read_span``/``write_span``
+  reaches the drain as one ``OP_SPAN`` item carrying the span's
+  geometry, whose words (the very words its per-op tuples would store)
+  are appended with ``array`` operations at C speed; every other run of
+  the app still yields per-op tuples, so the generator stays the oracle;
 * :func:`trace_key` — content hash identifying one compiled trace
   (version, app, kwargs, seed, stream-relevant machine fields);
 * :class:`TraceCache` — process-wide in-memory LRU of compiled programs
@@ -95,8 +100,8 @@ from operator import and_, countOf, rshift
 from typing import Any, Mapping
 
 from ..core.resultcache import TraceStore
-from .program import (OP_BARRIER, OP_READ, OP_TASK, OP_UNLOCK, OP_WORK,
-                      OP_WRITE, ProgramFactory)
+from .program import (OP_BARRIER, OP_READ, OP_SPAN, OP_TASK, OP_UNLOCK,
+                      OP_WORK, OP_WRITE, ProgramFactory)
 
 __all__ = ["CompiledProgram", "RetiredTraceFormat", "TraceCache",
            "TraceDecodeError", "compile_program", "decode", "opcodes",
@@ -129,6 +134,7 @@ _ITEMSIZE = 8  # int64 words
 #: a word is ``arg << _OP_BITS | opcode``; operands span [-2**60, 2**60)
 _OP_BITS = 3
 _OP_MASK = (1 << _OP_BITS) - 1
+_ARG_LIMIT = 1 << (63 - _OP_BITS)
 
 
 def _align8(n: int) -> int:
@@ -446,11 +452,53 @@ def _out_of_range(opcode: int, arg: int) -> ValueError:
                       f"[-2**60, 2**60), which a trace word cannot hold")
 
 
+def _span_words(words: array, opcode: int, line: int, n_lines: int,
+                n_first: int, n_full: int, n_last: int) -> tuple[int, bool]:
+    """Append the words of one span item (:meth:`Application._span
+    <repro.apps.base.Application._span>`): per line, the ``opcode`` word
+    of its line number, then a WORK word of its element count less one
+    when that is positive — the words its per-op tuples store.
+
+    The first and last lines are appended word by word.  The full lines
+    between them are one ``range`` of line words, placed in the even
+    slots of a column whose odd slots hold a full line's WORK word when
+    a line holds more than one element.  Returns ``(words stored,
+    whether the last is a WORK)``: a WORK after the span fuses into it.
+    """
+    last = line + n_lines - 1
+    if line < -_ARG_LIMIT or last >= _ARG_LIMIT:
+        raise _out_of_range(opcode, line if line < -_ARG_LIMIT
+                            else max(line, _ARG_LIMIT))
+    before = len(words)
+    append = words.append
+    append(line << _OP_BITS | opcode)
+    if n_first > 1:
+        append((n_first - 1) << _OP_BITS)
+    if n_lines > 1:
+        if n_lines > 2:
+            middle = array("q", range((line + 1) << _OP_BITS | opcode,
+                                      last << _OP_BITS, 1 << _OP_BITS))
+            if n_full > 1:
+                full = array("q", ((n_full - 1) << _OP_BITS,))
+                full *= 2 * len(middle)
+                full[::2] = middle
+                middle = full
+            words.extend(middle)
+        append(last << _OP_BITS | opcode)
+        if n_last > 1:
+            append((n_last - 1) << _OP_BITS)
+    return len(words) - before, n_last > 1
+
+
 def _drain(gen, words: array, line_size: int, was_work: bool,
            n_queues: int, phased: bool) -> tuple[int, bool, bool]:
     """Append ``gen``'s ops to a word column as a trace stores them.
 
     Stops after a BARRIER when ``phased`` (else only at exhaustion).
+    An ``(OP_SPAN, geometry)`` item (a captured app's span) is one
+    rare-opcode branch: :func:`_span_words` appends its words, the WORK
+    after it fuses into its last word as after the per-op tuples, and it
+    counts as the source ops it stands for.
     ``n_queues`` bounds the operand of a ``TASK``; a task body passes
     -1, which refuses them all.  An operand (or a fused WORK total) that
     one word cannot hold is a ``ValueError``: ``array('q')`` refuses the
@@ -480,6 +528,10 @@ def _drain(gen, words: array, line_size: int, was_work: bool,
             if opcode == OP_READ or opcode == OP_WRITE:
                 arg //= line_size
             elif not 0 <= opcode <= OP_UNLOCK:
+                if opcode == OP_SPAN and type(arg) is tuple:
+                    stored, was_work = _span_words(words, *arg)
+                    n += stored - 1
+                    continue
                 if opcode != OP_TASK:
                     raise ValueError(f"unknown opcode {opcode}")
                 if not 0 <= arg < n_queues:
@@ -507,7 +559,11 @@ def compile_program(program_factory: ProgramFactory, n_processors: int,
     * a run of consecutive WORK ops collapses into one WORK carrying the
       summed cycles — SPMD emission helpers pad spans with WORK, so fusion
       typically removes 10-30% of stored ops;
-    * each op is stored as one word, ``arg << 3 | opcode``;
+    * each op is stored as one word, ``arg << 3 | opcode``, and a span
+      item's words at C speed (:func:`_span_words`; only
+      :meth:`Application.compiled_program
+      <repro.apps.base.Application.compiled_program>` makes its spans
+      items, for the length of its drain);
     * operands are validated (negative WORK, unknown opcode, an operand
       outside ``[-2**60, 2**60)``) as they are stored; the replay loop
       checks them again, because a stored trace may come back from disk.
@@ -600,12 +656,24 @@ class ProgramRecorder:
         self._raw_args = [array("q") for _ in range(n_processors)]
 
     def factory(self, pid: int):
-        """The recording wrapper around ``program_factory(pid)``."""
+        """The recording wrapper around ``program_factory(pid)``.
+
+        A raw operand outside int64 is refused as it is recorded, with
+        the :class:`ValueError` :func:`_drain` gives the op (the engine
+        run stops there); should its line fit a word, the address alone
+        is still more than the raw column holds."""
         append_op = self._raw_ops[pid].append
         append_arg = self._raw_args[pid].append
         for op in self._factory(pid):
-            append_op(op[0])
-            append_arg(op[1])
+            try:
+                append_op(op[0])
+                append_arg(op[1])
+            except OverflowError:
+                _drain((op,), array("q"), self.line_size, False, 0,
+                       phased=False)
+                raise ValueError(f"{_OP_NAMES[op[0]]} {op[1]}: operand "
+                                 f"outside int64, which a recording "
+                                 f"cannot hold") from None
             yield op
 
     def finish(self) -> CompiledProgram:

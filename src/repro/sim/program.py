@@ -38,6 +38,10 @@ OP_LOCK = 4
 OP_UNLOCK = 5
 #: trace-only: take the next task of a shared queue (see :func:`Task`)
 OP_TASK = 6
+#: capture-only: a whole read/write span as one item, which only
+#: :func:`~repro.sim.compiled.compile_program`'s drain ever receives
+#: (see :meth:`Application._span <repro.apps.base.Application._span>`)
+OP_SPAN = 7
 
 #: An operation: (opcode, operand).
 Op = tuple[int, int]

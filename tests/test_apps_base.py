@@ -1,11 +1,16 @@
 """Tests for the application framework helpers (span emission, placement,
 partitioning, barrier sequencing)."""
 
+from typing import NamedTuple
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.apps.base import Application, PhaseBarriers, proc_grid_shape
 from repro.core.config import MachineConfig
-from repro.sim.program import OP_READ, OP_WORK, OP_WRITE
+from repro.sim.compiled import compile_program
+from repro.sim.program import OP_READ, OP_SPAN, OP_WORK, OP_WRITE, Work
 
 
 class _Dummy(Application):
@@ -163,3 +168,85 @@ class TestRng:
         a = app.rng(1).integers(0, 10**9)
         b = app.rng(2).integers(0, 10**9)
         assert a != b
+
+
+class _Region(NamedTuple):
+    """What a span reads of a region, at any base address (the allocator
+    places none near the 2**60-line edge)."""
+    base: int
+    element_size: int
+
+    def element(self, index):
+        return self.base + index * self.element_size
+
+
+class _OneSpan(Application):
+    """One processor: WORK ops, one span, WORK ops."""
+    name = "one-span"
+
+    def __init__(self, line_size, opcode, region, start, count, before,
+                 after):
+        super().__init__(MachineConfig(n_processors=1, line_size=line_size,
+                                       page_size=64 * line_size))
+        self.span = (opcode, region, start, count)
+        self.before, self.after = before, after
+
+    def setup(self):
+        pass
+
+    def program(self, pid):
+        yield from map(Work, self.before)
+        yield from self._span(*self.span)
+        yield from map(Work, self.after)
+
+
+def _stored(capture):
+    """The capture's bytes (words and ``source_ops`` in its header), or
+    the message it refused with."""
+    try:
+        return bytes(capture().buffer)
+    except ValueError as exc:
+        return str(exc)
+
+
+class TestSpanItems:
+    """While an app is captured, a span reaches the drain as one item."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(line_size=st.integers(16, 128),
+           element_size=st.sampled_from([1, 3, 4, 8, 12, 16, 24, 40, 64,
+                                         100, 128, 200]),
+           opcode=st.sampled_from([OP_READ, OP_WRITE]),
+           anchor=st.sampled_from([0, 2 ** 60, -2 ** 60]),
+           offset=st.integers(-2048, 2048),
+           start=st.integers(0, 40),
+           count=st.integers(0, 40),
+           before=st.lists(st.integers(0, 9), max_size=2),
+           after=st.lists(st.integers(0, 9), max_size=2))
+    def test_one_item_stores_the_per_op_words(
+            self, line_size, element_size, opcode, anchor, offset, start,
+            count, before, after):
+        """The words and ``source_ops`` one item stores are those the
+        per-op tuples store: any element size against any line size 16-
+        128, spans of 0, 1 or many lines, WORK fused on either side, and
+        lines across the 2**60 edges, refused with the same message."""
+        region = _Region(anchor * line_size + offset, element_size)
+        app = _OneSpan(line_size, opcode, region, start, count, before,
+                       after)
+        per_op = _stored(lambda: compile_program(app.program, 1, line_size))
+        assert _stored(app.compiled_program) == per_op
+        assert all(op[0] != OP_SPAN for op in app.program(0))
+
+    @pytest.mark.parametrize("anchor", [0, 2 ** 60])
+    def test_spans_are_ops_again_after_a_capture(self, anchor):
+        """Whether the capture returns or raises, the app's program yields
+        per-op tuples again afterwards."""
+        app = _OneSpan(64, OP_READ, _Region(anchor * 64 - 64, 8), 0, 24,
+                       [], [])
+        assert [op[0] for op in app.program(0)] == [OP_READ, OP_WORK] * 3
+        if anchor:
+            with pytest.raises(ValueError, match="operand outside"):
+                app.compiled_program()
+        else:
+            assert app.compiled_program().source_ops == 6
+        assert [op[0] for op in app.program(0)] == [OP_READ, OP_WORK] * 3

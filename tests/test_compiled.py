@@ -215,13 +215,18 @@ def test_work_fusion_collapses_runs():
 ])
 def test_out_of_range_operand_refused_at_capture(ops, message):
     """An operand one word cannot hold is a ValueError naming the op, from
-    the drain and from a recording alike; the range's own ends are kept."""
-    with pytest.raises(ValueError, match=message):
-        compile_program(lambda pid: iter(ops), 1, 1)
-    recorder = ProgramRecorder(lambda pid: iter(ops), 1, 1)
-    list(recorder.factory(0))
-    with pytest.raises(ValueError, match=message):
-        recorder.finish()
+    the drain and from a recording alike; the range's own ends are kept.
+    At line size 64 the same lines' addresses are past int64 themselves,
+    which a recording refuses as it records them."""
+    for line_size in (1, 64):
+        at = [(o, a * line_size if o in (OP_READ, OP_WRITE) else a)
+              for o, a in ops]
+        with pytest.raises(ValueError, match=message):
+            compile_program(lambda pid: iter(at), 1, line_size)
+        recorder = ProgramRecorder(lambda pid: iter(at), 1, line_size)
+        with pytest.raises(ValueError, match=message):
+            list(recorder.factory(0))
+            recorder.finish()
     edges = [(OP_LOCK, 2 ** 60 - 1), (OP_BARRIER, -2 ** 60),
              (OP_WORK, 2 ** 60 - 2), (OP_WORK, 1)]
     program = compile_program(lambda pid: iter(edges), 1, 1)
