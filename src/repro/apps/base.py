@@ -317,7 +317,8 @@ class Application(ABC):
 
         The span's geometry is computed here, once: its first and last
         lines, and the element counts of its first line, of a full line
-        and of its last line.  While :meth:`_capture` drains, the span is
+        and of its last line.  A span inside one line is its one or two
+        ops, as a tuple.  A longer one, while :meth:`_capture` drains, is
         the one item ``(OP_SPAN, (opcode, first line, line count, first,
         full, last))``, from which the drain stores exactly the words of
         the per-op tuples at C speed; at any other time it is those
@@ -330,16 +331,16 @@ class Application(ABC):
         end = addr + count * esz
         line = addr // line_size
         last_line = (end - 1) // line_size
+        if last_line == line:  # OP_WORK 0: the guaranteed hits
+            return ((opcode, addr), (0, count - 1)) if count > 1 \
+                else ((opcode, addr),)
         if not self._span_items:
             return _span_ops(opcode, addr, end, esz, line_size, line,
                              last_line)
-        if last_line == line:
-            n_first = n_last = count
-        else:
-            n_first = ((line + 1) * line_size - addr) // esz
-            n_last = (end - last_line * line_size) // esz
-        return ((OP_SPAN, (opcode, line, last_line - line + 1, n_first,
-                           line_size // esz, n_last)),)
+        return ((OP_SPAN, (opcode, line, last_line - line + 1,
+                           ((line + 1) * line_size - addr) // esz,
+                           line_size // esz,
+                           (end - last_line * line_size) // esz)),)
 
     def place_interleaved(self, region: Region) -> None:
         """Place a region's pages round-robin across clusters.

@@ -455,9 +455,10 @@ def _out_of_range(opcode: int, arg: int) -> ValueError:
 def _span_words(words: array, opcode: int, line: int, n_lines: int,
                 n_first: int, n_full: int, n_last: int) -> tuple[int, bool]:
     """Append the words of one span item (:meth:`Application._span
-    <repro.apps.base.Application._span>`): per line, the ``opcode`` word
-    of its line number, then a WORK word of its element count less one
-    when that is positive — the words its per-op tuples store.
+    <repro.apps.base.Application._span>`, two lines or more): per line,
+    the ``opcode`` word of its line number, then a WORK word of its
+    element count less one when that is positive — the words its per-op
+    tuples store.
 
     The first and last lines are appended word by word.  The full lines
     between them are one ``range`` of line words, placed in the even
@@ -474,19 +475,18 @@ def _span_words(words: array, opcode: int, line: int, n_lines: int,
     append(line << _OP_BITS | opcode)
     if n_first > 1:
         append((n_first - 1) << _OP_BITS)
-    if n_lines > 1:
-        if n_lines > 2:
-            middle = array("q", range((line + 1) << _OP_BITS | opcode,
-                                      last << _OP_BITS, 1 << _OP_BITS))
-            if n_full > 1:
-                full = array("q", ((n_full - 1) << _OP_BITS,))
-                full *= 2 * len(middle)
-                full[::2] = middle
-                middle = full
-            words.extend(middle)
-        append(last << _OP_BITS | opcode)
-        if n_last > 1:
-            append((n_last - 1) << _OP_BITS)
+    if n_lines > 2:
+        middle = array("q", range((line + 1) << _OP_BITS | opcode,
+                                  last << _OP_BITS, 1 << _OP_BITS))
+        if n_full > 1:
+            full = array("q", ((n_full - 1) << _OP_BITS,))
+            full *= 2 * len(middle)
+            full[::2] = middle
+            middle = full
+        words.extend(middle)
+    append(last << _OP_BITS | opcode)
+    if n_last > 1:
+        append((n_last - 1) << _OP_BITS)
     return len(words) - before, n_last > 1
 
 

@@ -7,10 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.apps.base import Application, PhaseBarriers, proc_grid_shape
+from repro.apps.base import (Application, PhaseBarriers, _span_ops,
+                             proc_grid_shape)
 from repro.core.config import MachineConfig
 from repro.sim.compiled import compile_program
-from repro.sim.program import OP_READ, OP_SPAN, OP_WORK, OP_WRITE, Work
+from repro.sim.program import OP_READ, OP_WORK, OP_WRITE, Work
 
 
 class _Dummy(Application):
@@ -199,6 +200,19 @@ class _OneSpan(Application):
         yield from self._span(*self.span)
         yield from map(Work, self.after)
 
+    def per_op(self, pid):
+        """The program with its span spelled out by the per-line loop."""
+        opcode, region, start, count = self.span
+        line_size = self.config.line_size
+        addr = region.element(start)
+        end = addr + count * region.element_size
+        yield from map(Work, self.before)
+        if count > 0:
+            yield from _span_ops(opcode, addr, end, region.element_size,
+                                 line_size, addr // line_size,
+                                 (end - 1) // line_size)
+        yield from map(Work, self.after)
+
 
 def _stored(capture):
     """The capture's bytes (words and ``source_ops`` in its header), or
@@ -226,16 +240,17 @@ class TestSpanItems:
     def test_one_item_stores_the_per_op_words(
             self, line_size, element_size, opcode, anchor, offset, start,
             count, before, after):
-        """The words and ``source_ops`` one item stores are those the
-        per-op tuples store: any element size against any line size 16-
-        128, spans of 0, 1 or many lines, WORK fused on either side, and
-        lines across the 2**60 edges, refused with the same message."""
+        """The words and ``source_ops`` a captured span stores are those
+        its per-line ops store: any element size against any line size
+        16-128, spans of 0, 1 or many lines, WORK fused on either side,
+        and lines across the 2**60 edges, refused with the same message.
+        Outside a capture the span is those ops."""
         region = _Region(anchor * line_size + offset, element_size)
         app = _OneSpan(line_size, opcode, region, start, count, before,
                        after)
-        per_op = _stored(lambda: compile_program(app.program, 1, line_size))
+        per_op = _stored(lambda: compile_program(app.per_op, 1, line_size))
         assert _stored(app.compiled_program) == per_op
-        assert all(op[0] != OP_SPAN for op in app.program(0))
+        assert list(app.program(0)) == list(app.per_op(0))
 
     @pytest.mark.parametrize("anchor", [0, 2 ** 60])
     def test_spans_are_ops_again_after_a_capture(self, anchor):
