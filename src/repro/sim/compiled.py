@@ -26,10 +26,11 @@ This module provides that capture/replay layer:
 * :func:`compile_program` — drain a generator-based program factory (and
   the bodies of its task queues) once into a :class:`CompiledProgram`.
   While an app is captured, each of its ``read_span``/``write_span``
-  reaches the drain as one ``OP_SPAN`` item carrying the span's
-  geometry, whose words (the very words its per-op tuples would store)
-  are appended with ``array`` operations at C speed; every other run of
-  the app still yields per-op tuples, so the generator stays the oracle;
+  over two lines or more reaches the drain as one ``OP_SPAN`` item
+  carrying the span's geometry, whose words (the very words its per-op
+  tuples would store) are appended with ``array`` operations at C
+  speed; every other run of the app still yields per-op tuples, so the
+  generator stays the oracle;
 * :func:`trace_key` — content hash identifying one compiled trace
   (version, app, kwargs, seed, stream-relevant machine fields);
 * :class:`TraceCache` — process-wide in-memory LRU of compiled programs

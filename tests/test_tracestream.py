@@ -567,7 +567,7 @@ class TestPaperScale:
             assert hashlib.sha256(blob.read_bytes()).hexdigest() \
                 == _LU512_SHA256
         # the capturing child holds the drained words and the one buffer
-        # they are packed into, which the store writes as it is: ~88 MB
+        # they are packed into, which the store writes as it is: ~89 MB
         # measured on either path (it was ~142 MB at two words per op)
         assert captured["maxrss_kb"] < 100 * 1024
 
