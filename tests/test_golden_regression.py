@@ -189,3 +189,46 @@ def test_golden_nbody_two_steps(case):
     step 1 builds its tree and lists from, so one ulp of force drift
     changes these bytes."""
     assert nbody_digest(case) == NBODY[case]
+
+
+# ------------------------------------------- what a capture computes, exactly
+
+#: raytrace and mp3d capture once per trace key, and their numerics run
+#: inside that drain; each case is ``"<app>/<config>"``, the quick size
+#: on the default 64-processor machine and one small test configuration
+CAPTURE_CASES = {
+    "mp3d/quick": (MachineConfig(), QUICK_PROBLEM_SIZES["mp3d"]),
+    "mp3d/small": (MachineConfig(n_processors=8),
+                   {"n_particles": 500, "n_steps": 3, "collide_prob": 0.5}),
+    "raytrace/quick": (MachineConfig(), QUICK_PROBLEM_SIZES["raytrace"]),
+    "raytrace/small": (MachineConfig(n_processors=4),
+                       {"width": 16, "height": 16, "n_spheres": 64}),
+}
+CAPTURED = json.loads((GOLDEN / "capture_state.json").read_text())
+
+
+def _sha256(array) -> str:
+    return hashlib.sha256(array.tobytes()).hexdigest()
+
+
+def capture_state(case: str) -> dict:
+    """What ``compiled_program()`` leaves in the app: mp3d's final
+    ``pos``, ``vel`` and ``cells`` bytes, raytrace's image bytes and its
+    primary-ray counts."""
+    from repro.apps.registry import build_app
+
+    config, sizes = CAPTURE_CASES[case]
+    app = build_app(case.split("/")[0], config, **sizes)
+    app.compiled_program()
+    if app.name == "mp3d":
+        return {"pos": _sha256(app.pos), "vel": _sha256(app.vel),
+                "cells": _sha256(app.cells)}
+    return {"image": _sha256(app.image), "rays_cast": app.rays_cast,
+            "rays_hit": app.rays_hit}
+
+
+@pytest.mark.parametrize("case", sorted(CAPTURE_CASES))
+def test_golden_capture_state(case):
+    """One ulp of drift in a particle, a cell accumulator or a pixel
+    changes these bytes, whether or not it reaches the stored words."""
+    assert capture_state(case) == CAPTURED[case]
