@@ -47,7 +47,32 @@ from ..sim.program import (OP_READ, OP_SPAN, OP_WRITE, Barrier, Lock, Op,
                            Read, Task, Unlock, Write)
 
 __all__ = ["Application", "PhaseBarriers", "TileQueueApplication",
-           "direct_acceleration", "proc_grid_shape", "softened_pull"]
+           "direct_acceleration", "element_addrs", "proc_grid_shape",
+           "row_dots", "softened_pull"]
+
+
+def row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``a[i] @ b[i]`` for every row ``i``, with the bits of each
+    per-vector ``@`` (and so ``np.sqrt(row_dots(v, v))`` has the bits of
+    ``np.linalg.norm(v[i])``).
+
+    An app that advances its numerics as batches of rows must produce the
+    bits one ``@`` per row produced.  A stacked ``matmul`` of 1×k by k×1
+    runs the same dot kernel as a 1-D ``@``; ``einsum``, ``(a * b).sum(1)``
+    and the python sum of products round differently (the dot kernel may
+    fuse multiply-add).  ``tests/test_apps_base.py`` checks the equality,
+    so a numpy or BLAS change that broke it fails there by name.
+    """
+    return np.matmul(a[:, None, :], b[:, :, None])[:, 0, 0]
+
+
+def element_addrs(region: Region, index: np.ndarray) -> np.ndarray:
+    """``region.element(i)`` of every ``i`` of an integer array, as an
+    int64 array, bounds-checked once: by its least and greatest index."""
+    if len(index):
+        region.element(int(index.min()))
+        region.element(int(index.max()))
+    return region.base + index.astype(np.int64) * region.element_size
 
 
 def softened_pull(m: np.ndarray | float, d: np.ndarray,
@@ -56,13 +81,11 @@ def softened_pull(m: np.ndarray | float, d: np.ndarray,
     and ``m`` one mass per row or one for every row.
 
     Barnes and FMM evaluate their interactions as batches of rows and must
-    produce the bits one ``d @ d`` per pair produced.  A stacked
-    ``matmul`` of 1×k by k×1 runs the same dot kernel as ``d @ d``;
-    ``einsum`` and ``(d * d).sum(1)`` round differently (the dot kernel
-    may fuse multiply-add).  Callers accumulate the pulls in visit order
-    (``np.add.at``), never with ``sum``, for the same reason.
+    produce the bits one ``d @ d`` per pair produced (:func:`row_dots`).
+    Callers accumulate the pulls in visit order (``np.add.at``), never
+    with ``sum``, for the same reason.
     """
-    r2 = np.matmul(d[:, None, :], d[:, :, None])[:, 0, 0] + eps2
+    r2 = row_dots(d, d) + eps2
     return r2, np.reshape(m, (-1, 1)) * d / (r2 * np.sqrt(r2))[:, None]
 
 

@@ -33,8 +33,9 @@ from typing import Iterator
 import numpy as np
 
 from ..core.config import MachineConfig
-from ..sim.program import Barrier, Lock, Op, Read, Unlock, Work, Write
-from .base import Application, PhaseBarriers
+from ..sim.program import (OP_LOCK, OP_READ, OP_UNLOCK, OP_WORK, OP_WRITE,
+                           Barrier, Op)
+from .base import Application, PhaseBarriers, element_addrs, row_dots
 
 __all__ = ["MP3DApp"]
 
@@ -42,6 +43,11 @@ __all__ = ["MP3DApp"]
 _PARTICLE_DOUBLES = 8
 #: cell record: count + momentum(3) + energy + reservoir(3) = one 64 B line
 _CELL_DOUBLES = 8
+#: one particle's ops: read it, move (WORK 50), read and write its cell,
+#: then — only if it collided — lock the cell, collide (WORK 40), write
+#: the cell and unlock it; last, write the particle
+_STEP_OPS = np.array([OP_READ, OP_WORK, OP_READ, OP_WRITE, OP_LOCK, OP_WORK,
+                      OP_WRITE, OP_UNLOCK, OP_WRITE])
 
 
 class MP3DApp(Application):
@@ -93,61 +99,76 @@ class MP3DApp(Application):
         self.place_partitions(self.rparticles)
         # space cells: no meaningful owner; first-touch round-robin pages
 
+    def cells_of(self, pos: np.ndarray) -> np.ndarray:
+        """Space cell index of each row of positions ``pos``."""
+        cps = self.cells_per_side
+        ijk = np.minimum((pos * cps).astype(int), cps - 1)
+        return (ijk[:, 0] * cps + ijk[:, 1]) * cps + ijk[:, 2]
+
     def cell_of(self, p: int) -> int:
         """Space cell index containing particle ``p`` (from live position)."""
-        cps = self.cells_per_side
-        ijk = np.minimum((self.pos[p] * cps).astype(int), cps - 1)
-        return int((ijk[0] * cps + ijk[1]) * cps + ijk[2])
+        return int(self.cells_of(self.pos[p:p + 1])[0])
 
     # -------------------------------------------------------------- program
     def program(self, pid: int) -> Iterator[Op]:
         bar = PhaseBarriers()
         rng = self.rng(1, pid)
         mine = self.partition_slice(self.n_particles, pid)
-        pelem = self.rparticles.element
-        celem = self.rcells.element
-        dt = 0.05
         yield Barrier(bar())
-
         for _step in range(self.n_steps):
-            for p in mine:
-                # -- numerics: ballistic move with wall reflection --------
-                self.pos[p] += dt * self.vel[p]
-                for ax in range(3):
-                    if self.pos[p, ax] < 0.0:
-                        self.pos[p, ax] = -self.pos[p, ax]
-                        self.vel[p, ax] = -self.vel[p, ax]
-                    elif self.pos[p, ax] > 1.0:
-                        self.pos[p, ax] = 2.0 - self.pos[p, ax]
-                        self.vel[p, ax] = -self.vel[p, ax]
-                cell = self.cell_of(p)
-                crec = self.cells[cell]
-                crec[0] += 1.0
-                crec[1:4] += self.vel[p]
-                crec[4] += 0.5 * float(self.vel[p] @ self.vel[p])
-                collided = rng.random() < self.collide_prob
-                if collided:
-                    # elastic scatter against the cell reservoir direction:
-                    # rotate velocity toward it, preserving speed
-                    speed = float(np.linalg.norm(self.vel[p]))
-                    mix = 0.5 * (self.vel[p] + crec[5:8])
-                    norm = float(np.linalg.norm(mix))
-                    if norm > 1e-12 and speed > 0.0:
-                        self.vel[p] = mix * (speed / norm)
-                # -- reference stream -------------------------------------
-                yield Read(pelem(p * _PARTICLE_DOUBLES))
-                yield Work(50)  # move + cell arithmetic
-                yield Read(celem(cell * _CELL_DOUBLES))     # accumulate:
-                yield Write(celem(cell * _CELL_DOUBLES))    # read-modify-write
-                if collided:
-                    # SPLASH MP3D guards collisions with per-cell locks;
-                    # lock contention is part of its synchronisation story.
-                    yield Lock(cell)
-                    yield Work(40)
-                    yield Write(celem(cell * _CELL_DOUBLES))
-                    yield Unlock(cell)
-                yield Write(pelem(p * _PARTICLE_DOUBLES))
+            yield from self._advance(mine, rng)
             yield Barrier(bar())
+
+    def _advance(self, mine: range, rng: np.random.Generator) -> Iterator[Op]:
+        """Advance particles ``mine`` one step as one batch, and return the
+        step's ops: per particle, in index order, the per-particle rule's
+        ops (see the module docstring) with its exact bits.
+
+        Every operation is elementwise, or accumulates in particle order
+        (``np.add.at``), or is a per-row dot (:func:`row_dots`), so each
+        particle and each cell accumulator ends as the one-particle-at-a-
+        time loop left it; ``rng.random(n)`` draws what ``n`` calls of
+        ``rng.random()`` draw."""
+        dt = 0.05
+        pos = self.pos[mine.start:mine.stop]
+        vel = self.vel[mine.start:mine.stop]
+        # -- numerics: ballistic move with wall reflection ----------------
+        pos += dt * vel
+        below, above = pos < 0.0, pos > 1.0
+        pos[below] = -pos[below]
+        pos[above] = 2.0 - pos[above]
+        vel[below | above] = -vel[below | above]
+        cell = self.cells_of(pos)
+        np.add.at(self.cells[:, 0], cell, 1.0)
+        np.add.at(self.cells[:, 1:4], cell, vel)
+        np.add.at(self.cells[:, 4], cell, 0.5 * row_dots(vel, vel))
+        collided = rng.random(len(mine)) < self.collide_prob
+        # elastic scatter against the cell reservoir direction: rotate
+        # velocity toward it, preserving speed
+        hit = np.flatnonzero(collided)
+        speed = np.sqrt(row_dots(vel[hit], vel[hit]))
+        mix = 0.5 * (vel[hit] + self.cells[cell[hit], 5:8])
+        norm = np.sqrt(row_dots(mix, mix))
+        ok = (norm > 1e-12) & (speed > 0.0)
+        vel[hit[ok]] = mix[ok] * (speed[ok] / norm[ok])[:, None]
+        # -- reference stream ---------------------------------------------
+        # per particle: read it, move, read-modify-write its cell; when it
+        # collided, the collision under the cell's lock (SPLASH MP3D guards
+        # collisions with per-cell locks; lock contention is part of its
+        # synchronisation story); write it back
+        paddr = element_addrs(self.rparticles,
+                              np.arange(mine.start, mine.stop)
+                              * _PARTICLE_DOUBLES)
+        caddr = element_addrs(self.rcells, cell * _CELL_DOUBLES)
+        args = np.empty((len(mine), len(_STEP_OPS)), dtype=np.int64)
+        args[:] = (0, 50, 0, 0, 0, 40, 0, 0, 0)
+        args[:, [0, 8]] = paddr[:, None]
+        args[:, [2, 3, 6]] = caddr[:, None]
+        args[:, [4, 7]] = cell[:, None]
+        keep = np.ones(args.shape, dtype=bool)
+        keep[:, 4:8] = collided[:, None]
+        ops = np.broadcast_to(_STEP_OPS, args.shape)[keep]
+        return zip(ops.tolist(), args[keep].tolist())
 
     # ------------------------------------------------------------- checking
     def total_count(self) -> float:
