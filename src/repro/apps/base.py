@@ -30,6 +30,7 @@ Conventions shared by all applications:
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
+from itertools import chain
 from typing import TYPE_CHECKING, Any, Iterable, Iterator
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -495,12 +496,15 @@ class TileQueueApplication(Application):
             return iter((Barrier(bar()), Lock(0), Read(qaddr), Task(0),
                          Write(qaddr), Unlock(0), Barrier(bar())))
 
+        def parts(tile: int) -> Iterator[Iterable[Op]]:
+            yield Write(qaddr), Unlock(0)
+            yield self.tile_ops(tile)
+            yield Lock(0), Read(qaddr)
+
         def task(tile: int) -> Iterator[Op]:
-            yield Write(qaddr)
-            yield Unlock(0)
-            yield from self.tile_ops(tile)
-            yield Lock(0)
-            yield Read(qaddr)
+            # the tile runs when the drain reaches it, and its ops pass
+            # through no generator frame of ours
+            return chain.from_iterable(parts(tile))
 
         return self._capture(
             frame, tasks=[[task(tile) for tile in range(self.n_tiles)]])

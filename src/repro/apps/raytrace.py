@@ -16,6 +16,15 @@ bounces.  Rays traverse the shared octree (node reads), test spheres
 (sphere-record reads) and write the pixel they were cast for.  All
 intersection math is real and the rendered image is deterministic.
 
+The numerics run as batches, with the bits of tracing one ray at a time
+(which the golden image in ``tests/golden/capture_state.json`` pins): a
+row of tiles' primary rays is one batch, and each bounce of their
+reflections another.  A batch walks the octree one level at a time for
+all its rays — every ray visits the nodes in one fixed order, each node
+whose ancestors' boxes it passes — and its dots are per-row dots
+(:func:`~repro.apps.base.row_dots`).  A tile's ops are then looked up, two
+per visit, in a table of op tuples built once per scene.
+
 The pixel plane is *not* statically partitioned here: the program is a
 lock-protected global queue of ``queue_tile``-square tiles (SPLASH
 RAYTRACE's task queues — static tiles idle the processors whose tiles miss
@@ -30,13 +39,14 @@ replayed as a ``TASK`` op (:class:`~repro.apps.base.TileQueueApplication`).
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import Iterator
 
 import numpy as np
 
 from ..core.config import MachineConfig
-from ..sim.program import Op, Read, Work, Write
-from .base import TileQueueApplication
+from ..sim.program import OP_READ, OP_WORK, OP_WRITE, Op
+from .base import TileQueueApplication, element_addrs, row_dots
 
 __all__ = ["RaytraceApp"]
 
@@ -44,6 +54,8 @@ _SPHERE_DOUBLES = 8   # center(3) + radius + reflectivity + pad = one line
 _NODE_DOUBLES = 8     # one line per octree node (bounds/children metadata)
 
 _LIGHT = np.array([0.40824829, 0.40824829, -0.81649658])  # normalized
+#: every primary ray's direction (an orthographic camera)
+_PRIMARY = np.array([0.0, 0.0, 1.0])
 #: child ``o`` of an octree node sits at center + half/2 * _OCTANTS[o]
 _OCTANTS = np.array([[1 if o & 4 else -1, 1 if o & 2 else -1,
                       1 if o & 1 else -1] for o in range(8)], dtype=float)
@@ -115,6 +127,7 @@ class RaytraceApp(TileQueueApplication):
         self.place_interleaved(self.rnodes)
         # tile ownership is dynamic, so pixel pages have no natural owner
         self.place_interleaved(self.rpixels)
+        self._index_octree()
 
     def _build_octree(self) -> None:
         root = _Node(np.full(3, 0.5), 0.5)
@@ -145,107 +158,236 @@ class RaytraceApp(TileQueueApplication):
         for child in node.children:
             self._subdivide(child, depth + 1)
 
-    # ----------------------------------------------------------- numerics
-    def _ray_aabb(self, orig: np.ndarray, inv_dir: np.ndarray,
-                  node: _Node) -> bool:
-        # slab method; axes with zero direction (inv_dir = ±inf) use an
-        # explicit containment test to avoid the 0·inf = NaN pitfall
-        tmin, tmax = 0.0, np.inf
-        for ax in range(3):
-            lo = node.center[ax] - node.half
-            hi = node.center[ax] + node.half
-            o = orig[ax]
-            inv = inv_dir[ax]
-            if np.isinf(inv):
-                if o < lo or o > hi:
-                    return False
-                continue
-            t1 = (lo - o) * inv
-            t2 = (hi - o) * inv
-            if t1 > t2:
-                t1, t2 = t2, t1
-            tmin = max(tmin, t1)
-            tmax = min(tmax, t2)
-            if tmin > tmax:
-                return False
-        return True
+    def _index_octree(self) -> None:
+        """The tables a traversal reads, built once the regions exist.
 
-    def _ray_sphere(self, orig: np.ndarray, direction: np.ndarray,
-                    s: int) -> float | None:
-        oc = orig - self.centers[s]
-        b = float(oc @ direction)
-        c = float(oc @ oc) - self.radii[s] ** 2
-        disc = b * b - c
-        if disc < 0.0:
-            return None
-        t = -b - np.sqrt(disc)
-        if t < 1e-6:
-            t = -b + np.sqrt(disc)
-        return float(t) if t > 1e-6 else None
-
-    def _trace(self, orig: np.ndarray, direction: np.ndarray, depth: int,
-               trace: list[tuple[str, int]]) -> float:
-        """Shade one ray, appending ('node', idx) / ('sphere', idx) visits."""
-        with np.errstate(divide="ignore"):
-            inv_dir = 1.0 / direction
-        best_t, best_s = np.inf, -1
-        stack = [self.nodes[0]]
-        tested: set[int] = set()
+        Nodes are numbered here in *visit order*: the order in which a
+        ray that passes every box test visits them — each node, then its
+        children's subtrees, last child first (a depth-first stack that
+        pushes the children in order).  Every ray visits a subset of
+        them in this order.  By position: the node's box, ``_lo`` and
+        ``_hi`` (axis-major, 3 x n); ``_kids``, its children's positions
+        (-1 at a leaf); and its *events* ``[_ev_start[i], _ev_start[i +
+        1])`` of ``_ev_sphere`` and ``_ev_code``: the node (sphere -1),
+        then a leaf's spheres in list order.  A code indexes
+        ``_visit_ops``, the two ops a ray pays for visiting node ``k``
+        (code ``k``: ``Read`` + ``Work(20)``) or sphere ``s`` (code
+        ``len(nodes) + s``: ``Read`` + ``Work(45)``), and that a pixel
+        pays last (code ``_pixel_code`` + its element: ``Work(60)`` for
+        shading + ``Write``)."""
+        nodes = self.nodes
+        order, slots, stack = [], [], [(nodes[0], -1)]
         while stack:
-            node = stack.pop()
-            trace.append(("node", self._node_index[id(node)]))
-            if not self._ray_aabb(orig, inv_dir, node):
-                continue
+            node, slot = stack.pop()
+            if slot >= 0:
+                slots[slot // 8][slot % 8] = len(order)
+            order.append(node)
+            slots.append([-1] * 8)
             if node.children is not None:
-                stack.extend(node.children)
-                continue
-            for s in node.spheres:
-                if s in tested:
-                    continue
-                tested.add(s)
-                trace.append(("sphere", s))
-                t = self._ray_sphere(orig, direction, s)
-                if t is not None and t < best_t:
-                    best_t, best_s = t, s
-        if best_s < 0:
-            return 0.05  # background
-        hit = orig + best_t * direction
-        normal = (hit - self.centers[best_s]) / self.radii[best_s]
-        shade = max(0.0, float(-normal @ _LIGHT)) * (1.0 - self.reflect[best_s])
-        if depth + 1 < self.max_depth and self.reflect[best_s] > 0.0:
-            rdir = direction - 2.0 * float(direction @ normal) * normal
-            shade += self.reflect[best_s] * self._trace(
-                hit + 1e-5 * rdir, rdir, depth + 1, trace)
-        return min(shade, 1.0)
+                base = 8 * (len(order) - 1)
+                stack.extend((c, base + o)
+                             for o, c in enumerate(node.children))
+        self._kids = np.array(slots)
+        self._lo = np.array([n.center - n.half for n in order]).T.copy()
+        self._hi = np.array([n.center + n.half for n in order]).T.copy()
+        index = self._node_index
+        events = [[(-1, index[id(n)])]
+                  + ([(s, len(nodes) + s) for s in n.spheres]
+                     if n.children is None else [])
+                  for n in order]
+        self._ev_start = np.cumsum([0] + [len(e) for e in events])
+        self._ev_sphere, self._ev_code = np.array(
+            [ev for e in events for ev in e]).T
+        node_addrs = element_addrs(self.rnodes,
+                                   np.arange(len(nodes)) * _NODE_DOUBLES)
+        sph_addrs = element_addrs(self.rspheres,
+                                  np.arange(self.n_spheres) * _SPHERE_DOUBLES)
+        pix_addrs = element_addrs(self.rpixels,
+                                  np.arange(self.width * self.height))
+        self._pixel_code = len(nodes) + self.n_spheres
+        self._visit_ops = ([((OP_READ, a), (OP_WORK, 20))
+                            for a in node_addrs.tolist()]
+                           + [((OP_READ, a), (OP_WORK, 45))
+                              for a in sph_addrs.tolist()]
+                           + [((OP_WORK, 60), (OP_WRITE, a))
+                              for a in pix_addrs.tolist()])
+
+    # ----------------------------------------------------------- numerics
+    def _ray_spheres(self, orig: np.ndarray, direction: np.ndarray,
+                     s: np.ndarray) -> np.ndarray:
+        """Distance along ray ``i`` (rows of ``orig`` and ``direction``)
+        to sphere ``s[i]``, ``inf`` for a miss.
+
+        The bits are those of the one-ray rule ``oc = orig - center``,
+        ``b = oc @ direction``, ``c = oc @ oc - radius ** 2``: per-row
+        dots through :func:`row_dots`, and ``float_power``, which rounds
+        as a scalar's ``** 2`` does (an array's ``** 2`` squares)."""
+        oc = orig - self.centers[s]
+        b = row_dots(oc, direction)
+        disc = b * b - (row_dots(oc, oc) - np.float_power(self.radii[s], 2))
+        with np.errstate(invalid="ignore"):  # a miss: masked below
+            root = np.sqrt(disc)
+        t = -b - root
+        t = np.where(t < 1e-6, -b + root, t)
+        return np.where((disc >= 0.0) & (t > 1e-6), t, np.inf)
+
+    def _cast(self, orig: np.ndarray, direction: np.ndarray):
+        """Trace rays (rows of ``orig`` and ``direction``) as one batch.
+
+        A ray visits a node when it passes the box test of every
+        ancestor, and a leaf's spheres when it passes the leaf's too; it
+        tests each sphere once, where it first meets it, and takes the
+        first nearest hit in visit order.  The tree is walked one level
+        at a time for all rays together.  Returns ``(ray, code, best_s,
+        best_t)``: per visit, ray after ray and each in visit order, its
+        ray and its ``_visit_ops`` code; per ray, the nearest sphere (-1
+        for none) and its distance."""
+        with np.errstate(divide="ignore"):
+            inv = (1.0 / direction).T.copy()
+        o = orig.T.copy()
+        ray = np.arange(len(orig))
+        pos = np.zeros(len(orig), dtype=np.intp)
+        rays, poss, passes = [], [], []
+        while len(ray):
+            passed = _slab_hits(o.take(ray, axis=1), inv.take(ray, axis=1),
+                                self._lo.take(pos, axis=1),
+                                self._hi.take(pos, axis=1))
+            rays.append(ray)
+            poss.append(pos)
+            passes.append(passed)
+            inner = passed & (self._kids[pos, 0] >= 0)
+            ray = np.repeat(ray[inner], 8)
+            pos = self._kids[pos[inner]].ravel()
+        ray, pos, passed = map(np.concatenate, (rays, poss, passes))
+        by = np.argsort(ray * len(self._kids) + pos)
+        ray, pos, passed = ray[by], pos[by], passed[by]
+        # a visit is the node's event, and a passed leaf's sphere events
+        start = self._ev_start[pos]
+        count = np.where(passed, self._ev_start[pos + 1] - start, 1)
+        ev = (np.repeat(start - (np.cumsum(count) - count), count)
+              + np.arange(count.sum()))
+        ray, sphere = np.repeat(ray, count), self._ev_sphere[ev]
+        tests = np.flatnonzero(sphere >= 0)
+        first = np.unique(ray[tests] * self.n_spheres + sphere[tests],
+                          return_index=True)[1]
+        keep = sphere < 0
+        keep[tests[first]] = True
+        ray, ev, sphere = ray[keep], ev[keep], sphere[keep]
+        tests = np.flatnonzero(sphere >= 0)
+        t = np.full(len(ev), np.inf)
+        t[tests] = self._ray_spheres(orig[ray[tests]],
+                                     direction[ray[tests]], sphere[tests])
+        # the nearest hit of each ray: the first visit at its least t
+        # (every ray visits the root, so no ray's run of visits is empty)
+        runs = np.flatnonzero(np.diff(ray, prepend=-1))
+        least = np.minimum.reduceat(t, runs)
+        at = np.flatnonzero((t == least[ray]) & (t < np.inf))
+        rays_hit, firsts = np.unique(ray[at], return_index=True)
+        best_s = np.full(len(orig), -1)
+        best_t = np.full(len(orig), np.inf)
+        best_s[rays_hit] = sphere[at[firsts]]
+        best_t[rays_hit] = t[at[firsts]]
+        return ray, self._ev_code[ev], best_s, best_t
 
     # ------------------------------------------------------------- program
     def begin_render(self) -> None:
         super().begin_render()
         self.rays_cast = 0
         self.rays_hit = 0
+        #: tile -> its visit codes, for the rendered tiles not yet emitted
+        self._pending: dict[int, list[int]] = {}
 
     def tile_ops(self, tile: int) -> Iterator[Op]:
         """Cast the tile's primary rays; one read per node or sphere a ray
-        (or its reflections) visits, one write per pixel."""
-        node_addr = self.rnodes.element
-        sph_addr = self.rspheres.element
-        pix_addr = self.rpixels.element
-        direction = np.array([0.0, 0.0, 1.0])
-        for py, px in self.tile_pixels(tile):
-            orig = np.array([(px + 0.5) / self.width,
-                             (py + 0.5) / self.height, -0.5])
-            visits: list[tuple[str, int]] = []
-            shade = self._trace(orig, direction, 0, visits)
-            self.image[py, px] = shade
-            self.rays_cast += 1
-            if shade > 0.05:
-                self.rays_hit += 1
-            for kind, idx in visits:
-                if kind == "node":
-                    yield Read(node_addr(idx * _NODE_DOUBLES))
-                    yield Work(20)
-                else:
-                    yield Read(sph_addr(idx * _SPHERE_DOUBLES))
-                    yield Work(45)
-            yield Work(60)  # shading (normal, dot products, clamp)
-            yield Write(pix_addr(self._pixel_elem(py, px)))
+        (or its reflections) visits, one write per pixel.
+
+        A tile's ops are a function of the tile alone, so the numerics
+        run for its whole row of tiles at once (:meth:`_render`), and the
+        row's other tiles wait in ``_pending`` for their turn."""
+        if tile not in self._pending:
+            per_row = self.width // self.queue_tile
+            row = tile // per_row * per_row
+            self._pending.update(self._render(range(row, row + per_row)))
+        return chain.from_iterable(map(self._visit_ops.__getitem__,
+                                       self._pending.pop(tile)))
+
+    def _render(self, tiles: range) -> dict[int, list[int]]:
+        """Render ``tiles`` into ``image``; return each one's visit codes.
+
+        The primary rays are one :meth:`_cast`, and each bounce of their
+        reflections one more.  A ray that hits sphere ``s`` at ``t``
+        shades Lambertian, plus ``reflect[s]`` times its reflection's
+        shade while bounces remain, clamped at 1; a miss is the
+        background, 0.05.  Each step has the bits of the one-ray rule
+        (per-row dots through :func:`row_dots`; ``max(0, x)`` and
+        ``min(x, 1)`` as ``np.where``, which keep python's choice between
+        equal zeros).  A pixel's codes are its primary ray's visits, then
+        each bounce's, then its shading and write."""
+        pixels = [p for tile in tiles for p in self.tile_pixels(tile)]
+        py, px = np.array(pixels).T
+        orig = np.stack([(px + 0.5) / self.width, (py + 0.5) / self.height,
+                         np.full(len(pixels), -0.5)], axis=1)
+        direction = np.broadcast_to(_PRIMARY, orig.shape)
+        pixel = np.arange(len(pixels))
+        bounces = []  # per bounce: the rays' pixels and visits, which rays
+        # hit, their sphere and own shade, and which of them bounce on
+        for depth in range(max(self.max_depth, 1)):
+            ray, code, best_s, best_t = self._cast(orig, direction)
+            hit = np.flatnonzero(best_s >= 0)
+            s = best_s[hit]
+            point = orig[hit] + best_t[hit, None] * direction[hit]
+            normal = (point - self.centers[s]) / self.radii[s, None]
+            lambert = row_dots(-normal, np.broadcast_to(_LIGHT, normal.shape))
+            shade = (np.where(lambert > 0.0, lambert, 0.0)
+                     * (1.0 - self.reflect[s]))
+            bounce = (self.reflect[s] > 0.0) & (depth + 1 < self.max_depth)
+            bounces.append((pixel[ray], code, len(pixel), hit, s, shade,
+                            bounce))
+            if not bounce.any():
+                break
+            d, n = direction[hit[bounce]], normal[bounce]
+            rdir = d - (2.0 * row_dots(d, n))[:, None] * n
+            orig, direction = point[bounce] + 1e-5 * rdir, rdir
+            pixel = pixel[hit[bounce]]
+        below = None  # the shades of the next bounce's rays
+        for _, _, n_rays, hit, s, shade, bounce in reversed(bounces):
+            if below is not None:
+                shade[bounce] += self.reflect[s[bounce]] * below
+            below = np.full(n_rays, 0.05)  # background
+            below[hit] = np.where(1.0 < shade, 1.0, shade)
+        self.image[py, px] = below
+        self.rays_cast += len(pixels)
+        self.rays_hit += int(np.count_nonzero(below > 0.05))
+        owner, codes = zip(*((b[0], b[1]) for b in bounces))
+        owner += (np.arange(len(pixels)),)
+        codes += (self._pixel_code + self._pixel_elem(py, px),)
+        owner = np.concatenate(owner)
+        order = np.argsort(owner, kind="stable")
+        per_tile = len(pixels) // len(tiles)
+        cuts = np.searchsorted(owner[order],
+                               np.arange(per_tile, len(pixels), per_tile))
+        return dict(zip(tiles, map(np.ndarray.tolist, np.split(
+            np.concatenate(codes)[order], cuts))))
+
+
+def _slab_hits(o: np.ndarray, inv: np.ndarray, lo: np.ndarray,
+               hi: np.ndarray) -> np.ndarray:
+    """Slab test of ray ``i`` (from ``o[:, i]``, inverse direction
+    ``inv[:, i]``) against box ``[lo[:, i], hi[:, i]]``, axis-major (3 x
+    n): the entry distance, at least 0, is at most the exit distance.  An
+    axis the ray does not move along (``inv`` = ±inf) is a containment
+    test instead, avoiding the 0·inf = NaN pitfall.  Only the outcome is
+    returned, so which of two equal distances (or zeros) a minimum picks
+    does not matter."""
+    with np.errstate(invalid="ignore"):  # 0·inf on a flat axis: replaced
+        t1 = (lo - o) * inv
+        t2 = (hi - o) * inv
+    near, far = np.minimum(t1, t2), np.maximum(t1, t2)
+    flat = np.isinf(inv)
+    np.copyto(near, -np.inf, where=flat)
+    np.copyto(far, np.inf, where=flat)
+    hits = (np.maximum(np.maximum(near[0], near[1]), np.maximum(near[2], 0.0))
+            <= np.minimum(np.minimum(far[0], far[1]), far[2]))
+    if flat.any():
+        hits &= np.all(((lo <= o) & (o <= hi)) | ~flat, axis=0)
+    return hits

@@ -19,17 +19,18 @@ class TestGeometry:
         app.ensure_setup()
         app.centers[0] = (0.5, 0.5, 0.5)
         app.radii[0] = 0.1
-        t = app._ray_sphere(np.array([0.5, 0.5, -0.5]),
-                            np.array([0.0, 0.0, 1.0]), 0)
-        assert t == pytest.approx(0.9, abs=1e-9)
+        t = app._ray_spheres(np.array([[0.5, 0.5, -0.5]]),
+                             np.array([[0.0, 0.0, 1.0]]), np.array([0]))
+        assert t[0] == pytest.approx(0.9, abs=1e-9)
 
     def test_ray_sphere_miss(self, cfg):
         app = RaytraceApp(cfg, width=4, height=4, n_spheres=1)
         app.ensure_setup()
         app.centers[0] = (0.5, 0.5, 0.5)
         app.radii[0] = 0.1
-        assert app._ray_sphere(np.array([0.0, 0.0, -0.5]),
-                               np.array([0.0, 0.0, 1.0]), 0) is None
+        assert app._ray_spheres(np.array([[0.0, 0.0, -0.5]]),
+                                np.array([[0.0, 0.0, 1.0]]),
+                                np.array([0]))[0] == np.inf
 
     def test_octree_holds_all_spheres(self, cfg):
         app = RaytraceApp(cfg, width=4, height=4, n_spheres=16)
