@@ -48,8 +48,8 @@ from ..sim.program import (OP_READ, OP_SPAN, OP_WRITE, Barrier, Lock, Op,
                            Read, Task, Unlock, Write)
 
 __all__ = ["Application", "PhaseBarriers", "TileQueueApplication",
-           "direct_acceleration", "element_addrs", "proc_grid_shape",
-           "row_dots", "softened_pull"]
+           "direct_acceleration", "element_addrs", "op_rows",
+           "proc_grid_shape", "row_dots", "softened_pull"]
 
 
 def row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -74,6 +74,14 @@ def element_addrs(region: Region, index: np.ndarray) -> np.ndarray:
         region.element(int(index.min()))
         region.element(int(index.max()))
     return region.base + index.astype(np.int64) * region.element_size
+
+
+def op_rows(opcodes: np.ndarray, args: np.ndarray,
+            keep: np.ndarray) -> Iterator[Op]:
+    """A batch's ops, row after row: ``(opcodes[j], args[i, j])`` for
+    every ``keep[i, j]``, as python ints (what a drain stores)."""
+    return zip(np.broadcast_to(opcodes, args.shape)[keep].tolist(),
+               args[keep].tolist())
 
 
 def softened_pull(m: np.ndarray | float, d: np.ndarray,

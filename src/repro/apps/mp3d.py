@@ -35,7 +35,8 @@ import numpy as np
 from ..core.config import MachineConfig
 from ..sim.program import (OP_LOCK, OP_READ, OP_UNLOCK, OP_WORK, OP_WRITE,
                            Barrier, Op)
-from .base import Application, PhaseBarriers, element_addrs, row_dots
+from .base import (Application, PhaseBarriers, element_addrs, op_rows,
+                   row_dots)
 
 __all__ = ["MP3DApp"]
 
@@ -167,8 +168,7 @@ class MP3DApp(Application):
         args[:, [4, 7]] = cell[:, None]
         keep = np.ones(args.shape, dtype=bool)
         keep[:, 4:8] = collided[:, None]
-        ops = np.broadcast_to(_STEP_OPS, args.shape)[keep]
-        return zip(ops.tolist(), args[keep].tolist())
+        return op_rows(_STEP_OPS, args, keep)
 
     # ------------------------------------------------------------- checking
     def total_count(self) -> float:

@@ -34,10 +34,15 @@ from typing import Iterator
 import numpy as np
 
 from ..core.config import MachineConfig
-from ..sim.program import Barrier, Op, Read, Work, Write
-from .base import Application, PhaseBarriers
+from ..sim.program import (OP_READ, OP_WORK, OP_WRITE, Barrier, Op, Read,
+                           Work, Write)
+from .base import Application, PhaseBarriers, element_addrs, op_rows
 
 __all__ = ["RadixApp"]
+
+#: one key's permutation ops: read its digit's offset (only at the digit's
+#: first key), read the key, rank it (WORK 14), write its ranked slot
+_SCATTER_OPS = np.array([OP_READ, OP_READ, OP_WORK, OP_WRITE])
 
 
 class RadixApp(Application):
@@ -166,17 +171,17 @@ class RadixApp(Application):
             # ---- phase 3: permutation ----------------------------------
             ranks = self._offsets[digits, pid] + _stable_rank_within(digits, r)
             dst[ranks] = my_keys
-            off_elem = self.roffsets.element
-            dst_elem = rdst.element
-            read_off_done = set()
-            for i in range(kpp):
-                d = int(digits[i])
-                if d not in read_off_done:
-                    read_off_done.add(d)
-                    yield Read(off_elem(d * p + pid))
-                yield Read(rsrc.element(lo + i))
-                yield Work(14)
-                yield Write(dst_elem(int(ranks[i])))
+            # per key: its digit's offset (read at the digit's first key),
+            # the key, and its ranked slot in the destination
+            args = np.empty((kpp, len(_SCATTER_OPS)), dtype=np.int64)
+            args[:, 0] = element_addrs(self.roffsets, digits * p + pid)
+            args[:, 1] = element_addrs(rsrc, np.arange(lo, lo + kpp))
+            args[:, 2] = 14
+            args[:, 3] = element_addrs(rdst, ranks)
+            keep = np.ones(args.shape, dtype=bool)
+            keep[:, 0] = False
+            keep[np.unique(digits, return_index=True)[1], 0] = True
+            yield from op_rows(_SCATTER_OPS, args, keep)
             yield Barrier(bar())
 
     # ------------------------------------------------------------- checking
@@ -190,9 +195,9 @@ class RadixApp(Application):
 
 def _stable_rank_within(digits: np.ndarray, radix: int) -> np.ndarray:
     """Rank of each key among *my* keys with the same digit (stable order)."""
+    order = np.argsort(digits, kind="stable")
+    counts = np.bincount(digits, minlength=radix)
     ranks = np.empty(len(digits), dtype=np.int64)
-    seen = np.zeros(radix, dtype=np.int64)
-    for i, d in enumerate(digits):
-        ranks[i] = seen[d]
-        seen[d] += 1
+    ranks[order] = np.arange(len(digits)) - (np.cumsum(counts)
+                                             - counts)[digits[order]]
     return ranks
