@@ -24,6 +24,14 @@ Per time step each processor, for each of its particles:
 
 Steps are separated by barriers.  Cell records are one cache line each and
 round-robin page-placed (no owner makes sense — everyone writes them all).
+
+Each processor advances its particles (a contiguous slice) as one numpy
+batch per step, with the bits of the one-particle-at-a-time loop (which
+``tests/test_apps_batch_bits.py`` keeps as its oracle): elementwise
+moves and reflections, cell accumulators summed in particle order by
+``np.add.at``, per-row dots (:func:`~repro.apps.base.row_dots`), and one
+``rng.random(n)`` for the ``n`` collision draws.  The step's ops are then
+built as arrays, addresses bounds-checked once per batch.
 """
 
 from __future__ import annotations
@@ -105,10 +113,6 @@ class MP3DApp(Application):
         cps = self.cells_per_side
         ijk = np.minimum((pos * cps).astype(int), cps - 1)
         return (ijk[:, 0] * cps + ijk[:, 1]) * cps + ijk[:, 2]
-
-    def cell_of(self, p: int) -> int:
-        """Space cell index containing particle ``p`` (from live position)."""
-        return int(self.cells_of(self.pos[p:p + 1])[0])
 
     # -------------------------------------------------------------- program
     def program(self, pid: int) -> Iterator[Op]:

@@ -240,7 +240,9 @@ def mp3d_step(app, mine, rng):
             elif app.pos[p, ax] > 1.0:
                 app.pos[p, ax] = 2.0 - app.pos[p, ax]
                 app.vel[p, ax] = -app.vel[p, ax]
-        crec = app.cells[app.cell_of(p)]
+        cps = app.cells_per_side
+        ijk = np.minimum((app.pos[p] * cps).astype(int), cps - 1)
+        crec = app.cells[int((ijk[0] * cps + ijk[1]) * cps + ijk[2])]
         crec[0] += 1.0
         crec[1:4] += app.vel[p]
         crec[4] += 0.5 * float(app.vel[p] @ app.vel[p])

@@ -54,8 +54,9 @@ class TestStructure:
     def test_cell_of_in_range(self, cfg):
         app = MP3DApp(cfg, n_particles=100, cells_per_side=4)
         app.ensure_setup()
-        for p in range(100):
-            assert 0 <= app.cell_of(p) < 64
+        cells = app.cells_of(app.pos)
+        assert cells.shape == (100,)
+        assert 0 <= cells.min() and cells.max() < 64
 
     def test_unstructured_readwrite_sharing(self, cfg):
         """Space cells are written by many clusters: coherence misses and
