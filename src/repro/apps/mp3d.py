@@ -36,7 +36,8 @@ built as arrays, addresses bounds-checked once per batch.
 
 from __future__ import annotations
 
-from typing import Iterator
+from itertools import chain
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -116,13 +117,19 @@ class MP3DApp(Application):
 
     # -------------------------------------------------------------- program
     def program(self, pid: int) -> Iterator[Op]:
-        bar = PhaseBarriers()
         rng = self.rng(1, pid)
         mine = self.partition_slice(self.n_particles, pid)
-        yield Barrier(bar())
-        for _step in range(self.n_steps):
-            yield from self._advance(mine, rng)
-            yield Barrier(bar())
+
+        def phases() -> Iterator[Iterable[Op]]:
+            bar = PhaseBarriers()
+            yield Barrier(bar()),
+            for _step in range(self.n_steps):
+                yield self._advance(mine, rng)
+                yield Barrier(bar()),
+
+        # a step is advanced only once its barrier has been passed, and
+        # its ops pass through no generator frame of ours
+        return chain.from_iterable(phases())
 
     def _advance(self, mine: range, rng: np.random.Generator) -> Iterator[Op]:
         """Advance particles ``mine`` one step as one batch, and return the

@@ -108,6 +108,9 @@ class RaytraceApp(TileQueueApplication):
         self.rays_cast = 0
         self.rays_hit = 0
         self.nodes: list[_Node] = []
+        #: the traversal tables (:meth:`_index_octree`), built by the
+        #: first rendering: a run that replays a stored trace needs none
+        self._visit_ops: list | None = None
 
     # ---------------------------------------------------------------- setup
     def setup(self) -> None:
@@ -127,7 +130,6 @@ class RaytraceApp(TileQueueApplication):
         self.place_interleaved(self.rnodes)
         # tile ownership is dynamic, so pixel pages have no natural owner
         self.place_interleaved(self.rpixels)
-        self._index_octree()
 
     def _build_octree(self) -> None:
         root = _Node(np.full(3, 0.5), 0.5)
@@ -159,7 +161,8 @@ class RaytraceApp(TileQueueApplication):
             self._subdivide(child, depth + 1)
 
     def _index_octree(self) -> None:
-        """The tables a traversal reads, built once the regions exist.
+        """The tables a traversal reads (the octree and the regions must
+        exist).
 
         Nodes are numbered here in *visit order*: the order in which a
         ray that passes every box test visits them — each node, then its
@@ -296,6 +299,8 @@ class RaytraceApp(TileQueueApplication):
         self.rays_hit = 0
         #: tile -> its visit codes, for the rendered tiles not yet emitted
         self._pending: dict[int, list[int]] = {}
+        if self._visit_ops is None:
+            self._index_octree()
 
     def tile_ops(self, tile: int) -> Iterator[Op]:
         """Cast the tile's primary rays; one read per node or sphere a ray
