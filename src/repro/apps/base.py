@@ -61,8 +61,8 @@ def row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     bits one ``@`` per row produced.  A stacked ``matmul`` of 1×k by k×1
     runs the same dot kernel as a 1-D ``@``; ``einsum``, ``(a * b).sum(1)``
     and the python sum of products round differently (the dot kernel may
-    fuse multiply-add).  ``tests/test_apps_base.py`` checks the equality,
-    so a numpy or BLAS change that broke it fails there by name.
+    fuse multiply-add).  ``tests/test_apps_batch_bits.py`` checks the
+    equality, so a numpy or BLAS change that broke it fails there by name.
     """
     return np.matmul(a[:, None, :], b[:, :, None])[:, 0, 0]
 
@@ -505,9 +505,9 @@ class TileQueueApplication(Application):
                          Write(qaddr), Unlock(0), Barrier(bar())))
 
         def parts(tile: int) -> Iterator[Iterable[Op]]:
-            yield Write(qaddr), Unlock(0)
+            yield (Write(qaddr), Unlock(0))
             yield self.tile_ops(tile)
-            yield Lock(0), Read(qaddr)
+            yield (Lock(0), Read(qaddr))
 
         def task(tile: int) -> Iterator[Op]:
             # the tile runs when the drain reaches it, and its ops pass

@@ -122,10 +122,10 @@ class MP3DApp(Application):
 
         def phases() -> Iterator[Iterable[Op]]:
             bar = PhaseBarriers()
-            yield Barrier(bar()),
+            yield (Barrier(bar()),)
             for _step in range(self.n_steps):
                 yield self._advance(mine, rng)
-                yield Barrier(bar()),
+                yield (Barrier(bar()),)
 
         # a step is advanced only once its barrier has been passed, and
         # its ops pass through no generator frame of ours

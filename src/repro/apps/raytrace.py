@@ -363,16 +363,17 @@ class RaytraceApp(TileQueueApplication):
         self.image[py, px] = below
         self.rays_cast += len(pixels)
         self.rays_hit += int(np.count_nonzero(below > 0.05))
-        owner, codes = zip(*((b[0], b[1]) for b in bounces))
-        owner += (np.arange(len(pixels)),)
-        codes += (self._pixel_code + self._pixel_elem(py, px),)
-        owner = np.concatenate(owner)
+        owner = np.concatenate([b[0] for b in bounces]
+                               + [np.arange(len(pixels))])
+        codes = np.concatenate([b[1] for b in bounces]
+                               + [self._pixel_code
+                                  + self._pixel_elem(py, px)])
         order = np.argsort(owner, kind="stable")
         per_tile = len(pixels) // len(tiles)
         cuts = np.searchsorted(owner[order],
                                np.arange(per_tile, len(pixels), per_tile))
-        return dict(zip(tiles, map(np.ndarray.tolist, np.split(
-            np.concatenate(codes)[order], cuts))))
+        return dict(zip(tiles, map(np.ndarray.tolist,
+                                   np.split(codes[order], cuts))))
 
 
 def _slab_hits(o: np.ndarray, inv: np.ndarray, lo: np.ndarray,
