@@ -179,18 +179,14 @@ class RaytraceApp(TileQueueApplication):
         pays last (code ``_pixel_code`` + its element: ``Work(60)`` for
         shading + ``Write``)."""
         nodes = self.nodes
-        order, slots, stack = [], [], [(nodes[0], -1)]
+        order, stack = [], [nodes[0]]
         while stack:
-            node, slot = stack.pop()
-            if slot >= 0:
-                slots[slot // 8][slot % 8] = len(order)
-            order.append(node)
-            slots.append([-1] * 8)
-            if node.children is not None:
-                base = 8 * (len(order) - 1)
-                stack.extend((c, base + o)
-                             for o, c in enumerate(node.children))
-        self._kids = np.array(slots)
+            order.append(stack.pop())
+            stack.extend(order[-1].children or ())
+        position = {id(n): i for i, n in enumerate(order)}
+        self._kids = np.array([[-1] * 8 if n.children is None
+                               else [position[id(c)] for c in n.children]
+                               for n in order])
         self._lo = np.array([n.center - n.half for n in order]).T.copy()
         self._hi = np.array([n.center + n.half for n in order]).T.copy()
         index = self._node_index
