@@ -191,8 +191,7 @@ class RaytraceApp(TileQueueApplication):
         self._hi = np.array([n.center + n.half for n in order]).T.copy()
         index = self._node_index
         events = [[(-1, index[id(n)])]
-                  + ([(s, len(nodes) + s) for s in n.spheres]
-                     if n.children is None else [])
+                  + [(s, len(nodes) + s) for s in n.spheres]  # a leaf's
                   for n in order]
         self._ev_start = np.cumsum([0] + [len(e) for e in events])
         self._ev_sphere, self._ev_code = np.array(
