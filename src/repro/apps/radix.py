@@ -29,7 +29,8 @@ their owner's cluster.
 
 from __future__ import annotations
 
-from typing import Iterator
+from itertools import chain
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -112,77 +113,83 @@ class RadixApp(Application):
 
     # -------------------------------------------------------------- program
     def program(self, pid: int) -> Iterator[Op]:
-        bar = PhaseBarriers()
         p = self.config.n_processors
         r = self.radix
         kpp = self.keys_per_proc
         lo = pid * kpp
-        yield Barrier(bar())
 
-        for digit in range(self.n_digits):
-            shift = digit
-            src = self.buffers[digit % 2]
-            dst = self.buffers[(digit + 1) % 2]
-            rsrc = self.rkeys[digit % 2]
-            rdst = self.rkeys[(digit + 1) % 2]
+        def phases() -> Iterator[Iterable[Op]]:
+            bar = PhaseBarriers()
+            yield (Barrier(bar()),)
 
-            # ---- phase 1: local histogram ------------------------------
-            my_keys = src[lo:lo + kpp]
-            digits = (my_keys // (r ** shift)) % r
-            self._hist[pid, :] = np.bincount(digits, minlength=r)
-            yield from self.read_span(rsrc, lo, kpp)
-            yield Work(12 * kpp)
-            yield from self.write_span(self.rhist, pid * r, r)
-            yield Barrier(bar())
+            for digit in range(self.n_digits):
+                shift = digit
+                src = self.buffers[digit % 2]
+                dst = self.buffers[(digit + 1) % 2]
+                rsrc = self.rkeys[digit % 2]
+                rdst = self.rkeys[(digit + 1) % 2]
 
-            # ---- phase 2a: transposed rank reduction -------------------
-            # I own a slice of digit values; read that column of every
-            # processor's histogram row (the heavily shared access the
-            # paper calls out) and publish within-digit processor offsets
-            # plus my digits' totals.
-            if digit != self._offsets_pass:
-                # numerics once per pass, identical for all processes
-                counts = self._hist.sum(axis=0)
-                digit_base = np.concatenate(([0], np.cumsum(counts)[:-1]))
-                within = np.cumsum(self._hist, axis=0) - self._hist
-                self._offsets[:, :] = digit_base[:, None] + within.T
-                self._offsets_pass = digit
-            mine = self._digit_slice(pid)
-            hist_elem = self.rhist.element
-            for d in mine:
-                for q in range(p):
-                    yield Read(hist_elem(q * r + d))
-                yield Work(2 * p)
-                yield from self.write_span(self.roffsets, d * p, p)
-                yield Write(self.rtotals.element(d))
-            yield Barrier(bar())
+                # ---- phase 1: local histogram --------------------------
+                my_keys = src[lo:lo + kpp]
+                digits = (my_keys // (r ** shift)) % r
+                self._hist[pid, :] = np.bincount(digits, minlength=r)
+                yield self.read_span(rsrc, lo, kpp)
+                yield (Work(12 * kpp),)
+                yield self.write_span(self.rhist, pid * r, r)
+                yield (Barrier(bar()),)
 
-            # ---- phase 2b: digit-base prefix ---------------------------
-            # Each slice owner folds the totals of all lower digits into
-            # its offsets (the compact second reduction step that replaces
-            # SPLASH's tree).
-            if len(mine):
-                yield from self.read_span(self.rtotals, 0, mine.start + 1)
-                yield Work(mine.start + 2 * len(mine))
+                # ---- phase 2a: transposed rank reduction ---------------
+                # I own a slice of digit values; read that column of every
+                # processor's histogram row (the heavily shared access the
+                # paper calls out) and publish within-digit processor
+                # offsets plus my digits' totals.
+                if digit != self._offsets_pass:
+                    # numerics once per pass, identical for all processes
+                    counts = self._hist.sum(axis=0)
+                    digit_base = np.concatenate(([0], np.cumsum(counts)[:-1]))
+                    within = np.cumsum(self._hist, axis=0) - self._hist
+                    self._offsets[:, :] = digit_base[:, None] + within.T
+                    self._offsets_pass = digit
+                mine = self._digit_slice(pid)
+                hist_elem = self.rhist.element
                 for d in mine:
-                    yield from self.write_span(self.roffsets, d * p, p)
-            yield Barrier(bar())
+                    yield [Read(hist_elem(q * r + d)) for q in range(p)]
+                    yield (Work(2 * p),)
+                    yield self.write_span(self.roffsets, d * p, p)
+                    yield (Write(self.rtotals.element(d)),)
+                yield (Barrier(bar()),)
 
-            # ---- phase 3: permutation ----------------------------------
-            ranks = self._offsets[digits, pid] + _stable_rank_within(digits, r)
-            dst[ranks] = my_keys
-            # per key: its digit's offset (read at the digit's first key),
-            # the key, and its ranked slot in the destination
-            args = np.empty((kpp, len(_SCATTER_OPS)), dtype=np.int64)
-            args[:, 0] = element_addrs(self.roffsets, digits * p + pid)
-            args[:, 1] = element_addrs(rsrc, np.arange(lo, lo + kpp))
-            args[:, 2] = 14
-            args[:, 3] = element_addrs(rdst, ranks)
-            keep = np.ones(args.shape, dtype=bool)
-            keep[:, 0] = False
-            keep[np.unique(digits, return_index=True)[1], 0] = True
-            yield from op_rows(_SCATTER_OPS, args, keep)
-            yield Barrier(bar())
+                # ---- phase 2b: digit-base prefix -----------------------
+                # Each slice owner folds the totals of all lower digits
+                # into its offsets (the compact second reduction step that
+                # replaces SPLASH's tree).
+                if len(mine):
+                    yield self.read_span(self.rtotals, 0, mine.start + 1)
+                    yield (Work(mine.start + 2 * len(mine)),)
+                    for d in mine:
+                        yield self.write_span(self.roffsets, d * p, p)
+                yield (Barrier(bar()),)
+
+                # ---- phase 3: permutation ------------------------------
+                ranks = (self._offsets[digits, pid]
+                         + _stable_rank_within(digits, r))
+                dst[ranks] = my_keys
+                # per key: its digit's offset (read at the digit's first
+                # key), the key, and its ranked slot in the destination
+                args = np.empty((kpp, len(_SCATTER_OPS)), dtype=np.int64)
+                args[:, 0] = element_addrs(self.roffsets, digits * p + pid)
+                args[:, 1] = element_addrs(rsrc, np.arange(lo, lo + kpp))
+                args[:, 2] = 14
+                args[:, 3] = element_addrs(rdst, ranks)
+                keep = np.ones(args.shape, dtype=bool)
+                keep[:, 0] = False
+                keep[np.unique(digits, return_index=True)[1], 0] = True
+                yield op_rows(_SCATTER_OPS, args, keep)
+                yield (Barrier(bar()),)
+
+        # a phase's numerics run only once its barrier has been passed,
+        # and its ops pass through no generator frame of ours
+        return chain.from_iterable(phases())
 
     # ------------------------------------------------------------- checking
     def result(self) -> np.ndarray:

@@ -218,10 +218,25 @@ class SweepExecutor:
             return None
         return self.cache.get(key)
 
+    def cached_text(self, key: "str | RunRequest") -> str | None:
+        """:meth:`cached` as the stored result's canonical text
+        (:meth:`RunResult.to_json`), served undecoded by a hot-tier hit."""
+        if self.cache is None or not isinstance(key, str):
+            return None
+        return self.cache.get_text(key)
+
     def store(self, key: str, result: RunResult) -> None:
         """The one result-cache write (a no-op without a cache)."""
         if self.cache is not None:
             self.cache.put(key, result)
+
+    def store_text(self, key: str, result: RunResult) -> str:
+        """:meth:`store`, returning ``result``'s canonical text: encoded
+        once, for the cache and for the caller's wire."""
+        text = result.to_json()
+        if self.cache is not None:
+            self.cache.put_text(key, text)
+        return text
 
     def run(self, specs: Iterable[RunRequest],
             base_config: MachineConfig | None = None) -> list[PointOutcome]:

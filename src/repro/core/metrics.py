@@ -20,10 +20,16 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from enum import Enum
+from operator import itemgetter
 from typing import Any, Mapping
 
 __all__ = ["MissCause", "MissCounters", "NetworkStats", "TimeBreakdown",
            "RunResult"]
+
+
+#: the types a JSON number decodes to; checked with ``type(v) in``, not
+#: ``isinstance``, so a bool (an ``int`` subclass) is refused
+_NUMBER = frozenset({int, float})
 
 
 def _num(value: Any) -> int | float:
@@ -33,7 +39,7 @@ def _num(value: Any) -> int | float:
     (floats) in :attr:`RunResult.breakdown`, so coercing to either int or
     float would break byte-identical round-trips.
     """
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
+    if type(value) not in _NUMBER:
         raise ValueError(f"expected a number, got {value!r}")
     return value
 
@@ -138,7 +144,8 @@ class MissCounters:
     _INT_FIELDS = ("references", "reads", "writes", "hits", "read_misses",
                    "write_misses", "upgrade_misses", "merges",
                    "merge_refetches", "prefetch_hits")
-    #: the stored (non-derived) subset — what the constructor accepts
+    #: the stored (non-derived) subset — what the constructor accepts, in
+    #: field order
     _STORED_FIELDS = ("reads", "writes", "read_misses", "write_misses",
                       "upgrade_misses", "merges", "merge_refetches",
                       "prefetch_hits")
@@ -158,22 +165,9 @@ class MissCounters:
         mismatch means the payload was hand-edited or corrupted.
         """
         try:
-            kwargs = {f: _num(data[f]) for f in cls._STORED_FIELDS}
-            references = _num(data["references"])
-            hits = _num(data["hits"])
-            by_cause = {MissCause(k): _num(n)
-                        for k, n in data["by_cause"].items()}
-        except (KeyError, TypeError, ValueError, AttributeError) as exc:
+            return _counters(data)
+        except (KeyError, TypeError, AttributeError) as exc:
             raise ValueError(f"malformed MissCounters payload: {exc}") from exc
-        for cause in MissCause:  # absent causes count zero
-            by_cause.setdefault(cause, 0)
-        out = cls(by_cause=by_cause, **kwargs)
-        if references != out.references or hits != out.hits:
-            raise ValueError(
-                f"inconsistent MissCounters payload: references={references} "
-                f"hits={hits} but derived references={out.references} "
-                f"hits={out.hits}")
-        return out
 
 
 @dataclass
@@ -289,9 +283,8 @@ class TimeBreakdown:
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "TimeBreakdown":
         try:
-            return cls(cpu=_num(data["cpu"]), load=_num(data["load"]),
-                       merge=_num(data["merge"]), sync=_num(data["sync"]))
-        except (KeyError, TypeError, ValueError) as exc:
+            return _breakdown(data)
+        except (KeyError, TypeError) as exc:
             raise ValueError(
                 f"malformed TimeBreakdown payload: {exc}") from exc
 
@@ -350,21 +343,22 @@ class RunResult:
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "RunResult":
+        """Inverse of :meth:`to_dict`, in one pass: every record is
+        type-checked as it is built (the client's decode of each report
+        and the CLI's of each cached result)."""
         try:
+            network = data.get("network")
             return cls(
                 execution_time=_num(data["execution_time"]),
-                breakdown=TimeBreakdown.from_dict(data["breakdown"]),
-                per_processor=[TimeBreakdown.from_dict(d)
-                               for d in data["per_processor"]],
-                misses=MissCounters.from_dict(data["misses"]),
-                per_cluster_misses=[MissCounters.from_dict(d)
+                breakdown=_breakdown(data["breakdown"]),
+                per_processor=[_breakdown(d) for d in data["per_processor"]],
+                misses=_counters(data["misses"]),
+                per_cluster_misses=[_counters(d)
                                     for d in data["per_cluster_misses"]],
-                network=(NetworkStats.from_dict(data["network"])
-                         if data.get("network") is not None else None),
+                network=(None if network is None
+                         else NetworkStats.from_dict(network)),
             )
-        except ValueError:
-            raise
-        except (KeyError, TypeError) as exc:
+        except (KeyError, TypeError, AttributeError) as exc:
             raise ValueError(f"malformed RunResult payload: {exc}") from exc
 
     def to_json(self, indent: int | None = None) -> str:
@@ -382,3 +376,49 @@ class RunResult:
         if not isinstance(data, dict):
             raise ValueError("malformed RunResult JSON: not an object")
         return cls.from_dict(data)
+
+
+# ------------------------------------------------------------- decoding
+# The record decoders behind the ``from_dict`` classmethods.  A missing
+# key or a wrong container raises KeyError/TypeError/AttributeError, which
+# the public decoder turns into its ValueError; a wrong value type, an
+# unknown cause and inconsistent derived counts are ValueErrors here.
+
+_CAUSE_OF = {cause.value: cause for cause in MissCause}
+_CAUSES = tuple(MissCause)
+_BREAKDOWN_VALUES = itemgetter("cpu", "load", "merge", "sync")
+#: the stored counters, then the two derived ones
+_COUNTER_VALUES = itemgetter(*MissCounters._STORED_FIELDS, "references",
+                             "hits")
+
+
+def _breakdown(data: Mapping[str, Any]) -> TimeBreakdown:
+    values = _BREAKDOWN_VALUES(data)
+    if not _NUMBER.issuperset(map(type, values)):
+        raise ValueError(f"malformed TimeBreakdown payload: expected "
+                         f"numbers, got {values!r}")
+    return TimeBreakdown(*values)
+
+
+def _counters(data: Mapping[str, Any]) -> MissCounters:
+    values = _COUNTER_VALUES(data)
+    by_cause = dict.fromkeys(_CAUSES, 0)  # absent causes count zero
+    for name, n in data["by_cause"].items():
+        cause = _CAUSE_OF.get(name)
+        if cause is None:
+            raise ValueError(f"malformed MissCounters payload: unknown "
+                             f"miss cause {name!r}")
+        by_cause[cause] = n
+    if not (_NUMBER.issuperset(map(type, values))
+            and _NUMBER.issuperset(map(type, by_cause.values()))):
+        raise ValueError(f"malformed MissCounters payload: expected "
+                         f"numbers in {dict(data)!r}")
+    reads, writes, read_misses, write_misses, upgrade_misses = values[:5]
+    derived = (reads + writes,
+               reads + writes - read_misses - write_misses - upgrade_misses)
+    if values[8:] != derived:
+        raise ValueError(
+            f"inconsistent MissCounters payload: references={values[8]} "
+            f"hits={values[9]} but derived references={derived[0]} "
+            f"hits={derived[1]}")
+    return MissCounters(*values[:8], by_cause)

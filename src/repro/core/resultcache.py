@@ -4,8 +4,9 @@ Every sweep point the paper needs is a pure function of (package version,
 application name, application kwargs, full :class:`MachineConfig`) — the
 simulator is deterministic by construction — so finished points can be
 memoized across processes and across invocations.  :class:`ResultCache`
-stores each :class:`~repro.core.metrics.RunResult` as one JSON file named
-by a SHA-256 content hash of exactly those inputs.
+stores each :class:`~repro.core.metrics.RunResult` as one JSON file —
+its canonical text, :meth:`~repro.core.metrics.RunResult.to_json`, and
+nothing else — named by a SHA-256 content hash of exactly those inputs.
 
 :class:`TraceStore` is the binary sibling used by the compiled-trace layer
 (:mod:`repro.sim.compiled`): an opaque content-addressed blob store living
@@ -23,7 +24,8 @@ Location resolution (first match wins):
 Robustness rules:
 
 * a corrupted, truncated, or unreadable cache file is a **miss** — the
-  point is re-run and the file rewritten, never a crash;
+  point is re-run and the file rewritten, never a crash; so is an entry
+  in an older format (the ``{"key", "result"}`` envelope), once;
 * writes are atomic (temp file + ``os.replace``) so a killed run cannot
   leave a truncated entry behind;
 * the package version participates in the key, so upgrading the simulator
@@ -52,6 +54,10 @@ __all__ = ["ENV_CACHE_DIR", "ResultCache", "TraceStore", "default_cache_dir",
 ENV_CACHE_DIR = "REPRO_CACHE_DIR"
 
 _DEFAULT_DIR = "~/.cache/repro-clustering"
+
+#: text budget of :class:`ResultCache`'s hot tier, in bytes (a result's
+#: text is ASCII: one byte per character); a module constant, not a knob
+_HOT_BYTES = 2_000_000
 
 
 def default_cache_dir() -> Path:
@@ -157,34 +163,99 @@ class _Store:
 
 class ResultCache(_Store):
     """Content-addressed store of :class:`RunResult` JSON files under the
-    cache root."""
+    cache root, with a bounded in-memory hot tier.
+
+    An entry is exactly its result's canonical text,
+    :meth:`RunResult.to_json` — the bytes the daemon's wire carries.  An
+    entry is served only once :meth:`RunResult.from_json` has accepted
+    it; the hot tier (key → text, least recently used out first, at most
+    ``_HOT_BYTES`` of text) holds only text a disk read validated
+    that way, so a repeated hit costs a dict lookup: no file read, no
+    decode.
+    """
 
     SUFFIX = ".json"
+
+    def __init__(self, directory: str | Path | None = None) -> None:
+        super().__init__(directory)
+        self._hot: dict[str, str] = {}  # insertion order is recency
+        self.hot_bytes = 0
+        #: hits the hot tier served (also counted in ``hits``)
+        self.hot_hits = 0
 
     def get(self, key: str) -> RunResult | None:
         """Stored result for ``key``, or ``None`` (counted as a miss).
 
         Any failure to read or parse the entry — missing file, truncated
-        write from a killed process, hand-edited garbage — degrades to a
-        miss; the caller re-runs the point and :meth:`put` overwrites the
-        bad entry.
+        write from a killed process, hand-edited garbage, an entry in an
+        older format — degrades to a miss; the caller re-runs the point
+        and :meth:`put` overwrites the bad entry.
         """
-        path = self.path_for(key)
-        try:
-            payload = json.loads(path.read_text(encoding="utf-8"))
-            result = RunResult.from_dict(payload["result"])
-        except (OSError, ValueError, KeyError, TypeError):
-            self.misses += 1
+        found = self._lookup(key)
+        if found is None:
             return None
-        self.hits += 1
-        return result
+        text, result = found
+        return RunResult.from_json(text) if result is None else result
+
+    def get_text(self, key: str) -> str | None:
+        """``key``'s entry as its validated canonical text, or ``None``
+        (counted as a miss, as in :meth:`get`)."""
+        found = self._lookup(key)
+        return None if found is None else found[0]
 
     def put(self, key: str, result: RunResult) -> None:
         """Atomically persist ``result`` under ``key`` (failures
         swallowed, see :meth:`put_bytes`)."""
-        text = json.dumps({"key": key, "result": result.to_dict()},
-                          sort_keys=True)
+        self.put_text(key, result.to_json())
+
+    def put_text(self, key: str, text: str) -> None:
+        """:meth:`put` for a result already encoded by
+        :meth:`RunResult.to_json`."""
+        self._forget(key)  # re-admitted by the next read that validates
         self.put_bytes(key, text.encode("utf-8"))
+
+    def clear(self) -> int:
+        self._hot.clear()
+        self.hot_bytes = 0
+        return super().clear()
+
+    def hot_info(self) -> dict[str, int]:
+        """The hot tier's ``entries``, ``bytes`` and ``hits``."""
+        return {"entries": len(self._hot), "bytes": self.hot_bytes,
+                "hits": self.hot_hits}
+
+    # ------------------------------------------------------------ hot tier
+    def _lookup(self, key: str) -> tuple[str, RunResult | None] | None:
+        """``(text, result)`` for a hit — ``result`` is ``None`` when the
+        hot tier served it undecoded — or ``None`` for a miss."""
+        text = self._hot.pop(key, None)
+        if text is not None:
+            self._hot[key] = text  # most recently used
+            self.hits += 1
+            self.hot_hits += 1
+            return text, None
+        try:
+            text = self.path_for(key).read_text(encoding="utf-8")
+            result = RunResult.from_json(text)
+        except (OSError, ValueError):
+            self.misses += 1
+            return None
+        self.hits += 1
+        self._admit(key, text)
+        return text, result
+
+    def _admit(self, key: str, text: str) -> None:
+        if len(text) > _HOT_BYTES:
+            return
+        self._hot[key] = text
+        self.hot_bytes += len(text)
+        while self.hot_bytes > _HOT_BYTES:
+            self._forget(next(iter(self._hot)))
+
+    def _forget(self, key: str) -> None:
+        text = self._hot.pop(key, None)
+        if text is not None:
+            self.hot_bytes -= len(text)
 
 
 class TraceStore(_Store):

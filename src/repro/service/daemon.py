@@ -12,14 +12,16 @@ stream, and the **single-flight table** — point key
 (:meth:`SweepExecutor.key`) → the :class:`asyncio.Task` computing it,
 so N concurrent identical requests share one simulation.  The executor
 alone reads and writes the result cache: the daemon calls
-:meth:`SweepExecutor.cached` after its in-flight check and
-:meth:`SweepExecutor.store` in the loop step that ends a flight, and
-runs points through :meth:`SweepExecutor.submit_one` (the canonical
-:class:`~repro.runtime.session.RunSession` pipeline).  Per-request
-timeouts are ``asyncio.wait_for`` around a *shielded* flight, so one
-impatient client never cancels a computation others share; graceful
-shutdown stops accepting, drains in-flight points up to a deadline,
-then cancels stragglers and closes the pool.
+:meth:`SweepExecutor.cached_text` after its in-flight check and
+:meth:`SweepExecutor.store_text` in the loop step that ends a flight,
+and runs points through :meth:`SweepExecutor.submit_one` (the canonical
+:class:`~repro.runtime.session.RunSession` pipeline).  A point travels
+as its result's canonical text (a :class:`~repro.service.protocol.
+ServedPoint`): a hit is never decoded, a fresh result is encoded once.
+Per-request timeouts are ``asyncio.wait_for`` around a *shielded*
+flight, so one impatient client never cancels a computation others
+share; graceful shutdown stops accepting, drains in-flight points up to
+a deadline, then cancels stragglers and closes the pool.
 :meth:`ServiceDaemon.serve` is the one coroutine that hosts it, under
 :func:`asyncio.run` for both :meth:`~ServiceDaemon.run_blocking` (the
 CLI) and :class:`DaemonThread`.
@@ -61,7 +63,7 @@ from ..core.config import MachineConfig
 from ..core.executor import PointOutcome, SweepExecutor
 from .http import (HTTPParseError, HTTPRequest, JSONLineWriter, read_request,
                    send_json)
-from .protocol import (PROTOCOL_VERSION, PointReport, ProtocolError,
+from .protocol import (PROTOCOL_VERSION, ProtocolError, ServedPoint,
                        decode_point_payload, decode_sweep_payload,
                        encode_run_request, error_body)
 
@@ -171,7 +173,7 @@ class ServiceDaemon:
         return len(self._inflight)
 
     async def evaluate(self, request: "RunRequest",
-                       timeout: float | None = None) -> PointReport:
+                       timeout: float | None = None) -> ServedPoint:
         """Evaluate one point: single-flight → cache → execute.
 
         The order is the whole contract: an identical in-flight
@@ -188,21 +190,21 @@ class ServiceDaemon:
         flight = self._inflight.get(key)
         if flight is not None:
             self.stats.coalesced += 1
-            report = await self._await_flight(flight, timeout)
-            return report.as_coalesced()
+            served = await self._await_flight(flight, timeout)
+            return served.as_coalesced()
 
-        hit = self.executor.cached(key)
-        if hit is not None:
+        text = self.executor.cached_text(key)
+        if text is not None:
             self.stats.cache_hits += 1
-            return PointReport(key, hit, cached=True)
+            return ServedPoint(key, text, cached=True)
 
         flight = asyncio.get_running_loop().create_task(
             self._execute(key, request))
         self._inflight[key] = flight
         return await self._await_flight(flight, timeout)
 
-    async def _await_flight(self, flight: "asyncio.Task[PointReport]",
-                            timeout: float | None) -> PointReport:
+    async def _await_flight(self, flight: "asyncio.Task[ServedPoint]",
+                            timeout: float | None) -> ServedPoint:
         # shield: a per-request timeout or client disconnect abandons
         # *this waiter*, never the shared computation — other coalesced
         # waiters keep their flight, and the result still reaches the
@@ -213,7 +215,7 @@ class ServiceDaemon:
             self.stats.timeouts += 1
             raise
 
-    async def _execute(self, key: str, request: "RunRequest") -> PointReport:
+    async def _execute(self, key: str, request: "RunRequest") -> ServedPoint:
         try:
             outcome: PointOutcome = await asyncio.wrap_future(
                 self.executor.submit_one(request, self.base_config))
@@ -225,8 +227,8 @@ class ServiceDaemon:
         self.stats.executed += 1
         # on the loop, in the step that ends the flight: a duplicate
         # either joins the flight or hits the cache
-        self.executor.store(key, outcome.result)
-        return PointReport(key, outcome.result, elapsed=outcome.elapsed)
+        text = self.executor.store_text(key, outcome.result)
+        return ServedPoint(key, text, elapsed=outcome.elapsed)
 
     # --------------------------------------------------------------- reports
     def stats_dict(self) -> dict[str, Any]:
@@ -236,7 +238,8 @@ class ServiceDaemon:
         cache = self.executor.cache
         if cache is not None:
             cache = {"hits": cache.hits, "misses": cache.misses,
-                     "directory": str(cache.directory)}
+                     "directory": str(cache.directory),
+                     "hot": cache.hot_info()}
         workers = [p.pid for p in self.executor.worker_processes()]
         return {
             "uptime_s": round(time.monotonic() - self.started_at, 3),
@@ -409,8 +412,8 @@ class ServiceDaemon:
     async def _handle_run(self, request: HTTPRequest,
                           writer: asyncio.StreamWriter) -> None:
         spec, timeout = decode_point_payload(request.json())
-        report = await self.evaluate(spec, timeout=timeout)
-        send_json(writer, 200, report.to_dict())
+        served = await self.evaluate(spec, timeout=timeout)
+        send_json(writer, 200, served.encode())
 
     async def _handle_sweep(self, request: HTTPRequest,
                             writer: asyncio.StreamWriter) -> bool:
@@ -418,16 +421,16 @@ class ServiceDaemon:
         for spec in specs:  # reject the whole grid before streaming any of it
             self.resolve(spec)
 
-        async def one(index: int, spec: "RunRequest") -> dict[str, Any]:
+        async def one(index: int, spec: "RunRequest") -> dict | bytes:
             try:
-                report = await self.evaluate(spec, timeout=timeout)
+                served = await self.evaluate(spec, timeout=timeout)
             except PointExecutionError as exc:
                 return {"index": index,
                         **error_body("execution-error", exc.message)}
             except asyncio.TimeoutError:
                 return {"index": index,
                         **error_body("timeout", "point deadline expired")}
-            return {"index": index, **report.to_dict()}
+            return served.encode(index)
 
         stream = JSONLineWriter(writer)
         stream.start(200)

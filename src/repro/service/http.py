@@ -185,11 +185,18 @@ def response_bytes(status: int, body: bytes,
                           ("Content-Length", str(len(body)))]) + body
 
 
+def _json_bytes(obj: Any) -> bytes:
+    """``obj`` as compact sorted JSON; ``bytes`` are JSON encoded already
+    (a point report, :meth:`~repro.service.protocol.ServedPoint.encode`)."""
+    if isinstance(obj, bytes):
+        return obj
+    return json.dumps(obj, sort_keys=True,
+                      separators=(",", ":")).encode("utf-8")
+
+
 def send_json(writer: asyncio.StreamWriter, status: int, obj: Any) -> None:
     """Queue one JSON response on ``writer`` (caller drains)."""
-    body = json.dumps(obj, sort_keys=True,
-                      separators=(",", ":")).encode("utf-8")
-    writer.write(response_bytes(status, body))
+    writer.write(response_bytes(status, _json_bytes(obj)))
 
 
 @dataclass
@@ -211,8 +218,7 @@ class JSONLineWriter:
         self.started = True
 
     async def send(self, obj: Any) -> None:
-        line = (json.dumps(obj, sort_keys=True, separators=(",", ":"))
-                .encode("utf-8") + b"\n")
+        line = _json_bytes(obj) + b"\n"
         self.writer.write(f"{len(line):x}\r\n".encode("latin-1")
                           + line + b"\r\n")
         await self.writer.drain()

@@ -22,9 +22,14 @@ A finished point comes back as a :class:`PointReport`::
      "elapsed": 0.41, "result": {...RunResult.to_dict()...}}
 
 ``result`` is the canonical :class:`~repro.core.metrics.RunResult`
-encoding — the same bytes the result cache stores and the determinism
-suite compares — so daemon-served results can be diffed against direct
+encoding (:meth:`~repro.core.metrics.RunResult.to_json`) — the same
+bytes the result cache stores and the determinism suite compares — so
+daemon-served results can be diffed against direct
 :class:`~repro.runtime.session.RunSession` execution byte for byte.
+The daemon never re-encodes it: ``result`` sorts after every other key
+of a report (and of a ``/sweep`` line's ``index``), so
+:meth:`ServedPoint.encode` dumps the small envelope and splices the
+stored text in as the last member.
 
 Errors travel as ``{"error": {"type": ..., "message": ...}}`` (see
 :func:`error_body`); the daemon never puts a traceback on the wire.
@@ -32,6 +37,7 @@ Errors travel as ``{"error": {"type": ..., "message": ...}}`` (see
 
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import dataclass, replace
 from typing import Any, Mapping
@@ -41,7 +47,7 @@ from ..core.metrics import RunResult
 from ..runtime.plan import RunRequest
 
 __all__ = ["PROTOCOL_VERSION", "PointReport", "ProtocolError",
-           "decode_point_payload", "decode_run_request",
+           "ServedPoint", "decode_point_payload", "decode_run_request",
            "decode_sweep_payload", "encode_point_payload",
            "encode_run_request", "encode_sweep_payload", "error_body"]
 
@@ -232,7 +238,37 @@ class PointReport:
             raise ProtocolError(
                 f"malformed point report: {exc}") from exc
 
-    def as_coalesced(self) -> "PointReport":
+
+@dataclass(frozen=True)
+class ServedPoint:
+    """A finished point as the daemon holds it: a :class:`PointReport`
+    whose result is its canonical text, as the result cache stores it.
+
+    A cache hit is never decoded and re-encoded, a fresh result is
+    encoded once for the cache and the wire, and coalesced followers
+    reuse their flight's text (:meth:`as_coalesced`).
+    """
+
+    key: str
+    text: str
+    cached: bool = False
+    coalesced: bool = False
+    elapsed: float = 0.0
+
+    def encode(self, index: int | None = None) -> bytes:
+        """The ``/run`` body, or with ``index`` the ``/sweep`` line:
+        byte-equal to dumping the decoded report's ``to_dict()``."""
+        envelope: dict[str, Any] = {
+            "cached": self.cached, "coalesced": self.coalesced,
+            "elapsed": round(self.elapsed, 6), "key": self.key}
+        if index is not None:
+            envelope["index"] = index
+        # "result" sorts after every envelope key, so the sorted dump of
+        # the whole report is the envelope's with the text as last member
+        head = json.dumps(envelope, sort_keys=True, separators=(",", ":"))
+        return f'{head[:-1]},"result":{self.text}}}'.encode("utf-8")
+
+    def as_coalesced(self) -> "ServedPoint":
         """A copy marked as served by an in-flight execution."""
         return replace(self, coalesced=True)
 

@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.core.metrics import MissCause, MissCounters, TimeBreakdown
+from repro.core.metrics import (MissCause, MissCounters, RunResult,
+                                TimeBreakdown)
 
 
 class TestMissCounters:
@@ -93,3 +94,71 @@ class TestTimeBreakdown:
     def test_normalized_baseline_validation(self):
         with pytest.raises(ValueError):
             TimeBreakdown(cpu=1).normalized_to(0)
+
+
+def _payload() -> dict:
+    counters = MissCounters(reads=6, writes=4, read_misses=1, write_misses=1)
+    counters.record_cause(MissCause.COLD)
+    counters.record_cause(MissCause.CAPACITY)
+    return RunResult(
+        execution_time=123, breakdown=TimeBreakdown(100, 20, 2, 1.5),
+        per_processor=[TimeBreakdown(100, 20, 2, 1),
+                       TimeBreakdown(1, 2, 3, 4)],
+        misses=counters, per_cluster_misses=[counters, counters]).to_dict()
+
+
+class TestRunResultDecoding:
+    """``RunResult.from_dict`` checks every record as it builds it; each
+    refusal is a ``ValueError``."""
+
+    def test_round_trip_keeps_types(self):
+        data = _payload()
+        result = RunResult.from_dict(data)
+        assert result.to_dict() == data
+        assert type(result.breakdown.sync) is float
+        assert type(result.per_processor[0].sync) is int
+
+    @pytest.mark.parametrize("edit", [
+        lambda p: p["per_processor"][1].update(load=True),
+        lambda p: p["breakdown"].update(cpu=False),
+        lambda p: p["per_cluster_misses"][0].update(merges=True),
+        lambda p: p["misses"]["by_cause"].update(cold=True),
+        lambda p: p.update(execution_time=True),
+        lambda p: p["per_processor"][0].update(cpu="100"),
+        lambda p: p["per_processor"][0].update(cpu=None),
+    ], ids=["per-processor", "breakdown", "counter", "cause-count",
+            "execution-time", "string", "null"])
+    def test_refuses_bools_and_non_numbers(self, edit):
+        data = _payload()
+        edit(data)
+        with pytest.raises(ValueError):
+            RunResult.from_dict(data)
+
+    def test_refuses_an_unknown_cause(self):
+        data = _payload()
+        data["per_cluster_misses"][1]["by_cause"]["warp-drive"] = 1
+        with pytest.raises(ValueError, match="warp-drive"):
+            RunResult.from_dict(data)
+
+    @pytest.mark.parametrize("field", ["references", "hits"])
+    def test_refuses_inconsistent_derived_counts(self, field):
+        data = _payload()
+        data["per_cluster_misses"][0][field] += 1
+        with pytest.raises(ValueError, match="inconsistent"):
+            RunResult.from_dict(data)
+
+    @pytest.mark.parametrize("edit", [
+        lambda p: p.pop("misses"),
+        lambda p: p["per_processor"][0].pop("sync"),
+        lambda p: p["per_cluster_misses"][0].pop("by_cause"),
+        lambda p: p.update(per_processor=7),
+        lambda p: p.update(breakdown=[1, 2, 3, 4]),
+        lambda p: p["misses"].update(by_cause=[1]),
+        lambda p: p.update(network={"messages": 1}),
+    ], ids=["no-misses", "no-sync", "no-causes", "int-list", "list-record",
+            "list-causes", "short-network"])
+    def test_refuses_a_wrong_shape(self, edit):
+        data = _payload()
+        edit(data)
+        with pytest.raises(ValueError):
+            RunResult.from_dict(data)

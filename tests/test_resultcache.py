@@ -16,6 +16,7 @@ from repro.core.config import LatencyModel, MachineConfig, NetworkConfig
 from repro.core.executor import SweepExecutor
 from repro.core.metrics import (MissCause, MissCounters, RunResult,
                                 TimeBreakdown)
+from repro.core import resultcache
 from repro.core.resultcache import (ENV_CACHE_DIR, ResultCache,
                                     default_cache_dir, point_key)
 from repro.runtime import RunRequest
@@ -34,6 +35,31 @@ def tiny_result() -> RunResult:
                      per_processor=[TimeBreakdown(100, 20, 2, 1)],
                      misses=counters,
                      per_cluster_misses=[counters])
+
+
+def _edited(text: str, edit) -> str:
+    payload = json.loads(text)
+    edit(payload)
+    return json.dumps(payload)
+
+
+#: ways an entry can be damaged on disk; every one must read as a miss
+DAMAGE = {
+    "empty": lambda text: "",
+    "truncated": lambda text: text[: len(text) // 2],
+    "garbage": lambda text: "definitely not json {",
+    "wrong-shape": lambda text: json.dumps({"wrong": "shape"}),
+    "bad-values": lambda text: json.dumps(
+        {"result": {"execution_time": "NaNsense"}}),
+    "bad-value": lambda text: _edited(
+        text, lambda p: p.update(execution_time="NaNsense")),
+    "bool-component": lambda text: _edited(
+        text, lambda p: p["per_processor"][0].update(cpu=True)),
+    "unknown-cause": lambda text: _edited(
+        text, lambda p: p["misses"]["by_cause"].update(warp=1)),
+    "inconsistent-hits": lambda text: _edited(
+        text, lambda p: p["misses"].update(hits=p["misses"]["hits"] + 1)),
+}
 
 
 # ------------------------------------------------------------------- keys
@@ -130,13 +156,7 @@ class TestGetPut:
         assert cache.get("0" * 64) is None
         assert cache.misses == 1
 
-    @pytest.mark.parametrize("damage", [
-        lambda text: "",                             # empty file
-        lambda text: text[: len(text) // 2],         # truncated write
-        lambda text: "definitely not json {",        # garbage
-        lambda text: json.dumps({"wrong": "shape"}),  # missing result
-        lambda text: json.dumps({"result": {"execution_time": "NaNsense"}}),
-    ], ids=["empty", "truncated", "garbage", "wrong-shape", "bad-values"])
+    @pytest.mark.parametrize("damage", DAMAGE.values(), ids=DAMAGE)
     def test_corrupt_entry_is_miss_then_rewritten(self, tmp_path, damage):
         cache = ResultCache(tmp_path)
         result = tiny_result()
@@ -147,6 +167,72 @@ class TestGetPut:
         assert cache.get(key) is None           # corrupt → miss, no raise
         cache.put(key, result)                   # harness re-runs + rewrites
         assert cache.get(key) == result
+
+    def test_entry_is_the_canonical_text(self, tmp_path):
+        cache = ResultCache(tmp_path)
+        cache.put("k" * 64, tiny_result())
+        assert cache.path_for("k" * 64).read_text() == \
+            tiny_result().to_json()
+
+    def test_old_envelope_entry_is_a_miss_then_rewritten(self, tmp_path):
+        """An entry in the old ``{"key", "result"}`` format is not read:
+        the point is recomputed once and stored as its canonical text."""
+        request = RunRequest.make("ocean", 2, 4.0, OCEAN_KW)
+        executor = SweepExecutor(cache=ResultCache(tmp_path))
+        key = executor.key(request, CFG)
+        result = executor.run([request], CFG)[0].result
+        path = executor.cache.path_for(key)
+        path.write_text(json.dumps({"key": key, "result": result.to_dict()},
+                                   sort_keys=True))
+        cache = ResultCache(tmp_path)
+        assert cache.get(key) is None and cache.misses == 1
+        outcome = SweepExecutor(cache=cache).run([request], CFG)[0]
+        assert not outcome.cached and outcome.result == result
+        assert path.read_text() == result.to_json()
+        assert cache.get(key) == result
+
+    def test_hot_tier_evicts_least_recently_used_at_its_budget(
+            self, tmp_path, monkeypatch):
+        size = len(tiny_result().to_json())
+        monkeypatch.setattr(resultcache, "_HOT_BYTES", 2 * size + size // 2)
+        cache = ResultCache(tmp_path)
+        keys = [f"{i}" * 64 for i in range(3)]
+        for key in keys:
+            cache.put(key, tiny_result())
+        for key in keys[:2]:
+            cache.get_text(key)        # disk reads: both admitted
+        cache.get_text(keys[0])        # hot: keys[0] is now the newest
+        cache.get_text(keys[2])        # admitted: keys[1] goes
+        assert cache.hot_info() == {"entries": 2, "bytes": 2 * size,
+                                    "hits": 1}
+        cache.get_text(keys[0])
+        cache.get_text(keys[2])
+        assert cache.hot_hits == 3
+        cache.get_text(keys[1])        # from disk again
+        assert cache.hot_hits == 3 and cache.hits == 7
+        assert cache.hot_bytes <= resultcache._HOT_BYTES
+
+    def test_hot_tier_admits_nothing_past_its_budget(self, tmp_path,
+                                                     monkeypatch):
+        monkeypatch.setattr(resultcache, "_HOT_BYTES", 10)
+        cache = ResultCache(tmp_path)
+        cache.put("k" * 64, tiny_result())
+        assert cache.get("k" * 64) == cache.get("k" * 64) == tiny_result()
+        assert cache.hot_info() == {"entries": 0, "bytes": 0, "hits": 0}
+
+    def test_put_drops_the_hot_copy_and_clear_empties_the_tier(
+            self, tmp_path):
+        cache = ResultCache(tmp_path)
+        cache.put("k" * 64, tiny_result())
+        assert cache.get_text("k" * 64) == tiny_result().to_json()
+        changed = tiny_result()
+        changed.execution_time = 456
+        cache.put("k" * 64, changed)
+        assert cache.hot_info()["entries"] == 0
+        assert cache.get("k" * 64) == changed
+        assert cache.clear() == 1
+        assert cache.hot_info() == {"entries": 0, "bytes": 0, "hits": 0}
+        assert cache.get_text("k" * 64) is None
 
     def test_put_is_atomic_no_tmp_litter(self, tmp_path):
         cache = ResultCache(tmp_path)
@@ -237,6 +323,27 @@ class TestExecutorCoupling:
         executor.run([RunRequest.make("ocean", 1, None, OCEAN_KW)], CFG)
         executor.run([RunRequest.make("ocean", 1, None, OCEAN_KW)], CFG)
         assert not (tmp_path / "cachedir").exists()
+
+    @pytest.mark.parametrize("damage", DAMAGE.values(), ids=DAMAGE)
+    def test_entry_damaged_before_its_first_read_is_recomputed(
+            self, tmp_path, damage):
+        """A damaged entry is never served, as text or as a result: the
+        point is evaluated again and its entry rewritten."""
+        request = RunRequest.make("ocean", 2, 4.0, OCEAN_KW)
+        executor = SweepExecutor(cache=ResultCache(tmp_path))
+        key = executor.key(request, CFG)
+        text = executor.run([request], CFG)[0].result.to_json()
+        path = executor.cache.path_for(key)
+        path.write_text(damage(path.read_text()))
+
+        fresh = SweepExecutor(cache=ResultCache(tmp_path))
+        assert fresh.cached_text(key) is None
+        assert fresh.cached(key) is None
+        outcome = fresh.run([request], CFG)[0]
+        assert not outcome.cached and outcome.result.to_json() == text
+        assert path.read_text() == text
+        assert fresh.cached_text(key) == text
+        assert fresh.cache.hot_info()["entries"] == 1
 
     def test_failed_points_are_not_cached(self, tmp_path):
         cache = ResultCache(tmp_path)

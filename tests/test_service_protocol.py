@@ -115,7 +115,6 @@ class TestCodecRoundTrip:
         back = PointReport.from_dict(json.loads(
             json.dumps(report.to_dict())))
         assert back == report
-        assert back.as_coalesced().coalesced is True
 
     def test_error_body_shape(self):
         body = error_body("bad-request", "nope")
