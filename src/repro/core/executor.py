@@ -225,14 +225,10 @@ class SweepExecutor:
             return None
         return self.cache.get_text(key)
 
-    def store(self, key: str, result: RunResult) -> None:
-        """The one result-cache write (a no-op without a cache)."""
-        if self.cache is not None:
-            self.cache.put(key, result)
-
     def store_text(self, key: str, result: RunResult) -> str:
-        """:meth:`store`, returning ``result``'s canonical text: encoded
-        once, for the cache and for the caller's wire."""
+        """The one result-cache write (a no-op without a cache), returning
+        ``result``'s canonical text: encoded once, for the cache and for
+        the caller's wire."""
         text = result.to_json()
         if self.cache is not None:
             self.cache.put_text(key, text)
@@ -284,7 +280,7 @@ class SweepExecutor:
         for i, outcome in evaluate(specs, unique, base):
             outcomes[i] = outcome
             if outcome.result is not None:  # so its key is a str
-                self.store(keys[i], outcome.result)
+                self.store_text(keys[i], outcome.result)
 
         for i, j in duplicate_of.items():
             src = outcomes[j]
@@ -356,8 +352,9 @@ class SweepExecutor:
         :attr:`observer` hears the run).
 
         Unlike :meth:`run`, neither the result cache nor the per-point
-        ``timeout`` is applied: the caller reads (:meth:`cached`) and
-        writes (:meth:`store`) the cache, coalesces, and keeps deadlines
+        ``timeout`` is applied: the caller reads (:meth:`cached_text`)
+        and writes (:meth:`store_text`) the cache, coalesces, and keeps
+        deadlines
         (the daemon does all of it on top of this primitive, writing on
         its event-loop thread in the step that ends the flight).
         """

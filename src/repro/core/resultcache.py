@@ -169,9 +169,9 @@ class ResultCache(_Store):
     :meth:`RunResult.to_json` — the bytes the daemon's wire carries.  An
     entry is served only once :meth:`RunResult.from_json` has accepted
     it; the hot tier (key → text, least recently used out first, at most
-    ``_HOT_BYTES`` of text) holds only text a disk read validated
-    that way, so a repeated hit costs a dict lookup: no file read, no
-    decode.
+    ``_HOT_BYTES`` of text) holds only the re-encoding of a result a
+    :meth:`get_text` disk read decoded that way, so a repeated hit costs
+    a dict lookup: no file read, no decode.
     """
 
     SUFFIX = ".json"
@@ -189,19 +189,32 @@ class ResultCache(_Store):
         Any failure to read or parse the entry — missing file, truncated
         write from a killed process, hand-edited garbage, an entry in an
         older format — degrades to a miss; the caller re-runs the point
-        and :meth:`put` overwrites the bad entry.
+        and :meth:`put` overwrites the bad entry.  A disk read admits
+        nothing to the hot tier (that costs an encode; see
+        :meth:`get_text`).
         """
-        found = self._lookup(key)
-        if found is None:
-            return None
-        text, result = found
-        return RunResult.from_json(text) if result is None else result
+        text = self._hot_get(key)
+        if text is not None:
+            return RunResult.from_json(text)
+        return self._read(key)
 
     def get_text(self, key: str) -> str | None:
         """``key``'s entry as its validated canonical text, or ``None``
-        (counted as a miss, as in :meth:`get`)."""
-        found = self._lookup(key)
-        return None if found is None else found[0]
+        (counted as a miss, as in :meth:`get`).
+
+        A disk read re-encodes the result it decoded and serves and
+        admits that text, so the answer is canonical even for an entry
+        :meth:`RunResult.from_json` accepts in another spelling
+        (indented, reordered, with a trailing newline)."""
+        text = self._hot_get(key)
+        if text is not None:
+            return text
+        result = self._read(key)
+        if result is None:
+            return None
+        text = result.to_json()
+        self._admit(key, text)
+        return text
 
     def put(self, key: str, result: RunResult) -> None:
         """Atomically persist ``result`` under ``key`` (failures
@@ -225,24 +238,26 @@ class ResultCache(_Store):
                 "hits": self.hot_hits}
 
     # ------------------------------------------------------------ hot tier
-    def _lookup(self, key: str) -> tuple[str, RunResult | None] | None:
-        """``(text, result)`` for a hit — ``result`` is ``None`` when the
-        hot tier served it undecoded — or ``None`` for a miss."""
+    def _hot_get(self, key: str) -> str | None:
+        """``key``'s hot text (counted as a hit), or ``None``."""
         text = self._hot.pop(key, None)
         if text is not None:
             self._hot[key] = text  # most recently used
             self.hits += 1
             self.hot_hits += 1
-            return text, None
+        return text
+
+    def _read(self, key: str) -> RunResult | None:
+        """``key``'s entry read from disk and decoded (a hit), or
+        ``None`` (a miss)."""
         try:
-            text = self.path_for(key).read_text(encoding="utf-8")
-            result = RunResult.from_json(text)
+            result = RunResult.from_json(
+                self.path_for(key).read_text(encoding="utf-8"))
         except (OSError, ValueError):
             self.misses += 1
             return None
         self.hits += 1
-        self._admit(key, text)
-        return text, result
+        return result
 
     def _admit(self, key: str, text: str) -> None:
         if len(text) > _HOT_BYTES:

@@ -17,7 +17,8 @@ alone reads and writes the result cache: the daemon calls
 and runs points through :meth:`SweepExecutor.submit_one` (the canonical
 :class:`~repro.runtime.session.RunSession` pipeline).  A point travels
 as its result's canonical text (a :class:`~repro.service.protocol.
-ServedPoint`): a hit is never decoded, a fresh result is encoded once.
+ServedPoint`): a hot-tier hit is never decoded, a fresh result is
+encoded once.
 Per-request timeouts are ``asyncio.wait_for`` around a *shielded*
 flight, so one impatient client never cancels a computation others
 share; graceful shutdown stops accepting, drains in-flight points up to

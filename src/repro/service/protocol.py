@@ -244,7 +244,7 @@ class ServedPoint:
     """A finished point as the daemon holds it: a :class:`PointReport`
     whose result is its canonical text, as the result cache stores it.
 
-    A cache hit is never decoded and re-encoded, a fresh result is
+    A hot-tier hit is never decoded and re-encoded, a fresh result is
     encoded once for the cache and the wire, and coalesced followers
     reuse their flight's text (:meth:`as_coalesced`).
     """

@@ -61,6 +61,15 @@ DAMAGE = {
         text, lambda p: p["misses"].update(hits=p["misses"]["hits"] + 1)),
 }
 
+#: valid entries in another spelling than the canonical text; each one
+#: is a hit, served (as text) re-encoded
+SPELLINGS = {
+    "indented": lambda text: RunResult.from_json(text).to_json(indent=2),
+    "trailing-newline": lambda text: text + "\n",
+    "reordered-spaced": lambda text: json.dumps(
+        dict(reversed(json.loads(text).items()))),
+}
+
 
 # ------------------------------------------------------------------- keys
 
@@ -168,6 +177,33 @@ class TestGetPut:
         cache.put(key, result)                   # harness re-runs + rewrites
         assert cache.get(key) == result
 
+    @pytest.mark.parametrize("spell", SPELLINGS.values(), ids=SPELLINGS)
+    def test_entry_in_another_spelling_is_served_canonical(
+            self, tmp_path, spell):
+        cache = ResultCache(tmp_path)
+        key = "k" * 64
+        cache.put(key, tiny_result())
+        path = cache.path_for(key)
+        path.write_text(spell(path.read_text()))
+        assert path.read_text() != tiny_result().to_json()
+        assert cache.get_text(key) == tiny_result().to_json()
+        assert cache.get_text(key) == tiny_result().to_json()   # hot
+        assert (cache.hits, cache.hot_hits, cache.misses) == (2, 1, 0)
+        assert cache.hot_info()["bytes"] == len(tiny_result().to_json())
+
+    def test_get_admits_nothing_to_the_hot_tier(self, tmp_path,
+                                                monkeypatch):
+        """The CLI's read decodes and pays no encode."""
+        cache = ResultCache(tmp_path)
+        cache.put("k" * 64, tiny_result())
+        calls = []
+        to_json = RunResult.to_json
+        monkeypatch.setattr(RunResult, "to_json", lambda self, *a, **k: (
+            calls.append(1), to_json(self, *a, **k))[1])
+        assert cache.get("k" * 64) == cache.get("k" * 64) == tiny_result()
+        assert calls == []
+        assert cache.hot_info() == {"entries": 0, "bytes": 0, "hits": 0}
+
     def test_entry_is_the_canonical_text(self, tmp_path):
         cache = ResultCache(tmp_path)
         cache.put("k" * 64, tiny_result())
@@ -217,7 +253,8 @@ class TestGetPut:
         monkeypatch.setattr(resultcache, "_HOT_BYTES", 10)
         cache = ResultCache(tmp_path)
         cache.put("k" * 64, tiny_result())
-        assert cache.get("k" * 64) == cache.get("k" * 64) == tiny_result()
+        assert cache.get_text("k" * 64) == cache.get_text("k" * 64) == \
+            tiny_result().to_json()
         assert cache.hot_info() == {"entries": 0, "bytes": 0, "hits": 0}
 
     def test_put_drops_the_hot_copy_and_clear_empties_the_tier(

@@ -23,6 +23,7 @@ from repro.runtime import RunRequest
 from repro.service import DaemonThread, PointReport, ServiceDaemon
 from repro.service.protocol import encode_point_payload, encode_sweep_payload
 
+from test_resultcache import SPELLINGS
 from test_service_concurrency import CFG, GatedCountingObserver, _poll
 
 LU = dict(n=32, block=8)
@@ -117,6 +118,28 @@ class TestWireBytes:
         assert by_index[2] == canonical(error)
         cached = assert_report_bytes(again[0], index=0)
         assert cached.cached and cached.result == reports[0].result
+
+    @pytest.mark.parametrize("spell", SPELLINGS.values(), ids=SPELLINGS)
+    def test_an_entry_in_another_spelling_goes_out_canonical(
+            self, tmp_path, gated_daemon, spell):
+        """A valid entry hand-edited into another spelling (indented,
+        say) is a hit whose stream line is still one canonical line."""
+        daemon, observer = gated_daemon
+        request = RunRequest.make("lu", 2, 4.0, LU)
+        writer = SweepExecutor(cache=ResultCache(tmp_path / "cache"))
+        result = writer.run([request], CFG)[0].result
+        path = writer.cache.path_for(writer.key(request, CFG))
+        path.write_text(spell(path.read_text()))
+        with daemon.client() as client:
+            lines = sweep_lines(client, [request, request])
+            hot = run_body(client, request)
+        assert len(lines) == 2
+        for line in lines:
+            report = assert_report_bytes(line, index=json.loads(line)["index"])
+            assert report.cached and report.result == result
+        assert assert_report_bytes(hot).cached
+        assert observer.executions == 0
+        assert daemon.daemon.executor.cache.hot_hits == 2
 
 
 class TestHitCost:
