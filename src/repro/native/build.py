@@ -43,7 +43,7 @@ ABI_VERSION = 5
 #: grows with the code generated, and the kernel is bound by its cache
 #: misses, not by its instruction stream — gcc 12 builds this file in
 #: under two thirds of the ``-O2`` time and replays 512x512 LU and the
-#: quick grid exactly as fast (docs/EXECUTION.md "Measuring").
+#: quick grid exactly as fast (docs/MEASURING.md).
 #:
 #: ``-ffp-contract=off`` is part of the result contract, not an
 #: optimisation choice: mesh pricing sums doubles in python's operation

@@ -317,7 +317,7 @@ static inline void sync_wait(Sync *s, int32_t *link, int64_t *since,
  * it was pushed under an earlier `now`, hence before the ring event.
  *
  * W is sized by a count, not a guess: at 4096, 0.5% of the pushes of
- * 512x512 LU on 64 processors are far (docs/EXECUTION.md "Measuring"). */
+ * 512x512 LU on 64 processors are far (docs/MEASURING.md). */
 
 #define W 4096 /* ring span in cycles; a power of two */
 

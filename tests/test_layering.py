@@ -1,15 +1,18 @@
-"""The layering lint: clean on the real tree, loud on an upward import."""
+"""The structural lint: clean on the real tree, loud on an upward import
+and on each rule's derived mutation.  ``tests/`` is searched, so this
+file reads every retired name from the rule table and spells none."""
 
+import re
 import sys
+from dataclasses import replace
 from pathlib import Path
-
-import pytest
 
 TOOLS = Path(__file__).parent.parent / "tools"
 SRC = Path(__file__).parent.parent / "src"
 sys.path.insert(0, str(TOOLS))
 
 import check_layering  # noqa: E402  (path set up above)
+from check_layering import RULES  # noqa: E402
 
 
 class TestRankMap:
@@ -107,3 +110,37 @@ class TestInjectedViolation:
         root = self._tree(tmp_path, "from ..core import config\n")
         (root / "repro/core/config.py").write_text("Y = 2\n")
         assert len(check_layering.check(root)) == 1
+
+
+class TestRuleTable:
+    def test_tree_passes_and_every_derived_mutation_fails(self):
+        tree = check_layering.read_tree(SRC.parent, check_layering.TOPS)
+        assert check_layering.check_rules(tree) == []
+        for rule in RULES:
+            mutated, path, line = check_layering.mutate(rule, tree)
+            assert any(f.startswith(f"{rule.name}: {path}:{line}: ")
+                       for f in check_layering.check_rules(mutated)), rule
+
+    def test_every_listed_name_matches_its_rule(self):
+        for rule in RULES:  # a name list's names: | outside a group
+            for name in re.split(r"\|(?![^(]*\))", rule.pattern):
+                assert not name.isidentifier() or re.search(
+                    rule.pattern, name), (rule.name, name)
+
+    def test_a_missing_path_fails(self):
+        rule = replace(RULES[0], paths="tests/gone.py")
+        assert check_layering.check_rules({}, [rule]) == [
+            f"{rule.name}: tests/gone.py: no such path"]
+
+    def test_stale_bytecode_trips_no_rule(self, tmp_path):
+        rule = replace(RULES[0], paths="src")
+        name = next(n for n in rule.pattern.split("|") if n.isidentifier())
+        pkg = tmp_path / "src" / "repro"
+        (pkg / "__pycache__").mkdir(parents=True)
+        (pkg / "__pycache__" / "compiled.cpython-311.pyc").write_text(name)
+        (pkg / "stale.pyc").write_text(name)
+        (pkg / "undecodable.bin").write_bytes(b"\xff" + name.encode())
+        (pkg / "engine.py").write_text("X = 1\n")
+        tree = check_layering.read_tree(tmp_path, ["src"])
+        assert list(tree) == ["src/repro/engine.py"]
+        assert check_layering.check_rules(tree, [rule]) == []

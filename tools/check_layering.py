@@ -1,134 +1,261 @@
 #!/usr/bin/env python
-"""Layering lint: no module may import from a layer above its own.
+"""Structural lint: the layering DAG and one table of rules.
 
-The package is a DAG of layers (see ``docs/INTERNALS.md``, "Runtime
-pipeline"):
+Layering: no module imports, even in a function body, from a layer above
+its own.  A module ranks as its longest dotted prefix in ``RANKS``.
 
-    foundation (core.config / core.metrics / core.resultcache)
-      -> memory / network
-        -> native (C replay kernel: build layer + ctypes driver)
-          -> sim
-            -> apps
-              -> runtime
-                -> core (sweep machinery: executor, study, ...)
-                  -> service (the sweep daemon)
-                    -> analysis
-                      -> cli
+Rules keep the python simulator and ``kernel.c`` one semantics.  A count
+rule's regex matches exactly ``count`` lines under its paths (0: a
+retired name), its ``home`` files aside, which must each hold it.  An
+only-in rule requires every call it matches on the AST to sit inside
+``function``.  A path that names nothing fails.  ``mutate`` derives each
+rule's failing edit from its kind and ``example``.  The tree is read
+once, without bytecode, undecodable files, this file or ``HISTORY``.
 
-An import is *upward* — and a violation — when the imported module's
-layer rank is greater than the importer's.  Ranks are assigned by the
-longest dotted-prefix match against ``RANKS``, so the three foundation
-modules inside ``repro.core`` rank below the rest of that package.
-
-Every import statement counts, including deferred (function-body)
-imports: deferring breaks Python's import-time cycles but not the
-architecture — a lower layer reaching up is a violation wherever the
-statement sits.
-
-Usage::
-
-    python tools/check_layering.py src
-
-Exits 0 when clean, 1 with one ``importer (rank a) imports imported
-(rank b)`` line per violation.
+Usage: ``python tools/check_layering.py [SRC]`` (the package root,
+default ``src``).  Exits 0 when clean, else 1 with a line per failure.
 """
 
 from __future__ import annotations
 
 import ast
+import functools
+import importlib.util
+import re
 import sys
+from dataclasses import dataclass
 from pathlib import Path
 
-#: dotted-prefix -> layer rank; longest matching prefix wins.  Keep in
-#: sync with the DAG in docs/INTERNALS.md.
+#: dotted-prefix -> layer rank; keep in sync with docs/INTERNALS.md
 RANKS: dict[str, int] = {
-    "repro._version": 0,
-    "repro.core.config": 0,
-    "repro.core.metrics": 0,
-    "repro.core.resultcache": 0,
-    "repro.memory": 1,
-    "repro.network": 1,
-    "repro.native": 2,  # C replay kernel; sim.nativereplay sits above it
-    "repro.sim": 3,
-    "repro.apps": 4,
-    "repro.runtime": 5,
-    "repro.core": 6,
-    "repro.service": 7,
-    "repro.analysis": 8,
-    "repro.cli": 9,
-    "repro": 10,  # the package facade re-exports everything below it
-}
+    "repro._version": 0, "repro.core.config": 0, "repro.core.metrics": 0,
+    "repro.core.resultcache": 0, "repro.memory": 1, "repro.network": 1,
+    "repro.native": 2, "repro.sim": 3, "repro.apps": 4, "repro.runtime": 5,
+    "repro.core": 6, "repro.service": 7, "repro.analysis": 8,
+    "repro.cli": 9, "repro": 10}
+#: history, which no rule searches: these quote retired names as they were
+HISTORY = {"CHANGES.md", "ROADMAP.md", "docs/MEASURING.md"}
+
+
+@dataclass(frozen=True)
+class Rule:
+    name: str
+    pr: int
+    paths: str  # space-separated files and directories
+    pattern: str
+    example: str
+    count: int = 0
+    home: str = ""  # space-separated files
+    function: str = ""  # only-in: the one "Class.method" that may call
+
+
+GRID_CALL = r"(executor|pool)(\([^)]*\))?\.run\("
+MEMORY, KERNEL = "src/repro/memory", "src/repro/native/kernel.c"
+BACK_ENDS = " ".join(f"{MEMORY}/{m}.py" for m in ("coherence", "snoopy", "dls"))
+
+RULES: tuple[Rule, ...] = (
+    Rule("retired-names", 14, "src tools docs README.md", (
+        r"sim\.batch|replay_fused|submit_group|batch_prefetch|heap_fast_path|REPRO_TRACE_LRU\b|"
+        r"_writeback|map_put_ordered|dir_log|hist_log|repro_release|NativeDeadlock|native_fusible|"
+        r"as_point_spec|PointSpec|core\.bench|bench_engine|check_floor|benchmarks/perf|"
+        r"REPRO_TRACE_MMAP|ENV_TRACE_MMAP|mmap_ok|RPROTRC1|fork_available|preload_traces|"
+        r"fork-server|fork_server|use_compiled|evaluate_point|AsyncServiceClient|StatsAssembler|"
+        r"residency_profile|heap_push|heap_pop|ev_lt|_ChunkedColumn|execute_program|fuse_work|"
+        r"register_protocol|_retire_inline|NATIVE_PROTOCOLS|memory\.refmodel|memory/refmodel|"
+        r"miss_latency|FullyAssociativeCache|SetAssociativeCache|make_cache|_slot_maps|_set_free|"
+        r"kernels is not None|_flat\b|_t_local|_t_remote|_t_c2c|_local_dirty_remote|"
+        r"_remote_dirty_3p|cluster_shift|_dtable\[|run_detailed|memory_factory|read_hit_cycles|"
+        r"TraceRecord|max_cycles|runtime_columns|_boxed|_le_bytes|fused_work|"
+        r"REPRO_TRACE_LRU_BYTES|ENV_TRACE_LRU_BYTES|memory_cache_len|memory_cache_bytes|"
+        r"buffer_info|_force_on|_far_field|_near_field|MissKind|_invalidate_bits|run_one|"
+        r"_run_grid|_exc_text|_bar_from_norm|_DEFAULT_SEED|SweepService|executor\.cache = None|"
+        r"def scaled|def base_url|def key\(self, app"), "spec = PointSpec('lu', 2)"),
+    Rule("slab-and-cache-twins", 25, "src tools docs README.md tests",
+         r"check_slots|\.kernels\(\)|_kernels|_INITIAL_SLOTS|_grow\(|RefFullyAssociativeCache|"
+         r"RefSetAssociativeCache|LineEntry|RefEviction|pending_until_of|fetcher_of",
+         "entry = LineEntry(tag)"),
+    # the pytest-benchmark harness, the rendered-text parser and build_app's paper_scale
+    Rule("one-results-path", 21, "src tools docs README.md EXPERIMENTS.md DESIGN.md "
+         "pyproject.toml tests", r"REPRO_BENCH_|pytest.benchmark|benchmark-only|analysis\.golden|"
+         r"parse_rows|load_figure|parse_cost_table|compare_figures|paper_scale=",
+         "rows = parse_rows(text)"),
+    Rule("one-grid-run", 36, "src", GRID_CALL, "pool.run(specs, config)", 1),
+    Rule("one-failure-raise", 36, "src", r"(?<!def )raise_failures\(", "raise_failures(out)", 1),
+    Rule("grid-calls-in-sweep", 36, "src", GRID_CALL + r"|raise_failures\(",
+         "executor.run(specs, config)", function="ClusteringStudy.sweep"),
+    # SweepExecutor alone keys, reads and writes results, as objects or as text
+    Rule("service-skips-result-cache", 37, "src/repro/service",
+         r"cache\.(get|put|get_text|put_text|put_bytes)\(", "text = self.cache.get_text(key)"),
+    Rule("daemon-under-asyncio-run", 37, "src/repro/service/daemon.py",
+         r"new_event_loop|run_forever", "loop = asyncio.new_event_loop()"),
+    Rule("session-built-by-executor", 38, "src/repro", r"RunSession\(", "s = RunSession(config)",
+         home="src/repro/core/executor.py src/repro/__init__.py"),
+    Rule("cli-without-session", 38, "src/repro/cli", "RunSession", "from .x import RunSession"),
+    Rule("providers-price-misses", 38, "src/repro/network", "hit_cycles", "c = p.hit_cycles(op)"),
+    Rule("one-pool-one-provider", 40, "src tools docs", r"BACKENDS|worker_pids|_thread_pool|"
+         r"_process_pool|TableLatency|make_latency_provider|LatencyProvider|"
+         r"SweepExecutor\(backend", "provider = TableLatency(config)"),
+    Rule("lines-through-cache", 33, BACK_ENDS, r"\.sets\b|_n_sets|_ways\b|self\._lines\b",
+         "ways = cache.sets[0]"),
+    Rule("engine-heap-shortcut", 33, "src/repro/sim/engine.py", r"heap\[0\]\[0\]", "heap[0][0]"),
+    Rule("one-op-store-rule", 33, "src/repro/sim/compiled.py", "//=? line_size",
+         "line = addr // line_size", 1),
+    Rule("span-stays-in-capture", 42, f"src/repro/sim/engine.py src/repro/native {MEMORY}",
+         "OP_SPAN", "kind = OP_SPAN"),
+    Rule("directory-writes-through-transitions", 29, BACK_ENDS,
+         r"\.(mask|dir_state) *([|&^+-]|<<|>>)?=($|[^=])", "rec.mask |= 1"),
+    Rule("one-record-per-line", 29, MEMORY,
+         r"_history|\.packed\b|SHARER_SHIFT|_RESIDENT|_EVICTED|_INVALIDATED", "miss_history = {}"),
+    Rule("page-table-in-allocation", 29, "src tests tools", "_page_home", "h = self._page_home[0]",
+         home=f"{MEMORY}/allocation.py"),
+    # each memory step once, shared by the three back ends as kernel.c shares it
+    *(Rule(name, 34, MEMORY, re.escape(step), example, 1) for name, step, example in (
+        ("one-merge-probe", "pending_until > now", "late = rec.pending_until > now"),
+        ("one-capacity-loss", "lost_cap |=", "rec.lost_cap |= bit"),
+        ("one-capacity-clear", "lost_cap &=", "rec.lost_cap &= ~bit"),
+        ("one-coherence-clear", "lost_coh &=", "rec.lost_coh &= ~bit"),
+        ("one-hit-tuple", "_HIT = (", "_HIT = (0, 0)"),
+        ("one-directory-check", "(state == NOT_CACHED) != (mask == 0)",
+         "bad = (state == NOT_CACHED) != (mask == 0)"),
+        ("one-home-binding", "rec.home == -1", "unbound = rec.home == -1"))),
+    # the oracle writes its own rules out: it must not share the probe it checks
+    Rule("oracle-owns-its-probe", 34, "tests/refmodel.py", "probe_read", "c.probe_read(0, 0)"),
+    Rule("barnes-alone-recorded", 24, "src", "stream_invariant = False",
+         "stream_invariant = False", home="src/repro/apps/barnes.py"),
+    Rule("one-task-loop", 24, KERNEL, r"q_pop\(q\)", "t = q_pop(q);", 2),
+    Rule("kernel-one-index", 30, KERNEL,
+         r"\bMap\b|map_[a-z]+\(|lock_enqueue|lock_dequeue|wpid|warr|qpid|qarr", "Map *m = 0;"),
+)
+
+#: the checkout's top-level entries the rules search
+TOPS = sorted({path.split("/")[0] for rule in RULES
+               for path in rule.paths.split()})
 
 
 def rank_of(module: str) -> int | None:
     """Layer rank of a dotted module name (None = not a repro module)."""
-    best_len = -1
-    best_rank = None
-    for prefix, rank in RANKS.items():
-        if module == prefix or module.startswith(prefix + "."):
-            if len(prefix) > best_len:
-                best_len = len(prefix)
-                best_rank = rank
-    return best_rank
+    prefixes = [p for p in RANKS if module == p or module.startswith(p + ".")]
+    return RANKS[max(prefixes, key=len)] if prefixes else None
 
 
-def module_name(path: Path, src_root: Path) -> str:
-    """Dotted module name of a source file under ``src_root``."""
-    rel = path.relative_to(src_root).with_suffix("")
-    parts = list(rel.parts)
-    if parts[-1] == "__init__":
-        parts = parts[:-1]
-    return ".".join(parts)
-
-
-def resolve_relative(importer: str, is_package: bool, level: int,
-                     target: str | None) -> str:
-    """Absolute dotted name of a ``from ...X import Y`` statement."""
-    parts = importer.split(".")
-    # the package context: a module resolves relative to its parent
-    # package, a package (__init__) relative to itself
-    if not is_package:
-        parts = parts[:-1]
-    if level > 1:
-        parts = parts[: len(parts) - (level - 1)]
-    if target:
-        parts = parts + target.split(".")
-    return ".".join(parts)
-
-
-def imported_modules(tree: ast.AST, importer: str,
-                     is_package: bool) -> list[str]:
-    """Every repro-package module imported anywhere in ``tree``."""
-    out = []
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Import):
-            out.extend(alias.name for alias in node.names)
-        elif isinstance(node, ast.ImportFrom):
-            if node.level:
-                out.append(resolve_relative(importer, is_package,
-                                            node.level, node.module))
-            elif node.module:
-                out.append(node.module)
-    return [m for m in out if rank_of(m) is not None]
+def upward_imports(tree: dict[str, str], prefix: str = "") -> list[str]:
+    """Upward imports among the ``.py`` files under ``prefix`` in ``tree``."""
+    violations = []
+    for path, text in tree.items():
+        parts = Path(path.removeprefix(prefix)).with_suffix("").parts
+        package = ".".join(parts[:-1])
+        importer = package if parts[-1] == "__init__" else ".".join(parts)
+        if not (path.startswith(prefix) and path.endswith(".py")
+                and rank_of(importer) is not None):
+            continue
+        for node in ast.walk(ast.parse(text)):
+            if isinstance(node, ast.Import):
+                imported = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                imported = [importlib.util.resolve_name(
+                    "." * node.level + (node.module or ""), package)]
+            else:
+                continue
+            violations += [
+                f"{importer} (rank {rank_of(importer)}) imports "
+                f"{module} (rank {rank_of(module)})" for module in imported
+                if rank_of(module) is not None
+                and rank_of(module) > rank_of(importer)]
+    return violations
 
 
 def check(src_root: Path) -> list[str]:
     """All upward-import violations under ``src_root`` (empty = clean)."""
-    violations = []
-    for path in sorted(src_root.rglob("*.py")):
-        importer = module_name(path, src_root)
-        importer_rank = rank_of(importer)
-        if importer_rank is None:
-            continue
-        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
-        is_package = path.name == "__init__.py"
-        for imported in imported_modules(tree, importer, is_package):
-            imported_rank = rank_of(imported)
-            if imported_rank is not None and imported_rank > importer_rank:
-                violations.append(
-                    f"{importer} (rank {importer_rank}) imports "
-                    f"{imported} (rank {imported_rank})")
-    return violations
+    return upward_imports(read_tree(src_root, ["."]))
+
+
+def read_tree(root: Path, paths) -> dict[str, str]:
+    """``path -> text`` of the searched files under ``root`` / ``paths``."""
+    tree = {}
+    for top in paths:
+        top = root / top
+        for file in [top] if top.is_file() else sorted(top.rglob("*")):
+            path = file.relative_to(root).as_posix()
+            if (file.is_file() and file.suffix not in (".pyc", ".pyo")
+                    and path not in HISTORY
+                    and file.resolve() != Path(__file__).resolve()):
+                try:
+                    tree[path] = file.read_text(encoding="utf-8")
+                except UnicodeDecodeError:
+                    pass
+    return tree
+
+
+@functools.cache  # the mutation test re-checks trees one file apart
+def _matches(pattern: str, text: str) -> tuple[tuple[int, str], ...]:
+    """``(line number, line)`` of every line ``pattern`` matches."""
+    regex = re.compile(pattern, re.MULTILINE)
+    if not regex.search(text):
+        return ()
+    return tuple((n, line) for n, line in enumerate(text.splitlines(), 1)
+                 if regex.search(line))
+
+
+def _files(paths: str, tree: dict[str, str]) -> list[str]:
+    """The files of ``tree`` that ``paths`` names or holds, sorted."""
+    roots = paths.split()
+    dirs = tuple(f"{root}/" for root in roots)
+    return [path for path in sorted(tree)
+            if path in roots or path.startswith(dirs)]
+
+
+def in_scope(rule: Rule, tree: dict[str, str]) -> list[str]:
+    """The files ``rule`` counts or parses: under its paths, not home."""
+    return [path for path in _files(rule.paths, tree)
+            if path not in rule.home.split()
+            and (not rule.function or path.endswith(".py"))]
+
+
+@functools.cache
+def _stray_calls(rule: Rule, text: str) -> frozenset[int]:
+    """Lines of the calls matching ``rule.pattern`` outside
+    ``rule.function``, found on the AST."""
+    tree, (cls, fn) = ast.parse(text), rule.function.split(".")
+    spans = [(f.lineno, f.end_lineno) for c in tree.body
+             if isinstance(c, ast.ClassDef) and c.name == cls
+             for f in c.body if getattr(f, "name", None) == fn]
+    return frozenset(
+        node.func.end_lineno for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and re.search(rule.pattern, ast.unparse(node.func) + "(")
+        and not any(a <= node.lineno <= b for a, b in spans))
+
+
+def check_rules(tree: dict[str, str], rules=RULES) -> list[str]:
+    """Every failure of ``rules`` on ``tree`` (empty = clean)."""
+    failures = []
+    for rule in rules:
+        missing = [p for p in f"{rule.paths} {rule.home}".split()
+                   if not _files(p, tree)]
+        if missing:
+            failures += [f"{rule.name}: {p}: no such path" for p in missing]
+        else:
+            hits = [f"{rule.name}: {path}:{n}: {line.strip()}"
+                    for path in in_scope(rule, tree)
+                    for n, line in _matches(rule.pattern, tree[path])
+                    if not rule.function
+                    or n in _stray_calls(rule, tree[path])]
+            if len(hits) != rule.count:
+                failures += hits + [f"{rule.name}: {len(hits)} lines match, "
+                                    f"{rule.count} expected"]
+            failures += [f"{rule.name}: {path}: its home lacks the pattern"
+                         for path in rule.home.split()
+                         if not _matches(rule.pattern, tree[path])]
+    return failures
+
+
+def mutate(rule: Rule, tree: dict[str, str]) -> tuple[dict, str, int]:
+    """``tree`` with ``rule.example`` appended to the first file the rule
+    searches: one line too many for a count rule, a module-level call
+    for an only-in rule.  Returns the copy, the path and the line."""
+    path = in_scope(rule, tree)[0]
+    lines = tree[path].splitlines() + [rule.example]
+    return {**tree, path: "\n".join(lines) + "\n"}, path, len(lines)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -138,13 +265,14 @@ def main(argv: list[str] | None = None) -> int:
         print(f"check_layering: source root {src_root} not found",
               file=sys.stderr)
         return 2
-    violations = check(src_root)
-    if violations:
-        print(f"{len(violations)} layering violation(s):", file=sys.stderr)
-        for line in violations:
-            print(f"  {line}", file=sys.stderr)
+    src = src_root.resolve()
+    tree = read_tree(src.parent, {src.name, *TOPS})
+    failures = upward_imports(tree, src.name + "/") + check_rules(tree)
+    if failures:
+        print(f"{len(failures)} layering violation(s) or rule failure(s):",
+              *failures, sep="\n", file=sys.stderr)
         return 1
-    print(f"layering OK under {src_root}")
+    print(f"layering OK under {src_root}; {len(RULES)} rules hold")
     return 0
 
 
