@@ -173,20 +173,25 @@ static void tab_free(Table *t) {
  * One fully associative cache — a cluster's shared cache (directory), a
  * cluster's LLC slice (DLS) or a processor's own cache (snoopy): a
  * line -> slot table over a slab of Line records, and a count of the
- * resident lines.  Freed slots
- * (invalidations) chain through `next`; fresh slots come from a
- * high-water mark, the slab doubling on demand, so nothing
- * capacity-sized is allocated before it is used.  With finite
- * capacity, resident slots also form the recency list (head = victim).
- * Python keeps one heap record per line instead (memory/cache.py); in C
- * the slab is the cheap form — fixed-size contiguous records, int64
- * links, one realloc per doubling and no allocator call per miss. */
+ * resident lines.  Freed slots (invalidations) chain through `next`;
+ * fresh slots come from a high-water mark, the slab doubling on demand,
+ * so nothing capacity-sized is allocated before it is used.  With
+ * finite capacity, resident slots also form the recency list (head =
+ * victim).  Python keeps one heap record per line instead
+ * (memory/cache.py); in C the slab is the cheap form — fixed-size
+ * 32-byte records, int32 links (slot_of holds slots as int32), one
+ * realloc per doubling and no allocator call per miss.  The tag is
+ * unsigned because lines span [0, 2^32), like every table key: a signed
+ * one turns lines from 2^31 up into keys an eviction cannot clear. */
 
 typedef struct {
-    int64_t tag, state, pending, fetcher;
-    int64_t rec;        /* index of the line's record (Ctx.rec) */
-    int64_t prev, next; /* recency links; `next` chains the free slots */
+    int64_t pending; /* time the line's fill returns */
+    uint32_t tag;
+    int32_t state, fetcher;
+    int32_t rec;        /* index of the line's record (Ctx.rec) */
+    int32_t prev, next; /* recency links; `next` chains the free slots */
 } Line;
+_Static_assert(sizeof(Line) == 32, "a Line is 32 bytes");
 
 typedef struct {
     Table slot_of;

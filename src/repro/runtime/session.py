@@ -10,7 +10,9 @@ through this module.  A session performs, in order:
    placement, problem construction);
 3. **trace acquisition** — look the compiled reference stream up in the
    trace cache (``trace-hit``) or capture it (``capture``), honouring
-   :attr:`~repro.apps.base.Application.stream_invariant`;
+   :attr:`~repro.apps.base.Application.stream_invariant`; a capture is
+   written once into the cache's store, when it has one, and replayed
+   mapped from there;
 4. **execute** — replay the trace (native kernel or python engine) and
    assemble the :class:`~repro.core.metrics.RunResult`.
 
@@ -122,14 +124,19 @@ class RunSession:
                              {"ops": program.total_ops,
                               "mapped": program.mapped})
         else:
+            # with a store, the capture is written into its entry once
+            # and comes back mapped from it, which put() then only
+            # remembers; without one it is packed in memory
+            entry = ((cache.store, key) if cache is not None
+                     and cache.store is not None else None)
             if app.stream_invariant:
-                program = app.compiled_program()
+                program = app.compiled_program(entry)
             else:
                 # barnes: the stream is decided by the run itself, so
                 # capture during generator execution; the capture replays
                 # bit-identically at this exact configuration only (the
                 # trace key covers the full config)
-                result, program = app.run_recorded()
+                result, program = app.run_recorded(entry)
             if cache is not None:
                 cache.put(key, program)
             if obs is not None and result is None:

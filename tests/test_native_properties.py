@@ -481,9 +481,10 @@ def test_mesh_latency_plus_delay_on_a_half_rounds_to_even(local_clean,
                          ids=["table1", "mesh"])
 def test_lines_on_table_chunk_edges(protocol, network):
     """Lines on both sides of the kernel's 4096-entry table chunks, and
-    two far apart, through 2-line caches: evictions and invalidations
-    clear table entries, and later installs set them again."""
-    edges = [0, 4095, 4096, 8191, 8192, 2**31]
+    far out at 2**31 and at the top line, 2**32 - 1 (a line's tag is
+    unsigned), through 2-line caches: evictions and invalidations clear
+    table entries, and later installs set them again."""
+    edges = [0, 4095, 4096, 8191, 8192, 2**31, 2**32 - 1]
     # two lines per cache: per cluster of two, or per processor (snoopy)
     config = _config(4, 2, 0.125 if protocol == "snoopy" else 0.0625,
                      protocol, network)

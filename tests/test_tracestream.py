@@ -11,6 +11,8 @@ mapped traces ~free to keep resident.
 """
 
 import array
+import contextlib
+import errno
 import hashlib
 import json
 import mmap
@@ -25,10 +27,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.apps.registry import APP_NAMES, QUICK_PROBLEM_SIZES, build_app
 from repro.core.config import MachineConfig
 from repro.core.resultcache import TraceStore
 from repro.memory.coherence import CoherentMemorySystem
-from repro.runtime import RunRequest, RunSession
+from repro.runtime import RunPlan, RunRequest, RunSession
 from repro.sim import compiled
 from repro.sim.compiled import (CompiledProgram, TraceCache,
                                 TraceDecodeError, clear_memory_cache, decode,
@@ -37,7 +40,7 @@ from repro.sim.engine import Engine
 from repro.sim.program import OP_READ, OP_TASK, OP_WORK, OP_WRITE
 
 from refmodel import words
-from test_compiled import TINY_SIZES, capture
+from test_compiled import TINY_SIZES, capture, tiny_app
 from test_native_properties import needs_kernel
 
 #: what one trace word holds: any opcode field, any 61-bit operand
@@ -361,10 +364,15 @@ class TestReplayIdentity:
         spec = RunRequest.make(name, 2, 4.0, dict(TINY_SIZES[name]))
         store = TraceStore(tmp_path)
 
-        # the capture pass replays the freshly packed, in-memory program
+        # a store-less capture replays the program packed in memory
         clear_memory_cache()
-        materialized = RunSession(cfg, TraceCache(store)).run(spec)
+        materialized = RunSession(cfg, TraceCache()).run(spec)
         assert trace_cache_info()["mapped_entries"] == 0
+
+        # a store-attached capture replays the blob it wrote, mapped
+        clear_memory_cache()
+        captured = RunSession(cfg, TraceCache(store)).run(spec)
+        assert trace_cache_info()["mapped_entries"] == 1
 
         clear_memory_cache()
         cache = TraceCache(store)
@@ -373,6 +381,7 @@ class TestReplayIdentity:
         assert trace_cache_info()["mapped_entries"] == 1
 
         assert mapped.to_json() == materialized.to_json()
+        assert captured.to_json() == materialized.to_json()
         clear_memory_cache()
 
     def test_capture_pass_equals_mapped_disk_pass(self, tmp_path):
@@ -386,6 +395,112 @@ class TestReplayIdentity:
         second = RunSession(cfg, TraceCache(store)).run(spec)
         assert first.to_json() == second.to_json()
         clear_memory_cache()
+
+
+class _Refusing:
+    """A file that refuses its ``fail_at``-th write (a full disk)."""
+
+    def __init__(self, fh, fail_at):
+        self._fh, self._left = fh, fail_at
+
+    def write(self, data):
+        self._left -= 1
+        if not self._left:
+            raise OSError(errno.ENOSPC, "No space left on device")
+        return self._fh.write(data)
+
+    def flush(self):
+        self._fh.flush()
+
+    def fileno(self):
+        return self._fh.fileno()
+
+
+class _RefusingStore(TraceStore):
+    """A store whose temp files refuse their ``fail_at``-th write."""
+
+    def __init__(self, directory, fail_at):
+        super().__init__(directory)
+        self.fail_at = fail_at
+
+    @contextlib.contextmanager
+    def writing(self, key):
+        with super().writing(key) as fh:
+            yield _Refusing(fh, self.fail_at)
+
+
+def _tmp_files(root):
+    return sorted(p.name for p in Path(root).rglob("*.tmp"))
+
+
+class TestWriteOnceCapture:
+    """A capture given a store entry writes its blob there once and
+    replays it mapped; the blob is the in-memory pack's bytes, and a
+    store that cannot be written gets the in-memory pack."""
+
+    @pytest.mark.parametrize("name", APP_NAMES)
+    def test_store_blob_is_the_memory_pack(self, name, tmp_path):
+        """Every quick app on the quick machine, by the route a session
+        captures it (barnes: its recording run)."""
+
+        def capture_quick(entry=None):
+            app = build_app(name, MachineConfig(),
+                            **QUICK_PROBLEM_SIZES[name])
+            if app.stream_invariant:
+                return app.compiled_program(entry)
+            return app.run_recorded(entry)[1]
+
+        store = TraceStore(tmp_path)
+        written = capture_quick((store, "k"))
+        packed = capture_quick()
+        assert written.mapped and not packed.mapped
+        assert store.path_for("k").read_bytes() == bytes(packed.buffer)
+        assert bytes(written.buffer) == bytes(packed.buffer)
+        assert _tmp_files(tmp_path) == []
+
+    @pytest.mark.parametrize("name", ["lu", "barnes"])
+    def test_unwritable_store_gets_the_memory_pack(self, name, tmp_path):
+        """A regular file where ``traces/`` should be: the capture is
+        packed in memory, no temp file is left, the point is the same."""
+        cfg = MachineConfig(n_processors=4, cluster_size=2,
+                            cache_kb_per_processor=4)
+        spec = RunRequest.make(name, 2, 4.0, dict(TINY_SIZES[name]))
+        clear_memory_cache()
+        want = RunSession(cfg, TraceCache()).run(spec).to_json()
+        (tmp_path / "traces").write_bytes(b"not a directory")
+        clear_memory_cache()
+        outcome = RunSession(cfg, TraceCache(TraceStore(tmp_path))).run_plan(
+            RunPlan.resolve(spec, cfg))
+        assert not outcome.program.mapped
+        assert outcome.result.to_json() == want
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["traces"]
+        clear_memory_cache()
+
+    @pytest.mark.parametrize("fail_at", [1, 2, 4, 6])
+    def test_failed_write_packs_the_released_columns(self, fail_at,
+                                                     tmp_path):
+        """The head (write 1), a column (2-5 of four) or the task table
+        (6) refused: the columns already released are read back, and the
+        in-memory pack is byte-identical; no entry, no temp file."""
+        cfg = MachineConfig(n_processors=4, cluster_size=2)
+        store = _RefusingStore(tmp_path, fail_at)
+        program = tiny_app("lu", cfg).compiled_program((store, "k"))
+        assert not program.mapped
+        assert bytes(program.buffer) \
+            == bytes(tiny_app("lu", cfg).compiled_program().buffer)
+        assert "k" not in store and _tmp_files(tmp_path) == []
+
+    def test_failed_commit_keeps_the_mapping(self, tmp_path):
+        """The blob is written and mapped but cannot take the entry's
+        name (a directory holds it): the mapping is still the program."""
+        cfg = MachineConfig(n_processors=4, cluster_size=2)
+        store = TraceStore(tmp_path)
+        store.path_for("k").mkdir(parents=True)
+        program = tiny_app("lu", cfg).compiled_program((store, "k"))
+        assert program.mapped
+        assert bytes(program.buffer) \
+            == bytes(tiny_app("lu", cfg).compiled_program().buffer)
+        assert _tmp_files(tmp_path) == []
 
 
 class TestByteBudget:
@@ -532,6 +647,24 @@ print(json.dumps({
     "maxrss_kb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss}))
 """
 
+#: a 512x512 LU capture into a store entry, in a process of its own;
+#: argv[1] is the store root.  ``rise_kb`` is what the capture adds to
+#: the process's peak RSS, set-up (the problem itself) excluded.
+_LU512_CAPTURE_CHILD = """
+import json, resource, sys
+from repro.apps.registry import build_app
+from repro.core.config import MachineConfig
+from repro.core.resultcache import TraceStore
+
+app = build_app("lu", MachineConfig(n_processors=64), n=512, block=16)
+app.ensure_setup()
+before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+program = app.compiled_program((TraceStore(sys.argv[1]), "lu512"))
+print(json.dumps({
+    "rise_kb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before,
+    "nbytes": program.nbytes, "mapped": program.mapped}))
+"""
+
 #: sha256 of the whole 512x512 LU ``RPROTRC4`` blob, header included, on a
 #: little-endian host: a faster capture must store exactly these bytes
 _LU512_SHA256 = \
@@ -566,9 +699,11 @@ class TestPaperScale:
         if sys.byteorder == "little":
             assert hashlib.sha256(blob.read_bytes()).hexdigest() \
                 == _LU512_SHA256
-        # the capturing child holds the drained words and the one buffer
-        # they are packed into, which the store writes as it is: ~89 MB
-        # measured on either path (it was ~142 MB at two words per op)
+        # the capturing child holds the drained words once: it writes
+        # them into the store entry and replays the mapped blob, 83.8 MiB
+        # measured on the native path and 88.5 MiB on the python one (90
+        # MiB on either while the words were also packed into a buffer,
+        # ~142 MB at two words per op)
         assert captured["maxrss_kb"] < 100 * 1024
 
         mapped = child()
@@ -577,6 +712,23 @@ class TestPaperScale:
         # the mapped child never boxes the whole trace: firm absolute
         # ceiling (the trace alone is ~23 MB; boxing it costs hundreds)
         assert mapped["maxrss_kb"] < 250 * 1024
+
+    def test_lu_512_capture_holds_the_trace_once(self, tmp_path):
+        """A capture into a store entry releases each drained column
+        once it is written, so it adds at most the trace plus 12 MiB to
+        the peak (+50.0 MiB for the 21.9 MiB trace when the columns were
+        packed into a second full copy, +27.4 MiB written once)."""
+        env = os.environ.copy()
+        env["PYTHONPATH"] = str(Path(__file__).resolve().parent.parent / "src")
+        proc = subprocess.run(
+            [sys.executable, "-c", _LU512_CAPTURE_CHILD, str(tmp_path)],
+            capture_output=True, text=True, env=env, check=True)
+        out = json.loads(proc.stdout)
+        assert out["mapped"] and 20e6 < out["nbytes"] < 24e6
+        assert out["rise_kb"] * 1024 <= out["nbytes"] + 12 * 2**20
+        if sys.byteorder == "little":
+            blob = Path(tmp_path, "traces", "lu512.trace").read_bytes()
+            assert hashlib.sha256(blob).hexdigest() == _LU512_SHA256
 
 
 def test_module_hygiene():
