@@ -700,10 +700,10 @@ class TestPaperScale:
             assert hashlib.sha256(blob.read_bytes()).hexdigest() \
                 == _LU512_SHA256
         # the capturing child holds the drained words once: it writes
-        # them into the store entry and replays the mapped blob, 83.8 MiB
-        # measured on the native path and 88.5 MiB on the python one (90
-        # MiB on either while the words were also packed into a buffer,
-        # ~142 MB at two words per op)
+        # them into the store entry and replays the mapped blob: 81.5-83.8
+        # MiB measured on the native path and 86.4-88.5 MiB on the python
+        # one (90 MiB on either while the words were also packed into a
+        # buffer, ~142 MB at two words per op)
         assert captured["maxrss_kb"] < 100 * 1024
 
         mapped = child()
