@@ -40,7 +40,7 @@ __all__ = [
     "PAPER_CLUSTER_SIZES", "PAPER_CACHE_SIZES_KB", "PAPER_NETWORK_LOADS",
     "MissCause", "MissCounters", "NetworkStats",
     "TimeBreakdown", "RunResult",
-    "CoherentMemorySystem", "Engine", "PerfectMemory", "run_program",
+    "CoherentMemorySystem", "Engine", "PerfectMemory",
     "Work", "Read", "Write", "Barrier", "Lock", "Unlock",
     "summarize", "run_app", "__version__",
 ]
@@ -51,7 +51,6 @@ __all__ = [
 _LAZY = {
     "CoherentMemorySystem": ".memory.coherence",
     "Engine": ".sim.engine", "PerfectMemory": ".sim.engine",
-    "run_program": ".sim.engine",
     "Work": ".sim.program", "Read": ".sim.program", "Write": ".sim.program",
     "Barrier": ".sim.program", "Lock": ".sim.program",
     "Unlock": ".sim.program",

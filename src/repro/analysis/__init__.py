@@ -1,7 +1,5 @@
 """Analysis layer: regenerate the paper's figures and tables."""
 
-from .export import (figure_to_csv, figure_to_json, figure_to_records,
-                     sweep_to_csv, sweep_to_records)
 from .figures import (Bar, BarGroup, FigureData, contention_slowdown,
                       figure_from_capacity_sweep, figure_from_cluster_sweep,
                       figure_from_contention_sweep,
@@ -25,6 +23,4 @@ __all__ = [
     "render_miss_breakdown",
     "render_table1", "render_table4", "render_table5", "render_cost_table",
     "render_comparison", "render_protocol_comparison",
-    "figure_to_records", "figure_to_csv", "figure_to_json",
-    "sweep_to_records", "sweep_to_csv",
 ]

@@ -134,22 +134,20 @@ def figure_from_contention_sweep(title: str,
 
 def figure_from_protocol_sweep(title: str,
                                sweep: Mapping[tuple[str, int], SweepPoint],
-                               baseline_protocol: str = "directory",
-                               baseline_cluster: int = 1) -> FigureData:
+                               ) -> FigureData:
     """Cross-protocol comparison: one group per protocol, bars per cluster.
 
     Unlike the per-group normalization of the paper figures, every bar
-    here is a percentage of **one** global baseline — the
-    ``baseline_protocol`` run at ``baseline_cluster`` processors per
-    cluster (directory at 1p unless overridden) — so bar heights are
-    comparable *across* protocol groups: reading along a cluster size
-    shows what the protocol costs, reading along a group shows what
-    clustering buys under that protocol.
+    here is a percentage of **one** global baseline — the directory
+    protocol at 1 processor per cluster, else the first protocol's 1p
+    point — so bar heights are comparable *across* protocol groups:
+    reading along a cluster size shows what the protocol costs, reading
+    along a group shows what clustering buys under that protocol.
     """
     protocols = list(dict.fromkeys(p for p, _ in sweep))
-    base_key = (baseline_protocol, baseline_cluster)
+    base_key = ("directory", 1)
     if base_key not in sweep:
-        base_key = (protocols[0], baseline_cluster)
+        base_key = (protocols[0], 1)
     if base_key not in sweep:
         raise ValueError(
             f"no baseline point {base_key!r} in the protocol sweep")

@@ -19,9 +19,9 @@ __all__ = ["render_table1", "render_table4", "render_table5",
            "render_protocol_comparison"]
 
 
-def render_table1(latency: LatencyModel | None = None) -> str:
+def render_table1() -> str:
     """Table 1: latency of memory operations."""
-    lm = latency or LatencyModel()
+    lm = LatencyModel()
     rows = [
         ("Hit in cache (1 processor per cluster)", lm.hit_cycles(1)),
         ("Hit in cache (2 processors per cluster)", lm.hit_cycles(2)),
@@ -40,7 +40,7 @@ def render_table1(latency: LatencyModel | None = None) -> str:
     return "\n".join(lines)
 
 
-def render_table4(cluster_sizes: Iterable[int] = PAPER_CLUSTER_SIZES) -> str:
+def render_table4() -> str:
     """Table 4: probabilities of bank conflict."""
     # deferred: the cost model reaches the simulator, which no other
     # renderer needs
@@ -49,7 +49,7 @@ def render_table4(cluster_sizes: Iterable[int] = PAPER_CLUSTER_SIZES) -> str:
     lines = ["Table 4: Probabilities of Bank Conflict",
              f"{'Processors (n)':>14} {'Banks (m)':>10} {'P(collision)':>13}",
              "-" * 40]
-    for n, m, c in conflict_table(cluster_sizes):
+    for n, m, c in conflict_table(PAPER_CLUSTER_SIZES):
         lines.append(f"{n:>14} {m:>10} {c:>13.3f}")
     return "\n".join(lines)
 
@@ -87,12 +87,11 @@ def render_cost_table(results: Iterable[ClusteredCostResult],
 
 def render_protocol_comparison(
         sweep: "Mapping[tuple[str, int], SweepPoint]",
-        title: str = "Cross-protocol comparison",
-        baseline_protocol: str = "directory") -> str:
+        title: str = "Cross-protocol comparison") -> str:
     """The protocol × cluster-size sweep as an aligned comparison table.
 
     One row per (protocol, cluster size): absolute execution time, the
-    ratio against ``baseline_protocol`` at the *same* cluster size (what
+    ratio against the directory protocol at the *same* cluster size (what
     the protocol costs), and the ratio against the protocol's own
     smallest-cluster point (what clustering buys under it).
     """
@@ -102,7 +101,7 @@ def render_protocol_comparison(
                          if (p, c) in sweep), None)
                 for p in protocols}
     header = (f"{'protocol':>10} {'cluster':>8} {'exec time':>12} "
-              f"{'vs ' + baseline_protocol:>14} {'vs own 1st':>11}")
+              f"{'vs directory':>14} {'vs own 1st':>11}")
     lines = [title, "=" * len(title), header, "-" * len(header)]
     for p in protocols:
         for c in clusters:
@@ -110,7 +109,7 @@ def render_protocol_comparison(
             if point is None:
                 continue
             t = point.execution_time
-            ref = sweep.get((baseline_protocol, c))
+            ref = sweep.get(("directory", c))
             vs_ref = (f"{t / ref.execution_time:14.3f}"
                       if ref is not None and ref.execution_time else
                       " " * 13 + "-")

@@ -86,16 +86,17 @@ class BarnesApp(Application):
     # processors have left it, so the build-phase streams depend on
     # simulated time
     stream_invariant = False
+    #: squared Plummer softening length (0.05)
+    eps2 = 0.05 * 0.05
 
     def __init__(self, config: MachineConfig, n_particles: int = 2048,
                  theta: float = 1.0, n_steps: int = 2, dt: float = 0.01,
-                 softening: float = 0.05, seed: int = 12345) -> None:
+                 seed: int = 12345) -> None:
         super().__init__(config, seed)
         self.n = n_particles
         self.theta = theta
         self.n_steps = n_steps
         self.dt = dt
-        self.eps2 = softening * softening
         self.pos = np.empty((n_particles, 3))
         self.vel = np.empty((n_particles, 3))
         self.mass = np.empty(n_particles)

@@ -434,20 +434,23 @@ class TileQueueApplication(Application):
     :meth:`setup` and implement :meth:`tile_ops`, which fills ``image``.
     """
 
+    #: side of a queued tile, in pixels
+    queue_tile = 4
+
     def __init__(self, config: MachineConfig, width: int, height: int,
-                 queue_tile: int, seed: int) -> None:
+                 seed: int) -> None:
         super().__init__(config, seed)
         self.pr, self.pc = proc_grid_shape(config.n_processors)
         if height % self.pr or width % self.pc:
             raise ValueError(
                 f"image {width}x{height} must tile over the {self.pr}x"
                 f"{self.pc} processor grid")
-        if height % queue_tile or width % queue_tile:
+        qt = self.queue_tile
+        if height % qt or width % qt:
             raise ValueError("queue_tile must divide the image dimensions")
         self.width, self.height = width, height
         self.tile_h, self.tile_w = height // self.pr, width // self.pc
-        self.queue_tile = queue_tile
-        self.n_tiles = (height // queue_tile) * (width // queue_tile)
+        self.n_tiles = (height // qt) * (width // qt)
         self.image = np.zeros((height, width))
         self._next_tile = 0
 

@@ -64,10 +64,12 @@ class FMMApp(Application):
     """
 
     name = "fmm"
+    #: squared Plummer softening length (0.02)
+    eps2 = 0.02 * 0.02
 
     def __init__(self, config: MachineConfig, n_particles: int = 2048,
                  levels: int = 4, n_steps: int = 2, dt: float = 0.01,
-                 softening: float = 0.02, seed: int = 12345) -> None:
+                 seed: int = 12345) -> None:
         super().__init__(config, seed)
         if levels < 2:
             raise ValueError("levels must be >= 2 (interaction lists start "
@@ -76,7 +78,6 @@ class FMMApp(Application):
         self.levels = levels
         self.n_steps = n_steps
         self.dt = dt
-        self.eps2 = softening * softening
         self.pos = np.empty((n_particles, 2))
         self.vel = np.empty((n_particles, 2))
         self.mass = np.empty(n_particles)

@@ -83,22 +83,21 @@ class OceanApp(Application):
         grid"; Figure 3 uses 64, the paper's "66×66").  Must be divisible
         by the processor-grid rows and columns times ``2**(levels-1)``.
     n_vcycles:
-        Number of multigrid V-cycles (default 2).
-    nu1, nu2:
-        Pre-/post-smoothing sweeps (defaults 2 and 1).
+        Number of multigrid V-cycles (default 3).
     """
 
     name = "ocean"
+    #: pre- and post-smoothing sweeps per level of a V-cycle
+    nu1, nu2 = 2, 1
+    #: smoothing sweeps that stand in for a solve on the coarsest level
+    coarse_sweeps = 8
 
     def __init__(self, config: MachineConfig, n: int = 128,
-                 n_vcycles: int = 3, nu1: int = 2, nu2: int = 1,
-                 coarse_sweeps: int = 8, seed: int = 12345) -> None:
+                 n_vcycles: int = 3, seed: int = 12345) -> None:
         super().__init__(config, seed)
         self.pr, self.pc = proc_grid_shape(config.n_processors)
         self.n = n
         self.n_vcycles = n_vcycles
-        self.nu1, self.nu2 = nu1, nu2
-        self.coarse_sweeps = coarse_sweeps
         # Build as many levels as divisibility allows (at least 1).
         self.levels: list[_Level] = []
         size, h2 = n, (1.0 / n) ** 2  # cell-centred spacing

@@ -91,16 +91,17 @@ class RaytraceApp(TileQueueApplication):
     """
 
     name = "raytrace"
+    #: an octree node splits while it holds more spheres than this and
+    #: is shallower than ``max_tree_depth``
+    leaf_spheres = 4
+    max_tree_depth = 6
 
     def __init__(self, config: MachineConfig, width: int = 96,
                  height: int = 96, n_spheres: int = 160, max_depth: int = 3,
-                 leaf_spheres: int = 4, max_tree_depth: int = 6,
-                 queue_tile: int = 4, seed: int = 12345) -> None:
-        super().__init__(config, width, height, queue_tile, seed)
+                 seed: int = 12345) -> None:
+        super().__init__(config, width, height, seed)
         self.n_spheres = n_spheres
         self.max_depth = max_depth
-        self.leaf_spheres = leaf_spheres
-        self.max_tree_depth = max_tree_depth
         self.centers = np.empty((n_spheres, 3))
         self.radii = np.empty(n_spheres)
         self.reflect = np.empty(n_spheres)

@@ -61,18 +61,17 @@ class VolrendApp(TileQueueApplication):
     """
 
     name = "volrend"
+    #: densities at or below this are empty space, skipped by the octree
+    threshold = 0.05
 
     def __init__(self, config: MachineConfig, volume_side: int = 128,
                  width: int = 64, height: int = 64, block: int = 4,
-                 density_threshold: float = 0.05,
-                 opacity_cutoff: float = 0.95, queue_tile: int = 4,
-                 seed: int = 12345) -> None:
-        super().__init__(config, width, height, queue_tile, seed)
+                 opacity_cutoff: float = 0.95, seed: int = 12345) -> None:
+        super().__init__(config, width, height, seed)
         if volume_side % block:
             raise ValueError("block must divide volume_side")
         self.nv = volume_side
         self.block = block
-        self.threshold = density_threshold
         self.cutoff = opacity_cutoff
         self.volume = np.zeros((self.nv, self.nv, self.nv))
         # min/max octree levels: level 0 = leaf blocks, upwards by 2×

@@ -24,7 +24,7 @@ __all__ = [
     "bank_conflict_probability", "banks_for_cluster", "conflict_table",
     "PAPER_TABLE5",
     "working_set_curve", "knee_of", "overlap_benefit", "WorkingSetCurve",
-    "ScalingCurve", "ScalingPoint", "scaling_curve", "effective_processors",
+    "ScalingCurve", "ScalingPoint", "effective_processors",
     "pushout",
 ]
 
@@ -43,7 +43,7 @@ _LAZY = {
     "working_set_curve": ".workingset", "knee_of": ".workingset",
     "overlap_benefit": ".workingset", "WorkingSetCurve": ".workingset",
     "ScalingCurve": ".scaling", "ScalingPoint": ".scaling",
-    "scaling_curve": ".scaling", "effective_processors": ".scaling",
+    "effective_processors": ".scaling",
     "pushout": ".scaling",
 }
 

@@ -94,7 +94,7 @@ class LatencyModel:
         return best
 
     def miss_cycles(self, requester: int, home: int, dirty_owner: int | None,
-                    now: int = 0) -> int:
+                    now: int) -> int:
         """Latency of a miss serviced by the directory protocol.
 
         Parameters

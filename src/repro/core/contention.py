@@ -40,7 +40,7 @@ scheduling, so these factors are upper bounds; see DESIGN.md).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Iterable, Mapping
+from typing import Any, Iterable
 
 from ..sim.engine import PerfectMemory
 from .config import PAPER_CLUSTER_SIZES, MachineConfig
@@ -59,12 +59,11 @@ __all__ = [
 BANKS_PER_PROCESSOR = 4
 
 
-def banks_for_cluster(n_processors: int,
-                      banks_per_processor: int = BANKS_PER_PROCESSOR) -> int:
+def banks_for_cluster(n_processors: int) -> int:
     """Interleave factor of an n-processor shared cache (4n banks)."""
     if n_processors <= 0:
         raise ValueError("n_processors must be positive")
-    return banks_per_processor * n_processors
+    return BANKS_PER_PROCESSOR * n_processors
 
 
 def bank_conflict_probability(n_processors: int, n_banks: int | None = None) -> float:
@@ -198,28 +197,17 @@ class ClusteredCostResult:
 class SharedCacheCostModel:
     """The full §6 pipeline: simulate, then charge shared-cache costs.
 
-    Parameters
-    ----------
-    expansion:
-        Per-application expansion tables; defaults to the paper's Table 5.
-        Applications without a table fall back to ``default_expansion``.
-    default_expansion:
-        Used for the three applications the paper's Table 5 omits
-        (fft, fmm, raytrace); defaults to the mean of the published rows.
+    ``expansion`` holds the paper's Table 5 rows; the three applications
+    the table omits (fft, fmm, raytrace) use ``default_expansion``, the
+    mean of the published rows.
     """
 
-    def __init__(self,
-                 expansion: Mapping[str, ExpansionTable] | None = None,
-                 default_expansion: ExpansionTable | None = None) -> None:
-        if expansion is None:
-            expansion = {name: ExpansionTable(f)
-                         for name, f in PAPER_TABLE5.items()}
-        self.expansion = dict(expansion)
-        if default_expansion is None:
-            cols = list(zip(*(t.factors for t in self.expansion.values())))
-            default_expansion = ExpansionTable(
-                tuple(sum(c) / len(c) for c in cols))  # type: ignore[arg-type]
-        self.default_expansion = default_expansion
+    def __init__(self) -> None:
+        self.expansion = {name: ExpansionTable(f)
+                          for name, f in PAPER_TABLE5.items()}
+        cols = list(zip(*(t.factors for t in self.expansion.values())))
+        self.default_expansion = ExpansionTable(
+            tuple(sum(c) / len(c) for c in cols))  # type: ignore[arg-type]
 
     def table_for(self, app: str) -> ExpansionTable:
         return self.expansion.get(app, self.default_expansion)

@@ -116,10 +116,6 @@ class MissCounters:
         """Misses per reference (0.0 when nothing was referenced)."""
         return self.misses / self.references if self.references else 0.0
 
-    def record_cause(self, cause: MissCause) -> None:
-        """Attribute one miss to a cause class."""
-        self.by_cause[cause] += 1
-
     def merged_into(self, other: "MissCounters") -> None:
         """Accumulate self into ``other`` (used to aggregate clusters).
 
@@ -361,11 +357,10 @@ class RunResult:
         except (KeyError, TypeError, AttributeError) as exc:
             raise ValueError(f"malformed RunResult payload: {exc}") from exc
 
-    def to_json(self, indent: int | None = None) -> str:
+    def to_json(self) -> str:
         """Canonical JSON encoding (round-trips via :meth:`from_json`)."""
         return json.dumps(self.to_dict(), sort_keys=True,
-                          separators=(",", ":") if indent is None else None,
-                          indent=indent)
+                          separators=(",", ":"))
 
     @classmethod
     def from_json(cls, text: str) -> "RunResult":

@@ -74,7 +74,7 @@ def _package_version() -> str:
 
 
 def point_key(app: str, app_kwargs: Mapping[str, Any],
-              config: MachineConfig, version: str | None = None) -> str:
+              config: MachineConfig) -> str:
     """Content hash identifying one sweep point.
 
     The hash covers the package version, the application name, its problem
@@ -83,7 +83,7 @@ def point_key(app: str, app_kwargs: Mapping[str, Any],
     simulation outcome changes the key.
     """
     payload = {
-        "version": _package_version() if version is None else version,
+        "version": _package_version(),
         "app": app,
         "app_kwargs": dict(app_kwargs),
         "config": config.to_dict(),

@@ -47,10 +47,10 @@ from .config import MachineConfig
 from .executor import SweepExecutor
 from .study import ClusteringStudy
 
-__all__ = ["ScalingPoint", "ScalingCurve", "scaling_curve",
-           "effective_processors", "pushout", "scaling_study",
-           "compare_shapes", "scaling_problem", "scaling_processor_counts",
-           "MEDIUM_PROBLEM_SIZES", "SCALING_TIERS"]
+__all__ = ["ScalingPoint", "ScalingCurve", "effective_processors",
+           "pushout", "scaling_study", "compare_shapes", "scaling_problem",
+           "scaling_processor_counts", "MEDIUM_PROBLEM_SIZES",
+           "SCALING_TIERS"]
 
 #: intermediate problem sizes for the CI-runnable ``medium`` tier —
 #: between the quick sanity sizes and the paper's Table 2 sizes, chosen
@@ -152,25 +152,6 @@ def _curves(app: str, processor_counts: Sequence[int],
         for curve, point in zip(curves, study.sweep(grid).values()):
             curve.points.append(ScalingPoint(n, point.execution_time))
     return curves
-
-
-def scaling_curve(app: str, processor_counts: Sequence[int],
-                  cluster_size: int = 1,
-                  cache_kb: float | None = None,
-                  app_kwargs: dict[str, Any] | None = None, *,
-                  executor: SweepExecutor | None = None) -> ScalingCurve:
-    """Measure T(P) for a fixed problem at one cluster size.
-
-    ``cluster_size`` must divide every entry of ``processor_counts``.
-    The same seed (``app_kwargs["seed"]``, else the app's default)
-    builds the identical problem at every point.  Points
-    run through ``executor`` (default: an in-process, uncached
-    :class:`~repro.core.executor.SweepExecutor`); pass one to share its
-    trace cache with other curves of the same study, memoize finished
-    points in its result cache, or fan out over worker processes.
-    """
-    return _curves(app, processor_counts, [cluster_size], cache_kb,
-                   app_kwargs, executor)[0]
 
 
 def effective_processors(curve: ScalingCurve,

@@ -181,27 +181,26 @@ class ClusteringStudy:
 
 def normalize_sweep(points: Mapping[tuple[CacheKey, int], SweepPoint] |
                     Mapping[int, SweepPoint],
-                    baseline_cluster: int = 1,
                     ) -> dict[Any, dict[str, float]]:
     """Express every point's breakdown as % of its cache size's baseline.
 
     Accepts either a cluster sweep (``{cluster: point}``) or a capacity
     sweep (``{(cache_kb, cluster): point}``).  Each group of points sharing
-    a cache size is normalized to the ``baseline_cluster`` member of that
-    group, reproducing the paper's bar heights (baseline bar = 100.0).
+    a cache size is normalized to the group's 1p member, reproducing the
+    paper's bar heights (baseline bar = 100.0).
     """
     def group_and_cluster(key: Any) -> tuple[Any, int]:
         return key if isinstance(key, tuple) else (None, key)
 
     baselines = {group_and_cluster(key)[0]: point.result.execution_time
                  for key, point in points.items()
-                 if group_and_cluster(key)[1] == baseline_cluster}
+                 if group_and_cluster(key)[1] == 1}
     out: dict[Any, dict[str, float]] = {}
     for key, point in points.items():
         group = group_and_cluster(key)[0]
         if group not in baselines:
             raise ValueError(
-                f"no baseline (cluster={baseline_cluster}) run for group "
+                f"no baseline (cluster=1) run for group "
                 f"{group!r}")
         out[key] = point.result.breakdown.normalized_to(baselines[group])
     return out

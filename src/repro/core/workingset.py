@@ -99,8 +99,8 @@ def working_set_curve(app: str,
     return curve
 
 
-def knee_of(curve: WorkingSetCurve, tolerance: float = 0.10) -> CacheKey:
-    """Smallest cache whose miss rate is within ``tolerance`` of infinite.
+def knee_of(curve: WorkingSetCurve) -> CacheKey:
+    """Smallest cache whose miss rate is within 10% of infinite.
 
     Returns ``None`` (infinite) if no finite probe reaches the floor —
     i.e. the working set is larger than every probed size (paper: Raytrace
@@ -110,7 +110,7 @@ def knee_of(curve: WorkingSetCurve, tolerance: float = 0.10) -> CacheKey:
     if inf_point is None:
         raise ValueError("curve has no infinite-cache point to anchor the knee")
     floor = inf_point.miss_rate
-    ceiling = floor * (1.0 + tolerance) + 1e-12
+    ceiling = floor * 1.10 + 1e-12
     for p in sorted(curve.finite_points(), key=lambda p: p.cache_kb):
         if p.miss_rate <= ceiling:
             return p.cache_kb

@@ -22,7 +22,7 @@ but bypasses protocol selection.
 from typing import TYPE_CHECKING, Callable
 
 from ..core.config import PROTOCOLS, MachineConfig
-from .address import AddressSpace, Region, line_of, page_of
+from .address import AddressSpace, Region
 from .allocation import PageAllocator
 from .cache import EXCLUSIVE, SHARED, Cache, Eviction
 from .coherence import (READ_HIT, READ_MERGE, READ_MISS,
@@ -33,7 +33,7 @@ from .dls import DLSMemorySystem
 from .snoopy import SnoopyClusterMemorySystem as _SnoopyClusterMemorySystem
 
 __all__ = [
-    "AddressSpace", "Region", "line_of", "page_of",
+    "AddressSpace", "Region",
     "PageAllocator",
     "SHARED", "EXCLUSIVE", "Eviction", "Cache",
     "NOT_CACHED", "DIR_SHARED", "DIR_EXCLUSIVE", "Directory", "LineRecord",

@@ -27,22 +27,10 @@ from ..core.config import DEFAULT_LINE_SIZE, DEFAULT_PAGE_SIZE
 __all__ = [
     "DEFAULT_LINE_SIZE",
     "DEFAULT_PAGE_SIZE",
-    "line_of",
-    "page_of",
     "align_up",
     "Region",
     "AddressSpace",
 ]
-
-
-def line_of(addr: int, line_size: int = DEFAULT_LINE_SIZE) -> int:
-    """Return the cache-line number containing byte address ``addr``."""
-    return addr // line_size
-
-
-def page_of(addr: int, page_size: int = DEFAULT_PAGE_SIZE) -> int:
-    """Return the page number containing byte address ``addr``."""
-    return addr // page_size
 
 
 def align_up(value: int, alignment: int) -> int:
@@ -150,10 +138,3 @@ class AddressSpace:
     def regions(self) -> list[Region]:
         """All regions in allocation order."""
         return sorted(self._regions.values(), key=lambda r: r.base)
-
-    def find(self, addr: int) -> Region | None:
-        """Region containing ``addr``, or ``None`` (linear scan; debug aid)."""
-        for region in self._regions.values():
-            if region.contains(addr):
-                return region
-        return None

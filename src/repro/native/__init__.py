@@ -33,9 +33,8 @@ from .build import ABI_VERSION, BuildError
 if TYPE_CHECKING:  # pragma: no cover
     import ctypes
 
-__all__ = ["ABI_VERSION", "BuildError", "available", "build_error",
-           "enabled_mode", "kernel", "kernel_name", "selected",
-           "set_native", "status"]
+__all__ = ["ABI_VERSION", "BuildError", "available", "enabled_mode",
+           "kernel", "set_native", "status"]
 
 _OFF = frozenset(("0", "off", "no", "false"))
 _ON = frozenset(("1", "on", "yes", "true"))
@@ -109,18 +108,6 @@ def kernel() -> "ctypes.CDLL | None":
     return lib
 
 
-def selected() -> bool:
-    """Whether a replay right now would use the native kernel."""
-    if enabled_mode() == "off":
-        return False
-    return _load() is not None
-
-
-def kernel_name() -> str:
-    """``"native"`` or ``"python"`` — the kernel a replay would use."""
-    return "native" if selected() else "python"
-
-
 def available() -> bool:
     """Whether a kernel *could* be selected (compiler or artifact).
 
@@ -130,11 +117,6 @@ def available() -> bool:
     if _lib is not None and _lib_key == _env_key():
         return True
     return _build.find_compiler() is not None
-
-
-def build_error() -> str | None:
-    """Last build/load failure in this process, if any."""
-    return _lib_err
 
 
 def status() -> dict:

@@ -125,7 +125,7 @@ class MeshLatency:
 
     # ------------------------------------------------------------------- API
     def miss_cycles(self, requester: int, home: int,
-                    dirty_owner: int | None, now: int = 0) -> int:
+                    dirty_owner: int | None, now: int) -> int:
         if dirty_owner == requester and dirty_owner is not None:
             raise ValueError(
                 "requesting cluster cannot be the dirty owner on a miss")

@@ -71,11 +71,6 @@ class TimingObserver(RunObserver):
         self.result = result
 
     # -------------------------------------------------------------- queries
-    def reset(self) -> None:
-        """Forget everything recorded; ready for the next run."""
-        self.phases.clear()
-        self.result = None
-
     def elapsed(self, name: str) -> float:
         """Total wall-clock of every recorded phase called ``name``."""
         return sum(t for n, t, _ in self.phases if n == name)

@@ -207,8 +207,7 @@ class ServiceClient:
         return payload
 
     # ------------------------------------------------------------- readiness
-    def wait_ready(self, deadline_s: float = 10.0,
-                   interval_s: float = 0.05) -> dict[str, Any]:
+    def wait_ready(self, deadline_s: float = 10.0) -> dict[str, Any]:
         """Poll ``/healthz`` until the daemon answers (or raise)."""
         deadline = time.monotonic() + deadline_s
         last: Exception | None = None
@@ -219,7 +218,7 @@ class ServiceClient:
                     ServiceError) as exc:
                 last = exc
                 self.close()
-                time.sleep(interval_s)
+                time.sleep(0.05)
         raise TimeoutError(
             f"daemon at {self.host}:{self.port} not ready after "
             f"{deadline_s:g}s: {last}")

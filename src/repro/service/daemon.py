@@ -275,7 +275,7 @@ class ServiceDaemon:
         started()
         await self._stopped.wait()
 
-    async def stop(self, drain_deadline: float | None = None) -> None:
+    async def stop(self) -> None:
         """Graceful shutdown: stop accepting, wait for in-flight points
         (up to the drain deadline), cancel stragglers, close the pool."""
         if self._stopping:
@@ -287,8 +287,7 @@ class ServiceDaemon:
             await self._server.wait_closed()
         pending = [t for t in self._inflight.values() if not t.done()]
         if pending:
-            await asyncio.wait(pending, timeout=self.drain_deadline
-                               if drain_deadline is None else drain_deadline)
+            await asyncio.wait(pending, timeout=self.drain_deadline)
         for task in self._inflight.values():
             task.cancel()
         self.executor.close()
@@ -492,15 +491,14 @@ class DaemonThread:
         finally:
             self._ready.set()
 
-    def stop(self, drain_deadline: float | None = None,
-             timeout: float = 30.0) -> None:
+    def stop(self, timeout: float = 30.0) -> None:
         if self._thread is None:
             return
         # a daemon already stopping (POST /shutdown) ends serve() itself
         if (self._loop is not None and self._thread.is_alive()
                 and not self.daemon._stopping):
             asyncio.run_coroutine_threadsafe(
-                self.daemon.stop(drain_deadline), self._loop).result(timeout)
+                self.daemon.stop(), self._loop).result(timeout)
         self._thread.join(timeout)
         if self._thread.is_alive():  # pragma: no cover — hung teardown
             raise RuntimeError("service daemon thread did not stop")

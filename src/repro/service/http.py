@@ -178,10 +178,9 @@ def _head(status: int, headers: list[tuple[str, str]]) -> bytes:
     return ("\r\n".join(lines) + "\r\n\r\n").encode("latin-1")
 
 
-def response_bytes(status: int, body: bytes,
-                   content_type: str = "application/json") -> bytes:
-    """A complete fixed-length response as one buffer."""
-    return _head(status, [("Content-Type", content_type),
+def response_bytes(status: int, body: bytes) -> bytes:
+    """A complete fixed-length JSON response as one buffer."""
+    return _head(status, [("Content-Type", "application/json"),
                           ("Content-Length", str(len(body)))]) + body
 
 

@@ -8,7 +8,7 @@ the numpy that ``trace`` imports.
 from importlib import import_module
 
 __all__ = [
-    "Engine", "PerfectMemory", "SimulationDeadlock", "run_program",
+    "Engine", "PerfectMemory", "SimulationDeadlock",
     "CompiledProgram", "ProgramRecorder", "TraceCache", "TraceDecodeError",
     "compile_program", "trace_key",
     "Work", "Read", "Write", "Barrier", "Lock", "Unlock",
@@ -22,7 +22,7 @@ __all__ = [
 #: lazily re-exported name -> defining submodule
 _LAZY = {
     "Engine": ".engine", "PerfectMemory": ".engine",
-    "SimulationDeadlock": ".engine", "run_program": ".engine",
+    "SimulationDeadlock": ".engine",
     "CompiledProgram": ".compiled", "ProgramRecorder": ".compiled",
     "TraceCache": ".compiled", "TraceDecodeError": ".compiled",
     "compile_program": ".compiled", "trace_key": ".compiled",

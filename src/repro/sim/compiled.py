@@ -63,18 +63,19 @@ releasing each column as it goes, and returns the program mapped from
 the file — so the capture pass replays the blob a later store hit maps,
 and :meth:`TraceCache.put` has nothing left to write.  A store-less
 capture (or one whose store cannot be written) packs the same layout
-into a ``bytearray`` instead, which :meth:`TraceCache.put` writes to a
-store as it is.  A mapped program costs ~0 resident bytes until touched,
-its pages are shared between every process mapping the same blob
-(``--jobs`` workers, the sweep daemon, parallel CLI runs), and the
-native kernel (:mod:`repro.native`) replays any program by its buffer's
-address — no copy.  The python engine decodes each column with
-C-level ``map`` calls (``zip`` of the opcode and operand maps boxes one
-op at a time), so paper-scale traces (512² LU ≈ 22 MB) stream through a
-bounded footprint.  A blob written on a host of the other byte order
-fails to decode, like any corrupt blob; one whose magic is a retired
-``RPROTRC`` version is a plain store miss, overwritten by the
-recapture.
+into an anonymous ``mmap`` instead, column by column, releasing each
+drained column once it is copied, and :meth:`TraceCache.put` writes
+that buffer to a store as it is.  A mapped program costs ~0 resident
+bytes until touched, its pages are shared between every process
+mapping the same blob (``--jobs`` workers, the sweep daemon, parallel
+CLI runs), and the native kernel (:mod:`repro.native`) replays any
+program by its buffer's address — no copy.  The python engine decodes
+each column with C-level ``map`` calls (``zip`` of the opcode and
+operand maps boxes one op at a time), so paper-scale traces (512² LU ≈
+22 MB) stream through a bounded footprint.  A blob written on a host
+of the other byte order fails to decode, like any corrupt blob; one
+whose magic is a retired ``RPROTRC`` version is a plain store miss,
+overwritten by the recapture.
 
 The in-memory LRU is governed by a **byte budget** (``_LRU_BYTES``,
 256 MiB) that charges mapped programs a token constant — so paper-scale
@@ -93,6 +94,7 @@ program is regenerated.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import mmap
@@ -143,6 +145,17 @@ _ITEMSIZE = 8  # int64 words
 _OP_BITS = 3
 _OP_MASK = (1 << _OP_BITS) - 1
 _ARG_LIMIT = 1 << (63 - _OP_BITS)
+
+
+@functools.cache
+def _malloc_trim():
+    """glibc's ``malloc_trim``, or ``None`` where the C library has none."""
+    import ctypes
+
+    trim = getattr(ctypes.CDLL(None), "malloc_trim", None)
+    if trim is not None:
+        trim.argtypes, trim.restype = [ctypes.c_size_t], ctypes.c_int
+    return trim
 
 
 def _align8(n: int) -> int:
@@ -209,20 +222,27 @@ class CompiledProgram:
         ``tasks`` is ``(task_words, task_lens)``, see above;
         ``source_ops`` is the operation count before WORK fusion (what a
         generator would yield).  The payload's CRC is computed here, once.
+        The buffer is an anonymous mapping of the blob's final size,
+        written column by column.  A page of the mapping costs memory
+        only once written, and each column of ``words`` leaves the list
+        once it is copied, its freed pages handed back to the OS (a
+        drained column sits inside the heap, where ``free`` keeps them),
+        so the drain and its packed copy are never held at once.
         """
         task_words, task_lens = (tasks if tasks is not None
                                  else (array("q"), []))
         header, head = _layout(words, task_words, task_lens, line_size,
                                source_ops)
-        sections = [*words, task_words]
-        # allocated once at its final size: no growth, no slack
-        buf = bytearray(len(head) + _ITEMSIZE * sum(map(len, sections)))
-        buf[:len(head)] = head
-        offset = len(head)
-        for col in sections:
-            end = offset + _ITEMSIZE * len(col)
-            buf[offset:end] = col
-            offset = end
+        buf = mmap.mmap(-1, len(head) + _ITEMSIZE * (
+            sum(map(len, words)) + len(task_words)))
+        buf.write(head)
+        trim = _malloc_trim()
+        for pid in range(len(words)):
+            buf.write(words[pid])
+            words[pid] = None
+            if trim is not None:
+                trim(0)
+        buf.write(task_words)
         self._attach(buf, header, mapped=False)
 
     def _attach(self, buf, header, mapped: bool) -> None:
@@ -789,8 +809,7 @@ class ProgramRecorder:
 # --------------------------------------------------------------------- keys
 
 def trace_key(app: str, app_kwargs: Mapping[str, Any], config: Any,
-              seed: int, version: str | None = None,
-              stream_invariant: bool = True) -> str:
+              seed: int, stream_invariant: bool = True) -> str:
     """Content hash identifying one compiled trace.
 
     Covers the package version, the application and its problem kwargs, the
@@ -805,10 +824,10 @@ def trace_key(app: str, app_kwargs: Mapping[str, Any], config: Any,
     machine configuration: such a capture is only replayable at the exact
     configuration that recorded it.
     """
-    if version is None:
-        from .._version import __version__ as version
+    from .._version import __version__
+
     payload = {
-        "version": version,
+        "version": __version__,
         "app": app,
         "app_kwargs": dict(app_kwargs),
         "seed": seed,

@@ -71,7 +71,7 @@ from .program import (OP_BARRIER, OP_LOCK, OP_READ, OP_UNLOCK, OP_WORK,
 from .stats import assemble
 from .sync import SyncRegistry
 
-__all__ = ["Engine", "PerfectMemory", "SimulationDeadlock", "run_program"]
+__all__ = ["Engine", "PerfectMemory", "SimulationDeadlock"]
 
 
 class SimulationDeadlock(RuntimeError):
@@ -300,12 +300,3 @@ class Engine:
 
         return assemble(execution_time, breakdowns, self.memory)
 
-
-def run_program(config: MachineConfig, program_factory: ProgramFactory,
-                memory=None) -> RunResult:
-    """Convenience wrapper: build ``config.protocol``'s memory system and
-    run one simulation."""
-    if memory is None:
-        from ..memory import make_memory_system
-        memory = make_memory_system(config)
-    return Engine(config, memory).run(program_factory)

@@ -2,27 +2,10 @@
 
 import pytest
 
-from repro.memory.address import (AddressSpace, Region, align_up, line_of,
-                                  page_of)
+from repro.memory.address import AddressSpace, Region, align_up
 
 
 class TestLineMath:
-    def test_line_of_zero(self):
-        assert line_of(0) == 0
-
-    def test_line_of_boundaries(self):
-        assert line_of(63) == 0
-        assert line_of(64) == 1
-        assert line_of(127) == 1
-        assert line_of(128) == 2
-
-    def test_line_of_custom_size(self):
-        assert line_of(64, line_size=32) == 2
-
-    def test_page_of(self):
-        assert page_of(4095) == 0
-        assert page_of(4096) == 1
-
     def test_align_up_exact(self):
         assert align_up(8192, 4096) == 8192
 
@@ -96,14 +79,6 @@ class TestAddressSpace:
         sp = AddressSpace()
         r = sp.allocate("grid", 100)
         assert sp.region("grid") is r
-
-    def test_find_by_address(self):
-        sp = AddressSpace()
-        a = sp.allocate("a", 100)
-        b = sp.allocate("b", 100)
-        assert sp.find(a.element(5)) is a
-        assert sp.find(b.element(0)) is b
-        assert sp.find(10**12) is None
 
     def test_element_size_respected(self):
         sp = AddressSpace()

@@ -109,7 +109,7 @@ def test_capture_routes_agree(name, cluster):
     assert tiny_app(name, cfg).stream_invariant
     recorded = tiny_app(name, cfg).run_recorded()[1]
     drained = tiny_app(name, cfg).compiled_program()
-    assert recorded.buffer == drained.buffer
+    assert bytes(recorded.buffer) == bytes(drained.buffer)
 
 
 @pytest.mark.parametrize("name", RECORDED_APPS)

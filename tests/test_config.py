@@ -27,23 +27,28 @@ class TestLatencyModelTable1:
             self.lm.hit_cycles(0)
 
     def test_miss_local_clean_30(self):
-        assert self.lm.miss_cycles(requester=0, home=0, dirty_owner=None) == 30
+        assert self.lm.miss_cycles(requester=0, home=0, dirty_owner=None,
+                                   now=0) == 30
 
     def test_miss_remote_clean_100(self):
-        assert self.lm.miss_cycles(requester=0, home=1, dirty_owner=None) == 100
+        assert self.lm.miss_cycles(requester=0, home=1, dirty_owner=None,
+                                   now=0) == 100
 
     def test_miss_local_home_dirty_remote_100(self):
-        assert self.lm.miss_cycles(requester=0, home=0, dirty_owner=2) == 100
+        assert self.lm.miss_cycles(requester=0, home=0, dirty_owner=2,
+                                   now=0) == 100
 
     def test_miss_remote_home_dirty_at_home_100(self):
-        assert self.lm.miss_cycles(requester=0, home=1, dirty_owner=1) == 100
+        assert self.lm.miss_cycles(requester=0, home=1, dirty_owner=1,
+                                   now=0) == 100
 
     def test_miss_third_party_150(self):
-        assert self.lm.miss_cycles(requester=0, home=1, dirty_owner=2) == 150
+        assert self.lm.miss_cycles(requester=0, home=1, dirty_owner=2,
+                                   now=0) == 150
 
     def test_requester_cannot_be_dirty_owner(self):
         with pytest.raises(ValueError):
-            self.lm.miss_cycles(requester=0, home=1, dirty_owner=0)
+            self.lm.miss_cycles(requester=0, home=1, dirty_owner=0, now=0)
 
     def test_hit_latency_independent_of_table_order(self):
         shuffled = LatencyModel(

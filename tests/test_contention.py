@@ -157,8 +157,8 @@ class TestCostModelEdgeCases:
 
     def test_custom_expansion_tables(self):
         flat = ExpansionTable((1.0, 1.0, 1.0, 1.0))
-        model = SharedCacheCostModel(expansion={"lu": flat},
-                                     default_expansion=flat)
+        model = SharedCacheCostModel()
+        model.expansion, model.default_expansion = {"lu": flat}, flat
         # with flat expansion, only relative simulated times remain
         assert model.cost_factor("lu", 8) == pytest.approx(1.0)
         assert model.cost_factor("unknown-app", 8) == pytest.approx(1.0)

@@ -5,8 +5,7 @@ import pytest
 from repro.core.config import MachineConfig
 from repro.memory.coherence import CoherentMemorySystem
 from repro.memory.allocation import PageAllocator
-from repro.sim.engine import (Engine, PerfectMemory, SimulationDeadlock,
-                              run_program)
+from repro.sim.engine import Engine, PerfectMemory, SimulationDeadlock
 from repro.sim.program import Barrier, Lock, Read, Unlock, Work, Write
 
 
@@ -15,10 +14,12 @@ def cfg(n=2, cluster=1, cache=None):
                          cache_kb_per_processor=cache)
 
 
-def run(config, make_ops, **kw):
+def run(config, make_ops, memory=None):
     def factory(pid):
         return iter(make_ops(pid))
-    return run_program(config, factory, **kw)
+    if memory is None:
+        memory = CoherentMemorySystem(config)
+    return Engine(config, memory).run(factory)
 
 
 class TestBasicTiming:
@@ -200,8 +201,8 @@ class TestDeterminism:
                         yield Barrier(i)
             return gen()
         config = cfg(4, cluster=2, cache=4)
-        r1 = run_program(config, factory)
-        r2 = run_program(config, factory)
+        r1 = Engine(config, CoherentMemorySystem(config)).run(factory)
+        r2 = Engine(config, CoherentMemorySystem(config)).run(factory)
         assert r1.execution_time == r2.execution_time
         for a, b in zip(r1.per_processor, r2.per_processor):
             assert (a.cpu, a.load, a.merge, a.sync) == (b.cpu, b.load,

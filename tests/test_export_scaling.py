@@ -1,73 +1,9 @@
-"""Tests for result export (CSV/JSON) and the §4 processor-scaling study."""
-
-import csv
-import io
-import json
+"""Tests for the §4 processor-scaling study."""
 
 import pytest
 
-from repro.analysis.export import (figure_to_csv, figure_to_json,
-                                   figure_to_records, sweep_to_csv,
-                                   sweep_to_records)
-from repro.analysis.figures import figure_from_cluster_sweep
-from repro.core.config import MachineConfig
 from repro.core.scaling import (ScalingCurve, ScalingPoint,
-                                effective_processors, pushout,
-                                scaling_curve)
-from repro.core.study import ClusteringStudy
-
-
-@pytest.fixture(scope="module")
-def sweep():
-    study = ClusteringStudy("ocean", MachineConfig(n_processors=8),
-                            {"n": 16, "n_vcycles": 1})
-    return study.cluster_sweep(None, (1, 2, 4))
-
-
-class TestFigureExport:
-    def test_records_one_per_bar(self, sweep):
-        fig = figure_from_cluster_sweep("t", sweep)
-        records = figure_to_records(fig)
-        assert len(records) == 3
-        assert records[0]["bar"] == "1p"
-        assert records[0]["total"] == pytest.approx(100.0)
-
-    def test_csv_roundtrip(self, sweep):
-        fig = figure_from_cluster_sweep("t", sweep)
-        rows = list(csv.DictReader(io.StringIO(figure_to_csv(fig))))
-        assert len(rows) == 3
-        assert float(rows[0]["total"]) == pytest.approx(100.0)
-        assert {"cpu", "load", "merge", "sync"} <= set(rows[0])
-
-    def test_json_structure(self, sweep):
-        fig = figure_from_cluster_sweep("my fig", sweep)
-        data = json.loads(figure_to_json(fig))
-        assert data["title"] == "my fig"
-        assert len(data["bars"]) == 3
-
-    def test_empty_figure_csv(self):
-        from repro.analysis.figures import FigureData
-        assert figure_to_csv(FigureData(title="x")) == ""
-
-
-class TestSweepExport:
-    def test_records_carry_raw_numbers(self, sweep):
-        records = sweep_to_records(sweep)
-        assert len(records) == 3
-        for r in records:
-            assert r["execution_time"] > 0
-            assert r["references"] > 0
-            assert r["cache_kb"] == "inf"
-            assert 0 <= r["miss_rate"] <= 1
-
-    def test_records_sorted_by_cluster(self, sweep):
-        records = sweep_to_records(sweep)
-        assert [r["cluster_size"] for r in records] == [1, 2, 4]
-
-    def test_csv_parses(self, sweep):
-        rows = list(csv.DictReader(io.StringIO(sweep_to_csv(sweep))))
-        assert len(rows) == 3
-        assert int(rows[0]["cluster_size"]) == 1
+                                effective_processors, pushout)
 
 
 class TestScalingCurve:
@@ -98,17 +34,17 @@ class TestScalingCurve:
 
     def test_cluster_size_must_divide(self):
         with pytest.raises(ValueError):
-            scaling_curve("ocean", [4, 6], cluster_size=4,
-                          app_kwargs={"n": 16, "n_vcycles": 1})
+            pushout("ocean", [4, 6], cluster_size=4,
+                    app_kwargs={"n": 16, "n_vcycles": 1})
 
 
 class TestScalingMeasured:
     def test_ocean_scales_then_rolls_over(self):
         """Fixed small Ocean problem: more processors help early, then
         communication/sync rolls the curve over — the §4 setting."""
-        curve = scaling_curve("ocean", [4, 16], cluster_size=1,
-                              app_kwargs={"n": 32, "n_vcycles": 1})
-        s = curve.speedups()
+        result = pushout("ocean", [4, 16], cluster_size=2,
+                         app_kwargs={"n": 32, "n_vcycles": 1})
+        s = result["speedups_unclustered"]
         assert s[16] > 1.2  # parallelism still pays at this size
 
     def test_pushout_structure(self):

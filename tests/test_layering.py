@@ -14,6 +14,8 @@ sys.path.insert(0, str(TOOLS))
 import check_layering  # noqa: E402  (path set up above)
 from check_layering import RULES  # noqa: E402
 
+REACHED = next(rule for rule in RULES if rule.callers)
+
 
 class TestRankMap:
     def test_longest_prefix_wins(self):
@@ -144,3 +146,47 @@ class TestRuleTable:
         tree = check_layering.read_tree(tmp_path, ["src"])
         assert list(tree) == ["src/repro/engine.py"]
         assert check_layering.check_rules(tree, [rule]) == []
+
+
+class TestReached:
+    """The ``reached`` kind: its derived edits fail, by name and line."""
+
+    def _failures(self, rule, example=None):
+        tree = check_layering.read_tree(SRC.parent, check_layering.TOPS)
+        mutated, path, line = check_layering.mutate(
+            replace(rule, example=example or rule.example), tree)
+        return check_layering.check_rules(mutated, [rule]), f"{path}:{line}"
+
+    def test_a_public_function_no_caller_names_fails(self):
+        failures, where = self._failures(REACHED)
+        assert failures == [f"reached: {where}: unreached has no caller "
+                            "outside tests"]
+
+    def test_a_defaulted_parameter_no_caller_passes_fails(self):
+        failures, where = self._failures(
+            REACHED, "def called(unpassed_knob=1): pass\ncalled()")
+        assert failures == [f"reached: {where}: called(unpassed_knob=) is "
+                            "passed by no caller outside tests"]
+
+    def test_an_allow_list_entry_that_names_nothing_fails(self):
+        rule = replace(REACHED, allow=REACHED.allow + (
+            ("Gone.method", "test oracle"), ("called(gone)", "test seam")))
+        failures, _ = self._failures(rule, "def called(): pass\ncalled()")
+        assert failures == ["reached: allow-list Gone.method: names nothing",
+                            "reached: allow-list called(gone): names nothing"]
+
+    def test_an_allow_list_entry_a_caller_reaches_fails(self):
+        rule = replace(REACHED, allow=REACHED.allow + (
+            ("called", "test probe"),))
+        failures, where = self._failures(rule, "def called(): pass\ncalled()")
+        assert failures == [f"reached: allow-list called: {where} has a "
+                            "caller"]
+
+    def test_the_benchmark_harness_is_a_caller(self):
+        # ServiceClient.wait_ready is called from benchmarks/e2e alone
+        tree = check_layering.read_tree(SRC.parent, check_layering.TOPS)
+        assert check_layering.check_rules(tree, [REACHED]) == []
+        unheard = replace(REACHED, callers="tools examples")
+        assert any(f.endswith(": ServiceClient.wait_ready has no caller "
+                              "outside tests")
+                   for f in check_layering.check_rules(tree, [unheard]))

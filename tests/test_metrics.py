@@ -19,20 +19,11 @@ class TestMissCounters:
     def test_miss_rate_empty(self):
         assert MissCounters().miss_rate == 0.0
 
-    def test_record_cause(self):
-        m = MissCounters()
-        m.record_cause(MissCause.COLD)
-        m.record_cause(MissCause.COLD)
-        m.record_cause(MissCause.COHERENCE)
-        assert m.by_cause[MissCause.COLD] == 2
-        assert m.by_cause[MissCause.COHERENCE] == 1
-        assert m.by_cause[MissCause.CAPACITY] == 0
-
     def test_merged_into(self):
         a = MissCounters(reads=6, writes=4,
                          read_misses=3, write_misses=2, upgrade_misses=1,
                          merges=2, merge_refetches=1)
-        a.record_cause(MissCause.CAPACITY)
+        a.by_cause[MissCause.CAPACITY] += 1
         total = MissCounters()
         a.merged_into(total)
         a.merged_into(total)
@@ -98,8 +89,8 @@ class TestTimeBreakdown:
 
 def _payload() -> dict:
     counters = MissCounters(reads=6, writes=4, read_misses=1, write_misses=1)
-    counters.record_cause(MissCause.COLD)
-    counters.record_cause(MissCause.CAPACITY)
+    counters.by_cause[MissCause.COLD] += 1
+    counters.by_cause[MissCause.CAPACITY] += 1
     return RunResult(
         execution_time=123, breakdown=TimeBreakdown(100, 20, 2, 1.5),
         per_processor=[TimeBreakdown(100, 20, 2, 1),

@@ -9,7 +9,7 @@ from repro.core.config import MachineConfig
 from repro.memory.cache import EXCLUSIVE, SHARED
 from repro.memory.coherence import CoherentMemorySystem
 from repro.memory.snoopy import SnoopyClusterMemorySystem
-from repro.sim.engine import PerfectMemory, run_program
+from repro.sim.engine import Engine, PerfectMemory
 from repro.sim.program import Write
 from repro.sim.stats import summarize
 
@@ -43,9 +43,8 @@ class TestEngineHitCostWithRealMemory:
         def prog(pid):
             return iter([Write(0)] * 5)
 
-        t1 = run_program(cfg, prog).execution_time
-        t3 = run_program(cfg, prog,
-                         memory=PerfectMemory(load_cycles=3)).execution_time
+        t1 = Engine(cfg, CoherentMemorySystem(cfg)).run(prog).execution_time
+        t3 = Engine(cfg, PerfectMemory(load_cycles=3)).run(prog).execution_time
         assert t1 == t3 == 5
 
 

@@ -118,7 +118,7 @@ def test_make_topology():
 class TestTableLatency:
     def test_same_error_contract(self):
         with pytest.raises(ValueError):
-            LatencyModel().miss_cycles(1, 0, 1)
+            LatencyModel().miss_cycles(1, 0, 1, 0)
 
     def test_no_stats(self):
         memory = make_memory_system(MachineConfig(n_processors=8))
@@ -148,12 +148,13 @@ class TestMeshCalibration:
                                  topology=topology)
         table = LatencyModel()
         for r in range(n):
-            assert provider.miss_cycles(r, r, None) == table.local_clean
+            assert provider.miss_cycles(r, r, None, 0) == table.local_clean
             for x in range(n):
                 if x == r:
                     continue
-                assert provider.miss_cycles(r, x, None) == table.remote_clean
-                assert provider.miss_cycles(r, r, x) == \
+                assert provider.miss_cycles(r, x, None, 0) \
+                    == table.remote_clean
+                assert provider.miss_cycles(r, r, x, 0) == \
                     table.local_dirty_remote
 
     @pytest.mark.parametrize("topology", ["mesh", "crossbar"])
@@ -167,7 +168,7 @@ class TestMeshCalibration:
                 if h == r:
                     continue
                 remote_dirty = statistics.mean(
-                    provider.miss_cycles(r, h, o)
+                    provider.miss_cycles(r, h, o, 0)
                     for o in range(n) if o not in (r, h))
                 # per-transaction rounding moves the mean by < 0.5 cycles
                 assert remote_dirty == pytest.approx(
@@ -191,31 +192,32 @@ class TestMeshCalibration:
 
     def test_dirty_at_home_priced_as_remote_clean(self):
         provider = mesh_provider(n_processors=16, contention=False)
-        assert provider.miss_cycles(3, 7, 7) == provider.miss_cycles(3, 7,
-                                                                     None)
+        assert provider.miss_cycles(3, 7, 7, 0) == provider.miss_cycles(3, 7,
+                                                                     None, 0)
 
     def test_requester_cannot_own(self):
         with pytest.raises(ValueError):
-            mesh_provider(n_processors=8).miss_cycles(2, 0, 2)
+            mesh_provider(n_processors=8).miss_cycles(2, 0, 2, 0)
 
     def test_single_cluster_machine(self):
         provider = mesh_provider(n_processors=8, cluster_size=8)
-        assert provider.miss_cycles(0, 0, None) == LatencyModel().local_clean
+        assert provider.miss_cycles(0, 0, None, 0) \
+            == LatencyModel().local_clean
 
     def test_latency_clamped_positive(self):
         # an absurd hop cost makes the three-leg base deeply negative for
         # owners near the requester; latencies must still be >= 1
         provider = mesh_provider(n_processors=16, contention=False,
                                  wire_cycles=40, router_cycles=40)
-        lows = [provider.miss_cycles(r, h, o)
+        lows = [provider.miss_cycles(r, h, o, 0)
                 for r in range(16) for h in range(16) if h != r
                 for o in range(16) if o not in (r, h)]
         assert min(lows) >= 1
 
     def test_stats_accumulate(self):
         provider = mesh_provider(n_processors=16, contention=False)
-        provider.miss_cycles(0, 5, None)
-        provider.miss_cycles(0, 0, None)
+        provider.miss_cycles(0, 5, None, 0)
+        provider.miss_cycles(0, 0, None, 0)
         stats = provider.stats()
         assert stats.messages == 2
         assert stats.hops == 2 * MeshTopology(16).hops(0, 5)

@@ -11,7 +11,7 @@ from repro.core.metrics import MissCause, TimeBreakdown
 from repro.memory.allocation import PageAllocator
 from repro.memory.cache import EXCLUSIVE, SHARED, Cache
 from repro.memory.coherence import CoherentMemorySystem
-from repro.sim.engine import run_program
+from repro.sim.engine import Engine
 from repro.sim.program import Barrier, Read, Work, Write
 
 # ---------------------------------------------------------------- caches
@@ -156,7 +156,8 @@ def test_infinite_cache_misses_bounded_by_lines_and_invals(accesses):
 @given(works=st.lists(st.integers(0, 50), min_size=1, max_size=30))
 def test_sequential_work_sums(works):
     cfg = MachineConfig(n_processors=1)
-    res = run_program(cfg, lambda pid: iter([Work(w) for w in works]))
+    res = Engine(cfg, CoherentMemorySystem(cfg)).run(
+        lambda pid: iter([Work(w) for w in works]))
     assert res.execution_time == sum(works)
 
 
@@ -190,7 +191,7 @@ def test_engine_accounting_exact_under_random_programs(seed, n_ops,
                     yield Barrier(i)
         return gen()
 
-    res = run_program(cfg, factory)
+    res = Engine(cfg, CoherentMemorySystem(cfg)).run(factory)
     for bd in res.per_processor:
         assert bd.total == res.execution_time
 

@@ -43,7 +43,7 @@ from repro.memory.allocation import PageAllocator
 from repro.memory.snoopy import SnoopyClusterMemorySystem
 from repro.runtime import RunPlan, RunRequest, RunSession
 from repro.sim.compiled import TraceCache, clear_memory_cache, trace_key
-from repro.sim.engine import Engine, run_program
+from repro.sim.engine import Engine
 from repro.sim.program import Read, Write
 
 from refmodel import RefDLSMemorySystem
@@ -92,9 +92,7 @@ class TestProtocolRegistry:
             cfg = MachineConfig(n_processors=4, protocol=proto)
             assert type(make_memory_system(cfg)) is cls
 
-    def test_run_program_runs_the_configured_protocol(self):
-        """``run_program`` used to run the directory protocol whatever
-        ``config.protocol`` said."""
+    def test_each_protocol_times_the_program_its_own_way(self):
         def program(pid):
             lines = [Read(64 * line) for line in range(16)]
             return iter([*lines, Write(64 * pid), *lines])
@@ -103,9 +101,7 @@ class TestProtocolRegistry:
         for proto in PROTOCOLS:
             cfg = MachineConfig(n_processors=8, cluster_size=2,
                                 protocol=proto)
-            result = run_program(cfg, program)
-            want = Engine(cfg, make_memory_system(cfg)).run(program)
-            assert result.to_json() == want.to_json()
+            result = Engine(cfg, make_memory_system(cfg)).run(program)
             times[proto] = result.execution_time
         assert times["snoopy"] != times["directory"] != times["dls"]
 

@@ -105,8 +105,7 @@ class TestObserverTransparency:
         names = [n for n, _, _ in observer.phases]
         assert names == ["resolve", "build", "capture", "execute"]
 
-        observer.reset()
-        assert observer.phases == [] and observer.result is None
+        observer.phases.clear()
         session.run(request)  # second run: served from the trace cache
         names = [n for n, _, _ in observer.phases]
         assert names == ["resolve", "build", "trace-hit", "execute"]
@@ -128,7 +127,7 @@ class TestObserverTransparency:
         ocean = RunRequest.make("ocean", 2, 4.0, TINY["ocean"])
         dls = RunRequest.make("ocean", 2, 4.0, TINY["ocean"], protocol="dls")
         monkeypatch.delenv("REPRO_NATIVE", raising=False)
-        if native.selected():
+        if native.kernel() is not None:
             for request in (ocean, dls):
                 info = execute_info(request)
                 assert info["kernel"] == "native" and "declined" not in info
@@ -164,7 +163,7 @@ class TestObserverTransparency:
                 f"recorded=True ops={cold['ops']} "
                 f"source_ops={cold['source_ops']}") in observer.format()
 
-        observer.reset()
+        observer.phases.clear()
         assert session.run(request).to_json() == want
         assert [n for n, _, _ in observer.phases] == [
             "resolve", "build", "trace-hit", "execute"]

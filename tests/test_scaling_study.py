@@ -19,7 +19,7 @@ from repro.cli import main
 from repro.core.executor import SweepExecutor
 from repro.core.resultcache import ResultCache
 from repro.core.scaling import (MEDIUM_PROBLEM_SIZES, SCALING_TIERS,
-                                compare_shapes, pushout, scaling_curve,
+                                compare_shapes, pushout,
                                 scaling_problem, scaling_processor_counts,
                                 scaling_study)
 from repro.sim.compiled import clear_memory_cache
@@ -81,19 +81,15 @@ class TestPipelineRouting:
     def test_result_cache_memoizes_points(self, tmp_path):
         cache = ResultCache(tmp_path)
         executor = SweepExecutor(cache=cache)
-        first = scaling_curve("lu", COUNTS, 1, app_kwargs=TINY,
-                              executor=executor)
-        again = scaling_curve("lu", COUNTS, 1, app_kwargs=TINY,
-                              executor=executor)
-        assert [p.execution_time for p in first.points] \
-            == [p.execution_time for p in again.points]
-        assert cache.hits == len(COUNTS)
+        first = pushout("lu", COUNTS, 2, app_kwargs=TINY, executor=executor)
+        again = pushout("lu", COUNTS, 2, app_kwargs=TINY, executor=executor)
+        assert first == again
+        assert cache.hits == 2 * len(COUNTS)
 
     def test_seed_changes_the_problem_not_the_api(self):
-        a = scaling_curve("lu", COUNTS, 1, app_kwargs=TINY)
-        b = scaling_curve("lu", COUNTS, 1, app_kwargs={**TINY, "seed": 99})
-        assert [p.n_processors for p in a.points] \
-            == [p.n_processors for p in b.points]
+        a = pushout("lu", COUNTS, 2, app_kwargs=TINY)
+        b = pushout("lu", COUNTS, 2, app_kwargs={**TINY, "seed": 99})
+        assert a["processor_counts"] == b["processor_counts"]
 
 
 class TestStudyAndShapes:

@@ -42,7 +42,7 @@ class TestKnee:
 
     def test_knee_found(self):
         c = self._curve([0.5, 0.3, 0.102, 0.10])
-        assert knee_of(c, tolerance=0.10) == 16
+        assert knee_of(c) == 16
 
     def test_knee_at_smallest(self):
         c = self._curve([0.10, 0.10, 0.10, 0.10])

@@ -8,9 +8,15 @@ Rules keep the python simulator and ``kernel.c`` one semantics.  A count
 rule's regex matches exactly ``count`` lines under its paths (0: a
 retired name), its ``home`` files aside, which must each hold it.  An
 only-in rule requires every call it matches on the AST to sit inside
-``function``.  A path that names nothing fails.  ``mutate`` derives each
-rule's failing edit from its kind and ``example``.  The tree is read
-once, without bytecode, undecodable files, this file or ``HISTORY``.
+``function``.  A reached rule requires every public function, class and
+method under its paths to be named, and each defaulted parameter of
+one to be passed, by a module under its paths or ``callers`` (never
+``tests``), matching by name on the AST; what only tests reach is in
+its ``allow`` list with its role, and an entry that names nothing or
+that a caller reaches fails.  A path that names nothing fails.
+``mutate`` derives each rule's failing edit from its kind and
+``example``.  The tree is read once, without bytecode, undecodable
+files, this file or ``HISTORY``.
 
 Usage: ``python tools/check_layering.py [SRC]`` (the package root,
 default ``src``).  Exits 0 when clean, else 1 with a line per failure.
@@ -47,7 +53,35 @@ class Rule:
     count: int = 0
     home: str = ""  # space-separated files
     function: str = ""  # only-in: the one "Class.method" that may call
+    callers: str = ""  # reached: where callers live besides ``paths``
+    allow: tuple[tuple[str, str], ...] = ()  # reached: (entry, role) pairs
 
+
+#: what a public name that only tests reach is to them: each entry of the
+#: ``reached`` rule's allow-list, a name or ``name(parameter)``, has one
+ROLES = ("test oracle", "test probe", "test seam")
+TEST_ONLY: tuple[tuple[str, str], ...] = (
+    ("LUApp.reconstruct", "test oracle"),
+    ("OceanApp.solution", "test oracle"),
+    ("OceanApp.residual_norm", "test oracle"),
+    ("MP3DApp.total_count", "test oracle"),
+    ("MP3DApp.kinetic_energy", "test oracle"),
+    ("FFTApp.reference", "test oracle"),
+    ("RadixApp.reference", "test oracle"),
+    ("VolrendApp.march(use_octree)", "test oracle"),  # False: brute force
+    ("Directory.is_sharer", "test probe"),
+    ("Directory.sharer_list", "test probe"),
+    ("AddressSpace.regions", "test probe"),
+    ("Region.contains", "test probe"),
+    ("FigureData.series(component)", "test probe"),
+    ("BarnesApp.__init__(dt)", "test seam"),  # dt=0: bodies stand still
+    ("FMMApp.__init__(dt)", "test seam"),
+    ("MP3DApp.__init__(collide_prob)", "test seam"),
+    ("RaytraceApp.__init__(max_depth)", "test seam"),
+    ("VolrendApp.__init__(opacity_cutoff)", "test seam"),  # early termination
+    ("DaemonThread", "test seam"),  # an in-process daemon on a thread
+    ("main(argv)", "test seam"),  # the CLI in-process; its entry point: none
+)
 
 GRID_CALL = r"(executor|pool)(\([^)]*\))?\.run\("
 MEMORY, KERNEL = "src/repro/memory", "src/repro/native/kernel.c"
@@ -125,11 +159,14 @@ RULES: tuple[Rule, ...] = (
     Rule("one-task-loop", 24, KERNEL, r"q_pop\(q\)", "t = q_pop(q);", 2),
     Rule("kernel-one-index", 30, KERNEL,
          r"\bMap\b|map_[a-z]+\(|lock_enqueue|lock_dequeue|wpid|warr|qpid|qarr", "Map *m = 0;"),
+    # the benchmark harness is a caller; tests are not
+    Rule("reached", 47, "src", "", "def unreached(): pass",
+         callers="tools examples benchmarks/e2e", allow=TEST_ONLY),
 )
 
 #: the checkout's top-level entries the rules search
 TOPS = sorted({path.split("/")[0] for rule in RULES
-               for path in rule.paths.split()})
+               for path in f"{rule.paths} {rule.callers}".split()})
 
 
 def rank_of(module: str) -> int | None:
@@ -208,7 +245,7 @@ def in_scope(rule: Rule, tree: dict[str, str]) -> list[str]:
     """The files ``rule`` counts or parses: under its paths, not home."""
     return [path for path in _files(rule.paths, tree)
             if path not in rule.home.split()
-            and (not rule.function or path.endswith(".py"))]
+            and (not (rule.function or rule.callers) or path.endswith(".py"))]
 
 
 @functools.cache
@@ -226,14 +263,163 @@ def _stray_calls(rule: Rule, text: str) -> frozenset[int]:
         and not any(a <= node.lineno <= b for a, b in spans))
 
 
+FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
+
+
+@dataclass(frozen=True)
+class Defined:
+    """A public function, class or method, or a class's ``__init__``."""
+    qual: str  # "name" or "Class.name"
+    name: str  # what a caller names: the class, for its ``__init__``
+    line: int
+    end: int
+    params: tuple[tuple[str, int | None], ...]  # defaulted: (name, position)
+
+
+def _defined(node, cls: str = "") -> Defined:
+    args, drop = node.args, 0
+    if cls and not any(getattr(d, "id", "") == "staticmethod"
+                       for d in node.decorator_list):
+        drop = 1  # self or cls
+    positional = [a.arg for a in args.posonlyargs + args.args]
+    first = len(positional) - len(args.defaults)
+    params = [(name, i - drop) for i, name in enumerate(positional)
+              if i >= first]
+    params += [(a.arg, None) for a, default in
+               zip(args.kwonlyargs, args.kw_defaults) if default is not None]
+    init = node.name == "__init__"
+    return Defined(f"{cls}.{node.name}" if cls else node.name,
+                   cls if init else node.name, node.lineno, node.end_lineno,
+                   tuple(params))
+
+
+@functools.cache  # the mutation test re-checks trees one file apart
+def _surface(text: str, facade: bool):
+    """One module's ``(defined, names, strings, calls, prefixes)``: its
+    public definitions, every ``(name, line)`` it mentions, the strings
+    among them, every call's ``(callee, line, positional count,
+    keywords)``, and the constant heads of its f-strings
+    (``f"cmd_{name}"`` -> ``cmd_``).  An
+    ``__all__`` or ``_LAZY`` table lists names and a facade's imports
+    re-export them: neither mentions one."""
+    module, defined, names, strings = ast.parse(text), [], [], []
+    calls, prefixes = [], []
+    skip = {id(n) for node in module.body
+            if isinstance(node, ast.Assign) and any(
+                getattr(t, "id", "") in ("__all__", "_LAZY")
+                for t in node.targets)
+            for n in ast.walk(node.value)}
+    for node in module.body:
+        if isinstance(node, FUNCTIONS):
+            if not node.name.startswith("_"):
+                defined.append(_defined(node))
+        elif isinstance(node, ast.ClassDef):
+            if not node.name.startswith("_"):
+                defined.append(Defined(node.name, node.name, node.lineno,
+                                       node.end_lineno, ()))
+            defined += [_defined(f, node.name) for f in node.body
+                        if isinstance(f, FUNCTIONS) and (f.name == "__init__"
+                                                         or f.name[0] != "_")]
+    for node in ast.walk(module):
+        if isinstance(node, ast.Name):
+            names.append((node.id, node.lineno))
+        elif isinstance(node, ast.Attribute):
+            names.append((node.attr, node.end_lineno))
+        elif isinstance(node, (ast.Import, ast.ImportFrom)) and not facade:
+            names += [(part, node.lineno) for alias in node.names
+                      for part in alias.name.split(".")]
+        elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
+              and id(node) not in skip):
+            names.append((node.value, node.lineno))
+            strings.append(node.value)
+        elif isinstance(node, ast.JoinedStr) and len(node.values) > 1 \
+                and isinstance(node.values[0], ast.Constant):
+            prefixes.append(node.values[0].value)
+        elif isinstance(node, ast.Call):
+            callee = getattr(node.func, "id", getattr(node.func, "attr", None))
+            starred = any(isinstance(a, ast.Starred) for a in node.args)
+            calls.append((callee, node.lineno,
+                          sys.maxsize if starred else len(node.args),
+                          frozenset(k.arg for k in node.keywords if k.arg)))
+    return (tuple(defined), tuple(names), frozenset(strings), tuple(calls),
+            tuple(prefixes))
+
+
+def unreached(rule: Rule, tree: dict[str, str]) -> list[str]:
+    """The ``reached`` rule: each public name defined under ``rule.paths``
+    is named, and each of its defaulted parameters passed, outside its
+    own definition by a module under ``rule.paths`` or ``rule.callers``;
+    else it is in ``rule.allow``, whose entries must each name a
+    definition that no caller reaches, in one of ``ROLES``."""
+    callers = [p for p in _files(f"{rule.paths} {rule.callers}", tree)
+               if p.endswith(".py")]
+    surface = {p: _surface(tree[p], p.endswith("/__init__.py"))
+               for p in callers}
+    mentions, passes, strings, heads = {}, {}, set(), set()
+    for path, (_, names, texts, calls, prefixes) in surface.items():
+        for name, line in names:
+            mentions.setdefault(name, []).append((path, line))
+        strings |= texts
+        heads.update(h for h in prefixes if h.isidentifier())
+        for callee, line, n, keywords in calls:
+            passes.setdefault(callee, []).append((path, line, n, keywords))
+
+    def outside(d: Defined, path: str, sites) -> list:
+        return [s for s in sites
+                if s[0] != path or not d.line <= s[1] <= d.end]
+
+    allowed = {entry: role for entry, role in rule.allow}
+    failures, seen = [], set()
+    for path in in_scope(rule, tree):
+        for d in surface[path][0]:
+            reached = (d.qual.endswith(".__init__")
+                       or outside(d, path, mentions.get(d.name, ()))
+                       or any(d.name.startswith(h)  # f"{head}{key}"
+                              and d.name[len(h):] in strings for h in heads))
+            if d.qual in allowed:
+                seen.add(d.qual)
+                if reached:
+                    failures.append(f"{rule.name}: allow-list {d.qual}: "
+                                     f"{path}:{d.line} has a caller")
+                continue
+            if not reached:
+                failures.append(f"{rule.name}: {path}:{d.line}: {d.qual} "
+                                "has no caller outside tests")
+                continue
+            sites = outside(d, path, passes.get(d.name, []) + (
+                passes.get("__init__", []) if d.qual.endswith(".__init__")
+                else []))
+            for param, position in d.params:
+                entry = f"{d.qual}({param})"
+                passed = param in strings or any(
+                    param in kw or position is not None and n > position
+                    for _, _, n, kw in sites)
+                if entry in allowed:
+                    seen.add(entry)
+                    if passed:
+                        failures.append(f"{rule.name}: allow-list {entry}: "
+                                        f"{path}:{d.line} has a caller")
+                elif not passed:
+                    failures.append(f"{rule.name}: {path}:{d.line}: {d.qual}"
+                                    f"({param}=) is passed by no caller "
+                                    "outside tests")
+    failures += [f"{rule.name}: allow-list {entry}: names nothing"
+                 for entry in allowed if entry not in seen]
+    failures += [f"{rule.name}: allow-list {entry}: {role!r} is not a role"
+                 for entry, role in rule.allow if role not in ROLES]
+    return failures
+
+
 def check_rules(tree: dict[str, str], rules=RULES) -> list[str]:
     """Every failure of ``rules`` on ``tree`` (empty = clean)."""
     failures = []
     for rule in rules:
-        missing = [p for p in f"{rule.paths} {rule.home}".split()
-                   if not _files(p, tree)]
+        roots = f"{rule.paths} {rule.home} {rule.callers}".split()
+        missing = [p for p in roots if not _files(p, tree)]
         if missing:
             failures += [f"{rule.name}: {p}: no such path" for p in missing]
+        elif rule.callers:
+            failures += unreached(rule, tree)
         else:
             hits = [f"{rule.name}: {path}:{n}: {line.strip()}"
                     for path in in_scope(rule, tree)
@@ -252,7 +438,8 @@ def check_rules(tree: dict[str, str], rules=RULES) -> list[str]:
 def mutate(rule: Rule, tree: dict[str, str]) -> tuple[dict, str, int]:
     """``tree`` with ``rule.example`` appended to the first file the rule
     searches: one line too many for a count rule, a module-level call
-    for an only-in rule.  Returns the copy, the path and the line."""
+    for an only-in rule, a definition no caller reaches for a reached
+    rule.  Returns the copy, the path and the line."""
     path = in_scope(rule, tree)[0]
     lines = tree[path].splitlines() + [rule.example]
     return {**tree, path: "\n".join(lines) + "\n"}, path, len(lines)
