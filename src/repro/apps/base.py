@@ -213,7 +213,7 @@ class Application(ABC):
             self.setup()
             self._setup_done = True
 
-    def compiled_program(self, entry=None) -> "CompiledProgram":
+    def compiled_program(self) -> "CompiledProgram":
         """Capture this application's operation streams once, for replay.
 
         Drains :meth:`program` for every processor into a
@@ -226,20 +226,15 @@ class Application(ABC):
         Only available when :attr:`stream_invariant` holds; Barnes must
         capture with :meth:`run_recorded` instead (its streams depend on
         simulated timing, which a static drain cannot know).
-
-        ``entry``, ``(store, key)``, names a
-        :class:`~repro.core.resultcache.TraceStore` entry to write the
-        capture into once; the program is then mapped from it
-        (:func:`~repro.sim.compiled.compile_program`).
         """
         if not self.stream_invariant:
             raise ValueError(
                 f"{self.name} streams depend on simulated timing "
                 f"(stream_invariant=False); capture with run_recorded()")
         self.ensure_setup()
-        return self._capture(self.program, entry=entry)
+        return self._capture(self.program)
 
-    def _capture(self, factory, tasks=(), entry=None) -> "CompiledProgram":
+    def _capture(self, factory, tasks=()) -> "CompiledProgram":
         """:func:`~repro.sim.compiled.compile_program` of ``factory`` on
         this app's machine, with every span drained as one item; the
         spans of any other run (:meth:`run`, :meth:`run_recorded`, a
@@ -250,12 +245,11 @@ class Application(ABC):
         self._span_items = True
         try:
             return compile_program(factory, self.config.n_processors,
-                                   self.config.line_size, tasks=tasks,
-                                   entry=entry)
+                                   self.config.line_size, tasks=tasks)
         finally:
             self._span_items = False
 
-    def run_recorded(self, entry=None) -> "tuple[RunResult, CompiledProgram]":
+    def run_recorded(self) -> "tuple[RunResult, CompiledProgram]":
         """Generator-path run that also captures the executed streams.
 
         Works for every application — Barnes is the one that needs it —
@@ -264,7 +258,7 @@ class Application(ABC):
         machine is bit-identical to the returned result; for
         :attr:`stream_invariant` apps the capture is additionally valid
         across cluster/cache/network variations, like
-        :meth:`compiled_program`'s, whose ``entry`` this takes too.
+        :meth:`compiled_program`'s.
         """
         from ..sim.compiled import ProgramRecorder
 
@@ -273,7 +267,7 @@ class Application(ABC):
         recorder = ProgramRecorder(self.program, self.config.n_processors,
                                    self.config.line_size)
         result = Engine(self.config, memory).run(recorder.factory)
-        return result, recorder.finish(entry)
+        return result, recorder.finish()
 
     def run(self, program: "CompiledProgram | None" = None,
             memory=None) -> RunResult:
@@ -496,14 +490,13 @@ class TileQueueApplication(Application):
             yield from self.tile_ops(tile)
         yield Barrier(bar())
 
-    def compiled_program(self, entry=None) -> "CompiledProgram":
+    def compiled_program(self) -> "CompiledProgram":
         """Capture :meth:`program` once, for every machine (see the class).
 
         The frame is :meth:`program` up to its first take; a task is what
         runs from one take to the next — the rest of the grab that took
         it, the tile, and the next grab up to *its* take — so replay
-        executes exactly the ops the generators would have.  ``entry``
-        is :meth:`Application.compiled_program`'s.
+        executes exactly the ops the generators would have.
         """
         self.ensure_setup()
         self.begin_render()
@@ -525,5 +518,4 @@ class TileQueueApplication(Application):
             return chain.from_iterable(parts(tile))
 
         return self._capture(
-            frame, tasks=[[task(tile) for tile in range(self.n_tiles)]],
-            entry=entry)
+            frame, tasks=[[task(tile) for tile in range(self.n_tiles)]])

@@ -41,9 +41,8 @@ import hashlib
 import json
 import os
 import tempfile
-from contextlib import contextmanager
 from pathlib import Path
-from typing import Any, BinaryIO, Iterator, Mapping
+from typing import Any, Mapping
 
 from .config import MachineConfig
 from .metrics import RunResult
@@ -114,32 +113,24 @@ class _Store:
         return self.directory / f"{key}{self.SUFFIX}"
 
     def put_bytes(self, key: str, data: bytes) -> None:
-        """Atomically persist ``data`` under ``key`` (see :meth:`writing`).
+        """Atomically persist ``data`` under ``key`` (temp file +
+        ``os.replace``), so a killed run cannot leave a truncated entry.
 
         Storage failures (read-only filesystem, disk full) are swallowed:
         a cache that cannot write behaves like a cache that forgets.
         """
         try:
-            with self.writing(key) as fh:
-                fh.write(data)
+            self.directory.mkdir(parents=True, exist_ok=True)
+            fd, tmp = tempfile.mkstemp(dir=self.directory, suffix=".tmp")
+            try:
+                with os.fdopen(fd, "wb") as fh:
+                    fh.write(data)
+                os.replace(tmp, self.path_for(key))
+            finally:
+                if os.path.exists(tmp):
+                    os.unlink(tmp)
         except OSError:
             pass
-
-    @contextmanager
-    def writing(self, key: str) -> Iterator[BinaryIO]:
-        """A new temp file in the store, open for reading and writing,
-        that becomes ``key``'s entry (``os.replace``) when the block
-        exits cleanly and is removed otherwise — so a killed run cannot
-        leave a truncated entry.  Storage failures raise ``OSError``."""
-        self.directory.mkdir(parents=True, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(dir=self.directory, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "w+b") as fh:
-                yield fh
-            os.replace(tmp, self.path_for(key))
-        finally:
-            if os.path.exists(tmp):
-                os.unlink(tmp)
 
     def __contains__(self, key: str) -> bool:
         return self.path_for(key).is_file()
@@ -288,9 +279,8 @@ class TraceStore(_Store):
     Lives in ``<root>/traces/`` so ``ResultCache`` JSON entries and trace
     blobs never collide and can be cleared independently.  Reading is the
     caller's business (:mod:`repro.sim.compiled` maps :meth:`path_for`,
-    maintains ``hits``/``misses`` and treats undecodable blobs as misses),
-    and so is a capture's write: it streams its blob into
-    :meth:`writing`'s temp file and maps it from there.
+    maintains ``hits``/``misses`` and treats undecodable blobs as misses);
+    a trace is written by :meth:`put_bytes`, like any entry.
     """
 
     SUFFIX = ".trace"

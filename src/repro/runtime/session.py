@@ -11,8 +11,8 @@ through this module.  A session performs, in order:
 3. **trace acquisition** — look the compiled reference stream up in the
    trace cache (``trace-hit``) or capture it (``capture``), honouring
    :attr:`~repro.apps.base.Application.stream_invariant`; a capture is
-   written once into the cache's store, when it has one, and replayed
-   mapped from there;
+   packed once in memory, replayed from there, and written as it is to
+   the cache's store, when it has one (the one trace write);
 4. **execute** — replay the trace (native kernel or python engine) and
    assemble the :class:`~repro.core.metrics.RunResult`.
 
@@ -124,19 +124,16 @@ class RunSession:
                              {"ops": program.total_ops,
                               "mapped": program.mapped})
         else:
-            # with a store, the capture is written into its entry once
-            # and comes back mapped from it, which put() then only
-            # remembers; without one it is packed in memory
-            entry = ((cache.store, key) if cache is not None
-                     and cache.store is not None else None)
+            # the capture is packed in memory once; put() writes that
+            # buffer to the store, when the cache has one
             if app.stream_invariant:
-                program = app.compiled_program(entry)
+                program = app.compiled_program()
             else:
                 # barnes: the stream is decided by the run itself, so
                 # capture during generator execution; the capture replays
                 # bit-identically at this exact configuration only (the
                 # trace key covers the full config)
-                result, program = app.run_recorded(entry)
+                result, program = app.run_recorded()
             if cache is not None:
                 cache.put(key, program)
             if obs is not None and result is None:

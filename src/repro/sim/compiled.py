@@ -54,18 +54,13 @@ interpreter and the trace is as machine-independent as a static app's.
 **One layout, in memory and on disk.**  ``RPROTRC4`` is an aligned,
 uncompressed int64 section of words per processor (and one for the task
 table) behind a JSON header that declares the item size and byte order (the
-host's).  :meth:`CompiledProgram.from_file` maps a stored blob
-copy-on-write (``mmap.ACCESS_COPY``) as the buffer of a program that is
-otherwise the same object.  A capture given a store entry (the session's
-:class:`TraceCache` has a :class:`~repro.core.resultcache.TraceStore`)
-writes its drained words into that entry in exactly that layout, once,
-releasing each column as it goes, and returns the program mapped from
-the file — so the capture pass replays the blob a later store hit maps,
-and :meth:`TraceCache.put` has nothing left to write.  A store-less
-capture (or one whose store cannot be written) packs the same layout
-into an anonymous ``mmap`` instead, column by column, releasing each
-drained column once it is copied, and :meth:`TraceCache.put` writes
-that buffer to a store as it is.  A mapped program costs ~0 resident
+host's).  Every capture is packed once, by the constructor, into an
+anonymous ``mmap`` of the blob's final size, column by column, releasing
+each drained column once it is copied; :meth:`TraceCache.put` writes that
+buffer to the store as it is, the one trace write.
+:meth:`CompiledProgram.from_file` maps a stored blob copy-on-write
+(``mmap.ACCESS_COPY``) as the buffer of a program that is otherwise the
+same object.  A mapped program costs ~0 resident
 bytes until touched, its pages are shared between every process
 mapping the same blob (``--jobs`` workers, the sweep daemon, parallel
 CLI runs), and the native kernel (:mod:`repro.native`) replays any
@@ -80,9 +75,8 @@ overwritten by the recapture.
 The in-memory LRU is governed by a **byte budget** (``_LRU_BYTES``,
 256 MiB) that charges mapped programs a token constant — so paper-scale
 mapped traces stay resident while in-memory ones are evicted by size —
-and by a fixed count of mapped programs, because each mapping holds a
-file descriptor; fresh captures into a store are mapped too, so that
-count governs them as well.
+and by a fixed count of mapped programs (store hits), because each
+mapping holds a file descriptor.
 
 Replay is **bit-identical** to generator execution: the engine's golden
 and equivalence suites (``tests/test_golden_regression.py``,
@@ -98,7 +92,6 @@ import functools
 import hashlib
 import json
 import mmap
-import os
 import sys
 import threading
 import warnings
@@ -221,21 +214,42 @@ class CompiledProgram:
 
         ``tasks`` is ``(task_words, task_lens)``, see above;
         ``source_ops`` is the operation count before WORK fusion (what a
-        generator would yield).  The payload's CRC is computed here, once.
-        The buffer is an anonymous mapping of the blob's final size,
-        written column by column.  A page of the mapping costs memory
-        only once written, and each column of ``words`` leaves the list
-        once it is copied, its freed pages handed back to the OS (a
-        drained column sits inside the heap, where ``free`` keeps them),
-        so the drain and its packed copy are never held at once.
+        generator would yield).  The blob's head — magic, uint32-LE
+        header length, JSON header, zero pad to 8 bytes — is built here,
+        with the payload's CRC, computed once.  The buffer is an
+        anonymous mapping of the blob's final size, written column by
+        column.  A page of the mapping costs memory only once written,
+        and each column of ``words`` leaves the list once it is copied,
+        its freed pages handed back to the OS (a drained column sits
+        inside the heap, where ``free`` keeps them), so the drain and its
+        packed copy are never held at once.
         """
         task_words, task_lens = (tasks if tasks is not None
                                  else (array("q"), []))
-        header, head = _layout(words, task_words, task_lens, line_size,
-                               source_ops)
-        buf = mmap.mmap(-1, len(head) + _ITEMSIZE * (
+        lens = [n for queue in task_lens for n in queue]
+        if len(task_words) != sum(lens) \
+                or not all(isinstance(n, int) and n >= 0 for n in lens):
+            raise ValueError("task table does not cover its column")
+        crc = 0
+        for col in [*words, task_words]:
+            crc = zlib.crc32(col, crc)
+        header = {"n_processors": len(words), "line_size": line_size,
+                  "source_ops": source_ops,
+                  "counts": [len(w) for w in words], "tasks": task_lens,
+                  "itemsize": _ITEMSIZE, "byteorder": sys.byteorder,
+                  "crc32": crc, "payload_offset": 0}
+        # the header records its own payload offset, which depends on the
+        # header's length: fix-point it (at most a step or two)
+        while True:
+            text = json.dumps(header, sort_keys=True).encode("utf-8")
+            offset = _align8(12 + len(text))
+            if offset == header["payload_offset"]:
+                break
+            header["payload_offset"] = offset
+        buf = mmap.mmap(-1, offset + _ITEMSIZE * (
             sum(map(len, words)) + len(task_words)))
-        buf.write(head)
+        buf.write(_MAGIC + len(text).to_bytes(4, "little") + text)
+        buf.seek(offset)
         trim = _malloc_trim()
         for pid in range(len(words)):
             buf.write(words[pid])
@@ -411,48 +425,11 @@ class CompiledProgram:
         with open(path, "rb") as fh:
             # rejected without mapping: another format, or an empty file
             _check_magic(fh.read(8))
-            return cls._map(fh.fileno())
-
-    @classmethod
-    def _map(cls, fd: int) -> "CompiledProgram":
-        """The program over an ``ACCESS_COPY`` mapping of file ``fd``."""
-        mm = mmap.mmap(fd, 0, access=mmap.ACCESS_COPY)
-        program = cls._adopt(mm, mapped=True)
+            mm = mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_COPY)
+            program = cls._adopt(mm, mapped=True)
         if hasattr(mm, "madvise"):  # replay touches columns in order
             mm.madvise(mmap.MADV_SEQUENTIAL)
         return program
-
-
-def _layout(words, task_words, task_lens, line_size: int,
-            source_ops: int) -> tuple[dict, bytes]:
-    """The ``RPROTRC4`` layout of one program, for the in-memory pack
-    and the store write alike: ``(header, head)``, ``head`` being the
-    blob's bytes before its payload — magic, uint32-LE header length,
-    JSON header, zero pad to 8 bytes.  The payload that follows is
-    ``words`` then ``task_words``, back to back; their CRC is computed
-    here, once."""
-    lens = [n for queue in task_lens for n in queue]
-    if len(task_words) != sum(lens) \
-            or not all(isinstance(n, int) and n >= 0 for n in lens):
-        raise ValueError("task table does not cover its column")
-    crc = 0
-    for col in [*words, task_words]:
-        crc = zlib.crc32(col, crc)
-    header = {"n_processors": len(words), "line_size": line_size,
-              "source_ops": source_ops, "counts": [len(w) for w in words],
-              "tasks": task_lens, "itemsize": _ITEMSIZE,
-              "byteorder": sys.byteorder, "crc32": crc,
-              "payload_offset": 0}
-    # the header records its own payload offset, which depends on the
-    # header's length: fix-point it (at most a step or two)
-    while True:
-        text = json.dumps(header, sort_keys=True).encode("utf-8")
-        offset = _align8(12 + len(text))
-        if offset == header["payload_offset"]:
-            break
-        header["payload_offset"] = offset
-    head = _MAGIC + len(text).to_bytes(4, "little") + text
-    return header, head.ljust(offset, b"\0")
 
 
 def _check_magic(magic: bytes) -> None:
@@ -598,9 +575,7 @@ def _drain(gen, words: array, line_size: int, was_work: bool,
 
 
 def compile_program(program_factory: ProgramFactory, n_processors: int,
-                    line_size: int, tasks=(),
-                    entry: tuple[TraceStore, str] | None = None
-                    ) -> CompiledProgram:
+                    line_size: int, tasks=()) -> CompiledProgram:
     """Drain every processor's generator once into a :class:`CompiledProgram`.
 
     * READ/WRITE byte addresses become line numbers (divided by
@@ -635,10 +610,6 @@ def compile_program(program_factory: ProgramFactory, n_processors: int,
     barrier is *for*; an app whose stream content depended on intra-phase
     timing would not be deterministic across machine organisations in the
     first place, and the equivalence suite would catch it).
-
-    ``entry`` is ``(store, key)``, a :class:`TraceStore` entry: the blob
-    is then written there once and the program mapped from it
-    (:func:`_finished`).
     """
     if n_processors <= 0:
         raise ValueError("n_processors must be positive")
@@ -668,66 +639,8 @@ def compile_program(program_factory: ProgramFactory, n_processors: int,
                                  phased=False)[0]
             lens.append(len(task_words) - before)
         task_lens.append(lens)
-    return _finished(all_words, line_size, source_ops, task_words,
-                     task_lens, entry)
-
-
-def _finished(words: list, line_size: int, source_ops: int, task_words,
-              task_lens: list, entry) -> CompiledProgram:
-    """A finished drain as a :class:`CompiledProgram`.
-
-    With ``entry`` — ``(store, key)`` — the blob is written as that
-    store entry, each column released once it is in the file
-    (:func:`_write_entry`), and the program is mapped from the file: the
-    capture replays the very blob a later store hit maps, and the drain
-    and a packed copy of it are never held at once.  Without one, or
-    when the store cannot be written, the columns are packed in memory.
-    """
-    if entry is not None:
-        program = _write_entry(entry, words, task_words, task_lens,
-                               line_size, source_ops)
-        if program is not None:
-            return program
-    return CompiledProgram(words, line_size, source_ops,
+    return CompiledProgram(all_words, line_size, source_ops,
                            tasks=(task_words, task_lens))
-
-
-def _write_entry(entry, words: list, task_words, task_lens: list,
-                 line_size: int, source_ops: int) -> CompiledProgram | None:
-    """Write the blob of a drain as store entry ``entry`` and map it.
-
-    Each column of ``words`` leaves the list once it is in the file.
-    ``None`` when the store cannot be written: any column already
-    released is read back from the file first, so ``words`` is whole
-    again for the in-memory pack.  A mapping made before only the
-    commit (the rename) failed is still the program.
-    """
-    store, key = entry
-    header, head = _layout(words, task_words, task_lens, line_size,
-                           source_ops)
-    program = None
-    try:
-        with store.writing(key) as fh:
-            try:
-                fh.write(head)
-                for pid in range(len(words)):
-                    fh.write(words[pid])
-                    fh.flush()  # in the file before it is released
-                    words[pid] = None
-                fh.write(task_words)
-                fh.flush()
-                program = CompiledProgram._map(fh.fileno())
-            except OSError:
-                offset = header["payload_offset"]
-                for pid, n in enumerate(header["counts"]):
-                    if words[pid] is None:
-                        words[pid] = array("q", os.pread(
-                            fh.fileno(), n * _ITEMSIZE, offset))
-                    offset += n * _ITEMSIZE
-                raise
-    except OSError:
-        pass  # a store that cannot write is a store that forgets
-    return program
 
 
 class ProgramRecorder:
@@ -788,22 +701,18 @@ class ProgramRecorder:
                                  f"cannot hold") from None
             yield op
 
-    def finish(self, entry: tuple[TraceStore, str] | None = None
-               ) -> CompiledProgram:
+    def finish(self) -> CompiledProgram:
         """The capture as a :class:`CompiledProgram` (call after the run).
 
         Each raw pair is popped, so it is freed as soon as it is drained
-        and the raw columns are gone before the program is packed —
-        into the store ``entry``, ``(store, key)``, when one is given, as
-        :func:`compile_program` does (:func:`_finished`)."""
+        and the raw columns are gone before the program is packed."""
         words = [array("q") for _ in range(self.n_processors)]
         source_ops = 0
         for w in words:
             source_ops += _drain(
                 zip(self._raw_ops.pop(0), self._raw_args.pop(0)), w,
                 self.line_size, False, 0, phased=False)[0]
-        return _finished(words, self.line_size, source_ops, array("q"), [],
-                         entry)
+        return CompiledProgram(words, self.line_size, source_ops)
 
 
 # --------------------------------------------------------------------- keys
@@ -948,11 +857,10 @@ class TraceCache:
 
     def put(self, key: str, program: CompiledProgram) -> None:
         """Install ``program`` in both tiers (disk failures are swallowed);
-        the store writes the program's buffer as it is.  A mapped
-        program is a stored blob already — a store hit, or a capture
-        written into this store's entry — so only the LRU takes it."""
+        the store writes the program's buffer as it is — the one trace
+        write."""
         self._remember(key, program)
-        if self.store is not None and not program.mapped:
+        if self.store is not None:
             self.store.put_bytes(key, program.buffer)
 
     @staticmethod

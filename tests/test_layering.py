@@ -168,6 +168,37 @@ class TestReached:
         assert failures == [f"reached: {where}: called(unpassed_knob=) is "
                             "passed by no caller outside tests"]
 
+    def test_a_method_named_only_by_a_same_named_local_fails(self):
+        # a bare name binds a local, never a method: only ``x.shadowed``
+        # or the string "shadowed" would reach it
+        failures, where = self._failures(REACHED, (
+            "class Probe:\n"
+            "    def shadowed(self): pass\n"
+            "def user():\n"
+            "    shadowed = Probe()\n"
+            "    return shadowed\n"
+            "user()"))
+        path, line = where.rsplit(":", 1)
+        assert failures == [f"reached: {path}:{int(line) + 1}: "
+                            "Probe.shadowed has no caller outside tests"]
+
+    def test_super_init_passes_only_to_its_bases(self):
+        # ProbeChild's super().__init__ passes ProbeBase's b, and not the
+        # parameter at the same position of an unrelated constructor
+        failures, where = self._failures(REACHED, (
+            "class ProbeBase:\n"
+            "    def __init__(self, a, b=1): pass\n"
+            "class ProbeChild(ProbeBase):\n"
+            "    def __init__(self): super().__init__(0, 2)\n"
+            "class ProbeUnrelated:\n"
+            "    def __init__(self, x, knob=1): pass\n"
+            "ProbeChild()\n"
+            "ProbeUnrelated(0)"))
+        path, line = where.rsplit(":", 1)
+        assert failures == [f"reached: {path}:{int(line) + 5}: "
+                            "ProbeUnrelated.__init__(knob=) is passed by no "
+                            "caller outside tests"]
+
     def test_an_allow_list_entry_that_names_nothing_fails(self):
         rule = replace(REACHED, allow=REACHED.allow + (
             ("Gone.method", "test oracle"), ("called(gone)", "test seam")))

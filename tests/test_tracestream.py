@@ -11,8 +11,6 @@ mapped traces ~free to keep resident.
 """
 
 import array
-import contextlib
-import errno
 import hashlib
 import json
 import mmap
@@ -27,7 +25,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.apps.registry import APP_NAMES, QUICK_PROBLEM_SIZES, build_app
+from repro.apps.registry import APP_NAMES, QUICK_PROBLEM_SIZES
 from repro.core.config import MachineConfig
 from repro.core.resultcache import TraceStore
 from repro.memory.coherence import CoherentMemorySystem
@@ -40,7 +38,7 @@ from repro.sim.engine import Engine
 from repro.sim.program import OP_READ, OP_TASK, OP_WORK, OP_WRITE
 
 from refmodel import words
-from test_compiled import TINY_SIZES, capture, tiny_app
+from test_compiled import TINY_SIZES, capture
 from test_native_properties import needs_kernel
 
 #: what one trace word holds: any opcode field, any 61-bit operand
@@ -369,10 +367,11 @@ class TestReplayIdentity:
         materialized = RunSession(cfg, TraceCache()).run(spec)
         assert trace_cache_info()["mapped_entries"] == 0
 
-        # a store-attached capture replays the blob it wrote, mapped
+        # a store-attached capture replays the same in-memory pack, and
+        # writes it to the store as it is
         clear_memory_cache()
         captured = RunSession(cfg, TraceCache(store)).run(spec)
-        assert trace_cache_info()["mapped_entries"] == 1
+        assert trace_cache_info()["mapped_entries"] == 0
 
         clear_memory_cache()
         cache = TraceCache(store)
@@ -397,110 +396,59 @@ class TestReplayIdentity:
         clear_memory_cache()
 
 
-class _Refusing:
-    """A file that refuses its ``fail_at``-th write (a full disk)."""
-
-    def __init__(self, fh, fail_at):
-        self._fh, self._left = fh, fail_at
-
-    def write(self, data):
-        self._left -= 1
-        if not self._left:
-            raise OSError(errno.ENOSPC, "No space left on device")
-        return self._fh.write(data)
-
-    def flush(self):
-        self._fh.flush()
-
-    def fileno(self):
-        return self._fh.fileno()
-
-
-class _RefusingStore(TraceStore):
-    """A store whose temp files refuse their ``fail_at``-th write."""
-
-    def __init__(self, directory, fail_at):
-        super().__init__(directory)
-        self.fail_at = fail_at
-
-    @contextlib.contextmanager
-    def writing(self, key):
-        with super().writing(key) as fh:
-            yield _Refusing(fh, self.fail_at)
-
-
 def _tmp_files(root):
     return sorted(p.name for p in Path(root).rglob("*.tmp"))
 
 
 class TestWriteOnceCapture:
-    """A capture given a store entry writes its blob there once and
-    replays it mapped; the blob is the in-memory pack's bytes, and a
-    store that cannot be written gets the in-memory pack."""
+    """A capture is packed once, in memory, and written to a store once,
+    by ``TraceCache.put``: the stored blob is the store-less pack's
+    bytes, and a store that cannot be written still serves the point."""
 
     @pytest.mark.parametrize("name", APP_NAMES)
     def test_store_blob_is_the_memory_pack(self, name, tmp_path):
-        """Every quick app on the quick machine, by the route a session
-        captures it (barnes: its recording run)."""
-
-        def capture_quick(entry=None):
-            app = build_app(name, MachineConfig(),
-                            **QUICK_PROBLEM_SIZES[name])
-            if app.stream_invariant:
-                return app.compiled_program(entry)
-            return app.run_recorded(entry)[1]
-
+        """Every quick app on the quick machine, captured through a
+        session by the route it takes (barnes: its recording run)."""
+        cfg = MachineConfig()
+        plan = RunPlan.resolve(RunRequest.make(
+            name, 1, None, dict(QUICK_PROBLEM_SIZES[name])), cfg)
+        clear_memory_cache()
+        packed = RunSession(cfg, TraceCache()).run_plan(plan).program
+        clear_memory_cache()
         store = TraceStore(tmp_path)
-        written = capture_quick((store, "k"))
-        packed = capture_quick()
-        assert written.mapped and not packed.mapped
-        assert store.path_for("k").read_bytes() == bytes(packed.buffer)
-        assert bytes(written.buffer) == bytes(packed.buffer)
+        written = RunSession(cfg, TraceCache(store)).run_plan(plan).program
+        (path,) = store.directory.glob("*.trace")
+        assert not packed.mapped and not written.mapped
+        assert path.read_bytes() == bytes(packed.buffer)
         assert _tmp_files(tmp_path) == []
+        clear_memory_cache()
 
     @pytest.mark.parametrize("name", ["lu", "barnes"])
     def test_unwritable_store_gets_the_memory_pack(self, name, tmp_path):
-        """A regular file where ``traces/`` should be: the capture is
-        packed in memory, no temp file is left, the point is the same."""
+        """A regular file where ``traces/`` should be, or a directory
+        where the entry should be (the blob is written, its rename
+        fails): the point is the same, from the in-memory pack, and no
+        temp file is left."""
         cfg = MachineConfig(n_processors=4, cluster_size=2,
                             cache_kb_per_processor=4)
-        spec = RunRequest.make(name, 2, 4.0, dict(TINY_SIZES[name]))
+        plan = RunPlan.resolve(
+            RunRequest.make(name, 2, 4.0, dict(TINY_SIZES[name])), cfg)
         clear_memory_cache()
-        want = RunSession(cfg, TraceCache()).run(spec).to_json()
-        (tmp_path / "traces").write_bytes(b"not a directory")
+        want = RunSession(cfg, TraceCache(TraceStore(tmp_path / "ok"))) \
+            .run_plan(plan).result.to_json()
+        (entry,) = (tmp_path / "ok" / "traces").iterdir()
+        (tmp_path / "file").mkdir()
+        (tmp_path / "file" / "traces").write_bytes(b"not a directory")
+        (tmp_path / "dir" / "traces" / entry.name).mkdir(parents=True)
+        for root in ("file", "dir"):
+            clear_memory_cache()
+            outcome = RunSession(
+                cfg, TraceCache(TraceStore(tmp_path / root))).run_plan(plan)
+            assert not outcome.program.mapped
+            assert outcome.result.to_json() == want
+            assert _tmp_files(tmp_path / root) == []
+        assert (tmp_path / "dir" / "traces" / entry.name).is_dir()
         clear_memory_cache()
-        outcome = RunSession(cfg, TraceCache(TraceStore(tmp_path))).run_plan(
-            RunPlan.resolve(spec, cfg))
-        assert not outcome.program.mapped
-        assert outcome.result.to_json() == want
-        assert sorted(p.name for p in tmp_path.iterdir()) == ["traces"]
-        clear_memory_cache()
-
-    @pytest.mark.parametrize("fail_at", [1, 2, 4, 6])
-    def test_failed_write_packs_the_released_columns(self, fail_at,
-                                                     tmp_path):
-        """The head (write 1), a column (2-5 of four) or the task table
-        (6) refused: the columns already released are read back, and the
-        in-memory pack is byte-identical; no entry, no temp file."""
-        cfg = MachineConfig(n_processors=4, cluster_size=2)
-        store = _RefusingStore(tmp_path, fail_at)
-        program = tiny_app("lu", cfg).compiled_program((store, "k"))
-        assert not program.mapped
-        assert bytes(program.buffer) \
-            == bytes(tiny_app("lu", cfg).compiled_program().buffer)
-        assert "k" not in store and _tmp_files(tmp_path) == []
-
-    def test_failed_commit_keeps_the_mapping(self, tmp_path):
-        """The blob is written and mapped but cannot take the entry's
-        name (a directory holds it): the mapping is still the program."""
-        cfg = MachineConfig(n_processors=4, cluster_size=2)
-        store = TraceStore(tmp_path)
-        store.path_for("k").mkdir(parents=True)
-        program = tiny_app("lu", cfg).compiled_program((store, "k"))
-        assert program.mapped
-        assert bytes(program.buffer) \
-            == bytes(tiny_app("lu", cfg).compiled_program().buffer)
-        assert _tmp_files(tmp_path) == []
 
 
 class TestByteBudget:
@@ -647,24 +595,31 @@ print(json.dumps({
     "maxrss_kb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss}))
 """
 
-#: a 512x512 LU capture into a store entry, in a process of its own;
-#: argv[1] is the store root.  ``rise_kb`` is what the capture adds to
-#: the process's peak RSS, set-up (the problem itself) excluded.
+#: a 512x512 LU capture, put into a store's trace cache when argv[2] is
+#: "store", in a process of its own; argv[1] is the store root.
+#: ``rise_kb`` is what the capture (and the store write) adds to the
+#: process's peak RSS, set-up (the problem itself) excluded; ``sha256`` is
+#: the stored file's, else the buffer's.
 _LU512_CAPTURE_CHILD = """
 import hashlib, json, resource, sys
 from repro.apps.registry import build_app
 from repro.core.config import MachineConfig
 from repro.core.resultcache import TraceStore
+from repro.sim.compiled import TraceCache
 
 app = build_app("lu", MachineConfig(n_processors=64), n=512, block=16)
 app.ensure_setup()
 before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-entry = (TraceStore(sys.argv[1]), "lu512") if sys.argv[2] == "store" else None
-program = app.compiled_program(entry)
+program = app.compiled_program()
+store = TraceStore(sys.argv[1]) if sys.argv[2] == "store" else None
+if store is not None:
+    TraceCache(store).put("lu512", program)
+rise_kb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before
+blob = (program.buffer if store is None
+        else store.path_for("lu512").read_bytes())
 print(json.dumps({
-    "rise_kb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before,
-    "nbytes": program.nbytes, "mapped": program.mapped,
-    "sha256": hashlib.sha256(program.buffer).hexdigest()}))
+    "rise_kb": rise_kb, "nbytes": program.nbytes, "mapped": program.mapped,
+    "sha256": hashlib.sha256(blob).hexdigest()}))
 """
 
 #: sha256 of the whole 512x512 LU ``RPROTRC4`` blob, header included, on a
@@ -701,11 +656,10 @@ class TestPaperScale:
         if sys.byteorder == "little":
             assert hashlib.sha256(blob.read_bytes()).hexdigest() \
                 == _LU512_SHA256
-        # the capturing child holds the drained words once: it writes
-        # them into the store entry and replays the mapped blob: 81.5-83.8
-        # MiB measured on the native path and 86.4-88.5 MiB on the python
-        # one (90 MiB on either while the words were also packed into a
-        # buffer, ~142 MB at two words per op)
+        # the capturing child holds the drained words once: it packs them
+        # into an anonymous mapping, writes that to the store and replays
+        # it: 66.5-66.7 MiB measured on the native path and 69.5-69.7 MiB
+        # on the python one, within 2 MiB of the child that maps the blob
         assert captured["maxrss_kb"] < 100 * 1024
 
         mapped = child()
@@ -717,18 +671,17 @@ class TestPaperScale:
 
     @pytest.mark.parametrize("where", ["store", "memory"])
     def test_lu_512_capture_holds_the_trace_once(self, tmp_path, where):
-        """A capture releases each drained column once it is written,
-        into a store entry or into an anonymous mapping, so it adds at
-        most the trace plus 12 MiB to the peak: +28.8 MiB for the 21.9
-        MiB trace packed in memory (+51.3 MiB while the columns stayed
-        resident beside a full copy), +27.4-30.0 MiB written to a store."""
+        """A capture releases each drained column once it is copied into
+        its anonymous mapping, so it adds at most the trace plus 12 MiB
+        to the peak, and the store write that follows adds little: +27.8
+        MiB for the 21.9 MiB trace, +28.0-28.1 MiB with the store write."""
         env = os.environ.copy()
         env["PYTHONPATH"] = str(Path(__file__).resolve().parent.parent / "src")
         proc = subprocess.run(
             [sys.executable, "-c", _LU512_CAPTURE_CHILD, str(tmp_path), where],
             capture_output=True, text=True, env=env, check=True)
         out = json.loads(proc.stdout)
-        assert out["mapped"] == (where == "store")
+        assert not out["mapped"]
         assert 20e6 < out["nbytes"] < 24e6
         assert out["rise_kb"] * 1024 <= out["nbytes"] + 12 * 2**20
         if sys.byteorder == "little":

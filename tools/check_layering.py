@@ -9,11 +9,13 @@ rule's regex matches exactly ``count`` lines under its paths (0: a
 retired name), its ``home`` files aside, which must each hold it.  An
 only-in rule requires every call it matches on the AST to sit inside
 ``function``.  A reached rule requires every public function, class and
-method under its paths to be named, and each defaulted parameter of
-one to be passed, by a module under its paths or ``callers`` (never
-``tests``), matching by name on the AST; what only tests reach is in
-its ``allow`` list with its role, and an entry that names nothing or
-that a caller reaches fails.  A path that names nothing fails.
+method under its paths to be named (a method as an attribute or a
+string), and each defaulted parameter of one to be passed (by a
+``super().__init__`` only to its class's bases), by a module under its
+paths or ``callers`` (never ``tests``), matching by name on the AST;
+what only tests reach is in its ``allow`` list with its role, and an
+entry that names nothing or that a caller reaches fails.  A path that
+names nothing fails.
 ``mutate`` derives each rule's failing edit from its kind and
 ``example``.  The tree is read once, without bytecode, undecodable
 files, this file or ``HISTORY``.
@@ -71,12 +73,21 @@ TEST_ONLY: tuple[tuple[str, str], ...] = (
     ("VolrendApp.march(use_octree)", "test oracle"),  # False: brute force
     ("Directory.is_sharer", "test probe"),
     ("Directory.sharer_list", "test probe"),
+    ("Directory.entry", "test probe"),
     ("AddressSpace.regions", "test probe"),
+    ("AddressSpace.region", "test probe"),
     ("Region.contains", "test probe"),
-    ("FigureData.series(component)", "test probe"),
+    ("Region.n_elements", "test probe"),
+    ("FigureData.series", "test probe"),
     ("BarnesApp.__init__(dt)", "test seam"),  # dt=0: bodies stand still
     ("FMMApp.__init__(dt)", "test seam"),
     ("MP3DApp.__init__(collide_prob)", "test seam"),
+    ("MP3DApp.__init__(cells_per_side)", "test seam"),  # a small space array
+    ("RadixApp.__init__(n_digits)", "test seam"),  # one digit pass
+    # make_memory_system passes it through PROTOCOL_REGISTRY, a call no
+    # name resolves; tests build these without one
+    ("CoherentMemorySystem.__init__(allocator)", "test seam"),
+    ("DLSMemorySystem.__init__(allocator)", "test seam"),
     ("RaytraceApp.__init__(max_depth)", "test seam"),
     ("VolrendApp.__init__(opacity_cutoff)", "test seam"),  # early termination
     ("DaemonThread", "test seam"),  # an in-process daemon on a thread
@@ -134,6 +145,9 @@ RULES: tuple[Rule, ...] = (
     Rule("engine-heap-shortcut", 33, "src/repro/sim/engine.py", r"heap\[0\]\[0\]", "heap[0][0]"),
     Rule("one-op-store-rule", 33, "src/repro/sim/compiled.py", "//=? line_size",
          "line = addr // line_size", 1),
+    # a capture is packed once in memory; TraceCache.put is the one write
+    Rule("one-trace-write", 48, "src/repro/sim", r"put_bytes\(|\.writing\(",
+         "store.put_bytes(key, blob)", 1),
     Rule("span-stays-in-capture", 42, f"src/repro/sim/engine.py src/repro/native {MEMORY}",
          "OP_SPAN", "kind = OP_SPAN"),
     Rule("directory-writes-through-transitions", 29, BACK_ENDS,
@@ -295,15 +309,19 @@ def _defined(node, cls: str = "") -> Defined:
 
 @functools.cache  # the mutation test re-checks trees one file apart
 def _surface(text: str, facade: bool):
-    """One module's ``(defined, names, strings, calls, prefixes)``: its
-    public definitions, every ``(name, line)`` it mentions, the strings
-    among them, every call's ``(callee, line, positional count,
-    keywords)``, and the constant heads of its f-strings
-    (``f"cmd_{name}"`` -> ``cmd_``).  An
+    """One module's ``(defined, names, strings, calls, prefixes,
+    classes)``: its public definitions, every ``(name, line, member)`` it
+    mentions (``member``: as an attribute or a string, the ways a method
+    is named), the strings among them, every call's ``(callee, line,
+    positional count, keywords)``, the constant heads of its f-strings
+    (``f"cmd_{name}"`` -> ``cmd_``) and every class's ``(name, bases,
+    whether it defines __init__)``.  A ``super().__init__`` call's callee
+    is ``"super <enclosing class>"``.  An
     ``__all__`` or ``_LAZY`` table lists names and a facade's imports
     re-export them: neither mentions one."""
     module, defined, names, strings = ast.parse(text), [], [], []
     calls, prefixes = [], []
+    classes = [c for c in ast.walk(module) if isinstance(c, ast.ClassDef)]
     skip = {id(n) for node in module.body
             if isinstance(node, ast.Assign) and any(
                 getattr(t, "id", "") in ("__all__", "_LAZY")
@@ -322,33 +340,44 @@ def _surface(text: str, facade: bool):
                                                          or f.name[0] != "_")]
     for node in ast.walk(module):
         if isinstance(node, ast.Name):
-            names.append((node.id, node.lineno))
+            names.append((node.id, node.lineno, False))
         elif isinstance(node, ast.Attribute):
-            names.append((node.attr, node.end_lineno))
+            names.append((node.attr, node.end_lineno, True))
         elif isinstance(node, (ast.Import, ast.ImportFrom)) and not facade:
-            names += [(part, node.lineno) for alias in node.names
+            names += [(part, node.lineno, False) for alias in node.names
                       for part in alias.name.split(".")]
         elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
               and id(node) not in skip):
-            names.append((node.value, node.lineno))
+            names.append((node.value, node.lineno, True))
             strings.append(node.value)
         elif isinstance(node, ast.JoinedStr) and len(node.values) > 1 \
                 and isinstance(node.values[0], ast.Constant):
             prefixes.append(node.values[0].value)
         elif isinstance(node, ast.Call):
             callee = getattr(node.func, "id", getattr(node.func, "attr", None))
+            if callee == "__init__" and ast.unparse(node.func) \
+                    == "super().__init__":
+                callee = "super " + max(
+                    (c for c in classes
+                     if c.lineno <= node.lineno <= c.end_lineno),
+                    key=lambda c: c.lineno).name
             starred = any(isinstance(a, ast.Starred) for a in node.args)
             calls.append((callee, node.lineno,
                           sys.maxsize if starred else len(node.args),
                           frozenset(k.arg for k in node.keywords if k.arg)))
     return (tuple(defined), tuple(names), frozenset(strings), tuple(calls),
-            tuple(prefixes))
+            tuple(prefixes), tuple(
+                (c.name, tuple(ast.unparse(b).split(".")[-1] for b in c.bases),
+                 any(getattr(f, "name", "") == "__init__" for f in c.body))
+                for c in classes))
 
 
 def unreached(rule: Rule, tree: dict[str, str]) -> list[str]:
     """The ``reached`` rule: each public name defined under ``rule.paths``
     is named, and each of its defaulted parameters passed, outside its
-    own definition by a module under ``rule.paths`` or ``rule.callers``;
+    own definition by a module under ``rule.paths`` or ``rule.callers``
+    (a method as an attribute or a string; a ``super().__init__`` call
+    passes to the ``__init__`` its class's bases reach, by class name);
     else it is in ``rule.allow``, whose entries must each name a
     definition that no caller reaches, in one of ``ROLES``."""
     callers = [p for p in _files(f"{rule.paths} {rule.callers}", tree)
@@ -356,13 +385,29 @@ def unreached(rule: Rule, tree: dict[str, str]) -> list[str]:
     surface = {p: _surface(tree[p], p.endswith("/__init__.py"))
                for p in callers}
     mentions, passes, strings, heads = {}, {}, set(), set()
-    for path, (_, names, texts, calls, prefixes) in surface.items():
-        for name, line in names:
-            mentions.setdefault(name, []).append((path, line))
+    bases, inits = {}, set()
+    for path, (_, names, texts, calls, prefixes, classes) in surface.items():
+        for name, line, member in names:
+            mentions.setdefault(name, []).append((path, line, member))
         strings |= texts
         heads.update(h for h in prefixes if h.isidentifier())
         for callee, line, n, keywords in calls:
             passes.setdefault(callee, []).append((path, line, n, keywords))
+        for name, parents, init in classes:
+            bases.setdefault(name, set()).update(parents)
+            if init:
+                inits.add(name)
+
+    def init_of(cls: str, seen: frozenset = frozenset()) -> set[str]:
+        """The classes whose ``__init__`` ``cls``'s ``super().__init__``
+        runs: each base that defines one, else that base's own."""
+        return {owner for base in bases.get(cls, set()) - seen
+                for owner in ({base} if base in inits
+                              else init_of(base, seen | {cls}))}
+
+    for callee in [c for c in passes if c and c.startswith("super ")]:
+        for owner in init_of(callee.removeprefix("super ")):
+            passes.setdefault(owner, []).extend(passes[callee])
 
     def outside(d: Defined, path: str, sites) -> list:
         return [s for s in sites
@@ -372,8 +417,11 @@ def unreached(rule: Rule, tree: dict[str, str]) -> list[str]:
     failures, seen = [], set()
     for path in in_scope(rule, tree):
         for d in surface[path][0]:
+            method = "." in d.qual
             reached = (d.qual.endswith(".__init__")
-                       or outside(d, path, mentions.get(d.name, ()))
+                       or outside(d, path, [
+                           m for m in mentions.get(d.name, ())
+                           if m[2] or not method])
                        or any(d.name.startswith(h)  # f"{head}{key}"
                               and d.name[len(h):] in strings for h in heads))
             if d.qual in allowed:
@@ -386,9 +434,7 @@ def unreached(rule: Rule, tree: dict[str, str]) -> list[str]:
                 failures.append(f"{rule.name}: {path}:{d.line}: {d.qual} "
                                 "has no caller outside tests")
                 continue
-            sites = outside(d, path, passes.get(d.name, []) + (
-                passes.get("__init__", []) if d.qual.endswith(".__init__")
-                else []))
+            sites = outside(d, path, passes.get(d.name, []))
             for param, position in d.params:
                 entry = f"{d.qual}({param})"
                 passed = param in strings or any(
