@@ -84,7 +84,7 @@ class BarnesApp(Application):
     name = "barnes"
     # the one recorded app: ``_insert(b)`` reads the tree as the other
     # processors have left it, so the build-phase streams depend on
-    # simulated time
+    # simulated time (and only they: ``timed_barriers``)
     stream_invariant = False
     #: squared Plummer softening length (0.05)
     eps2 = 0.05 * 0.05
@@ -96,6 +96,10 @@ class BarnesApp(Application):
         self.n = n_particles
         self.theta = theta
         self.n_steps = n_steps
+        # the start barrier, then four a step: the last step's build ends
+        # at barrier 4 * n_steps - 2, and what follows it is settled at
+        # barriers (centres of mass, forces, update)
+        self.timed_barriers = max(4 * n_steps - 2, 0)
         self.dt = dt
         self.pos = np.empty((n_particles, 3))
         self.vel = np.empty((n_particles, 3))

@@ -30,6 +30,7 @@ Conventions shared by all applications:
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
+from copy import deepcopy
 from itertools import chain
 from typing import TYPE_CHECKING, Any, Iterable, Iterator
 
@@ -186,6 +187,13 @@ class Application(ABC):
     #: invariant at task granularity: :class:`TileQueueApplication`.)
     stream_invariant: bool = True
 
+    #: how many leading barriers close a phase whose streams depend on
+    #: simulated timing: :meth:`run_recorded` runs the engine only up to
+    #: that barrier and drains the phases after it.  ``None`` (every
+    #: one) records the whole run; Barnes, whose tree build alone is
+    #: timed, declares its last build barrier.
+    timed_barriers: int | None = None
+
     #: true only while :meth:`_capture` drains :meth:`program`: a span is
     #: then one ``OP_SPAN`` item for the drain, never per-op tuples
     _span_items: bool = False
@@ -250,24 +258,46 @@ class Application(ABC):
             self._span_items = False
 
     def run_recorded(self) -> "tuple[RunResult, CompiledProgram]":
-        """Generator-path run that also captures the executed streams.
+        """Capture the streams as an engine run decides them, and replay.
 
-        Works for every application — Barnes is the one that needs it —
-        because the capture *is* the executed interleaving.
-        Replaying the returned program on an identically-configured
-        machine is bit-identical to the returned result; for
-        :attr:`stream_invariant` apps the capture is additionally valid
-        across cluster/cache/network variations, like
+        Works for every application — Barnes is the one that needs it.
+        The generators run on the python engine, recorded, up to their
+        :attr:`timed_barriers`-th barrier, against a copy of the
+        allocator; the phases after it are drained barrier-phased, as
+        :meth:`compiled_program` drains
+        (:class:`~repro.sim.compiled.ProgramRecorder`).  The engine's
+        own result is discarded: the returned one is :meth:`replay` of
+        the capture, which binds pages from setup's placement, as a
+        trace-hit replay does, and is bit-identical to the generators'
+        run.  For :attr:`stream_invariant` apps the capture is
+        additionally valid across cluster/cache/network variations, like
         :meth:`compiled_program`'s.
         """
         from ..sim.compiled import ProgramRecorder
 
         self.ensure_setup()
-        memory = make_memory_system(self.config, self.allocator)
+        memory = make_memory_system(self.config, deepcopy(self.allocator))
         recorder = ProgramRecorder(self.program, self.config.n_processors,
-                                   self.config.line_size)
-        result = Engine(self.config, memory).run(recorder.factory)
-        return result, recorder.finish()
+                                   self.config.line_size, self.timed_barriers)
+        Engine(self.config, memory).run(recorder.factory)
+        program = recorder.finish()
+        return self.replay(program)[0], program
+
+    def replay(self, program: "CompiledProgram") -> "tuple[RunResult, str]":
+        """Replay a capture on this app's machine; returns the result and
+        the kernel that ran it.
+
+        The native C kernel serves the point when selected and eligible
+        (:func:`~repro.sim.nativereplay.try_replay_native` — byte-
+        identical to the python replay, and the allocator left as it
+        was); everything else runs on :meth:`run`'s python replay.
+        """
+        from ..sim.nativereplay import try_replay_native
+
+        result = try_replay_native(self.config, self, program)
+        if result is not None:
+            return result, "native"
+        return self.run(program=program), "python"
 
     def run(self, program: "CompiledProgram | None" = None,
             memory=None) -> RunResult:

@@ -52,8 +52,9 @@ class RunOutcome:
     ``result`` is always set.  ``program`` is the compiled trace that
     was replayed or captured, ``from_cache`` marks traces served from the
     trace cache, and ``kernel`` names what replayed a compiled trace
-    (``"native"`` or ``"python"``; ``None`` when barnes' recording run
-    was the execution).
+    (``"native"`` or ``"python"``; ``None`` when barnes'
+    :meth:`~repro.apps.base.Application.run_recorded` recorded and
+    replayed it in one call).
     """
 
     plan: RunPlan
@@ -129,10 +130,10 @@ class RunSession:
             if app.stream_invariant:
                 program = app.compiled_program()
             else:
-                # barnes: the stream is decided by the run itself, so
-                # capture during generator execution; the capture replays
-                # bit-identically at this exact configuration only (the
-                # trace key covers the full config)
+                # barnes: its tree builds are decided by the run itself,
+                # so the engine records them and run_recorded() replays
+                # the capture; it replays bit-identically at this exact
+                # configuration only (the trace key covers the full config)
                 result, program = app.run_recorded()
             if cache is not None:
                 cache.put(key, program)
@@ -141,9 +142,9 @@ class RunSession:
                              {"ops": program.total_ops,
                               "source_ops": program.source_ops,
                               "tasks": sum(map(len, program.task_lens))})
-        # replay it, unless the recording run was already the execution
+        # replay it, unless run_recorded() already did
         if result is None:
-            result, kernel = self._replay(plan, app, program)
+            result, kernel = app.replay(program)
         return self._finish(RunOutcome(plan, result, app, program,
                                        from_cache, kernel), clock)
 
@@ -164,21 +165,6 @@ class RunSession:
             obs.on_phase("build", clock.lap(), {"app": request.app})
         return app
 
-    def _replay(self, plan: RunPlan, app: "Application",
-                program: "CompiledProgram") -> "tuple[RunResult, str]":
-        """Replay a compiled trace; returns the result and the kernel.
-
-        The native C kernel serves the point when selected and eligible
-        (:func:`~repro.sim.nativereplay.try_replay_native` — byte-
-        identical to the canonical replay); everything else runs on
-        :meth:`Application.run`'s python replay.
-        """
-        from ..sim.nativereplay import try_replay_native
-        result = try_replay_native(plan.config, app, program)
-        if result is not None:
-            return result, "native"
-        return app.run(program=program), "python"
-
     def _finish(self, outcome: RunOutcome, clock: _Clock | None) -> RunOutcome:
         obs = self.observer
         if obs is not None:
@@ -188,9 +174,10 @@ class RunSession:
             if outcome.kernel is not None:
                 info["kernel"] = outcome.kernel
             else:
-                # barnes' recording run was the execution: the generators
-                # on the python engine, captured as they ran (there is no
-                # separate ``capture`` phase to say so)
+                # barnes' run_recorded(): the generators on the python
+                # engine through the last tree build, the rest drained, the
+                # capture replayed (no separate ``capture`` phase or
+                # kernel to report)
                 info.update(recorded=True, ops=outcome.program.total_ops,
                             source_ops=outcome.program.source_ops)
             if outcome.kernel == "python":

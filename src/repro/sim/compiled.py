@@ -574,6 +574,31 @@ def _drain(gen, words: array, line_size: int, was_work: bool,
     return n, was_work, False
 
 
+def _drain_phased(gens, all_words: list, line_size: int, was_work: list,
+                  n_queues: int) -> int:
+    """Drain every processor's ``gens[pid]`` into ``all_words[pid]``, one
+    barrier phase at a time, and return the source ops consumed.
+
+    Within a phase the generators advance in processor order, each up to
+    and including its next BARRIER; one that is exhausted leaves the
+    rotation.  ``was_work[pid]`` says whether the last word already in
+    ``all_words[pid]`` is a WORK, so a WORK that follows fuses into it.
+    """
+    source_ops = 0
+    running = list(range(len(gens)))
+    while running:
+        still_running = []
+        for pid in running:
+            n, was_work[pid], at_barrier = _drain(
+                gens[pid], all_words[pid], line_size, was_work[pid],
+                n_queues, phased=True)
+            source_ops += n
+            if at_barrier:
+                still_running.append(pid)
+        running = still_running
+    return source_ops
+
+
 def compile_program(program_factory: ProgramFactory, n_processors: int,
                     line_size: int, tasks=()) -> CompiledProgram:
     """Drain every processor's generator once into a :class:`CompiledProgram`.
@@ -616,20 +641,9 @@ def compile_program(program_factory: ProgramFactory, n_processors: int,
     if line_size <= 0:
         raise ValueError("line_size must be positive")
     all_words = [array("q") for _ in range(n_processors)]
-    gens = [iter(program_factory(pid)) for pid in range(n_processors)]
-    prev_was_work = [False] * n_processors
-    source_ops = 0
-    running = list(range(n_processors))
-    while running:
-        still_running = []
-        for pid in running:
-            n, prev_was_work[pid], at_barrier = _drain(
-                gens[pid], all_words[pid], line_size, prev_was_work[pid],
-                len(tasks), phased=True)
-            source_ops += n
-            if at_barrier:
-                still_running.append(pid)
-        running = still_running
+    source_ops = _drain_phased(
+        [iter(program_factory(pid)) for pid in range(n_processors)],
+        all_words, line_size, [False] * n_processors, len(tasks))
     task_words, task_lens = array("q"), []
     for queue in tasks:
         lens = []
@@ -649,36 +663,51 @@ class ProgramRecorder:
     The barrier-phased drain of :func:`compile_program` is correct only for
     applications whose streams are independent of intra-phase timing (or
     depend on it through a task queue alone, which a ``TASK`` op carries).
-    Barnes violates that: its processors insert bodies into one tree under
-    per-cell locks, so what each reads is the tree as the others have left
-    it — something only a real engine run knows.  For it, wrap the
-    factory::
+    Barnes violates that in its tree build: its processors insert bodies
+    into one tree under per-cell locks, so what each reads is the tree as
+    the others have left it — something only a real engine run knows.
+    For it, wrap the factory::
 
-        recorder = ProgramRecorder(app.program, n, line_size)
-        result = engine.run(recorder.factory)
+        recorder = ProgramRecorder(app.program, n, line_size, timed)
+        engine.run(recorder.factory)
         program = recorder.finish()
 
     ``factory`` is a drop-in :data:`~repro.sim.program.ProgramFactory` that
     appends every yielded ``(opcode, arg)`` as it is to a raw column pair
-    of its processor before handing it to the engine, so the capture is
-    the *executed* interleaving by construction.  :meth:`finish` stores
-    each raw pair through :func:`_drain`, the one rule
-    :func:`compile_program` stores by (line division, WORK fusion, one
-    word per op), and replaying the result on an identically-configured
-    machine is bit-identical.
+    of its processor before handing it to the engine, so the recording
+    is the *executed* interleaving by construction.
+
+    ``timed_barriers`` is how many leading barriers close a phase whose
+    streams depend on simulated time (``None``: every one).  The engine
+    decides only those: each processor's wrapper records its
+    ``timed_barriers``-th BARRIER but withholds it from the engine and
+    ends, leaving the generator suspended just past it.  No lock is held
+    at a barrier, so the run finishes without a deadlock.
+    :meth:`finish` stores each raw pair through :func:`_drain`, the one
+    rule :func:`compile_program` stores by (line division, WORK fusion,
+    one word per op), then drains the suspended generators
+    barrier-phased, as :func:`compile_program` does.  Replaying the
+    result on an identically-configured machine is bit-identical to
+    the generators' run.
     """
 
     def __init__(self, program_factory: ProgramFactory, n_processors: int,
-                 line_size: int) -> None:
+                 line_size: int, timed_barriers: int | None = None) -> None:
         if n_processors <= 0:
             raise ValueError("n_processors must be positive")
         if line_size <= 0:
             raise ValueError("line_size must be positive")
+        if timed_barriers is not None and timed_barriers < 0:
+            raise ValueError("timed_barriers must be non-negative")
         self._factory = program_factory
         self.n_processors = n_processors
         self.line_size = line_size
+        self._timed = timed_barriers
         self._raw_ops = [array("q") for _ in range(n_processors)]
         self._raw_args = [array("q") for _ in range(n_processors)]
+        self._gens: list = [None] * n_processors
+        #: pid -> the operand of the BARRIER its wrapper withheld
+        self._withheld: dict[int, int] = {}
 
     def factory(self, pid: int):
         """The recording wrapper around ``program_factory(pid)``.
@@ -686,10 +715,17 @@ class ProgramRecorder:
         A raw operand outside int64 is refused as it is recorded, with
         the :class:`ValueError` :func:`_drain` gives the op (the engine
         run stops there); should its line fit a word, the address alone
-        is still more than the raw column holds."""
+        is still more than the raw column holds.  A generator that ends
+        before its ``timed_barriers``-th BARRIER is a
+        :class:`ValueError` too: the engine would not have decided the
+        streams the drain goes on to store."""
+        gen = self._gens[pid] = iter(self._factory(pid))
+        left = self._timed
+        if left == 0:
+            return
         append_op = self._raw_ops[pid].append
         append_arg = self._raw_args[pid].append
-        for op in self._factory(pid):
+        for op in gen:
             try:
                 append_op(op[0])
                 append_arg(op[1])
@@ -699,19 +735,44 @@ class ProgramRecorder:
                 raise ValueError(f"{_OP_NAMES[op[0]]} {op[1]}: operand "
                                  f"outside int64, which a recording "
                                  f"cannot hold") from None
+            if op[0] == OP_BARRIER and left is not None:
+                left -= 1
+                if not left:
+                    self._withheld[pid] = op[1]
+                    return
             yield op
+        if left is not None:
+            raise ValueError(
+                f"processor {pid} ended {left} barrier(s) short of the "
+                f"{self._timed} declared timed")
 
     def finish(self) -> CompiledProgram:
         """The capture as a :class:`CompiledProgram` (call after the run).
 
         Each raw pair is popped, so it is freed as soon as it is drained
-        and the raw columns are gone before the program is packed."""
+        and the raw columns are gone before the program is packed.  A
+        run that has not ended, or whose processors withheld different
+        barrier ids, is a :class:`ValueError` before anything is
+        drained: the phases after the withheld barrier are drained only
+        where the engine took every processor to that one barrier."""
+        if None in self._gens or (self._timed and len(
+                self._withheld) < self.n_processors):
+            raise ValueError("finish() before the recorded run ended")
+        ids = sorted(set(self._withheld.values()))
+        if len(ids) > 1:
+            raise ValueError(f"processors withheld different barrier ids "
+                             f"{ids} as barrier {self._timed}")
         words = [array("q") for _ in range(self.n_processors)]
+        was_work = []
         source_ops = 0
         for w in words:
-            source_ops += _drain(
+            n, last_is_work, _ = _drain(
                 zip(self._raw_ops.pop(0), self._raw_args.pop(0)), w,
-                self.line_size, False, 0, phased=False)[0]
+                self.line_size, False, 0, phased=False)
+            source_ops += n
+            was_work.append(last_is_work)
+        source_ops += _drain_phased(self._gens, words, self.line_size,
+                                    was_work, 0)
         return CompiledProgram(words, self.line_size, source_ops)
 
 

@@ -171,14 +171,19 @@ def test_task_trace_counts_the_ops_a_run_executes(name):
 
 
 def test_run_recorded_result_matches_replay():
-    """The recording run's result equals a replay of its own capture."""
+    """``run_recorded()``'s result, a replay of its capture, is the
+    generators' own run, and so is a fresh instance's replay of it —
+    the whole run recorded (raytrace) or the timed barriers only
+    (barnes)."""
     cfg = MachineConfig(n_processors=8, cluster_size=2,
                         cache_kb_per_processor=4.0)
-    app = tiny_app("raytrace", cfg)
-    result, program = app.run_recorded()
-    # a fresh instance replays with its own (identically placed) allocator
-    replayed = tiny_app("raytrace", cfg).run(program=program)
-    assert replayed.to_json() == result.to_json()
+    for name in ("raytrace", "barnes"):
+        want = tiny_app(name, cfg).run().to_json()
+        result, program = tiny_app(name, cfg).run_recorded()
+        # a fresh instance replays with its own (identically placed)
+        # allocator
+        replayed = tiny_app(name, cfg).run(program=program)
+        assert result.to_json() == replayed.to_json() == want, name
 
 
 # -------------------------------------------------------------- compilation

@@ -138,16 +138,19 @@ class TestObserverTransparency:
         off = execute_info(ocean)
         assert (off["kernel"], off["declined"]) == (
             "python", "native-off-or-unavailable")
-        # a cold dynamic app is run by its generators: no replay kernel
+        # a cold dynamic app is recorded and replayed by run_recorded():
+        # no replay kernel to report
         assert "kernel" not in execute_info(
             RunRequest.make("barnes", 2, 4.0, TINY["barnes"]))
 
     def test_cold_dynamic_point_says_it_was_a_recording_run(self):
-        """Cold, barnes is executed by ``run_recorded()`` — no ``capture``
-        phase, no replay kernel — and its ``execute`` line must say so;
-        warm, it is an ordinary replay.  Info only: the bytes do not move."""
+        """Cold, barnes is recorded and replayed by ``run_recorded()`` —
+        no ``capture`` phase, no replay kernel — and its ``execute`` line
+        must say so; warm, it is an ordinary replay.  Both are the
+        generators' own run, byte for byte."""
         request = RunRequest.make("barnes", 2, 4.0, TINY["barnes"])
-        want = RunSession(base_config=CFG).run(request).to_json()
+        want = build_app("barnes", request.config_for(CFG),
+                         **TINY["barnes"]).run().to_json()
 
         observer = TimingObserver()
         session = RunSession(base_config=CFG, trace_cache=TraceCache(),

@@ -170,6 +170,9 @@ RULES: tuple[Rule, ...] = (
     Rule("oracle-owns-its-probe", 34, "tests/refmodel.py", "probe_read", "c.probe_read(0, 0)"),
     Rule("barnes-alone-recorded", 24, "src", "stream_invariant = False",
          "stream_invariant = False", home="src/repro/apps/barnes.py"),
+    # and only its tree builds are timed: the rest of its run is drained
+    Rule("barnes-alone-timed", 49, "src", r"timed_barriers(: [^=]+)? [-+*]?= (?!None\b)",
+         "timed_barriers = 1", home="src/repro/apps/barnes.py"),
     Rule("one-task-loop", 24, KERNEL, r"q_pop\(q\)", "t = q_pop(q);", 2),
     Rule("kernel-one-index", 30, KERNEL,
          r"\bMap\b|map_[a-z]+\(|lock_enqueue|lock_dequeue|wpid|warr|qpid|qarr", "Map *m = 0;"),
