@@ -34,14 +34,15 @@ natural owner).
 
 from __future__ import annotations
 
-from typing import Iterator
+from typing import Iterable, Iterator
 
 import numpy as np
 
 from ..core.config import MachineConfig
-from ..sim.program import Barrier, Lock, Op, Read, Unlock, Work, Write
+from ..sim.program import (OP_READ, OP_WORK, OP_WRITE, Barrier, Lock, Op,
+                           Read, Unlock, Work, Write)
 from .base import (Application, PhaseBarriers, direct_acceleration,
-                   softened_pull)
+                   element_addrs, softened_pull)
 
 __all__ = ["BarnesApp"]
 
@@ -53,6 +54,20 @@ _CELL_LOCK_BASE = 1
 
 _COM, _OPEN, _BODY = 0, 1, 2  # force-walk visit kinds
 _BATCH = 512                  # bodies walked together
+
+#: a cell's centre-of-mass ops: read its children line, read each
+#: child's record (a cell's COM line or a body), combine (WORK 40),
+#: write its COM line
+_COM_OPS = np.array([OP_READ] * 9 + [OP_WORK, OP_WRITE])
+#: per force-walk row kind (_COM, _OPEN, _BODY, then a body's own
+#: record, read before its walk), its ops and which of them it has:
+#: read the COM line, then WORK 60 (accepted) or read the children line
+#: and WORK 16 (opened); read a body and WORK 60 (direct interaction)
+_FORCE_OPS = np.array([[OP_READ, OP_WORK, OP_WORK], [OP_READ, OP_READ, OP_WORK],
+                       [OP_READ, OP_WORK, OP_WORK], [OP_READ, OP_WORK, OP_WORK]])
+_FORCE_KEEP = np.array([[1, 1, 0], [1, 1, 1], [1, 1, 0], [1, 0, 0]], dtype=bool)
+#: a body's update ops: read it, integrate (WORK 40), write it
+_UPDATE_OPS = np.array([OP_READ, OP_WORK, OP_WRITE])
 
 
 class _Cell:
@@ -206,20 +221,26 @@ class BarnesApp(Application):
         """Upward mass/COM pass over the finished tree (idempotent)."""
         if self._coms_step == step:
             return
-        for cell in reversed(self.cells):  # children always after parents
+        #: per cell and child slot, the address of the child's record
+        #: (its COM line or its body), -1 where the slot is empty
+        self._kid_addrs = np.full((len(self.cells), 8), -1, dtype=np.int64)
+        for ci in range(len(self.cells) - 1, -1, -1):  # children after
+            cell = self.cells[ci]                       # their parents
             m = 0.0
             com = np.zeros(3)
-            for slot in cell.children:
+            for o, slot in enumerate(cell.children):
                 if slot is None:
                     continue
                 if slot[0] == "b":
                     bm = self.mass[slot[1]]
                     m += bm
                     com += bm * self.pos[slot[1]]
+                    self._kid_addrs[ci, o] = self._body_addr(slot[1])
                 else:
                     sub = self.cells[slot[1]]
                     m += sub.mass
                     com += sub.mass * sub.com
+                    self._kid_addrs[ci, o] = self._cell_line0(slot[1])
             cell.mass = m
             if m > 0.0:
                 cell.com = com / m
@@ -251,12 +272,6 @@ class BarnesApp(Application):
         self._visits = (np.concatenate(kinds), np.concatenate(idxs),
                         first.tolist())
         self._forces_step = step
-
-    def _visits_of(self, b: int) -> Iterator[tuple[int, int]]:
-        """Body ``b``'s ``(kind, index)`` visits in this step's walk."""
-        kind, idx, first = self._visits
-        return zip(kind[first[b]:first[b + 1]].tolist(),
-                   idx[first[b]:first[b + 1]].tolist())
 
     def _walk(self, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray,
                                                 np.ndarray, np.ndarray]:
@@ -333,6 +348,59 @@ class BarnesApp(Application):
     def _body_addr(self, b: int) -> int:
         return self.rbodies.element(b * _BODY_DOUBLES)
 
+    def _com_ops(self, pid: int) -> Iterable[Op]:
+        """Phase 2's ops for the cells dealt to ``pid``, one row per cell
+        (:data:`_COM_OPS`, an empty slot's read left out)."""
+        cells = np.arange(pid, len(self.cells), self.config.n_processors)
+        args = np.empty((len(cells), len(_COM_OPS)), dtype=np.int64)
+        args[:, 0] = element_addrs(self.rcells, cells * _CELL_DOUBLES + 8)
+        args[:, 1:9] = kids = self._kid_addrs[cells]
+        args[:, 9] = 40
+        args[:, 10] = args[:, 0] - 8 * self.rcells.element_size
+        keep = np.ones(args.shape, dtype=bool)
+        keep[:, 1:9] = kids >= 0
+        return self.op_batch(_COM_OPS, args, keep)
+
+    def _force_ops(self, mine: range) -> Iterable[Op]:
+        """Phase 3's ops for bodies ``mine``: per body, its own record,
+        then one row per visit of its walk (:data:`_FORCE_OPS`)."""
+        kind, idx, first = self._visits
+        lo, hi = first[mine.start], first[mine.stop]
+        # a body's row sits before its visits: at its first visit, moved
+        # down by the rows of the bodies before it
+        head = np.asarray(first[mine.start:mine.stop]) - lo + np.arange(
+            len(mine))
+        rows = np.full(hi - lo + len(mine), 3)
+        is_visit = np.ones(len(rows), dtype=bool)
+        is_visit[head] = False
+        rows[is_visit] = kind[lo:hi]
+        at = np.empty(len(rows), dtype=np.int64)
+        at[head] = np.asarray(mine)
+        at[is_visit] = idx[lo:hi]
+        cell = rows < _BODY
+        args = np.empty((len(rows), 3), dtype=np.int64)
+        args[:, 0] = np.where(
+            cell, element_addrs(self.rcells, np.where(cell, at, 0)
+                                * _CELL_DOUBLES),
+            element_addrs(self.rbodies, np.where(cell, 0, at)
+                          * _BODY_DOUBLES))
+        args[:, 1] = np.where(rows == _OPEN,
+                              args[:, 0] + 8 * self.rcells.element_size, 60)
+        args[:, 2] = 16
+        return self.op_batch(_FORCE_OPS[rows], args, _FORCE_KEEP[rows])
+
+    def _update_ops(self, mine: range) -> Iterable[Op]:
+        """Phase 4: leapfrog bodies ``mine`` (elementwise, so with the
+        bits of one body at a time) and return their ops."""
+        lo, hi = mine.start, mine.stop
+        self.vel[lo:hi] += self.dt * self.acc[lo:hi]
+        self.pos[lo:hi] += self.dt * self.vel[lo:hi]
+        args = np.empty((len(mine), 3), dtype=np.int64)
+        args[:, [0, 2]] = element_addrs(
+            self.rbodies, np.arange(lo, hi) * _BODY_DOUBLES)[:, None]
+        args[:, 1] = 40
+        return self.op_batch(np.tile(_UPDATE_OPS, len(mine)), args.ravel())
+
     def program(self, pid: int) -> Iterator[Op]:
         bar = PhaseBarriers()
         mine = self.partition_slice(self.n, pid)
@@ -359,43 +427,15 @@ class BarnesApp(Application):
 
             # ---- phase 2: centres of mass ---------------------------
             self._ensure_coms(step)
-            n_cells = len(self.cells)
-            for ci in range(pid, n_cells, self.config.n_processors):
-                yield Read(self._cell_line1(ci))
-                for slot in self.cells[ci].children:
-                    if slot is None:
-                        continue
-                    if slot[0] == "c":
-                        yield Read(self._cell_line0(slot[1]))
-                    else:
-                        yield Read(self._body_addr(slot[1]))
-                yield Work(40)
-                yield Write(self._cell_line0(ci))
+            yield from self._com_ops(pid)
             yield Barrier(bar())
 
             # ---- phase 3: forces ------------------------------------
             self._ensure_forces(step)
-            for b in mine:
-                yield Read(self._body_addr(b))
-                for kind, idx in self._visits_of(b):
-                    if kind == _COM:
-                        yield Read(self._cell_line0(idx))
-                        yield Work(60)
-                    elif kind == _OPEN:
-                        yield Read(self._cell_line0(idx))
-                        yield Read(self._cell_line1(idx))
-                        yield Work(16)
-                    else:
-                        yield Read(self._body_addr(idx))
-                        yield Work(60)
+            yield from self._force_ops(mine)
             yield Barrier(bar())
             self._visits = None  # every processor is done with it
 
             # ---- phase 4: update ------------------------------------
-            for b in mine:
-                self.vel[b] += self.dt * self.acc[b]
-                self.pos[b] += self.dt * self.vel[b]
-                yield Read(self._body_addr(b))
-                yield Work(40)
-                yield Write(self._body_addr(b))
+            yield from self._update_ops(mine)
             yield Barrier(bar())

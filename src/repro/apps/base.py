@@ -30,6 +30,7 @@ Conventions shared by all applications:
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
+from contextlib import contextmanager
 from copy import deepcopy
 from itertools import chain
 from typing import TYPE_CHECKING, Any, Iterable, Iterator
@@ -45,12 +46,17 @@ from ..memory import make_memory_system
 from ..memory.address import AddressSpace, Region
 from ..memory.allocation import PageAllocator
 from ..sim.engine import Engine
-from ..sim.program import (OP_READ, OP_SPAN, OP_WRITE, Barrier, Lock, Op,
-                           Read, Task, Unlock, Write)
+from ..sim.program import (OP_READ, OP_SPAN, OP_WORDS, OP_WORK, OP_WRITE,
+                           Barrier, Lock, Op, Read, Task, Unlock, Write)
 
 __all__ = ["Application", "PhaseBarriers", "TileQueueApplication",
-           "direct_acceleration", "element_addrs", "op_rows",
-           "proc_grid_shape", "row_dots", "softened_pull"]
+           "direct_acceleration", "element_addrs", "proc_grid_shape",
+           "row_dots", "softened_pull", "span_parts"]
+
+
+#: a batch shorter than this leaves a capture as tuples, not as an item:
+#: below it, numpy's fixed cost per item outweighs the drain's per-op loop
+_ITEM_MIN_OPS = 64
 
 
 def row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -75,14 +81,6 @@ def element_addrs(region: Region, index: np.ndarray) -> np.ndarray:
         region.element(int(index.min()))
         region.element(int(index.max()))
     return region.base + index.astype(np.int64) * region.element_size
-
-
-def op_rows(opcodes: np.ndarray, args: np.ndarray,
-            keep: np.ndarray) -> Iterator[Op]:
-    """A batch's ops, row after row: ``(opcodes[j], args[i, j])`` for
-    every ``keep[i, j]``, as python ints (what a drain stores)."""
-    return zip(np.broadcast_to(opcodes, args.shape)[keep].tolist(),
-               args[keep].tolist())
 
 
 def softened_pull(m: np.ndarray | float, d: np.ndarray,
@@ -158,6 +156,43 @@ def _span_ops(opcode: int, addr: int, end: int, esz: int, line_size: int,
         line += 1
 
 
+def span_parts(opcodes: np.ndarray, operands: np.ndarray,
+               counts: np.ndarray, esz: int,
+               line_size: int) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Tables of records as ``(opcodes, operands)`` batches, one per
+    index of their first axis (a processor, say), each taken in
+    row-major order; the three arrays broadcast together.  A READ/WRITE
+    record is the span of ``counts`` elements of ``esz`` bytes from byte
+    address ``operands``, as :func:`_span_ops` emits it (none for a
+    count of 0); any other record is its one op.  The caller
+    bounds-checks each span's first element (:func:`element_addrs`), as
+    :meth:`Application._span` does."""
+    opcodes, operands, counts = np.broadcast_arrays(opcodes, operands,
+                                                    counts)
+    per_part = operands[0].size
+    opcodes, operands, counts = map(np.ravel, (opcodes, operands, counts))
+    span = (opcodes == OP_READ) | (opcodes == OP_WRITE)
+    end = operands + counts * esz
+    line = operands // line_size
+    n_lines = np.where(span, np.where(counts > 0, (end - 1) // line_size
+                                      - line + 1, 0), 1)
+    rec = np.repeat(np.arange(len(opcodes)), n_lines)
+    line = (line - np.cumsum(n_lines) + n_lines)[rec] + np.arange(len(rec))
+    span = span[rec]
+    ops = np.full(2 * len(rec), OP_WORK, dtype=np.int64)
+    args = np.empty(2 * len(rec), dtype=np.int64)
+    ops[::2] = opcodes[rec]
+    args[::2] = np.where(span, np.maximum(operands[rec], line * line_size),
+                         operands[rec])
+    args[1::2] = (np.minimum(end[rec], (line + 1) * line_size)
+                  - args[::2]) // esz - 1
+    keep = np.ones(len(ops), dtype=bool)
+    keep[1::2] = span & (args[1::2] > 0)
+    cuts = np.searchsorted(np.repeat(rec, 2)[keep] // per_part,
+                           np.arange(1, len(opcodes) // per_part))
+    return list(zip(np.split(ops[keep], cuts), np.split(args[keep], cuts)))
+
+
 class Application(ABC):
     """Base class for the nine workloads.
 
@@ -194,9 +229,10 @@ class Application(ABC):
     #: timed, declares its last build barrier.
     timed_barriers: int | None = None
 
-    #: true only while :meth:`_capture` drains :meth:`program`: a span is
-    #: then one ``OP_SPAN`` item for the drain, never per-op tuples
-    _span_items: bool = False
+    #: true only while a capture drains :meth:`program` (:meth:`_items`):
+    #: a span is then one ``OP_SPAN`` item and a batch one ``OP_WORDS``
+    #: item for the drain, never per-op tuples
+    _draining: bool = False
 
     def __init__(self, config: MachineConfig, seed: int = 12345) -> None:
         self.config = config
@@ -206,6 +242,8 @@ class Application(ABC):
         self.allocator = PageAllocator(config.n_clusters, config.page_size,
                                        config.line_size)
         self._setup_done = False
+        #: :meth:`shared_batch`'s parts not yet taken, by key and processor
+        self._parts: dict[Any, dict[int, tuple]] = {}
 
     # ------------------------------------------------------------ lifecycle
     @abstractmethod
@@ -242,35 +280,42 @@ class Application(ABC):
         self.ensure_setup()
         return self._capture(self.program)
 
+    @contextmanager
+    def _items(self):
+        """Spans and batches are drain items inside the block, per-op
+        tuples again after it (for :meth:`run`, the engine half of
+        :meth:`recorded_program`, a caller's own drain), whether it
+        returned or raised."""
+        self._draining = True
+        try:
+            yield
+        finally:
+            self._draining = False
+
     def _capture(self, factory, tasks=()) -> "CompiledProgram":
         """:func:`~repro.sim.compiled.compile_program` of ``factory`` on
-        this app's machine, with every span drained as one item; the
-        spans of any other run (:meth:`run`, :meth:`run_recorded`, a
-        caller's own drain) are per-op tuples again afterwards, whether
-        the capture returned or raised."""
+        this app's machine, with every span and batch drained as one
+        item."""
         from ..sim.compiled import compile_program
 
-        self._span_items = True
-        try:
+        with self._items():
             return compile_program(factory, self.config.n_processors,
                                    self.config.line_size, tasks=tasks)
-        finally:
-            self._span_items = False
 
-    def run_recorded(self) -> "tuple[RunResult, CompiledProgram]":
-        """Capture the streams as an engine run decides them, and replay.
+    def recorded_program(self) -> "CompiledProgram":
+        """Capture the streams as an engine run decides them.
 
         Works for every application — Barnes is the one that needs it.
         The generators run on the python engine, recorded, up to their
         :attr:`timed_barriers`-th barrier, against a copy of the
         allocator; the phases after it are drained barrier-phased, as
-        :meth:`compiled_program` drains
+        :meth:`compiled_program` drains, spans and batches as items
         (:class:`~repro.sim.compiled.ProgramRecorder`).  The engine's
-        own result is discarded: the returned one is :meth:`replay` of
-        the capture, which binds pages from setup's placement, as a
-        trace-hit replay does, and is bit-identical to the generators'
-        run.  For :attr:`stream_invariant` apps the capture is
-        additionally valid across cluster/cache/network variations, like
+        own result is discarded: :meth:`replay` of the capture binds
+        pages from setup's placement, as a trace-hit replay does, and is
+        bit-identical to the generators' run.  For
+        :attr:`stream_invariant` apps the capture is additionally valid
+        across cluster/cache/network variations, like
         :meth:`compiled_program`'s.
         """
         from ..sim.compiled import ProgramRecorder
@@ -280,7 +325,12 @@ class Application(ABC):
         recorder = ProgramRecorder(self.program, self.config.n_processors,
                                    self.config.line_size, self.timed_barriers)
         Engine(self.config, memory).run(recorder.factory)
-        program = recorder.finish()
+        with self._items():
+            return recorder.finish()
+
+    def run_recorded(self) -> "tuple[RunResult, CompiledProgram]":
+        """:meth:`recorded_program`, and the result of its :meth:`replay`."""
+        program = self.recorded_program()
         return self.replay(program)[0], program
 
     def replay(self, program: "CompiledProgram") -> "tuple[RunResult, str]":
@@ -396,13 +446,50 @@ class Application(ABC):
         if last_line == line:  # OP_WORK 0: the guaranteed hits
             return ((opcode, addr), (0, count - 1)) if count > 1 \
                 else ((opcode, addr),)
-        if not self._span_items:
+        if not self._draining:
             return _span_ops(opcode, addr, end, esz, line_size, line,
                              last_line)
         return ((OP_SPAN, (opcode, line, last_line - line + 1,
                            ((line + 1) * line_size - addr) // esz,
                            line_size // esz,
                            (end - last_line * line_size) // esz)),)
+
+    def op_batch(self, opcodes: np.ndarray, args: np.ndarray,
+                 keep: np.ndarray | None = None) -> Iterable[Op]:
+        """A batch of ops built as arrays: ``(opcodes[i], args[i])`` in
+        order, READ/WRITE operands as byte addresses.  With ``keep``,
+        ``args`` is a table of rows, ``opcodes`` broadcast against it
+        (the opcode of each column, say), and the batch is every
+        ``keep[i, j]`` cell, row after row.
+
+        While a capture drains (:meth:`_items`), a batch of at least
+        :data:`_ITEM_MIN_OPS` ops is the one item ``(OP_WORDS, (opcodes,
+        args))``, which the drain stores as words at C speed; at any
+        other time it is the same ops as tuples of python ints, so the
+        engine only ever sees ops, as with :meth:`_span`.  An app has
+        one emission path either way."""
+        if keep is not None:
+            opcodes, args = np.broadcast_to(opcodes, args.shape)[keep], \
+                args[keep]
+        if self._draining and len(opcodes) >= _ITEM_MIN_OPS:
+            return ((OP_WORDS, (opcodes.astype(np.int64, copy=False),
+                                args.astype(np.int64, copy=False))),)
+        return zip(opcodes.tolist(), args.tolist())
+
+    def shared_batch(self, key: Any, pid: int, build) -> Iterable[Op]:
+        """Processor ``pid``'s part, as :meth:`op_batch`, of a phase's ops
+        that are a function of ``key`` and the processor alone.
+        ``build()`` makes every processor's ``(opcodes, args)`` part at
+        once (:func:`span_parts`, say): numpy's cost per call is paid
+        once per phase, not once per processor.  A part is dropped once
+        its processor has taken it."""
+        parts = self._parts.get(key)
+        if parts is None or pid not in parts:
+            parts = self._parts[key] = dict(enumerate(build()))
+        part = parts.pop(pid)
+        if not parts:
+            del self._parts[key]
+        return self.op_batch(*part)
 
     def place_interleaved(self, region: Region) -> None:
         """Place a region's pages round-robin across clusters.
@@ -455,7 +542,8 @@ class TileQueueApplication(Application):
       bit-identically on every cluster size, cache, protocol and network.
 
     Subclasses allocate ``rqueue`` (the queue head) and ``rpixels`` in
-    :meth:`setup` and implement :meth:`tile_ops`, which fills ``image``.
+    :meth:`setup` and implement :meth:`_render`, which fills ``image``
+    for a row of tiles at once and returns each tile's ops as arrays.
     """
 
     #: side of a queued tile, in pixels
@@ -477,15 +565,32 @@ class TileQueueApplication(Application):
         self.n_tiles = (height // qt) * (width // qt)
         self.image = np.zeros((height, width))
         self._next_tile = 0
+        #: tile -> its ops, for the rendered tiles not yet emitted
+        self._pending: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
     @abstractmethod
-    def tile_ops(self, tile: int) -> Iterator[Op]:
-        """Render tile ``tile`` into ``image``, yielding its references."""
+    def _render(self, tiles: range) -> dict[int, tuple[np.ndarray,
+                                                       np.ndarray]]:
+        """Render ``tiles`` into ``image``; return each one's references
+        as ``(opcodes, operands)`` arrays (:meth:`op_batch`)."""
+
+    def tile_ops(self, tile: int) -> Iterable[Op]:
+        """Tile ``tile``'s references, rendered into ``image``, as one
+        batch.  A tile's ops are a function of the tile alone, so the
+        numerics run for its whole row of tiles at once
+        (:meth:`_render`), and the row's other tiles wait in
+        ``_pending`` for their turn."""
+        if tile not in self._pending:
+            per_row = self.width // self.queue_tile
+            row = tile // per_row * per_row
+            self._pending.update(self._render(range(row, row + per_row)))
+        return self.op_batch(*self._pending.pop(tile))
 
     def begin_render(self) -> None:
         """Reset what one rendering of the image accumulates."""
         self._next_tile = 0
         self.image.fill(0.0)
+        self._pending.clear()
 
     def tile_pixels(self, tile: int) -> Iterator[tuple[int, int]]:
         """``(py, px)`` of every pixel of a tile, row by row."""

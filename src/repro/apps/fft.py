@@ -26,13 +26,13 @@ line granularity); row-local sweeps use span emission.
 
 from __future__ import annotations
 
-from typing import Iterator
+from typing import Iterable, Iterator
 
 import numpy as np
 
 from ..core.config import MachineConfig
-from ..sim.program import Barrier, Op, Read, Work
-from .base import Application, PhaseBarriers
+from ..sim.program import OP_READ, OP_WORK, OP_WRITE, Barrier, Op
+from .base import Application, PhaseBarriers, element_addrs, span_parts
 
 __all__ = ["FFTApp"]
 
@@ -87,7 +87,7 @@ class FFTApp(Application):
 
     # ----------------------------------------------------------- emission
     def _transpose_ops(self, pid: int, src, src_mat: np.ndarray,
-                       dst, dst_mat: np.ndarray) -> Iterator[Op]:
+                       dst, dst_mat: np.ndarray) -> Iterable[Op]:
         """dst[i, :] = src[:, i] for my rows i, patch-blocked by source owner.
 
         Reads walk the source *rows within one owner's block* first (the
@@ -95,37 +95,58 @@ class FFTApp(Application):
         of reuse across my destination rows before moving to the next
         source processor's rows.
         """
-        m = self.m
-        rp = self.rows_per_proc
         mine = self.my_rows(pid)
         # numerics first (deterministic: src is stable in this phase)
         dst_mat[mine.start:mine.stop, :] = src_mat[:, mine.start:mine.stop].T
-        for src_proc in range(self.config.n_processors):
-            jlo = src_proc * rp
-            # SPLASH's blocked transpose reads the rp×rp patch in *source
-            # row-major* order: elements src[j, mine] are contiguous, so
-            # each fetched line is fully consumed before moving on.
-            for j in range(jlo, jlo + rp):
-                yield from self.read_span(src, j * m + mine.start, rp)
-                yield Work(2 * rp)  # copy/address arithmetic
-            # destination writes for this patch: columns jlo..jlo+rp of my rows
-            for i in mine:
-                yield from self.write_span(dst, i * m + jlo, rp)
+        return self.shared_batch((src.name, dst.name), pid,
+                                 lambda: self._transpose_parts(src, dst))
+
+    def _transpose_parts(self, src, dst) -> list:
+        """Every processor's transpose ops, one row of span records per
+        source processor ``q``: SPLASH's blocked transpose reads the
+        rp×rp patch of ``q`` in *source row-major* order (elements src[j,
+        mine] are contiguous, so each fetched line is fully consumed
+        before moving on), each row read followed by its copy/address
+        arithmetic, then writes the patch: columns jlo..jlo+rp of my
+        rows."""
+        m, rp, n = self.m, self.rows_per_proc, self.config.n_processors
+        j = np.arange(n * rp).reshape(n, rp)  # [q, k]: row k of q's block
+        operands = np.empty((n, n, 3 * rp), dtype=np.int64)  # [pid, q]
+        operands[:, :, 0:2 * rp:2] = element_addrs(
+            src, j[None] * m + j[:, None, :1])
+        operands[:, :, 1:2 * rp:2] = 2 * rp
+        operands[:, :, 2 * rp:] = element_addrs(
+            dst, j[:, None, :] * m + j[None, :, :1])
+        opcodes = np.array([OP_READ, OP_WORK] * rp + [OP_WRITE] * rp)
+        return span_parts(opcodes, operands,
+                          np.where(opcodes == OP_WORK, 0, rp), _ELEM,
+                          self.config.line_size)
 
     def _row_fft_ops(self, pid: int, buf, mat: np.ndarray,
-                     twiddle: bool) -> Iterator[Op]:
-        """In-place M-point FFT (+ optional twiddle) on my rows of ``buf``."""
+                     twiddle: bool) -> Iterable[Op]:
+        """In-place M-point FFT (+ optional twiddle) on my rows of ``buf``;
+        per row, read it, transform it, write it back."""
         m = self.m
-        # 5·M·log2(M) complex-arithmetic flops per row, ≈2.5 cycles each
-        # (multiply-add pairs, index arithmetic, load/store of scratch)
-        flops_per_row = int(12.5 * m * np.log2(m))
         for i in self.my_rows(pid):
             mat[i, :] = np.fft.fft(mat[i, :])
             if twiddle:
                 mat[i, :] *= np.exp(-2j * np.pi * i * np.arange(m) / self.n_points)
-            yield from self.read_span(buf, i * m, m)
-            yield Work(flops_per_row + (6 * m if twiddle else 0))
-            yield from self.write_span(buf, i * m, m)
+        return self.shared_batch((buf.name, twiddle), pid,
+                                 lambda: self._row_parts(buf, twiddle))
+
+    def _row_parts(self, buf, twiddle: bool) -> list:
+        """Every processor's row-pass ops: per row, a span read, the
+        transform's cycles, a span write."""
+        m, rp, n = self.m, self.rows_per_proc, self.config.n_processors
+        # 5·M·log2(M) complex-arithmetic flops per row, ≈2.5 cycles each
+        # (multiply-add pairs, index arithmetic, load/store of scratch)
+        flops_per_row = int(12.5 * m * np.log2(m))
+        operands = np.empty((n, rp, 3), dtype=np.int64)
+        operands[:, :, [0, 2]] = element_addrs(
+            buf, np.arange(n * rp).reshape(n, rp, 1) * m)
+        operands[:, :, 1] = flops_per_row + (6 * m if twiddle else 0)
+        return span_parts(np.array([OP_READ, OP_WORK, OP_WRITE]), operands,
+                          np.array([m, 0, m]), _ELEM, self.config.line_size)
 
     def program(self, pid: int) -> Iterator[Op]:
         bar = PhaseBarriers()

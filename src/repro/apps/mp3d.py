@@ -44,8 +44,7 @@ import numpy as np
 from ..core.config import MachineConfig
 from ..sim.program import (OP_LOCK, OP_READ, OP_UNLOCK, OP_WORK, OP_WRITE,
                            Barrier, Op)
-from .base import (Application, PhaseBarriers, element_addrs, op_rows,
-                   row_dots)
+from .base import Application, PhaseBarriers, element_addrs, row_dots
 
 __all__ = ["MP3DApp"]
 
@@ -179,7 +178,7 @@ class MP3DApp(Application):
         args[:, [4, 7]] = cell[:, None]
         keep = np.ones(args.shape, dtype=bool)
         keep[:, 4:8] = collided[:, None]
-        return op_rows(_STEP_OPS, args, keep)
+        return self.op_batch(_STEP_OPS, args, keep)
 
     # ------------------------------------------------------------- checking
     def total_count(self) -> float:

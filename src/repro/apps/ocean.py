@@ -26,14 +26,15 @@ size, the structural analog of the paper's "25 grids".
 
 from __future__ import annotations
 
-from typing import Iterator
+from typing import Iterable, Iterator
 
 import numpy as np
 
 from ..core.config import MachineConfig
 from ..memory.address import Region
-from ..sim.program import Barrier, Op, Read, Work
-from .base import Application, PhaseBarriers, proc_grid_shape
+from ..sim.program import OP_READ, OP_WORK, OP_WRITE, Barrier, Op
+from .base import (Application, PhaseBarriers, element_addrs, proc_grid_shape,
+                   span_parts)
 
 __all__ = ["OceanApp"]
 
@@ -136,17 +137,37 @@ class OceanApp(Application):
                 self.place_partitions(region)
 
     # ------------------------------------------------------------ emission
-    def _row_ops(self, lvl: _Level, region: Region, i: int, j0: int,
-                 count: int, write: bool) -> Iterator[Op]:
-        """Span over a contiguous run of row ``i`` (stays inside one subgrid
-        because callers never cross a subgrid column boundary)."""
-        start = self._elem(lvl, i, j0)
-        if write:
-            yield from self.write_span(region, start, count)
-        else:
-            yield from self.read_span(region, start, count)
+    def _runs(self, *records) -> list:
+        """Every processor's part of one phase's ops (:func:`span_parts`),
+        one row of ``records`` per row of its subgrid.  ``(opcode, lvl,
+        region, i, j, count)`` is the run of ``count`` points of row
+        ``i`` of ``region`` from column ``j``, each over ``[processor,
+        row]`` (broadcast; a count of 0 is no op), inside one subgrid:
+        callers never cross a subgrid column boundary.  ``(OP_WORK,
+        cycles)`` is that one op."""
+        shape = np.broadcast_shapes(*(np.shape(r[3]) for r in records
+                                      if r[0] != OP_WORK))
+        operands = np.empty((*shape, len(records)), dtype=np.int64)
+        counts = np.zeros((*shape, len(records)), dtype=np.int64)
+        for k, record in enumerate(records):
+            if record[0] == OP_WORK:
+                operands[..., k] = record[1]
+                continue
+            _, lvl, region, i, j, counts[..., k] = record
+            operands[..., k] = element_addrs(region, np.where(
+                counts[..., k] > 0, self._elem(lvl, i, j), 0))
+        # every grid holds doubles
+        return span_parts(np.array([r[0] for r in records]), operands,
+                          counts, 8, self.config.line_size)
 
-    def _sweep_ops(self, pid: int, lvl: _Level, src: int) -> Iterator[Op]:
+    def _origins(self, lvl: _Level) -> tuple[np.ndarray, np.ndarray]:
+        """Every processor's subgrid rows ``[processor, row]`` of ``lvl``
+        and its first column ``[processor, 1]``."""
+        pi, pj = np.divmod(np.arange(self.config.n_processors), self.pc)
+        return ((pi * lvl.sr)[:, None] + np.arange(lvl.sr),
+                (pj * lvl.sc)[:, None])
+
+    def _sweep_ops(self, pid: int, lvl: _Level, src: int) -> Iterable[Op]:
         """One damped-Jacobi sweep over my subgrid: read buffer ``src`` +
         f, write buffer ``1-src``.  Numerics happen first (src is stable
         within the phase)."""
@@ -164,29 +185,34 @@ class OceanApp(Application):
         un[i0:i0 + sr, j0:j0 + sc] = ((1.0 - omega) * uo[i0:i0 + sr, j0:j0 + sc]
                                       + omega * jac)
         # --- reference stream ---------------------------------------------
-        rsrc, rdst, rf = lvl.ru[src], lvl.ru[1 - src], lvl.rf
-        for li in range(sr):
-            i = i0 + li
-            # north neighbour row (remote subgrid when li == 0)
-            if i > 0:
-                yield from self._row_ops(lvl, rsrc, i - 1, j0, sc, write=False)
-            # own row (west/east interior neighbours + centre share lines)
-            yield from self._row_ops(lvl, rsrc, i, j0, sc, write=False)
-            # south neighbour row
-            if i + 1 < n:
-                yield from self._row_ops(lvl, rsrc, i + 1, j0, sc, write=False)
-            # west/east halo elements from side neighbours
-            if j0 > 0:
-                yield Read(rsrc.element(self._elem(lvl, i, j0 - 1)))
-            if j0 + sc < n:
-                yield Read(rsrc.element(self._elem(lvl, i, j0 + sc)))
-            yield from self._row_ops(lvl, rf, i, j0, sc, write=False)
-            # the real Ocean updates several coupled fields per point;
-            # ~60 cycles/point of arithmetic is representative
-            yield Work(60 * sc)
-            yield from self._row_ops(lvl, rdst, i, j0, sc, write=True)
+        # the real Ocean updates several coupled fields per point; ~60
+        # cycles/point of arithmetic is representative
+        return self._stencil_ops(pid, lvl, lvl.ru[src], lvl.ru[1 - src], 60)
 
-    def _residual_ops(self, pid: int, lvl: _Level, src: int) -> Iterator[Op]:
+    def _stencil_ops(self, pid: int, lvl: _Level, rsrc: Region,
+                     rdst: Region, cycles: int) -> Iterable[Op]:
+        """A sweep's or residual's ops over my subgrid: per row, its north
+        neighbour row (remote subgrid at the top), itself (west/east
+        interior neighbours and centre share lines), its south neighbour
+        row, the west/east halo points from the side neighbours, its row
+        of f, ``cycles`` per point of arithmetic, then the row written to
+        ``rdst``."""
+        def build() -> list:
+            n, sc = lvl.n, lvl.sc
+            i, j0 = self._origins(lvl)
+            return self._runs(
+                (OP_READ, lvl, rsrc, i - 1, j0, np.where(i > 0, sc, 0)),
+                (OP_READ, lvl, rsrc, i, j0, sc),
+                (OP_READ, lvl, rsrc, i + 1, j0, np.where(i + 1 < n, sc, 0)),
+                (OP_READ, lvl, rsrc, i, j0 - 1, j0 > 0),
+                (OP_READ, lvl, rsrc, i, j0 + sc, j0 + sc < n),
+                (OP_READ, lvl, lvl.rf, i, j0, sc),
+                (OP_WORK, cycles * sc),
+                (OP_WRITE, lvl, rdst, i, j0, sc))
+
+        return self.shared_batch((rsrc.name, rdst.name), pid, build)
+
+    def _residual_ops(self, pid: int, lvl: _Level, src: int) -> Iterable[Op]:
         """r = f − A·u(src) over my subgrid (same halo pattern as a sweep)."""
         pi, pj = self.proc_coords(pid)
         n, sr, sc = lvl.n, lvl.sr, lvl.sc
@@ -196,23 +222,9 @@ class OceanApp(Application):
         lap = (4.0 * pad[1:-1, 1:-1] - pad[:-2, 1:-1] - pad[2:, 1:-1]
                - pad[1:-1, :-2] - pad[1:-1, 2:]) / lvl.h2
         lvl.r[i0:i0 + sr, j0:j0 + sc] = lvl.f[i0:i0 + sr, j0:j0 + sc] - lap
-        rsrc, rf, rr = lvl.ru[src], lvl.rf, lvl.rr
-        for li in range(sr):
-            i = i0 + li
-            if i > 0:
-                yield from self._row_ops(lvl, rsrc, i - 1, j0, sc, write=False)
-            yield from self._row_ops(lvl, rsrc, i, j0, sc, write=False)
-            if i + 1 < n:
-                yield from self._row_ops(lvl, rsrc, i + 1, j0, sc, write=False)
-            if j0 > 0:
-                yield Read(rsrc.element(self._elem(lvl, i, j0 - 1)))
-            if j0 + sc < n:
-                yield Read(rsrc.element(self._elem(lvl, i, j0 + sc)))
-            yield from self._row_ops(lvl, rf, i, j0, sc, write=False)
-            yield Work(62 * sc)
-            yield from self._row_ops(lvl, rr, i, j0, sc, write=True)
+        return self._stencil_ops(pid, lvl, lvl.ru[src], lvl.rr, 62)
 
-    def _restrict_ops(self, pid: int, fine: _Level, coarse: _Level) -> Iterator[Op]:
+    def _restrict_ops(self, pid: int, fine: _Level, coarse: _Level) -> Iterable[Op]:
         """coarse.f = 2×2 average of fine.r; coarse.u(0) zeroed.
 
         Both levels are partitioned over the same processor grid, so the
@@ -226,17 +238,21 @@ class OceanApp(Application):
             blk[0::2, 0::2] + blk[1::2, 0::2] + blk[0::2, 1::2] + blk[1::2, 1::2])
         coarse.u[0][ci0:ci0 + coarse.sr, cj0:cj0 + coarse.sc] = 0.0
         coarse.u[1][ci0:ci0 + coarse.sr, cj0:cj0 + coarse.sc] = 0.0
-        for li in range(coarse.sr):
-            fi = 2 * (ci0 + li)
-            yield from self._row_ops(fine, fine.rr, fi, 2 * cj0, 2 * coarse.sc, False)
-            yield from self._row_ops(fine, fine.rr, fi + 1, 2 * cj0, 2 * coarse.sc, False)
-            yield Work(8 * coarse.sc)
-            yield from self._row_ops(coarse, coarse.rf, ci0 + li, cj0, coarse.sc, True)
-            yield from self._row_ops(coarse, coarse.ru[0], ci0 + li, cj0, coarse.sc, True)
-            yield from self._row_ops(coarse, coarse.ru[1], ci0 + li, cj0, coarse.sc, True)
+
+        def build() -> list:
+            ci, cj = self._origins(coarse)
+            csc = coarse.sc
+            return self._runs(
+                (OP_READ, fine, fine.rr, 2 * ci, 2 * cj, 2 * csc),
+                (OP_READ, fine, fine.rr, 2 * ci + 1, 2 * cj, 2 * csc),
+                (OP_WORK, 8 * csc),
+                *((OP_WRITE, coarse, region, ci, cj, csc)
+                  for region in (coarse.rf, *coarse.ru)))
+
+        return self.shared_batch(("restrict", fine.rr.name), pid, build)
 
     def _prolong_ops(self, pid: int, fine: _Level, coarse: _Level,
-                     fine_buf: int, coarse_buf: int) -> Iterator[Op]:
+                     fine_buf: int, coarse_buf: int) -> Iterable[Op]:
         """fine.u(fine_buf) += piecewise-constant expansion of coarse.u."""
         pi, pj = self.proc_coords(pid)
         ci0, cj0 = pi * coarse.sr, pj * coarse.sc
@@ -245,16 +261,19 @@ class OceanApp(Application):
         fi0, fj0 = 2 * ci0, 2 * cj0
         for b in (0, 1):
             fine.u[b][fi0:fi0 + 2 * coarse.sr, fj0:fj0 + 2 * coarse.sc] += expanded
+
         # correcting both fine buffers keeps them coherent for the next sweep
-        for li in range(coarse.sr):
-            yield from self._row_ops(coarse, coarse.ru[coarse_buf],
-                                     ci0 + li, cj0, coarse.sc, False)
-            yield Work(4 * coarse.sc)
-            for b in (0, 1):
-                yield from self._row_ops(fine, fine.ru[b], 2 * (ci0 + li),
-                                         fj0, 2 * coarse.sc, True)
-                yield from self._row_ops(fine, fine.ru[b], 2 * (ci0 + li) + 1,
-                                         fj0, 2 * coarse.sc, True)
+        def build() -> list:
+            ci, cj = self._origins(coarse)
+            csc = coarse.sc
+            return self._runs(
+                (OP_READ, coarse, coarse.ru[coarse_buf], ci, cj, csc),
+                (OP_WORK, 4 * csc),
+                *((OP_WRITE, fine, fine.ru[b], 2 * ci + k, 2 * cj, 2 * csc)
+                  for b in (0, 1) for k in (0, 1)))
+
+        return self.shared_batch(("prolong", coarse.ru[coarse_buf].name),
+                                 pid, build)
 
     # -------------------------------------------------------------- program
     def _vcycle_ops(self, pid: int, bar: PhaseBarriers, depth: int,

@@ -37,7 +37,7 @@ import numpy as np
 from ..core.config import MachineConfig
 from ..sim.program import (OP_READ, OP_WORK, OP_WRITE, Barrier, Op, Read,
                            Work, Write)
-from .base import Application, PhaseBarriers, element_addrs, op_rows
+from .base import Application, PhaseBarriers, element_addrs
 
 __all__ = ["RadixApp"]
 
@@ -184,7 +184,7 @@ class RadixApp(Application):
                 keep = np.ones(args.shape, dtype=bool)
                 keep[:, 0] = False
                 keep[np.unique(digits, return_index=True)[1], 0] = True
-                yield op_rows(_SCATTER_OPS, args, keep)
+                yield self.op_batch(_SCATTER_OPS, args, keep)
                 yield (Barrier(bar()),)
 
         # a phase's numerics run only once its barrier has been passed,

@@ -23,7 +23,8 @@ reflections another.  A batch walks the octree one level at a time for
 all its rays — every ray visits the nodes in one fixed order, each node
 whose ancestors' boxes it passes — and its dots are per-row dots
 (:func:`~repro.apps.base.row_dots`).  A tile's ops are then looked up, two
-per visit, in a table of op tuples built once per scene.
+per visit, in a table of opcodes and operands built once per scene, and
+leave as one batch (:meth:`~repro.apps.base.Application.op_batch`).
 
 The pixel plane is *not* statically partitioned here: the program is a
 lock-protected global queue of ``queue_tile``-square tiles (SPLASH
@@ -32,20 +33,17 @@ the scene), any processor may render any tile, and :meth:`setup`
 interleaves the pixel pages because no tile has a natural owner.  Which
 tile a processor takes next is decided by the order the simulated machine
 grants that lock, and it is the only thing simulated time decides — the
-references a tile emits (:meth:`RaytraceApp.tile_ops`) are a pure function
+references a tile emits (:meth:`RaytraceApp._render`) are a pure function
 of the tile — so the app is captured once, tile by tile, and the queue is
 replayed as a ``TASK`` op (:class:`~repro.apps.base.TileQueueApplication`).
 """
 
 from __future__ import annotations
 
-from itertools import chain
-from typing import Iterator
-
 import numpy as np
 
 from ..core.config import MachineConfig
-from ..sim.program import OP_READ, OP_WORK, OP_WRITE, Op
+from ..sim.program import OP_READ, OP_WORK, OP_WRITE
 from .base import TileQueueApplication, element_addrs, row_dots
 
 __all__ = ["RaytraceApp"]
@@ -111,7 +109,7 @@ class RaytraceApp(TileQueueApplication):
         self.nodes: list[_Node] = []
         #: the traversal tables (:meth:`_index_octree`), built by the
         #: first rendering: a run that replays a stored trace needs none
-        self._visit_ops: list | None = None
+        self._visit_ops: tuple | None = None
 
     # ---------------------------------------------------------------- setup
     def setup(self) -> None:
@@ -173,12 +171,12 @@ class RaytraceApp(TileQueueApplication):
         ``_hi`` (axis-major, 3 x n); ``_kids``, its children's positions
         (-1 at a leaf); and its *events* ``[_ev_start[i], _ev_start[i +
         1])`` of ``_ev_sphere`` and ``_ev_code``: the node (sphere -1),
-        then a leaf's spheres in list order.  A code indexes
-        ``_visit_ops``, the two ops a ray pays for visiting node ``k``
-        (code ``k``: ``Read`` + ``Work(20)``) or sphere ``s`` (code
-        ``len(nodes) + s``: ``Read`` + ``Work(45)``), and that a pixel
-        pays last (code ``_pixel_code`` + its element: ``Work(60)`` for
-        shading + ``Write``)."""
+        then a leaf's spheres in list order.  A code indexes both tables
+        of ``_visit_ops``, ``(opcodes, operands)``: the two ops a ray
+        pays for visiting node ``k`` (code ``k``: ``Read`` +
+        ``Work(20)``) or sphere ``s`` (code ``len(nodes) + s``: ``Read``
+        + ``Work(45)``), and that a pixel pays last (code ``_pixel_code``
+        + its element: ``Work(60)`` for shading + ``Write``)."""
         nodes = self.nodes
         order, stack = [], [nodes[0]]
         while stack:
@@ -204,12 +202,17 @@ class RaytraceApp(TileQueueApplication):
         pix_addrs = element_addrs(self.rpixels,
                                   np.arange(self.width * self.height))
         self._pixel_code = len(nodes) + self.n_spheres
-        self._visit_ops = ([((OP_READ, a), (OP_WORK, 20))
-                            for a in node_addrs.tolist()]
-                           + [((OP_READ, a), (OP_WORK, 45))
-                              for a in sph_addrs.tolist()]
-                           + [((OP_WORK, 60), (OP_WRITE, a))
-                              for a in pix_addrs.tolist()])
+        n_reads = self._pixel_code
+        opcodes = np.full((n_reads + len(pix_addrs), 2), OP_WORK)
+        opcodes[:n_reads, 0] = OP_READ
+        opcodes[n_reads:, 1] = OP_WRITE
+        operands = np.empty(opcodes.shape, dtype=np.int64)
+        operands[:n_reads, 0] = np.concatenate((node_addrs, sph_addrs))
+        operands[:len(nodes), 1] = 20
+        operands[len(nodes):n_reads, 1] = 45
+        operands[n_reads:] = np.stack((np.full(len(pix_addrs), 60),
+                                       pix_addrs), axis=1)
+        self._visit_ops = (opcodes, operands)
 
     # ----------------------------------------------------------- numerics
     def _ray_spheres(self, orig: np.ndarray, direction: np.ndarray,
@@ -293,27 +296,14 @@ class RaytraceApp(TileQueueApplication):
         super().begin_render()
         self.rays_cast = 0
         self.rays_hit = 0
-        #: tile -> its visit codes, for the rendered tiles not yet emitted
-        self._pending: dict[int, list[int]] = {}
         if self._visit_ops is None:
             self._index_octree()
 
-    def tile_ops(self, tile: int) -> Iterator[Op]:
-        """Cast the tile's primary rays; one read per node or sphere a ray
-        (or its reflections) visits, one write per pixel.
-
-        A tile's ops are a function of the tile alone, so the numerics
-        run for its whole row of tiles at once (:meth:`_render`), and the
-        row's other tiles wait in ``_pending`` for their turn."""
-        if tile not in self._pending:
-            per_row = self.width // self.queue_tile
-            row = tile // per_row * per_row
-            self._pending.update(self._render(range(row, row + per_row)))
-        return chain.from_iterable(map(self._visit_ops.__getitem__,
-                                       self._pending.pop(tile)))
-
-    def _render(self, tiles: range) -> dict[int, list[int]]:
-        """Render ``tiles`` into ``image``; return each one's visit codes.
+    def _render(self, tiles: range) -> dict[int, tuple[np.ndarray,
+                                                       np.ndarray]]:
+        """Render ``tiles`` into ``image``; return each one's ops, looked
+        up by its visit codes in ``_visit_ops``: one read per node or
+        sphere a ray (or its reflections) visits, one write per pixel.
 
         The primary rays are one :meth:`_cast`, and each bounce of their
         reflections one more.  A ray that hits sphere ``s`` at ``t``
@@ -368,8 +358,9 @@ class RaytraceApp(TileQueueApplication):
         per_tile = len(pixels) // len(tiles)
         cuts = np.searchsorted(owner[order],
                                np.arange(per_tile, len(pixels), per_tile))
-        return dict(zip(tiles, map(np.ndarray.tolist,
-                                   np.split(codes[order], cuts))))
+        ops = [np.split(table[codes[order]].ravel(), 2 * cuts)
+               for table in self._visit_ops]
+        return dict(zip(tiles, zip(*ops)))
 
 
 def _slab_hits(o: np.ndarray, inv: np.ndarray, lo: np.ndarray,

@@ -23,7 +23,7 @@ pages (laid out tile-contiguously, like Ocean's grid) because tile
 ownership is dynamic.  Which tile a processor takes next is decided by the
 order the simulated machine grants that lock, and it is the only thing
 simulated time decides — a tile's rays, samples and pixel writes
-(:meth:`VolrendApp.tile_ops`) are a pure function of the tile — so the app
+(:meth:`VolrendApp._render`) are a pure function of the tile — so the app
 is captured once, tile by tile, and the queue is replayed as a ``TASK`` op
 (:class:`~repro.apps.base.TileQueueApplication`).
 
@@ -33,17 +33,22 @@ must not change the image) and basic anatomy (head opaque, corners empty).
 
 from __future__ import annotations
 
-from typing import Iterator
-
 import numpy as np
 
 from ..core.config import MachineConfig
-from ..sim.program import Op, Read, Work, Write
-from .base import TileQueueApplication
+from ..sim.program import OP_READ, OP_WORK, OP_WRITE
+from .base import TileQueueApplication, element_addrs
 
 __all__ = ["VolrendApp"]
 
 _NODE_DOUBLES = 8  # (min, max, child info) — one line per octree node
+
+#: per visit kind (node, voxel, pixel), its two ops, and their operands
+#: with the address left 0: read the octree node (WORK 12), read the voxel
+#: column (WORK 8), or shade the pixel (WORK 30) and write it
+_VISIT_OPS = np.array([[OP_READ, OP_WORK], [OP_READ, OP_WORK],
+                       [OP_WORK, OP_WRITE]])
+_VISIT_ARGS = np.array([[0, 12], [0, 8], [30, 0]])
 
 
 class VolrendApp(TileQueueApplication):
@@ -102,8 +107,6 @@ class VolrendApp(TileQueueApplication):
         self.place_interleaved(self.rnodes)
         # tile ownership is dynamic, so pixel pages have no natural owner
         self.place_interleaved(self.rpixels)
-        self._node_level_off = np.cumsum(
-            [0] + [a.size for a in self.minmax]).tolist()
 
     def _build_minmax(self) -> None:
         nb = self.nv // self.block
@@ -116,89 +119,87 @@ class VolrendApp(TileQueueApplication):
             nxt = cur.reshape(m, 2, m, 2, m, 2).max(axis=(1, 3, 5))
             self.minmax.append(nxt)
 
-    # ----------------------------------------------------------- numerics
-    def _voxel_index(self, x: float, y: float, z: float) -> tuple[int, int, int]:
-        n = self.nv
-        return (min(int(x * n), n - 1), min(int(y * n), n - 1),
-                min(int(z * n), n - 1))
+    # ------------------------------------------------------------- program
+    def _render(self, tiles: range) -> dict[int, tuple[np.ndarray,
+                                                       np.ndarray]]:
+        """March every pixel ray of ``tiles`` front to back (+z), one step
+        of each live ray per pass, into ``image``; return each tile's ops:
+        per visit a row of :data:`_VISIT_OPS`, one read per octree test
+        and per voxel column sampled, then the pixel's shading and write.
 
-    def march(self, px: int, py: int, use_octree: bool = True
-              ) -> tuple[float, list[tuple[str, int]]]:
-        """March one orthographic ray (+z) through the volume.
-
-        Returns the composited intensity and the visit trace:
-        ('node', node_id) for octree tests, ('voxel', linear_index) for
-        density samples.
-        """
-        x = (px + 0.5) / self.width
-        y = (py + 0.5) / self.height
-        n = self.nv
-        b = self.block
+        A ray skips a block its octree node reports transparent, else
+        takes a trilinear sample over the 8 surrounding voxels — what
+        real volume renderers do, and what gives adjacent rays their
+        *shared* working set (the 2×2 voxel columns straddle rays) — and
+        stops once opaque.  Each step is elementwise over the rays
+        (``np.minimum``/``np.maximum`` for python's ``min``/``max``,
+        ``astype(int)`` truncating as ``int`` does), so every ray has
+        the bits of marching it alone (the tests keep that march);
+        a stable sort puts the visits back in ray order."""
+        n, b, cutoff = self.nv, self.block, self.cutoff
         nb = n // b
         step = 1.0 / n
-        opacity = 0.0
-        intensity = 0.0
-        trace: list[tuple[str, int]] = []
-        z = step / 2
-        # trilinear lattice coordinates for (x, y): fixed along a +z ray
-        fx = x * n - 0.5
-        fy = y * n - 0.5
-        i0 = min(max(int(fx), 0), n - 2)
-        j0 = min(max(int(fy), 0), n - 2)
-        wx = min(max(fx - i0, 0.0), 1.0)
-        wy = min(max(fy - j0, 0.0), 1.0)
-        vol = self.volume
-        while z < 1.0 and opacity < self.cutoff:
-            i, j, k = self._voxel_index(x, y, z)
-            if use_octree:
-                bi, bj, bk = i // b, j // b, k // b
-                node_id = (bi * nb + bj) * nb + bk
-                trace.append(("node", node_id))
-                if self.minmax[0][bi, bj, bk] <= self.threshold:
-                    # skip to the far face of this transparent block
-                    z = (bk + 1) * b * step + step / 2
-                    continue
-            # Trilinear sample over the 8 surrounding voxels — what real
-            # volume renderers do, and what gives adjacent rays their
-            # *shared* working set (the 2×2 voxel columns straddle rays).
-            fz = z * n - 0.5
-            k0 = min(max(int(fz), 0), n - 2)
-            wz = min(max(fz - k0, 0.0), 1.0)
-            c00 = vol[i0, j0, k0] * (1 - wz) + vol[i0, j0, k0 + 1] * wz
-            c01 = vol[i0, j0 + 1, k0] * (1 - wz) + vol[i0, j0 + 1, k0 + 1] * wz
-            c10 = vol[i0 + 1, j0, k0] * (1 - wz) + vol[i0 + 1, j0, k0 + 1] * wz
-            c11 = (vol[i0 + 1, j0 + 1, k0] * (1 - wz)
-                   + vol[i0 + 1, j0 + 1, k0 + 1] * wz)
-            d = ((c00 * (1 - wy) + c01 * wy) * (1 - wx)
-                 + (c10 * (1 - wy) + c11 * wy) * wx)
-            # one read per distinct cache line: the 4 (i, j) voxel columns
-            trace.append(("voxel", (i0 * n + j0) * n + k0))
-            trace.append(("voxel", (i0 * n + j0 + 1) * n + k0))
-            trace.append(("voxel", ((i0 + 1) * n + j0) * n + k0))
-            trace.append(("voxel", ((i0 + 1) * n + j0 + 1) * n + k0))
-            if d > self.threshold:
-                alpha = min(d * 0.5, 1.0)
-                intensity += (1.0 - opacity) * alpha * d
-                opacity += (1.0 - opacity) * alpha
-            z += step
-        return intensity, trace
-
-    # ------------------------------------------------------------- program
-    def tile_ops(self, tile: int) -> Iterator[Op]:
-        """March the tile's rays; one read per octree test and per voxel
-        column sampled, one write per pixel."""
-        vox_addr = self.rvolume.element
-        node_addr = self.rnodes.element
-        pix_addr = self.rpixels.element
-        for py, px in self.tile_pixels(tile):
-            intensity, visits = self.march(px, py)
-            self.image[py, px] = intensity
-            for kind, idx in visits:
-                if kind == "node":
-                    yield Read(node_addr(idx * _NODE_DOUBLES))
-                    yield Work(12)
-                else:
-                    yield Read(vox_addr(idx))
-                    yield Work(8)
-            yield Work(30)
-            yield Write(pix_addr(self._pixel_elem(py, px)))
+        py, px = np.array([p for tile in tiles
+                           for p in self.tile_pixels(tile)]).T
+        x = (px + 0.5) / self.width
+        y = (py + 0.5) / self.height
+        fx, fy = x * n - 0.5, y * n - 0.5
+        i0 = np.minimum(np.maximum(fx.astype(int), 0), n - 2)
+        j0 = np.minimum(np.maximum(fy.astype(int), 0), n - 2)
+        wx = np.minimum(np.maximum(fx - i0, 0.0), 1.0)
+        wy = np.minimum(np.maximum(fy - j0, 0.0), 1.0)
+        bi = np.minimum((x * n).astype(int), n - 1) // b
+        bj = np.minimum((y * n).astype(int), n - 1) // b
+        # the four voxel columns a sample reads, one line each
+        columns = np.stack([(i * n + j) * n for i, j in (
+            (i0, j0), (i0, j0 + 1), (i0 + 1, j0), (i0 + 1, j0 + 1))])
+        flat = self.volume.ravel()
+        z = np.full(len(px), step / 2)
+        opacity = np.zeros(len(px))
+        intensity = np.zeros(len(px))
+        rays, kinds, idxs = [], [], []
+        live = np.flatnonzero((z < 1.0) & (opacity < cutoff))
+        while len(live):
+            bk = np.minimum((z[live] * n).astype(int), n - 1) // b
+            rays.append(live)
+            kinds.append(np.zeros(len(live), dtype=np.int8))
+            idxs.append((bi[live] * nb + bj[live]) * nb + bk)
+            clear = self.minmax[0][bi[live], bj[live], bk] <= self.threshold
+            # skip to the far face of each transparent block
+            z[live[clear]] = (bk[clear] + 1) * b * step + step / 2
+            s = live[~clear]
+            fz = z[s] * n - 0.5
+            k0 = np.minimum(np.maximum(fz.astype(int), 0), n - 2)
+            wz = np.minimum(np.maximum(fz - k0, 0.0), 1.0)
+            sampled = columns[:, s] + k0
+            c00, c01, c10, c11 = flat[sampled] * (1 - wz) \
+                + flat[sampled + 1] * wz
+            d = ((c00 * (1 - wy[s]) + c01 * wy[s]) * (1 - wx[s])
+                 + (c10 * (1 - wy[s]) + c11 * wy[s]) * wx[s])
+            rays += [s] * 4
+            kinds += [np.ones(len(s), dtype=np.int8)] * 4
+            idxs += list(sampled)
+            dense = d > self.threshold
+            hit, d = s[dense], d[dense]
+            alpha = np.minimum(d * 0.5, 1.0)
+            intensity[hit] += (1.0 - opacity[hit]) * alpha * d
+            opacity[hit] += (1.0 - opacity[hit]) * alpha
+            z[s] += step
+            live = live[(z[live] < 1.0) & (opacity[live] < cutoff)]
+        self.image[py, px] = intensity
+        rays.append(np.arange(len(px)))
+        kinds.append(np.full(len(px), 2, dtype=np.int8))
+        idxs.append(self._pixel_elem(py, px))
+        order = np.argsort(np.concatenate(rays), kind="stable")
+        kind = np.concatenate(kinds)[order]
+        idx = np.concatenate(idxs)[order]
+        args = _VISIT_ARGS[kind]
+        for k, region, scale in ((0, self.rnodes, _NODE_DOUBLES),
+                                 (1, self.rvolume, 1), (2, self.rpixels, 1)):
+            at = kind == k
+            args[at, k // 2] = element_addrs(region, idx[at] * scale)
+        # a tile's rays are consecutive, and the pixel visit ends each ray
+        cuts = 2 * np.flatnonzero(kind == 2)[
+            self.queue_tile ** 2 - 1:-1:self.queue_tile ** 2] + 2
+        return dict(zip(tiles, zip(np.split(_VISIT_OPS[kind].ravel(), cuts),
+                                   np.split(args.ravel(), cuts))))

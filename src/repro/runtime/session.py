@@ -51,18 +51,19 @@ class RunOutcome:
 
     ``result`` is always set.  ``program`` is the compiled trace that
     was replayed or captured, ``from_cache`` marks traces served from the
-    trace cache, and ``kernel`` names what replayed a compiled trace
-    (``"native"`` or ``"python"``; ``None`` when barnes'
-    :meth:`~repro.apps.base.Application.run_recorded` recorded and
-    replayed it in one call).
+    trace cache, ``recorded`` one that barnes'
+    :meth:`~repro.apps.base.Application.recorded_program` captured by an
+    engine run, and ``kernel`` names what replayed it (``"native"`` or
+    ``"python"``).
     """
 
     plan: RunPlan
     result: RunResult
     app: "Application"
     program: "CompiledProgram"
+    kernel: str
     from_cache: bool = False
-    kernel: str | None = None
+    recorded: bool = False
 
     @property
     def request(self) -> RunRequest:
@@ -118,7 +119,7 @@ class RunSession:
         cache = self.trace_cache
         program = cache.get(key) if cache is not None else None
         from_cache = program is not None
-        result = kernel = None
+        recorded = False
         if from_cache:
             if obs is not None:
                 obs.on_phase("trace-hit", clock.lap(),
@@ -131,22 +132,21 @@ class RunSession:
                 program = app.compiled_program()
             else:
                 # barnes: its tree builds are decided by the run itself,
-                # so the engine records them and run_recorded() replays
-                # the capture; it replays bit-identically at this exact
-                # configuration only (the trace key covers the full config)
-                result, program = app.run_recorded()
+                # so the engine records them; the capture replays
+                # bit-identically at this exact configuration only (the
+                # trace key covers the full config)
+                program = app.recorded_program()
+                recorded = True
             if cache is not None:
                 cache.put(key, program)
-            if obs is not None and result is None:
+            if obs is not None and not recorded:
                 obs.on_phase("capture", clock.lap(),
                              {"ops": program.total_ops,
                               "source_ops": program.source_ops,
                               "tasks": sum(map(len, program.task_lens))})
-        # replay it, unless run_recorded() already did
-        if result is None:
-            result, kernel = app.replay(program)
+        result, kernel = app.replay(program)
         return self._finish(RunOutcome(plan, result, app, program,
-                                       from_cache, kernel), clock)
+                                       kernel, from_cache, recorded), clock)
 
     # ------------------------------------------------------------ internals
     def _build(self, plan: RunPlan, clock: _Clock | None) -> "Application":
@@ -171,15 +171,13 @@ class RunSession:
             result = outcome.result
             info = {"references": result.misses.references,
                     "cycles": result.execution_time}
-            if outcome.kernel is not None:
-                info["kernel"] = outcome.kernel
-            else:
-                # barnes' run_recorded(): the generators on the python
-                # engine through the last tree build, the rest drained, the
-                # capture replayed (no separate ``capture`` phase or
-                # kernel to report)
+            if outcome.recorded:
+                # barnes' recorded_program(): the generators on the python
+                # engine through the last tree build, the rest drained (no
+                # separate ``capture`` phase), then the replay
                 info.update(recorded=True, ops=outcome.program.total_ops,
                             source_ops=outcome.program.source_ops)
+            info["kernel"] = outcome.kernel
             if outcome.kernel == "python":
                 from ..sim.nativereplay import native_decline_reason
                 # an eligible machine on python means the kernel itself

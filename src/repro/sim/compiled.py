@@ -27,10 +27,11 @@ This module provides that capture/replay layer:
   the bodies of its task queues) once into a :class:`CompiledProgram`.
   While an app is captured, each of its ``read_span``/``write_span``
   over two lines or more reaches the drain as one ``OP_SPAN`` item
-  carrying the span's geometry, whose words (the very words its per-op
-  tuples would store) are appended with ``array`` operations at C
-  speed; every other run of the app still yields per-op tuples, so the
-  generator stays the oracle;
+  carrying the span's geometry, and each batch it builds as arrays as
+  one ``OP_WORDS`` item carrying its opcodes and operands; the words of
+  either (the very words its per-op tuples would store) are appended at
+  C speed.  Every other run of the app still yields per-op tuples, so
+  the generator stays the oracle;
 * :func:`trace_key` — content hash identifying one compiled trace
   (version, app, kwargs, seed, stream-relevant machine fields);
 * :class:`TraceCache` — process-wide in-memory LRU of compiled programs
@@ -104,7 +105,7 @@ from typing import Any, Mapping
 
 from ..core.resultcache import TraceStore
 from .program import (OP_BARRIER, OP_READ, OP_SPAN, OP_TASK, OP_UNLOCK,
-                      OP_WORK, OP_WRITE, ProgramFactory)
+                      OP_WORDS, OP_WORK, OP_WRITE, ProgramFactory)
 
 __all__ = ["CompiledProgram", "RetiredTraceFormat", "TraceCache",
            "TraceDecodeError", "compile_program", "decode", "opcodes",
@@ -515,15 +516,67 @@ def _span_words(words: array, opcode: int, line: int, n_lines: int,
     return len(words) - before, n_last > 1
 
 
+@functools.cache
+def _line_divisors(line_size: int):
+    """Per opcode WORK..UNLOCK, what divides its operand into the stored
+    one: ``line_size`` for READ and WRITE, else 1."""
+    import numpy as np  # only items need it, and only apps make them
+
+    return np.array([1, line_size, line_size, 1, 1, 1])
+
+
+def _item_words(words: array, opcodes, lines, was_work: bool) -> bool | None:
+    """Append the words of one ``OP_WORDS`` item at C speed, its opcodes
+    and stored operands (``lines``) as int64 arrays, and return whether
+    the last is a WORK.  A WORK run is one word of its sum
+    (``np.add.reduceat``), its first WORK fused into a WORK word already
+    last in ``words``.  A BARRIER or TASK is refused, so a phased drain
+    stops only at a per-op barrier.  Any other opcode outside
+    WORK..UNLOCK, a negative operand, or operands whose sum might reach
+    ``2**60`` return ``None``, nothing stored: the caller stores those
+    op by op, which stores them exactly or refuses them as it would.
+    """
+    import numpy as np
+
+    if not len(opcodes):
+        return was_work
+    lo, hi = opcodes.min(), opcodes.max()
+    if hi >= OP_BARRIER and ((opcodes == OP_BARRIER)
+                             | (opcodes == OP_TASK)).any():
+        raise ValueError("a BARRIER or TASK inside an OP_WORDS item")
+    before = words[-1] >> _OP_BITS if was_work else 0
+    if lo < OP_WORK or hi > OP_UNLOCK or lines.min() < 0 \
+            or int(lines.max()) * len(lines) + before >= _ARG_LIMIT:
+        return None
+    work = opcodes == OP_WORK
+    keep = np.ones(len(work), dtype=bool)
+    keep[1:] = ~(work[1:] & work[:-1])
+    at = np.flatnonzero(keep)
+    out = np.add.reduceat(lines, at)
+    out <<= _OP_BITS
+    out |= opcodes[at]
+    if was_work and work[0]:
+        words[-1] += int(out[0])
+        out = out[1:]
+    words.frombytes(memoryview(out).cast("B"))
+    return bool(work[-1])
+
+
 def _drain(gen, words: array, line_size: int, was_work: bool,
            n_queues: int, phased: bool) -> tuple[int, bool, bool]:
     """Append ``gen``'s ops to a word column as a trace stores them.
 
     Stops after a BARRIER when ``phased`` (else only at exhaustion).
-    An ``(OP_SPAN, geometry)`` item (a captured app's span) is one
-    rare-opcode branch: :func:`_span_words` appends its words, the WORK
-    after it fuses into its last word as after the per-op tuples, and it
-    counts as the source ops it stands for.
+    Two capture-only items are rare-opcode branches, each counted as the
+    source ops it stands for, with a WORK after it fusing into its last
+    word as after the per-op tuples:
+
+    * ``(OP_SPAN, geometry)``, a captured app's span: :func:`_span_words`
+      appends its words;
+    * ``(OP_WORDS, (opcodes, args))``, a batch as two int64 arrays:
+      divided into lines here and stored by :func:`_item_words`, or op
+      by op where that declines.
+
     ``n_queues`` bounds the operand of a ``TASK``; a task body passes
     -1, which refuses them all.  An operand (or a fused WORK total) that
     one word cannot hold is a ``ValueError``: ``array('q')`` refuses the
@@ -548,14 +601,27 @@ def _drain(gen, words: array, line_size: int, was_work: bool,
                         opcode, (words[-1] >> _OP_BITS) + arg) from None
                 continue
             was_work = True
-        else:
+        elif opcode == OP_READ or opcode == OP_WRITE:
             was_work = False
-            if opcode == OP_READ or opcode == OP_WRITE:
-                arg //= line_size
-            elif not 0 <= opcode <= OP_UNLOCK:
+            arg //= line_size
+        else:
+            if not 0 <= opcode <= OP_UNLOCK:
                 if opcode == OP_SPAN and type(arg) is tuple:
                     stored, was_work = _span_words(words, *arg)
                     n += stored - 1
+                    continue
+                if opcode == OP_WORDS and type(arg) is tuple:
+                    opcodes, args = arg
+                    n += len(opcodes) - 1
+                    lines = args // _line_divisors(line_size).take(
+                        opcodes, mode="clip")
+                    ends_work = _item_words(words, opcodes, lines, was_work)
+                    if ends_work is None:
+                        ends_work = _drain(zip(opcodes.tolist(),
+                                               args.tolist()), words,
+                                           line_size, was_work, 0,
+                                           phased=False)[1]
+                    was_work = ends_work
                     continue
                 if opcode != OP_TASK:
                     raise ValueError(f"unknown opcode {opcode}")
@@ -565,6 +631,7 @@ def _drain(gen, words: array, line_size: int, was_work: bool,
                         else f"TASK {arg}: no such queue (the program "
                              f"has {n_queues})")
                 n -= 1  # a dispatch, not an op a generator yields
+            was_work = False
         try:
             append(arg << _OP_BITS | opcode)
         except OverflowError:
@@ -610,10 +677,9 @@ def compile_program(program_factory: ProgramFactory, n_processors: int,
       summed cycles — SPMD emission helpers pad spans with WORK, so fusion
       typically removes 10-30% of stored ops;
     * each op is stored as one word, ``arg << 3 | opcode``, and a span
-      item's words at C speed (:func:`_span_words`; only
-      :meth:`Application.compiled_program
-      <repro.apps.base.Application.compiled_program>` makes its spans
-      items, for the length of its drain);
+      or batch item's words at C speed (:func:`_span_words`,
+      :func:`_item_words`; only an app's own capture makes its spans and
+      batches items, for the length of its drain);
     * operands are validated (negative WORK, unknown opcode, an operand
       outside ``[-2**60, 2**60)``) as they are stored; the replay loop
       checks them again, because a stored trace may come back from disk.
@@ -686,7 +752,9 @@ class ProgramRecorder:
     :meth:`finish` stores each raw pair through :func:`_drain`, the one
     rule :func:`compile_program` stores by (line division, WORK fusion,
     one word per op), then drains the suspended generators
-    barrier-phased, as :func:`compile_program` does.  Replaying the
+    barrier-phased, as :func:`compile_program` does (an app's
+    :meth:`~repro.apps.base.Application.recorded_program` makes its
+    spans and batches items for that drain alone).  Replaying the
     result on an identically-configured machine is bit-identical to
     the generators' run.
     """

@@ -42,6 +42,10 @@ OP_TASK = 6
 #: :func:`~repro.sim.compiled.compile_program`'s drain ever receives
 #: (see :meth:`Application._span <repro.apps.base.Application._span>`)
 OP_SPAN = 7
+#: capture-only: a batch of ops as two int64 arrays, opcodes and operands,
+#: which only the drain ever receives (see :meth:`Application.op_batch
+#: <repro.apps.base.Application.op_batch>`)
+OP_WORDS = 8
 
 #: An operation: (opcode, operand).
 Op = tuple[int, int]

@@ -198,4 +198,7 @@ class TestBatchedWalk:
         for b in range(app.n):
             ref_acc, ref_trace = scalar_force_on(app, b)
             assert app.acc[b].tobytes() == ref_acc.tobytes(), b
-            assert list(app._visits_of(b)) == ref_trace, b
+            kind, idx, first = app._visits
+            visits = zip(kind[first[b]:first[b + 1]].tolist(),
+                         idx[first[b]:first[b + 1]].tolist())
+            assert list(visits) == ref_trace, b

@@ -1,5 +1,5 @@
-"""The batched numerics of mp3d, raytrace and radix have the bits of the
-one-at-a-time rules they replaced.
+"""The batched numerics of mp3d, raytrace, volrend and radix have the bits
+of the one-at-a-time rules they replaced.
 
 Each batched form here is checked against its per-vector (or per-particle,
 per-ray, per-key) form, element by element and bit by bit, signed zeros
@@ -17,8 +17,10 @@ from repro.apps.base import element_addrs, row_dots
 from repro.apps.mp3d import MP3DApp
 from repro.apps.radix import _stable_rank_within
 from repro.apps.raytrace import _LIGHT, _PRIMARY, RaytraceApp, _slab_hits
+from repro.apps.volrend import _NODE_DOUBLES, VolrendApp
 from repro.core.config import MachineConfig
 from repro.memory.address import AddressSpace
+from test_apps_volrend import march
 
 #: ±0, subnormals, tiny and large magnitudes; no product overflows
 finite = st.floats(-1e150, 1e150, allow_nan=False)
@@ -216,14 +218,52 @@ def test_rendering_is_the_one_ray_tracer(seed, n_spheres, max_depth):
             shade = trace(app, orig, np.array([0.0, 0.0, 1.0]), 0, visits)
             want_image[py, px] = shade
             want_hit += shade > 0.05
-            want_ops += [op for v in visits for op in app._visit_ops[v]]
-            want_ops += app._visit_ops[app._pixel_code
-                                       + app._pixel_elem(py, px)]
+            visits.append(app._pixel_code + app._pixel_elem(py, px))
+            opcodes, operands = (t[visits].ravel().tolist()
+                                 for t in app._visit_ops)
+            want_ops += zip(opcodes, operands)
     got_ops = [op for tile in range(app.n_tiles)
                for op in app.tile_ops(tile)]
     assert got_ops == want_ops
     assert_bits(app.image, want_image, "the batched rendering")
     assert (app.rays_cast, app.rays_hit) == (256, want_hit)
+
+
+# ---------------------------------------------------------------- volrend
+
+@settings(max_examples=12, deadline=None)
+@given(side_blocks=st.sampled_from([(8, 2), (16, 4), (32, 4), (16, 8)]),
+       image=st.sampled_from([(8, 8), (16, 8), (16, 16)]),
+       cutoff=st.sampled_from([0.0, 0.3, 0.95, 1.0]))
+def test_volrend_rendering_is_the_one_ray_march(side_blocks, image, cutoff):
+    """Every tile's ops and the image bits: ``march`` pixel by pixel (the
+    octree test, the four voxel columns of a sample, then shading and
+    the pixel write) against the every-ray-at-once rendering, volumes
+    smaller and larger than the image, and cutoffs that end every ray at
+    once (0), early, or never (1)."""
+    side, block = side_blocks
+    width, height = image
+    app = VolrendApp(MachineConfig(n_processors=4), volume_side=side,
+                     width=width, height=height, block=block,
+                     opacity_cutoff=cutoff)
+    app.ensure_setup()
+    want_image, want_ops = np.zeros_like(app.image), []
+    for tile in range(app.n_tiles):
+        for py, px in app.tile_pixels(tile):
+            want_image[py, px], visits = march(app, px, py)
+            for kind, idx in visits:
+                if kind == "node":
+                    want_ops += [(1, app.rnodes.element(idx * _NODE_DOUBLES)),
+                                 (0, 12)]
+                else:
+                    want_ops += [(1, app.rvolume.element(idx)), (0, 8)]
+            want_ops += [(0, 30), (2, app.rpixels.element(
+                app._pixel_elem(py, px)))]
+    app.begin_render()
+    got_ops = [op for tile in range(app.n_tiles)
+               for op in app.tile_ops(tile)]
+    assert got_ops == want_ops
+    assert_bits(app.image, want_image, "the batched volume march")
 
 
 # ------------------------------------------------------------------- mp3d

@@ -12,6 +12,7 @@ from repro.apps.lu import LUApp
 from repro.apps.radix import RadixApp
 from repro.apps.volrend import VolrendApp
 from repro.core.config import MachineConfig
+from test_apps_volrend import march
 
 CFG = MachineConfig(n_processors=4, cluster_size=2,
                     cache_kb_per_processor=16)
@@ -140,8 +141,8 @@ class TestVolrendProperties:
         hi = VolrendApp(CFG, volume_side=16, width=8, height=8,
                         opacity_cutoff=0.99)
         lo.ensure_setup(), hi.ensure_setup()
-        _, t_lo = lo.march(4, 4)
-        _, t_hi = hi.march(4, 4)
+        _, t_lo = march(lo, 4, 4)
+        _, t_hi = march(hi, 4, 4)
         n_lo = sum(1 for k, _ in t_lo if k == "voxel")
         n_hi = sum(1 for k, _ in t_hi if k == "voxel")
         assert n_lo <= n_hi

@@ -138,15 +138,17 @@ class TestObserverTransparency:
         off = execute_info(ocean)
         assert (off["kernel"], off["declined"]) == (
             "python", "native-off-or-unavailable")
-        # a cold dynamic app is recorded and replayed by run_recorded():
-        # no replay kernel to report
-        assert "kernel" not in execute_info(
-            RunRequest.make("barnes", 2, 4.0, TINY["barnes"]))
+        # a cold dynamic app is recorded, then replayed like any other
+        # capture: its kernel and why the native one declined
+        barnes = execute_info(RunRequest.make("barnes", 2, 4.0,
+                                              TINY["barnes"]))
+        assert (barnes["recorded"], barnes["kernel"], barnes["declined"]) \
+            == (True, "python", "native-off-or-unavailable")
 
     def test_cold_dynamic_point_says_it_was_a_recording_run(self):
-        """Cold, barnes is recorded and replayed by ``run_recorded()`` —
-        no ``capture`` phase, no replay kernel — and its ``execute`` line
-        must say so; warm, it is an ordinary replay.  Both are the
+        """Cold, barnes is recorded by ``recorded_program()`` — no
+        ``capture`` phase — and replayed, and its ``execute`` line must
+        say both; warm, it is an ordinary replay.  Both are the
         generators' own run, byte for byte."""
         request = RunRequest.make("barnes", 2, 4.0, TINY["barnes"])
         want = build_app("barnes", request.config_for(CFG),
@@ -160,7 +162,8 @@ class TestObserverTransparency:
         assert [n for n, _, _ in observer.phases] == [
             "resolve", "build", "execute"]
         cold = observer.phases[-1][2]
-        assert cold["recorded"] is True and "kernel" not in cold
+        assert cold["recorded"] is True
+        assert cold["kernel"] in ("native", "python")
         assert 0 < cold["ops"] <= cold["source_ops"]
         assert (f"references={cold['references']} cycles={cold['cycles']} "
                 f"recorded=True ops={cold['ops']} "
@@ -171,7 +174,7 @@ class TestObserverTransparency:
         assert [n for n, _, _ in observer.phases] == [
             "resolve", "build", "trace-hit", "execute"]
         warm = observer.phases[-1][2]
-        assert warm["kernel"] in ("native", "python")
+        assert warm["kernel"] == cold["kernel"]
         assert "recorded" not in warm
         assert warm["references"] == cold["references"]
 

@@ -70,7 +70,6 @@ TEST_ONLY: tuple[tuple[str, str], ...] = (
     ("MP3DApp.kinetic_energy", "test oracle"),
     ("FFTApp.reference", "test oracle"),
     ("RadixApp.reference", "test oracle"),
-    ("VolrendApp.march(use_octree)", "test oracle"),  # False: brute force
     ("Directory.is_sharer", "test probe"),
     ("Directory.sharer_list", "test probe"),
     ("Directory.entry", "test probe"),
@@ -143,13 +142,14 @@ RULES: tuple[Rule, ...] = (
     Rule("lines-through-cache", 33, BACK_ENDS, r"\.sets\b|_n_sets|_ways\b|self\._lines\b",
          "ways = cache.sets[0]"),
     Rule("engine-heap-shortcut", 33, "src/repro/sim/engine.py", r"heap\[0\]\[0\]", "heap[0][0]"),
-    Rule("one-op-store-rule", 33, "src/repro/sim/compiled.py", "//=? line_size",
-         "line = addr // line_size", 1),
+    # the operand-to-line store, both in _drain: an op's, an OP_WORDS item's
+    Rule("one-op-store-rule", 33, "src/repro/sim/compiled.py",
+         r"//=? (line_size|_line_divisors\()", "line = addr // line_size", 2),
     # a capture is packed once in memory; TraceCache.put is the one write
     Rule("one-trace-write", 48, "src/repro/sim", r"put_bytes\(|\.writing\(",
          "store.put_bytes(key, blob)", 1),
     Rule("span-stays-in-capture", 42, f"src/repro/sim/engine.py src/repro/native {MEMORY}",
-         "OP_SPAN", "kind = OP_SPAN"),
+         "OP_SPAN|OP_WORDS", "kind = OP_SPAN"),
     Rule("directory-writes-through-transitions", 29, BACK_ENDS,
          r"\.(mask|dir_state) *([|&^+-]|<<|>>)?=($|[^=])", "rec.mask |= 1"),
     Rule("one-record-per-line", 29, MEMORY,
