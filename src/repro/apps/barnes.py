@@ -42,7 +42,7 @@ from ..core.config import MachineConfig
 from ..sim.program import (OP_READ, OP_WORK, OP_WRITE, Barrier, Lock, Op,
                            Read, Unlock, Work, Write)
 from .base import (Application, PhaseBarriers, direct_acceleration,
-                   element_addrs, softened_pull)
+                   element_addrs, softened_pull, table_parts)
 
 __all__ = ["BarnesApp"]
 
@@ -66,16 +66,16 @@ _COM_OPS = np.array([OP_READ] * 9 + [OP_WORK, OP_WRITE])
 _FORCE_OPS = np.array([[OP_READ, OP_WORK, OP_WORK], [OP_READ, OP_READ, OP_WORK],
                        [OP_READ, OP_WORK, OP_WORK], [OP_READ, OP_WORK, OP_WORK]])
 _FORCE_KEEP = np.array([[1, 1, 0], [1, 1, 1], [1, 1, 0], [1, 0, 0]], dtype=bool)
-#: a body's update ops: read it, integrate (WORK 40), write it
-_UPDATE_OPS = np.array([OP_READ, OP_WORK, OP_WRITE])
 
 
 class _Cell:
-    """One octree internal cell (children: None | ('b', body) | ('c', cell))."""
+    """One octree internal cell (children: None | ('b', body) | ('c', cell));
+    its centre a tuple of python floats, so the build compares no numpy
+    scalars."""
 
     __slots__ = ("center", "half", "children", "mass", "com")
 
-    def __init__(self, center: np.ndarray, half: float) -> None:
+    def __init__(self, center: tuple[float, ...], half: float) -> None:
         self.center = center
         self.half = half
         self.children: list = [None] * 8
@@ -156,7 +156,7 @@ class BarnesApp(Application):
         self.place_partitions(self.rbodies)
 
     # ---------------------------------------------------------- tree builds
-    def _new_cell(self, center: np.ndarray, half: float) -> int:
+    def _new_cell(self, center: tuple[float, ...], half: float) -> int:
         if len(self.cells) >= self.max_cells:
             raise RuntimeError("barnes cell pool exhausted; raise max_cells")
         self.cells.append(_Cell(center, half))
@@ -166,19 +166,22 @@ class BarnesApp(Application):
         self.cells.clear()
         lo = self.pos.min(axis=0) - 1e-9
         hi = self.pos.max(axis=0) + 1e-9
-        center = (lo + hi) / 2
         half = float((hi - lo).max() / 2) or 1.0
-        self._new_cell(center.copy(), half)
+        self._new_cell(tuple(((lo + hi) / 2).tolist()), half)
+        #: the positions the build inserts, as python floats
+        self._pos_list = self.pos.tolist()
 
     @staticmethod
-    def _octant(cell: _Cell, p: np.ndarray) -> int:
-        return ((p[0] > cell.center[0]) * 4 + (p[1] > cell.center[1]) * 2
-                + (p[2] > cell.center[2]) * 1)
+    def _octant(cell: _Cell, p: list[float]) -> int:
+        x, y, z = cell.center
+        return (p[0] > x) * 4 + (p[1] > y) * 2 + (p[2] > z)
 
-    def _child_center(self, cell: _Cell, o: int) -> np.ndarray:
-        off = np.array([1 if o & 4 else -1, 1 if o & 2 else -1,
-                        1 if o & 1 else -1], dtype=float)
-        return cell.center + off * (cell.half / 2)
+    @staticmethod
+    def _child_center(cell: _Cell, o: int) -> tuple[float, ...]:
+        (x, y, z), step = cell.center, cell.half / 2
+        return (x + step if o & 4 else x - step,
+                y + step if o & 2 else y - step,
+                z + step if o & 1 else z - step)
 
     def _insert(self, body: int) -> tuple[list[int], list[int], int]:
         """Atomically insert ``body``; return (path cells, new cells, locked
@@ -186,7 +189,7 @@ class BarnesApp(Application):
         path: list[int] = []
         created: list[int] = []
         ci = 0
-        p = self.pos[body]
+        p = self._pos_list[body]
         while True:
             path.append(ci)
             cell = self.cells[ci]
@@ -205,7 +208,7 @@ class BarnesApp(Application):
             cell.children[o] = ("c", nci)
             # reinsert the displaced body into the fresh cell, then loop
             sub = self.cells[nci]
-            so = self._octant(sub, self.pos[other])
+            so = self._octant(sub, self._pos_list[other])
             sub.children[so] = ("b", other)
             ci = nci
 
@@ -348,10 +351,12 @@ class BarnesApp(Application):
     def _body_addr(self, b: int) -> int:
         return self.rbodies.element(b * _BODY_DOUBLES)
 
-    def _com_ops(self, pid: int) -> Iterable[Op]:
-        """Phase 2's ops for the cells dealt to ``pid``, one row per cell
+    def _com_ops(self) -> tuple:
+        """Phase 2's ops of every processor, a row per cell it was dealt
         (:data:`_COM_OPS`, an empty slot's read left out)."""
-        cells = np.arange(pid, len(self.cells), self.config.n_processors)
+        n = self.config.n_processors
+        owner = np.arange(len(self.cells)) % n
+        cells = np.argsort(owner, kind="stable")
         args = np.empty((len(cells), len(_COM_OPS)), dtype=np.int64)
         args[:, 0] = element_addrs(self.rcells, cells * _CELL_DOUBLES + 8)
         args[:, 1:9] = kids = self._kid_addrs[cells]
@@ -359,7 +364,8 @@ class BarnesApp(Application):
         args[:, 10] = args[:, 0] - 8 * self.rcells.element_size
         keep = np.ones(args.shape, dtype=bool)
         keep[:, 1:9] = kids >= 0
-        return self.op_batch(_COM_OPS, args, keep)
+        return table_parts(_COM_OPS, args, keep, np.searchsorted(
+            owner[cells], np.arange(n + 1)))
 
     def _force_ops(self, mine: range) -> Iterable[Op]:
         """Phase 3's ops for bodies ``mine``: per body, its own record,
@@ -389,18 +395,6 @@ class BarnesApp(Application):
         args[:, 2] = 16
         return self.op_batch(_FORCE_OPS[rows], args, _FORCE_KEEP[rows])
 
-    def _update_ops(self, mine: range) -> Iterable[Op]:
-        """Phase 4: leapfrog bodies ``mine`` (elementwise, so with the
-        bits of one body at a time) and return their ops."""
-        lo, hi = mine.start, mine.stop
-        self.vel[lo:hi] += self.dt * self.acc[lo:hi]
-        self.pos[lo:hi] += self.dt * self.vel[lo:hi]
-        args = np.empty((len(mine), 3), dtype=np.int64)
-        args[:, [0, 2]] = element_addrs(
-            self.rbodies, np.arange(lo, hi) * _BODY_DOUBLES)[:, None]
-        args[:, 1] = 40
-        return self.op_batch(np.tile(_UPDATE_OPS, len(mine)), args.ravel())
-
     def program(self, pid: int) -> Iterator[Op]:
         bar = PhaseBarriers()
         mine = self.partition_slice(self.n, pid)
@@ -427,7 +421,7 @@ class BarnesApp(Application):
 
             # ---- phase 2: centres of mass ---------------------------
             self._ensure_coms(step)
-            yield from self._com_ops(pid)
+            yield from self.shared_batch(("com", step), pid, self._com_ops)
             yield Barrier(bar())
 
             # ---- phase 3: forces ------------------------------------
@@ -437,5 +431,11 @@ class BarnesApp(Application):
             self._visits = None  # every processor is done with it
 
             # ---- phase 4: update ------------------------------------
-            yield from self._update_ops(mine)
+            # leapfrog (elementwise, so with the bits of one body at a time)
+            own = slice(mine.start, mine.stop)
+            self.vel[own] += self.dt * self.acc[own]
+            self.pos[own] += self.dt * self.vel[own]
+            yield from self.shared_batch(
+                ("update", step), pid, lambda: self.update_ops(
+                    self.rbodies, _BODY_DOUBLES, self.n, 40))
             yield Barrier(bar())

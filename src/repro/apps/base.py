@@ -46,17 +46,12 @@ from ..memory import make_memory_system
 from ..memory.address import AddressSpace, Region
 from ..memory.allocation import PageAllocator
 from ..sim.engine import Engine
-from ..sim.program import (OP_READ, OP_SPAN, OP_WORDS, OP_WORK, OP_WRITE,
-                           Barrier, Lock, Op, Read, Task, Unlock, Write)
+from ..sim.program import (OP_READ, OP_WORDS, OP_WORK, OP_WRITE, Barrier,
+                           Batch, Lock, Op, Read, Task, Unlock, Write)
 
 __all__ = ["Application", "PhaseBarriers", "TileQueueApplication",
            "direct_acceleration", "element_addrs", "proc_grid_shape",
-           "row_dots", "softened_pull", "span_parts"]
-
-
-#: a batch shorter than this leaves a capture as tuples, not as an item:
-#: below it, numpy's fixed cost per item outweighs the drain's per-op loop
-_ITEM_MIN_OPS = 64
+           "row_dots", "softened_pull", "table_parts"]
 
 
 def row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -77,7 +72,7 @@ def row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def element_addrs(region: Region, index: np.ndarray) -> np.ndarray:
     """``region.element(i)`` of every ``i`` of an integer array, as an
     int64 array, bounds-checked once: by its least and greatest index."""
-    if len(index):
+    if index.size:
         region.element(int(index.min()))
         region.element(int(index.max()))
     return region.base + index.astype(np.int64) * region.element_size
@@ -141,56 +136,14 @@ def proc_grid_shape(n_processors: int) -> tuple[int, int]:
     return rows, n_processors // rows
 
 
-def _span_ops(opcode: int, addr: int, end: int, esz: int, line_size: int,
-              line: int, last_line: int) -> Iterator[Op]:
-    """The ops of the span of bytes ``[addr, end)`` (see
-    :meth:`Application._span`): per line, ``opcode`` at its first byte
-    in the span, then ``Work`` for the span's other elements in it."""
-    while line <= last_line:
-        lo = max(addr, line * line_size)
-        hi = min(end, (line + 1) * line_size)
-        n_elems = (hi - lo) // esz
-        yield (opcode, lo)
-        if n_elems > 1:
-            yield (0, n_elems - 1)  # OP_WORK: the guaranteed hits
-        line += 1
-
-
-def span_parts(opcodes: np.ndarray, operands: np.ndarray,
-               counts: np.ndarray, esz: int,
-               line_size: int) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Tables of records as ``(opcodes, operands)`` batches, one per
-    index of their first axis (a processor, say), each taken in
-    row-major order; the three arrays broadcast together.  A READ/WRITE
-    record is the span of ``counts`` elements of ``esz`` bytes from byte
-    address ``operands``, as :func:`_span_ops` emits it (none for a
-    count of 0); any other record is its one op.  The caller
-    bounds-checks each span's first element (:func:`element_addrs`), as
-    :meth:`Application._span` does."""
-    opcodes, operands, counts = np.broadcast_arrays(opcodes, operands,
-                                                    counts)
-    per_part = operands[0].size
-    opcodes, operands, counts = map(np.ravel, (opcodes, operands, counts))
-    span = (opcodes == OP_READ) | (opcodes == OP_WRITE)
-    end = operands + counts * esz
-    line = operands // line_size
-    n_lines = np.where(span, np.where(counts > 0, (end - 1) // line_size
-                                      - line + 1, 0), 1)
-    rec = np.repeat(np.arange(len(opcodes)), n_lines)
-    line = (line - np.cumsum(n_lines) + n_lines)[rec] + np.arange(len(rec))
-    span = span[rec]
-    ops = np.full(2 * len(rec), OP_WORK, dtype=np.int64)
-    args = np.empty(2 * len(rec), dtype=np.int64)
-    ops[::2] = opcodes[rec]
-    args[::2] = np.where(span, np.maximum(operands[rec], line * line_size),
-                         operands[rec])
-    args[1::2] = (np.minimum(end[rec], (line + 1) * line_size)
-                  - args[::2]) // esz - 1
-    keep = np.ones(len(ops), dtype=bool)
-    keep[1::2] = span & (args[1::2] > 0)
-    cuts = np.searchsorted(np.repeat(rec, 2)[keep] // per_part,
-                           np.arange(1, len(opcodes) // per_part))
-    return list(zip(np.split(ops[keep], cuts), np.split(args[keep], cuts)))
+def table_parts(opcodes: np.ndarray, args: np.ndarray, keep: np.ndarray,
+                edges) -> tuple[np.ndarray, np.ndarray, list[int]]:
+    """A table's ``keep`` cells, row after row, as a
+    :class:`~repro.sim.program.Batch`'s ``(opcodes, args, edges)``:
+    ``opcodes`` broadcast against the table ``args`` (the opcode of each
+    column, say), and part ``k`` is its rows ``edges[k]:edges[k + 1]``."""
+    return (np.broadcast_to(opcodes, args.shape)[keep], args[keep],
+            np.append(0, np.cumsum(keep.sum(axis=1)))[edges].tolist())
 
 
 class Application(ABC):
@@ -230,8 +183,8 @@ class Application(ABC):
     timed_barriers: int | None = None
 
     #: true only while a capture drains :meth:`program` (:meth:`_items`):
-    #: a span is then one ``OP_SPAN`` item and a batch one ``OP_WORDS``
-    #: item for the drain, never per-op tuples
+    #: a batch's part is then one ``OP_WORDS`` item for the drain, never
+    #: per-op tuples
     _draining: bool = False
 
     def __init__(self, config: MachineConfig, seed: int = 12345) -> None:
@@ -242,8 +195,9 @@ class Application(ABC):
         self.allocator = PageAllocator(config.n_clusters, config.page_size,
                                        config.line_size)
         self._setup_done = False
-        #: :meth:`shared_batch`'s parts not yet taken, by key and processor
-        self._parts: dict[Any, dict[int, tuple]] = {}
+        #: :meth:`shared_batch`'s batches, by key, with the processors
+        #: that have not taken their part yet
+        self._shared: dict[Any, tuple[Batch, set[int]]] = {}
 
     # ------------------------------------------------------------ lifecycle
     @abstractmethod
@@ -282,8 +236,8 @@ class Application(ABC):
 
     @contextmanager
     def _items(self):
-        """Spans and batches are drain items inside the block, per-op
-        tuples again after it (for :meth:`run`, the engine half of
+        """Batches are drain items inside the block, per-op tuples
+        again after it (for :meth:`run`, the engine half of
         :meth:`recorded_program`, a caller's own drain), whether it
         returned or raised."""
         self._draining = True
@@ -294,8 +248,7 @@ class Application(ABC):
 
     def _capture(self, factory, tasks=()) -> "CompiledProgram":
         """:func:`~repro.sim.compiled.compile_program` of ``factory`` on
-        this app's machine, with every span and batch drained as one
-        item."""
+        this app's machine, with every batch drained as items."""
         from ..sim.compiled import compile_program
 
         with self._items():
@@ -309,7 +262,7 @@ class Application(ABC):
         The generators run on the python engine, recorded, up to their
         :attr:`timed_barriers`-th barrier, against a copy of the
         allocator; the phases after it are drained barrier-phased, as
-        :meth:`compiled_program` drains, spans and batches as items
+        :meth:`compiled_program` drains, batches as items
         (:class:`~repro.sim.compiled.ProgramRecorder`).  The engine's
         own result is discarded: :meth:`replay` of the capture binds
         pages from setup's placement, as a trace-hit replay does, and is
@@ -402,57 +355,56 @@ class Application(ABC):
             self.allocator.place_range(start, size, cluster)
 
     # ------------------------------------------------------ emission helpers
-    def read_span(self, region: Region, start: int, count: int) -> Iterable[Op]:
-        """Emit reads covering elements ``[start, start+count)`` of a region.
-
-        One ``Read`` is emitted per cache line touched plus ``Work`` cycles
-        for the remaining loads in the line: once the first load of a line
-        completes the rest are guaranteed single-cycle hits (fully
-        associative LRU, just touched), so this is timing- and
-        coherence-equivalent to per-element emission while costing ~8×
-        fewer engine events for dense sweeps.
-        """
-        return self._span(OP_READ, region, start, count)
-
-    def write_span(self, region: Region, start: int, count: int) -> Iterable[Op]:
-        """Emit writes covering elements ``[start, start+count)``; one
-        ``Write`` per line plus ``Work`` for the rest (same argument as
-        :meth:`read_span`; writes never stall)."""
-        return self._span(OP_WRITE, region, start, count)
-
-    def _span(self, opcode: int, region: Region, start: int,
-              count: int) -> Iterable[Op]:
-        """The one span emitter: ``opcode`` at the first element of each
-        line of ``[start, start+count)``, then ``Work`` for the rest.  The
-        public methods return it rather than ``yield from`` it, so a span
-        costs its caller no extra generator frame per op.
-
-        The span's geometry is computed here, once: its first and last
-        lines, and the element counts of its first line, of a full line
-        and of its last line.  A span inside one line is its one or two
-        ops, as a tuple.  A longer one, while :meth:`_capture` drains, is
-        the one item ``(OP_SPAN, (opcode, first line, line count, first,
-        full, last))``, from which the drain stores exactly the words of
-        the per-op tuples at C speed; at any other time it is those
-        tuples (:func:`_span_ops`), so the engine only ever sees ops."""
-        if count <= 0:
-            return ()
+    def span_table(self, *records, edges=None) -> tuple:
+        """A table of span records, a record a column, as one
+        :class:`~repro.sim.program.Batch`'s ``(opcodes, args, edges)``,
+        taken row after row.  ``(opcode, region, index, count)`` is the
+        span of ``count`` elements of ``region`` from element ``index``
+        (its first bounds-checked): per line, ``opcode`` at the span's
+        first byte in it, then a WORK of the span's other elements in it,
+        if any (no op for a count of 0).  ``(OP_WORK, cycles)`` is that
+        one op.  The fields broadcast over the table's rows, and part
+        ``k`` is index ``k`` of their first axis, or with ``edges`` the
+        rows ``edges[k]:edges[k + 1]``."""
+        shape = np.broadcast_shapes(*(np.shape(field) for record in records
+                                      for field in record[2:] or record[1:]))
+        operands = np.empty((*shape, len(records)), dtype=np.int64)
+        counts = np.zeros_like(operands)
+        esz = np.ones_like(operands)
+        for k, record in enumerate(records):
+            if record[0] == OP_WORK:
+                operands[..., k] = record[1]
+                continue
+            _, region, index, counts[..., k] = record
+            esz[..., k] = region.element_size
+            operands[..., k] = element_addrs(
+                region, np.where(counts[..., k] > 0, index, 0))
+        rows = (np.arange(len(operands) + 1) if edges is None
+                else np.asarray(edges)) * int(np.prod(operands.shape[1:]))
+        opcodes = np.tile([record[0] for record in records], counts.size
+                          // len(records))
+        operands, counts, esz = operands.ravel(), counts.ravel(), esz.ravel()
         line_size = self.config.line_size
-        esz = region.element_size
-        addr = region.element(start)
-        end = addr + count * esz
-        line = addr // line_size
-        last_line = (end - 1) // line_size
-        if last_line == line:  # OP_WORK 0: the guaranteed hits
-            return ((opcode, addr), (0, count - 1)) if count > 1 \
-                else ((opcode, addr),)
-        if not self._draining:
-            return _span_ops(opcode, addr, end, esz, line_size, line,
-                             last_line)
-        return ((OP_SPAN, (opcode, line, last_line - line + 1,
-                           ((line + 1) * line_size - addr) // esz,
-                           line_size // esz,
-                           (end - last_line * line_size) // esz)),)
+        span = (opcodes == OP_READ) | (opcodes == OP_WRITE)
+        end = operands + counts * esz
+        line = operands // line_size
+        n_lines = np.where(span, np.where(counts > 0, (end - 1) // line_size
+                                          - line + 1, 0), 1)
+        rec = np.repeat(np.arange(len(opcodes)), n_lines)
+        line = (line - np.cumsum(n_lines) + n_lines)[rec] + np.arange(
+            len(rec))
+        span = span[rec]
+        ops = np.full(2 * len(rec), OP_WORK, dtype=np.int64)
+        args = np.empty(2 * len(rec), dtype=np.int64)
+        ops[::2] = opcodes[rec]
+        args[::2] = np.where(span, np.maximum(operands[rec],
+                                              line * line_size), operands[rec])
+        args[1::2] = (np.minimum(end[rec], (line + 1) * line_size)
+                      - args[::2]) // esz[rec] - 1
+        keep = np.ones(len(ops), dtype=bool)
+        keep[1::2] = span & (args[1::2] > 0)
+        return ops[keep], args[keep], np.searchsorted(
+            np.repeat(rec, 2)[keep], rows).tolist()
 
     def op_batch(self, opcodes: np.ndarray, args: np.ndarray,
                  keep: np.ndarray | None = None) -> Iterable[Op]:
@@ -460,36 +412,43 @@ class Application(ABC):
         order, READ/WRITE operands as byte addresses.  With ``keep``,
         ``args`` is a table of rows, ``opcodes`` broadcast against it
         (the opcode of each column, say), and the batch is every
-        ``keep[i, j]`` cell, row after row.
-
-        While a capture drains (:meth:`_items`), a batch of at least
-        :data:`_ITEM_MIN_OPS` ops is the one item ``(OP_WORDS, (opcodes,
-        args))``, which the drain stores as words at C speed; at any
-        other time it is the same ops as tuples of python ints, so the
-        engine only ever sees ops, as with :meth:`_span`.  An app has
-        one emission path either way."""
+        ``keep[i, j]`` cell, row after row.  It is a one-part
+        :class:`~repro.sim.program.Batch`, emitted as :meth:`_part`."""
         if keep is not None:
             opcodes, args = np.broadcast_to(opcodes, args.shape)[keep], \
                 args[keep]
-        if self._draining and len(opcodes) >= _ITEM_MIN_OPS:
-            return ((OP_WORDS, (opcodes.astype(np.int64, copy=False),
-                                args.astype(np.int64, copy=False))),)
-        return zip(opcodes.tolist(), args.tolist())
+        return self._part(Batch(opcodes.astype(np.int64, copy=False),
+                                args.astype(np.int64, copy=False),
+                                [0, len(opcodes)]), 0)
 
     def shared_batch(self, key: Any, pid: int, build) -> Iterable[Op]:
-        """Processor ``pid``'s part, as :meth:`op_batch`, of a phase's ops
+        """Processor ``pid``'s part, as :meth:`_part`, of a phase's ops
         that are a function of ``key`` and the processor alone.
-        ``build()`` makes every processor's ``(opcodes, args)`` part at
-        once (:func:`span_parts`, say): numpy's cost per call is paid
-        once per phase, not once per processor.  A part is dropped once
-        its processor has taken it."""
-        parts = self._parts.get(key)
-        if parts is None or pid not in parts:
-            parts = self._parts[key] = dict(enumerate(build()))
-        part = parts.pop(pid)
-        if not parts:
-            del self._parts[key]
-        return self.op_batch(*part)
+        ``build()`` makes every processor's at once, as ``(opcodes,
+        args, edges)`` (:meth:`span_table`, say): the phase is one
+        :class:`~repro.sim.program.Batch`, so numpy's cost is paid once
+        per phase, by the app and by the drain.  It is dropped once
+        every processor has taken its part."""
+        entry = self._shared.get(key)
+        if entry is None or pid not in entry[1]:
+            entry = self._shared[key] = (
+                Batch(*build()), set(range(self.config.n_processors)))
+        batch, left = entry
+        left.remove(pid)
+        if not left:
+            del self._shared[key]
+        return self._part(batch, pid)
+
+    def _part(self, batch: Batch, k: int) -> Iterable[Op]:
+        """Part ``k`` of ``batch``.  While a capture drains
+        (:meth:`_items`), it is the one item ``(OP_WORDS, (batch, k))``,
+        which the drain stores as words at C speed; at any other time it
+        is the same ops as tuples of python ints, so the engine only
+        ever sees ops.  An app has one emission path either way."""
+        if self._draining:
+            return ((OP_WORDS, (batch, k)),)
+        a, b = batch.edges[k], batch.edges[k + 1]
+        return zip(batch.opcodes[a:b].tolist(), batch.args[a:b].tolist())
 
     def place_interleaved(self, region: Region) -> None:
         """Place a region's pages round-robin across clusters.
@@ -504,6 +463,23 @@ class Application(ABC):
         for k, pg in enumerate(range(first, last + 1)):
             if self.allocator.bound_home(pg) is None:
                 self.allocator.place_page(pg, k % self.config.n_clusters)
+
+    def partition_edges(self, total: int) -> list[int]:
+        """Where each processor's :meth:`partition_slice` of ``total``
+        starts, then ``total``: the edges of a batch a row per item."""
+        return [self.partition_slice(total, pid).start
+                for pid in range(self.config.n_processors)] + [total]
+
+    def update_ops(self, region: Region, stride: int, total: int,
+                   cycles: int) -> tuple:
+        """Every processor's ops of an update of its
+        :meth:`partition_slice` of ``total`` records of ``region``,
+        ``stride`` elements each: per record, read its first element,
+        work ``cycles``, write it."""
+        at = np.arange(total) * stride
+        return self.span_table(
+            (OP_READ, region, at, 1), (OP_WORK, cycles),
+            (OP_WRITE, region, at, 1), edges=self.partition_edges(total))
 
     def partition_slice(self, total: int, pid: int) -> range:
         """Contiguous share of ``total`` items owned by processor ``pid``."""

@@ -32,7 +32,7 @@ import numpy as np
 
 from ..core.config import MachineConfig
 from ..sim.program import OP_READ, OP_WORK, OP_WRITE, Barrier, Op
-from .base import Application, PhaseBarriers, element_addrs, span_parts
+from .base import Application, PhaseBarriers
 
 __all__ = ["FFTApp"]
 
@@ -101,26 +101,22 @@ class FFTApp(Application):
         return self.shared_batch((src.name, dst.name), pid,
                                  lambda: self._transpose_parts(src, dst))
 
-    def _transpose_parts(self, src, dst) -> list:
-        """Every processor's transpose ops, one row of span records per
-        source processor ``q``: SPLASH's blocked transpose reads the
-        rp×rp patch of ``q`` in *source row-major* order (elements src[j,
-        mine] are contiguous, so each fetched line is fully consumed
-        before moving on), each row read followed by its copy/address
-        arithmetic, then writes the patch: columns jlo..jlo+rp of my
-        rows."""
-        m, rp, n = self.m, self.rows_per_proc, self.config.n_processors
-        j = np.arange(n * rp).reshape(n, rp)  # [q, k]: row k of q's block
-        operands = np.empty((n, n, 3 * rp), dtype=np.int64)  # [pid, q]
-        operands[:, :, 0:2 * rp:2] = element_addrs(
-            src, j[None] * m + j[:, None, :1])
-        operands[:, :, 1:2 * rp:2] = 2 * rp
-        operands[:, :, 2 * rp:] = element_addrs(
-            dst, j[:, None, :] * m + j[None, :, :1])
-        opcodes = np.array([OP_READ, OP_WORK] * rp + [OP_WRITE] * rp)
-        return span_parts(opcodes, operands,
-                          np.where(opcodes == OP_WORK, 0, rp), _ELEM,
-                          self.config.line_size)
+    def _transpose_parts(self, src, dst) -> tuple:
+        """Every processor's transpose ops (:meth:`span_table`), a row of
+        records per source processor ``q``: SPLASH's blocked transpose
+        reads the rp×rp patch of ``q`` in *source row-major* order
+        (elements src[j, mine] are contiguous, so each fetched line is
+        fully consumed before moving on), each row read followed by its
+        copy/address arithmetic, then writes the patch: columns
+        jlo..jlo+rp of my rows."""
+        m, rp = self.m, self.rows_per_proc
+        first = np.arange(0, self.config.n_processors * rp, rp)  # of q's rows
+        mine, theirs = first[:, None], first[None, :]  # [pid, q]
+        return self.span_table(
+            *(record for k in range(rp) for record in (
+                (OP_READ, src, (theirs + k) * m + mine, rp),
+                (OP_WORK, 2 * rp))),
+            *((OP_WRITE, dst, (mine + k) * m + theirs, rp) for k in range(rp)))
 
     def _row_fft_ops(self, pid: int, buf, mat: np.ndarray,
                      twiddle: bool) -> Iterable[Op]:
@@ -134,19 +130,18 @@ class FFTApp(Application):
         return self.shared_batch((buf.name, twiddle), pid,
                                  lambda: self._row_parts(buf, twiddle))
 
-    def _row_parts(self, buf, twiddle: bool) -> list:
+    def _row_parts(self, buf, twiddle: bool) -> tuple:
         """Every processor's row-pass ops: per row, a span read, the
         transform's cycles, a span write."""
         m, rp, n = self.m, self.rows_per_proc, self.config.n_processors
         # 5·M·log2(M) complex-arithmetic flops per row, ≈2.5 cycles each
         # (multiply-add pairs, index arithmetic, load/store of scratch)
         flops_per_row = int(12.5 * m * np.log2(m))
-        operands = np.empty((n, rp, 3), dtype=np.int64)
-        operands[:, :, [0, 2]] = element_addrs(
-            buf, np.arange(n * rp).reshape(n, rp, 1) * m)
-        operands[:, :, 1] = flops_per_row + (6 * m if twiddle else 0)
-        return span_parts(np.array([OP_READ, OP_WORK, OP_WRITE]), operands,
-                          np.array([m, 0, m]), _ELEM, self.config.line_size)
+        row = np.arange(n * rp).reshape(n, rp)
+        return self.span_table(
+            (OP_READ, buf, row * m, m),
+            (OP_WORK, flops_per_row + (6 * m if twiddle else 0)),
+            (OP_WRITE, buf, row * m, m))
 
     def program(self, pid: int) -> Iterator[Op]:
         bar = PhaseBarriers()

@@ -39,14 +39,18 @@ from typing import Iterator
 import numpy as np
 
 from ..core.config import MachineConfig
-from ..sim.program import Barrier, Op, Read, Work, Write
+from ..sim.program import OP_READ, OP_WORK, OP_WRITE, Barrier, Op
 from .base import (Application, PhaseBarriers, direct_acceleration,
-                   softened_pull)
+                   element_addrs, softened_pull)
 
 __all__ = ["FMMApp"]
 
 _BODY_DOUBLES = 8   # pos(2) + vel(2) + mass + pad = one line
 _BOX_DOUBLES = 8    # com(2) + mass + pad = one line
+
+#: what a slot of an op template does (:meth:`FMMApp._ops`), and its op
+_BOX, _WORK, _BODY, _STORE = 0, 1, 2, 3
+_KIND_OPS = np.array([OP_READ, OP_WORK, OP_READ, OP_WRITE])
 
 
 class FMMApp(Application):
@@ -100,12 +104,6 @@ class FMMApp(Application):
     def box_id(self, level: int, i: int, j: int) -> int:
         return self._level_off[level] + i * (1 << level) + j
 
-    def leaf_of(self, p: int) -> tuple[int, int]:
-        g = 1 << self.levels
-        i = min(int(self.pos[p, 0] * g), g - 1)
-        j = min(int(self.pos[p, 1] * g), g - 1)
-        return i, j
-
     def leaf_owner(self, i: int, j: int) -> int:
         """Leaf boxes are dealt to processors in contiguous row-major runs."""
         g = 1 << self.levels
@@ -157,13 +155,16 @@ class FMMApp(Application):
 
     # ----------------------------------------------------------- numerics
     def _ensure_bins(self, step: int) -> None:
+        """Every body's leaf (``_leaf``, linear, from its position) and
+        every leaf's bodies (``box_particles``) for this step."""
         if self._bins_step == step:
             return
         g = 1 << self.levels
-        self.box_particles = [[] for _ in range(g * g)]
-        for p in range(self.n):
-            i, j = self.leaf_of(p)
-            self.box_particles[i * g + j].append(p)
+        i, j = np.minimum((self.pos * g).astype(np.int64), g - 1).T
+        self._leaf = i * g + j
+        self.box_particles = [bodies.tolist() for bodies in np.split(
+            np.argsort(self._leaf, kind="stable"),
+            np.cumsum(np.bincount(self._leaf, minlength=g * g))[:-1])]
         self._bins_step = step
 
     def _leaf_moment(self, i: int, j: int) -> None:
@@ -259,11 +260,73 @@ class FMMApp(Application):
     direct_acceleration = direct_acceleration
 
     # ------------------------------------------------------------- program
-    def _box_addr(self, bid: int) -> int:
-        return self.rboxes.element(bid * _BOX_DOUBLES)
+    def _ops(self, ids, kind, edges) -> tuple:
+        """A batch of slots, each by its ``kind`` a read of box or body
+        ``ids``, a write of box ``ids``, or WORK of ``ids`` cycles."""
+        ids, kind = np.asarray(ids), np.asarray(kind)
+        body, box = kind == _BODY, (kind == _BOX) | (kind == _STORE)
+        ids[body] = element_addrs(self.rbodies, ids[body] * _BODY_DOUBLES)
+        ids[box] = element_addrs(self.rboxes, ids[box] * _BOX_DOUBLES)
+        return _KIND_OPS[kind], ids, np.asarray(edges).tolist()
 
-    def _body_addr(self, b: int) -> int:
-        return self.rbodies.element(b * _BODY_DOUBLES)
+    def _upward_ops(self, level: int) -> tuple:
+        """Every processor's ops of one upward level: per box it owns,
+        in row-major order, a read of each child (the resident bodies of
+        a leaf, WORK 4 a body and at least 4; else the four child boxes,
+        WORK 12), then a write of the box."""
+        ids, kind, ends, owner, lg = [], [], [0], [], 1 << level
+        for i, j in ((i, j) for i in range(lg) for j in range(lg)):
+            if level == self.levels:
+                kids = self.box_particles[i * lg + j]
+                ids += [*kids, 4 * max(len(kids), 1)]
+                kind += [_BODY] * len(kids)
+            else:
+                ids += [self.box_id(level + 1, 2 * i + a, 2 * j + b)
+                        for a in (0, 1) for b in (0, 1)] + [12]
+                kind += [_BOX] * 4
+            ids.append(self.box_id(level, i, j))
+            kind += [_WORK, _STORE]
+            ends.append(len(ids))
+            owner.append(self.box_owner(level, i, j))
+        return self._ops(ids, kind, np.take(ends, np.searchsorted(
+            owner, np.arange(self.config.n_processors + 1))))
+
+    def _field_ops(self) -> tuple:
+        """Every processor's field ops: per body it owns, a read of it,
+        of each box of its leaf's far list, WORK 30 a box, a read of
+        each other body of its leaf's near list, WORK 30 a body.  A
+        leaf's lists are one template, its body's own slot first, that
+        every body of the leaf takes, its own place in the list
+        dropped."""
+        ids, kind, size = [], [], []
+        for boxes, bodies in self.leaf_lists:
+            ids += [-1, *boxes, 30 * len(boxes), *bodies,
+                    30 * (len(bodies) - 1)]
+            kind += [_BODY, *[_BOX] * len(boxes), _WORK,
+                     *[_BODY] * len(bodies), _WORK]
+            size.append(len(boxes) + len(bodies) + 3)
+        lens = np.array(size)[self._leaf]
+        row = np.cumsum(lens) - lens
+        who = np.repeat(np.arange(self.n), lens)
+        at = np.arange(len(who)) + np.repeat(
+            (np.cumsum(size) - size)[self._leaf] - row, lens)
+        ids, kind = np.array(ids)[at], np.array(kind)[at]
+        keep = (ids != who) | (kind != _BODY)
+        ids[row] = np.arange(self.n)
+        return self._ops(ids[keep], kind[keep], np.append(0, np.cumsum(
+            lens - 1))[self.partition_edges(self.n)])
+
+    def _leapfrog(self, mine: range) -> None:
+        """Advance bodies ``mine`` one step, reflecting each coordinate
+        that left the unit square (and its velocity) at the wall it
+        crossed; elementwise, so with the bits of one body at a time."""
+        lo, hi = mine.start, mine.stop
+        self.vel[lo:hi] += self.dt * self.acc[lo:hi]
+        self.pos[lo:hi] += self.dt * self.vel[lo:hi]
+        pos, vel = self.pos[lo:hi], self.vel[lo:hi]
+        low, high = pos < 0.0, pos > 1.0
+        pos[...] = np.where(low, -pos, np.where(high, 2.0 - pos, pos))
+        vel[...] = np.where(low | high, -vel, vel)
 
     def program(self, pid: int) -> Iterator[Op]:
         bar = PhaseBarriers()
@@ -274,59 +337,33 @@ class FMMApp(Application):
         for step in range(self.n_steps):
             self._ensure_bins(step)
             # ---- upward: leaf moments -------------------------------
-            for i in range(g):
-                for j in range(g):
-                    if self.leaf_owner(i, j) != pid:
-                        continue
-                    self._leaf_moment(i, j)
-                    for q in self.box_particles[i * g + j]:
-                        yield Read(self._body_addr(q))
-                    yield Work(4 * max(len(self.box_particles[i * g + j]), 1))
-                    yield Write(self._box_addr(self.box_id(self.levels, i, j)))
+            # pid's leaves: those whose leaf_owner is pid, a run of them
+            g2, n = g * g, self.config.n_processors
+            for leaf in range(-(-pid * g2 // n), -(-(pid + 1) * g2 // n)):
+                self._leaf_moment(*divmod(leaf, g))
+            yield from self.shared_batch(("up", step, self.levels), pid,
+                                         lambda: self._upward_ops(self.levels))
             yield Barrier(bar())
             # ---- upward: internal levels, children before parents ----
             for level in range(self.levels - 1, -1, -1):
                 lg = 1 << level
                 for i in range(lg):
                     for j in range(lg):
-                        if self.box_owner(level, i, j) != pid:
-                            continue
-                        self._internal_moment(level, i, j)
-                        for a in (0, 1):
-                            for b in (0, 1):
-                                yield Read(self._box_addr(
-                                    self.box_id(level + 1, 2 * i + a, 2 * j + b)))
-                        yield Work(12)
-                        yield Write(self._box_addr(self.box_id(level, i, j)))
+                        if self.box_owner(level, i, j) == pid:
+                            self._internal_moment(level, i, j)
+                yield from self.shared_batch(
+                    ("up", step, level), pid, lambda: self._upward_ops(level))
                 yield Barrier(bar())
 
             # ---- far field + near field ------------------------------
             self._ensure_fields(step)
-            for p in mine:
-                yield Read(self._body_addr(p))
-                i, j = self.leaf_of(p)
-                boxes, bodies = self.leaf_lists[i * g + j]
-                for bid in boxes:
-                    yield Read(self._box_addr(bid))
-                yield Work(30 * len(boxes))
-                for q in bodies:
-                    if q != p:
-                        yield Read(self._body_addr(q))
-                yield Work(30 * (len(bodies) - 1))
+            yield from self.shared_batch(("field", step), pid,
+                                         self._field_ops)
             yield Barrier(bar())
 
             # ---- update ----------------------------------------------
-            for p in mine:
-                self.vel[p] += self.dt * self.acc[p]
-                self.pos[p] += self.dt * self.vel[p]
-                for ax in range(2):
-                    if self.pos[p, ax] < 0.0:
-                        self.pos[p, ax] = -self.pos[p, ax]
-                        self.vel[p, ax] = -self.vel[p, ax]
-                    elif self.pos[p, ax] > 1.0:
-                        self.pos[p, ax] = 2.0 - self.pos[p, ax]
-                        self.vel[p, ax] = -self.vel[p, ax]
-                yield Read(self._body_addr(p))
-                yield Work(20)
-                yield Write(self._body_addr(p))
+            self._leapfrog(mine)
+            yield from self.shared_batch(
+                ("update", step), pid, lambda: self.update_ops(
+                    self.rbodies, _BODY_DOUBLES, self.n, 20))
             yield Barrier(bar())

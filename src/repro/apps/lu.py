@@ -34,7 +34,7 @@ from typing import Iterator
 import numpy as np
 
 from ..core.config import MachineConfig
-from ..sim.program import Barrier, Op, Work
+from ..sim.program import OP_READ, OP_WORK, OP_WRITE, Barrier, Op
 from .base import Application, PhaseBarriers, proc_grid_shape
 
 __all__ = ["LUApp"]
@@ -123,23 +123,41 @@ class LUApp(Application):
             l_[:, k + 1:] -= np.outer(l_[:, k], d[k, k + 1:])
 
     # ----------------------------------------------------------- emission
-    def _touch_block(self, bi: int, bj: int, write: bool) -> Iterator[Op]:
-        start = self._block_elem(bi, bj)
-        count = self.block * self.block
-        if write:
-            yield from self.write_span(self.matrix, start, count)
-        else:
-            yield from self.read_span(self.matrix, start, count)
+    def _phase_ops(self, k: int, phase: int) -> tuple:
+        """Every processor's ops of phase ``phase`` (1-3) of step ``k``
+        (:meth:`span_table`), from its block tasks: a task reads its
+        blocks, works, and writes its block, and the block's owner runs
+        it, in :meth:`program`'s order."""
+        b, after = self.block, np.arange(k + 1, self.nb)
+        # flop costs charged as Work, ~2 cycles/flop (FP multiply-add
+        # chains plus block addressing on early-90s RISC pipelines)
+        if phase == 1:  # the diagonal block
+            write = (np.array([k]), np.array([k]))
+            reads, flops = [write], (4 * b * b * b) // 3
+        elif phase == 2:  # perimeter row blocks, then column blocks
+            across = np.full(len(after), k)
+            write = (np.append(across, after), np.append(after, across))
+            reads, flops = [(k, k), write], 2 * b * b * b
+        else:  # interior blocks, row-major
+            write = [a.ravel() for a in np.meshgrid(after, after,
+                                                    indexing="ij")]
+            reads, flops = [(write[0], k), (k, write[1]), write], \
+                4 * b * b * b
+        owner = self.owner_of(*write)
+        order = np.argsort(owner, kind="stable")
+
+        def span(opcode, rows, cols):
+            return opcode, self.matrix, np.broadcast_to(
+                self._block_elem(rows, cols), owner.shape)[order], b * b
+
+        return self.span_table(
+            *(span(OP_READ, *blocks) for blocks in reads), (OP_WORK, flops),
+            span(OP_WRITE, *write), edges=np.searchsorted(
+                owner[order], np.arange(self.config.n_processors + 1)))
 
     def program(self, pid: int) -> Iterator[Op]:
         bar = PhaseBarriers()
-        b = self.block
         nb = self.nb
-        # flop costs charged as Work, ~2 cycles/flop (FP multiply-add
-        # chains plus block addressing on early-90s RISC pipelines)
-        diag_flops = (4 * b * b * b) // 3
-        solve_flops = 2 * b * b * b
-        update_flops = 4 * b * b * b
         # the block rows and columns of pid's blocks (owner_of's scatter)
         r0, c0 = divmod(pid, self.proc_cols)
         my_rows = range(r0, nb, self.proc_rows)
@@ -153,37 +171,27 @@ class LUApp(Application):
             # Phase 1: diagonal factorization by its owner.
             if self.owner_of(k, k) == pid:
                 self._factor_diag(self._view(k, k))
-                yield from self._touch_block(k, k, write=False)
-                yield Work(diag_flops)
-                yield from self._touch_block(k, k, write=True)
+            yield from self.shared_batch((k, 1), pid,
+                                         lambda: self._phase_ops(k, 1))
             yield Barrier(bar())
 
             # Phase 2: perimeter row and column updates.
             if k % self.proc_rows == r0:
                 for bj in cols:
                     self._solve_row(self._view(k, k), self._view(k, bj))
-                    yield from self._touch_block(k, k, write=False)
-                    yield from self._touch_block(k, bj, write=False)
-                    yield Work(solve_flops)
-                    yield from self._touch_block(k, bj, write=True)
             if k % self.proc_cols == c0:
                 for bi in rows:
                     self._solve_col(self._view(k, k), self._view(bi, k))
-                    yield from self._touch_block(k, k, write=False)
-                    yield from self._touch_block(bi, k, write=False)
-                    yield Work(solve_flops)
-                    yield from self._touch_block(bi, k, write=True)
+            yield from self.shared_batch((k, 2), pid,
+                                         lambda: self._phase_ops(k, 2))
             yield Barrier(bar())
 
             # Phase 3: interior updates A[I,J] -= A[I,k] @ A[k,J].
             for bi in rows:
                 for bj in cols:
                     self._view(bi, bj)[...] -= self._view(bi, k) @ self._view(k, bj)
-                    yield from self._touch_block(bi, k, write=False)
-                    yield from self._touch_block(k, bj, write=False)
-                    yield from self._touch_block(bi, bj, write=False)
-                    yield Work(update_flops)
-                    yield from self._touch_block(bi, bj, write=True)
+            yield from self.shared_batch((k, 3), pid,
+                                         lambda: self._phase_ops(k, 3))
             yield Barrier(bar())
 
     # ------------------------------------------------------------- checking

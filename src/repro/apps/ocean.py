@@ -26,33 +26,25 @@ size, the structural analog of the paper's "25 grids".
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator
+from typing import Iterator
 
 import numpy as np
 
 from ..core.config import MachineConfig
 from ..memory.address import Region
 from ..sim.program import OP_READ, OP_WORK, OP_WRITE, Barrier, Op
-from .base import (Application, PhaseBarriers, element_addrs, proc_grid_shape,
-                   span_parts)
+from .base import Application, PhaseBarriers, proc_grid_shape
 
 __all__ = ["OceanApp"]
 
 
-def _padded(u: np.ndarray, i0: int, j0: int, sr: int, sc: int,
-            n: int) -> np.ndarray:
-    """Subgrid with halo: neighbour values inside the domain, reflective
-    ghosts (−edge) at domain walls so the Dirichlet boundary sits exactly
-    on the cell faces at every multigrid level."""
-    pad = np.empty((sr + 2, sc + 2))
-    pad[1:-1, 1:-1] = u[i0:i0 + sr, j0:j0 + sc]
-    pad[0, 1:-1] = u[i0 - 1, j0:j0 + sc] if i0 > 0 else -u[i0, j0:j0 + sc]
-    pad[-1, 1:-1] = (u[i0 + sr, j0:j0 + sc] if i0 + sr < n
-                     else -u[i0 + sr - 1, j0:j0 + sc])
-    pad[1:-1, 0] = u[i0:i0 + sr, j0 - 1] if j0 > 0 else -u[i0:i0 + sr, j0]
-    pad[1:-1, -1] = (u[i0:i0 + sr, j0 + sc] if j0 + sc < n
-                     else -u[i0:i0 + sr, j0 + sc - 1])
-    pad[0, 0] = pad[0, -1] = pad[-1, 0] = pad[-1, -1] = 0.0
+def _padded(u: np.ndarray) -> np.ndarray:
+    """A level's grid with a halo of reflective ghosts (−edge), so the
+    Dirichlet boundary sits exactly on the cell faces at every level."""
+    pad = np.zeros((u.shape[0] + 2, u.shape[1] + 2))
+    pad[1:-1, 1:-1] = u
+    pad[0, 1:-1], pad[-1, 1:-1] = -u[0], -u[-1]
+    pad[1:-1, 0], pad[1:-1, -1] = -u[:, 0], -u[:, -1]
     return pad
 
 
@@ -137,145 +129,118 @@ class OceanApp(Application):
                 self.place_partitions(region)
 
     # ------------------------------------------------------------ emission
-    def _runs(self, *records) -> list:
-        """Every processor's part of one phase's ops (:func:`span_parts`),
+    def _runs(self, *records) -> tuple:
+        """Every processor's part of one phase's ops (:meth:`span_table`),
         one row of ``records`` per row of its subgrid.  ``(opcode, lvl,
         region, i, j, count)`` is the run of ``count`` points of row
         ``i`` of ``region`` from column ``j``, each over ``[processor,
         row]`` (broadcast; a count of 0 is no op), inside one subgrid:
         callers never cross a subgrid column boundary.  ``(OP_WORK,
         cycles)`` is that one op."""
-        shape = np.broadcast_shapes(*(np.shape(r[3]) for r in records
-                                      if r[0] != OP_WORK))
-        operands = np.empty((*shape, len(records)), dtype=np.int64)
-        counts = np.zeros((*shape, len(records)), dtype=np.int64)
-        for k, record in enumerate(records):
-            if record[0] == OP_WORK:
-                operands[..., k] = record[1]
-                continue
-            _, lvl, region, i, j, counts[..., k] = record
-            operands[..., k] = element_addrs(region, np.where(
-                counts[..., k] > 0, self._elem(lvl, i, j), 0))
-        # every grid holds doubles
-        return span_parts(np.array([r[0] for r in records]), operands,
-                          counts, 8, self.config.line_size)
+        def span(opcode, lvl, region, i, j, count):
+            return opcode, region, self._elem(lvl, i, j), count
+
+        return self.span_table(*(record if record[0] == OP_WORK
+                                 else span(*record) for record in records))
 
     def _origins(self, lvl: _Level) -> tuple[np.ndarray, np.ndarray]:
         """Every processor's subgrid rows ``[processor, row]`` of ``lvl``
         and its first column ``[processor, 1]``."""
-        pi, pj = np.divmod(np.arange(self.config.n_processors), self.pc)
+        pi, pj = self.proc_coords(np.arange(self.config.n_processors))
         return ((pi * lvl.sr)[:, None] + np.arange(lvl.sr),
                 (pj * lvl.sc)[:, None])
 
-    def _sweep_ops(self, pid: int, lvl: _Level, src: int) -> Iterable[Op]:
-        """One damped-Jacobi sweep over my subgrid: read buffer ``src`` +
-        f, write buffer ``1-src``.  Numerics happen first (src is stable
-        within the phase)."""
-        pi, pj = self.proc_coords(pid)
-        n, sr, sc = lvl.n, lvl.sr, lvl.sc
-        i0, j0 = pi * sr, pj * sc
-        uo, un = lvl.u[src], lvl.u[1 - src]
-        # --- real computation (vectorized, Dirichlet wall at cell faces:
-        # ghost cell = -edge cell, consistent across multigrid levels) ----
-        pad = _padded(uo, i0, j0, sr, sc, n)
+    # A phase's numerics are elementwise over the whole level, so one
+    # pass for every subgrid has the bits of a pass per subgrid; each
+    # returns every processor's ops of the phase (:meth:`_phase`).
+    def _sweep(self, lvl: _Level, src: int) -> tuple:
+        """One damped-Jacobi sweep: read buffer ``src`` + f, write
+        buffer ``1-src``."""
+        uo, pad = lvl.u[src], _padded(lvl.u[src])
         omega = 0.8  # weighted Jacobi: plain Jacobi does not smooth in 2-D
         jac = 0.25 * (
             pad[:-2, 1:-1] + pad[2:, 1:-1] + pad[1:-1, :-2] + pad[1:-1, 2:]
-            + lvl.h2 * lvl.f[i0:i0 + sr, j0:j0 + sc])
-        un[i0:i0 + sr, j0:j0 + sc] = ((1.0 - omega) * uo[i0:i0 + sr, j0:j0 + sc]
-                                      + omega * jac)
-        # --- reference stream ---------------------------------------------
+            + lvl.h2 * lvl.f)
+        lvl.u[1 - src][...] = (1.0 - omega) * uo + omega * jac
         # the real Ocean updates several coupled fields per point; ~60
         # cycles/point of arithmetic is representative
-        return self._stencil_ops(pid, lvl, lvl.ru[src], lvl.ru[1 - src], 60)
+        return self._stencil_ops(lvl, lvl.ru[src], lvl.ru[1 - src], 60)
 
-    def _stencil_ops(self, pid: int, lvl: _Level, rsrc: Region,
-                     rdst: Region, cycles: int) -> Iterable[Op]:
-        """A sweep's or residual's ops over my subgrid: per row, its north
-        neighbour row (remote subgrid at the top), itself (west/east
-        interior neighbours and centre share lines), its south neighbour
-        row, the west/east halo points from the side neighbours, its row
-        of f, ``cycles`` per point of arithmetic, then the row written to
-        ``rdst``."""
-        def build() -> list:
-            n, sc = lvl.n, lvl.sc
-            i, j0 = self._origins(lvl)
-            return self._runs(
-                (OP_READ, lvl, rsrc, i - 1, j0, np.where(i > 0, sc, 0)),
-                (OP_READ, lvl, rsrc, i, j0, sc),
-                (OP_READ, lvl, rsrc, i + 1, j0, np.where(i + 1 < n, sc, 0)),
-                (OP_READ, lvl, rsrc, i, j0 - 1, j0 > 0),
-                (OP_READ, lvl, rsrc, i, j0 + sc, j0 + sc < n),
-                (OP_READ, lvl, lvl.rf, i, j0, sc),
-                (OP_WORK, cycles * sc),
-                (OP_WRITE, lvl, rdst, i, j0, sc))
+    def _stencil_ops(self, lvl: _Level, rsrc: Region, rdst: Region,
+                     cycles: int) -> tuple:
+        """A sweep's or residual's ops over each subgrid: per row, its
+        north neighbour row (remote subgrid at the top), itself
+        (west/east interior neighbours and centre share lines), its
+        south neighbour row, the west/east halo points from the side
+        neighbours, its row of f, ``cycles`` per point of arithmetic,
+        then the row written to ``rdst``."""
+        n, sc = lvl.n, lvl.sc
+        i, j0 = self._origins(lvl)
+        return self._runs(
+            (OP_READ, lvl, rsrc, i - 1, j0, np.where(i > 0, sc, 0)),
+            (OP_READ, lvl, rsrc, i, j0, sc),
+            (OP_READ, lvl, rsrc, i + 1, j0, np.where(i + 1 < n, sc, 0)),
+            (OP_READ, lvl, rsrc, i, j0 - 1, j0 > 0),
+            (OP_READ, lvl, rsrc, i, j0 + sc, j0 + sc < n),
+            (OP_READ, lvl, lvl.rf, i, j0, sc),
+            (OP_WORK, cycles * sc),
+            (OP_WRITE, lvl, rdst, i, j0, sc))
 
-        return self.shared_batch((rsrc.name, rdst.name), pid, build)
-
-    def _residual_ops(self, pid: int, lvl: _Level, src: int) -> Iterable[Op]:
-        """r = f − A·u(src) over my subgrid (same halo pattern as a sweep)."""
-        pi, pj = self.proc_coords(pid)
-        n, sr, sc = lvl.n, lvl.sr, lvl.sc
-        i0, j0 = pi * sr, pj * sc
-        u = lvl.u[src]
-        pad = _padded(u, i0, j0, sr, sc, n)
+    def _residual(self, lvl: _Level, src: int) -> tuple:
+        """r = f − A·u(src) (same halo pattern as a sweep)."""
+        pad = _padded(lvl.u[src])
         lap = (4.0 * pad[1:-1, 1:-1] - pad[:-2, 1:-1] - pad[2:, 1:-1]
                - pad[1:-1, :-2] - pad[1:-1, 2:]) / lvl.h2
-        lvl.r[i0:i0 + sr, j0:j0 + sc] = lvl.f[i0:i0 + sr, j0:j0 + sc] - lap
-        return self._stencil_ops(pid, lvl, lvl.ru[src], lvl.rr, 62)
+        lvl.r[...] = lvl.f - lap
+        return self._stencil_ops(lvl, lvl.ru[src], lvl.rr, 62)
 
-    def _restrict_ops(self, pid: int, fine: _Level, coarse: _Level) -> Iterable[Op]:
-        """coarse.f = 2×2 average of fine.r; coarse.u(0) zeroed.
+    def _restrict(self, fine: _Level, coarse: _Level) -> tuple:
+        """coarse.f = 2×2 average of fine.r; coarse.u zeroed.
 
         Both levels are partitioned over the same processor grid, so the
-        2×2 block feeding my coarse point lies in my own fine subgrid —
+        2×2 block feeding a coarse point lies in its own fine subgrid —
         restriction is communication-free, as in real multigrid codes.
         """
-        pi, pj = self.proc_coords(pid)
-        ci0, cj0 = pi * coarse.sr, pj * coarse.sc
-        blk = fine.r[2 * ci0:2 * (ci0 + coarse.sr), 2 * cj0:2 * (cj0 + coarse.sc)]
-        coarse.f[ci0:ci0 + coarse.sr, cj0:cj0 + coarse.sc] = 0.25 * (
-            blk[0::2, 0::2] + blk[1::2, 0::2] + blk[0::2, 1::2] + blk[1::2, 1::2])
-        coarse.u[0][ci0:ci0 + coarse.sr, cj0:cj0 + coarse.sc] = 0.0
-        coarse.u[1][ci0:ci0 + coarse.sr, cj0:cj0 + coarse.sc] = 0.0
+        r = fine.r
+        coarse.f[...] = 0.25 * (r[0::2, 0::2] + r[1::2, 0::2]
+                                + r[0::2, 1::2] + r[1::2, 1::2])
+        coarse.u[0][...] = coarse.u[1][...] = 0.0
+        ci, cj = self._origins(coarse)
+        csc = coarse.sc
+        return self._runs(
+            (OP_READ, fine, fine.rr, 2 * ci, 2 * cj, 2 * csc),
+            (OP_READ, fine, fine.rr, 2 * ci + 1, 2 * cj, 2 * csc),
+            (OP_WORK, 8 * csc),
+            *((OP_WRITE, coarse, region, ci, cj, csc)
+              for region in (coarse.rf, *coarse.ru)))
 
-        def build() -> list:
-            ci, cj = self._origins(coarse)
-            csc = coarse.sc
-            return self._runs(
-                (OP_READ, fine, fine.rr, 2 * ci, 2 * cj, 2 * csc),
-                (OP_READ, fine, fine.rr, 2 * ci + 1, 2 * cj, 2 * csc),
-                (OP_WORK, 8 * csc),
-                *((OP_WRITE, coarse, region, ci, cj, csc)
-                  for region in (coarse.rf, *coarse.ru)))
-
-        return self.shared_batch(("restrict", fine.rr.name), pid, build)
-
-    def _prolong_ops(self, pid: int, fine: _Level, coarse: _Level,
-                     fine_buf: int, coarse_buf: int) -> Iterable[Op]:
-        """fine.u(fine_buf) += piecewise-constant expansion of coarse.u."""
-        pi, pj = self.proc_coords(pid)
-        ci0, cj0 = pi * coarse.sr, pj * coarse.sc
-        cu = coarse.u[coarse_buf][ci0:ci0 + coarse.sr, cj0:cj0 + coarse.sc]
-        expanded = np.repeat(np.repeat(cu, 2, axis=0), 2, axis=1)
-        fi0, fj0 = 2 * ci0, 2 * cj0
+    def _prolong(self, fine: _Level, coarse: _Level, coarse_buf: int) -> tuple:
+        """Both fine.u buffers += piecewise-constant expansion of
+        coarse.u (correcting both keeps them coherent for the next
+        sweep)."""
+        expanded = np.repeat(np.repeat(coarse.u[coarse_buf], 2, axis=0), 2,
+                             axis=1)
         for b in (0, 1):
-            fine.u[b][fi0:fi0 + 2 * coarse.sr, fj0:fj0 + 2 * coarse.sc] += expanded
-
-        # correcting both fine buffers keeps them coherent for the next sweep
-        def build() -> list:
-            ci, cj = self._origins(coarse)
-            csc = coarse.sc
-            return self._runs(
-                (OP_READ, coarse, coarse.ru[coarse_buf], ci, cj, csc),
-                (OP_WORK, 4 * csc),
-                *((OP_WRITE, fine, fine.ru[b], 2 * ci + k, 2 * cj, 2 * csc)
-                  for b in (0, 1) for k in (0, 1)))
-
-        return self.shared_batch(("prolong", coarse.ru[coarse_buf].name),
-                                 pid, build)
+            fine.u[b] += expanded
+        ci, cj = self._origins(coarse)
+        csc = coarse.sc
+        return self._runs(
+            (OP_READ, coarse, coarse.ru[coarse_buf], ci, cj, csc),
+            (OP_WORK, 4 * csc),
+            *((OP_WRITE, fine, fine.ru[b], 2 * ci + k, 2 * cj, 2 * csc)
+              for b in (0, 1) for k in (0, 1)))
 
     # -------------------------------------------------------------- program
+    def _phase(self, pid: int, bar: PhaseBarriers, step, *args
+               ) -> Iterator[Op]:
+        """One phase: ``step(*args)``, the numerics of every subgrid and
+        every processor's ops, run once by the first processor to reach
+        it (:meth:`shared_batch`, keyed by the phase's barrier); then
+        pid's part and the barrier."""
+        bid = bar()
+        yield from self.shared_batch(bid, pid, lambda: step(*args))
+        yield Barrier(bid)
+
     def _vcycle_ops(self, pid: int, bar: PhaseBarriers, depth: int,
                     buf: list[int]) -> Iterator[Op]:
         """Recursive V-cycle.  ``buf[depth]`` tracks the current u buffer of
@@ -283,27 +248,22 @@ class OceanApp(Application):
         lvl = self.levels[depth]
         if depth == len(self.levels) - 1:
             for _ in range(self.coarse_sweeps):
-                yield from self._sweep_ops(pid, lvl, buf[depth])
+                yield from self._phase(pid, bar, self._sweep, lvl, buf[depth])
                 buf[depth] ^= 1
-                yield Barrier(bar())
             return
         for _ in range(self.nu1):
-            yield from self._sweep_ops(pid, lvl, buf[depth])
+            yield from self._phase(pid, bar, self._sweep, lvl, buf[depth])
             buf[depth] ^= 1
-            yield Barrier(bar())
-        yield from self._residual_ops(pid, lvl, buf[depth])
-        yield Barrier(bar())
-        yield from self._restrict_ops(pid, lvl, self.levels[depth + 1])
+        yield from self._phase(pid, bar, self._residual, lvl, buf[depth])
+        yield from self._phase(pid, bar, self._restrict, lvl,
+                               self.levels[depth + 1])
         buf[depth + 1] = 0
-        yield Barrier(bar())
         yield from self._vcycle_ops(pid, bar, depth + 1, buf)
-        yield from self._prolong_ops(pid, lvl, self.levels[depth + 1],
-                                     buf[depth], buf[depth + 1])
-        yield Barrier(bar())
+        yield from self._phase(pid, bar, self._prolong, lvl,
+                               self.levels[depth + 1], buf[depth + 1])
         for _ in range(self.nu2):
-            yield from self._sweep_ops(pid, lvl, buf[depth])
+            yield from self._phase(pid, bar, self._sweep, lvl, buf[depth])
             buf[depth] ^= 1
-            yield Barrier(bar())
 
     def program(self, pid: int) -> Iterator[Op]:
         bar = PhaseBarriers()
@@ -322,7 +282,7 @@ class OceanApp(Application):
         """‖f − A·u‖₂ on the fine grid (independent numpy evaluation)."""
         lvl = self.levels[0]
         u = lvl.u[self._final_buf if buf is None else buf]
-        pad = _padded(u, 0, 0, lvl.n, lvl.n, lvl.n)
+        pad = _padded(u)
         lap = (4 * pad[1:-1, 1:-1] - pad[:-2, 1:-1] - pad[2:, 1:-1]
                - pad[1:-1, :-2] - pad[1:-1, 2:]) / lvl.h2
         return float(np.linalg.norm(lvl.f - lap))

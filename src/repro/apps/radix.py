@@ -35,9 +35,8 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from ..core.config import MachineConfig
-from ..sim.program import (OP_READ, OP_WORK, OP_WRITE, Barrier, Op, Read,
-                           Work, Write)
-from .base import Application, PhaseBarriers, element_addrs
+from ..sim.program import OP_READ, OP_WORK, OP_WRITE, Barrier, Op
+from .base import Application, PhaseBarriers, element_addrs, table_parts
 
 __all__ = ["RadixApp"]
 
@@ -111,9 +110,58 @@ class RadixApp(Application):
             return range(pid, pid + 1) if pid < self.radix else range(0)
         return range(pid * per, (pid + 1) * per)
 
+    # ------------------------------------------------------------- emission
+    def _phase_ops(self, digit: int, phase: str) -> tuple:
+        """Every processor's ops of one phase of a pass (:meth:`span_table`).
+        ``"hist"``: read its keys, count them (WORK 12 a key), write its
+        histogram row.  ``"rank"``, a row per digit it ranks
+        (:meth:`_digit_slice`): read the digit's column of every
+        histogram row, WORK 2 a row, write the digit's offsets and its
+        total.  ``"prefix"``, a row per digit slice: read the totals of
+        every digit up to its first, WORK, rewrite its digits' offsets."""
+        p, r, kpp = self.config.n_processors, self.radix, self.keys_per_proc
+        per = len(self._digit_slice(0))  # a slice's digits, if it has any
+        d = np.arange(0, min(r, p * per), per if phase == "prefix" else 1)
+        if phase == "hist":
+            q = np.arange(p)
+            return self.span_table(
+                (OP_READ, self.rkeys[digit % 2], q * kpp, kpp),
+                (OP_WORK, 12 * kpp), (OP_WRITE, self.rhist, q * r, r))
+        if phase == "rank":
+            return self.span_table(
+                *((OP_READ, self.rhist, q * r + d, 1) for q in range(p)),
+                (OP_WORK, 2 * p), (OP_WRITE, self.roffsets, d * p, p),
+                (OP_WRITE, self.rtotals, d, 1),
+                edges=np.minimum(np.arange(p + 1) * per, len(d)))
+        return self.span_table(
+            (OP_READ, self.rtotals, 0, d + 1), (OP_WORK, d + 2 * per),
+            *((OP_WRITE, self.roffsets, (d + m) * p, p) for m in range(per)),
+            edges=np.minimum(np.arange(p + 1), len(d)))
+
+    def _permute(self, digit: int) -> tuple:
+        """Phase 3 of every processor at once: each key written to its
+        ranked slot of the destination buffer, and every processor's
+        ops, per key: its digit's offset (read at the digit's first
+        key), the key, WORK 14 to rank it, and its ranked slot."""
+        p, r, kpp = self.config.n_processors, self.radix, self.keys_per_proc
+        src, dst = self.buffers[digit % 2], self.buffers[(digit + 1) % 2]
+        digits = ((src // (r ** digit)) % r).reshape(p, kpp)
+        within = _stable_rank_within(digits, r)
+        ranks = (self._offsets[digits, np.arange(p)[:, None]]
+                 + within).ravel()
+        dst[ranks] = src
+        args = np.empty((p * kpp, len(_SCATTER_OPS)), dtype=np.int64)
+        args[:, 0] = element_addrs(self.roffsets, (
+            digits * p + np.arange(p)[:, None]).ravel())
+        args[:, 1] = element_addrs(self.rkeys[digit % 2], np.arange(p * kpp))
+        args[:, 2] = 14
+        args[:, 3] = element_addrs(self.rkeys[(digit + 1) % 2], ranks)
+        keep = np.ones(args.shape, dtype=bool)
+        keep[:, 0] = within.ravel() == 0
+        return table_parts(_SCATTER_OPS, args, keep, np.arange(p + 1) * kpp)
+
     # -------------------------------------------------------------- program
     def program(self, pid: int) -> Iterator[Op]:
-        p = self.config.n_processors
         r = self.radix
         kpp = self.keys_per_proc
         lo = pid * kpp
@@ -123,19 +171,12 @@ class RadixApp(Application):
             yield (Barrier(bar()),)
 
             for digit in range(self.n_digits):
-                shift = digit
-                src = self.buffers[digit % 2]
-                dst = self.buffers[(digit + 1) % 2]
-                rsrc = self.rkeys[digit % 2]
-                rdst = self.rkeys[(digit + 1) % 2]
-
                 # ---- phase 1: local histogram --------------------------
-                my_keys = src[lo:lo + kpp]
-                digits = (my_keys // (r ** shift)) % r
+                my_keys = self.buffers[digit % 2][lo:lo + kpp]
+                digits = (my_keys // (r ** digit)) % r
                 self._hist[pid, :] = np.bincount(digits, minlength=r)
-                yield self.read_span(rsrc, lo, kpp)
-                yield (Work(12 * kpp),)
-                yield self.write_span(self.rhist, pid * r, r)
+                yield self.shared_batch((digit, "hist"), pid, lambda:
+                                        self._phase_ops(digit, "hist"))
                 yield (Barrier(bar()),)
 
                 # ---- phase 2a: transposed rank reduction ---------------
@@ -150,41 +191,21 @@ class RadixApp(Application):
                     within = np.cumsum(self._hist, axis=0) - self._hist
                     self._offsets[:, :] = digit_base[:, None] + within.T
                     self._offsets_pass = digit
-                mine = self._digit_slice(pid)
-                hist_elem = self.rhist.element
-                for d in mine:
-                    yield [Read(hist_elem(q * r + d)) for q in range(p)]
-                    yield (Work(2 * p),)
-                    yield self.write_span(self.roffsets, d * p, p)
-                    yield (Write(self.rtotals.element(d)),)
+                yield self.shared_batch((digit, "rank"), pid, lambda:
+                                        self._phase_ops(digit, "rank"))
                 yield (Barrier(bar()),)
 
                 # ---- phase 2b: digit-base prefix -----------------------
                 # Each slice owner folds the totals of all lower digits
                 # into its offsets (the compact second reduction step that
                 # replaces SPLASH's tree).
-                if len(mine):
-                    yield self.read_span(self.rtotals, 0, mine.start + 1)
-                    yield (Work(mine.start + 2 * len(mine)),)
-                    for d in mine:
-                        yield self.write_span(self.roffsets, d * p, p)
+                yield self.shared_batch((digit, "prefix"), pid, lambda:
+                                        self._phase_ops(digit, "prefix"))
                 yield (Barrier(bar()),)
 
                 # ---- phase 3: permutation ------------------------------
-                ranks = (self._offsets[digits, pid]
-                         + _stable_rank_within(digits, r))
-                dst[ranks] = my_keys
-                # per key: its digit's offset (read at the digit's first
-                # key), the key, and its ranked slot in the destination
-                args = np.empty((kpp, len(_SCATTER_OPS)), dtype=np.int64)
-                args[:, 0] = element_addrs(self.roffsets, digits * p + pid)
-                args[:, 1] = element_addrs(rsrc, np.arange(lo, lo + kpp))
-                args[:, 2] = 14
-                args[:, 3] = element_addrs(rdst, ranks)
-                keep = np.ones(args.shape, dtype=bool)
-                keep[:, 0] = False
-                keep[np.unique(digits, return_index=True)[1], 0] = True
-                yield self.op_batch(_SCATTER_OPS, args, keep)
+                yield self.shared_batch((digit, "scatter"), pid,
+                                        lambda: self._permute(digit))
                 yield (Barrier(bar()),)
 
         # a phase's numerics run only once its barrier has been passed,
@@ -201,10 +222,12 @@ class RadixApp(Application):
 
 
 def _stable_rank_within(digits: np.ndarray, radix: int) -> np.ndarray:
-    """Rank of each key among *my* keys with the same digit (stable order)."""
-    order = np.argsort(digits, kind="stable")
-    counts = np.bincount(digits, minlength=radix)
-    ranks = np.empty(len(digits), dtype=np.int64)
-    ranks[order] = np.arange(len(digits)) - (np.cumsum(counts)
-                                             - counts)[digits[order]]
-    return ranks
+    """Rank of each key among the keys of its row with the same digit
+    (stable order), for a row of digits or a table of them."""
+    rows = np.atleast_2d(digits)
+    keys = (rows + radix * np.arange(len(rows))[:, None]).ravel()
+    order = np.argsort(keys, kind="stable")
+    ranks = np.empty_like(keys)
+    ranks[order] = np.arange(len(keys)) - np.searchsorted(keys[order],
+                                                          keys[order])
+    return ranks.reshape(digits.shape)

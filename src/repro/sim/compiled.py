@@ -25,13 +25,12 @@ This module provides that capture/replay layer:
   kernel by address;
 * :func:`compile_program` — drain a generator-based program factory (and
   the bodies of its task queues) once into a :class:`CompiledProgram`.
-  While an app is captured, each of its ``read_span``/``write_span``
-  over two lines or more reaches the drain as one ``OP_SPAN`` item
-  carrying the span's geometry, and each batch it builds as arrays as
-  one ``OP_WORDS`` item carrying its opcodes and operands; the words of
-  either (the very words its per-op tuples would store) are appended at
-  C speed.  Every other run of the app still yields per-op tuples, so
-  the generator stays the oracle;
+  While an app is captured, each batch it builds as arrays reaches the
+  drain as one ``OP_WORDS`` item, a processor's part of a
+  :class:`~repro.sim.program.Batch`; the words of every part (the very
+  words its per-op tuples would store) are built once, in numpy, and
+  each part's appended at C speed.  Every other run of the app yields
+  the same ops as tuples, so the per-op drain stays the oracle;
 * :func:`trace_key` — content hash identifying one compiled trace
   (version, app, kwargs, seed, stream-relevant machine fields);
 * :class:`TraceCache` — process-wide in-memory LRU of compiled programs
@@ -104,8 +103,8 @@ from operator import and_, countOf, rshift
 from typing import Any, Mapping
 
 from ..core.resultcache import TraceStore
-from .program import (OP_BARRIER, OP_READ, OP_SPAN, OP_TASK, OP_UNLOCK,
-                      OP_WORDS, OP_WORK, OP_WRITE, ProgramFactory)
+from .program import (OP_BARRIER, OP_READ, OP_TASK, OP_UNLOCK, OP_WORDS,
+                      OP_WORK, OP_WRITE, Batch, ProgramFactory)
 
 __all__ = ["CompiledProgram", "RetiredTraceFormat", "TraceCache",
            "TraceDecodeError", "compile_program", "decode", "opcodes",
@@ -150,6 +149,12 @@ def _malloc_trim():
     if trim is not None:
         trim.argtypes, trim.restype = [ctypes.c_size_t], ctypes.c_int
     return trim
+
+
+#: a batch this long has int64 temporaries past glibc's default mmap
+#: threshold (128 KiB); freed, glibc raises the threshold and keeps the
+#: next ones in the heap, so the drain trims after building its words
+_TRIM_OPS = 1 << 14
 
 
 def _align8(n: int) -> int:
@@ -478,88 +483,67 @@ def _out_of_range(opcode: int, arg: int) -> ValueError:
                       f"[-2**60, 2**60), which a trace word cannot hold")
 
 
-def _span_words(words: array, opcode: int, line: int, n_lines: int,
-                n_first: int, n_full: int, n_last: int) -> tuple[int, bool]:
-    """Append the words of one span item (:meth:`Application._span
-    <repro.apps.base.Application._span>`, two lines or more): per line,
-    the ``opcode`` word of its line number, then a WORK word of its
-    element count less one when that is positive — the words its per-op
-    tuples store.
+def _words(opcodes, args, edges: list[int], line_size: int):
+    """Every part's words of a batch in one numpy pass (part ``k`` its
+    ops ``edges[k]:edges[k + 1]``): READ/WRITE operands divided into
+    lines, a WORK run one word of its sum, never across a part's edge.
+    Returns ``(words, word edges)``, or ``None`` for an opcode outside
+    WORK..UNLOCK, a negative stored operand, or operands whose sum might
+    reach ``2**60``: those are stored, or refused, op by op."""
+    import numpy as np  # only batches need it, and only apps make them
 
-    The first and last lines are appended word by word.  The full lines
-    between them are one ``range`` of line words, placed in the even
-    slots of a column whose odd slots hold a full line's WORK word when
-    a line holds more than one element.  Returns ``(words stored,
-    whether the last is a WORK)``: a WORK after the span fuses into it.
-    """
-    last = line + n_lines - 1
-    if line < -_ARG_LIMIT or last >= _ARG_LIMIT:
-        raise _out_of_range(opcode, line if line < -_ARG_LIMIT
-                            else max(line, _ARG_LIMIT))
-    before = len(words)
-    append = words.append
-    append(line << _OP_BITS | opcode)
-    if n_first > 1:
-        append((n_first - 1) << _OP_BITS)
-    if n_lines > 2:
-        middle = array("q", range((line + 1) << _OP_BITS | opcode,
-                                  last << _OP_BITS, 1 << _OP_BITS))
-        if n_full > 1:
-            full = array("q", ((n_full - 1) << _OP_BITS,))
-            full *= 2 * len(middle)
-            full[::2] = middle
-            middle = full
-        words.extend(middle)
-    append(last << _OP_BITS | opcode)
-    if n_last > 1:
-        append((n_last - 1) << _OP_BITS)
-    return len(words) - before, n_last > 1
-
-
-@functools.cache
-def _line_divisors(line_size: int):
-    """Per opcode WORK..UNLOCK, what divides its operand into the stored
-    one: ``line_size`` for READ and WRITE, else 1."""
-    import numpy as np  # only items need it, and only apps make them
-
-    return np.array([1, line_size, line_size, 1, 1, 1])
-
-
-def _item_words(words: array, opcodes, lines, was_work: bool) -> bool | None:
-    """Append the words of one ``OP_WORDS`` item at C speed, its opcodes
-    and stored operands (``lines``) as int64 arrays, and return whether
-    the last is a WORK.  A WORK run is one word of its sum
-    (``np.add.reduceat``), its first WORK fused into a WORK word already
-    last in ``words``.  A BARRIER or TASK is refused, so a phased drain
-    stops only at a per-op barrier.  Any other opcode outside
-    WORK..UNLOCK, a negative operand, or operands whose sum might reach
-    ``2**60`` return ``None``, nothing stored: the caller stores those
-    op by op, which stores them exactly or refuses them as it would.
-    """
-    import numpy as np
-
-    if not len(opcodes):
-        return was_work
-    lo, hi = opcodes.min(), opcodes.max()
-    if hi >= OP_BARRIER and ((opcodes == OP_BARRIER)
-                             | (opcodes == OP_TASK)).any():
-        raise ValueError("a BARRIER or TASK inside an OP_WORDS item")
-    before = words[-1] >> _OP_BITS if was_work else 0
-    if lo < OP_WORK or hi > OP_UNLOCK or lines.min() < 0 \
-            or int(lines.max()) * len(lines) + before >= _ARG_LIMIT:
+    if len(opcodes) and (opcodes.min() < OP_WORK
+                         or opcodes.max() > OP_UNLOCK):
+        return None
+    lines = args // np.array([1, line_size, line_size, 1, 1, 1]).take(opcodes)
+    if len(opcodes) and (lines.min() < 0 or int(lines.max()) * len(lines)
+                         >= _ARG_LIMIT):
         return None
     work = opcodes == OP_WORK
-    keep = np.ones(len(work), dtype=bool)
-    keep[1:] = ~(work[1:] & work[:-1])
-    at = np.flatnonzero(keep)
-    out = np.add.reduceat(lines, at)
+    keep = np.ones(len(work) + 1, dtype=bool)
+    keep[1:-1] = ~(work[1:] & work[:-1])
+    keep[edges] = True
+    at = np.flatnonzero(keep[:-1])
+    out = np.add.reduceat(lines, at) if len(at) else lines
     out <<= _OP_BITS
     out |= opcodes[at]
-    if was_work and work[0]:
-        words[-1] += int(out[0])
-        out = out[1:]
-    words.frombytes(memoryview(out).cast("B"))
-    return bool(work[-1])
+    return out, np.searchsorted(at, edges).tolist()
+
+
+def _drain_part(words: array, batch: Batch, k: int, line_size: int,
+                was_work: bool) -> bool:
+    """Append part ``k`` of ``batch`` to a word column; return whether
+    the last word is a WORK.  The first part drained builds every
+    part's words (:func:`_words`), refusing a BARRIER or TASK in any (a
+    phased drain stops only at a per-op barrier).  A leading WORK fuses
+    into a WORK word last in ``words``; where that overflows, or
+    :func:`_words` declined, the part is drained op by op."""
+    if batch.words is None:
+        ops = batch.opcodes
+        if len(ops) and ops.max() >= OP_BARRIER and (
+                (ops == OP_BARRIER) | (ops == OP_TASK)).any():
+            raise ValueError("a BARRIER or TASK inside an OP_WORDS item")
+        batch.words = _words(ops, batch.args, batch.edges, line_size) or False
+        if len(ops) >= _TRIM_OPS and _malloc_trim() is not None:
+            _malloc_trim()(0)  # the phase's numpy temporaries, freed
+    a, b = batch.edges[k], batch.edges[k + 1]
+    if a == b:
+        return was_work
+    if batch.words:
+        out, at = batch.words
+        part = out[at[k]:at[k + 1]]
+        first = int(part[0])
+        try:
+            if was_work and not first & _OP_MASK:
+                words[-1] += first
+                part = part[1:]
+        except OverflowError:
+            pass
+        else:
+            words.frombytes(memoryview(part).cast("B"))
+            return not out[at[k + 1] - 1] & _OP_MASK
+    return _drain(zip(batch.opcodes[a:b].tolist(), batch.args[a:b].tolist()),
+                  words, line_size, was_work, 0, phased=False)[1]
 
 
 def _drain(gen, words: array, line_size: int, was_work: bool,
@@ -567,15 +551,11 @@ def _drain(gen, words: array, line_size: int, was_work: bool,
     """Append ``gen``'s ops to a word column as a trace stores them.
 
     Stops after a BARRIER when ``phased`` (else only at exhaustion).
-    Two capture-only items are rare-opcode branches, each counted as the
-    source ops it stands for, with a WORK after it fusing into its last
-    word as after the per-op tuples:
-
-    * ``(OP_SPAN, geometry)``, a captured app's span: :func:`_span_words`
-      appends its words;
-    * ``(OP_WORDS, (opcodes, args))``, a batch as two int64 arrays:
-      divided into lines here and stored by :func:`_item_words`, or op
-      by op where that declines.
+    The capture-only item ``(OP_WORDS, (batch, k))`` is a rare-opcode
+    branch, counted as the source ops of part ``k`` of a
+    :class:`~repro.sim.program.Batch`, which :func:`_drain_part`
+    appends; a WORK after it fuses into its last word as after the
+    per-op tuples.
 
     ``n_queues`` bounds the operand of a ``TASK``; a task body passes
     -1, which refuses them all.  An operand (or a fused WORK total) that
@@ -606,22 +586,11 @@ def _drain(gen, words: array, line_size: int, was_work: bool,
             arg //= line_size
         else:
             if not 0 <= opcode <= OP_UNLOCK:
-                if opcode == OP_SPAN and type(arg) is tuple:
-                    stored, was_work = _span_words(words, *arg)
-                    n += stored - 1
-                    continue
                 if opcode == OP_WORDS and type(arg) is tuple:
-                    opcodes, args = arg
-                    n += len(opcodes) - 1
-                    lines = args // _line_divisors(line_size).take(
-                        opcodes, mode="clip")
-                    ends_work = _item_words(words, opcodes, lines, was_work)
-                    if ends_work is None:
-                        ends_work = _drain(zip(opcodes.tolist(),
-                                               args.tolist()), words,
-                                           line_size, was_work, 0,
-                                           phased=False)[1]
-                    was_work = ends_work
+                    batch, k = arg
+                    n += batch.edges[k + 1] - batch.edges[k] - 1
+                    was_work = _drain_part(words, batch, k, line_size,
+                                           was_work)
                     continue
                 if opcode != OP_TASK:
                     raise ValueError(f"unknown opcode {opcode}")
@@ -676,10 +645,10 @@ def compile_program(program_factory: ProgramFactory, n_processors: int,
     * a run of consecutive WORK ops collapses into one WORK carrying the
       summed cycles — SPMD emission helpers pad spans with WORK, so fusion
       typically removes 10-30% of stored ops;
-    * each op is stored as one word, ``arg << 3 | opcode``, and a span
-      or batch item's words at C speed (:func:`_span_words`,
-      :func:`_item_words`; only an app's own capture makes its spans and
-      batches items, for the length of its drain);
+    * each op is stored as one word, ``arg << 3 | opcode``, and a batch
+      item's words at C speed (:func:`_words`, built once for every
+      part of a phase; only an app's own capture makes its batches
+      items, for the length of its drain);
     * operands are validated (negative WORK, unknown opcode, an operand
       outside ``[-2**60, 2**60)``) as they are stored; the replay loop
       checks them again, because a stored trace may come back from disk.
@@ -749,12 +718,12 @@ class ProgramRecorder:
     ``timed_barriers``-th BARRIER but withholds it from the engine and
     ends, leaving the generator suspended just past it.  No lock is held
     at a barrier, so the run finishes without a deadlock.
-    :meth:`finish` stores each raw pair through :func:`_drain`, the one
-    rule :func:`compile_program` stores by (line division, WORK fusion,
-    one word per op), then drains the suspended generators
-    barrier-phased, as :func:`compile_program` does (an app's
-    :meth:`~repro.apps.base.Application.recorded_program` makes its
-    spans and batches items for that drain alone).  Replaying the
+    :meth:`finish` stores each raw pair as one batch (:func:`_words`,
+    :func:`_drain_part`), by the one rule :func:`compile_program` stores
+    by (line division, WORK fusion, one word per op), then drains the
+    suspended generators barrier-phased, as :func:`compile_program`
+    does (an app's :meth:`~repro.apps.base.Application.recorded_program`
+    makes its batches items for that drain alone).  Replaying the
     result on an identically-configured machine is bit-identical to
     the generators' run.
     """
@@ -830,15 +799,19 @@ class ProgramRecorder:
         if len(ids) > 1:
             raise ValueError(f"processors withheld different barrier ids "
                              f"{ids} as barrier {self._timed}")
+        import numpy as np
+
         words = [array("q") for _ in range(self.n_processors)]
         was_work = []
         source_ops = 0
         for w in words:
-            n, last_is_work, _ = _drain(
-                zip(self._raw_ops.pop(0), self._raw_args.pop(0)), w,
-                self.line_size, False, 0, phased=False)
-            source_ops += n
-            was_work.append(last_is_work)
+            # a BARRIER needs no stop here, and a TASK is stored op by op
+            raw = [np.frombuffer(column.pop(0), dtype=np.int64)
+                   for column in (self._raw_ops, self._raw_args)]
+            batch = Batch(*raw, [0, len(raw[0])])
+            batch.words = _words(*raw, batch.edges, self.line_size) or False
+            was_work.append(_drain_part(w, batch, 0, self.line_size, False))
+            source_ops += len(raw[0])
         source_ops += _drain_phased(self._gens, words, self.line_size,
                                     was_work, 0)
         return CompiledProgram(words, self.line_size, source_ops)

@@ -28,7 +28,7 @@ from typing import Callable, Iterator
 
 __all__ = ["OP_WORK", "OP_READ", "OP_WRITE", "OP_BARRIER", "OP_LOCK",
            "OP_UNLOCK", "OP_TASK", "Work", "Read", "Write", "Barrier", "Lock",
-           "Unlock", "Task", "Op", "Program", "ProgramFactory"]
+           "Unlock", "Task", "Batch", "Op", "Program", "ProgramFactory"]
 
 OP_WORK = 0
 OP_READ = 1
@@ -38,13 +38,8 @@ OP_LOCK = 4
 OP_UNLOCK = 5
 #: trace-only: take the next task of a shared queue (see :func:`Task`)
 OP_TASK = 6
-#: capture-only: a whole read/write span as one item, which only
+#: capture-only: a processor's part of a :class:`Batch`, which only
 #: :func:`~repro.sim.compiled.compile_program`'s drain ever receives
-#: (see :meth:`Application._span <repro.apps.base.Application._span>`)
-OP_SPAN = 7
-#: capture-only: a batch of ops as two int64 arrays, opcodes and operands,
-#: which only the drain ever receives (see :meth:`Application.op_batch
-#: <repro.apps.base.Application.op_batch>`)
 OP_WORDS = 8
 
 #: An operation: (opcode, operand).
@@ -99,3 +94,17 @@ def Task(queue_id: int) -> Op:
     ``kernel.c`` dispatches it).
     """
     return (OP_TASK, queue_id)
+
+
+class Batch:
+    """Capture-only: a phase's ops as int64 arrays (READ/WRITE operands
+    byte addresses), processor ``k``'s part ``edges[k]:edges[k + 1]``,
+    which it hands the drain as the item ``(OP_WORDS, (batch, k))``.
+    The first part drained stores every part's words in ``words``
+    (``False``: op by op), so numpy's cost is paid once a phase."""
+
+    __slots__ = ("opcodes", "args", "edges", "words")
+
+    def __init__(self, opcodes, args, edges: list[int]) -> None:
+        self.opcodes, self.args, self.edges = opcodes, args, edges
+        self.words = None

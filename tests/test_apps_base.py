@@ -7,11 +7,37 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.apps.base import (Application, PhaseBarriers, _span_ops,
-                             proc_grid_shape)
+from repro.apps.base import Application, PhaseBarriers, proc_grid_shape
 from repro.core.config import MachineConfig
 from repro.sim.compiled import compile_program
 from repro.sim.program import OP_READ, OP_WORK, OP_WRITE, Work
+
+
+def span(app, opcode, region, start, count):
+    """One span record of ``region`` as an app emits it: a batch of its
+    ops (:meth:`Application.span_table`), tuples outside a capture."""
+    return app.op_batch(*app.span_table((opcode, region, start, count))[:2])
+
+
+def read_span(app, region, start, count):
+    return span(app, OP_READ, region, start, count)
+
+
+def write_span(app, region, start, count):
+    return span(app, OP_WRITE, region, start, count)
+
+
+def span_ops(opcode, addr, end, esz, line_size):
+    """The ops of the span of bytes ``[addr, end)``, the per-line loop
+    of python ints a span's batch is checked against: per line,
+    ``opcode`` at its first byte in the span, then ``Work`` for the
+    span's other elements in it."""
+    for line in range(addr // line_size, (end - 1) // line_size + 1):
+        lo = max(addr, line * line_size)
+        hi = min(end, (line + 1) * line_size)
+        yield (opcode, lo)
+        if (hi - lo) // esz > 1:
+            yield (OP_WORK, (hi - lo) // esz - 1)  # the guaranteed hits
 
 
 class _Dummy(Application):
@@ -34,51 +60,51 @@ def app():
 
 class TestReadSpan:
     def test_one_read_per_line(self, app):
-        ops = list(app.read_span(app.data, 0, 16))  # 16×8B = 2 lines
+        ops = list(read_span(app, app.data, 0, 16))  # 16×8B = 2 lines
         reads = [op for op in ops if op[0] == OP_READ]
         assert len(reads) == 2
 
     def test_work_covers_remaining_elements(self, app):
-        ops = list(app.read_span(app.data, 0, 16))
+        ops = list(read_span(app, app.data, 0, 16))
         work = sum(op[1] for op in ops if op[0] == OP_WORK)
         reads = sum(1 for op in ops if op[0] == OP_READ)
         assert work + reads == 16  # every element costs exactly one cycle
 
     def test_unaligned_span(self, app):
         # elements 5..12 straddle the line boundary at element 8
-        ops = list(app.read_span(app.data, 5, 8))
+        ops = list(read_span(app, app.data, 5, 8))
         reads = [op for op in ops if op[0] == OP_READ]
         assert len(reads) == 2
         work = sum(op[1] for op in ops if op[0] == OP_WORK)
         assert work + len(reads) == 8
 
     def test_single_element(self, app):
-        ops = list(app.read_span(app.data, 3, 1))
+        ops = list(read_span(app, app.data, 3, 1))
         assert len(ops) == 1 and ops[0][0] == OP_READ
 
     def test_empty_span(self, app):
-        assert list(app.read_span(app.data, 0, 0)) == []
+        assert list(read_span(app, app.data, 0, 0)) == []
 
     def test_wide_elements(self, app):
         # 16-byte elements: 4 per line
-        ops = list(app.read_span(app.wide, 0, 8))
+        ops = list(read_span(app, app.wide, 0, 8))
         reads = [op for op in ops if op[0] == OP_READ]
         assert len(reads) == 2
 
     def test_addresses_fall_in_region(self, app):
-        for op in app.read_span(app.data, 100, 50):
+        for op in read_span(app, app.data, 100, 50):
             if op[0] == OP_READ:
                 assert app.data.contains(op[1])
 
 
 class TestWriteSpan:
     def test_one_write_per_line(self, app):
-        ops = list(app.write_span(app.data, 0, 24))
+        ops = list(write_span(app, app.data, 0, 24))
         writes = [op for op in ops if op[0] == OP_WRITE]
         assert len(writes) == 3
 
     def test_cycle_conservation(self, app):
-        ops = list(app.write_span(app.data, 2, 13))
+        ops = list(write_span(app, app.data, 2, 13))
         work = sum(op[1] for op in ops if op[0] == OP_WORK)
         writes = sum(1 for op in ops if op[0] == OP_WRITE)
         assert work + writes == 13
@@ -197,20 +223,18 @@ class _OneSpan(Application):
 
     def program(self, pid):
         yield from map(Work, self.before)
-        yield from self._span(*self.span)
+        yield from span(self, *self.span)
         yield from map(Work, self.after)
 
     def per_op(self, pid):
         """The program with its span spelled out by the per-line loop."""
         opcode, region, start, count = self.span
-        line_size = self.config.line_size
         addr = region.element(start)
-        end = addr + count * region.element_size
         yield from map(Work, self.before)
         if count > 0:
-            yield from _span_ops(opcode, addr, end, region.element_size,
-                                 line_size, addr // line_size,
-                                 (end - 1) // line_size)
+            yield from span_ops(opcode, addr,
+                                addr + count * region.element_size,
+                                region.element_size, self.config.line_size)
         yield from map(Work, self.after)
 
 
@@ -228,6 +252,7 @@ class TestSpanItems:
 
     @settings(max_examples=300, deadline=None)
     @given(line_size=st.integers(16, 128),
+           short_line=st.integers(1, 7),
            element_size=st.sampled_from([1, 3, 4, 8, 12, 16, 24, 40, 64,
                                          100, 128, 200]),
            opcode=st.sampled_from([OP_READ, OP_WRITE]),
@@ -238,13 +263,16 @@ class TestSpanItems:
            before=st.lists(st.integers(0, 9), max_size=2),
            after=st.lists(st.integers(0, 9), max_size=2))
     def test_one_item_stores_the_per_op_words(
-            self, line_size, element_size, opcode, anchor, offset, start,
-            count, before, after):
+            self, line_size, short_line, element_size, opcode, anchor,
+            offset, start, count, before, after):
         """The words and ``source_ops`` a captured span stores are those
         its per-line ops store: any element size against any line size
         16-128, spans of 0, 1 or many lines, WORK fused on either side,
-        and lines across the 2**60 edges, refused with the same message.
+        and lines across the 2**60 edges (at a line size of 1-7, where
+        their byte addresses are int64), refused with the same message.
         Outside a capture the span is those ops."""
+        if anchor:
+            line_size = short_line
         region = _Region(anchor * line_size + offset, element_size)
         app = _OneSpan(line_size, opcode, region, start, count, before,
                        after)
@@ -256,7 +284,7 @@ class TestSpanItems:
     def test_spans_are_ops_again_after_a_capture(self, anchor):
         """Whether the capture returns or raises, the app's program yields
         per-op tuples again afterwards."""
-        app = _OneSpan(64, OP_READ, _Region(anchor * 64 - 64, 8), 0, 24,
+        app = _OneSpan(4, OP_READ, _Region(anchor * 4 - 4, 1), 0, 12,
                        [], [])
         assert [op[0] for op in app.program(0)] == [OP_READ, OP_WORK] * 3
         if anchor:

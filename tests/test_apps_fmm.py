@@ -13,6 +13,14 @@ def cfg():
                          cache_kb_per_processor=16)
 
 
+def leaf_of(app, p):
+    """Body ``p``'s leaf ``(i, j)`` from its position, one body at a
+    time: the oracle of the app's binning."""
+    g = 1 << app.levels
+    return (min(int(app.pos[p, 0] * g), g - 1),
+            min(int(app.pos[p, 1] * g), g - 1))
+
+
 class TestGeometry:
     def test_box_ids_unique(self, cfg):
         app = FMMApp(cfg, n_particles=64, levels=3)
@@ -43,6 +51,21 @@ class TestGeometry:
         with pytest.raises(ValueError):
             FMMApp(cfg, levels=1)
 
+    @pytest.mark.parametrize("levels", [2, 4])
+    def test_bins_are_each_bodys_leaf(self, cfg, levels):
+        """Every leaf's bodies, in body order, are those whose position
+        falls in it, walls included."""
+        app = FMMApp(cfg, n_particles=300, levels=levels)
+        app.ensure_setup()
+        app.pos[:3] = [[0.0, 1.0], [1.0, 0.0], [0.5, 0.25]]
+        app._ensure_bins(0)
+        g = 1 << levels
+        want = [[] for _ in range(g * g)]
+        for p in range(app.n):
+            i, j = leaf_of(app, p)
+            want[i * g + j].append(p)
+        assert app.box_particles == want
+
     def test_leaf_owner_covers_all_procs(self, cfg):
         app = FMMApp(cfg, n_particles=64, levels=3)
         owners = {app.leaf_owner(i, j) for i in range(8) for j in range(8)}
@@ -59,7 +82,7 @@ class TestTilingCompleteness:
         app._ensure_bins(0)
         g = 1 << app.levels
         target = 0
-        ti, tj = app.leaf_of(target)
+        ti, tj = leaf_of(app, target)
         counts = np.zeros(app.n, dtype=int)
         # near field
         for di in (-1, 0, 1):
@@ -135,7 +158,7 @@ class TestSharing:
 def scalar_fields(app, p):
     """The per-pair far and near fields the batch replaced: their sum, the
     boxes read and the partner bodies read."""
-    g, (ti, tj), pp = 1 << app.levels, app.leaf_of(p), app.pos[p]
+    g, (ti, tj), pp = 1 << app.levels, leaf_of(app, p), app.pos[p]
     far, near, boxes, partners = np.zeros(2), np.zeros(2), [], []
 
     def pull(acc, m, d):
@@ -187,8 +210,34 @@ class TestBatchedFields:
         app._ensure_fields(0)
         for p in range(app.n):
             acc, boxes, partners = scalar_fields(app, p)
-            i, j = app.leaf_of(p)
+            i, j = leaf_of(app, p)
             lboxes, lbodies = app.leaf_lists[i * g + j]
             assert app.acc[p].tobytes() == acc.tobytes(), p
             assert lboxes == boxes
             assert [q for q in lbodies if q != p] == partners
+
+
+def test_leapfrog_has_the_bits_of_one_body_at_a_time(cfg):
+    """The update, reflections included, equals the per-body loop it
+    replaced, bit for bit, bodies crossing either wall on either axis."""
+    app = FMMApp(cfg, n_particles=64, levels=2, dt=0.37)
+    app.ensure_setup()
+    rng = np.random.default_rng(5)
+    app.pos[:] = rng.uniform(-0.2, 1.2, (app.n, 2))
+    app.vel[:] = rng.normal(0.0, 1.0, (app.n, 2))
+    app.acc[:] = rng.normal(0.0, 1.0, (app.n, 2))
+    pos, vel, walls = app.pos.copy(), app.vel.copy(), set()
+    for p in range(5, 40):
+        vel[p] += app.dt * app.acc[p]
+        pos[p] += app.dt * vel[p]
+        for ax in range(2):
+            if pos[p, ax] < 0.0:
+                pos[p, ax], vel[p, ax] = -pos[p, ax], -vel[p, ax]
+                walls.add((ax, 0))
+            elif pos[p, ax] > 1.0:
+                pos[p, ax], vel[p, ax] = 2.0 - pos[p, ax], -vel[p, ax]
+                walls.add((ax, 1))
+    app._leapfrog(range(5, 40))
+    assert len(walls) == 4
+    assert app.pos.tobytes() == pos.tobytes()
+    assert app.vel.tobytes() == vel.tobytes()

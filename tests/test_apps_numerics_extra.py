@@ -88,8 +88,8 @@ class TestBarnesProperties:
         app = BarnesApp(CFG, n_particles=128, n_steps=1, dt=0.0)
         app.run()
         root = app.cells[0]
-        lo = root.center - root.half
-        hi = root.center + root.half
+        lo = np.asarray(root.center) - root.half
+        hi = np.asarray(root.center) + root.half
         assert np.all(app.pos >= lo - 1e-9)
         assert np.all(app.pos <= hi + 1e-9)
 
@@ -102,7 +102,7 @@ class TestBarnesProperties:
             cell = app.cells[ci]
             if parent is not None:
                 pc = app.cells[parent]
-                assert np.all(np.abs(cell.center - pc.center)
+                assert np.all(np.abs(np.subtract(cell.center, pc.center))
                               <= pc.half + 1e-12)
                 assert cell.half == pytest.approx(pc.half / 2)
             for slot in cell.children:

@@ -116,3 +116,46 @@ class TestStructure:
             res = app.run()
             stalls[cluster] = res.breakdown.load
         assert stalls[4] < 0.75 * stalls[1]
+
+
+def subgrid_padded(u, i0, j0, sr, sc):
+    """One subgrid with its halo: neighbour values inside the domain,
+    reflective ghosts at the walls (the per-subgrid form the app's
+    whole-level phases replaced)."""
+    n = len(u)
+    pad = np.zeros((sr + 2, sc + 2))
+    pad[1:-1, 1:-1] = u[i0:i0 + sr, j0:j0 + sc]
+    pad[0, 1:-1] = u[i0 - 1, j0:j0 + sc] if i0 > 0 else -u[i0, j0:j0 + sc]
+    pad[-1, 1:-1] = (u[i0 + sr, j0:j0 + sc] if i0 + sr < n
+                     else -u[i0 + sr - 1, j0:j0 + sc])
+    pad[1:-1, 0] = u[i0:i0 + sr, j0 - 1] if j0 > 0 else -u[i0:i0 + sr, j0]
+    pad[1:-1, -1] = (u[i0:i0 + sr, j0 + sc] if j0 + sc < n
+                     else -u[i0:i0 + sr, j0 + sc - 1])
+    return pad
+
+
+def test_whole_level_phases_have_the_bits_of_a_pass_per_subgrid():
+    """A sweep and a residual over the whole level equal, bit for bit,
+    the same arithmetic done subgrid by subgrid with halos."""
+    app = OceanApp(MachineConfig(n_processors=8), n=32)
+    app.ensure_setup()
+    lvl = app.levels[1]
+    rng = np.random.default_rng(3)
+    lvl.u[0][:] = rng.normal(size=lvl.u[0].shape)
+    lvl.f[:] = rng.normal(size=lvl.f.shape)
+    sweep, residual = np.empty_like(lvl.u[0]), np.empty_like(lvl.r)
+    for pid in range(8):
+        pi, pj = app.proc_coords(pid)
+        i0, j0, sr, sc = pi * lvl.sr, pj * lvl.sc, lvl.sr, lvl.sc
+        pad = subgrid_padded(lvl.u[0], i0, j0, sr, sc)
+        block = (slice(i0, i0 + sr), slice(j0, j0 + sc))
+        jac = 0.25 * (pad[:-2, 1:-1] + pad[2:, 1:-1] + pad[1:-1, :-2]
+                      + pad[1:-1, 2:] + lvl.h2 * lvl.f[block])
+        sweep[block] = (1.0 - 0.8) * lvl.u[0][block] + 0.8 * jac
+        residual[block] = lvl.f[block] - (
+            4.0 * pad[1:-1, 1:-1] - pad[:-2, 1:-1] - pad[2:, 1:-1]
+            - pad[1:-1, :-2] - pad[1:-1, 2:]) / lvl.h2
+    app._sweep(lvl, 0)
+    app._residual(lvl, 0)
+    assert lvl.u[1].tobytes() == sweep.tobytes()
+    assert lvl.r.tobytes() == residual.tobytes()

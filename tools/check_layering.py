@@ -113,7 +113,8 @@ RULES: tuple[Rule, ...] = (
         r"REPRO_TRACE_LRU_BYTES|ENV_TRACE_LRU_BYTES|memory_cache_len|memory_cache_bytes|"
         r"buffer_info|_force_on|_far_field|_near_field|MissKind|_invalidate_bits|run_one|"
         r"_run_grid|_exc_text|_bar_from_norm|_DEFAULT_SEED|SweepService|executor\.cache = None|"
-        r"def scaled|def base_url|def key\(self, app"), "spec = PointSpec('lu', 2)"),
+        r"def scaled|def base_url|def key\(self, app|OP_SPAN|_span_words|_span_ops|_item_words|"
+        r"_ITEM_MIN_OPS|_line_divisors|read_span|write_span|leaf_of"), "spec = PointSpec('lu', 2)"),
     Rule("slab-and-cache-twins", 25, "src tools docs README.md tests",
          r"check_slots|\.kernels\(\)|_kernels|_INITIAL_SLOTS|_grow\(|RefFullyAssociativeCache|"
          r"RefSetAssociativeCache|LineEntry|RefEviction|pending_until_of|fetcher_of",
@@ -142,14 +143,14 @@ RULES: tuple[Rule, ...] = (
     Rule("lines-through-cache", 33, BACK_ENDS, r"\.sets\b|_n_sets|_ways\b|self\._lines\b",
          "ways = cache.sets[0]"),
     Rule("engine-heap-shortcut", 33, "src/repro/sim/engine.py", r"heap\[0\]\[0\]", "heap[0][0]"),
-    # the operand-to-line store, both in _drain: an op's, an OP_WORDS item's
+    # the operand-to-line store: an op's in _drain, a batch's in _words
     Rule("one-op-store-rule", 33, "src/repro/sim/compiled.py",
-         r"//=? (line_size|_line_divisors\()", "line = addr // line_size", 2),
+         r"//=? (line_size|np\.array\()", "line = addr // line_size", 2),
     # a capture is packed once in memory; TraceCache.put is the one write
     Rule("one-trace-write", 48, "src/repro/sim", r"put_bytes\(|\.writing\(",
          "store.put_bytes(key, blob)", 1),
     Rule("span-stays-in-capture", 42, f"src/repro/sim/engine.py src/repro/native {MEMORY}",
-         "OP_SPAN|OP_WORDS", "kind = OP_SPAN"),
+         "OP_WORDS", "kind = OP_WORDS"),
     Rule("directory-writes-through-transitions", 29, BACK_ENDS,
          r"\.(mask|dir_state) *([|&^+-]|<<|>>)?=($|[^=])", "rec.mask |= 1"),
     Rule("one-record-per-line", 29, MEMORY,
