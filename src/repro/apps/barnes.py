@@ -393,7 +393,8 @@ class BarnesApp(Application):
         args[:, 1] = np.where(rows == _OPEN,
                               args[:, 0] + 8 * self.rcells.element_size, 60)
         args[:, 2] = 16
-        return self.op_batch(_FORCE_OPS[rows], args, _FORCE_KEEP[rows])
+        return self.op_batch(*table_parts(_FORCE_OPS[rows], args,
+                                          _FORCE_KEEP[rows])[:2])
 
     def program(self, pid: int) -> Iterator[Op]:
         bar = PhaseBarriers()

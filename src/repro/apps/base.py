@@ -71,10 +71,14 @@ def row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def element_addrs(region: Region, index: np.ndarray) -> np.ndarray:
     """``region.element(i)`` of every ``i`` of an integer array, as an
-    int64 array, bounds-checked once: by its least and greatest index."""
+    int64 array, bounds-checked once: by its least and greatest index.
+    An address outside int64, which the array cannot hold, is a
+    :class:`ValueError` naming it."""
     if index.size:
-        region.element(int(index.min()))
-        region.element(int(index.max()))
+        for addr in map(region.element, (int(index.min()), int(index.max()))):
+            if not -2 ** 63 <= addr < 2 ** 63:
+                raise ValueError(f"element address {addr} outside int64, "
+                                 f"which a batch cannot hold")
     return region.base + index.astype(np.int64) * region.element_size
 
 
@@ -137,13 +141,15 @@ def proc_grid_shape(n_processors: int) -> tuple[int, int]:
 
 
 def table_parts(opcodes: np.ndarray, args: np.ndarray, keep: np.ndarray,
-                edges) -> tuple[np.ndarray, np.ndarray, list[int]]:
+                edges=None) -> tuple[np.ndarray, np.ndarray, list[int]]:
     """A table's ``keep`` cells, row after row, as a
     :class:`~repro.sim.program.Batch`'s ``(opcodes, args, edges)``:
     ``opcodes`` broadcast against the table ``args`` (the opcode of each
-    column, say), and part ``k`` is its rows ``edges[k]:edges[k + 1]``."""
-    return (np.broadcast_to(opcodes, args.shape)[keep], args[keep],
-            np.append(0, np.cumsum(keep.sum(axis=1)))[edges].tolist())
+    column, say), and part ``k`` is its rows ``edges[k]:edges[k + 1]``
+    (without ``edges``, one part of every row)."""
+    ops = np.broadcast_to(opcodes, args.shape)[keep]
+    return ops, args[keep], ([0, len(ops)] if edges is None else np.append(
+        0, np.cumsum(keep.sum(axis=1)))[edges].tolist())
 
 
 class Application(ABC):
@@ -365,58 +371,72 @@ class Application(ABC):
         if any (no op for a count of 0).  ``(OP_WORK, cycles)`` is that
         one op.  The fields broadcast over the table's rows, and part
         ``k`` is index ``k`` of their first axis, or with ``edges`` the
-        rows ``edges[k]:edges[k + 1]``."""
+        rows ``edges[k]:edges[k + 1]``.  A batch holds byte addresses as
+        int64: a span with a byte outside int64 is a :class:`ValueError`
+        naming its op whose line holds the first (the rest of the
+        arithmetic is on offsets from a span's first byte)."""
         shape = np.broadcast_shapes(*(np.shape(field) for record in records
                                       for field in record[2:] or record[1:]))
-        operands = np.empty((*shape, len(records)), dtype=np.int64)
+        operands = np.zeros((*shape, len(records)), dtype=np.int64)
         counts = np.zeros_like(operands)
         esz = np.ones_like(operands)
+        line_size = self.config.line_size
         for k, record in enumerate(records):
             if record[0] == OP_WORK:
                 operands[..., k] = record[1]
                 continue
-            _, region, index, counts[..., k] = record
-            esz[..., k] = region.element_size
-            operands[..., k] = element_addrs(
-                region, np.where(counts[..., k] > 0, index, 0))
+            opcode, region, index, counts[..., k] = record
+            esz[..., k] = size = region.element_size
+            live = counts[..., k] > 0
+            if not live.any():
+                continue
+            # a dead span's first element is a live one's
+            index = np.where(live, index, np.where(
+                live, index, 2 ** 63 - 1).min())
+            least = int(index.min())
+            low = region.element(least)
+            region.element(int(index.max()))
+            stop = index + counts[..., k]
+            if low < -2 ** 63 or region.base + int(stop.max()) * size > 2 ** 63:
+                at = low if low < -2 ** 63 else max(
+                    2 ** 63 // line_size * line_size,
+                    region.element(int(index.flat[stop.argmax()])))
+                raise ValueError(f"{('READ', 'WRITE')[opcode - OP_READ]} {at}"
+                                 f": a span byte outside int64, which a "
+                                 f"batch cannot hold")
+            operands[..., k] = low + (index - least) * size
         rows = (np.arange(len(operands) + 1) if edges is None
                 else np.asarray(edges)) * int(np.prod(operands.shape[1:]))
         opcodes = np.tile([record[0] for record in records], counts.size
                           // len(records))
         operands, counts, esz = operands.ravel(), counts.ravel(), esz.ravel()
-        line_size = self.config.line_size
         span = (opcodes == OP_READ) | (opcodes == OP_WRITE)
-        end = operands + counts * esz
-        line = operands // line_size
-        n_lines = np.where(span, np.where(counts > 0, (end - 1) // line_size
-                                          - line + 1, 0), 1)
+        off = operands % line_size  # a span's first byte in its line
+        nbytes = counts * esz
+        n_lines = np.where(span, np.where(counts > 0, (off + nbytes - 1)
+                                          // line_size + 1, 0), 1)
         rec = np.repeat(np.arange(len(opcodes)), n_lines)
-        line = (line - np.cumsum(n_lines) + n_lines)[rec] + np.arange(
-            len(rec))
+        line = np.arange(len(rec)) - (np.cumsum(n_lines) - n_lines)[rec]
+        first = line * line_size - off[rec]  # a line's, from its span's
+        lo = np.maximum(first, 0)
         span = span[rec]
         ops = np.full(2 * len(rec), OP_WORK, dtype=np.int64)
         args = np.empty(2 * len(rec), dtype=np.int64)
         ops[::2] = opcodes[rec]
-        args[::2] = np.where(span, np.maximum(operands[rec],
-                                              line * line_size), operands[rec])
-        args[1::2] = (np.minimum(end[rec], (line + 1) * line_size)
-                      - args[::2]) // esz[rec] - 1
+        args[::2] = operands[rec] + lo
+        args[1::2] = (np.minimum(first + line_size, nbytes[rec]) - lo) \
+            // esz[rec] - 1
         keep = np.ones(len(ops), dtype=bool)
         keep[1::2] = span & (args[1::2] > 0)
         return ops[keep], args[keep], np.searchsorted(
             np.repeat(rec, 2)[keep], rows).tolist()
 
-    def op_batch(self, opcodes: np.ndarray, args: np.ndarray,
-                 keep: np.ndarray | None = None) -> Iterable[Op]:
+    def op_batch(self, opcodes: np.ndarray,
+                 args: np.ndarray) -> Iterable[Op]:
         """A batch of ops built as arrays: ``(opcodes[i], args[i])`` in
-        order, READ/WRITE operands as byte addresses.  With ``keep``,
-        ``args`` is a table of rows, ``opcodes`` broadcast against it
-        (the opcode of each column, say), and the batch is every
-        ``keep[i, j]`` cell, row after row.  It is a one-part
+        order, READ/WRITE operands as byte addresses (a table's kept
+        cells through :func:`table_parts`, say).  It is a one-part
         :class:`~repro.sim.program.Batch`, emitted as :meth:`_part`."""
-        if keep is not None:
-            opcodes, args = np.broadcast_to(opcodes, args.shape)[keep], \
-                args[keep]
         return self._part(Batch(opcodes.astype(np.int64, copy=False),
                                 args.astype(np.int64, copy=False),
                                 [0, len(opcodes)]), 0)
@@ -483,12 +503,9 @@ class Application(ABC):
 
     def partition_slice(self, total: int, pid: int) -> range:
         """Contiguous share of ``total`` items owned by processor ``pid``."""
-        n = self.config.n_processors
-        per = total // n
-        extra = total % n
+        per, extra = divmod(total, self.config.n_processors)
         lo = pid * per + min(pid, extra)
-        hi = lo + per + (1 if pid < extra else 0)
-        return range(lo, hi)
+        return range(lo, lo + per + (pid < extra))
 
     # ------------------------------------------------------------- describe
     def describe(self) -> str:

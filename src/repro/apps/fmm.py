@@ -110,6 +110,12 @@ class FMMApp(Application):
         linear = i * g + j
         return linear * self.config.n_processors // (g * g)
 
+    def owned_leaves(self, pid: int) -> range:
+        """The row-major numbers ``i * g + j`` of the leaves whose
+        :meth:`leaf_owner` is ``pid``: a contiguous run."""
+        g2, n = 1 << 2 * self.levels, self.config.n_processors
+        return range(-(-pid * g2 // n), -(-(pid + 1) * g2 // n))
+
     def box_owner(self, level: int, i: int, j: int) -> int:
         """Internal boxes belong to the owner of their first leaf descendant."""
         shift = self.levels - level
@@ -337,9 +343,7 @@ class FMMApp(Application):
         for step in range(self.n_steps):
             self._ensure_bins(step)
             # ---- upward: leaf moments -------------------------------
-            # pid's leaves: those whose leaf_owner is pid, a run of them
-            g2, n = g * g, self.config.n_processors
-            for leaf in range(-(-pid * g2 // n), -(-(pid + 1) * g2 // n)):
+            for leaf in self.owned_leaves(pid):
                 self._leaf_moment(*divmod(leaf, g))
             yield from self.shared_batch(("up", step, self.levels), pid,
                                          lambda: self._upward_ops(self.levels))

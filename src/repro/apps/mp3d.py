@@ -44,7 +44,8 @@ import numpy as np
 from ..core.config import MachineConfig
 from ..sim.program import (OP_LOCK, OP_READ, OP_UNLOCK, OP_WORK, OP_WRITE,
                            Barrier, Op)
-from .base import Application, PhaseBarriers, element_addrs, row_dots
+from .base import (Application, PhaseBarriers, element_addrs, row_dots,
+                   table_parts)
 
 __all__ = ["MP3DApp"]
 
@@ -178,7 +179,7 @@ class MP3DApp(Application):
         args[:, [4, 7]] = cell[:, None]
         keep = np.ones(args.shape, dtype=bool)
         keep[:, 4:8] = collided[:, None]
-        return self.op_batch(_STEP_OPS, args, keep)
+        return self.op_batch(*table_parts(_STEP_OPS, args, keep)[:2])
 
     # ------------------------------------------------------------- checking
     def total_count(self) -> float:

@@ -151,12 +151,6 @@ def _malloc_trim():
     return trim
 
 
-#: a batch this long has int64 temporaries past glibc's default mmap
-#: threshold (128 KiB); freed, glibc raises the threshold and keeps the
-#: next ones in the heap, so the drain trims after building its words
-_TRIM_OPS = 1 << 14
-
-
 def _align8(n: int) -> int:
     return (n + 7) & ~7
 
@@ -514,18 +508,12 @@ def _drain_part(words: array, batch: Batch, k: int, line_size: int,
                 was_work: bool) -> bool:
     """Append part ``k`` of ``batch`` to a word column; return whether
     the last word is a WORK.  The first part drained builds every
-    part's words (:func:`_words`), refusing a BARRIER or TASK in any (a
-    phased drain stops only at a per-op barrier).  A leading WORK fuses
-    into a WORK word last in ``words``; where that overflows, or
-    :func:`_words` declined, the part is drained op by op."""
+    part's words (:func:`_words`).  A leading WORK fuses into a WORK
+    word last in ``words``; where that overflows, or :func:`_words`
+    declined, the part is drained op by op."""
     if batch.words is None:
-        ops = batch.opcodes
-        if len(ops) and ops.max() >= OP_BARRIER and (
-                (ops == OP_BARRIER) | (ops == OP_TASK)).any():
-            raise ValueError("a BARRIER or TASK inside an OP_WORDS item")
-        batch.words = _words(ops, batch.args, batch.edges, line_size) or False
-        if len(ops) >= _TRIM_OPS and _malloc_trim() is not None:
-            _malloc_trim()(0)  # the phase's numpy temporaries, freed
+        batch.words = _words(batch.opcodes, batch.args, batch.edges,
+                             line_size) or False
     a, b = batch.edges[k], batch.edges[k + 1]
     if a == b:
         return was_work
@@ -554,7 +542,8 @@ def _drain(gen, words: array, line_size: int, was_work: bool,
     The capture-only item ``(OP_WORDS, (batch, k))`` is a rare-opcode
     branch, counted as the source ops of part ``k`` of a
     :class:`~repro.sim.program.Batch`, which :func:`_drain_part`
-    appends; a WORK after it fuses into its last word as after the
+    appends (a batch with a BARRIER or TASK in any part is refused at
+    its first); a WORK after it fuses into its last word as after the
     per-op tuples.
 
     ``n_queues`` bounds the operand of a ``TASK``; a task body passes
@@ -588,6 +577,11 @@ def _drain(gen, words: array, line_size: int, was_work: bool,
             if not 0 <= opcode <= OP_UNLOCK:
                 if opcode == OP_WORDS and type(arg) is tuple:
                     batch, k = arg
+                    ops = batch.opcodes  # stop only at a per-op barrier
+                    if batch.words is None and {OP_BARRIER, OP_TASK} & set(
+                            ops[ops >= OP_BARRIER].tolist()):
+                        raise ValueError("a BARRIER or TASK inside an "
+                                         "OP_WORDS item")
                     n += batch.edges[k + 1] - batch.edges[k] - 1
                     was_work = _drain_part(words, batch, k, line_size,
                                            was_work)
@@ -808,9 +802,8 @@ class ProgramRecorder:
             # a BARRIER needs no stop here, and a TASK is stored op by op
             raw = [np.frombuffer(column.pop(0), dtype=np.int64)
                    for column in (self._raw_ops, self._raw_args)]
-            batch = Batch(*raw, [0, len(raw[0])])
-            batch.words = _words(*raw, batch.edges, self.line_size) or False
-            was_work.append(_drain_part(w, batch, 0, self.line_size, False))
+            was_work.append(_drain_part(w, Batch(*raw, [0, len(raw[0])]), 0,
+                                        self.line_size, False))
             source_ops += len(raw[0])
         source_ops += _drain_phased(self._gens, words, self.line_size,
                                     was_work, 0)

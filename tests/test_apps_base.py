@@ -3,8 +3,9 @@ partitioning, barrier sequencing)."""
 
 from typing import NamedTuple
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.apps.base import Application, PhaseBarriers, proc_grid_shape
@@ -252,44 +253,79 @@ class TestSpanItems:
 
     @settings(max_examples=300, deadline=None)
     @given(line_size=st.integers(16, 128),
-           short_line=st.integers(1, 7),
            element_size=st.sampled_from([1, 3, 4, 8, 12, 16, 24, 40, 64,
                                          100, 128, 200]),
            opcode=st.sampled_from([OP_READ, OP_WRITE]),
-           anchor=st.sampled_from([0, 2 ** 60, -2 ** 60]),
+           anchor=st.sampled_from([0, 2 ** 60, -2 ** 60, 2 ** 63, -2 ** 63]),
            offset=st.integers(-2048, 2048),
            start=st.integers(0, 40),
            count=st.integers(0, 40),
            before=st.lists(st.integers(0, 9), max_size=2),
            after=st.lists(st.integers(0, 9), max_size=2))
+    # a span ending at 2**63 and one a byte past, over a line that does
+    # not end there; a span from -2**63 and one a byte below it
+    @example(24, 8, OP_READ, 2 ** 63, -40, 0, 5, [], [1])
+    @example(24, 8, OP_WRITE, 2 ** 63, -39, 0, 5, [], [])
+    @example(16, 1, OP_READ, -2 ** 63, 0, 0, 3, [2], [])
+    @example(16, 1, OP_WRITE, -2 ** 63, -1, 0, 3, [], [])
     def test_one_item_stores_the_per_op_words(
-            self, line_size, short_line, element_size, opcode, anchor,
-            offset, start, count, before, after):
+            self, line_size, element_size, opcode, anchor, offset, start,
+            count, before, after):
         """The words and ``source_ops`` a captured span stores are those
         its per-line ops store: any element size against any line size
         16-128, spans of 0, 1 or many lines, WORK fused on either side,
-        and lines across the 2**60 edges (at a line size of 1-7, where
-        their byte addresses are int64), refused with the same message.
-        Outside a capture the span is those ops."""
-        if anchor:
-            line_size = short_line
-        region = _Region(anchor * line_size + offset, element_size)
+        and lines across the 2**60 edges (in lines) and int64's (in
+        bytes), refused with the same message.  Outside a capture the
+        span is those ops.  A span with a byte outside int64, which a
+        batch cannot hold, is refused in and outside a capture, by the
+        op of the line that holds its first such byte, wherever the
+        per-op loop would store it or refuse it."""
+        base = (anchor if abs(anchor) == 2 ** 63 else anchor * line_size)
+        region = _Region(base + offset, element_size)
         app = _OneSpan(line_size, opcode, region, start, count, before,
                        after)
         per_op = _stored(lambda: compile_program(app.per_op, 1, line_size))
-        assert _stored(app.compiled_program) == per_op
-        assert list(app.program(0)) == list(app.per_op(0))
+        addr = region.element(start)
+        end = addr + count * element_size
+        if count == 0 or -2 ** 63 <= addr and end <= 2 ** 63:
+            assert _stored(app.compiled_program) == per_op
+            assert list(app.program(0)) == list(app.per_op(0))
+            return
+        at = addr if addr < -2 ** 63 else max(
+            addr, 2 ** 63 // line_size * line_size)
+        assert (opcode, at) in list(app.per_op(0))
+        refusal = (f"{('READ', 'WRITE')[opcode - OP_READ]} {at}: a span "
+                   f"byte outside int64, which a batch cannot hold")
+        assert _stored(app.compiled_program) == refusal
+        with pytest.raises(ValueError) as exc:
+            list(app.program(0))
+        assert str(exc.value) == refusal
 
-    @pytest.mark.parametrize("anchor", [0, 2 ** 60])
-    def test_spans_are_ops_again_after_a_capture(self, anchor):
-        """Whether the capture returns or raises, the app's program yields
-        per-op tuples again afterwards."""
-        app = _OneSpan(4, OP_READ, _Region(anchor * 4 - 4, 1), 0, 12,
-                       [], [])
-        assert [op[0] for op in app.program(0)] == [OP_READ, OP_WORK] * 3
-        if anchor:
+    def test_only_a_live_span_needs_int64_bytes(self):
+        """In a table of spans, a count-0 span whose first byte is below
+        int64 adds no op and no refusal; made live, it is refused by
+        its op."""
+        region = _Region(-2 ** 63 - 32, 8)
+        app = _OneSpan(16, OP_READ, region, 0, 0, [], [])
+        index = np.array([0, 4, 6])
+        ops, args, _ = app.span_table((OP_READ, region, index, [0, 3, 0]))
+        assert list(zip(ops.tolist(), args.tolist())) == list(span_ops(
+            OP_READ, region.element(4), region.element(7), 8, 16))
+        with pytest.raises(ValueError, match=f"^READ {region.base}: a span "
+                                             f"byte outside int64"):
+            app.span_table((OP_READ, region, index, [1, 3, 0]))
+
+    @pytest.mark.parametrize("work", [0, 2 ** 60])
+    def test_spans_are_ops_again_after_a_capture(self, work):
+        """Whether the capture returns or raises (here as a WORK of
+        2**60 after the span fuses into its last word), the app's
+        program yields per-op tuples again afterwards."""
+        app = _OneSpan(64, OP_READ, _Region(64, 8), 0, 24, [], [work])
+        ops = [OP_READ, OP_WORK] * 3 + [OP_WORK]
+        assert [op[0] for op in app.program(0)] == ops
+        if work:
             with pytest.raises(ValueError, match="operand outside"):
                 app.compiled_program()
         else:
-            assert app.compiled_program().source_ops == 6
-        assert [op[0] for op in app.program(0)] == [OP_READ, OP_WORK] * 3
+            assert app.compiled_program().source_ops == 7
+        assert [op[0] for op in app.program(0)] == ops

@@ -19,7 +19,7 @@ from repro.apps.radix import _stable_rank_within
 from repro.apps.raytrace import _LIGHT, _PRIMARY, RaytraceApp, _slab_hits
 from repro.apps.volrend import _NODE_DOUBLES, VolrendApp
 from repro.core.config import MachineConfig
-from repro.memory.address import AddressSpace
+from repro.memory.address import AddressSpace, Region
 from test_apps_volrend import march
 
 #: ±0, subnormals, tiny and large magnitudes; no product overflows
@@ -341,3 +341,10 @@ def test_element_addrs_is_element_checked_once():
     for outside in ([0, n], [-1, 0]):
         with pytest.raises(IndexError):
             element_addrs(region, np.array(outside))
+    # an address an int64 array cannot hold is refused by name, not wrapped
+    top = Region("top", 2 ** 63 - 16, 64)
+    assert element_addrs(top, np.arange(2)).tolist() == [2 ** 63 - 16,
+                                                         2 ** 63 - 8]
+    with pytest.raises(ValueError, match=f"^element address {2 ** 63} "
+                                         f"outside int64"):
+        element_addrs(top, np.arange(3))

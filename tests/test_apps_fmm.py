@@ -71,6 +71,15 @@ class TestGeometry:
         owners = {app.leaf_owner(i, j) for i in range(8) for j in range(8)}
         assert owners == set(range(8))
 
+    @pytest.mark.parametrize("n_processors", [1, 3, 6, 8, 64])
+    def test_owned_leaves_are_those_of_leaf_owner(self, n_processors):
+        app = FMMApp(MachineConfig(n_processors=n_processors), n_particles=64,
+                     levels=3)
+        for pid in range(n_processors):
+            assert list(app.owned_leaves(pid)) == [
+                leaf for leaf in range(64)
+                if app.leaf_owner(*divmod(leaf, 8)) == pid]
+
 
 class TestTilingCompleteness:
     def test_far_plus_near_covers_every_pair_once(self, cfg):

@@ -17,7 +17,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import repro.sim.compiled as compiled
-from repro.apps.base import Application, TileQueueApplication
+from repro.apps.base import (Application, TileQueueApplication,
+                             table_parts)
 from repro.apps.registry import APP_NAMES, QUICK_PROBLEM_SIZES, build_app
 from repro.core.config import MachineConfig
 from repro.sim.compiled import compile_program
@@ -235,8 +236,9 @@ class _Batch(Application):
 
     def program(self, pid):
         args = np.stack([np.arange(self.n) * LINE, np.full(self.n, 2)], 1)
-        return self.op_batch(np.array([OP_READ, OP_WORK]), args,
-                             np.ones(args.shape, dtype=bool))
+        return self.op_batch(*table_parts(
+            np.array([OP_READ, OP_WORK]), args,
+            np.ones(args.shape, dtype=bool))[:2])
 
 
 @pytest.mark.parametrize("n", [0, 3, 100])
