@@ -14,9 +14,9 @@ multiprocessors plus the paper's full experimental apparatus:
   shared-reference streams;
 * :mod:`repro.core` — machine configs (Table 1), sweep driver, the §6
   shared-cache cost model (Tables 4-7), and working-set profiling;
-* :mod:`repro.network` — interconnect models behind a pluggable latency
-  provider: mesh/crossbar topologies, hop-based Table-1-calibrated
-  latencies, and M/D/1 queueing contention;
+* :mod:`repro.network` — the mesh interconnect extension: a 2D mesh
+  topology, hop-based Table-1-calibrated latencies, and M/D/1 queueing
+  contention;
 * :mod:`repro.analysis` — the paper's figures and tables, regenerated.
 
 Quickstart::

@@ -21,16 +21,16 @@ __all__ = ["render_table1", "render_table4", "render_table5",
 
 def render_table1() -> str:
     """Table 1: latency of memory operations."""
-    lm = LatencyModel()
+    lm = LatencyModel
     rows = [
         ("Hit in cache (1 processor per cluster)", lm.hit_cycles(1)),
         ("Hit in cache (2 processors per cluster)", lm.hit_cycles(2)),
         ("Hit in cache (4 and 8 processors per cluster)", lm.hit_cycles(4)),
-        ("Miss to local home, satisfied by home cluster", lm.local_clean),
-        ("Miss to local home, satisfied by remote cluster", lm.local_dirty_remote),
-        ("Miss to remote home, satisfied by home", lm.remote_clean),
+        ("Miss to local home, satisfied by home cluster", lm.LOCAL_CLEAN),
+        ("Miss to local home, satisfied by remote cluster", lm.LOCAL_DIRTY_REMOTE),
+        ("Miss to remote home, satisfied by home", lm.REMOTE_CLEAN),
         ("Miss to remote home, satisfied by third party cluster",
-         lm.remote_dirty_third_party),
+         lm.REMOTE_DIRTY_THIRD_PARTY),
     ]
     width = max(len(r[0]) for r in rows)
     lines = ["Table 1: Latency of Memory Operations",

@@ -24,7 +24,7 @@ from typing import Mapping
 
 __all__ = ["DEFAULT_LINE_SIZE", "DEFAULT_PAGE_SIZE", "LatencyModel",
            "MachineConfig", "NetworkConfig", "NETWORK_PROVIDERS",
-           "NETWORK_TOPOLOGIES", "PAPER_CLUSTER_SIZES",
+           "PAPER_CLUSTER_SIZES",
            "PAPER_CACHE_SIZES_KB", "PAPER_NETWORK_LOADS", "PROTOCOLS"]
 
 #: Cache line size used throughout the paper's experiments (bytes).
@@ -45,7 +45,6 @@ PAPER_CACHE_SIZES_KB = (4, 16, 32, None)
 PAPER_NETWORK_LOADS = (0.0, 0.3, 0.6, 0.8)
 
 
-@dataclass(frozen=True)
 class LatencyModel:
     """Memory-operation latencies in processor cycles (paper Table 1).
 
@@ -61,39 +60,32 @@ class LatencyModel:
     Miss to remote home, satisfied by third-party cluster (dir EXCL)     150
     ================================================================  ======
 
-    The event-driven engine simulates with single-cycle hits (as the paper's
+    The table is fixed, as in the paper: these are class constants, and
+    :meth:`miss_cycles` is the flat-table provider itself.  The
+    event-driven engine simulates with single-cycle hits (as the paper's
     Tango-lite runs did); the cluster-size-dependent hit time enters only
     through the §6 shared-cache cost estimator.
     """
 
-    local_clean: int = 30
-    local_dirty_remote: int = 100
-    remote_clean: int = 100
-    remote_dirty_third_party: int = 150
-    #: hit latency by processors-per-cluster; larger clusters use the max.
-    hit_by_cluster_size: tuple[tuple[int, int], ...] = ((1, 1), (2, 2), (4, 3), (8, 3))
+    LOCAL_CLEAN = 30
+    LOCAL_DIRTY_REMOTE = 100
+    REMOTE_CLEAN = 100
+    REMOTE_DIRTY_THIRD_PARTY = 150
 
-    def hit_cycles(self, cluster_size: int) -> int:
+    @staticmethod
+    def hit_cycles(cluster_size: int) -> int:
         """Shared-cache hit time for a given cluster size (Table 1 rows 1-3).
 
-        Cluster sizes beyond the table (e.g. the 64-way 'inf' configuration)
-        use the largest tabulated value.  The row with the largest cluster
-        size not exceeding ``cluster_size`` wins regardless of the order the
-        rows are listed in, so custom tables need not be sorted.
+        Cluster sizes between and beyond the tabulated 1, 2, 4 and 8 (e.g.
+        the 64-way 'inf' configuration) take the row of the largest
+        tabulated size not exceeding them.
         """
         if cluster_size <= 0:
             raise ValueError("cluster_size must be positive")
-        best = None
-        best_size = 0
-        for size, cycles in self.hit_by_cluster_size:
-            if size <= cluster_size and size >= best_size:
-                best_size = size
-                best = cycles
-        if best is None:
-            raise ValueError(f"no hit latency tabulated at or below {cluster_size}")
-        return best
+        return 1 if cluster_size < 2 else 2 if cluster_size < 4 else 3
 
-    def miss_cycles(self, requester: int, home: int, dirty_owner: int | None,
+    @staticmethod
+    def miss_cycles(requester: int, home: int, dirty_owner: int | None,
                     now: int) -> int:
         """Latency of a miss serviced by the directory protocol.
 
@@ -112,27 +104,17 @@ class LatencyModel:
             ``miss_cycles``, with no wrapping frame per miss.
         """
         if dirty_owner is None:
-            return self.local_clean if requester == home else self.remote_clean
+            return (LatencyModel.LOCAL_CLEAN if requester == home
+                    else LatencyModel.REMOTE_CLEAN)
         if dirty_owner == requester:
             raise ValueError("requesting cluster cannot be the dirty owner on a miss")
         if requester == home:
             # 2 hops: requester(=home) -> owner -> requester.
-            return self.local_dirty_remote
+            return LatencyModel.LOCAL_DIRTY_REMOTE
         if dirty_owner == home:
             # Data dirty in the home cluster's own cache: satisfied by home.
-            return self.remote_clean
-        return self.remote_dirty_third_party
-
-    def to_dict(self) -> dict:
-        """JSON-stable representation (used in result-cache keys)."""
-        return {
-            "local_clean": self.local_clean,
-            "local_dirty_remote": self.local_dirty_remote,
-            "remote_clean": self.remote_clean,
-            "remote_dirty_third_party": self.remote_dirty_third_party,
-            "hit_by_cluster_size": [list(pair)
-                                    for pair in self.hit_by_cluster_size],
-        }
+            return LatencyModel.REMOTE_CLEAN
+        return LatencyModel.REMOTE_DIRTY_THIRD_PARTY
 
 
 #: recognised coherence protocols.  The names are validated here (the
@@ -152,9 +134,6 @@ PROTOCOLS = ("directory", "snoopy", "dls")
 #: recognised interconnect latency providers
 NETWORK_PROVIDERS = ("table", "mesh")
 
-#: recognised interconnect topologies
-NETWORK_TOPOLOGIES = ("mesh", "crossbar")
-
 
 @dataclass(frozen=True)
 class NetworkConfig:
@@ -163,24 +142,16 @@ class NetworkConfig:
     The default (``provider="table"``) charges every miss the flat Table 1
     latency — the paper's §3.1 methodology, bit-identical to the historical
     behaviour.  ``provider="mesh"`` replaces the flat table with a
-    hop-based model over a 2D mesh (or ideal crossbar) of cluster nodes:
-    per-hop wire + router cycles, directory occupancy at the home node,
-    and optional M/D/1 queueing delays driven by the simulated miss
-    stream plus a synthetic ``background_load`` (see
-    :mod:`repro.network`).
+    hop-based model over a near-square 2D mesh of cluster nodes: a fixed
+    cost per hop (:data:`repro.network.latency.HOP_CYCLES`), directory
+    occupancy at the home node, and optional M/D/1 queueing delays driven
+    by the simulated miss stream plus a synthetic ``background_load``
+    (see :mod:`repro.network`).
 
     Attributes
     ----------
     provider:
         ``"table"`` (flat Table 1 latencies) or ``"mesh"`` (hop-based).
-    topology:
-        ``"mesh"`` (2D, near-square, dimension-order routed) or
-        ``"crossbar"`` (every distinct pair one hop apart, per-port
-        contention) — only consulted by the mesh provider.
-    wire_cycles:
-        Wire traversal cycles per hop.
-    router_cycles:
-        Router pipeline cycles per hop.
     directory_cycles:
         Directory/memory occupancy per transaction at the home node (the
         service time of the home's queue under contention).
@@ -194,9 +165,6 @@ class NetworkConfig:
     """
 
     provider: str = "table"
-    topology: str = "mesh"
-    wire_cycles: int = 1
-    router_cycles: int = 1
     directory_cycles: int = 6
     background_load: float = 0.0
     contention: bool = True
@@ -205,30 +173,15 @@ class NetworkConfig:
         if self.provider not in NETWORK_PROVIDERS:
             raise ValueError(f"unknown network provider {self.provider!r}; "
                              f"choose from {NETWORK_PROVIDERS}")
-        if self.topology not in NETWORK_TOPOLOGIES:
-            raise ValueError(f"unknown network topology {self.topology!r}; "
-                             f"choose from {NETWORK_TOPOLOGIES}")
-        if self.wire_cycles < 0 or self.router_cycles < 0:
-            raise ValueError("wire_cycles and router_cycles must be >= 0")
-        if self.wire_cycles + self.router_cycles <= 0:
-            raise ValueError("wire_cycles + router_cycles must be positive")
         if self.directory_cycles <= 0:
             raise ValueError("directory_cycles must be positive")
         if not (0.0 <= self.background_load < 1.0):
             raise ValueError("background_load must be in [0, 1)")
 
-    @property
-    def hop_cycles(self) -> int:
-        """Cost of one hop (wire + router)."""
-        return self.wire_cycles + self.router_cycles
-
     def to_dict(self) -> dict:
         """JSON-stable representation (used in result-cache keys)."""
         return {
             "provider": self.provider,
-            "topology": self.topology,
-            "wire_cycles": self.wire_cycles,
-            "router_cycles": self.router_cycles,
             "directory_cycles": self.directory_cycles,
             "background_load": self.background_load,
             "contention": self.contention,
@@ -270,8 +223,6 @@ class MachineConfig:
         set-associative extension.
     line_size, page_size:
         Geometry in bytes.
-    latency:
-        The Table 1 latency model.
     network:
         Interconnect model selection (:class:`NetworkConfig`).  The default
         flat-table provider reproduces the paper exactly; the mesh provider
@@ -290,7 +241,6 @@ class MachineConfig:
     associativity: int | None = None
     line_size: int = DEFAULT_LINE_SIZE
     page_size: int = DEFAULT_PAGE_SIZE
-    latency: LatencyModel = field(default_factory=LatencyModel)
     network: NetworkConfig = field(default_factory=NetworkConfig)
     protocol: str = "directory"
 
@@ -414,7 +364,6 @@ class MachineConfig:
             "associativity": self.associativity,
             "line_size": self.line_size,
             "page_size": self.page_size,
-            "latency": self.latency.to_dict(),
             "network": self.network.to_dict(),
             "protocol": self.protocol,
         }

@@ -43,7 +43,7 @@ from dataclasses import dataclass, field
 from typing import Any, Iterable
 
 from ..sim.engine import PerfectMemory
-from .config import PAPER_CLUSTER_SIZES, MachineConfig
+from .config import PAPER_CLUSTER_SIZES, LatencyModel, MachineConfig
 from .executor import SweepExecutor
 from .study import CacheKey, ClusteringStudy
 
@@ -212,11 +212,9 @@ class SharedCacheCostModel:
     def table_for(self, app: str) -> ExpansionTable:
         return self.expansion.get(app, self.default_expansion)
 
-    def cost_factor(self, app: str, cluster_size: int,
-                    config: MachineConfig | None = None) -> float:
+    def cost_factor(self, app: str, cluster_size: int) -> float:
         """factor(n) = (1−C)·E(hit(n)) + C·E(hit(n)+1)."""
-        latency_model = (config or MachineConfig()).latency
-        hit = latency_model.hit_cycles(cluster_size)
+        hit = LatencyModel.hit_cycles(cluster_size)
         c = bank_conflict_probability(cluster_size)
         table = self.table_for(app)
         return (1.0 - c) * table.at(hit) + c * table.at(hit + 1)
@@ -236,7 +234,7 @@ class SharedCacheCostModel:
                                 executor=executor)
         sweep = study.cluster_sweep(cache_kb, cluster_sizes)
         raw = {c: p.result.execution_time for c, p in sweep.items()}
-        factors = {c: self.cost_factor(app, c, base_config) for c in raw}
+        factors = {c: self.cost_factor(app, c) for c in raw}
         base = raw[min(raw)] * factors[min(raw)]
         rel = {c: raw[c] * factors[c] / base for c in raw}
         return ClusteredCostResult(app, cache_kb, rel, raw, factors)

@@ -133,8 +133,8 @@ class ClusteringStudy:
         """The network-load × cluster-size grid under the mesh provider.
 
         Every point runs with ``provider="mesh"`` and the given
-        ``background_load``; topology and hop/directory costs come from
-        the base config's ``network`` block.  Load 0.0 anchors the sweep
+        ``background_load``; the directory cost comes from the base
+        config's ``network`` block.  Load 0.0 anchors the sweep
         with contention *off* — the pure calibrated hop model, which
         matches the flat Table 1 provider's execution times — so the
         degradation baseline and the Table-1 cross-check are the same

@@ -57,7 +57,7 @@ protocol's transitions.
 
 from __future__ import annotations
 
-from ..core.config import MachineConfig
+from ..core.config import LatencyModel, MachineConfig
 from ..core.metrics import MissCounters, NetworkStats
 from ..network.latency import MeshLatency
 from .allocation import PageAllocator
@@ -88,10 +88,10 @@ class MemorySystem:
                 f"allocator built for {self.allocator.n_clusters} clusters, "
                 f"machine has {config.n_clusters}")
         #: the mesh latency provider, or ``None`` under the flat table
-        self.mesh = (MeshLatency(config) if config.network.provider == "mesh"
-                     else None)
+        self.mesh = (MeshLatency(config.n_clusters, config.network)
+                     if config.network.provider == "mesh" else None)
         #: ``price(requester, home, owner, now)`` -> stall cycles of a miss
-        self._price = (self.mesh or config.latency).miss_cycles
+        self._price = (self.mesh or LatencyModel).miss_cycles
         self.caches = [Cache(cache_lines, config.associativity)
                        for _ in range(n_caches)]
         self.counters = [MissCounters() for _ in range(config.n_clusters)]

@@ -15,9 +15,9 @@ constructed or mutated, and the application's allocator is only read
 Mesh pricing: python builds the tables, C only walks them.  The routes
 and calibrated base costs come from the very
 :class:`~repro.network.latency.MeshLatency` and topology code the
-python replay prices with (:func:`_mesh_tables`, memoised per
-topology, cluster count, hop cost and latency table — a cache-size or
-load sweep builds them once), so the kernel re-implements no topology.
+python replay prices with (:func:`_mesh_tables`, memoised per cluster
+count — a cache-size or load sweep builds them once), so the kernel
+re-implements no topology.
 
 A kernel *fault* status (deadlock, lock misuse, dirty-owner miss, or an
 operand capture would have refused: unknown opcode, negative WORK, a
@@ -29,16 +29,17 @@ the canonical python replay raises the canonical error.
 from __future__ import annotations
 
 import ctypes
+import functools
 from typing import TYPE_CHECKING, NamedTuple
 
+from ..core.config import LatencyModel, MachineConfig
 from ..core.metrics import (MissCause, MissCounters, NetworkStats,
                             TimeBreakdown)
 from ..memory.snoopy import DEFAULT_C2C_LATENCY, DEFAULT_SNOOP_PENALTY
 from ..network.contention import UTILIZATION_CAP, WARMUP_CYCLES
-from ..network.latency import MeshLatency
+from ..network.latency import HOP_CYCLES, MeshLatency
 
 if TYPE_CHECKING:  # pragma: no cover
-    from ..core.config import MachineConfig
     from ..memory.allocation import PageAllocator
 
 __all__ = ["NativeOutput", "cache_lines", "run_native"]
@@ -91,40 +92,30 @@ def cache_lines(config: "MachineConfig") -> int | None:
     return config.cluster_cache_lines
 
 
-#: (topology, n_clusters, hop cycles, latency table) -> the tables of
-#: :func:`_mesh_tables`; a handful of entries per process
-_TABLES: dict = {}
-
-
-def _mesh_tables(config: "MachineConfig"):
-    """``(n_links, route_off, route_link, base3)`` of the config's mesh.
+@functools.cache  # a handful of cluster counts per process
+def _mesh_tables(n: int):
+    """``(n_links, route_off, route_link, base3)`` of the ``n``-cluster
+    mesh.
 
     Routes in CSR form — leg ``a -> b`` crosses
     ``route_link[route_off[a * n + b]:route_off[a * n + b + 1]]``, so
     its hop count is the slice length — and the three-leg base cost per
     (requester, home), each a double produced by the expression
     :meth:`MeshLatency.miss_cycles` itself uses.  Nothing here depends
-    on load, contention or directory occupancy, hence the key.
+    on load, contention or directory occupancy, so the cluster count is
+    the whole key.
     """
-    net = config.network
-    n = config.n_clusters
-    key = (net.topology, n, net.hop_cycles, config.latency)
-    tables = _TABLES.get(key)
-    if tables is None:
-        mesh = MeshLatency(config)
-        offsets, links = [0], []
-        for a in range(n):
-            for b in range(n):
-                links.extend(mesh.topology.route(a, b))
-                offsets.append(len(links))
-        base3 = [mesh.three_leg_base(a, b)
-                 for a in range(n) for b in range(n)]
-        tables = _TABLES[key] = (
-            mesh.topology.n_links,
+    mesh = MeshLatency(n)
+    offsets, links = [0], []
+    for a in range(n):
+        for b in range(n):
+            links.extend(mesh.topology.route(a, b))
+            offsets.append(len(links))
+    base3 = [mesh.three_leg_base(a, b) for a in range(n) for b in range(n)]
+    return (mesh.topology.n_links,
             (_c64 * len(offsets))(*offsets),
             (_c64 * max(1, len(links)))(*links),
             (ctypes.c_double * len(base3))(*base3))
-    return tables
 
 
 def run_native(lib, config: "MachineConfig", allocator: "PageAllocator",
@@ -162,14 +153,13 @@ def run_native(lib, config: "MachineConfig", allocator: "PageAllocator",
     net = config.network
     mesh = None
     if net.provider == "mesh":
-        n_links, route_off, route_link, base3 = _mesh_tables(config)
+        n_links, route_off, route_link, base3 = _mesh_tables(ncl)
         mesh = ctypes.byref(_Mesh(
-            net.hop_cycles, net.directory_cycles, n_links, net.contention,
+            HOP_CYCLES, net.directory_cycles, n_links, net.contention,
             WARMUP_CYCLES, net.background_load, UTILIZATION_CAP,
             route_off, route_link, base3))
 
     cap = cache_lines(config)
-    latency = config.latency
     bd = (_c64 * (4 * n))()
     ctr = (_c64 * (_NCTR * ncl))()
     cio = (_c64 * (2 * n_caches))()
@@ -183,8 +173,8 @@ def run_native(lib, config: "MachineConfig", allocator: "PageAllocator",
         (_c64 * max(1, n_queues))(*q_end), n_queues,
         _PROTOCOLS[config.protocol], -1 if cap is None else cap,
         DEFAULT_SNOOP_PENALTY, DEFAULT_C2C_LATENCY,
-        latency.local_clean, latency.remote_clean,
-        latency.local_dirty_remote, latency.remote_dirty_third_party,
+        LatencyModel.LOCAL_CLEAN, LatencyModel.REMOTE_CLEAN,
+        LatencyModel.LOCAL_DIRTY_REMOTE, LatencyModel.REMOTE_DIRTY_THIRD_PARTY,
         mesh,
         config.page_size // config.line_size, allocator.next_home,
         pages, homes, len(ph),

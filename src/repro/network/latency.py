@@ -6,15 +6,15 @@ miss with one ``miss_cycles(requester, home, dirty_owner, now)`` call:
 * the default flat-table provider is the paper's
   :class:`~repro.core.config.LatencyModel` itself;
 * :class:`MeshLatency` (``network.provider == "mesh"``) prices the same
-  four transaction shapes over a real topology: per-hop wire + router
-  cycles along the routed legs, directory occupancy at the home node,
-  and (optionally) M/D/1 queueing delay from the
+  four transaction shapes over a 2D mesh: :data:`HOP_CYCLES` per hop
+  along the routed legs, directory occupancy at the home node, and
+  (optionally) M/D/1 queueing delay from the
   :class:`~repro.network.contention.ContentionModel`.
 
 Table-1 calibration
 -------------------
 The mesh provider is *calibrated to Table 1 by construction*.  The base
-cost of a transaction is ``table_value - hop_cycles * expected_hops``,
+cost of a transaction is ``table_value - HOP_CYCLES * expected_hops``,
 where the expectation is taken over the participant the shape leaves
 free once requester and home are fixed:
 
@@ -56,36 +56,40 @@ remote-clean — the same equivalence
 
 from __future__ import annotations
 
-from ..core.config import MachineConfig
+from ..core.config import LatencyModel, NetworkConfig
 from ..core.metrics import NetworkStats
 from .contention import ContentionModel
-from .topology import make_topology
+from .topology import MeshTopology
 
-__all__ = ["MeshLatency"]
+__all__ = ["HOP_CYCLES", "MeshLatency"]
+
+#: cycles one hop costs: a wire traversal (1) plus a router pipeline (1);
+#: also each link's service time in the contention model
+HOP_CYCLES = 2
 
 
 class MeshLatency:
-    """Hop-based miss latency over a routed topology, Table-1 calibrated.
+    """Hop-based miss latency over a 2D mesh, Table-1 calibrated.
 
     One instance per memory system: it owns the run's contention state and
     :class:`~repro.core.metrics.NetworkStats`, so every simulation starts
-    on a cold network.
+    on a cold network.  Without a ``network`` (or with its ``contention``
+    off) it is the zero-load model, whose routes and base costs depend on
+    the cluster count alone.
     """
 
-    def __init__(self, config: MachineConfig) -> None:
-        net = config.network
-        table = config.latency
-        self.table = table
-        self.hop_cycles = net.hop_cycles
-        self.topology = make_topology(net.topology, config.n_clusters)
+    def __init__(self, n_clusters: int,
+                 network: NetworkConfig | None = None) -> None:
+        self.topology = MeshTopology(n_clusters)
         self._stats = NetworkStats()
         self.contention = (ContentionModel(
-            self.topology.n_links, config.n_clusters,
-            link_service=net.hop_cycles,
-            directory_service=net.directory_cycles,
-            background_load=net.background_load,
-            stats=self._stats) if net.contention else None)
-        self._calibrate(config.n_clusters)
+            self.topology.n_links, n_clusters,
+            link_service=HOP_CYCLES,
+            directory_service=network.directory_cycles,
+            background_load=network.background_load,
+            stats=self._stats)
+            if network is not None and network.contention else None)
+        self._calibrate(n_clusters)
 
     # ------------------------------------------------------------ calibration
     def _calibrate(self, n: int) -> None:
@@ -118,10 +122,9 @@ class MeshLatency:
         home) pair: Table 1 minus the hop cost of the mean route, so that
         the mean over owners lands on Table 1.  The one home of this
         float expression — the native driver tabulates it per pair."""
-        return (self.table.remote_dirty_third_party
-                - self.hop_cycles * (self.topology.hops(requester, home)
-                                     + self._mean_forward_hops(requester,
-                                                               home)))
+        return (LatencyModel.REMOTE_DIRTY_THIRD_PARTY
+                - HOP_CYCLES * (self.topology.hops(requester, home)
+                                + self._mean_forward_hops(requester, home)))
 
     # ------------------------------------------------------------------- API
     def miss_cycles(self, requester: int, home: int,
@@ -129,26 +132,24 @@ class MeshLatency:
         if dirty_owner == requester and dirty_owner is not None:
             raise ValueError(
                 "requesting cluster cannot be the dirty owner on a miss")
-        table = self.table
-        hop = self.hop_cycles
         route = self.topology.route
         if dirty_owner is None or dirty_owner == home:
             if requester == home:
-                base = float(table.local_clean)
+                base = float(LatencyModel.LOCAL_CLEAN)
                 links: tuple[int, ...] = ()
             else:
                 links = route(requester, home) + route(home, requester)
-                base = table.remote_clean - hop * len(links)
+                base = LatencyModel.REMOTE_CLEAN - HOP_CYCLES * len(links)
         elif requester == home:
             links = (route(requester, dirty_owner)
                      + route(dirty_owner, requester))
-            base = table.local_dirty_remote - hop * len(links)
+            base = LatencyModel.LOCAL_DIRTY_REMOTE - HOP_CYCLES * len(links)
         else:
             links = (route(requester, home) + route(home, dirty_owner)
                      + route(dirty_owner, requester))
             base = self.three_leg_base(requester, home)
         hops = len(links)
-        latency = base + self.hop_cycles * hops
+        latency = base + HOP_CYCLES * hops
         stats = self._stats
         stats.messages += 1
         stats.hops += hops

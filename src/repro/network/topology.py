@@ -1,30 +1,23 @@
-"""Interconnect topologies: cluster nodes, coordinates, hops, and routes.
+"""The interconnect topology: cluster nodes, coordinates, hops, and routes.
 
 The paper's Table 1 charges every miss a flat latency, which is equivalent
 to assuming an unloaded crossbar whose port-to-port delay has been folded
 into the protocol numbers.  To study what happens when distance and load
-matter, this module maps cluster ids onto physical nodes and answers two
-questions the latency layer asks:
+matter, :class:`MeshTopology` maps cluster ids onto the nodes of a
+near-square 2D mesh with dimension-order (X then Y) routing, the
+canonical DASH/Origin-era fabric, and answers two questions the latency
+layer asks:
 
 * ``hops(a, b)`` — how many hops a message from node ``a`` to node ``b``
   traverses (0 when ``a == b``);
 * ``route(a, b)`` — which *links* it occupies on the way, as a tuple of
-  stable integer link ids, so the contention model can track per-link
-  utilization.
-
-Two concrete topologies:
-
-* :class:`MeshTopology` — a near-square 2D mesh with dimension-order (X
-  then Y) routing, the canonical DASH/Origin-era fabric.  Links are the
-  four directed ports of each node.
-* :class:`CrossbarTopology` — the idealised network implied by Table 1:
-  every distinct pair is one hop apart and the only shared resource is the
-  destination's input port (one link per node).
+  stable integer link ids (the four directed ports of each node), so the
+  contention model can track per-link utilization.
 """
 
 from __future__ import annotations
 
-__all__ = ["CrossbarTopology", "MeshTopology", "make_topology"]
+__all__ = ["MeshTopology"]
 
 
 def mesh_dims(n_nodes: int) -> tuple[int, int]:
@@ -44,8 +37,6 @@ class MeshTopology:
     to ``b`` first walks the X dimension, then Y.  Each traversed link is
     one of the four directed ports (+x, -x, +y, -y) of the node it leaves.
     """
-
-    name = "mesh"
 
     #: directed port indices (order matters only for link-id stability)
     _PORT_XP, _PORT_XN, _PORT_YP, _PORT_YN = 0, 1, 2, 3
@@ -89,37 +80,3 @@ class MeshTopology:
             links.append(4 * self.node_at(x, y) + port)
             y += 1 if by > y else -1
         return tuple(links)
-
-
-class CrossbarTopology:
-    """Ideal single-stage crossbar: one hop between any two distinct nodes.
-
-    The only contended resource is the destination's input port, so
-    ``route(a, b)`` occupies exactly one link — link ``b``.
-    """
-
-    name = "crossbar"
-
-    def __init__(self, n_nodes: int) -> None:
-        if n_nodes <= 0:
-            raise ValueError("n_nodes must be positive")
-        self.n_nodes = n_nodes
-        self.n_links = n_nodes
-
-    def hops(self, a: int, b: int) -> int:
-        for node in (a, b):
-            if not (0 <= node < self.n_nodes):
-                raise ValueError(f"node {node} out of range")
-        return 0 if a == b else 1
-
-    def route(self, a: int, b: int) -> tuple[int, ...]:
-        return () if a == b else (b,)
-
-
-def make_topology(name: str, n_nodes: int):
-    """Build a topology by its :class:`~repro.core.config.NetworkConfig` name."""
-    if name == "mesh":
-        return MeshTopology(n_nodes)
-    if name == "crossbar":
-        return CrossbarTopology(n_nodes)
-    raise ValueError(f"unknown topology {name!r}")

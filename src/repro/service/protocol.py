@@ -52,7 +52,7 @@ __all__ = ["PROTOCOL_VERSION", "PointReport", "ProtocolError",
            "encode_run_request", "encode_sweep_payload", "error_body"]
 
 #: bumped on incompatible wire-format changes; reported by ``/healthz``
-PROTOCOL_VERSION = 1
+PROTOCOL_VERSION = 2
 
 #: the JSON scalar types an ``app_kwargs`` value may take
 _SCALARS = (bool, int, float, str)

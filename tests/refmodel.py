@@ -23,6 +23,7 @@ from __future__ import annotations
 
 from array import array
 
+from repro.core.config import LatencyModel
 from repro.memory.cache import EXCLUSIVE, SHARED, Cache
 from repro.memory.directory import (DIR_EXCLUSIVE, DIR_SHARED,
                                     NOT_CACHED)
@@ -165,8 +166,8 @@ class RefDLSMemorySystem:
     def __init__(self, config, allocator) -> None:
         self.config = config
         self.allocator = allocator
-        self.local_clean = config.latency.local_clean
-        self.remote_clean = config.latency.remote_clean
+        self.local_clean = LatencyModel.LOCAL_CLEAN
+        self.remote_clean = LatencyModel.REMOTE_CLEAN
         self.slices = [Cache(config.cluster_cache_lines)
                        for _ in range(config.n_clusters)]
         self.counters = [dict(reads=0, writes=0, read_misses=0,

@@ -5,13 +5,13 @@ import pytest
 from repro.core.config import (PAPER_CACHE_SIZES_KB, PAPER_CLUSTER_SIZES,
                                PAPER_NETWORK_LOADS, LatencyModel,
                                MachineConfig, NetworkConfig)
+from repro.network.latency import HOP_CYCLES
 
 
 class TestLatencyModelTable1:
     """The latency model must reproduce the paper's Table 1 verbatim."""
 
-    def setup_method(self):
-        self.lm = LatencyModel()
+    lm = LatencyModel
 
     def test_hit_latencies(self):
         assert self.lm.hit_cycles(1) == 1
@@ -21,6 +21,9 @@ class TestLatencyModelTable1:
 
     def test_hit_latency_beyond_table(self):
         assert self.lm.hit_cycles(64) == 3
+        # between rows: the largest tabulated size not above it
+        assert self.lm.hit_cycles(3) == 2
+        assert self.lm.hit_cycles(7) == 3
 
     def test_hit_latency_invalid(self):
         with pytest.raises(ValueError):
@@ -49,12 +52,6 @@ class TestLatencyModelTable1:
     def test_requester_cannot_be_dirty_owner(self):
         with pytest.raises(ValueError):
             self.lm.miss_cycles(requester=0, home=1, dirty_owner=0, now=0)
-
-    def test_hit_latency_independent_of_table_order(self):
-        shuffled = LatencyModel(
-            hit_by_cluster_size=((8, 3), (1, 1), (4, 3), (2, 2)))
-        for size in (1, 2, 3, 4, 8, 64):
-            assert shuffled.hit_cycles(size) == self.lm.hit_cycles(size)
 
 
 class TestMachineConfig:
@@ -143,7 +140,6 @@ class TestNetworkConfig:
     def test_defaults_are_flat_table(self):
         net = NetworkConfig()
         assert net.provider == "table"
-        assert net.topology == "mesh"
         assert net.background_load == 0.0
         assert net.contention is True
 
@@ -151,22 +147,22 @@ class TestNetworkConfig:
         assert PAPER_NETWORK_LOADS == (0.0, 0.3, 0.6, 0.8)
 
     def test_hop_cycles(self):
-        assert NetworkConfig(wire_cycles=2, router_cycles=3).hop_cycles == 5
+        # one wire cycle plus one router cycle, for every mesh
+        assert HOP_CYCLES == 2
 
     def test_to_dict_lists_every_knob(self):
         d = NetworkConfig().to_dict()
-        assert set(d) == {"provider", "topology", "wire_cycles",
-                          "router_cycles", "directory_cycles",
+        assert set(d) == {"provider", "directory_cycles",
                           "background_load", "contention"}
 
     @pytest.mark.parametrize("kwargs", [
         {"provider": "torus"},
-        {"topology": "ring"},
-        {"wire_cycles": 0, "router_cycles": 0},
-        {"wire_cycles": -1},
         {"directory_cycles": 0},
+        {"directory_cycles": -6},
         {"background_load": -0.1},
         {"background_load": 1.0},
+        {"background_load": float("nan")},
+        {"background_load": float("inf")},
     ])
     def test_validation_rejects(self, kwargs):
         with pytest.raises(ValueError):

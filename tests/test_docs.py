@@ -62,6 +62,5 @@ class TestInternalsDoc:
     def test_latency_table_matches_model(self):
         from repro.core.config import LatencyModel
         text = read("docs/INTERNALS.md")
-        lm = LatencyModel()
-        assert str(lm.local_clean) in text
-        assert str(lm.remote_dirty_third_party) in text
+        assert str(LatencyModel.LOCAL_CLEAN) in text
+        assert str(LatencyModel.REMOTE_DIRTY_THIRD_PARTY) in text

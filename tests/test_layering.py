@@ -7,6 +7,8 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
+import pytest
+
 TOOLS = Path(__file__).parent.parent / "tools"
 SRC = Path(__file__).parent.parent / "src"
 sys.path.insert(0, str(TOOLS))
@@ -212,6 +214,58 @@ class TestReached:
         failures, where = self._failures(rule, "def called(): pass\ncalled()")
         assert failures == [f"reached: allow-list called: {where} has a "
                             "caller"]
+
+    def test_a_call_through_a_registry_passes_to_each_class(self):
+        # make_memory_system's shape: a name bound to TABLE.get(k), or
+        # TABLE[k] itself, called; ProbeC is in no table
+        failures, where = self._failures(REACHED, (
+            "class ProbeA:\n"
+            "    def __init__(self, x, knob=1): pass\n"
+            "class ProbeB:\n"
+            "    def __init__(self, x, knob=1): pass\n"
+            "class ProbeC:\n"
+            "    def __init__(self, x, knob=1): pass\n"
+            "GETS = {'a': ProbeA}\n"
+            "INDEXES = {'b': ProbeB}\n"
+            "def build(name):\n"
+            "    make = GETS.get(name)\n"
+            "    return make(0, 2), INDEXES[name](0, knob=2)\n"
+            "build('a')\n"
+            "ProbeC(0)"))
+        path, line = where.rsplit(":", 1)
+        assert failures == [f"reached: {path}:{int(line) + 5}: "
+                            "ProbeC.__init__(knob=) is passed by no caller "
+                            "outside tests"]
+
+    def _config_with(self, field, *edits):
+        """The tree with ``field`` added to NetworkConfig (after
+        ``provider``) and each ``(path, line)`` appended."""
+        tree = check_layering.read_tree(SRC.parent, check_layering.TOPS)
+        path = "src/repro/core/config.py"
+        anchor = '    provider: str = "table"\n'
+        assert tree[path].count(anchor) == 1
+        tree[path] = tree[path].replace(anchor, anchor + field + "\n")
+        for where, line in edits:
+            tree[where] += line + "\n"
+        return tree, path, tree[path].splitlines().index(field) + 1
+
+    def test_an_unset_dataclass_field_fails(self):
+        # a string naming it (a wire key) passes nothing
+        tree, path, line = self._config_with(
+            "    unset_knob: int = 1",
+            ("src/repro/core/config.py", 'KEYS = ("unset_knob",)'))
+        assert check_layering.check_rules(tree, [REACHED]) == [
+            f"reached: {path}:{line}: NetworkConfig.__init__(unset_knob=) "
+            "is passed by no caller outside tests"]
+
+    @pytest.mark.parametrize("call", [
+        "NetworkConfig(provider='mesh', set_knob=2)",
+        "replace(NetworkConfig(), set_knob=2)",
+        "NetworkConfig('mesh', 2)"])
+    def test_a_dataclass_field_a_caller_passes_is_reached(self, call):
+        tree, _, _ = self._config_with(
+            "    set_knob: int = 1", ("tools/results.py", f"_ = {call}"))
+        assert check_layering.check_rules(tree, [REACHED]) == []
 
     def test_the_benchmark_harness_is_a_caller(self):
         # ServiceClient.wait_ready is called from benchmarks/e2e alone

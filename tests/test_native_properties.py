@@ -6,7 +6,7 @@ requires the C kernel to reproduce the canonical python replay
 the nine real applications carry, but over adversarial op streams:
 degenerate phases, empty processors, lock convoys, tiny caches that
 evict constantly — under every protocol (directory, snoopy, dls) and
-every latency provider (Table 1, mesh and crossbar with contention).
+every latency provider (Table 1, and the mesh with contention).
 Agreement covers the RunResult JSON *and* every other number the kernel
 returns (per-cache evictions/inserts, the directory's three counters or
 DLS's write-backs, first-touch pages, the network counters field by
@@ -159,13 +159,11 @@ def _config(n, cluster, cache_kb, protocol="directory", network=None):
 
 _CACHES = st.sampled_from([None, 0.0625, 0.25])  # infinite, 1, 4 lines/processor
 
-#: the latency providers: Table 1, and the hop-priced model over both
-#: topologies with queueing on, idle and under background load
+#: the latency providers: Table 1, and the hop-priced mesh with queueing
+#: on, idle and under background load
 _NETWORKS = st.sampled_from(
-    [None]
-    + [NetworkConfig(provider="mesh", topology=topology,
-                     background_load=load)
-       for topology in ("mesh", "crossbar") for load in (0.0, 0.3)])
+    [None] + [NetworkConfig(provider="mesh", background_load=load)
+              for load in (0.0, 0.3)])
 
 
 @pytest.fixture
@@ -456,22 +454,24 @@ def test_dls_remote_homed_line_is_cold_then_coherence():
 
 
 @needs_kernel
-@pytest.mark.parametrize("local_clean,stall", [(30, 30), (31, 32)])
-def test_mesh_latency_plus_delay_on_a_half_rounds_to_even(local_clean,
-                                                           stall):
-    """Background load 0.5 on an idle directory with unit occupancy is
-    an M/D/1 wait of exactly 0.5; a local fill crosses no link, so
-    ``latency + delay`` is ``local_clean + 0.5``.  python's ``round``
-    takes a tie to the even neighbour: 30.5 -> 30 and 31.5 -> 32, where
-    C's ``round()`` would say 31 and 32."""
+@pytest.mark.parametrize("below,stall", [(30, 30), (31, 32)])
+def test_mesh_latency_plus_delay_on_a_half_rounds_to_even(below, stall):
+    """A local fill crosses no link, so ``latency + delay`` is Table 1's
+    local clean 30 plus the M/D/1 wait at an idle directory of unit
+    occupancy: background load 0.5 waits 0.5 and load 0.75 waits 1.5.
+    python's ``round`` takes a tie to the even neighbour: 30.5 -> 30,
+    where C's ``round()`` would say 31, and 31.5 -> 32, where truncation
+    would say 31.  ``below`` is the whole number under the tie, and the
+    load is the one whose wait ``load / (2 (1 - load))`` reaches it."""
+    delay = below + 0.5 - LatencyModel.LOCAL_CLEAN
     config = MachineConfig(
         n_processors=2, cluster_size=1,
-        latency=LatencyModel(local_clean=local_clean),
-        network=NetworkConfig(provider="mesh", background_load=0.5,
+        network=NetworkConfig(provider="mesh",
+                              background_load=2 * delay / (1 + 2 * delay),
                               directory_cycles=1))
     out = _assert_native_matches_python(config, _scripted([Read(_X)], []))
     assert out.breakdowns[0].load == stall
-    assert out.network.queue_delay_cycles == stall - local_clean
+    assert out.network.queue_delay_cycles == stall - LatencyModel.LOCAL_CLEAN
     assert out.network.peak_link_utilization == 0.0  # no link crossed
 
 

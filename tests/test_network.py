@@ -23,10 +23,10 @@ from repro.core.config import (LatencyModel, MachineConfig, NetworkConfig)
 from repro.core.metrics import NetworkStats, RunResult
 from repro.core.study import ClusteringStudy
 from repro.memory import make_memory_system
+from repro.network import latency
 from repro.network.contention import (UTILIZATION_CAP, ContentionModel)
 from repro.network.latency import MeshLatency
-from repro.network.topology import (CrossbarTopology, MeshTopology,
-                                    make_topology, mesh_dims)
+from repro.network.topology import MeshTopology, mesh_dims
 from repro.runtime import RunRequest
 
 MESH_OFF = NetworkConfig(provider="mesh", contention=False)
@@ -88,37 +88,13 @@ class TestMeshTopology:
             MeshTopology(4).node_at(5, 0)
 
 
-class TestCrossbarTopology:
-    def test_unit_hops(self):
-        topo = CrossbarTopology(8)
-        assert topo.hops(3, 3) == 0
-        assert all(topo.hops(a, b) == 1
-                   for a in range(8) for b in range(8) if a != b)
-
-    def test_route_is_destination_port(self):
-        topo = CrossbarTopology(8)
-        assert topo.route(2, 5) == (5,)
-        assert topo.route(2, 2) == ()
-
-    def test_out_of_range(self):
-        with pytest.raises(ValueError):
-            CrossbarTopology(4).hops(0, 4)
-
-
-def test_make_topology():
-    assert isinstance(make_topology("mesh", 4), MeshTopology)
-    assert isinstance(make_topology("crossbar", 4), CrossbarTopology)
-    with pytest.raises(ValueError):
-        make_topology("hypercube", 4)
-
-
 # ------------------------------------------------------------ TableLatency
 
 
 class TestTableLatency:
     def test_same_error_contract(self):
         with pytest.raises(ValueError):
-            LatencyModel().miss_cycles(1, 0, 1, 0)
+            LatencyModel.miss_cycles(1, 0, 1, 0)
 
     def test_no_stats(self):
         memory = make_memory_system(MachineConfig(n_processors=8))
@@ -130,10 +106,12 @@ class TestTableLatency:
 
 def mesh_provider(n_processors=64, cluster_size=1, **net_kwargs):
     net_kwargs.setdefault("provider", "mesh")
-    config = MachineConfig(n_processors=n_processors,
-                           cluster_size=cluster_size,
-                           network=NetworkConfig(**net_kwargs))
-    return MeshLatency(config)
+    return MeshLatency(n_processors // cluster_size,
+                       NetworkConfig(**net_kwargs))
+
+
+#: the cases name the cluster count and the mesh they run on
+MESH_IDS = ["4-mesh", "8-mesh", "16-mesh"]
 
 
 class TestMeshCalibration:
@@ -141,28 +119,24 @@ class TestMeshCalibration:
     (requester, home) pair, the three-leg dirty shape in the mean over
     uniformly distributed third-party owners."""
 
-    @pytest.mark.parametrize("topology", ["mesh", "crossbar"])
-    @pytest.mark.parametrize("n", [4, 8, 16])
-    def test_two_leg_shapes_exact(self, n, topology):
-        provider = mesh_provider(n_processors=n, contention=False,
-                                 topology=topology)
-        table = LatencyModel()
+    @pytest.mark.parametrize("n", [4, 8, 16], ids=MESH_IDS)
+    def test_two_leg_shapes_exact(self, n):
+        provider = mesh_provider(n_processors=n, contention=False)
+        table = LatencyModel
         for r in range(n):
-            assert provider.miss_cycles(r, r, None, 0) == table.local_clean
+            assert provider.miss_cycles(r, r, None, 0) == table.LOCAL_CLEAN
             for x in range(n):
                 if x == r:
                     continue
                 assert provider.miss_cycles(r, x, None, 0) \
-                    == table.remote_clean
+                    == table.REMOTE_CLEAN
                 assert provider.miss_cycles(r, r, x, 0) == \
-                    table.local_dirty_remote
+                    table.LOCAL_DIRTY_REMOTE
 
-    @pytest.mark.parametrize("topology", ["mesh", "crossbar"])
-    @pytest.mark.parametrize("n", [4, 8, 16])
-    def test_three_leg_mean_matches_table(self, n, topology):
-        provider = mesh_provider(n_processors=n, contention=False,
-                                 topology=topology)
-        table = LatencyModel()
+    @pytest.mark.parametrize("n", [4, 8, 16], ids=MESH_IDS)
+    def test_three_leg_mean_matches_table(self, n):
+        provider = mesh_provider(n_processors=n, contention=False)
+        table = LatencyModel
         for r in range(n):
             for h in range(n):
                 if h == r:
@@ -172,7 +146,7 @@ class TestMeshCalibration:
                     for o in range(n) if o not in (r, h))
                 # per-transaction rounding moves the mean by < 0.5 cycles
                 assert remote_dirty == pytest.approx(
-                    table.remote_dirty_third_party, abs=0.5)
+                    table.REMOTE_DIRTY_THIRD_PARTY, abs=0.5)
 
     def test_forward_hop_mean_closed_form_against_brute_force(self):
         # the three-leg calibration uses a row-sum closed form for
@@ -202,13 +176,14 @@ class TestMeshCalibration:
     def test_single_cluster_machine(self):
         provider = mesh_provider(n_processors=8, cluster_size=8)
         assert provider.miss_cycles(0, 0, None, 0) \
-            == LatencyModel().local_clean
+            == LatencyModel.LOCAL_CLEAN
 
-    def test_latency_clamped_positive(self):
-        # an absurd hop cost makes the three-leg base deeply negative for
-        # owners near the requester; latencies must still be >= 1
-        provider = mesh_provider(n_processors=16, contention=False,
-                                 wire_cycles=40, router_cycles=40)
+    def test_latency_clamped_positive(self, monkeypatch):
+        # an absurd hop cost (standing in for a mesh thousands of clusters
+        # wide) makes the three-leg base deeply negative for owners near
+        # the requester; latencies must still be >= 1
+        monkeypatch.setattr(latency, "HOP_CYCLES", 80)
+        provider = mesh_provider(n_processors=16, contention=False)
         lows = [provider.miss_cycles(r, h, o, 0)
                 for r in range(16) for h in range(16) if h != r
                 for o in range(16) if o not in (r, h)]
@@ -305,8 +280,8 @@ class TestZeroLoadEquivalence:
     def test_table_provider_unchanged_by_network_block(self):
         # golden guarantee: default provider ignores mesh-only knobs
         plain = run_point(2)
-        tweaked = run_point(2, network=NetworkConfig(wire_cycles=9,
-                                                     router_cycles=9))
+        tweaked = run_point(2, network=NetworkConfig(directory_cycles=9,
+                                                     background_load=0.5))
         assert plain.to_json() == tweaked.to_json()
 
 

@@ -246,9 +246,7 @@ class TestNativeGate:
         for proto in PROTOCOLS:
             for cache_kb in (4.0, None):
                 for network in (NetworkConfig(),
-                                NetworkConfig(provider="mesh"),
-                                NetworkConfig(provider="mesh",
-                                              topology="crossbar")):
+                                NetworkConfig(provider="mesh")):
                     assert native_decline_reason(
                         cfg.with_protocol(proto).with_cache_kb(cache_kb)
                         .with_network(network)) is None

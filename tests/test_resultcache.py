@@ -12,7 +12,7 @@ import threading
 
 import pytest
 
-from repro.core.config import LatencyModel, MachineConfig, NetworkConfig
+from repro.core.config import MachineConfig, NetworkConfig
 from repro.core.executor import SweepExecutor
 from repro.core.metrics import (MissCause, MissCounters, RunResult,
                                 TimeBreakdown)
@@ -95,24 +95,17 @@ class TestKeySensitivity:
         MachineConfig(n_processors=8, line_size=32),
         MachineConfig(n_processors=8, page_size=8192),
         MachineConfig(n_processors=8,
-                      latency=LatencyModel(remote_clean=120)),
-        MachineConfig(n_processors=8,
                       network=NetworkConfig(provider="mesh")),
-        MachineConfig(n_processors=8,
-                      network=NetworkConfig(topology="crossbar")),
-        MachineConfig(n_processors=8,
-                      network=NetworkConfig(wire_cycles=2)),
-        MachineConfig(n_processors=8,
-                      network=NetworkConfig(router_cycles=2)),
         MachineConfig(n_processors=8,
                       network=NetworkConfig(directory_cycles=10)),
         MachineConfig(n_processors=8,
                       network=NetworkConfig(background_load=0.3)),
         MachineConfig(n_processors=8,
                       network=NetworkConfig(contention=False)),
+        MachineConfig(n_processors=8, protocol="dls"),
     ], ids=["processors", "cluster", "cache", "assoc", "line", "page",
-            "latency", "net-provider", "net-topology", "net-wire",
-            "net-router", "net-directory", "net-load", "net-contention"])
+            "net-provider", "net-directory", "net-load", "net-contention",
+            "protocol"])
     def test_every_config_field_changes_key(self, variant):
         """No MachineConfig field may be invisible to the cache key."""
         assert point_key("ocean", {}, CFG) != point_key("ocean", {}, variant)

@@ -40,7 +40,7 @@ class TestHealthAndStats:
         with serve_daemon.client() as client:
             health = client.healthz()
         assert health["status"] == "ok"
-        assert health["protocol"] == 1
+        assert health["protocol"] == 2
         assert health["in_flight"] == 0
 
     def test_stats_shape(self, serve_daemon):

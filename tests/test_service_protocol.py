@@ -40,9 +40,6 @@ networks = st.one_of(
     st.none(),
     st.builds(NetworkConfig,
               provider=st.sampled_from(["table", "mesh"]),
-              topology=st.sampled_from(["mesh", "crossbar"]),
-              wire_cycles=st.integers(0, 4),
-              router_cycles=st.integers(1, 4),
               directory_cycles=st.integers(1, 12),
               background_load=st.sampled_from([0.0, 0.25, 0.5, 0.8]),
               contention=st.booleans()))
@@ -236,6 +233,27 @@ class TestWireTripsThroughTheDaemon:
                 assert "Traceback" not in body
                 # a bad request never poisons the daemon
                 assert client.healthz()["status"] == "ok"
+
+    def test_a_network_naming_topology_is_a_400_naming_it(self, serve_daemon):
+        """The mesh is the one topology: a wire-protocol-1 ``network``
+        that names one is refused by field name, not run as a mesh."""
+        payload = {"request": {"app": "lu", "network": {
+            "provider": "mesh", "topology": "crossbar"}}}
+        for path in ("/run", "/resolve"):
+            conn = http.client.HTTPConnection(
+                serve_daemon.host, serve_daemon.port, timeout=30)
+            try:
+                conn.request("POST", path,
+                             body=json.dumps(payload).encode("utf-8"),
+                             headers={"Content-Type": "application/json"})
+                response = conn.getresponse()
+                error = json.loads(response.read())["error"]
+            finally:
+                conn.close()
+            assert response.status == 400, path
+            assert error["type"] == "bad-request"
+            assert "unknown NetworkConfig field(s): ['topology']" \
+                in error["message"]
 
     def test_unknown_path_is_404_and_wrong_method_is_405(self, serve_daemon):
         conn = http.client.HTTPConnection(serve_daemon.host,

@@ -11,11 +11,14 @@ only-in rule requires every call it matches on the AST to sit inside
 ``function``.  A reached rule requires every public function, class and
 method under its paths to be named (a method as an attribute or a
 string), and each defaulted parameter of one to be passed (by a
-``super().__init__`` only to its class's bases), by a module under its
-paths or ``callers`` (never ``tests``), matching by name on the AST;
-what only tests reach is in its ``allow`` list with its role, and an
-entry that names nothing or that a caller reaches fails.  A path that
-names nothing fails.
+``super().__init__`` only to its class's bases; by a call through a
+module-level dict of classes to each class it names), by a module under
+its paths or ``callers`` (never ``tests``), matching by name on the AST.
+A defaulted field of a dataclass in its ``fields`` files is a parameter
+of that class's ``__init__``, passed by a construction or a
+``dataclasses.replace`` keyword, never by a string.  What only tests
+reach is in its ``allow`` list with its role, and an entry that names
+nothing or that a caller reaches fails.  A path that names nothing fails.
 ``mutate`` derives each rule's failing edit from its kind and
 ``example``.  The tree is read once, without bytecode, undecodable
 files, this file or ``HISTORY``.
@@ -56,6 +59,7 @@ class Rule:
     home: str = ""  # space-separated files
     function: str = ""  # only-in: the one "Class.method" that may call
     callers: str = ""  # reached: where callers live besides ``paths``
+    fields: str = ""  # reached: files whose dataclass fields are parameters
     allow: tuple[tuple[str, str], ...] = ()  # reached: (entry, role) pairs
 
 
@@ -83,10 +87,11 @@ TEST_ONLY: tuple[tuple[str, str], ...] = (
     ("MP3DApp.__init__(collide_prob)", "test seam"),
     ("MP3DApp.__init__(cells_per_side)", "test seam"),  # a small space array
     ("RadixApp.__init__(n_digits)", "test seam"),  # one digit pass
-    # make_memory_system passes it through PROTOCOL_REGISTRY, a call no
-    # name resolves; tests build these without one
-    ("CoherentMemorySystem.__init__(allocator)", "test seam"),
-    ("DLSMemorySystem.__init__(allocator)", "test seam"),
+    # the capture's line arithmetic is property-tested across line sizes
+    ("MachineConfig.__init__(line_size)", "test seam"),
+    ("MachineConfig.__init__(page_size)", "test seam"),
+    # unit directory occupancy puts latency + delay on a half
+    ("NetworkConfig.__init__(directory_cycles)", "test seam"),
     ("RaytraceApp.__init__(max_depth)", "test seam"),
     ("VolrendApp.__init__(opacity_cutoff)", "test seam"),  # early termination
     ("DaemonThread", "test seam"),  # an in-process daemon on a thread
@@ -114,7 +119,9 @@ RULES: tuple[Rule, ...] = (
         r"buffer_info|_force_on|_far_field|_near_field|MissKind|_invalidate_bits|run_one|"
         r"_run_grid|_exc_text|_bar_from_norm|_DEFAULT_SEED|SweepService|executor\.cache = None|"
         r"def scaled|def base_url|def key\(self, app|OP_SPAN|_span_words|_span_ops|_item_words|"
-        r"_ITEM_MIN_OPS|_line_divisors|read_span|write_span|leaf_of"), "spec = PointSpec('lu', 2)"),
+        r"_ITEM_MIN_OPS|_line_divisors|read_span|write_span|leaf_of|CrossbarTopology|"
+        r"make_topology|NETWORK_TOPOLOGIES|wire_cycles|router_cycles|hit_by_cluster_size"),
+         "spec = PointSpec('lu', 2)"),
     Rule("slab-and-cache-twins", 25, "src tools docs README.md tests",
          r"check_slots|\.kernels\(\)|_kernels|_INITIAL_SLOTS|_grow\(|RefFullyAssociativeCache|"
          r"RefSetAssociativeCache|LineEntry|RefEviction|pending_until_of|fetcher_of",
@@ -179,7 +186,8 @@ RULES: tuple[Rule, ...] = (
          r"\bMap\b|map_[a-z]+\(|lock_enqueue|lock_dequeue|wpid|warr|qpid|qarr", "Map *m = 0;"),
     # the benchmark harness is a caller; tests are not
     Rule("reached", 47, "src", "", "def unreached(): pass",
-         callers="tools examples benchmarks/e2e", allow=TEST_ONLY),
+         callers="tools examples benchmarks/e2e",
+         fields="src/repro/core/config.py", allow=TEST_ONLY),
 )
 
 #: the checkout's top-level entries the rules search
@@ -292,6 +300,7 @@ class Defined:
     line: int
     end: int
     params: tuple[tuple[str, int | None], ...]  # defaulted: (name, position)
+    field: bool = False  # a dataclass field, which no string passes
 
 
 def _defined(node, cls: str = "") -> Defined:
@@ -311,21 +320,70 @@ def _defined(node, cls: str = "") -> Defined:
                    tuple(params))
 
 
+def _fields(node: ast.ClassDef) -> list[Defined]:
+    """A dataclass's defaulted fields, each a defaulted parameter of its
+    ``__init__`` at the field's position, defined on the field's line."""
+    if not any("dataclass" in ast.unparse(d) for d in node.decorator_list):
+        return []
+    init = [f for f in node.body if isinstance(f, ast.AnnAssign)
+            and isinstance(f.target, ast.Name)
+            and "ClassVar" not in ast.unparse(f.annotation)]
+    return [Defined(f"{node.name}.__init__", node.name, f.lineno,
+                    f.end_lineno, ((f.target.id, i),), field=True)
+            for i, f in enumerate(init) if f.value is not None]
+
+
+def _registries(module: ast.Module) -> dict[str, tuple[str, ...]]:
+    """``expression -> classes`` for each lookup into a module-level dict
+    naming classes (``TABLE[k]``, ``TABLE.get(k)``) and each name bound to
+    one: calling it calls each class the dict names, aliases resolved."""
+    real = {a.asname: a.name for node in module.body
+            if isinstance(node, ast.ImportFrom) for a in node.names}
+    tables = {target.id: tuple(real.get(v.id, v.id) for v in node.value.values
+                               if isinstance(v, ast.Name))
+              for node in module.body
+              if isinstance(node, (ast.Assign, ast.AnnAssign))
+              and isinstance(node.value, ast.Dict)
+              for target in (node.targets if isinstance(node, ast.Assign)
+                             else [node.target])
+              if isinstance(target, ast.Name)}
+
+    def looked_up(expr) -> tuple[str, ...]:
+        if isinstance(expr, ast.Call) and isinstance(
+                expr.func, ast.Attribute) and expr.func.attr == "get":
+            expr = expr.func
+        elif not isinstance(expr, ast.Subscript):
+            return ()
+        return tables.get(getattr(expr.value, "id", None), ())
+
+    lookups = {}
+    for node in ast.walk(module):
+        if classes := looked_up(node):
+            lookups[ast.unparse(node)] = classes
+        elif isinstance(node, ast.Assign) and (
+                classes := looked_up(node.value)):
+            lookups.update((ast.unparse(t), classes) for t in node.targets)
+    return lookups
+
+
 @functools.cache  # the mutation test re-checks trees one file apart
-def _surface(text: str, facade: bool):
+def _surface(text: str, facade: bool, fields: bool):
     """One module's ``(defined, names, strings, calls, prefixes,
-    classes)``: its public definitions, every ``(name, line, member)`` it
+    classes)``: its public definitions (with ``fields``, each defaulted
+    dataclass field too), every ``(name, line, member)`` it
     mentions (``member``: as an attribute or a string, the ways a method
     is named), the strings among them, every call's ``(callee, line,
     positional count, keywords)``, the constant heads of its f-strings
     (``f"cmd_{name}"`` -> ``cmd_``) and every class's ``(name, bases,
     whether it defines __init__)``.  A ``super().__init__`` call's callee
-    is ``"super <enclosing class>"``.  An
+    is ``"super <enclosing class>"``; a call through a registry of
+    classes is a call of each.  An
     ``__all__`` or ``_LAZY`` table lists names and a facade's imports
     re-export them: neither mentions one."""
     module, defined, names, strings = ast.parse(text), [], [], []
     calls, prefixes = [], []
     classes = [c for c in ast.walk(module) if isinstance(c, ast.ClassDef)]
+    registries = _registries(module)
     skip = {id(n) for node in module.body
             if isinstance(node, ast.Assign) and any(
                 getattr(t, "id", "") in ("__all__", "_LAZY")
@@ -342,6 +400,7 @@ def _surface(text: str, facade: bool):
             defined += [_defined(f, node.name) for f in node.body
                         if isinstance(f, FUNCTIONS) and (f.name == "__init__"
                                                          or f.name[0] != "_")]
+            defined += _fields(node) if fields else []
     for node in ast.walk(module):
         if isinstance(node, ast.Name):
             names.append((node.id, node.lineno, False))
@@ -366,9 +425,12 @@ def _surface(text: str, facade: bool):
                      if c.lineno <= node.lineno <= c.end_lineno),
                     key=lambda c: c.lineno).name
             starred = any(isinstance(a, ast.Starred) for a in node.args)
-            calls.append((callee, node.lineno,
-                          sys.maxsize if starred else len(node.args),
-                          frozenset(k.arg for k in node.keywords if k.arg)))
+            calls += [(each, node.lineno,
+                       sys.maxsize if starred else len(node.args),
+                       frozenset(k.arg for k in node.keywords if k.arg))
+                      for each in (registries.get(ast.unparse(node.func),
+                                                  (callee,))
+                                   if registries else (callee,))]
     return (tuple(defined), tuple(names), frozenset(strings), tuple(calls),
             tuple(prefixes), tuple(
                 (c.name, tuple(ast.unparse(b).split(".")[-1] for b in c.bases),
@@ -386,7 +448,8 @@ def unreached(rule: Rule, tree: dict[str, str]) -> list[str]:
     definition that no caller reaches, in one of ``ROLES``."""
     callers = [p for p in _files(f"{rule.paths} {rule.callers}", tree)
                if p.endswith(".py")]
-    surface = {p: _surface(tree[p], p.endswith("/__init__.py"))
+    surface = {p: _surface(tree[p], p.endswith("/__init__.py"),
+                           p in rule.fields.split())
                for p in callers}
     mentions, passes, strings, heads = {}, {}, set(), set()
     bases, inits = {}, set()
@@ -439,9 +502,12 @@ def unreached(rule: Rule, tree: dict[str, str]) -> list[str]:
                                 "has no caller outside tests")
                 continue
             sites = outside(d, path, passes.get(d.name, []))
+            if d.field:  # dataclasses.replace passes its keywords alone
+                sites += [(p, n, 0, kw)
+                          for p, n, _, kw in passes.get("replace", ())]
             for param, position in d.params:
                 entry = f"{d.qual}({param})"
-                passed = param in strings or any(
+                passed = param in strings and not d.field or any(
                     param in kw or position is not None and n > position
                     for _, _, n, kw in sites)
                 if entry in allowed:
@@ -464,7 +530,8 @@ def check_rules(tree: dict[str, str], rules=RULES) -> list[str]:
     """Every failure of ``rules`` on ``tree`` (empty = clean)."""
     failures = []
     for rule in rules:
-        roots = f"{rule.paths} {rule.home} {rule.callers}".split()
+        roots = (f"{rule.paths} {rule.home} {rule.callers} "
+                 f"{rule.fields}").split()
         missing = [p for p in roots if not _files(p, tree)]
         if missing:
             failures += [f"{rule.name}: {p}: no such path" for p in missing]
