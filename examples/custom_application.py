@@ -40,7 +40,7 @@ class PipelineApp(Application):
         self.items = items_per_round
         self.rounds = rounds
 
-    def setup(self) -> None:
+    def place(self) -> None:
         n_pairs = self.config.n_processors // 2
         self.ring = self.space.allocate("pipeline.ring",
                                         n_pairs * self.items)

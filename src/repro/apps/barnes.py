@@ -128,7 +128,14 @@ class BarnesApp(Application):
         self.max_cells = max(4 * n_particles, 64)
 
     # ---------------------------------------------------------------- setup
-    def setup(self) -> None:
+    def place(self) -> None:
+        self.rbodies = self.space.allocate("barnes.bodies",
+                                           self.n * _BODY_DOUBLES)
+        self.rcells = self.space.allocate("barnes.cells",
+                                          self.max_cells * _CELL_DOUBLES)
+        self.place_partitions(self.rbodies)
+
+    def build_input(self) -> None:
         rng = self.rng(0)
         # uniform ball of bodies with small random velocities
         v = rng.normal(size=(self.n, 3))
@@ -149,11 +156,6 @@ class BarnesApp(Application):
         self.pos[:] = pos[order]
         self.vel[:] = rng.normal(0.0, 0.01, size=(self.n, 3))
         self.mass[:] = rng.uniform(0.5, 1.5, self.n) / self.n
-        self.rbodies = self.space.allocate("barnes.bodies",
-                                           self.n * _BODY_DOUBLES)
-        self.rcells = self.space.allocate("barnes.cells",
-                                          self.max_cells * _CELL_DOUBLES)
-        self.place_partitions(self.rbodies)
 
     # ---------------------------------------------------------- tree builds
     def _new_cell(self, center: tuple[float, ...], half: float) -> int:

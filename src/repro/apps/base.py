@@ -155,9 +155,9 @@ def table_parts(opcodes: np.ndarray, args: np.ndarray, keep: np.ndarray,
 class Application(ABC):
     """Base class for the nine workloads.
 
-    Subclasses implement :meth:`setup` (allocate + place regions, build the
-    numerical problem) and :meth:`program` (the per-processor operation
-    stream).  ``run()`` wires everything into the engine.
+    Subclasses implement :meth:`place`, :meth:`build_input` (if they
+    compute on an input problem) and :meth:`program` (the per-processor
+    operation stream).  ``run()`` wires everything into the engine.
 
     Parameters
     ----------
@@ -200,23 +200,39 @@ class Application(ABC):
                                   line_size=config.line_size)
         self.allocator = PageAllocator(config.n_clusters, config.page_size,
                                        config.line_size)
-        self._setup_done = False
+        self._placed = self._setup_done = False
         #: :meth:`shared_batch`'s batches, by key, with the processors
         #: that have not taken their part yet
         self._shared: dict[Any, tuple[Batch, set[int]]] = {}
 
     # ------------------------------------------------------------ lifecycle
-    @abstractmethod
     def setup(self) -> None:
-        """Allocate shared regions, place data, build the input problem."""
+        """:meth:`place`, then :meth:`build_input`."""
+        self.place()
+        self.build_input()
+
+    @abstractmethod
+    def place(self) -> None:
+        """Allocate and place the shared regions: all a replay reads."""
+
+    def build_input(self) -> None:
+        """Build the input problem :meth:`program` computes on."""
 
     @abstractmethod
     def program(self, pid: int) -> Iterator[Op]:
         """The operation stream of processor ``pid``."""
 
+    def ensure_placed(self) -> None:
+        """:meth:`place`, once: what a replay of a capture needs."""
+        if not self._placed:
+            self.place()
+            self._placed = True
+
     def ensure_setup(self) -> None:
+        """The whole set-up, once: what running :meth:`program` needs."""
         if not self._setup_done:
-            self.setup()
+            self.ensure_placed()
+            self.build_input()
             self._setup_done = True
 
     def compiled_program(self) -> "CompiledProgram":
@@ -315,7 +331,7 @@ class Application(ABC):
         With ``program`` (a :class:`~repro.sim.compiled.CompiledProgram`,
         typically from :meth:`compiled_program` or a trace cache), the
         engine replays the capture instead of re-driving the generators —
-        bit-identical, much faster.  Setup still runs either way: data
+        bit-identical, much faster — and only :meth:`place` runs: data
         *placement* depends on cluster geometry even though the operation
         streams do not.
 
@@ -326,7 +342,7 @@ class Application(ABC):
         ``self.config.protocol`` selects is built over this app's
         allocator.
         """
-        self.ensure_setup()
+        self.ensure_setup() if program is None else self.ensure_placed()
         if memory is None:
             memory = make_memory_system(self.config, self.allocator)
         engine = Engine(self.config, memory)
@@ -347,18 +363,16 @@ class Application(ABC):
         clustering: partitions of co-clustered processors share a home.
         With ``n_partitions=None`` the region splits over all processors.
         """
-        n = self.config.n_processors if n_partitions is None else n_partitions
+        p = self.config.n_processors
+        n = p if n_partitions is None else n_partitions
         if n <= 0:
             raise ValueError("n_partitions must be positive")
         chunk = region.size // n
         if chunk == 0:
             self.allocator.place_region(region, 0)
             return
-        for i in range(n):
-            start = region.base + i * chunk
-            size = chunk if i < n - 1 else region.end - start
-            cluster = self.config.cluster_of(i % self.config.n_processors)
-            self.allocator.place_range(start, size, cluster)
+        self.allocator.place_chunks(region.base, region.end, chunk, list(
+            map(self.config.cluster_of, (i % p for i in range(n)))))
 
     # ------------------------------------------------------ emission helpers
     def span_table(self, *records, edges=None) -> tuple:
@@ -477,12 +491,10 @@ class Application(ABC):
         read-only scene/volume data of Raytrace and Volrend: no owner, pages
         spread evenly so no home cluster becomes a hot spot.
         """
-        page = self.config.page_size
+        page, n = self.config.page_size, self.config.n_clusters
         first = region.base // page
-        last = (region.end - 1) // page
-        for k, pg in enumerate(range(first, last + 1)):
-            if self.allocator.bound_home(pg) is None:
-                self.allocator.place_page(pg, k % self.config.n_clusters)
+        self.allocator.place_chunks(first * page, region.end, page, [
+            k % n for k in range((region.end - 1) // page - first + 1)])
 
     def partition_edges(self, total: int) -> list[int]:
         """Where each processor's :meth:`partition_slice` of ``total``
@@ -535,7 +547,7 @@ class TileQueueApplication(Application):
       bit-identically on every cluster size, cache, protocol and network.
 
     Subclasses allocate ``rqueue`` (the queue head) and ``rpixels`` in
-    :meth:`setup` and implement :meth:`_render`, which fills ``image``
+    :meth:`place` and implement :meth:`_render`, which fills ``image``
     for a row of tiles at once and returns each tile's ops as arrays.
     """
 

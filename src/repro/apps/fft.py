@@ -70,16 +70,18 @@ class FFTApp(Application):
         self.x_input = np.empty(n_points, dtype=np.complex128)
 
     # ---------------------------------------------------------------- setup
-    def setup(self) -> None:
-        rng = self.rng(0)
-        self.x_input[:] = (rng.standard_normal(self.n_points)
-                           + 1j * rng.standard_normal(self.n_points))
-        self.A[:] = self.x_input.reshape(self.m, self.m)
+    def place(self) -> None:
         self.ra = self.space.allocate("fft.A", self.n_points, element_size=_ELEM)
         self.rb = self.space.allocate("fft.B", self.n_points, element_size=_ELEM)
         # Contiguous row blocks of both buffers live at their owner's cluster.
         self.place_partitions(self.ra)
         self.place_partitions(self.rb)
+
+    def build_input(self) -> None:
+        rng = self.rng(0)
+        self.x_input[:] = (rng.standard_normal(self.n_points)
+                           + 1j * rng.standard_normal(self.n_points))
+        self.A[:] = self.x_input.reshape(self.m, self.m)
 
     def my_rows(self, pid: int) -> range:
         lo = pid * self.rows_per_proc

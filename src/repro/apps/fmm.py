@@ -143,7 +143,13 @@ class FMMApp(Application):
         return out
 
     # ---------------------------------------------------------------- setup
-    def setup(self) -> None:
+    def place(self) -> None:
+        self.rbodies = self.space.allocate("fmm.bodies", self.n * _BODY_DOUBLES)
+        self.rboxes = self.space.allocate("fmm.boxes",
+                                          self.n_boxes * _BOX_DOUBLES)
+        self.place_partitions(self.rbodies)
+
+    def build_input(self) -> None:
         rng = self.rng(0)
         raw = rng.uniform(0.02, 0.98, size=(self.n, 2))
         # sort by leaf box so contiguous particle ranges are spatially local
@@ -154,10 +160,6 @@ class FMMApp(Application):
         self.pos[:] = raw[order]
         self.vel[:] = rng.normal(0.0, 0.01, size=(self.n, 2))
         self.mass[:] = rng.uniform(0.5, 1.5, self.n) / self.n
-        self.rbodies = self.space.allocate("fmm.bodies", self.n * _BODY_DOUBLES)
-        self.rboxes = self.space.allocate("fmm.boxes",
-                                          self.n_boxes * _BOX_DOUBLES)
-        self.place_partitions(self.rbodies)
 
     # ----------------------------------------------------------- numerics
     def _ensure_bins(self, step: int) -> None:

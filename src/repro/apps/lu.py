@@ -77,21 +77,22 @@ class LUApp(Application):
         return (bi * self.nb + bj) * self.block * self.block
 
     # ---------------------------------------------------------------- setup
-    def setup(self) -> None:
+    def place(self) -> None:
+        self.matrix = self.space.allocate("lu.matrix", self.n * self.n,
+                                          element_size=8)
+        # blocks are contiguous, in (bi, bj) order; each at its owner's cluster
+        owners = self.owner_of(*np.divmod(np.arange(self.nb ** 2), self.nb))
+        self.allocator.place_chunks(
+            self.matrix.base, self.matrix.end, self.block * self.block * 8,
+            list(map(self.config.cluster_of, owners.tolist())))
+
+    def build_input(self) -> None:
         rng = self.rng(0)
         n = self.n
         self.A_input[:] = rng.uniform(-1.0, 1.0, size=(n, n))
         # Diagonal dominance keeps no-pivot LU numerically safe.
         self.A_input[np.arange(n), np.arange(n)] += n
         self.A[:] = self.A_input
-        self.matrix = self.space.allocate("lu.matrix", n * n, element_size=8)
-        # Each block's storage is contiguous; place it at its owner's cluster.
-        bsz = self.block * self.block
-        for bi in range(self.nb):
-            for bj in range(self.nb):
-                start = self.matrix.element(self._block_elem(bi, bj))
-                self.allocator.place_range(
-                    start, bsz * 8, self.config.cluster_of(self.owner_of(bi, bj)))
 
     # ----------------------------------------------------------- numerics
     def _view(self, bi: int, bj: int) -> np.ndarray:

@@ -95,11 +95,7 @@ class MP3DApp(Application):
         self.cells = np.zeros((self.n_cells, _CELL_DOUBLES))
 
     # ---------------------------------------------------------------- setup
-    def setup(self) -> None:
-        rng = self.rng(0)
-        self.pos[:] = rng.uniform(0.0, 1.0, size=self.pos.shape)
-        self.vel[:] = rng.normal(0.0, 0.08, size=self.vel.shape)
-        self.cells[:, 5:8] = rng.normal(0.0, 0.08, size=(self.n_cells, 3))
+    def place(self) -> None:
         self.rparticles = self.space.allocate(
             "mp3d.particles", self.n_particles * _PARTICLE_DOUBLES)
         self.rcells = self.space.allocate(
@@ -108,6 +104,12 @@ class MP3DApp(Application):
         # their owner's cluster anyway (records are private to the owner)
         self.place_partitions(self.rparticles)
         # space cells: no meaningful owner; first-touch round-robin pages
+
+    def build_input(self) -> None:
+        rng = self.rng(0)
+        self.pos[:] = rng.uniform(0.0, 1.0, size=self.pos.shape)
+        self.vel[:] = rng.normal(0.0, 0.08, size=self.vel.shape)
+        self.cells[:, 5:8] = rng.normal(0.0, 0.08, size=(self.n_cells, 3))
 
     def cells_of(self, pos: np.ndarray) -> np.ndarray:
         """Space cell index of each row of positions ``pos``."""

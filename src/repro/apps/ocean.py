@@ -116,10 +116,7 @@ class OceanApp(Application):
         return ((pi * self.pc + pj) * lvl.sr + li) * lvl.sc + lj
 
     # ---------------------------------------------------------------- setup
-    def setup(self) -> None:
-        rng = self.rng(0)
-        fine = self.levels[0]
-        fine.f[:] = rng.uniform(-1.0, 1.0, size=(fine.n, fine.n))
+    def place(self) -> None:
         for li, lvl in enumerate(self.levels):
             n2 = lvl.n * lvl.n
             lvl.ru = [self.space.allocate(f"ocean.u{b}.L{li}", n2) for b in (0, 1)]
@@ -127,6 +124,10 @@ class OceanApp(Application):
             lvl.rr = self.space.allocate(f"ocean.r.L{li}", n2)
             for region in (*lvl.ru, lvl.rf, lvl.rr):
                 self.place_partitions(region)
+
+    def build_input(self) -> None:
+        fine = self.levels[0]
+        fine.f[:] = self.rng(0).uniform(-1.0, 1.0, size=(fine.n, fine.n))
 
     # ------------------------------------------------------------ emission
     def _runs(self, *records) -> tuple:

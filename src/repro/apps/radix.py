@@ -85,11 +85,7 @@ class RadixApp(Application):
         self._offsets_pass = -1  # which pass self._offsets currently holds
 
     # ---------------------------------------------------------------- setup
-    def setup(self) -> None:
-        rng = self.rng(0)
-        hi = self.radix ** self.n_digits
-        self.key_input[:] = rng.integers(0, hi, size=self.n_keys)
-        self.buffers[0][:] = self.key_input
+    def place(self) -> None:
         n = self.n_keys
         self.rkeys = [self.space.allocate(f"radix.keys{b}", n) for b in (0, 1)]
         p, r = self.config.n_processors, self.radix
@@ -101,6 +97,11 @@ class RadixApp(Application):
         self.place_partitions(self.rhist)      # row pid at pid's cluster
         # offsets: digit-major; slice owned by the digit-slice owner
         self.place_partitions(self.roffsets)
+
+    def build_input(self) -> None:
+        hi = self.radix ** self.n_digits
+        self.key_input[:] = self.rng(0).integers(0, hi, size=self.n_keys)
+        self.buffers[0][:] = self.key_input
 
     def _digit_slice(self, pid: int) -> range:
         """Digit values whose ranking processor ``pid`` is."""

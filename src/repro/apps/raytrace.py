@@ -29,7 +29,7 @@ leave as one batch (:meth:`~repro.apps.base.Application.op_batch`).
 The pixel plane is *not* statically partitioned here: the program is a
 lock-protected global queue of ``queue_tile``-square tiles (SPLASH
 RAYTRACE's task queues — static tiles idle the processors whose tiles miss
-the scene), any processor may render any tile, and :meth:`setup`
+the scene), any processor may render any tile, and :meth:`place`
 interleaves the pixel pages because no tile has a natural owner.  Which
 tile a processor takes next is decided by the order the simulated machine
 grants that lock, and it is the only thing simulated time decides — the
@@ -112,7 +112,8 @@ class RaytraceApp(TileQueueApplication):
         self._visit_ops: tuple | None = None
 
     # ---------------------------------------------------------------- setup
-    def setup(self) -> None:
+    def place(self) -> None:
+        # the octree sizes the nodes region: placement builds the scene
         rng = self.rng(0)
         self.centers[:] = rng.uniform(0.15, 0.85, size=(self.n_spheres, 3))
         self.radii[:] = rng.uniform(0.04, 0.10, self.n_spheres)

@@ -18,7 +18,7 @@ voxels.  The volume and octree pages are interleaved across clusters.
 No processor owns a part of the image: the program is a lock-protected
 global queue of ``queue_tile``-square tiles (SPLASH VOLREND steals tasks —
 a static partition idles the processors whose tiles miss the head), any
-processor may render any tile, and :meth:`setup` interleaves the pixel
+processor may render any tile, and :meth:`place` interleaves the pixel
 pages (laid out tile-contiguously, like Ocean's grid) because tile
 ownership is dynamic.  Which tile a processor takes next is decided by the
 order the simulated machine grants that lock, and it is the only thing
@@ -83,7 +83,19 @@ class VolrendApp(TileQueueApplication):
         self.minmax: list[np.ndarray] = []
 
     # ---------------------------------------------------------------- setup
-    def setup(self) -> None:
+    def place(self) -> None:
+        self.rvolume = self.space.allocate("volrend.volume", self.nv ** 3)
+        n_nodes = sum(side ** 3 for side in self._level_sides())
+        self.rnodes = self.space.allocate("volrend.nodes", n_nodes * _NODE_DOUBLES)
+        self.rpixels = self.space.allocate("volrend.pixels",
+                                           self.width * self.height)
+        self.rqueue = self.space.allocate("volrend.queue", 8)
+        self.place_interleaved(self.rvolume)
+        self.place_interleaved(self.rnodes)
+        # tile ownership is dynamic, so pixel pages have no natural owner
+        self.place_interleaved(self.rpixels)
+
+    def build_input(self) -> None:
         n = self.nv
         idx = (np.indices((n, n, n)) + 0.5) / n  # voxel centres in [0,1]
         x, y, z = idx[0], idx[1], idx[2]
@@ -97,26 +109,19 @@ class VolrendApp(TileQueueApplication):
         self.volume[shell] = 0.80             # skull
         self.volume[r < 0.72] = 0.35          # brain
         self._build_minmax()
-        self.rvolume = self.space.allocate("volrend.volume", n ** 3)
-        n_nodes = sum(a.size for a in self.minmax)
-        self.rnodes = self.space.allocate("volrend.nodes", n_nodes * _NODE_DOUBLES)
-        self.rpixels = self.space.allocate("volrend.pixels",
-                                           self.width * self.height)
-        self.rqueue = self.space.allocate("volrend.queue", 8)
-        self.place_interleaved(self.rvolume)
-        self.place_interleaved(self.rnodes)
-        # tile ownership is dynamic, so pixel pages have no natural owner
-        self.place_interleaved(self.rpixels)
+
+    def _level_sides(self) -> list[int]:
+        """The octree's side per level: leaf blocks, halving to one node."""
+        nb = self.nv // self.block
+        return [nb >> k for k in range(nb.bit_length())]
 
     def _build_minmax(self) -> None:
-        nb = self.nv // self.block
+        nb, *upper = self._level_sides()
         b = self.block
         leaf = self.volume.reshape(nb, b, nb, b, nb, b).max(axis=(1, 3, 5))
         self.minmax = [leaf]
-        while self.minmax[-1].shape[0] > 1:
-            cur = self.minmax[-1]
-            m = cur.shape[0] // 2
-            nxt = cur.reshape(m, 2, m, 2, m, 2).max(axis=(1, 3, 5))
+        for m in upper:
+            nxt = self.minmax[-1].reshape(m, 2, m, 2, m, 2).max(axis=(1, 3, 5))
             self.minmax.append(nxt)
 
     # ------------------------------------------------------------- program

@@ -17,10 +17,14 @@ argument rests on (cold, coherence/communication, capacity — §2).
 
 from __future__ import annotations
 
+import functools
 import json
+import math
+import re
 from dataclasses import dataclass, field
 from enum import Enum
-from operator import itemgetter
+from itertools import chain
+from operator import attrgetter, itemgetter
 from typing import Any, Mapping
 
 __all__ = ["MissCause", "MissCounters", "NetworkStats", "TimeBreakdown",
@@ -116,23 +120,14 @@ class MissCounters:
         """Misses per reference (0.0 when nothing was referenced)."""
         return self.misses / self.references if self.references else 0.0
 
-    def merged_into(self, other: "MissCounters") -> None:
-        """Accumulate self into ``other`` (used to aggregate clusters).
-
-        The derived ``references``/``hits`` need no accumulation: both are
-        linear in the stored fields, so the sum's derived values equal the
-        derived values' sum.
-        """
-        other.reads += self.reads
-        other.writes += self.writes
-        other.read_misses += self.read_misses
-        other.write_misses += self.write_misses
-        other.upgrade_misses += self.upgrade_misses
-        other.merges += self.merges
-        other.merge_refetches += self.merge_refetches
-        other.prefetch_hits += self.prefetch_hits
-        for cause, n in self.by_cause.items():
-            other.by_cause[cause] += n
+    @classmethod
+    def summed(cls, records: list["MissCounters"]) -> "MissCounters":
+        """The sum of ``records`` (the clusters'), a stored field at a
+        time: the derived ``references``/``hits`` are linear in them."""
+        records = (cls(), *records)  # none sum to zeros
+        causes = zip(*map(_CAUSES_OF, [r.by_cause for r in records]))
+        return cls(*map(sum, zip(*map(_STORED_OF, records))),
+                   dict(zip(_CAUSES, map(sum, causes))))
 
     # ------------------------------------------------------- serialization
     #: JSON keys, in the emitted order; references/hits are derived but
@@ -237,12 +232,12 @@ class TimeBreakdown:
         """Sum of all components (for one processor: its wall-clock time)."""
         return self.cpu + self.load + self.merge + self.sync
 
-    def add(self, other: "TimeBreakdown") -> None:
-        """Accumulate another breakdown into this one."""
-        self.cpu += other.cpu
-        self.load += other.load
-        self.merge += other.merge
-        self.sync += other.sync
+    @classmethod
+    def mean(cls, breakdowns: list["TimeBreakdown"]) -> "TimeBreakdown":
+        """The mean of ``breakdowns``, a component at a time (none: 0s)."""
+        n = len(breakdowns)
+        return cls(*(sum(column) / n for column in zip(
+            *map(_BREAKDOWN_FIELDS, breakdowns)))) if n else cls()
 
     def fractions(self) -> dict[str, float]:
         """Each component as a fraction of the total (zeros if empty)."""
@@ -358,7 +353,23 @@ class RunResult:
             raise ValueError(f"malformed RunResult payload: {exc}") from exc
 
     def to_json(self) -> str:
-        """Canonical JSON encoding (round-trips via :meth:`from_json`)."""
+        """Canonical JSON, ``json.dumps(self.to_dict(), sort_keys=True,
+        separators=(",", ":"))``, written as the numbers in key order into
+        a template of the result's shape when each is a finite ``int`` or
+        ``float`` (round-trips via :meth:`from_json`)."""
+        net, clusters = self.network, self.per_cluster_misses
+        try:
+            values = (*_BREAKDOWN_FIELDS(self.breakdown), self.execution_time,
+                      *_counter_values(self.misses),
+                      *(() if net is None else _NETWORK_FIELDS(net)),
+                      *chain(*map(_counter_values, clusters)),
+                      *chain(*map(_BREAKDOWN_FIELDS, self.per_processor)))
+            if (_NUMBER.issuperset(map(type, values))
+                    and math.isfinite(sum(values))):
+                return _json_template(len(self.per_processor), len(clusters),
+                                      net is not None) % values
+        except (KeyError, OverflowError):  # a partial by_cause; a vast int
+            pass
         return json.dumps(self.to_dict(), sort_keys=True,
                           separators=(",", ":"))
 
@@ -373,6 +384,31 @@ class RunResult:
         return cls.from_dict(data)
 
 
+# ------------------------------------------------------------- encoding
+# ``RunResult.to_json``: keys sorted, a ``%s`` (json's spelling) a number
+
+_BREAKDOWN_FIELDS = attrgetter("cpu", "load", "merge", "sync")
+_CAUSE_VALUES = itemgetter(*sorted(MissCause, key=attrgetter("value")))
+_COUNTER_FIELDS = attrgetter(*sorted(MissCounters._INT_FIELDS))
+_NETWORK_FIELDS = attrgetter(*sorted([*NetworkStats._INT_FIELDS,
+                                      "peak_link_utilization"]))
+
+
+def _counter_values(m: MissCounters) -> tuple:
+    return _CAUSE_VALUES(m.by_cause) + _COUNTER_FIELDS(m)
+
+
+@functools.lru_cache(maxsize=64)
+def _json_template(n_processors: int, n_clusters: int, network: bool) -> str:
+    """The canonical text of a zero result of this shape, each number a
+    ``%s`` (json spells a ``0`` or ``0.0`` value nowhere else)."""
+    zero = RunResult(0, TimeBreakdown(), [TimeBreakdown()] * n_processors,
+                     MissCounters(), [MissCounters()] * n_clusters,
+                     NetworkStats() if network else None)
+    return re.sub(r":0(\.0)?(?=[,}])", ":%s", json.dumps(
+        zero.to_dict(), sort_keys=True, separators=(",", ":")))
+
+
 # ------------------------------------------------------------- decoding
 # The record decoders behind the ``from_dict`` classmethods.  A missing
 # key or a wrong container raises KeyError/TypeError/AttributeError, which
@@ -381,6 +417,8 @@ class RunResult:
 
 _CAUSE_OF = {cause.value: cause for cause in MissCause}
 _CAUSES = tuple(MissCause)
+_CAUSES_OF = itemgetter(*_CAUSES)
+_STORED_OF = attrgetter(*MissCounters._STORED_FIELDS)
 _BREAKDOWN_VALUES = itemgetter("cpu", "load", "merge", "sync")
 #: the stored counters, then the two derived ones
 _COUNTER_VALUES = itemgetter(*MissCounters._STORED_FIELDS, "references",

@@ -22,8 +22,10 @@ case.
 
 from __future__ import annotations
 
+from itertools import repeat
+from operator import floordiv
 from types import MappingProxyType
-from typing import Mapping
+from typing import Mapping, Sequence
 
 from .address import DEFAULT_LINE_SIZE, DEFAULT_PAGE_SIZE, Region
 
@@ -97,25 +99,34 @@ class PageAllocator:
         left alone — applications place adjacent partitions and partitions
         may share boundary pages.
         """
-        self._check_cluster(cluster)
-        if size <= 0:
-            return
-        first = start_addr // self.page_size
-        last = (start_addr + size - 1) // self.page_size
-        for page in range(first, last + 1):
-            if page not in self._page_home:
-                self._page_home[page] = cluster
-                self.placed_pages += 1
+        if size > 0:
+            self.place_chunks(start_addr, start_addr + size, size, [cluster])
+
+    def place_chunks(self, start_addr: int, end_addr: int, chunk: int,
+                     clusters: Sequence[int]) -> None:
+        """Place ``[start, end)`` as ``chunk``-byte chunks at ``clusters``
+        (the last runs to ``end``) in one pass, as one :meth:`place_range`
+        a chunk in order: an unbound page goes to the first it overlaps."""
+        for cluster in (min(clusters), max(clusters)):
+            self._check_cluster(cluster)
+        size, last = self.page_size, len(clusters) - 1
+        pages = range(start_addr // size, (end_addr - 1) // size + 1)
+        # page p's chunk at C speed: min(max(p*size - start, 0) // chunk, last)
+        firsts = map(max, range(pages.start * size - start_addr,
+                                pages.stop * size - start_addr, size),
+                     repeat(0))
+        chunks = map(min, map(floordiv, firsts, repeat(chunk)), repeat(last))
+        new = dict(zip(pages, map(clusters.__getitem__, chunks)))
+        for page in new.keys() & self._page_home.keys():
+            del new[page]
+        self._page_home.update(new)
+        self.placed_pages += len(new)
 
     def place_region(self, region: Region, cluster: int) -> None:
         """Explicitly place an entire :class:`~repro.memory.address.Region`."""
         self.place_range(region.base, region.size, cluster)
 
     # ---------------------------------------------------------------- query
-    def bound_home(self, page: int) -> int | None:
-        """Home of ``page`` if already bound, else ``None`` (no side effects)."""
-        return self._page_home.get(page)
-
     @property
     def page_homes(self) -> Mapping[int, int]:
         """Read-only live view of every page → home binding."""

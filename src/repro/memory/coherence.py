@@ -107,10 +107,7 @@ class MemorySystem:
 
     def aggregate_counters(self) -> MissCounters:
         """Miss counters summed over all clusters."""
-        total = MissCounters()
-        for ctr in self.counters:
-            ctr.merged_into(total)
-        return total
+        return MissCounters.summed(self.counters)
 
     def network_stats(self) -> NetworkStats | None:
         """Interconnect counters (``None`` under the flat-table provider)."""

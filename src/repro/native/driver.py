@@ -10,7 +10,9 @@ per-cluster counters, per-cache evictions/inserts, and ten totals plus
 one double.  :func:`run_native` unpacks them into a
 :class:`NativeOutput`; no memory system or latency provider is
 constructed or mutated, and the application's allocator is only read
-(its page bindings seed the kernel's first-touch placement).
+(its page bindings seed the kernel's first-touch placement).  The
+arguments that depend on the program alone are built once per program
+(:func:`_program_args`) and kept on it.
 
 Mesh pricing: python builds the tables, C only walks them.  The routes
 and calibrated base costs come from the very
@@ -49,6 +51,7 @@ _NCTR = 11
 _ST_NOMEM = -1
 #: ``P_*`` of kernel.c
 _PROTOCOLS = {"directory": 0, "snoopy": 1, "dls": 2}
+_CAUSES = tuple(MissCause)  # iterating the enum is a python loop
 
 _c64 = ctypes.c_int64
 _P64 = ctypes.POINTER(_c64)
@@ -118,6 +121,22 @@ def _mesh_tables(n: int):
             (ctypes.c_double * len(base3))(*base3))
 
 
+def _program_args(program) -> tuple:
+    """The per-program half of ``repro_replay``'s arguments: the kernel
+    reads the buffer in place through ``anchor``, an export that keeps it
+    from being closed (a mapped buffer is ACCESS_COPY: the writability
+    ``from_buffer`` demands never reaches the file)."""
+    anchor = ctypes.c_char.from_buffer(program.buffer)
+    base = ctypes.addressof(anchor)
+    ptrs = [ctypes.cast(base + off, _P64) for off in program.section_offsets]
+    n = len(program.words)
+    t_off, q_end = program.task_offsets()
+    n_queues = len(q_end)
+    return (anchor, (_P64 * n)(*ptrs[:n]), (_c64 * n)(*map(len, program.words)),
+            ptrs[-1], (_c64 * len(t_off))(*t_off),
+            (_c64 * max(1, n_queues))(*q_end), n_queues, [0, *q_end[:-1]])
+
+
 def run_native(lib, config: "MachineConfig", allocator: "PageAllocator",
                program) -> NativeOutput | None:
     """Replay ``program`` on ``config``'s machine natively.
@@ -132,19 +151,11 @@ def run_native(lib, config: "MachineConfig", allocator: "PageAllocator",
     ncl = config.n_clusters
     n_caches = n if config.protocol == "snoopy" else ncl
 
-    # zero-copy: the kernel reads the program's one buffer in place, at
-    # its base address plus each section's offset (one word column per
-    # processor, then the task column).  A mapped buffer is ACCESS_COPY,
-    # so the writability from_buffer demands never reaches the file.
-    base = ctypes.addressof(ctypes.c_char.from_buffer(program.buffer))
-    ptrs = [ctypes.cast(base + off, _P64) for off in program.section_offsets]
-    words = (_P64 * n)(*ptrs[:n])
-    lens = (_c64 * n)(*map(len, program.words))
-
-    # the task table; each queue's take counter starts at its first task
-    t_off, q_end = program.task_offsets()
-    n_queues = len(q_end)
-    q_next = (_c64 * max(1, n_queues))(0, *q_end[:-1])
+    program.kernel_args = args = (program.kernel_args
+                                  or _program_args(program))
+    _, words, lens, t_words, t_off, q_end, n_queues, q_first = args
+    # the kernel advances each queue's take counter: a fresh copy a call
+    q_next = (_c64 * len(q_first))(*q_first)
 
     ph = allocator.page_homes
     pages = (_c64 * max(1, len(ph)))(*ph.keys())
@@ -168,9 +179,7 @@ def run_native(lib, config: "MachineConfig", allocator: "PageAllocator",
 
     st = lib.repro_replay(
         n, ncl, config.cluster_size,
-        words, lens,
-        ptrs[-1], (_c64 * len(t_off))(*t_off), q_next,
-        (_c64 * max(1, n_queues))(*q_end), n_queues,
+        words, lens, t_words, t_off, q_next, q_end, n_queues,
         _PROTOCOLS[config.protocol], -1 if cap is None else cap,
         DEFAULT_SNOOP_PENALTY, DEFAULT_C2C_LATENCY,
         LatencyModel.LOCAL_CLEAN, LatencyModel.REMOTE_CLEAN,
@@ -184,14 +193,13 @@ def run_native(lib, config: "MachineConfig", allocator: "PageAllocator",
     if st != 0:
         return None
 
-    breakdowns = [TimeBreakdown(cpu=bd[4 * p], load=bd[4 * p + 1],
-                                merge=bd[4 * p + 2], sync=bd[4 * p + 3])
-                  for p in range(n)]
-    rows = [ctr[_NCTR * cl:_NCTR * (cl + 1)] for cl in range(ncl)]
+    # each output array is read with one slice, then split in python
+    bd, ctr, cio, totals = bd[:], ctr[:], cio[:], totals[:]
+    breakdowns = list(map(TimeBreakdown, *(bd[k::4] for k in range(4))))
     # by_cause in MissCause declaration order: it is the JSON key order
-    counters = [MissCounters(*row[:8],
-                             by_cause=dict(zip(MissCause, row[8:])))
-                for row in rows]
+    counters = [MissCounters(*ctr[i:i + 8], dict(zip(_CAUSES,
+                                                     ctr[i + 8:i + _NCTR])))
+                for i in range(0, len(ctr), _NCTR)]
     network = (None if mesh is None
                else NetworkStats(*totals[5:], peak.value))
     return NativeOutput(totals[0], breakdowns, counters,

@@ -6,10 +6,11 @@ through this module.  A session performs, in order:
 
 1. **resolve** — bind the :class:`~repro.runtime.plan.RunRequest` to the
    base machine config (:meth:`RunPlan.resolve`);
-2. **build** — construct the application and run its setup (allocation,
-   placement, problem construction);
+2. **build** — construct the application and place its shared data
+   (:meth:`~repro.apps.base.Application.place`: all a replay reads);
 3. **trace acquisition** — look the compiled reference stream up in the
-   trace cache (``trace-hit``) or capture it (``capture``), honouring
+   trace cache (``trace-hit``) or capture it (``capture``, which alone
+   builds the input problem), honouring
    :attr:`~repro.apps.base.Application.stream_invariant`; a capture is
    packed once in memory, replayed from there, and written as it is to
    the cache's store, when it has one (the one trace write);
@@ -150,7 +151,7 @@ class RunSession:
 
     # ------------------------------------------------------------ internals
     def _build(self, plan: RunPlan, clock: _Clock | None) -> "Application":
-        """Construct and set up the plan's application (resolve + build)."""
+        """Construct and place the plan's application (resolve + build)."""
         obs = self.observer
         if obs is not None:
             obs.on_phase("resolve", clock.lap(),
@@ -160,7 +161,7 @@ class RunSession:
 
         request = plan.request
         app = build_app(request.app, plan.config, **request.kwargs)
-        app.ensure_setup()
+        app.ensure_placed()
         if obs is not None:
             obs.on_phase("build", clock.lap(), {"app": request.app})
         return app

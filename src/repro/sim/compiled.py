@@ -206,7 +206,7 @@ class CompiledProgram:
 
     __slots__ = ("buffer", "section_offsets", "mapped", "n_processors",
                  "line_size", "source_ops", "task_lens", "words",
-                 "task_words")
+                 "task_words", "kernel_args")
 
     def __init__(self, words: list, line_size: int, source_ops: int, *,
                  tasks=None) -> None:
@@ -275,6 +275,8 @@ class CompiledProgram:
             sections.append(view[pos:pos + n * _ITEMSIZE].cast("q"))
             pos += n * _ITEMSIZE
         self.words, self.task_words = sections[:-1], sections[-1]
+        #: :mod:`repro.native.driver`'s arguments (a ``buffer`` export)
+        self.kernel_args = None
 
     def task_offsets(self) -> tuple[list[int], list[int]]:
         """The task table as both interpreters index it.

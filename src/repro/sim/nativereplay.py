@@ -72,12 +72,9 @@ def try_replay_native(config: "MachineConfig", app,
     if (program.n_processors != config.n_processors
             or program.line_size != config.line_size):
         return None
-    app.ensure_setup()
+    app.ensure_placed()
     out = run_native(lib, config, app.allocator, program)
     if out is None:
         return None
-    total = MissCounters()
-    for ctr in out.counters:
-        ctr.merged_into(total)
-    return build(out.execution_time, out.breakdowns, total, out.counters,
-                 out.network)
+    return build(out.execution_time, out.breakdowns,
+                 MissCounters.summed(out.counters), out.counters, out.network)

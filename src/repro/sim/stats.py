@@ -44,16 +44,9 @@ def build(execution_time: int, breakdowns: list[TimeBreakdown],
           network: NetworkStats | None) -> RunResult:
     """The result from its parts (the native replay has no memory
     system to read them from)."""
-    n = len(breakdowns)
-    mean = TimeBreakdown()
-    for bd in breakdowns:
-        mean.add(bd)
-    if n:
-        mean = TimeBreakdown(cpu=mean.cpu / n, load=mean.load / n,
-                             merge=mean.merge / n, sync=mean.sync / n)
     return RunResult(
         execution_time=execution_time,
-        breakdown=mean,
+        breakdown=TimeBreakdown.mean(breakdowns),
         per_processor=breakdowns,
         misses=misses,
         per_cluster_misses=per_cluster,

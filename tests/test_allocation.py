@@ -68,8 +68,8 @@ class TestExplicitPlacement:
         al = PageAllocator(n_clusters=4)
         al.place_page(1, 3)
         al.place_range(0, 4096 * 2, 1)  # covers pages 0 and 1
-        assert al.bound_home(0) == 1
-        assert al.bound_home(1) == 3  # untouched
+        assert al.page_homes.get(0) == 1
+        assert al.page_homes.get(1) == 3  # untouched
 
     def test_place_range_empty(self):
         al = PageAllocator(n_clusters=2)
@@ -93,7 +93,7 @@ class TestExplicitPlacement:
 class TestQueries:
     def test_bound_home_no_side_effect(self):
         al = PageAllocator(n_clusters=2)
-        assert al.bound_home(0) is None
+        assert al.page_homes.get(0) is None
         assert not al.page_homes
 
     def test_home_histogram(self):

@@ -44,7 +44,7 @@ def span_ops(opcode, addr, end, esz, line_size):
 class _Dummy(Application):
     name = "dummy"
 
-    def setup(self):
+    def place(self):
         self.data = self.space.allocate("dummy.data", 1024, element_size=8)
         self.wide = self.space.allocate("dummy.wide", 256, element_size=16)
 
@@ -118,8 +118,8 @@ class TestPlacement:
         # processor 2 lives in cluster 1; its partition starts at page 1
         # of the region (each partition = 1 page)
         page0 = region.base // app.config.page_size
-        assert app.allocator.bound_home(page0) == 0          # procs 0,1
-        assert app.allocator.bound_home(page0 + 2) == 1      # wait: see below
+        assert app.allocator.page_homes.get(page0) == 0          # procs 0,1
+        assert app.allocator.page_homes.get(page0 + 2) == 1      # wait: see below
 
     def test_place_partitions_cluster_mapping(self):
         cfg = MachineConfig(n_processors=4, cluster_size=2)
@@ -128,19 +128,19 @@ class TestPlacement:
         region = a.space.allocate("dummy.parts", 4 * 512)  # 1 page per proc
         a.place_partitions(region)
         page0 = region.base // cfg.page_size
-        homes = [a.allocator.bound_home(page0 + i) for i in range(4)]
+        homes = [a.allocator.page_homes.get(page0 + i) for i in range(4)]
         assert homes == [0, 0, 1, 1]  # procs 0,1 -> cluster 0; 2,3 -> 1
 
     def test_place_partitions_tiny_region(self, app):
         region = app.space.allocate("dummy.tiny", 4)
         app.place_partitions(region)  # smaller than partition count
-        assert app.allocator.bound_home(region.base // 4096) == 0
+        assert app.allocator.page_homes.get(region.base // 4096) == 0
 
     def test_place_interleaved_cycles_clusters(self, app):
         region = app.space.allocate("dummy.inter", 4096)  # 8 pages (32KB)
         app.place_interleaved(region)
         first = region.base // app.config.page_size
-        homes = [app.allocator.bound_home(first + k) for k in range(8)]
+        homes = [app.allocator.page_homes.get(first + k) for k in range(8)]
         assert homes == [0, 1, 2, 3, 0, 1, 2, 3]
 
     def test_place_partitions_rejects_bad_count(self, app):
@@ -219,7 +219,7 @@ class _OneSpan(Application):
         self.span = (opcode, region, start, count)
         self.before, self.after = before, after
 
-    def setup(self):
+    def place(self):
         pass
 
     def program(self, pid):

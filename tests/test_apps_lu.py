@@ -68,7 +68,7 @@ class TestStructure:
                 addr = app.matrix.element(app._block_elem(bi, bj))
                 page = addr // cfg.page_size
                 expected = cfg.cluster_of(app.owner_of(bi, bj))
-                assert app.allocator.bound_home(page) == expected
+                assert app.allocator.page_homes.get(page) == expected
 
     def test_diag_owner_communicates_to_row(self, cfg):
         """Perimeter updates read the diagonal block: the cluster of the

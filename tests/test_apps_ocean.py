@@ -95,7 +95,7 @@ class TestStructure:
         # first element of processor 5's subgrid lives at cluster_of(5)
         pi, pj = app.proc_coords(5)
         addr = region.element(app._elem(lvl, pi * lvl.sr, pj * lvl.sc))
-        assert app.allocator.bound_home(addr // cfg.page_size) == \
+        assert app.allocator.page_homes.get(addr // cfg.page_size) == \
             cfg.cluster_of(5)
 
     def test_neighbour_communication_exists(self, cfg):

@@ -156,7 +156,7 @@ class TestStructure:
         app.ensure_setup()
         pages = range(app.rspheres.base // cfg.page_size,
                       (app.rspheres.end - 1) // cfg.page_size + 1)
-        homes = [app.allocator.bound_home(p) for p in pages]
+        homes = [app.allocator.page_homes.get(p) for p in pages]
         assert None not in homes
 
     def test_scene_mostly_read_only(self, cfg):

@@ -175,5 +175,5 @@ class TestStructure:
         app = VolrendApp(cfg, volume_side=16, width=8, height=8)
         app.ensure_setup()
         first = app.rvolume.base // cfg.page_size
-        homes = {app.allocator.bound_home(first + k) for k in range(4)}
+        homes = {app.allocator.page_homes.get(first + k) for k in range(4)}
         assert len(homes) > 1

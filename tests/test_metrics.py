@@ -1,9 +1,14 @@
 """Unit tests for miss counters and time breakdowns."""
 
-import pytest
+import json
 
-from repro.core.metrics import (MissCause, MissCounters, RunResult,
-                                TimeBreakdown)
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.core.metrics import (MissCause, MissCounters, NetworkStats,
+                                RunResult, TimeBreakdown)
 
 
 class TestMissCounters:
@@ -19,14 +24,13 @@ class TestMissCounters:
     def test_miss_rate_empty(self):
         assert MissCounters().miss_rate == 0.0
 
-    def test_merged_into(self):
+    def test_summed(self):
         a = MissCounters(reads=6, writes=4,
                          read_misses=3, write_misses=2, upgrade_misses=1,
                          merges=2, merge_refetches=1)
         a.by_cause[MissCause.CAPACITY] += 1
-        total = MissCounters()
-        a.merged_into(total)
-        a.merged_into(total)
+        total = MissCounters.summed([a, a])
+        assert MissCounters.summed([]) == MissCounters()
         assert total.references == 20
         assert total.read_misses == 6
         assert total.by_cause[MissCause.CAPACITY] == 2
@@ -61,10 +65,12 @@ class TestTimeBreakdown:
         bd = TimeBreakdown(cpu=10, load=20, merge=5, sync=15)
         assert bd.total == 50
 
-    def test_add(self):
+    def test_mean(self):
         a = TimeBreakdown(cpu=1, load=2, merge=3, sync=4)
-        a.add(TimeBreakdown(cpu=10, load=20, merge=30, sync=40))
-        assert (a.cpu, a.load, a.merge, a.sync) == (11, 22, 33, 44)
+        m = TimeBreakdown.mean([a, TimeBreakdown(cpu=10, load=20, merge=30,
+                                                 sync=40)])
+        assert (m.cpu, m.load, m.merge, m.sync) == (5.5, 11.0, 16.5, 22.0)
+        assert TimeBreakdown.mean([]) == TimeBreakdown()
 
     def test_fractions_sum_to_one(self):
         bd = TimeBreakdown(cpu=10, load=20, merge=5, sync=15)
@@ -153,3 +159,64 @@ class TestRunResultDecoding:
         edit(data)
         with pytest.raises(ValueError):
             RunResult.from_dict(data)
+
+
+# ------------------------------------------------------------- encoding
+
+def _oracle(result: RunResult) -> str:
+    return json.dumps(result.to_dict(), sort_keys=True, separators=(",", ":"))
+
+
+_INT = st.integers(0, 2 ** 62)
+_MEAN = st.floats(0, 2 ** 40, allow_nan=False).filter(
+    lambda x: x != int(x))  # a non-integral mean
+
+
+@st.composite
+def _counters(draw):
+    reads, writes = draw(_INT), draw(_INT)
+    return MissCounters(reads, writes, *draw(st.lists(
+        _INT, min_size=6, max_size=6)), by_cause=dict(zip(
+            MissCause, draw(st.lists(_INT, min_size=3, max_size=3)))))
+
+
+@st.composite
+def _results(draw):
+    n, ncl = draw(st.integers(1, 64)), draw(st.integers(1, 64))
+    breakdown = st.builds(TimeBreakdown, _INT, _INT, _INT, _INT)
+    network = st.builds(NetworkStats, _INT, _INT, _INT, _INT, _INT,
+                        st.floats(0, 1.5, allow_nan=False))
+    return RunResult(
+        execution_time=draw(_INT),
+        breakdown=draw(st.builds(TimeBreakdown, _MEAN, _MEAN, _MEAN, _MEAN)),
+        per_processor=draw(st.lists(breakdown, min_size=n, max_size=n)),
+        misses=draw(_counters()),
+        per_cluster_misses=draw(st.lists(_counters(), min_size=ncl,
+                                         max_size=ncl)),
+        network=draw(st.none() | network))
+
+
+class TestToJson:
+    """``to_json``'s one-pass text against ``json.dumps`` of ``to_dict``,
+    the canonical form it must spell byte for byte."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(_results())
+    def test_the_text_is_json_dumps_of_to_dict(self, result):
+        text = result.to_json()
+        assert text == _oracle(result)
+        assert RunResult.from_json(text) == result
+
+    @pytest.mark.parametrize("edit", [
+        lambda r: setattr(r.breakdown, "cpu", float("nan")),
+        lambda r: setattr(r.breakdown, "load", float("inf")),
+        lambda r: setattr(r.per_processor[0], "sync", True),
+        lambda r: setattr(r.per_processor[0], "cpu", np.float64(2.5)),
+        lambda r: setattr(r, "execution_time", 10 ** 400),
+        lambda r: r.misses.by_cause.pop(MissCause.COLD),
+    ], ids=["nan", "inf", "bool", "numpy-float", "vast-int",
+            "partial-causes"])
+    def test_a_value_json_spells_its_own_way_is_spelled_by_json(self, edit):
+        result = RunResult.from_dict(_payload())
+        edit(result)
+        assert result.to_json() == _oracle(result)

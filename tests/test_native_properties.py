@@ -723,7 +723,7 @@ class _ScriptedApp(Application):
     name = "scripted"
     factory = None
 
-    def setup(self):
+    def place(self):
         pass
 
     def program(self, pid):

@@ -67,7 +67,7 @@ def test_allocator_deterministic_and_stable(n_clusters, pages):
         assert a.home_of_line(p * lines_per_page) == \
             b.home_of_line(p * lines_per_page)
     for p in pages:
-        h = a.bound_home(p)
+        h = a.page_homes.get(p)
         assert h is not None and 0 <= h < n_clusters
         assert a.home_of_line(p * lines_per_page) == h
 

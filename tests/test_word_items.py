@@ -231,7 +231,7 @@ class _Batch(Application):
         super().__init__(MachineConfig(n_processors=1))
         self.n = n
 
-    def setup(self):
+    def place(self):
         pass
 
     def program(self, pid):
